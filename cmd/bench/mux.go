@@ -21,9 +21,8 @@ import (
 
 // The mux experiment measures stream multiplexing end to end over real
 // sockets: a live edge server serves N concurrent offload sessions twice
-// — once in the pre-mux topology (one TCP connection per session) and
-// once with every session as a logical stream on a single negotiated
-// connection (HintMuxV1). Both cells run identical snapshots through the
+// — once with one TCP connection per session and once with every session
+// as a logical stream on a single shared connection. Both cells run identical snapshots through the
 // production client and server code; the table reports per-request tail
 // latency and the connection count each topology needs.
 
@@ -115,11 +114,6 @@ func muxExp(w io.Writer) error {
 			c, err := client.Dial(addr)
 			if err != nil {
 				return nil, err
-			}
-			ok, err := c.NegotiateMux(streams)
-			if err != nil || !ok {
-				c.Close()
-				return nil, fmt.Errorf("mux negotiation failed: ok=%v err=%v", ok, err)
 			}
 			shared := make([]*client.Conn, streams)
 			for i := range shared {

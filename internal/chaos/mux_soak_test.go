@@ -20,16 +20,15 @@ import (
 )
 
 // The mux soak drives many concurrent offload sessions over ONE shared
-// client.Conn in multiplexed mode (HintMuxV1): every session is a logical
-// stream interleaved on the same TCP connection. The invariants are the
-// serial soak's, plus the multiplexing claims themselves:
+// client.Conn: every session is a logical stream interleaved on the same
+// TCP connection. The invariants are the one-session-per-conn soak's, plus
+// the multiplexing claim itself:
 //
 //  1. Every event terminates with a result bit-identical to local
 //     execution, no matter how streams interleave on the wire.
 //  2. Exactly one audit decision per offload-eligible event.
 //  3. The clean variant really does use a single TCP connection for all
-//     sessions, and the server really does dispatch the requests as
-//     multiplexed streams (MuxRequests > 0).
+//     sessions.
 //  4. No goroutine leaks after the shared Conn closes (the reader
 //     goroutine must join).
 
@@ -206,13 +205,6 @@ func TestMuxSoakInvariants(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetRequestTimeout(10 * time.Second)
-	ok, err := conn.NegotiateMux(2 * muxSoakSessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("server refused mux negotiation")
-	}
 
 	reports := muxSoak(t, conn, model, want)
 
@@ -231,16 +223,12 @@ func TestMuxSoakInvariants(t *testing.T) {
 		t.Error(f)
 	}
 
-	// The multiplexing claims: all sessions shared one TCP connection, the
-	// server dispatched their requests as concurrent streams, and with no
-	// faults every offload-eligible event actually offloaded.
+	// The multiplexing claim: all sessions shared one TCP connection, and
+	// with no faults every offload-eligible event actually offloaded.
 	if n := dials.Load(); n != 1 {
 		t.Errorf("%d TCP connections dialed for %d sessions; mux should need exactly 1", n, muxSoakSessions)
 	}
 	m := srv.Metrics()
-	if m.MuxRequests == 0 {
-		t.Error("server saw no multiplexed requests; streams fell back to serial dispatch")
-	}
 	if clientOffloads == 0 {
 		t.Error("no offload succeeded over the multiplexed connection")
 	}
@@ -248,8 +236,7 @@ func TestMuxSoakInvariants(t *testing.T) {
 		t.Errorf("server executed %d offloads, clients observed %d successes",
 			m.SnapshotsExecuted+m.DeltasExecuted, clientOffloads)
 	}
-	t.Logf("mux soak: %d sessions over 1 conn, %d offloads, %d mux requests",
-		muxSoakSessions, clientOffloads, m.MuxRequests)
+	t.Logf("mux soak: %d sessions over 1 conn, %d offloads", muxSoakSessions, clientOffloads)
 }
 
 // TestMuxSoakUnderChaos re-runs the multiplexed soak behind a seeded fault
@@ -277,24 +264,6 @@ func TestMuxSoakUnderChaos(t *testing.T) {
 	defer conn.Close()
 	conn.SetRequestTimeout(soakTimeout)
 
-	// Negotiation itself runs under fault injection; a torn probe breaks
-	// the conn, which Redial heals for the next attempt.
-	negotiated := false
-	for attempt := 0; attempt < 10 && !negotiated; attempt++ {
-		ok, err := conn.NegotiateMux(2 * muxSoakSessions)
-		if err != nil {
-			_ = conn.Redial() //nolint:errcheck // retried next attempt
-			continue
-		}
-		if !ok {
-			t.Fatal("server refused mux negotiation")
-		}
-		negotiated = true
-	}
-	if !negotiated {
-		t.Fatalf("mux negotiation never succeeded under chaos — %s", testutil.Seed(seed))
-	}
-
 	reports := muxSoak(t, conn, model, want)
 
 	var failures []string
@@ -316,8 +285,8 @@ func TestMuxSoakUnderChaos(t *testing.T) {
 		t.Errorf("server executed %d offloads, clients observed %d successes — %s",
 			m.SnapshotsExecuted+m.DeltasExecuted, clientOffloads, testutil.Seed(seed))
 	}
-	t.Logf("mux chaos soak: %d sessions, %d offloads, %d mux requests, %d plans — %s",
-		muxSoakSessions, clientOffloads, m.MuxRequests, len(in.Plans()), testutil.Seed(seed))
+	t.Logf("mux chaos soak: %d sessions, %d offloads, %d plans — %s",
+		muxSoakSessions, clientOffloads, len(in.Plans()), testutil.Seed(seed))
 }
 
 // TestBoundedStoreSoak pins the memory bound under sustained multiplexed
@@ -384,9 +353,6 @@ func TestBoundedStoreSoak(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetRequestTimeout(10 * time.Second)
-	if ok, err := conn.NegotiateMux(2 * muxSoakSessions); err != nil || !ok {
-		t.Fatalf("negotiate: ok=%v err=%v", ok, err)
-	}
 	reports := muxSoak(t, conn, model, want)
 	close(sampleStop)
 	<-sampleDone

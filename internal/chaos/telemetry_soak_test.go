@@ -268,7 +268,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 				return
 			}
 			defer connA.Close()
-			connA.EnableTelemetry()
 			app, err := mlapp.NewFullApp(fmt.Sprintf("soak-app-%d", s), "tiny", model, tinyLabels)
 			if err != nil {
 				t.Errorf("session %d: %v", s, err)
@@ -306,7 +305,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 				return
 			}
 			defer connB.Close()
-			connB.EnableTelemetry()
 			if err := off.Retarget(connB); err != nil {
 				t.Errorf("session %d: retarget: %v", s, err)
 				return

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -32,6 +33,14 @@ func tinyApp(t *testing.T) *webapp.App {
 	return app
 }
 
+// seqOf returns the stream ID of a request, which a fake server must echo
+// on its response.
+func seqOf(req protocol.Message) uint64 {
+	var env protocol.MuxEnvelope
+	_ = json.Unmarshal(req.Header, &env)
+	return env.Seq
+}
+
 // scriptedServer answers each incoming request with the next scripted
 // response ("echo-error", "ack", "wrong-type", "garbage", "close").
 func scriptedServer(t *testing.T, script ...string) *Conn {
@@ -40,25 +49,27 @@ func scriptedServer(t *testing.T, script ...string) *Conn {
 	go func() {
 		defer serverSide.Close()
 		for _, action := range script {
-			if _, err := protocol.Read(serverSide); err != nil {
+			req, err := protocol.Read(serverSide)
+			if err != nil {
 				return
 			}
+			seq := seqOf(req)
 			switch action {
 			case "ack":
 				msg, _ := protocol.Encode(protocol.MsgAck,
-					protocol.AckHeader{AppID: "a", ModelName: "tiny"}, nil)
+					protocol.AckHeader{AppID: "a", ModelName: "tiny", Seq: seq}, nil)
 				protocol.Write(serverSide, msg)
 			case "echo-error":
 				msg, _ := protocol.Encode(protocol.MsgError,
-					protocol.ErrorHeader{Message: "scripted failure"}, nil)
+					protocol.ErrorHeader{Message: "scripted failure", Seq: seq}, nil)
 				protocol.Write(serverSide, msg)
 			case "wrong-type":
 				msg, _ := protocol.Encode(protocol.MsgInstallDone,
-					protocol.InstallDoneHeader{}, nil)
+					protocol.InstallDoneHeader{Seq: seq}, nil)
 				protocol.Write(serverSide, msg)
 			case "wrong-name-ack":
 				msg, _ := protocol.Encode(protocol.MsgAck,
-					protocol.AckHeader{AppID: "a", ModelName: "other"}, nil)
+					protocol.AckHeader{AppID: "a", ModelName: "other", Seq: seq}, nil)
 				protocol.Write(serverSide, msg)
 			case "garbage":
 				serverSide.Write([]byte("this is not a frame at all......"))
@@ -257,11 +268,13 @@ func TestOverloadedErrorAndLoadHint(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	go func() {
 		defer serverSide.Close()
-		if _, err := protocol.Read(serverSide); err != nil {
+		req, err := protocol.Read(serverSide)
+		if err != nil {
 			return
 		}
 		msg, _ := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{
 			Message:    "queue full",
+			Seq:        seqOf(req),
 			Overloaded: true,
 			Load: &protocol.LoadHint{
 				QueueDepth: 8, QueueCap: 8, Workers: 2, Busy: 2,
@@ -299,13 +312,10 @@ func TestPingCollectsLoad(t *testing.T) {
 		if err != nil || msg.Type != protocol.MsgPing {
 			return
 		}
-		var hdr protocol.PingHeader
-		if protocol.DecodeHeader(msg, &hdr) != nil || hdr.Hints < protocol.HintLoadV1 {
-			return
-		}
 		pong, _ := protocol.Encode(protocol.MsgPong, protocol.PongHeader{
 			Installed: true,
 			Load:      &protocol.LoadHint{Workers: 4, QueueingMillis: 10},
+			Seq:       seqOf(msg),
 		}, nil)
 		protocol.Write(serverSide, pong)
 	}()

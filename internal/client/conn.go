@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,12 @@ import (
 	"websnap/internal/trace"
 )
 
-// DefaultMaxStreams is the concurrent logical-stream cap NegotiateMux
-// applies when the caller does not name one.
+// hangupGrace bounds how long a request whose write failed waits for the
+// reader to report why the peer hung up.
+const hangupGrace = 100 * time.Millisecond
+
+// DefaultMaxStreams is the cap on concurrent logical streams in flight on one
+// Conn; further requests wait for a slot.
 const DefaultMaxStreams = 64
 
 // ErrServerError wraps a MsgError response from the edge server.
@@ -42,17 +47,21 @@ var ErrOverloaded = errors.New("client: edge server overloaded")
 // may fall back to local execution meanwhile.
 var ErrConnBroken = errors.New("client: connection broken mid-frame")
 
-// Conn is a synchronous request/response channel to an edge server's
-// offloading program. It serializes requests with a mutex, so one Conn may
-// be shared by the pre-send goroutine and the offloading path.
+// Conn is a multiplexed request/response channel to an edge server's
+// offloading program. Every request is its own logical stream: it carries a
+// fresh Seq, whole-frame writes are serialized, and a single reader
+// goroutine routes each response to the waiting request by the Seq the
+// server echoes. Any number of goroutines may share one Conn (the pre-send
+// goroutine, the offloading path, many sessions), with at most
+// DefaultMaxStreams requests in flight at once.
 //
-// Every request advertises the load-hint extension; servers that support it
-// attach their scheduling load to responses, which the Conn records for
-// LastLoad. Old servers ignore the advertisement.
+// Servers attach their scheduling load to responses, which the Conn records
+// for LastLoad.
 type Conn struct {
+	// mu guards rw, timeout, broken, pending and readerDone. It is never
+	// held across socket I/O.
 	mu      sync.Mutex
 	rw      net.Conn
-	seq     uint64
 	timeout time.Duration
 	// addr is the dialed address; empty for Conns wrapped around an
 	// existing net.Conn, which cannot Redial.
@@ -61,32 +70,26 @@ type Conn struct {
 	// injection); applying it inside Redial keeps the decoration across
 	// reconnects.
 	wrap func(net.Conn) net.Conn
-	// broken marks a desynced frame stream (see ErrConnBroken).
-	broken bool
-
-	// mux, once NegotiateMux succeeds, switches the Conn to multiplexed
-	// operation: every request carries HintMuxV1 plus a unique Seq, writes
-	// are serialized under mu but responses are read by a single reader
-	// goroutine and routed to the waiting request by Seq, so many logical
-	// streams share this one connection concurrently.
-	mux bool
-	// muxSlots bounds in-flight logical streams (per-stream flow control);
-	// acquiring a slot blocks when the window is full.
-	muxSlots chan struct{}
+	// broken, when non-nil, is why the frame stream was declared desynced
+	// (it wraps ErrConnBroken); requests fail fast with it until Redial.
+	broken error
 	// pending maps an in-flight request's Seq to its reply channel.
 	pending map[uint64]chan muxReply
 	// readerDone is closed when the current reader goroutine exits.
 	readerDone chan struct{}
 
-	// telemetry, once EnableTelemetry is called, raises every request's
-	// advertised hint floor to HintTelemetryV1 so servers answer with
-	// cross-process spans and the mux stream-wait report. Off by default:
-	// an unenabled Conn's request bytes stay identical to older clients.
-	telemetry bool
+	// wmu serializes whole-frame writes. It is separate from mu so that a
+	// long paced upload does not keep the reader from routing sibling
+	// streams' responses.
+	wmu sync.Mutex
+	seq atomic.Uint64
+	// slots bounds in-flight logical streams (per-stream flow control);
+	// acquiring a slot blocks when the window is full.
+	slots chan struct{}
 
-	// rec, when set, receives the demux routing latency of every
-	// multiplexed response (trace.StageDemux) — the time between a frame
-	// leaving protocol.Read and its delivery to the waiting stream.
+	// rec, when set, receives the demux routing latency of every response
+	// (trace.StageDemux) — the time between a frame leaving protocol.Read
+	// and its delivery to the waiting stream.
 	rec atomic.Pointer[trace.Recorder]
 
 	loadMu   sync.Mutex
@@ -113,8 +116,7 @@ func (c *Conn) noteLoad(h *protocol.LoadHint) {
 }
 
 // LastLoad returns the most recent load hint received from the server and
-// when it arrived. ok is false when no response has carried one (old
-// server, or no requests yet).
+// when it arrived. ok is false when no response has arrived yet.
 func (c *Conn) LastLoad() (hint protocol.LoadHint, at time.Time, ok bool) {
 	c.loadMu.Lock()
 	defer c.loadMu.Unlock()
@@ -134,9 +136,17 @@ func (c *Conn) SetRequestTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// NewConn wraps an established connection (possibly netem-shaped).
+// NewConn wraps an established connection (possibly netem-shaped) and
+// starts its reader; Close stops it.
 func NewConn(rw net.Conn) *Conn {
-	return &Conn{rw: rw}
+	c := &Conn{
+		rw:         rw,
+		pending:    make(map[uint64]chan muxReply),
+		readerDone: make(chan struct{}),
+		slots:      make(chan struct{}, DefaultMaxStreams),
+	}
+	go c.readLoop(rw, c.readerDone)
+	return c
 }
 
 // Dial connects to an edge server at addr over TCP. The Conn remembers the
@@ -169,17 +179,15 @@ func DialWrapped(addr string, wrap func(net.Conn) net.Conn) (*Conn, error) {
 // connection.
 func (c *Conn) Addr() string { return c.addr }
 
-// Close closes the underlying connection. On a multiplexed Conn it also
-// joins the reader goroutine, so callers (and goroutine-leak checks) see
-// a fully quiesced Conn when Close returns.
+// Close closes the underlying connection and joins the reader goroutine,
+// so callers (and goroutine-leak checks) see a fully quiesced Conn when
+// Close returns. Requests still in flight fail with ErrConnBroken.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	err := c.rw.Close()
 	done := c.readerDone
 	c.mu.Unlock()
-	if done != nil {
-		<-done
-	}
+	<-done
 	return err
 }
 
@@ -188,19 +196,13 @@ func (c *Conn) Close() error {
 func (c *Conn) Broken() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.broken
+	return c.broken != nil
 }
 
-// markBroken flags the frame stream as desynced outside roundTrip (e.g. a
-// response whose Seq belongs to a different request).
-func (c *Conn) markBroken() {
-	c.mu.Lock()
-	c.broken = true
-	c.mu.Unlock()
-}
-
-// Redial re-establishes a dialed connection in place: the old socket is
-// closed, a fresh one replaces it, and the broken mark is cleared. Conns
+// Redial re-establishes a broken dialed connection in place: the old socket
+// is closed, a fresh one replaces it, and the broken mark is cleared. Many
+// streams sharing the Conn may race to recover; the first Redial to finish
+// heals the connection for all of them and the rest are no-ops. Conns
 // wrapped around an existing net.Conn (NewConn) cannot redial. The server's
 // per-app state (pre-sent models, delta bases) is keyed by app ID, not by
 // connection, so it survives the reconnect.
@@ -210,25 +212,7 @@ func (c *Conn) Redial() error {
 		c.mu.Unlock()
 		return fmt.Errorf("client: cannot redial a wrapped connection: %w", ErrConnBroken)
 	}
-	if !c.mux {
-		// Serial Conns swap the socket entirely under the lock, mutually
-		// exclusive with any in-flight round trip.
-		defer c.mu.Unlock()
-		fresh, err := net.Dial("tcp", c.addr)
-		if err != nil {
-			return fmt.Errorf("client: redial %s: %w", c.addr, err)
-		}
-		if c.wrap != nil {
-			fresh = c.wrap(fresh)
-		}
-		c.rw.Close() //nolint:errcheck // the old socket is already suspect
-		c.rw = fresh
-		c.broken = false
-		return nil
-	}
-	if !c.broken {
-		// On a shared multiplexed Conn many streams race to recover; the
-		// first Redial to finish heals the connection for all of them.
+	if c.broken == nil {
 		c.mu.Unlock()
 		return nil
 	}
@@ -240,9 +224,7 @@ func (c *Conn) Redial() error {
 	// closing the socket fails its pending streams and stops the reader, so
 	// no goroutine is still draining stale frames when the new one starts.
 	old.Close() //nolint:errcheck // the old socket is already suspect
-	if oldDone != nil {
-		<-oldDone
-	}
+	<-oldDone
 
 	fresh, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -253,59 +235,24 @@ func (c *Conn) Redial() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rw != old && !c.broken {
+	if c.rw != old && c.broken == nil {
 		// A concurrent Redial already installed a healthy socket; keep it.
 		fresh.Close() //nolint:errcheck // redundant socket
 		return nil
 	}
 	c.rw = fresh
-	c.broken = false
+	c.broken = nil
 	c.readerDone = make(chan struct{})
 	go c.readLoop(fresh, c.readerDone)
 	return nil
 }
 
-// roundTrip sends one request and reads one response.
-//
-// Any I/O failure — notably a deadline expiring while a frame is mid-wire —
-// leaves the stream position unknown, so the Conn is marked broken: the
-// next read could otherwise interpret the stale response's leftover bytes
-// as a frame header and decode garbage. A clean MsgError response is a
-// complete frame and does NOT break the connection.
-func (c *Conn) roundTrip(req protocol.Message) (protocol.Message, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return protocol.Message{}, ErrConnBroken
-	}
-	if c.timeout > 0 {
-		if err := c.rw.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return protocol.Message{}, fmt.Errorf("client: set deadline: %w", err)
-		}
-		defer c.rw.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	if err := protocol.Write(c.rw, req); err != nil {
-		c.broken = true
-		return protocol.Message{}, fmt.Errorf("%w: %w", ErrConnBroken, err)
-	}
-	resp, err := protocol.Read(c.rw)
-	if err != nil {
-		c.broken = true
-		return protocol.Message{}, fmt.Errorf("%w: %w", ErrConnBroken, err)
-	}
-	return c.checkError(resp)
-}
-
-// checkError turns a MsgError response into the matching client error; any
-// other response passes through. A clean error frame is a complete frame,
-// so it never breaks the connection.
-func (c *Conn) checkError(resp protocol.Message) (protocol.Message, error) {
-	if resp.Type != protocol.MsgError {
-		return resp, nil
-	}
+// serverError turns a MsgError frame into the matching client error. A
+// clean error frame is a complete frame, so it never breaks the connection.
+func (c *Conn) serverError(resp protocol.Message) error {
 	var hdr protocol.ErrorHeader
 	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return protocol.Message{}, err
+		return err
 	}
 	c.noteLoad(hdr.Load)
 	err := fmt.Errorf("%w: %s", ErrServerError, hdr.Message)
@@ -317,111 +264,34 @@ func (c *Conn) checkError(resp protocol.Message) (protocol.Message, error) {
 		// the error so the planner can exclude that server and re-plan.
 		err = &ChainHopError{Hop: hdr.ChainHop, Err: err}
 	}
-	return protocol.Message{}, err
-}
-
-// EnableTelemetry opts this Conn into the cross-process telemetry
-// extension: every subsequent request advertises at least HintTelemetryV1,
-// so capable servers answer with span trees (pre-send resolution, fleet
-// hops) and the mux stream-wait report. Old servers ignore the higher hint
-// and answer exactly as before, so enabling it is always safe; it is off
-// by default so an unenabled client's wire bytes stay byte-identical.
-func (c *Conn) EnableTelemetry() {
-	c.mu.Lock()
-	c.telemetry = true
-	c.mu.Unlock()
-}
-
-// TelemetryEnabled reports whether EnableTelemetry has been called.
-func (c *Conn) TelemetryEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.telemetry
+	return err
 }
 
 // SetTraceRecorder wires a recorder into the Conn's demultiplexer: each
-// multiplexed response's routing latency lands in its StageDemux
-// histogram. The offloader wires its own recorder here so client digests
-// cover the demux stage.
+// response's routing latency lands in its StageDemux histogram. The
+// offloader wires its own recorder here so client digests cover the demux
+// stage.
 func (c *Conn) SetTraceRecorder(rec *trace.Recorder) { c.rec.Store(rec) }
 
-// raiseTelemetry lifts a request's hint level to the telemetry floor when
-// the extension is enabled.
-func (c *Conn) raiseTelemetry(hints int) int {
-	if c.TelemetryEnabled() && hints < protocol.HintTelemetryV1 {
-		return protocol.HintTelemetryV1
-	}
-	return hints
-}
-
-// Muxed reports whether stream multiplexing has been negotiated on this
-// connection.
-func (c *Conn) Muxed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mux
-}
-
-// nextSeq allocates a fresh logical-stream ID.
-func (c *Conn) nextSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	return c.seq
-}
-
-// NegotiateMux probes the server for the stream-multiplexing extension
-// (HintMuxV1) with one ping and, when the pong advertises support, switches
-// the Conn to multiplexed operation: requests from any number of goroutines
-// are interleaved on this one connection, each as its own logical stream,
-// with at most maxStreams (default DefaultMaxStreams) in flight at once.
-// Returns false against servers that predate the extension — the Conn then
-// keeps its serial one-request-at-a-time behavior, byte-identical to a
-// client that never negotiated.
+// NegotiateMux sizes the stream window to maxStreams; it must be called
+// before the Conn is shared across goroutines. There is nothing to
+// negotiate: every Conn is multiplexed.
 //
-// Negotiate before sharing the Conn across goroutines; the probe itself
-// uses the serial path.
+// Deprecated: kept only because benchmark/workload.go:185 still calls it,
+// until a benchmark PR drops the call.
 func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
-	if maxStreams <= 0 {
-		maxStreams = DefaultMaxStreams
-	}
-	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: protocol.HintMuxV1}, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return false, fmt.Errorf("client: mux negotiate: %w", err)
-	}
-	if resp.Type != protocol.MsgPong {
-		return false, fmt.Errorf("client: mux negotiate: unexpected response %s", resp.Type)
-	}
-	var hdr protocol.PongHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return false, err
-	}
-	c.noteLoad(hdr.Load)
-	if !hdr.Mux {
-		return false, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.mux {
-		c.mux = true
-		c.muxSlots = make(chan struct{}, maxStreams)
-		c.pending = make(map[uint64]chan muxReply)
-		c.readerDone = make(chan struct{})
-		go c.readLoop(c.rw, c.readerDone)
+	if maxStreams > 0 {
+		c.slots = make(chan struct{}, maxStreams)
 	}
 	return true, nil
 }
 
-// readLoop is the multiplexed Conn's single reader: it decodes each
-// response's stream ID (every response header carries the shared "seq" key)
-// and hands the frame to the waiting request. A read error, an undecodable
-// header, or a response for no pending stream all mean the frame stream can
-// no longer be trusted, so every pending request fails and the loop exits;
-// Redial starts a fresh loop on the replacement socket.
+// readLoop is the Conn's single reader: it decodes each response's stream
+// ID (every response header carries the shared "seq" key) and hands the
+// frame to the waiting request. A read error, an undecodable header, or a
+// response for no pending stream all mean the frame stream can no longer
+// be trusted, so every pending request fails and the loop exits; Redial
+// starts a fresh loop on the replacement socket.
 func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 	defer close(done)
 	for {
@@ -447,7 +317,15 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 		}
 		c.mu.Unlock()
 		if !ok {
-			c.failPending(rw, fmt.Errorf("%w: response for unknown stream %d", ErrConnBroken, env.Seq))
+			err := fmt.Errorf("response for unknown stream %d", env.Seq)
+			if resp.Type == protocol.MsgError {
+				// An error frame addressed to no stream is about the
+				// connection itself (refused at the connection cap, a
+				// request header the server could not decode): keep its
+				// message as the cause.
+				err = c.serverError(resp)
+			}
+			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
 		ch <- muxReply{msg: resp}
@@ -457,18 +335,20 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 	}
 }
 
-// failPending marks the Conn broken and delivers err to every in-flight
-// stream. rw names the socket the failure belongs to: a failure reported
-// for an already-retired socket is a no-op — its streams were drained when
-// its reader exited, and the streams now pending belong to the healthy
-// replacement a concurrent Redial installed.
+// failPending marks the Conn broken with cause err and delivers err to
+// every in-flight stream. rw names the socket the failure belongs to: a
+// failure reported for an already-retired socket is a no-op — its streams
+// were drained when its reader exited, and the streams now pending belong
+// to the healthy replacement a concurrent Redial installed.
 func (c *Conn) failPending(rw net.Conn, err error) {
 	c.mu.Lock()
 	if c.rw != rw {
 		c.mu.Unlock()
 		return
 	}
-	c.broken = true
+	if c.broken == nil {
+		c.broken = err
+	}
 	pending := c.pending
 	c.pending = make(map[uint64]chan muxReply)
 	c.mu.Unlock()
@@ -477,98 +357,97 @@ func (c *Conn) failPending(rw net.Conn, err error) {
 	}
 }
 
-// muxRoundTrip runs one logical stream on a multiplexed Conn: acquire a
-// stream slot, register the reply channel under seq, write the frame (writes
-// stay serialized under mu), then wait for the reader to deliver the
-// matching response. A request timeout conservatively breaks the whole
-// connection — the response may still arrive later, and with it any frame
-// boundary guarantee for the siblings — exactly the serial path's deadline
-// semantics.
-func (c *Conn) muxRoundTrip(req protocol.Message, seq uint64) (protocol.Message, error) {
-	c.muxSlots <- struct{}{}
-	defer func() { <-c.muxSlots }()
+// exchange runs one logical stream: acquire a stream slot, register the
+// reply channel under seq, write the frame, then wait for the reader to
+// deliver the matching response. The request timeout covers the write and
+// the wait together, so neither a peer that stops reading nor one that
+// never answers can hang the caller.
+//
+// Any I/O failure — a short write, a deadline expiring while a frame is
+// mid-wire — leaves the stream position unknown for every sibling too, so
+// the whole Conn is marked broken and its socket closed: the next read
+// could otherwise interpret a stale response's leftover bytes as a frame
+// header. A clean MsgError response is a complete frame and does NOT break
+// the connection.
+func (c *Conn) exchange(req protocol.Message, seq uint64) (protocol.Message, error) {
+	slots := c.slots
+	slots <- struct{}{}
+	defer func() { <-slots }()
 
 	ch := make(chan muxReply, 1)
 	c.mu.Lock()
-	if c.broken {
+	if c.broken != nil {
+		err := c.broken
 		c.mu.Unlock()
-		return protocol.Message{}, ErrConnBroken
+		return protocol.Message{}, err
 	}
 	c.pending[seq] = ch
 	timeout := c.timeout
 	rw := c.rw
-	err := protocol.Write(rw, req)
 	c.mu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		// A short write desyncs the shared stream for every sibling too:
-		// close the socket this frame went out on (not c.rw, which a
-		// concurrent Redial may have already replaced) so its reader
-		// unwinds them all.
-		rw.Close() //nolint:errcheck // already failing
-		c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
-		return protocol.Message{}, fmt.Errorf("%w: %w", ErrConnBroken, err)
-	}
 
+	c.wmu.Lock()
 	var expired <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		expired = timer.C
+		// Best effort: should setting a deadline fail, the timer still
+		// bounds the wait.
+		rw.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
 	}
+	err := protocol.Write(rw, req)
+	if timeout > 0 {
+		rw.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("%w: %w", ErrConnBroken, err)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			// The peer hung up. If it said why first (an error frame
+			// refusing the connection), the reader is about to fail this
+			// stream with that reason: prefer it to the bare write error.
+			select {
+			case r := <-ch:
+				if r.err != nil {
+					err = r.err
+				}
+			case <-time.After(hangupGrace):
+			}
+		}
+		// Close the socket this frame went out on (not c.rw, which a
+		// concurrent Redial may have already replaced) so its reader
+		// unwinds the siblings.
+		rw.Close() //nolint:errcheck // already failing
+		c.failPending(rw, err)
+		return protocol.Message{}, err
+	}
+
 	select {
 	case r := <-ch:
 		if r.err != nil {
 			return protocol.Message{}, r.err
 		}
-		return c.checkError(r.msg)
-	case <-expired:
-		c.mu.Lock()
-		delete(c.pending, seq)
-		if c.rw == rw {
-			// Only break the connection the request is actually stuck on; a
-			// concurrent Redial may have installed a healthy replacement.
-			c.broken = true
+		if r.msg.Type == protocol.MsgError {
+			return protocol.Message{}, c.serverError(r.msg)
 		}
-		c.mu.Unlock()
+		return r.msg, nil
+	case <-expired:
+		err := fmt.Errorf("%w: request %d timed out after %v", ErrConnBroken, seq, timeout)
 		rw.Close() //nolint:errcheck // deliberate teardown
-		return protocol.Message{}, fmt.Errorf("%w: request %d timed out after %v", ErrConnBroken, seq, timeout)
+		c.failPending(rw, err)
+		return protocol.Message{}, err
 	}
 }
 
-// roundTripSeq dispatches one request: the multiplexed path when negotiated
-// (seq identifies the logical stream), the serial path otherwise.
-func (c *Conn) roundTripSeq(req protocol.Message, seq uint64) (protocol.Message, error) {
-	if c.Muxed() {
-		return c.muxRoundTrip(req, seq)
-	}
-	return c.roundTrip(req)
-}
-
-// streamHints resolves one request's hint level and stream ID: on a
-// multiplexed Conn every request advertises HintMuxV1 (which implies all
-// lower extensions) and carries a fresh stream ID; serially the request
-// keeps its historical hint level and the bytes stay identical to a client
-// that never negotiated. EnableTelemetry raises either level to
-// HintTelemetryV1.
-func (c *Conn) streamHints(serialHints int) (hints int, seq uint64) {
-	if c.Muxed() {
-		return c.raiseTelemetry(protocol.HintMuxV1), c.nextSeq()
-	}
-	return c.raiseTelemetry(serialHints), 0
-}
-
-// Ping probes the server's install state and, when the server supports the
-// load-hint extension, its current scheduling load.
+// Ping probes the server's install state and current scheduling load.
 func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
-	hints, seq := c.streamHints(protocol.HintLoadV1)
-	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: hints, Seq: seq}, nil)
+	seq := c.seq.Add(1)
+	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Seq: seq}, nil)
 	if err != nil {
 		return false, nil, err
 	}
-	resp, err := c.roundTripSeq(req, seq)
+	resp, err := c.exchange(req, seq)
 	if err != nil {
 		return false, nil, fmt.Errorf("client: ping: %w", err)
 	}
@@ -595,16 +474,15 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool)
 	if err := model.EncodeWeights(&weights); err != nil {
 		return fmt.Errorf("client: model %q: %w", name, err)
 	}
-	hints, seq := c.streamHints(protocol.HintCRCV1)
+	seq := c.seq.Add(1)
 	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
-		Hints: hints, Seq: seq,
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
 		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
 	}, weights.Bytes())
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundTripSeq(req, seq)
+	resp, err := c.exchange(req, seq)
 	if err != nil {
 		return fmt.Errorf("client: pre-send %q: %w", name, err)
 	}
@@ -626,21 +504,19 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool)
 // the header carries the spec and the model's fleet blob key
 // (nn.Fingerprint), but no weight bytes. A fleet server resolves the blob
 // from its cache or a peer and ACKs like a full pre-send; needBlob=true
-// means it could not (client should retry with PreSendModel). Servers that
-// predate the extension fail to decode the empty body and answer an error
-// frame, which is reported as needBlob too — the reference attempt is
-// always safe, it just wastes one round trip against an old server.
+// means it could not (client should retry with PreSendModel). A server that
+// refuses the reference with an error frame is reported as needBlob too, so
+// the reference attempt is always safe.
 func (c *Conn) PreSendModelRef(appID, name string, model *nn.Network, partial bool) (needBlob bool, err error) {
 	needBlob, _, err = c.PreSendModelRefTraced(appID, name, model, partial, "")
 	return needBlob, err
 }
 
 // PreSendModelRefTraced is PreSendModelRef with cross-process trace
-// propagation: traceID is stamped on the request (implying
-// HintTelemetryV1), and the server's resolve span — covering its registry
-// locate and peer fetches — comes back alongside the NeedBlob verdict, so
-// a roam handoff's pre-sends join the client's trace under one ID. Empty
-// traceID degrades to the untraced request bytes.
+// propagation: traceID is stamped on the request, and the server's resolve
+// span — covering its registry locate and peer fetches — comes back
+// alongside the NeedBlob verdict, so a roam handoff's pre-sends join the
+// client's trace under one ID. Empty traceID sends an untraced request.
 func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, partial bool, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
@@ -650,13 +526,9 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 	if key == "" {
 		return true, nil, nil
 	}
-	hints, seq := c.streamHints(protocol.HintFleetV1)
-	if traceID != "" && hints < protocol.HintTelemetryV1 {
-		hints = protocol.HintTelemetryV1
-	}
+	seq := c.seq.Add(1)
 	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
-		Hints: hints, Seq: seq,
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
 		BlobKey: key,
 		RefOnly: true,
 		TraceID: traceID,
@@ -664,12 +536,11 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 	if err != nil {
 		return false, nil, err
 	}
-	resp, err := c.roundTripSeq(req, seq)
+	resp, err := c.exchange(req, seq)
 	if err != nil {
 		if errors.Is(err, ErrServerError) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrConnBroken) {
-			// A clean error frame: an old server choked on the empty body
-			// (or refused the reference). The stream is intact — fall back
-			// to a full upload.
+			// A clean error frame: the server refused the reference. The
+			// stream is intact — fall back to a full upload.
 			return true, nil, nil
 		}
 		return false, nil, fmt.Errorf("client: ref pre-send %q: %w", name, err)
@@ -720,19 +591,13 @@ type offloadReply struct {
 	// RoundTrip spans request write start to response read completion.
 	RoundTrip time.Duration
 	// TraceID is the ID stamped on the request; ServerTrace is the
-	// server's span report (nil when the server predates the trace
-	// extension).
+	// server's span report.
 	TraceID     string
 	ServerTrace *protocol.ServerTrace
 }
 
 func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, encoded []byte, compress bool) (offloadReply, error) {
-	seq := c.nextSeq()
-	hints := protocol.HintCRCV1
-	if c.Muxed() {
-		hints = protocol.HintMuxV1
-	}
-	hints = c.raiseTelemetry(hints)
+	seq := c.seq.Add(1)
 	var reply offloadReply
 	reply.TraceID = trace.NewID()
 	body := encoded
@@ -748,15 +613,14 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 		encoding = protocol.EncodingFlate
 	}
 	req, err := protocol.Encode(reqType, protocol.SnapshotHeader{
-		AppID: appID, Seq: seq, Encoding: encoding,
-		Hints: hints, TraceID: reply.TraceID,
+		AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
 		BodyCRC: protocol.BodyChecksum(body),
 	}, body)
 	if err != nil {
 		return reply, err
 	}
 	rtStart := time.Now()
-	resp, err := c.roundTripSeq(req, seq)
+	resp, err := c.exchange(req, seq)
 	reply.RoundTrip = time.Since(rtStart)
 	if err != nil {
 		return reply, fmt.Errorf("client: %s: %w", reqType, err)
@@ -767,13 +631,6 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 	var hdr protocol.SnapshotHeader
 	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
 		return reply, err
-	}
-	if hdr.Seq != seq {
-		// A response for a different request means the frame stream has
-		// slipped (a stale response from before a fault); nothing read from
-		// this socket can be trusted anymore.
-		c.markBroken()
-		return reply, fmt.Errorf("%w: response seq %d for request %d", ErrConnBroken, hdr.Seq, seq)
 	}
 	if err := protocol.VerifyBody(resp.Body, hdr.BodyCRC); err != nil {
 		// The frame itself was complete — the stream is still aligned — so
@@ -799,13 +656,13 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 // InstallOverlay ships a compressed VM overlay for on-demand installation
 // and returns the server-reported synthesis time.
 func (c *Conn) InstallOverlay(baseImage string, blob []byte) (time.Duration, error) {
-	hints, seq := c.streamHints(0)
+	seq := c.seq.Add(1)
 	req, err := protocol.Encode(protocol.MsgInstallOverlay,
-		protocol.InstallOverlayHeader{BaseImage: baseImage, Hints: hints, Seq: seq}, blob)
+		protocol.InstallOverlayHeader{BaseImage: baseImage, Seq: seq}, blob)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.roundTripSeq(req, seq)
+	resp, err := c.exchange(req, seq)
 	if err != nil {
 		return 0, fmt.Errorf("client: install: %w", err)
 	}

@@ -13,10 +13,10 @@ import (
 	"websnap/internal/protocol"
 )
 
-// pongFrameBytes serializes one valid MsgPong frame.
-func pongFrameBytes(t *testing.T) []byte {
+// pongFrameBytes serializes one valid MsgPong frame answering ping.
+func pongFrameBytes(t *testing.T, ping protocol.Message) []byte {
 	t.Helper()
-	msg, err := protocol.Encode(protocol.MsgPong, protocol.PongHeader{Installed: true}, nil)
+	msg, err := protocol.Encode(protocol.MsgPong, protocol.PongHeader{Installed: true, Seq: seqOf(ping)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func pongFrameBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestMidFrameStallBreaksConn is the regression test for the roundTrip
+// TestMidFrameStallBreaksConn is the regression test for the round-trip
 // desync bug: a response that stalls mid-frame must poison the Conn — before
 // the fix the next request would read the stale frame's leftover bytes as a
 // fresh frame header and decode garbage. Now the Conn is marked broken,
@@ -38,8 +38,6 @@ func TestMidFrameStallBreaksConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	pong := pongFrameBytes(t)
-
 	var connIdx atomic.Int64
 	stall := make(chan struct{})
 	t.Cleanup(func() { close(stall) })
@@ -53,9 +51,11 @@ func TestMidFrameStallBreaksConn(t *testing.T) {
 			go func(c net.Conn, idx int64) {
 				defer c.Close()
 				for {
-					if _, err := protocol.Read(c); err != nil {
+					ping, err := protocol.Read(c)
+					if err != nil {
 						return
 					}
+					pong := pongFrameBytes(t, ping)
 					if idx == 1 {
 						// First connection: answer with a torn frame —
 						// a valid prefix, then silence.

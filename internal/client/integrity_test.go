@@ -85,8 +85,10 @@ func TestCorruptedResultBodyTypedError(t *testing.T) {
 func TestDialWrappedSurvivesRedial(t *testing.T) {
 	addr := startEdge(t, edge.Config{Installed: true})
 	var wraps atomic.Int32
+	var raw net.Conn
 	conn, err := DialWrapped(addr, func(c net.Conn) net.Conn {
 		wraps.Add(1)
+		raw = c
 		return c
 	})
 	if err != nil {
@@ -95,6 +97,10 @@ func TestDialWrappedSurvivesRedial(t *testing.T) {
 	t.Cleanup(func() { conn.Close() })
 	if _, _, err := conn.Ping(); err != nil {
 		t.Fatalf("ping on wrapped conn: %v", err)
+	}
+	raw.Close() // tear the socket under the Conn
+	if _, _, err := conn.Ping(); !errors.Is(err, ErrConnBroken) {
+		t.Fatalf("ping on torn conn: err = %v, want ErrConnBroken", err)
 	}
 	if err := conn.Redial(); err != nil {
 		t.Fatalf("redial: %v", err)

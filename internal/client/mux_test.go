@@ -1,8 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -10,28 +12,28 @@ import (
 
 	"websnap/internal/edge"
 	"websnap/internal/mlapp"
+	"websnap/internal/netem"
 	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
 	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
 
-// TestNegotiateMuxEnablesConcurrency pins the negotiated handshake: the
-// pong advertises mux support, the Conn flips to multiplexed operation,
-// and many goroutines can then share it for interleaved round trips on
-// the single underlying connection.
-func TestNegotiateMuxEnablesConcurrency(t *testing.T) {
+// breakConn poisons conn the way a mid-frame I/O failure does.
+func breakConn(conn *Conn) {
+	conn.mu.Lock()
+	rw := conn.rw
+	conn.mu.Unlock()
+	conn.failPending(rw, ErrConnBroken)
+}
+
+// TestConnSharedByConcurrentStreams pins that a freshly dialed Conn is
+// multiplexed with nothing to negotiate: many goroutines share it for
+// interleaved round trips on the single underlying connection.
+func TestConnSharedByConcurrentStreams(t *testing.T) {
 	testutil.LeakCheck(t)
 	addr := startEdge(t, edge.Config{Installed: true, Workers: 2, QueueDepth: 64})
 	conn := dialEdge(t, addr)
-
-	ok, err := conn.NegotiateMux(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok || !conn.Muxed() {
-		t.Fatal("server supports HintMuxV1; negotiation should enable mux")
-	}
 
 	model := tinyModel(t)
 	if err := conn.PreSendModel("mux-app", "tiny", model, false); err != nil {
@@ -84,53 +86,8 @@ func TestNegotiateMuxEnablesConcurrency(t *testing.T) {
 	}
 }
 
-// TestNegotiateMuxOldServer pins the downgrade path: a server that answers
-// the probe without the mux capability leaves the Conn serial and fully
-// usable.
-func TestNegotiateMuxOldServer(t *testing.T) {
-	testutil.LeakCheck(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		for {
-			if _, err := protocol.Read(c); err != nil {
-				return
-			}
-			// An old server: pong without the mux capability (and no seq).
-			msg, _ := protocol.Encode(protocol.MsgPong, protocol.PongHeader{Installed: true}, nil)
-			if protocol.Write(c, msg) != nil {
-				return
-			}
-		}
-	}()
-
-	conn, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ok, err := conn.NegotiateMux(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok || conn.Muxed() {
-		t.Fatal("negotiation against a mux-less server must leave the Conn serial")
-	}
-	if installed, _, err := conn.Ping(); err != nil || !installed {
-		t.Fatalf("serial Conn unusable after failed negotiation: installed=%v err=%v", installed, err)
-	}
-}
-
-// TestMuxTimeoutBreaksConn pins the timeout contract on a multiplexed
-// stream: a response that never arrives fails the request with
+// TestMuxTimeoutBreaksConn pins the timeout contract on a stream: a
+// response that never arrives fails the request with
 // ErrConnBroken and poisons the Conn — the frame stream can no longer be
 // trusted by any sibling stream.
 func TestMuxTimeoutBreaksConn(t *testing.T) {
@@ -147,25 +104,11 @@ func TestMuxTimeoutBreaksConn(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		n := 0
 		for {
-			msg, err := protocol.Read(c)
-			if err != nil {
+			if _, err := protocol.Read(c); err != nil {
 				return
 			}
-			n++
-			if n == 1 {
-				// Answer the negotiation probe like a mux-capable server.
-				var ping protocol.PingHeader
-				_ = protocol.DecodeHeader(msg, &ping)
-				pong, _ := protocol.Encode(protocol.MsgPong,
-					protocol.PongHeader{Installed: true, Mux: true, Seq: ping.Seq}, nil)
-				if protocol.Write(c, pong) != nil {
-					return
-				}
-				continue
-			}
-			// Swallow everything after the handshake.
+			// Swallow every request.
 			requests <- struct{}{}
 		}
 	}()
@@ -176,10 +119,6 @@ func TestMuxTimeoutBreaksConn(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetRequestTimeout(100 * time.Millisecond)
-	ok, err := conn.NegotiateMux(8)
-	if err != nil || !ok {
-		t.Fatalf("negotiate: ok=%v err=%v", ok, err)
-	}
 
 	if _, _, err := conn.Ping(); !errors.Is(err, ErrConnBroken) {
 		t.Fatalf("timed-out mux request returned %v, want ErrConnBroken", err)
@@ -197,18 +136,14 @@ func TestMuxTimeoutBreaksConn(t *testing.T) {
 	}
 }
 
-// TestMuxRedialHealsSharedConn pins recovery on a multiplexed Conn: after a
-// timeout breaks the shared connection, one Redial restores service for
-// every stream, keeping mux mode, and redundant concurrent Redials are
-// harmless.
+// TestMuxRedialHealsSharedConn pins recovery on a shared Conn: after a
+// failure breaks the connection, one Redial restores service for every
+// stream, and redundant concurrent Redials are harmless.
 func TestMuxRedialHealsSharedConn(t *testing.T) {
 	testutil.LeakCheck(t)
 	addr := startEdge(t, edge.Config{Installed: true, Workers: 2, QueueDepth: 16})
 	conn := dialEdge(t, addr)
-	if ok, err := conn.NegotiateMux(8); err != nil || !ok {
-		t.Fatalf("negotiate: ok=%v err=%v", ok, err)
-	}
-	conn.markBroken()
+	breakConn(conn)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -229,10 +164,106 @@ func TestMuxRedialHealsSharedConn(t *testing.T) {
 	if conn.Broken() {
 		t.Fatal("Conn still broken after Redial")
 	}
-	if !conn.Muxed() {
-		t.Fatal("Redial dropped mux mode")
-	}
 	if installed, _, err := conn.Ping(); err != nil || !installed {
-		t.Fatalf("mux Conn unusable after Redial: installed=%v err=%v", installed, err)
+		t.Fatalf("Conn unusable after Redial: installed=%v err=%v", installed, err)
+	}
+}
+
+// TestSiblingResponseDuringPacedUpload is the regression test for the
+// reader being locked out by a writer: while stream B's upload is still
+// being paced onto a slow link, stream A's response must reach A. Before the
+// fix the frame write held the same mutex the reader needs to route a
+// response, so A waited for B's whole upload.
+func TestSiblingResponseDuringPacedUpload(t *testing.T) {
+	testutil.LeakCheck(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// 1 MB at 30 Mbit/s is paced over ~270 ms.
+	link := netem.Profile{BandwidthBitsPerSec: 30e6}
+	body := make([]byte, 1<<20)
+	pacing := link.TransferTime(int64(len(body)))
+
+	gotPing := make(chan struct{})
+	pongAt := make(chan time.Time, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		ping, err := protocol.Read(c)
+		if err != nil {
+			return
+		}
+		close(gotPing)
+		// Hold A's pong until B's frame has started arriving, i.e. B's
+		// write is in progress; then answer A before reading B's body.
+		var frameStart [18]byte
+		if _, err := io.ReadFull(c, frameStart[:]); err != nil {
+			return
+		}
+		pong, _ := protocol.Encode(protocol.MsgPong,
+			protocol.PongHeader{Installed: true, Seq: seqOf(ping)}, nil)
+		if protocol.Write(c, pong) != nil {
+			return
+		}
+		pongAt <- time.Now()
+		upload, err := protocol.Read(io.MultiReader(bytes.NewReader(frameStart[:]), c))
+		if err != nil {
+			return
+		}
+		refuse, _ := protocol.Encode(protocol.MsgError,
+			protocol.ErrorHeader{Message: "upload refused", Seq: seqOf(upload)}, nil)
+		protocol.Write(c, refuse) //nolint:errcheck // the client may already be gone
+	}()
+
+	conn, err := DialWrapped(ln.Addr().String(), func(c net.Conn) net.Conn {
+		return netem.Shape(c, link)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetRequestTimeout(10 * time.Second)
+
+	pinged := make(chan time.Time, 1)
+	go func() {
+		if _, _, err := conn.Ping(); err != nil {
+			t.Errorf("stream A ping: %v", err)
+		}
+		pinged <- time.Now()
+	}()
+	<-gotPing
+	if _, _, err := conn.OffloadSnapshot("b", body, false); !errors.Is(err, ErrServerError) {
+		t.Fatalf("stream B upload: err = %v, want the server's refusal", err)
+	}
+	if lag := (<-pinged).Sub(<-pongAt); lag > pacing/2 {
+		t.Errorf("stream A's response reached it %v after the server sent it; it waited out stream B's %v paced upload", lag, pacing)
+	}
+}
+
+// TestWriteToStalledPeerTimesOut is the regression test for the unbounded
+// frame write: a peer that stops reading must fail the request at the
+// request timeout, not block the writer (and every sibling queued behind
+// it) forever.
+func TestWriteToStalledPeerTimesOut(t *testing.T) {
+	testutil.LeakCheck(t)
+	clientSide, serverSide := net.Pipe() // unbuffered: an unread write blocks
+	defer serverSide.Close()
+	conn := NewConn(clientSide)
+	defer conn.Close()
+	conn.SetRequestTimeout(100 * time.Millisecond)
+	start := time.Now()
+	if _, _, err := conn.Ping(); !errors.Is(err, ErrConnBroken) {
+		t.Fatalf("write to a stalled peer returned %v, want ErrConnBroken", err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Errorf("stalled write took %v, want ~100ms", elapsed)
+	}
+	if !conn.Broken() {
+		t.Error("Conn not marked broken after a timed-out write")
 	}
 }

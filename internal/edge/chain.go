@@ -47,9 +47,8 @@ type chainWork struct {
 }
 
 // handleChainExec executes this server's layer range of a multi-hop chain
-// and relays or answers. streamWait is the mux stream-semaphore wait
-// (negative for serial dispatch), folded into the hop's span like any
-// other offload.
+// and relays or answers. streamWait is the stream-semaphore wait, folded
+// into the hop's span like any other offload.
 func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	start := time.Now()
 	var hdr protocol.ChainExecHeader
@@ -83,7 +82,7 @@ func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration)
 	if !ok {
 		return fail(fmt.Errorf("chain: model %q not pre-sent for app %q", hdr.ModelName, hdr.AppID))
 	}
-	out, queued, execed, err := s.scheduleChainRange(model, in, hop, hdr)
+	out, queued, execed, err := s.scheduleChainRange(model, in, hop)
 	if err != nil {
 		// Keep any overload marker AND the hop attribution: the client
 		// re-plans around a saturated mid-chain server the same way it
@@ -112,16 +111,14 @@ func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration)
 
 	resp := protocol.ChainResultHeader{
 		Seq:  hdr.Seq,
-		Load: s.hintFor(hdr.Hints),
+		Load: s.loadHint(),
 	}
-	wantSpan := hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != ""
+	wantSpan := hdr.TraceID != ""
 	if hdr.Hop == len(hdr.Hops)-1 {
 		// Terminal hop: answer with the final output tensor.
 		body := protocol.Float32Bytes(out.Data())
 		resp.Shape = out.Shape()
-		if hdr.Hints >= protocol.HintCRCV1 {
-			resp.BodyCRC = protocol.BodyChecksum(body)
-		}
+		resp.BodyCRC = protocol.BodyChecksum(body)
 		if wantSpan {
 			span.Micros = time.Since(start).Microseconds()
 			resp.Span = span
@@ -156,26 +153,14 @@ func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration)
 	return protocol.Encode(protocol.MsgChainResult, resp, down)
 }
 
-// scheduleChainRange submits one hop's layer range to the scheduler under a
-// solo key and waits for the output tensor. Admission failures come back as
-// overload errors so the client sees the same saturated-server signal as a
+// scheduleChainRange runs one hop's layer range through the scheduler under
+// a solo key, so the client sees the same saturated-server signal as for a
 // snapshot offload.
-func (s *Server) scheduleChainRange(model *nn.Network, in *tensor.Tensor, hop protocol.ChainHop, hdr protocol.ChainExecHeader) (*tensor.Tensor, time.Duration, time.Duration, error) {
+func (s *Server) scheduleChainRange(model *nn.Network, in *tensor.Tensor, hop protocol.ChainHop) (*tensor.Tensor, time.Duration, time.Duration, error) {
 	task := sched.NewTask(s.soloKey(), &chainWork{net: model, in: in, from: hop.From, to: hop.To})
 	task.Bytes = int64(4 * in.Len())
-	if err := s.sched.Submit(task); err != nil {
-		return nil, 0, 0, &overloadError{
-			err:        err,
-			seq:        hdr.Seq,
-			overloaded: errors.Is(err, sched.ErrQueueFull),
-			hints:      hdr.Hints,
-		}
-	}
-	v, err := task.Wait()
+	v, err := s.runTask(task)
 	if err != nil {
-		if errors.Is(err, sched.ErrClosed) {
-			return nil, 0, 0, &overloadError{err: err, seq: hdr.Seq, hints: hdr.Hints}
-		}
 		return nil, 0, 0, err
 	}
 	return v.(*tensor.Tensor), task.QueueWait(), task.ExecTime(), nil
@@ -204,14 +189,11 @@ func (s *Server) relayChain(boundary *tensor.Tensor, hdr protocol.ChainExecHeade
 		AppID:     hdr.AppID,
 		ModelName: hdr.ModelName,
 		Seq:       hdr.Seq,
-		Hints:     hdr.Hints,
 		Hop:       hdr.Hop + 1,
 		Hops:      hdr.Hops,
 		Shape:     boundary.Shape(),
 		TraceID:   hdr.TraceID,
-	}
-	if hdr.Hints >= protocol.HintCRCV1 {
-		req.BodyCRC = protocol.BodyChecksum(body)
+		BodyCRC:   protocol.BodyChecksum(body),
 	}
 	msg, err := protocol.Encode(protocol.MsgChainExec, req, body)
 	if err != nil {

@@ -249,39 +249,3 @@ func TestChainModelMissing(t *testing.T) {
 		t.Fatalf("failure attributed to hop %d, want 2", che.Hop)
 	}
 }
-
-// TestChainPongAdvertisesCapability checks the hint-gated capability bit.
-func TestChainPongAdvertisesCapability(t *testing.T) {
-	_, addr := startChainServer(t, Config{})
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	for _, tc := range []struct {
-		hints int
-		want  bool
-	}{
-		{protocol.HintChainV1, true},
-		{protocol.HintLoadV1, false},
-	} {
-		msg, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Hints: tc.hints}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := protocol.Write(raw, msg); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := protocol.Read(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pong protocol.PongHeader
-		if err := protocol.DecodeHeader(resp, &pong); err != nil {
-			t.Fatal(err)
-		}
-		if pong.Chain != tc.want {
-			t.Fatalf("hints %d: pong.Chain = %v, want %v", tc.hints, pong.Chain, tc.want)
-		}
-	}
-}

@@ -33,7 +33,7 @@ type BlobLocator interface {
 	Locate(keys []string) (map[string][]string, error)
 }
 
-// tracedLocator is the optional telemetry upgrade of BlobLocator
+// tracedLocator is the optional tracing upgrade of BlobLocator
 // (fleet.RegistryClient implements it): the locate propagates the
 // request's trace ID through the registry hop and returns the registry's
 // span for the merged tree. Discovered by interface assertion so edge
@@ -45,9 +45,8 @@ type tracedLocator interface {
 // spanTrail accumulates the fleet-hop spans of one traced request as it
 // crosses processes: registry locates and peer fetches append their
 // SpanNodes here, and the request handler parents them all under one root
-// carried back on the response. A nil trail means the requester did not
-// negotiate HintTelemetryV1; the hops still happen, they just aren't
-// reported.
+// carried back on the response. A nil trail means the request carried no
+// trace ID; the hops still happen, they just aren't reported.
 type spanTrail struct {
 	traceID string
 	spans   []*protocol.SpanNode
@@ -177,8 +176,8 @@ func (s *Server) locateBlob(key string, trail *spanTrail) (map[string][]string, 
 	}
 	if trail != nil {
 		if span == nil {
-			// The locator predates the telemetry extension; record the hop
-			// from this side so the tree still shows it.
+			// The locator does not trace; record the hop from this side so
+			// the tree still shows it.
 			span = &protocol.SpanNode{Op: "registry_rpc", Micros: rtt.Microseconds()}
 		}
 		span.Detail = key
@@ -232,12 +231,7 @@ func (s *Server) doFetchBlob(addr, key, traceID string) ([]byte, *protocol.SpanN
 	if err := conn.SetDeadline(time.Now().Add(peerFetchTimeout)); err != nil {
 		return nil, nil, err
 	}
-	get := protocol.BlobGetHeader{Key: key, Hints: protocol.HintFleetV1}
-	if traceID != "" {
-		get.Hints = protocol.HintTelemetryV1
-		get.TraceID = traceID
-	}
-	req, err := protocol.Encode(protocol.MsgBlobGet, get, nil)
+	req, err := protocol.Encode(protocol.MsgBlobGet, protocol.BlobGetHeader{Key: key, TraceID: traceID}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,12 +283,12 @@ func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 	s.blobsServed.Inc()
 	resp := protocol.BlobDataHeader{
 		Key:     hdr.Key,
+		Seq:     hdr.Seq,
 		BodyCRC: protocol.BodyChecksum(data),
 	}
-	if hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != "" {
+	if hdr.TraceID != "" {
 		// The fetching peer propagated a trace: answer with this server's
-		// serve span so the requester's tree covers this process too. Old
-		// peers get byte-identical headers (omitempty field).
+		// serve span so the requester's tree covers this process too.
 		resp.Span = &protocol.SpanNode{
 			Op:     "blob_serve",
 			Addr:   s.cfg.AdvertiseAddr,

@@ -64,7 +64,7 @@ func TestSnapshotChecksumRejected(t *testing.T) {
 	wire[len(wire)/2] ^= 0x04 // corrupt after checksumming
 
 	req, err := protocol.Encode(protocol.MsgSnapshot, protocol.SnapshotHeader{
-		AppID: "crc-app", Seq: 1, Hints: protocol.HintCRCV1, BodyCRC: sum,
+		AppID: "crc-app", Seq: 1, BodyCRC: sum,
 	}, wire)
 	if err != nil {
 		t.Fatal(err)
@@ -117,45 +117,5 @@ func TestModelPreSendChecksumRejected(t *testing.T) {
 	}
 	if _, ok := srv.Store().Get("crc-app", "tiny"); ok {
 		t.Error("corrupted model present in the store")
-	}
-}
-
-// TestResponseChecksumGatedOnHint checks the CRC extension's negotiation:
-// clients advertising HintCRCV1 get a checksummed response body, older
-// clients get a header without the field.
-func TestResponseChecksumGatedOnHint(t *testing.T) {
-	_, addr := startServer(t, Config{Installed: true})
-	model := tinyModel(t, "tiny")
-
-	offload := func(hints int) protocol.SnapshotHeader {
-		wire := encodeClickSnapshot(t, "crc-gate", model)
-		hdr := protocol.SnapshotHeader{AppID: "crc-gate", Seq: 1, Hints: hints}
-		if hints >= protocol.HintCRCV1 {
-			hdr.BodyCRC = protocol.BodyChecksum(wire)
-		}
-		req, err := protocol.Encode(protocol.MsgSnapshot, hdr, wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := rawRequest(t, addr, req)
-		if resp.Type != protocol.MsgError {
-			var rh protocol.SnapshotHeader
-			if err := protocol.DecodeHeader(resp, &rh); err != nil {
-				t.Fatal(err)
-			}
-			if err := protocol.VerifyBody(resp.Body, rh.BodyCRC); err != nil {
-				t.Fatalf("response failed its own checksum: %v", err)
-			}
-			return rh
-		}
-		t.Fatalf("offload with hints=%d answered with error", hints)
-		return protocol.SnapshotHeader{}
-	}
-
-	if hdr := offload(protocol.HintCRCV1); hdr.BodyCRC == 0 {
-		t.Error("HintCRCV1 request: response carries no checksum")
-	}
-	if hdr := offload(protocol.HintTraceV1); hdr.BodyCRC != 0 {
-		t.Error("pre-CRC client received a checksum field")
 	}
 }

@@ -53,10 +53,10 @@ type Config struct {
 	// delta bases) in bytes; least-recently-used entries are evicted at
 	// the cap. Zero means unbounded (the pre-bounded-store behavior).
 	MaxStoreBytes int64
-	// MaxStreams caps the concurrent logical offload streams one
-	// multiplexed connection may have in flight; further frames wait in
-	// the connection's read loop (TCP backpressure is the flow control).
-	// Zero selects DefaultMaxStreams.
+	// MaxStreams caps the concurrent logical streams one connection may
+	// have in flight; further frames wait in the connection's read loop
+	// (TCP backpressure is the flow control). Zero selects
+	// DefaultMaxStreams.
 	MaxStreams int
 	// Quality, when set, overrides the quality-tier global of every
 	// restored snapshot before execution, forcing offloaded inference to
@@ -200,8 +200,8 @@ type Server struct {
 	refPreSendHits, refPreSendMisses    *obs.Counter
 	blobPeerFetches, blobPeerFetchBytes *obs.Counter
 	blobsServed, basesRecovered         *obs.Counter
-	// Multiplexing counters: requests dispatched concurrently off a mux
-	// connection, and the live concurrent-stream gauge behind them.
+	// Stream counters: requests dispatched as streams, and the live
+	// concurrent-stream gauge behind them.
 	muxRequests *obs.Counter
 	muxActive   atomic.Int64
 
@@ -229,8 +229,10 @@ type Metrics struct {
 	Installs int64
 	// Errors counts requests answered with MsgError.
 	Errors int64
-	// MuxRequests counts requests dispatched concurrently as multiplexed
-	// logical streams (HintMuxV1).
+	// MuxRequests counts every request dispatched (each is a stream).
+	//
+	// Deprecated: kept only because benchmark/layers.go:468 still reads
+	// it, until a benchmark PR drops the reference.
 	MuxRequests int64
 	// StoreBytes and StoreEvictions mirror the bounded session store: its
 	// current byte charge and how many entries the byte cap has evicted.
@@ -431,15 +433,6 @@ func (s *Server) loadHint() *protocol.LoadHint {
 	}
 }
 
-// hintFor returns the load hint when the request advertised the extension,
-// nil otherwise (old clients get byte-identical headers).
-func (s *Server) hintFor(hints int) *protocol.LoadHint {
-	if hints >= protocol.HintLoadV1 {
-		return s.loadHint()
-	}
-	return nil
-}
-
 // Store exposes the server's model store (for tests and inspection).
 func (s *Server) Store() *ModelStore { return s.store }
 
@@ -594,9 +587,9 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 // frameDone returns the reader to the idle clock for the next frame.
 func (r *deadlineReader) frameDone() { r.inFrame = false }
 
-// connWriter serializes response frames onto one connection: in mux mode
-// many handler goroutines finish in arbitrary order and interleave whole
-// frames under the mutex.
+// connWriter serializes response frames onto one connection: handler
+// goroutines finish in arbitrary order and interleave whole frames under
+// the mutex.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -617,11 +610,9 @@ func (s *Server) maxStreams() int {
 }
 
 // handleConn serves one client connection: a sequence of framed requests,
-// each answered with exactly one response. Requests advertising HintMuxV1
-// carry a stream id and are dispatched concurrently — the response order
-// then follows completion, not arrival, and the client demultiplexes by
-// the echoed Seq. Requests without the hint are handled inline, strictly
-// serially, exactly as before the extension.
+// each answered with exactly one response. Every request is a logical
+// stream dispatched on its own goroutine, so the response order follows
+// completion, not arrival, and the client demultiplexes by the echoed Seq.
 func (s *Server) handleConn(conn net.Conn) {
 	transfer := s.cfg.TransferTimeout
 	if transfer <= 0 {
@@ -629,10 +620,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	dr := &deadlineReader{conn: conn, idle: s.cfg.IdleTimeout, transfer: transfer}
 	cw := &connWriter{conn: conn}
-	var streams sync.WaitGroup
 	// slots caps this connection's in-flight streams; a full window blocks
 	// the read loop, so flow control is the transport's backpressure.
-	var slots chan struct{}
+	slots := make(chan struct{}, s.maxStreams())
+	var streams sync.WaitGroup
 	defer streams.Wait()
 	for {
 		dr.frameDone()
@@ -643,62 +634,56 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		var env protocol.MuxEnvelope
-		// An undecodable header dispatches serially; the handler reports
-		// the decode error on the connection's single in-order response.
-		_ = json.Unmarshal(msg.Header, &env)
-		if env.Muxed() {
-			if slots == nil {
-				slots = make(chan struct{}, s.maxStreams())
-			}
-			// The stream-semaphore wait is where mux backpressure bites;
-			// time it so the per-stream span and the stream_wait stage
-			// histogram expose a saturated window.
-			waitStart := time.Now()
-			slots <- struct{}{}
-			streamWait := time.Since(waitStart)
-			s.muxRequests.Inc()
-			s.muxActive.Add(1)
-			streams.Add(1)
-			go func(msg protocol.Message, env protocol.MuxEnvelope) {
-				defer streams.Done()
-				defer s.muxActive.Add(-1)
-				defer func() { <-slots }()
-				if err := s.serveRequest(cw, msg, env, streamWait); err != nil {
-					// The shared socket is broken; close it so the read
-					// loop and sibling streams unwind.
-					conn.Close()
-				}
-			}(msg, env)
-			continue
-		}
-		if err := s.serveRequest(cw, msg, env, -1); err != nil {
-			return
-		}
+		s.dispatchStream(conn, cw, slots, &streams, msg)
 	}
 }
 
-// serveRequest dispatches one request and writes its response, tracked by
-// reqWG so Close lets the final frame flush before terminating the
-// connection. streamWait is the mux stream-semaphore wait (negative for
-// serially dispatched requests, which never queue on the semaphore).
-func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, env protocol.MuxEnvelope, streamWait time.Duration) error {
+// dispatchStream admits one frame as a stream: it peeks the envelope, waits
+// for a stream slot, and only then hands the request to a handler goroutine
+// that holds the slot until its response is written.
+func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct{}, streams *sync.WaitGroup, msg protocol.Message) {
+	var env protocol.MuxEnvelope
+	// An undecodable header dispatches as stream 0; the handler reports the
+	// decode error in an error frame, which the client takes as being about
+	// the whole connection.
+	_ = json.Unmarshal(msg.Header, &env)
+	// The stream-semaphore wait is where backpressure bites; time it so the
+	// per-stream span and the stream_wait stage histogram expose a saturated
+	// window.
+	waitStart := time.Now()
+	slots <- struct{}{}
+	streamWait := time.Since(waitStart)
+	s.muxRequests.Inc()
+	s.muxActive.Add(1)
+	streams.Add(1)
+	go func() {
+		defer streams.Done()
+		defer s.muxActive.Add(-1)
+		defer func() { <-slots }()
+		if err := s.serveRequest(cw, msg, env.Seq, streamWait); err != nil {
+			// The shared socket is broken; close it so the read loop and
+			// sibling streams unwind.
+			conn.Close()
+		}
+	}()
+}
+
+// serveRequest dispatches one request and writes its response under the
+// request's seq, tracked by reqWG so Close lets the final frame flush before
+// terminating the connection. streamWait is the stream-semaphore wait.
+func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, seq uint64, streamWait time.Duration) error {
 	s.reqWG.Add(1)
 	defer s.reqWG.Done()
 	resp, err := s.dispatch(msg, streamWait)
 	if err != nil {
 		s.logf("edge: %s: %v", msg.Type, err)
 		s.errorsAnswered.Inc()
-		hdr := protocol.ErrorHeader{Message: err.Error()}
-		if env.Muxed() {
-			hdr.Seq = env.Seq
-		}
+		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: seq}
 		var oe *overloadError
 		if errors.As(err, &oe) {
 			hdr.Message = oe.err.Error()
-			hdr.Seq = oe.seq
 			hdr.Overloaded = oe.overloaded
-			hdr.Load = s.hintFor(oe.hints)
+			hdr.Load = s.loadHint()
 		}
 		// A chain failure additionally locates the failed hop so the
 		// client's re-planner can exclude it from the next manifest.
@@ -719,14 +704,12 @@ func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, env protocol
 	return nil
 }
 
-// overloadError decorates a scheduler admission failure with the request
-// context its Error frame needs: the sequence number, the overload marker
-// that tells the client to execute locally, and the negotiated hints.
+// overloadError decorates a scheduler admission failure with the overload
+// marker that tells the client to execute locally; its Error frame also
+// carries the load hint.
 type overloadError struct {
 	err        error
-	seq        uint64
 	overloaded bool
-	hints      int
 }
 
 func (e *overloadError) Error() string { return e.err.Error() }
@@ -755,9 +738,9 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 	})
 }
 
-// dispatch routes one request to its handler. streamWait (negative when the
-// request was dispatched serially) reaches the snapshot handlers so the
-// mux stream-semaphore wait lands in the request's server trace.
+// dispatch routes one request to its handler. streamWait reaches the
+// snapshot handlers so the stream-semaphore wait lands in the request's
+// server trace.
 func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	// Pings work before installation: probes need to learn the install
 	// state without tripping an error.
@@ -785,26 +768,19 @@ func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (proto
 	}
 }
 
-// handlePing answers a load probe with the server's install state and, when
-// negotiated, its scheduling load.
+// handlePing answers a load probe with the server's install state and
+// scheduling load.
 func (s *Server) handlePing(msg protocol.Message) (protocol.Message, error) {
 	var hdr protocol.PingHeader
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
 		return protocol.Message{}, err
 	}
-	pong := protocol.PongHeader{
+	return protocol.Encode(protocol.MsgPong, protocol.PongHeader{
 		Installed: s.Installed(),
-		Load:      s.hintFor(hdr.Hints),
-		Fleet:     hdr.Hints >= protocol.HintFleetV1 && s.fleetEnabled(),
-	}
-	if hdr.Hints >= protocol.HintMuxV1 {
-		pong.Mux = true
-		pong.Seq = hdr.Seq
-	}
-	if hdr.Hints >= protocol.HintChainV1 {
-		pong.Chain = true
-	}
-	return protocol.Encode(protocol.MsgPong, pong, nil)
+		Load:      s.loadHint(),
+		Fleet:     s.fleetEnabled(),
+		Seq:       hdr.Seq,
+	}, nil)
 }
 
 // decodeModel rebuilds a network from a pre-send header's spec and a
@@ -832,11 +808,11 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
 		return protocol.Message{}, err
 	}
-	// A telemetry-capable client propagated its trace through the pre-send
-	// hop: collect the fleet-hop spans (registry locate, peer fetches) and
-	// parent them under one resolve span answered on the ack.
+	// The client propagated its trace through the pre-send hop: collect the
+	// fleet-hop spans (registry locate, peer fetches) and parent them under
+	// one resolve span answered on the ack.
 	var trail *spanTrail
-	if hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != "" {
+	if hdr.TraceID != "" {
 		trail = &spanTrail{traceID: hdr.TraceID}
 	}
 	resolveSpan := func() *protocol.SpanNode {
@@ -865,7 +841,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 				AppID:     hdr.AppID,
 				ModelName: hdr.ModelName,
 				Seq:       hdr.Seq,
-				Load:      s.hintFor(hdr.Hints),
+				Load:      s.loadHint(),
 				NeedBlob:  true,
 				Span:      resolveSpan(),
 			}, nil)
@@ -900,7 +876,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		AppID:     hdr.AppID,
 		ModelName: hdr.ModelName,
 		Seq:       hdr.Seq,
-		Load:      s.hintFor(hdr.Hints),
+		Load:      s.loadHint(),
 		Span:      resolveSpan(),
 	}, nil)
 }
@@ -1150,43 +1126,41 @@ type svcTiming struct {
 	// encodeStart is stamped by the handler just before result encoding;
 	// snapshotResponse closes the span after any compression.
 	encodeStart time.Time
-	// streamWait is the mux stream-semaphore wait; negative when the
-	// request was dispatched serially (there is then no semaphore, so zero
-	// would be indistinguishable from an uncontended mux stream).
+	// streamWait is the stream-semaphore wait.
 	streamWait time.Duration
 	// spans carries the request's fleet-hop span trail (registry locates,
 	// peer fetches during delta base recovery) into the flight recorder.
 	spans []*protocol.SpanNode
 }
 
-// scheduleSnapshot submits one decoded snapshot session to the scheduler
-// and waits for its result. Admission failures are wrapped as overload
-// errors so the connection handler can answer with the overload marker and
-// load hint that redirect the client to local execution. On success tm (when
-// non-nil) receives the task's queue wait, execution time, and batch size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, hdr protocol.SnapshotHeader, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
-	task := sched.NewTask(s.batchKey(snap), snap)
-	task.Bytes = size
+// runTask submits one task to the scheduler and waits for its result.
+// Admission failures are wrapped as overload errors so the connection
+// handler can answer with the overload marker and load hint that redirect
+// the client to local execution.
+func (s *Server) runTask(task *sched.Task) (any, error) {
 	if err := s.sched.Submit(task); err != nil {
-		return nil, &overloadError{
-			err:        err,
-			seq:        hdr.Seq,
-			overloaded: errors.Is(err, sched.ErrQueueFull),
-			hints:      hdr.Hints,
-		}
+		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
 	}
 	v, err := task.Wait()
+	if errors.Is(err, sched.ErrClosed) {
+		return nil, &overloadError{err: err}
+	}
+	return v, err
+}
+
+// scheduleSnapshot runs one decoded snapshot session through the scheduler;
+// on success tm receives the task's queue wait, execution time, and batch
+// size.
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
+	task := sched.NewTask(s.batchKey(snap), snap)
+	task.Bytes = size
+	v, err := s.runTask(task)
 	if err != nil {
-		if errors.Is(err, sched.ErrClosed) {
-			return nil, &overloadError{err: err, seq: hdr.Seq, hints: hdr.Hints}
-		}
 		return nil, err
 	}
-	if tm != nil {
-		tm.queue = task.QueueWait()
-		tm.exec = task.ExecTime()
-		tm.batch = task.BatchSize()
-	}
+	tm.queue = task.QueueWait()
+	tm.exec = task.ExecTime()
+	tm.batch = task.BatchSize()
 	return v.(*snapshot.Snapshot), nil
 }
 
@@ -1210,7 +1184,7 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 		return protocol.Message{}, err
 	}
 	tm := &svcTiming{decode: time.Since(decodeStart), streamWait: streamWait}
-	result, err := s.scheduleSnapshot(snap, hdr, tm, int64(len(plain)))
+	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}
@@ -1223,10 +1197,9 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, body, tm)
 }
 
-// snapshotResponse frames a result body, mirroring the request's encoding.
-// With tm set it also closes out the request's server-side trace: the spans
-// feed the server recorder and trace log unconditionally, and ride back to
-// the client in the response header when the request negotiated HintTraceV1.
+// snapshotResponse frames a result body, mirroring the request's encoding,
+// and closes out the request's server-side trace: the spans feed the server
+// recorder and trace log and ride back to the client in the response header.
 func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
 	encoding := protocol.EncodingRaw
 	if req.Encoding == protocol.EncodingFlate {
@@ -1237,35 +1210,23 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 		body = compressed
 		encoding = protocol.EncodingFlate
 	}
-	hdr := protocol.SnapshotHeader{
+	encode := time.Since(tm.encodeStart)
+	st := &protocol.ServerTrace{
+		TraceID:          req.TraceID,
+		DecodeMicros:     tm.decode.Microseconds(),
+		QueueMicros:      tm.queue.Microseconds(),
+		ExecuteMicros:    tm.exec.Microseconds(),
+		EncodeMicros:     encode.Microseconds(),
+		BatchSize:        tm.batch,
+		StreamWaitMicros: tm.streamWait.Microseconds(),
+	}
+	s.observeTrace(appID, req.Seq, tm, encode, st)
+	return protocol.Encode(t, protocol.SnapshotHeader{
 		AppID: appID, Seq: req.Seq, Encoding: encoding,
-		Load: s.hintFor(req.Hints),
-	}
-	if req.Hints >= protocol.HintCRCV1 {
-		hdr.BodyCRC = protocol.BodyChecksum(body)
-	}
-	if tm != nil {
-		encode := time.Since(tm.encodeStart)
-		st := &protocol.ServerTrace{
-			TraceID:       req.TraceID,
-			DecodeMicros:  tm.decode.Microseconds(),
-			QueueMicros:   tm.queue.Microseconds(),
-			ExecuteMicros: tm.exec.Microseconds(),
-			EncodeMicros:  encode.Microseconds(),
-			BatchSize:     tm.batch,
-		}
-		// The mux stream-semaphore wait joins the report only for
-		// telemetry-capable clients: the field is omitempty and gated, so
-		// older clients' response bytes are unchanged.
-		if req.Hints >= protocol.HintTelemetryV1 && tm.streamWait > 0 {
-			st.StreamWaitMicros = tm.streamWait.Microseconds()
-		}
-		s.observeTrace(appID, req.Seq, tm, encode, st)
-		if req.Hints >= protocol.HintTraceV1 {
-			hdr.ServerTrace = st
-		}
-	}
-	return protocol.Encode(t, hdr, body)
+		BodyCRC:     protocol.BodyChecksum(body),
+		Load:        s.loadHint(),
+		ServerTrace: st,
+	}, body)
 }
 
 // observeTrace folds one completed request's spans into the server's stage
@@ -1275,13 +1236,8 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode time.Duration, st *protocol.ServerTrace) {
 	s.rec.Observe(trace.StageQueue, tm.queue)
 	s.rec.Observe(trace.StageExecute, tm.decode+tm.exec+encode)
-	if tm.streamWait >= 0 {
-		s.rec.Observe(trace.StageStreamWait, tm.streamWait)
-	}
-	total := tm.decode + tm.queue + tm.exec + encode
-	if tm.streamWait > 0 {
-		total += tm.streamWait
-	}
+	s.rec.Observe(trace.StageStreamWait, tm.streamWait)
+	total := tm.streamWait + tm.decode + tm.queue + tm.exec + encode
 	if s.cfg.SLO != nil {
 		s.cfg.SLO.Observe(total)
 		// A request that blew the objective is exactly what the flight
@@ -1403,9 +1359,9 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 		return protocol.Message{}, err
 	}
 	// Base recovery crosses fleet hops; propagate the request's trace
-	// through them when the client negotiated telemetry.
+	// through them.
 	var trail *spanTrail
-	if hdr.Hints >= protocol.HintTelemetryV1 && hdr.TraceID != "" {
+	if hdr.TraceID != "" {
 		trail = &spanTrail{traceID: hdr.TraceID}
 	}
 	base, ok := s.store.GetState(delta.AppID)
@@ -1437,7 +1393,7 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 	if trail != nil {
 		tm.spans = trail.spans
 	}
-	result, err := s.scheduleSnapshot(preExec, hdr, tm, int64(len(plain)))
+	result, err := s.scheduleSnapshot(preExec, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}

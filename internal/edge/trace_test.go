@@ -36,9 +36,9 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// offloadRaw performs one snapshot offload at the raw protocol level with
-// full control over the negotiated hints, and returns the response header.
-func offloadRaw(t *testing.T, addr string, hints int, traceID string) protocol.SnapshotHeader {
+// offloadRaw performs one snapshot offload at the raw protocol level and
+// returns the response header.
+func offloadRaw(t *testing.T, addr string, traceID string) protocol.SnapshotHeader {
 	t.Helper()
 	model := tinyModel(t, "tiny")
 	app, err := mlapp.NewFullApp("trace-app", "tiny", model, tinyLabels)
@@ -63,7 +63,7 @@ func offloadRaw(t *testing.T, addr string, hints int, traceID string) protocol.S
 	}
 	defer c.Close()
 	req, err := protocol.Encode(protocol.MsgSnapshot, protocol.SnapshotHeader{
-		AppID: "trace-app", Seq: 1, Hints: hints, TraceID: traceID,
+		AppID: "trace-app", Seq: 1, TraceID: traceID,
 	}, wire)
 	if err != nil {
 		t.Fatal(err)
@@ -85,16 +85,14 @@ func offloadRaw(t *testing.T, addr string, hints int, traceID string) protocol.S
 	return hdr
 }
 
-// TestTraceHintGating checks the version negotiation of the trace extension:
-// a client advertising HintTraceV1 gets the server's span report (and, since
-// trace implies load, the load hint); a load-only client gets just the load
-// hint; a legacy client with no hints gets a byte-compatible plain header.
-func TestTraceHintGating(t *testing.T) {
+// TestResultCarriesServerTrace checks that every result carries the
+// server's span report and load hint, with or without a trace ID to echo.
+func TestResultCarriesServerTrace(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
 
-	hdr := offloadRaw(t, addr, protocol.HintTraceV1, "00aa11bb22cc33dd")
+	hdr := offloadRaw(t, addr, "00aa11bb22cc33dd")
 	if hdr.ServerTrace == nil {
-		t.Fatal("HintTraceV1 request: no ServerTrace in response")
+		t.Fatal("no ServerTrace in response")
 	}
 	if hdr.ServerTrace.TraceID != "00aa11bb22cc33dd" {
 		t.Errorf("ServerTrace.TraceID = %q, want the request's trace ID", hdr.ServerTrace.TraceID)
@@ -106,29 +104,19 @@ func TestTraceHintGating(t *testing.T) {
 		t.Errorf("BatchSize = %d, want >= 1", hdr.ServerTrace.BatchSize)
 	}
 	if hdr.Load == nil {
-		t.Error("HintTraceV1 implies the load hint; got none")
+		t.Error("no load hint in response")
 	}
 
-	hdr = offloadRaw(t, addr, protocol.HintLoadV1, "")
-	if hdr.ServerTrace != nil {
-		t.Error("load-only request must not receive a ServerTrace")
-	}
-	if hdr.Load == nil {
-		t.Error("HintLoadV1 request: no load hint")
+	hdr = offloadRaw(t, addr, "")
+	if hdr.ServerTrace == nil || hdr.Load == nil {
+		t.Errorf("untraced request: load=%v trace=%v, want both", hdr.Load, hdr.ServerTrace)
 	}
 
-	hdr = offloadRaw(t, addr, 0, "")
-	if hdr.ServerTrace != nil || hdr.Load != nil {
-		t.Errorf("legacy request got extensions: load=%v trace=%v", hdr.Load, hdr.ServerTrace)
+	if got := srv.TraceRecorder().Stage(trace.StageExecute).Count(); got != 2 {
+		t.Errorf("server execute-stage observations = %d, want 2", got)
 	}
-
-	// The server records its spans regardless of what the client
-	// negotiated: all three offloads must be in the histograms.
-	if got := srv.TraceRecorder().Stage(trace.StageExecute).Count(); got != 3 {
-		t.Errorf("server execute-stage observations = %d, want 3", got)
-	}
-	if got := srv.TraceRecorder().Stage(trace.StageQueue).Count(); got != 3 {
-		t.Errorf("server queue-stage observations = %d, want 3", got)
+	if got := srv.TraceRecorder().Stage(trace.StageQueue).Count(); got != 2 {
+		t.Errorf("server queue-stage observations = %d, want 2", got)
 	}
 }
 
@@ -137,8 +125,8 @@ func TestTraceHintGating(t *testing.T) {
 func TestTraceLogLines(t *testing.T) {
 	var buf syncBuffer
 	_, addr := startServer(t, Config{Installed: true, TraceLog: &buf})
-	offloadRaw(t, addr, protocol.HintTraceV1, "feedfacedeadbeef")
-	offloadRaw(t, addr, 0, "")
+	offloadRaw(t, addr, "feedfacedeadbeef")
+	offloadRaw(t, addr, "")
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -166,7 +154,7 @@ func TestTraceLogLines(t *testing.T) {
 // cumulative le buckets, while the default JSON shape stays intact.
 func TestMetricsPrometheus(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
-	offloadRaw(t, addr, protocol.HintTraceV1, "0123456789abcdef")
+	offloadRaw(t, addr, "0123456789abcdef")
 
 	h := srv.MetricsHandler()
 

@@ -163,11 +163,10 @@ func (s *RegistryServer) dispatch(conn net.Conn, msg protocol.Message) error {
 		}
 		start := time.Now()
 		resp := protocol.BlobLocationHeader{Holders: s.reg.Locate(hdr.Keys)}
-		if hdr.Hints >= protocol.HintTelemetryV1 {
+		if hdr.TraceID != "" {
 			// The requester propagated a trace through the registry hop:
 			// answer with the registry's span so the hop shows up in the
-			// request's merged span tree. Old requesters get byte-identical
-			// replies (the field is omitempty).
+			// request's merged span tree.
 			resp.Span = &protocol.SpanNode{
 				Op:     "registry_locate",
 				Addr:   "registry",

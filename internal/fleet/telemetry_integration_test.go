@@ -72,7 +72,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	if addr, _ := roamer.Current(); addr != addrA {
 		t.Fatalf("connected to %q, want A=%q", addr, addrA)
 	}
-	conn.EnableTelemetry()
 
 	app, err := mlapp.NewFullApp("trace-app", "tiny", model, labels)
 	if err != nil {
@@ -118,7 +117,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	if err != nil || !switched {
 		t.Fatalf("hop A→B: switched=%v err=%v", switched, err)
 	}
-	newConn.EnableTelemetry()
 	if err := off.Retarget(newConn); err != nil {
 		t.Fatal(err)
 	}

@@ -84,19 +84,18 @@ func fillDet(d []float32, seed uint64) {
 
 // TestCatalogConvKernelEquivalence checks, for every distinct conv shape
 // the model catalog contains (padded, strided, 1x1, and inception-branch
-// convs included), that the three convolution kernels agree: the plan's
-// chosen algorithm (Forward), explicit im2col+GEMM (ForwardIm2col), and
-// the packed direct kernel (tensor.GemmConv). The kernels are designed to
-// be bit-identical; the test asserts the ISSUE's <= 1e-6 golden bound so
-// a future kernel with a different (still correct) accumulation order has
-// headroom.
+// convs included), that the production convolution (Forward, the packed
+// direct kernel tensor.GemmConv) agrees with the explicit im2col+GEMM
+// oracle (ForwardIm2col). The kernels are designed to be bit-identical; the
+// test asserts a <= 1e-6 golden bound so a future kernel with a different
+// (still correct) accumulation order has headroom.
 func TestCatalogConvKernelEquivalence(t *testing.T) {
 	sites := catalogConvs(t)
 	if len(sites) < 10 {
 		t.Fatalf("catalog walk found only %d distinct conv shapes", len(sites))
 	}
 	for _, s := range sites {
-		inC, outC, k, stride, pad := s.conv.Geometry()
+		inC, _, k, stride, pad := s.conv.Geometry()
 		name := fmt.Sprintf("%s/%s_%dx%dx%d_k%ds%dp%d", s.model, s.conv.Name(), inC, s.in[1], s.in[2], k, stride, pad)
 		t.Run(name, func(t *testing.T) {
 			in, err := tensor.New(s.in...)
@@ -114,30 +113,10 @@ func TestCatalogConvKernelEquivalence(t *testing.T) {
 				t.Fatalf("ForwardIm2col: %v", err)
 			}
 
-			outShape, err := s.conv.OutputShape(s.in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oh, ow := outShape[1], outShape[2]
-			g := tensor.ConvGeom{
-				InC: inC, H: s.in[1], W: s.in[2],
-				K: k, Stride: stride, Pad: pad,
-				OutH: oh, OutW: ow,
-			}
-			params := s.conv.Params()
-			weight, bias := params[0], params[1]
-			direct := make([]float32, outC*oh*ow)
-			tensor.GemmConv(direct, weight.Data(), bias.Data(), outC, in.Data(), g)
-
 			ref := im2colOut.Data()
 			for i, v := range planOut.Data() {
 				if d := abs64(float64(v) - float64(ref[i])); d > 1e-6 {
 					t.Fatalf("plan vs im2col at %d: %g vs %g (|d|=%g)", i, v, ref[i], d)
-				}
-			}
-			for i, v := range direct {
-				if d := abs64(float64(v) - float64(ref[i])); d > 1e-6 {
-					t.Fatalf("direct vs im2col at %d: %g vs %g (|d|=%g)", i, v, ref[i], d)
 				}
 			}
 		})

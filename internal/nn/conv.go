@@ -69,38 +69,26 @@ func (c *Conv) OutputShape(in []int) ([]int, error) {
 	return []int{c.outC, oh, ow}, nil
 }
 
-// parallelThreshold is the FLOP count above which Forward fans the output
-// channels out across CPUs. Small convolutions stay single-threaded: the
-// goroutine hand-off costs more than it saves.
-const parallelThreshold = 4 << 20
-
-// directPackedFLOPs is the FLOP count above which the plan picks the
-// im2col-free direct convolution (tensor.GemmConv): input tiles are
-// gathered straight into packed GEMM panels, so the column matrix never
-// exists and the layer needs no scratch. Mid-size layers keep im2col +
-// GEMM — materializing the column matrix once is cheap at that scale and
-// its sequential reads pack faster than the gather.
-const directPackedFLOPs = 16 << 20
-
 // Forward implements Layer via the standalone shim.
 func (c *Conv) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardStandalone(c, in)
 }
 
-// algoFor is the plan-time kernel choice for an oh x ow output: "direct"
-// (naive loops, no setup cost) for small layers, "im2col" + column
-// scratch for mid-size layers, and "direct-packed" (im2col-free packed
-// GEMM, zero scratch) above directPackedFLOPs.
-func (c *Conv) algoFor(oh, ow int) (algo string, scratch int) {
-	flops := int64(2*c.k*c.k*c.inC) * int64(c.outC*oh*ow)
-	switch {
-	case flops <= parallelThreshold:
-		return "direct", 0
-	case flops <= directPackedFLOPs:
-		return "im2col", c.inC * c.k * c.k * oh * ow
-	default:
-		return "direct-packed", 0
-	}
+// Traits implements Layer.
+func (c *Conv) Traits(in []int) (StepTraits, error) {
+	return StepTraits{Algo: "direct-packed"}, nil
+}
+
+// ForwardCtx implements Layer with the im2col-free direct convolution
+// (tensor.GemmConv): input tiles are gathered straight into packed GEMM
+// panels, so the column matrix never exists and the layer needs no scratch.
+// The shared packed GEMM kernel fans column blocks across CPUs for large
+// layers; the per-element accumulation order does not depend on the
+// parallelism, so results are deterministic.
+func (c *Conv) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
+	g := c.geom(in.Dim(1), in.Dim(2), out.Dim(1), out.Dim(2))
+	tensor.GemmConv(out.Data(), c.weight.Data(), c.bias.Data(), c.outC, in.Data(), g)
+	return nil
 }
 
 // geom describes the layer's implicit-GEMM geometry for an h x w input.
@@ -109,81 +97,6 @@ func (c *Conv) geom(h, w, oh, ow int) tensor.ConvGeom {
 		InC: c.inC, H: h, W: w,
 		K: c.k, Stride: c.stride, Pad: c.pad,
 		OutH: oh, OutW: ow,
-	}
-}
-
-// Traits implements Layer: the kernel choice (see algoFor) is made at
-// plan compile time from the layer shape.
-func (c *Conv) Traits(in []int) (StepTraits, error) {
-	out, err := c.OutputShape(in)
-	if err != nil {
-		return StepTraits{}, err
-	}
-	algo, scratch := c.algoFor(out[1], out[2])
-	return StepTraits{Algo: algo, ScratchFloats: scratch}, nil
-}
-
-// ForwardCtx implements Layer. The im2col and direct-packed paths route
-// through the shared packed GEMM kernel, which fans column blocks across
-// CPUs for large layers. The per-element accumulation order is identical
-// in every path, so results are deterministic and bit-identical
-// regardless of algorithm or parallelism.
-func (c *Conv) ForwardCtx(ctx *ExecContext, in, out *tensor.Tensor) error {
-	oh, ow := out.Dim(1), out.Dim(2)
-	algo, _ := c.algoFor(oh, ow)
-	switch algo {
-	case "direct":
-		c.forwardChannels(in, out, 0, c.outC)
-	case "direct-packed":
-		g := c.geom(in.Dim(1), in.Dim(2), oh, ow)
-		tensor.GemmConv(out.Data(), c.weight.Data(), c.bias.Data(), c.outC, in.Data(), g)
-	default:
-		cols := oh * ow
-		rows := c.inC * c.k * c.k
-		col := ctx.Scratch(rows * cols)
-		c.buildColumns(in, oh, ow, col)
-		tensor.Gemm(out.Data(), c.weight.Data(), col, c.bias.Data(), c.outC, rows, cols)
-	}
-	return nil
-}
-
-// forwardChannels computes output channels [ocLo, ocHi).
-func (c *Conv) forwardChannels(in, out *tensor.Tensor, ocLo, ocHi int) {
-	h, w := in.Dim(1), in.Dim(2)
-	oh, ow := out.Dim(1), out.Dim(2)
-	src := in.Data()
-	dst := out.Data()
-	wt := c.weight.Data()
-	bias := c.bias.Data()
-	for oc := ocLo; oc < ocHi; oc++ {
-		wBase := oc * c.inC * c.k * c.k
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*c.stride - c.pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*c.stride - c.pad
-				sum := bias[oc]
-				for ic := 0; ic < c.inC; ic++ {
-					sBase := ic * h * w
-					wcBase := wBase + ic*c.k*c.k
-					for ky := 0; ky < c.k; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						rowS := sBase + iy*w
-						rowW := wcBase + ky*c.k
-						for kx := 0; kx < c.k; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							sum += src[rowS+ix] * wt[rowW+kx]
-						}
-					}
-				}
-				dst[(oc*oh+oy)*ow+ox] = sum
-			}
-		}
 	}
 }
 

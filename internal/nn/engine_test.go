@@ -232,8 +232,8 @@ func engineCases(t *testing.T) map[string]*Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Large enough to clear parallelThreshold and take the im2col+GEMM
-	// path: 2·9·16·32·32·32 ≈ 9.4M FLOPs.
+	// Large enough for the GEMM to fan out across workers:
+	// 2·9·16·32·32·32 ≈ 9.4M FLOPs.
 	convBig, err := NewConv("c", 16, 32, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -557,27 +557,14 @@ func TestPlanIntrospection(t *testing.T) {
 	if !byName["data"].Elided || !byName["drop"].Elided {
 		t.Error("input and dropout steps should be elided")
 	}
-	if byName["conv1"].Elided || byName["conv1"].Algo != "direct" {
-		t.Errorf("conv1 step = %+v, want live direct conv", byName["conv1"])
+	if byName["conv1"].Elided || byName["conv1"].Algo != "direct-packed" || byName["conv1"].ScratchFloats != 0 {
+		t.Errorf("conv1 step = %+v, want live scratch-free direct-packed conv", byName["conv1"])
 	}
 	if !byName["relu1"].InPlace {
 		t.Errorf("relu1 step = %+v, want in-place", byName["relu1"])
 	}
 	if byName["prob"].Name != "prob" {
 		t.Error("missing softmax step")
-	}
-	// A conv above the parallel threshold plans the im2col kernel with
-	// scratch reserved for the column matrix.
-	big, err := NewConv("big", 16, 32, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := big.Traits([]int{16, 32, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Algo != "im2col" || tr.ScratchFloats != 16*3*3*32*32 {
-		t.Errorf("big conv traits = %+v, want im2col with column scratch", tr)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 	"websnap/internal/tensor"
 )
 
-// TestIm2colMatchesDirect: both convolution algorithms must agree across a
-// range of geometries (strides, padding, kernels, channels).
+// TestIm2colMatchesDirect: the production convolution and both oracle
+// algorithms must agree bit for bit across a range of geometries (strides,
+// padding, kernels, channels).
 func TestIm2colMatchesDirect(t *testing.T) {
 	cases := []struct{ inC, outC, k, stride, pad, size int }{
 		{1, 1, 1, 1, 0, 4},
@@ -44,10 +45,14 @@ func TestIm2colMatchesDirect(t *testing.T) {
 			if !tensor.SameShape(direct, gemm) {
 				t.Fatalf("shapes differ: %v vs %v", direct.Shape(), gemm.Shape())
 			}
+			packed, err := conv.Forward(in)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range direct.Data() {
-				if direct.Data()[i] != gemm.Data()[i] {
-					t.Fatalf("algorithms disagree at %d: %v vs %v",
-						i, direct.Data()[i], gemm.Data()[i])
+				if direct.Data()[i] != gemm.Data()[i] || direct.Data()[i] != packed.Data()[i] {
+					t.Fatalf("algorithms disagree at %d: naive %v, im2col %v, packed %v",
+						i, direct.Data()[i], gemm.Data()[i], packed.Data()[i])
 				}
 			}
 		})
@@ -63,8 +68,9 @@ func mustShape(t *testing.T, c *Conv, in *tensor.Tensor) []int {
 	return s
 }
 
-// BenchmarkConvAlgorithms compares the direct and im2col paths on an
-// AgeNet-conv2-like layer (5x5 over 96 channels at 28x28).
+// BenchmarkConvAlgorithms compares the production packed path with the
+// naive and im2col oracles on an AgeNet-conv2-like layer (5x5 over 96
+// channels at 28x28).
 func BenchmarkConvAlgorithms(b *testing.B) {
 	conv, err := NewConv("c", 96, 256, 5, 1, 2)
 	if err != nil {
@@ -82,6 +88,14 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("direct-packed", func(b *testing.B) {
+		b.SetBytes(fl)
+		for i := 0; i < b.N; i++ {
+			if _, err := conv.Forward(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("direct", func(b *testing.B) {
 		b.SetBytes(fl)
 		for i := 0; i < b.N; i++ {

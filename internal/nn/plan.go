@@ -10,8 +10,7 @@ import (
 
 // This file implements the planned execution engine. A Network + input
 // shape is compiled once into an ExecPlan: per-layer output shapes,
-// scratch sizes, and kernel choices (im2col vs direct convolution) are
-// derived at compile time, identity layers (input validation, inference
+// scratch sizes, and kernel names are derived at compile time, identity layers (input validation, inference
 // dropout) are elided, and every remaining step is assigned a buffer in a
 // ping-pong arena so a steady-state forward pass performs no per-layer
 // allocation. Plans are immutable after compilation and safe for
@@ -27,10 +26,10 @@ type StepTraits struct {
 	// (out = in); the plan elides it entirely.
 	Identity bool
 	// ScratchFloats is the ExecContext scratch the step requests per
-	// call for this input shape (e.g. the im2col column matrix).
+	// call for this input shape.
 	ScratchFloats int
-	// Algo names the kernel the step will use ("direct", "im2col",
-	// "gemv", ...) for plan introspection and benchmarks.
+	// Algo names the kernel the step will use ("direct-packed", "gemv",
+	// ...) for plan introspection and benchmarks.
 	Algo string
 }
 

@@ -42,25 +42,22 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader under
-// arbitrary hint-version permutations (none, HintLoadV1, HintTraceV1,
-// HintCRCV1, and unknown future versions) must frame, parse, and decode
-// back field-for-field, and the body checksum must verify exactly when it
-// was computed over the bytes that arrived.
+// FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader must
+// frame, parse, and decode back field-for-field, and the body checksum must
+// verify exactly when it was computed over the bytes that arrived.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(0, uint64(0), "app", "", []byte(nil), false)
-	f.Add(int(HintLoadV1), uint64(1), "a", "", []byte("body"), false)
-	f.Add(int(HintTraceV1), uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false)
-	f.Add(int(HintCRCV1), uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true)
-	f.Add(99, uint64(1), "", "", []byte{0}, true)
-	f.Fuzz(func(t *testing.T, hints int, seq uint64, appID, traceID string, body []byte, flipCRC bool) {
+	f.Add(uint64(0), "app", "", []byte(nil), false)
+	f.Add(uint64(1), "a", "", []byte("body"), false)
+	f.Add(uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false)
+	f.Add(uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true)
+	f.Add(uint64(1), "", "", []byte{0}, true)
+	f.Fuzz(func(t *testing.T, seq uint64, appID, traceID string, body []byte, flipCRC bool) {
 		if len(appID)+len(traceID) > MaxHeaderLen/2 {
 			return // oversized metadata is rejected by Write, not round-tripped
 		}
 		hdr := SnapshotHeader{
 			AppID:   appID,
 			Seq:     seq,
-			Hints:   hints,
 			TraceID: traceID,
 			BodyCRC: BodyChecksum(body),
 		}
@@ -86,7 +83,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := DecodeHeader(got, &back); err != nil {
 			t.Fatalf("decode header: %v", err)
 		}
-		if back.Seq != seq || back.Hints != hints || back.BodyCRC != hdr.BodyCRC {
+		if back.Seq != seq || back.BodyCRC != hdr.BodyCRC {
 			t.Errorf("header round-trip mismatch: got %+v, sent %+v", back, hdr)
 		}
 		// JSON replaces invalid UTF-8 in strings, so only well-formed

@@ -11,6 +11,14 @@
 //	header  []byte  JSON, message-type specific
 //	bodyLen uint64  payload length
 //	body    []byte  raw payload (weights blob, snapshot text, ...)
+//
+// There is one request/response contract with an edge server, with nothing
+// to negotiate: every request header carries a client-chosen Seq naming its
+// logical stream, the server dispatches the frames of one connection
+// concurrently and echoes the Seq on the matching response, and responses
+// may arrive in any order. Responses always carry the server's Load and,
+// where there is a body, its BodyCRC; results carry a ServerTrace, and a
+// span tree whenever the request carried a TraceID.
 package protocol
 
 import (
@@ -171,8 +179,8 @@ func BodyChecksum(body []byte) uint32 {
 }
 
 // VerifyBody checks body against the checksum a header carried. A zero
-// sum means the peer predates the integrity extension (or the body is
-// empty) and no check applies.
+// sum means the sender attached none (a body-less frame) and no check
+// applies.
 func VerifyBody(body []byte, sum uint32) error {
 	if sum == 0 {
 		return nil
@@ -183,70 +191,17 @@ func VerifyBody(body []byte, sum uint32) error {
 	return nil
 }
 
-// Extension versions. Requests advertise the highest version they
-// understand in their header's Hints field; each version implies all lower
-// ones. Servers attach version-gated response fields only when the request
-// advertised at least the matching version. The negotiation rides inside
-// the JSON headers, so peers that predate an extension interoperate
-// unchanged: old servers ignore the unknown Hints field, old clients never
-// advertise and never receive the gated fields.
-const (
-	// HintLoadV1 gates the LoadHint attached to responses.
-	HintLoadV1 = 1
-	// HintTraceV1 gates the trace extension: the client stamps snapshot
-	// requests with a TraceID and the server answers with a ServerTrace
-	// carrying its per-stage span durations, letting the client merge
-	// server-side spans into the offload's end-to-end trace.
-	HintTraceV1 = 2
-	// HintCRCV1 gates the body-integrity extension: requests always MAY
-	// carry a BodyCRC (receivers verify whenever the field is non-zero),
-	// and servers attach a BodyCRC to responses only for clients that
-	// advertised at least this version, keeping old-client response
-	// headers byte-identical.
-	HintCRCV1 = 3
-	// HintFleetV1 gates the fleet extension: pongs advertise fleet
-	// membership (Fleet field), and model pre-sends may ship a
-	// content-addressed BlobKey reference instead of the weight bytes; a
-	// fleet-capable server resolves the blob from its cache or a peer and
-	// answers NeedBlob when it cannot, telling the client to re-send in
-	// full. Servers that predate the extension answer a reference-only
-	// pre-send with a decode error, which clients treat like NeedBlob.
-	HintFleetV1 = 4
-	// HintMuxV1 gates the stream-multiplexing extension: every request
-	// header carries a client-chosen Seq identifying its logical stream,
-	// the server dispatches requests from one connection concurrently and
-	// echoes the Seq on the matching response, and responses may arrive in
-	// any order. Pongs advertise the capability (Mux field) so clients
-	// only interleave against servers that demultiplex; against older
-	// servers the connection stays strictly serial and the wire bytes are
-	// identical to a pre-extension client.
-	HintMuxV1 = 5
-	// HintTelemetryV1 gates the fleet telemetry extension: requests may
-	// carry the offload's 16-hex TraceID across fleet hops (reference
-	// pre-sends, registry locates, peer blob fetches), and servers answer
-	// with a SpanNode tree describing the remote work done under that
-	// trace (resolve → registry locate → peer fetch → remote serve), plus
-	// a StreamWaitMicros span on ServerTrace accounting time spent waiting
-	// for a multiplexed stream slot. Heartbeats may additionally piggyback
-	// a StatsDigest rollup. All gated fields are omitempty and attached
-	// only when the request advertised at least this version, so peers
-	// that predate the extension see byte-identical frames.
-	HintTelemetryV1 = 6
-	// HintChainV1 gates the multi-hop chain extension: clients may submit
-	// MsgChainExec frames carrying a hop manifest and a raw float32
-	// boundary tensor, mid-chain servers relay the next hop over the same
-	// message type, and chain results return each relay's span subtree
-	// grafted under its hop. Pongs advertise the capability (Chain field)
-	// so planners only route chains through servers that relay; servers
-	// that predate the extension reject the unknown message type, which
-	// clients treat as a chain failure and fall back.
-	HintChainV1 = 7
-)
+// HintCRCV1 is the one surviving level of the retired per-message hint
+// ladder.
+//
+// Deprecated: nothing reads it; kept only because benchmark/layers.go:200
+// still names it, until a benchmark PR drops the reference.
+const HintCRCV1 = 3
 
 // LoadHint is the edge server's advertised scheduling load, attached to
-// responses for clients that negotiated the extension. Clients fold the
-// estimated queueing delay into their local/full/partial offload decision
-// and shed load to local execution when the server saturates.
+// every response. Clients fold the estimated queueing delay into their
+// local/full/partial offload decision and shed load to local execution when
+// the server saturates.
 type LoadHint struct {
 	// QueueDepth is the number of snapshot sessions waiting for a worker.
 	QueueDepth int `json:"queueDepth"`
@@ -272,9 +227,8 @@ func (h LoadHint) QueueingDelay() time.Duration {
 }
 
 // ServerTrace carries the server-side span durations of one offload back to
-// the client on the result frame, keyed by the request's TraceID. Attached
-// only when the request advertised HintTraceV1; durations are microseconds
-// to keep the header compact.
+// the client on every result frame, keyed by the request's TraceID.
+// Durations are microseconds to keep the header compact.
 type ServerTrace struct {
 	// TraceID echoes the request's trace identifier.
 	TraceID string `json:"traceId"`
@@ -291,23 +245,21 @@ type ServerTrace struct {
 	// BatchSize is how many coalesced sessions shared the worker's batched
 	// forward pass (1 = solo execution).
 	BatchSize int `json:"batchSize,omitempty"`
-	// StreamWaitMicros is the time the request spent waiting for a
-	// multiplexed stream slot before dispatch (per-connection stream
-	// semaphore). Attached only when the request advertised
-	// HintTelemetryV1, keeping older trace-capable clients byte-identical.
+	// StreamWaitMicros is the time the request spent waiting for a stream
+	// slot before dispatch (per-connection stream semaphore).
 	StreamWaitMicros int64 `json:"streamWaitMicros,omitempty"`
 }
 
-// Total returns the server-side time accounted to this offload. The mux
-// stream-semaphore wait (zero for pre-telemetry clients) is server-side
-// time too: counting it keeps the client's derived wire time honest when a
-// saturated stream window, not the network, delayed the response.
+// Total returns the server-side time accounted to this offload. The
+// stream-semaphore wait is server-side time too: counting it keeps the
+// client's derived wire time honest when a saturated stream window, not the
+// network, delayed the response.
 func (t ServerTrace) Total() time.Duration {
 	return time.Duration(t.DecodeMicros+t.QueueMicros+t.ExecuteMicros+t.EncodeMicros+t.StreamWaitMicros) * time.Microsecond
 }
 
-// SpanNode is one node of a cross-process span tree, the unit of the
-// HintTelemetryV1 trace-propagation extension. A server that does remote
+// SpanNode is one node of a cross-process span tree, the unit of trace
+// propagation. A server that does remote
 // work on behalf of a traced request (locating a blob at the registry,
 // fetching it from a peer) answers with a SpanNode describing that work;
 // each hop nests the spans it received from its own downstream calls as
@@ -356,7 +308,7 @@ type HistDigest struct {
 }
 
 // StatsDigest is the compact per-server telemetry rollup an edge server
-// piggybacks on fleet heartbeats (HintTelemetryV1). Histograms and
+// piggybacks on fleet heartbeats. Histograms and
 // counters are cumulative since process start; the registry keeps the
 // latest digest per member and fleetd merges them into fleet-wide
 // exposition, per-server summaries, and SLO burn accounting.
@@ -381,31 +333,26 @@ type ModelPreSendHeader struct {
 	AppID     string          `json:"appId"`
 	ModelName string          `json:"modelName"`
 	Spec      json.RawMessage `json:"spec"`
-	// Seq matches this request to its ack on a multiplexed connection
-	// (zero on serial connections, keeping old-peer bytes identical).
+	// Seq identifies the request's stream; the ack echoes it.
 	Seq uint64 `json:"seq,omitempty"`
 	// Partial marks a rear-only model pre-send: the front part is
 	// withheld for privacy (§III.B.2).
 	Partial bool `json:"partial,omitempty"`
-	// Hints advertises the extension versions the sender understands.
-	Hints int `json:"hints,omitempty"`
 	// BodyCRC is the weight blob's integrity checksum (BodyChecksum);
-	// zero means unchecked (old peer or empty body).
+	// zero means unchecked (empty body).
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
 	// BlobKey is the model's content-addressed fleet identity
-	// (nn.Fingerprint over spec+weights). Senders that advertised
-	// HintFleetV1 attach it so the server can index the blob fleet-wide.
+	// (nn.Fingerprint over spec+weights), so the server can index the
+	// blob fleet-wide.
 	BlobKey string `json:"blobKey,omitempty"`
 	// RefOnly marks a reference-only pre-send: the body is empty and the
 	// server must resolve BlobKey from its own cache or a fleet peer. A
-	// server that cannot answers NeedBlob on the ack (or, if it predates
-	// the extension, a decode error — clients treat both as "send the
-	// bytes").
+	// server that cannot answers NeedBlob on the ack.
 	RefOnly bool `json:"refOnly,omitempty"`
-	// TraceID propagates the offload trace across the pre-send hop
-	// (stamped when the sender advertises HintTelemetryV1): the server
-	// tags its blob-resolution work — registry locate, peer fetches — with
-	// the same ID and answers with the resulting span tree on the ack.
+	// TraceID propagates the offload trace across the pre-send hop: the
+	// server tags its blob-resolution work — registry locate, peer
+	// fetches — with the same ID and answers with the resulting span tree
+	// on the ack.
 	TraceID string `json:"traceId,omitempty"`
 }
 
@@ -413,18 +360,17 @@ type ModelPreSendHeader struct {
 type AckHeader struct {
 	AppID     string `json:"appId"`
 	ModelName string `json:"modelName"`
-	// Seq echoes the request's stream id on a multiplexed connection.
+	// Seq echoes the request's stream id.
 	Seq uint64 `json:"seq,omitempty"`
-	// Load is the server's scheduling load; present only when the request
-	// advertised HintLoadV1.
+	// Load is the server's scheduling load.
 	Load *LoadHint `json:"load,omitempty"`
 	// NeedBlob rejects a reference-only pre-send: the server could not
 	// resolve the BlobKey locally or from a peer, and the client must
 	// retry with the full weight bytes.
 	NeedBlob bool `json:"needBlob,omitempty"`
 	// Span is the server-side span tree of this pre-send's blob
-	// resolution (registry locate, peer fetches), under the request's
-	// TraceID. Attached only when the request advertised HintTelemetryV1.
+	// resolution (registry locate, peer fetches), attached when the
+	// request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 }
 
@@ -432,28 +378,25 @@ type AckHeader struct {
 // MsgSnapshotDelta, and MsgResultDelta.
 type SnapshotHeader struct {
 	AppID string `json:"appId"`
-	// Seq matches a request to its response on a multiplexed connection.
+	// Seq identifies the request's stream; the response echoes it.
 	Seq uint64 `json:"seq"`
 	// Encoding is the body encoding (EncodingRaw or EncodingFlate).
 	Encoding string `json:"encoding,omitempty"`
-	// Hints advertises the extension versions the sender understands
-	// (request direction only).
+	// Hints is ignored by every receiver.
+	//
+	// Deprecated: kept only because benchmark/layers.go:200 still sets it,
+	// until a benchmark PR drops the reference.
 	Hints int `json:"hints,omitempty"`
-	// TraceID identifies this offload's trace (request direction only;
-	// stamped when the client advertises HintTraceV1). Servers that
-	// predate the extension ignore it.
+	// TraceID identifies this offload's trace (request direction only).
 	TraceID string `json:"traceId,omitempty"`
 	// BodyCRC is the body's integrity checksum over the wire bytes (after
-	// compression). Receivers verify whenever it is non-zero; zero means
-	// unchecked. Servers attach it to responses only when the request
-	// advertised HintCRCV1.
+	// compression). Receivers verify whenever it is non-zero; servers
+	// attach it to every response.
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
-	// Load is the server's scheduling load (response direction only;
-	// present only when the request advertised HintLoadV1).
+	// Load is the server's scheduling load (response direction only).
 	Load *LoadHint `json:"load,omitempty"`
 	// ServerTrace carries the server-side spans of this offload (response
-	// direction only; present only when the request advertised
-	// HintTraceV1).
+	// direction only).
 	ServerTrace *ServerTrace `json:"serverTrace,omitempty"`
 }
 
@@ -466,7 +409,7 @@ type ErrorHeader struct {
 	// is saturated, so the client should execute locally instead.
 	Overloaded bool `json:"overloaded,omitempty"`
 	// Load carries the server's scheduling load alongside an overload
-	// rejection (when the request advertised HintLoadV1).
+	// rejection.
 	Load *LoadHint `json:"load,omitempty"`
 	// ChainHop locates a chain failure: the 1-based index into the chain
 	// manifest of the hop that failed (a relay that cannot reach its
@@ -477,8 +420,7 @@ type ErrorHeader struct {
 
 // PingHeader is the JSON header of MsgPing.
 type PingHeader struct {
-	Hints int `json:"hints,omitempty"`
-	// Seq matches this ping to its pong on a multiplexed connection.
+	// Seq identifies the ping's stream; the pong echoes it.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -487,16 +429,9 @@ type PongHeader struct {
 	Installed bool      `json:"installed"`
 	Load      *LoadHint `json:"load,omitempty"`
 	// Fleet advertises that the server participates in a fleet (blob
-	// sharing + registry); attached only when the ping advertised
-	// HintFleetV1.
+	// sharing + registry).
 	Fleet bool `json:"fleet,omitempty"`
-	// Mux advertises that the server demultiplexes concurrent streams on
-	// one connection; attached only when the ping advertised HintMuxV1.
-	Mux bool `json:"mux,omitempty"`
-	// Chain advertises that the server executes and relays multi-hop
-	// chain frames; attached only when the ping advertised HintChainV1.
-	Chain bool `json:"chain,omitempty"`
-	// Seq echoes the ping's stream id on a multiplexed connection.
+	// Seq echoes the ping's stream id.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -504,9 +439,7 @@ type PongHeader struct {
 // compressed overlay bytes travel in the body.
 type InstallOverlayHeader struct {
 	BaseImage string `json:"baseImage"`
-	// Hints advertises the extension versions the sender understands.
-	Hints int `json:"hints,omitempty"`
-	// Seq matches this request to its done-ack on a multiplexed connection.
+	// Seq identifies the request's stream; the done-ack echoes it.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -515,24 +448,16 @@ type InstallDoneHeader struct {
 	BaseImage string `json:"baseImage"`
 	// SynthesisMillis reports how long VM synthesis took on the server.
 	SynthesisMillis int64 `json:"synthesisMillis"`
-	// Seq echoes the request's stream id on a multiplexed connection.
+	// Seq echoes the request's stream id.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// MuxEnvelope is the slice of every request header the demultiplexer
-// needs before type-specific dispatch: the advertised extension versions
-// and the logical stream id. All request headers above embed these two
-// fields under the same JSON keys, so a server peeks the envelope once,
-// decides serial vs concurrent dispatch, and re-decodes the full header
-// inside the handler.
+// MuxEnvelope is the slice of every edge-server request and response
+// header the demultiplexers need before type-specific decoding: the logical
+// stream id, under the JSON key all of those headers share.
 type MuxEnvelope struct {
-	Hints int    `json:"hints"`
-	Seq   uint64 `json:"seq"`
+	Seq uint64 `json:"seq"`
 }
-
-// Muxed reports whether the request advertised the multiplexing
-// extension and therefore expects its Seq echoed on the response.
-func (e MuxEnvelope) Muxed() bool { return e.Hints >= HintMuxV1 }
 
 // FleetServer is one fleet member as seen in a registry view.
 type FleetServer struct {
@@ -566,10 +491,8 @@ type FleetRegisterHeader struct {
 	// nn.Fingerprint, synced snapshots by Snapshot.Hash), merged into the
 	// fleet blob index.
 	Blobs []string `json:"blobs,omitempty"`
-	// Hints advertises the extension versions the sender understands.
-	Hints int `json:"hints,omitempty"`
 	// Stats is the server's telemetry rollup digest, piggybacked on the
-	// heartbeat when the agent has a digest supplier (HintTelemetryV1).
+	// heartbeat when the agent has a digest supplier.
 	Stats *StatsDigest `json:"stats,omitempty"`
 }
 
@@ -583,9 +506,7 @@ type FleetRegisteredHeader struct {
 
 // FleetListHeader is the JSON header of MsgFleetList, a client's request
 // for the current fleet view.
-type FleetListHeader struct {
-	Hints int `json:"hints,omitempty"`
-}
+type FleetListHeader struct{}
 
 // FleetViewHeader is the JSON header of MsgFleetView.
 type FleetViewHeader struct {
@@ -599,10 +520,9 @@ type FleetViewHeader struct {
 // BlobLocateHeader is the JSON header of MsgBlobLocate, asking the
 // registry which fleet members hold the given content-addressed blobs.
 type BlobLocateHeader struct {
-	Keys  []string `json:"keys"`
-	Hints int      `json:"hints,omitempty"`
+	Keys []string `json:"keys"`
 	// TraceID propagates the trace of the request that triggered this
-	// locate through the registry hop (HintTelemetryV1).
+	// locate through the registry hop.
 	TraceID string `json:"traceId,omitempty"`
 }
 
@@ -612,18 +532,19 @@ type BlobLocationHeader struct {
 	// Holders maps each located blob key to the advertised addresses of
 	// live servers holding it.
 	Holders map[string][]string `json:"holders,omitempty"`
-	// Span is the registry's span for this locate, attached only when the
-	// request advertised HintTelemetryV1.
+	// Span is the registry's span for this locate, attached when the
+	// request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 }
 
 // BlobGetHeader is the JSON header of MsgBlobGet, a peer-to-peer fetch of
 // a content-addressed blob from another edge server.
 type BlobGetHeader struct {
-	Key   string `json:"key"`
-	Hints int    `json:"hints,omitempty"`
+	Key string `json:"key"`
+	// Seq identifies the request's stream; the blob data echoes it.
+	Seq uint64 `json:"seq,omitempty"`
 	// TraceID propagates the trace of the request that triggered this
-	// peer fetch (HintTelemetryV1).
+	// peer fetch.
 	TraceID string `json:"traceId,omitempty"`
 }
 
@@ -631,11 +552,13 @@ type BlobGetHeader struct {
 // in the body.
 type BlobDataHeader struct {
 	Key string `json:"key"`
+	// Seq echoes the request's stream id.
+	Seq uint64 `json:"seq,omitempty"`
 	// BodyCRC is the blob's integrity checksum (BodyChecksum); receivers
 	// verify whenever it is non-zero.
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
-	// Span is the serving peer's span for this fetch, attached only when
-	// the request advertised HintTelemetryV1.
+	// Span is the serving peer's span for this fetch, attached when the
+	// request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 }
 
@@ -660,10 +583,8 @@ type ChainExecHeader struct {
 	// AppID and ModelName identify the pre-sent model whose layers run.
 	AppID     string `json:"appId"`
 	ModelName string `json:"modelName"`
-	// Seq matches this request to its response on a multiplexed connection.
+	// Seq identifies the request's stream; the result echoes it.
 	Seq uint64 `json:"seq"`
-	// Hints advertises the extension versions the sender understands.
-	Hints int `json:"hints,omitempty"`
 	// Hop is the index into Hops of the server this frame addresses; the
 	// receiver executes Hops[Hop] and relays to Hops[Hop+1], if any.
 	Hop int `json:"hop"`
@@ -673,8 +594,8 @@ type ChainExecHeader struct {
 	// Shape is the boundary tensor's shape; the body holds exactly
 	// prod(Shape) float32 values.
 	Shape []int `json:"shape"`
-	// TraceID identifies the chain's end-to-end trace (stamped when the
-	// client advertises HintTraceV1); every hop tags its spans with it.
+	// TraceID identifies the chain's end-to-end trace; every hop tags its
+	// spans with it.
 	TraceID string `json:"traceId,omitempty"`
 	// BodyCRC is the tensor body's integrity checksum; receivers verify
 	// whenever it is non-zero.
@@ -689,16 +610,15 @@ type ChainResultHeader struct {
 	Seq uint64 `json:"seq"`
 	// Shape is the output tensor's shape.
 	Shape []int `json:"shape"`
-	// BodyCRC is the output body's checksum, attached when the request
-	// advertised HintCRCV1.
+	// BodyCRC is the output body's checksum.
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
-	// Load is this hop's scheduling load (HintLoadV1), letting the client
-	// refresh per-hop queue hints from a single chain round trip.
+	// Load is this hop's scheduling load, letting the client refresh
+	// per-hop queue hints from a single chain round trip.
 	Load *LoadHint `json:"load,omitempty"`
 	// Span is this hop's span subtree for the chain execution, with the
-	// downstream hop's subtree grafted as a child (HintTelemetryV1 +
-	// TraceID), so the client ends up holding one parented tree:
-	// client root → hop1 → hop2 → …
+	// downstream hop's subtree grafted as a child, attached when the
+	// request carried a TraceID, so the client ends up holding one
+	// parented tree: client root → hop1 → hop2 → …
 	Span *SpanNode `json:"span,omitempty"`
 }
 

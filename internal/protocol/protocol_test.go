@@ -31,10 +31,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{"done", mustEncode(t, MsgInstallDone, InstallDoneHeader{SynthesisMillis: 1900}, nil), nil},
 		{"fleet-register", mustEncode(t, MsgFleetRegister,
 			FleetRegisterHeader{Addr: "10.0.0.1:9000", Capacity: 4, TTLMillis: 3000,
-				Load: &LoadHint{Workers: 4, Busy: 2}, Blobs: []string{"abc123", "def456"}, Hints: HintFleetV1},
+				Load: &LoadHint{Workers: 4, Busy: 2}, Blobs: []string{"abc123", "def456"}},
 			nil), nil},
 		{"fleet-registered", mustEncode(t, MsgFleetRegistered, FleetRegisteredHeader{Servers: 3, Version: 17}, nil), nil},
-		{"fleet-list", mustEncode(t, MsgFleetList, FleetListHeader{Hints: HintFleetV1}, nil), nil},
+		{"fleet-list", mustEncode(t, MsgFleetList, FleetListHeader{}, nil), nil},
 		{"fleet-view", mustEncode(t, MsgFleetView,
 			FleetViewHeader{Version: 17, Servers: []FleetServer{{Addr: "10.0.0.1:9000", Capacity: 4, AgeMillis: 120}}},
 			nil), nil},
@@ -201,33 +201,6 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
-// TestRefPreSendHeaderCompat checks that the fleet extension fields stay
-// invisible to old peers: a header without BlobKey/RefOnly/NeedBlob/Fleet
-// encodes byte-identically to the pre-extension layout.
-func TestRefPreSendHeaderCompat(t *testing.T) {
-	plain, err := json.Marshal(ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(plain), "blobKey") || strings.Contains(string(plain), "refOnly") {
-		t.Errorf("unset fleet fields leaked into header: %s", plain)
-	}
-	ack, err := json.Marshal(AckHeader{AppID: "a", ModelName: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(ack), "needBlob") {
-		t.Errorf("unset NeedBlob leaked into ack header: %s", ack)
-	}
-	pong, err := json.Marshal(PongHeader{Installed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(pong), "fleet") {
-		t.Errorf("unset Fleet leaked into pong header: %s", pong)
-	}
-}
-
 // TestEmptyBodyOverPipe is a regression test: messages with empty bodies
 // (ACKs, errors) must not deadlock on rendezvous transports like net.Pipe,
 // where a zero-byte Write blocks for a Read that io.ReadFull(0) never
@@ -317,7 +290,7 @@ func TestBodyChecksumVerify(t *testing.T) {
 	if err := VerifyBody(body, sum); err != nil {
 		t.Errorf("matching checksum rejected: %v", err)
 	}
-	// Zero sum means "unchecked" (old peer): always passes.
+	// Zero sum means "unchecked": always passes.
 	if err := VerifyBody(body, 0); err != nil {
 		t.Errorf("zero checksum must be skipped: %v", err)
 	}

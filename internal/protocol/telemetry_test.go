@@ -3,40 +3,9 @@ package protocol
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
-
-// TestTelemetryHeaderCompat checks that the HintTelemetryV1 extension
-// fields stay invisible to old peers: every header that grew a gated field
-// encodes byte-identically to the pre-extension layout when the field is
-// unset.
-func TestTelemetryHeaderCompat(t *testing.T) {
-	cases := []struct {
-		name string
-		v    any
-		leak string
-	}{
-		{"presend trace", ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{}`)}, "traceId"},
-		{"ack span", AckHeader{AppID: "a", ModelName: "m"}, "span"},
-		{"locate trace", BlobLocateHeader{Keys: []string{"k"}}, "traceId"},
-		{"location span", BlobLocationHeader{Holders: map[string][]string{"k": {"s"}}}, "span"},
-		{"blob get trace", BlobGetHeader{Key: "k"}, "traceId"},
-		{"blob data span", BlobDataHeader{Key: "k", BodyCRC: 1}, "span"},
-		{"register stats", FleetRegisterHeader{Addr: "a", Capacity: 1}, "stats"},
-		{"server trace stream wait", ServerTrace{TraceID: "t", ExecuteMicros: 5}, "streamWaitMicros"},
-	}
-	for _, tc := range cases {
-		data, err := json.Marshal(tc.v)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if strings.Contains(string(data), tc.leak) {
-			t.Errorf("%s: unset telemetry field leaked into header: %s", tc.name, data)
-		}
-	}
-}
 
 // TestServerTraceTotalIncludesStreamWait pins the honest wire-time
 // derivation: the client subtracts the server's reported total from the

@@ -434,7 +434,6 @@ func (e *ChainExecutor) hopConn(addr string) (*client.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh.EnableTelemetry()
 	if err := fresh.PreSendModel(e.cfg.AppID, e.cfg.ModelName, e.cfg.Model, false); err != nil {
 		fresh.Close()
 		return nil, err

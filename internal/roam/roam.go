@@ -42,8 +42,7 @@ type ServerInfo struct {
 	// RTT is the last measured probe round-trip time.
 	RTT time.Duration
 	// Load is the server's scheduling load from the last ping probe; nil
-	// for servers that predate the load-hint extension (selection then
-	// falls back to RTT alone).
+	// when the ping failed (selection then falls back to RTT alone).
 	Load *protocol.LoadHint
 	// Score is the effective cost used for selection: RTT plus the
 	// server's estimated queueing delay. A nearby but overloaded server
@@ -189,9 +188,8 @@ func New(cfg Config) (*Roamer, error) {
 }
 
 // PingProbe measures a TCP connect round trip, then pings the server for
-// its scheduling load. Servers that predate MsgPing fail the ping and are
-// scored by connect RTT alone — a reachable old server is still a valid
-// roaming target.
+// its scheduling load. A server that accepts the connection but fails the
+// ping is scored by connect RTT alone — it is still a valid roaming target.
 func PingProbe(addr string) (time.Duration, *protocol.LoadHint, error) {
 	start := time.Now()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)

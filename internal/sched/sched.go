@@ -387,6 +387,9 @@ func (s *Scheduler) nextBatch() ([]*Task, bool) {
 		s.mu.Lock()
 		if len(s.queue) > 0 {
 			first = s.queue[0]
+			// Clear the slot: the backing array outlives the pop, and a
+			// finished task still pins its snapshot payload.
+			s.queue[0] = nil
 			s.queue = s.queue[1:]
 			s.queuedBytes -= first.Bytes
 			backlog := len(s.queue) > 0

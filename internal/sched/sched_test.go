@@ -306,6 +306,59 @@ func TestCloseCancelsQueuedAndDrainsRunning(t *testing.T) {
 	}
 }
 
+// TestDrainedQueueReleasesTasks is the regression test for the pop that
+// re-sliced the queue without clearing the slot: once every queued task has
+// run, the queue's backing array must hold no task pointers, or up to
+// QueueDepth finished tasks' payloads stay reachable.
+func TestDrainedQueueReleasesTasks(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	exec := func(batch []*Task) []Result {
+		once.Do(func() {
+			close(started)
+			<-release
+		})
+		return echoExec(batch)
+	}
+	s, err := New(Config{Workers: 1, QueueDepth: 8}, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gate := NewTask("", "gate")
+	if err := s.Submit(gate); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker holds the gate task; everything else queues
+	queued := make([]*Task, 6)
+	for i := range queued {
+		queued[i] = NewTask("", i)
+		if err := s.Submit(queued[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	slots := s.queue[:len(s.queue):len(s.queue)]
+	s.mu.Unlock()
+	if len(slots) != len(queued) {
+		t.Fatalf("%d tasks queued, want %d", len(slots), len(queued))
+	}
+	close(release)
+	for _, q := range append(queued, gate) {
+		if _, err := q.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, slot := range slots {
+		if slot != nil {
+			t.Errorf("queue slot %d still points at a finished task", i)
+		}
+	}
+}
+
 // TestExecutorPanicIsContained: a panicking executor fails its batch but
 // the pool keeps serving.
 func TestExecutorPanicIsContained(t *testing.T) {

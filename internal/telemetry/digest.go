@@ -13,7 +13,7 @@
 //     (FlightRecorder), dumped via /debug/flight.
 //
 // Cross-process span propagation itself rides in the protocol package
-// (SpanNode, HintTelemetryV1); this package consumes the resulting trees.
+// (SpanNode); this package consumes the resulting trees.
 package telemetry
 
 import (

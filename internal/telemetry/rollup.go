@@ -21,8 +21,7 @@ type ServerStats struct {
 	// AgeMillis is the heartbeat staleness at snapshot time (registry
 	// clock).
 	AgeMillis int64 `json:"ageMillis"`
-	// Stats is the member's digest; nil for members that predate the
-	// telemetry extension.
+	// Stats is the member's digest; nil for members that heartbeat none.
 	Stats *protocol.StatsDigest `json:"stats,omitempty"`
 }
 
@@ -131,9 +130,8 @@ type ServerSummary struct {
 	Load         *protocol.LoadHint      `json:"load,omitempty"`
 	Stages       map[string]StageSummary `json:"stages,omitempty"`
 	Decisions    map[string]uint64       `json:"decisions,omitempty"`
-	// Telemetry reports whether the member heartbeats digests; false for
-	// members that predate the extension (their stage/decision fields are
-	// empty, not zero).
+	// Telemetry reports whether the member heartbeats digests; when false
+	// its stage/decision fields are empty, not zero.
 	Telemetry bool `json:"telemetry"`
 }
 
