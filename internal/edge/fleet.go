@@ -300,23 +300,19 @@ func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 }
 
 // recoverBase resolves a delta's base snapshot from the fleet blob index:
-// the session's previous server published the synced state under its
-// content hash. Each candidate's decoded snapshot is verified against the
+// the session's previous server published the synced state's encoding
+// under its content hash. Each candidate's bytes are verified against the
 // requested hash inside the fetch loop, so a stale holder does not end the
 // search.
 func (s *Server) recoverBase(appID, baseHash string, trail *spanTrail) (*snapshot.Snapshot, error) {
 	var snap *snapshot.Snapshot
 	data, err := s.resolveBlob(baseHash, trail, func(body []byte) error {
+		if hash := snapshot.HashEncoded(body); hash != baseHash {
+			return fmt.Errorf("fleet base %s hashes to %s", baseHash, hash)
+		}
 		decoded, err := snapshot.Decode(body)
 		if err != nil {
 			return fmt.Errorf("decode fleet base %s: %w", baseHash, err)
-		}
-		hash, err := decoded.Hash()
-		if err != nil {
-			return err
-		}
-		if hash != baseHash {
-			return fmt.Errorf("fleet base %s decoded to %s", baseHash, hash)
 		}
 		snap = decoded
 		return nil
@@ -325,9 +321,7 @@ func (s *Server) recoverBase(appID, baseHash string, trail *spanTrail) (*snapsho
 		return nil, err
 	}
 	s.basesRecovered.Inc()
-	if _, err := s.store.PutState(appID, snap, int64(len(data))); err != nil {
-		return nil, err
-	}
+	s.store.PutState(appID, snap, data)
 	s.logf("edge: recovered delta base %s for app %q from fleet", baseHash, appID)
 	return snap, nil
 }

@@ -910,36 +910,37 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, *webapp.Regis
 	return app, registry, nil
 }
 
-// captureResult captures the post-execution state and records it as the
-// app's synchronized server-side state for delta offloads: one encode
-// yields both the store's byte-cap charge and the fleet blob published
-// under the state's content hash.
-func (s *Server) captureResult(app *webapp.App, appID string) (*snapshot.Snapshot, error) {
+// offloadResult is one executed session's captured state and its one
+// encoding: the response body of a full offload, and — under the hash of
+// those same bytes — the stored state's byte charge and the fleet blob.
+type offloadResult struct {
+	snap *snapshot.Snapshot
+	body []byte
+}
+
+// captureResult captures the post-execution state, encodes it once, and
+// records it as the app's synchronized server-side state for delta
+// offloads. A state that cannot be encoded fails the request: there is
+// nothing to answer with.
+func (s *Server) captureResult(app *webapp.App, appID string) (*offloadResult, error) {
 	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	if err != nil {
 		return nil, err
 	}
-	bare := *result
-	bare.Models = nil
-	data, err := bare.Encode()
+	body, err := result.Encode()
 	if err != nil {
-		s.logf("edge: encode state blob: %v", err)
-		return result, nil
+		return nil, fmt.Errorf("encode result: %w", err)
 	}
-	key, err := s.store.PutState(appID, result, int64(len(data)))
-	if err != nil {
-		s.logf("edge: store state for app %q: %v", appID, err)
-		return result, nil
-	}
+	key := s.store.PutState(appID, result, body)
 	if s.fleetEnabled() {
-		s.cfg.Blobs.Put(key, data)
+		s.cfg.Blobs.Put(key, body)
 	}
-	return result, nil
+	return &offloadResult{snap: result, body: body}, nil
 }
 
 // executeSnapshot runs one offloaded snapshot on the server's runtime and
 // returns the captured result state (§III.A).
-func (s *Server) executeSnapshot(snap *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+func (s *Server) executeSnapshot(snap *snapshot.Snapshot) (*offloadResult, error) {
 	app, _, err := s.restoreApp(snap)
 	if err != nil {
 		return nil, err
@@ -1123,8 +1124,9 @@ type svcTiming struct {
 	queue  time.Duration
 	exec   time.Duration
 	batch  int
-	// encodeStart is stamped by the handler just before result encoding;
-	// snapshotResponse closes the span after any compression.
+	// encodeStart is stamped by the handler once the scheduler returns the
+	// result (before a delta's diff and encode; a full result arrives
+	// encoded); snapshotResponse closes the span after any compression.
 	encodeStart time.Time
 	// streamWait is the stream-semaphore wait.
 	streamWait time.Duration
@@ -1149,9 +1151,9 @@ func (s *Server) runTask(task *sched.Task) (any, error) {
 }
 
 // scheduleSnapshot runs one decoded snapshot session through the scheduler;
-// on success tm receives the task's queue wait, execution time, and batch
-// size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
+// on success tm receives the task's queue wait, execution time (result
+// capture and encode included), and batch size.
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*offloadResult, error) {
 	task := sched.NewTask(s.batchKey(snap), snap)
 	task.Bytes = size
 	v, err := s.runTask(task)
@@ -1161,7 +1163,7 @@ func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size i
 	tm.queue = task.QueueWait()
 	tm.exec = task.ExecTime()
 	tm.batch = task.BatchSize()
-	return v.(*snapshot.Snapshot), nil
+	return v.(*offloadResult), nil
 }
 
 // handleSnapshot runs a full offloaded snapshot and returns the full result
@@ -1190,11 +1192,7 @@ func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) 
 	}
 	s.snapshotsExecuted.Inc()
 	tm.encodeStart = time.Now()
-	body, err := result.Encode()
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, body, tm)
+	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.body, tm)
 }
 
 // snapshotResponse frames a result body, mirroring the request's encoding,
@@ -1399,7 +1397,7 @@ func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Durat
 	}
 	s.deltasExecuted.Inc()
 	tm.encodeStart = time.Now()
-	resultDelta, err := snapshot.Diff(preExec, result)
+	resultDelta, err := snapshot.Diff(preExec, result.snap)
 	if err != nil {
 		return protocol.Message{}, err
 	}

@@ -134,20 +134,18 @@ func modelSize(net *nn.Network) int64 { return net.ModelBytes() }
 // PutState records snap as appID's synchronized server-side state — "the
 // data and code left at the server from the first offloading" (§VI) — and
 // compacts the delta chain: the superseded base is released as soon as no
-// app references it. size is the state's byte-cap charge (its encoded
-// length); the content key is returned for fleet publication.
-func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, size int64) (string, error) {
-	key, err := snap.Hash()
-	if err != nil {
-		return "", err
-	}
+// app references it. data is snap's model-free encoding: its hash is the
+// content key (returned for fleet publication), its length the state's
+// byte-cap charge.
+func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, data []byte) string {
+	key, size := snapshot.HashEncoded(data), int64(len(data))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ref := storeRef{appID: appID}
 	if old, ok := s.states[appID]; ok {
 		if old == key {
 			s.touchLocked(s.entries[old])
-			return key, nil
+			return key
 		}
 		s.derefLocked(old, ref)
 		s.compactions++
@@ -157,7 +155,7 @@ func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, size int6
 		return &sessionEntry{key: key, size: size, snap: snap}
 	})
 	s.enforceCapLocked(key)
-	return key, nil
+	return key
 }
 
 // GetState returns appID's synced state, marking it recently used.

@@ -16,9 +16,10 @@ import (
 	"websnap/internal/webapp"
 )
 
-// testSnap captures one synced-state snapshot with a distinct image, so
-// different seeds hash to different content keys.
-func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot, int64) {
+// testSnap captures one synced-state snapshot (as the server does: no
+// models) with a distinct image, so different seeds hash to different
+// content keys, and returns it with its encoding.
+func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot, []byte) {
 	t.Helper()
 	app, err := mlapp.NewFullApp("snap-src", "tiny", model, tinyLabels)
 	if err != nil {
@@ -27,7 +28,7 @@ func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot,
 	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, seed)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.Capture(app, snapshot.Options{})
+	snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap, int64(len(data))
+	return snap, data
 }
 
 // TestSessionStoreCompaction pins delta-chain compaction: each app holds
@@ -44,20 +45,18 @@ func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot,
 func TestSessionStoreCompaction(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	s := newSessionStore(0)
-	snapA, sizeA := testSnap(t, model, 1)
-	snapB, sizeB := testSnap(t, model, 2)
+	snapA, dataA := testSnap(t, model, 1)
+	snapB, dataB := testSnap(t, model, 2)
+	sizeA, sizeB := int64(len(dataA)), int64(len(dataB))
 
-	keyA, err := s.PutState("app", snapA, sizeA)
-	if err != nil {
-		t.Fatal(err)
+	keyA := s.PutState("app", snapA, dataA)
+	if want, err := snapA.Hash(); err != nil || keyA != want {
+		t.Fatalf("state key %s is not the snapshot's hash %s (err %v)", keyA, want, err)
 	}
 	if s.Entries() != 1 || s.Bytes() != sizeA {
 		t.Fatalf("after first state: entries=%d bytes=%d", s.Entries(), s.Bytes())
 	}
-	keyB, err := s.PutState("app", snapB, sizeB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	keyB := s.PutState("app", snapB, dataB)
 	if keyA == keyB {
 		t.Fatal("distinct snapshots hashed to one key; test is vacuous")
 	}
@@ -72,9 +71,7 @@ func TestSessionStoreCompaction(t *testing.T) {
 		t.Fatal("GetState does not return the latest state")
 	}
 	// Re-storing the identical state is a touch, not a compaction.
-	if _, err := s.PutState("app", snapB, sizeB); err != nil {
-		t.Fatal(err)
-	}
+	s.PutState("app", snapB, dataB)
 	if got := s.Compactions(); got != 1 {
 		t.Fatalf("idempotent PutState counted as compaction: %d", got)
 	}
@@ -115,7 +112,8 @@ func TestSessionStoreSharedContent(t *testing.T) {
 // and reports the evictions.
 func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 	model := tinyModel(t, "tiny")
-	_, size := testSnap(t, model, 1)
+	_, data := testSnap(t, model, 1)
+	size := int64(len(data))
 	cap := 3 * size
 	s := newSessionStore(cap)
 	var evicted []string
@@ -123,11 +121,8 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 
 	keys := make([]string, 0, 12)
 	for i := uint64(1); i <= 12; i++ {
-		snap, sz := testSnap(t, model, i)
-		key, err := s.PutState(fmt.Sprintf("app-%d", i), snap, sz)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap, data := testSnap(t, model, i)
+		key := s.PutState(fmt.Sprintf("app-%d", i), snap, data)
 		keys = append(keys, key)
 		if s.Bytes() > cap {
 			t.Fatalf("after state %d: Bytes %d exceeds cap %d", i, s.Bytes(), cap)

@@ -240,7 +240,8 @@ type ServerTrace struct {
 	// ExecuteMicros covers restore + handler execution + result capture
 	// inside the worker.
 	ExecuteMicros int64 `json:"executeMicros"`
-	// EncodeMicros covers result encoding + compression.
+	// EncodeMicros covers result-delta encoding + compression; a full
+	// result is encoded once, inside ExecuteMicros, as it is stored.
 	EncodeMicros int64 `json:"encodeMicros"`
 	// BatchSize is how many coalesced sessions shared the worker's batched
 	// forward pass (1 = solo execution).

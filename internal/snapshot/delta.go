@@ -1,14 +1,11 @@
 package snapshot
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
 	"websnap/internal/webapp"
 )
@@ -33,8 +30,15 @@ func (s *Snapshot) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return HashEncoded(data), nil
+}
+
+// HashEncoded returns the content identity of an already encoded model-free
+// snapshot — what Hash returns for the snapshot data decodes to — so a
+// holder of the bytes need not encode again to name them.
+func HashEncoded(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16]), nil
+	return hex.EncodeToString(sum[:16])
 }
 
 // Delta is the difference between two snapshots of the same app.
@@ -167,177 +171,74 @@ func (d *Delta) Apply(base *Snapshot) (*Snapshot, error) {
 //	__bindings([{...}]);     (only when bindings changed)
 //	__dispatch({...});
 func (d *Delta) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	hint := len(deltaHeader) + 1 + len(d.AppID) + len(d.CodeHash) + len(d.BaseHash) + 96
 	for name, v := range d.SetGlobals {
-		hint += len(name) + 12 + wireSizeHint(v)
-	}
-	buf.Grow(hint)
-	w := &buf
-	fmt.Fprintln(w, deltaHeader)
-	if err := writeVar(w, "__appID", d.AppID); err != nil {
-		return nil, err
-	}
-	if err := writeVar(w, "__codeHash", d.CodeHash); err != nil {
-		return nil, err
-	}
-	if err := writeVar(w, "__baseHash", d.BaseHash); err != nil {
-		return nil, err
-	}
-	for _, name := range sortedGlobalNames(d.SetGlobals) {
-		if err := checkReserved(d.SetGlobals[name]); err != nil {
+		if err := checkGlobal(name, v); err != nil {
 			return nil, fmt.Errorf("snapshot: delta global %q: %w", name, err)
 		}
-		enc, err := encodeValue(d.SetGlobals[name])
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: delta global %q: %w", name, err)
-		}
-		fmt.Fprintf(w, "var %s = %s;\n", name, enc)
+	}
+	hint := len(deltaHeader) + 1 + len(d.AppID) + len(d.CodeHash) + len(d.BaseHash) + 96
+	b := make([]byte, 0, hint+globalsSizeHint(d.SetGlobals))
+	b = append(b, deltaHeader+"\n"...)
+	b, _ = appendVar(b, varAppID, d.AppID)
+	b, _ = appendVar(b, varCodeHash, d.CodeHash)
+	b, _ = appendVar(b, varBaseHash, d.BaseHash) // strings always encode
+	b, err := appendGlobals(b, d.SetGlobals)
+	if err != nil {
+		return nil, err
 	}
 	for _, name := range d.DelGlobals {
-		enc, err := json.Marshal(name)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "__delete(%s);\n", enc)
+		b = appendCall(b, "__delete", appendString(nil, name))
 	}
 	if d.DOM != nil {
 		dom, err := webapp.MarshalDOM(d.DOM)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "__dom(%s);\n", dom)
+		b = appendCall(b, "__dom", dom)
 	}
 	if d.BindingsChanged {
-		enc, err := json.Marshal(d.Bindings)
-		if err != nil {
-			return nil, err
+		if b, err = appendJSONCall(b, "__bindings", d.Bindings); err != nil {
+			return nil, fmt.Errorf("snapshot: encode bindings: %w", err)
 		}
-		fmt.Fprintf(w, "__bindings(%s);\n", enc)
 	}
-	for _, ev := range d.Pending {
-		enc, err := json.Marshal(wireEvent{
-			Target: ev.Target, Type: ev.Type, Payload: toWire(ev.Payload),
-		})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "__dispatch(%s);\n", enc)
-	}
-	return buf.Bytes(), nil
+	return appendPending(b, d.Pending)
 }
 
-// DecodeDelta parses a delta produced by Encode.
+// DecodeDelta parses a delta produced by Encode. The result shares no
+// memory with data.
 func DecodeDelta(data []byte) (*Delta, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024), 1<<30)
-	if !sc.Scan() || sc.Text() != deltaHeader {
-		return nil, fmt.Errorf("%w: missing delta header", ErrCorrupt)
-	}
 	d := &Delta{SetGlobals: make(map[string]webapp.Value)}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if err := d.decodeLine(line); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
+	common := commonStatements{
+		appID: &d.AppID, codeHash: &d.CodeHash, baseHash: &d.BaseHash,
+		globals: d.SetGlobals, dom: &d.DOM, pending: &d.Pending,
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("snapshot: decode delta: %w", err)
+	err := decodeStatements(data, deltaHeader, func(line []byte) error {
+		if done, err := common.decode(line); done {
+			return err
+		}
+		if body, ok := callBody(line, "__delete"); ok {
+			var name string
+			if err := json.Unmarshal(body, &name); err != nil {
+				return err
+			}
+			d.DelGlobals = append(d.DelGlobals, name)
+			return nil
+		}
+		if body, ok := callBody(line, "__bindings"); ok {
+			var bs []webapp.Binding
+			if err := json.Unmarshal(body, &bs); err != nil {
+				return err
+			}
+			d.BindingsChanged, d.Bindings = true, bs
+			return nil
+		}
+		return fmt.Errorf("unrecognized statement %.40q", line)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if d.AppID == "" || d.CodeHash == "" || d.BaseHash == "" {
 		return nil, fmt.Errorf("%w: delta missing identity fields", ErrCorrupt)
 	}
 	return d, nil
-}
-
-func (d *Delta) decodeLine(line string) error {
-	switch {
-	case strings.HasPrefix(line, "var "):
-		rest := strings.TrimPrefix(line, "var ")
-		eq := strings.Index(rest, " = ")
-		if eq < 0 || !strings.HasSuffix(rest, ";") {
-			return fmt.Errorf("malformed var statement")
-		}
-		name := rest[:eq]
-		body := rest[eq+3 : len(rest)-1]
-		switch name {
-		case "__appID", "__codeHash", "__baseHash":
-			var v string
-			if err := json.Unmarshal([]byte(body), &v); err != nil {
-				return err
-			}
-			switch name {
-			case "__appID":
-				d.AppID = v
-			case "__codeHash":
-				d.CodeHash = v
-			default:
-				d.BaseHash = v
-			}
-			return nil
-		default:
-			v, err := decodeValue(body)
-			if err != nil {
-				return fmt.Errorf("global %q: %w", name, err)
-			}
-			d.SetGlobals[name] = v
-			return nil
-		}
-	case strings.HasPrefix(line, "__delete("):
-		body, err := callBody(line, "__delete")
-		if err != nil {
-			return err
-		}
-		var name string
-		if err := json.Unmarshal([]byte(body), &name); err != nil {
-			return err
-		}
-		d.DelGlobals = append(d.DelGlobals, name)
-		return nil
-	case strings.HasPrefix(line, "__dom("):
-		body, err := callBody(line, "__dom")
-		if err != nil {
-			return err
-		}
-		dom, err := webapp.UnmarshalDOM([]byte(body))
-		if err != nil {
-			return err
-		}
-		d.DOM = dom
-		return nil
-	case strings.HasPrefix(line, "__bindings("):
-		body, err := callBody(line, "__bindings")
-		if err != nil {
-			return err
-		}
-		var bs []webapp.Binding
-		if err := json.Unmarshal([]byte(body), &bs); err != nil {
-			return err
-		}
-		d.BindingsChanged = true
-		d.Bindings = bs
-		return nil
-	case strings.HasPrefix(line, "__dispatch("):
-		body, err := callBody(line, "__dispatch")
-		if err != nil {
-			return err
-		}
-		var we wireEvent
-		if err := json.Unmarshal([]byte(body), &we); err != nil {
-			return err
-		}
-		payload, err := fromWire(we.Payload)
-		if err != nil {
-			return err
-		}
-		d.Pending = append(d.Pending, webapp.Event{Target: we.Target, Type: we.Type, Payload: payload})
-		return nil
-	default:
-		return fmt.Errorf("unrecognized statement %.40q", line)
-	}
 }

@@ -1,13 +1,12 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
+	"unicode"
 
 	"websnap/internal/nn"
 	"websnap/internal/webapp"
@@ -16,10 +15,12 @@ import (
 // header is the first line of every encoded snapshot.
 const header = "// websnap-snapshot v1"
 
-// f32Key marks a Float32Array inside the JSON value encoding, standing in
-// for JavaScript's `new Float32Array([...])`. It is reserved: captured app
-// state must not use it as a map key.
-const f32Key = "__f32__"
+// The identity variables of snapshots and deltas; no global may use them.
+const (
+	varAppID    = "__appID"
+	varCodeHash = "__codeHash"
+	varBaseHash = "__baseHash"
+)
 
 // Encode renders the snapshot as its textual program form — "the snapshot
 // app". One declaration per line:
@@ -36,71 +37,48 @@ const f32Key = "__f32__"
 // Running the snapshot (Restore) rebuilds exactly this state and
 // re-dispatches the pending events.
 //
-// The encoder writes directly into one bytes.Buffer pre-sized from the
-// model blob and feature-array sizes, so a snapshot dominated by weights
-// is assembled in a single allocation with no intermediate buffering.
+// Everything is appended to one buffer pre-sized from the model blob and
+// feature-array sizes: values by the value codec (value.go), the small
+// struct-shaped arguments (DOM, bindings, model spec, event envelope) by
+// encoding/json.
 func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(s.encodedSizeHint())
-	w := &buf
-	fmt.Fprintln(w, header)
-	if err := writeVar(w, "__appID", s.AppID); err != nil {
-		return nil, err
-	}
-	if err := writeVar(w, "__codeHash", s.CodeHash); err != nil {
-		return nil, err
-	}
+	b := make([]byte, 0, s.encodedSizeHint())
+	b = append(b, header+"\n"...)
+	b, _ = appendVar(b, varAppID, s.AppID)
+	b, _ = appendVar(b, varCodeHash, s.CodeHash) // strings always encode
 	for _, ms := range s.Models {
 		spec, err := json.Marshal(ms.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
 		}
-		name, err := json.Marshal(ms.Name)
-		if err != nil {
-			return nil, err
-		}
-		blob := ""
-		if ms.Weights != nil {
-			blob = base64.StdEncoding.EncodeToString(ms.Weights)
-		}
-		fmt.Fprintf(w, "__model(%s, %s, %q);\n", name, spec, blob)
+		b = append(b, "__model("...)
+		b = append(appendString(b, ms.Name), ", "...)
+		b = append(append(b, spec...), `, "`...)
+		b = base64.StdEncoding.AppendEncode(b, ms.Weights)
+		b = append(b, "\");\n"...)
 	}
-	for _, name := range sortedGlobalNames(s.Globals) {
-		enc, err := encodeValue(s.Globals[name])
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode global %q: %w", name, err)
-		}
-		fmt.Fprintf(w, "var %s = %s;\n", name, enc)
+	b, err := appendGlobals(b, s.Globals)
+	if err != nil {
+		return nil, err
 	}
 	dom, err := webapp.MarshalDOM(s.DOM)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "__dom(%s);\n", dom)
-	for _, b := range s.Bindings {
-		enc, err := json.Marshal(b)
-		if err != nil {
+	b = appendCall(b, "__dom", dom)
+	for _, bind := range s.Bindings {
+		if b, err = appendJSONCall(b, "__bind", bind); err != nil {
 			return nil, fmt.Errorf("snapshot: encode binding: %w", err)
 		}
-		fmt.Fprintf(w, "__bind(%s);\n", enc)
 	}
-	for _, ev := range s.Pending {
-		enc, err := json.Marshal(wireEvent{
-			Target: ev.Target, Type: ev.Type, Payload: toWire(ev.Payload),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode event: %w", err)
-		}
-		fmt.Fprintf(w, "__dispatch(%s);\n", enc)
-	}
-	return buf.Bytes(), nil
+	return appendPending(b, s.Pending)
 }
 
 // encodedSizeHint estimates the encoded snapshot size so Encode can
 // reserve the buffer up front. The dominant terms — base64 model weights
 // and textual Float32Array features — are computed exactly or nearly so;
-// structural framing is a rough floor (Grow tolerates underestimates, a
-// short tail just appends normally).
+// structural framing is a rough floor (an underestimate just grows the
+// buffer once more).
 func (s *Snapshot) encodedSizeHint() int {
 	n := len(header) + 1
 	n += len(s.AppID) + len(s.CodeHash) + 2*len(`var __codeHash = "";`+"\n")
@@ -109,14 +87,21 @@ func (s *Snapshot) encodedSizeHint() int {
 		n += base64.StdEncoding.EncodedLen(len(ms.Weights))
 		n += 512 // serialized layer spec
 	}
-	for name, v := range s.Globals {
-		n += len(`var  = ;`+"\n") + len(name) + wireSizeHint(v)
-	}
+	n += globalsSizeHint(s.Globals)
 	n += 256 // __dom / __bind / __dispatch framing floor
 	return n
 }
 
-// wireSizeHint estimates the JSON-encoded size of a captured value.
+// globalsSizeHint estimates the encoded size of a set of `var` lines.
+func globalsSizeHint(globals map[string]webapp.Value) int {
+	n := 0
+	for name, v := range globals {
+		n += len(`var  = ;`+"\n") + len(name) + wireSizeHint(v)
+	}
+	return n
+}
+
+// wireSizeHint estimates the encoded size of a captured value.
 func wireSizeHint(v webapp.Value) int {
 	switch t := v.(type) {
 	case webapp.Float32Array:
@@ -141,27 +126,104 @@ func wireSizeHint(v webapp.Value) int {
 	}
 }
 
-// Decode parses a textual snapshot produced by Encode.
+// appendVar appends `var name = <value>;`.
+func appendVar(dst []byte, name string, v webapp.Value) ([]byte, error) {
+	dst = append(append(append(dst, "var "...), name...), " = "...)
+	dst, err := appendValue(dst, v)
+	return append(dst, ";\n"...), err
+}
+
+// appendGlobals appends one `var` line per global, in name order.
+func appendGlobals(dst []byte, globals map[string]webapp.Value) ([]byte, error) {
+	var err error
+	for _, name := range sortedKeys(globals) {
+		if dst, err = appendVar(dst, name, globals[name]); err != nil {
+			return nil, fmt.Errorf("snapshot: encode global %q: %w", name, err)
+		}
+	}
+	return dst, nil
+}
+
+// sortedKeys returns m's keys in the order both `var` lines and object
+// members are written.
+func sortedKeys(m map[string]webapp.Value) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// appendCall appends `name(arg);`.
+func appendCall(dst []byte, name string, arg []byte) []byte {
+	dst = append(append(dst, name...), '(')
+	return append(append(dst, arg...), ");\n"...)
+}
+
+// appendJSONCall appends `name(<v as encoding/json renders it>);`.
+func appendJSONCall(dst []byte, name string, v any) ([]byte, error) {
+	arg, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return appendCall(dst, name, arg), nil
+}
+
+// wireEvent is the __dispatch envelope; the payload inside it is value
+// codec text.
+type wireEvent struct {
+	Target  string          `json:"target"`
+	Type    string          `json:"type"`
+	Payload json.RawMessage `json:"payload,omitempty"`
+}
+
+// appendPending appends one __dispatch line per pending event.
+func appendPending(dst []byte, pending []webapp.Event) ([]byte, error) {
+	for _, ev := range pending {
+		we := wireEvent{Target: ev.Target, Type: ev.Type}
+		if ev.Payload != nil {
+			payload, err := appendValue(nil, ev.Payload)
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: encode event payload: %w", err)
+			}
+			we.Payload = payload
+		}
+		var err error
+		if dst, err = appendJSONCall(dst, "__dispatch", we); err != nil {
+			return nil, fmt.Errorf("snapshot: encode event: %w", err)
+		}
+	}
+	return dst, nil
+}
+
+// Decode parses a textual snapshot produced by Encode. The result shares
+// no memory with data.
 func Decode(data []byte) (*Snapshot, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024), 1<<30)
-	if !sc.Scan() || sc.Text() != header {
-		return nil, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
 	s := &Snapshot{Globals: make(map[string]webapp.Value)}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if err := s.decodeLine(line); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
-		}
+	common := commonStatements{
+		appID: &s.AppID, codeHash: &s.CodeHash,
+		globals: s.Globals, dom: &s.DOM, pending: &s.Pending,
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
+	err := decodeStatements(data, header, func(line []byte) error {
+		if done, err := common.decode(line); done {
+			return err
+		}
+		if body, ok := callBody(line, "__model"); ok {
+			return s.decodeModel(body)
+		}
+		if body, ok := callBody(line, "__bind"); ok {
+			var b webapp.Binding
+			if err := json.Unmarshal(body, &b); err != nil {
+				return err
+			}
+			s.Bindings = append(s.Bindings, b)
+			return nil
+		}
+		return fmt.Errorf("unrecognized statement %.40q", line)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if s.AppID == "" || s.CodeHash == "" {
 		return nil, fmt.Errorf("%w: missing __appID or __codeHash", ErrCorrupt)
@@ -172,98 +234,119 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-type wireEvent struct {
-	Target  string `json:"target"`
-	Type    string `json:"type"`
-	Payload any    `json:"payload,omitempty"`
-}
-
-func (s *Snapshot) decodeLine(line string) error {
-	switch {
-	case strings.HasPrefix(line, "var "):
-		return s.decodeVar(line)
-	case strings.HasPrefix(line, "__model("):
-		return s.decodeModel(line)
-	case strings.HasPrefix(line, "__dom("):
-		body, err := callBody(line, "__dom")
-		if err != nil {
-			return err
-		}
-		dom, err := webapp.UnmarshalDOM([]byte(body))
-		if err != nil {
-			return err
-		}
-		s.DOM = dom
-		return nil
-	case strings.HasPrefix(line, "__bind("):
-		body, err := callBody(line, "__bind")
-		if err != nil {
-			return err
-		}
-		var b webapp.Binding
-		if err := json.Unmarshal([]byte(body), &b); err != nil {
-			return err
-		}
-		s.Bindings = append(s.Bindings, b)
-		return nil
-	case strings.HasPrefix(line, "__dispatch("):
-		body, err := callBody(line, "__dispatch")
-		if err != nil {
-			return err
-		}
-		var we wireEvent
-		if err := json.Unmarshal([]byte(body), &we); err != nil {
-			return err
-		}
-		payload, err := fromWire(we.Payload)
-		if err != nil {
-			return err
-		}
-		s.Pending = append(s.Pending, webapp.Event{Target: we.Target, Type: we.Type, Payload: payload})
-		return nil
-	default:
-		return fmt.Errorf("unrecognized statement %.40q", line)
+// decodeStatements checks the first line of data against header and hands
+// every further non-empty line to stmt, as a subslice of data. Lines end
+// at '\n'; a '\r' before it is dropped.
+func decodeStatements(data []byte, header string, stmt func(line []byte) error) error {
+	line, rest := cutLine(data)
+	if string(line) != header {
+		return fmt.Errorf("%w: missing header %q", ErrCorrupt, header)
 	}
+	for lineNo := 2; len(rest) > 0; lineNo++ {
+		line, rest = cutLine(rest)
+		if len(line) == 0 {
+			continue
+		}
+		if err := stmt(line); err != nil {
+			return fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
+		}
+	}
+	return nil
 }
 
-func (s *Snapshot) decodeVar(line string) error {
-	rest := strings.TrimPrefix(line, "var ")
-	eq := strings.Index(rest, " = ")
-	if eq < 0 || !strings.HasSuffix(rest, ";") {
+func cutLine(data []byte) (line, rest []byte) {
+	line, rest, _ = bytes.Cut(data, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r")), rest
+}
+
+// callBody extracts X from `name(X);`.
+func callBody(line []byte, name string) ([]byte, bool) {
+	if len(line) < len(name)+3 || string(line[:len(name)]) != name ||
+		line[len(name)] != '(' || string(line[len(line)-2:]) != ");" {
+		return nil, false
+	}
+	return line[len(name)+1 : len(line)-2], true
+}
+
+// commonStatements decodes the statements snapshots and deltas share —
+// `var` (identity and globals), __dom and __dispatch — into whichever of
+// the two is being built.
+type commonStatements struct {
+	appID, codeHash, baseHash *string // baseHash is nil for a snapshot
+	globals                   map[string]webapp.Value
+	dom                       **webapp.Node
+	pending                   *[]webapp.Event
+}
+
+// decode handles line if it is one of the common statements; done reports
+// whether it was.
+func (c commonStatements) decode(line []byte) (done bool, err error) {
+	if rest, ok := bytes.CutPrefix(line, []byte("var ")); ok {
+		return true, c.decodeVar(rest)
+	}
+	if body, ok := callBody(line, "__dom"); ok {
+		*c.dom, err = webapp.UnmarshalDOM(body)
+		return true, err
+	}
+	if body, ok := callBody(line, "__dispatch"); ok {
+		var we wireEvent
+		if err := json.Unmarshal(body, &we); err != nil {
+			return true, err
+		}
+		ev := webapp.Event{Target: we.Target, Type: we.Type}
+		if len(we.Payload) > 0 {
+			if ev.Payload, err = parseValue(we.Payload); err != nil {
+				return true, err
+			}
+		}
+		*c.pending = append(*c.pending, ev)
+		return true, nil
+	}
+	return false, nil
+}
+
+// decodeVar handles `name = <value>;` (the line after "var ").
+func (c commonStatements) decodeVar(rest []byte) error {
+	nameBytes, body, found := bytes.Cut(rest, []byte(" = "))
+	body, terminated := bytes.CutSuffix(body, []byte(";"))
+	if !found || !terminated {
 		return fmt.Errorf("malformed var statement")
 	}
-	name := rest[:eq]
-	body := rest[eq+3 : len(rest)-1]
-	switch name {
-	case "__appID", "__codeHash":
-		var v string
-		if err := json.Unmarshal([]byte(body), &v); err != nil {
-			return err
+	var identity *string
+	switch string(nameBytes) {
+	case varAppID:
+		identity = c.appID
+	case varCodeHash:
+		identity = c.codeHash
+	case varBaseHash:
+		identity = c.baseHash
+	}
+	if identity != nil {
+		// A string or null, as when json.Unmarshal filled a string.
+		v, err := parseValue(body)
+		id, isString := v.(string)
+		if err != nil || !isString && v != nil {
+			return fmt.Errorf("%s is not a string", nameBytes)
 		}
-		if name == "__appID" {
-			s.AppID = v
-		} else {
-			s.CodeHash = v
-		}
-		return nil
-	default:
-		v, err := decodeValue(body)
-		if err != nil {
-			return fmt.Errorf("global %q: %w", name, err)
-		}
-		s.Globals[name] = v
+		*identity = id
 		return nil
 	}
-}
-
-func (s *Snapshot) decodeModel(line string) error {
-	body, err := callBody(line, "__model")
-	if err != nil {
+	name := string(nameBytes)
+	if err := checkGlobalName(name); err != nil {
 		return err
 	}
-	dec := json.NewDecoder(strings.NewReader("[" + body + "]"))
+	v, err := parseValue(body)
+	if err != nil {
+		return fmt.Errorf("global %q: %w", name, err)
+	}
+	c.globals[name] = v
+	return nil
+}
+
+func (s *Snapshot) decodeModel(body []byte) error {
 	var args []json.RawMessage
-	if err := dec.Decode(&args); err != nil || len(args) != 3 {
+	list := append(append(make([]byte, 0, len(body)+2), '['), body...)
+	if err := json.Unmarshal(append(list, ']'), &args); err != nil || len(args) != 3 {
 		return fmt.Errorf("malformed __model arguments: %v", err)
 	}
 	var ms ModelState
@@ -278,8 +361,8 @@ func (s *Snapshot) decodeModel(line string) error {
 		return err
 	}
 	if blob != "" {
-		ms.Weights, err = base64.StdEncoding.DecodeString(blob)
-		if err != nil {
+		var err error
+		if ms.Weights, err = base64.StdEncoding.DecodeString(blob); err != nil {
 			return fmt.Errorf("model weights: %w", err)
 		}
 	}
@@ -287,109 +370,31 @@ func (s *Snapshot) decodeModel(line string) error {
 	return nil
 }
 
-// writeVar emits `var name = "<json string>";`.
-func writeVar(w *bytes.Buffer, name, value string) error {
-	enc, err := json.Marshal(value)
-	if err != nil {
+// checkGlobalName rejects names that would not survive a `var` line: the
+// identity variables, and anything that is not an identifier (a name with
+// " = " or a newline in it would split the line in the wrong place).
+func checkGlobalName(name string) error {
+	switch name {
+	case varAppID, varCodeHash, varBaseHash:
+		return fmt.Errorf("%w: global name %q", ErrReservedKey, name)
+	case "":
+		return fmt.Errorf("%w: empty global name", ErrReservedKey)
+	}
+	for i, r := range name {
+		if r != '_' && r != '$' && !unicode.IsLetter(r) && !(i > 0 && unicode.IsDigit(r)) {
+			return fmt.Errorf("%w: global name %q is not an identifier", ErrReservedKey, name)
+		}
+	}
+	return nil
+}
+
+// checkGlobal rejects a global the text form cannot carry: a reserved or
+// non-identifier name, or a value using the Float32Array marker key.
+func checkGlobal(name string, v webapp.Value) error {
+	if err := checkGlobalName(name); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "var %s = %s;\n", name, enc)
-	return err
-}
-
-// callBody extracts X from `name(X);`.
-func callBody(line, name string) (string, error) {
-	if !strings.HasPrefix(line, name+"(") || !strings.HasSuffix(line, ");") {
-		return "", fmt.Errorf("malformed %s statement", name)
-	}
-	return line[len(name)+1 : len(line)-2], nil
-}
-
-// encodeValue renders a canonical value as single-line JSON with
-// Float32Array as the {"__f32__": [...]} marker object. Typed-array floats
-// therefore serialize textually, like JS array literals in the paper's
-// snapshots.
-func encodeValue(v webapp.Value) (string, error) {
-	data, err := json.Marshal(toWire(v))
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
-func decodeValue(body string) (webapp.Value, error) {
-	var raw any
-	if err := json.Unmarshal([]byte(body), &raw); err != nil {
-		return nil, err
-	}
-	return fromWire(raw)
-}
-
-// toWire maps the canonical value tree to a json.Marshal-able tree.
-func toWire(v webapp.Value) any {
-	switch t := v.(type) {
-	case webapp.Float32Array:
-		return map[string]any{f32Key: []float32(t)}
-	case []webapp.Value:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = toWire(e)
-		}
-		return out
-	case map[string]webapp.Value:
-		out := make(map[string]any, len(t))
-		for k, e := range t {
-			out[k] = toWire(e)
-		}
-		return out
-	default:
-		return t
-	}
-}
-
-// fromWire maps a json.Unmarshal-ed tree back to canonical value form.
-func fromWire(v any) (webapp.Value, error) {
-	switch t := v.(type) {
-	case nil, bool, float64, string:
-		return t, nil
-	case []any:
-		out := make([]webapp.Value, len(t))
-		for i, e := range t {
-			n, err := fromWire(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = n
-		}
-		return out, nil
-	case map[string]any:
-		if raw, ok := t[f32Key]; ok && len(t) == 1 {
-			arr, ok := raw.([]any)
-			if !ok {
-				return nil, fmt.Errorf("%s marker is not an array", f32Key)
-			}
-			fa := make(webapp.Float32Array, len(arr))
-			for i, e := range arr {
-				f, ok := e.(float64)
-				if !ok {
-					return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
-				}
-				fa[i] = float32(f)
-			}
-			return fa, nil
-		}
-		out := make(map[string]webapp.Value, len(t))
-		for k, e := range t {
-			n, err := fromWire(e)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = n
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unsupported wire type %T", v)
-	}
+	return checkReserved(v)
 }
 
 // checkReserved rejects values that would collide with the Float32Array
@@ -413,15 +418,6 @@ func checkReserved(v webapp.Value) error {
 		}
 	}
 	return nil
-}
-
-func sortedGlobalNames(globals map[string]webapp.Value) []string {
-	names := make([]string, 0, len(globals))
-	for k := range globals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func encodeWeights(net *nn.Network) ([]byte, error) {

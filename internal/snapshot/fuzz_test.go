@@ -9,8 +9,22 @@ import (
 	"websnap/internal/webapp"
 )
 
+// addGrammarSeeds seeds a decoder fuzz target with statements at the edges
+// of the value grammar, each wrapped as a `var` line and as a __dispatch
+// payload after prefix (the header and identity lines).
+func addGrammarSeeds(f *testing.F, prefix string) {
+	for _, body := range parityBodies() {
+		if len(body) > 1<<10 {
+			continue // the deep-nesting bodies: too big to mutate usefully
+		}
+		f.Add([]byte(prefix + "var x = " + body + ";\r\n__dom({\"tag\":\"body\"});\n" +
+			"__dispatch({\"target\":\"b\",\"type\":\"c\",\"payload\":" + body + "});\n"))
+	}
+}
+
 // FuzzDecode hardens the snapshot parser: arbitrary bytes must either
-// decode into a snapshot that re-encodes cleanly, or fail — never panic.
+// decode into a snapshot that re-encodes cleanly, or fail — never panic —
+// and every value in them must parse exactly as the json oracle says.
 func FuzzDecode(f *testing.F) {
 	app, err := webapp.NewApp("fuzz", seedRegistry())
 	if err != nil {
@@ -30,12 +44,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add(wire)
 	f.Add([]byte(header + "\n"))
 	f.Add([]byte(header + "\nvar x = {\"__f32__\":[1e999]};\n"))
+	addGrammarSeeds(f, header+"\r\nvar __appID = \"a\";\nvar __codeHash = \"b\";\n")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStatementParity(t, data)
 		s, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if _, err := s.Encode(); err != nil {
+		// A literal beyond float32 narrows to ±Inf, which has no text form.
+		if _, err := s.Encode(); err != nil && !errors.Is(err, errNonFinite) {
 			t.Errorf("decoded snapshot failed to re-encode: %v", err)
 		}
 	})
@@ -68,12 +85,15 @@ func FuzzDecodeDelta(f *testing.F) {
 	}
 	f.Add(wire)
 	f.Add([]byte(deltaHeader + "\n__delete(\"x\");\n"))
+	addGrammarSeeds(f, deltaHeader+"\r\nvar __appID = \"a\";\nvar __codeHash = \"b\";\nvar __baseHash = \"c\";\n")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStatementParity(t, data)
 		dd, err := DecodeDelta(data)
 		if err != nil {
 			return
 		}
-		if _, err := dd.Encode(); err != nil {
+		// A decoded map may use the marker key beside others; Encode refuses it.
+		if _, err := dd.Encode(); err != nil && !errors.Is(err, errNonFinite) && !errors.Is(err, ErrReservedKey) {
 			t.Errorf("decoded delta failed to re-encode: %v", err)
 		}
 	})

@@ -69,11 +69,15 @@ func (s *Snapshot) Breakdown() (SizeBreakdown, error) {
 func featureTextBytes(v webapp.Value) int64 {
 	switch t := v.(type) {
 	case webapp.Float32Array:
-		data, err := json.Marshal([]float32(t))
-		if err != nil {
-			return 0
+		// Brackets and commas, then each element as Encode wrote it
+		// (Breakdown's Encode has already rejected non-finite elements).
+		total := int64(2 + max(len(t)-1, 0))
+		var scratch [32]byte
+		for _, f := range t {
+			text, _ := appendFloat(scratch[:0], float64(f), 32)
+			total += int64(len(text))
 		}
-		return int64(len(data))
+		return total
 	case []webapp.Value:
 		var total int64
 		for _, e := range t {

@@ -27,7 +27,7 @@ import (
 var (
 	ErrCodeMismatch     = errors.New("snapshot: code hash does not match registry")
 	ErrModelUnavailable = errors.New("snapshot: model weights not in snapshot and no resolver provided")
-	ErrReservedKey      = errors.New("snapshot: value uses reserved key")
+	ErrReservedKey      = errors.New("snapshot: reserved key or global name")
 	ErrCorrupt          = errors.New("snapshot: corrupt encoding")
 	// ErrBaseMismatch is returned when a delta is applied to a different
 	// base snapshot than it was computed against.
@@ -93,7 +93,7 @@ func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
 	}
 	globals := app.Globals()
 	for name, v := range globals {
-		if err := checkReserved(v); err != nil {
+		if err := checkGlobal(name, v); err != nil {
 			return nil, fmt.Errorf("global %q: %w", name, err)
 		}
 	}

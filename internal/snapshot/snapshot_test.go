@@ -431,11 +431,11 @@ func TestQuickValueWireRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc, err := encodeValue(v)
+		enc, err := appendValue(nil, v)
 		if err != nil {
 			return false
 		}
-		got, err := decodeValue(enc)
+		got, err := parseValue(enc)
 		if err != nil {
 			return false
 		}
