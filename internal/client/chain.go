@@ -58,35 +58,26 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 	if len(hops) == 0 {
 		return nil, errors.New("client: chain: empty hop manifest")
 	}
-	seq := c.seq.Add(1)
 	if traceID == "" {
 		traceID = trace.NewID()
 	}
 	body := protocol.Float32Bytes(boundary.Data())
-	req, err := protocol.Encode(protocol.MsgChainExec, protocol.ChainExecHeader{
-		AppID:     appID,
-		ModelName: modelName,
-		Seq:       seq,
-		Hop:       0,
-		Hops:      hops,
-		Shape:     boundary.Shape(),
-		TraceID:   traceID,
-		BodyCRC:   protocol.BodyChecksum(body),
-	}, body)
-	if err != nil {
-		return nil, err
-	}
+	var hdr protocol.ChainResultHeader
 	rtStart := time.Now()
-	resp, err := c.exchange(req, seq)
+	resp, err := c.call("chain exec", protocol.MsgChainExec, protocol.MsgChainResult, func(seq uint64) any {
+		return protocol.ChainExecHeader{
+			AppID:     appID,
+			ModelName: modelName,
+			Seq:       seq,
+			Hop:       0,
+			Hops:      hops,
+			Shape:     boundary.Shape(),
+			TraceID:   traceID,
+			BodyCRC:   protocol.BodyChecksum(body),
+		}
+	}, body, &hdr)
 	rt := time.Since(rtStart)
 	if err != nil {
-		return nil, fmt.Errorf("client: chain exec: %w", err)
-	}
-	if resp.Type != protocol.MsgChainResult {
-		return nil, fmt.Errorf("client: chain exec: unexpected response %s", resp.Type)
-	}
-	var hdr protocol.ChainResultHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
 		return nil, err
 	}
 	if err := protocol.VerifyBody(resp.Body, hdr.BodyCRC); err != nil {
@@ -94,7 +85,6 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 		// connection stays usable; only this result is poisoned.
 		return nil, fmt.Errorf("client: chain result: %w", err)
 	}
-	c.noteLoad(hdr.Load)
 	vals, err := protocol.BytesFloat32(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: chain result: %w", err)

@@ -25,6 +25,9 @@ import (
 // reader to report why the peer hung up.
 const hangupGrace = 100 * time.Millisecond
 
+// defaultDialTimeout bounds Redial's connect when no request timeout is set.
+const defaultDialTimeout = 2 * time.Second
+
 // DefaultMaxStreams is the cap on concurrent logical streams in flight on one
 // Conn; further requests wait for a slot.
 const DefaultMaxStreams = 64
@@ -126,6 +129,17 @@ func (c *Conn) LastLoad() (hint protocol.LoadHint, at time.Time, ok bool) {
 	return *c.lastLoad, c.loadAt, true
 }
 
+// FreshLoad is LastLoad gated on age: ok only when the hint arrived within
+// ttl (zero selects DefaultLoadHintTTL). A stale hint describes a queue that
+// has long since drained or grown, so nothing should steer by it.
+func (c *Conn) FreshLoad(ttl time.Duration) (hint protocol.LoadHint, ok bool) {
+	if ttl <= 0 {
+		ttl = DefaultLoadHintTTL
+	}
+	hint, at, ok := c.LastLoad()
+	return hint, ok && time.Since(at) <= ttl
+}
+
 // SetRequestTimeout bounds each request/response round trip; a server that
 // stops responding yields an error instead of a hang. Zero (the default)
 // disables the bound. Large model pre-sends over slow links need a
@@ -218,6 +232,12 @@ func (c *Conn) Redial() error {
 	}
 	old := c.rw
 	oldDone := c.readerDone
+	// The dial is bounded like any request: a black-holed host must not
+	// park the caller on the OS connect timeout.
+	dialTimeout := c.timeout
+	if dialTimeout <= 0 {
+		dialTimeout = defaultDialTimeout
+	}
 	c.mu.Unlock()
 
 	// Retire the old socket's reader before splicing in a fresh socket:
@@ -226,7 +246,7 @@ func (c *Conn) Redial() error {
 	old.Close() //nolint:errcheck // the old socket is already suspect
 	<-oldDone
 
-	fresh, err := net.Dial("tcp", c.addr)
+	fresh, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("client: redial %s: %w", c.addr, err)
 	}
@@ -254,7 +274,6 @@ func (c *Conn) serverError(resp protocol.Message) error {
 	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
 		return err
 	}
-	c.noteLoad(hdr.Load)
 	err := fmt.Errorf("%w: %s", ErrServerError, hdr.Message)
 	if hdr.Overloaded {
 		err = fmt.Errorf("%w: %w: %s", ErrServerError, ErrOverloaded, hdr.Message)
@@ -287,8 +306,9 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 }
 
 // readLoop is the Conn's single reader: it decodes each response's stream
-// ID (every response header carries the shared "seq" key) and hands the
-// frame to the waiting request. A read error, an undecodable header, or a
+// ID (every response header carries the shared "seq" key), records the
+// server's load hint when the header has one, and hands the frame to the
+// waiting request. A read error, an undecodable header, or a
 // response for no pending stream all mean the frame stream can no longer
 // be trusted, so every pending request fails and the loop exits; Redial
 // starts a fresh loop on the replacement socket.
@@ -305,11 +325,15 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 		// congested reader (many streams racing the single demultiplexer)
 		// visible in the stage histograms.
 		routeStart := time.Now()
-		var env protocol.MuxEnvelope
+		var env struct {
+			protocol.MuxEnvelope
+			Load *protocol.LoadHint `json:"load"`
+		}
 		if err := json.Unmarshal(resp.Header, &env); err != nil {
 			c.failPending(rw, fmt.Errorf("%w: undecodable response header: %w", ErrConnBroken, err))
 			return
 		}
+		c.noteLoad(env.Load)
 		c.mu.Lock()
 		ch, ok := c.pending[env.Seq]
 		if ok {
@@ -440,26 +464,47 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (protocol.Message, err
 	}
 }
 
-// Ping probes the server's install state and current scheduling load.
-func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
+// call runs one request/response exchange, the part every request type
+// shares: mint the stream's Seq, frame hdr(seq) with body, exchange, check
+// the response type, and decode the response header into out. what names
+// the request in errors.
+func (c *Conn) call(what string, reqType, respType protocol.MsgType, hdr func(seq uint64) any, body []byte, out any) (protocol.Message, error) {
 	seq := c.seq.Add(1)
-	req, err := protocol.Encode(protocol.MsgPing, protocol.PingHeader{Seq: seq}, nil)
+	req, err := protocol.Encode(reqType, hdr(seq), body)
 	if err != nil {
-		return false, nil, err
+		return protocol.Message{}, err
 	}
 	resp, err := c.exchange(req, seq)
 	if err != nil {
-		return false, nil, fmt.Errorf("client: ping: %w", err)
+		return protocol.Message{}, fmt.Errorf("client: %s: %w", what, err)
 	}
-	if resp.Type != protocol.MsgPong {
-		return false, nil, fmt.Errorf("client: ping: unexpected response %s", resp.Type)
+	if resp.Type != respType {
+		return protocol.Message{}, fmt.Errorf("client: %s: unexpected response %s", what, resp.Type)
 	}
+	if err := protocol.DecodeHeader(resp, out); err != nil {
+		return protocol.Message{}, err
+	}
+	return resp, nil
+}
+
+// Ping probes the server's install state and current scheduling load.
+func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
 	var hdr protocol.PongHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return false, nil, err
+	_, err = c.call("ping", protocol.MsgPing, protocol.MsgPong,
+		func(seq uint64) any { return protocol.PingHeader{Seq: seq} }, nil, &hdr)
+	return hdr.Installed, hdr.Load, err
+}
+
+// preSend ships one pre-send request — weights, or a reference when hdr is
+// RefOnly — and checks that the ACK names the same model.
+func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []byte) (protocol.AckHeader, error) {
+	var ack protocol.AckHeader
+	_, err := c.call(what, protocol.MsgModelPreSend, protocol.MsgAck,
+		func(seq uint64) any { hdr.Seq = seq; return hdr }, weights, &ack)
+	if err == nil && ack.ModelName != hdr.ModelName {
+		err = fmt.Errorf("client: %s: ACK names %q", what, ack.ModelName)
 	}
-	c.noteLoad(hdr.Load)
-	return hdr.Installed, hdr.Load, nil
+	return ack, err
 }
 
 // PreSendModel ships one model (descriptor + weights) to the edge server
@@ -474,49 +519,23 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool)
 	if err := model.EncodeWeights(&weights); err != nil {
 		return fmt.Errorf("client: model %q: %w", name, err)
 	}
-	seq := c.seq.Add(1)
-	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
+	_, err = c.preSend(fmt.Sprintf("pre-send %q", name), protocol.ModelPreSendHeader{
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
 		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
 	}, weights.Bytes())
-	if err != nil {
-		return err
-	}
-	resp, err := c.exchange(req, seq)
-	if err != nil {
-		return fmt.Errorf("client: pre-send %q: %w", name, err)
-	}
-	if resp.Type != protocol.MsgAck {
-		return fmt.Errorf("client: pre-send %q: unexpected response %s", name, resp.Type)
-	}
-	var ack protocol.AckHeader
-	if err := protocol.DecodeHeader(resp, &ack); err != nil {
-		return err
-	}
-	c.noteLoad(ack.Load)
-	if ack.ModelName != name {
-		return fmt.Errorf("client: pre-send %q: ACK names %q", name, ack.ModelName)
-	}
-	return nil
+	return err
 }
 
-// PreSendModelRef offers a model to the edge server by content reference:
-// the header carries the spec and the model's fleet blob key
+// PreSendModelRefTraced offers a model to the edge server by content
+// reference: the header carries the spec and the model's fleet blob key
 // (nn.Fingerprint), but no weight bytes. A fleet server resolves the blob
 // from its cache or a peer and ACKs like a full pre-send; needBlob=true
 // means it could not (client should retry with PreSendModel). A server that
 // refuses the reference with an error frame is reported as needBlob too, so
-// the reference attempt is always safe.
-func (c *Conn) PreSendModelRef(appID, name string, model *nn.Network, partial bool) (needBlob bool, err error) {
-	needBlob, _, err = c.PreSendModelRefTraced(appID, name, model, partial, "")
-	return needBlob, err
-}
-
-// PreSendModelRefTraced is PreSendModelRef with cross-process trace
-// propagation: traceID is stamped on the request, and the server's resolve
-// span — covering its registry locate and peer fetches — comes back
-// alongside the NeedBlob verdict, so a roam handoff's pre-sends join the
-// client's trace under one ID. Empty traceID sends an untraced request.
+// the reference attempt is always safe. A non-empty traceID is stamped on
+// the request, and the server's resolve span — covering its registry locate
+// and peer fetches — comes back alongside the verdict, so a roam handoff's
+// pre-sends join the client's trace under one ID.
 func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, partial bool, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
@@ -526,37 +545,29 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 	if key == "" {
 		return true, nil, nil
 	}
-	seq := c.seq.Add(1)
-	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial, Seq: seq,
+	ack, err := c.preSend(fmt.Sprintf("ref pre-send %q", name), protocol.ModelPreSendHeader{
+		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
 		BlobKey: key,
 		RefOnly: true,
 		TraceID: traceID,
 	}, nil)
+	if cleanServerError(err) {
+		// The server refused the reference but the stream is intact — fall
+		// back to a full upload.
+		return true, nil, nil
+	}
 	if err != nil {
 		return false, nil, err
-	}
-	resp, err := c.exchange(req, seq)
-	if err != nil {
-		if errors.Is(err, ErrServerError) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrConnBroken) {
-			// A clean error frame: the server refused the reference. The
-			// stream is intact — fall back to a full upload.
-			return true, nil, nil
-		}
-		return false, nil, fmt.Errorf("client: ref pre-send %q: %w", name, err)
-	}
-	if resp.Type != protocol.MsgAck {
-		return false, nil, fmt.Errorf("client: ref pre-send %q: unexpected response %s", name, resp.Type)
-	}
-	var ack protocol.AckHeader
-	if err := protocol.DecodeHeader(resp, &ack); err != nil {
-		return false, nil, err
-	}
-	c.noteLoad(ack.Load)
-	if ack.ModelName != name {
-		return false, nil, fmt.Errorf("client: ref pre-send %q: ACK names %q", name, ack.ModelName)
 	}
 	return ack.NeedBlob, ack.Span, nil
+}
+
+// cleanServerError reports whether err is the server's verdict on one
+// request — a complete error frame on a healthy stream — rather than an
+// overload shed or a broken connection. Only such an error is worth
+// answering with a different request to the same server.
+func cleanServerError(err error) bool {
+	return errors.Is(err, ErrServerError) && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrConnBroken)
 }
 
 // OffloadSnapshot ships an encoded snapshot and returns the encoded result
@@ -566,14 +577,6 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 // of the shipped body.
 func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (result []byte, wireBytes int64, err error) {
 	reply, err := c.offloadBody(protocol.MsgSnapshot, protocol.MsgResultSnapshot, appID, encoded, compress)
-	return reply.Result, reply.WireBytes, err
-}
-
-// OffloadSnapshotDelta ships an encoded snapshot delta and returns the
-// encoded result delta. The server answers with an error when it no longer
-// holds the base state; callers fall back to a full snapshot then.
-func (c *Conn) OffloadSnapshotDelta(appID string, encoded []byte, compress bool) (result []byte, wireBytes int64, err error) {
-	reply, err := c.offloadBody(protocol.MsgSnapshotDelta, protocol.MsgResultDelta, appID, encoded, compress)
 	return reply.Result, reply.WireBytes, err
 }
 
@@ -596,10 +599,11 @@ type offloadReply struct {
 	ServerTrace *protocol.ServerTrace
 }
 
+// offloadBody ships one encoded snapshot or delta and returns the plain
+// result body with the round trip's measurements. The reply carries the
+// request's trace ID even when the round trip fails.
 func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, encoded []byte, compress bool) (offloadReply, error) {
-	seq := c.seq.Add(1)
-	var reply offloadReply
-	reply.TraceID = trace.NewID()
+	reply := offloadReply{TraceID: trace.NewID()}
 	body := encoded
 	encoding := protocol.EncodingRaw
 	if compress {
@@ -612,24 +616,16 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 		body = compressed
 		encoding = protocol.EncodingFlate
 	}
-	req, err := protocol.Encode(reqType, protocol.SnapshotHeader{
-		AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
-		BodyCRC: protocol.BodyChecksum(body),
-	}, body)
-	if err != nil {
-		return reply, err
-	}
+	var hdr protocol.SnapshotHeader
 	rtStart := time.Now()
-	resp, err := c.exchange(req, seq)
+	resp, err := c.call(reqType.String(), reqType, respType, func(seq uint64) any {
+		return protocol.SnapshotHeader{
+			AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
+			BodyCRC: protocol.BodyChecksum(body),
+		}
+	}, body, &hdr)
 	reply.RoundTrip = time.Since(rtStart)
 	if err != nil {
-		return reply, fmt.Errorf("client: %s: %w", reqType, err)
-	}
-	if resp.Type != respType {
-		return reply, fmt.Errorf("client: %s: unexpected response %s", reqType, resp.Type)
-	}
-	var hdr protocol.SnapshotHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
 		return reply, err
 	}
 	if err := protocol.VerifyBody(resp.Body, hdr.BodyCRC); err != nil {
@@ -637,7 +633,6 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 		// the connection stays usable; only this result is poisoned.
 		return reply, fmt.Errorf("client: %s result: %w", reqType, err)
 	}
-	c.noteLoad(hdr.Load)
 	reply.ServerTrace = hdr.ServerTrace
 	reply.WireBytes = int64(len(body))
 	reply.RespBytes = int64(len(resp.Header) + len(resp.Body))
@@ -656,22 +651,9 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 // InstallOverlay ships a compressed VM overlay for on-demand installation
 // and returns the server-reported synthesis time.
 func (c *Conn) InstallOverlay(baseImage string, blob []byte) (time.Duration, error) {
-	seq := c.seq.Add(1)
-	req, err := protocol.Encode(protocol.MsgInstallOverlay,
-		protocol.InstallOverlayHeader{BaseImage: baseImage, Seq: seq}, blob)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.exchange(req, seq)
-	if err != nil {
-		return 0, fmt.Errorf("client: install: %w", err)
-	}
-	if resp.Type != protocol.MsgInstallDone {
-		return 0, fmt.Errorf("client: install: unexpected response %s", resp.Type)
-	}
 	var hdr protocol.InstallDoneHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return 0, err
-	}
-	return time.Duration(hdr.SynthesisMillis) * time.Millisecond, nil
+	_, err := c.call("install", protocol.MsgInstallOverlay, protocol.MsgInstallDone, func(seq uint64) any {
+		return protocol.InstallOverlayHeader{BaseImage: baseImage, Seq: seq}
+	}, blob, &hdr)
+	return time.Duration(hdr.SynthesisMillis) * time.Millisecond, err
 }

@@ -416,163 +416,84 @@ func (o *Offloader) Step() (bool, error) {
 		return false, nil
 	}
 	if !o.ShouldOffload(ev) {
-		if err := o.app.Step(); err != nil {
-			return true, err
-		}
-		return true, nil
+		return true, o.app.Step()
 	}
 	o.app.PopEvent()
-	if shed, reason := o.shouldShed(); shed {
-		o.mu.Lock()
-		o.stats.LoadSheds++
-		o.mu.Unlock()
-		start := time.Now()
-		o.app.DispatchEvent(ev)
-		err := o.app.Step()
-		o.decide(obs.Decision{Path: obs.PathShed, Reason: reason, Measured: time.Since(start)})
-		return true, err
+	return true, o.attempt(ev, true)
+}
+
+// Offload executes ev's handler at the edge server via a snapshot round
+// trip, then applies the result snapshot to the local app (Fig 3). The call
+// emits one decision event; callers driving the app through Step must not
+// call Offload for the same event, or the event would be audited twice.
+func (o *Offloader) Offload(ev webapp.Event) error {
+	return o.attempt(ev, false)
+}
+
+// attempt runs one offload-eligible event through the funnel. Its
+// placements are the edge server alone, or with degrade — the Step path —
+// on-device execution up front when the load hint says to shed, else the
+// server and then, under LocalFallback, the device.
+func (o *Offloader) attempt(ev webapp.Event, degrade bool) error {
+	o.mu.Lock()
+	conn := o.conn
+	o.mu.Unlock()
+	local := func(path obs.DecisionPath, reason string, counter *int) *Placement {
+		return &Placement{Path: path, Reason: reason, Conn: conn, Run: func() (Outcome, error) {
+			o.mu.Lock()
+			*counter++
+			o.mu.Unlock()
+			return Outcome{}, o.app.Handle(ev)
+		}}
 	}
-	out, err := o.offload(ev)
-	if err != nil {
-		// A broken connection (mid-frame timeout, torn read) would desync
-		// every later request: re-establish it now so the next offload
-		// runs on a clean frame stream, regardless of how this event is
-		// finished.
-		o.maybeRedial(err)
-		if !o.opts.LocalFallback {
-			o.decide(obs.Decision{Path: obs.PathError, Reason: errKind(err), TraceID: out.traceID})
-			return true, err
+	var offloadErr error
+	first := &Placement{Path: o.opts.AuditPath, Conn: conn, SplitLabel: o.opts.SplitLabel,
+		Predicted: o.opts.PredictedOffload, Run: func() (Outcome, error) {
+			var out Outcome
+			out, offloadErr = o.offload(ev)
+			return out, offloadErr
+		}}
+	if first.Path == "" {
+		first.Path = obs.PathFull
+	}
+	fallback := degrade && o.opts.LocalFallback
+	if shed, reason := o.shouldShed(); degrade && shed {
+		first, fallback = local(obs.PathShed, reason, &o.stats.LoadSheds), false
+	}
+	tried := 0
+	_, err := Funnel{
+		AppID: o.app.ID(), Policy: o.opts.Placement, Audit: o.opts.Audit, Flight: o.opts.Flight,
+	}.Do(func(failed error) *Placement {
+		tried++
+		switch {
+		case tried == 1:
+			return first
+		case tried == 2 && fallback:
+			return local(obs.PathFallback, errKind(failed), &o.stats.LocalFallbacks)
 		}
-		o.mu.Lock()
-		o.stats.LocalFallbacks++
-		o.mu.Unlock()
-		start := time.Now()
-		o.app.DispatchEvent(ev)
-		stepErr := o.app.Step()
-		o.decide(obs.Decision{Path: obs.PathFallback, Reason: errKind(err),
-			TraceID: out.traceID, Measured: time.Since(start)})
-		return true, stepErr
-	}
-	o.decideSuccess(out)
-	return true, nil
-}
-
-// offloadOutcome carries the audit-relevant facts of one offload attempt.
-type offloadOutcome struct {
-	// traceID identifies the request, joining the decision to the span
-	// pipeline; set even for attempts that failed after the request was
-	// stamped.
-	traceID string
-	// delta marks an offload shipped as a delta snapshot.
-	delta bool
-	// batch is the server-side batch the request was executed in.
-	batch int
-	// measured is the end-to-end wall time of the offload round trip.
-	measured time.Duration
-}
-
-// errKind classifies an offload error for decision attribution.
-func errKind(err error) string {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, ErrConnBroken):
-		return "conn-broken"
-	case errors.Is(err, ErrServerError):
-		return "server-error"
-	default:
-		return "other"
-	}
-}
-
-// decide fills one decision event's shared context (app, server, hint age)
-// and records it; sheds, errors, and fallbacks also land in the flight
-// recorder (with the decision joined to the entry) when one is configured.
-func (o *Offloader) decide(d obs.Decision) {
-	d.AppID = o.app.ID()
-	if d.Server == "" {
-		d.Server = o.serverAddr()
-	}
-	d.Placement = o.opts.Placement
-	d.HintAge = o.hintAge()
-	if o.opts.Audit != nil {
-		o.opts.Audit.Record(d)
-	}
-	if o.opts.Flight == nil {
-		return
-	}
-	var reason string
-	switch d.Path {
-	case obs.PathShed:
-		reason = telemetry.FlightShed
-	case obs.PathError, obs.PathFallback:
-		reason = telemetry.FlightError
-	default:
-		return
-	}
-	dc := d
-	o.opts.Flight.Record(telemetry.FlightEntry{
-		TraceID:  d.TraceID,
-		Reason:   reason,
-		Note:     string(d.Path) + ": " + d.Reason,
-		Decision: &dc,
+		return nil
 	})
-}
-
-// decideSuccess records the decision for a completed offload, carrying the
-// cost model's prediction so the audit can measure prediction error.
-func (o *Offloader) decideSuccess(out offloadOutcome) {
-	path := o.opts.AuditPath
-	if path == "" {
-		path = obs.PathFull
+	if degrade {
+		// A broken connection (mid-frame timeout, torn read) would desync
+		// every later request: re-establish it so the next offload runs on
+		// a clean frame stream. Only now, with the event finished — the
+		// user's fallback must not wait on a connect to the host that just
+		// failed.
+		o.maybeRedial(conn, offloadErr)
 	}
-	o.decide(obs.Decision{
-		Path:       path,
-		SplitLabel: o.opts.SplitLabel,
-		Predicted:  o.opts.PredictedOffload,
-		Measured:   out.measured,
-		TraceID:    out.traceID,
-		Delta:      out.delta,
-		BatchSize:  out.batch,
-	})
+	return err
 }
 
-// serverAddr identifies the edge server the offloader currently targets.
-func (o *Offloader) serverAddr() string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.conn.Addr()
-}
-
-// hintAge reports how stale the current server load hint is; negative when
-// no hint has arrived.
-func (o *Offloader) hintAge() time.Duration {
-	o.mu.Lock()
-	conn := o.conn
-	o.mu.Unlock()
-	if _, at, ok := conn.LastLoad(); ok {
-		return time.Since(at)
-	}
-	return -1
-}
-
-// maybeRedial re-establishes the connection after an ErrConnBroken failure.
-// It reports whether a redial happened; failures are left for the next
-// attempt (the conn stays broken and keeps failing fast).
-func (o *Offloader) maybeRedial(err error) bool {
-	if !errors.Is(err, ErrConnBroken) {
-		return false
-	}
-	o.mu.Lock()
-	conn := o.conn
-	o.mu.Unlock()
-	if rerr := conn.Redial(); rerr != nil {
-		return false
+// maybeRedial re-establishes conn after an ErrConnBroken failure; a failed
+// redial is left for the next attempt (the conn stays broken and keeps
+// failing fast).
+func (o *Offloader) maybeRedial(conn *Conn, err error) {
+	if !errors.Is(err, ErrConnBroken) || conn.Redial() != nil {
+		return
 	}
 	o.mu.Lock()
 	o.stats.Redials++
 	o.mu.Unlock()
-	return true
 }
 
 // shouldShed reports whether the server's last load hint says to keep this
@@ -586,21 +507,13 @@ func (o *Offloader) shouldShed() (bool, string) {
 	o.mu.Lock()
 	conn := o.conn
 	o.mu.Unlock()
-	hint, at, ok := conn.LastLoad()
-	if !ok {
+	hint, ok := conn.FreshLoad(o.opts.LoadHintTTL)
+	switch {
+	case !ok:
 		return false, ""
-	}
-	ttl := o.opts.LoadHintTTL
-	if ttl <= 0 {
-		ttl = DefaultLoadHintTTL
-	}
-	if time.Since(at) > ttl {
-		return false, ""
-	}
-	if hint.Saturated {
+	case hint.Saturated:
 		return true, "hint-saturated"
-	}
-	if hint.QueueingDelay() > o.opts.MaxQueueingDelay {
+	case hint.QueueingDelay() > o.opts.MaxQueueingDelay:
 		return true, "hint-delay"
 	}
 	return false, ""
@@ -626,31 +539,23 @@ func (o *Offloader) Run(maxSteps int) (int, error) {
 	return steps, nil
 }
 
-// Offload executes ev's handler at the edge server via a snapshot round
-// trip, then applies the result snapshot to the local app (Fig 3). When an
-// auditor is configured the call emits one decision event; callers driving
-// the app through Step must not call Offload for the same event, or the
-// event would be audited twice.
-func (o *Offloader) Offload(ev webapp.Event) error {
-	out, err := o.offload(ev)
-	if err != nil {
-		o.decide(obs.Decision{Path: obs.PathError, Reason: errKind(err), TraceID: out.traceID})
-		return err
-	}
-	o.decideSuccess(out)
-	return nil
+// inlineSend is what an offload shipped ahead of its snapshot: models whose
+// ACK had not arrived yet.
+type inlineSend struct {
+	bytes int64
+	took  time.Duration
 }
 
-// offload executes one offload round trip without emitting a decision —
-// Step and Offload wrap it and attribute the outcome exactly once.
+// offload executes one offload round trip; the funnel attributes the
+// outcome.
 //
 // If a model's ACK has not arrived yet, the client "sends both the snapshot
 // and the NN model, albeit it is slower" (§III.B.1): the model files go
-// first as an inline pre-send, then the snapshot ships spec-only.
-func (o *Offloader) offload(ev webapp.Event) (offloadOutcome, error) {
-	var timing Timing
-	modelIncluded := false
-	var inlineBytes int64
+// first as an inline pre-send, then the snapshot ships spec-only. With
+// EnableDelta and a sync point the snapshot ships as a delta first, and as
+// a full snapshot when the server says it cannot use the delta.
+func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
+	var inline inlineSend
 	policies := make(map[string]snapshot.ModelPolicy)
 	inlineStart := time.Now()
 	for _, name := range o.app.ModelNames() {
@@ -664,18 +569,15 @@ func (o *Offloader) offload(ev webapp.Event) (offloadOutcome, error) {
 		model, _ := o.app.Model(name)
 		sent, err := o.preSend(name, model, false)
 		if err != nil {
-			return offloadOutcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
+			return Outcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
 		}
-		if sent > 0 {
-			modelIncluded = true
-			inlineBytes += sent
-		}
+		inline.bytes += sent
 		o.mu.Lock()
 		o.acked[name] = true
 		o.mu.Unlock()
 	}
-	if modelIncluded {
-		timing.InlineModelSend = time.Since(inlineStart)
+	if inline.bytes > 0 {
+		inline.took = time.Since(inlineStart)
 	}
 	captureStart := time.Now()
 	snap, err := snapshot.Capture(o.app, snapshot.Options{
@@ -684,64 +586,101 @@ func (o *Offloader) offload(ev webapp.Event) (offloadOutcome, error) {
 		PendingEvent:       &ev,
 	})
 	if err != nil {
-		return offloadOutcome{}, fmt.Errorf("client: capture: %w", err)
+		return Outcome{}, fmt.Errorf("client: capture: %w", err)
 	}
 	captureDur := time.Since(captureStart)
 
+	var base *snapshot.Snapshot
 	if o.opts.EnableDelta {
 		o.mu.Lock()
-		base := o.lastSync
+		base = o.lastSync
 		o.mu.Unlock()
-		if base != nil {
-			out, done, err := o.offloadDelta(base, snap, modelIncluded, inlineBytes, timing, captureDur)
-			if err == nil && done {
-				return out, nil
-			}
-			if err != nil {
-				// The server may have lost the base state (restart,
-				// hand-off to a new server): retry as a full snapshot.
-				o.mu.Lock()
-				o.stats.DeltaFallbacks++
-				o.lastSync = nil
-				o.mu.Unlock()
-			}
+	}
+	out, err := o.roundTrip(snap, base, inline, captureDur)
+	if out.Delta && cleanServerError(err) {
+		// The server refused the delta on a healthy stream: it no longer
+		// holds the base (restart, hand-off to a new server). Any other
+		// failure — a shed, a dead socket — would meet the larger full
+		// snapshot the same way, so it goes back to the funnel instead.
+		o.mu.Lock()
+		o.stats.DeltaFallbacks++
+		o.lastSync = nil
+		o.mu.Unlock()
+		out, err = o.roundTrip(snap, nil, inline, captureDur)
+	}
+	return out, err
+}
+
+// roundTrip is the one client round trip: encode snap (as a delta against
+// base when there is one), ship it, decode the result, apply it to the app,
+// and record the trace, the stats and the new sync point.
+func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, captureDur time.Duration) (Outcome, error) {
+	encodeStart := time.Now()
+	var encoded []byte
+	isDelta := false
+	if base != nil {
+		// A delta that cannot be built or encoded is not worth failing the
+		// offload over: ship the full snapshot.
+		if delta, err := snapshot.Diff(base, snap); err == nil {
+			encoded, err = delta.Encode()
+			isDelta = err == nil
 		}
 	}
-
-	encodeStart := time.Now()
-	encoded, err := snap.Encode()
-	if err != nil {
-		return offloadOutcome{}, fmt.Errorf("client: encode: %w", err)
+	reqType, respType := protocol.MsgSnapshotDelta, protocol.MsgResultDelta
+	if !isDelta {
+		reqType, respType = protocol.MsgSnapshot, protocol.MsgResultSnapshot
+		var err error
+		if encoded, err = snap.Encode(); err != nil {
+			return Outcome{}, fmt.Errorf("client: encode: %w", err)
+		}
 	}
 	encodeDur := time.Since(encodeStart)
-	timing.CaptureEncode = captureDur + encodeDur
-	reply, err := o.conn.offloadBody(protocol.MsgSnapshot, protocol.MsgResultSnapshot, o.app.ID(), encoded, o.opts.Compress)
+	reply, err := o.conn.offloadBody(reqType, respType, o.app.ID(), encoded, o.opts.Compress)
+	out := Outcome{TraceID: reply.TraceID, Delta: isDelta}
 	if err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, err
+		return out, err
 	}
-	timing.RoundTrip = reply.RoundTrip
 	applyStart := time.Now()
-	result, err := snapshot.Decode(reply.Result)
+	var result *snapshot.Snapshot
+	if isDelta {
+		// The result delta is relative to the pre-execution state, which is
+		// exactly the snapshot just shipped.
+		var resultDelta *snapshot.Delta
+		if resultDelta, err = snapshot.DecodeDelta(reply.Result); err == nil {
+			result, err = resultDelta.Apply(snap)
+		}
+	} else {
+		result, err = snapshot.Decode(reply.Result)
+	}
 	if err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, fmt.Errorf("client: decode result: %w", err)
+		return out, fmt.Errorf("client: decode result: %w", err)
 	}
 	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, fmt.Errorf("client: apply result: %w", err)
+		return out, fmt.Errorf("client: apply result: %w", err)
 	}
-	timing.DecodeApply = time.Since(applyStart)
+	timing := Timing{
+		InlineModelSend: inline.took,
+		CaptureEncode:   captureDur + encodeDur,
+		RoundTrip:       reply.RoundTrip,
+		DecodeApply:     time.Since(applyStart),
+	}
 	tr := assembleTrace(reply, captureDur, encodeDur, timing.DecodeApply)
 	o.rec.ObserveTrace(tr)
 	o.mu.Lock()
 	o.stats.Offloads++
+	if isDelta {
+		o.stats.DeltaOffloads++
+	}
 	o.stats.LastSnapshotBytes = reply.WireBytes
 	o.stats.LastResultBytes = int64(len(reply.Result))
-	o.stats.LastModelIncluded = modelIncluded
-	o.stats.LastInlineModelBytes = inlineBytes
+	o.stats.LastModelIncluded = inline.bytes > 0
+	o.stats.LastInlineModelBytes = inline.bytes
 	o.stats.LastTiming = timing
 	o.stats.LastTrace = tr
 	o.lastSync = result
 	o.mu.Unlock()
-	return offloadOutcome{traceID: tr.ID, batch: tr.BatchSize, measured: timing.Total()}, nil
+	out.BatchSize = tr.BatchSize
+	return out, nil
 }
 
 // assembleTrace merges one round trip's client-side measurements with the
@@ -782,57 +721,4 @@ func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *
 	tr.Add(trace.StageResultWire, down)
 	tr.Add(trace.StageRestore, restore)
 	return tr
-}
-
-// offloadDelta ships the offload as a delta against base (the server's
-// previous result). It reports done=true on success; errors signal the
-// caller to fall back to a full snapshot.
-func (o *Offloader) offloadDelta(base, snap *snapshot.Snapshot, modelIncluded bool,
-	inlineBytes int64, timing Timing, captureDur time.Duration) (offloadOutcome, bool, error) {
-	encodeStart := time.Now()
-	delta, err := snapshot.Diff(base, snap)
-	if err != nil {
-		return offloadOutcome{}, false, err
-	}
-	encoded, err := delta.Encode()
-	if err != nil {
-		return offloadOutcome{}, false, err
-	}
-	encodeDur := time.Since(encodeStart)
-	timing.CaptureEncode = captureDur + encodeDur
-	reply, err := o.conn.offloadBody(protocol.MsgSnapshotDelta, protocol.MsgResultDelta, o.app.ID(), encoded, o.opts.Compress)
-	if err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, false, err
-	}
-	timing.RoundTrip = reply.RoundTrip
-	applyStart := time.Now()
-	resultDelta, err := snapshot.DecodeDelta(reply.Result)
-	if err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, false, err
-	}
-	// The result delta is relative to the pre-execution state, which is
-	// exactly the snapshot we just diffed from.
-	result, err := resultDelta.Apply(snap)
-	if err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, false, err
-	}
-	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
-		return offloadOutcome{traceID: reply.TraceID}, false, fmt.Errorf("client: apply delta result: %w", err)
-	}
-	timing.DecodeApply = time.Since(applyStart)
-	tr := assembleTrace(reply, captureDur, encodeDur, timing.DecodeApply)
-	o.rec.ObserveTrace(tr)
-	o.mu.Lock()
-	o.stats.Offloads++
-	o.stats.DeltaOffloads++
-	o.stats.LastSnapshotBytes = reply.WireBytes
-	o.stats.LastResultBytes = int64(len(reply.Result))
-	o.stats.LastModelIncluded = modelIncluded
-	o.stats.LastInlineModelBytes = inlineBytes
-	o.stats.LastTiming = timing
-	o.stats.LastTrace = tr
-	o.lastSync = result
-	o.mu.Unlock()
-	return offloadOutcome{traceID: tr.ID, delta: true, batch: tr.BatchSize,
-		measured: timing.Total()}, true, nil
 }

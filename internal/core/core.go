@@ -159,6 +159,9 @@ type Session struct {
 	mode Mode              // resolved mode (auto collapses to full/partial)
 	// split describes the chosen partition point in partial mode.
 	split *partition.Candidate
+	// predicted is the cost model's end-to-end latency estimate for the
+	// resolved mode, recorded on audit decisions (zero when unknown).
+	predicted time.Duration
 }
 
 // NewSession builds the app, resolves the offloading strategy, and (when
@@ -191,57 +194,64 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 }
 
 // resolveMode collapses ModeAuto into full or partial using the partition
-// estimator, and selects the split point for partial mode.
+// estimator, selects the split point for partial mode, and notes the cost
+// model's prediction for the resolved mode. The network is analysed once.
 func (s *Session) resolveMode() error {
-	needsPlan := s.mode == ModeAuto || (s.mode == ModePartial && s.cfg.SplitLabel == "")
-	if !needsPlan {
-		if s.mode == ModePartial {
-			plan, err := s.analyze()
-			if err != nil {
-				return err
-			}
-			c, ok := plan.ByLabel(s.cfg.SplitLabel)
-			if !ok {
-				return fmt.Errorf("core: model %q has no partition point %q", s.cfg.ModelName, s.cfg.SplitLabel)
-			}
-			s.split = &c
+	// Local and full sessions need the cost model only for the audit's
+	// predicted-vs-measured comparison.
+	audited := s.cfg.Audit != nil
+	switch {
+	case s.mode == ModeLocal:
+		if audited {
+			s.predicted, _ = s.cfg.ClientDevice.NetworkTime(s.cfg.Model)
 		}
+		return nil
+	case s.mode == ModeFull && !audited:
 		return nil
 	}
 	plan, err := s.analyze()
 	if err != nil {
+		if s.mode == ModeFull {
+			return nil // only the prediction is lost
+		}
 		return err
 	}
-	best, err := plan.Choose(s.cfg.RequireDenature || s.mode == ModePartial)
-	if err != nil {
-		return err
+	switch {
+	case s.mode == ModeFull:
+	case s.mode == ModePartial && s.cfg.SplitLabel != "":
+		c, ok := plan.ByLabel(s.cfg.SplitLabel)
+		if !ok {
+			return fmt.Errorf("core: model %q has no partition point %q", s.cfg.ModelName, s.cfg.SplitLabel)
+		}
+		s.split = &c
+	default:
+		best, err := plan.Choose(s.cfg.RequireDenature || s.mode == ModePartial)
+		if err != nil {
+			return err
+		}
+		if s.mode == ModeAuto && best.Point.Index == 0 {
+			s.mode = ModeFull
+		} else {
+			s.mode = ModePartial
+			s.split = &best
+		}
 	}
-	if s.mode == ModeAuto && best.Point.Index == 0 {
-		s.mode = ModeFull
-		return nil
+	if s.mode == ModeFull {
+		// Candidate 0 is the Input split: every layer on the server.
+		s.predicted = plan.Candidates[0].Total
+	} else {
+		s.predicted = s.split.Total
 	}
-	s.mode = ModePartial
-	s.split = &best
 	return nil
 }
 
 func (s *Session) analyze() (partition.Plan, error) {
-	// Fold the server's advertised queueing delay (if a load hint has
+	// Fold the server's advertised queueing delay (if a fresh load hint has
 	// already arrived on this connection) into the decision: a loaded
-	// server pushes the optimum toward keeping layers on the client. A
-	// hint older than the TTL is ignored — the queue it described has
-	// long since drained (or grown) and would skew the split decision.
+	// server pushes the optimum toward keeping layers on the client.
 	var queueDelay time.Duration
-	if s.cfg.Conn != nil {
-		if hint, at, ok := s.cfg.Conn.LastLoad(); ok {
-			ttl := s.cfg.LoadHintTTL
-			if ttl <= 0 {
-				ttl = client.DefaultLoadHintTTL
-			}
-			if time.Since(at) <= ttl {
-				queueDelay = hint.QueueingDelay()
-			}
-		}
+	if hint, ok := s.cfg.Conn.FreshLoad(s.cfg.LoadHintTTL); ok {
+		queueDelay = hint.QueueingDelay()
 	}
 	return partition.Analyze(s.cfg.Model, partition.Config{
 		Client:             s.cfg.ClientDevice,
@@ -282,20 +292,13 @@ func (s *Session) buildOffloader() error {
 		MaxQueueingDelay: s.cfg.MaxQueueingDelay,
 		LoadHintTTL:      s.cfg.LoadHintTTL,
 		Audit:            s.cfg.Audit,
+		PredictedOffload: s.predicted,
 	}
 	switch s.mode {
 	case ModeFull:
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
 		opts.Models = []client.ModelToSend{{Name: s.cfg.ModelName, Net: s.cfg.Model}}
 		opts.AuditPath = obs.PathFull
-		if s.cfg.Audit != nil {
-			// Cost-model prediction for the full-offload path, so the
-			// audit can compare it against measured latency. Candidate 0
-			// is the Input split: every layer on the server.
-			if plan, err := s.analyze(); err == nil && len(plan.Candidates) > 0 {
-				opts.PredictedOffload = plan.Candidates[0].Total
-			}
-		}
 	case ModePartial:
 		rearName := s.cfg.ModelName + mlapp.RearSuffix
 		rear, ok := s.app.Model(rearName)
@@ -306,10 +309,7 @@ func (s *Session) buildOffloader() error {
 		opts.Models = []client.ModelToSend{{Name: rearName, Net: rear, Partial: true}}
 		opts.ExcludeModels = []string{s.cfg.ModelName + mlapp.FrontSuffix}
 		opts.AuditPath = obs.PathPartial
-		if s.split != nil {
-			opts.SplitLabel = s.split.Point.Label
-			opts.PredictedOffload = s.split.Total
-		}
+		opts.SplitLabel = s.split.Point.Label
 	}
 	off, err := client.NewOffloader(s.app, s.cfg.Conn, opts)
 	if err != nil {
@@ -361,21 +361,19 @@ func (s *Session) Classify(img webapp.Float32Array) (string, error) {
 	if s.off != nil {
 		_, err = s.off.Run(16)
 	} else {
-		start := time.Now()
-		_, err = s.app.Run(16)
-		if s.cfg.Audit != nil {
-			// ModeLocal sessions have no offloader; the session itself
-			// records the local decision so the audit covers every path.
-			pred, _ := s.cfg.ClientDevice.NetworkTime(s.cfg.Model)
-			s.cfg.Audit.Record(obs.Decision{
-				AppID:     s.cfg.AppID,
-				Path:      obs.PathLocal,
-				Reason:    "mode-local",
-				Predicted: pred,
-				Measured:  time.Since(start),
-				HintAge:   -1,
-			})
-		}
+		// ModeLocal sessions have no offloader: their one placement is the
+		// device itself, through the same funnel, so the audit covers
+		// every path.
+		local := &client.Placement{Path: obs.PathLocal, Reason: "mode-local", Predicted: s.predicted,
+			Run: func() (client.Outcome, error) {
+				_, err := s.app.Run(16)
+				return client.Outcome{}, err
+			}}
+		_, err = client.Funnel{AppID: s.cfg.AppID, Audit: s.cfg.Audit}.Do(func(error) *client.Placement {
+			p := local
+			local = nil
+			return p
+		})
 	}
 	if err != nil {
 		return "", err

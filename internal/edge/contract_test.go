@@ -325,7 +325,7 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 		"ping":     func() error { _, _, err := conn.Ping(); return err },
 		"pre-send": func() error { return conn.PreSendModel(appID, "tiny", model, false) },
 		"ref pre-send": func() error {
-			needBlob, err := conn.PreSendModelRef(appID, "tiny", model, false)
+			needBlob, _, err := conn.PreSendModelRefTraced(appID, "tiny", model, false, "")
 			if err == nil && needBlob {
 				err = errors.New("server holds the blob but answered NeedBlob")
 			}

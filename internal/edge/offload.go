@@ -1,0 +1,477 @@
+// The server half of one offload (Fig. 3): one handler for full and delta
+// snapshots, one scheduler hand-off, one execution routine, one response
+// framer. A delta differs from a full snapshot only at the edges — its
+// pre-execution state is reconstructed against a stored base before
+// scheduling, and its result is diffed against that state afterwards.
+package edge
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"sort"
+	"strconv"
+	"time"
+
+	"websnap/internal/obs"
+	"websnap/internal/protocol"
+	"websnap/internal/sched"
+	"websnap/internal/snapshot"
+	"websnap/internal/telemetry"
+	"websnap/internal/trace"
+	"websnap/internal/webapp"
+)
+
+// maxHandlerSteps bounds one offloaded execution burst so a buggy app
+// cannot wedge a server goroutine.
+const maxHandlerSteps = 1000
+
+// handleOffload serves MsgSnapshot and MsgSnapshotDelta: decode the
+// pre-execution state, run it through the scheduler, and answer with the
+// result in the request's own form (full result snapshot, or result delta
+// relative to the pre-execution state), mirroring its body encoding.
+func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
+	var hdr protocol.SnapshotHeader
+	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
+		return protocol.Message{}, err
+	}
+	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
+		return protocol.Message{}, err
+	}
+	tm := &svcTiming{streamWait: streamWait}
+	decodeStart := time.Now()
+	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
+	if err != nil {
+		return protocol.Message{}, err
+	}
+	isDelta := msg.Type == protocol.MsgSnapshotDelta
+	var snap *snapshot.Snapshot
+	if isDelta {
+		snap, err = s.reconstruct(plain, hdr.TraceID, tm)
+	} else {
+		snap, err = snapshot.Decode(plain)
+	}
+	if err != nil {
+		return protocol.Message{}, err
+	}
+	tm.decode = time.Since(decodeStart)
+	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
+	if err != nil {
+		return protocol.Message{}, err
+	}
+	// A full result arrives encoded; only a delta's diff and encode, and
+	// any compression, remain for the encode span.
+	tm.encodeStart = time.Now()
+	if !isDelta {
+		s.snapshotsExecuted.Inc()
+		return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.body, tm)
+	}
+	s.deltasExecuted.Inc()
+	resultDelta, err := snapshot.Diff(snap, result.snap)
+	if err != nil {
+		return protocol.Message{}, err
+	}
+	body, err := resultDelta.Encode()
+	if err != nil {
+		return protocol.Message{}, err
+	}
+	return s.snapshotResponse(protocol.MsgResultDelta, snap.AppID, hdr, body, tm)
+}
+
+// reconstruct rebuilds a delta offload's pre-execution state: the delta
+// (§VI) applied to the state the previous offload left at this server, or —
+// for a roaming session — to the base its previous server published to the
+// fleet. Base recovery crosses fleet hops; their spans join the request's
+// trace through tm.
+func (s *Server) reconstruct(plain []byte, traceID string, tm *svcTiming) (*snapshot.Snapshot, error) {
+	delta, err := snapshot.DecodeDelta(plain)
+	if err != nil {
+		return nil, err
+	}
+	var trail *spanTrail
+	if traceID != "" {
+		trail = &spanTrail{traceID: traceID}
+		defer func() { tm.spans = trail.spans }()
+	}
+	base, ok := s.store.GetState(delta.AppID)
+	if !ok && s.fleetEnabled() {
+		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
+			base, ok = recovered, true
+		} else {
+			s.logf("edge: delta base %s for app %q not in fleet: %v", delta.BaseHash, delta.AppID, rerr)
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: no state for app %q at this server",
+			snapshot.ErrBaseMismatch, delta.AppID)
+	}
+	preExec, err := delta.Apply(base)
+	if err != nil && s.fleetEnabled() && errors.Is(err, snapshot.ErrBaseMismatch) {
+		// The stored state is from another session generation; the fleet
+		// may hold the exact base this delta wants.
+		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
+			preExec, err = delta.Apply(recovered)
+		}
+	}
+	return preExec, err
+}
+
+// svcTiming accumulates one request's server-side stage durations as it
+// moves through decode, the admission queue, execution, and result encode.
+type svcTiming struct {
+	decode time.Duration
+	queue  time.Duration
+	exec   time.Duration
+	batch  int
+	// encodeStart is stamped by the handler once the scheduler returns the
+	// result; snapshotResponse closes the span after any compression.
+	encodeStart time.Time
+	// streamWait is the stream-semaphore wait.
+	streamWait time.Duration
+	// spans carries the request's fleet-hop span trail (registry locates,
+	// peer fetches during delta base recovery) into the flight recorder.
+	spans []*protocol.SpanNode
+}
+
+// runTask submits one task to the scheduler and waits for its result.
+// Admission failures are wrapped as overload errors so the connection
+// handler can answer with the overload marker and load hint that redirect
+// the client to local execution.
+func (s *Server) runTask(task *sched.Task) (any, error) {
+	if err := s.sched.Submit(task); err != nil {
+		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
+	}
+	v, err := task.Wait()
+	if errors.Is(err, sched.ErrClosed) {
+		return nil, &overloadError{err: err}
+	}
+	return v, err
+}
+
+// scheduleSnapshot runs one decoded snapshot session through the scheduler;
+// on success tm receives the task's queue wait, execution time (result
+// capture and encode included), and batch size.
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*offloadResult, error) {
+	task := sched.NewTask(s.batchKey(snap), snap)
+	task.Bytes = size
+	v, err := s.runTask(task)
+	if err != nil {
+		return nil, err
+	}
+	tm.queue = task.QueueWait()
+	tm.exec = task.ExecTime()
+	tm.batch = task.BatchSize()
+	return v.(*offloadResult), nil
+}
+
+// execBatch is the scheduler's executor. A chain hop's layer range rides a
+// solo key, so it is always a batch of one; everything else is a batch of
+// snapshot sessions sharing one batch key.
+func (s *Server) execBatch(batch []*sched.Task) []sched.Result {
+	if p, ok := batch[0].Payload.(*chainWork); ok {
+		out, err := p.net.ForwardRange(p.in, p.from, p.to)
+		return []sched.Result{{Value: out, Err: err}}
+	}
+	return s.execute(batch)
+}
+
+// execute is the one execution routine: restore every session, run the
+// batched handler iff there is more than one, drain each app's event loop,
+// capture each result (§III.A). A batch whose batched handler cannot run or
+// fails has published nothing, so every member is re-executed through this
+// same routine as a batch of one — which is always correct, and gives each
+// member its own error.
+func (s *Server) execute(batch []*sched.Task) []sched.Result {
+	results := make([]sched.Result, len(batch))
+	apps := make([]*webapp.App, len(batch))
+	for i, t := range batch {
+		apps[i], results[i].Err = s.restoreApp(t.Payload.(*snapshot.Snapshot))
+	}
+	if len(batch) > 1 {
+		if err := s.runBatchedHandler(apps, results); err != nil {
+			s.logf("edge: batch of %d not run coalesced, re-executing solo: %v", len(batch), err)
+			for i := range batch {
+				results[i] = s.execute(batch[i : i+1])[0]
+			}
+			return results
+		}
+	}
+	for i, app := range apps {
+		if results[i].Err != nil {
+			continue
+		}
+		start := time.Now()
+		steps, err := app.Run(maxHandlerSteps)
+		if err != nil {
+			results[i].Err = fmt.Errorf("execute snapshot: %w", err)
+			continue
+		}
+		s.logf("edge: app %q ran %d handler(s) in %v", app.ID(), steps, time.Since(start))
+		results[i].Value, results[i].Err = s.captureResult(app)
+	}
+	return results
+}
+
+// runBatchedHandler pops the shared pending event from every restored app
+// and runs the code bundle's batched handler over all of them once. Any
+// error — a member that failed to restore, a member whose state no longer
+// has the batchable shape, the handler itself — means no app may be used.
+func (s *Server) runBatchedHandler(apps []*webapp.App, restored []sched.Result) error {
+	evs := make([]webapp.Event, len(apps))
+	var fn webapp.BatchHandlerFunc
+	for i, app := range apps {
+		if err := restored[i].Err; err != nil {
+			return err
+		}
+		ev, handler, ok := batchableEvent(app.PendingEvents(), app.Bindings())
+		if ok {
+			fn, ok = app.Registry().BatchHandler(handler)
+		}
+		if !ok {
+			return fmt.Errorf("app %q has no batchable event", app.ID())
+		}
+		app.PopEvent()
+		evs[i] = ev
+	}
+	start := time.Now()
+	if err := fn(apps, evs); err != nil {
+		return err
+	}
+	s.logf("edge: batched %d session(s) in %v", len(apps), time.Since(start))
+	return nil
+}
+
+// restoreApp re-creates a running app from an offloaded snapshot. Models
+// absent from the snapshot are attached from the pre-send store so
+// delta-reconstructed snapshots (which never list models) execute too.
+func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
+	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
+	if !ok {
+		return nil, fmt.Errorf("unknown app code %q", snap.CodeHash)
+	}
+	app, err := snapshot.Restore(snap, registry, snapshot.RestoreOptions{
+		Models: s.store.Resolver(snap.AppID),
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range s.store.Names(snap.AppID) {
+		if _, loaded := app.Model(name); !loaded {
+			if net, ok := s.store.Get(snap.AppID, name); ok {
+				app.LoadModel(name, net)
+			}
+		}
+	}
+	if s.cfg.Quality != "" {
+		if err := webapp.SetQuality(app, s.cfg.Quality); err != nil {
+			return nil, err
+		}
+	}
+	return app, nil
+}
+
+// offloadResult is one executed session's captured state and its one
+// encoding: the response body of a full offload, and — under the hash of
+// those same bytes — the stored state's byte charge and the fleet blob.
+type offloadResult struct {
+	snap *snapshot.Snapshot
+	body []byte
+}
+
+// captureResult captures the post-execution state, encodes it once, and
+// records it as the app's synchronized server-side state for delta
+// offloads. A state that cannot be encoded fails the request: there is
+// nothing to answer with.
+func (s *Server) captureResult(app *webapp.App) (*offloadResult, error) {
+	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
+	if err != nil {
+		return nil, err
+	}
+	body, err := result.Encode()
+	if err != nil {
+		return nil, fmt.Errorf("encode result: %w", err)
+	}
+	key := s.store.PutState(app.ID(), result, body)
+	if s.fleetEnabled() {
+		s.cfg.Blobs.Put(key, body)
+	}
+	return &offloadResult{snap: result, body: body}, nil
+}
+
+// batchableEvent reports the single pending payload-free event and the one
+// handler bound to it — the shape a batched execution requires — of a
+// snapshot before restore, or of a restored app.
+func batchableEvent(pending []webapp.Event, bindings []webapp.Binding) (webapp.Event, string, bool) {
+	if len(pending) != 1 || pending[0].Payload != nil {
+		return webapp.Event{}, "", false
+	}
+	ev := pending[0]
+	handler, matches := "", 0
+	for _, b := range bindings {
+		if b.Target == ev.Target && b.Event == ev.Type {
+			handler, matches = b.Handler, matches+1
+		}
+	}
+	return ev, handler, matches == 1
+}
+
+// soloKey returns a unique batch key, for sessions that must not coalesce.
+func (s *Server) soloKey() string {
+	return "solo:" + strconv.FormatUint(s.soloSeq.Add(1), 10)
+}
+
+// batchKey derives the coalescing key for a snapshot session. Sessions get
+// the same key — and may be batched into one forward pass — only when they
+// run the same handler of the same code bundle on byte-identical model
+// files: the key hashes the code hash, the pending event and its resolved
+// handler, the fingerprints of the app's pre-sent models, any models
+// shipped inline in the snapshot, and the app's string-valued globals
+// (which select the model the handler uses).
+func (s *Server) batchKey(snap *snapshot.Snapshot) string {
+	ev, handler, ok := batchableEvent(snap.Pending, snap.Bindings)
+	if !ok {
+		return s.soloKey()
+	}
+	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
+	if !ok {
+		return s.soloKey()
+	}
+	if _, ok := registry.BatchHandler(handler); !ok {
+		return s.soloKey()
+	}
+	h := sha256.New()
+	for _, part := range []string{snap.CodeHash, ev.Target, ev.Type, handler, s.store.FingerprintSet(snap.AppID)} {
+		h.Write([]byte(part))
+		h.Write([]byte{0})
+	}
+	for _, m := range snap.Models {
+		h.Write([]byte(m.Name))
+		if spec, err := json.Marshal(m.Spec); err == nil {
+			h.Write(spec)
+		}
+		h.Write(m.Weights)
+		h.Write([]byte{0})
+	}
+	var strs []string
+	for name, v := range snap.Globals {
+		if sv, ok := v.(string); ok {
+			strs = append(strs, name+"="+sv)
+		}
+	}
+	sort.Strings(strs)
+	for _, kv := range strs {
+		h.Write([]byte(kv))
+		h.Write([]byte{0})
+	}
+	return "b:" + hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// snapshotResponse frames a result body, mirroring the request's encoding,
+// and closes out the request's server-side trace: the spans feed the server
+// recorder and trace log and ride back to the client in the response header.
+func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
+	encoding := protocol.EncodingRaw
+	if req.Encoding == protocol.EncodingFlate {
+		compressed, err := protocol.CompressBody(body)
+		if err != nil {
+			return protocol.Message{}, err
+		}
+		body = compressed
+		encoding = protocol.EncodingFlate
+	}
+	encode := time.Since(tm.encodeStart)
+	st := &protocol.ServerTrace{
+		TraceID:          req.TraceID,
+		DecodeMicros:     tm.decode.Microseconds(),
+		QueueMicros:      tm.queue.Microseconds(),
+		ExecuteMicros:    tm.exec.Microseconds(),
+		EncodeMicros:     encode.Microseconds(),
+		BatchSize:        tm.batch,
+		StreamWaitMicros: tm.streamWait.Microseconds(),
+	}
+	s.observeTrace(appID, req.Seq, tm, encode, st)
+	return protocol.Encode(t, protocol.SnapshotHeader{
+		AppID: appID, Seq: req.Seq, Encoding: encoding,
+		BodyCRC:     protocol.BodyChecksum(body),
+		Load:        s.loadHint(),
+		ServerTrace: st,
+	}, body)
+}
+
+// observeTrace folds one completed request's spans into the server's stage
+// histograms and, when configured, appends a JSON line to the trace log.
+// Decode and encode fold into the execute stage, mirroring how the client
+// merges the server report; the full split survives in the trace log.
+func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode time.Duration, st *protocol.ServerTrace) {
+	s.rec.Observe(trace.StageQueue, tm.queue)
+	s.rec.Observe(trace.StageExecute, tm.decode+tm.exec+encode)
+	s.rec.Observe(trace.StageStreamWait, tm.streamWait)
+	total := tm.streamWait + tm.decode + tm.queue + tm.exec + encode
+	if s.cfg.SLO != nil {
+		s.cfg.SLO.Observe(total)
+		// A request that blew the objective is exactly what the flight
+		// recorder exists for: capture its full span tree while the SLO
+		// burn accounting is still catching up.
+		if s.cfg.Flight != nil && total > s.cfg.SLO.Objective() {
+			s.cfg.Flight.Record(telemetry.FlightEntry{
+				TraceID: st.TraceID,
+				Reason:  telemetry.FlightSlow,
+				Note:    fmt.Sprintf("app %s seq %d over objective %v", appID, seq, s.cfg.SLO.Objective()),
+				Span:    s.serveSpan(appID, tm, encode, total),
+			})
+		}
+	}
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.Debug("offload served",
+			obs.TraceID(st.TraceID),
+			obs.F("appId", appID),
+			obs.F("seq", seq),
+			obs.F("queueMicros", tm.queue.Microseconds()),
+			obs.F("executeMicros", tm.exec.Microseconds()),
+			obs.F("batchSize", tm.batch),
+		)
+	}
+	if s.cfg.TraceLog == nil {
+		return
+	}
+	line, err := json.Marshal(struct {
+		TraceID string `json:"traceId,omitempty"`
+		AppID   string `json:"appId"`
+		Seq     uint64 `json:"seq"`
+		*protocol.ServerTrace
+	}{TraceID: st.TraceID, AppID: appID, Seq: seq, ServerTrace: st})
+	if err != nil {
+		return
+	}
+	s.traceLogMu.Lock()
+	defer s.traceLogMu.Unlock()
+	if _, err := s.cfg.TraceLog.Write(append(line, '\n')); err != nil {
+		s.logf("edge: trace log: %v", err)
+	}
+}
+
+// serveSpan renders one request's svcTiming as a span tree: the serve root
+// with one child per pipeline stage, plus any fleet-hop spans (registry
+// locate, peer fetch) collected while recovering a delta base.
+func (s *Server) serveSpan(appID string, tm *svcTiming, encode, total time.Duration) *protocol.SpanNode {
+	root := &protocol.SpanNode{
+		Op:     "serve",
+		Addr:   s.cfg.AdvertiseAddr,
+		Micros: total.Microseconds(),
+		Detail: appID,
+	}
+	if tm.streamWait > 0 {
+		root.Children = append(root.Children,
+			&protocol.SpanNode{Op: "stream_wait", Micros: tm.streamWait.Microseconds()})
+	}
+	root.Children = append(root.Children,
+		&protocol.SpanNode{Op: "decode", Micros: tm.decode.Microseconds()},
+		&protocol.SpanNode{Op: "queue", Micros: tm.queue.Microseconds()},
+		&protocol.SpanNode{Op: "execute", Micros: tm.exec.Microseconds()},
+		&protocol.SpanNode{Op: "encode", Micros: encode.Microseconds()},
+	)
+	root.Children = append(root.Children, tm.spans...)
+	return root
+}

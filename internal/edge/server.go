@@ -6,15 +6,11 @@ package edge
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,16 +19,11 @@ import (
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
 	"websnap/internal/sched"
-	"websnap/internal/snapshot"
 	"websnap/internal/telemetry"
 	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
 	"websnap/internal/webapp"
 )
-
-// maxHandlerSteps bounds one offloaded execution burst so a buggy app
-// cannot wedge a server goroutine.
-const maxHandlerSteps = 1000
 
 // Config parametrizes a Server.
 type Config struct {
@@ -739,8 +730,8 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 }
 
 // dispatch routes one request to its handler. streamWait reaches the
-// snapshot handlers so the stream-semaphore wait lands in the request's
-// server trace.
+// offload and chain handlers so the stream-semaphore wait lands in the
+// request's server trace.
 func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	// Pings work before installation: probes need to learn the install
 	// state without tripping an error.
@@ -753,10 +744,8 @@ func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (proto
 	switch msg.Type {
 	case protocol.MsgModelPreSend:
 		return s.handleModelPreSend(msg)
-	case protocol.MsgSnapshot:
-		return s.handleSnapshot(msg, streamWait)
-	case protocol.MsgSnapshotDelta:
-		return s.handleSnapshotDelta(msg, streamWait)
+	case protocol.MsgSnapshot, protocol.MsgSnapshotDelta:
+		return s.handleOffload(msg, streamWait)
 	case protocol.MsgInstallOverlay:
 		return s.handleInstall(msg)
 	case protocol.MsgBlobGet:
@@ -881,430 +870,8 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 	}, nil)
 }
 
-// restoreApp re-creates a running app from an offloaded snapshot. Models
-// absent from the snapshot are attached from the pre-send store so
-// delta-reconstructed snapshots (which never list models) execute too.
-func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, *webapp.Registry, error) {
-	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown app code %q", snap.CodeHash)
-	}
-	app, err := snapshot.Restore(snap, registry, snapshot.RestoreOptions{
-		Models: s.store.Resolver(snap.AppID),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, name := range s.store.Names(snap.AppID) {
-		if _, loaded := app.Model(name); !loaded {
-			if net, ok := s.store.Get(snap.AppID, name); ok {
-				app.LoadModel(name, net)
-			}
-		}
-	}
-	if s.cfg.Quality != "" {
-		if err := webapp.SetQuality(app, s.cfg.Quality); err != nil {
-			return nil, nil, err
-		}
-	}
-	return app, registry, nil
-}
-
-// offloadResult is one executed session's captured state and its one
-// encoding: the response body of a full offload, and — under the hash of
-// those same bytes — the stored state's byte charge and the fleet blob.
-type offloadResult struct {
-	snap *snapshot.Snapshot
-	body []byte
-}
-
-// captureResult captures the post-execution state, encodes it once, and
-// records it as the app's synchronized server-side state for delta
-// offloads. A state that cannot be encoded fails the request: there is
-// nothing to answer with.
-func (s *Server) captureResult(app *webapp.App, appID string) (*offloadResult, error) {
-	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-	if err != nil {
-		return nil, err
-	}
-	body, err := result.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("encode result: %w", err)
-	}
-	key := s.store.PutState(appID, result, body)
-	if s.fleetEnabled() {
-		s.cfg.Blobs.Put(key, body)
-	}
-	return &offloadResult{snap: result, body: body}, nil
-}
-
-// executeSnapshot runs one offloaded snapshot on the server's runtime and
-// returns the captured result state (§III.A).
-func (s *Server) executeSnapshot(snap *snapshot.Snapshot) (*offloadResult, error) {
-	app, _, err := s.restoreApp(snap)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	steps, err := app.Run(maxHandlerSteps)
-	if err != nil {
-		return nil, fmt.Errorf("execute snapshot: %w", err)
-	}
-	s.logf("edge: app %q ran %d handler(s) in %v", snap.AppID, steps, time.Since(start))
-	return s.captureResult(app, snap.AppID)
-}
-
-// execBatch is the scheduler's executor: one batch of snapshot sessions.
-// Multi-task batches (same batch key: same code, same event, byte-identical
-// models) run through the app's registered batched handler; anything
-// unexpected falls back to per-session execution, which is always correct.
-func (s *Server) execBatch(batch []*sched.Task) []sched.Result {
-	if len(batch) > 1 {
-		if results, ok := s.executeBatched(batch); ok {
-			return results
-		}
-	}
-	results := make([]sched.Result, len(batch))
-	for i, t := range batch {
-		switch p := t.Payload.(type) {
-		case *chainWork:
-			// A chain hop's layer range; solo-keyed, so never coalesced.
-			out, err := p.net.ForwardRange(p.in, p.from, p.to)
-			results[i] = sched.Result{Value: out, Err: err}
-		default:
-			r, err := s.executeSnapshot(t.Payload.(*snapshot.Snapshot))
-			results[i] = sched.Result{Value: r, Err: err}
-		}
-	}
-	return results
-}
-
-// executeBatched coalesces the batch into one batched handler invocation:
-// restore every session, pop the shared pending event from each, run the
-// batched handler once, then drain any follow-on events and capture each
-// result. ok=false means the batch could not be run coalesced and no app
-// state was published; the caller re-executes per session.
-func (s *Server) executeBatched(batch []*sched.Task) ([]sched.Result, bool) {
-	apps := make([]*webapp.App, len(batch))
-	evs := make([]webapp.Event, len(batch))
-	var fn webapp.BatchHandlerFunc
-	for i, t := range batch {
-		snap := t.Payload.(*snapshot.Snapshot)
-		app, registry, err := s.restoreApp(snap)
-		if err != nil {
-			return nil, false
-		}
-		ev, handler, ok := soleBatchableEvent(app)
-		if !ok {
-			return nil, false
-		}
-		bfn, ok := registry.BatchHandler(handler)
-		if !ok {
-			return nil, false
-		}
-		if i == 0 {
-			fn = bfn
-		}
-		app.PopEvent()
-		apps[i], evs[i] = app, ev
-	}
-	start := time.Now()
-	if err := fn(apps, evs); err != nil {
-		s.logf("edge: batched handler failed, re-executing solo: %v", err)
-		return nil, false
-	}
-	s.logf("edge: batched %d session(s) in %v", len(batch), time.Since(start))
-	results := make([]sched.Result, len(batch))
-	for i, t := range batch {
-		snap := t.Payload.(*snapshot.Snapshot)
-		if _, err := apps[i].Run(maxHandlerSteps); err != nil {
-			results[i] = sched.Result{Err: fmt.Errorf("execute snapshot: %w", err)}
-			continue
-		}
-		r, err := s.captureResult(apps[i], snap.AppID)
-		results[i] = sched.Result{Value: r, Err: err}
-	}
-	return results, true
-}
-
-// soleBatchableEvent reports the app's single pending payload-free event and
-// the one handler bound to it, the shape a batched execution requires.
-func soleBatchableEvent(app *webapp.App) (webapp.Event, string, bool) {
-	pending := app.PendingEvents()
-	if len(pending) != 1 || pending[0].Payload != nil {
-		return webapp.Event{}, "", false
-	}
-	ev := pending[0]
-	handler, matches := "", 0
-	for _, b := range app.Bindings() {
-		if b.Target == ev.Target && b.Event == ev.Type {
-			handler, matches = b.Handler, matches+1
-		}
-	}
-	if matches != 1 {
-		return webapp.Event{}, "", false
-	}
-	return ev, handler, true
-}
-
-// soloKey returns a unique batch key, for sessions that must not coalesce.
-func (s *Server) soloKey() string {
-	return "solo:" + strconv.FormatUint(s.soloSeq.Add(1), 10)
-}
-
-// batchKey derives the coalescing key for a snapshot session. Sessions get
-// the same key — and may be batched into one forward pass — only when they
-// run the same handler of the same code bundle on byte-identical model
-// files: the key hashes the code hash, the pending event and its resolved
-// handler, the fingerprints of the app's pre-sent models, any models
-// shipped inline in the snapshot, and the app's string-valued globals
-// (which select the model the handler uses).
-func (s *Server) batchKey(snap *snapshot.Snapshot) string {
-	ev, handler, ok := batchableSnapshotEvent(snap)
-	if !ok {
-		return s.soloKey()
-	}
-	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
-	if !ok {
-		return s.soloKey()
-	}
-	if _, ok := registry.BatchHandler(handler); !ok {
-		return s.soloKey()
-	}
-	h := sha256.New()
-	for _, part := range []string{snap.CodeHash, ev.Target, ev.Type, handler, s.store.FingerprintSet(snap.AppID)} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	for _, m := range snap.Models {
-		h.Write([]byte(m.Name))
-		if spec, err := json.Marshal(m.Spec); err == nil {
-			h.Write(spec)
-		}
-		h.Write(m.Weights)
-		h.Write([]byte{0})
-	}
-	var strs []string
-	for name, v := range snap.Globals {
-		if sv, ok := v.(string); ok {
-			strs = append(strs, name+"="+sv)
-		}
-	}
-	sort.Strings(strs)
-	for _, kv := range strs {
-		h.Write([]byte(kv))
-		h.Write([]byte{0})
-	}
-	return "b:" + hex.EncodeToString(h.Sum(nil)[:12])
-}
-
-// batchableSnapshotEvent is soleBatchableEvent evaluated directly on the
-// snapshot, before any restore happens.
-func batchableSnapshotEvent(snap *snapshot.Snapshot) (webapp.Event, string, bool) {
-	if len(snap.Pending) != 1 || snap.Pending[0].Payload != nil {
-		return webapp.Event{}, "", false
-	}
-	ev := snap.Pending[0]
-	handler, matches := "", 0
-	for _, b := range snap.Bindings {
-		if b.Target == ev.Target && b.Event == ev.Type {
-			handler, matches = b.Handler, matches+1
-		}
-	}
-	if matches != 1 {
-		return webapp.Event{}, "", false
-	}
-	return ev, handler, true
-}
-
-// svcTiming accumulates one request's server-side stage durations as it
-// moves through decode, the admission queue, execution, and result encode.
-type svcTiming struct {
-	decode time.Duration
-	queue  time.Duration
-	exec   time.Duration
-	batch  int
-	// encodeStart is stamped by the handler once the scheduler returns the
-	// result (before a delta's diff and encode; a full result arrives
-	// encoded); snapshotResponse closes the span after any compression.
-	encodeStart time.Time
-	// streamWait is the stream-semaphore wait.
-	streamWait time.Duration
-	// spans carries the request's fleet-hop span trail (registry locates,
-	// peer fetches during delta base recovery) into the flight recorder.
-	spans []*protocol.SpanNode
-}
-
-// runTask submits one task to the scheduler and waits for its result.
-// Admission failures are wrapped as overload errors so the connection
-// handler can answer with the overload marker and load hint that redirect
-// the client to local execution.
-func (s *Server) runTask(task *sched.Task) (any, error) {
-	if err := s.sched.Submit(task); err != nil {
-		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
-	}
-	v, err := task.Wait()
-	if errors.Is(err, sched.ErrClosed) {
-		return nil, &overloadError{err: err}
-	}
-	return v, err
-}
-
-// scheduleSnapshot runs one decoded snapshot session through the scheduler;
-// on success tm receives the task's queue wait, execution time (result
-// capture and encode included), and batch size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*offloadResult, error) {
-	task := sched.NewTask(s.batchKey(snap), snap)
-	task.Bytes = size
-	v, err := s.runTask(task)
-	if err != nil {
-		return nil, err
-	}
-	tm.queue = task.QueueWait()
-	tm.exec = task.ExecTime()
-	tm.batch = task.BatchSize()
-	return v.(*offloadResult), nil
-}
-
-// handleSnapshot runs a full offloaded snapshot and returns the full result
-// snapshot, mirroring the request's body encoding.
-func (s *Server) handleSnapshot(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
-	var hdr protocol.SnapshotHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
-	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
-		return protocol.Message{}, err
-	}
-	decodeStart := time.Now()
-	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	snap, err := snapshot.Decode(plain)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	tm := &svcTiming{decode: time.Since(decodeStart), streamWait: streamWait}
-	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	s.snapshotsExecuted.Inc()
-	tm.encodeStart = time.Now()
-	return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.body, tm)
-}
-
-// snapshotResponse frames a result body, mirroring the request's encoding,
-// and closes out the request's server-side trace: the spans feed the server
-// recorder and trace log and ride back to the client in the response header.
-func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
-	encoding := protocol.EncodingRaw
-	if req.Encoding == protocol.EncodingFlate {
-		compressed, err := protocol.CompressBody(body)
-		if err != nil {
-			return protocol.Message{}, err
-		}
-		body = compressed
-		encoding = protocol.EncodingFlate
-	}
-	encode := time.Since(tm.encodeStart)
-	st := &protocol.ServerTrace{
-		TraceID:          req.TraceID,
-		DecodeMicros:     tm.decode.Microseconds(),
-		QueueMicros:      tm.queue.Microseconds(),
-		ExecuteMicros:    tm.exec.Microseconds(),
-		EncodeMicros:     encode.Microseconds(),
-		BatchSize:        tm.batch,
-		StreamWaitMicros: tm.streamWait.Microseconds(),
-	}
-	s.observeTrace(appID, req.Seq, tm, encode, st)
-	return protocol.Encode(t, protocol.SnapshotHeader{
-		AppID: appID, Seq: req.Seq, Encoding: encoding,
-		BodyCRC:     protocol.BodyChecksum(body),
-		Load:        s.loadHint(),
-		ServerTrace: st,
-	}, body)
-}
-
-// observeTrace folds one completed request's spans into the server's stage
-// histograms and, when configured, appends a JSON line to the trace log.
-// Decode and encode fold into the execute stage, mirroring how the client
-// merges the server report; the full split survives in the trace log.
-func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode time.Duration, st *protocol.ServerTrace) {
-	s.rec.Observe(trace.StageQueue, tm.queue)
-	s.rec.Observe(trace.StageExecute, tm.decode+tm.exec+encode)
-	s.rec.Observe(trace.StageStreamWait, tm.streamWait)
-	total := tm.streamWait + tm.decode + tm.queue + tm.exec + encode
-	if s.cfg.SLO != nil {
-		s.cfg.SLO.Observe(total)
-		// A request that blew the objective is exactly what the flight
-		// recorder exists for: capture its full span tree while the SLO
-		// burn accounting is still catching up.
-		if s.cfg.Flight != nil && total > s.cfg.SLO.Objective() {
-			s.cfg.Flight.Record(telemetry.FlightEntry{
-				TraceID: st.TraceID,
-				Reason:  telemetry.FlightSlow,
-				Note:    fmt.Sprintf("app %s seq %d over objective %v", appID, seq, s.cfg.SLO.Objective()),
-				Span:    s.serveSpan(appID, tm, encode, total),
-			})
-		}
-	}
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("offload served",
-			obs.TraceID(st.TraceID),
-			obs.F("appId", appID),
-			obs.F("seq", seq),
-			obs.F("queueMicros", tm.queue.Microseconds()),
-			obs.F("executeMicros", tm.exec.Microseconds()),
-			obs.F("batchSize", tm.batch),
-		)
-	}
-	if s.cfg.TraceLog == nil {
-		return
-	}
-	line, err := json.Marshal(struct {
-		TraceID string `json:"traceId,omitempty"`
-		AppID   string `json:"appId"`
-		Seq     uint64 `json:"seq"`
-		*protocol.ServerTrace
-	}{TraceID: st.TraceID, AppID: appID, Seq: seq, ServerTrace: st})
-	if err != nil {
-		return
-	}
-	s.traceLogMu.Lock()
-	defer s.traceLogMu.Unlock()
-	if _, err := s.cfg.TraceLog.Write(append(line, '\n')); err != nil {
-		s.logf("edge: trace log: %v", err)
-	}
-}
-
 // TraceRecorder exposes the server's aggregated stage histograms.
 func (s *Server) TraceRecorder() *trace.Recorder { return s.rec }
-
-// serveSpan renders one request's svcTiming as a span tree: the serve root
-// with one child per pipeline stage, plus any fleet-hop spans (registry
-// locate, peer fetch) collected while recovering a delta base.
-func (s *Server) serveSpan(appID string, tm *svcTiming, encode, total time.Duration) *protocol.SpanNode {
-	root := &protocol.SpanNode{
-		Op:     "serve",
-		Addr:   s.cfg.AdvertiseAddr,
-		Micros: total.Microseconds(),
-		Detail: appID,
-	}
-	if tm.streamWait > 0 {
-		root.Children = append(root.Children,
-			&protocol.SpanNode{Op: "stream_wait", Micros: tm.streamWait.Microseconds()})
-	}
-	root.Children = append(root.Children,
-		&protocol.SpanNode{Op: "decode", Micros: tm.decode.Microseconds()},
-		&protocol.SpanNode{Op: "queue", Micros: tm.queue.Microseconds()},
-		&protocol.SpanNode{Op: "execute", Micros: tm.exec.Microseconds()},
-		&protocol.SpanNode{Op: "encode", Micros: encode.Microseconds()},
-	)
-	root.Children = append(root.Children, tm.spans...)
-	return root
-}
 
 // StatsDigest snapshots the server's telemetry for one registry heartbeat:
 // every stage histogram in mergeable bucket form, the decision mix, and the
@@ -1334,78 +901,6 @@ func (s *Server) StatsDigest() *protocol.StatsDigest {
 		Start:      s.start,
 	}
 	return src.Digest()
-}
-
-// handleSnapshotDelta runs an offload shipped as a delta against the state
-// left at the server by the previous offload (§VI), and answers with a
-// result delta relative to the reconstructed pre-execution state.
-func (s *Server) handleSnapshotDelta(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
-	var hdr protocol.SnapshotHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
-	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
-		return protocol.Message{}, err
-	}
-	decodeStart := time.Now()
-	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	delta, err := snapshot.DecodeDelta(plain)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	// Base recovery crosses fleet hops; propagate the request's trace
-	// through them.
-	var trail *spanTrail
-	if hdr.TraceID != "" {
-		trail = &spanTrail{traceID: hdr.TraceID}
-	}
-	base, ok := s.store.GetState(delta.AppID)
-	if !ok && s.fleetEnabled() {
-		// A roaming session's previous server published the synced state
-		// under its content hash; adopt it instead of failing the delta.
-		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
-			base, ok = recovered, true
-		} else {
-			s.logf("edge: delta base %s for app %q not in fleet: %v", delta.BaseHash, delta.AppID, rerr)
-		}
-	}
-	if !ok {
-		return protocol.Message{}, fmt.Errorf("%w: no state for app %q at this server",
-			snapshot.ErrBaseMismatch, delta.AppID)
-	}
-	preExec, err := delta.Apply(base)
-	if err != nil && s.fleetEnabled() && errors.Is(err, snapshot.ErrBaseMismatch) {
-		// The stored state is from another session generation; the fleet
-		// may hold the exact base this delta wants.
-		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
-			preExec, err = delta.Apply(recovered)
-		}
-	}
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	tm := &svcTiming{decode: time.Since(decodeStart), streamWait: streamWait}
-	if trail != nil {
-		tm.spans = trail.spans
-	}
-	result, err := s.scheduleSnapshot(preExec, tm, int64(len(plain)))
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	s.deltasExecuted.Inc()
-	tm.encodeStart = time.Now()
-	resultDelta, err := snapshot.Diff(preExec, result.snap)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	body, err := resultDelta.Encode()
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	return s.snapshotResponse(protocol.MsgResultDelta, delta.AppID, hdr, body, tm)
 }
 
 // handleInstall performs on-demand installation by VM synthesis: the client

@@ -156,21 +156,9 @@ func handleLoadImage(app *webapp.App, ev webapp.Event) error {
 }
 
 // handleInference is Fig 2's inference handler: run the whole DNN on the
-// loaded image and add the result to the DOM.
+// loaded image and add the result to the DOM — a batch of one.
 func handleInference(app *webapp.App, ev webapp.Event) error {
-	model, err := appModel(app, "")
-	if err != nil {
-		return err
-	}
-	in, err := globalTensor(app, GlobalImage, model.InputShape())
-	if err != nil {
-		return err
-	}
-	out, err := model.ForwardPrec(in, Quality(app))
-	if err != nil {
-		return fmt.Errorf("mlapp: inference: %w", err)
-	}
-	return publishResult(app, out)
+	return runBatch([]*webapp.App{app}, "", "inference")
 }
 
 // handleFront is Fig 5's front(): run the front part of the DNN locally,
@@ -202,21 +190,9 @@ func handleFront(app *webapp.App, ev webapp.Event) error {
 }
 
 // handleRear is Fig 5's rear(): finish the DNN from the feature data and
-// add the result to the DOM.
+// add the result to the DOM — a batch of one.
 func handleRear(app *webapp.App, ev webapp.Event) error {
-	rear, err := appModel(app, RearSuffix)
-	if err != nil {
-		return err
-	}
-	in, err := globalTensor(app, GlobalFeature, rear.InputShape())
-	if err != nil {
-		return err
-	}
-	out, err := rear.ForwardPrec(in, Quality(app))
-	if err != nil {
-		return fmt.Errorf("mlapp: inference_rear: %w", err)
-	}
-	return publishResult(app, out)
+	return runBatch([]*webapp.App{app}, RearSuffix, "inference_rear")
 }
 
 // handleInferenceBatch is the batched form of handleInference: one
@@ -233,6 +209,9 @@ func handleRearBatch(apps []*webapp.App, evs []webapp.Event) error {
 	return runBatch(apps, RearSuffix, "inference_rear")
 }
 
+// runBatch is the one inference routine behind the solo and batched
+// handlers: run apps[0]'s model (whole, or the rear half named by suffix)
+// over every app's input and publish each result.
 func runBatch(apps []*webapp.App, suffix, what string) error {
 	if len(apps) == 0 {
 		return nil
@@ -251,28 +230,27 @@ func runBatch(apps []*webapp.App, suffix, what string) error {
 			return err
 		}
 	}
-	// The scheduler only coalesces byte-identical models, but each app's
-	// quality tier is its own snapshotted global; a batch mixing tiers
-	// would give some member the wrong precision, so only batch-execute
-	// when every member agrees and fall back to per-app passes otherwise.
+	// One layer-major pass needs company and one precision: the scheduler
+	// only coalesces byte-identical models, but each app's quality tier is
+	// its own snapshotted global, and a batch mixing tiers would give some
+	// member the wrong one. Otherwise every member gets its own pass.
 	prec := Quality(apps[0])
+	batched := len(apps) > 1
 	for _, app := range apps[1:] {
-		if Quality(app) != prec {
-			for i, app := range apps {
-				out, err := model.ForwardPrec(ins[i], Quality(app))
-				if err != nil {
-					return fmt.Errorf("mlapp: %s: %w", what, err)
-				}
-				if err := publishResult(app, out); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		batched = batched && Quality(app) == prec
 	}
-	outs, err := model.ForwardBatchPrec(ins, prec)
-	if err != nil {
-		return fmt.Errorf("mlapp: batched %s: %w", what, err)
+	var outs []*tensor.Tensor
+	if batched {
+		if outs, err = model.ForwardBatchPrec(ins, prec); err != nil {
+			return fmt.Errorf("mlapp: batched %s: %w", what, err)
+		}
+	} else {
+		outs = make([]*tensor.Tensor, len(apps))
+		for i, app := range apps {
+			if outs[i], err = model.ForwardPrec(ins[i], Quality(app)); err != nil {
+				return fmt.Errorf("mlapp: %s: %w", what, err)
+			}
+		}
 	}
 	for i, app := range apps {
 		if err := publishResult(app, outs[i]); err != nil {

@@ -1,12 +1,14 @@
 package mlapp
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"websnap/internal/models"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 	"websnap/internal/tensor"
 	"websnap/internal/webapp"
 )
@@ -274,93 +276,108 @@ func TestPublishResultWithoutLabels(t *testing.T) {
 	}
 }
 
+// TestBatchHandlersMatchPerAppHandlers pins the contract the edge
+// scheduler's micro-batching relies on, at the level the client sees it:
+// for the full and the rear handler, at float32 and int8, the per-app
+// handler, the batched handler over one app, and the batched handler over
+// all apps leave byte-identical encoded result snapshots per app.
 func TestBatchHandlersMatchPerAppHandlers(t *testing.T) {
-	// Build pairs of identical apps; run one through the per-app handler
-	// and the other through the batched handler, and require bit-identical
-	// published scores — the contract the edge scheduler's micro-batching
-	// relies on.
-	const n = 4
+	const n = 3
 	model := tinyModel(t)
-	var solo, batched []*webapp.App
-	for i := 0; i < n; i++ {
-		img := SyntheticImage(3*16*16, uint64(i+1))
-		for _, group := range []*[]*webapp.App{&solo, &batched} {
-			app, err := NewFullApp("a", "tiny", model, labels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := LoadImage(app, img); err != nil {
-				t.Fatal(err)
-			}
-			*group = append(*group, app)
-		}
+	kinds := []struct {
+		name    string
+		handler string
+		reg     *webapp.Registry
+		solo    webapp.HandlerFunc
+		ev      webapp.Event
+		build   func(img webapp.Float32Array) *webapp.App
+	}{
+		{"full", "inference", FullRegistry(), handleInference, webapp.Event{Target: ButtonID, Type: EventClick},
+			func(img webapp.Float32Array) *webapp.App {
+				app, err := NewFullApp("a", "tiny", model, labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := LoadImage(app, img); err != nil {
+					t.Fatal(err)
+				}
+				return app
+			}},
+		{"rear", "rear", PartialRegistry(), handleRear, webapp.Event{Target: ButtonID, Type: EventFrontComplete},
+			func(img webapp.Float32Array) *webapp.App {
+				app, err := NewPartialApp("a", "tiny", model, 2, labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := LoadImage(app, img); err != nil {
+					t.Fatal(err)
+				}
+				// Run front() so the feature global is populated, and drop
+				// the front_complete event it dispatched.
+				app.DispatchEvent(webapp.Event{Target: ButtonID, Type: EventClick})
+				if err := app.Step(); err != nil {
+					t.Fatal(err)
+				}
+				app.ClearEvents()
+				return app
+			}},
 	}
-	ev := webapp.Event{Target: ButtonID, Type: EventClick}
-	for _, app := range solo {
-		if err := handleInference(app, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fn, ok := FullRegistry().BatchHandler("inference")
-	if !ok {
-		t.Fatal("full registry has no batched inference handler")
-	}
-	evs := make([]webapp.Event, n)
-	for i := range evs {
-		evs[i] = ev
-	}
-	if err := fn(batched, evs); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if got, want := Result(batched[i]), Result(solo[i]); got != want {
-			t.Errorf("app %d: batched result %q, solo %q", i, got, want)
-		}
-		sg, _ := batched[i].Global(GlobalScores)
-		sw, _ := solo[i].Global(GlobalScores)
-		got, want := sg.(webapp.Float32Array), sw.(webapp.Float32Array)
-		if len(got) != len(want) {
-			t.Fatalf("app %d: score lengths %d vs %d", i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("app %d score %d: batched %v != solo %v", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-func TestRearBatchHandlerMatchesSolo(t *testing.T) {
-	model := tinyModel(t)
-	mk := func(seed uint64) *webapp.App {
-		app, err := NewPartialApp("a", "tiny", model, 2, labels)
+	encoded := func(app *webapp.App) []byte {
+		snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := LoadImage(app, SyntheticImage(3*16*16, seed)); err != nil {
+		data, err := snap.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Run front() so the feature global is populated.
-		app.DispatchEvent(webapp.Event{Target: ButtonID, Type: EventClick})
-		if err := app.Step(); err != nil {
-			t.Fatal(err)
+		return data
+	}
+	for _, k := range kinds {
+		for _, prec := range []nn.Precision{nn.PrecFloat32, nn.PrecInt8} {
+			t.Run(k.name+"/"+string(prec), func(t *testing.T) {
+				fn, ok := k.reg.BatchHandler(k.handler)
+				if !ok {
+					t.Fatalf("registry has no batched %s handler", k.handler)
+				}
+				// groups[g][i]: app i prepared identically for execution
+				// strategy g (solo handler, batch of one, batch of all).
+				var groups [3][]*webapp.App
+				for i := 0; i < n; i++ {
+					img := SyntheticImage(3*16*16, uint64(i+1))
+					for g := range groups {
+						app := k.build(img)
+						if err := SetQuality(app, prec); err != nil {
+							t.Fatal(err)
+						}
+						groups[g] = append(groups[g], app)
+					}
+				}
+				evs := []webapp.Event{k.ev, k.ev, k.ev}
+				for i := 0; i < n; i++ {
+					if err := k.solo(groups[0][i], k.ev); err != nil {
+						t.Fatal(err)
+					}
+					if err := fn(groups[1][i:i+1], evs[:1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := fn(groups[2], evs); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					want := encoded(groups[0][i])
+					if Result(groups[0][i]) == "" {
+						t.Fatalf("app %d: solo handler published no result", i)
+					}
+					for g, how := range []string{"", "batch of one", "batch of three"} {
+						if g > 0 && !bytes.Equal(encoded(groups[g][i]), want) {
+							t.Errorf("app %d: %s leaves a different result snapshot than the solo handler", i, how)
+						}
+					}
+				}
+			})
 		}
-		return app
-	}
-	a, b := mk(7), mk(7)
-	ev := webapp.Event{Target: ButtonID, Type: EventFrontComplete}
-	if err := handleRear(a, ev); err != nil {
-		t.Fatal(err)
-	}
-	fn, ok := PartialRegistry().BatchHandler("rear")
-	if !ok {
-		t.Fatal("partial registry has no batched rear handler")
-	}
-	if err := fn([]*webapp.App{b}, []webapp.Event{ev}); err != nil {
-		t.Fatal(err)
-	}
-	if Result(a) != Result(b) {
-		t.Errorf("batched rear result %q != solo %q", Result(b), Result(a))
 	}
 }
 

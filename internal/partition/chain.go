@@ -1,9 +1,9 @@
 // K-way chain partitioning: generalize the paper's single client/server
 // split into an ordered cut set over a chain of devices (client → relay
 // edge servers → terminal server), in the spirit of DEFER's pipelined
-// multi-device partitioning. The 2-device Analyze/Choose API remains the
-// K=2 special case: a chain of [client, server] with one link reproduces
-// the legacy candidate costs exactly.
+// multi-device partitioning. The 2-device Analyze/Choose API is the K=2
+// special case: each of its candidates is the chain [client, server] cut at
+// that one point.
 
 package partition
 
@@ -303,15 +303,15 @@ func AnalyzeChain(net *nn.Network, cfg ChainConfig) (ChainPlan, error) {
 		return ChainPlan{}, fmt.Errorf("%w: %d partition points cannot seat %d cuts",
 			ErrNoCandidate, len(pts), len(cfg.Hops)-1)
 	}
-	plan := ChainPlan{NetworkName: net.Name()}
-	if best, ok, err := solveChain(infos, pts, cfg, false); err != nil {
+	costs, err := newChainCosts(infos, pts, cfg)
+	if err != nil {
 		return ChainPlan{}, err
-	} else if ok {
+	}
+	plan := ChainPlan{NetworkName: net.Name()}
+	if best, ok := solveChain(infos, pts, cfg, costs, false); ok {
 		plan.Best = &best
 	}
-	if best, ok, err := solveChain(infos, pts, cfg, true); err != nil {
-		return ChainPlan{}, err
-	} else if ok {
+	if best, ok := solveChain(infos, pts, cfg, costs, true); ok {
 		plan.BestDenatured = &best
 	}
 	if plan.Best == nil {
@@ -320,57 +320,70 @@ func AnalyzeChain(net *nn.Network, cfg ChainConfig) (ChainPlan, error) {
 	return plan, nil
 }
 
-// solveChain runs the cut-position DP. requireDenature restricts the first
-// cut to points after Input (layer index >= 1).
-func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, requireDenature bool) (ChainCandidate, bool, error) {
-	k := len(cfg.Hops)
-	m := len(pts)
+// chainCosts are the cost tables of one (network, chain) pair, shared by
+// the DP that picks a cut set and the breakdown of any one cut set.
+type chainCosts struct {
 	// prefix[h][l] is hop h's predicted time for layers [0, l); a range is
-	// an exact difference of prefixes, so chain sums match the legacy
-	// RangeTime sums bit for bit.
+	// an exact difference of prefixes, so chain sums match a per-range
+	// RangeTime sum bit for bit.
+	prefix [][]time.Duration
+	// cutCost[i][j] is the hand-off cost of cut slot i (1-based; between
+	// Hops[i-1] and Hops[i]) placed at pts[j]: boundary transfer over
+	// Links[i-1], capture on the sender, restore + queueing on the
+	// receiver.
+	cutCost [][]time.Duration
+	// downCost is the result's way back: the result snapshot rides every
+	// link; relays forward it without re-capturing, so only the terminal
+	// hop captures and the client restores.
+	downCost time.Duration
+}
+
+func newChainCosts(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig) (chainCosts, error) {
+	k := len(cfg.Hops)
 	prec := cfg.Precision
 	if prec == "" {
 		prec = nn.PrecFloat32
 	}
-	prefix := make([][]time.Duration, k)
-	for h := range prefix {
-		prefix[h] = make([]time.Duration, len(infos)+1)
+	c := chainCosts{prefix: make([][]time.Duration, k), cutCost: make([][]time.Duration, k)}
+	for h := range c.prefix {
+		c.prefix[h] = make([]time.Duration, len(infos)+1)
 		for l, li := range infos {
 			lt, err := cfg.Hops[h].Device.LayerTimePrec(li, prec)
 			if err != nil {
-				return ChainCandidate{}, false, err
+				return chainCosts{}, err
 			}
-			prefix[h][l+1] = prefix[h][l] + lt
+			c.prefix[h][l+1] = c.prefix[h][l] + lt
 		}
 	}
-	hopRange := func(h, from, to int) time.Duration { return prefix[h][to] - prefix[h][from] }
-	// cutCost[i][j]: hand-off cost of cut slot i (1-based; between
-	// Hops[i-1] and Hops[i]) placed at pts[j]: boundary transfer over
-	// Links[i-1], capture on the sender, restore + queueing on the
-	// receiver. For K=2 this is exactly the legacy candidate's upstream
-	// share.
-	cutCost := make([][]time.Duration, k)
 	for i := 1; i < k; i++ {
-		cutCost[i] = make([]time.Duration, m)
+		c.cutCost[i] = make([]time.Duration, len(pts))
 		for j, p := range pts {
 			up := featureTextBytes(p, cfg.TextBytesPerValue) + cfg.StateOverheadBytes
-			cutCost[i][j] = cfg.Links[i-1].TransferTime(up) +
+			c.cutCost[i][j] = cfg.Links[i-1].TransferTime(up) +
 				cfg.Hops[i-1].Device.SnapshotTime(up) +
 				cfg.Hops[i].Device.SnapshotTime(up) +
 				cfg.Hops[i].QueueDelay
 		}
 	}
-	// The result snapshot rides every link back; relays forward it without
-	// re-capturing, so only the terminal hop captures and the client
-	// restores. For K=2 this is exactly the legacy downstream share.
 	downBytes := cfg.ResultBytes + cfg.StateOverheadBytes
-	var downCost time.Duration
 	for _, l := range cfg.Links {
-		downCost += l.TransferTime(downBytes)
+		c.downCost += l.TransferTime(downBytes)
 	}
-	downCost += cfg.Hops[k-1].Device.SnapshotTime(downBytes) +
+	c.downCost += cfg.Hops[k-1].Device.SnapshotTime(downBytes) +
 		cfg.Hops[0].Device.SnapshotTime(downBytes)
+	return c, nil
+}
 
+// hopRange is hop h's predicted time for layers [from, to).
+func (c chainCosts) hopRange(h, from, to int) time.Duration {
+	return c.prefix[h][to] - c.prefix[h][from]
+}
+
+// solveChain runs the cut-position DP. requireDenature restricts the first
+// cut to points after Input (layer index >= 1).
+func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, costs chainCosts, requireDenature bool) (ChainCandidate, bool) {
+	k := len(cfg.Hops)
+	m := len(pts)
 	combine := func(a, b time.Duration) time.Duration {
 		if cfg.Objective == ObjectiveThroughput {
 			if a > b {
@@ -400,7 +413,7 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 		// Within a stage, compute and outbound hand-off always add; only
 		// across stages does the objective pick sum (latency) or max
 		// (pipeline bottleneck).
-		dp[1][j] = hopRange(0, 0, p.Index+1) + cutCost[1][j]
+		dp[1][j] = costs.hopRange(0, 0, p.Index+1) + costs.cutCost[1][j]
 	}
 	for i := 2; i < k; i++ {
 		for j := range pts {
@@ -408,7 +421,7 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 				if dp[i-1][jp] == unset {
 					continue
 				}
-				stage := hopRange(i-1, pts[jp].Index+1, pts[j].Index+1) + cutCost[i][j]
+				stage := costs.hopRange(i-1, pts[jp].Index+1, pts[j].Index+1) + costs.cutCost[i][j]
 				total := combine(dp[i-1][jp], stage)
 				if dp[i][j] == unset || total < dp[i][j] {
 					dp[i][j] = total
@@ -422,28 +435,26 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 		if dp[k-1][j] == unset {
 			continue
 		}
-		tail := hopRange(k-1, pts[j].Index+1, len(infos)) + downCost
+		tail := costs.hopRange(k-1, pts[j].Index+1, len(infos)) + costs.downCost
 		total := combine(dp[k-1][j], tail)
 		if bestJ < 0 || total < bestTotal {
 			bestJ, bestTotal = j, total
 		}
 	}
 	if bestJ < 0 {
-		return ChainCandidate{}, false, nil
+		return ChainCandidate{}, false
 	}
 	cutIdx := make([]int, k-1)
 	for i, j := k-1, bestJ; i >= 1; i-- {
 		cutIdx[i-1] = j
 		j = parent[i][j]
 	}
-	cand := evaluateChain(infos, pts, cutIdx, cfg, hopRange, cutCost, downCost)
-	return cand, true, nil
+	return evaluateChain(infos, pts, cutIdx, cfg, costs), true
 }
 
 // evaluateChain expands a chosen cut index set into a full candidate with
 // per-hop and per-phase cost breakdowns.
-func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, cfg ChainConfig,
-	hopRange func(h, from, to int) time.Duration, cutCost [][]time.Duration, downCost time.Duration) ChainCandidate {
+func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, cfg ChainConfig, costs chainCosts) ChainCandidate {
 	k := len(cfg.Hops)
 	cand := ChainCandidate{
 		Cuts: make([]nn.PartitionPoint, len(cutIdx)),
@@ -461,7 +472,7 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 		if h < k-1 {
 			to = pts[cutIdx[h]].Index + 1
 		}
-		cand.Hops[h] = HopCost{From: from, To: to, Compute: hopRange(h, from, to)}
+		cand.Hops[h] = HopCost{From: from, To: to, Compute: costs.hopRange(h, from, to)}
 		if h > 0 {
 			cand.Hops[h].QueueDelay = cfg.Hops[h].QueueDelay
 			cand.QueueDelay += cfg.Hops[h].QueueDelay
@@ -483,9 +494,9 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 		compute += cand.Hops[h].Compute
 		stage := cand.Hops[h].Compute
 		if h < k-1 {
-			stage += cutCost[h+1][cutIdx[h]]
+			stage += costs.cutCost[h+1][cutIdx[h]]
 		} else {
-			stage += downCost
+			stage += costs.downCost
 		}
 		if stage > cand.Bottleneck {
 			cand.Bottleneck = stage
@@ -500,7 +511,7 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 }
 
 // featureTextBytes converts a partition point's binary feature size to its
-// snapshot text size — the same conversion the legacy evaluate applies.
+// snapshot text size.
 func featureTextBytes(p nn.PartitionPoint, textBytesPerValue float64) int64 {
 	return int64(float64(p.FeatureBytes/4) * textBytesPerValue)
 }

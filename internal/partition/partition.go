@@ -123,51 +123,31 @@ func Analyze(net *nn.Network, cfg Config) (Plan, error) {
 	if err != nil {
 		return Plan{}, fmt.Errorf("partition: %w", err)
 	}
-	plan := Plan{NetworkName: net.Name(), Candidates: make([]Candidate, 0, len(points))}
-	for _, p := range points {
-		c, err := evaluate(infos, p, cfg)
-		if err != nil {
-			return Plan{}, err
-		}
-		plan.Candidates = append(plan.Candidates, c)
-	}
-	if len(plan.Candidates) == 0 {
+	if len(points) == 0 {
 		return Plan{}, ErrNoCandidate
 	}
+	// The 2-device analysis is literally the K=2 chain: each candidate is
+	// the chain [client, server] cut at that one point.
+	chain := cfg.Chain()
+	costs, err := newChainCosts(infos, points, chain)
+	if err != nil {
+		return Plan{}, err
+	}
+	plan := Plan{NetworkName: net.Name(), Candidates: make([]Candidate, len(points))}
+	for j, p := range points {
+		c := evaluateChain(infos, points, []int{j}, chain, costs)
+		plan.Candidates[j] = Candidate{
+			Point:            p,
+			ClientTime:       c.Hops[0].Compute,
+			ServerTime:       c.Hops[1].Compute,
+			TransferTime:     c.TransferTime,
+			SnapshotOverhead: c.SnapshotOverhead,
+			QueueDelay:       c.QueueDelay,
+			FeatureTextBytes: featureTextBytes(p, chain.TextBytesPerValue),
+			Total:            c.Latency,
+		}
+	}
 	return plan, nil
-}
-
-func evaluate(infos []nn.LayerInfo, p nn.PartitionPoint, cfg Config) (Candidate, error) {
-	prec := cfg.Precision
-	if prec == "" {
-		prec = nn.PrecFloat32
-	}
-	clientTime, err := cfg.Client.RangeTimePrec(infos, 0, p.Index+1, prec)
-	if err != nil {
-		return Candidate{}, err
-	}
-	serverTime, err := cfg.Server.RangeTimePrec(infos, p.Index+1, len(infos), prec)
-	if err != nil {
-		return Candidate{}, err
-	}
-	featureValues := p.FeatureBytes / 4
-	featureText := int64(float64(featureValues) * cfg.TextBytesPerValue)
-	upBytes := featureText + cfg.StateOverheadBytes
-	downBytes := cfg.ResultBytes + cfg.StateOverheadBytes
-	transfer := cfg.Network.TransferTime(upBytes) + cfg.Network.TransferTime(downBytes)
-	overhead := cfg.Client.SnapshotTime(upBytes) + cfg.Server.SnapshotTime(upBytes) +
-		cfg.Server.SnapshotTime(downBytes) + cfg.Client.SnapshotTime(downBytes)
-	c := Candidate{
-		Point:            p,
-		ClientTime:       clientTime,
-		ServerTime:       serverTime,
-		TransferTime:     transfer,
-		SnapshotOverhead: overhead,
-		QueueDelay:       cfg.ServerQueueDelay,
-		FeatureTextBytes: featureText,
-	}
-	c.Total = c.ClientTime + c.ServerTime + c.TransferTime + c.SnapshotOverhead + c.QueueDelay
-	return c, nil
 }
 
 // Choose selects the candidate minimizing total inference time. With

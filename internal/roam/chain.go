@@ -247,91 +247,135 @@ type ChainReport struct {
 
 // Execute runs one inference through the best available chain, re-planning
 // around failed hops and falling back to local execution when no chain
-// survives. Exactly one audit decision is recorded per call, whatever
-// path the request takes.
+// survives. The request goes through the client funnel — its placements are
+// successive chain plans, then the device — so exactly one audit decision
+// is recorded per call, whatever path the request takes.
 func (e *ChainExecutor) Execute(in *tensor.Tensor) (*tensor.Tensor, ChainReport, error) {
-	start := time.Now()
-	report := ChainReport{TraceID: trace.NewID()}
-	exclude := make(map[string]bool)
-	depth := e.cfg.Depth
-	var lastErr error
-	for attempt := 0; attempt < maxChainAttempts; attempt++ {
-		servers := e.liveCandidates(exclude, depth)
+	r := &chainRequest{
+		e: e, in: in,
+		report:  ChainReport{TraceID: trace.NewID()},
+		exclude: make(map[string]bool),
+		depth:   e.cfg.Depth,
+	}
+	d, err := client.Funnel{AppID: e.cfg.AppID, Audit: e.cfg.Auditor, Flight: e.cfg.Flight}.Do(r.next)
+	r.report.Path, r.report.Predicted, r.report.Measured = d.Path, d.Predicted, d.Measured
+	switch {
+	case err == nil:
+		return r.output, r.report, nil
+	case r.chainErr != nil:
+		return nil, r.report, fmt.Errorf("roam: chain failed (%v) and local fallback failed: %w", r.chainErr, err)
+	default:
+		return nil, r.report, fmt.Errorf("roam: local execution failed: %w", err)
+	}
+}
+
+// chainRequest is one Execute call's state: the placement iterator the
+// funnel pulls from, and what its placements leave behind.
+type chainRequest struct {
+	e      *ChainExecutor
+	in     *tensor.Tensor
+	report ChainReport // Hops is the manifest of the placement in flight
+	output *tensor.Tensor
+	// chainErr is why the last chain placement (or plan) failed; exclude
+	// holds the servers failures have blamed; depth shrinks when the model
+	// has too few cut points; rounds bounds the planning loop.
+	chainErr      error
+	exclude       map[string]bool
+	depth, rounds int
+	offeredLocal  bool
+}
+
+// next yields the request's next placement: the best chain that can still
+// be planned around the servers excluded so far, and once none can — or
+// the round budget is spent — the device itself, last.
+func (r *chainRequest) next(failed error) *client.Placement {
+	if r.offeredLocal {
+		return nil
+	}
+	if failed != nil {
+		r.chainErr = failed
+		r.excludeFailedHop(failed)
+	}
+	for ; r.rounds < maxChainAttempts; r.rounds++ {
+		servers := r.e.liveCandidates(r.exclude, r.depth)
 		if len(servers) == 0 {
 			break
 		}
-		manifest, cand, err := e.plan(servers)
+		manifest, cand, err := r.e.plan(servers)
 		if err != nil {
 			// Not enough cut points for this depth (tiny model, deep
 			// chain): shorten the chain and try again.
 			if len(servers) > 1 {
-				depth = len(servers) - 1
+				r.depth = len(servers) - 1
 				continue
 			}
-			lastErr = err
+			r.chainErr = err
 			break
 		}
-		out, span, err := e.runChain(manifest, in, report.TraceID)
-		if err == nil {
-			report.Path = obs.PathChain
-			report.Hops = manifest
-			report.Predicted = cand.Latency
-			report.Measured = time.Since(start)
-			report.Span = span
-			reason := ""
-			switch {
-			case report.Replans > 0:
-				reason = "replanned"
-			case len(manifest) < e.cfg.Depth:
-				reason = "degraded-depth"
-			}
-			e.audit(report, reason)
-			return out, report, nil
+		r.rounds++
+		r.report.Hops = manifest
+		p := &client.Placement{Path: obs.PathChain, Server: hopAddrs(manifest), Predicted: cand.Latency}
+		switch {
+		case r.report.Replans > 0:
+			p.Reason = "replanned"
+		case len(manifest) < r.e.cfg.Depth:
+			p.Reason = "degraded-depth"
 		}
-		lastErr = err
-		dead := manifest[0].Addr
-		var che *client.ChainHopError
-		if errors.As(err, &che) && che.Hop >= 1 && che.Hop <= len(manifest) {
-			dead = manifest[che.Hop-1].Addr
+		p.Run = func() (_ client.Outcome, err error) {
+			r.output, r.report.Span, err = r.e.runChain(manifest, r.in, r.report.TraceID)
+			return client.Outcome{TraceID: r.report.TraceID}, err
 		}
-		exclude[dead] = true
-		e.dropConn(dead)
-		report.Replans++
-		e.mu.Lock()
-		e.replans++
-		e.mu.Unlock()
-		e.cfg.Logger.Warn("chain: hop failed, re-planning",
-			obs.TraceID(report.TraceID),
-			obs.F("dead", dead), obs.F("error", err.Error()),
-			obs.F("replans", report.Replans))
-		if e.cfg.Flight != nil {
-			e.cfg.Flight.Record(telemetry.FlightEntry{
-				TraceID: report.TraceID,
-				Reason:  telemetry.FlightReplan,
-				Note:    fmt.Sprintf("hop %s failed (%v); excluding and re-planning", dead, err),
-				Span:    span,
-			})
-		}
+		return p
 	}
-	// Terminal fallback: local execution, still exactly one decision.
-	out, err := e.cfg.Local(in)
-	report.Measured = time.Since(start)
-	if err != nil {
-		report.Path = obs.PathError
-		e.audit(report, "local-failed")
-		if lastErr != nil {
-			return nil, report, fmt.Errorf("roam: chain failed (%v) and local fallback failed: %w", lastErr, err)
-		}
-		return nil, report, fmt.Errorf("roam: local execution failed: %w", err)
+	r.offeredLocal = true
+	r.report.Hops = nil
+	p := &client.Placement{Path: obs.PathLocal, Reason: "no-candidates"}
+	if r.chainErr != nil {
+		p.Path, p.Reason = obs.PathFallback, "chain-failed"
 	}
-	if lastErr != nil {
-		report.Path = obs.PathFallback
-		e.audit(report, "chain-failed")
-	} else {
-		report.Path = obs.PathLocal
-		e.audit(report, "no-candidates")
+	p.Run = func() (_ client.Outcome, err error) {
+		r.output, err = r.e.cfg.Local(r.in)
+		return client.Outcome{TraceID: r.report.TraceID}, err
 	}
-	return out, report, nil
+	return p
+}
+
+// excludeFailedHop takes the server a failed chain placement blames — the
+// attributed hop, else the first — out of this request's candidate set, and
+// records the re-plan.
+func (r *chainRequest) excludeFailedHop(failed error) {
+	e, manifest := r.e, r.report.Hops
+	dead := manifest[0].Addr
+	var che *client.ChainHopError
+	if errors.As(failed, &che) && che.Hop >= 1 && che.Hop <= len(manifest) {
+		dead = manifest[che.Hop-1].Addr
+	}
+	r.exclude[dead] = true
+	e.dropConn(dead)
+	r.report.Replans++
+	e.mu.Lock()
+	e.replans++
+	e.mu.Unlock()
+	e.cfg.Logger.Warn("chain: hop failed, re-planning",
+		obs.TraceID(r.report.TraceID),
+		obs.F("dead", dead), obs.F("error", failed.Error()),
+		obs.F("replans", r.report.Replans))
+	if e.cfg.Flight != nil {
+		e.cfg.Flight.Record(telemetry.FlightEntry{
+			TraceID: r.report.TraceID,
+			Reason:  telemetry.FlightReplan,
+			Note:    fmt.Sprintf("hop %s failed (%v); excluding and re-planning", dead, failed),
+		})
+	}
+}
+
+// hopAddrs names a manifest's servers on the audit decision.
+func hopAddrs(manifest []protocol.ChainHop) string {
+	addrs := make([]string, len(manifest))
+	for i, h := range manifest {
+		addrs[i] = h.Addr
+	}
+	return strings.Join(addrs, ",")
 }
 
 // liveCandidates filters the supplier's view down to at most depth
@@ -456,22 +500,4 @@ func (e *ChainExecutor) dropConn(addr string) {
 	if conn != nil {
 		conn.Close()
 	}
-}
-
-// audit records the single decision of one Execute call.
-func (e *ChainExecutor) audit(report ChainReport, reason string) {
-	addrs := make([]string, len(report.Hops))
-	for i, h := range report.Hops {
-		addrs[i] = h.Addr
-	}
-	e.cfg.Auditor.Record(obs.Decision{
-		TraceID:   report.TraceID,
-		AppID:     e.cfg.AppID,
-		Path:      report.Path,
-		Reason:    reason,
-		Server:    strings.Join(addrs, ","),
-		Predicted: report.Predicted,
-		Measured:  report.Measured,
-		HintAge:   -1,
-	})
 }

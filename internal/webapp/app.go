@@ -295,6 +295,9 @@ func (a *App) PopEvent() (Event, bool) {
 		return Event{}, false
 	}
 	ev := a.queue[0]
+	// Clear the slot: the backing array outlives the reslice, and a popped
+	// load event's payload is the whole image.
+	a.queue[0] = Event{}
 	a.queue = a.queue[1:]
 	return ev, true
 }
@@ -302,21 +305,27 @@ func (a *App) PopEvent() (Event, bool) {
 // ClearEvents drops all queued events (snapshot restore).
 func (a *App) ClearEvents() { a.queue = nil }
 
-// Step pops the next event and runs every handler bound to it (in
-// registration order), like one turn of the browser event loop. Events
-// with no binding are dropped silently, as in a browser. Returns
-// ErrQueueEmpty if nothing is pending.
-func (a *App) Step() error {
-	ev, ok := a.PopEvent()
-	if !ok {
-		return ErrQueueEmpty
-	}
+// Handle runs every handler bound to ev (in registration order) without
+// touching the queue — the body of one event-loop turn, for callers that
+// already popped the event. Events with no binding are dropped silently, as
+// in a browser.
+func (a *App) Handle(ev Event) error {
 	for _, fn := range a.handlersFor(ev) {
 		if err := fn(a, ev); err != nil {
 			return fmt.Errorf("webapp: handler for %s@%s: %w", ev.Type, ev.Target, err)
 		}
 	}
 	return nil
+}
+
+// Step pops the next event and handles it, like one turn of the browser
+// event loop. Returns ErrQueueEmpty if nothing is pending.
+func (a *App) Step() error {
+	ev, ok := a.PopEvent()
+	if !ok {
+		return ErrQueueEmpty
+	}
+	return a.Handle(ev)
 }
 
 // Run steps the event loop until the queue drains or maxSteps handlers have

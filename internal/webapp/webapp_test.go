@@ -240,6 +240,44 @@ func TestStepEmptyQueue(t *testing.T) {
 	}
 }
 
+// TestPopEventReleasesPayload: popping reslices the queue, so the popped
+// slot stays reachable through the backing array; it must be cleared, or a
+// consumed load event keeps its whole image alive.
+func TestPopEventReleasesPayload(t *testing.T) {
+	app := newTestApp(t)
+	app.DispatchEvent(Event{Target: "btn", Type: "load", Payload: make(Float32Array, 1024)})
+	app.DispatchEvent(Event{Target: "btn", Type: "click"})
+	slots := app.queue[:len(app.queue):len(app.queue)]
+	if ev, ok := app.PopEvent(); !ok || ev.Payload == nil {
+		t.Fatalf("PopEvent = %+v, %v", ev, ok)
+	}
+	if slots[0].Payload != nil || slots[0].Type != "" {
+		t.Errorf("popped slot still holds %+v", slots[0])
+	}
+	if slots[1].Type != "click" {
+		t.Errorf("pending slot disturbed: %+v", slots[1])
+	}
+}
+
+// TestHandleLeavesQueueAlone: Handle runs the handlers of the event it is
+// given — not of whatever heads the queue — and pops nothing.
+func TestHandleLeavesQueueAlone(t *testing.T) {
+	app := newTestApp(t)
+	if err := app.AddEventListener("btn", "explode", "boom"); err != nil {
+		t.Fatal(err)
+	}
+	app.DispatchEvent(Event{Target: "btn", Type: "explode"})
+	if err := app.Handle(Event{Target: "btn", Type: "click"}); err != nil {
+		t.Fatalf("Handle(click) ran the queued explode event: %v", err)
+	}
+	if v, _ := app.Global("count"); v != float64(1) {
+		t.Errorf("count = %v, want 1: click's handler did not run", v)
+	}
+	if ev, ok := app.PeekEvent(); !ok || ev.Type != "explode" {
+		t.Errorf("queue head = %+v, %v; want the explode event untouched", ev, ok)
+	}
+}
+
 func TestHandlerErrorPropagates(t *testing.T) {
 	app := newTestApp(t)
 	if err := app.AddEventListener("btn", "explode", "boom"); err != nil {
