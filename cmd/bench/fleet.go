@@ -25,7 +25,8 @@ import (
 var fleetJSONFile = "BENCH_fleet.json"
 
 // fleetClients is the closed-loop session count per cell; the
-// -fleet-clients flag overrides it (CI's smoke run uses a few hundred).
+// -fleet-clients flag overrides it. CI runs the default and fails if the
+// committed BENCH_fleet.json does not reproduce.
 var fleetClients = 1000
 
 // fleetServerCounts is the fleet-size axis of the sweep.
@@ -50,16 +51,8 @@ func fleetExp(w io.Writer) error {
 	fmt.Fprintln(w, "Decision mix and placement spread per cell")
 	fmt.Fprintln(w, "Policy\tServers\tFull\tFallback\tExec per server")
 	for _, p := range pts {
-		var full, fallback int64
-		for _, pc := range p.Mix {
-			switch pc.Path {
-			case obs.PathFull:
-				full = pc.Count
-			case obs.PathFallback:
-				fallback = pc.Count
-			}
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%v\n", p.Policy, p.Servers, full, fallback, p.ExecPerServer)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%v\n", p.Policy, p.Servers,
+			pathCount(p.Mix, obs.PathFull), pathCount(p.Mix, obs.PathFallback), p.ExecPerServer)
 	}
 	data, err := json.MarshalIndent(struct {
 		Experiment string           `json:"experiment"`

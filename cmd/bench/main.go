@@ -159,28 +159,21 @@ func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 func mb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 
 func fig6(w io.Writer) error {
-	rows, err := sim.Fig6()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 6: Execution time of inference in three web apps (seconds)")
-	fmt.Fprintln(w, "Model\tClient\tServer\tOffload(before ACK)\tOffload(after ACK)\tOffload(partial)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\n",
-			r.Model, secs(r.Client), secs(r.Server), secs(r.BeforeACK),
-			secs(r.AfterACK), secs(r.Partial))
-	}
-	return nil
+	return fig6Table(w, sim.Fig6, "Figure 6: Execution time of inference in three web apps (seconds)")
 }
 
 func fig6gpu(w io.Writer) error {
-	rows, err := sim.Fig6GPU()
+	return fig6Table(w, sim.Fig6GPU, "Projection: Fig 6 with a GPU-accelerated edge server (webGL ~80x, per the paper's §IV.A remark; seconds)")
+}
+
+func fig6Table(w io.Writer, rows func() ([]sim.Fig6Row, error), title string) error {
+	rs, err := rows()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Projection: Fig 6 with a GPU-accelerated edge server (webGL ~80x, per the paper's §IV.A remark; seconds)")
+	fmt.Fprintln(w, title)
 	fmt.Fprintln(w, "Model\tClient\tServer\tOffload(before ACK)\tOffload(after ACK)\tOffload(partial)")
-	for _, r := range rows {
+	for _, r := range rs {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\n",
 			r.Model, secs(r.Client), secs(r.Server), secs(r.BeforeACK),
 			secs(r.AfterACK), secs(r.Partial))
@@ -326,20 +319,22 @@ func decisionMix(w io.Writer, pts []sim.LoadPoint) error {
 	fmt.Fprintln(w, "Decision mix and cost-model prediction error per load")
 	fmt.Fprintln(w, "Clients\tPartial\tFallback\tFallback %\tPred err p50\tPred err p95\t|Pred err| p50\t|Pred err| p95")
 	for _, p := range pts {
-		var partial, fallback int64
-		for _, pc := range p.Mix {
-			switch pc.Path {
-			case obs.PathPartial:
-				partial = pc.Count
-			case obs.PathFallback:
-				fallback = pc.Count
-			}
-		}
 		fmt.Fprintf(w, "%d\t%d\t%d\t%.0f\t%+.2f\t%+.2f\t%.2f\t%.2f\n",
-			p.Clients, partial, fallback, 100*p.FallbackRate(),
+			p.Clients, pathCount(p.Mix, obs.PathPartial), pathCount(p.Mix, obs.PathFallback),
+			100*p.FallbackRate(),
 			p.PredErr.P50, p.PredErr.P95, p.PredErr.AbsP50, p.PredErr.AbsP95)
 	}
 	return nil
+}
+
+// pathCount is how many decisions of a mix took the given path.
+func pathCount(mix []obs.PathCount, path obs.DecisionPath) int64 {
+	for _, pc := range mix {
+		if pc.Path == path {
+			return pc.Count
+		}
+	}
+	return 0
 }
 
 // stageBreakdown prints the per-stage latency percentiles of the offload

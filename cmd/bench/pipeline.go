@@ -21,7 +21,8 @@ import (
 var pipelineJSONFile = "BENCH_pipeline.json"
 
 // pipelineRequests is the per-cell request count; the -pipeline-requests
-// flag overrides it (CI's smoke run uses a few dozen).
+// flag overrides it. CI runs the default and fails if the committed
+// BENCH_pipeline.json does not reproduce.
 var pipelineRequests = 200
 
 func pipelineExp(w io.Writer) error {

@@ -86,7 +86,8 @@ type Plan struct {
 
 // MeasuredTextBytesPerValue measures how many bytes one float32 activation
 // occupies in the snapshot's textual encoding, by encoding a deterministic
-// sample of activation-like values the way the snapshot encoder does.
+// sample of activation-like values as encoding/json renders it, which
+// TestValueCodecMatchesJSON pins the snapshot codec to.
 func MeasuredTextBytesPerValue() float64 {
 	const n = 4096
 	sample := make([]float32, n)

@@ -73,6 +73,17 @@ func (b *Breakdown) add(phase Phase, d time.Duration) {
 	b.Phases = append(b.Phases, PhaseTime{Phase: phase, Duration: d})
 }
 
+// segments folds an offload timeline into the three stretches the event
+// engine schedules: prep is everything the client does before the snapshot
+// reaches the server, service one server worker's occupancy, post
+// everything after the server responds.
+func (b Breakdown) segments() (prep, service, post time.Duration) {
+	prep = b.Get(PhaseClientExec) + b.Get(PhaseSnapshotCaptureC) + b.Get(PhaseTransferUp)
+	service = b.Get(PhaseSnapshotRestoreS) + b.Get(PhaseServerExec) + b.Get(PhaseSnapshotCaptureS)
+	post = b.Get(PhaseTransferDown) + b.Get(PhaseSnapshotRestoreC)
+	return prep, service, post
+}
+
 // Configuration names, matching Fig 6's legend.
 const (
 	ConfigClient     = "Client"
@@ -85,24 +96,22 @@ const (
 
 // ClientOnly simulates running the app entirely at the client.
 func (sc *Scenario) ClientOnly() (Breakdown, error) {
-	t, err := sc.Client.NetworkTime(sc.Net)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	b := Breakdown{Model: sc.ModelName, Config: ConfigClient}
-	b.add(PhaseClientExec, t)
-	return b, nil
+	return sc.execOnly(ConfigClient, PhaseClientExec, sc.Client)
 }
 
 // ServerOnly simulates running the app entirely at the server (the paper's
 // Server configuration: no migration at all).
 func (sc *Scenario) ServerOnly() (Breakdown, error) {
-	t, err := sc.Server.NetworkTime(sc.Net)
+	return sc.execOnly(ConfigServer, PhaseServerExec, sc.Server)
+}
+
+func (sc *Scenario) execOnly(config string, phase Phase, dev costmodel.Device) (Breakdown, error) {
+	t, err := dev.NetworkTime(sc.Net)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	b := Breakdown{Model: sc.ModelName, Config: ConfigServer}
-	b.add(PhaseServerExec, t)
+	b := Breakdown{Model: sc.ModelName, Config: config}
+	b.add(phase, t)
 	return b, nil
 }
 
@@ -136,13 +145,13 @@ func (sc *Scenario) OffloadAfterACK() (Breakdown, error) {
 // OffloadBeforeACK simulates offloading before the ACK arrives: the client
 // must first upload the model files, then proceed as usual (§III.B.1).
 func (sc *Scenario) OffloadBeforeACK() (Breakdown, error) {
-	serverExec, err := sc.Server.NetworkTime(sc.Net)
+	after, err := sc.OffloadAfterACK()
 	if err != nil {
 		return Breakdown{}, err
 	}
 	b := Breakdown{Model: sc.ModelName, Config: ConfigBeforeACK}
 	b.add(PhaseModelUpload, sc.Network.TransferTime(sc.ModelUploadBytes()))
-	sc.offloadCycle(&b, sc.InputTextBytes, serverExec)
+	b.Phases = append(b.Phases, after.Phases...)
 	return b, nil
 }
 
@@ -150,23 +159,13 @@ func (sc *Scenario) OffloadBeforeACK() (Breakdown, error) {
 // point: the front runs at the client, the snapshot carries feature data
 // instead of the image, and the server runs the rear.
 func (sc *Scenario) OffloadPartial(label string) (Breakdown, error) {
+	pt, err := sc.partitionPoint(label)
+	if err != nil {
+		return Breakdown{}, err
+	}
 	infos, err := sc.Net.Describe()
 	if err != nil {
 		return Breakdown{}, err
-	}
-	points, err := sc.Net.PartitionPoints()
-	if err != nil {
-		return Breakdown{}, err
-	}
-	var pt *nn.PartitionPoint
-	for i := range points {
-		if points[i].Label == label {
-			pt = &points[i]
-			break
-		}
-	}
-	if pt == nil {
-		return Breakdown{}, fmt.Errorf("sim: %s has no partition point %q", sc.ModelName, label)
 	}
 	clientExec, err := sc.Client.RangeTime(infos, 0, pt.Index+1)
 	if err != nil {
@@ -182,6 +181,20 @@ func (sc *Scenario) OffloadPartial(label string) (Breakdown, error) {
 	return b, nil
 }
 
+// partitionPoint resolves a Fig 8 offloading-point label.
+func (sc *Scenario) partitionPoint(label string) (nn.PartitionPoint, error) {
+	points, err := sc.Net.PartitionPoints()
+	if err != nil {
+		return nn.PartitionPoint{}, err
+	}
+	for _, p := range points {
+		if p.Label == label {
+			return p, nil
+		}
+	}
+	return nn.PartitionPoint{}, fmt.Errorf("sim: %s has no partition point %q", sc.ModelName, label)
+}
+
 // Fig6Row is one group of bars in Fig 6: the inference time of one app
 // under all five configurations.
 type Fig6Row struct {
@@ -193,21 +206,40 @@ type Fig6Row struct {
 	Partial   time.Duration
 }
 
-// Fig6 regenerates Fig 6 for all three benchmark apps.
-func Fig6() ([]Fig6Row, error) {
-	rows := make([]Fig6Row, 0, len(models.Names()))
+// perModel concatenates the rows fn produces for every benchmark model's
+// scenario, in catalog order.
+func perModel[T any](fn func(sc *Scenario) ([]T, error)) ([]T, error) {
+	var out []T
 	for _, name := range models.Names() {
 		sc, err := NewScenario(name)
 		if err != nil {
 			return nil, err
 		}
-		row, err := sc.Fig6Row()
+		rows, err := fn(sc)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		out = append(out, rows...)
 	}
-	return rows, nil
+	return out, nil
+}
+
+// Fig6 regenerates Fig 6 for all three benchmark apps.
+func Fig6() ([]Fig6Row, error) { return perModel(fig6Row) }
+
+// Fig6GPU projects Fig 6 onto the GPU-accelerated edge server the paper
+// anticipates in §IV.A (webGL, ~80x DNN speedup): the same apps and
+// network, with only the server device swapped.
+func Fig6GPU() ([]Fig6Row, error) {
+	return perModel(func(sc *Scenario) ([]Fig6Row, error) {
+		sc.Server = costmodel.ServerX86GPU
+		return fig6Row(sc)
+	})
+}
+
+func fig6Row(sc *Scenario) ([]Fig6Row, error) {
+	row, err := sc.Fig6Row()
+	return []Fig6Row{row}, err
 }
 
 // Fig6Row computes one app's Fig 6 bars.
@@ -220,15 +252,7 @@ func (sc *Scenario) Fig6Row() (Fig6Row, error) {
 	if err != nil {
 		return Fig6Row{}, err
 	}
-	before, err := sc.OffloadBeforeACK()
-	if err != nil {
-		return Fig6Row{}, err
-	}
-	after, err := sc.OffloadAfterACK()
-	if err != nil {
-		return Fig6Row{}, err
-	}
-	partial, err := sc.OffloadPartial(PartialPointUsed)
+	before, after, partial, err := sc.offloadConfigs()
 	if err != nil {
 		return Fig6Row{}, err
 	}
@@ -242,50 +266,26 @@ func (sc *Scenario) Fig6Row() (Fig6Row, error) {
 	}, nil
 }
 
-// Fig6GPU projects Fig 6 onto the GPU-accelerated edge server the paper
-// anticipates in §IV.A (webGL, ~80x DNN speedup): the same apps and
-// network, with only the server device swapped.
-func Fig6GPU() ([]Fig6Row, error) {
-	rows := make([]Fig6Row, 0, len(models.Names()))
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
-		sc.Server = costmodel.ServerX86GPU
-		row, err := sc.Fig6Row()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+// offloadConfigs returns the three offloading timelines Fig 6 and Fig 7
+// plot: before ACK, after ACK, and partial inference at PartialPointUsed.
+func (sc *Scenario) offloadConfigs() (before, after, partial Breakdown, err error) {
+	if before, err = sc.OffloadBeforeACK(); err != nil {
+		return
 	}
-	return rows, nil
+	if after, err = sc.OffloadAfterACK(); err != nil {
+		return
+	}
+	partial, err = sc.OffloadPartial(PartialPointUsed)
+	return
 }
 
 // Fig7 regenerates Fig 7: the phase breakdown of the inference time for
 // the offloading configurations of every benchmark app.
 func Fig7() ([]Breakdown, error) {
-	var out []Breakdown
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
-		before, err := sc.OffloadBeforeACK()
-		if err != nil {
-			return nil, err
-		}
-		after, err := sc.OffloadAfterACK()
-		if err != nil {
-			return nil, err
-		}
-		partial, err := sc.OffloadPartial(PartialPointUsed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, before, after, partial)
-	}
-	return out, nil
+	return perModel(func(sc *Scenario) ([]Breakdown, error) {
+		before, after, partial, err := sc.offloadConfigs()
+		return []Breakdown{before, after, partial}, err
+	})
 }
 
 // Fig8Row is one model's partial-inference sweep: inference time at every
@@ -298,19 +298,10 @@ type Fig8Row struct {
 // Fig8 regenerates Fig 8 by sweeping every candidate offloading point of
 // every benchmark model through the partition estimator.
 func Fig8() ([]Fig8Row, error) {
-	rows := make([]Fig8Row, 0, len(models.Names()))
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
+	return perModel(func(sc *Scenario) ([]Fig8Row, error) {
 		plan, err := partition.Analyze(sc.Net, sc.PartitionConfig())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig8Row{Model: name, Candidates: plan.Candidates})
-	}
-	return rows, nil
+		return []Fig8Row{{Model: sc.ModelName, Candidates: plan.Candidates}}, err
+	})
 }
 
 // QuantShiftRow records where the optimal (denatured) partition point of
@@ -338,12 +329,8 @@ type QuantShiftRow struct {
 // QuantShift evaluates every benchmark model's optimal denatured split at
 // both quality tiers, pairing rows per model (float32 first, int8 second).
 func QuantShift() ([]QuantShiftRow, error) {
-	rows := make([]QuantShiftRow, 0, 2*len(models.Names()))
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
+	return perModel(func(sc *Scenario) ([]QuantShiftRow, error) {
+		var rows []QuantShiftRow
 		for _, prec := range []nn.Precision{nn.PrecFloat32, nn.PrecInt8} {
 			sc.Precision = prec
 			plan, err := partition.Analyze(sc.Net, sc.PartitionConfig())
@@ -355,7 +342,7 @@ func QuantShift() ([]QuantShiftRow, error) {
 				return nil, err
 			}
 			rows = append(rows, QuantShiftRow{
-				Model:      name,
+				Model:      sc.ModelName,
 				Precision:  prec,
 				BestLabel:  best.Point.Label,
 				SplitIndex: best.Point.Index,
@@ -364,8 +351,8 @@ func QuantShift() ([]QuantShiftRow, error) {
 				Total:      best.Total,
 			})
 		}
-	}
-	return rows, nil
+		return rows, nil
+	})
 }
 
 // Table1Row is one column of Table 1.
@@ -386,35 +373,31 @@ type Table1Row struct {
 // snapshot migration with and without model pre-sending.
 func Table1() ([]Table1Row, error) {
 	syn := vmsynth.NewSynthesizer(vmsynth.BaseImage{Name: "ubuntu-12.04", Bytes: 8 << 30})
-	rows := make([]Table1Row, 0, len(models.Names()))
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
+	return perModel(func(sc *Scenario) ([]Table1Row, error) {
 		overlay, err := vmsynth.BuildOverlay(vmsynth.StandardComponents(sc.Net.ModelBytes())...)
 		if err != nil {
 			return nil, err
 		}
-		row := Table1Row{
-			Model:        name,
+		// Migration = save + transmit + restore of the snapshot "just
+		// before executing the offloaded event handler" (§IV.C): the first
+		// three phases of the full-offload timeline.
+		after, err := sc.OffloadAfterACK()
+		if err != nil {
+			return nil, err
+		}
+		migrate := after.Get(PhaseSnapshotCaptureC) + after.Get(PhaseTransferUp) +
+			after.Get(PhaseSnapshotRestoreS)
+		return []Table1Row{{
+			Model:        sc.ModelName,
 			OverlayBytes: overlay.CompressedBytes,
 			SynthesisTime: sc.Network.TransferTime(overlay.CompressedBytes) +
 				syn.EstimateApply(overlay.CompressedBytes),
-		}
-		// Migration = save + transmit + restore of the snapshot "just
-		// before executing the offloaded event handler" (§IV.C).
-		upBytes := sc.StateBytes + sc.InputTextBytes
-		migrate := sc.Client.SnapshotTime(upBytes) +
-			sc.Network.TransferTime(upBytes) +
-			sc.Server.SnapshotTime(upBytes)
-		row.MigrationWithPre = migrate
-		row.SansFeatureWithPre = sc.StateBytes
-		row.MigrationWithoutPre = sc.Network.TransferTime(sc.ModelUploadBytes()) + migrate
-		row.SansFeatureWithoutPre = sc.StateBytes + sc.ModelUploadBytes()
-		rows = append(rows, row)
-	}
-	return rows, nil
+			MigrationWithPre:      migrate,
+			SansFeatureWithPre:    sc.StateBytes,
+			MigrationWithoutPre:   sc.Network.TransferTime(sc.ModelUploadBytes()) + migrate,
+			SansFeatureWithoutPre: sc.StateBytes + sc.ModelUploadBytes(),
+		}}, nil
+	})
 }
 
 // Fig1Row describes one stage of GoogLeNet for the Fig 1 architecture
@@ -461,23 +444,19 @@ type FeatureSizeRow struct {
 // FeatureSizes regenerates the §IV.B feature-size measurements for every
 // benchmark model and offloading point.
 func FeatureSizes() ([]FeatureSizeRow, error) {
-	var out []FeatureSizeRow
-	for _, name := range models.Names() {
-		sc, err := NewScenario(name)
-		if err != nil {
-			return nil, err
-		}
+	return perModel(func(sc *Scenario) ([]FeatureSizeRow, error) {
 		points, err := sc.Net.PartitionPoints()
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range points {
-			out = append(out, FeatureSizeRow{
-				Model:     name,
+		rows := make([]FeatureSizeRow, len(points))
+		for i, p := range points {
+			rows[i] = FeatureSizeRow{
+				Model:     sc.ModelName,
 				Label:     p.Label,
 				TextBytes: sc.textBytes(int(p.FeatureBytes / 4)),
-			})
+			}
 		}
-	}
-	return out, nil
+		return rows, nil
+	})
 }

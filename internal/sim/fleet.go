@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"websnap/internal/fleet"
@@ -24,25 +23,10 @@ type FleetConfig struct {
 	// re-places the session among the remaining members. 0 disables
 	// roaming.
 	RoamEvery int
-	// QueueDepth is each server's admission queue capacity; arrivals
-	// beyond it are rejected and the client falls back to full local
-	// execution.
-	QueueDepth int
 	// Capacities cycles worker counts across the fleet, making it
 	// heterogeneous (e.g. {2, 1, 4}: server 0 has 2 workers, server 1
 	// has 1, server 2 has 4, server 3 has 2 again, ...).
 	Capacities []int
-	// BackhaulFactor is how much faster the wired server-to-server link
-	// is than the client's wireless uplink. Peer blob fetches (a server
-	// pulling a model it lacks from the fleet member that holds it) ride
-	// the backhaul instead of the client link.
-	BackhaulFactor float64
-	// ThinkMax is the upper bound of each client's uniform think time
-	// between inferences. Fleet clients are interactive web apps that
-	// infer occasionally, not hot loops; the default scales to 100x the
-	// per-request service time, which puts a thousand-session fleet near
-	// its saturation knee at the top of the default server-count sweep.
-	ThinkMax time.Duration
 	// StoreEvictEvery models a byte-capped session store: after this many
 	// completed executions, cap pressure on a server evicts its model
 	// blob, and the next request it serves must re-resolve the model —
@@ -61,6 +45,25 @@ type FleetConfig struct {
 	SLOGoal float64
 }
 
+// Fixed parameters of the fleet model.
+const (
+	// fleetQueueDepth is each server's admission queue capacity; arrivals
+	// beyond it are rejected and the client falls back to full local
+	// execution.
+	fleetQueueDepth = 16
+	// fleetBackhaulFactor is how much faster the wired server-to-server
+	// link is than the client's wireless uplink. Peer blob fetches (a
+	// server pulling a model it lacks from the fleet member that holds it)
+	// ride the backhaul instead of the client link.
+	fleetBackhaulFactor = 10
+	// fleetThinkFactor scales the per-request service time to the upper
+	// bound of each client's uniform think time. Fleet clients are
+	// interactive web apps that infer occasionally, not hot loops; 100x
+	// puts a thousand-session fleet near its saturation knee at the top of
+	// the default server-count sweep.
+	fleetThinkFactor = 100
+)
+
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.RequestsPerClient <= 0 {
 		c.RequestsPerClient = 6
@@ -68,14 +71,8 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.RoamEvery < 0 {
 		c.RoamEvery = 0
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
 	if len(c.Capacities) == 0 {
 		c.Capacities = []int{2, 1, 4}
-	}
-	if c.BackhaulFactor <= 0 {
-		c.BackhaulFactor = 10
 	}
 	return c
 }
@@ -144,33 +141,27 @@ func (p FleetPoint) FallbackRate() float64 {
 	return float64(p.Fallbacks) / float64(p.Completed)
 }
 
-// fleetSim is the deterministic discrete-event model of a fleet of edge
-// servers shared by roaming full-offload clients. Placement runs the real
-// policy code (fleet.Rank over protocol.FleetServer views with live load
-// hints); the wire registry's TTL/staleness behavior is exercised by the
-// integration tests — the sim isolates what the policies do at scale.
+// fleetSim is the deterministic model of a fleet of edge servers shared by
+// roaming full-offload clients: the engine with one station per server.
+// Placement runs the real policy code (fleet.Pick over protocol.FleetServer
+// views with live load hints); the wire registry's TTL/staleness behavior
+// is exercised by the integration tests — the sim isolates what the
+// policies do at scale.
 type fleetSim struct {
-	sc  *Scenario
 	cfg FleetConfig
-	// clientPrep: full app-state capture + upload. service: one worker's
-	// occupancy per request (restore + full forward pass + result
-	// capture). clientPost: result download + restore. localFull: the
-	// whole model on the client device, the fallback path.
-	clientPrep time.Duration
-	service    time.Duration
-	clientPost time.Duration
-	localFull  time.Duration
+	// prep, service and post are the full-offload timeline's segments (the
+	// fleet ships whole snapshots; the partial-split regime is LoadSweep's
+	// subject). localFull is the whole model on the client device, the
+	// fallback path.
+	prep, service, post time.Duration
+	localFull           time.Duration
 	// modelUp is the wireless model pre-send time; peerFetch the same
 	// bytes over the inter-server backhaul.
 	modelUp    time.Duration
 	peerFetch  time.Duration
 	modelBytes int64
-	thinkMax   time.Duration
 }
 
-// newFleetSim derives all segment durations from the scenario's calibrated
-// cost models for full offloading (the fleet ships whole snapshots; the
-// partial-split regime is LoadSweep's subject).
 func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SLOGoal != 0 && (cfg.SLOGoal <= 0 || cfg.SLOGoal >= 1) {
@@ -179,68 +170,34 @@ func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
 	if cfg.SLOGoal != 0 && cfg.SLOObjective <= 0 {
 		return nil, fmt.Errorf("sim: SLOGoal requires SLOObjective")
 	}
-	infos, err := sc.Net.Describe()
+	for _, n := range cfg.Capacities {
+		if n <= 0 {
+			return nil, fmt.Errorf("sim: non-positive server capacity %d", n)
+		}
+	}
+	after, err := sc.OffloadAfterACK()
 	if err != nil {
 		return nil, err
 	}
-	serverExec, err := sc.Server.RangeTime(infos, 0, len(infos))
+	local, err := sc.ClientOnly()
 	if err != nil {
 		return nil, err
 	}
-	clientExec, err := sc.Client.RangeTime(infos, 0, len(infos))
-	if err != nil {
-		return nil, err
-	}
-	upBytes := sc.StateBytes + sc.InputTextBytes
-	downBytes := sc.StateBytes + sc.ResultTextBytes
-	fs := &fleetSim{
-		sc:         sc,
-		cfg:        cfg,
-		clientPrep: sc.Client.SnapshotTime(upBytes) + sc.Network.TransferTime(upBytes),
-		service:    sc.Server.SnapshotTime(upBytes) + serverExec + sc.Server.SnapshotTime(downBytes),
-		clientPost: sc.Network.TransferTime(downBytes) + sc.Client.SnapshotTime(downBytes),
-		localFull:  clientExec,
-		modelBytes: sc.ModelUploadBytes(),
-	}
+	fs := &fleetSim{cfg: cfg, localFull: local.Total(), modelBytes: sc.ModelUploadBytes()}
+	fs.prep, fs.service, fs.post = after.segments()
 	fs.modelUp = sc.Network.TransferTime(fs.modelBytes)
-	fs.peerFetch = time.Duration(float64(fs.modelUp) / cfg.BackhaulFactor)
-	fs.thinkMax = cfg.ThinkMax
-	if fs.thinkMax <= 0 {
-		fs.thinkMax = 100 * fs.service
-	}
+	fs.peerFetch = time.Duration(float64(fs.modelUp) / fleetBackhaulFactor)
 	return fs, nil
 }
 
-// evPlace is a fleet-only event kind: the user event fired and the client
-// asks the placement policy for a server before shipping the snapshot.
-const evPlace = evDone + 1
-
-// fleetSrv is one simulated edge server.
-type fleetSrv struct {
-	addr     string
-	capacity int // worker-pool size
-	busy     int
-	queue    []pendingReq
-	hasBlob  bool // content-addressed model blob present
-	executed int
-}
-
-// run simulates nServers heterogeneous servers under clients closed-loop
-// roaming sessions and returns the resulting FleetPoint.
-func (fs *fleetSim) run(nServers, clients int, policy fleet.Policy) FleetPoint {
+// cell runs the engine with nServers heterogeneous servers under clients
+// closed-loop roaming sessions placed by policy.
+func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint, error) {
 	var (
-		events    eventHeap
-		seq       int
-		srvs      = make([]fleetSrv, nServers)
-		cur       = make([]int, clients) // each client's current server
+		hasBlob   = make([]bool, nServers) // content-addressed model blob present
 		visited   = make([][]bool, clients)
-		remaining = make([]int, clients)
-		rngs      = make([]xorshift, clients)
-		latencies []time.Duration
-		fallbacks int
+		byAddr    = make(map[string]int, nServers)
 		handoffs  int
-		makespan  time.Duration
-		audit     = obs.NewAuditor(obs.AuditorOptions{})
 		sloBad    uint64
 		sloBurns  int
 		slo       *telemetry.SLO
@@ -251,16 +208,29 @@ func (fs *fleetSim) run(nServers, clients int, policy fleet.Policy) FleetPoint {
 		evictions int           // bounded-store cap evictions of the model blob
 		refetch   int64         // bytes those evictions forced back over the wire
 	)
-	for i := range srvs {
-		srvs[i] = fleetSrv{
-			addr:     fmt.Sprintf("edge-%d", i),
-			capacity: fs.cfg.Capacities[i%len(fs.cfg.Capacities)],
-		}
+	eng := engine{
+		clients:    clients,
+		requests:   fs.cfg.RequestsPerClient,
+		thinkMax:   fleetThinkFactor * fs.service,
+		stations:   make([]station, nServers),
+		queueDepth: fleetQueueDepth,
+		maxBatch:   1,
+		prep:       fs.prep,
+		post:       fs.post,
+		local:      fs.localFull,
+		service:    func(int) time.Duration { return fs.service },
+		decision:   obs.Decision{Path: obs.PathFull, Placement: string(policy)},
 	}
-	push := func(ev *simEvent) {
-		ev.seq = seq
-		seq++
-		heap.Push(&events, ev)
+	srvs := eng.stations
+	for i := range srvs {
+		srvs[i] = station{
+			name:    fmt.Sprintf("edge-%d", i),
+			workers: fs.cfg.Capacities[i%len(fs.cfg.Capacities)],
+		}
+		byAddr[srvs[i].name] = i
+	}
+	for c := range visited {
+		visited[c] = make([]bool, nServers)
 	}
 	// view snapshots the fleet as a registry view would serve it:
 	// advertised capacity plus a live load hint (queueing estimate and
@@ -272,126 +242,90 @@ func (fs *fleetSim) run(nServers, clients int, policy fleet.Policy) FleetPoint {
 				continue
 			}
 			s := &srvs[i]
-			qms := float64(len(s.queue)) * fs.service.Seconds() * 1000 / float64(s.capacity)
+			qms := float64(len(s.queue)) * fs.service.Seconds() * 1000 / float64(s.workers)
 			out = append(out, protocol.FleetServer{
-				Addr:     s.addr,
-				Capacity: s.capacity,
+				Addr:     s.name,
+				Capacity: s.workers,
 				Load: &protocol.LoadHint{
-					Workers:        s.capacity,
+					Workers:        s.workers,
 					Busy:           s.busy,
 					QueueDepth:     len(s.queue),
-					QueueCap:       fs.cfg.QueueDepth,
+					QueueCap:       fleetQueueDepth,
 					QueueingMillis: qms,
-					Saturated:      len(s.queue) >= fs.cfg.QueueDepth,
+					Saturated:      len(s.queue) >= fleetQueueDepth,
 				},
 			})
 		}
 		return out
 	}
-	byAddr := make(map[string]int, nServers)
-	for i := range srvs {
-		byAddr[srvs[i].addr] = i
-	}
-	place := func(c, exclude int) int {
-		target, ok := fleet.Pick(policy, fmt.Sprintf("session-%d", c), view(exclude))
-		if !ok {
-			return 0 // single-server fleet with that server excluded
-		}
-		return byAddr[target.Addr]
-	}
-	// anyHolder reports whether some fleet member still holds the model
-	// blob. With unbounded stores this is monotone after the first upload;
-	// bounded-store eviction can take it back to false.
-	anyHolder := func() bool {
-		for i := range srvs {
-			if srvs[i].hasBlob {
-				return true
-			}
-		}
-		return false
-	}
 	// resolveBlob charges server s with acquiring the model blob it lacks
 	// and returns the transfer time: a backhaul pull while any peer still
-	// holds the blob, the client's wireless upload otherwise.
+	// holds the blob, the client's wireless upload otherwise. With
+	// unbounded stores some peer always holds it after the first upload;
+	// bounded-store eviction can leave the fleet empty again.
 	resolveBlob := func(s int) time.Duration {
-		if anyHolder() {
-			srvs[s].hasBlob = true
+		fromPeer := slices.Contains(hasBlob, true)
+		hasBlob[s] = true
+		if fromPeer {
 			peer += fs.modelBytes
 			return fs.peerFetch
 		}
-		srvs[s].hasBlob = true
 		uploaded += fs.modelBytes
 		return fs.modelUp
 	}
-	// preSend models the content-addressed pre-send when client c meets
-	// server s for the first time in its session, returning the extra
-	// time the first request waits on the model transfer. Sharing is
-	// always on; the no-sharing baseline is accounted in `would`.
-	preSend := func(c, s int) time.Duration {
+	// Routing happens at the user-event time, so the policy sees the fleet's
+	// live queue state then — not the state when the previous request
+	// finished. A session is placed at its start and re-placed, excluding
+	// the server it abandons, whenever the roaming schedule forces a handoff.
+	eng.reroute = func(n int) bool { return fs.cfg.RoamEvery > 0 && n%fs.cfg.RoamEvery == 0 }
+	eng.route = func(c, from int) (int, time.Duration) {
+		if from >= 0 {
+			handoffs++
+		}
+		s := 0 // a single-server fleet with that server excluded stays put
+		if target, ok := fleet.Pick(policy, fmt.Sprintf("session-%d", c), view(from)); ok {
+			s = byAddr[target.Addr]
+		}
+		// The content-addressed pre-send when a session meets a server for
+		// the first time: the first request waits on the model transfer
+		// unless the server already holds the blob (a ref hit). Sharing is
+		// always on; the no-sharing baseline is accounted in would.
 		if visited[c][s] {
-			return 0
+			return s, 0
 		}
 		visited[c][s] = true
 		would += fs.modelBytes
-		if srvs[s].hasBlob {
-			return 0 // server already holds the blob: ref hit, no transfer
+		if hasBlob[s] {
+			return s, 0
 		}
+		return s, resolveBlob(s)
+	}
+	eng.hold = func(s int) time.Duration {
+		if hasBlob[s] {
+			return 0
+		}
+		// Cap pressure evicted the model since this session last used this
+		// server: re-resolve the blob, then the snapshot arrives once the
+		// transfer lands.
+		refetch += fs.modelBytes
 		return resolveBlob(s)
 	}
-	think := func(c int) time.Duration {
-		return time.Duration(rngs[c].next() % uint64(fs.thinkMax))
-	}
-	// startRequest begins client c's next inference after time t. When the
-	// request needs a placement (session start, or the roaming schedule
-	// forces a handoff), an evPlace fires at the user-event time so the
-	// policy sees the fleet's live queue state then — not the state when
-	// the previous request finished. ev.worker carries the server to
-	// exclude (-1 at session start, the abandoned server on a handoff).
-	startRequest := func(c int, t time.Duration) {
-		reqIdx := fs.cfg.RequestsPerClient - remaining[c]
-		remaining[c]--
-		start := t + think(c)
-		req := pendingReq{client: c, start: start}
-		if reqIdx == 0 {
-			push(&simEvent{at: start, kind: evPlace, worker: -1, req: req})
-			return
-		}
-		if fs.cfg.RoamEvery > 0 && reqIdx%fs.cfg.RoamEvery == 0 {
-			handoffs++
-			push(&simEvent{at: start, kind: evPlace, worker: cur[c], req: req})
-			return
-		}
-		push(&simEvent{at: start + fs.clientPrep, kind: evArrive, worker: cur[c], req: req})
-	}
-	finish := func(req pendingReq, t time.Duration) {
-		latencies = append(latencies, t-req.start)
-		if t > makespan {
-			makespan = t
+	eng.done = func(req request, s int, now time.Duration, batch int) {
+		if batch > 0 && fs.cfg.StoreEvictEvery > 0 && hasBlob[s] &&
+			srvs[s].executed%fs.cfg.StoreEvictEvery == 0 {
+			// The byte-capped store crossed its budget; the model blob is
+			// the LRU casualty.
+			hasBlob[s] = false
+			evictions++
 		}
 		if slo != nil {
-			if t > simNow {
-				simNow = t
-			}
-			if t-req.start > fs.cfg.SLOObjective {
+			simNow = max(simNow, now)
+			if now-req.start > fs.cfg.SLOObjective {
 				sloBad++
 			}
-			slo.Observe(t - req.start)
-		}
-		if remaining[req.client] > 0 {
-			startRequest(req.client, t)
+			slo.Observe(now - req.start)
 		}
 	}
-	dispatch := func(s int, t time.Duration) {
-		srv := &srvs[s]
-		for srv.busy < srv.capacity && len(srv.queue) > 0 {
-			req := srv.queue[0]
-			srv.queue = srv.queue[1:]
-			srv.busy++
-			push(&simEvent{at: t + fs.service, kind: evDone, worker: s,
-				batch: []pendingReq{req}})
-		}
-	}
-
 	if fs.cfg.SLOObjective > 0 {
 		// The real burn-rate engine scores the run on the simulated clock;
 		// short windows keep burn detection meaningful over makespans of
@@ -406,84 +340,23 @@ func (fs *fleetSim) run(nServers, clients int, policy fleet.Policy) FleetPoint {
 			OnBurn:      func(telemetry.SLOStatus) { sloBurns++ },
 		})
 	}
-	for c := 0; c < clients; c++ {
-		remaining[c] = fs.cfg.RequestsPerClient
-		visited[c] = make([]bool, nServers)
-		rngs[c] = xorshift{s: uint64(c)*2654435761 + 0x9e3779b97f4a7c15}
-		startRequest(c, 0)
-	}
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(*simEvent)
-		if ev.kind == evPlace {
-			c := ev.req.client
-			cur[c] = place(c, ev.worker)
-			prep := fs.clientPrep + preSend(c, cur[c])
-			push(&simEvent{at: ev.at + prep, kind: evArrive, worker: cur[c], req: ev.req})
-			continue
-		}
-		srv := &srvs[ev.worker]
-		switch ev.kind {
-		case evArrive:
-			if !srv.hasBlob {
-				// Cap pressure evicted the model since this session last
-				// used this server: re-resolve the blob, then the snapshot
-				// arrives once the transfer lands.
-				d := resolveBlob(ev.worker)
-				refetch += fs.modelBytes
-				push(&simEvent{at: ev.at + d, kind: evArrive, worker: ev.worker, req: ev.req})
-				break
-			}
-			if srv.busy >= srv.capacity && len(srv.queue) >= fs.cfg.QueueDepth {
-				// Queue full: the server sheds, the client runs the whole
-				// model locally.
-				fallbacks++
-				done := ev.at + fs.localFull
-				audit.Record(obs.Decision{
-					Path: obs.PathFallback, Reason: "overloaded",
-					Server: srv.addr, Placement: string(policy),
-					Measured: done - ev.req.start, HintAge: -1,
-				})
-				finish(ev.req, done)
-				break
-			}
-			ev.req.arrive = ev.at
-			srv.queue = append(srv.queue, ev.req)
-			dispatch(ev.worker, ev.at)
-		case evDone:
-			srv.busy--
-			for _, req := range ev.batch {
-				srv.executed++
-				if fs.cfg.StoreEvictEvery > 0 && srv.hasBlob &&
-					srv.executed%fs.cfg.StoreEvictEvery == 0 {
-					// The byte-capped store crossed its budget; the model
-					// blob is the LRU casualty.
-					srv.hasBlob = false
-					evictions++
-				}
-				done := ev.at + fs.clientPost
-				audit.Record(obs.Decision{
-					Path: obs.PathFull, Server: srv.addr,
-					Placement: string(policy),
-					Measured:  done - req.start, HintAge: -1,
-				})
-				finish(req, done)
-			}
-			dispatch(ev.worker, ev.at)
-		}
-	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	out, err := eng.run()
+	if err != nil {
+		return FleetPoint{}, err
+	}
 	pt := FleetPoint{
 		Policy:                 string(policy),
 		Servers:                nServers,
 		Clients:                clients,
-		Completed:              len(latencies),
-		Fallbacks:              fallbacks,
+		Completed:              len(out.latencies),
+		Fallbacks:              out.shed,
 		Handoffs:               handoffs,
-		P50Millis:              millis(percentile(latencies, 0.50)),
-		P95Millis:              millis(percentile(latencies, 0.95)),
-		P99Millis:              millis(percentile(latencies, 0.99)),
-		Mix:                    audit.Summary().Mix,
+		Throughput:             out.perSecond(len(out.latencies)),
+		P50Millis:              millis(percentile(out.latencies, 0.50)),
+		P95Millis:              millis(percentile(out.latencies, 0.95)),
+		P99Millis:              millis(percentile(out.latencies, 0.99)),
+		Mix:                    out.audit.Mix,
 		ExecPerServer:          make([]int, nServers),
 		ClientModelUploadBytes: uploaded,
 		ReuploadBytesSaved:     would - uploaded,
@@ -494,20 +367,13 @@ func (fs *fleetSim) run(nServers, clients int, policy fleet.Policy) FleetPoint {
 		SLOBurns:               sloBurns,
 	}
 	if slo != nil {
-		simNow = makespan
+		simNow = out.makespan
 		pt.SLOLongBurn = slo.Status().LongBurn
 	}
 	for i := range srvs {
 		pt.ExecPerServer[i] = srvs[i].executed
 	}
-	if makespan > 0 {
-		pt.Throughput = float64(pt.Completed) / makespan.Seconds()
-	}
-	return pt
-}
-
-func millis(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
+	return pt, nil
 }
 
 // FleetSweep simulates roaming full-offload clients of one model against
@@ -544,7 +410,11 @@ func FleetSweep(modelName string, serverCounts []int, clients int, policies []fl
 			if n <= 0 {
 				return nil, fmt.Errorf("sim: non-positive server count %d", n)
 			}
-			points = append(points, fs.run(n, clients, p))
+			pt, err := fs.cell(n, clients, p)
+			if err != nil {
+				return nil, err
+			}
+			points = append(points, pt)
 		}
 	}
 	return points, nil

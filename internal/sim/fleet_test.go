@@ -35,6 +35,12 @@ func TestFleetSweepValidation(t *testing.T) {
 	if _, err := FleetSweep("no-such-model", []int{2}, 8, pols, FleetConfig{}); err == nil {
 		t.Error("unknown model should fail")
 	}
+	// A server without workers admits requests it can never dispatch.
+	for _, caps := range [][]int{{2, 0}, {-1}} {
+		if _, err := FleetSweep("googlenet", []int{2}, 8, pols, FleetConfig{Capacities: caps}); err == nil {
+			t.Errorf("capacities %v should fail", caps)
+		}
+	}
 }
 
 func TestFleetSweepDeterministic(t *testing.T) {

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"time"
 
 	"websnap/internal/obs"
@@ -95,295 +93,116 @@ func (p LoadPoint) FallbackRate() float64 {
 	return float64(p.Fallbacks) / float64(p.Completed)
 }
 
-// loadSim is the deterministic discrete-event model of N closed-loop
-// partial-offload clients sharing one edge server. Each client owns its
-// wireless link (links are not shared); the server is the contended
-// resource, exactly the regime the scheduler targets.
+// loadThinkMax bounds each load client's think time before every request.
+const loadThinkMax = 250 * time.Millisecond
+
+// loadSim is the deterministic model of N closed-loop partial-offload
+// clients sharing one edge server: the engine with a single station. Each
+// client owns its wireless link (links are not shared); the server is the
+// contended resource, exactly the regime the scheduler targets.
 type loadSim struct {
 	cfg LoadConfig
-	// Client-side segment before the request reaches the server: front
-	// execution + snapshot capture + upload transfer.
-	clientPrep time.Duration
-	// clientPrep's components, kept separate for the per-stage breakdown:
-	// front DNN execution, snapshot capture, and upload transfer.
-	frontExec, captureC, upload time.Duration
-	// Server-side per-session costs paid inside the worker.
-	restoreS, captureS time.Duration
+	// bd is the split's unloaded timeline, the source of every fixed
+	// per-request duration and of the cost model's prediction.
+	bd Breakdown
 	// serverRear is the batched rear forward-pass time.
 	serverRear func(batch int) time.Duration
-	// Client-side segment after the server responds: download + restore.
-	clientPost time.Duration
-	// clientPost's components: download transfer and result restore.
-	download, restoreC time.Duration
 	// localRear is the client's own rear execution, used on fallback.
 	localRear time.Duration
 }
 
-// newLoadSim derives all segment durations from the scenario's calibrated
-// cost models at the configured split point.
+// newLoadSim reads the segment durations off the scenario's partial-offload
+// timeline at the configured split point.
 func newLoadSim(sc *Scenario, cfg LoadConfig) (*loadSim, error) {
 	cfg = cfg.withDefaults()
+	bd, err := sc.OffloadPartial(cfg.SplitLabel)
+	if err != nil {
+		return nil, err
+	}
+	pt, err := sc.partitionPoint(cfg.SplitLabel)
+	if err != nil {
+		return nil, err
+	}
 	infos, err := sc.Net.Describe()
 	if err != nil {
 		return nil, err
 	}
-	points, err := sc.Net.PartitionPoints()
+	localRear, err := sc.Client.RangeTime(infos, pt.Index+1, len(infos))
 	if err != nil {
 		return nil, err
 	}
-	idx := -1
-	var featBytes int64
-	for _, p := range points {
-		if p.Label == cfg.SplitLabel {
-			idx = p.Index
-			featBytes = sc.textBytes(int(p.FeatureBytes / 4))
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("sim: %s has no partition point %q", sc.ModelName, cfg.SplitLabel)
-	}
-	frontExec, err := sc.Client.RangeTime(infos, 0, idx+1)
-	if err != nil {
-		return nil, err
-	}
-	localRear, err := sc.Client.RangeTime(infos, idx+1, len(infos))
-	if err != nil {
-		return nil, err
-	}
-	upBytes := sc.StateBytes + featBytes
-	downBytes := sc.StateBytes + sc.ResultTextBytes
-	ls := &loadSim{
+	return &loadSim{
 		cfg:       cfg,
-		frontExec: frontExec,
-		captureC:  sc.Client.SnapshotTime(upBytes),
-		upload:    sc.Network.TransferTime(upBytes),
-		restoreS:  sc.Server.SnapshotTime(upBytes),
-		captureS:  sc.Server.SnapshotTime(downBytes),
-		download:  sc.Network.TransferTime(downBytes),
-		restoreC:  sc.Client.SnapshotTime(downBytes),
+		bd:        bd,
 		localRear: localRear,
-	}
-	ls.clientPrep = ls.frontExec + ls.captureC + ls.upload
-	ls.clientPost = ls.download + ls.restoreC
-	ls.serverRear = func(batch int) time.Duration {
-		d, rerr := sc.Server.BatchRangeTime(infos, idx+1, len(infos), batch)
-		if rerr != nil {
-			// Bounds were validated above; batch >= 1 by construction.
-			panic(rerr)
-		}
-		return d
-	}
-	return ls, nil
+		serverRear: func(batch int) time.Duration {
+			d, rerr := sc.Server.BatchRangeTime(infos, pt.Index+1, len(infos), batch)
+			if rerr != nil {
+				// Bounds were validated above; batch >= 1 by construction.
+				panic(rerr)
+			}
+			return d
+		},
+	}, nil
 }
 
 // service is one worker's occupancy for a batch: per-session restore and
 // capture are serial, the rear forward pass is batched.
 func (ls *loadSim) service(batch int) time.Duration {
 	b := time.Duration(batch)
-	return b*ls.restoreS + ls.serverRear(batch) + b*ls.captureS
+	return b*ls.bd.Get(PhaseSnapshotRestoreS) + ls.serverRear(batch) + b*ls.bd.Get(PhaseSnapshotCaptureS)
 }
 
-// Event kinds.
-const (
-	evArrive = iota // a client's snapshot reaches the server
-	evDone          // a worker finishes a batch
-)
-
-type pendingReq struct {
-	client int
-	start  time.Duration // when the user event fired
-	arrive time.Duration // when the snapshot reached the server
-}
-
-type simEvent struct {
-	at     time.Duration
-	seq    int // tie-break for deterministic ordering
-	kind   int
-	req    pendingReq   // evArrive
-	worker int          // evDone
-	batch  []pendingReq // evDone
-}
-
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
-}
-
-// run simulates clients concurrent closed-loop clients and returns the
-// resulting LoadPoint. Each client pauses for a deterministic
-// pseudo-random think time (0–250 ms) before every request; the event
-// interleaving is therefore reproducible without the degenerate lockstep
-// of perfectly symmetric clients.
-func (ls *loadSim) run(clients int) LoadPoint {
-	var (
-		events    eventHeap
-		seq       int
-		queue     []pendingReq
-		idle      = make([]int, 0, ls.cfg.Workers)
-		remaining = make([]int, clients)
-		rngs      = make([]xorshift, clients)
-		latencies []time.Duration
-		fallbacks int
-		makespan  time.Duration
-		rec       = trace.NewRecorder()
-		audit     = obs.NewAuditor(obs.AuditorOptions{})
-		// predicted is the cost model's unloaded single-request latency: no
+// point runs the engine with clients concurrent closed-loop clients.
+func (ls *loadSim) point(clients int) (LoadPoint, error) {
+	rec := trace.NewRecorder()
+	prep, _, post := ls.bd.segments()
+	eng := engine{
+		clients:    clients,
+		requests:   ls.cfg.RequestsPerClient,
+		thinkMax:   loadThinkMax,
+		stations:   []station{{workers: ls.cfg.Workers}},
+		queueDepth: ls.cfg.QueueDepth,
+		maxBatch:   ls.cfg.MaxBatch,
+		prep:       prep,
+		post:       post,
+		local:      ls.localRear,
+		service:    ls.service,
+		// Predicted is the cost model's unloaded single-request latency: no
 		// queueing, batch of one. Decisions compare it against simulated
 		// end-to-end latency to quantify prediction error under load.
-		predicted = ls.clientPrep + ls.restoreS + ls.serverRear(1) + ls.captureS + ls.clientPost
-	)
-	for w := ls.cfg.Workers - 1; w >= 0; w-- {
-		idle = append(idle, w) // LIFO: lowest index dispatched first
+		decision: obs.Decision{Path: obs.PathPartial, SplitLabel: ls.cfg.SplitLabel, Predicted: ls.bd.Total()},
 	}
-	push := func(ev *simEvent) {
-		ev.seq = seq
-		seq++
-		heap.Push(&events, ev)
-	}
-	// startRequest begins client c's next inference after time t: the
-	// user thinks briefly, the event fires, the front runs, the snapshot
-	// ships. Latency is measured from the user event.
-	startRequest := func(c int, t time.Duration) {
-		remaining[c]--
-		start := t + rngs[c].think()
-		push(&simEvent{at: start + ls.clientPrep, kind: evArrive, req: pendingReq{client: c, start: start}})
-	}
-	// finish records a completed inference and starts the client's next.
-	finish := func(req pendingReq, t time.Duration) {
-		latencies = append(latencies, t-req.start)
-		if t > makespan {
-			makespan = t
+	eng.done = func(req request, _ int, _ time.Duration, batch int) {
+		if batch == 0 {
+			return
 		}
-		if remaining[req.client] > 0 {
-			startRequest(req.client, t)
-		}
+		// Queue and execute are where load contention shows; the rest are
+		// the fixed per-request stages of an offloaded inference.
+		rec.Observe(trace.StageQueue, req.dispatch-req.arrive)
+		rec.Observe(trace.StageExecute, ls.service(batch))
+		rec.Observe(trace.StageCapture, ls.bd.Get(PhaseSnapshotCaptureC))
+		rec.Observe(trace.StageWire, ls.bd.Get(PhaseTransferUp))
+		rec.Observe(trace.StageResultWire, ls.bd.Get(PhaseTransferDown))
+		rec.Observe(trace.StageRestore, ls.bd.Get(PhaseSnapshotRestoreC))
 	}
-	dispatch := func(t time.Duration) {
-		for len(idle) > 0 && len(queue) > 0 {
-			w := idle[len(idle)-1]
-			idle = idle[:len(idle)-1]
-			take := ls.cfg.MaxBatch
-			if take > len(queue) {
-				take = len(queue)
-			}
-			batch := make([]pendingReq, take)
-			copy(batch, queue[:take])
-			queue = queue[take:]
-			svc := ls.service(take)
-			for _, req := range batch {
-				rec.Observe(trace.StageQueue, t-req.arrive)
-				rec.Observe(trace.StageExecute, svc)
-			}
-			push(&simEvent{at: t + svc, kind: evDone, worker: w, batch: batch})
-		}
+	out, err := eng.run()
+	if err != nil {
+		return LoadPoint{}, err
 	}
-
-	for c := 0; c < clients; c++ {
-		remaining[c] = ls.cfg.RequestsPerClient
-		rngs[c] = xorshift{s: uint64(c)*2654435761 + 0x9e3779b97f4a7c15}
-		startRequest(c, 0)
-	}
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(*simEvent)
-		switch ev.kind {
-		case evArrive:
-			if len(idle) == 0 && len(queue) >= ls.cfg.QueueDepth {
-				// Queue full: the server rejects, the client runs the
-				// rear locally from its still-live app state.
-				fallbacks++
-				done := ev.at + ls.localRear
-				audit.Record(obs.Decision{
-					Path: obs.PathFallback, Reason: "overloaded",
-					Measured: done - ev.req.start, HintAge: -1,
-				})
-				finish(ev.req, done)
-				break
-			}
-			ev.req.arrive = ev.at
-			queue = append(queue, ev.req)
-			dispatch(ev.at)
-		case evDone:
-			idle = append(idle, ev.worker)
-			for _, req := range ev.batch {
-				// The fixed client-side stages of each offloaded request.
-				rec.Observe(trace.StageCapture, ls.captureC)
-				rec.Observe(trace.StageWire, ls.upload)
-				rec.Observe(trace.StageResultWire, ls.download)
-				rec.Observe(trace.StageRestore, ls.restoreC)
-				done := ev.at + ls.clientPost
-				audit.Record(obs.Decision{
-					Path: obs.PathPartial, SplitLabel: ls.cfg.SplitLabel,
-					Predicted: predicted, Measured: done - req.start,
-					BatchSize: len(ev.batch), HintAge: -1,
-				})
-				finish(req, done)
-			}
-			dispatch(ev.at)
-		}
-	}
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	sum := audit.Summary()
-	pt := LoadPoint{
-		Clients:   clients,
-		Completed: len(latencies),
-		Fallbacks: fallbacks,
-		P50:       percentile(latencies, 0.50),
-		P99:       percentile(latencies, 0.99),
-		Stages:    rec.Summaries(),
-		Mix:       sum.Mix,
-		PredErr:   sum.PredErr,
-	}
-	if makespan > 0 {
-		pt.Throughput = float64(pt.Completed) / makespan.Seconds()
-		pt.OffloadedThroughput = float64(pt.Completed-pt.Fallbacks) / makespan.Seconds()
-	}
-	return pt
-}
-
-// xorshift is a tiny deterministic PRNG for per-client think-time jitter.
-// Without jitter, identical closed-loop clients phase-lock into permanent
-// cohorts and the results measure the lockstep artifact, not the server.
-type xorshift struct{ s uint64 }
-
-func (r *xorshift) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
-}
-
-func (r *xorshift) think() time.Duration {
-	return time.Duration(r.next() % uint64(250*time.Millisecond))
-}
-
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	completed := len(out.latencies)
+	return LoadPoint{
+		Clients:             clients,
+		Completed:           completed,
+		Fallbacks:           out.shed,
+		Throughput:          out.perSecond(completed),
+		OffloadedThroughput: out.perSecond(completed - out.shed),
+		P50:                 percentile(out.latencies, 0.50),
+		P99:                 percentile(out.latencies, 0.99),
+		Stages:              rec.Summaries(),
+		Mix:                 out.audit.Mix,
+		PredErr:             out.audit.PredErr,
+	}, nil
 }
 
 // LoadSweep simulates the edge server under increasing numbers of
@@ -407,7 +226,11 @@ func LoadSweep(modelName string, clients []int, cfg LoadConfig) ([]LoadPoint, er
 		if n <= 0 {
 			return nil, fmt.Errorf("sim: non-positive client count %d", n)
 		}
-		points = append(points, ls.run(n))
+		pt, err := ls.point(n)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, pt)
 	}
 	return points, nil
 }

@@ -32,6 +32,13 @@ const pipelineRawBytesPerValue = 4
 // bytes (JSON header with the hop manifest).
 const pipelineChainOverheadBytes = 512
 
+// pipelineInterEdgeMbps is the wired edge backbone every inter-server link
+// runs at.
+const pipelineInterEdgeMbps = 200
+
+// pipelineSeed drives the deterministic queue-delay draws.
+const pipelineSeed = 20260808
+
 // PipelineConfig parametrizes the pipeline sweep.
 type PipelineConfig struct {
 	// ModelName selects the benchmark model (GoogLeNet by default).
@@ -39,16 +46,13 @@ type PipelineConfig struct {
 	// Depths are the chain depths (server counts) to sweep.
 	Depths []int
 	// BandwidthsMbps sweeps the client uplink; inter-server links stay at
-	// InterEdgeMbps (the wired edge backbone).
+	// pipelineInterEdgeMbps.
 	BandwidthsMbps []float64
-	InterEdgeMbps  float64
 	// LoadsMillis sweeps the mean per-server queueing delay; each request
 	// draws every hop's delay from an exponential with this mean.
 	LoadsMillis []float64
 	// Requests is the number of simulated requests per sweep point.
 	Requests int
-	// Seed drives the deterministic queue-delay draws.
-	Seed uint64
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
@@ -61,17 +65,11 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	if len(c.BandwidthsMbps) == 0 {
 		c.BandwidthsMbps = []float64{5, 30, 100}
 	}
-	if c.InterEdgeMbps == 0 {
-		c.InterEdgeMbps = 200
-	}
 	if len(c.LoadsMillis) == 0 {
 		c.LoadsMillis = []float64{0, 20, 80}
 	}
 	if c.Requests == 0 {
 		c.Requests = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 20260808
 	}
 	return c
 }
@@ -130,6 +128,9 @@ func (x *xorshift64) expDelay(meanMillis float64) time.Duration {
 // executor runs — so the mix columns show when deeper chains stop paying.
 func PipelineSweep(cfg PipelineConfig) ([]PipelinePoint, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Requests < 0 {
+		return nil, fmt.Errorf("sim: negative request count %d", cfg.Requests)
+	}
 	sc, err := NewScenario(cfg.ModelName)
 	if err != nil {
 		return nil, err
@@ -144,14 +145,14 @@ func PipelineSweep(cfg PipelineConfig) ([]PipelinePoint, error) {
 		resultBytes = pipelineRawBytesPerValue
 	}
 
-	rng := xorshift64(cfg.Seed)
+	rng := xorshift64(pipelineSeed)
 	var points []PipelinePoint
 	for _, mbps := range cfg.BandwidthsMbps {
 		if mbps <= 0 {
 			return nil, fmt.Errorf("sim: non-positive bandwidth %f", mbps)
 		}
 		uplink := netem.Profile{BandwidthBitsPerSec: mbps * 1e6, Latency: sc.Network.Latency}
-		backbone := netem.Profile{BandwidthBitsPerSec: cfg.InterEdgeMbps * 1e6, Latency: time.Millisecond}
+		backbone := netem.Profile{BandwidthBitsPerSec: pipelineInterEdgeMbps * 1e6, Latency: time.Millisecond}
 		for _, loadMillis := range cfg.LoadsMillis {
 			// Local policy: load- and depth-invariant, one row per cell
 			// for easy plotting.
@@ -192,14 +193,52 @@ func pipelineLocalPoint(local time.Duration, mbps, loadMillis float64, requests 
 	}
 }
 
+// pipelineTally accumulates one sweep cell: every request's latency and
+// what the planner did with it.
+type pipelineTally struct {
+	latencies              []time.Duration
+	remote, degraded, cuts int
+}
+
+// add records one request whose best plan takes total over servers servers
+// of a depth-deep chain. The planner holds local execution as the floor: a
+// plan that does not beat it (or no plan at all, servers == 0) runs locally.
+// A remote plan on fewer servers than the target depth counts as degraded.
+func (t *pipelineTally) add(total, local time.Duration, servers, depth int) {
+	if servers == 0 || total >= local {
+		t.latencies = append(t.latencies, local)
+		return
+	}
+	t.latencies = append(t.latencies, total)
+	t.remote++
+	t.cuts += servers
+	if servers < depth {
+		t.degraded++
+	}
+}
+
+func (t *pipelineTally) point(policy string, depth int) PipelinePoint {
+	sort.Slice(t.latencies, func(i, j int) bool { return t.latencies[i] < t.latencies[j] })
+	n := len(t.latencies)
+	return PipelinePoint{
+		Policy: policy, Depth: depth, Requests: n,
+		P50Millis:     millis(percentile(t.latencies, 0.50)),
+		P95Millis:     millis(percentile(t.latencies, 0.95)),
+		P99Millis:     millis(percentile(t.latencies, 0.99)),
+		RemoteShare:   float64(t.remote) / float64(n),
+		LocalShare:    float64(n-t.remote) / float64(n),
+		DegradedShare: float64(t.degraded) / float64(n),
+		MeanCuts:      float64(t.cuts) / float64(n),
+	}
+}
+
 // pipelineTwoWay simulates the legacy 2-device policy: per request, draw
 // the server queue delay, re-run the single-split DP, and take the better
 // of the best split and local execution.
 func pipelineTwoWay(sc *Scenario, uplink netem.Profile, loadMillis float64, local time.Duration, requests int, rng *xorshift64) (PipelinePoint, error) {
 	pcfg := sc.PartitionConfig()
 	pcfg.Network = uplink
-	var latencies []time.Duration
-	remote, localRuns, cuts := 0, 0, 0
+	var tally pipelineTally
 	for i := 0; i < requests; i++ {
 		pcfg.ServerQueueDelay = rng.expDelay(loadMillis)
 		plan, err := partition.Analyze(sc.Net, pcfg)
@@ -210,20 +249,9 @@ func pipelineTwoWay(sc *Scenario, uplink netem.Profile, loadMillis float64, loca
 		if err != nil {
 			return PipelinePoint{}, err
 		}
-		if best.Total < local {
-			latencies = append(latencies, best.Total)
-			remote++
-			cuts++
-		} else {
-			latencies = append(latencies, local)
-			localRuns++
-		}
+		tally.add(best.Total, local, 1, 1)
 	}
-	pt := pipelineSummarize(PipelinePolicyTwoWay, 1, latencies)
-	pt.RemoteShare = float64(remote) / float64(requests)
-	pt.LocalShare = float64(localRuns) / float64(requests)
-	pt.MeanCuts = float64(cuts) / float64(requests)
-	return pt, nil
+	return tally.point(PipelinePolicyTwoWay, 1), nil
 }
 
 // pipelineChain simulates the K-way policy: per request, draw every hop's
@@ -233,11 +261,9 @@ func pipelineTwoWay(sc *Scenario, uplink netem.Profile, loadMillis float64, loca
 // nearby cell), deeper hops the §IV.A GPU projection (the better-equipped
 // aggregation site reachable only over the backbone) — heterogeneity is
 // what deep cuts exploit, since with identical hops the latency DP
-// correctly collapses to a single server. A plan that uses fewer servers
-// than the target depth counts as degraded.
+// correctly collapses to a single server.
 func pipelineChain(sc *Scenario, uplink, backbone netem.Profile, depth int, loadMillis float64, local time.Duration, resultBytes int64, requests int, rng *xorshift64) (PipelinePoint, error) {
-	var latencies []time.Duration
-	remote, localRuns, degraded, cuts := 0, 0, 0, 0
+	var tally pipelineTally
 	for i := 0; i < requests; i++ {
 		hops := make([]partition.Hop, depth+1)
 		links := make([]netem.Profile, depth)
@@ -280,33 +306,7 @@ func pipelineChain(sc *Scenario, uplink, backbone netem.Profile, depth int, load
 				bestDepth = k
 			}
 		}
-		switch {
-		case bestDepth == 0 || bestTotal >= local:
-			latencies = append(latencies, local)
-			localRuns++
-		default:
-			latencies = append(latencies, bestTotal)
-			remote++
-			cuts += bestDepth
-			if bestDepth < depth {
-				degraded++
-			}
-		}
+		tally.add(bestTotal, local, bestDepth, depth)
 	}
-	pt := pipelineSummarize(PipelinePolicyChain, depth, latencies)
-	pt.RemoteShare = float64(remote) / float64(requests)
-	pt.LocalShare = float64(localRuns) / float64(requests)
-	pt.DegradedShare = float64(degraded) / float64(requests)
-	pt.MeanCuts = float64(cuts) / float64(requests)
-	return pt, nil
-}
-
-func pipelineSummarize(policy string, depth int, latencies []time.Duration) PipelinePoint {
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	return PipelinePoint{
-		Policy: policy, Depth: depth, Requests: len(latencies),
-		P50Millis: millis(percentile(latencies, 0.50)),
-		P95Millis: millis(percentile(latencies, 0.95)),
-		P99Millis: millis(percentile(latencies, 0.99)),
-	}
+	return tally.point(PipelinePolicyChain, depth), nil
 }

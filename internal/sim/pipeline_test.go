@@ -58,6 +58,19 @@ func TestPipelineSweepShape(t *testing.T) {
 	}
 }
 
+func TestPipelineSweepValidation(t *testing.T) {
+	for name, cfg := range map[string]PipelineConfig{
+		"negative requests": {Requests: -1},
+		"zero bandwidth":    {BandwidthsMbps: []float64{0}},
+		"zero depth":        {Depths: []int{0}},
+		"unknown model":     {ModelName: "no-such-model"},
+	} {
+		if _, err := PipelineSweep(cfg); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
+}
+
 // TestPipelineSweepDeterministic pins the seeded run: identical configs
 // give identical sweeps, so BENCH_pipeline.json diffs mean real changes.
 func TestPipelineSweepDeterministic(t *testing.T) {

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"websnap/internal/costmodel"
@@ -22,7 +21,6 @@ import (
 	"websnap/internal/nn"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
-	"websnap/internal/webapp"
 )
 
 // Scenario holds everything needed to simulate one benchmark app.
@@ -73,10 +71,6 @@ func NewScenario(modelName string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newScenarioFromNet(modelName, net)
-}
-
-func newScenarioFromNet(modelName string, net *nn.Network) (*Scenario, error) {
 	sc := &Scenario{
 		ModelName:         modelName,
 		Net:               net,
@@ -135,16 +129,6 @@ func (sc *Scenario) measure() error {
 // textBytes converts an activation count to snapshot text bytes.
 func (sc *Scenario) textBytes(values int) int64 {
 	return int64(float64(values) * sc.TextBytesPerValue)
-}
-
-// measureEncodedArray returns the exact textual size of a Float32Array as
-// the snapshot encoder renders it; used by tests to validate textBytes.
-func measureEncodedArray(arr webapp.Float32Array) (int64, error) {
-	data, err := json.Marshal([]float32(arr))
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
 }
 
 // PartitionConfig exposes the scenario as a partition.Config so the Fig 8

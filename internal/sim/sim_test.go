@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"websnap/internal/models"
+	"websnap/internal/partition"
+	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
 
@@ -47,9 +49,26 @@ func TestTextBytesMatchesRealEncoder(t *testing.T) {
 		s ^= s >> 27
 		arr[i] = float32(s%100000)/10000 - 1
 	}
-	real, err := measureEncodedArray(arr)
+	// Measure through the encoder the system ships: capture an app holding
+	// the array and read the feature part of its encoded size.
+	app, err := webapp.NewApp("measure", webapp.NewRegistry("measure"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := app.SetGlobal("features", arr); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Capture(app, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := snap.Breakdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := bd.FeatureBytes
+	if real < int64(len(arr)) {
+		t.Fatalf("snapshot reports %d feature bytes for %d values", real, len(arr))
 	}
 	est := sc.textBytes(len(arr))
 	ratio := float64(est) / float64(real)
@@ -335,5 +354,72 @@ func TestBreakdownHelpers(t *testing.T) {
 	}
 	if len(AllPhases()) != 9 {
 		t.Errorf("AllPhases = %d, want 9", len(AllPhases()))
+	}
+}
+
+// TestTimelineMatchesPlanner: the simulator's offload timeline and the
+// partition planner are two views of one cost model, so at every denatured
+// offloading point they must agree to the nanosecond — in total and in
+// each of the planner's components. A cost model that disagrees with the
+// engine it describes is a bug.
+func TestTimelineMatchesPlanner(t *testing.T) {
+	for _, name := range models.Names() {
+		sc := scenario(t, name)
+		plan, err := partition.Analyze(sc.Net, sc.PartitionConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range plan.Candidates {
+			if c.Point.Index == 0 {
+				continue
+			}
+			b, err := sc.OffloadPartial(c.Point.Label)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cmp := range []struct {
+				what      string
+				sim, plan time.Duration
+			}{
+				{"total", b.Total(), c.Total},
+				{"snapshot overhead", b.Get(PhaseSnapshotCaptureC) + b.Get(PhaseSnapshotRestoreS) +
+					b.Get(PhaseSnapshotCaptureS) + b.Get(PhaseSnapshotRestoreC), c.SnapshotOverhead},
+				{"transfer", b.Get(PhaseTransferUp) + b.Get(PhaseTransferDown), c.TransferTime},
+				{"client exec", b.Get(PhaseClientExec), c.ClientTime},
+				{"server exec", b.Get(PhaseServerExec), c.ServerTime},
+			} {
+				if cmp.sim != cmp.plan {
+					t.Errorf("%s @ %s: %s = %v in the timeline, %v in the planner",
+						name, c.Point.Label, cmp.what, cmp.sim, cmp.plan)
+				}
+			}
+		}
+
+		// At the Input point the two differ only in who runs the Input
+		// layer: the planner keeps it on the client, full offloading runs it
+		// on the server. The layer has no FLOPs, so the gap is exactly the
+		// difference of the two devices' per-layer dispatch overheads.
+		after, err := sc.OffloadAfterACK()
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos, err := sc.Net.Describe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onClient, err := sc.Client.LayerTime(infos[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		onServer, err := sc.Server.LayerTime(infos[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onClient-onServer != sc.Client.LayerOverhead-sc.Server.LayerOverhead {
+			t.Errorf("%s: Input layer costs %v / %v, want the bare layer overheads", name, onClient, onServer)
+		}
+		if got, want := plan.Candidates[0].Total-after.Total(), onClient-onServer; got != want {
+			t.Errorf("%s: planner Input total exceeds OffloadAfterACK by %v, want %v", name, got, want)
+		}
 	}
 }

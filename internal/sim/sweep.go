@@ -40,10 +40,6 @@ func BandwidthSweep(modelName string, mbps []float64) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	clientOnly, err := base.ClientOnly()
-	if err != nil {
-		return nil, err
-	}
 	points := make([]SweepPoint, 0, len(mbps))
 	for _, m := range mbps {
 		if m <= 0 {
@@ -63,11 +59,7 @@ func BandwidthSweep(modelName string, mbps []float64) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		before, err := sc.OffloadBeforeACK()
-		if err != nil {
-			return nil, err
-		}
-		after, err := sc.OffloadAfterACK()
+		fig6, err := sc.Fig6Row()
 		if err != nil {
 			return nil, err
 		}
@@ -76,9 +68,9 @@ func BandwidthSweep(modelName string, mbps []float64) ([]SweepPoint, error) {
 			BestLabel:     best.Point.Label,
 			BestTotal:     best.Total,
 			FullOffload:   full.Total,
-			ClientOnly:    clientOnly.Total(),
-			BeforeACK:     before.Total(),
-			AfterACK:      after.Total(),
+			ClientOnly:    fig6.Client,
+			BeforeACK:     fig6.BeforeACK,
+			AfterACK:      fig6.AfterACK,
 		})
 	}
 	return points, nil
