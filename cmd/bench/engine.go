@@ -16,34 +16,17 @@ import (
 	"websnap/internal/tensor"
 )
 
-// The engine experiment quantifies the compute-kernel work: it runs each
-// model's forward pass three ways — chaining the standalone per-layer
-// Forward path (the shape of the pre-refactor engine: a fresh output
-// tensor per layer, per-call shape rederivation), through the cached
-// float32 ExecPlan (pooled arena, in-place steps, packed blocked GEMM and
-// direct convolution), and through the calibrated int8 quantized plan —
-// and reports ns/op, allocs/op and B/op for each, plus the derived
-// speedups. Results also land in BENCH_engine.json next to the working
-// directory for tracking across commits; -engine-baseline turns the run
-// into a regression gate against a previous BENCH_engine.json.
+// The engine experiment measures each model's forward pass on this host at
+// both quality tiers — through the cached float32 ExecPlan (pooled arena,
+// in-place steps, packed implicit-GEMM convolution) and through the
+// calibrated int8 quantized plan — and reports ns/op, allocs/op and B/op for
+// each, plus the int8 tier's speedup over float32. Results also land in
+// BENCH_engine.json next to the working directory. The times are wall clock
+// on whatever host runs it: they compare tiers within one run, not commits.
 
 // engineJSONFile is where the machine-readable results are written
 // (a variable so tests can redirect it away from the working tree).
 var engineJSONFile = "BENCH_engine.json"
-
-// engineBaseline, when non-empty, names a previous BENCH_engine.json to
-// gate against: the run fails if any model's planned (or int8) wall time
-// regresses by more than engineRegressionTolerance.
-var engineBaseline = ""
-
-// engineRegressionTolerance is the allowed fractional wall-time growth
-// versus the baseline before the gate fails (0.10 = 10%).
-const engineRegressionTolerance = 0.10
-
-// engineGateMinNs is the smallest baseline wall time the gate judges.
-// Sub-millisecond rows (tinynet) jitter past the tolerance from scheduler
-// noise alone, so they are reported but not gated.
-const engineGateMinNs = 1e6
 
 type engineStats struct {
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -52,20 +35,15 @@ type engineStats struct {
 }
 
 type engineRow struct {
-	Model  string      `json:"model"`
-	Before engineStats `json:"before"`
-	After  engineStats `json:"after"`
+	Model string `json:"model"`
+	// Float32 is the planned float32 forward pass's cost.
+	Float32 engineStats `json:"float32"`
 	// Int8 is the calibrated quantized plan's cost (same input, same
-	// plan cache discipline as After).
+	// plan cache discipline as Float32).
 	Int8 engineStats `json:"int8"`
-	// Speedup is before/after wall time (>1 means the plan is faster).
-	Speedup float64 `json:"speedup"`
-	// Int8Speedup is after/int8 wall time (>1 means the quantized plan
+	// Int8Speedup is float32/int8 wall time (>1 means the quantized plan
 	// beats the float32 plan).
 	Int8Speedup float64 `json:"int8_speedup"`
-	// AllocReduction is the fraction of per-inference allocations the
-	// planned engine eliminates (1 = all of them).
-	AllocReduction float64 `json:"alloc_reduction"`
 }
 
 type engineReport struct {
@@ -100,18 +78,6 @@ func measureEngine(iters int, f func() error) (engineStats, error) {
 }
 
 func engine(w io.Writer) error {
-	// Read the baseline before the run overwrites engineJSONFile.
-	var baseline *engineReport
-	if engineBaseline != "" {
-		data, err := os.ReadFile(engineBaseline)
-		if err != nil {
-			return fmt.Errorf("engine: read baseline: %w", err)
-		}
-		baseline = &engineReport{}
-		if err := json.Unmarshal(data, baseline); err != nil {
-			return fmt.Errorf("engine: parse baseline %s: %w", engineBaseline, err)
-		}
-	}
 	cases := []struct {
 		name  string
 		iters int
@@ -120,8 +86,8 @@ func engine(w io.Writer) error {
 		{"agenet", 5},
 		{"googlenet", 5},
 	}
-	fmt.Fprintln(w, "Engine comparison: per-layer path vs planned execution vs int8 plan (per inference)")
-	fmt.Fprintln(w, "Model\tPath\tms/op\tallocs/op\tKB/op\tSpeedup\tAlloc cut")
+	fmt.Fprintln(w, "Engine comparison: planned float32 execution vs int8 plan (per inference)")
+	fmt.Fprintln(w, "Model\tTier\tms/op\tallocs/op\tKB/op\tSpeedup")
 	var rows []engineRow
 	for _, tc := range cases {
 		var (
@@ -143,52 +109,27 @@ func engine(w io.Writer) error {
 		for i := range in.Data() {
 			in.Data()[i] = float32(i%255)/255 - 0.5
 		}
-		before, err := measureEngine(tc.iters, func() error {
-			cur := in
-			for _, l := range net.Layers() {
-				out, err := l.Forward(cur)
-				if err != nil {
-					return err
-				}
-				cur = out
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("engine %s before: %w", tc.name, err)
-		}
-		after, err := measureEngine(tc.iters, func() error {
+		row := engineRow{Model: tc.name}
+		if row.Float32, err = measureEngine(tc.iters, func() error {
 			_, err := net.Forward(in)
 			return err
-		})
-		if err != nil {
-			return fmt.Errorf("engine %s after: %w", tc.name, err)
+		}); err != nil {
+			return fmt.Errorf("engine %s float32: %w", tc.name, err)
 		}
-		int8, err := measureEngine(tc.iters, func() error {
+		if row.Int8, err = measureEngine(tc.iters, func() error {
 			_, err := net.ForwardPrec(in, nn.PrecInt8)
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			return fmt.Errorf("engine %s int8: %w", tc.name, err)
 		}
-		row := engineRow{Model: tc.name, Before: before, After: after, Int8: int8}
-		if after.NsPerOp > 0 {
-			row.Speedup = before.NsPerOp / after.NsPerOp
-		}
-		if int8.NsPerOp > 0 {
-			row.Int8Speedup = after.NsPerOp / int8.NsPerOp
-		}
-		if before.AllocsPerOp > 0 {
-			row.AllocReduction = 1 - after.AllocsPerOp/before.AllocsPerOp
+		if row.Int8.NsPerOp > 0 {
+			row.Int8Speedup = row.Float32.NsPerOp / row.Int8.NsPerOp
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%s\tper-layer\t%.2f\t%.0f\t%.0f\t\t\n",
-			tc.name, before.NsPerOp/1e6, before.AllocsPerOp, before.BytesPerOp/1024)
-		fmt.Fprintf(w, "%s\tplanned\t%.2f\t%.0f\t%.0f\t%.2fx\t%.0f%%\n",
-			tc.name, after.NsPerOp/1e6, after.AllocsPerOp, after.BytesPerOp/1024,
-			row.Speedup, row.AllocReduction*100)
-		fmt.Fprintf(w, "%s\tint8\t%.2f\t%.0f\t%.0f\t%.2fx\t\n",
-			tc.name, int8.NsPerOp/1e6, int8.AllocsPerOp, int8.BytesPerOp/1024,
+		fmt.Fprintf(w, "%s\tfloat32\t%.2f\t%.0f\t%.0f\t\n",
+			tc.name, row.Float32.NsPerOp/1e6, row.Float32.AllocsPerOp, row.Float32.BytesPerOp/1024)
+		fmt.Fprintf(w, "%s\tint8\t%.2f\t%.0f\t%.0f\t%.2fx\n",
+			tc.name, row.Int8.NsPerOp/1e6, row.Int8.AllocsPerOp, row.Int8.BytesPerOp/1024,
 			row.Int8Speedup)
 	}
 	data, err := json.MarshalIndent(engineReport{Experiment: "engine", Rows: rows}, "", "  ")
@@ -199,54 +140,7 @@ func engine(w io.Writer) error {
 		return fmt.Errorf("engine: write %s: %w", engineJSONFile, err)
 	}
 	fmt.Fprintf(w, "(raw numbers written to %s)\n", engineJSONFile)
-	if err := enginePartition(w); err != nil {
-		return err
-	}
-	if baseline != nil {
-		return engineGate(w, baseline, rows)
-	}
-	return nil
-}
-
-// engineGate compares the fresh run against the baseline report and fails
-// on any wall-time regression beyond the tolerance. Models absent from
-// the baseline (or baseline fields that are zero, as with a pre-int8
-// baseline's int8 stats) are skipped rather than failed, so the gate
-// survives schema growth.
-func engineGate(w io.Writer, baseline *engineReport, rows []engineRow) error {
-	base := make(map[string]engineRow, len(baseline.Rows))
-	for _, r := range baseline.Rows {
-		base[r.Model] = r
-	}
-	var regressions []string
-	check := func(model, path string, baseNs, gotNs float64) {
-		if baseNs < engineGateMinNs || gotNs <= 0 {
-			return
-		}
-		growth := gotNs/baseNs - 1
-		if growth > engineRegressionTolerance {
-			regressions = append(regressions,
-				fmt.Sprintf("%s/%s: %.1fms -> %.1fms (+%.1f%%, tolerance %.0f%%)",
-					model, path, baseNs/1e6, gotNs/1e6, growth*100, engineRegressionTolerance*100))
-		}
-	}
-	for _, r := range rows {
-		b, ok := base[r.Model]
-		if !ok {
-			continue
-		}
-		check(r.Model, "planned", b.After.NsPerOp, r.After.NsPerOp)
-		check(r.Model, "int8", b.Int8.NsPerOp, r.Int8.NsPerOp)
-	}
-	if len(regressions) > 0 {
-		for _, s := range regressions {
-			fmt.Fprintln(w, "REGRESSION:", s)
-		}
-		return fmt.Errorf("engine: %d wall-time regression(s) vs %s", len(regressions), engineBaseline)
-	}
-	fmt.Fprintf(w, "regression gate vs %s: ok (tolerance %.0f%%)\n",
-		engineBaseline, engineRegressionTolerance*100)
-	return nil
+	return enginePartition(w)
 }
 
 // enginePartition recalibrates GoogLeNet's partition-point latencies on

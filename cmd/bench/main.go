@@ -8,7 +8,7 @@
 //	bench -experiment fig1     GoogLeNet architecture walk-through (Fig 1)
 //	bench -experiment featsize feature data size per offloading point (§IV.B)
 //	bench -experiment load     edge scheduler under concurrent clients
-//	bench -experiment engine   planned execution engine vs per-layer path
+//	bench -experiment engine   planned forward pass at the float32 and int8 tiers
 //	bench -experiment quantshift  optimal split per quality tier (float32 vs int8)
 //	bench -experiment fleet    placement policies over multi-server fleets
 //	bench -experiment mux      multiplexed streams vs one connection per session
@@ -16,7 +16,7 @@
 //	bench -experiment all      everything
 //
 // The engine experiment additionally writes BENCH_engine.json with the raw
-// before/after numbers (ns/op, allocs/op, B/op); the fleet experiment
+// per-tier numbers (ns/op, allocs/op, B/op); the fleet experiment
 // writes BENCH_fleet.json with per-(policy, fleet size) tail latency,
 // decision mix, and re-upload bytes saved; the mux experiment writes
 // BENCH_mux.json with per-stream latency percentiles and connection
@@ -53,8 +53,6 @@ func main() {
 	flag.IntVar(&lc.MaxBatch, "batch", 8, "load experiment: max coalesced batch size")
 	flag.IntVar(&fleetClients, "fleet-clients", fleetClients, "fleet experiment: closed-loop sessions per cell")
 	flag.IntVar(&pipelineRequests, "pipeline-requests", pipelineRequests, "pipeline experiment: simulated requests per sweep cell")
-	flag.StringVar(&engineBaseline, "engine-baseline", engineBaseline,
-		"engine experiment: previous BENCH_engine.json to gate against (fail on >10% wall-time regression)")
 	flag.Parse()
 	if err := run(*experiment, *format, lc, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

@@ -79,7 +79,7 @@ func main() {
 			"max total snapshot bytes admitted to the scheduler queue (0 = unlimited)")
 
 		maxStoreBytes = flag.Int64("max-store-bytes", 0,
-			"session-store byte cap: models and synced states beyond it are evicted LRU (0 = unbounded)")
+			"session-store byte cap: models and synced states (with -registry, also the blobs served to fleet peers) beyond it are evicted LRU (0 = unbounded)")
 		maxStreams = flag.Int("max-streams", 0,
 			"max concurrent multiplexed logical streams per client connection (0 = default 256)")
 
@@ -279,11 +279,10 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 			return err
 		}
 		rc = fleet.NewRegistryClient(fc.registry, fleet.ClientOptions{})
+		// A fleet identity is what turns blob sharing on: peers fetch what
+		// the session store holds, so -max-store-bytes bounds the server's
+		// whole content footprint, shared bytes included.
 		cfg.AdvertiseAddr = adv
-		// The peer blob cache shares the session store's byte budget: both
-		// hold the same content (models, synced states), so one knob bounds
-		// the server's whole content footprint.
-		cfg.Blobs = fleet.NewBlobStoreCap(bc.storeBytes)
 		cfg.Locator = rc
 	}
 	srv, err := edge.NewServer(cfg)

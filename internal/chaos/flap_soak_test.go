@@ -39,7 +39,6 @@ func flapFleetEdge(t *testing.T, registryAddr string) (*edge.Server, string) {
 		Installed:     true,
 		Workers:       2,
 		AdvertiseAddr: addr,
-		Blobs:         fleet.NewBlobStore(),
 		Locator:       rc,
 	})
 	if err != nil {

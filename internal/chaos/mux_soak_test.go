@@ -292,7 +292,8 @@ func TestMuxSoakUnderChaos(t *testing.T) {
 // TestBoundedStoreSoak pins the memory bound under sustained multiplexed
 // load: with a byte cap on the session store, many sessions' states churn
 // through LRU eviction and the store's byte charge never exceeds the cap
-// at any sampled instant.
+// at any sampled instant. The server has a fleet identity, so the charge
+// covers the state bytes it would serve to peers as well.
 func TestBoundedStoreSoak(t *testing.T) {
 	testutil.CheckGoroutines(t, 5*time.Second)
 
@@ -302,6 +303,10 @@ func TestBoundedStoreSoak(t *testing.T) {
 	}
 	want := localExpected(t, model, []uint64{1, 2, 3})
 
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Room for a few models/states, far less than 64 sessions produce.
 	capBytes := 4 * model.ModelBytes()
 	srv, err := edge.NewServer(edge.Config{
@@ -311,14 +316,12 @@ func TestBoundedStoreSoak(t *testing.T) {
 		QueueDepth:      2 * muxSoakSessions,
 		MaxBatch:        8,
 		MaxStoreBytes:   capBytes,
+		AdvertiseAddr:   ln.Addr().String(),
 		IdleTimeout:     10 * time.Second,
 		TransferTimeout: 2 * time.Second,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)

@@ -105,7 +105,6 @@ func telemetrySoakEdge(t *testing.T, registryAddr string, flightCap int64) (*edg
 		Installed:     true,
 		Workers:       2,
 		AdvertiseAddr: addr,
-		Blobs:         fleet.NewBlobStore(),
 		Locator:       rc,
 		SLO:           slo,
 		Flight:        flight,

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"websnap/internal/edge"
+	"websnap/internal/obs"
 	"websnap/internal/protocol"
+	"websnap/internal/snapshot"
 )
 
 // pongFrameBytes serializes one valid MsgPong frame answering ping.
@@ -124,15 +126,12 @@ func TestWrappedConnCannotRedial(t *testing.T) {
 	}
 }
 
-// TestOffloaderRedialAfterTornResponse drives the full recovery path
-// end-to-end through a flaky proxy in front of a real edge server: the first
-// proxied connection tears the server's response after 20 bytes and closes,
-// so the offload fails with a broken conn; the offloader must redial
-// (landing on a clean proxy connection), finish the event locally, and
-// offload normally on the next event.
-func TestOffloaderRedialAfterTornResponse(t *testing.T) {
-	backend := startEdge(t, edge.Config{Installed: true})
-
+// tearingProxy relays connections to backend frame by frame. A response
+// frame that tear picks (by its connection's 1-based index and the frame
+// itself) is cut off after 20 bytes — mid frame header — and the connection
+// hung up; requests always pass.
+func tearingProxy(t *testing.T, backend string, tear func(conn int64, resp protocol.Message) bool) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -150,23 +149,42 @@ func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 				c.Close()
 				return
 			}
-			idx := connIdx.Add(1)
 			go func(c, b net.Conn, idx int64) {
 				defer c.Close()
 				defer b.Close()
 				go io.Copy(b, c) //nolint:errcheck // client → backend relays fully
-				if idx == 1 {
-					// Tear the first response after 20 bytes — mid frame
-					// header — then hang up.
-					io.CopyN(c, b, 20) //nolint:errcheck
-					return
+				for {
+					resp, err := protocol.Read(b)
+					if err != nil {
+						return
+					}
+					if tear(idx, resp) {
+						var frame bytes.Buffer
+						protocol.Write(&frame, resp) //nolint:errcheck // a bytes.Buffer
+						c.Write(frame.Bytes()[:20])  //nolint:errcheck
+						return
+					}
+					if err := protocol.Write(c, resp); err != nil {
+						return
+					}
 				}
-				io.Copy(c, b) //nolint:errcheck
-			}(c, b, idx)
+			}(c, b, connIdx.Add(1))
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	conn := dialEdge(t, ln.Addr().String())
+// TestOffloaderRedialAfterTornResponse drives the full recovery path
+// end-to-end through a flaky proxy in front of a real edge server: the first
+// proxied connection tears the server's first response and closes, so the
+// offload fails with a broken conn; the offloader must redial (landing on a
+// clean proxy connection), finish the event locally, and offload normally on
+// the next event.
+func TestOffloaderRedialAfterTornResponse(t *testing.T) {
+	backend := startEdge(t, edge.Config{Installed: true})
+	proxy := tearingProxy(t, backend, func(conn int64, _ protocol.Message) bool { return conn == 1 })
+
+	conn := dialEdge(t, proxy)
 	off, app := newOffloadedApp(t, conn, Options{
 		LocalFallback: true,
 		Models:        []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
@@ -201,5 +219,65 @@ func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 	}
 	if st := off.Stats(); st.Offloads != 1 {
 		t.Errorf("offloads after redial = %d, want 1", st.Offloads)
+	}
+}
+
+// TestLostDeltaResultResendsFull pins the one thing a fleet-joined server no
+// longer does that it used to: keep a superseded delta base around after
+// chain compaction. The server executes a delta and stores its result, the
+// result is lost on the wire, and the client — which finished that event on
+// the device — sends its next delta against the base it still believes in.
+// The server answers a clean base mismatch, exactly as a standalone server
+// always has, and the client resends the full snapshot: one delta fallback,
+// one decision per event, and the same final state as a run with no fault.
+func TestLostDeltaResultResendsFull(t *testing.T) {
+	run := func(lose bool) (stateHash string, st Stats, decisions int64) {
+		backend := startEdge(t, edge.Config{Installed: true, AdvertiseAddr: "fleet-self:0"})
+		proxy := tearingProxy(t, backend, func(conn int64, resp protocol.Message) bool {
+			return lose && conn == 1 && resp.Type == protocol.MsgResultDelta
+		})
+		auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 16})
+		off, app := newOffloadedApp(t, dialEdge(t, proxy), Options{
+			LocalFallback: true,
+			EnableDelta:   true,
+			Models:        []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
+			Audit:         auditor,
+		})
+		off.StartPreSend()
+		if err := off.WaitForAcks(); err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			if got := classifyOnce(t, off, app, seed); got == "" {
+				t.Fatalf("lose=%v: no result for event %d", lose, seed)
+			}
+		}
+		final, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stateHash, err = final.Hash(); err != nil {
+			t.Fatal(err)
+		}
+		return stateHash, off.Stats(), auditor.Total()
+	}
+
+	want, clean, _ := run(false)
+	if clean.Offloads != 3 || clean.DeltaOffloads != 2 || clean.DeltaFallbacks != 0 {
+		t.Fatalf("no-fault run: %+v, want one full and two delta offloads", clean)
+	}
+	got, st, decisions := run(true)
+	if st.LocalFallbacks != 1 || st.Redials != 1 {
+		t.Errorf("lost result: local fallbacks = %d, redials = %d, want 1 and 1", st.LocalFallbacks, st.Redials)
+	}
+	if st.DeltaFallbacks != 1 || st.Offloads != 2 || st.DeltaOffloads != 0 {
+		t.Errorf("after the lost result: delta fallbacks = %d, offloads = %d (%d as deltas); want the stale delta refused once and resent full",
+			st.DeltaFallbacks, st.Offloads, st.DeltaOffloads)
+	}
+	if decisions != 3 {
+		t.Errorf("audit decisions = %d, want 3 (one per event)", decisions)
+	}
+	if got != want {
+		t.Errorf("final state %s differs from the no-fault run's %s", got, want)
 	}
 }

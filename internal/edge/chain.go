@@ -10,7 +10,6 @@ package edge
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"websnap/internal/nn"
@@ -172,18 +171,11 @@ func (s *Server) scheduleChainRange(model *nn.Network, in *tensor.Tensor, hop pr
 // deepest failed hop's index.
 func (s *Server) relayChain(boundary *tensor.Tensor, hdr protocol.ChainExecHeader) ([]byte, protocol.ChainResultHeader, error) {
 	next := hdr.Hops[hdr.Hop+1]
-	dial := s.cfg.PeerDial
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	conn, err := dial(next.Addr, chainRelayTimeout)
+	conn, err := s.dialPeer(next.Addr, chainRelayTimeout)
 	if err != nil {
 		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: dial next hop %s: %w", next.Addr, err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(chainRelayTimeout))
 	body := protocol.Float32Bytes(boundary.Data())
 	req := protocol.ChainExecHeader{
 		AppID:     hdr.AppID,
@@ -199,33 +191,21 @@ func (s *Server) relayChain(boundary *tensor.Tensor, hdr protocol.ChainExecHeade
 	if err != nil {
 		return nil, protocol.ChainResultHeader{}, err
 	}
-	if err := protocol.Write(conn, msg); err != nil {
-		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: relay to %s: %w", next.Addr, err)
-	}
-	resp, err := protocol.Read(conn)
-	if err != nil {
-		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: read from %s: %w", next.Addr, err)
-	}
-	if resp.Type == protocol.MsgError {
-		var eh protocol.ErrorHeader
-		if derr := protocol.DecodeHeader(resp, &eh); derr == nil {
-			failed := eh.ChainHop
-			if failed == 0 {
-				failed = hdr.Hop + 2 // downstream itself, 1-based
-			}
-			return nil, protocol.ChainResultHeader{}, &chainError{
-				err: fmt.Errorf("chain: hop %s: %s", next.Addr, eh.Message),
-				hop: failed,
-			}
-		}
-		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: hop %s answered an undecodable error", next.Addr)
-	}
-	if resp.Type != protocol.MsgChainResult {
-		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: hop %s answered %s", next.Addr, resp.Type)
-	}
 	var rh protocol.ChainResultHeader
-	if err := protocol.DecodeHeader(resp, &rh); err != nil {
-		return nil, protocol.ChainResultHeader{}, err
+	resp, err := protocol.Call(conn, chainRelayTimeout, msg, protocol.MsgChainResult, &rh)
+	var remote *protocol.RemoteError
+	if errors.As(err, &remote) {
+		failed := remote.ChainHop
+		if failed == 0 {
+			failed = hdr.Hop + 2 // downstream itself, 1-based
+		}
+		return nil, protocol.ChainResultHeader{}, &chainError{
+			err: fmt.Errorf("chain: hop %s: %s", next.Addr, remote.Message),
+			hop: failed,
+		}
+	}
+	if err != nil {
+		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: relay to %s: %w", next.Addr, err)
 	}
 	if err := protocol.VerifyBody(resp.Body, rh.BodyCRC); err != nil {
 		return nil, protocol.ChainResultHeader{}, fmt.Errorf("chain: result from %s: %w", next.Addr, err)

@@ -2,8 +2,10 @@ package edge
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -52,11 +54,12 @@ func clickSnapshot(t *testing.T, app *webapp.App, seed uint64) *snapshot.Snapsho
 // ServerTrace where it is a result, and carry a span tree exactly when the
 // request carried a TraceID.
 func TestWireContract(t *testing.T) {
-	_, addr := startChainServer(t, Config{Blobs: newFakeBlobCache(), Workers: 2})
+	_, addr := startChainServer(t, Config{Workers: 2})
 	model := tinyModel(t, "tiny")
 	const appID, traceID = "contract-app", "00c0ffee00c0ffee"
 
-	// Set-up over a client.Conn: the model (also published as a blob) and
+	// Set-up over a client.Conn: the model (which a fleet-joined server's
+	// store also serves as a blob) and
 	// one executed snapshot, which leaves the server the base state the
 	// delta row diffs against.
 	setup := dial(t, addr)
@@ -82,16 +85,26 @@ func TestWireContract(t *testing.T) {
 	if err := base.ApplyTo(app, snapshot.RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	next := clickSnapshot(t, app, 2)
-	full, err := next.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := snapshot.Diff(base, next)
+	diff, err := snapshot.Diff(base, clickSnapshot(t, app, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	delta, err := diff.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The full-snapshot row belongs to a second app: the rows run
+	// concurrently, and a full offload of appID would supersede the base
+	// the delta row names.
+	const fullAppID = appID + "-full"
+	if err := setup.PreSendModel(fullAppID, "tiny", model, false); err != nil {
+		t.Fatal(err)
+	}
+	fullApp, err := mlapp.NewFullApp(fullAppID, "tiny", model, tinyLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := clickSnapshot(t, fullApp, 2).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +168,21 @@ func TestWireContract(t *testing.T) {
 			}
 			checkBody(t, resp, h.BodyCRC)
 			checkSpan(t, h.Span, traced)
+			if traced {
+				return // the span carries a measured duration
+			}
+			// The untraced answer is a function of the model alone: the
+			// frame a peer reads is pinned byte for byte, however the
+			// server came by the bytes it serves.
+			var frame bytes.Buffer
+			if err := protocol.Write(&frame, resp); err != nil {
+				t.Fatal(err)
+			}
+			const wantHeader = `{"key":"b770b659f32a6542b3b82ecc","seq":107,"bodyCrc":4292833336}`
+			const wantFrame = "95583f3353e2ef57da9fd31cd97f4290d0760a7ac7636d64f070d00403c5f702"
+			if got := fmt.Sprintf("%x", sha256.Sum256(frame.Bytes())); string(resp.Header) != wantHeader || got != wantFrame {
+				t.Errorf("MsgBlobData frame changed: header %s, sha256 %s", resp.Header, got)
+			}
 		}
 	}
 	chainResult := func(traced bool) func(*testing.T, protocol.Message) {
@@ -207,7 +235,7 @@ func TestWireContract(t *testing.T) {
 			}, nil, protocol.MsgAck, ack(true)},
 		{"snapshot", protocol.MsgSnapshot,
 			func(seq uint64) any {
-				return protocol.SnapshotHeader{AppID: appID, Seq: seq, TraceID: traceID,
+				return protocol.SnapshotHeader{AppID: fullAppID, Seq: seq, TraceID: traceID,
 					BodyCRC: protocol.BodyChecksum(full)}
 			}, full, protocol.MsgResultSnapshot, result},
 		{"delta", protocol.MsgSnapshotDelta,
@@ -296,7 +324,7 @@ func TestWireContract(t *testing.T) {
 // in-memory pipe so the leak check sees the reader goroutine.
 func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 	testutil.LeakCheck(t)
-	srv, _ := startChainServer(t, Config{Blobs: newFakeBlobCache(), Workers: 2})
+	srv, _ := startChainServer(t, Config{Workers: 2})
 	clientSide, serverSide := net.Pipe()
 	served := make(chan struct{})
 	go func() {
@@ -419,7 +447,7 @@ func FuzzMuxEnvelope(f *testing.F) {
 	if err := cat.Add(mlapp.FullRegistry()); err != nil {
 		f.Fatal(err)
 	}
-	srv, err := NewServer(Config{Catalog: cat, Installed: true, Blobs: newFakeBlobCache()})
+	srv, err := NewServer(Config{Catalog: cat, Installed: true, AdvertiseAddr: "fuzz:0"})
 	if err != nil {
 		f.Fatal(err)
 	}

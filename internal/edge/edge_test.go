@@ -576,7 +576,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestModelStore(t *testing.T) {
-	s := NewModelStore()
+	s := newSessionStore(0)
 	if _, ok := s.Get("a", "m"); ok {
 		t.Error("empty store should miss")
 	}

@@ -12,20 +12,13 @@ import (
 	"websnap/internal/trace"
 )
 
-// The edge server participates in a fleet through two narrow interfaces
-// instead of importing the fleet package (whose tests import edge): a
-// content-addressed cache it publishes into and serves peers from, and a
-// locator that maps blob keys to peer addresses. cmd/edged wires these to
-// fleet.BlobStore and fleet.RegistryClient.
-
-// BlobCache is a content-addressed blob cache (fleet.BlobStore implements
-// it). Keys are nn.Fingerprint for model weight blobs and Snapshot.Hash
-// for synced-state blobs.
-type BlobCache interface {
-	Put(key string, data []byte)
-	Get(key string) ([]byte, bool)
-	Keys() []string
-}
+// A fleet-joined edge server shares what its session store holds: peers
+// fetch model weight blobs (keyed by nn.Fingerprint) and synced-state
+// encodings (keyed by Snapshot.Hash) straight from the store's entries, and
+// the heartbeat advertises the store's keys. The one thing the server needs
+// from outside is a locator that maps blob keys to peer addresses, a narrow
+// interface so that edge does not import the fleet package (whose tests
+// import edge); cmd/edged wires a fleet.RegistryClient.
 
 // BlobLocator reports which fleet peers hold each blob key
 // (fleet.RegistryClient implements it).
@@ -71,13 +64,13 @@ func (t *spanTrail) id() string {
 // transfer).
 const peerFetchTimeout = 5 * time.Second
 
-// errBlobUnavailable reports a blob neither cached locally nor fetchable
-// from any peer; the pre-send path answers it with a NeedBlob ack so the
-// client re-sends the bytes.
+// errBlobUnavailable reports a blob no peer could supply; the pre-send path
+// answers it with a NeedBlob ack so the client re-sends the bytes.
 var errBlobUnavailable = errors.New("edge: blob unavailable in fleet")
 
-// fleetEnabled reports whether this server shares blobs with a fleet.
-func (s *Server) fleetEnabled() bool { return s.cfg.Blobs != nil }
+// fleetEnabled reports whether this server shares blobs with a fleet: it
+// does exactly when it has a fleet identity to be fetched under.
+func (s *Server) fleetEnabled() bool { return s.cfg.AdvertiseAddr != "" }
 
 // LoadHint returns the server's current scheduling load, as advertised on
 // response headers and registry heartbeats.
@@ -91,37 +84,18 @@ func (s *Server) BlobKeys() []string {
 	if !s.fleetEnabled() {
 		return nil
 	}
-	if mru, ok := s.cfg.Blobs.(interface{ KeysMRU(max int) []string }); ok {
-		return mru.KeysMRU(0)
-	}
-	return s.cfg.Blobs.Keys()
+	return s.store.KeysMRU()
 }
 
-// resolveBlob returns the blob for key from the local cache or, failing
-// that, from a fleet peer found through the locator. verify (optional)
-// judges candidate bytes BEFORE they are cached or returned — content
-// verification must happen inside the holder loop, because the blob index
-// lags evictions and a stale or corrupt first holder must not end the
-// search while the remaining holders can still satisfy it. Peer-fetched
-// blobs are cached, so the next heartbeat advertises them and later
-// requests and peers are served locally.
+// resolveBlob fetches the blob for key from a fleet peer found through the
+// locator; callers try their own store first. verify judges candidate
+// bytes BEFORE they are returned — content verification must happen inside
+// the holder loop, because the blob index lags evictions and a stale or
+// corrupt first holder must not end the search while the remaining holders
+// can still satisfy it. The caller stores what verify decoded, so the next
+// heartbeat advertises the key and later requests and peers are served
+// from here.
 func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) error) ([]byte, error) {
-	if !s.fleetEnabled() {
-		return nil, errBlobUnavailable
-	}
-	if data, ok := s.cfg.Blobs.Get(key); ok {
-		if verify == nil {
-			return data, nil
-		}
-		if err := verify(data); err == nil {
-			return data, nil
-		} else {
-			// A local copy failing content verification should be
-			// impossible (keys are content hashes); fall through to the
-			// fleet rather than serving bytes we cannot vouch for.
-			s.logf("edge: local blob %s failed verification: %v", key, err)
-		}
-	}
 	if s.cfg.Locator == nil {
 		return nil, errBlobUnavailable
 	}
@@ -135,7 +109,7 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 			continue // the index may lag our own evictions
 		}
 		data, err := s.fetchBlobFromPeer(addr, key, trail)
-		if err == nil && verify != nil {
+		if err == nil {
 			err = verify(data)
 		}
 		if err != nil {
@@ -143,7 +117,6 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 			s.logf("edge: blob %s from peer %s: %v", key, addr, err)
 			continue
 		}
-		s.cfg.Blobs.Put(key, data)
 		s.blobPeerFetches.Inc()
 		s.blobPeerFetchBytes.Add(int64(len(data)))
 		return data, nil
@@ -215,46 +188,30 @@ func (s *Server) fetchBlobFromPeer(addr, key string, trail *spanTrail) ([]byte, 
 	return body, err
 }
 
+// dialPeer opens the connection for one server-to-server exchange (a blob
+// fetch or a chain relay) over Config.PeerDial, TCP by default.
+func (s *Server) dialPeer(addr string, timeout time.Duration) (net.Conn, error) {
+	if s.cfg.PeerDial != nil {
+		return s.cfg.PeerDial(addr, timeout)
+	}
+	return net.DialTimeout("tcp", addr, timeout)
+}
+
 // doFetchBlob is the wire round trip of fetchBlobFromPeer.
 func (s *Server) doFetchBlob(addr, key, traceID string) ([]byte, *protocol.SpanNode, error) {
-	dial := s.cfg.PeerDial
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	conn, err := dial(addr, peerFetchTimeout)
+	conn, err := s.dialPeer(addr, peerFetchTimeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("peer %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(peerFetchTimeout)); err != nil {
-		return nil, nil, err
-	}
 	req, err := protocol.Encode(protocol.MsgBlobGet, protocol.BlobGetHeader{Key: key, TraceID: traceID}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := protocol.Write(conn, req); err != nil {
-		return nil, nil, err
-	}
-	resp, err := protocol.Read(conn)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.Type == protocol.MsgError {
-		var eh protocol.ErrorHeader
-		if err := protocol.DecodeHeader(resp, &eh); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("peer %s: %s", addr, eh.Message)
-	}
-	if resp.Type != protocol.MsgBlobData {
-		return nil, nil, fmt.Errorf("peer %s: unexpected reply %s", addr, resp.Type)
-	}
 	var hdr protocol.BlobDataHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return nil, nil, err
+	resp, err := protocol.Call(conn, peerFetchTimeout, req, protocol.MsgBlobData, &hdr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("peer %s: %w", addr, err)
 	}
 	if hdr.Key != key {
 		return nil, hdr.Span, fmt.Errorf("peer %s: sent blob %s, want %s", addr, hdr.Key, key)
@@ -265,8 +222,8 @@ func (s *Server) doFetchBlob(addr, key, traceID string) ([]byte, *protocol.SpanN
 	return resp.Body, hdr.Span, nil
 }
 
-// handleBlobGet serves a peer's content-addressed fetch from the local
-// blob cache.
+// handleBlobGet serves a peer's content-addressed fetch from the session
+// store.
 func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 	start := time.Now()
 	var hdr protocol.BlobGetHeader
@@ -276,7 +233,7 @@ func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 	if !s.fleetEnabled() {
 		return protocol.Message{}, errors.New("blob sharing not enabled on this edge server")
 	}
-	data, ok := s.cfg.Blobs.Get(hdr.Key)
+	data, ok := s.store.Blob(hdr.Key)
 	if !ok {
 		return protocol.Message{}, fmt.Errorf("blob %s not held here", hdr.Key)
 	}
@@ -299,26 +256,35 @@ func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 	return protocol.Encode(protocol.MsgBlobData, resp, data)
 }
 
-// recoverBase resolves a delta's base snapshot from the fleet blob index:
-// the session's previous server published the synced state's encoding
-// under its content hash. Each candidate's bytes are verified against the
-// requested hash inside the fetch loop, so a stale holder does not end the
-// search.
+// recoverBase resolves the base snapshot a delta names for appID when the
+// app's own synced state is not it: from another app's identical state in
+// this store, or from the fleet — the session's previous server holds the
+// synced state's encoding under its content hash. Each peer candidate's
+// bytes are verified against the requested hash inside the fetch loop, so a
+// stale holder does not end the search.
 func (s *Server) recoverBase(appID, baseHash string, trail *spanTrail) (*snapshot.Snapshot, error) {
-	var snap *snapshot.Snapshot
-	data, err := s.resolveBlob(baseHash, trail, func(body []byte) error {
-		if hash := snapshot.HashEncoded(body); hash != baseHash {
-			return fmt.Errorf("fleet base %s hashes to %s", baseHash, hash)
-		}
-		decoded, err := snapshot.Decode(body)
+	var (
+		snap *snapshot.Snapshot
+		data []byte
+	)
+	if e := s.store.lookup(baseHash); e != nil && e.body != nil {
+		snap, data = e.snap, e.body
+	} else {
+		var err error
+		data, err = s.resolveBlob(baseHash, trail, func(body []byte) error {
+			if hash := snapshot.HashEncoded(body); hash != baseHash {
+				return fmt.Errorf("fleet base %s hashes to %s", baseHash, hash)
+			}
+			decoded, err := snapshot.Decode(body)
+			if err != nil {
+				return fmt.Errorf("decode fleet base %s: %w", baseHash, err)
+			}
+			snap = decoded
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("decode fleet base %s: %w", baseHash, err)
+			return nil, err
 		}
-		snap = decoded
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	s.basesRecovered.Inc()
 	s.store.PutState(appID, snap, data)
@@ -326,18 +292,25 @@ func (s *Server) recoverBase(appID, baseHash string, trail *spanTrail) (*snapsho
 	return snap, nil
 }
 
-// resolveModelBlob resolves a reference-only model pre-send: the weight
-// bytes come from the local cache or a peer, and the rebuilt model must
-// hash back to the advertised key (spec and weights both feed
-// nn.Fingerprint, so a wrong or tampered blob cannot be installed). The
-// check runs per candidate holder, so one bad or stale peer cannot end
-// the search while others still hold the real bytes.
-func (s *Server) resolveModelBlob(hdr protocol.ModelPreSendHeader, trail *spanTrail) ([]byte, *nn.Network, error) {
-	if hdr.BlobKey == "" {
-		return nil, nil, errors.New("reference pre-send without blob key")
+// resolveModel resolves a reference-only model pre-send to the model its
+// BlobKey names: the one this store already holds under that key (nothing
+// to decode or verify — the key is the held model's fingerprint), or one
+// rebuilt from a peer's weight bytes, which must hash back to the key (spec
+// and weights both feed nn.Fingerprint, so a wrong or tampered blob cannot
+// be installed). That check runs per candidate holder, so one bad or stale
+// peer cannot end the search while others still hold the real bytes.
+func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, trail *spanTrail) (*nn.Network, error) {
+	switch {
+	case hdr.BlobKey == "":
+		return nil, errors.New("reference pre-send without blob key")
+	case !s.fleetEnabled():
+		return nil, errBlobUnavailable
+	}
+	if e := s.store.lookup(hdr.BlobKey); e != nil && e.net != nil {
+		return e.net, nil
 	}
 	var net *nn.Network
-	body, err := s.resolveBlob(hdr.BlobKey, trail, func(body []byte) error {
+	_, err := s.resolveBlob(hdr.BlobKey, trail, func(body []byte) error {
 		decoded, err := decodeModel(hdr, body)
 		if err != nil {
 			return err
@@ -348,8 +321,5 @@ func (s *Server) resolveModelBlob(hdr protocol.ModelPreSendHeader, trail *spanTr
 		net = decoded
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return body, net, nil
+	return net, err
 }

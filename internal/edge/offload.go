@@ -274,7 +274,8 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 
 // offloadResult is one executed session's captured state and its one
 // encoding: the response body of a full offload, and — under the hash of
-// those same bytes — the stored state's byte charge and the fleet blob.
+// those same bytes — the stored state's byte charge and, on a fleet-joined
+// server, the very slice peers are served.
 type offloadResult struct {
 	snap *snapshot.Snapshot
 	body []byte
@@ -293,10 +294,7 @@ func (s *Server) captureResult(app *webapp.App) (*offloadResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode result: %w", err)
 	}
-	key := s.store.PutState(app.ID(), result, body)
-	if s.fleetEnabled() {
-		s.cfg.Blobs.Put(key, body)
-	}
+	s.store.PutState(app.ID(), result, body)
 	return &offloadResult{snap: result, body: body}, nil
 }
 

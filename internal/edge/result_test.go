@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"websnap/internal/mlapp"
+	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
@@ -29,8 +30,7 @@ func storedState(s *Server, appID string) (key string, size int64, ok bool) {
 // full offload answers with are the stored state's charge and — under
 // their own hash — its content key and the fleet blob.
 func TestResultBodyIsStoredState(t *testing.T) {
-	blobs := newFakeBlobCache()
-	srv, addr := startServer(t, Config{Installed: true, Blobs: blobs})
+	srv, addr := startServer(t, Config{Installed: true, AdvertiseAddr: "self:0"})
 	model := tinyModel(t, "tiny")
 	const appID = "one-encode"
 	conn := dial(t, addr)
@@ -60,7 +60,7 @@ func TestResultBodyIsStoredState(t *testing.T) {
 	if size != int64(len(body)) {
 		t.Errorf("state charged %d B, response body is %d B", size, len(body))
 	}
-	if blob, ok := blobs.Get(key); !ok || !bytes.Equal(blob, body) {
+	if blob, ok := srv.store.Blob(key); !ok || !bytes.Equal(blob, body) {
 		t.Errorf("fleet blob %s is not the response body (held %v)", key, ok)
 	}
 	// The key is also what a client derives from the decoded result, so
@@ -71,6 +71,91 @@ func TestResultBodyIsStoredState(t *testing.T) {
 	}
 	if hash, err := result.Hash(); err != nil || hash != key {
 		t.Errorf("decoded result hashes to %s (err %v), state key is %s", hash, err, key)
+	}
+}
+
+// TestFleetStateSharesResultBytes pins that a fleet-joined server keeps no
+// second copy of a synced state: the response body of a full offload, the
+// bytes the store retains for the state and the body of the MsgBlobGet
+// answer for its key are one backing array, and storing a result allocates
+// what it does on a standalone server, which retains no encoded bytes at
+// all.
+func TestFleetStateSharesResultBytes(t *testing.T) {
+	fleet, _ := startServer(t, Config{Installed: true, AdvertiseAddr: "self:0"})
+	standalone, _ := startServer(t, Config{Installed: true})
+	model := tinyModel(t, "tiny")
+	const appID = "one-copy"
+	if err := fleet.store.Put(appID, "tiny", model); err != nil {
+		t.Fatal(err)
+	}
+	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	request, err := clickSnapshot(t, app, 1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The handlers are called in process: across a socket every slice is a
+	// copy and identity says nothing.
+	req, err := protocol.Encode(protocol.MsgSnapshot,
+		protocol.SnapshotHeader{AppID: appID, BodyCRC: protocol.BodyChecksum(request)}, request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := fleet.handleOffload(req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, ok := storedState(fleet, appID)
+	if !ok {
+		t.Fatal("offload left no synced state")
+	}
+	stored, ok := fleet.store.Blob(key)
+	if !ok {
+		t.Fatalf("fleet-joined store retains no bytes for state %s", key)
+	}
+	get, err := protocol.Encode(protocol.MsgBlobGet, protocol.BlobGetHeader{Key: key}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := fleet.handleBlobGet(get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
+	if !same(resp.Body, stored) {
+		t.Error("stored state bytes are a copy of the response body")
+	}
+	if !same(stored, served.Body) {
+		t.Error("MsgBlobGet answered with a copy of the stored state bytes")
+	}
+
+	// Each run stores a state the store has not seen (the global differs),
+	// so it creates an entry and compacts the previous one.
+	n := 0.0
+	capture := func(srv *Server) func() {
+		return func() {
+			n++
+			if err := app.SetGlobal("n", n); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.captureResult(app); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	inFleet := testing.AllocsPerRun(50, capture(fleet))
+	alone := testing.AllocsPerRun(50, capture(standalone))
+	if inFleet > alone+2 {
+		t.Errorf("captureResult allocates %.0f times per result in fleet mode, %.0f standalone", inFleet, alone)
+	}
+	key, _, ok = storedState(standalone, appID)
+	if !ok {
+		t.Fatal("standalone captures stored no state; the comparison is vacuous")
+	}
+	if blob, ok := standalone.store.Blob(key); ok {
+		t.Errorf("standalone store retains %d encoded bytes for its state", len(blob))
 	}
 }
 

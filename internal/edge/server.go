@@ -41,8 +41,9 @@ type Config struct {
 	// §III.B.1).
 	ModelDir string
 	// MaxStoreBytes bounds the session store (pre-sent models + synced
-	// delta bases) in bytes; least-recently-used entries are evicted at
-	// the cap. Zero means unbounded (the pre-bounded-store behavior).
+	// delta bases, which on a fleet-joined server are also the blobs peers
+	// fetch) in bytes; least-recently-used entries are evicted at the cap.
+	// Zero means unbounded (the pre-bounded-store behavior).
 	MaxStoreBytes int64
 	// MaxStreams caps the concurrent logical streams one connection may
 	// have in flight; further frames wait in the connection's read loop
@@ -103,16 +104,15 @@ type Config struct {
 	// offload request with the server-side span breakdown (decode, queue,
 	// execute, encode) — the structured feed behind `edged -trace-log`.
 	TraceLog io.Writer
-	// Blobs, when non-nil, enables fleet blob sharing: pre-sent model
-	// weights and synced snapshot states are published here under their
-	// content hashes, advertised on registry heartbeats, and served to
-	// peers via MsgBlobGet. cmd/edged wires a fleet.BlobStore.
-	Blobs BlobCache
 	// Locator finds fleet peers holding a blob (typically a
-	// fleet.RegistryClient); nil limits resolution to the local cache.
+	// fleet.RegistryClient); nil limits resolution to the local store.
 	Locator BlobLocator
-	// AdvertiseAddr is this server's own fleet-advertised address; the
-	// peer-fetch path skips it when the blob index lists us as a holder.
+	// AdvertiseAddr is this server's own fleet-advertised address. Setting
+	// it is what joins the server to a fleet's blob sharing: the session
+	// store's pre-sent models and synced states are then advertised on
+	// registry heartbeats under their content hashes and served to peers
+	// via MsgBlobGet. The peer-fetch path skips this address when the blob
+	// index lists us as a holder.
 	AdvertiseAddr string
 	// PeerDial overrides the transport for peer blob fetches (tests and
 	// chaos injection); nil means TCP.
@@ -392,19 +392,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A session-store eviction must also leave the fleet blob cache, or
-	// the next heartbeat would advertise a key we can no longer back.
-	store.onEvict = srv.onStoreEvict
+	store.share = srv.fleetEnabled()
 	srv.initMetrics()
 	return srv, nil
-}
-
-// onStoreEvict propagates a session-store eviction to the fleet blob
-// cache so evicted keys drop out of the next heartbeat's advertised set.
-func (s *Server) onStoreEvict(key string) {
-	if d, ok := s.cfg.Blobs.(interface{ Delete(key string) }); ok {
-		d.Delete(key)
-	}
 }
 
 // SchedStats returns the scheduler's current state and counters.
@@ -424,8 +414,8 @@ func (s *Server) loadHint() *protocol.LoadHint {
 	}
 }
 
-// Store exposes the server's model store (for tests and inspection).
-func (s *Server) Store() *ModelStore { return s.store }
+// Store exposes the server's session store (for tests and inspection).
+func (s *Server) Store() *SessionStore { return s.store }
 
 // Installed reports whether the offloading system is ready to serve
 // snapshots.
@@ -788,8 +778,8 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 // handleModelPreSend stores the client's model files and acknowledges, per
 // §III.B.1: "The server saves the files and sends an acknowledgement (ACK)
 // message to the client." A fleet client may send a reference instead of
-// the bytes (RefOnly + BlobKey): the server then resolves the blob from
-// its cache or a peer, and answers NeedBlob when it cannot, telling the
+// the bytes (RefOnly + BlobKey): the server then resolves the model from
+// its store or a peer, and answers NeedBlob when it cannot, telling the
 // client to retry with the full upload.
 func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, error) {
 	start := time.Now()
@@ -817,13 +807,12 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		}
 	}
 	var (
-		weights []byte
-		net     *nn.Network
-		err     error
+		net *nn.Network
+		key = hdr.BlobKey
+		err error
 	)
 	if hdr.RefOnly {
-		weights, net, err = s.resolveModelBlob(hdr, trail)
-		if err != nil {
+		if net, err = s.resolveModel(hdr, trail); err != nil {
 			s.refPreSendMisses.Inc()
 			s.logf("edge: ref pre-send %q (blob %s) unresolved: %v", hdr.ModelName, hdr.BlobKey, err)
 			return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
@@ -840,23 +829,17 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 			return protocol.Message{}, fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
 		}
-		weights = msg.Body
-		net, err = decodeModel(hdr, weights)
-		if err != nil {
+		if net, err = decodeModel(hdr, msg.Body); err != nil {
 			return protocol.Message{}, err
 		}
+		// An uploaded model is keyed by what it hashes to, whatever key
+		// the client names for it.
+		key = nn.Fingerprint(net)
 	}
-	if err := s.store.Put(hdr.AppID, hdr.ModelName, net); err != nil {
+	if err := s.store.putKeyed(hdr.AppID, hdr.ModelName, key, net); err != nil {
 		// The in-memory copy is in place; persistence failure only
 		// affects restarts. Log and keep serving.
 		s.logf("edge: persist model %q: %v", hdr.ModelName, err)
-	}
-	if s.fleetEnabled() {
-		key := hdr.BlobKey
-		if key == "" {
-			key = nn.Fingerprint(net)
-		}
-		s.cfg.Blobs.Put(key, weights)
 	}
 	s.modelsStored.Inc()
 	s.logf("edge: stored model %q for app %q (%d params, partial=%v, ref=%v)",

@@ -12,15 +12,16 @@ import (
 	"websnap/internal/snapshot"
 )
 
-// SessionStore is the server's single bounded home for per-session state:
-// pre-sent models and the synchronized post-offload snapshots that delta
-// offloads build on. Everything is content-addressed — models by
-// nn.Fingerprint, states by Snapshot.Hash — with per-app name indices on
-// top, so byte-identical payloads shared by many sessions are stored once
-// and a configurable byte cap holds regardless of how many sessions come
-// and go. It replaces the earlier trio of unbounded maps (models, prints,
-// states): a long-running edged now evicts least-recently-used entries at
-// the cap instead of growing until the process dies.
+// SessionStore is the server's one content store: pre-sent models and the
+// synchronized post-offload snapshots that delta offloads build on, and —
+// on a fleet-joined server — the blobs peers fetch, which are those same
+// entries. Everything is content-addressed — models by nn.Fingerprint,
+// states by Snapshot.Hash — with per-app name indices on top, so
+// byte-identical payloads shared by many sessions are stored once and a
+// configurable byte cap holds regardless of how many sessions come and go.
+// The LRU order that picks eviction victims is also the order KeysMRU
+// advertises to the fleet, so what a heartbeat claims is exactly what Blob
+// can produce.
 //
 // Two bounding mechanisms work together:
 //
@@ -49,23 +50,27 @@ type SessionStore struct {
 	evictions   int64
 	compactions int64
 
-	// onEvict observes cap evictions (not compactions) with the evicted
-	// content key. Called with mu held: it must not reenter the store.
-	// The server wires it to drop the key from the fleet blob cache, so
-	// the next heartbeat stops advertising what we no longer hold.
-	onEvict func(key string)
+	// share marks a fleet-joined server's store: a state entry then keeps
+	// the encoding it was stored with, the bytes Blob serves to peers. A
+	// standalone store keeps no encoded bytes. Set before first use.
+	share bool
 
 	// dir, when non-empty, persists model files to disk (see store.go).
 	dir string
 }
 
 // sessionEntry is one content-addressed payload: a model or a synced
-// state, depending on which pointer is set.
+// state, depending on which pointer is set. key, size, net, snap and body
+// never change after creation and may be read without the store's lock;
+// refs and elem belong to the lock.
 type sessionEntry struct {
 	key  string
 	size int64
 	net  *nn.Network
 	snap *snapshot.Snapshot
+	// body is a state's model-free encoding (share mode only): the slice
+	// PutState was handed, not a copy.
+	body []byte
 	refs map[storeRef]struct{}
 	elem *list.Element
 }
@@ -73,10 +78,6 @@ type sessionEntry struct {
 // storeRef is one index reference to an entry: a (app, model-name) pair
 // for models, or an app's synced-state slot when name is empty.
 type storeRef struct{ appID, name string }
-
-// ModelStore is the session store's historical name, kept for embedders
-// and tests that predate the unified store.
-type ModelStore = SessionStore
 
 // newSessionStore builds a store bounded to maxBytes (0 = unbounded).
 func newSessionStore(maxBytes int64) *SessionStore {
@@ -89,14 +90,18 @@ func newSessionStore(maxBytes int64) *SessionStore {
 	}
 }
 
-// NewModelStore creates an empty, unbounded store.
-func NewModelStore() *SessionStore { return newSessionStore(0) }
-
 // Put stores a model for an app. With a directory-backed store the model
 // files are also written to disk; persistence failures are returned but the
 // in-memory copy is kept, so the current session still works.
 func (s *SessionStore) Put(appID, name string, net *nn.Network) error {
-	s.putModel(appID, name, net)
+	return s.putKeyed(appID, name, nn.Fingerprint(net), net)
+}
+
+// putKeyed is Put for a caller that already knows net's fingerprint — a
+// reference pre-send resolved from this store or verified against the key
+// on its way in from a peer — and so skips hashing the weights again.
+func (s *SessionStore) putKeyed(appID, name, fp string, net *nn.Network) error {
+	s.putModel(appID, name, fp, net)
 	if s.dir == "" {
 		return nil
 	}
@@ -104,9 +109,8 @@ func (s *SessionStore) Put(appID, name string, net *nn.Network) error {
 }
 
 // putModel indexes a model under (appID, name). Byte-identical models
-// fingerprint to the same content key and share one stored copy.
-func (s *SessionStore) putModel(appID, name string, net *nn.Network) {
-	fp := nn.Fingerprint(net)
+// fingerprint to the same content key fp and share one stored copy.
+func (s *SessionStore) putModel(appID, name, fp string, net *nn.Network) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.models[appID] == nil {
@@ -135,8 +139,8 @@ func modelSize(net *nn.Network) int64 { return net.ModelBytes() }
 // data and code left at the server from the first offloading" (§VI) — and
 // compacts the delta chain: the superseded base is released as soon as no
 // app references it. data is snap's model-free encoding: its hash is the
-// content key (returned for fleet publication), its length the state's
-// byte-cap charge.
+// content key (returned), its length the state's byte-cap charge, and in
+// share mode the entry keeps data itself as the state's blob.
 func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, data []byte) string {
 	key, size := snapshot.HashEncoded(data), int64(len(data))
 	s.mu.Lock()
@@ -152,7 +156,11 @@ func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, data []by
 	}
 	s.states[appID] = key
 	s.refLocked(key, ref, func() *sessionEntry {
-		return &sessionEntry{key: key, size: size, snap: snap}
+		e := &sessionEntry{key: key, size: size, snap: snap}
+		if s.share {
+			e.body = data
+		}
+		return e
 	})
 	s.enforceCapLocked(key)
 	return key
@@ -189,9 +197,8 @@ func (s *SessionStore) refLocked(key string, ref storeRef, mk func() *sessionEnt
 
 // derefLocked removes ref from key's entry and releases the entry when no
 // reference remains. A release is bookkeeping (replacement, compaction),
-// not an eviction: it does not notify onEvict — in-flight fleet copies of
-// a superseded base may still serve a roaming peer, and the fleet cache
-// ages them out on its own.
+// not an eviction, but it ends the key's life here all the same: a
+// superseded delta base is neither advertised nor served afterwards.
 func (s *SessionStore) derefLocked(key string, ref storeRef) {
 	e, ok := s.entries[key]
 	if !ok {
@@ -240,8 +247,8 @@ func (s *SessionStore) enforceCapLocked(protect string) {
 }
 
 // evictLocked drops an entry at the cap: every index reference to it is
-// unlinked (including any on-disk model files), and onEvict is told the
-// key so the fleet layer stops advertising it.
+// unlinked (including any on-disk model files). The key leaves the LRU list
+// with it, so the next heartbeat no longer advertises it.
 func (s *SessionStore) evictLocked(e *sessionEntry) {
 	for ref := range e.refs {
 		if ref.name == "" {
@@ -262,9 +269,48 @@ func (s *SessionStore) evictLocked(e *sessionEntry) {
 	}
 	s.removeLocked(e)
 	s.evictions++
-	if s.onEvict != nil {
-		s.onEvict(e.key)
+}
+
+// lookup finds an entry by content key, marking it recently used; nil when
+// the store does not hold key. Callers read only the immutable payload
+// fields.
+func (s *SessionStore) lookup(key string) *sessionEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entries[key]
+	s.touchLocked(e)
+	return e
+}
+
+// Blob returns the bytes a fleet peer fetches under key, a use for the LRU
+// order: a state's retained encoding, or a model's weight blob, encoded on
+// demand — EncodeWeights is deterministic, so together with the spec the
+// fetcher holds the bytes rebuild a model that fingerprints to key. False
+// when key is not held, or is a state in a store that does not share.
+func (s *SessionStore) Blob(key string) ([]byte, bool) {
+	e := s.lookup(key)
+	if e == nil {
+		return nil, false
 	}
+	if e.net == nil {
+		return e.body, e.body != nil
+	}
+	weights, err := encodeWeights(e.net)
+	return weights, err == nil
+}
+
+// KeysMRU returns every held content key, most recently used first — the
+// set a registry heartbeat advertises, ordered so that a capped
+// advertisement keeps the keys peers most likely want and the cap is least
+// likely to evict before a fetch arrives.
+func (s *SessionStore) KeysMRU() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, s.lru.Len())
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*sessionEntry).key)
+	}
+	return keys
 }
 
 // Get retrieves a model for an app, marking it recently used.

@@ -1,19 +1,17 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"websnap/internal/mlapp"
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
-	"websnap/internal/webapp"
 )
 
 // testSnap captures one synced-state snapshot (as the server does: no
@@ -84,8 +82,8 @@ func TestSessionStoreSharedContent(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	other := tinyModel(t, "other")
 	s := newSessionStore(0)
-	s.putModel("app-1", "tiny", model)
-	s.putModel("app-2", "tiny", model)
+	s.Put("app-1", "tiny", model)
+	s.Put("app-2", "tiny", model)
 	if s.Entries() != 1 {
 		t.Fatalf("identical model for two apps stored %d times", s.Entries())
 	}
@@ -93,7 +91,7 @@ func TestSessionStoreSharedContent(t *testing.T) {
 		t.Fatalf("Bytes = %d, want one copy (%d)", s.Bytes(), model.ModelBytes())
 	}
 	// app-1 replaces its model; app-2's reference keeps the entry alive.
-	s.putModel("app-1", "tiny", other)
+	s.Put("app-1", "tiny", other)
 	if _, ok := s.Get("app-2", "tiny"); !ok {
 		t.Fatal("shared entry released while still referenced")
 	}
@@ -101,23 +99,30 @@ func TestSessionStoreSharedContent(t *testing.T) {
 		t.Fatalf("entries = %d, want 2", s.Entries())
 	}
 	// app-2 replaces too: the original entry's last reference goes.
-	s.putModel("app-2", "tiny", other)
+	s.Put("app-2", "tiny", other)
 	if s.Entries() != 1 {
 		t.Fatalf("unreferenced entry retained: entries = %d", s.Entries())
 	}
 }
 
 // TestSessionStoreLRUEvictionUnderLoad pins the byte bound: pushing many
-// states through a small store never exceeds the cap, evicts in LRU order,
-// and reports the evictions.
+// states through a small store never exceeds the cap, evicts in LRU order
+// where a read counts as use, reports the evictions, and lists the
+// survivors most recently used first.
 func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	_, data := testSnap(t, model, 1)
 	size := int64(len(data))
-	cap := 3 * size
+	cap := 3*size + size/2 // room for three states, not four
 	s := newSessionStore(cap)
-	var evicted []string
-	s.onEvict = func(key string) { evicted = append(evicted, key) }
+	held := func(key string) bool {
+		for _, k := range s.KeysMRU() {
+			if k == key {
+				return true
+			}
+		}
+		return false
+	}
 
 	keys := make([]string, 0, 12)
 	for i := uint64(1); i <= 12; i++ {
@@ -127,23 +132,55 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 		if s.Bytes() > cap {
 			t.Fatalf("after state %d: Bytes %d exceeds cap %d", i, s.Bytes(), cap)
 		}
+		// Every listed key is an entry and the newest leads the list.
+		if mru := s.KeysMRU(); len(mru) != s.Entries() || mru[0] != key {
+			t.Fatalf("after state %d: KeysMRU = %v, want %d keys led by %s", i, mru, s.Entries(), key)
+		}
+		if i == 3 {
+			// Reading app-1's state makes it the hottest, so the fourth
+			// store evicts app-2's, the least recently used.
+			if _, ok := s.GetState("app-1"); !ok {
+				t.Fatal("app-1 state missing before cap pressure")
+			}
+		}
+		if i == 4 && (!held(keys[0]) || held(keys[1])) {
+			t.Fatalf("first eviction took the wrong entry: app-1 held %v, app-2 held %v (KeysMRU %v)",
+				held(keys[0]), held(keys[1]), s.KeysMRU())
+		}
 	}
-	if s.Evictions() == 0 {
-		t.Fatal("12 states through a 3-state store evicted nothing")
+	if got, want := s.Evictions(), int64(len(keys)-s.Entries()); got == 0 || got != want {
+		t.Fatalf("Evictions = %d, want %d (12 states through a 3-state store)", got, want)
 	}
-	if int64(len(evicted)) != s.Evictions() {
-		t.Fatalf("onEvict saw %d keys, Evictions = %d", len(evicted), s.Evictions())
-	}
-	// The earliest (least recently used) state was evicted; its app's
-	// synced-state slot is gone with it.
-	if _, ok := s.GetState("app-1"); ok {
+	// An evicted state's app slot is gone with it.
+	if _, ok := s.GetState("app-2"); ok {
 		t.Fatal("LRU state survived cap pressure")
 	}
 	if _, ok := s.GetState("app-12"); !ok {
 		t.Fatal("most recent state evicted")
 	}
-	if evicted[0] != keys[0] {
-		t.Fatalf("first eviction %s, want LRU key %s", evicted[0], keys[0])
+}
+
+// TestSessionStoreKeepsOversizedEntry pins the rule that replaces a blob
+// cache's refusal of oversized blobs: the entry just stored is never the
+// eviction victim — its session needs it now — so one larger than the
+// whole cap displaces everything else and leaves the store over budget
+// until the next store.
+func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
+	model := tinyModel(t, "tiny")
+	snap, data := testSnap(t, model, 1)
+	s := newSessionStore(int64(len(data)) + 1) // room for the state, not the model
+	s.PutState("app", snap, data)
+	if err := s.Put("app", "tiny", model); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("app", "tiny"); !ok {
+		t.Fatal("the model just stored was evicted")
+	}
+	if _, ok := s.GetState("app"); ok || s.Entries() != 1 {
+		t.Fatalf("oversized entry did not displace the resident state (entries %d)", s.Entries())
+	}
+	if s.Bytes() != model.ModelBytes() || s.Bytes() <= s.MaxBytes() {
+		t.Fatalf("Bytes = %d with cap %d, want the model's %d over budget", s.Bytes(), s.MaxBytes(), model.ModelBytes())
 	}
 }
 
@@ -186,48 +223,6 @@ func TestSessionStoreEvictionCleansDisk(t *testing.T) {
 	}
 }
 
-// fakeBlobCache is a BlobCache with Delete, recording what the server
-// drops when the session store evicts.
-type fakeBlobCache struct {
-	mu      sync.Mutex
-	m       map[string][]byte
-	deleted []string
-}
-
-func newFakeBlobCache() *fakeBlobCache { return &fakeBlobCache{m: make(map[string][]byte)} }
-
-func (c *fakeBlobCache) Put(key string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
-		c.m[key] = append([]byte(nil), data...)
-	}
-}
-
-func (c *fakeBlobCache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.m[key]
-	return d, ok
-}
-
-func (c *fakeBlobCache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-func (c *fakeBlobCache) Delete(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.m, key)
-	c.deleted = append(c.deleted, key)
-}
-
 // fakeLocator serves a fixed holder map.
 type fakeLocator struct{ holders map[string][]string }
 
@@ -239,83 +234,6 @@ func (l fakeLocator) Locate(keys []string) (map[string][]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// TestStoreEvictionDropsFleetBlob pins the eviction round trip inside the
-// server: when the bounded session store evicts a synced state, the server
-// drops the same key from its fleet blob cache, so the next heartbeat
-// (which advertises BlobKeys) stops claiming it.
-func TestStoreEvictionDropsFleetBlob(t *testing.T) {
-	model := tinyModel(t, "tiny")
-	blobs := newFakeBlobCache()
-	// Just enough room for the model plus a sliver: every stored state
-	// forces cap pressure, so evictions are guaranteed regardless of the
-	// encoded state size.
-	srv, addr := startServer(t, Config{
-		Installed:     true,
-		MaxStoreBytes: model.ModelBytes() + 64,
-		Blobs:         blobs,
-		AdvertiseAddr: "self:0",
-	})
-	conn := dial(t, addr)
-	if err := conn.PreSendModel("evict-app", "tiny", model, false); err != nil {
-		t.Fatal(err)
-	}
-
-	// Each offload publishes its synced state; cap pressure must evict
-	// older states and retract their blobs.
-	var firstKey string
-	for i := uint64(1); i <= 4; i++ {
-		app, err := mlapp.NewFullApp(fmt.Sprintf("evict-app-%d", i), "tiny", model, tinyLabels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, i)); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := snapshot.Capture(app, snapshot.Options{
-			PendingEvent: &webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.PreSendModel(fmt.Sprintf("evict-app-%d", i), "tiny", model, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := conn.OffloadSnapshot(fmt.Sprintf("evict-app-%d", i), wire, false); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			// The state blob is the advertised key that is not the model's
-			// fingerprint (the pre-send published that one).
-			for _, k := range srv.BlobKeys() {
-				if k != nn.Fingerprint(model) {
-					firstKey = k
-				}
-			}
-			if firstKey == "" {
-				t.Fatal("first offload published no state blob")
-			}
-		}
-	}
-	if srv.store.Evictions() == 0 {
-		t.Fatal("cap pressure evicted nothing; test is vacuous")
-	}
-	if srv.store.Bytes() > srv.store.MaxBytes() {
-		t.Fatalf("store bytes %d exceed cap %d", srv.store.Bytes(), srv.store.MaxBytes())
-	}
-	if _, ok := blobs.Get(firstKey); ok {
-		t.Fatal("evicted state's blob still in the fleet cache; heartbeat would advertise it")
-	}
-	for _, k := range srv.BlobKeys() {
-		if k == firstKey {
-			t.Fatal("evicted key still advertised by BlobKeys")
-		}
-	}
 }
 
 // blobPeer runs a minimal fleet peer: it answers MsgBlobGet for the blobs
@@ -361,32 +279,40 @@ func blobPeer(t *testing.T, blobs map[string][]byte) string {
 	return ln.Addr().String()
 }
 
+// fleetServer runs a fleet-joined server whose locator names holders for
+// key, in order.
+func fleetServer(t *testing.T, key string, holders ...string) *Server {
+	t.Helper()
+	srv, _ := startServer(t, Config{
+		Installed:     true,
+		Locator:       fakeLocator{holders: map[string][]string{key: holders}},
+		AdvertiseAddr: "self:0",
+	})
+	return srv
+}
+
 // TestResolveBlobStaleFirstHolder is the stale-holder regression test: the
 // registry's index lags evictions, so the first Located holder may no
 // longer have the blob. The search must continue to the remaining holders
-// instead of giving up (which forced a NeedBlob re-upload).
+// instead of giving up (which forced a NeedBlob re-upload or a full
+// resend).
 func TestResolveBlobStaleFirstHolder(t *testing.T) {
-	payload := []byte("the-blob-bytes")
-	const key = "blob-key"
+	want, payload := testSnap(t, tinyModel(t, "tiny"), 1)
+	key := snapshot.HashEncoded(payload)
 	stale := blobPeer(t, nil) // evicted: answers a clean error
 	good := blobPeer(t, map[string][]byte{key: payload})
 
-	srv, _ := startServer(t, Config{
-		Installed:     true,
-		Blobs:         newFakeBlobCache(),
-		Locator:       fakeLocator{holders: map[string][]string{key: {stale, good}}},
-		AdvertiseAddr: "self:0",
-	})
-	got, err := srv.resolveBlob(key, nil, nil)
+	srv := fleetServer(t, key, stale, good)
+	got, err := srv.recoverBase("roamer", key, nil)
 	if err != nil {
-		t.Fatalf("resolveBlob with a stale first holder: %v", err)
+		t.Fatalf("recoverBase with a stale first holder: %v", err)
 	}
-	if string(got) != string(payload) {
-		t.Fatalf("resolved %q, want %q", got, payload)
+	if hash, err := got.Hash(); err != nil || hash != key || got.AppID != want.AppID {
+		t.Fatalf("recovered state hashes to %s (err %v), want %s", hash, err, key)
 	}
-	// The fetched blob is cached locally for later requests and peers.
-	if _, ok := srv.cfg.Blobs.Get(key); !ok {
-		t.Fatal("resolved blob not cached")
+	// The fetched blob is held locally for later requests and peers.
+	if blob, ok := srv.store.Blob(key); !ok || string(blob) != string(payload) {
+		t.Fatal("resolved blob not stored")
 	}
 }
 
@@ -394,52 +320,37 @@ func TestResolveBlobStaleFirstHolder(t *testing.T) {
 // inside the holder loop: a first holder serving bytes that fail the
 // caller's verification must not end the search.
 func TestResolveBlobBadContentFirstHolder(t *testing.T) {
-	payload := []byte("the-real-bytes")
-	const key = "blob-key"
-	bad := blobPeer(t, map[string][]byte{key: []byte("wrong-content!")})
+	model := tinyModel(t, "tiny")
+	_, payload := testSnap(t, model, 1)
+	_, wrong := testSnap(t, model, 2)
+	key := snapshot.HashEncoded(payload)
+	bad := blobPeer(t, map[string][]byte{key: wrong})
 	good := blobPeer(t, map[string][]byte{key: payload})
 
-	srv, _ := startServer(t, Config{
-		Installed:     true,
-		Blobs:         newFakeBlobCache(),
-		Locator:       fakeLocator{holders: map[string][]string{key: {bad, good}}},
-		AdvertiseAddr: "self:0",
-	})
-	verify := func(data []byte) error {
-		if string(data) != string(payload) {
-			return fmt.Errorf("content mismatch")
-		}
-		return nil
+	srv := fleetServer(t, key, bad, good)
+	if _, err := srv.recoverBase("roamer", key, nil); err != nil {
+		t.Fatalf("recoverBase with a bad first holder: %v", err)
 	}
-	got, err := srv.resolveBlob(key, nil, verify)
-	if err != nil {
-		t.Fatalf("resolveBlob with a bad first holder: %v", err)
+	// The bad bytes must not have been stored along the way.
+	if blob, ok := srv.store.Blob(key); !ok || string(blob) != string(payload) {
+		t.Fatalf("store holds %d bytes under %s (held %v), want the verified bytes", len(blob), key, ok)
 	}
-	if string(got) != string(payload) {
-		t.Fatalf("resolved %q, want %q", got, payload)
-	}
-	// The bad bytes must not have been cached along the way.
-	if cached, ok := srv.cfg.Blobs.Get(key); !ok || string(cached) != string(payload) {
-		t.Fatalf("cache holds %q, want verified bytes", cached)
+	if srv.store.Entries() != 1 {
+		t.Fatalf("store holds %d entries, want only the verified state", srv.store.Entries())
 	}
 }
 
 // TestResolveBlobAllHoldersStale pins the terminal case: every holder
 // evicted means errBlobUnavailable (the pre-send path answers NeedBlob and
-// the client re-uploads).
+// the client re-uploads; a delta answers ErrBaseMismatch and the client
+// resends full).
 func TestResolveBlobAllHoldersStale(t *testing.T) {
 	const key = "blob-key"
-	stale1 := blobPeer(t, nil)
-	stale2 := blobPeer(t, nil)
-	srv, _ := startServer(t, Config{
-		Installed:     true,
-		Blobs:         newFakeBlobCache(),
-		Locator:       fakeLocator{holders: map[string][]string{key: {stale1, stale2}}},
-		AdvertiseAddr: "self:0",
-	})
-	if _, err := srv.resolveBlob(key, nil, nil); err == nil {
-		t.Fatal("resolveBlob succeeded with every holder stale")
+	srv := fleetServer(t, key, blobPeer(t, nil), blobPeer(t, nil))
+	if _, err := srv.recoverBase("roamer", key, nil); !errors.Is(err, errBlobUnavailable) {
+		t.Fatalf("recoverBase with every holder stale: %v, want errBlobUnavailable", err)
+	}
+	if srv.store.Entries() != 0 {
+		t.Fatal("a failed recovery stored something")
 	}
 }
-
-var _ = time.Second

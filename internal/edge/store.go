@@ -19,15 +19,10 @@ const (
 	weightsSuffix = ".weights.bin"
 )
 
-// NewModelStoreDir creates a model store persisted under dir: every
-// pre-sent model is written as a descriptor file plus a weight blob, and
-// models already on disk are loaded eagerly, so a restarted edge server
-// still has the models earlier sessions uploaded.
-func NewModelStoreDir(dir string) (*ModelStore, error) {
-	return newSessionStoreDir(dir, 0)
-}
-
-// newSessionStoreDir builds a dir-persisted store bounded to maxBytes.
+// newSessionStoreDir builds a store bounded to maxBytes and persisted under
+// dir: every pre-sent model is written as a descriptor file plus a weight
+// blob, and models already on disk are loaded eagerly, so a restarted edge
+// server still has the models earlier sessions uploaded.
 func newSessionStoreDir(dir string, maxBytes int64) (*SessionStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("edge: model dir: %w", err)
@@ -46,7 +41,7 @@ func escape(id string) string { return url.PathEscape(id) }
 func unescape(comp string) (string, error) { return url.PathUnescape(comp) }
 
 // persist writes one model's files under the store directory.
-func (s *ModelStore) persist(appID, name string, net *nn.Network) error {
+func (s *SessionStore) persist(appID, name string, net *nn.Network) error {
 	appDir := filepath.Join(s.dir, escape(appID))
 	if err := os.MkdirAll(appDir, 0o755); err != nil {
 		return fmt.Errorf("edge: persist model: %w", err)
@@ -55,22 +50,34 @@ func (s *ModelStore) persist(appID, name string, net *nn.Network) error {
 	if err != nil {
 		return err
 	}
-	var weights bytes.Buffer
-	if err := net.EncodeWeights(&weights); err != nil {
+	weights, err := encodeWeights(net)
+	if err != nil {
 		return err
 	}
 	base := filepath.Join(appDir, escape(name))
 	if err := os.WriteFile(base+specSuffix, spec, 0o644); err != nil {
 		return fmt.Errorf("edge: persist model %q: %w", name, err)
 	}
-	if err := os.WriteFile(base+weightsSuffix, weights.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(base+weightsSuffix, weights, 0o644); err != nil {
 		return fmt.Errorf("edge: persist model %q: %w", name, err)
 	}
 	return nil
 }
 
+// encodeWeights renders a model's weight blob: the bytes a client pre-sends,
+// the persisted weights file, and what a fleet peer fetches under the
+// model's fingerprint.
+func encodeWeights(net *nn.Network) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(net.ModelBytes()) + 8) // the weights plus magic and count
+	if err := net.EncodeWeights(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // loadAll reads every persisted model into memory.
-func (s *ModelStore) loadAll() error {
+func (s *SessionStore) loadAll() error {
 	apps, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("edge: load models: %w", err)
@@ -101,7 +108,7 @@ func (s *ModelStore) loadAll() error {
 			if err != nil {
 				return fmt.Errorf("edge: load model %q for app %q: %w", name, appID, err)
 			}
-			s.putModel(appID, name, net)
+			s.putModel(appID, name, nn.Fingerprint(net), net)
 		}
 	}
 	return nil

@@ -12,7 +12,7 @@ import (
 
 func TestModelStorePersistence(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewModelStoreDir(dir)
+	store, err := newSessionStoreDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestModelStorePersistence(t *testing.T) {
 	}
 
 	// A second store on the same directory (server restart) sees it.
-	restarted, err := NewModelStoreDir(dir)
+	restarted, err := newSessionStoreDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestModelStoreDirCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(appDir, "m"+specSuffix), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModelStoreDir(dir); err == nil {
+	if _, err := newSessionStoreDir(dir, 0); err == nil {
 		t.Error("corrupt spec file should fail the load")
 	}
 }
 
 func TestModelStoreDirMissingWeights(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewModelStoreDir(dir)
+	store, err := newSessionStoreDir(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestModelStoreDirMissingWeights(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "a", "m"+weightsSuffix)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModelStoreDir(dir); err == nil {
+	if _, err := newSessionStoreDir(dir, 0); err == nil {
 		t.Error("missing weights should fail the load")
 	}
 }

@@ -29,7 +29,8 @@ type AgentConfig struct {
 	// Load, when set, supplies the live load hint for each heartbeat.
 	Load func() *protocol.LoadHint
 	// Blobs, when set, supplies the content-addressed keys the server
-	// currently holds.
+	// currently holds (edge.Server.BlobKeys: its session store's keys,
+	// most recently used first).
 	Blobs func() []string
 	// Stats, when set, supplies the telemetry digest piggybacked on each
 	// heartbeat (see edge.Server.StatsDigest); the registry keeps the
@@ -41,8 +42,8 @@ type AgentConfig struct {
 	// JSON header is bounded by protocol.MaxHeaderLen, so a server holding
 	// an unbounded blob set must truncate or its registration fails and it
 	// drops out of the fleet entirely. Suppliers aware of recency (see
-	// BlobStore.KeysMRU) should return the hot end first; the cap keeps
-	// whatever prefix the supplier ordered.
+	// edge.SessionStore.KeysMRU) should return the hot end first; the cap
+	// keeps whatever prefix the supplier ordered.
 	MaxBlobs int
 	// Logger records heartbeat failures.
 	Logger *obs.Logger
@@ -89,24 +90,25 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 
 // heartbeat sends one registration.
 func (a *Agent) heartbeat() error {
+	c := &a.cfg
 	hdr := protocol.FleetRegisterHeader{
-		Addr:      a.cfg.Addr,
-		Capacity:  a.cfg.Capacity,
-		TTLMillis: a.cfg.TTL.Milliseconds(),
+		Addr:      c.Addr,
+		Capacity:  c.Capacity,
+		TTLMillis: c.TTL.Milliseconds(),
 	}
-	if a.cfg.Load != nil {
-		hdr.Load = a.cfg.Load()
+	if c.Load != nil {
+		hdr.Load = c.Load()
 	}
-	if a.cfg.Blobs != nil {
-		hdr.Blobs = a.cfg.Blobs()
+	if c.Blobs != nil {
+		hdr.Blobs = c.Blobs()
 		if max := a.maxBlobs(); max > 0 && len(hdr.Blobs) > max {
 			hdr.Blobs = hdr.Blobs[:max]
 		}
 	}
-	if a.cfg.Stats != nil {
-		hdr.Stats = a.cfg.Stats()
+	if c.Stats != nil {
+		hdr.Stats = c.Stats()
 	}
-	_, err := a.cfg.Client.Register(hdr)
+	_, err := c.Client.Register(hdr)
 	return err
 }
 

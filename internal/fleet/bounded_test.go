@@ -9,84 +9,6 @@ import (
 	"websnap/internal/protocol"
 )
 
-// TestBlobStoreLRUCap pins the bounded store's core contract: Bytes never
-// exceeds the cap, eviction order is least-recently-used, and Get counts
-// as use.
-func TestBlobStoreLRUCap(t *testing.T) {
-	b := NewBlobStoreCap(10)
-	b.Put("a", []byte("aaaa")) // 4
-	b.Put("b", []byte("bbbb")) // 8
-	if _, ok := b.Get("a"); !ok {
-		t.Fatal("a missing before cap pressure")
-	}
-	// a was just used, so inserting c (4 bytes, total would be 12) must
-	// evict b, the least recently used.
-	b.Put("c", []byte("cccc"))
-	if b.Has("b") {
-		t.Fatal("LRU eviction removed the wrong entry: b survived")
-	}
-	if !b.Has("a") || !b.Has("c") {
-		t.Fatalf("survivors wrong: a=%v c=%v", b.Has("a"), b.Has("c"))
-	}
-	if b.Bytes() > b.MaxBytes() {
-		t.Fatalf("Bytes %d exceeds cap %d", b.Bytes(), b.MaxBytes())
-	}
-	if got := b.Evictions(); got != 1 {
-		t.Fatalf("Evictions = %d, want 1", got)
-	}
-}
-
-// TestBlobStoreCapUnderLoad hammers a small store with many distinct blobs
-// and asserts the byte bound holds at every step.
-func TestBlobStoreCapUnderLoad(t *testing.T) {
-	const cap = 1 << 10
-	b := NewBlobStoreCap(cap)
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("blob-%03d", i)
-		b.Put(key, []byte(strings.Repeat("x", 64+i%128)))
-		if b.Bytes() > cap {
-			t.Fatalf("after put %d: Bytes %d exceeds cap %d", i, b.Bytes(), cap)
-		}
-	}
-	if b.Evictions() == 0 {
-		t.Fatal("500 blobs through a 1KiB store evicted nothing")
-	}
-	if b.Len() == 0 {
-		t.Fatal("store empty after load; eviction overshot")
-	}
-}
-
-// TestBlobStoreRejectsOversized pins that a single blob larger than the
-// whole cap is refused rather than evicting everything for nothing.
-func TestBlobStoreRejectsOversized(t *testing.T) {
-	b := NewBlobStoreCap(8)
-	b.Put("small", []byte("ok"))
-	b.Put("huge", []byte("0123456789"))
-	if b.Has("huge") {
-		t.Fatal("oversized blob admitted")
-	}
-	if !b.Has("small") {
-		t.Fatal("oversized blob evicted the resident set on its way to rejection")
-	}
-}
-
-// TestBlobStoreKeysMRU pins the recency-ordered key listing the heartbeat
-// cap depends on: hottest first, optionally truncated.
-func TestBlobStoreKeysMRU(t *testing.T) {
-	b := NewBlobStore()
-	b.Put("a", []byte("1"))
-	b.Put("b", []byte("2"))
-	b.Put("c", []byte("3"))
-	b.Get("a") // a becomes hottest
-	got := b.KeysMRU(0)
-	if len(got) != 3 || got[0] != "a" || got[1] != "c" || got[2] != "b" {
-		t.Fatalf("KeysMRU(0) = %v, want [a c b]", got)
-	}
-	if got := b.KeysMRU(2); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("KeysMRU(2) = %v, want [a c]", got)
-	}
-}
-
 // TestRegistryVersionPrunes pins that Version applies pending TTL lapses
 // before reporting: a caller comparing Version against a concurrent View
 // must never see the stale pre-expiry number.
@@ -175,44 +97,6 @@ func TestAgentHeartbeatUnlimitedBlobsOverflow(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unlimited 4MiB blob advertisement registered; expected a frame-size failure")
-	}
-}
-
-// TestHeartbeatEvictionRoundTrip pins the eviction round trip at the fleet
-// layer: a key evicted from the blob store disappears from the next
-// heartbeat's advertisement, and with it from Registry.Locate.
-func TestHeartbeatEvictionRoundTrip(t *testing.T) {
-	r := NewRegistry(RegistryOptions{TTL: 10 * time.Second})
-	addr, stop := startWireRegistry(t, r)
-	defer stop()
-
-	b := NewBlobStoreCap(8)
-	b.Put("old", []byte("aaaa"))
-	client := NewRegistryClient(addr, ClientOptions{})
-	hb := func() protocol.FleetRegisterHeader {
-		return protocol.FleetRegisterHeader{Addr: "edge-a:9000", Capacity: 2, Blobs: b.KeysMRU(0)}
-	}
-	if _, err := client.Register(hb()); err != nil {
-		t.Fatal(err)
-	}
-	if holders := r.Locate([]string{"old"}); len(holders["old"]) != 1 {
-		t.Fatalf("old not advertised: %v", holders)
-	}
-
-	// Cap pressure evicts "old"; the next heartbeat must retract it.
-	b.Put("new", []byte("bbbbbb"))
-	if b.Has("old") {
-		t.Fatal("old survived cap pressure")
-	}
-	if _, err := client.Register(hb()); err != nil {
-		t.Fatal(err)
-	}
-	holders := r.Locate([]string{"old", "new"})
-	if len(holders["old"]) != 0 {
-		t.Fatalf("evicted key still located after heartbeat: %v", holders)
-	}
-	if len(holders["new"]) != 1 {
-		t.Fatalf("resident key not located: %v", holders)
 	}
 }
 

@@ -56,66 +56,36 @@ func NewRegistryClient(addr string, opts ClientOptions) *RegistryClient {
 // Addr returns the registry address this client targets.
 func (c *RegistryClient) Addr() string { return c.addr }
 
-// do runs one request/response round trip on a fresh connection.
-func (c *RegistryClient) do(req protocol.Message) (protocol.Message, error) {
+// call runs one registry RPC on a fresh connection: hdr goes out as a
+// frame of type t, and the answer, which must have type want, is decoded
+// into out.
+func (c *RegistryClient) call(t protocol.MsgType, hdr any, want protocol.MsgType, out any) error {
+	req, err := protocol.Encode(t, hdr, nil)
+	if err != nil {
+		return err
+	}
 	conn, err := c.dial(c.addr, c.timeout)
 	if err != nil {
-		return protocol.Message{}, fmt.Errorf("fleet: dial registry %s: %w", c.addr, err)
+		return fmt.Errorf("fleet: dial registry %s: %w", c.addr, err)
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return protocol.Message{}, err
+	if _, err := protocol.Call(conn, c.timeout, req, want, out); err != nil {
+		return fmt.Errorf("fleet: registry %s: %w", c.addr, err)
 	}
-	if err := protocol.Write(conn, req); err != nil {
-		return protocol.Message{}, fmt.Errorf("fleet: write to registry: %w", err)
-	}
-	resp, err := protocol.Read(conn)
-	if err != nil {
-		return protocol.Message{}, fmt.Errorf("fleet: read from registry: %w", err)
-	}
-	if resp.Type == protocol.MsgError {
-		var eh protocol.ErrorHeader
-		if err := protocol.DecodeHeader(resp, &eh); err != nil {
-			return protocol.Message{}, err
-		}
-		return protocol.Message{}, fmt.Errorf("fleet: registry error: %s", eh.Message)
-	}
-	return resp, nil
+	return nil
 }
 
 // Register sends one registration/heartbeat.
 func (c *RegistryClient) Register(hdr protocol.FleetRegisterHeader) (protocol.FleetRegisteredHeader, error) {
-	req, err := protocol.Encode(protocol.MsgFleetRegister, hdr, nil)
-	if err != nil {
-		return protocol.FleetRegisteredHeader{}, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return protocol.FleetRegisteredHeader{}, err
-	}
-	if resp.Type != protocol.MsgFleetRegistered {
-		return protocol.FleetRegisteredHeader{}, fmt.Errorf("fleet: unexpected reply %s", resp.Type)
-	}
 	var out protocol.FleetRegisteredHeader
-	err = protocol.DecodeHeader(resp, &out)
+	err := c.call(protocol.MsgFleetRegister, hdr, protocol.MsgFleetRegistered, &out)
 	return out, err
 }
 
 // FetchView fetches the current fleet view and caches it on success.
 func (c *RegistryClient) FetchView() (protocol.FleetViewHeader, error) {
-	req, err := protocol.Encode(protocol.MsgFleetList, protocol.FleetListHeader{}, nil)
-	if err != nil {
-		return protocol.FleetViewHeader{}, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return protocol.FleetViewHeader{}, err
-	}
-	if resp.Type != protocol.MsgFleetView {
-		return protocol.FleetViewHeader{}, fmt.Errorf("fleet: unexpected reply %s", resp.Type)
-	}
 	var view protocol.FleetViewHeader
-	if err := protocol.DecodeHeader(resp, &view); err != nil {
+	if err := c.call(protocol.MsgFleetList, protocol.FleetListHeader{}, protocol.MsgFleetView, &view); err != nil {
 		return protocol.FleetViewHeader{}, err
 	}
 	c.mu.Lock()
@@ -162,20 +132,11 @@ func (c *RegistryClient) Locate(keys []string) (map[string][]string, error) {
 // stamped on the request and the registry's span for the hop comes back
 // alongside the holders. An empty traceID sends an untraced request.
 func (c *RegistryClient) LocateTraced(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error) {
-	req, err := protocol.Encode(protocol.MsgBlobLocate, protocol.BlobLocateHeader{Keys: keys, TraceID: traceID}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
 	start := time.Now()
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.Type != protocol.MsgBlobLocation {
-		return nil, nil, fmt.Errorf("fleet: unexpected reply %s", resp.Type)
-	}
 	var loc protocol.BlobLocationHeader
-	if err := protocol.DecodeHeader(resp, &loc); err != nil {
+	err := c.call(protocol.MsgBlobLocate, protocol.BlobLocateHeader{Keys: keys, TraceID: traceID},
+		protocol.MsgBlobLocation, &loc)
+	if err != nil {
 		return nil, nil, err
 	}
 	span := loc.Span

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -114,17 +116,39 @@ func startWireRegistry(t *testing.T, r *Registry) (addr string, stop func()) {
 	return ln.Addr().String(), func() { srv.Close(); <-done }
 }
 
+// teeConn copies everything written to the connection into w.
+type teeConn struct {
+	net.Conn
+	w io.Writer
+}
+
+func (c teeConn) Write(p []byte) (int, error) {
+	c.w.Write(p) //nolint:errcheck // a bytes.Buffer
+	return c.Conn.Write(p)
+}
+
 func TestWireRegisterListLocate(t *testing.T) {
 	r := NewRegistry(RegistryOptions{TTL: 10 * time.Second})
 	addr, stop := startWireRegistry(t, r)
 	defer stop()
 
-	c := NewRegistryClient(addr, ClientOptions{})
+	// The client's transport records what it writes, so the heartbeat's
+	// frame can be pinned byte for byte.
+	var sent bytes.Buffer
+	c := NewRegistryClient(addr, ClientOptions{Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		return teeConn{conn, &sent}, err
+	}})
 	h := reg("edge-a:9000")
 	h.Blobs = []string{"blob1"}
 	ack, err := c.Register(h)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
+	}
+	const wantFrame = "PNSW\x01\x0c\x35\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		`{"addr":"edge-a:9000","capacity":4,"blobs":["blob1"]}`
+	if sent.String() != wantFrame {
+		t.Errorf("heartbeat frame = %q, want %q", sent.String(), wantFrame)
 	}
 	if ack.Servers != 1 || ack.Version == 0 {
 		t.Fatalf("ack = %+v", ack)
@@ -316,26 +340,5 @@ func TestPlacementSaturatedLast(t *testing.T) {
 func TestPickEmptyView(t *testing.T) {
 	if _, ok := Pick(PolicyHash, "s", nil); ok {
 		t.Fatal("Pick on empty view returned a server")
-	}
-}
-
-func TestBlobStore(t *testing.T) {
-	b := NewBlobStore()
-	b.Put("k1", []byte("hello"))
-	b.Put("k1", []byte("ignored")) // content-addressed: first copy wins
-	b.Put("", []byte("dropped"))
-	if got, _ := b.Get("k1"); string(got) != "hello" {
-		t.Fatalf("Get k1 = %q", got)
-	}
-	if b.Len() != 1 || b.Bytes() != 5 {
-		t.Fatalf("Len=%d Bytes=%d", b.Len(), b.Bytes())
-	}
-	b.Put("k0", []byte("x"))
-	keys := b.Keys()
-	if len(keys) != 2 || keys[0] != "k0" || keys[1] != "k1" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if !b.Has("k0") || b.Has("nope") {
-		t.Fatal("Has mismatch")
 	}
 }

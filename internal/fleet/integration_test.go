@@ -1,12 +1,13 @@
 package fleet_test
 
 import (
+	"bytes"
+	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"net"
 
 	"websnap/internal/client"
 	"websnap/internal/edge"
@@ -15,7 +16,9 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/nn"
 	"websnap/internal/obs"
+	"websnap/internal/protocol"
 	"websnap/internal/roam"
+	"websnap/internal/snapshot"
 	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
@@ -44,10 +47,11 @@ func startRegistry(t *testing.T, ttl time.Duration) string {
 	return ln.Addr().String()
 }
 
-// startFleetEdge runs one fleet-enabled edge server: its own blob store, a
-// registry client as blob locator, and a heartbeat agent advertising load
-// and held blob keys.
-func startFleetEdge(t *testing.T, registryAddr string) (*edge.Server, string) {
+// startFleetEdge runs one fleet-enabled edge server: a fleet identity, a
+// session store bounded to maxStoreBytes (0 = unbounded), a registry client
+// as blob locator, and a heartbeat agent advertising load and the store's
+// keys.
+func startFleetEdge(t *testing.T, registryAddr string, maxStoreBytes int64) (*edge.Server, string) {
 	t.Helper()
 	cat := webapp.NewCatalog()
 	if err := cat.Add(mlapp.FullRegistry()); err != nil {
@@ -64,7 +68,7 @@ func startFleetEdge(t *testing.T, registryAddr string) (*edge.Server, string) {
 		Installed:     true,
 		Workers:       2,
 		AdvertiseAddr: addr,
-		Blobs:         fleet.NewBlobStore(),
+		MaxStoreBytes: maxStoreBytes,
 		Locator:       rc,
 	})
 	if err != nil {
@@ -148,9 +152,9 @@ func localResult(t *testing.T, model *nn.Network, labels []string, seed uint64) 
 func TestFleetRoamingNoModelReupload(t *testing.T) {
 	testutil.LeakCheck(t)
 	regAddr := startRegistry(t, 2*time.Second)
-	srvA, addrA := startFleetEdge(t, regAddr)
-	srvB, addrB := startFleetEdge(t, regAddr)
-	srvC, addrC := startFleetEdge(t, regAddr)
+	srvA, addrA := startFleetEdge(t, regAddr, 0)
+	srvB, addrB := startFleetEdge(t, regAddr, 0)
+	srvC, addrC := startFleetEdge(t, regAddr, 0)
 	servers := map[string]*edge.Server{addrA: srvA, addrB: srvB, addrC: srvC}
 
 	model, err := models.BuildTinyNet("tiny", 3)
@@ -337,5 +341,144 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	// The switch audit trail names the live registry as the view source.
 	if !strings.Contains(switchLog.String(), `"view":"registry"`) {
 		t.Errorf("switch log lacks the registry view source:\n%s", switchLog.String())
+	}
+}
+
+// TestFleetStoreBoundedByOneCap pins that one byte cap bounds everything a
+// fleet-joined server holds, the bytes it serves to peers included: sessions
+// churn through a store with room for the model and about three states, the
+// charge never passes the cap, every key the server advertises can be
+// fetched and is what its key says, and an evicted key is neither served
+// nor — one heartbeat later — located by the registry.
+func TestFleetStoreBoundedByOneCap(t *testing.T) {
+	testutil.LeakCheck(t)
+	model, err := models.BuildTinyNet("tiny", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := []string{"cat", "dog", "bird"}
+	request := func(appID string, seed uint64) []byte {
+		t.Helper()
+		app, err := mlapp.NewFullApp(appID, "tiny", model, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, seed)); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Capture(app, snapshot.Options{
+			DefaultModelPolicy: snapshot.ModelOmit,
+			PendingEvent:       &webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encoded
+	}
+	// A result is its request plus a few short globals, so this is room
+	// for the model and three states but not four.
+	capBytes := model.ModelBytes() + int64(len(request("sizing", 1)))*7/2
+
+	regAddr := startRegistry(t, 2*time.Second)
+	srv, addr := startFleetEdge(t, regAddr, capBytes)
+	conn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const sessions = 8
+	var stateKeys []string
+	for i := uint64(1); i <= sessions; i++ {
+		appID := fmt.Sprintf("capped-%d", i)
+		if err := conn.PreSendModel(appID, "tiny", model, false); err != nil {
+			t.Fatal(err)
+		}
+		result, _, err := conn.OffloadSnapshot(appID, request(appID, i), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stateKeys = append(stateKeys, snapshot.HashEncoded(result))
+		if got := srv.Metrics().StoreBytes; got > capBytes {
+			t.Fatalf("after session %d: store charged %d B, cap %d", i, got, capBytes)
+		}
+	}
+	if srv.Metrics().StoreEvictions == 0 {
+		t.Fatalf("%d sessions through a %d B store evicted nothing; the bound is untested", sessions, capBytes)
+	}
+
+	// fetch is one peer's MsgBlobGet.
+	fetch := func(key string) ([]byte, error) {
+		peer, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		req, err := protocol.Encode(protocol.MsgBlobGet, protocol.BlobGetHeader{Key: key}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr protocol.BlobDataHeader
+		resp, err := protocol.Call(peer, 5*time.Second, req, protocol.MsgBlobData, &hdr)
+		if err != nil {
+			return nil, err
+		}
+		return resp.Body, protocol.VerifyBody(resp.Body, hdr.BodyCRC)
+	}
+	advertised := make(map[string]bool)
+	for _, key := range srv.BlobKeys() {
+		advertised[key] = true
+		body, err := fetch(key)
+		if err != nil {
+			t.Errorf("advertised key %s cannot be fetched: %v", key, err)
+			continue
+		}
+		if key == nn.Fingerprint(model) {
+			rebuilt, err := models.BuildTinyNet("tiny", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rebuilt.DecodeWeights(bytes.NewReader(body)); err != nil || nn.Fingerprint(rebuilt) != key {
+				t.Errorf("model blob does not rebuild to %s (decode err %v)", key, err)
+			}
+		} else if got := snapshot.HashEncoded(body); got != key {
+			t.Errorf("blob served under %s hashes to %s", key, got)
+		}
+	}
+	if !advertised[nn.Fingerprint(model)] || !advertised[stateKeys[sessions-1]] {
+		t.Errorf("the model every session uses and the newest state must be held; advertised %v", srv.BlobKeys())
+	}
+	var evicted []string
+	for _, key := range stateKeys {
+		if advertised[key] {
+			continue
+		}
+		evicted = append(evicted, key)
+		if _, err := fetch(key); err == nil {
+			t.Errorf("evicted key %s is still served", key)
+		}
+	}
+	if len(evicted) == 0 {
+		t.Fatal("every state is still advertised after evictions")
+	}
+
+	// The registry's index follows the heartbeat: it names this server for
+	// what it holds and, once the retraction has arrived, for nothing else.
+	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
+	waitForIndexedBlobs(t, rc, srv)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		holders, err := rc.Locate(evicted)
+		if err == nil && len(holders) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registry still locates evicted keys: %v (err %v)", holders, err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

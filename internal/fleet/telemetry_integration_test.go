@@ -37,8 +37,8 @@ var traceIDRe = regexp.MustCompile(`^[0-9a-f]{16}$`)
 func TestFleetRoamTraceTree(t *testing.T) {
 	testutil.LeakCheck(t)
 	regAddr := startRegistry(t, 2*time.Second)
-	srvA, addrA := startFleetEdge(t, regAddr)
-	_, addrB := startFleetEdge(t, regAddr)
+	srvA, addrA := startFleetEdge(t, regAddr, 0)
+	_, addrB := startFleetEdge(t, regAddr, 0)
 
 	model, err := models.BuildTinyNet("tiny", 3)
 	if err != nil {

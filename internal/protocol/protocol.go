@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"net"
 	"time"
 )
 
@@ -759,4 +760,41 @@ func DecodeHeader(msg Message, out any) error {
 		return fmt.Errorf("protocol: unmarshal %s header: %w", msg.Type, err)
 	}
 	return nil
+}
+
+// RemoteError is a peer's MsgError answer to a Call, decoded.
+type RemoteError struct{ ErrorHeader }
+
+func (e *RemoteError) Error() string { return e.Message }
+
+// Call performs one request/response exchange on a freshly dialed
+// connection, the shape of every server-to-server hop (registry RPCs, peer
+// blob fetches, chain relays): the whole exchange is bounded by timeout, req
+// is written, one frame is read, and its header is decoded into out. A
+// MsgError answer comes back as a *RemoteError carrying the peer's decoded
+// header; any other frame type than want is an error. The response is
+// returned for its body; verifying that against the header's checksum is the
+// caller's.
+func Call(conn net.Conn, timeout time.Duration, req Message, want MsgType, out any) (Message, error) {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return Message{}, err
+	}
+	if err := Write(conn, req); err != nil {
+		return Message{}, err
+	}
+	resp, err := Read(conn)
+	if err != nil {
+		return Message{}, err
+	}
+	if resp.Type == MsgError {
+		remote := &RemoteError{}
+		if err := DecodeHeader(resp, &remote.ErrorHeader); err != nil {
+			return Message{}, err
+		}
+		return Message{}, remote
+	}
+	if resp.Type != want {
+		return Message{}, fmt.Errorf("unexpected reply %s", resp.Type)
+	}
+	return resp, DecodeHeader(resp, out)
 }

@@ -351,3 +351,63 @@ func TestReadLargeBodyStillRoundTrips(t *testing.T) {
 		t.Error("multi-chunk body corrupted in reassembly")
 	}
 }
+
+// TestCall pins the one-shot exchange every server-to-server hop uses: the
+// decoded answer on success, the peer's own error header on MsgError, an
+// error on any other frame type, and the timeout bounding the whole
+// exchange.
+func TestCall(t *testing.T) {
+	ping, err := Encode(MsgPing, PingHeader{Seq: 7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// serve answers one request on the far end of a pipe with reply
+	// (nothing when reply is nil) and returns the near end.
+	serve := func(reply func(req Message) Message) net.Conn {
+		near, far := net.Pipe()
+		t.Cleanup(func() { near.Close(); far.Close() })
+		go func() {
+			req, err := Read(far)
+			if err != nil || reply == nil {
+				return
+			}
+			Write(far, reply(req)) //nolint:errcheck // the test fails on the near end
+		}()
+		return near
+	}
+	encode := func(typ MsgType, hdr any, body []byte) func(Message) Message {
+		return func(Message) Message {
+			msg, err := Encode(typ, hdr, body)
+			if err != nil {
+				t.Error(err)
+			}
+			return msg
+		}
+	}
+
+	var pong PongHeader
+	resp, err := Call(serve(encode(MsgPong, PongHeader{Installed: true, Seq: 7}, []byte("body"))),
+		time.Second, ping, MsgPong, &pong)
+	if err != nil || !pong.Installed || pong.Seq != 7 || string(resp.Body) != "body" {
+		t.Errorf("Call = %+v, body %q, err %v; want the decoded pong and its body", pong, resp.Body, err)
+	}
+
+	_, err = Call(serve(encode(MsgError, ErrorHeader{Message: "no such blob", ChainHop: 3}, nil)),
+		time.Second, ping, MsgPong, &pong)
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Message != "no such blob" || remote.ChainHop != 3 || err.Error() != "no such blob" {
+		t.Errorf("MsgError answer: err = %v, want a RemoteError carrying the peer's header", err)
+	}
+
+	if _, err = Call(serve(encode(MsgAck, AckHeader{}, nil)), time.Second, ping, MsgPong, &pong); err == nil ||
+		errors.As(err, &remote) || !strings.Contains(err.Error(), "unexpected reply") {
+		t.Errorf("wrong frame type: err = %v, want an unexpected-reply error", err)
+	}
+
+	start := time.Now()
+	_, err = Call(serve(nil), 50*time.Millisecond, ping, MsgPong, &pong)
+	var netErr net.Error
+	if !errors.As(err, &netErr) || !netErr.Timeout() || time.Since(start) > 5*time.Second {
+		t.Errorf("silent peer: err = %v after %v, want the deadline to end the exchange", err, time.Since(start))
+	}
+}
