@@ -80,11 +80,14 @@ func (c *Conv) Traits(in []int) (StepTraits, error) {
 }
 
 // ForwardCtx implements Layer with the im2col-free direct convolution
-// (tensor.GemmConv): input tiles are gathered straight into packed GEMM
-// panels, so the column matrix never exists and the layer needs no scratch.
-// The shared packed GEMM kernel fans column blocks across CPUs for large
-// layers; the per-element accumulation order does not depend on the
-// parallelism, so results are deterministic.
+// (tensor.GemmConv): the packer builds GEMM panels straight from the input
+// — whole slivers copied from one input row where no tap is padding, the
+// input planes themselves for a 1x1/stride-1/pad-0 layer, element by
+// element only at padded borders and row wraps — so the column matrix
+// never exists and the layer needs no scratch. The shared packed GEMM
+// kernel fans column blocks across CPUs for large layers; the per-element
+// accumulation order does not depend on the parallelism, so results are
+// deterministic.
 func (c *Conv) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
 	g := c.geom(in.Dim(1), in.Dim(2), out.Dim(1), out.Dim(2))
 	tensor.GemmConv(out.Data(), c.weight.Data(), c.bias.Data(), c.outC, in.Data(), g)
@@ -196,50 +199,158 @@ func (p *Pool) Traits(in []int) (StepTraits, error) {
 	return StepTraits{Algo: string(p.kind)}, nil
 }
 
-// ForwardCtx implements Layer.
+// ForwardCtx implements Layer. Output positions whose window lies wholly
+// inside the input run an interior loop picked once per call from (kind, k),
+// with no per-tap bounds or kind test. The rest — padding at the top and
+// left, and ceil-mode windows that overhang the bottom and right edge even
+// with pad 0 — go through border, which clips the window first. Both visit
+// taps ky-major then kx-minor, max keeps the earlier of two equal or
+// unordered values and avg divides by the number of valid taps, so an
+// output's bits do not depend on which loop produced it.
 func (p *Pool) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
 	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
 	oh, ow := out.Dim(1), out.Dim(2)
+	interior := poolMaxRow
+	switch {
+	case p.kind == AvgPool:
+		interior = poolAvgRow
+	case p.k == 3:
+		interior = poolMaxRow3
+	}
+	oy0, oy1 := interiorSpan(h, oh, p.k, p.stride, p.pad)
+	ox0, ox1 := interiorSpan(w, ow, p.k, p.stride, p.pad)
 	src := in.Data()
 	dst := out.Data()
 	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
+		plane := src[ch*h*w : (ch+1)*h*w]
 		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*p.stride - p.pad
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*p.stride - p.pad
-				var acc float32
-				n := 0
-				first := true
-				for ky := 0; ky < p.k; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kx := 0; kx < p.k; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						v := src[base+iy*w+ix]
-						switch {
-						case p.kind == MaxPool && (first || v > acc):
-							acc = v
-						case p.kind == AvgPool:
-							acc += v
-						}
-						first = false
-						n++
-					}
-				}
-				if p.kind == AvgPool && n > 0 {
-					acc /= float32(n)
-				}
-				dst[(ch*oh+oy)*ow+ox] = acc
+			row := dst[(ch*oh+oy)*ow : (ch*oh+oy+1)*ow]
+			if oy < oy0 || oy >= oy1 || ox0 == ox1 {
+				p.border(row, plane, h, w, oy, 0, ow)
+				continue
 			}
+			p.border(row, plane, h, w, oy, 0, ox0)
+			interior(row[ox0:ox1], plane[(oy*p.stride-p.pad)*w+ox0*p.stride-p.pad:], w, p.k, p.stride)
+			p.border(row, plane, h, w, oy, ox1, ow)
 		}
 	}
 	return nil
+}
+
+// interiorSpan returns the half-open range of output indices along one
+// axis whose k-wide window [o*stride-pad, o*stride-pad+k) lies inside
+// [0, size).
+func interiorSpan(size, outSize, k, stride, pad int) (lo, hi int) {
+	lo = (pad + stride - 1) / stride
+	if size+pad >= k {
+		hi = min((size+pad-k)/stride+1, outSize)
+	}
+	return min(lo, hi), hi
+}
+
+// poolMaxRow writes one run of interior max-pool outputs. src starts at the
+// first output's window origin in a plane of row length w.
+func poolMaxRow(dst, src []float32, w, k, stride int) {
+	for i := range dst {
+		win := src[i*stride:]
+		acc := win[0]
+		for ky := 0; ky < k; ky++ {
+			for _, v := range win[ky*w : ky*w+k] {
+				if v > acc {
+					acc = v
+				}
+			}
+		}
+		dst[i] = acc
+	}
+}
+
+// poolMaxRow3 is poolMaxRow with the 3x3 window — every max pool in the
+// model catalog — unrolled.
+func poolMaxRow3(dst, src []float32, w, _, stride int) {
+	n := (len(dst)-1)*stride + 3
+	r0, r1, r2 := src[:n], src[w:w+n], src[2*w:2*w+n]
+	for i := range dst {
+		j := i * stride
+		a, b, c := r0[j:j+3:j+3], r1[j:j+3:j+3], r2[j:j+3:j+3]
+		acc := a[0]
+		if a[1] > acc {
+			acc = a[1]
+		}
+		if a[2] > acc {
+			acc = a[2]
+		}
+		if b[0] > acc {
+			acc = b[0]
+		}
+		if b[1] > acc {
+			acc = b[1]
+		}
+		if b[2] > acc {
+			acc = b[2]
+		}
+		if c[0] > acc {
+			acc = c[0]
+		}
+		if c[1] > acc {
+			acc = c[1]
+		}
+		if c[2] > acc {
+			acc = c[2]
+		}
+		dst[i] = acc
+	}
+}
+
+// poolAvgRow is poolMaxRow for average pooling: the sum starts at +0 and
+// every tap is valid, so the divisor is k*k.
+func poolAvgRow(dst, src []float32, w, k, stride int) {
+	n := float32(k * k)
+	for i := range dst {
+		win := src[i*stride:]
+		var acc float32
+		for ky := 0; ky < k; ky++ {
+			for _, v := range win[ky*w : ky*w+k] {
+				acc += v
+			}
+		}
+		dst[i] = acc / n
+	}
+}
+
+// border writes outputs [ox0, ox1) of output row oy, clipping each window
+// to the h x w plane. A window with no valid tap yields 0.
+func (p *Pool) border(dst, plane []float32, h, w, oy, ox0, ox1 int) {
+	iy0 := oy*p.stride - p.pad
+	ky0, ky1 := max(0, -iy0), min(p.k, h-iy0)
+	for ox := ox0; ox < ox1; ox++ {
+		ix0 := ox*p.stride - p.pad
+		kx0, kx1 := max(0, -ix0), min(p.k, w-ix0)
+		var acc float32
+		if ky0 < ky1 && kx0 < kx1 {
+			if p.kind == MaxPool {
+				acc = plane[(iy0+ky0)*w+ix0+kx0]
+			}
+			for ky := ky0; ky < ky1; ky++ {
+				taps := plane[(iy0+ky)*w+ix0+kx0 : (iy0+ky)*w+ix0+kx1]
+				if p.kind == MaxPool {
+					for _, v := range taps {
+						if v > acc {
+							acc = v
+						}
+					}
+				} else {
+					for _, v := range taps {
+						acc += v
+					}
+				}
+			}
+			if p.kind == AvgPool {
+				acc /= float32((ky1 - ky0) * (kx1 - kx0))
+			}
+		}
+		dst[ox] = acc
+	}
 }
 
 // FLOPs implements Layer: one comparison/add per window element.

@@ -259,49 +259,66 @@ func (l *LRN) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardStandalone(l, in)
 }
 
-// Traits implements Layer: in-place with a C-float scratch column (the
-// channel window must read pre-normalization values even when out
-// aliases in).
+// lrnBlock is the number of spatial positions LRN normalizes at a time:
+// wide enough to amortize the per-channel loop set-up, small enough that
+// the ring and the float64 window sums stay in L1.
+const lrnBlock = 256
+
+// Traits implements Layer: in-place, with scratch for a ring of localSize
+// channel rows of one position block (the window must read
+// pre-normalization values even when out aliases in).
 func (l *LRN) Traits(in []int) (StepTraits, error) {
 	if _, _, _, err := shapeCHW(in); err != nil {
 		return StepTraits{}, fmt.Errorf("lrn %q: %w", l.name, err)
 	}
-	return StepTraits{InPlace: true, ScratchFloats: in[0]}, nil
+	return StepTraits{InPlace: true, ScratchFloats: l.localSize * lrnBlock}, nil
 }
 
-// ForwardCtx implements Layer. For each spatial position the channel
-// column is copied to scratch first, so normalization reads original
-// values regardless of aliasing; values and accumulation order match the
-// pre-plan implementation exactly.
+// ForwardCtx implements Layer. Channel planes are streamed in blocks of
+// lrnBlock positions. Within a block, channel j's values are copied into
+// ring row j%localSize when j enters the window (at output channel j-half)
+// and stay until it leaves, so every read happens before the in-place write
+// of that channel. Output channel ch sums the squares of its window fresh,
+// in increasing channel order in float64 — the same operands in the same
+// order as the naive per-position loop — and scales by
+// (1+alpha/n*sum)^-beta, computed with two square roots for beta=0.75
+// (every LRN in the model catalog) and math.Pow otherwise.
 func (l *LRN) ForwardCtx(ctx *ExecContext, in, out *tensor.Tensor) error {
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
+	c, plane := in.Dim(0), in.Dim(1)*in.Dim(2)
 	src := in.Data()
 	dst := out.Data()
-	column := ctx.Scratch(c)
-	half := l.localSize / 2
-	plane := h * w
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			off := y*w + x
-			for ch := 0; ch < c; ch++ {
-				column[ch] = src[ch*plane+off]
+	ring := ctx.Scratch(l.localSize * lrnBlock)
+	size, half := l.localSize, l.localSize/2
+	k := l.alpha / float64(size)
+	var sums [lrnBlock]float64
+	for p0 := 0; p0 < plane; p0 += lrnBlock {
+		n := min(lrnBlock, plane-p0)
+		sum := sums[:n]
+		for j := 0; j < min(half, c); j++ {
+			copy(ring[j*lrnBlock:], src[j*plane+p0:j*plane+p0+n])
+		}
+		for ch := 0; ch < c; ch++ {
+			if j := ch + half; j < c {
+				copy(ring[j%size*lrnBlock:], src[j*plane+p0:j*plane+p0+n])
 			}
-			for ch := 0; ch < c; ch++ {
-				var sum float64
-				lo := ch - half
-				if lo < 0 {
-					lo = 0
+			clear(sum)
+			for j := max(ch-half, 0); j <= min(ch+half, c-1); j++ {
+				for i, f := range ring[j%size*lrnBlock:][:n] {
+					v := float64(f)
+					sum[i] += v * v
 				}
-				hi := ch + half
-				if hi >= c {
-					hi = c - 1
+			}
+			x := ring[ch%size*lrnBlock:][:n]
+			o := dst[ch*plane+p0:][:n]
+			if l.beta == 0.75 {
+				for i, s := range sum {
+					r := math.Sqrt(1 + k*s)
+					o[i] = float32(float64(x[i]) / (r * math.Sqrt(r)))
 				}
-				for j := lo; j <= hi; j++ {
-					v := float64(column[j])
-					sum += v * v
+			} else {
+				for i, s := range sum {
+					o[i] = float32(float64(x[i]) * math.Pow(1+k*s, -l.beta))
 				}
-				scale := math.Pow(1+l.alpha/float64(l.localSize)*sum, -l.beta)
-				dst[ch*plane+off] = float32(float64(column[ch]) * scale)
 			}
 		}
 	}

@@ -54,15 +54,21 @@ func Gemm(dst, a, b, bias []float32, m, k, n int) {
 // and B(src) is the virtual im2col matrix described by g, gathered into
 // packed panels one cache block at a time. Values and per-element
 // accumulation order match im2col + Gemm exactly, so the two kernels are
-// bit-identical; this one never materializes the column matrix.
+// bit-identical; this one never materializes the column matrix. For a
+// 1x1/stride-1/pad-0 convolution the virtual matrix is the input itself
+// ([InC, H*W] row-major), so it is packed as a plain in-memory operand.
 func GemmConv(dst, w, bias []float32, m int, src []float32, g ConvGeom) {
 	k, n := g.Rows(), g.Cols()
 	if m <= 0 || n <= 0 {
 		return
 	}
+	b := bSrc{conv: src, g: g}
+	if g.pointwise() {
+		b = bSrc{mat: src, ldb: g.H * g.W}
+	}
 	var pa PackedA
 	packAPooledInto(&pa, w, m, k, k)
-	gemmPackedDrive(dst, &pa, bSrc{conv: src, g: g}, bias, n)
+	gemmPackedDrive(dst, &pa, b, bias, n)
 	pa.Release()
 }
 
@@ -192,20 +198,40 @@ func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, n, j0
 				bsl := bufB[s*kc*packNR:]
 				for i0 := 0; i0 < m; i0 += packMR {
 					apan := pa.panel(bIdx, i0, kc)
-					if nr == packNR && m-i0 >= packMR {
-						off := i0*n + j
-						if haveAVX {
-							kern4x8AVX(&dst[off], n, &apan[0], &bsl[0], kc)
-						} else {
-							kern4x8(dst[off:], dst[off+n:], dst[off+2*n:], dst[off+3*n:], apan, bsl, kc)
-						}
-					} else {
-						kernTail(dst[i0*n+j:], n, apan, bsl, kc, min(packMR, m-i0), nr)
+					off := i0*n + j
+					mr := min(packMR, m-i0)
+					if mr == packMR && nr == packNR {
+						kernTile(dst[off:], n, apan, bsl, kc)
+						continue
+					}
+					// Ragged tile: run the full-tile kernel on a zero-padded
+					// stack copy and keep only the valid mr x nr corner. The
+					// packed panels are zero-padded to full geometry, so the
+					// extra lanes compute values nobody reads, and the valid
+					// ones see the same operation sequence as a full tile.
+					var tile [packMR * packNR]float32
+					for r := 0; r < mr; r++ {
+						copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
+					}
+					kernTile(tile[:], packNR, apan, bsl, kc)
+					for r := 0; r < mr; r++ {
+						copy(dst[off+r*n:off+r*n+nr], tile[r*packNR:])
 					}
 				}
 			}
 		}
 	}
+}
+
+// kernTile accumulates one KC chunk into the full MR x NR tile whose rows
+// start at dst[0], dst[ldd], ... through the assembly micro-kernel when the
+// CPU has it and the portable one otherwise; the two are bit-identical.
+func kernTile(dst []float32, ldd int, ap, bp []float32, kc int) {
+	if haveAVX {
+		kern4x8AVX(&dst[0], ldd, &ap[0], &bp[0], kc)
+		return
+	}
+	kern4x8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc)
 }
 
 // kern4x8 is the register-tile micro-kernel: a full 4-row by 8-column dst
@@ -262,36 +288,6 @@ func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int) {
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17
 	d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7] = c20, c21, c22, c23, c24, c25, c26, c27
 	d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7] = c30, c31, c32, c33, c34, c35, c36, c37
-}
-
-// kernTail handles ragged tiles (mr < MR rows and/or nr < NR columns): the
-// packed panels are zero-padded to full geometry, but only the valid
-// mr×nr elements are loaded from and stored to dst, so the padding never
-// perturbs results.
-func kernTail(dst []float32, ldd int, ap, bp []float32, kc, mr, nr int) {
-	var acc [packMR][packNR]float32
-	for r := 0; r < mr; r++ {
-		drow := dst[r*ldd:]
-		for c := 0; c < nr; c++ {
-			acc[r][c] = drow[c]
-		}
-	}
-	for p := 0; p < kc; p++ {
-		av := ap[p*packMR : p*packMR+packMR]
-		bv := bp[p*packNR : p*packNR+packNR]
-		for r := 0; r < mr; r++ {
-			a := av[r]
-			for c := 0; c < nr; c++ {
-				acc[r][c] += a * bv[c]
-			}
-		}
-	}
-	for r := 0; r < mr; r++ {
-		drow := dst[r*ldd:]
-		for c := 0; c < nr; c++ {
-			drow[c] = acc[r][c]
-		}
-	}
 }
 
 // gemmRef is the streaming reference kernel (the pre-packing engine

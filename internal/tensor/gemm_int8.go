@@ -26,7 +26,12 @@ func GemmPackedI8(dst []int32, pa *PackedAI8, b []int8, ldb, n int) {
 // GemmConvI8 is GemmConv's int8 twin: a direct convolution over a
 // quantized input image src, accumulating int32 into dst.
 func GemmConvI8(dst []int32, pa *PackedAI8, src []int8, g ConvGeom) {
-	gemmI8Drive(dst, pa, bSrcI8{conv: src, g: g}, g.Cols())
+	n := g.Cols()
+	b := bSrcI8{conv: src, g: g}
+	if g.pointwise() {
+		b = bSrcI8{mat: src, ldb: g.H * g.W}
+	}
+	gemmI8Drive(dst, pa, b, n)
 }
 
 // bSrcI8 mirrors bSrc for int8 operands.
@@ -39,10 +44,10 @@ type bSrcI8 struct {
 
 func (s *bSrcI8) pack(dst []int8, p0, kc, j0, nc int) {
 	if s.mat != nil {
-		packBBlockI8(dst, s.mat, s.ldb, p0, kc, j0, nc)
+		packBBlock(dst, s.mat, s.ldb, p0, kc, j0, nc)
 		return
 	}
-	packBConvI8(dst, s.conv, s.g, p0, kc, j0, nc)
+	packBConv(dst, s.conv, s.g, p0, kc, j0, nc)
 }
 
 func gemmI8Drive(dst []int32, pa *PackedAI8, src bSrcI8, n int) {
@@ -107,20 +112,35 @@ func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []i
 				bsl := bufB[s*kc*packNR:]
 				for i0 := 0; i0 < m; i0 += packMR {
 					apan := pa.panel(bIdx, i0, kc)
-					if nr == packNR && m-i0 >= packMR {
-						off := i0*n + j
-						if haveAVX2 {
-							kern4x8I8AVX2(&dst[off], n, &apan[0], &bsl[0], kc)
-						} else {
-							kern4x8i8(dst[off:], dst[off+n:], dst[off+2*n:], dst[off+3*n:], apan, bsl, kc)
-						}
-					} else {
-						kernTailI8(dst[i0*n+j:], n, apan, bsl, kc, min(packMR, m-i0), nr)
+					off := i0*n + j
+					mr := min(packMR, m-i0)
+					if mr == packMR && nr == packNR {
+						kernTileI8(dst[off:], n, apan, bsl, kc)
+						continue
+					}
+					// Ragged tile: zero-padded stack copy, as in
+					// gemmPackedCols.
+					var tile [packMR * packNR]int32
+					for r := 0; r < mr; r++ {
+						copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
+					}
+					kernTileI8(tile[:], packNR, apan, bsl, kc)
+					for r := 0; r < mr; r++ {
+						copy(dst[off+r*n:off+r*n+nr], tile[r*packNR:])
 					}
 				}
 			}
 		}
 	}
+}
+
+// kernTileI8 is kernTile for the int8 micro-kernels.
+func kernTileI8(dst []int32, ldd int, ap, bp []int8, kc int) {
+	if haveAVX2 {
+		kern4x8I8AVX2(&dst[0], ldd, &ap[0], &bp[0], kc)
+		return
+	}
+	kern4x8i8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc)
 }
 
 // kern4x8i8 is the int8 register-tile micro-kernel: int32 accumulators in
@@ -174,32 +194,6 @@ func kern4x8i8(d0, d1, d2, d3 []int32, ap, bp []int8, kc int) {
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17
 	d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7] = c20, c21, c22, c23, c24, c25, c26, c27
 	d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7] = c30, c31, c32, c33, c34, c35, c36, c37
-}
-
-func kernTailI8(dst []int32, ldd int, ap, bp []int8, kc, mr, nr int) {
-	var acc [packMR][packNR]int32
-	for r := 0; r < mr; r++ {
-		drow := dst[r*ldd:]
-		for c := 0; c < nr; c++ {
-			acc[r][c] = drow[c]
-		}
-	}
-	for p := 0; p < kc; p++ {
-		av := ap[p*packMR : p*packMR+packMR]
-		bv := bp[p*packNR : p*packNR+packNR]
-		for r := 0; r < mr; r++ {
-			a := int32(av[r])
-			for c := 0; c < nr; c++ {
-				acc[r][c] += a * int32(bv[c])
-			}
-		}
-	}
-	for r := 0; r < mr; r++ {
-		drow := dst[r*ldd:]
-		for c := 0; c < nr; c++ {
-			drow[c] = acc[r][c]
-		}
-	}
 }
 
 // GemvI8 is the quantized fully-connected path: int8 dot products with

@@ -74,6 +74,86 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
+// checkRaggedTiles drives every tile shape the packed kernels can meet —
+// m in 1..9 rows and n in 1..17 columns cover each mr x nr corner of the
+// 4x8 register tile, n = 49 and 196 are the catalog's 7x7 and 14x14 planes
+// — with k on both sides of a KC block boundary, and requires the float32
+// drivers to be bit-identical to gemmRef and the int8 drivers equal to the
+// int32 oracle. The B operand is the im2col matrix of a 3x3 convolution,
+// so the same numbers also go through GemmConv and GemmConvI8.
+func checkRaggedTiles(t *testing.T) {
+	t.Helper()
+	ns := []int{49, 196}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for _, inC := range []int{1, 28, 29, 57} { // k = 9, 252, 261, 513
+		for _, n := range ns {
+			g := ConvGeom{InC: inC, H: 3, W: n + 2, K: 3, Stride: 1, OutH: 1, OutW: n}
+			switch n {
+			case 49:
+				g = ConvGeom{InC: inC, H: 7, W: 7, K: 3, Stride: 1, Pad: 1, OutH: 7, OutW: 7}
+			case 196:
+				g = ConvGeom{InC: inC, H: 14, W: 14, K: 3, Stride: 1, Pad: 1, OutH: 14, OutW: 14}
+			}
+			k := g.Rows()
+			src := make([]float32, inC*g.H*g.W)
+			src8 := make([]int8, len(src))
+			fillRand(src, uint64(k*1000+n))
+			fillRandI8(src8, uint64(k*1000+n)+1)
+			b, b8 := convRef(src, g), convRef(src8, g)
+			for m := 1; m <= 9; m++ {
+				a := make([]float32, m*k)
+				a8 := make([]int8, m*k)
+				bias := make([]float32, m)
+				fillRand(a, uint64(m)+2)
+				fillRandI8(a8, uint64(m)+3)
+				fillRand(bias, uint64(m)+4)
+				want := make([]float32, m*n)
+				gemmRef(want, a, b, bias, m, k, n)
+				got := make([]float32, m*n)
+				same := func(what string) {
+					t.Helper()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("m=%d k=%d n=%d: %s[%d] = %v, want %v (bit-exact)", m, k, n, what, i, got[i], want[i])
+						}
+					}
+					clear(got)
+				}
+				Gemm(got, a, b, bias, m, k, n)
+				same("Gemm")
+				GemmPacked(got, PackA(a, m, k, k), b, n, bias, n)
+				same("GemmPacked")
+				GemmConv(got, a, bias, m, src, g)
+				same("GemmConv")
+
+				want8 := make([]int32, m*n)
+				naiveGemmI8(want8, a8, b8, m, k, n)
+				pa8 := PackAI8(a8, m, k, k)
+				got8 := make([]int32, m*n)
+				GemmPackedI8(got8, pa8, b8, n, n)
+				for i := range want8 {
+					if got8[i] != want8[i] {
+						t.Fatalf("m=%d k=%d n=%d: GemmPackedI8[%d] = %d, want %d", m, k, n, i, got8[i], want8[i])
+					}
+				}
+				clear(got8)
+				GemmConvI8(got8, pa8, src8, g)
+				for i := range want8 {
+					if got8[i] != want8[i] {
+						t.Fatalf("m=%d k=%d n=%d: GemmConvI8[%d] = %d, want %d", m, k, n, i, got8[i], want8[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRaggedTiles runs checkRaggedTiles on the kernels this CPU selects
+// (kern_amd64_test.go repeats it with the assembly kernels switched off).
+func TestRaggedTiles(t *testing.T) { checkRaggedTiles(t) }
+
 // TestGemmDeterministicAcrossWorkers pins that a GEMM large enough to
 // parallelize produces bit-identical output regardless of GOMAXPROCS:
 // row partitioning must never change per-element accumulation order.

@@ -57,3 +57,12 @@ func TestKernAVXMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestRaggedTilesPortableKernels repeats the ragged-tile property with the
+// assembly kernels switched off, so the pure-Go micro-kernels take the
+// zero-padded tiles too.
+func TestRaggedTilesPortableKernels(t *testing.T) {
+	defer func(avx, avx2 bool) { haveAVX, haveAVX2 = avx, avx2 }(haveAVX, haveAVX2)
+	haveAVX, haveAVX2 = false, false
+	checkRaggedTiles(t)
+}

@@ -80,7 +80,7 @@ func (pa *PackedA) panel(bIdx, i0, kc int) []float32 {
 // and safe for concurrent GEMM calls.
 func PackA(a []float32, m, k, lda int) *PackedA {
 	pa := &PackedA{m: m, k: k, data: make([]float32, packedALen(m, k))}
-	pa.fill(a, lda)
+	fillPanels(pa.data, a, m, k, lda)
 	return pa
 }
 
@@ -90,7 +90,7 @@ func packAPooledInto(pa *PackedA, a []float32, m, k, lda int) {
 	pa.m, pa.k = m, k
 	pa.data = GetBuf(packedALen(m, k))
 	pa.pooled = true
-	pa.fill(a, lda)
+	fillPanels(pa.data, a, m, k, lda)
 }
 
 // Release returns pool-backed packing storage. No-op for PackA results.
@@ -104,20 +104,21 @@ func (pa *PackedA) Release() {
 // Dims returns the packed matrix's (m, k).
 func (pa *PackedA) Dims() (m, k int) { return pa.m, pa.k }
 
-func (pa *PackedA) fill(a []float32, lda int) {
-	m, k := pa.m, pa.k
-	for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
+// fillPanels writes the MR-interleaved, KC-blocked packing of the m x k
+// matrix a (row stride lda) into data, zero-padding the rows of a ragged
+// last panel. Block bIdx starts at bIdx*panels*MR*KC (see blockOff).
+func fillPanels[T float32 | int8](data, a []T, m, k, lda int) {
+	di := 0
+	for pc := 0; pc < k; pc += packKC {
 		kc := min(packKC, k-pc)
-		d := pa.data[pa.blockOff(bIdx):]
-		di := 0
 		for i0 := 0; i0 < m; i0 += packMR {
 			for p := pc; p < pc+kc; p++ {
 				for r := 0; r < packMR; r++ {
+					var v T
 					if i0+r < m {
-						d[di] = a[(i0+r)*lda+p]
-					} else {
-						d[di] = 0
+						v = a[(i0+r)*lda+p]
 					}
+					data[di] = v
 					di++
 				}
 			}
@@ -160,23 +161,36 @@ func (g ConvGeom) Rows() int { return g.InC * g.K * g.K }
 // Cols returns the virtual B matrix's column count (GEMM n).
 func (g ConvGeom) Cols() int { return g.OutH * g.OutW }
 
+// pointwise reports whether the virtual B matrix is the input image itself:
+// a 1x1 kernel at stride 1 with no padding and an output the size of the
+// input makes row ic the channel plane and column j the position, so
+// B = src viewed as [InC, H*W].
+func (g ConvGeom) pointwise() bool {
+	return g.K == 1 && g.Stride == 1 && g.Pad == 0 && g.OutH == g.H && g.OutW == g.W
+}
+
 // packBBlock packs one cache block of an in-memory k x n matrix stored
 // row-major with row stride ldb (ldb >= n; a larger ldb packs a sub-view
-// of a wider matrix). Layout as documented on BPacker.
-func packBBlock(dst, b []float32, ldb, p0, kc, j0, nc int) {
+// of a wider matrix). Layout as documented on BPacker. Full slivers move
+// NR elements per row in one copy; only the ragged last sliver pads.
+func packBBlock[T float32 | int8](dst, b []T, ldb, p0, kc, j0, nc int) {
 	di := 0
 	for s := 0; s < nc; s += packNR {
 		nr := min(packNR, nc-s)
-		for p := p0; p < p0+kc; p++ {
-			row := b[p*ldb+j0+s:]
-			for c := 0; c < nr; c++ {
-				dst[di] = row[c]
-				di++
+		col := p0*ldb + j0 + s
+		for p := 0; p < kc; p++ {
+			d := (*[packNR]T)(dst[di:])
+			if nr == packNR {
+				// Through a local so the compiler emits register moves; a
+				// direct array assignment may alias and calls memmove.
+				v := *(*[packNR]T)(b[col:])
+				*d = v
+			} else {
+				copy(d[:nr], b[col:])
+				clear(d[nr:])
 			}
-			for c := nr; c < packNR; c++ {
-				dst[di] = 0
-				di++
-			}
+			di += packNR
+			col += ldb
 		}
 	}
 }
@@ -186,31 +200,53 @@ func packBBlock(dst, b []float32, ldb, p0, kc, j0, nc int) {
 // (ic, ky, kx), column j into (oy, ox), and padding positions pack as
 // exact zeros — the same values buildColumns materializes, in the same
 // row order, so direct convolution is bit-identical to im2col + GEMM.
-func packBConv(dst, src []float32, g ConvGeom, p0, kc, j0, nc int) {
-	var icArr, rowArr, kxArr [packKC]int32
+//
+// A sliver whose NR columns lie in one output row reads, for each (ic, ky,
+// kx), NR taps of one input row at a fixed stride; when none of them is a
+// padding tap they are copied straight from that row. Slivers that wrap to
+// the next output row, the ragged last sliver, and rows that touch padding
+// gather element by element with the bounds test per tap.
+func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
+	var baseArr, dyArr, dxArr [packKC]int32
 	for i := 0; i < kc; i++ {
 		p := p0 + i
 		kx := p % g.K
 		t := p / g.K
 		ky := t % g.K
 		ic := t / g.K
-		icArr[i] = int32(ic)
-		rowArr[i] = int32(ky - g.Pad) // iy = oy*Stride + rowArr
-		kxArr[i] = int32(kx - g.Pad)  // ix = ox*Stride + kxArr
+		baseArr[i] = int32(ic * g.H * g.W)
+		dyArr[i] = int32(ky - g.Pad) // iy = oy*Stride + dyArr
+		dxArr[i] = int32(kx - g.Pad) // ix = ox*Stride + dxArr
 	}
 	di := 0
+	span := (packNR - 1) * g.Stride // distance from a sliver row's first tap to its last
 	for s := 0; s < nc; s += packNR {
 		nr := min(packNR, nc-s)
 		jBase := j0 + s
 		oy0 := jBase / g.OutW
 		ox0 := jBase - oy0*g.OutW
+		oneRow := nr == packNR && ox0+packNR <= g.OutW
 		for i := 0; i < kc; i++ {
-			base := int(icArr[i]) * g.H * g.W
-			dy := int(rowArr[i])
-			dx := int(kxArr[i])
+			d := (*[packNR]T)(dst[di:])
+			di += packNR
+			base := int(baseArr[i])
+			dy := int(dyArr[i])
+			dx := int(dxArr[i])
+			if iy, ix := oy0*g.Stride+dy, ox0*g.Stride+dx; oneRow && iy >= 0 && iy < g.H && ix >= 0 && ix+span < g.W {
+				row := src[base+iy*g.W+ix : base+iy*g.W+ix+span+1]
+				if g.Stride == 1 {
+					v := *(*[packNR]T)(row)
+					*d = v
+				} else {
+					for c := range d {
+						d[c] = row[c*g.Stride]
+					}
+				}
+				continue
+			}
 			oy, ox := oy0, ox0
-			for c := 0; c < packNR; c++ {
-				var v float32
+			for c := range d {
+				var v T
 				if c < nr {
 					iy := oy*g.Stride + dy
 					ix := ox*g.Stride + dx
@@ -218,8 +254,7 @@ func packBConv(dst, src []float32, g ConvGeom, p0, kc, j0, nc int) {
 						v = src[base+iy*g.W+ix]
 					}
 				}
-				dst[di] = v
-				di++
+				d[c] = v
 				ox++
 				if ox == g.OutW {
 					ox = 0
@@ -252,23 +287,7 @@ func (pa *PackedAI8) panel(bIdx, i0, kc int) []int8 {
 // panels, mirroring PackA.
 func PackAI8(a []int8, m, k, lda int) *PackedAI8 {
 	pa := &PackedAI8{m: m, k: k, data: make([]int8, packedALen(m, k))}
-	for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
-		kc := min(packKC, k-pc)
-		d := pa.data[pa.blockOff(bIdx):]
-		di := 0
-		for i0 := 0; i0 < m; i0 += packMR {
-			for p := pc; p < pc+kc; p++ {
-				for r := 0; r < packMR; r++ {
-					if i0+r < m {
-						d[di] = a[(i0+r)*lda+p]
-					} else {
-						d[di] = 0
-					}
-					di++
-				}
-			}
-		}
-	}
+	fillPanels(pa.data, a, m, k, lda)
 	return pa
 }
 
@@ -290,68 +309,4 @@ func (pa *PackedAI8) UnpackA() []int8 {
 		}
 	}
 	return out
-}
-
-// packBBlockI8 is packBBlock for an int8 matrix.
-func packBBlockI8(dst, b []int8, ldb, p0, kc, j0, nc int) {
-	di := 0
-	for s := 0; s < nc; s += packNR {
-		nr := min(packNR, nc-s)
-		for p := p0; p < p0+kc; p++ {
-			row := b[p*ldb+j0+s:]
-			for c := 0; c < nr; c++ {
-				dst[di] = row[c]
-				di++
-			}
-			for c := nr; c < packNR; c++ {
-				dst[di] = 0
-				di++
-			}
-		}
-	}
-}
-
-// packBConvI8 is packBConv over a quantized int8 input image.
-func packBConvI8(dst, src []int8, g ConvGeom, p0, kc, j0, nc int) {
-	var icArr, rowArr, kxArr [packKC]int32
-	for i := 0; i < kc; i++ {
-		p := p0 + i
-		kx := p % g.K
-		t := p / g.K
-		ky := t % g.K
-		ic := t / g.K
-		icArr[i] = int32(ic)
-		rowArr[i] = int32(ky - g.Pad)
-		kxArr[i] = int32(kx - g.Pad)
-	}
-	di := 0
-	for s := 0; s < nc; s += packNR {
-		nr := min(packNR, nc-s)
-		jBase := j0 + s
-		oy0 := jBase / g.OutW
-		ox0 := jBase - oy0*g.OutW
-		for i := 0; i < kc; i++ {
-			base := int(icArr[i]) * g.H * g.W
-			dy := int(rowArr[i])
-			dx := int(kxArr[i])
-			oy, ox := oy0, ox0
-			for c := 0; c < packNR; c++ {
-				var v int8
-				if c < nr {
-					iy := oy*g.Stride + dy
-					ix := ox*g.Stride + dx
-					if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-						v = src[base+iy*g.W+ix]
-					}
-				}
-				dst[di] = v
-				di++
-				ox++
-				if ox == g.OutW {
-					ox = 0
-					oy++
-				}
-			}
-		}
-	}
 }

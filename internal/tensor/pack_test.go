@@ -155,9 +155,9 @@ func TestGemmPackedStridedView(t *testing.T) {
 
 // convRef materializes the virtual im2col matrix of a ConvGeom — the
 // golden reference the direct-convolution packer must reproduce.
-func convRef(src []float32, g ConvGeom) []float32 {
+func convRef[T float32 | int8](src []T, g ConvGeom) []T {
 	rows, cols := g.Rows(), g.Cols()
-	col := make([]float32, rows*cols)
+	col := make([]T, rows*cols)
 	for p := 0; p < rows; p++ {
 		kx := p % g.K
 		tmp := p / g.K
@@ -167,15 +167,156 @@ func convRef(src []float32, g ConvGeom) []float32 {
 			for ox := 0; ox < g.OutW; ox++ {
 				iy := oy*g.Stride + ky - g.Pad
 				ix := ox*g.Stride + kx - g.Pad
-				var v float32
 				if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-					v = src[(ic*g.H+iy)*g.W+ix]
+					col[p*cols+oy*g.OutW+ox] = src[(ic*g.H+iy)*g.W+ix]
 				}
-				col[p*cols+oy*g.OutW+ox] = v
 			}
 		}
 	}
 	return col
+}
+
+// gatherBConv is the per-element packer packBConv replaced, kept as the
+// oracle for its copy fast path: every tap of every sliver is bounds-tested
+// on its own.
+func gatherBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
+	di := 0
+	for s := 0; s < nc; s += packNR {
+		nr := min(packNR, nc-s)
+		for i := 0; i < kc; i++ {
+			p := p0 + i
+			kx := p % g.K
+			t := p / g.K
+			ky := t % g.K
+			ic := t / g.K
+			for c := 0; c < packNR; c++ {
+				var v T
+				if c < nr {
+					j := j0 + s + c
+					iy := j/g.OutW*g.Stride + ky - g.Pad
+					ix := j%g.OutW*g.Stride + kx - g.Pad
+					if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
+						v = src[(ic*g.H+iy)*g.W+ix]
+					}
+				}
+				dst[di] = v
+				di++
+			}
+		}
+	}
+}
+
+// catalogConvGeoms lists the distinct convolution geometries of the model
+// catalog and the tinynet fixture (this package cannot import
+// internal/models; TestCatalogConvKernelEquivalence there runs the real
+// layers through GemmConv).
+var catalogConvGeoms = []ConvGeom{
+	{InC: 3, H: 224, W: 224, K: 7, Stride: 2, Pad: 3}, // googlenet conv1
+	{InC: 64, H: 56, W: 56, K: 1, Stride: 1, Pad: 0},
+	{InC: 64, H: 56, W: 56, K: 3, Stride: 1, Pad: 1},
+	{InC: 192, H: 28, W: 28, K: 1, Stride: 1, Pad: 0}, // inception 3a-3b
+	{InC: 96, H: 28, W: 28, K: 3, Stride: 1, Pad: 1},
+	{InC: 16, H: 28, W: 28, K: 5, Stride: 1, Pad: 2},
+	{InC: 256, H: 28, W: 28, K: 1, Stride: 1, Pad: 0},
+	{InC: 128, H: 28, W: 28, K: 3, Stride: 1, Pad: 1},
+	{InC: 32, H: 28, W: 28, K: 5, Stride: 1, Pad: 2},
+	{InC: 480, H: 14, W: 14, K: 1, Stride: 1, Pad: 0}, // inception 4a-4e
+	{InC: 96, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 16, H: 14, W: 14, K: 5, Stride: 1, Pad: 2},
+	{InC: 512, H: 14, W: 14, K: 1, Stride: 1, Pad: 0},
+	{InC: 112, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 24, H: 14, W: 14, K: 5, Stride: 1, Pad: 2},
+	{InC: 128, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 144, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 32, H: 14, W: 14, K: 5, Stride: 1, Pad: 2},
+	{InC: 528, H: 14, W: 14, K: 1, Stride: 1, Pad: 0},
+	{InC: 160, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 832, H: 7, W: 7, K: 1, Stride: 1, Pad: 0}, // inception 5a-5b
+	{InC: 160, H: 7, W: 7, K: 3, Stride: 1, Pad: 1},
+	{InC: 32, H: 7, W: 7, K: 5, Stride: 1, Pad: 2},
+	{InC: 192, H: 7, W: 7, K: 3, Stride: 1, Pad: 1},
+	{InC: 48, H: 7, W: 7, K: 5, Stride: 1, Pad: 2},
+	{InC: 3, H: 227, W: 227, K: 7, Stride: 4, Pad: 0}, // agenet, gendernet
+	{InC: 96, H: 28, W: 28, K: 5, Stride: 1, Pad: 2},
+	{InC: 256, H: 14, W: 14, K: 3, Stride: 1, Pad: 1},
+	{InC: 3, H: 16, W: 16, K: 3, Stride: 1, Pad: 1}, // tinynet
+	{InC: 8, H: 8, W: 8, K: 3, Stride: 1, Pad: 1},
+}
+
+// checkPackBConv packs the whole virtual matrix of g block by block, the
+// way the driver walks it for the column range [j0, j1), and compares
+// every packed byte with the per-element oracle's.
+func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 int) {
+	t.Helper()
+	k := g.Rows()
+	got := make([]T, bPanelLen(k, j1-j0))
+	want := make([]T, len(got))
+	for jc := j0; jc < j1; jc += packNC {
+		nc := min(packNC, j1-jc)
+		for pc := 0; pc < k; pc += packKC {
+			kc := min(packKC, k-pc)
+			packBConv(got, src, g, pc, kc, jc, nc)
+			gatherBConv(want, src, g, pc, kc, jc, nc)
+			for i := 0; i < kc*((nc+packNR-1)&^(packNR-1)); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("geom %+v block p0=%d kc=%d j0=%d nc=%d: packed[%d] = %v, want %v",
+						g, pc, kc, jc, nc, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPackBConvMatchesGather pins packBConv's copy fast path, on every
+// catalog convolution geometry, to the per-element gather it replaced:
+// identical panel bytes for float32 and int8, over the full column range
+// and over the two NR-aligned halves a two-worker fan-out packs. For the
+// 1x1 geometries it also pins that GemmConv's in-memory routing produces
+// the dst the gather path does.
+func TestPackBConvMatchesGather(t *testing.T) {
+	for gi, g := range catalogConvGeoms {
+		g.OutH = convOutDim(g.H, g.K, g.Stride, g.Pad)
+		g.OutW = convOutDim(g.W, g.K, g.Stride, g.Pad)
+		n := g.Cols()
+		src := make([]float32, g.InC*g.H*g.W)
+		src8 := make([]int8, len(src))
+		fillRand(src, uint64(gi)+51)
+		fillRandI8(src8, uint64(gi)+52)
+		half := (n/2 + packNR - 1) &^ (packNR - 1)
+		for _, r := range [][2]int{{0, n}, {0, half}, {half, n}} {
+			checkPackBConv(t, src, g, r[0], r[1])
+			checkPackBConv(t, src8, g, r[0], r[1])
+		}
+		if !g.pointwise() {
+			continue
+		}
+		const outC = 6
+		w := make([]float32, outC*g.Rows())
+		w8 := make([]int8, len(w))
+		bias := make([]float32, outC)
+		fillRand(w, uint64(gi)+53)
+		fillRandI8(w8, uint64(gi)+54)
+		fillRand(bias, uint64(gi)+55)
+		got := make([]float32, outC*n)
+		want := make([]float32, outC*n)
+		GemmConv(got, w, bias, outC, src, g)
+		gemmPackedDrive(want, PackA(w, outC, g.Rows(), g.Rows()), bSrc{conv: src, g: g}, bias, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("geom %+v: routed GemmConv[%d] = %v, gather path %v", g, i, got[i], want[i])
+			}
+		}
+		pa8 := PackAI8(w8, outC, g.Rows(), g.Rows())
+		got8 := make([]int32, outC*n)
+		want8 := make([]int32, outC*n)
+		GemmConvI8(got8, pa8, src8, g)
+		gemmI8Drive(want8, pa8, bSrcI8{conv: src8, g: g}, n)
+		for i := range want8 {
+			if got8[i] != want8[i] {
+				t.Fatalf("geom %+v: routed GemmConvI8[%d] = %d, gather path %d", g, i, got8[i], want8[i])
+			}
+		}
+	}
 }
 
 func convOutDim(in, k, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
@@ -192,10 +333,16 @@ func TestGemmConvMatchesIm2col(t *testing.T) {
 		{InC: 16, H: 9, W: 9, K: 1, Stride: 1, Pad: 0},
 		{InC: 4, H: 12, W: 10, K: 3, Stride: 3, Pad: 1},
 		{InC: 2, H: 3, W: 3, K: 3, Stride: 1, Pad: 0}, // 1x1 output
+		// A 1x1 kernel whose caller crops the output: the virtual matrix is
+		// not the input viewed as [InC, H*W], so the in-memory route must
+		// not take it.
+		{InC: 5, H: 9, W: 11, K: 1, Stride: 1, Pad: 0, OutH: 7, OutW: 8},
 	}
 	for ci, g := range cases {
-		g.OutH = convOutDim(g.H, g.K, g.Stride, g.Pad)
-		g.OutW = convOutDim(g.W, g.K, g.Stride, g.Pad)
+		if g.OutH == 0 {
+			g.OutH = convOutDim(g.H, g.K, g.Stride, g.Pad)
+			g.OutW = convOutDim(g.W, g.K, g.Stride, g.Pad)
+		}
 		outC := 10
 		src := make([]float32, g.InC*g.H*g.W)
 		w := make([]float32, outC*g.Rows())
@@ -265,24 +412,8 @@ func TestGemmConvI8MatchesNaive(t *testing.T) {
 	w := make([]int8, outC*g.Rows())
 	fillRandI8(src, 31)
 	fillRandI8(w, 32)
-	// Materialize the im2col matrix in int8.
 	rows, cols := g.Rows(), g.Cols()
-	col := make([]int8, rows*cols)
-	for p := 0; p < rows; p++ {
-		kx := p % g.K
-		tmp := p / g.K
-		ky := tmp % g.K
-		ic := tmp / g.K
-		for oy := 0; oy < g.OutH; oy++ {
-			for ox := 0; ox < g.OutW; ox++ {
-				iy := oy*g.Stride + ky - g.Pad
-				ix := ox*g.Stride + kx - g.Pad
-				if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-					col[p*cols+oy*g.OutW+ox] = src[(ic*g.H+iy)*g.W+ix]
-				}
-			}
-		}
-	}
+	col := convRef(src, g)
 	want := make([]int32, outC*cols)
 	naiveGemmI8(want, w, col, outC, rows, cols)
 	pa := PackAI8(w, outC, rows, rows)
