@@ -64,7 +64,7 @@ func run() error {
 	}
 
 	// 3. "Click the inference button": the snapshot travels to the edge
-	// server, the DNN runs there, and the result snapshot comes back.
+	// server, the DNN runs there, and what it changed comes back.
 	img := syntheticPhoto(model.InputShape())
 	start := time.Now()
 	result, err := session.Classify(img)

@@ -571,12 +571,15 @@ func cleanServerError(err error) bool {
 }
 
 // OffloadSnapshot ships an encoded snapshot and returns the encoded result
-// snapshot. With compress set, the snapshot text travels DEFLATE-compressed
-// and the server mirrors the encoding in its response; the returned bytes
-// are always the plain result text. WireBytes reports the on-the-wire size
-// of the shipped body.
+// snapshot — the whole post-execution state, which the server also keeps as
+// the app's synced state. It is the raw form of an offload, for callers that
+// hold only bytes; an Offloader holds the snapshot it sent and asks for a
+// result delta instead. With compress set, the snapshot text travels
+// DEFLATE-compressed and the server mirrors the encoding in its response;
+// the returned bytes are always the plain result text. WireBytes reports the
+// on-the-wire size of the shipped body.
 func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (result []byte, wireBytes int64, err error) {
-	reply, err := c.offloadBody(protocol.MsgSnapshot, protocol.MsgResultSnapshot, appID, encoded, compress)
+	reply, err := c.offloadBody(protocol.MsgSnapshot, "", appID, encoded, compress)
 	return reply.Result, reply.WireBytes, err
 }
 
@@ -585,6 +588,9 @@ func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (res
 type offloadReply struct {
 	// Result is the plain (decompressed) result body.
 	Result []byte
+	// RequestBase is the name a result delta must give its base when the
+	// request was a full snapshot (protocol.SnapshotHeader.RequestBase).
+	RequestBase string
 	// WireBytes is the on-the-wire size of the shipped request body;
 	// RespBytes the response frame's header+body size.
 	WireBytes, RespBytes int64
@@ -599,11 +605,17 @@ type offloadReply struct {
 	ServerTrace *protocol.ServerTrace
 }
 
-// offloadBody ships one encoded snapshot or delta and returns the plain
-// result body with the round trip's measurements. The reply carries the
-// request's trace ID even when the round trip fails.
-func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, encoded []byte, compress bool) (offloadReply, error) {
+// offloadBody ships one encoded snapshot or delta, asking for the result in
+// replyForm (a protocol.Reply* constant; empty for the full result snapshot,
+// which only a full snapshot may ask for), and returns the plain result body
+// with the round trip's measurements. The reply carries the request's trace
+// ID even when the round trip fails.
+func (c *Conn) offloadBody(reqType protocol.MsgType, replyForm, appID string, encoded []byte, compress bool) (offloadReply, error) {
 	reply := offloadReply{TraceID: trace.NewID()}
+	respType := protocol.MsgResultDelta
+	if replyForm == "" {
+		respType = protocol.MsgResultSnapshot
+	}
 	body := encoded
 	encoding := protocol.EncodingRaw
 	if compress {
@@ -619,10 +631,12 @@ func (c *Conn) offloadBody(reqType, respType protocol.MsgType, appID string, enc
 	var hdr protocol.SnapshotHeader
 	rtStart := time.Now()
 	resp, err := c.call(reqType.String(), reqType, respType, func(seq uint64) any {
-		return protocol.SnapshotHeader{
+		req := protocol.SnapshotHeader{
 			AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
-			BodyCRC: protocol.BodyChecksum(body),
+			Reply: replyForm, BodyCRC: protocol.BodyChecksum(body),
 		}
+		reply.RequestBase = req.RequestBase(body)
+		return req
 	}, body, &hdr)
 	reply.RoundTrip = time.Since(rtStart)
 	if err != nil {

@@ -129,8 +129,9 @@ func TestWrappedConnCannotRedial(t *testing.T) {
 // tearingProxy relays connections to backend frame by frame. A response
 // frame that tear picks (by its connection's 1-based index and the frame
 // itself) is cut off after 20 bytes — mid frame header — and the connection
-// hung up; requests always pass.
-func tearingProxy(t *testing.T, backend string, tear func(conn int64, resp protocol.Message) bool) string {
+// hung up; a frame it passes goes on as tear left it, so a tamperer rewrites
+// *resp and returns false. Requests always pass.
+func tearingProxy(t *testing.T, backend string, tear func(conn int64, resp *protocol.Message) bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -158,7 +159,7 @@ func tearingProxy(t *testing.T, backend string, tear func(conn int64, resp proto
 					if err != nil {
 						return
 					}
-					if tear(idx, resp) {
+					if tear(idx, &resp) {
 						var frame bytes.Buffer
 						protocol.Write(&frame, resp) //nolint:errcheck // a bytes.Buffer
 						c.Write(frame.Bytes()[:20])  //nolint:errcheck
@@ -182,7 +183,7 @@ func tearingProxy(t *testing.T, backend string, tear func(conn int64, resp proto
 // the next event.
 func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 	backend := startEdge(t, edge.Config{Installed: true})
-	proxy := tearingProxy(t, backend, func(conn int64, _ protocol.Message) bool { return conn == 1 })
+	proxy := tearingProxy(t, backend, func(conn int64, _ *protocol.Message) bool { return conn == 1 })
 
 	conn := dialEdge(t, proxy)
 	off, app := newOffloadedApp(t, conn, Options{
@@ -233,8 +234,11 @@ func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 func TestLostDeltaResultResendsFull(t *testing.T) {
 	run := func(lose bool) (stateHash string, st Stats, decisions int64) {
 		backend := startEdge(t, edge.Config{Installed: true, AdvertiseAddr: "fleet-self:0"})
-		proxy := tearingProxy(t, backend, func(conn int64, resp protocol.Message) bool {
-			return lose && conn == 1 && resp.Type == protocol.MsgResultDelta
+		// Every result is a delta now; the one to lose is the second, the
+		// answer to the first delta request.
+		var results atomic.Int64
+		proxy := tearingProxy(t, backend, func(conn int64, resp *protocol.Message) bool {
+			return lose && conn == 1 && resp.Type == protocol.MsgResultDelta && results.Add(1) == 2
 		})
 		auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 16})
 		off, app := newOffloadedApp(t, dialEdge(t, proxy), Options{

@@ -135,18 +135,29 @@ func TestDeltaOverloadIsNotRetriedAsFull(t *testing.T) {
 			mu.Unlock()
 			var resp protocol.Message
 			if req.Type == protocol.MsgSnapshot {
-				// Answer a full snapshot with itself, event consumed.
+				// Answer a full snapshot with itself, event consumed: a
+				// result delta against the request that only drops the
+				// pending event.
+				var hdr protocol.SnapshotHeader
+				if protocol.DecodeHeader(req, &hdr) != nil {
+					return
+				}
 				snap, err := snapshot.Decode(req.Body)
 				if err != nil {
 					return
 				}
-				snap.Pending = nil
-				body, err := snap.Encode()
+				after := *snap
+				after.Pending = nil
+				delta, err := snapshot.Diff(snap, &after, hdr.RequestBase(req.Body))
 				if err != nil {
 					return
 				}
-				resp, _ = protocol.Encode(protocol.MsgResultSnapshot, protocol.SnapshotHeader{
-					AppID: snap.AppID, Seq: seqOf(req), BodyCRC: protocol.BodyChecksum(body),
+				body, err := delta.Encode()
+				if err != nil {
+					return
+				}
+				resp, _ = protocol.Encode(protocol.MsgResultDelta, protocol.SnapshotHeader{
+					AppID: snap.AppID, Seq: hdr.Seq, BodyCRC: protocol.BodyChecksum(body),
 				}, body)
 			} else {
 				resp, _ = protocol.Encode(protocol.MsgError, protocol.ErrorHeader{

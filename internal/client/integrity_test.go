@@ -7,7 +7,11 @@ import (
 	"testing"
 
 	"websnap/internal/edge"
+	"websnap/internal/mlapp"
+	"websnap/internal/obs"
 	"websnap/internal/protocol"
+	"websnap/internal/snapshot"
+	"websnap/internal/webapp"
 )
 
 // snapshotServer answers each snapshot request via respond, which receives
@@ -76,6 +80,95 @@ func TestCorruptedResultBodyTypedError(t *testing.T) {
 	}
 	if conn.Broken() {
 		t.Error("checksum mismatch must not break the connection: the stream is still aligned")
+	}
+}
+
+// TestResultForAnotherBaseRejected: a result delta that names a base other
+// than the request it answers — here rewritten in flight, checksum made good
+// again, so only the identity check stands between it and the app — must be
+// refused like a corrupted body is: that one result is poisoned, the app
+// state is untouched, the event is audited once, and the connection, whose
+// frames all arrived whole, keeps serving.
+func TestResultForAnotherBaseRejected(t *testing.T) {
+	backend := startEdge(t, edge.Config{Installed: true})
+	var results atomic.Int64
+	proxy := tearingProxy(t, backend, func(_ int64, resp *protocol.Message) bool {
+		if resp.Type != protocol.MsgResultDelta || results.Add(1) != 1 {
+			return false
+		}
+		var hdr protocol.SnapshotHeader
+		if err := protocol.DecodeHeader(*resp, &hdr); err != nil {
+			t.Error(err)
+			return false
+		}
+		delta, err := snapshot.DecodeDelta(resp.Body)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		// A well-formed name, of a request this stream never sent.
+		delta.BaseHash = protocol.SnapshotHeader{Seq: hdr.Seq + 1}.RequestBase(nil)
+		body, err := delta.Encode()
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		hdr.BodyCRC = protocol.BodyChecksum(body)
+		if *resp, err = protocol.Encode(resp.Type, hdr, body); err != nil {
+			t.Error(err)
+		}
+		return false
+	})
+	conn := dialEdge(t, proxy)
+	auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 8})
+	off, app := newOffloadedApp(t, conn, Options{
+		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
+		Audit:  auditor,
+	})
+	off.StartPreSend()
+	if err := off.WaitForAcks(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	stateHash := func() string {
+		snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := snap.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hash
+	}
+	before := stateHash()
+	click := webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick}
+	if err := off.Offload(click); !errors.Is(err, snapshot.ErrBaseMismatch) {
+		t.Fatalf("offload answered for another base: err = %v, want ErrBaseMismatch", err)
+	}
+	if after := stateHash(); after != before {
+		t.Errorf("rejected result changed the app state: %s -> %s", before, after)
+	}
+	if conn.Broken() {
+		t.Error("a mismatched base must not break the connection: the stream is still aligned")
+	}
+	if decisions := auditor.Recent(); len(decisions) != 1 || decisions[0].Path != obs.PathError {
+		t.Errorf("decisions = %+v, want exactly one error decision", decisions)
+	}
+	if st := off.Stats(); st.Offloads != 0 || st.LocalFallbacks != 0 {
+		t.Errorf("stats after the rejected result = %+v", st)
+	}
+	// The same event again, on the same connection, untampered.
+	if err := off.Offload(click); err != nil {
+		t.Fatalf("offload after the rejected result: %v", err)
+	}
+	if mlapp.Result(app) == "" {
+		t.Error("second offload left no result")
+	}
+	if got := auditor.Total(); got != 2 {
+		t.Errorf("audit decisions = %d, want 2 (one per event)", got)
 	}
 }
 

@@ -48,7 +48,12 @@ type Options struct {
 	// EnableDelta ships repeated offloads as deltas against the state
 	// left at the server by the previous offload (the paper's §VI future
 	// work). The first offload — and any offload whose base the server
-	// no longer holds — automatically falls back to a full snapshot.
+	// no longer holds — automatically falls back to a full snapshot. It
+	// governs the request direction only: every result comes home as a
+	// delta against the snapshot just shipped. It is also what has the
+	// server encode and keep the post-execution state (the next delta's
+	// base, and what a fleet peer recovers after a handoff); a default
+	// session leaves nothing at the server but its models.
 	EnableDelta bool
 	// Compress ships snapshot (and delta) bodies DEFLATE-compressed.
 	// Snapshots are text, so this typically shrinks transfers several
@@ -119,7 +124,9 @@ type Stats struct {
 	// LastSnapshotBytes is the encoded size of the last shipped
 	// snapshot.
 	LastSnapshotBytes int64
-	// LastResultBytes is the encoded size of the last result snapshot.
+	// LastResultBytes is the encoded size of the last result as it came
+	// home: the result delta, i.e. what the handler changed, not the state
+	// it ran on.
 	LastResultBytes int64
 	// LastModelIncluded reports whether the last offload had to ship
 	// model files inline (offload before ACK).
@@ -173,8 +180,9 @@ type Timing struct {
 	// RoundTrip covers transmission both ways plus everything at the
 	// server (restore, DNN execution, result capture).
 	RoundTrip time.Duration
-	// DecodeApply covers decoding and applying the result snapshot at
-	// the client (Fig 7's "Snapshot Restoration (C)").
+	// DecodeApply covers decoding the result delta, patching it into the
+	// shipped snapshot and applying that to the app (Fig 7's "Snapshot
+	// Restoration (C)").
 	DecodeApply time.Duration
 }
 
@@ -202,6 +210,7 @@ type Offloader struct {
 	stats   Stats
 	// lastSync is the last full snapshot state both client and server
 	// hold (the server's previous result), the base for delta offloads.
+	// Kept only with EnableDelta.
 	lastSync *snapshot.Snapshot
 	// handoffTrace, set by Retarget, is the trace ID stamped on the post-handoff pre-sends so the new server's
 	// resolution work (registry locate, peer fetch) joins one trace.
@@ -423,7 +432,8 @@ func (o *Offloader) Step() (bool, error) {
 }
 
 // Offload executes ev's handler at the edge server via a snapshot round
-// trip, then applies the result snapshot to the local app (Fig 3). The call
+// trip, then applies the result — the delta the server returns, patched into
+// the snapshot just sent — to the local app (Fig 3). The call
 // emits one decision event; callers driving the app through Step must not
 // call Offload for the same event, or the event would be audited twice.
 func (o *Offloader) Offload(ev webapp.Event) error {
@@ -590,12 +600,9 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	}
 	captureDur := time.Since(captureStart)
 
-	var base *snapshot.Snapshot
-	if o.opts.EnableDelta {
-		o.mu.Lock()
-		base = o.lastSync
-		o.mu.Unlock()
-	}
+	o.mu.Lock()
+	base := o.lastSync
+	o.mu.Unlock()
 	out, err := o.roundTrip(snap, base, inline, captureDur)
 	if out.Delta && cleanServerError(err) {
 		// The server refused the delta on a healthy stream: it no longer
@@ -612,47 +619,55 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 }
 
 // roundTrip is the one client round trip: encode snap (as a delta against
-// base when there is one), ship it, decode the result, apply it to the app,
-// and record the trace, the stats and the new sync point.
+// base when there is one), ship it, patch the result delta the server
+// answers with into snap — the state it was diffed against, still in hand —
+// apply that to the app, and record the trace, the stats and the new sync
+// point. What the handler did not touch is never sent back, parsed or hashed.
 func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, captureDur time.Duration) (Outcome, error) {
 	encodeStart := time.Now()
+	reqType, replyForm := protocol.MsgSnapshot, protocol.ReplyDelta
+	if o.opts.EnableDelta {
+		// The next offload will build on what this one leaves at the server.
+		replyForm = protocol.ReplyDeltaSync
+	}
 	var encoded []byte
-	isDelta := false
 	if base != nil {
 		// A delta that cannot be built or encoded is not worth failing the
 		// offload over: ship the full snapshot.
-		if delta, err := snapshot.Diff(base, snap); err == nil {
-			encoded, err = delta.Encode()
-			isDelta = err == nil
+		var err error
+		if encoded, err = deltaRequest(base, snap); err == nil {
+			reqType = protocol.MsgSnapshotDelta
 		}
 	}
-	reqType, respType := protocol.MsgSnapshotDelta, protocol.MsgResultDelta
+	isDelta := reqType == protocol.MsgSnapshotDelta
 	if !isDelta {
-		reqType, respType = protocol.MsgSnapshot, protocol.MsgResultSnapshot
 		var err error
 		if encoded, err = snap.Encode(); err != nil {
 			return Outcome{}, fmt.Errorf("client: encode: %w", err)
 		}
 	}
 	encodeDur := time.Since(encodeStart)
-	reply, err := o.conn.offloadBody(reqType, respType, o.app.ID(), encoded, o.opts.Compress)
+	reply, err := o.conn.offloadBody(reqType, replyForm, o.app.ID(), encoded, o.opts.Compress)
 	out := Outcome{TraceID: reply.TraceID, Delta: isDelta}
 	if err != nil {
 		return out, err
 	}
 	applyStart := time.Now()
+	// The result delta is relative to the pre-execution state, which is
+	// exactly the snapshot just shipped. The server names it by the request
+	// itself when that carried the whole state, and by the content hash of
+	// the state it rebuilt from a delta — which must be snap's.
+	wantBase := reply.RequestBase
 	var result *snapshot.Snapshot
-	if isDelta {
-		// The result delta is relative to the pre-execution state, which is
-		// exactly the snapshot just shipped.
-		var resultDelta *snapshot.Delta
-		if resultDelta, err = snapshot.DecodeDelta(reply.Result); err == nil {
-			result, err = resultDelta.Apply(snap)
-		}
-	} else {
-		result, err = snapshot.Decode(reply.Result)
+	resultDelta, err := snapshot.DecodeDelta(reply.Result)
+	if err == nil && isDelta {
+		wantBase, err = snap.Hash()
+	}
+	if err == nil {
+		result, err = resultDelta.Apply(snap, wantBase)
 	}
 	if err != nil {
+		// Only this result is poisoned; the stream delivered a whole frame.
 		return out, fmt.Errorf("client: decode result: %w", err)
 	}
 	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
@@ -677,10 +692,26 @@ func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, 
 	o.stats.LastInlineModelBytes = inline.bytes
 	o.stats.LastTiming = timing
 	o.stats.LastTrace = tr
-	o.lastSync = result
+	if o.opts.EnableDelta {
+		o.lastSync = result
+	}
 	o.mu.Unlock()
 	out.BatchSize = tr.BatchSize
 	return out, nil
+}
+
+// deltaRequest encodes snap as a delta against base, the state the previous
+// offload left at the server, which keys it by this content hash.
+func deltaRequest(base, snap *snapshot.Snapshot) ([]byte, error) {
+	baseHash, err := base.Hash()
+	if err != nil {
+		return nil, err
+	}
+	delta, err := snapshot.Diff(base, snap, baseHash)
+	if err != nil {
+		return nil, err
+	}
+	return delta.Encode()
 }
 
 // assembleTrace merges one round trip's client-side measurements with the

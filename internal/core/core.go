@@ -89,7 +89,9 @@ type SessionConfig struct {
 	// LocalFallback executes locally if the edge server fails.
 	LocalFallback bool
 	// EnableDelta ships repeated offloads as deltas against the state
-	// left at the server by the previous offload (§VI future work).
+	// left at the server by the previous offload (§VI future work) — and
+	// is what makes the server keep that state. Results come home as
+	// deltas either way.
 	EnableDelta bool
 	// Compress ships snapshot bodies DEFLATE-compressed (off by default,
 	// matching the paper's plain-text snapshots).

@@ -54,7 +54,7 @@ func clickSnapshot(t *testing.T, app *webapp.App, seed uint64) *snapshot.Snapsho
 // ServerTrace where it is a result, and carry a span tree exactly when the
 // request carried a TraceID.
 func TestWireContract(t *testing.T) {
-	_, addr := startChainServer(t, Config{Workers: 2})
+	srv, addr := startChainServer(t, Config{Workers: 2})
 	model := tinyModel(t, "tiny")
 	const appID, traceID = "contract-app", "00c0ffee00c0ffee"
 
@@ -85,7 +85,7 @@ func TestWireContract(t *testing.T) {
 	if err := base.ApplyTo(app, snapshot.RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	diff, err := snapshot.Diff(base, clickSnapshot(t, app, 2))
+	diff, err := snapshot.Diff(base, clickSnapshot(t, app, 2), snapshot.HashEncoded(resultText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +105,20 @@ func TestWireContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, err := clickSnapshot(t, fullApp, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// So does the row that asks for its result as a delta, the Offloader's
+	// request: a session of its own, which must leave no state behind.
+	const replyAppID = appID + "-reply"
+	if err := setup.PreSendModel(replyAppID, "tiny", model, false); err != nil {
+		t.Fatal(err)
+	}
+	replyApp, err := mlapp.NewFullApp(replyAppID, "tiny", model, tinyLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replyReq, err := clickSnapshot(t, replyApp, 2).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +275,27 @@ func TestWireContract(t *testing.T) {
 				return protocol.ChainExecHeader{AppID: appID, ModelName: "tiny", Seq: seq, Hops: hops,
 					Shape: boundary.Shape(), TraceID: traceID, BodyCRC: protocol.BodyChecksum(tensorBody)}
 			}, tensorBody, protocol.MsgChainResult, chainResult(true)},
+		// Appended, so the streams of the rows above — and the pinned
+		// MsgBlobData frame among them — keep the Seqs they always had.
+		{"snapshot delta reply", protocol.MsgSnapshot,
+			func(seq uint64) any {
+				return protocol.SnapshotHeader{AppID: replyAppID, Seq: seq, Reply: protocol.ReplyDelta,
+					BodyCRC: protocol.BodyChecksum(replyReq)}
+			}, replyReq, protocol.MsgResultDelta, func(t *testing.T, resp protocol.Message) {
+				result(t, resp)
+				// The delta names its base by the request it answers.
+				got, err := snapshot.DecodeDelta(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := protocol.SnapshotHeader{Seq: seqOf(t, resp), BodyCRC: protocol.BodyChecksum(replyReq)}
+				if want := req.RequestBase(replyReq); got.BaseHash != want {
+					t.Errorf("result delta names base %q, the request is %q", got.BaseHash, want)
+				}
+				if _, _, ok := srv.store.GetState(replyAppID); ok {
+					t.Error("a ReplyDelta request left synced state at the server")
+				}
+			}},
 	}
 
 	raw, err := net.Dial("tcp", addr)

@@ -1,10 +1,13 @@
 package edge
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
+	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
 
@@ -175,5 +178,68 @@ func TestDeltaFallbackOnBaseMismatch(t *testing.T) {
 	}
 	if st := offA.Stats(); st.DeltaOffloads != 2 {
 		t.Errorf("stats after re-sync = %+v, want 2 delta offloads", st)
+	}
+}
+
+// TestOffloadedSignOfZeroMatchesLocal: results ride home as deltas on every
+// offload, so a handler whose only effect is turning +0 into −0 must still
+// leave the client app bit-identical to one that ran it locally.
+func TestOffloadedSignOfZeroMatchesLocal(t *testing.T) {
+	reg := webapp.NewRegistry("zero-flip")
+	reg.MustRegister("flip", func(app *webapp.App, _ webapp.Event) error {
+		if err := app.SetGlobal("arr", webapp.Float32Array{1, float32(math.Copysign(0, -1)), 2}); err != nil {
+			return err
+		}
+		return app.SetGlobal("num", math.Copysign(0, -1))
+	})
+	cat := webapp.NewCatalog()
+	if err := cat.Add(reg); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{Installed: true, Catalog: cat})
+	newApp := func() *webapp.App {
+		app, err := webapp.NewApp("zero", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.AddEventListener("b", "go", "flip"); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.SetGlobal("arr", webapp.Float32Array{1, 0, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.SetGlobal("num", 0.0); err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	ev := webapp.Event{Target: "b", Type: "go"}
+	local, offloaded := newApp(), newApp()
+	if err := local.Handle(ev); err != nil {
+		t.Fatal(err)
+	}
+	off, err := client.NewOffloader(offloaded, dial(t, addr), client.Options{OffloadEventTypes: []string{"go"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Offload(ev); err != nil {
+		t.Fatal(err)
+	}
+	state := func(app *webapp.App) []byte {
+		snap, err := snapshot.Capture(app, snapshot.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	if got, want := state(offloaded), state(local); !bytes.Equal(got, want) {
+		t.Errorf("offloaded state differs from local:\n got %s\nwant %s", got, want)
+	}
+	if num, _ := offloaded.Global("num"); !math.Signbit(num.(float64)) {
+		t.Errorf("num = %v after the offload, want -0", num)
 	}
 }

@@ -1,8 +1,9 @@
 // The server half of one offload (Fig. 3): one handler for full and delta
 // snapshots, one scheduler hand-off, one execution routine, one response
-// framer. A delta differs from a full snapshot only at the edges — its
-// pre-execution state is reconstructed against a stored base before
-// scheduling, and its result is diffed against that state afterwards.
+// framer. A delta request differs from a full snapshot only at the front
+// edge — its pre-execution state is reconstructed against a stored base
+// before scheduling; either way the result goes home as a delta against the
+// pre-execution state.
 package edge
 
 import (
@@ -29,9 +30,13 @@ import (
 const maxHandlerSteps = 1000
 
 // handleOffload serves MsgSnapshot and MsgSnapshotDelta: decode the
-// pre-execution state, run it through the scheduler, and answer with the
-// result in the request's own form (full result snapshot, or result delta
-// relative to the pre-execution state), mirroring its body encoding.
+// pre-execution state, run it through the scheduler, and answer with what
+// the handler changed — a result delta relative to the pre-execution state —
+// mirroring the request's body encoding. The full result is encoded only
+// where its bytes have a reader: as the app's synced state when the session
+// will build on it (every delta request, and any full request but a
+// ReplyDelta one), and as the whole reply to a full request that asks for no
+// delta — the raw Conn.OffloadSnapshot API, which gets both.
 func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	var hdr protocol.SnapshotHeader
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
@@ -40,13 +45,13 @@ func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (
 	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 		return protocol.Message{}, err
 	}
+	isDelta := msg.Type == protocol.MsgSnapshotDelta
 	tm := &svcTiming{streamWait: streamWait}
 	decodeStart := time.Now()
 	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	isDelta := msg.Type == protocol.MsgSnapshotDelta
 	var snap *snapshot.Snapshot
 	if isDelta {
 		snap, err = s.reconstruct(plain, hdr.TraceID, tm)
@@ -57,34 +62,50 @@ func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (
 		return protocol.Message{}, err
 	}
 	tm.decode = time.Since(decodeStart)
-	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
+	work := &offloadWork{snap: snap, keep: isDelta || hdr.Reply != protocol.ReplyDelta}
+	result, err := s.scheduleSnapshot(work, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}
 	// A full result arrives encoded; only a delta's diff and encode, and
 	// any compression, remain for the encode span.
 	tm.encodeStart = time.Now()
-	if !isDelta {
+	if isDelta {
+		s.deltasExecuted.Inc()
+	} else {
 		s.snapshotsExecuted.Inc()
+	}
+	if !isDelta && hdr.Reply == "" {
 		return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.body, tm)
 	}
-	s.deltasExecuted.Inc()
-	resultDelta, err := snapshot.Diff(snap, result.snap)
+	// The client patches the snapshot it sent, so a full request is its
+	// own base, named without a pass over its body. A delta request's base
+	// was rebuilt here: its content hash lets the client check the
+	// reconstruction against what it captured.
+	baseID := hdr.RequestBase(msg.Body)
+	if isDelta {
+		if baseID, err = snap.Hash(); err != nil {
+			return protocol.Message{}, err
+		}
+	}
+	resultDelta, err := snapshot.Diff(snap, result.snap, baseID)
 	if err != nil {
 		return protocol.Message{}, err
 	}
 	body, err := resultDelta.Encode()
 	if err != nil {
-		return protocol.Message{}, err
+		return protocol.Message{}, fmt.Errorf("encode result: %w", err)
 	}
 	return s.snapshotResponse(protocol.MsgResultDelta, snap.AppID, hdr, body, tm)
 }
 
 // reconstruct rebuilds a delta offload's pre-execution state: the delta
 // (§VI) applied to the state the previous offload left at this server, or —
-// for a roaming session — to the base its previous server published to the
-// fleet. Base recovery crosses fleet hops; their spans join the request's
-// trace through tm.
+// when that is missing or another session generation's — to the base the
+// delta names, which a roaming session's previous server published to the
+// fleet. The store keys a state by the hash a delta names it with, so the
+// match is a string compare. Base recovery crosses fleet hops; their spans
+// join the request's trace through tm.
 func (s *Server) reconstruct(plain []byte, traceID string, tm *svcTiming) (*snapshot.Snapshot, error) {
 	delta, err := snapshot.DecodeDelta(plain)
 	if err != nil {
@@ -95,10 +116,10 @@ func (s *Server) reconstruct(plain []byte, traceID string, tm *svcTiming) (*snap
 		trail = &spanTrail{traceID: traceID}
 		defer func() { tm.spans = trail.spans }()
 	}
-	base, ok := s.store.GetState(delta.AppID)
-	if !ok && s.fleetEnabled() {
+	base, key, ok := s.store.GetState(delta.AppID)
+	if (!ok || key != delta.BaseHash) && s.fleetEnabled() {
 		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
-			base, ok = recovered, true
+			base, key, ok = recovered, delta.BaseHash, true
 		} else {
 			s.logf("edge: delta base %s for app %q not in fleet: %v", delta.BaseHash, delta.AppID, rerr)
 		}
@@ -107,15 +128,7 @@ func (s *Server) reconstruct(plain []byte, traceID string, tm *svcTiming) (*snap
 		return nil, fmt.Errorf("%w: no state for app %q at this server",
 			snapshot.ErrBaseMismatch, delta.AppID)
 	}
-	preExec, err := delta.Apply(base)
-	if err != nil && s.fleetEnabled() && errors.Is(err, snapshot.ErrBaseMismatch) {
-		// The stored state is from another session generation; the fleet
-		// may hold the exact base this delta wants.
-		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
-			preExec, err = delta.Apply(recovered)
-		}
-	}
-	return preExec, err
+	return delta.Apply(base, key)
 }
 
 // svcTiming accumulates one request's server-side stage durations as it
@@ -150,11 +163,19 @@ func (s *Server) runTask(task *sched.Task) (any, error) {
 	return v, err
 }
 
+// offloadWork is one snapshot session's scheduler payload.
+type offloadWork struct {
+	snap *snapshot.Snapshot
+	// keep has the result encoded in full and left in the store as the
+	// app's synced state.
+	keep bool
+}
+
 // scheduleSnapshot runs one decoded snapshot session through the scheduler;
 // on success tm receives the task's queue wait, execution time (result
-// capture and encode included), and batch size.
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*offloadResult, error) {
-	task := sched.NewTask(s.batchKey(snap), snap)
+// capture and any full encode included), and batch size.
+func (s *Server) scheduleSnapshot(work *offloadWork, tm *svcTiming, size int64) (*offloadResult, error) {
+	task := sched.NewTask(s.batchKey(work.snap), work)
 	task.Bytes = size
 	v, err := s.runTask(task)
 	if err != nil {
@@ -187,7 +208,7 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 	results := make([]sched.Result, len(batch))
 	apps := make([]*webapp.App, len(batch))
 	for i, t := range batch {
-		apps[i], results[i].Err = s.restoreApp(t.Payload.(*snapshot.Snapshot))
+		apps[i], results[i].Err = s.restoreApp(t.Payload.(*offloadWork).snap)
 	}
 	if len(batch) > 1 {
 		if err := s.runBatchedHandler(apps, results); err != nil {
@@ -209,7 +230,7 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 			continue
 		}
 		s.logf("edge: app %q ran %d handler(s) in %v", app.ID(), steps, time.Since(start))
-		results[i].Value, results[i].Err = s.captureResult(app)
+		results[i].Value, results[i].Err = s.captureResult(app, batch[i].Payload.(*offloadWork).keep)
 	}
 	return results
 }
@@ -272,23 +293,26 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 	return app, nil
 }
 
-// offloadResult is one executed session's captured state and its one
-// encoding: the response body of a full offload, and — under the hash of
-// those same bytes — the stored state's byte charge and, on a fleet-joined
-// server, the very slice peers are served.
+// offloadResult is one executed session's captured state and, when the
+// state is kept, its one encoding: the response body of a full-result
+// offload, and — under the hash of those same bytes — the stored state's
+// byte charge and, on a fleet-joined server, the very slice peers are served.
 type offloadResult struct {
 	snap *snapshot.Snapshot
 	body []byte
 }
 
-// captureResult captures the post-execution state, encodes it once, and
-// records it as the app's synchronized server-side state for delta
-// offloads. A state that cannot be encoded fails the request: there is
-// nothing to answer with.
-func (s *Server) captureResult(app *webapp.App) (*offloadResult, error) {
+// captureResult captures the post-execution state. With keep it is encoded
+// once and recorded as the app's synchronized server-side state for delta
+// offloads; a state that cannot be encoded fails the request. Without, the
+// capture is all, and nothing outlives the request.
+func (s *Server) captureResult(app *webapp.App, keep bool) (*offloadResult, error) {
 	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	if err != nil {
 		return nil, err
+	}
+	if !keep {
+		return &offloadResult{snap: result}, nil
 	}
 	body, err := result.Encode()
 	if err != nil {

@@ -2,12 +2,16 @@ package edge
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"websnap/internal/client"
 	"websnap/internal/mlapp"
 	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
@@ -140,7 +144,7 @@ func TestFleetStateSharesResultBytes(t *testing.T) {
 			if err := app.SetGlobal("n", n); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := srv.captureResult(app); err != nil {
+			if _, err := srv.captureResult(app, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -242,4 +246,192 @@ func TestResultEncodeFailureFailsRequest(t *testing.T) {
 	if _, _, ok := storedState(srv, "healthy"); !ok {
 		t.Error("a good offload after the failures stored no state")
 	}
+}
+
+// bigStateApp is an app whose state is one large array the offloaded handler
+// never touches — a 150,528-float image, GoogLeNet's input, ~1.6 MB as
+// snapshot text — and a handler that writes one small global. mark receives
+// the process's cumulative allocation at the moment the handler returns.
+func bigStateApp(t *testing.T, appID string, mark *atomic.Uint64) (*webapp.App, *webapp.Catalog, int) {
+	t.Helper()
+	reg := webapp.NewRegistry("big-state")
+	reg.MustRegister("work", func(app *webapp.App, _ webapp.Event) error {
+		n, _ := app.Global("n")
+		count, _ := n.(float64)
+		err := app.SetGlobal("n", count+1)
+		mark.Store(totalAlloc())
+		return err
+	})
+	cat := webapp.NewCatalog()
+	if err := cat.Add(reg); err != nil {
+		t.Fatal(err)
+	}
+	app, err := webapp.NewApp(appID, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.AddEventListener("b", "go", "work"); err != nil {
+		t.Fatal(err)
+	}
+	image := make(webapp.Float32Array, 150528)
+	for i := range image {
+		image[i] = float32(i%251) / 251
+	}
+	if err := app.SetGlobal("image", image); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Capture(app, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(encoded) < 1<<20 {
+		t.Fatalf("state encodes to %d B, the test wants at least 1 MB", len(encoded))
+	}
+	return app, cat, len(encoded)
+}
+
+func totalAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// TestResultDeltaCostsWhatChanged pins where the saving of a result delta
+// is: on the default full-request path nothing encodes, sends, parses or
+// hashes the state the handler left alone. The reply is under 1 KB for a
+// state over 1 MB, the server stores nothing, and from the handler's return
+// to the app holding the result the process allocates less than a quarter of
+// what the full-result reply (Conn.OffloadSnapshot, the previous reply of
+// every offload) allocates over the same stretch. Both stretches capture the
+// result at the server and copy it into the app at the client; the full
+// reply also encodes, frames, reads and parses it.
+func TestResultDeltaCostsWhatChanged(t *testing.T) {
+	var mark atomic.Uint64
+	app, cat, encodedSize := bigStateApp(t, "big-default", &mark)
+	srv, addr := startServer(t, Config{Installed: true, Catalog: cat})
+	conn := dial(t, addr)
+	ev := webapp.Event{Target: "b", Type: "go"}
+
+	off, err := client.NewOffloader(app, conn, client.Options{OffloadEventTypes: []string{"go"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offloadDelta := func() uint64 {
+		if err := off.Offload(ev); err != nil {
+			t.Fatal(err)
+		}
+		return totalAlloc() - mark.Load()
+	}
+	offloadFull := func() uint64 {
+		snap, err := snapshot.Capture(app, snapshot.Options{PendingEvent: &ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		request, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := conn.OffloadSnapshot(app.ID(), request, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		result, err := snapshot.Decode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := result.ApplyTo(app, snapshot.RestoreOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return totalAlloc() - mark.Load()
+	}
+	offloadDelta() // warm both paths: pools, buffers, first-use tables
+	if got := srv.Metrics().StoreBytes; got != 0 {
+		t.Errorf("a default session left %d B in the store", got)
+	}
+	offloadFull()
+	delta, full := offloadDelta(), offloadFull()
+	if n, _ := app.Global("n"); n != 4.0 {
+		t.Fatalf("n = %v after four offloads, want 4", n)
+	}
+	st := off.Stats()
+	if st.LastResultBytes >= 1<<10 {
+		t.Errorf("reply body is %d B for a one-number change, want < 1 KB", st.LastResultBytes)
+	}
+	t.Logf("state %d B encoded; reply %d B; allocated after the handler: result delta %d B, full result %d B",
+		encodedSize, st.LastResultBytes, delta, full)
+	if delta*4 >= full {
+		t.Errorf("result-delta reply allocated %d B after the handler, the full-result reply %d B: want under a quarter", delta, full)
+	}
+}
+
+// TestDeltaRequestReusesStoredKey: the store keys a synced state by the
+// hash a delta names its base with, so rebuilding a delta request's
+// pre-execution state compares two strings and shares the unchanged values —
+// it does not re-encode and re-hash the stored base, nor copy it.
+func TestDeltaRequestReusesStoredKey(t *testing.T) {
+	var mark atomic.Uint64
+	app, cat, encodedSize := bigStateApp(t, "big-delta", &mark)
+	srv, _ := startServer(t, Config{Installed: true, Catalog: cat})
+	base, err := snapshot.Capture(app, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := base.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := srv.store.PutState(app.ID(), base, data)
+
+	if err := app.SetGlobal("n", 7.0); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := snapshot.Capture(app, snapshot.Options{PendingEvent: &webapp.Event{Target: "b", Type: "go"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := snapshot.Diff(base, cur, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := delta.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	preExec, err := srv.reconstruct(plain, "", &svcTiming{})
+	allocated := totalAlloc() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := preExec.Hash(); err != nil || got != hashOf(t, cur) {
+		t.Errorf("reconstructed state hashes to %s (err %v), the client captured %s", got, err, hashOf(t, cur))
+	}
+	t.Logf("stored state %d B encoded, delta %d B, reconstruct allocated %d B", encodedSize, len(plain), allocated)
+	if allocated*4 >= uint64(encodedSize) {
+		t.Errorf("reconstruct allocated %d B against a %d B stored state: want under a quarter", allocated, encodedSize)
+	}
+	// A delta for another base is still refused by name.
+	stale, err := snapshot.Diff(base, cur, "not-the-key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain, err = stale.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.reconstruct(plain, "", &svcTiming{}); !errors.Is(err, snapshot.ErrBaseMismatch) {
+		t.Errorf("delta naming another base: err = %v, want ErrBaseMismatch", err)
+	}
+}
+
+func hashOf(t *testing.T, s *snapshot.Snapshot) string {
+	t.Helper()
+	h, err := s.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

@@ -1,7 +1,8 @@
 // Package edge implements the paper's offloading server program: the
 // process running on a generic edge server that accepts connections from
 // client devices, stores pre-sent NN models, executes incoming snapshots on
-// the server's browser runtime, and returns result snapshots (§III).
+// the server's browser runtime, and returns the results — as deltas against
+// the state each snapshot carried (§III).
 package edge
 
 import (

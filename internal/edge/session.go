@@ -166,17 +166,18 @@ func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, data []by
 	return key
 }
 
-// GetState returns appID's synced state, marking it recently used.
-func (s *SessionStore) GetState(appID string) (*snapshot.Snapshot, bool) {
+// GetState returns appID's synced state and its content key — what
+// Snapshot.Hash would compute for it — marking it recently used.
+func (s *SessionStore) GetState(appID string) (snap *snapshot.Snapshot, key string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key, ok := s.states[appID]
+	key, ok = s.states[appID]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	e := s.entries[key]
 	s.touchLocked(e)
-	return e.snap, true
+	return e.snap, key, true
 }
 
 // refLocked adds ref to key's entry, creating it via mk on first

@@ -65,8 +65,8 @@ func TestSessionStoreCompaction(t *testing.T) {
 	if got := s.Compactions(); got != 1 {
 		t.Fatalf("Compactions = %d, want 1", got)
 	}
-	if got, ok := s.GetState("app"); !ok || got != snapB {
-		t.Fatal("GetState does not return the latest state")
+	if got, key, ok := s.GetState("app"); !ok || got != snapB || key != keyB {
+		t.Fatal("GetState does not return the latest state under its content key")
 	}
 	// Re-storing the identical state is a touch, not a compaction.
 	s.PutState("app", snapB, dataB)
@@ -139,7 +139,7 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 		if i == 3 {
 			// Reading app-1's state makes it the hottest, so the fourth
 			// store evicts app-2's, the least recently used.
-			if _, ok := s.GetState("app-1"); !ok {
+			if _, _, ok := s.GetState("app-1"); !ok {
 				t.Fatal("app-1 state missing before cap pressure")
 			}
 		}
@@ -152,10 +152,10 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 		t.Fatalf("Evictions = %d, want %d (12 states through a 3-state store)", got, want)
 	}
 	// An evicted state's app slot is gone with it.
-	if _, ok := s.GetState("app-2"); ok {
+	if _, _, ok := s.GetState("app-2"); ok {
 		t.Fatal("LRU state survived cap pressure")
 	}
-	if _, ok := s.GetState("app-12"); !ok {
+	if _, _, ok := s.GetState("app-12"); !ok {
 		t.Fatal("most recent state evicted")
 	}
 }
@@ -176,7 +176,7 @@ func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
 	if _, ok := s.Get("app", "tiny"); !ok {
 		t.Fatal("the model just stored was evicted")
 	}
-	if _, ok := s.GetState("app"); ok || s.Entries() != 1 {
+	if _, _, ok := s.GetState("app"); ok || s.Entries() != 1 {
 		t.Fatalf("oversized entry did not displace the resident state (entries %d)", s.Entries())
 	}
 	if s.Bytes() != model.ModelBytes() || s.Bytes() <= s.MaxBytes() {

@@ -57,7 +57,8 @@ const (
 	MsgAck
 	// MsgSnapshot carries an encoded snapshot from client to server.
 	MsgSnapshot
-	// MsgResultSnapshot carries the result snapshot back to the client.
+	// MsgResultSnapshot carries the full result snapshot back to the
+	// client: the answer to a MsgSnapshot that asks for no delta reply.
 	MsgResultSnapshot
 	// MsgError reports a server-side failure.
 	MsgError
@@ -70,7 +71,8 @@ const (
 	// state left at the server by a previous offload (§VI future work).
 	MsgSnapshotDelta
 	// MsgResultDelta carries the result as a delta relative to the state
-	// the client shipped.
+	// the client shipped: the answer to every MsgSnapshotDelta, and to a
+	// MsgSnapshot whose header asks for one (SnapshotHeader.Reply).
 	MsgResultDelta
 	// MsgPing asks the server for its current status without submitting
 	// work; used by load probes and roaming server selection.
@@ -391,6 +393,10 @@ type SnapshotHeader struct {
 	Hints int `json:"hints,omitempty"`
 	// TraceID identifies this offload's trace (request direction only).
 	TraceID string `json:"traceId,omitempty"`
+	// Reply is the result form the request asks for (request direction
+	// only): empty for the full result snapshot, else a result delta —
+	// ReplyDelta, or ReplyDeltaSync, which any other value is read as.
+	Reply string `json:"reply,omitempty"`
 	// BodyCRC is the body's integrity checksum over the wire bytes (after
 	// compression). Receivers verify whenever it is non-zero; servers
 	// attach it to every response.
@@ -400,6 +406,26 @@ type SnapshotHeader struct {
 	// ServerTrace carries the server-side spans of this offload (response
 	// direction only).
 	ServerTrace *ServerTrace `json:"serverTrace,omitempty"`
+}
+
+// Reply forms a snapshot request can ask for. A request that asks for none
+// gets the full result, which the server also keeps as the app's synced state.
+const (
+	// ReplyDelta asks for the result as a delta against the state the
+	// request carried, from a session that will not build on what it leaves
+	// behind: the server neither encodes the full result nor stores it.
+	ReplyDelta = "delta"
+	// ReplyDeltaSync asks for the same delta and has the server keep the
+	// full result as the app's synced state — the base of the session's
+	// next delta request, and what a fleet peer recovers when it roams.
+	ReplyDeltaSync = "delta+sync"
+)
+
+// RequestBase names the state a MsgSnapshot request carried, for the result
+// delta that answers it: stream, body checksum and wire length — what both
+// ends hold of the request without another pass over its body.
+func (h SnapshotHeader) RequestBase(body []byte) string {
+	return fmt.Sprintf("req:%d:%08x:%d", h.Seq, h.BodyCRC, len(body))
 }
 
 // ErrorHeader is the JSON header of MsgError.

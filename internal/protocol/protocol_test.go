@@ -178,6 +178,37 @@ func TestDecodeHeader(t *testing.T) {
 	}
 }
 
+// TestSnapshotHeaderReplyField pins the one key the result-delta reply added
+// to the wire. A request that asks for no delta — the raw OffloadSnapshot
+// API, and every response — frames to the bytes it did before the field
+// existed; asking adds "reply" and nothing else. The base a result delta
+// names for a full request is a function of that header and its body.
+func TestSnapshotHeaderReplyField(t *testing.T) {
+	body := []byte("// snapshot")
+	hdr := SnapshotHeader{AppID: "a", Seq: 7, Encoding: EncodingFlate, TraceID: "00c0ffee00c0ffee", BodyCRC: 42}
+	rows := []struct {
+		reply, want string
+	}{
+		{"", `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","bodyCrc":42}`},
+		{ReplyDelta, `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","reply":"delta","bodyCrc":42}`},
+		{ReplyDeltaSync, `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","reply":"delta+sync","bodyCrc":42}`},
+	}
+	for _, row := range rows {
+		hdr.Reply = row.reply
+		msg := mustEncode(t, MsgSnapshot, hdr, body)
+		if string(msg.Header) != row.want {
+			t.Errorf("reply %q: header %s, want %s", row.reply, msg.Header, row.want)
+		}
+		var back SnapshotHeader
+		if err := DecodeHeader(msg, &back); err != nil || back.Reply != row.reply {
+			t.Errorf("reply %q decoded as %q (err %v)", row.reply, back.Reply, err)
+		}
+		if got, want := back.RequestBase(msg.Body), "req:7:0000002a:11"; got != want {
+			t.Errorf("reply %q: request base %q, want %q", row.reply, got, want)
+		}
+	}
+}
+
 func TestMsgTypeString(t *testing.T) {
 	if MsgSnapshot.String() != "snapshot" {
 		t.Errorf("MsgSnapshot = %q", MsgSnapshot)

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"net"
 	"testing"
 	"time"
 
+	"websnap/internal/client"
+	"websnap/internal/core"
+	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
@@ -74,6 +78,82 @@ func TestTextBytesMatchesRealEncoder(t *testing.T) {
 	ratio := float64(est) / float64(real)
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("textBytes estimate %d vs real encoding %d (ratio %.2f), want within 25%%", est, real, ratio)
+	}
+}
+
+// TestDownlinkPriceCoversRealResult holds the cost model to the engine on
+// the return path: Scenario (and through PartitionConfig every split
+// decision) prices the downlink as StateBytes + ResultTextBytes, so what a
+// real offload brings home — Stats().LastResultBytes, the result delta — must
+// fit inside that price. It did not while the result snapshot carried the
+// input image back (1.6 MB against 41,001 B for GoogLeNet); now Fig. 7's
+// S→C bars in `cmd/bench -experiment fig7` describe the engine.
+func TestDownlinkPriceCoversRealResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds, pre-sends and runs the three benchmark models")
+	}
+	srv, err := core.NewEdgeServer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln) // returns once Close has shut the listener
+	}()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	conn, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, row := range []struct {
+		model string
+		price int64
+	}{{models.GoogLeNet, 41001}, {models.AgeNet, 1708}, {models.GenderNet, 1558}} {
+		sc := scenario(t, row.model)
+		price := sc.StateBytes + sc.ResultTextBytes
+		if price != row.price {
+			t.Errorf("%s: downlink priced at %d B, the pinned price is %d B", row.model, price, row.price)
+		}
+		out, err := sc.Net.OutputShape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := core.NewSession(core.SessionConfig{
+			AppID: "downlink-" + row.model, ModelName: row.model, Model: sc.Net,
+			Labels: labelsFor(row.model, out[len(out)-1]),
+			Mode:   core.ModeFull, Conn: conn, PreSend: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := session.WaitForModelUpload(); err != nil {
+			t.Fatal(err)
+		}
+		volume := 1
+		for _, d := range sc.Net.InputShape() {
+			volume *= d
+		}
+		if _, err := session.Classify(mlapp.SyntheticImage(volume, 1)); err != nil {
+			t.Fatal(err)
+		}
+		st := session.Stats()
+		if st.Offloads != 1 || st.LastResultBytes <= 0 {
+			t.Fatalf("%s: stats %+v, want one offload with a result", row.model, st)
+		}
+		t.Logf("%s: result %d B on the wire, priced at %d B (request %d B)", row.model, st.LastResultBytes, price, st.LastSnapshotBytes)
+		if st.LastResultBytes > price {
+			t.Errorf("%s: the engine ships a %d B result, the cost model prices the downlink at %d B",
+				row.model, st.LastResultBytes, price)
+		}
 	}
 }
 

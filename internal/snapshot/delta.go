@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"websnap/internal/webapp"
@@ -45,7 +47,9 @@ func HashEncoded(data []byte) string {
 type Delta struct {
 	AppID    string
 	CodeHash string
-	// BaseHash identifies the snapshot this delta applies to.
+	// BaseHash names the snapshot this delta applies to, in terms producer
+	// and consumer both hold: the content Hash of stored state, or the
+	// identity of the request that carried the base. Callers supply it.
 	BaseHash string
 	// SetGlobals holds new or changed globals.
 	SetGlobals map[string]webapp.Value
@@ -62,27 +66,28 @@ type Delta struct {
 	Pending []webapp.Event
 }
 
-// Diff computes cur − base. Both snapshots must belong to the same app and
-// code bundle. Models are ignored: deltas never carry them (they are
-// already at the receiver).
-func Diff(base, cur *Snapshot) (*Delta, error) {
+// Diff computes cur − base and names the base baseID, the identity the
+// consumer will present to Apply. Both snapshots must belong to the same app
+// and code bundle. Models are ignored: deltas never carry them (they are
+// already at the receiver). "Changed" is by bit pattern (webapp.Identical):
+// the snapshot text keeps the sign of a zero, so a delta must too. Unchanged
+// state is only compared, and the delta shares the changed values with cur —
+// snapshots are not mutated once built; apps copy on capture and restore.
+func Diff(base, cur *Snapshot, baseID string) (*Delta, error) {
 	if base.AppID != cur.AppID || base.CodeHash != cur.CodeHash {
 		return nil, fmt.Errorf("snapshot: diff across apps (%s/%s vs %s/%s)",
 			base.AppID, base.CodeHash, cur.AppID, cur.CodeHash)
 	}
-	baseHash, err := base.Hash()
-	if err != nil {
-		return nil, err
-	}
 	d := &Delta{
 		AppID:      cur.AppID,
 		CodeHash:   cur.CodeHash,
-		BaseHash:   baseHash,
+		BaseHash:   baseID,
 		SetGlobals: make(map[string]webapp.Value),
+		Pending:    cur.Pending,
 	}
 	for name, v := range cur.Globals {
-		if old, ok := base.Globals[name]; !ok || !webapp.DeepEqual(old, v) {
-			d.SetGlobals[name] = webapp.DeepCopy(v)
+		if old, ok := base.Globals[name]; !ok || !webapp.Identical(old, v) {
+			d.SetGlobals[name] = v
 		}
 	}
 	for name := range base.Globals {
@@ -92,68 +97,42 @@ func Diff(base, cur *Snapshot) (*Delta, error) {
 	}
 	sort.Strings(d.DelGlobals)
 	if !base.DOM.Equal(cur.DOM) {
-		d.DOM = cur.DOM.Clone()
+		d.DOM = cur.DOM
 	}
-	if !bindingsEqual(base.Bindings, cur.Bindings) {
+	if !slices.Equal(base.Bindings, cur.Bindings) {
 		d.BindingsChanged = true
-		d.Bindings = append([]webapp.Binding(nil), cur.Bindings...)
-	}
-	for _, ev := range cur.Pending {
-		d.Pending = append(d.Pending, webapp.Event{
-			Target: ev.Target, Type: ev.Type, Payload: webapp.DeepCopy(ev.Payload),
-		})
+		d.Bindings = cur.Bindings
 	}
 	return d, nil
 }
 
-func bindingsEqual(a, b []webapp.Binding) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Apply reconstructs the full snapshot d was diffed from, given the same
-// base. The base's hash must match d.BaseHash.
-func (d *Delta) Apply(base *Snapshot) (*Snapshot, error) {
-	baseHash, err := base.Hash()
-	if err != nil {
-		return nil, err
-	}
-	if baseHash != d.BaseHash {
-		return nil, fmt.Errorf("%w: delta base %s, snapshot %s", ErrBaseMismatch, d.BaseHash, baseHash)
+// Apply reconstructs the full snapshot d was diffed from. base is the
+// snapshot the caller holds under the identity baseID; a delta that names
+// another base is refused with ErrBaseMismatch. The result shares every
+// unchanged value with base and every changed one with d: applying a delta
+// costs its own size, not the state's.
+func (d *Delta) Apply(base *Snapshot, baseID string) (*Snapshot, error) {
+	if baseID != d.BaseHash {
+		return nil, fmt.Errorf("%w: delta base %s, snapshot %s", ErrBaseMismatch, d.BaseHash, baseID)
 	}
 	out := &Snapshot{
 		AppID:    d.AppID,
 		CodeHash: d.CodeHash,
 		Globals:  make(map[string]webapp.Value, len(base.Globals)+len(d.SetGlobals)),
-		DOM:      base.DOM.Clone(),
-		Bindings: append([]webapp.Binding(nil), base.Bindings...),
+		DOM:      base.DOM,
+		Bindings: base.Bindings,
+		Pending:  d.Pending,
 	}
-	for name, v := range base.Globals {
-		out.Globals[name] = webapp.DeepCopy(v)
-	}
-	for name, v := range d.SetGlobals {
-		out.Globals[name] = webapp.DeepCopy(v)
-	}
+	maps.Copy(out.Globals, base.Globals)
+	maps.Copy(out.Globals, d.SetGlobals)
 	for _, name := range d.DelGlobals {
 		delete(out.Globals, name)
 	}
 	if d.DOM != nil {
-		out.DOM = d.DOM.Clone()
+		out.DOM = d.DOM
 	}
 	if d.BindingsChanged {
-		out.Bindings = append([]webapp.Binding(nil), d.Bindings...)
-	}
-	for _, ev := range d.Pending {
-		out.Pending = append(out.Pending, webapp.Event{
-			Target: ev.Target, Type: ev.Type, Payload: webapp.DeepCopy(ev.Payload),
-		})
+		out.Bindings = d.Bindings
 	}
 	return out, nil
 }

@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -17,8 +19,19 @@ func capture(t *testing.T, app *webapp.App) *Snapshot {
 	return snap
 }
 
+// hashOf is the identity these tests name a base by: its content hash, what
+// the edge server's store keys a synced state with.
+func hashOf(t testing.TB, s *Snapshot) string {
+	t.Helper()
+	h, err := s.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestDiffApplyRoundTrip: for arbitrary mutations between two captures,
-// Apply(base, Diff(base, cur)) must reproduce cur exactly.
+// Apply(base, Diff(base, cur, hashOf(t, base))) must reproduce cur exactly.
 func TestDiffApplyRoundTrip(t *testing.T) {
 	app, _ := inferenceApp(t)
 	base := capture(t, app)
@@ -36,11 +49,11 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	cur.DOM.Find("result").Text = "changed"
 	cur.Pending = append(cur.Pending, webapp.Event{Target: "btn", Type: "click"})
 
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Apply(base)
+	got, err := d.Apply(base, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +91,7 @@ func TestDiffIsMinimal(t *testing.T) {
 	app, _ := inferenceApp(t)
 	base := capture(t, app)
 	cur := capture(t, app)
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +103,7 @@ func TestDiffIsMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur2 := capture(t, app)
-	d2, err := Diff(base, cur2)
+	d2, err := Diff(base, cur2, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +137,7 @@ func TestDeltaMuchSmallerThanSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := capture(t, app)
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +164,7 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 	delete(cur.Globals, "doomed")
 	cur.Pending = []webapp.Event{{Target: "btn", Type: "go", Payload: "x"}}
 
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +198,11 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 	}
 
 	// The decoded delta must apply identically.
-	a1, err := d.Apply(base)
+	a1, err := d.Apply(base, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := got.Apply(base)
+	a2, err := got.Apply(base, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +220,7 @@ func TestApplyBaseMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := capture(t, app)
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +228,7 @@ func TestApplyBaseMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherBase := capture(t, app)
-	if _, err := d.Apply(otherBase); !errors.Is(err, ErrBaseMismatch) {
+	if _, err := d.Apply(otherBase, hashOf(t, otherBase)); !errors.Is(err, ErrBaseMismatch) {
 		t.Errorf("err = %v, want ErrBaseMismatch", err)
 	}
 }
@@ -225,7 +238,7 @@ func TestDiffAcrossAppsFails(t *testing.T) {
 	base := capture(t, app)
 	other := *base
 	other.AppID = "someone-else"
-	if _, err := Diff(base, &other); err == nil {
+	if _, err := Diff(base, &other, ""); err == nil {
 		t.Error("cross-app diff should fail")
 	}
 }
@@ -282,7 +295,7 @@ func TestQuickDiffApply(t *testing.T) {
 			return false
 		}
 		cur.Globals["mut"] = v
-		d, err := Diff(base, &cur)
+		d, err := Diff(base, &cur, hashOf(t, base))
 		if err != nil {
 			return false
 		}
@@ -294,7 +307,7 @@ func TestQuickDiffApply(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := dd.Apply(base)
+		got, err := dd.Apply(base, hashOf(t, base))
 		if err != nil {
 			return false
 		}
@@ -302,5 +315,139 @@ func TestQuickDiffApply(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDiffSeesSignOfZero: a handler whose only effect is flipping the sign
+// of a zero has changed the state — the snapshot text round-trips −0 — so a
+// delta must carry it. Comparing with == (webapp.DeepEqual) drops both
+// globals and the patched state silently keeps +0.
+func TestDiffSeesSignOfZero(t *testing.T) {
+	reg := webapp.NewRegistry("zero-flip")
+	reg.MustRegister("flip", func(app *webapp.App, _ webapp.Event) error {
+		arr, _ := app.Global("arr")
+		flipped := append(webapp.Float32Array(nil), arr.(webapp.Float32Array)...)
+		flipped[1] = float32(math.Copysign(0, -1))
+		if err := app.SetGlobal("arr", flipped); err != nil {
+			return err
+		}
+		return app.SetGlobal("num", math.Copysign(0, -1))
+	})
+	app, err := webapp.NewApp("zero", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.AddEventListener("b", "go", "flip"); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetGlobal("arr", webapp.Float32Array{1, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetGlobal("num", 0.0); err != nil {
+		t.Fatal(err)
+	}
+	base := capture(t, app)
+	if err := app.Handle(webapp.Event{Target: "b", Type: "go"}); err != nil {
+		t.Fatal(err)
+	}
+	cur := capture(t, app)
+
+	d, err := Diff(base, cur, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.SetGlobals) != 2 {
+		t.Fatalf("delta carries %d globals, want arr and num: %v", len(d.SetGlobals), d.SetGlobals)
+	}
+	wire, err := d.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeDelta(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := decoded.Apply(base, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := patched.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cur.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("delta path lost the sign of zero:\n got %s\nwant %s", got, want)
+	}
+	if arr := patched.Globals["arr"].(webapp.Float32Array); !math.Signbit(float64(arr[1])) {
+		t.Errorf("arr[1] = %v, want -0", arr[1])
+	}
+}
+
+// largeUnchanged is the shape of a GoogLeNet result: a 150,528-float input
+// image the handler did not touch and a 1000-float score vector it wrote.
+func largeUnchanged(tb testing.TB) (base, cur *Snapshot) {
+	tb.Helper()
+	app, err := webapp.NewApp("large", webapp.NewRegistry("large"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	image := make(webapp.Float32Array, 150528)
+	for i := range image {
+		image[i] = float32(i%251) / 251
+	}
+	if err := app.SetGlobal("image", image); err != nil {
+		tb.Fatal(err)
+	}
+	snap := func() *Snapshot {
+		s, err := Capture(app, Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	base = snap()
+	scores := make(webapp.Float32Array, 1000)
+	for i := range scores {
+		scores[i] = float32(i) / 1000
+	}
+	if err := app.SetGlobal("scores", scores); err != nil {
+		tb.Fatal(err)
+	}
+	return base, snap()
+}
+
+// BenchmarkDiffLargeUnchanged: diffing costs a compare of the unchanged
+// state, never an encode or a hash of it.
+func BenchmarkDiffLargeUnchanged(b *testing.B) {
+	base, cur := largeUnchanged(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := Diff(base, cur, "base")
+		if err != nil || len(d.SetGlobals) != 1 {
+			b.Fatalf("delta %+v, err %v", d, err)
+		}
+	}
+}
+
+// BenchmarkPatchLargeUnchanged: patching a delta into its base shares the
+// unchanged image instead of copying it.
+func BenchmarkPatchLargeUnchanged(b *testing.B) {
+	base, cur := largeUnchanged(b)
+	d, err := Diff(base, cur, "base")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := d.Apply(base, "base")
+		if err != nil || len(out.Globals) != 2 {
+			b.Fatalf("patched %+v, err %v", out, err)
+		}
 	}
 }

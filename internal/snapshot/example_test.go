@@ -54,7 +54,8 @@ func ExampleDiff() {
 	_ = app.SetGlobal("small", 2.0) // only this changes
 	cur, _ := snapshot.Capture(app, snapshot.Options{})
 
-	delta, _ := snapshot.Diff(base, cur)
+	baseHash, _ := base.Hash() // how the receiver will know the base
+	delta, _ := snapshot.Diff(base, cur, baseHash)
 	fullWire, _ := cur.Encode()
 	deltaWire, _ := delta.Encode()
 	fmt.Println("delta carries globals:", len(delta.SetGlobals))

@@ -75,7 +75,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(f, base))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func FuzzDeltaApply(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d, err := Diff(base, cur)
+	d, err := Diff(base, cur, hashOf(f, base))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func FuzzDeltaApply(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := dd.Apply(bs)
+		out, err := dd.Apply(bs, hashBefore)
 		if err != nil {
 			// The base hashed fine above, so the only legitimate failure
 			// left is the typed base-identity mismatch.
@@ -208,7 +208,7 @@ func FuzzDeltaApply(f *testing.F) {
 		if h2, err := back.Hash(); err != nil || h1 != h2 {
 			t.Errorf("apply result changed identity across a round trip: %s vs %s (err %v)", h1, h2, err)
 		}
-		out2, err := dd.Apply(bs)
+		out2, err := dd.Apply(bs, hashBefore)
 		if err != nil {
 			t.Errorf("second apply of the same delta failed: %v", err)
 			return

@@ -186,7 +186,8 @@ func Restore(s *Snapshot, registry *webapp.Registry, opts RestoreOptions) (*weba
 
 // ApplyTo restores the snapshot's execution state into an existing app —
 // the client side of the return path: the result snapshot from the edge
-// server is "run" on the client's browser to continue the app. Models the
+// server (rebuilt by patching the result delta into the snapshot that was
+// sent) is "run" on the client's browser to continue the app. Models the
 // snapshot omits remain as loaded in app; models it carries are rebuilt or
 // resolved and replace the loaded ones.
 func (s *Snapshot) ApplyTo(app *webapp.App, opts RestoreOptions) error {

@@ -334,7 +334,7 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 
 	base := *snap
 	base.Globals = map[string]webapp.Value{"image": webapp.Float32Array{9}}
-	d, err := Diff(&base, snap)
+	d, err := Diff(&base, snap, "base")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,14 @@ func Normalize(v Value) (Value, error) {
 
 // DeepEqual compares two canonical Values structurally. NaNs compare equal
 // to each other so round-trip tests behave sensibly.
-func DeepEqual(a, b Value) bool {
+func DeepEqual(a, b Value) bool { return equal(a, b, false) }
+
+// Identical is DeepEqual for state that must survive a snapshot: floats
+// compare by bit pattern, so −0 is not +0 — the snapshot text keeps the
+// sign — and a NaN equals only itself.
+func Identical(a, b Value) bool { return equal(a, b, true) }
+
+func equal(a, b Value, bits bool) bool {
 	switch x := a.(type) {
 	case nil:
 		return b == nil
@@ -83,6 +90,9 @@ func DeepEqual(a, b Value) bool {
 		if !ok {
 			return false
 		}
+		if bits {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}
 		return x == y || (math.IsNaN(x) && math.IsNaN(y))
 	case string:
 		y, ok := b.(string)
@@ -93,7 +103,11 @@ func DeepEqual(a, b Value) bool {
 			return false
 		}
 		for i := range x {
-			if x[i] != y[i] &&
+			if bits {
+				if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+					return false
+				}
+			} else if x[i] != y[i] &&
 				!(math.IsNaN(float64(x[i])) && math.IsNaN(float64(y[i]))) {
 				return false
 			}
@@ -105,7 +119,7 @@ func DeepEqual(a, b Value) bool {
 			return false
 		}
 		for i := range x {
-			if !DeepEqual(x[i], y[i]) {
+			if !equal(x[i], y[i], bits) {
 				return false
 			}
 		}
@@ -117,7 +131,7 @@ func DeepEqual(a, b Value) bool {
 		}
 		for k, v := range x {
 			w, exists := y[k]
-			if !exists || !DeepEqual(v, w) {
+			if !exists || !equal(v, w, bits) {
 				return false
 			}
 		}

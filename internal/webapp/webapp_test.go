@@ -79,6 +79,30 @@ func TestDeepEqualAndCopy(t *testing.T) {
 	}
 }
 
+// TestIdenticalComparesBits: Identical is DeepEqual except where == and the
+// bit pattern disagree — the sign of a zero, at any depth.
+func TestIdenticalComparesBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nested := func(z float64) Value {
+		return map[string]Value{"a": []Value{z, Float32Array{1, float32(z)}}, "s": "x", "n": nil, "b": true}
+	}
+	if !DeepEqual(nested(0), nested(negZero)) {
+		t.Error("DeepEqual must keep treating -0 as 0")
+	}
+	if Identical(nested(0), nested(negZero)) {
+		t.Error("Identical must tell -0 from +0")
+	}
+	if Identical(0.0, negZero) || Identical(Float32Array{0}, Float32Array{float32(negZero)}) {
+		t.Error("Identical must tell -0 from +0 in a bare float and a typed array")
+	}
+	if !Identical(nested(negZero), DeepCopy(nested(negZero))) {
+		t.Error("a value must be identical to its copy")
+	}
+	if Identical(nested(1), nested(2)) || Identical(float64(1), "1") {
+		t.Error("Identical must still see ordinary differences")
+	}
+}
+
 func TestDOMFindAppendClone(t *testing.T) {
 	root := NewNode("body", "root")
 	div := root.AppendChild(NewNode("div", "container"))
