@@ -178,7 +178,10 @@ func TestInstallOverlayInPackage(t *testing.T) {
 }
 
 // TestCompressedOffload: with Compress set, results are identical and the
-// wire body is substantially smaller than the plain snapshot text.
+// wire body is smaller than the plain snapshot text — by less than while a
+// typed array was decimal digits: DEFLATE takes this 8-bit synthetic image's
+// base64 to 0.61 of the plain body (0.41 at GoogLeNet's size), where it took
+// the decimal text to 0.31 of a body 1.8 × as large.
 func TestCompressedOffload(t *testing.T) {
 	addr := startEdge(t, edge.Config{Installed: true})
 
@@ -193,8 +196,8 @@ func TestCompressedOffload(t *testing.T) {
 	if plainRes != compRes {
 		t.Errorf("compressed result %q != plain result %q", compRes, plainRes)
 	}
-	if compBytes*2 > plainBytes {
-		t.Errorf("compressed body %d B should be well under plain %d B", compBytes, plainBytes)
+	if compBytes*4 > plainBytes*3 {
+		t.Errorf("compressed body %d B should be under three quarters of plain %d B", compBytes, plainBytes)
 	}
 }
 

@@ -122,7 +122,7 @@ type Stats struct {
 	// offload attempt.
 	LocalFallbacks int
 	// LastSnapshotBytes is the encoded size of the last shipped
-	// snapshot.
+	// snapshot: the state's text, its typed arrays at 16/3 B per value.
 	LastSnapshotBytes int64
 	// LastResultBytes is the encoded size of the last result as it came
 	// home: the result delta, i.e. what the handler changed, not the state

@@ -248,11 +248,33 @@ func TestResultEncodeFailureFailsRequest(t *testing.T) {
 	}
 }
 
+// bigStateFloats is the size of bigStateApp's array: two GoogLeNet inputs,
+// ~1.6 MB as snapshot text.
+const bigStateFloats = 2 * 150528
+
 // bigStateApp is an app whose state is one large array the offloaded handler
-// never touches — a 150,528-float image, GoogLeNet's input, ~1.6 MB as
-// snapshot text — and a handler that writes one small global. mark receives
+// never touches and a handler that writes one small global. mark receives
 // the process's cumulative allocation at the moment the handler returns.
 func bigStateApp(t *testing.T, appID string, mark *atomic.Uint64) (*webapp.App, *webapp.Catalog, int) {
+	t.Helper()
+	app, cat := arrayStateApp(t, appID, bigStateFloats, mark)
+	snap, err := snapshot.Capture(app, snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(encoded) < 1<<20 {
+		t.Fatalf("state encodes to %d B, the test wants at least 1 MB", len(encoded))
+	}
+	return app, cat, len(encoded)
+}
+
+// arrayStateApp is an app holding one n-float global, "image", and a handler
+// ("go" on "b") that counts in the global "n" and leaves the array alone.
+func arrayStateApp(t *testing.T, appID string, n int, mark *atomic.Uint64) (*webapp.App, *webapp.Catalog) {
 	t.Helper()
 	reg := webapp.NewRegistry("big-state")
 	reg.MustRegister("work", func(app *webapp.App, _ webapp.Event) error {
@@ -273,25 +295,44 @@ func bigStateApp(t *testing.T, appID string, mark *atomic.Uint64) (*webapp.App, 
 	if err := app.AddEventListener("b", "go", "work"); err != nil {
 		t.Fatal(err)
 	}
-	image := make(webapp.Float32Array, 150528)
+	image := make(webapp.Float32Array, n)
 	for i := range image {
 		image[i] = float32(i%251) / 251
 	}
 	if err := app.SetGlobal("image", image); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.Capture(app, snapshot.Options{})
-	if err != nil {
-		t.Fatal(err)
+	return app, cat
+}
+
+// TestRequestBodyIsArrayBitsPlusState: what a default offload ships for a
+// state holding one n-float array is the rest of the state plus 16/3 bytes
+// per element — the array's bits in base64, at most two characters of
+// padding and nothing else — at AgeNet's 1st_pool feature size and at a
+// GoogLeNet image's.
+func TestRequestBodyIsArrayBitsPlusState(t *testing.T) {
+	var mark atomic.Uint64
+	requestBytes := func(n int) int64 {
+		app, cat := arrayStateApp(t, "array-state", n, &mark)
+		_, addr := startServer(t, Config{Installed: true, Catalog: cat})
+		off, err := client.NewOffloader(app, dial(t, addr), client.Options{OffloadEventTypes: []string{"go"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := off.Offload(webapp.Event{Target: "b", Type: "go"}); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := app.Global("n"); got != 1.0 {
+			t.Fatalf("n = %v after one offload, want 1", got)
+		}
+		return off.Stats().LastSnapshotBytes
 	}
-	encoded, err := snap.Encode()
-	if err != nil {
-		t.Fatal(err)
+	state := requestBytes(0)
+	for _, n := range []int{75264, 150528} {
+		if got, limit := requestBytes(n), int64(16*n/3+4)+state; got > limit {
+			t.Errorf("%d floats: request body is %d B, want ≤ 16n/3 + 4 + %d B of state = %d", n, got, state, limit)
+		}
 	}
-	if len(encoded) < 1<<20 {
-		t.Fatalf("state encodes to %d B, the test wants at least 1 MB", len(encoded))
-	}
-	return app, cat, len(encoded)
 }
 
 func totalAlloc() uint64 {
@@ -304,11 +345,14 @@ func totalAlloc() uint64 {
 // is: on the default full-request path nothing encodes, sends, parses or
 // hashes the state the handler left alone. The reply is under 1 KB for a
 // state over 1 MB, the server stores nothing, and from the handler's return
-// to the app holding the result the process allocates less than a quarter of
-// what the full-result reply (Conn.OffloadSnapshot, the previous reply of
-// every offload) allocates over the same stretch. Both stretches capture the
-// result at the server and copy it into the app at the client; the full
-// reply also encodes, frames, reads and parses it.
+// to the app holding the result the process allocates the two copies of the
+// array both reply forms make — the server captures the result, the client
+// copies it into the app: 8 B per value — and next to nothing else. The
+// bound does not depend on what an array costs as text; the full-result
+// reply (Conn.OffloadSnapshot, the previous reply of every offload), which
+// also encodes, frames, reads and parses the array, allocates more over the
+// same stretch whatever the text form (6.6 × while it was decimal digits,
+// 3.9 × now).
 func TestResultDeltaCostsWhatChanged(t *testing.T) {
 	var mark atomic.Uint64
 	app, cat, encodedSize := bigStateApp(t, "big-default", &mark)
@@ -363,8 +407,12 @@ func TestResultDeltaCostsWhatChanged(t *testing.T) {
 	}
 	t.Logf("state %d B encoded; reply %d B; allocated after the handler: result delta %d B, full result %d B",
 		encodedSize, st.LastResultBytes, delta, full)
-	if delta*4 >= full {
-		t.Errorf("result-delta reply allocated %d B after the handler, the full-result reply %d B: want under a quarter", delta, full)
+	const copies = 2 * 4 * bigStateFloats
+	if limit := uint64(copies + copies/20 + 16<<10); delta > limit {
+		t.Errorf("result-delta reply allocated %d B after the handler, want two copies of the array (%d B) and at most %d B", delta, copies, limit)
+	}
+	if delta >= full {
+		t.Errorf("result-delta reply allocated %d B after the handler, the full-result reply only %d B", delta, full)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"websnap/internal/costmodel"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 )
 
 // ErrBadConfig tags configuration validation failures; test with
@@ -144,7 +145,7 @@ type ChainConfig struct {
 	// len(Links) == len(Hops)-1.
 	Links []netem.Profile
 	// TextBytesPerValue converts feature element counts to snapshot text
-	// bytes. Zero selects MeasuredTextBytesPerValue().
+	// bytes. Zero selects snapshot.Float32TextBytesPerValue.
 	TextBytesPerValue float64
 	// StateOverheadBytes is the non-feature part of each boundary
 	// snapshot.
@@ -286,7 +287,7 @@ func (p ChainPlan) Choose(requireDenature bool) (ChainCandidate, error) {
 // reuse). O(K·m²) for m partition points, versus C(m, K-1) brute force.
 func AnalyzeChain(net *nn.Network, cfg ChainConfig) (ChainPlan, error) {
 	if cfg.TextBytesPerValue <= 0 {
-		cfg.TextBytesPerValue = MeasuredTextBytesPerValue()
+		cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
 	}
 	if err := cfg.Validate(); err != nil {
 		return ChainPlan{}, err

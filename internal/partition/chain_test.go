@@ -9,6 +9,7 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 )
 
 func chainConfig3() ChainConfig {
@@ -117,7 +118,7 @@ func TestChainK2MatchesLegacy(t *testing.T) {
 			t.Run(name+"/"+cfgName, func(t *testing.T) {
 				// Pin the conversion width: both analyses must use one
 				// measurement, not two calls to the measuring encoder.
-				cfg.TextBytesPerValue = MeasuredTextBytesPerValue()
+				cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
 				plan, err := Analyze(net, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -260,7 +261,7 @@ func TestChainDPMatchesBruteForce(t *testing.T) {
 					cfg.Hops = cfg.Hops[:k]
 					cfg.Links = cfg.Links[:k-1]
 					cfg.Objective = obj
-					cfg.TextBytesPerValue = MeasuredTextBytesPerValue()
+					cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
 					plan, err := AnalyzeChain(net, cfg)
 					if err != nil {
 						t.Fatalf("%s k=%d obj=%d: %v", name, k, obj, err)

@@ -6,6 +6,7 @@ import (
 
 	"websnap/internal/models"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 )
 
 // evaluate is the original 2-device candidate evaluator, kept as the
@@ -66,7 +67,7 @@ func TestAnalyzeMatchesLegacyEvaluate(t *testing.T) {
 		}
 		for cfgName, cfg := range legacyVariants() {
 			for _, prec := range []nn.Precision{"", nn.PrecInt8} {
-				cfg.TextBytesPerValue = MeasuredTextBytesPerValue()
+				cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
 				cfg.Precision = prec
 				plan, err := Analyze(net, cfg)
 				if err != nil {

@@ -10,7 +10,6 @@
 package partition
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"websnap/internal/costmodel"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 )
 
 // ErrNoCandidate is returned when no partition point satisfies the
@@ -31,7 +31,8 @@ type Config struct {
 	// Network is the current network status.
 	Network netem.Profile
 	// TextBytesPerValue converts feature element counts to snapshot text
-	// bytes. Zero selects MeasuredTextBytesPerValue().
+	// bytes. Zero selects snapshot.Float32TextBytesPerValue, the width the
+	// value codec writes.
 	TextBytesPerValue float64
 	// StateOverheadBytes is the size of the non-feature part of the
 	// snapshot (code stub, DOM, plain globals); small, per Table 1.
@@ -84,34 +85,12 @@ type Plan struct {
 	Candidates  []Candidate
 }
 
-// MeasuredTextBytesPerValue measures how many bytes one float32 activation
-// occupies in the snapshot's textual encoding, by encoding a deterministic
-// sample of activation-like values as encoding/json renders it, which
-// TestValueCodecMatchesJSON pins the snapshot codec to.
-func MeasuredTextBytesPerValue() float64 {
-	const n = 4096
-	sample := make([]float32, n)
-	s := uint64(99991)
-	for i := range sample {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		// Activation-like magnitudes: mostly small positives with spread.
-		sample[i] = float32(s%100000)/10000 - 1
-	}
-	data, err := json.Marshal(sample)
-	if err != nil {
-		return 12 // conservative fallback; never taken for a valid sample
-	}
-	return float64(len(data)) / n
-}
-
 // Analyze evaluates every candidate offloading point of net under cfg.
 // Candidates are ordered front to back, starting at the Input point (full
 // offloading).
 func Analyze(net *nn.Network, cfg Config) (Plan, error) {
 	if cfg.TextBytesPerValue <= 0 {
-		cfg.TextBytesPerValue = MeasuredTextBytesPerValue()
+		cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
 	}
 	if err := cfg.Validate(); err != nil {
 		return Plan{}, err

@@ -9,6 +9,7 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/snapshot"
 )
 
 func paperConfig() Config {
@@ -34,10 +35,38 @@ func analyzeModel(t *testing.T, name string) Plan {
 	return plan
 }
 
-func TestMeasuredTextBytesPerValue(t *testing.T) {
-	got := MeasuredTextBytesPerValue()
-	if got < 4 || got > 24 {
-		t.Errorf("bytes/value = %.2f, want a plausible textual width (4..24)", got)
+// TestDefaultTextWidthIsTheCodecs: a config that names no text width prices
+// feature data at what the snapshot codec writes — base64 of the bits, 16/3
+// bytes per value — at the 2-way entry point and at the chain's.
+func TestDefaultTextWidthIsTheCodecs(t *testing.T) {
+	net, err := models.Build(models.AgeNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := paperConfig()
+	explicit.TextBytesPerValue = snapshot.Float32TextBytesPerValue
+	for name, cfg := range map[string]Config{"default": paperConfig(), "explicit": explicit} {
+		plan, err := Analyze(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range plan.Candidates {
+			values := c.Point.FeatureBytes / 4
+			if want := values * 16 / 3; c.FeatureTextBytes != want {
+				t.Errorf("%s, %s: %d values priced at %d B, want %d", name, c.Point.Label, values, c.FeatureTextBytes, want)
+			}
+		}
+		best, err := plan.Choose(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := AnalyzeChain(net, cfg.Chain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chain.Best == nil || chain.Best.Latency != best.Total {
+			t.Errorf("%s: chain optimum %+v, 2-way optimum %v at %s", name, chain.Best, best.Total, best.Point.Label)
+		}
 	}
 }
 

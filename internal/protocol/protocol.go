@@ -650,13 +650,28 @@ type ChainResultHeader struct {
 	Span *SpanNode `json:"span,omitempty"`
 }
 
+// PutFloat32s writes vals into dst[:4*len(vals)] as little-endian IEEE-754
+// float32s: the one byte order of every float the wire carries raw (chain
+// frames here, typed arrays in a snapshot). Every bit of every value is
+// preserved.
+func PutFloat32s(dst []byte, vals []float32) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
+// GetFloat32s fills dst from src[:4*len(dst)], the inverse of PutFloat32s.
+func GetFloat32s(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
 // Float32Bytes renders vals as the raw little-endian float32 wire body of
-// chain frames. The encoding preserves every bit of every value.
+// chain frames.
 func Float32Bytes(vals []float32) []byte {
 	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
+	PutFloat32s(out, vals)
 	return out
 }
 
@@ -666,9 +681,7 @@ func BytesFloat32(body []byte) ([]float32, error) {
 		return nil, fmt.Errorf("protocol: float32 body length %d not a multiple of 4", len(body))
 	}
 	out := make([]float32, len(body)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
-	}
+	GetFloat32s(out, body)
 	return out, nil
 }
 

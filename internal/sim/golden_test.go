@@ -11,19 +11,23 @@ import (
 )
 
 // goldenDigests pins every deterministic output of the package: sha256 over
-// the JSON encoding of each sweep's points and each figure's rows, captured
-// at e778241 (the last commit with two event loops). A digest that moves
-// means the simulator's numbers moved; a refactor must keep all of them.
+// the JSON encoding of each sweep's points and each figure's rows. A digest
+// that moves means the simulator's numbers moved; a refactor must keep all
+// of them. Last re-recorded, together with BENCH_fleet.json and
+// BENCH_pipeline.json, when typed arrays began to travel as base64 of their
+// bits (snapshot.Float32TextBytesPerValue: 16/3 B per value where the
+// json.Marshal sample had said 7.88) and StateBytes began to be measured on
+// the request a full offload ships.
 var goldenDigests = map[string]string{
-	"load/batch1":     "f27229aaef5fe59786dc1c36af1262fd62b5264c4b84a0f02755a107a7cf55b3",
-	"load/batch8":     "85faa312ac2456a2a0e0bea3c4a198f2bdbe5f33ca5b5ce4f8d8cbdbd60d5958",
-	"fleet/unbounded": "790bd879f67912537ef52b4fd0e1f16bfb1d7d7d79178cc92efc425a92e924f9",
-	"fleet/evict+slo": "72b086467a11da242e260522b8dc6f5ab719ebd20fdbd810403812aeb39291d1",
-	"fleet/shed":      "864d847df6ac2d14eb6ef63f3ca4235693f1face1e92bfccd77724cd81e62d17",
-	"pipeline":        "80688a25cef47bd92863f14f8657e730717d3496a67da7192ee2ca4370631cf9",
-	"fig6":            "3e0fe5aeee6b9775c9905959b2fac063b2f7ffb8a74ad32fcdac355d4885c164",
-	"fig7":            "be39785dafdc60bb623149332877ed445233a475aba9583ba24791e4f76c8d42",
-	"table1":          "50148ac7ecfe4a2a1ca59cb5b63a81d98f4283c8a780f24c6799cf2911fe5d3c",
+	"load/batch1":     "14d9cdcb8404275b82c46d8c4e5c31a0b90735b578a9201fb598b818a8f310ae",
+	"load/batch8":     "b8c43886267c0a23cbf60cd2a2fb9fe7a657c8213af5c1216af039ee3c5802ce",
+	"fleet/unbounded": "cc7be9d870120a19a35eeb1a0a3726619bbc6217c6f584ada06eb72bcabede8a",
+	"fleet/evict+slo": "30ec7a60286132f4efec06cba319e5fb556b766964ad1757b060d975411deb11",
+	"fleet/shed":      "b700c63a01a9cad3fbef6986d6b74b0fa0dfd4db471892643da11f32d750d301",
+	"pipeline":        "9d60a6fac95ea07bcd56617ff8fb15ac6cc785da80226fa95814b922916c5a6f",
+	"fig6":            "5fdfbb8e3032b99fe9fb985ca5d6a38d466fefd6c379e57b19273ee1c5c1bc44",
+	"fig7":            "10749c9657d2e2ca1b904274f454ae470708e197033b67b820ad57d1a2551462",
+	"table1":          "2ec13cda7225005365bcbb9c882ffed4fe0f20329713529c9d687002e46f9ceb",
 }
 
 func TestGoldenDigests(t *testing.T) {

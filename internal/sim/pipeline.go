@@ -9,6 +9,7 @@ import (
 	"websnap/internal/costmodel"
 	"websnap/internal/netem"
 	"websnap/internal/partition"
+	"websnap/internal/tensor"
 )
 
 // Pipeline-sweep policies.
@@ -140,9 +141,9 @@ func PipelineSweep(cfg PipelineConfig) ([]PipelinePoint, error) {
 		return nil, err
 	}
 	local := clientOnly.Total()
-	resultBytes := int64(pipelineRawBytesPerValue) * (sc.ResultTextBytes / int64(sc.TextBytesPerValue))
-	if resultBytes <= 0 {
-		resultBytes = pipelineRawBytesPerValue
+	resultBytes, err := pipelineResultBytes(sc)
+	if err != nil {
+		return nil, err
 	}
 
 	rng := xorshift64(pipelineSeed)
@@ -181,6 +182,16 @@ func PipelineSweep(cfg PipelineConfig) ([]PipelinePoint, error) {
 		}
 	}
 	return points, nil
+}
+
+// pipelineResultBytes is what a chain's last hop sends home: the network's
+// output scores as raw float32s, whatever a snapshot's text width is.
+func pipelineResultBytes(sc *Scenario) (int64, error) {
+	outShape, err := sc.Net.OutputShape()
+	if err != nil {
+		return 0, err
+	}
+	return int64(pipelineRawBytesPerValue) * int64(tensor.Volume(outShape)), nil
 }
 
 func pipelineLocalPoint(local time.Duration, mbps, loadMillis float64, requests int) PipelinePoint {

@@ -123,3 +123,19 @@ func TestPipelineChainNeverWorseThanLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineResultBytesFromOutputShape: a chain's last hop sends the
+// network's scores home as raw float32s, so the sweep prices that return as
+// 4 × the output volume — not as a text size divided by a text width cut to
+// an integer, which read 1,125 values for GoogLeNet's 1000.
+func TestPipelineResultBytesFromOutputShape(t *testing.T) {
+	for model, classes := range map[string]int64{"googlenet": 1000, "agenet": 8, "gendernet": 2} {
+		got, err := pipelineResultBytes(scenario(t, model))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 4*classes {
+			t.Errorf("%s: result priced at %d B, want %d", model, got, 4*classes)
+		}
+	}
+}

@@ -21,6 +21,8 @@ import (
 	"websnap/internal/nn"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
+	"websnap/internal/tensor"
+	"websnap/internal/webapp"
 )
 
 // Scenario holds everything needed to simulate one benchmark app.
@@ -33,12 +35,14 @@ type Scenario struct {
 	Client, Server costmodel.Device
 	// Network is the emulated link (30 Mbps in the paper).
 	Network netem.Profile
-	// TextBytesPerValue is the measured textual width of one activation
-	// in a snapshot.
+	// TextBytesPerValue is the textual width of one activation in a
+	// snapshot: the value codec's snapshot.Float32TextBytesPerValue. Set it
+	// to the paper's decimal text (≈ 9–10.5 B) to price that form instead.
 	TextBytesPerValue float64
-	// StateBytes is the measured size of the app's snapshot without
+	// StateBytes is the measured size of a full offload's snapshot without
 	// feature data or model weights (Table 1's "snapshot except feature
-	// data" in the pre-sent case).
+	// data" in the pre-sent case): everything in the request but the
+	// image's text.
 	StateBytes int64
 	// InputTextBytes is the measured textual size of the input image in
 	// a snapshot.
@@ -77,7 +81,7 @@ func NewScenario(modelName string) (*Scenario, error) {
 		Client:            costmodel.ClientOdroid,
 		Server:            costmodel.ServerX86,
 		Network:           netem.WiFi30Mbps,
-		TextBytesPerValue: partition.MeasuredTextBytesPerValue(),
+		TextBytesPerValue: snapshot.Float32TextBytesPerValue,
 	}
 	if err := sc.measure(); err != nil {
 		return nil, err
@@ -97,8 +101,16 @@ func (sc *Scenario) measure() error {
 	if err != nil {
 		return err
 	}
-	// State snapshot: app with no image loaded, model spec-only.
-	snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelSpecOnly})
+	// State: what a full offload ships once the model is pre-sent (image
+	// loaded, click pending, model spec-only), minus the image's text.
+	inVol := tensor.Volume(sc.Net.InputShape())
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(inVol, 1)); err != nil {
+		return err
+	}
+	snap, err := snapshot.Capture(app, snapshot.Options{
+		DefaultModelPolicy: snapshot.ModelSpecOnly,
+		PendingEvent:       &webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick},
+	})
 	if err != nil {
 		return err
 	}
@@ -106,23 +118,15 @@ func (sc *Scenario) measure() error {
 	if err != nil {
 		return err
 	}
-	sc.StateBytes = bd.TotalBytes
+	sc.StateBytes = bd.ExceptFeatureBytes()
 	spec, err := nn.EncodeSpec(sc.Net)
 	if err != nil {
 		return err
 	}
 	sc.SpecBytes = int64(len(spec))
 
-	inVol := 1
-	for _, d := range sc.Net.InputShape() {
-		inVol *= d
-	}
 	sc.InputTextBytes = sc.textBytes(inVol)
-	resVol := 1
-	for _, d := range outShape {
-		resVol *= d
-	}
-	sc.ResultTextBytes = sc.textBytes(resVol)
+	sc.ResultTextBytes = sc.textBytes(tensor.Volume(outShape))
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
+	"websnap/internal/tensor"
 	"websnap/internal/webapp"
 )
 
@@ -76,8 +77,8 @@ func TestTextBytesMatchesRealEncoder(t *testing.T) {
 	}
 	est := sc.textBytes(len(arr))
 	ratio := float64(est) / float64(real)
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Errorf("textBytes estimate %d vs real encoding %d (ratio %.2f), want within 25%%", est, real, ratio)
+	if ratio < 0.99 || ratio > 1.01 {
+		t.Errorf("textBytes estimate %d vs real encoding %d (ratio %.4f), want within 1%%", est, real, ratio)
 	}
 }
 
@@ -92,32 +93,11 @@ func TestDownlinkPriceCoversRealResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds, pre-sends and runs the three benchmark models")
 	}
-	srv, err := core.NewEdgeServer(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ln) // returns once Close has shut the listener
-	}()
-	defer func() {
-		srv.Close()
-		<-served
-	}()
-	conn, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialEdgeServer(t)
 	for _, row := range []struct {
 		model string
 		price int64
-	}{{models.GoogLeNet, 41001}, {models.AgeNet, 1708}, {models.GenderNet, 1558}} {
+	}{{models.GoogLeNet, 38531}, {models.AgeNet, 1760}, {models.GenderNet, 1626}} {
 		sc := scenario(t, row.model)
 		price := sc.StateBytes + sc.ResultTextBytes
 		if price != row.price {
@@ -138,11 +118,7 @@ func TestDownlinkPriceCoversRealResult(t *testing.T) {
 		if err := session.WaitForModelUpload(); err != nil {
 			t.Fatal(err)
 		}
-		volume := 1
-		for _, d := range sc.Net.InputShape() {
-			volume *= d
-		}
-		if _, err := session.Classify(mlapp.SyntheticImage(volume, 1)); err != nil {
+		if _, err := session.Classify(mlapp.SyntheticImage(tensor.Volume(sc.Net.InputShape()), 1)); err != nil {
 			t.Fatal(err)
 		}
 		st := session.Stats()
@@ -155,6 +131,95 @@ func TestDownlinkPriceCoversRealResult(t *testing.T) {
 				row.model, st.LastResultBytes, price)
 		}
 	}
+}
+
+// TestUplinkPriceCoversRealRequest holds the cost model to the engine on the
+// way up: partition (through Scenario.PartitionConfig, and so every live
+// split choice) prices an upload as the feature data's text plus
+// StateOverheadBytes, so the request a real offload ships —
+// Stats().LastSnapshotBytes — must lie between the feature price alone and
+// that sum. While typed arrays were decimal text and the price a
+// json.Marshal sample of made-up activations it did not: 1,613,9xx B shipped
+// against 1,185,702 + 33,125 priced for a GoogLeNet image, 683,5xx against
+// 592,851 + 1,645 for AgeNet's 1st_pool features.
+func TestUplinkPriceCoversRealRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds, pre-sends and runs GoogLeNet and AgeNet")
+	}
+	conn := dialEdgeServer(t)
+	for _, row := range []struct {
+		model, split string
+		mode         core.Mode
+	}{{models.GoogLeNet, "", core.ModeFull}, {models.AgeNet, "1st_pool", core.ModePartial}} {
+		sc := scenario(t, row.model)
+		values := tensor.Volume(sc.Net.InputShape())
+		if row.split != "" {
+			pt, err := sc.partitionPoint(row.split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			values = int(pt.FeatureBytes / 4)
+		}
+		pcfg := sc.PartitionConfig()
+		features := int64(float64(values) * pcfg.TextBytesPerValue)
+		out, err := sc.Net.OutputShape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := core.NewSession(core.SessionConfig{
+			AppID: "uplink-" + row.model, ModelName: row.model, Model: sc.Net,
+			Labels: labelsFor(row.model, out[len(out)-1]),
+			Mode:   row.mode, SplitLabel: row.split, Conn: conn, PreSend: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := session.WaitForModelUpload(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := session.Classify(mlapp.SyntheticImage(tensor.Volume(sc.Net.InputShape()), 1)); err != nil {
+			t.Fatal(err)
+		}
+		st := session.Stats()
+		if st.Offloads != 1 {
+			t.Fatalf("%s: stats %+v, want one offload", row.model, st)
+		}
+		t.Logf("%s %s: request %d B on the wire, %d values priced at %d B + %d B of state", row.model, row.split,
+			st.LastSnapshotBytes, values, features, pcfg.StateOverheadBytes)
+		if st.LastSnapshotBytes < features || st.LastSnapshotBytes > features+pcfg.StateOverheadBytes {
+			t.Errorf("%s %s: the engine ships a %d B request, the cost model prices the uplink within [%d, %d] B",
+				row.model, row.split, st.LastSnapshotBytes, features, features+pcfg.StateOverheadBytes)
+		}
+	}
+}
+
+// dialEdgeServer starts an in-process edge server and returns a connection
+// to it; both are torn down with the test.
+func dialEdgeServer(t *testing.T) *client.Conn {
+	t.Helper()
+	srv, err := core.NewEdgeServer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln) // returns once Close has shut the listener
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+	conn, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 // TestFig6Shape pins every qualitative claim the paper makes about Fig 6.

@@ -144,7 +144,7 @@ func (d *Delta) Apply(base *Snapshot, baseID string) (*Snapshot, error) {
 //	var __appID = "...";
 //	var __codeHash = "...";
 //	var __baseHash = "...";
-//	var feature = {"__f32__":[...]};
+//	var feature = {"__f32__":"..."};
 //	__delete("oldGlobal");
 //	__dom({...});            (only when the DOM changed)
 //	__bindings([{...}]);     (only when bindings changed)
@@ -155,32 +155,28 @@ func (d *Delta) Encode() ([]byte, error) {
 			return nil, fmt.Errorf("snapshot: delta global %q: %w", name, err)
 		}
 	}
-	hint := len(deltaHeader) + 1 + len(d.AppID) + len(d.CodeHash) + len(d.BaseHash) + 96
-	b := make([]byte, 0, hint+globalsSizeHint(d.SetGlobals))
-	b = append(b, deltaHeader+"\n"...)
-	b, _ = appendVar(b, varAppID, d.AppID)
-	b, _ = appendVar(b, varCodeHash, d.CodeHash)
-	b, _ = appendVar(b, varBaseHash, d.BaseHash) // strings always encode
-	b, err := appendGlobals(b, d.SetGlobals)
-	if err != nil {
-		return nil, err
-	}
+	// The small statements first, as assemble wants them.
+	var tail []byte
 	for _, name := range d.DelGlobals {
-		b = appendCall(b, "__delete", appendString(nil, name))
+		tail = appendCall(tail, "__delete", appendString(nil, name))
 	}
 	if d.DOM != nil {
 		dom, err := webapp.MarshalDOM(d.DOM)
 		if err != nil {
 			return nil, err
 		}
-		b = appendCall(b, "__dom", dom)
+		tail = appendCall(tail, "__dom", dom)
 	}
+	var err error
 	if d.BindingsChanged {
-		if b, err = appendJSONCall(b, "__bindings", d.Bindings); err != nil {
+		if tail, err = appendJSONCall(tail, "__bindings", d.Bindings); err != nil {
 			return nil, fmt.Errorf("snapshot: encode bindings: %w", err)
 		}
 	}
-	return appendPending(b, d.Pending)
+	if tail, err = appendPending(tail, d.Pending); err != nil {
+		return nil, err
+	}
+	return assemble(deltaHeader, []string{varAppID, d.AppID, varCodeHash, d.CodeHash, varBaseHash, d.BaseHash}, nil, d.SetGlobals, tail)
 }
 
 // DecodeDelta parses a delta produced by Encode. The result shares no

@@ -29,101 +29,105 @@ const (
 //	var __appID = "...";
 //	var __codeHash = "...";
 //	__model("gnet", {...spec...}, "<base64 weights or empty>");
-//	var feature = {"__f32__":[0.12,-1.5,...]};
+//	var feature = {"__f32__":"<base64 of the little-endian float32s>"};
 //	__dom({...});
 //	__bind({...});
 //	__dispatch({"target":"btn","type":"front_complete"});
 //
 // Running the snapshot (Restore) rebuilds exactly this state and
 // re-dispatches the pending events.
-//
-// Everything is appended to one buffer pre-sized from the model blob and
-// feature-array sizes: values by the value codec (value.go), the small
-// struct-shaped arguments (DOM, bindings, model spec, event envelope) by
-// encoding/json.
 func (s *Snapshot) Encode() ([]byte, error) {
-	b := make([]byte, 0, s.encodedSizeHint())
-	b = append(b, header+"\n"...)
-	b, _ = appendVar(b, varAppID, s.AppID)
-	b, _ = appendVar(b, varCodeHash, s.CodeHash) // strings always encode
-	for _, ms := range s.Models {
-		spec, err := json.Marshal(ms.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
-		}
-		b = append(b, "__model("...)
-		b = append(appendString(b, ms.Name), ", "...)
-		b = append(append(b, spec...), `, "`...)
-		b = base64.StdEncoding.AppendEncode(b, ms.Weights)
-		b = append(b, "\");\n"...)
-	}
-	b, err := appendGlobals(b, s.Globals)
-	if err != nil {
-		return nil, err
-	}
 	dom, err := webapp.MarshalDOM(s.DOM)
 	if err != nil {
 		return nil, err
 	}
-	b = appendCall(b, "__dom", dom)
+	tail := appendCall(nil, "__dom", dom)
 	for _, bind := range s.Bindings {
-		if b, err = appendJSONCall(b, "__bind", bind); err != nil {
+		if tail, err = appendJSONCall(tail, "__bind", bind); err != nil {
 			return nil, fmt.Errorf("snapshot: encode binding: %w", err)
 		}
 	}
-	return appendPending(b, s.Pending)
-}
-
-// encodedSizeHint estimates the encoded snapshot size so Encode can
-// reserve the buffer up front. The dominant terms — base64 model weights
-// and textual Float32Array features — are computed exactly or nearly so;
-// structural framing is a rough floor (an underestimate just grows the
-// buffer once more).
-func (s *Snapshot) encodedSizeHint() int {
-	n := len(header) + 1
-	n += len(s.AppID) + len(s.CodeHash) + 2*len(`var __codeHash = "";`+"\n")
-	for _, ms := range s.Models {
-		n += len(`__model(, , "");`+"\n") + len(ms.Name) + 2
-		n += base64.StdEncoding.EncodedLen(len(ms.Weights))
-		n += 512 // serialized layer spec
+	if tail, err = appendPending(tail, s.Pending); err != nil {
+		return nil, err
 	}
-	n += globalsSizeHint(s.Globals)
-	n += 256 // __dom / __bind / __dispatch framing floor
-	return n
+	return assemble(header, []string{varAppID, s.AppID, varCodeHash, s.CodeHash}, s.Models, s.Globals, tail)
 }
 
-// globalsSizeHint estimates the encoded size of a set of `var` lines.
+// assemble lays a snapshot or delta out in one buffer sized once: header,
+// identity variables (name, value pairs), __model lines, globals, then tail —
+// the struct-shaped statements (DOM, bindings, event envelopes: small, and
+// encoding/json's), which the caller renders first. The base64 model weights
+// and typed arrays that dominate are sized exactly; only a string that needs
+// escapes can make the buffer grow.
+func assemble(header string, ids []string, models []ModelState, globals map[string]webapp.Value, tail []byte) ([]byte, error) {
+	size := len(header) + 1 + globalsSizeHint(globals) + len(tail)
+	for i := 0; i < len(ids); i += 2 {
+		size += len(`var  = "";`+"\n") + len(ids[i]) + len(ids[i+1])
+	}
+	specs := make([][]byte, len(models))
+	for i, ms := range models {
+		var err error
+		if specs[i], err = json.Marshal(ms.Spec); err != nil {
+			return nil, fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
+		}
+		size += len(`__model("", , "");`+"\n") + len(ms.Name) + len(specs[i]) + base64.StdEncoding.EncodedLen(len(ms.Weights))
+	}
+	b := append(make([]byte, 0, size), header+"\n"...)
+	for i := 0; i < len(ids); i += 2 {
+		b, _ = appendVar(b, ids[i], ids[i+1]) // strings always encode
+	}
+	for i, ms := range models {
+		b = append(b, "__model("...)
+		b = append(appendString(b, ms.Name), ", "...)
+		b = append(append(b, specs[i]...), `, "`...)
+		b = base64.StdEncoding.AppendEncode(b, ms.Weights)
+		b = append(b, "\");\n"...)
+	}
+	b, err := appendGlobals(b, globals)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, tail...), nil
+}
+
+// globalsSizeHint sizes a set of `var` lines.
 func globalsSizeHint(globals map[string]webapp.Value) int {
 	n := 0
 	for name, v := range globals {
-		n += len(`var  = ;`+"\n") + len(name) + wireSizeHint(v)
+		text, _ := textSize(v)
+		n += len(`var  = ;`+"\n") + len(name) + text
 	}
 	return n
 }
 
-// wireSizeHint estimates the encoded size of a captured value.
-func wireSizeHint(v webapp.Value) int {
+// textSize sizes the text of a captured value — exactly for typed arrays, as
+// an upper bound for everything else but strings that need escapes — and
+// reports how much of it is typed-array payload, the text between the quotes.
+func textSize(v webapp.Value) (text, feature int) {
 	switch t := v.(type) {
 	case webapp.Float32Array:
-		// {"__f32__":[...]} with ~12 digits plus separator per float.
-		return len(f32Key) + 6 + 13*len(t)
+		feature = f32TextLen(len(t))
+		return len(`{"`+f32Key+`":""}`) + feature, feature
 	case []webapp.Value:
-		n := 2
+		text = 2
 		for _, e := range t {
-			n += wireSizeHint(e) + 1
+			et, ef := textSize(e)
+			text, feature = text+et+1, feature+ef
 		}
-		return n
 	case map[string]webapp.Value:
-		n := 2
+		text = 2
 		for k, e := range t {
-			n += len(k) + 4 + wireSizeHint(e)
+			et, ef := textSize(e)
+			text, feature = text+len(k)+4+et, feature+ef
 		}
-		return n
 	case string:
-		return len(t) + 2
+		text = len(t) + 2
+	case float64:
+		text = 24 // -1.7976931348623157e+308
 	default:
-		return 8
+		text = 5 // false, null
 	}
+	return text, feature
 }
 
 // appendVar appends `var name = <value>;`.

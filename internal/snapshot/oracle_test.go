@@ -1,8 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"websnap/internal/webapp"
 )
@@ -12,7 +16,11 @@ import (
 // the accept/reject set the hand-written encoder and parser must match.
 
 func encodeValue(v webapp.Value) (string, error) {
-	data, err := json.Marshal(toWire(v))
+	w, err := toWire(v)
+	if err != nil {
+		return "", err
+	}
+	data, err := json.Marshal(w)
 	if err != nil {
 		return "", err
 	}
@@ -27,26 +35,84 @@ func decodeValue(body string) (webapp.Value, error) {
 	return fromWire(raw)
 }
 
-// toWire maps the canonical value tree to a json.Marshal-able tree.
-func toWire(v webapp.Value) any {
+// toWire maps the canonical value tree to a json.Marshal-able tree. A typed
+// array becomes the []byte of its bits, which encoding/json renders as
+// StdEncoding base64; json has no objection to a NaN's bits, so the oracle
+// states the finiteness rule itself.
+func toWire(v webapp.Value) (any, error) {
 	switch t := v.(type) {
 	case webapp.Float32Array:
-		return map[string]any{f32Key: []float32(t)}
+		for _, f := range t {
+			if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+				return nil, fmt.Errorf("non-finite element %v", f)
+			}
+		}
+		var bits bytes.Buffer
+		if err := binary.Write(&bits, binary.LittleEndian, []float32(t)); err != nil {
+			return nil, err
+		}
+		// Non-nil even when empty: json renders a nil []byte as null.
+		return map[string][]byte{f32Key: append([]byte{}, bits.Bytes()...)}, nil
 	case []webapp.Value:
 		out := make([]any, len(t))
 		for i, e := range t {
-			out[i] = toWire(e)
+			w, err := toWire(e)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = w
 		}
-		return out
+		return out, nil
 	case map[string]webapp.Value:
 		out := make(map[string]any, len(t))
 		for k, e := range t {
-			out[k] = toWire(e)
+			w, err := toWire(e)
+			if err != nil {
+				return nil, err
+			}
+			out[k] = w
 		}
-		return out
+		return out, nil
 	default:
-		return t
+		return t, nil
 	}
+}
+
+// f32FromWire reads a typed array from its marker's value: canonical base64
+// of finite little-endian float32s, or the decimal array older peers wrote.
+func f32FromWire(raw any) (webapp.Float32Array, error) {
+	var fa webapp.Float32Array
+	switch t := raw.(type) {
+	case string:
+		bits, err := base64.StdEncoding.DecodeString(t)
+		if err != nil {
+			return nil, err
+		}
+		if base64.StdEncoding.EncodeToString(bits) != t || len(bits)%4 != 0 {
+			return nil, fmt.Errorf("%s payload is not the canonical base64 of whole float32s", f32Key)
+		}
+		fa = make(webapp.Float32Array, len(bits)/4)
+		if err := binary.Read(bytes.NewReader(bits), binary.LittleEndian, []float32(fa)); err != nil {
+			return nil, err
+		}
+	case []any:
+		fa = make(webapp.Float32Array, len(t))
+		for i, e := range t {
+			f, ok := e.(float64)
+			if !ok {
+				return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
+			}
+			fa[i] = float32(f)
+		}
+	default:
+		return nil, fmt.Errorf("%s marker is neither base64 text nor an array", f32Key)
+	}
+	for i, f := range fa {
+		if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+			return nil, fmt.Errorf("%s element %d is not finite", f32Key, i)
+		}
+	}
+	return fa, nil
 }
 
 // fromWire maps a json.Unmarshal-ed tree back to canonical value form.
@@ -66,19 +132,7 @@ func fromWire(v any) (webapp.Value, error) {
 		return out, nil
 	case map[string]any:
 		if raw, ok := t[f32Key]; ok && len(t) == 1 {
-			arr, ok := raw.([]any)
-			if !ok {
-				return nil, fmt.Errorf("%s marker is not an array", f32Key)
-			}
-			fa := make(webapp.Float32Array, len(arr))
-			for i, e := range arr {
-				f, ok := e.(float64)
-				if !ok {
-					return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
-				}
-				fa[i] = float32(f)
-			}
-			return fa, nil
+			return f32FromWire(raw)
 		}
 		out := make(map[string]webapp.Value, len(t))
 		for k, e := range t {

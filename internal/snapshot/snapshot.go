@@ -3,9 +3,15 @@
 // *snapshot*), and restoring it — on any browser runtime — to continue
 // execution from the point where it was saved.
 //
-// A snapshot is a textual program (one declaration per line, JS-like), so
-// typed-array feature data serializes as text; that is what makes feature
-// size the dominant transmission cost in partial inference (paper §IV.B).
+// A snapshot is a textual program (one declaration per line, JS-like). The
+// paper's finding (§IV.B, Fig. 8) is that typed-array feature data therefore
+// serializes as text, and that this is what makes feature size the dominant
+// transmission cost in partial inference: 9–10.5 bytes per value as decimal
+// digits. This engine's answer keeps the text program and shrinks the
+// array inside it: a Float32Array is written as base64 of its little-endian
+// float32 bits — 16/3 bytes per value (Float32TextBytesPerValue), bit-exact
+// — as a model's weights always were. Features still dominate a partial
+// inference's transfer; they cost half of what they did. See value.go.
 //
 // Two size optimizations from §III.B are implemented:
 //   - model exclusion: once a model has been pre-sent to the edge server,

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"websnap/internal/protocol"
 	"websnap/internal/webapp"
 )
 
@@ -16,26 +18,53 @@ import (
 // webapp.Value universe (nil, bool, float64, string, []Value,
 // map[string]Value, Float32Array) as it appears on a `var` line or as a
 // __dispatch payload. The form is JSON, with a Float32Array written as the
-// one-key object {"__f32__":[...]}; the encoder's output is byte for byte
-// what encoding/json produces for the same tree (sorted keys, HTML-safe
-// string escapes, json's float formatting), and the parser accepts exactly
-// the JSON grammar — whitespace between tokens, duplicate keys (last one
-// wins), escaped keys — so old and new peers interoperate.
+// one-key object {"__f32__":"<base64>"}: base64.StdEncoding of the array's
+// little-endian IEEE-754 float32s, 16/3 bytes per element and bit-exact by
+// construction. The encoder's output is byte for byte what encoding/json
+// produces for the same tree (sorted keys, HTML-safe string escapes, json's
+// float formatting, a []byte as StdEncoding base64), and the parser accepts
+// exactly the JSON grammar — whitespace between tokens, duplicate keys (last
+// one wins), escaped keys. It also still reads the form this one replaced,
+// {"__f32__":[0.12,-1.5,...]}, so stored snapshots and older peers' requests
+// decode; a decoder from before the change refuses the base64 form ("marker
+// is not an array") rather than misreading it.
 //
 // Numbers, literals, arrays, objects and plain-ASCII strings are read and
 // written by hand; a string that needs escaping either way goes through
 // encoding/json. Parsed values never alias the input.
 
 // f32Key marks a Float32Array inside the JSON value encoding, standing in
-// for JavaScript's `new Float32Array([...])`. It is reserved: captured app
+// for JavaScript's `new Float32Array(...)`. It is reserved: captured app
 // state must not use it as a map key.
 const f32Key = "__f32__"
+
+// Float32TextBytesPerValue is what one typed-array element costs in a
+// snapshot's text: four bytes of bits, base64-encoded. The cost models price
+// feature data by it (partition.Config, sim.Scenario).
+const Float32TextBytesPerValue = 16.0 / 3
+
+// f32Chunk is how many elements are converted at a time between a typed
+// array and its base64 text, through a stack buffer: a multiple of three,
+// so every chunk but the last is 4·f32Chunk bytes of bits and exactly
+// f32ChunkText characters with no padding in between.
+const (
+	f32Chunk     = 192
+	f32ChunkText = 4 * f32Chunk / 3 * 4
+)
+
+// strictBase64 also refuses non-zero trailing bits in the last character.
+var strictBase64 = base64.StdEncoding.Strict()
+
+// f32TextLen is the exact length of an n-element typed array's payload, the
+// text between the quotes.
+func f32TextLen(n int) int { return base64.StdEncoding.EncodedLen(4 * n) }
 
 // maxDepth bounds array/object nesting in parsed values, matching
 // encoding/json's own limit; deeper input is corrupt, not a stack overflow.
 const maxDepth = 10000
 
-// errNonFinite reports a NaN or ±Inf, which JSON text cannot carry.
+// errNonFinite reports a NaN or ±Inf, which JSON text cannot carry and a
+// typed array's bits must not smuggle in.
 var errNonFinite = errors.New("snapshot: NaN and ±Inf cannot be encoded")
 
 // appendValue appends the text form of v to dst.
@@ -47,7 +76,7 @@ func appendValue(dst []byte, v webapp.Value) ([]byte, error) {
 	case bool:
 		return strconv.AppendBool(dst, t), nil
 	case float64:
-		return appendFloat(dst, t, 64)
+		return appendFloat(dst, t)
 	case string:
 		return appendString(dst, t), nil
 	case webapp.Float32Array:
@@ -84,38 +113,78 @@ func appendValue(dst []byte, v webapp.Value) ([]byte, error) {
 	}
 }
 
-// appendFloat32s appends the JSON array of a typed array's elements.
+// appendFloat32s appends a typed array's payload string: the base64 of its
+// elements' bits, converted a chunk at a time straight into dst.
 func appendFloat32s(dst []byte, fa webapp.Float32Array) ([]byte, error) {
-	var err error
-	dst = append(dst, '[')
-	for i, f := range fa {
-		if i > 0 {
-			dst = append(dst, ',')
+	dst = append(dst, '"')
+	var bits [4 * f32Chunk]byte
+	for len(fa) > 0 {
+		n := min(len(fa), f32Chunk)
+		protocol.PutFloat32s(bits[:], fa[:n])
+		if !allFinite(bits[:4*n]) {
+			return dst, errNonFinite
 		}
-		if dst, err = appendFloat(dst, float64(f), 32); err != nil {
-			return dst, err
-		}
+		dst = base64.StdEncoding.AppendEncode(dst, bits[:4*n])
+		fa = fa[n:]
 	}
-	return append(dst, ']'), nil
+	return append(dst, '"'), nil
 }
 
-// appendFloat appends f (a float32 widened when bits is 32) the way
-// encoding/json does: shortest digits that round-trip at that width, 'e'
-// form below 1e-6 and from 1e21 up, and a two-digit negative exponent's
-// leading zero dropped (e-09 → e-9).
-func appendFloat(dst []byte, f float64, bits int) ([]byte, error) {
+// allFinite reports whether no little-endian float32 in bits has an all-ones
+// exponent, i.e. is NaN or ±Inf. Encoder and decoder share it, so a peer
+// cannot express a value this side would refuse to write.
+func allFinite(bits []byte) bool {
+	for i := 3; i < len(bits); i += 4 {
+		if bits[i]&0x7f == 0x7f && bits[i-1]&0x80 != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeFloat32s reads a typed array's payload (the text between the quotes)
+// into an array of exactly the size its length implies. Only the canonical
+// encoding is accepted: the standard alphabet, padded, zero trailing bits, no
+// line breaks, a whole number of finite float32s.
+func decodeFloat32s(text []byte) (webapp.Float32Array, error) {
+	size := len(text)/4*3 - bytes.Count(text[max(len(text)-2, 0):], []byte("="))
+	if len(text)%4 != 0 || size%4 != 0 {
+		return nil, fmt.Errorf("%s payload of %d characters is not the padded base64 of whole float32s", f32Key, len(text))
+	}
+	fa := make(webapp.Float32Array, size/4)
+	var bits [4 * f32Chunk]byte
+	for rest := fa; len(rest) > 0; {
+		n := min(len(rest), f32Chunk)
+		chunk := text[:min(len(text), f32ChunkText)]
+		got, err := strictBase64.Decode(bits[:], chunk)
+		if err == nil && got != 4*n {
+			// The decoder skips \r and \n, and stops at padding.
+			err = errors.New("line break or padding inside the payload")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s payload is not canonical base64: %v", f32Key, err)
+		}
+		if !allFinite(bits[:4*n]) {
+			return nil, fmt.Errorf("%s payload: %w", f32Key, errNonFinite)
+		}
+		protocol.GetFloat32s(rest[:n], bits[:])
+		rest, text = rest[n:], text[len(chunk):]
+	}
+	return fa, nil
+}
+
+// appendFloat appends f the way encoding/json does: shortest digits that
+// round-trip, 'e' form below 1e-6 and from 1e21 up, and a two-digit negative
+// exponent's leading zero dropped (e-09 → e-9).
+func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, errNonFinite
 	}
-	abs := math.Abs(f)
 	format := byte('f')
-	if abs != 0 {
-		if bits == 64 && (abs < 1e-6 || abs >= 1e21) ||
-			bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
-			format = 'e'
-		}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	dst = strconv.AppendFloat(dst, f, format, -1, bits)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
 	if format == 'e' {
 		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
 			dst[n-2] = dst[n-1]
@@ -323,15 +392,14 @@ func (p *parser) array() (webapp.Value, error) {
 }
 
 // object reads an object: the typed-array marker straight into a
-// Float32Array when it has exactly that shape, any other object (and any
-// marker written unusually — escaped or repeated key, extra keys) through
-// the general path, which then applies the marker rule to the finished map.
+// Float32Array when it has exactly the shape the encoder writes, any other
+// object (and any marker written unusually — the decimal-array form, an
+// escaped or repeated key, escapes in the payload, extra keys) through the
+// general path, which then applies the marker rule to the finished map.
 func (p *parser) object() (webapp.Value, error) {
-	start := p.pos
-	if fa, ok := p.float32Array(); ok {
-		return fa, nil
+	if text, ok := p.f32Text(); ok {
+		return decodeFloat32s(text)
 	}
-	p.pos = start
 	m, err := p.members()
 	if err != nil {
 		return nil, err
@@ -340,19 +408,42 @@ func (p *parser) object() (webapp.Value, error) {
 	if !marked || len(m) != 1 {
 		return m, nil
 	}
-	arr, ok := raw.([]webapp.Value)
-	if !ok {
-		return nil, fmt.Errorf("%s marker is not an array", f32Key)
-	}
-	fa := make(webapp.Float32Array, len(arr))
-	for i, e := range arr {
-		f, ok := e.(float64)
-		if !ok {
-			return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
+	switch t := raw.(type) {
+	case string:
+		return decodeFloat32s([]byte(t))
+	case []webapp.Value:
+		fa := make(webapp.Float32Array, len(t))
+		for i, e := range t {
+			f, ok := e.(float64)
+			if !ok {
+				return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
+			}
+			if fa[i] = float32(f); math.IsInf(float64(fa[i]), 0) {
+				return nil, fmt.Errorf("%s element %d: %w", f32Key, i, errNonFinite)
+			}
 		}
-		fa[i] = float32(f)
+		return fa, nil
 	}
-	return fa, nil
+	return nil, fmt.Errorf("%s marker is neither base64 text nor an array", f32Key)
+}
+
+// f32Text matches {"__f32__":"<payload>"} at the cursor, spelled as the
+// encoder spells it: no whitespace, no escapes. It then returns the payload
+// (a subslice of the input) with the cursor past the object; otherwise ok is
+// false and the cursor has not moved.
+func (p *parser) f32Text() (text []byte, ok bool) {
+	const open = `{"` + f32Key + `":"`
+	rest, ok := bytes.CutPrefix(p.buf[p.pos:], []byte(open))
+	if !ok { // any other object costs no more than this prefix
+		return nil, false
+	}
+	n := bytes.IndexByte(rest, '"')
+	if p.depth >= maxDepth || n < 0 || !bytes.HasPrefix(rest[n+1:], []byte("}")) ||
+		bytes.IndexByte(rest[:n], '\\') >= 0 {
+		return nil, false
+	}
+	p.pos += len(open) + n + 2
+	return rest[:n], true
 }
 
 func (p *parser) members() (map[string]webapp.Value, error) {
@@ -395,75 +486,4 @@ func (p *parser) members() (map[string]webapp.Value, error) {
 			return nil, p.unexpected("after object key:value pair")
 		}
 	}
-}
-
-// float32Array reads {"__f32__":[n,n,...]} at the cursor directly into a
-// Float32Array of exactly the right size: each number is parsed at 64 bits
-// and narrowed, as a JSON decoder followed by a float32 conversion would.
-// ok is false — and the cursor meaningless — when the text is not exactly
-// that shape; object then re-reads it the general way, which also produces
-// the error for malformed input.
-func (p *parser) float32Array() (fa webapp.Float32Array, ok bool) {
-	if p.depth+2 > maxDepth {
-		return nil, false
-	}
-	for _, tok := range []string{"{", `"` + f32Key + `"`, ":", "["} {
-		p.skipSpace()
-		if !bytes.HasPrefix(p.buf[p.pos:], []byte(tok)) {
-			return nil, false
-		}
-		p.pos += len(tok)
-	}
-	// Find the closing bracket and count the elements in one walk that
-	// gives up at the first byte a number array cannot hold, so text that
-	// only starts like a typed array costs no more than its prefix.
-	end, commas := p.pos, 0
-walk:
-	for ; ; end++ {
-		if end == len(p.buf) {
-			return nil, false
-		}
-		switch c := p.buf[end]; {
-		case '0' <= c && c <= '9', c == '.', c == '-', c == 'e', c == 'E', c == '+',
-			c == ' ', c == '\t', c == '\r', c == '\n':
-		case c == ',':
-			commas++
-		case c == ']':
-			break walk
-		default:
-			return nil, false
-		}
-	}
-	p.skipSpace()
-	if p.pos == end {
-		fa = webapp.Float32Array{}
-	} else {
-		fa = make(webapp.Float32Array, 0, commas+1)
-		for {
-			p.skipSpace()
-			if c := p.peek(); c != '-' && (c < '0' || c > '9') {
-				return nil, false
-			}
-			f, err := p.number()
-			if err != nil {
-				return nil, false
-			}
-			fa = append(fa, float32(f))
-			p.skipSpace()
-			if p.pos == end {
-				break
-			}
-			if p.peek() != ',' {
-				return nil, false
-			}
-			p.pos++
-		}
-	}
-	p.pos = end + 1
-	p.skipSpace()
-	if p.peek() != '}' {
-		return nil, false
-	}
-	p.pos++
-	return fa, true
 }

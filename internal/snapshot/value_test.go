@@ -214,9 +214,32 @@ func parityBodies() []string {
 		`{"__f32__":[1]}x`, `{"__f32__":[1]} ]`, `[{"__f32__":[1]},{"__f32__":[2,3]}]`,
 		`{"k":{"__f32__":[1]}}`, `{"__f32__":{"__f32__":[1]}}`, `{"__f32__":[1,{"__f32__":[1,{"__f32__":[1]}]}]}`,
 		`{"__f32__":[1,{"__f32__":[1,{"__f32__":[1`,
+		// The base64 form: 1 → AACAPw==, [1,2] → AACAPwAAAEA=, [1,2,3] unpadded.
+		`{"__f32__":""}`, `{"__f32__":"AACAPw=="}`, `{"__f32__":"AACAPwAAAEA="}`, `{"__f32__":"AACAPwAAAEAAAEBA"}`,
+		` { "__f32__" : "AACAPw==" } `, `{"__f32__":"AACAPw=="}x`, `{"__f32__":"AACAPw=="`, `{"__f32__":"AACAPw==}`,
+		`[{"__f32__":"AACAPw=="},{"__f32__":""}]`, `{"k":{"__f32__":"AACAPw=="}}`,
+		`{"__f32__":"AACAPw==","a":2}`, `{"a":2,"__f32__":"AACAPw=="}`,
+		`{"__f32__":[1],"__f32__":"AACAPw=="}`, `{"__f32__":"AACAPw==","__f32__":[2]}`, `{"__f32\u005f_":"AACAPw=="}`,
+		// Objects that only start like the marker, or not at all, many in a
+		// row: each is read the general way and costs its own length.
+		`[{},{},{},{}]`, `[{"__f32__":"AACAPw==" },{"__f32__":"AACAPw==","a":1},{"__f32_":"x"}]`, `[{},{"__f32__":"AACAPw==`,
+		// Not canonical: no padding, over-padded, trailing bits set, URL
+		// alphabet, escapes that spell valid or invalid text, line breaks.
+		`{"__f32__":"AACAPw"}`, `{"__f32__":"AACAPw="}`, `{"__f32__":"AACAPw==="}`, `{"__f32__":"AACAPx=="}`,
+		`{"__f32__":"AACAP-=="}`, `{"__f32__":"AACAP/=="}`, `{"__f32__":"AACA\u0050w=="}`, `{"__f32__":"AACA\u0021w=="}`,
+		`{"__f32__":"AACA\nPw=="}`, `{"__f32__":"AACAPw==\r\n"}`, "{\"__f32__\":\"AACA\rPw==\"}", `{"__f32__":"AACA Pw=="}`,
+		`{"__f32__":"AA==AACAPw=="}`, `{"__f32__":"===="}`, `{"__f32__":"="}`, `{"__f32__":"\"}`, `{"__f32__":"\""}`,
+		// Not whole float32s: 1, 2, 3, 5 and 6 bytes.
+		`{"__f32__":"AA=="}`, `{"__f32__":"AAA="}`, `{"__f32__":"AAAA"}`, `{"__f32__":"AACAPwA="}`, `{"__f32__":"AACAPwAA"}`,
+		// Non-finite bit patterns: +Inf, −Inf, a quiet and a signalling NaN,
+		// alone and after a finite element; the largest finite one passes.
+		`{"__f32__":"AACAfw=="}`, `{"__f32__":"AACA/w=="}`, `{"__f32__":"AADAfw=="}`, `{"__f32__":"AQCAfw=="}`,
+		`{"__f32__":"AACAPwAAgH8="}`, `{"__f32__":"//9/fw=="}`,
 		deep(maxDepth), deep(maxDepth + 1),
 		strings.Repeat("[", maxDepth-2) + `{"__f32__":[1]}` + strings.Repeat("]", maxDepth-2),
 		strings.Repeat("[", maxDepth-1) + `{"__f32__":[1]}` + strings.Repeat("]", maxDepth-1),
+		strings.Repeat("[", maxDepth-1) + `{"__f32__":"AACAPw=="}` + strings.Repeat("]", maxDepth-1),
+		strings.Repeat("[", maxDepth) + `{"__f32__":"AACAPw=="}` + strings.Repeat("]", maxDepth),
 		strings.Repeat(`{"a":`, maxDepth) + `1` + strings.Repeat("}", maxDepth),
 		strings.Repeat(`{"a":`, maxDepth+1) + `1` + strings.Repeat("}", maxDepth+1),
 	}
