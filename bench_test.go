@@ -350,73 +350,6 @@ func BenchmarkOffloadRoundTrip(b *testing.B) {
 
 // --- Ablation benchmarks -------------------------------------------------
 
-// BenchmarkAblationDeltaVsFull measures the real on-the-wire bytes of a
-// repeated offload with and without delta snapshots (§VI future work):
-// the DESIGN.md ablation of the incremental-snapshot design choice.
-func BenchmarkAblationDeltaVsFull(b *testing.B) {
-	for _, delta := range []bool{false, true} {
-		name := "full"
-		if delta {
-			name = "delta"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, err := websnap.NewEdgeServer(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(ln) }()
-			defer func() {
-				srv.Close()
-				<-done
-			}()
-			model, err := models.BuildTinyNet("tinynet", 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			conn, err := websnap.Dial(ln.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			session, err := websnap.NewSession(websnap.SessionConfig{
-				AppID: "bench-delta", ModelName: "tinynet", Model: model,
-				Labels: []string{"cat", "dog", "bird"},
-				Mode:   websnap.ModeFull, Conn: conn, PreSend: true,
-				EnableDelta: delta,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := session.WaitForModelUpload(); err != nil {
-				b.Fatal(err)
-			}
-			// Static app state that full snapshots re-ship every time.
-			static := make(websnap.Float32Array, 20000)
-			if err := session.App().SetGlobal("static", static); err != nil {
-				b.Fatal(err)
-			}
-			// Warm up: establish the server-side base state.
-			if _, err := session.Classify(mlapp.SyntheticImage(3*16*16, 0)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var wire int64
-			for i := 0; i < b.N; i++ {
-				if _, err := session.Classify(mlapp.SyntheticImage(3*16*16, uint64(i+1))); err != nil {
-					b.Fatal(err)
-				}
-				wire = session.Stats().LastSnapshotBytes
-			}
-			b.ReportMetric(float64(wire), "wire_bytes")
-		})
-	}
-}
-
 // BenchmarkAblationCompression measures the on-the-wire snapshot size with
 // and without DEFLATE compression (an extension; the paper ships plain
 // text).

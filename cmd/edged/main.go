@@ -79,7 +79,7 @@ func main() {
 			"max total snapshot bytes admitted to the scheduler queue (0 = unlimited)")
 
 		maxStoreBytes = flag.Int64("max-store-bytes", 0,
-			"session-store byte cap: models and synced states (with -registry, also the blobs served to fleet peers) beyond it are evicted LRU (0 = unbounded)")
+			"session-store byte cap: pre-sent models (with -registry, also the blobs served to fleet peers) beyond it are evicted LRU (0 = unbounded)")
 		maxStreams = flag.Int("max-streams", 0,
 			"max concurrent multiplexed logical streams per client connection (0 = default 256)")
 

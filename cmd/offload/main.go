@@ -39,7 +39,6 @@ func main() {
 		split     = flag.String("split", "", "partial-inference point (e.g. 1st_pool); empty = dynamic")
 		bandwidth = flag.Float64("bandwidth", 0, "shape the link to this many Mbit/s (0 = unshaped)")
 		preSend   = flag.Bool("presend", true, "pre-send the model when the app starts")
-		delta     = flag.Bool("delta", false, "ship repeated offloads as delta snapshots")
 		compress  = flag.Bool("compress", false, "DEFLATE-compress snapshot bodies on the wire")
 		imagePath = flag.String("image", "", "classify this PNG/JPEG file (empty = synthetic pixels)")
 		runs      = flag.Int("runs", 1, "number of inference runs")
@@ -51,7 +50,7 @@ func main() {
 			"model quality tier: float32 (default) or int8 (calibrated quantized kernels)")
 	)
 	flag.Parse()
-	if err := run(*server, *modelName, *mode, *split, *bandwidth, *preSend, *delta, *compress, *imagePath, *runs, *metrics, *auditLog, *quality); err != nil {
+	if err := run(*server, *modelName, *mode, *split, *bandwidth, *preSend, *compress, *imagePath, *runs, *metrics, *auditLog, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "offload:", err)
 		os.Exit(1)
 	}
@@ -160,7 +159,7 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
-func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSend, delta, compress bool, imagePath string, runs int, metricsAddr, auditLog, quality string) error {
+func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSend, compress bool, imagePath string, runs int, metricsAddr, auditLog, quality string) error {
 	model, labels, err := buildModel(modelName)
 	if err != nil {
 		return err
@@ -185,17 +184,16 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 		}
 	}
 	cfg := core.SessionConfig{
-		AppID:       fmt.Sprintf("offload-cli-%d", os.Getpid()),
-		ModelName:   modelName,
-		Model:       model,
-		Labels:      labels,
-		Mode:        mode,
-		PreSend:     preSend,
-		SplitLabel:  split,
-		EnableDelta: delta,
-		Compress:    compress,
-		Quality:     prec,
-		Audit:       audit,
+		AppID:      fmt.Sprintf("offload-cli-%d", os.Getpid()),
+		ModelName:  modelName,
+		Model:      model,
+		Labels:     labels,
+		Mode:       mode,
+		PreSend:    preSend,
+		SplitLabel: split,
+		Compress:   compress,
+		Quality:    prec,
+		Audit:      audit,
 	}
 	if mode != core.ModeLocal {
 		raw, err := net.Dial("tcp", server)
@@ -251,8 +249,8 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 			time.Since(t0).Round(time.Millisecond))
 	}
 	st := session.Stats()
-	fmt.Printf("stats: offloads=%d deltas=%d fallbacks=%d lastSnapshot=%dB lastResult=%dB inlineModel=%dB\n",
-		st.Offloads, st.DeltaOffloads, st.LocalFallbacks, st.LastSnapshotBytes,
+	fmt.Printf("stats: offloads=%d fallbacks=%d lastSnapshot=%dB lastResult=%dB inlineModel=%dB\n",
+		st.Offloads, st.LocalFallbacks, st.LastSnapshotBytes,
 		st.LastResultBytes, st.LastInlineModelBytes)
 	printAudit(os.Stdout, audit)
 	return nil

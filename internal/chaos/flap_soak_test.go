@@ -145,9 +145,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		EnableDelta:       true,
 		BlobRefPreSend:    true,
-		FleetSync:         true,
 		Placement:         string(fleet.PolicyLoadWeighted),
 		Audit:             auditor,
 		LocalFallback:     true,
@@ -227,7 +225,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	executed := int64(0)
 	for _, srv := range []*edge.Server{srvA, srvB} {
 		m := srv.Metrics()
-		executed += m.SnapshotsExecuted + m.DeltasExecuted
+		executed += m.SnapshotsExecuted
 	}
 	if executed != int64(st.Offloads) || st.Offloads != events {
 		t.Errorf("executions=%d offloads=%d events=%d — placement failover must execute each event exactly once",

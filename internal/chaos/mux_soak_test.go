@@ -110,7 +110,6 @@ func runMuxSession(idx int, conn *client.Conn, model *nn.Network,
 		app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
 		opts.Models = []client.ModelToSend{{Name: "tiny", Net: model}}
-		opts.EnableDelta = kind == kindDelta
 	}
 	if err != nil {
 		rep.failf("mux session %d (%s): build app: %v", idx, kind, err)
@@ -232,9 +231,9 @@ func TestMuxSoakInvariants(t *testing.T) {
 	if clientOffloads == 0 {
 		t.Error("no offload succeeded over the multiplexed connection")
 	}
-	if m.SnapshotsExecuted+m.DeltasExecuted < clientOffloads {
+	if m.SnapshotsExecuted < clientOffloads {
 		t.Errorf("server executed %d offloads, clients observed %d successes",
-			m.SnapshotsExecuted+m.DeltasExecuted, clientOffloads)
+			m.SnapshotsExecuted, clientOffloads)
 	}
 	t.Logf("mux soak: %d sessions over 1 conn, %d offloads", muxSoakSessions, clientOffloads)
 }
@@ -281,19 +280,20 @@ func TestMuxSoakUnderChaos(t *testing.T) {
 		t.Error(f)
 	}
 	m := srv.Metrics()
-	if m.SnapshotsExecuted+m.DeltasExecuted < clientOffloads {
+	if m.SnapshotsExecuted < clientOffloads {
 		t.Errorf("server executed %d offloads, clients observed %d successes — %s",
-			m.SnapshotsExecuted+m.DeltasExecuted, clientOffloads, testutil.Seed(seed))
+			m.SnapshotsExecuted, clientOffloads, testutil.Seed(seed))
 	}
 	t.Logf("mux chaos soak: %d sessions, %d offloads, %d plans — %s",
 		muxSoakSessions, clientOffloads, len(in.Plans()), testutil.Seed(seed))
 }
 
 // TestBoundedStoreSoak pins the memory bound under sustained multiplexed
-// load: with a byte cap on the session store, many sessions' states churn
-// through LRU eviction and the store's byte charge never exceeds the cap
-// at any sampled instant. The server has a fleet identity, so the charge
-// covers the state bytes it would serve to peers as well.
+// load: with a byte cap on the session store, the sessions' models — the
+// store's only tenants — churn through LRU eviction and the store's byte
+// charge never exceeds the cap at any sampled instant. A session whose model
+// was evicted falls back to local execution, so every invariant still holds.
+// The server has a fleet identity, so the charge is also what it advertises.
 func TestBoundedStoreSoak(t *testing.T) {
 	testutil.CheckGoroutines(t, 5*time.Second)
 
@@ -307,8 +307,9 @@ func TestBoundedStoreSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for a few models/states, far less than 64 sessions produce.
-	capBytes := 4 * model.ModelBytes()
+	// Room for the full model or the partial sessions' rear part, not both:
+	// the two kinds of session evict each other's model.
+	capBytes := model.ModelBytes()
 	srv, err := edge.NewServer(edge.Config{
 		Catalog:         muxCatalog(t),
 		Installed:       true,

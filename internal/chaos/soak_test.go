@@ -22,7 +22,7 @@ import (
 )
 
 // The soak drives many concurrent client↔edge offload sessions — full,
-// partial, and delta snapshot paths — each behind its own seeded fault
+// partial, and int8-tier snapshot paths — each behind its own seeded fault
 // injector, and asserts system-wide invariants:
 //
 //  1. Every offload-eligible event terminates with a result bit-identical
@@ -164,7 +164,10 @@ type sessionKind int
 const (
 	kindFull sessionKind = iota
 	kindPartial
-	kindDelta
+	// kindFull2 is a second plain full session: it keeps the slot the
+	// retired request-delta sessions had, so session i is still of the kind
+	// it always was and the soak carries the same load.
+	kindFull2
 	// kindQuant is a full-offload session running at the int8 quality
 	// tier: the quality global rides its snapshots, so the server (or the
 	// local fallback) executes the calibrated quantized kernels.
@@ -173,7 +176,7 @@ const (
 )
 
 func (k sessionKind) String() string {
-	return [...]string{"full", "partial", "delta", "quant"}[k]
+	return [...]string{"full", "partial", "full2", "quant"}[k]
 }
 
 // sessionReport is one soak session's outcome.
@@ -232,7 +235,6 @@ func runSoakSession(idx int, kind sessionKind, seed int64, addr string,
 		app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
 		opts.Models = []client.ModelToSend{{Name: "tiny", Net: model}}
-		opts.EnableDelta = kind == kindDelta
 		if err == nil && kind == kindQuant {
 			// The quality tier is an ordinary global set before the first
 			// event, so every snapshot this session offloads carries it.
@@ -420,7 +422,7 @@ func TestChaosSoakInvariants(t *testing.T) {
 	executed := int64(0)
 	for _, srv := range []*edge.Server{srvA, srvB} {
 		m := srv.Metrics()
-		executed += m.SnapshotsExecuted + m.DeltasExecuted
+		executed += m.SnapshotsExecuted
 	}
 	if executed < clientOffloads {
 		t.Errorf("servers executed %d offloads, clients observed %d successes — results out of thin air",

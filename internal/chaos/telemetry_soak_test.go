@@ -276,7 +276,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 				OffloadEventTypes: []string{mlapp.EventClick},
 				Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				BlobRefPreSend:    true,
-				FleetSync:         true,
 				Flight:            clientFlight,
 			})
 			if err != nil {

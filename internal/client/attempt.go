@@ -47,9 +47,7 @@ type Outcome struct {
 	// for attempts that failed after the request was stamped, so the
 	// decision of a fallen-back request still joins the failed trace.
 	TraceID string
-	// Delta marks an offload shipped as a delta snapshot; BatchSize is the
-	// server-side batch the request executed in.
-	Delta     bool
+	// BatchSize is the server-side batch the request executed in.
 	BatchSize int
 }
 
@@ -98,7 +96,7 @@ func (f Funnel) Do(next func(failed error) *Placement) (obs.Decision, error) {
 		if err == nil {
 			d.Path, d.Reason = p.Path, p.Reason
 			d.SplitLabel, d.Predicted = p.SplitLabel, p.Predicted
-			d.Delta, d.BatchSize, d.Measured = out.Delta, out.BatchSize, time.Since(start)
+			d.BatchSize, d.Measured = out.BatchSize, time.Since(start)
 			break
 		}
 		failed = err

@@ -234,46 +234,22 @@ func chainExec(t *testing.T, s sinks, depth int, local func(*tensor.Tensor) (*te
 	return err
 }
 
-// deltaPair drives two classifications with delta shipping on and the sync
-// point kept across hand-offs. With retarget the second goes to a fresh
-// server outside any fleet: it cannot recover the kept base, refuses the
-// delta, and the round trip retries as a full snapshot.
-func deltaPair(retarget bool) func(t *testing.T, s sinks) error {
-	return func(t *testing.T, s sinks) error {
-		off, classify := mlOffloader(t, s, realEdge(t), client.Options{EnableDelta: true, FleetSync: true})
-		classify()
-		if retarget {
-			if err := off.Retarget(dial(t, realEdge(t))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		classify()
-		if st := off.Stats(); retarget != (st.DeltaFallbacks == 1) || retarget == (st.DeltaOffloads == 1) {
-			t.Errorf("stats %+v do not match retarget=%v", st, retarget)
-		}
-		return nil
-	}
-}
-
 // TestFunnelOutcomes drives every way a request can leave the attempt
 // funnel — through client.Offloader, core.Session and roam.ChainExecutor —
 // and checks the contract they now share: exactly one decision per request,
-// with the documented path and reason, the delta flag, a trace ID iff a
-// request went on the wire, and one flight entry for every shed, fallback
-// and error.
+// with the documented path and reason, a trace ID iff a request went on the
+// wire, and one flight entry for every shed, fallback and error.
 func TestFunnelOutcomes(t *testing.T) {
 	type outcome struct {
 		name string
-		// run drives requests through one entry point and returns the last
-		// one's error; the checks below apply to its last decision.
-		run      func(t *testing.T, s sinks) error
-		requests int // decisions expected in all (0 means 1)
-		path     obs.DecisionPath
-		reason   string
-		delta    bool
-		traced   bool
-		split    string
-		failing  bool // the last request surfaces an error
+		// run drives one request through one entry point and returns its
+		// error; the checks below apply to its decision.
+		run     func(t *testing.T, s sinks) error
+		path    obs.DecisionPath
+		reason  string
+		traced  bool
+		split   string
+		failing bool // the request surfaces an error
 	}
 	shedStep := func(load protocol.LoadHint, failLocal bool) func(t *testing.T, s sinks) error {
 		return func(t *testing.T, s sinks) error {
@@ -308,10 +284,6 @@ func TestFunnelOutcomes(t *testing.T) {
 				_, err = sess.Classify(mlapp.SyntheticImage(3*16*16, 1))
 				return err
 			}},
-		{name: "delta", requests: 2, path: obs.PathFull, reason: "ok", traced: true, delta: true,
-			run: deltaPair(false)},
-		{name: "delta-retried-full", requests: 2, path: obs.PathFull, reason: "ok", traced: true,
-			run: deltaPair(true)},
 		{name: "shed/hint-saturated", path: obs.PathShed, reason: "hint-saturated",
 			run: shedStep(protocol.LoadHint{Saturated: true}, false)},
 		{name: "shed/hint-delay", path: obs.PathShed, reason: "hint-delay",
@@ -370,19 +342,13 @@ func TestFunnelOutcomes(t *testing.T) {
 			if (err != nil) != tc.failing {
 				t.Fatalf("request error = %v, want failing=%v", err, tc.failing)
 			}
-			if tc.requests == 0 {
-				tc.requests = 1
-			}
 			decisions := s.audit.Recent()
-			if len(decisions) != tc.requests {
-				t.Fatalf("%d request(s) produced decisions %+v", tc.requests, decisions)
+			if len(decisions) != 1 {
+				t.Fatalf("one request produced decisions %+v", decisions)
 			}
-			d := decisions[len(decisions)-1]
+			d := decisions[0]
 			if d.Path != tc.path || d.Reason != tc.reason {
 				t.Errorf("decision = %s/%s, want %s/%s", d.Path, d.Reason, tc.path, tc.reason)
-			}
-			if d.Delta != tc.delta {
-				t.Errorf("delta = %v, want %v", d.Delta, tc.delta)
 			}
 			if (d.TraceID != "") != tc.traced {
 				t.Errorf("trace ID %q, want present=%v", d.TraceID, tc.traced)

@@ -218,8 +218,8 @@ func (c *Conn) Broken() bool {
 // streams sharing the Conn may race to recover; the first Redial to finish
 // heals the connection for all of them and the rest are no-ops. Conns
 // wrapped around an existing net.Conn (NewConn) cannot redial. The server's
-// per-app state (pre-sent models, delta bases) is keyed by app ID, not by
-// connection, so it survives the reconnect.
+// per-app state (the pre-sent models) is keyed by app ID, not by connection,
+// so it survives the reconnect.
 func (c *Conn) Redial() error {
 	c.mu.Lock()
 	if c.addr == "" {
@@ -571,15 +571,14 @@ func cleanServerError(err error) bool {
 }
 
 // OffloadSnapshot ships an encoded snapshot and returns the encoded result
-// snapshot — the whole post-execution state, which the server also keeps as
-// the app's synced state. It is the raw form of an offload, for callers that
-// hold only bytes; an Offloader holds the snapshot it sent and asks for a
-// result delta instead. With compress set, the snapshot text travels
-// DEFLATE-compressed and the server mirrors the encoding in its response;
-// the returned bytes are always the plain result text. WireBytes reports the
-// on-the-wire size of the shipped body.
+// snapshot — the whole post-execution state. It is the raw form of an
+// offload, for callers that hold only bytes; an Offloader holds the snapshot
+// it sent and asks for a result delta instead. With compress set, the
+// snapshot text travels DEFLATE-compressed and the server mirrors the
+// encoding in its response; the returned bytes are always the plain result
+// text. WireBytes reports the on-the-wire size of the shipped body.
 func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (result []byte, wireBytes int64, err error) {
-	reply, err := c.offloadBody(protocol.MsgSnapshot, "", appID, encoded, compress)
+	reply, err := c.offloadBody("", appID, encoded, compress)
 	return reply.Result, reply.WireBytes, err
 }
 
@@ -588,8 +587,8 @@ func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (res
 type offloadReply struct {
 	// Result is the plain (decompressed) result body.
 	Result []byte
-	// RequestBase is the name a result delta must give its base when the
-	// request was a full snapshot (protocol.SnapshotHeader.RequestBase).
+	// RequestBase is the name a result delta must give its base
+	// (protocol.SnapshotHeader.RequestBase).
 	RequestBase string
 	// WireBytes is the on-the-wire size of the shipped request body;
 	// RespBytes the response frame's header+body size.
@@ -605,12 +604,12 @@ type offloadReply struct {
 	ServerTrace *protocol.ServerTrace
 }
 
-// offloadBody ships one encoded snapshot or delta, asking for the result in
-// replyForm (a protocol.Reply* constant; empty for the full result snapshot,
-// which only a full snapshot may ask for), and returns the plain result body
-// with the round trip's measurements. The reply carries the request's trace
-// ID even when the round trip fails.
-func (c *Conn) offloadBody(reqType protocol.MsgType, replyForm, appID string, encoded []byte, compress bool) (offloadReply, error) {
+// offloadBody ships one encoded snapshot, asking for the result in replyForm
+// (protocol.ReplyDelta, or empty for the full result snapshot), and returns
+// the plain result body with the round trip's measurements. The reply
+// carries the request's trace ID even when the round trip fails.
+func (c *Conn) offloadBody(replyForm, appID string, encoded []byte, compress bool) (offloadReply, error) {
+	const reqType = protocol.MsgSnapshot
 	reply := offloadReply{TraceID: trace.NewID()}
 	respType := protocol.MsgResultDelta
 	if replyForm == "" {

@@ -223,19 +223,15 @@ func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 	}
 }
 
-// TestLostDeltaResultResendsFull pins the one thing a fleet-joined server no
-// longer does that it used to: keep a superseded delta base around after
-// chain compaction. The server executes a delta and stores its result, the
-// result is lost on the wire, and the client — which finished that event on
-// the device — sends its next delta against the base it still believes in.
-// The server answers a clean base mismatch, exactly as a standalone server
-// always has, and the client resends the full snapshot: one delta fallback,
-// one decision per event, and the same final state as a run with no fault.
-func TestLostDeltaResultResendsFull(t *testing.T) {
+// TestLostResultFallsBackOnce: the server executes an offload, the result is
+// lost on the wire, and the client finishes that event on the device — once.
+// Nothing of the lost request lingers at either end: the next event offloads
+// as usual, there is one decision per event, and the final state is that of
+// a run with no fault.
+func TestLostResultFallsBackOnce(t *testing.T) {
 	run := func(lose bool) (stateHash string, st Stats, decisions int64) {
 		backend := startEdge(t, edge.Config{Installed: true, AdvertiseAddr: "fleet-self:0"})
-		// Every result is a delta now; the one to lose is the second, the
-		// answer to the first delta request.
+		// The result to lose is the second.
 		var results atomic.Int64
 		proxy := tearingProxy(t, backend, func(conn int64, resp *protocol.Message) bool {
 			return lose && conn == 1 && resp.Type == protocol.MsgResultDelta && results.Add(1) == 2
@@ -243,7 +239,6 @@ func TestLostDeltaResultResendsFull(t *testing.T) {
 		auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 16})
 		off, app := newOffloadedApp(t, dialEdge(t, proxy), Options{
 			LocalFallback: true,
-			EnableDelta:   true,
 			Models:        []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
 			Audit:         auditor,
 		})
@@ -267,16 +262,15 @@ func TestLostDeltaResultResendsFull(t *testing.T) {
 	}
 
 	want, clean, _ := run(false)
-	if clean.Offloads != 3 || clean.DeltaOffloads != 2 || clean.DeltaFallbacks != 0 {
-		t.Fatalf("no-fault run: %+v, want one full and two delta offloads", clean)
+	if clean.Offloads != 3 || clean.LocalFallbacks != 0 {
+		t.Fatalf("no-fault run: %+v, want three offloads", clean)
 	}
 	got, st, decisions := run(true)
 	if st.LocalFallbacks != 1 || st.Redials != 1 {
 		t.Errorf("lost result: local fallbacks = %d, redials = %d, want 1 and 1", st.LocalFallbacks, st.Redials)
 	}
-	if st.DeltaFallbacks != 1 || st.Offloads != 2 || st.DeltaOffloads != 0 {
-		t.Errorf("after the lost result: delta fallbacks = %d, offloads = %d (%d as deltas); want the stale delta refused once and resent full",
-			st.DeltaFallbacks, st.Offloads, st.DeltaOffloads)
+	if st.Offloads != 2 {
+		t.Errorf("offloads = %d, want 2 (the events before and after the lost result)", st.Offloads)
 	}
 	if decisions != 3 {
 		t.Errorf("audit decisions = %d, want 3 (one per event)", decisions)

@@ -114,12 +114,11 @@ func TestLocalPlacementRunsItsEvent(t *testing.T) {
 	}
 }
 
-// TestDeltaOverloadIsNotRetriedAsFull: a server that sheds a delta offload
-// with an overloaded error frame has not lost the base — re-uploading the
-// larger full snapshot to it would be the opposite of what it asked for.
-// Exactly one request frame goes out, the sync point survives, and the next
-// offload still ships a delta.
-func TestDeltaOverloadIsNotRetriedAsFull(t *testing.T) {
+// TestOverloadIsNotRetried: a server that sheds an offload with an overloaded
+// error frame asked for less work — sending it the same snapshot again would
+// be the opposite. Exactly one request frame goes out per event, the shed is
+// the event's one decision, and the connection stays usable.
+func TestOverloadIsNotRetried(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	var mu sync.Mutex
 	var frames []protocol.MsgType
@@ -132,10 +131,11 @@ func TestDeltaOverloadIsNotRetriedAsFull(t *testing.T) {
 			}
 			mu.Lock()
 			frames = append(frames, req.Type)
+			first := len(frames) == 1
 			mu.Unlock()
 			var resp protocol.Message
-			if req.Type == protocol.MsgSnapshot {
-				// Answer a full snapshot with itself, event consumed: a
+			if first {
+				// Answer the first snapshot with itself, event consumed: a
 				// result delta against the request that only drops the
 				// pending event.
 				var hdr protocol.SnapshotHeader
@@ -177,7 +177,6 @@ func TestDeltaOverloadIsNotRetriedAsFull(t *testing.T) {
 	audit := obs.NewAuditor(obs.AuditorOptions{Keep: 8})
 	off, err := NewOffloader(app, conn, Options{
 		OffloadEventTypes: []string{"go"},
-		EnableDelta:       true,
 		Audit:             audit,
 	})
 	if err != nil {
@@ -189,33 +188,25 @@ func TestDeltaOverloadIsNotRetriedAsFull(t *testing.T) {
 		return err
 	}
 	if err := step(); err != nil {
-		t.Fatalf("first (full) offload: %v", err)
+		t.Fatalf("first offload: %v", err)
 	}
-	if err := step(); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second offload err = %v, want ErrOverloaded", err)
+	for i := 2; i <= 3; i++ {
+		if err := step(); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("offload %d err = %v, want ErrOverloaded", i, err)
+		}
 	}
 	mu.Lock()
 	got := append([]protocol.MsgType(nil), frames...)
 	mu.Unlock()
-	if want := []protocol.MsgType{protocol.MsgSnapshot, protocol.MsgSnapshotDelta}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("request frames = %v, want %v (one frame for the shed delta)", got, want)
-	}
-	if st := off.Stats(); st.DeltaFallbacks != 0 {
-		t.Errorf("DeltaFallbacks = %d, want 0", st.DeltaFallbacks)
+	if want := []protocol.MsgType{protocol.MsgSnapshot, protocol.MsgSnapshot, protocol.MsgSnapshot}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("request frames = %v, want %v (one frame per event, shed or not)", got, want)
 	}
 	decisions := audit.Recent()
-	if d := decisions[len(decisions)-1]; len(decisions) != 2 || d.Path != obs.PathError || d.Reason != "overloaded" {
-		t.Errorf("decisions = %+v, want [full, error/overloaded]", decisions)
+	if d := decisions[len(decisions)-1]; len(decisions) != 3 || d.Path != obs.PathError || d.Reason != "overloaded" {
+		t.Errorf("decisions = %+v, want [full, error/overloaded, error/overloaded]", decisions)
 	}
-	// The sync point survived the shed: the next offload is a delta again.
-	if err := step(); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third offload err = %v, want ErrOverloaded", err)
-	}
-	mu.Lock()
-	last := frames[len(frames)-1]
-	mu.Unlock()
-	if last != protocol.MsgSnapshotDelta {
-		t.Errorf("offload after the shed shipped %s, want a delta", last)
+	if conn.Broken() {
+		t.Error("a clean overload frame marked the connection broken")
 	}
 }
 

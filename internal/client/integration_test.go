@@ -105,26 +105,12 @@ func TestOffloadEndToEndInPackage(t *testing.T) {
 	}
 }
 
-func TestOffloadDeltaInPackage(t *testing.T) {
-	testutil.LeakCheck(t)
-	addr := startEdge(t, edge.Config{Installed: true})
-	conn := dialEdge(t, addr)
-	off, app := newOffloadedApp(t, conn, Options{EnableDelta: true})
-	classifyOnce(t, off, app, 1)
-	classifyOnce(t, off, app, 2)
-	st := off.Stats()
-	if st.Offloads != 2 || st.DeltaOffloads != 1 {
-		t.Errorf("stats = %+v, want 2 offloads / 1 delta", st)
-	}
-}
-
 func TestRetargetInPackage(t *testing.T) {
 	addrA := startEdge(t, edge.Config{Installed: true})
 	addrB := startEdge(t, edge.Config{Installed: true})
 	connA := dialEdge(t, addrA)
 	off, app := newOffloadedApp(t, connA, Options{
-		Models:      []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-		EnableDelta: true,
+		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
 	})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {
@@ -198,22 +184,6 @@ func TestCompressedOffload(t *testing.T) {
 	}
 	if compBytes*4 > plainBytes*3 {
 		t.Errorf("compressed body %d B should be under three quarters of plain %d B", compBytes, plainBytes)
-	}
-}
-
-// TestCompressedDeltaOffload combines both wire optimizations.
-func TestCompressedDeltaOffload(t *testing.T) {
-	addr := startEdge(t, edge.Config{Installed: true})
-	conn := dialEdge(t, addr)
-	off, app := newOffloadedApp(t, conn, Options{Compress: true, EnableDelta: true})
-	first := classifyOnce(t, off, app, 1)
-	second := classifyOnce(t, off, app, 2)
-	if first == "" || second == "" {
-		t.Fatal("no results")
-	}
-	st := off.Stats()
-	if st.DeltaOffloads != 1 {
-		t.Errorf("stats = %+v, want 1 delta", st)
 	}
 }
 

@@ -172,6 +172,45 @@ func TestResultForAnotherBaseRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredDeltaFrameIsCleanError: a client from before the request delta
+// was retired may still send a frame of type 8. The server's answer must be
+// its verdict on that one request — a complete error frame on an intact
+// stream, the kind such a client answers by resending the full snapshot —
+// and the full snapshot that follows on the same connection must succeed,
+// audited once.
+func TestRetiredDeltaFrameIsCleanError(t *testing.T) {
+	conn := dialEdge(t, startEdge(t, edge.Config{Installed: true}))
+	auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 8})
+	off, app := newOffloadedApp(t, conn, Options{
+		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
+		Audit:  auditor,
+	})
+	off.StartPreSend()
+	if err := off.WaitForAcks(); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("// websnap-delta v1\n")
+	var hdr protocol.SnapshotHeader
+	_, err := conn.call("retired delta", protocol.MsgType(8), protocol.MsgResultDelta, func(seq uint64) any {
+		return protocol.SnapshotHeader{AppID: app.ID(), Seq: seq, Reply: "delta+sync", BodyCRC: protocol.BodyChecksum(body)}
+	}, body, &hdr)
+	if !cleanServerError(err) {
+		t.Fatalf("type-8 frame: err = %v, want a clean server error", err)
+	}
+	if conn.Broken() {
+		t.Fatal("a refused frame marked the connection broken")
+	}
+	if got := classifyOnce(t, off, app, 1); got == "" {
+		t.Fatal("no result from the full snapshot after the refused frame")
+	}
+	if st := off.Stats(); st.Offloads != 1 || st.LocalFallbacks != 0 || st.Redials != 0 {
+		t.Errorf("stats = %+v, want one plain offload", st)
+	}
+	if decisions := auditor.Recent(); len(decisions) != 1 || decisions[0].Path != obs.PathFull {
+		t.Errorf("decisions = %+v, want exactly one full offload", decisions)
+	}
+}
+
 // TestDialWrappedSurvivesRedial pins that the socket decoration passed to
 // DialWrapped is re-applied on every Redial, so shaping or fault injection
 // stays in force across reconnects.

@@ -45,17 +45,7 @@ type Options struct {
 	// both shrinks the snapshot and prevents the server from inverting
 	// the feature data back to the input.
 	ExcludeModels []string
-	// EnableDelta ships repeated offloads as deltas against the state
-	// left at the server by the previous offload (the paper's §VI future
-	// work). The first offload — and any offload whose base the server
-	// no longer holds — automatically falls back to a full snapshot. It
-	// governs the request direction only: every result comes home as a
-	// delta against the snapshot just shipped. It is also what has the
-	// server encode and keep the post-execution state (the next delta's
-	// base, and what a fleet peer recovers after a handoff); a default
-	// session leaves nothing at the server but its models.
-	EnableDelta bool
-	// Compress ships snapshot (and delta) bodies DEFLATE-compressed.
+	// Compress ships snapshot bodies DEFLATE-compressed.
 	// Snapshots are text, so this typically shrinks transfers several
 	// fold at the cost of client CPU; it is off by default to match the
 	// paper's plain-text snapshots.
@@ -92,13 +82,6 @@ type Options struct {
 	// NeedBlob answer (or a refusal) falls back to the full upload at the
 	// cost of one extra round trip.
 	BlobRefPreSend bool
-	// FleetSync keeps the delta sync point across Retarget: in a fleet the
-	// new server recovers the base state from the blob index (published by
-	// the previous server), so the first post-handoff offload ships as a
-	// delta instead of a full snapshot. Leave false against non-fleet
-	// servers, where the base would be unrecoverable and the first delta
-	// attempt wasted.
-	FleetSync bool
 	// Placement names the fleet placement policy that selected this
 	// session's server; recorded on every audit decision.
 	Placement string
@@ -134,12 +117,6 @@ type Stats struct {
 	// LastInlineModelBytes is the size of model weights shipped inline
 	// with the last offload (zero after the ACK has arrived).
 	LastInlineModelBytes int64
-	// DeltaOffloads counts offloads that shipped as deltas against
-	// server-side state.
-	DeltaOffloads int
-	// DeltaFallbacks counts delta attempts the server rejected (base
-	// state missing), causing a full-snapshot retry.
-	DeltaFallbacks int
 	// LoadSheds counts events executed locally because the server's load
 	// hint predicted too much queueing delay (no offload was attempted).
 	LoadSheds int
@@ -208,12 +185,9 @@ type Offloader struct {
 	acked   map[string]bool
 	ackErrs []error
 	stats   Stats
-	// lastSync is the last full snapshot state both client and server
-	// hold (the server's previous result), the base for delta offloads.
-	// Kept only with EnableDelta.
-	lastSync *snapshot.Snapshot
-	// handoffTrace, set by Retarget, is the trace ID stamped on the post-handoff pre-sends so the new server's
-	// resolution work (registry locate, peer fetch) joins one trace.
+	// handoffTrace, set by Retarget, is the trace ID stamped on the
+	// post-handoff pre-sends so the new server's resolution work (registry
+	// locate, peer fetch) joins one trace.
 	handoffTrace string
 
 	presendWG      sync.WaitGroup
@@ -262,9 +236,9 @@ func (o *Offloader) App() *webapp.App { return o.app }
 
 // Retarget points the offloader at a different edge server — the paper's
 // mobility scenario (§I): snapshot-based offloading "can readily work on a
-// new edge server since it has no dependence on the previous server". All
-// per-server state is reset: model ACKs (the new server has no models) and
-// the delta sync point. Pre-sending restarts if it was started before.
+// new edge server since it has no dependence on the previous server". The
+// one piece of per-server state is reset: model ACKs (the new server has not
+// acknowledged any). Pre-sending restarts if it was started before.
 //
 // Like the app itself, the offloader is single-threaded: Retarget must not
 // race with Step/Offload calls.
@@ -283,13 +257,6 @@ func (o *Offloader) Retarget(conn *Conn) error {
 	// A handoff gets one trace ID for all its pre-sends: the new server's
 	// resolution hops all join the same tree.
 	o.handoffTrace = trace.NewID()
-	if !o.opts.FleetSync {
-		// Outside a fleet the new server cannot know the old sync point.
-		// With FleetSync the base survives: the previous server published
-		// it to the blob index, and the new one recovers it on the first
-		// delta.
-		o.lastSync = nil
-	}
 	restart := o.presendStarted
 	o.presendStarted = false
 	o.mu.Unlock()
@@ -549,23 +516,21 @@ func (o *Offloader) Run(maxSteps int) (int, error) {
 	return steps, nil
 }
 
-// inlineSend is what an offload shipped ahead of its snapshot: models whose
-// ACK had not arrived yet.
-type inlineSend struct {
-	bytes int64
-	took  time.Duration
-}
-
 // offload executes one offload round trip; the funnel attributes the
 // outcome.
 //
 // If a model's ACK has not arrived yet, the client "sends both the snapshot
 // and the NN model, albeit it is slower" (§III.B.1): the model files go
-// first as an inline pre-send, then the snapshot ships spec-only. With
-// EnableDelta and a sync point the snapshot ships as a delta first, and as
-// a full snapshot when the server says it cannot use the delta.
+// first as an inline pre-send, then the snapshot ships spec-only. The result
+// delta the server answers with is patched into the snapshot just sent — the
+// state it was diffed against, still in hand — and that is applied to the
+// app: what the handler did not touch is never sent back, parsed or hashed.
 func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
-	var inline inlineSend
+	// What ships ahead of the snapshot: models whose ACK has not arrived.
+	var (
+		inlineBytes int64
+		inlineTook  time.Duration
+	)
 	policies := make(map[string]snapshot.ModelPolicy)
 	inlineStart := time.Now()
 	for _, name := range o.app.ModelNames() {
@@ -581,13 +546,13 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		if err != nil {
 			return Outcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
 		}
-		inline.bytes += sent
+		inlineBytes += sent
 		o.mu.Lock()
 		o.acked[name] = true
 		o.mu.Unlock()
 	}
-	if inline.bytes > 0 {
-		inline.took = time.Since(inlineStart)
+	if inlineBytes > 0 {
+		inlineTook = time.Since(inlineStart)
 	}
 	captureStart := time.Now()
 	snap, err := snapshot.Capture(o.app, snapshot.Options{
@@ -599,72 +564,25 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("client: capture: %w", err)
 	}
 	captureDur := time.Since(captureStart)
-
-	o.mu.Lock()
-	base := o.lastSync
-	o.mu.Unlock()
-	out, err := o.roundTrip(snap, base, inline, captureDur)
-	if out.Delta && cleanServerError(err) {
-		// The server refused the delta on a healthy stream: it no longer
-		// holds the base (restart, hand-off to a new server). Any other
-		// failure — a shed, a dead socket — would meet the larger full
-		// snapshot the same way, so it goes back to the funnel instead.
-		o.mu.Lock()
-		o.stats.DeltaFallbacks++
-		o.lastSync = nil
-		o.mu.Unlock()
-		out, err = o.roundTrip(snap, nil, inline, captureDur)
-	}
-	return out, err
-}
-
-// roundTrip is the one client round trip: encode snap (as a delta against
-// base when there is one), ship it, patch the result delta the server
-// answers with into snap — the state it was diffed against, still in hand —
-// apply that to the app, and record the trace, the stats and the new sync
-// point. What the handler did not touch is never sent back, parsed or hashed.
-func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, captureDur time.Duration) (Outcome, error) {
 	encodeStart := time.Now()
-	reqType, replyForm := protocol.MsgSnapshot, protocol.ReplyDelta
-	if o.opts.EnableDelta {
-		// The next offload will build on what this one leaves at the server.
-		replyForm = protocol.ReplyDeltaSync
-	}
-	var encoded []byte
-	if base != nil {
-		// A delta that cannot be built or encoded is not worth failing the
-		// offload over: ship the full snapshot.
-		var err error
-		if encoded, err = deltaRequest(base, snap); err == nil {
-			reqType = protocol.MsgSnapshotDelta
-		}
-	}
-	isDelta := reqType == protocol.MsgSnapshotDelta
-	if !isDelta {
-		var err error
-		if encoded, err = snap.Encode(); err != nil {
-			return Outcome{}, fmt.Errorf("client: encode: %w", err)
-		}
+	encoded, err := snap.Encode()
+	if err != nil {
+		return Outcome{}, fmt.Errorf("client: encode: %w", err)
 	}
 	encodeDur := time.Since(encodeStart)
-	reply, err := o.conn.offloadBody(reqType, replyForm, o.app.ID(), encoded, o.opts.Compress)
-	out := Outcome{TraceID: reply.TraceID, Delta: isDelta}
+	reply, err := o.conn.offloadBody(protocol.ReplyDelta, o.app.ID(), encoded, o.opts.Compress)
+	out := Outcome{TraceID: reply.TraceID}
 	if err != nil {
 		return out, err
 	}
 	applyStart := time.Now()
 	// The result delta is relative to the pre-execution state, which is
-	// exactly the snapshot just shipped. The server names it by the request
-	// itself when that carried the whole state, and by the content hash of
-	// the state it rebuilt from a delta — which must be snap's.
-	wantBase := reply.RequestBase
+	// exactly the snapshot just shipped; the server names it by the request
+	// itself.
 	var result *snapshot.Snapshot
 	resultDelta, err := snapshot.DecodeDelta(reply.Result)
-	if err == nil && isDelta {
-		wantBase, err = snap.Hash()
-	}
 	if err == nil {
-		result, err = resultDelta.Apply(snap, wantBase)
+		result, err = resultDelta.Apply(snap, reply.RequestBase)
 	}
 	if err != nil {
 		// Only this result is poisoned; the stream delivered a whole frame.
@@ -674,7 +592,7 @@ func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, 
 		return out, fmt.Errorf("client: apply result: %w", err)
 	}
 	timing := Timing{
-		InlineModelSend: inline.took,
+		InlineModelSend: inlineTook,
 		CaptureEncode:   captureDur + encodeDur,
 		RoundTrip:       reply.RoundTrip,
 		DecodeApply:     time.Since(applyStart),
@@ -683,35 +601,15 @@ func (o *Offloader) roundTrip(snap, base *snapshot.Snapshot, inline inlineSend, 
 	o.rec.ObserveTrace(tr)
 	o.mu.Lock()
 	o.stats.Offloads++
-	if isDelta {
-		o.stats.DeltaOffloads++
-	}
 	o.stats.LastSnapshotBytes = reply.WireBytes
 	o.stats.LastResultBytes = int64(len(reply.Result))
-	o.stats.LastModelIncluded = inline.bytes > 0
-	o.stats.LastInlineModelBytes = inline.bytes
+	o.stats.LastModelIncluded = inlineBytes > 0
+	o.stats.LastInlineModelBytes = inlineBytes
 	o.stats.LastTiming = timing
 	o.stats.LastTrace = tr
-	if o.opts.EnableDelta {
-		o.lastSync = result
-	}
 	o.mu.Unlock()
 	out.BatchSize = tr.BatchSize
 	return out, nil
-}
-
-// deltaRequest encodes snap as a delta against base, the state the previous
-// offload left at the server, which keys it by this content hash.
-func deltaRequest(base, snap *snapshot.Snapshot) ([]byte, error) {
-	baseHash, err := base.Hash()
-	if err != nil {
-		return nil, err
-	}
-	delta, err := snapshot.Diff(base, snap, baseHash)
-	if err != nil {
-		return nil, err
-	}
-	return delta.Encode()
 }
 
 // assembleTrace merges one round trip's client-side measurements with the

@@ -88,11 +88,6 @@ type SessionConfig struct {
 	PreSend bool
 	// LocalFallback executes locally if the edge server fails.
 	LocalFallback bool
-	// EnableDelta ships repeated offloads as deltas against the state
-	// left at the server by the previous offload (§VI future work) — and
-	// is what makes the server keep that state. Results come home as
-	// deltas either way.
-	EnableDelta bool
 	// Compress ships snapshot bodies DEFLATE-compressed (off by default,
 	// matching the paper's plain-text snapshots).
 	Compress bool
@@ -289,7 +284,6 @@ func (s *Session) buildOffloader() error {
 	}
 	opts := client.Options{
 		LocalFallback:    s.cfg.LocalFallback,
-		EnableDelta:      s.cfg.EnableDelta,
 		Compress:         s.cfg.Compress,
 		MaxQueueingDelay: s.cfg.MaxQueueingDelay,
 		LoadHintTTL:      s.cfg.LoadHintTTL,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -58,44 +59,13 @@ func TestWireContract(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	const appID, traceID = "contract-app", "00c0ffee00c0ffee"
 
-	// Set-up over a client.Conn: the model (which a fleet-joined server's
-	// store also serves as a blob) and
-	// one executed snapshot, which leaves the server the base state the
-	// delta row diffs against.
+	// Set-up over a client.Conn: the model, which a fleet-joined server's
+	// store also serves as a blob.
 	setup := dial(t, addr)
 	if err := setup.PreSendModel(appID, "tiny", model, false); err != nil {
 		t.Fatal(err)
 	}
-	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := clickSnapshot(t, app, 1).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultText, _, err := setup.OffloadSnapshot(appID, first, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := snapshot.Decode(resultText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.ApplyTo(app, snapshot.RestoreOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	diff, err := snapshot.Diff(base, clickSnapshot(t, app, 2), snapshot.HashEncoded(resultText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := diff.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The full-snapshot row belongs to a second app: the rows run
-	// concurrently, and a full offload of appID would supersede the base
-	// the delta row names.
+	// Each snapshot row is a session of its own.
 	const fullAppID = appID + "-full"
 	if err := setup.PreSendModel(fullAppID, "tiny", model, false); err != nil {
 		t.Fatal(err)
@@ -108,8 +78,8 @@ func TestWireContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// So does the row that asks for its result as a delta, the Offloader's
-	// request: a session of its own, which must leave no state behind.
+	// The row that asks for its result as a delta is the Offloader's
+	// request; like every request it must leave no state behind.
 	const replyAppID = appID + "-reply"
 	if err := setup.PreSendModel(replyAppID, "tiny", model, false); err != nil {
 		t.Fatal(err)
@@ -119,6 +89,20 @@ func TestWireContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	replyReq, err := clickSnapshot(t, replyApp, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An older client's synced session wrote Reply "delta+sync": it gets the
+	// same result delta, and nothing is kept for it either.
+	const syncAppID = appID + "-sync"
+	if err := setup.PreSendModel(syncAppID, "tiny", model, false); err != nil {
+		t.Fatal(err)
+	}
+	syncApp, err := mlapp.NewFullApp(syncAppID, "tiny", model, tinyLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncReq, err := clickSnapshot(t, syncApp, 2).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +197,28 @@ func TestWireContract(t *testing.T) {
 		}
 	}
 
+	modelsOnly := func(t *testing.T) {
+		t.Helper()
+		if got, want := srv.store.KeysMRU(), []string{nn.Fingerprint(model)}; !slices.Equal(got, want) {
+			t.Errorf("store holds %v, want the one pre-sent model %v", got, want)
+		}
+	}
+	deltaReply := func(req []byte) func(*testing.T, protocol.Message) {
+		return func(t *testing.T, resp protocol.Message) {
+			result(t, resp)
+			// The delta names its base by the request it answers.
+			got, err := snapshot.DecodeDelta(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := protocol.SnapshotHeader{Seq: seqOf(t, resp), BodyCRC: protocol.BodyChecksum(req)}
+			if want := hdr.RequestBase(req); got.BaseHash != want {
+				t.Errorf("result delta names base %q, the request is %q", got.BaseHash, want)
+			}
+			modelsOnly(t)
+		}
+	}
+
 	rows := []struct {
 		name   string
 		typ    protocol.MsgType
@@ -252,10 +258,21 @@ func TestWireContract(t *testing.T) {
 				return protocol.SnapshotHeader{AppID: fullAppID, Seq: seq, TraceID: traceID,
 					BodyCRC: protocol.BodyChecksum(full)}
 			}, full, protocol.MsgResultSnapshot, result},
-		{"delta", protocol.MsgSnapshotDelta,
+		// The stream the request delta had. An older client's frame of the
+		// retired type 8 gets one clean error under its own Seq; the rows
+		// around it, pipelined on the same connection, are answered as ever.
+		{"retired type 8", protocol.MsgType(8),
 			func(seq uint64) any {
-				return protocol.SnapshotHeader{AppID: appID, Seq: seq, BodyCRC: protocol.BodyChecksum(delta)}
-			}, delta, protocol.MsgResultDelta, result},
+				return protocol.SnapshotHeader{AppID: appID, Seq: seq, BodyCRC: protocol.BodyChecksum(full)}
+			}, full, protocol.MsgError, func(t *testing.T, resp protocol.Message) {
+				var h protocol.ErrorHeader
+				if err := protocol.DecodeHeader(resp, &h); err != nil {
+					t.Fatal(err)
+				}
+				if h.Overloaded || !strings.Contains(h.Message, "unexpected message") {
+					t.Errorf("error = %+v, want a plain unexpected-message refusal", h)
+				}
+			}},
 		{"install", protocol.MsgInstallOverlay,
 			func(seq uint64) any { return protocol.InstallOverlayHeader{BaseImage: "base", Seq: seq} },
 			[]byte("overlay"), protocol.MsgInstallDone, func(*testing.T, protocol.Message) {}},
@@ -281,21 +298,12 @@ func TestWireContract(t *testing.T) {
 			func(seq uint64) any {
 				return protocol.SnapshotHeader{AppID: replyAppID, Seq: seq, Reply: protocol.ReplyDelta,
 					BodyCRC: protocol.BodyChecksum(replyReq)}
-			}, replyReq, protocol.MsgResultDelta, func(t *testing.T, resp protocol.Message) {
-				result(t, resp)
-				// The delta names its base by the request it answers.
-				got, err := snapshot.DecodeDelta(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				req := protocol.SnapshotHeader{Seq: seqOf(t, resp), BodyCRC: protocol.BodyChecksum(replyReq)}
-				if want := req.RequestBase(replyReq); got.BaseHash != want {
-					t.Errorf("result delta names base %q, the request is %q", got.BaseHash, want)
-				}
-				if _, _, ok := srv.store.GetState(replyAppID); ok {
-					t.Error("a ReplyDelta request left synced state at the server")
-				}
-			}},
+			}, replyReq, protocol.MsgResultDelta, deltaReply(replyReq)},
+		{"snapshot delta+sync reply", protocol.MsgSnapshot,
+			func(seq uint64) any {
+				return protocol.SnapshotHeader{AppID: syncAppID, Seq: seq, Reply: "delta+sync",
+					BodyCRC: protocol.BodyChecksum(syncReq)}
+			}, syncReq, protocol.MsgResultDelta, deltaReply(syncReq)},
 	}
 
 	raw, err := net.Dial("tcp", addr)
@@ -471,7 +479,7 @@ func FuzzMuxEnvelope(f *testing.F) {
 	f.Add(uint8(protocol.MsgPing), []byte(`{"seq":7}`))
 	f.Add(uint8(protocol.MsgPing), []byte(`{"seq":"seven"}`))
 	f.Add(uint8(protocol.MsgSnapshot), []byte(`{"seq":18446744073709551615,"appId":"a"}`))
-	f.Add(uint8(protocol.MsgSnapshotDelta), []byte(`{"seq":3,"seq":"x"}`))
+	f.Add(uint8(8), []byte(`{"seq":3,"seq":"x"}`)) // the retired request-delta type
 	f.Add(uint8(protocol.MsgChainExec), []byte(`{"seq":1,"hop":0,"hops":[{"addr":"x","from":0,"to":-1}],"shape":[4294967296,4294967296]}`))
 	f.Add(uint8(protocol.MsgBlobGet), []byte(`{`))
 	f.Add(uint8(protocol.MsgInstallOverlay), []byte(nil))

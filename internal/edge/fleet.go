@@ -8,17 +8,15 @@ import (
 
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
-	"websnap/internal/snapshot"
 	"websnap/internal/trace"
 )
 
 // A fleet-joined edge server shares what its session store holds: peers
-// fetch model weight blobs (keyed by nn.Fingerprint) and synced-state
-// encodings (keyed by Snapshot.Hash) straight from the store's entries, and
-// the heartbeat advertises the store's keys. The one thing the server needs
-// from outside is a locator that maps blob keys to peer addresses, a narrow
-// interface so that edge does not import the fleet package (whose tests
-// import edge); cmd/edged wires a fleet.RegistryClient.
+// fetch model weight blobs (keyed by nn.Fingerprint) straight from the
+// store's entries, and the heartbeat advertises the store's keys. The one
+// thing the server needs from outside is a locator that maps blob keys to
+// peer addresses, a narrow interface so that edge does not import the fleet
+// package (whose tests import edge); cmd/edged wires a fleet.RegistryClient.
 
 // BlobLocator reports which fleet peers hold each blob key
 // (fleet.RegistryClient implements it).
@@ -88,20 +86,19 @@ func (s *Server) BlobKeys() []string {
 }
 
 // resolveBlob fetches the blob for key from a fleet peer found through the
-// locator; callers try their own store first. verify judges candidate
-// bytes BEFORE they are returned — content verification must happen inside
-// the holder loop, because the blob index lags evictions and a stale or
-// corrupt first holder must not end the search while the remaining holders
-// can still satisfy it. The caller stores what verify decoded, so the next
-// heartbeat advertises the key and later requests and peers are served
-// from here.
-func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) error) ([]byte, error) {
+// locator; the caller tries its own store first. verify judges — and keeps
+// what it decodes of — candidate bytes inside the holder loop, because the
+// blob index lags evictions and a stale or corrupt first holder must not end
+// the search while the remaining holders can still satisfy it. The caller
+// stores what verify decoded, so the next heartbeat advertises the key and
+// later requests and peers are served from here.
+func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) error) error {
 	if s.cfg.Locator == nil {
-		return nil, errBlobUnavailable
+		return errBlobUnavailable
 	}
 	holders, err := s.locateBlob(key, trail)
 	if err != nil {
-		return nil, fmt.Errorf("%w: locate: %v", errBlobUnavailable, err)
+		return fmt.Errorf("%w: locate: %v", errBlobUnavailable, err)
 	}
 	var lastErr error
 	for _, addr := range holders[key] {
@@ -119,12 +116,12 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 		}
 		s.blobPeerFetches.Inc()
 		s.blobPeerFetchBytes.Add(int64(len(data)))
-		return data, nil
+		return nil
 	}
 	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", errBlobUnavailable, lastErr)
+		return fmt.Errorf("%w: %v", errBlobUnavailable, lastErr)
 	}
-	return nil, errBlobUnavailable
+	return errBlobUnavailable
 }
 
 // locateBlob asks the locator which peers hold key, propagating the
@@ -256,42 +253,6 @@ func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
 	return protocol.Encode(protocol.MsgBlobData, resp, data)
 }
 
-// recoverBase resolves the base snapshot a delta names for appID when the
-// app's own synced state is not it: from another app's identical state in
-// this store, or from the fleet — the session's previous server holds the
-// synced state's encoding under its content hash. Each peer candidate's
-// bytes are verified against the requested hash inside the fetch loop, so a
-// stale holder does not end the search.
-func (s *Server) recoverBase(appID, baseHash string, trail *spanTrail) (*snapshot.Snapshot, error) {
-	var (
-		snap *snapshot.Snapshot
-		data []byte
-	)
-	if e := s.store.lookup(baseHash); e != nil && e.body != nil {
-		snap, data = e.snap, e.body
-	} else {
-		var err error
-		data, err = s.resolveBlob(baseHash, trail, func(body []byte) error {
-			if hash := snapshot.HashEncoded(body); hash != baseHash {
-				return fmt.Errorf("fleet base %s hashes to %s", baseHash, hash)
-			}
-			decoded, err := snapshot.Decode(body)
-			if err != nil {
-				return fmt.Errorf("decode fleet base %s: %w", baseHash, err)
-			}
-			snap = decoded
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.basesRecovered.Inc()
-	s.store.PutState(appID, snap, data)
-	s.logf("edge: recovered delta base %s for app %q from fleet", baseHash, appID)
-	return snap, nil
-}
-
 // resolveModel resolves a reference-only model pre-send to the model its
 // BlobKey names: the one this store already holds under that key (nothing
 // to decode or verify — the key is the held model's fingerprint), or one
@@ -306,11 +267,11 @@ func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, trail *spanTrail)
 	case !s.fleetEnabled():
 		return nil, errBlobUnavailable
 	}
-	if e := s.store.lookup(hdr.BlobKey); e != nil && e.net != nil {
+	if e := s.store.lookup(hdr.BlobKey); e != nil {
 		return e.net, nil
 	}
 	var net *nn.Network
-	_, err := s.resolveBlob(hdr.BlobKey, trail, func(body []byte) error {
+	err := s.resolveBlob(hdr.BlobKey, trail, func(body []byte) error {
 		decoded, err := decodeModel(hdr, body)
 		if err != nil {
 			return err

@@ -94,7 +94,6 @@ func TestServerMetrics(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		EnableDelta:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +124,8 @@ func TestServerMetrics(t *testing.T) {
 	if m.ModelsStored != 1 {
 		t.Errorf("models stored = %d, want 1", m.ModelsStored)
 	}
-	if m.SnapshotsExecuted != 1 || m.DeltasExecuted != 1 {
-		t.Errorf("snapshots/deltas = %d/%d, want 1/1", m.SnapshotsExecuted, m.DeltasExecuted)
+	if m.SnapshotsExecuted != 2 {
+		t.Errorf("snapshots executed = %d, want 2", m.SnapshotsExecuted)
 	}
 	if m.Errors != 0 {
 		t.Errorf("errors = %d, want 0 (refusals are counted separately)", m.Errors)

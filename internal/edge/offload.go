@@ -1,9 +1,7 @@
-// The server half of one offload (Fig. 3): one handler for full and delta
-// snapshots, one scheduler hand-off, one execution routine, one response
-// framer. A delta request differs from a full snapshot only at the front
-// edge — its pre-execution state is reconstructed against a stored base
-// before scheduling; either way the result goes home as a delta against the
-// pre-execution state.
+// The server half of one offload (Fig. 3): one handler, one scheduler
+// hand-off, one execution routine, one response framer. Every request is a
+// full snapshot; the result goes home as a delta against it, or whole when
+// the request asks for no delta.
 package edge
 
 import (
@@ -29,14 +27,12 @@ import (
 // cannot wedge a server goroutine.
 const maxHandlerSteps = 1000
 
-// handleOffload serves MsgSnapshot and MsgSnapshotDelta: decode the
-// pre-execution state, run it through the scheduler, and answer with what
-// the handler changed — a result delta relative to the pre-execution state —
-// mirroring the request's body encoding. The full result is encoded only
-// where its bytes have a reader: as the app's synced state when the session
-// will build on it (every delta request, and any full request but a
-// ReplyDelta one), and as the whole reply to a full request that asks for no
-// delta — the raw Conn.OffloadSnapshot API, which gets both.
+// handleOffload serves MsgSnapshot: decode the pre-execution state, run it
+// through the scheduler, and answer in the form the request asked for,
+// mirroring its body encoding — what the handler changed, as a result delta
+// relative to the pre-execution state, or (Reply empty: the raw
+// Conn.OffloadSnapshot API) the full result snapshot. Either way nothing of
+// the request outlives it here.
 func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	var hdr protocol.SnapshotHeader
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
@@ -45,90 +41,40 @@ func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (
 	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 		return protocol.Message{}, err
 	}
-	isDelta := msg.Type == protocol.MsgSnapshotDelta
 	tm := &svcTiming{streamWait: streamWait}
 	decodeStart := time.Now()
 	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	var snap *snapshot.Snapshot
-	if isDelta {
-		snap, err = s.reconstruct(plain, hdr.TraceID, tm)
-	} else {
-		snap, err = snapshot.Decode(plain)
-	}
+	snap, err := snapshot.Decode(plain)
 	if err != nil {
 		return protocol.Message{}, err
 	}
 	tm.decode = time.Since(decodeStart)
-	work := &offloadWork{snap: snap, keep: isDelta || hdr.Reply != protocol.ReplyDelta}
-	result, err := s.scheduleSnapshot(work, tm, int64(len(plain)))
+	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	// A full result arrives encoded; only a delta's diff and encode, and
-	// any compression, remain for the encode span.
 	tm.encodeStart = time.Now()
-	if isDelta {
-		s.deltasExecuted.Inc()
+	s.snapshotsExecuted.Inc()
+	respType := protocol.MsgResultSnapshot
+	var body []byte
+	if hdr.Reply == "" {
+		body, err = result.Encode()
 	} else {
-		s.snapshotsExecuted.Inc()
-	}
-	if !isDelta && hdr.Reply == "" {
-		return s.snapshotResponse(protocol.MsgResultSnapshot, snap.AppID, hdr, result.body, tm)
-	}
-	// The client patches the snapshot it sent, so a full request is its
-	// own base, named without a pass over its body. A delta request's base
-	// was rebuilt here: its content hash lets the client check the
-	// reconstruction against what it captured.
-	baseID := hdr.RequestBase(msg.Body)
-	if isDelta {
-		if baseID, err = snap.Hash(); err != nil {
-			return protocol.Message{}, err
+		// The client patches the snapshot it sent, so the request is its own
+		// base, named without a pass over its body.
+		respType = protocol.MsgResultDelta
+		var resultDelta *snapshot.Delta
+		if resultDelta, err = snapshot.Diff(snap, result, hdr.RequestBase(msg.Body)); err == nil {
+			body, err = resultDelta.Encode()
 		}
 	}
-	resultDelta, err := snapshot.Diff(snap, result.snap, baseID)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	body, err := resultDelta.Encode()
 	if err != nil {
 		return protocol.Message{}, fmt.Errorf("encode result: %w", err)
 	}
-	return s.snapshotResponse(protocol.MsgResultDelta, snap.AppID, hdr, body, tm)
-}
-
-// reconstruct rebuilds a delta offload's pre-execution state: the delta
-// (§VI) applied to the state the previous offload left at this server, or —
-// when that is missing or another session generation's — to the base the
-// delta names, which a roaming session's previous server published to the
-// fleet. The store keys a state by the hash a delta names it with, so the
-// match is a string compare. Base recovery crosses fleet hops; their spans
-// join the request's trace through tm.
-func (s *Server) reconstruct(plain []byte, traceID string, tm *svcTiming) (*snapshot.Snapshot, error) {
-	delta, err := snapshot.DecodeDelta(plain)
-	if err != nil {
-		return nil, err
-	}
-	var trail *spanTrail
-	if traceID != "" {
-		trail = &spanTrail{traceID: traceID}
-		defer func() { tm.spans = trail.spans }()
-	}
-	base, key, ok := s.store.GetState(delta.AppID)
-	if (!ok || key != delta.BaseHash) && s.fleetEnabled() {
-		if recovered, rerr := s.recoverBase(delta.AppID, delta.BaseHash, trail); rerr == nil {
-			base, key, ok = recovered, delta.BaseHash, true
-		} else {
-			s.logf("edge: delta base %s for app %q not in fleet: %v", delta.BaseHash, delta.AppID, rerr)
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: no state for app %q at this server",
-			snapshot.ErrBaseMismatch, delta.AppID)
-	}
-	return delta.Apply(base, key)
+	return s.snapshotResponse(respType, snap.AppID, hdr, body, tm)
 }
 
 // svcTiming accumulates one request's server-side stage durations as it
@@ -143,9 +89,6 @@ type svcTiming struct {
 	encodeStart time.Time
 	// streamWait is the stream-semaphore wait.
 	streamWait time.Duration
-	// spans carries the request's fleet-hop span trail (registry locates,
-	// peer fetches during delta base recovery) into the flight recorder.
-	spans []*protocol.SpanNode
 }
 
 // runTask submits one task to the scheduler and waits for its result.
@@ -163,19 +106,12 @@ func (s *Server) runTask(task *sched.Task) (any, error) {
 	return v, err
 }
 
-// offloadWork is one snapshot session's scheduler payload.
-type offloadWork struct {
-	snap *snapshot.Snapshot
-	// keep has the result encoded in full and left in the store as the
-	// app's synced state.
-	keep bool
-}
-
-// scheduleSnapshot runs one decoded snapshot session through the scheduler;
-// on success tm receives the task's queue wait, execution time (result
-// capture and any full encode included), and batch size.
-func (s *Server) scheduleSnapshot(work *offloadWork, tm *svcTiming, size int64) (*offloadResult, error) {
-	task := sched.NewTask(s.batchKey(work.snap), work)
+// scheduleSnapshot runs one decoded snapshot session through the scheduler
+// and returns the captured post-execution state; on success tm receives the
+// task's queue wait, execution time (result capture included), and batch
+// size.
+func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
+	task := sched.NewTask(s.batchKey(snap), snap)
 	task.Bytes = size
 	v, err := s.runTask(task)
 	if err != nil {
@@ -184,7 +120,7 @@ func (s *Server) scheduleSnapshot(work *offloadWork, tm *svcTiming, size int64) 
 	tm.queue = task.QueueWait()
 	tm.exec = task.ExecTime()
 	tm.batch = task.BatchSize()
-	return v.(*offloadResult), nil
+	return v.(*snapshot.Snapshot), nil
 }
 
 // execBatch is the scheduler's executor. A chain hop's layer range rides a
@@ -208,7 +144,7 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 	results := make([]sched.Result, len(batch))
 	apps := make([]*webapp.App, len(batch))
 	for i, t := range batch {
-		apps[i], results[i].Err = s.restoreApp(t.Payload.(*offloadWork).snap)
+		apps[i], results[i].Err = s.restoreApp(t.Payload.(*snapshot.Snapshot))
 	}
 	if len(batch) > 1 {
 		if err := s.runBatchedHandler(apps, results); err != nil {
@@ -230,7 +166,7 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 			continue
 		}
 		s.logf("edge: app %q ran %d handler(s) in %v", app.ID(), steps, time.Since(start))
-		results[i].Value, results[i].Err = s.captureResult(app, batch[i].Payload.(*offloadWork).keep)
+		results[i].Value, results[i].Err = snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	}
 	return results
 }
@@ -264,9 +200,8 @@ func (s *Server) runBatchedHandler(apps []*webapp.App, restored []sched.Result) 
 	return nil
 }
 
-// restoreApp re-creates a running app from an offloaded snapshot. Models
-// absent from the snapshot are attached from the pre-send store so
-// delta-reconstructed snapshots (which never list models) execute too.
+// restoreApp re-creates a running app from an offloaded snapshot. Pre-sent
+// models the snapshot does not list are attached from the store too.
 func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
 	if !ok {
@@ -291,35 +226,6 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 		}
 	}
 	return app, nil
-}
-
-// offloadResult is one executed session's captured state and, when the
-// state is kept, its one encoding: the response body of a full-result
-// offload, and — under the hash of those same bytes — the stored state's
-// byte charge and, on a fleet-joined server, the very slice peers are served.
-type offloadResult struct {
-	snap *snapshot.Snapshot
-	body []byte
-}
-
-// captureResult captures the post-execution state. With keep it is encoded
-// once and recorded as the app's synchronized server-side state for delta
-// offloads; a state that cannot be encoded fails the request. Without, the
-// capture is all, and nothing outlives the request.
-func (s *Server) captureResult(app *webapp.App, keep bool) (*offloadResult, error) {
-	result, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-	if err != nil {
-		return nil, err
-	}
-	if !keep {
-		return &offloadResult{snap: result}, nil
-	}
-	body, err := result.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("encode result: %w", err)
-	}
-	s.store.PutState(app.ID(), result, body)
-	return &offloadResult{snap: result, body: body}, nil
 }
 
 // batchableEvent reports the single pending payload-free event and the one
@@ -475,8 +381,7 @@ func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode ti
 }
 
 // serveSpan renders one request's svcTiming as a span tree: the serve root
-// with one child per pipeline stage, plus any fleet-hop spans (registry
-// locate, peer fetch) collected while recovering a delta base.
+// with one child per pipeline stage.
 func (s *Server) serveSpan(appID string, tm *svcTiming, encode, total time.Duration) *protocol.SpanNode {
 	root := &protocol.SpanNode{
 		Op:     "serve",
@@ -494,6 +399,5 @@ func (s *Server) serveSpan(appID string, tm *svcTiming, encode, total time.Durat
 		&protocol.SpanNode{Op: "execute", Micros: tm.exec.Microseconds()},
 		&protocol.SpanNode{Op: "encode", Micros: encode.Microseconds()},
 	)
-	root.Children = append(root.Children, tm.spans...)
 	return root
 }

@@ -3,6 +3,7 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,37 +12,24 @@ import (
 
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
-	"websnap/internal/protocol"
+	"websnap/internal/nn"
 	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
 
-// stateCell is one way a session's second offload can travel: the request
-// whole or as a delta against the state its first offload left, the result
-// home as a delta (a client.Offloader, which patches the snapshot it sent)
-// or as the full result snapshot (a raw session holding only bytes, on
-// Conn.OffloadSnapshot; its delta request is framed by hand against the
-// full result the raw API returned and stored).
-type stateCell struct{ deltaRequest, fullReply bool }
-
-// keepsState reports whether the server holds a cell's post-execution
-// state: not for a default Offloader, which builds on nothing.
-func (c stateCell) keepsState() bool { return c.deltaRequest || c.fullReply }
-
-// stateSession drives one app through one cell.
-type stateSession struct {
+// replySession drives one app's offloads with the result coming home in one
+// of the two reply forms: as a delta (a client.Offloader, which patches the
+// snapshot it sent) or as the full result snapshot (a raw session holding
+// only bytes, on Conn.OffloadSnapshot).
+type replySession struct {
 	app *webapp.App
-	// off is nil for a raw session, which keeps its own sync point.
-	off     *client.Offloader
-	srv     *Server
-	conn    *client.Conn
-	base    *snapshot.Snapshot
-	baseKey string
+	// off is nil for a raw session.
+	off  *client.Offloader
+	conn *client.Conn
 }
 
-// click loads the image for seed and offloads the click; asDelta ships a raw
-// session's request as a delta (an Offloader decides that by itself).
-func (s *stateSession) click(seed uint64, asDelta bool) error {
+// click loads the image for seed and offloads the click.
+func (s *replySession) click(seed uint64) error {
 	if err := mlapp.LoadImage(s.app, mlapp.SyntheticImage(3*16*16, seed)); err != nil {
 		return err
 	}
@@ -55,85 +43,44 @@ func (s *stateSession) click(seed uint64, asDelta bool) error {
 	if err != nil {
 		return err
 	}
-	var result *snapshot.Snapshot
-	if !asDelta {
-		request, err := snap.Encode()
-		if err != nil {
-			return err
-		}
-		body, _, err := s.conn.OffloadSnapshot(s.app.ID(), request, false)
-		if err != nil {
-			return err
-		}
-		if result, err = snapshot.Decode(body); err != nil {
-			return err
-		}
-		s.baseKey = snapshot.HashEncoded(body)
-	} else {
-		delta, err := snapshot.Diff(s.base, snap, s.baseKey)
-		if err != nil {
-			return err
-		}
-		wire, err := delta.Encode()
-		if err != nil {
-			return err
-		}
-		req, err := protocol.Encode(protocol.MsgSnapshotDelta,
-			protocol.SnapshotHeader{AppID: s.app.ID(), BodyCRC: protocol.BodyChecksum(wire)}, wire)
-		if err != nil {
-			return err
-		}
-		resp, err := s.srv.handleOffload(req, 0)
-		if err != nil {
-			return err
-		}
-		resultDelta, err := snapshot.DecodeDelta(resp.Body)
-		if err != nil {
-			return err
-		}
-		sent, err := snap.Hash()
-		if err != nil {
-			return err
-		}
-		if result, err = resultDelta.Apply(snap, sent); err != nil {
-			return err
-		}
+	request, err := snap.Encode()
+	if err != nil {
+		return err
 	}
-	s.base = result
+	body, _, err := s.conn.OffloadSnapshot(s.app.ID(), request, false)
+	if err != nil {
+		return err
+	}
+	result, err := snapshot.Decode(body)
+	if err != nil {
+		return err
+	}
 	return result.ApplyTo(s.app, snapshot.RestoreOptions{})
 }
 
-// TestFullAndDeltaReachSameState: the handler treats a delta as a full
-// snapshot with one extra step at the front edge, and the reply's form is
-// framing, so the same pre-execution state must end in the same app state at
-// the client — and, wherever the server keeps state, the same stored state
-// under the same content key — in all four cells of {full, delta request} ×
-// {delta reply, full reply}, executed alone (MaxBatch 1) or coalesced with
-// its neighbours (MaxBatch 4). The one cell that keeps nothing, a default
-// Offloader, must leave the store holding the model alone.
+// TestFullAndDeltaReachSameState: the reply's form is framing, so the same
+// pre-execution state must end in the same app state at the client whether
+// the result came home as a delta or whole, executed alone (MaxBatch 1) or
+// coalesced with its neighbours (MaxBatch 4).
 func TestFullAndDeltaReachSameState(t *testing.T) {
 	apps := []string{"same-a", "same-b", "same-c"}
-	cells := []stateCell{{false, false}, {true, false}, {false, true}, {true, true}}
 	for _, maxBatch := range []int{1, 4} {
 		t.Run(fmt.Sprintf("MaxBatch%d", maxBatch), func(t *testing.T) {
-			// finals[cell][appID] hashes the client app's final state;
-			// keys[cell][appID] is the content key of the state the second
-			// offload left at that cell's own server.
-			finals := map[stateCell]map[string]string{}
-			keys := map[stateCell]map[string]string{}
-			for _, cell := range cells {
+			// finals[fullReply][appID] hashes the client app's final state.
+			finals := map[bool]map[string]string{}
+			for _, fullReply := range []bool{false, true} {
 				srv, addr := startServer(t, Config{
 					Installed: true, Workers: 1, MaxBatch: maxBatch, BatchWindow: 100 * time.Millisecond,
 				})
 				model := tinyModel(t, "tiny")
-				sessions := make([]*stateSession, len(apps))
+				sessions := make([]*replySession, len(apps))
 				for i, id := range apps {
 					app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess := &stateSession{app: app, srv: srv, conn: dial(t, addr)}
-					if cell.fullReply {
+					sess := &replySession{app: app, conn: dial(t, addr)}
+					if fullReply {
 						if err := sess.conn.PreSendModel(id, "tiny", model, false); err != nil {
 							t.Fatal(err)
 						}
@@ -141,7 +88,6 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 						sess.off, err = client.NewOffloader(app, sess.conn, client.Options{
 							OffloadEventTypes: []string{mlapp.EventClick},
 							Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-							EnableDelta:       cell.deltaRequest,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -153,11 +99,8 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 					}
 					sessions[i] = sess
 				}
-				modelAlone := srv.Metrics().StoreBytes
-				// First offload: always whole; it leaves the base where one
-				// is kept.
 				for i, sess := range sessions {
-					if err := sess.click(uint64(10+i), false); err != nil {
+					if err := sess.click(uint64(10 + i)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -168,8 +111,8 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						if err := sess.click(uint64(20+i), cell.deltaRequest); err != nil {
-							t.Errorf("%+v %s: %v", cell, sess.app.ID(), err)
+						if err := sess.click(uint64(20 + i)); err != nil {
+							t.Errorf("fullReply=%v %s: %v", fullReply, sess.app.ID(), err)
 						}
 					}()
 				}
@@ -177,54 +120,166 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 				if t.Failed() {
 					return
 				}
-				finals[cell], keys[cell] = map[string]string{}, map[string]string{}
+				finals[fullReply] = map[string]string{}
 				for i, id := range apps {
-					if off := sessions[i].off; off != nil {
-						if got := off.Stats().DeltaOffloads; (got == 1) != cell.deltaRequest {
-							t.Fatalf("%+v %s: DeltaOffloads = %d", cell, id, got)
-						}
-					}
 					final, err := snapshot.Capture(sessions[i].app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if finals[cell][id], err = final.Hash(); err != nil {
+					if finals[fullReply][id], err = final.Hash(); err != nil {
 						t.Fatal(err)
 					}
-					key, _, ok := storedState(srv, id)
-					if ok != cell.keepsState() {
-						t.Fatalf("%+v %s: synced state kept = %v", cell, id, ok)
-					}
-					keys[cell][id] = key
-				}
-				m := srv.Metrics()
-				if !cell.keepsState() && m.StoreBytes != modelAlone {
-					t.Errorf("%+v: store holds %d B, the model alone is %d B", cell, m.StoreBytes, modelAlone)
 				}
 				if st := srv.SchedStats(); maxBatch > 1 && st.BatchedTasks < 2 {
-					t.Errorf("%+v: batched tasks = %d, the coalesced path was not exercised", cell, st.BatchedTasks)
+					t.Errorf("fullReply=%v: batched tasks = %d, the coalesced path was not exercised", fullReply, st.BatchedTasks)
 				}
-				wantDeltas, wantFull := int64(0), int64(2*len(apps))
-				if cell.deltaRequest {
-					wantDeltas, wantFull = int64(len(apps)), int64(len(apps))
-				}
-				if m.DeltasExecuted != wantDeltas || m.SnapshotsExecuted != wantFull {
-					t.Errorf("%+v: metrics %+v, want %d delta and %d full requests executed", cell, m, wantDeltas, wantFull)
+				if m := srv.Metrics(); m.SnapshotsExecuted != int64(2*len(apps)) {
+					t.Errorf("fullReply=%v: %d snapshots executed, want %d", fullReply, m.SnapshotsExecuted, 2*len(apps))
 				}
 			}
 			for _, id := range apps {
-				want := finals[cells[0]][id]
-				for _, cell := range cells {
-					if got := finals[cell][id]; got != want {
-						t.Errorf("%s: final app state %s in cell %+v, %s in cell %+v", id, got, cell, want, cells[0])
-					}
-					// A kept state is the app's state: one content key.
-					if got := keys[cell][id]; cell.keepsState() && got != want {
-						t.Errorf("%s: cell %+v stored state %s, the app ended in %s", id, cell, got, want)
-					}
+				if delta, full := finals[false][id], finals[true][id]; delta != full {
+					t.Errorf("%s: final app state %s after delta replies, %s after full replies", id, delta, full)
 				}
 			}
 		})
+	}
+}
+
+// TestStoreHoldsModelsOnly: whatever mix of sessions a server has served —
+// full, partial, int8, two streams of one multiplexed connection, the raw
+// full-reply API — standalone or fleet-joined, its store holds the pre-sent
+// models and nothing else: the byte charge is the models' bytes, the entries
+// are the distinct models, and the keys it would advertise are their
+// fingerprints.
+func TestStoreHoldsModelsOnly(t *testing.T) {
+	const offloads = 5
+	model := tinyModel(t, "tiny")
+	// offloader builds an Offloader session of the given kind on conn and
+	// returns its click driver and the model it pre-sent.
+	offloader := func(t *testing.T, conn *client.Conn, appID, kind string) (func(uint64) error, *nn.Network) {
+		opts := client.Options{
+			OffloadEventTypes: []string{mlapp.EventClick},
+			Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
+		}
+		var (
+			app *webapp.App
+			err error
+		)
+		if kind == "partial" {
+			if app, err = mlapp.NewPartialApp(appID, "tiny", model, 2, tinyLabels); err != nil {
+				t.Fatal(err)
+			}
+			rear, ok := app.Model("tiny" + mlapp.RearSuffix)
+			if !ok {
+				t.Fatal("rear model missing")
+			}
+			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
+			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear, Partial: true}}
+			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
+		} else if app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels); err != nil {
+			t.Fatal(err)
+		}
+		if kind == "int8" {
+			if err := mlapp.SetQuality(app, nn.PrecInt8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		off, err := client.NewOffloader(app, conn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off.StartPreSend()
+		if err := off.WaitForAcks(); err != nil {
+			t.Fatal(err)
+		}
+		sess := &replySession{app: app, off: off, conn: conn}
+		return func(seed uint64) error {
+			if err := sess.click(seed); err != nil {
+				return err
+			}
+			if st := off.Stats(); st.LocalFallbacks+st.LoadSheds != 0 {
+				return fmt.Errorf("%s ran locally: %+v", appID, st)
+			}
+			return nil
+		}, opts.Models[0].Net
+	}
+	for _, kind := range []string{"full", "partial", "int8", "mux2", "raw"} {
+		for _, fleet := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fleet=%v", kind, fleet), func(t *testing.T) {
+				cfg := Config{Installed: true, Workers: 2}
+				if fleet {
+					cfg.AdvertiseAddr = "self:0"
+				}
+				srv, addr := startServer(t, cfg)
+				conn := dial(t, addr)
+				var clicks []func(uint64) error
+				var sent []*nn.Network
+				switch kind {
+				case "mux2":
+					for _, id := range []string{"store-mux-a", "store-mux-b"} {
+						click, net := offloader(t, conn, id, "full")
+						clicks, sent = append(clicks, click), append(sent, net)
+					}
+				case "raw":
+					const id = "store-raw"
+					if err := conn.PreSendModel(id, "tiny", model, false); err != nil {
+						t.Fatal(err)
+					}
+					app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clicks, sent = append(clicks, (&replySession{app: app, conn: conn}).click), append(sent, model)
+				default:
+					click, net := offloader(t, conn, "store-"+kind, kind)
+					clicks, sent = append(clicks, click), append(sent, net)
+				}
+				// The streams of one connection run side by side.
+				var wg sync.WaitGroup
+				for i, click := range clicks {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for n := 0; n < offloads; n++ {
+							if err := click(uint64(100*i + n + 1)); err != nil {
+								t.Errorf("session %d offload %d: %v", i, n+1, err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+
+				models := map[string]int64{}
+				for _, net := range sent {
+					models[nn.Fingerprint(net)] = net.ModelBytes()
+				}
+				var wantBytes int64
+				for _, b := range models {
+					wantBytes += b
+				}
+				m := srv.Metrics()
+				if want := int64(offloads * len(clicks)); m.SnapshotsExecuted != want || m.Errors != 0 {
+					t.Fatalf("metrics %+v, want %d snapshots executed and no errors", m, want)
+				}
+				if m.StoreBytes != wantBytes {
+					t.Errorf("store holds %d B, the pre-sent models are %d B", m.StoreBytes, wantBytes)
+				}
+				if got := srv.store.Entries(); got != len(models) {
+					t.Errorf("store has %d entries for %d distinct model(s)", got, len(models))
+				}
+				keys := srv.store.KeysMRU()
+				for _, key := range keys {
+					if _, ok := models[key]; !ok {
+						t.Errorf("store key %s is no pre-sent model's fingerprint", key)
+					}
+				}
+				if advertised := srv.BlobKeys(); fleet && !slices.Equal(advertised, keys) {
+					t.Errorf("heartbeat advertises %v, store holds %v", advertised, keys)
+				}
+			})
+		}
 	}
 }
 
@@ -256,7 +311,7 @@ func TestFailedBatchReexecutesEveryMemberSolo(t *testing.T) {
 	if err := cat.Add(reg); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, Config{
+	_, addr := startServer(t, Config{
 		Installed: true, Catalog: cat,
 		Workers: 1, MaxBatch: 4, BatchWindow: 300 * time.Millisecond,
 	})
@@ -311,9 +366,6 @@ func TestFailedBatchReexecutesEveryMemberSolo(t *testing.T) {
 		if id == "member-b" {
 			if errs[i] == nil || !strings.Contains(errs[i].Error(), "member member-b is broken") {
 				t.Errorf("%s: err = %v, want its own failure", id, errs[i])
-			}
-			if _, _, ok := storedState(srv, id); ok {
-				t.Errorf("%s: a failed member left synced state", id)
 			}
 			continue
 		}

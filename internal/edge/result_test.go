@@ -2,7 +2,6 @@ package edge
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -12,160 +11,13 @@ import (
 	"time"
 
 	"websnap/internal/client"
-	"websnap/internal/mlapp"
-	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
 
-// storedState returns the content key and byte charge of appID's synced
-// state.
-func storedState(s *Server, appID string) (key string, size int64, ok bool) {
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
-	key, ok = s.store.states[appID]
-	if ok {
-		size = s.store.entries[key].size
-	}
-	return key, size, ok
-}
-
-// TestResultBodyIsStoredState pins the single result encode: the bytes a
-// full offload answers with are the stored state's charge and — under
-// their own hash — its content key and the fleet blob.
-func TestResultBodyIsStoredState(t *testing.T) {
-	srv, addr := startServer(t, Config{Installed: true, AdvertiseAddr: "self:0"})
-	model := tinyModel(t, "tiny")
-	const appID = "one-encode"
-	conn := dial(t, addr)
-	if err := conn.PreSendModel(appID, "tiny", model, false); err != nil {
-		t.Fatal(err)
-	}
-	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	request, err := clickSnapshot(t, app, 1).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _, err := conn.OffloadSnapshot(appID, request, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	key, size, ok := storedState(srv, appID)
-	if !ok {
-		t.Fatal("offload left no synced state")
-	}
-	if want := snapshot.HashEncoded(body); key != want {
-		t.Errorf("state key %s is not the response body's hash %s", key, want)
-	}
-	if size != int64(len(body)) {
-		t.Errorf("state charged %d B, response body is %d B", size, len(body))
-	}
-	if blob, ok := srv.store.Blob(key); !ok || !bytes.Equal(blob, body) {
-		t.Errorf("fleet blob %s is not the response body (held %v)", key, ok)
-	}
-	// The key is also what a client derives from the decoded result, so
-	// its next delta names this state.
-	result, err := snapshot.Decode(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hash, err := result.Hash(); err != nil || hash != key {
-		t.Errorf("decoded result hashes to %s (err %v), state key is %s", hash, err, key)
-	}
-}
-
-// TestFleetStateSharesResultBytes pins that a fleet-joined server keeps no
-// second copy of a synced state: the response body of a full offload, the
-// bytes the store retains for the state and the body of the MsgBlobGet
-// answer for its key are one backing array, and storing a result allocates
-// what it does on a standalone server, which retains no encoded bytes at
-// all.
-func TestFleetStateSharesResultBytes(t *testing.T) {
-	fleet, _ := startServer(t, Config{Installed: true, AdvertiseAddr: "self:0"})
-	standalone, _ := startServer(t, Config{Installed: true})
-	model := tinyModel(t, "tiny")
-	const appID = "one-copy"
-	if err := fleet.store.Put(appID, "tiny", model); err != nil {
-		t.Fatal(err)
-	}
-	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	request, err := clickSnapshot(t, app, 1).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The handlers are called in process: across a socket every slice is a
-	// copy and identity says nothing.
-	req, err := protocol.Encode(protocol.MsgSnapshot,
-		protocol.SnapshotHeader{AppID: appID, BodyCRC: protocol.BodyChecksum(request)}, request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := fleet.handleOffload(req, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, _, ok := storedState(fleet, appID)
-	if !ok {
-		t.Fatal("offload left no synced state")
-	}
-	stored, ok := fleet.store.Blob(key)
-	if !ok {
-		t.Fatalf("fleet-joined store retains no bytes for state %s", key)
-	}
-	get, err := protocol.Encode(protocol.MsgBlobGet, protocol.BlobGetHeader{Key: key}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := fleet.handleBlobGet(get)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(a, b []byte) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
-	if !same(resp.Body, stored) {
-		t.Error("stored state bytes are a copy of the response body")
-	}
-	if !same(stored, served.Body) {
-		t.Error("MsgBlobGet answered with a copy of the stored state bytes")
-	}
-
-	// Each run stores a state the store has not seen (the global differs),
-	// so it creates an entry and compacts the previous one.
-	n := 0.0
-	capture := func(srv *Server) func() {
-		return func() {
-			n++
-			if err := app.SetGlobal("n", n); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := srv.captureResult(app, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	inFleet := testing.AllocsPerRun(50, capture(fleet))
-	alone := testing.AllocsPerRun(50, capture(standalone))
-	if inFleet > alone+2 {
-		t.Errorf("captureResult allocates %.0f times per result in fleet mode, %.0f standalone", inFleet, alone)
-	}
-	key, _, ok = storedState(standalone, appID)
-	if !ok {
-		t.Fatal("standalone captures stored no state; the comparison is vacuous")
-	}
-	if blob, ok := standalone.store.Blob(key); ok {
-		t.Errorf("standalone store retains %d encoded bytes for its state", len(blob))
-	}
-}
-
 // TestResultEncodeFailureFailsRequest: a handler that leaves state with no
-// text form (a NaN) fails that request — solo and coalesced — stores
-// nothing for the app, and leaves the server serving.
+// text form (a NaN) fails that request — solo and coalesced — and leaves the
+// server serving, its store as empty as it was.
 func TestResultEncodeFailureFailsRequest(t *testing.T) {
 	poison := func(app *webapp.App) error { return app.SetGlobal("score", math.NaN()) }
 	reg := webapp.NewRegistry("nan-app")
@@ -215,9 +67,6 @@ func TestResultEncodeFailureFailsRequest(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "encode result") {
 			t.Errorf("%s: err = %v, want the result-encode failure", appID, err)
 		}
-		if _, _, ok := storedState(srv, appID); ok {
-			t.Errorf("%s: an unencodable result was stored as synced state", appID)
-		}
 	}
 
 	wantEncodeError("solo", offload("solo", "bad"))
@@ -243,8 +92,8 @@ func TestResultEncodeFailureFailsRequest(t *testing.T) {
 	if err := offload("healthy", "good"); err != nil {
 		t.Errorf("server stopped serving after encode failures: %v", err)
 	}
-	if _, _, ok := storedState(srv, "healthy"); !ok {
-		t.Error("a good offload after the failures stored no state")
+	if n := srv.store.Entries(); n != 0 {
+		t.Errorf("a model-less app's offloads left %d store entries", n)
 	}
 }
 
@@ -416,70 +265,65 @@ func TestResultDeltaCostsWhatChanged(t *testing.T) {
 	}
 }
 
-// TestDeltaRequestReusesStoredKey: the store keys a synced state by the
-// hash a delta names its base with, so rebuilding a delta request's
-// pre-execution state compares two strings and shares the unchanged values —
-// it does not re-encode and re-hash the stored base, nor copy it.
-func TestDeltaRequestReusesStoredKey(t *testing.T) {
-	var mark atomic.Uint64
-	app, cat, encodedSize := bigStateApp(t, "big-delta", &mark)
-	srv, _ := startServer(t, Config{Installed: true, Catalog: cat})
-	base, err := snapshot.Capture(app, snapshot.Options{})
+// TestOffloadedSignOfZeroMatchesLocal: results ride home as deltas on every
+// offload, so a handler whose only effect is turning +0 into −0 must still
+// leave the client app bit-identical to one that ran it locally.
+func TestOffloadedSignOfZeroMatchesLocal(t *testing.T) {
+	reg := webapp.NewRegistry("zero-flip")
+	reg.MustRegister("flip", func(app *webapp.App, _ webapp.Event) error {
+		if err := app.SetGlobal("arr", webapp.Float32Array{1, float32(math.Copysign(0, -1)), 2}); err != nil {
+			return err
+		}
+		return app.SetGlobal("num", math.Copysign(0, -1))
+	})
+	cat := webapp.NewCatalog()
+	if err := cat.Add(reg); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{Installed: true, Catalog: cat})
+	newApp := func() *webapp.App {
+		app, err := webapp.NewApp("zero", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.AddEventListener("b", "go", "flip"); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.SetGlobal("arr", webapp.Float32Array{1, 0, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.SetGlobal("num", 0.0); err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	ev := webapp.Event{Target: "b", Type: "go"}
+	local, offloaded := newApp(), newApp()
+	if err := local.Handle(ev); err != nil {
+		t.Fatal(err)
+	}
+	off, err := client.NewOffloader(offloaded, dial(t, addr), client.Options{OffloadEventTypes: []string{"go"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := base.Encode()
-	if err != nil {
+	if err := off.Offload(ev); err != nil {
 		t.Fatal(err)
 	}
-	key := srv.store.PutState(app.ID(), base, data)
-
-	if err := app.SetGlobal("n", 7.0); err != nil {
-		t.Fatal(err)
+	state := func(app *webapp.App) []byte {
+		snap, err := snapshot.Capture(app, snapshot.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := snap.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
 	}
-	cur, err := snapshot.Capture(app, snapshot.Options{PendingEvent: &webapp.Event{Target: "b", Type: "go"}})
-	if err != nil {
-		t.Fatal(err)
+	if got, want := state(offloaded), state(local); !bytes.Equal(got, want) {
+		t.Errorf("offloaded state differs from local:\n got %s\nwant %s", got, want)
 	}
-	delta, err := snapshot.Diff(base, cur, key)
-	if err != nil {
-		t.Fatal(err)
+	if num, _ := offloaded.Global("num"); !math.Signbit(num.(float64)) {
+		t.Errorf("num = %v after the offload, want -0", num)
 	}
-	plain, err := delta.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := totalAlloc()
-	preExec, err := srv.reconstruct(plain, "", &svcTiming{})
-	allocated := totalAlloc() - before
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := preExec.Hash(); err != nil || got != hashOf(t, cur) {
-		t.Errorf("reconstructed state hashes to %s (err %v), the client captured %s", got, err, hashOf(t, cur))
-	}
-	t.Logf("stored state %d B encoded, delta %d B, reconstruct allocated %d B", encodedSize, len(plain), allocated)
-	if allocated*4 >= uint64(encodedSize) {
-		t.Errorf("reconstruct allocated %d B against a %d B stored state: want under a quarter", allocated, encodedSize)
-	}
-	// A delta for another base is still refused by name.
-	stale, err := snapshot.Diff(base, cur, "not-the-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain, err = stale.Encode(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.reconstruct(plain, "", &svcTiming{}); !errors.Is(err, snapshot.ErrBaseMismatch) {
-		t.Errorf("delta naming another base: err = %v, want ErrBaseMismatch", err)
-	}
-}
-
-func hashOf(t *testing.T, s *snapshot.Snapshot) string {
-	t.Helper()
-	h, err := s.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
 }

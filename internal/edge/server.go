@@ -41,10 +41,10 @@ type Config struct {
 	// they survive server restarts ("the server saves the files",
 	// §III.B.1).
 	ModelDir string
-	// MaxStoreBytes bounds the session store (pre-sent models + synced
-	// delta bases, which on a fleet-joined server are also the blobs peers
-	// fetch) in bytes; least-recently-used entries are evicted at the cap.
-	// Zero means unbounded (the pre-bounded-store behavior).
+	// MaxStoreBytes bounds the session store (the pre-sent models, which on
+	// a fleet-joined server are also the blobs peers fetch) in bytes;
+	// least-recently-used entries are evicted at the cap. Zero means
+	// unbounded (the pre-bounded-store behavior).
 	MaxStoreBytes int64
 	// MaxStreams caps the concurrent logical streams one connection may
 	// have in flight; further frames wait in the connection's read loop
@@ -110,10 +110,10 @@ type Config struct {
 	Locator BlobLocator
 	// AdvertiseAddr is this server's own fleet-advertised address. Setting
 	// it is what joins the server to a fleet's blob sharing: the session
-	// store's pre-sent models and synced states are then advertised on
-	// registry heartbeats under their content hashes and served to peers
-	// via MsgBlobGet. The peer-fetch path skips this address when the blob
-	// index lists us as a holder.
+	// store's pre-sent models are then advertised on registry heartbeats
+	// under their content hashes and served to peers via MsgBlobGet. The
+	// peer-fetch path skips this address when the blob index lists us as a
+	// holder.
 	AdvertiseAddr string
 	// PeerDial overrides the transport for peer blob fetches (tests and
 	// chaos injection); nil means TCP.
@@ -184,14 +184,14 @@ type Server struct {
 	reg *obs.Registry
 	// Operation counters, registered on reg (registration order defines
 	// exposition order and is part of the scrape contract).
-	connsServed, connsRefused         *obs.Counter
-	modelsStored                      *obs.Counter
-	snapshotsExecuted, deltasExecuted *obs.Counter
-	installs, errorsAnswered          *obs.Counter
+	connsServed, connsRefused *obs.Counter
+	modelsStored              *obs.Counter
+	snapshotsExecuted         *obs.Counter
+	installs, errorsAnswered  *obs.Counter
 	// Fleet blob-sharing counters (zero outside a fleet).
 	refPreSendHits, refPreSendMisses    *obs.Counter
 	blobPeerFetches, blobPeerFetchBytes *obs.Counter
-	blobsServed, basesRecovered         *obs.Counter
+	blobsServed                         *obs.Counter
 	// Stream counters: requests dispatched as streams, and the live
 	// concurrent-stream gauge behind them.
 	muxRequests *obs.Counter
@@ -213,10 +213,8 @@ type Metrics struct {
 	ConnsRefused int64
 	// ModelsStored counts pre-send requests handled.
 	ModelsStored int64
-	// SnapshotsExecuted counts full snapshot offloads executed.
+	// SnapshotsExecuted counts snapshot offloads executed.
 	SnapshotsExecuted int64
-	// DeltasExecuted counts delta offloads executed.
-	DeltasExecuted int64
 	// Installs counts completed VM-synthesis installations.
 	Installs int64
 	// Errors counts requests answered with MsgError.
@@ -239,7 +237,6 @@ func (s *Server) Metrics() Metrics {
 		ConnsRefused:      s.connsRefused.Value(),
 		ModelsStored:      s.modelsStored.Value(),
 		SnapshotsExecuted: s.snapshotsExecuted.Value(),
-		DeltasExecuted:    s.deltasExecuted.Value(),
 		Installs:          s.installs.Value(),
 		Errors:            s.errorsAnswered.Value(),
 		MuxRequests:       s.muxRequests.Value(),
@@ -262,7 +259,6 @@ func (s *Server) initMetrics() {
 	s.connsRefused = r.Counter("websnap_conns_refused_total", "Connections refused at the MaxConns cap.")
 	s.modelsStored = r.Counter("websnap_models_stored_total", "Model pre-send requests handled.")
 	s.snapshotsExecuted = r.Counter("websnap_snapshots_executed_total", "Full snapshot offloads executed.")
-	s.deltasExecuted = r.Counter("websnap_deltas_executed_total", "Delta offloads executed.")
 	s.installs = r.Counter("websnap_installs_total", "Completed VM-synthesis installations.")
 	s.errorsAnswered = r.Counter("websnap_errors_total", "Requests answered with an error frame.")
 	r.CounterFunc("websnap_sched_submitted_total", "Tasks admitted to the scheduler queue.",
@@ -306,12 +302,10 @@ func (s *Server) initMetrics() {
 		"Bytes fetched from fleet peers.")
 	s.blobsServed = r.Counter("websnap_blobs_served_total",
 		"Blob fetches served to fleet peers.")
-	s.basesRecovered = r.Counter("websnap_bases_recovered_total",
-		"Delta bases recovered from the fleet blob index.")
 	// Session-store and multiplexing families register after the fleet
 	// block for the same reason: the earlier exposition prefix stays
 	// byte-identical for existing scrapes.
-	r.GaugeFunc("websnap_store_bytes", "Session store payload bytes (models + synced delta bases).",
+	r.GaugeFunc("websnap_store_bytes", "Session store payload bytes (pre-sent models).",
 		func() float64 { return float64(s.store.Bytes()) })
 	r.GaugeFunc("websnap_store_byte_cap", "Session store byte cap (0 = unbounded).",
 		func() float64 { return float64(s.store.MaxBytes()) })
@@ -319,8 +313,6 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.store.Entries()) })
 	r.CounterFunc("websnap_store_evictions_total", "Session-store entries evicted at the byte cap.",
 		func() int64 { return s.store.Evictions() })
-	r.CounterFunc("websnap_store_compactions_total", "Superseded delta bases released by chain compaction.",
-		func() int64 { return s.store.Compactions() })
 	r.GaugeFunc("websnap_queue_bytes", "Decoded snapshot bytes waiting in the admission queue.",
 		func() float64 { return float64(s.sched.Stats().QueueBytes) })
 	s.muxRequests = r.Counter("websnap_mux_requests_total",
@@ -393,7 +385,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.share = srv.fleetEnabled()
 	srv.initMetrics()
 	return srv, nil
 }
@@ -735,7 +726,7 @@ func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (proto
 	switch msg.Type {
 	case protocol.MsgModelPreSend:
 		return s.handleModelPreSend(msg)
-	case protocol.MsgSnapshot, protocol.MsgSnapshotDelta:
+	case protocol.MsgSnapshot:
 		return s.handleOffload(msg, streamWait)
 	case protocol.MsgInstallOverlay:
 		return s.handleInstall(msg)
@@ -870,14 +861,12 @@ func (s *Server) StatsDigest() *protocol.StatsDigest {
 			m := s.Metrics()
 			st := s.sched.Stats()
 			return map[string]uint64{
-				"snapshot_full":  uint64(m.SnapshotsExecuted),
-				"snapshot_delta": uint64(m.DeltasExecuted),
-				"shed":           uint64(st.Rejected),
-				"error":          uint64(m.Errors),
-				"ref_hit":        uint64(s.refPreSendHits.Value()),
-				"ref_miss":       uint64(s.refPreSendMisses.Value()),
-				"peer_fetch":     uint64(s.blobPeerFetches.Value()),
-				"base_recovered": uint64(s.basesRecovered.Value()),
+				"snapshot_full": uint64(m.SnapshotsExecuted),
+				"shed":          uint64(st.Rejected),
+				"error":         uint64(m.Errors),
+				"ref_hit":       uint64(s.refPreSendHits.Value()),
+				"ref_miss":      uint64(s.refPreSendMisses.Value()),
+				"peer_fetch":    uint64(s.blobPeerFetches.Value()),
 			}
 		},
 		QueueDepth: func() int { return s.sched.Stats().QueueDepth },

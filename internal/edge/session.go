@@ -12,29 +12,19 @@ import (
 	"websnap/internal/snapshot"
 )
 
-// SessionStore is the server's one content store: pre-sent models and the
-// synchronized post-offload snapshots that delta offloads build on, and —
-// on a fleet-joined server — the blobs peers fetch, which are those same
-// entries. Everything is content-addressed — models by nn.Fingerprint,
-// states by Snapshot.Hash — with per-app name indices on top, so
-// byte-identical payloads shared by many sessions are stored once and a
-// configurable byte cap holds regardless of how many sessions come and go.
-// The LRU order that picks eviction victims is also the order KeysMRU
-// advertises to the fleet, so what a heartbeat claims is exactly what Blob
-// can produce.
+// SessionStore is the server's one content store: the pre-sent models — all
+// a session leaves at the server — which on a fleet-joined server are also
+// the blobs peers fetch. Models are content-addressed by nn.Fingerprint with
+// per-app name indices on top, so byte-identical models shared by many
+// sessions are stored once and a configurable byte cap holds regardless of
+// how many sessions come and go. The LRU order that picks eviction victims
+// is also the order KeysMRU advertises to the fleet, so what a heartbeat
+// claims is exactly what Blob can produce.
 //
-// Two bounding mechanisms work together:
-//
-//   - LRU eviction: when MaxBytes is set, storing a new entry evicts the
-//     least-recently-used entries until the new one fits. Eviction only
-//     ever loses a cache — an evicted model makes the next offload for
-//     that session fail over to the client's local execution (or a fresh
-//     pre-send), and an evicted state makes the next delta recover its
-//     base from the fleet or fall back to a full snapshot.
-//   - Delta-chain compaction: each app keeps exactly one synced state.
-//     Storing the next state in the chain releases the superseded base
-//     immediately (when no other app references it), so a session that
-//     offloads thousands of times occupies one state slot, not thousands.
+// When MaxBytes is set, storing a new entry evicts the least-recently-used
+// entries until the new one fits. Eviction only ever loses a cache: an
+// evicted model makes the next offload for that session fail over to the
+// client's local execution (or a fresh pre-send).
 //
 // It is safe for concurrent use.
 type SessionStore struct {
@@ -42,41 +32,28 @@ type SessionStore struct {
 	entries map[string]*sessionEntry
 	lru     *list.List                   // front = most recently used
 	models  map[string]map[string]string // appID -> model name -> content key
-	states  map[string]string            // appID -> content key
 
 	bytes    int64
 	maxBytes int64
 
-	evictions   int64
-	compactions int64
-
-	// share marks a fleet-joined server's store: a state entry then keeps
-	// the encoding it was stored with, the bytes Blob serves to peers. A
-	// standalone store keeps no encoded bytes. Set before first use.
-	share bool
+	evictions int64
 
 	// dir, when non-empty, persists model files to disk (see store.go).
 	dir string
 }
 
-// sessionEntry is one content-addressed payload: a model or a synced
-// state, depending on which pointer is set. key, size, net, snap and body
-// never change after creation and may be read without the store's lock;
-// refs and elem belong to the lock.
+// sessionEntry is one content-addressed model. key, size and net never
+// change after creation and may be read without the store's lock; refs and
+// elem belong to the lock.
 type sessionEntry struct {
 	key  string
 	size int64
 	net  *nn.Network
-	snap *snapshot.Snapshot
-	// body is a state's model-free encoding (share mode only): the slice
-	// PutState was handed, not a copy.
-	body []byte
 	refs map[storeRef]struct{}
 	elem *list.Element
 }
 
-// storeRef is one index reference to an entry: a (app, model-name) pair
-// for models, or an app's synced-state slot when name is empty.
+// storeRef is one index reference to an entry: an (app, model-name) pair.
 type storeRef struct{ appID, name string }
 
 // newSessionStore builds a store bounded to maxBytes (0 = unbounded).
@@ -85,7 +62,6 @@ func newSessionStore(maxBytes int64) *SessionStore {
 		entries:  make(map[string]*sessionEntry),
 		lru:      list.New(),
 		models:   make(map[string]map[string]string),
-		states:   make(map[string]string),
 		maxBytes: maxBytes,
 	}
 }
@@ -135,51 +111,6 @@ func (s *SessionStore) putModel(appID, name, fp string, net *nn.Network) {
 // the spec is noise by comparison.
 func modelSize(net *nn.Network) int64 { return net.ModelBytes() }
 
-// PutState records snap as appID's synchronized server-side state — "the
-// data and code left at the server from the first offloading" (§VI) — and
-// compacts the delta chain: the superseded base is released as soon as no
-// app references it. data is snap's model-free encoding: its hash is the
-// content key (returned), its length the state's byte-cap charge, and in
-// share mode the entry keeps data itself as the state's blob.
-func (s *SessionStore) PutState(appID string, snap *snapshot.Snapshot, data []byte) string {
-	key, size := snapshot.HashEncoded(data), int64(len(data))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ref := storeRef{appID: appID}
-	if old, ok := s.states[appID]; ok {
-		if old == key {
-			s.touchLocked(s.entries[old])
-			return key
-		}
-		s.derefLocked(old, ref)
-		s.compactions++
-	}
-	s.states[appID] = key
-	s.refLocked(key, ref, func() *sessionEntry {
-		e := &sessionEntry{key: key, size: size, snap: snap}
-		if s.share {
-			e.body = data
-		}
-		return e
-	})
-	s.enforceCapLocked(key)
-	return key
-}
-
-// GetState returns appID's synced state and its content key — what
-// Snapshot.Hash would compute for it — marking it recently used.
-func (s *SessionStore) GetState(appID string) (snap *snapshot.Snapshot, key string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key, ok = s.states[appID]
-	if !ok {
-		return nil, "", false
-	}
-	e := s.entries[key]
-	s.touchLocked(e)
-	return e.snap, key, true
-}
-
 // refLocked adds ref to key's entry, creating it via mk on first
 // reference, and marks the entry recently used.
 func (s *SessionStore) refLocked(key string, ref storeRef, mk func() *sessionEntry) {
@@ -197,9 +128,9 @@ func (s *SessionStore) refLocked(key string, ref storeRef, mk func() *sessionEnt
 }
 
 // derefLocked removes ref from key's entry and releases the entry when no
-// reference remains. A release is bookkeeping (replacement, compaction),
-// not an eviction, but it ends the key's life here all the same: a
-// superseded delta base is neither advertised nor served afterwards.
+// reference remains. A release is bookkeeping (a model replaced under its
+// name), not an eviction, but it ends the key's life here all the same: the
+// key is neither advertised nor served afterwards.
 func (s *SessionStore) derefLocked(key string, ref storeRef) {
 	e, ok := s.entries[key]
 	if !ok {
@@ -252,10 +183,6 @@ func (s *SessionStore) enforceCapLocked(protect string) {
 // with it, so the next heartbeat no longer advertises it.
 func (s *SessionStore) evictLocked(e *sessionEntry) {
 	for ref := range e.refs {
-		if ref.name == "" {
-			delete(s.states, ref.appID)
-			continue
-		}
 		if m := s.models[ref.appID]; m != nil {
 			delete(m, ref.name)
 			if len(m) == 0 {
@@ -284,17 +211,13 @@ func (s *SessionStore) lookup(key string) *sessionEntry {
 }
 
 // Blob returns the bytes a fleet peer fetches under key, a use for the LRU
-// order: a state's retained encoding, or a model's weight blob, encoded on
-// demand — EncodeWeights is deterministic, so together with the spec the
-// fetcher holds the bytes rebuild a model that fingerprints to key. False
-// when key is not held, or is a state in a store that does not share.
+// order: the model's weight blob, encoded on demand — EncodeWeights is
+// deterministic, so together with the spec the fetcher holds the bytes
+// rebuild a model that fingerprints to key. False when key is not held.
 func (s *SessionStore) Blob(key string) ([]byte, bool) {
 	e := s.lookup(key)
 	if e == nil {
 		return nil, false
-	}
-	if e.net == nil {
-		return e.body, e.body != nil
 	}
 	weights, err := encodeWeights(e.net)
 	return weights, err == nil
@@ -369,8 +292,8 @@ func (s *SessionStore) Resolver(appID string) snapshot.ModelResolver {
 	})
 }
 
-// Bytes returns the store's current byte-cap charge across models and
-// states.
+// Bytes returns the store's current byte-cap charge: the held models'
+// weight bytes.
 func (s *SessionStore) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,11 +315,4 @@ func (s *SessionStore) Evictions() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.evictions
-}
-
-// Compactions returns how many superseded delta bases the store released.
-func (s *SessionStore) Compactions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactions
 }

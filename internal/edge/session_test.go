@@ -1,79 +1,17 @@
 package edge
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
-	"websnap/internal/mlapp"
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
-	"websnap/internal/snapshot"
 )
-
-// testSnap captures one synced-state snapshot (as the server does: no
-// models) with a distinct image, so different seeds hash to different
-// content keys, and returns it with its encoding.
-func testSnap(t *testing.T, model *nn.Network, seed uint64) (*snapshot.Snapshot, []byte) {
-	t.Helper()
-	app, err := mlapp.NewFullApp("snap-src", "tiny", model, tinyLabels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, seed)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap, data
-}
-
-// TestSessionStoreCompaction pins delta-chain compaction: each app holds
-// exactly one synced state, and storing the next state in the chain
-// releases the superseded base.
-func TestSessionStoreCompaction(t *testing.T) {
-	model := tinyModel(t, "tiny")
-	s := newSessionStore(0)
-	snapA, dataA := testSnap(t, model, 1)
-	snapB, dataB := testSnap(t, model, 2)
-	sizeA, sizeB := int64(len(dataA)), int64(len(dataB))
-
-	keyA := s.PutState("app", snapA, dataA)
-	if want, err := snapA.Hash(); err != nil || keyA != want {
-		t.Fatalf("state key %s is not the snapshot's hash %s (err %v)", keyA, want, err)
-	}
-	if s.Entries() != 1 || s.Bytes() != sizeA {
-		t.Fatalf("after first state: entries=%d bytes=%d", s.Entries(), s.Bytes())
-	}
-	keyB := s.PutState("app", snapB, dataB)
-	if keyA == keyB {
-		t.Fatal("distinct snapshots hashed to one key; test is vacuous")
-	}
-	if s.Entries() != 1 || s.Bytes() != sizeB {
-		t.Fatalf("superseded base not compacted: entries=%d bytes=%d (want 1, %d)",
-			s.Entries(), s.Bytes(), sizeB)
-	}
-	if got := s.Compactions(); got != 1 {
-		t.Fatalf("Compactions = %d, want 1", got)
-	}
-	if got, key, ok := s.GetState("app"); !ok || got != snapB || key != keyB {
-		t.Fatal("GetState does not return the latest state under its content key")
-	}
-	// Re-storing the identical state is a touch, not a compaction.
-	s.PutState("app", snapB, dataB)
-	if got := s.Compactions(); got != 1 {
-		t.Fatalf("idempotent PutState counted as compaction: %d", got)
-	}
-}
 
 // TestSessionStoreSharedContent pins content addressing: byte-identical
 // payloads referenced by many sessions occupy one entry, and releasing one
@@ -106,57 +44,53 @@ func TestSessionStoreSharedContent(t *testing.T) {
 }
 
 // TestSessionStoreLRUEvictionUnderLoad pins the byte bound: pushing many
-// states through a small store never exceeds the cap, evicts in LRU order
+// models through a small store never exceeds the cap, evicts in LRU order
 // where a read counts as use, reports the evictions, and lists the
 // survivors most recently used first.
 func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
-	model := tinyModel(t, "tiny")
-	_, data := testSnap(t, model, 1)
-	size := int64(len(data))
-	cap := 3*size + size/2 // room for three states, not four
+	size := tinyModel(t, "model-1").ModelBytes()
+	cap := 3*size + size/2 // room for three models, not four
 	s := newSessionStore(cap)
-	held := func(key string) bool {
-		for _, k := range s.KeysMRU() {
-			if k == key {
-				return true
-			}
-		}
-		return false
-	}
 
 	keys := make([]string, 0, 12)
-	for i := uint64(1); i <= 12; i++ {
-		snap, data := testSnap(t, model, i)
-		key := s.PutState(fmt.Sprintf("app-%d", i), snap, data)
+	for i := 1; i <= 12; i++ {
+		model := tinyModel(t, fmt.Sprintf("model-%d", i))
+		key := nn.Fingerprint(model)
+		if slices.Contains(keys, key) {
+			t.Fatal("distinct models fingerprinted to one key; test is vacuous")
+		}
+		if err := s.Put(fmt.Sprintf("app-%d", i), "tiny", model); err != nil {
+			t.Fatal(err)
+		}
 		keys = append(keys, key)
 		if s.Bytes() > cap {
-			t.Fatalf("after state %d: Bytes %d exceeds cap %d", i, s.Bytes(), cap)
+			t.Fatalf("after model %d: Bytes %d exceeds cap %d", i, s.Bytes(), cap)
 		}
 		// Every listed key is an entry and the newest leads the list.
 		if mru := s.KeysMRU(); len(mru) != s.Entries() || mru[0] != key {
-			t.Fatalf("after state %d: KeysMRU = %v, want %d keys led by %s", i, mru, s.Entries(), key)
+			t.Fatalf("after model %d: KeysMRU = %v, want %d keys led by %s", i, mru, s.Entries(), key)
 		}
 		if i == 3 {
-			// Reading app-1's state makes it the hottest, so the fourth
+			// Reading app-1's model makes it the hottest, so the fourth
 			// store evicts app-2's, the least recently used.
-			if _, _, ok := s.GetState("app-1"); !ok {
-				t.Fatal("app-1 state missing before cap pressure")
+			if _, ok := s.Get("app-1", "tiny"); !ok {
+				t.Fatal("app-1 model missing before cap pressure")
 			}
 		}
-		if i == 4 && (!held(keys[0]) || held(keys[1])) {
-			t.Fatalf("first eviction took the wrong entry: app-1 held %v, app-2 held %v (KeysMRU %v)",
-				held(keys[0]), held(keys[1]), s.KeysMRU())
+		if mru := s.KeysMRU(); i == 4 && (!slices.Contains(mru, keys[0]) || slices.Contains(mru, keys[1])) {
+			t.Fatalf("first eviction took the wrong entry: KeysMRU %v, want app-1's %s kept and app-2's %s gone",
+				mru, keys[0], keys[1])
 		}
 	}
 	if got, want := s.Evictions(), int64(len(keys)-s.Entries()); got == 0 || got != want {
-		t.Fatalf("Evictions = %d, want %d (12 states through a 3-state store)", got, want)
+		t.Fatalf("Evictions = %d, want %d (12 models through a 3-model store)", got, want)
 	}
-	// An evicted state's app slot is gone with it.
-	if _, _, ok := s.GetState("app-2"); ok {
-		t.Fatal("LRU state survived cap pressure")
+	// An evicted model's app slot is gone with it.
+	if _, ok := s.Get("app-2", "tiny"); ok {
+		t.Fatal("LRU model survived cap pressure")
 	}
-	if _, _, ok := s.GetState("app-12"); !ok {
-		t.Fatal("most recent state evicted")
+	if _, ok := s.Get("app-12", "tiny"); !ok {
+		t.Fatal("most recent model evicted")
 	}
 }
 
@@ -166,18 +100,19 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 // whole cap displaces everything else and leaves the store over budget
 // until the next store.
 func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
-	model := tinyModel(t, "tiny")
-	snap, data := testSnap(t, model, 1)
-	s := newSessionStore(int64(len(data)) + 1) // room for the state, not the model
-	s.PutState("app", snap, data)
+	resident, model := tinyModel(t, "resident"), tinyModel(t, "tiny")
+	s := newSessionStore(model.ModelBytes() - 1) // room for neither model
+	if err := s.Put("app", "resident", resident); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put("app", "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get("app", "tiny"); !ok {
 		t.Fatal("the model just stored was evicted")
 	}
-	if _, _, ok := s.GetState("app"); ok || s.Entries() != 1 {
-		t.Fatalf("oversized entry did not displace the resident state (entries %d)", s.Entries())
+	if _, ok := s.Get("app", "resident"); ok || s.Entries() != 1 {
+		t.Fatalf("oversized entry did not displace the resident model (entries %d)", s.Entries())
 	}
 	if s.Bytes() != model.ModelBytes() || s.Bytes() <= s.MaxBytes() {
 		t.Fatalf("Bytes = %d with cap %d, want the model's %d over budget", s.Bytes(), s.MaxBytes(), model.ModelBytes())
@@ -291,27 +226,60 @@ func fleetServer(t *testing.T, key string, holders ...string) *Server {
 	return srv
 }
 
+// refPreSend answers a reference pre-send of model for app "roamer" on srv,
+// in process.
+func refPreSend(t *testing.T, srv *Server, model *nn.Network) protocol.AckHeader {
+	t.Helper()
+	spec, err := nn.EncodeSpec(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
+		AppID: "roamer", ModelName: "tiny", Spec: spec, BlobKey: nn.Fingerprint(model), RefOnly: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.handleModelPreSend(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack protocol.AckHeader
+	if err := protocol.DecodeHeader(resp, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// modelBlob is the blob a peer serves under model's fingerprint.
+func modelBlob(t *testing.T, model *nn.Network) []byte {
+	t.Helper()
+	weights, err := encodeWeights(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weights
+}
+
 // TestResolveBlobStaleFirstHolder is the stale-holder regression test: the
 // registry's index lags evictions, so the first Located holder may no
 // longer have the blob. The search must continue to the remaining holders
-// instead of giving up (which forced a NeedBlob re-upload or a full
-// resend).
+// instead of giving up (which forced a NeedBlob re-upload).
 func TestResolveBlobStaleFirstHolder(t *testing.T) {
-	want, payload := testSnap(t, tinyModel(t, "tiny"), 1)
-	key := snapshot.HashEncoded(payload)
+	model := tinyModel(t, "tiny")
+	key, payload := nn.Fingerprint(model), modelBlob(t, model)
 	stale := blobPeer(t, nil) // evicted: answers a clean error
 	good := blobPeer(t, map[string][]byte{key: payload})
 
 	srv := fleetServer(t, key, stale, good)
-	got, err := srv.recoverBase("roamer", key, nil)
-	if err != nil {
-		t.Fatalf("recoverBase with a stale first holder: %v", err)
+	if ack := refPreSend(t, srv, model); ack.NeedBlob {
+		t.Fatal("reference pre-send with a stale first holder answered NeedBlob")
 	}
-	if hash, err := got.Hash(); err != nil || hash != key || got.AppID != want.AppID {
-		t.Fatalf("recovered state hashes to %s (err %v), want %s", hash, err, key)
+	if got, ok := srv.store.Get("roamer", "tiny"); !ok || nn.Fingerprint(got) != key {
+		t.Fatalf("resolved model (held %v) does not fingerprint to %s", ok, key)
 	}
 	// The fetched blob is held locally for later requests and peers.
-	if blob, ok := srv.store.Blob(key); !ok || string(blob) != string(payload) {
+	if blob, ok := srv.store.Blob(key); !ok || !bytes.Equal(blob, payload) {
 		t.Fatal("resolved blob not stored")
 	}
 }
@@ -321,36 +289,36 @@ func TestResolveBlobStaleFirstHolder(t *testing.T) {
 // caller's verification must not end the search.
 func TestResolveBlobBadContentFirstHolder(t *testing.T) {
 	model := tinyModel(t, "tiny")
-	_, payload := testSnap(t, model, 1)
-	_, wrong := testSnap(t, model, 2)
-	key := snapshot.HashEncoded(payload)
+	key, payload := nn.Fingerprint(model), modelBlob(t, model)
+	wrong := modelBlob(t, tinyModel(t, "other"))
+	if bytes.Equal(wrong, payload) {
+		t.Fatal("the two models share their weights; test is vacuous")
+	}
 	bad := blobPeer(t, map[string][]byte{key: wrong})
 	good := blobPeer(t, map[string][]byte{key: payload})
 
 	srv := fleetServer(t, key, bad, good)
-	if _, err := srv.recoverBase("roamer", key, nil); err != nil {
-		t.Fatalf("recoverBase with a bad first holder: %v", err)
+	if ack := refPreSend(t, srv, model); ack.NeedBlob {
+		t.Fatal("reference pre-send with a bad first holder answered NeedBlob")
 	}
 	// The bad bytes must not have been stored along the way.
-	if blob, ok := srv.store.Blob(key); !ok || string(blob) != string(payload) {
+	if blob, ok := srv.store.Blob(key); !ok || !bytes.Equal(blob, payload) {
 		t.Fatalf("store holds %d bytes under %s (held %v), want the verified bytes", len(blob), key, ok)
 	}
 	if srv.store.Entries() != 1 {
-		t.Fatalf("store holds %d entries, want only the verified state", srv.store.Entries())
+		t.Fatalf("store holds %d entries, want only the verified model", srv.store.Entries())
 	}
 }
 
 // TestResolveBlobAllHoldersStale pins the terminal case: every holder
-// evicted means errBlobUnavailable (the pre-send path answers NeedBlob and
-// the client re-uploads; a delta answers ErrBaseMismatch and the client
-// resends full).
+// evicted means the pre-send answers NeedBlob and the client re-uploads.
 func TestResolveBlobAllHoldersStale(t *testing.T) {
-	const key = "blob-key"
-	srv := fleetServer(t, key, blobPeer(t, nil), blobPeer(t, nil))
-	if _, err := srv.recoverBase("roamer", key, nil); !errors.Is(err, errBlobUnavailable) {
-		t.Fatalf("recoverBase with every holder stale: %v, want errBlobUnavailable", err)
+	model := tinyModel(t, "tiny")
+	srv := fleetServer(t, nn.Fingerprint(model), blobPeer(t, nil), blobPeer(t, nil))
+	if ack := refPreSend(t, srv, model); !ack.NeedBlob {
+		t.Fatal("reference pre-send with every holder stale was acknowledged")
 	}
 	if srv.store.Entries() != 0 {
-		t.Fatal("a failed recovery stored something")
+		t.Fatal("a failed resolution stored something")
 	}
 }

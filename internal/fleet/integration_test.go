@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,9 +217,7 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		EnableDelta:       true,
 		BlobRefPreSend:    true,
-		FleetSync:         true,
 		Placement:         string(fleet.PolicyHash),
 		Audit:             auditor,
 	})
@@ -258,8 +257,8 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	}
 
 	// Roam A→B→C. Before each handoff, wait for the previous server's
-	// heartbeat to advertise its blobs (model weights + synced state), so
-	// the handoff exercises the index rather than racing it.
+	// heartbeat to advertise its model blob, so the handoff exercises the
+	// index rather than racing it.
 	hop := func(from, to string) {
 		t.Helper()
 		waitForIndexedBlobs(t, rc, servers[from])
@@ -276,10 +275,26 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 		}
 	}
 
+	// The first offload after a handoff is an ordinary full request: one
+	// round trip, executed once by a server that answered no error, with no
+	// model bytes sent on its account.
+	firstAfterHop := func(stage, to string, seed uint64) {
+		t.Helper()
+		before := off.Stats()
+		checkResult(stage, seed, runOnce(seed))
+		after := off.Stats()
+		if after.Offloads != before.Offloads+1 || after.LocalFallbacks != 0 || after.PreSendBytes != before.PreSendBytes {
+			t.Errorf("%s: stats %+v → %+v, want one more offload and no bytes pre-sent", stage, before, after)
+		}
+		if m := servers[to].Metrics(); m.SnapshotsExecuted != 1 || m.Errors != 0 {
+			t.Errorf("%s: server executed %d snapshot(s) and answered %d error(s), want 1 and 0 (no wasted attempt)",
+				stage, m.SnapshotsExecuted, m.Errors)
+		}
+	}
 	hop(addrA, addrB)
-	checkResult("B seed 2", 2, runOnce(2))
+	firstAfterHop("B seed 2", addrB, 2)
 	hop(addrB, addrC)
-	checkResult("C seed 3", 3, runOnce(3))
+	firstAfterHop("C seed 3", addrC, 3)
 	// Same input as the very first event: C must answer exactly what A did.
 	checkResult("C seed 1 (vs A)", 1, runOnce(1))
 
@@ -313,15 +328,13 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	wantExec := map[string]int64{addrA: 1, addrB: 1, addrC: 2}
 	for addr, srv := range servers {
 		m := srv.Metrics()
-		if got := m.SnapshotsExecuted + m.DeltasExecuted; got != wantExec[addr] {
+		if got := m.SnapshotsExecuted; got != wantExec[addr] {
 			t.Errorf("server %s executed %d events, want %d", addr, got, wantExec[addr])
 		}
-	}
-	// FleetSync kept the delta sync point across the handoff: B's first
-	// event arrived as a delta against a base it never saw, recovered from
-	// the fleet's state blob rather than re-uploaded.
-	if got := srvB.Metrics().DeltasExecuted; got < 1 {
-		t.Errorf("B executed %d deltas, want >=1 (delta base recovered across handoff)", got)
+		// All a session leaves at a server is its model.
+		if m.StoreBytes != model.ModelBytes() {
+			t.Errorf("server %s holds %d B, the model is %d B", addr, m.StoreBytes, model.ModelBytes())
+		}
 	}
 
 	// Exactly one terminal audit decision per event, each stamped with the
@@ -346,18 +359,25 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 
 // TestFleetStoreBoundedByOneCap pins that one byte cap bounds everything a
 // fleet-joined server holds, the bytes it serves to peers included: sessions
-// churn through a store with room for the model and about three states, the
-// charge never passes the cap, every key the server advertises can be
-// fetched and is what its key says, and an evicted key is neither served
-// nor — one heartbeat later — located by the registry.
+// with models of their own churn through a store with room for three, the
+// charge never passes the cap and is the held models' bytes exactly — serving
+// offloads adds nothing — every key the server advertises can be fetched and
+// is what its key says, and an evicted key is neither served nor — one
+// heartbeat later — located by the registry.
 func TestFleetStoreBoundedByOneCap(t *testing.T) {
 	testutil.LeakCheck(t)
-	model, err := models.BuildTinyNet("tiny", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	labels := []string{"cat", "dog", "bird"}
-	request := func(appID string, seed uint64) []byte {
+	const sessions = 8
+	modelName := func(i int) string { return fmt.Sprintf("tiny-%d", i) }
+	buildModel := func(i int) *nn.Network {
+		t.Helper()
+		model, err := models.BuildTinyNet(modelName(i), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return model
+	}
+	request := func(appID string, model *nn.Network, seed uint64) []byte {
 		t.Helper()
 		app, err := mlapp.NewFullApp(appID, "tiny", model, labels)
 		if err != nil {
@@ -379,9 +399,8 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 		}
 		return encoded
 	}
-	// A result is its request plus a few short globals, so this is room
-	// for the model and three states but not four.
-	capBytes := model.ModelBytes() + int64(len(request("sizing", 1)))*7/2
+	modelBytes := buildModel(1).ModelBytes()
+	capBytes := modelBytes * 7 / 2 // room for three models but not four
 
 	regAddr := startRegistry(t, 2*time.Second)
 	srv, addr := startFleetEdge(t, regAddr, capBytes)
@@ -391,20 +410,22 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 	}
 	defer conn.Close()
 
-	const sessions = 8
-	var stateKeys []string
-	for i := uint64(1); i <= sessions; i++ {
-		appID := fmt.Sprintf("capped-%d", i)
+	var modelKeys []string
+	for i := 1; i <= sessions; i++ {
+		appID, model := fmt.Sprintf("capped-%d", i), buildModel(i)
 		if err := conn.PreSendModel(appID, "tiny", model, false); err != nil {
 			t.Fatal(err)
 		}
-		result, _, err := conn.OffloadSnapshot(appID, request(appID, i), false)
-		if err != nil {
+		if _, _, err := conn.OffloadSnapshot(appID, request(appID, model, uint64(i)), false); err != nil {
 			t.Fatal(err)
 		}
-		stateKeys = append(stateKeys, snapshot.HashEncoded(result))
-		if got := srv.Metrics().StoreBytes; got > capBytes {
+		modelKeys = append(modelKeys, nn.Fingerprint(model))
+		got := srv.Metrics().StoreBytes
+		if got > capBytes {
 			t.Fatalf("after session %d: store charged %d B, cap %d", i, got, capBytes)
+		}
+		if want := int64(min(i, 3)) * modelBytes; got != want {
+			t.Fatalf("after session %d: store charged %d B, want %d B of models and nothing else", i, got, want)
 		}
 	}
 	if srv.Metrics().StoreEvictions == 0 {
@@ -437,23 +458,21 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 			t.Errorf("advertised key %s cannot be fetched: %v", key, err)
 			continue
 		}
-		if key == nn.Fingerprint(model) {
-			rebuilt, err := models.BuildTinyNet("tiny", 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rebuilt.DecodeWeights(bytes.NewReader(body)); err != nil || nn.Fingerprint(rebuilt) != key {
-				t.Errorf("model blob does not rebuild to %s (decode err %v)", key, err)
-			}
-		} else if got := snapshot.HashEncoded(body); got != key {
-			t.Errorf("blob served under %s hashes to %s", key, got)
+		i := slices.Index(modelKeys, key) + 1
+		if i == 0 {
+			t.Errorf("advertised key %s is no session's model", key)
+			continue
+		}
+		rebuilt := buildModel(i)
+		if err := rebuilt.DecodeWeights(bytes.NewReader(body)); err != nil || nn.Fingerprint(rebuilt) != key {
+			t.Errorf("model blob does not rebuild to %s (decode err %v)", key, err)
 		}
 	}
-	if !advertised[nn.Fingerprint(model)] || !advertised[stateKeys[sessions-1]] {
-		t.Errorf("the model every session uses and the newest state must be held; advertised %v", srv.BlobKeys())
+	if len(advertised) != 3 || !advertised[modelKeys[sessions-1]] {
+		t.Errorf("three models fit and the newest must be held; advertised %v", srv.BlobKeys())
 	}
 	var evicted []string
-	for _, key := range stateKeys {
+	for _, key := range modelKeys {
 		if advertised[key] {
 			continue
 		}
@@ -463,7 +482,7 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 		}
 	}
 	if len(evicted) == 0 {
-		t.Fatal("every state is still advertised after evictions")
+		t.Fatal("every model is still advertised after evictions")
 	}
 
 	// The registry's index follows the heartbeat: it names this server for

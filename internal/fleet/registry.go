@@ -2,8 +2,8 @@
 // environment: a registry tracks live servers (TTL-based liveness) and the
 // content-addressed blobs each holds, a placement layer maps sessions onto
 // servers (consistent hashing blended with load hints), and a blob index
-// lets servers fetch models and synced snapshots from peers so a roaming
-// client never re-uploads state the fleet already holds. This is the
+// lets servers fetch models from peers so a roaming client never re-uploads
+// a model the fleet already holds. This is the
 // multi-server counterpart of the paper's single edge server (§II):
 // "cloud-like computing power located close to mobile devices" implies many
 // servers, and a client that moves between them.

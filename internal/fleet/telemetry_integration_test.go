@@ -81,9 +81,7 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		EnableDelta:       true,
 		BlobRefPreSend:    true,
-		FleetSync:         true,
 		Placement:         string(fleet.PolicyHash),
 		Flight:            flight,
 	})

@@ -59,8 +59,6 @@ type Decision struct {
 	Reason string `json:"reason,omitempty"`
 	// SplitLabel is the partition point for partial offloads.
 	SplitLabel string `json:"splitLabel,omitempty"`
-	// Delta marks an offload shipped as a delta snapshot.
-	Delta bool `json:"delta,omitempty"`
 	// Server identifies the edge server the decision targeted.
 	Server string `json:"server,omitempty"`
 	// Predicted is the cost model's end-to-end latency prediction for the
@@ -88,7 +86,6 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		Path       DecisionPath `json:"path"`
 		Reason     string       `json:"reason,omitempty"`
 		SplitLabel string       `json:"splitLabel,omitempty"`
-		Delta      bool         `json:"delta,omitempty"`
 		Server     string       `json:"server,omitempty"`
 		Predicted  int64        `json:"predictedMicros,omitempty"`
 		Measured   int64        `json:"measuredMicros,omitempty"`
@@ -98,7 +95,7 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 	}
 	a := alias{
 		TraceID: d.TraceID, AppID: d.AppID, Path: d.Path, Reason: d.Reason,
-		SplitLabel: d.SplitLabel, Delta: d.Delta, Server: d.Server,
+		SplitLabel: d.SplitLabel, Server: d.Server,
 		Predicted: d.Predicted.Microseconds(), Measured: d.Measured.Microseconds(),
 		BatchSize: d.BatchSize, Placement: d.Placement,
 	}

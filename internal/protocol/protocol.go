@@ -67,12 +67,12 @@ const (
 	MsgInstallOverlay
 	// MsgInstallDone acknowledges VM synthesis completion.
 	MsgInstallDone
-	// MsgSnapshotDelta carries an encoded snapshot delta relative to the
-	// state left at the server by a previous offload (§VI future work).
-	MsgSnapshotDelta
+	// Type 8 was the request-direction snapshot delta. It is retired and
+	// its number stays reserved: an old peer's frame is answered MsgError.
+	_
 	// MsgResultDelta carries the result as a delta relative to the state
-	// the client shipped: the answer to every MsgSnapshotDelta, and to a
-	// MsgSnapshot whose header asks for one (SnapshotHeader.Reply).
+	// the client shipped: the answer to a MsgSnapshot whose header asks for
+	// one (SnapshotHeader.Reply).
 	MsgResultDelta
 	// MsgPing asks the server for its current status without submitting
 	// work; used by load probes and roaming server selection.
@@ -90,7 +90,7 @@ const (
 	// MsgFleetView answers with the live (non-expired) fleet members.
 	MsgFleetView
 	// MsgBlobLocate asks the registry which servers hold the given
-	// content-addressed blobs (model weights, synced snapshot states).
+	// content-addressed blobs (model weights, keyed by nn.Fingerprint).
 	MsgBlobLocate
 	// MsgBlobLocation answers with the holders per blob key.
 	MsgBlobLocation
@@ -126,8 +126,6 @@ func (t MsgType) String() string {
 		return "install-overlay"
 	case MsgInstallDone:
 		return "install-done"
-	case MsgSnapshotDelta:
-		return "snapshot-delta"
 	case MsgResultDelta:
 		return "result-delta"
 	case MsgPing:
@@ -243,8 +241,8 @@ type ServerTrace struct {
 	// ExecuteMicros covers restore + handler execution + result capture
 	// inside the worker.
 	ExecuteMicros int64 `json:"executeMicros"`
-	// EncodeMicros covers result-delta encoding + compression; a full
-	// result is encoded once, inside ExecuteMicros, as it is stored.
+	// EncodeMicros covers result encoding (diff + delta, or the full
+	// snapshot) + compression.
 	EncodeMicros int64 `json:"encodeMicros"`
 	// BatchSize is how many coalesced sessions shared the worker's batched
 	// forward pass (1 = solo execution).
@@ -378,8 +376,8 @@ type AckHeader struct {
 	Span *SpanNode `json:"span,omitempty"`
 }
 
-// SnapshotHeader is the JSON header of MsgSnapshot, MsgResultSnapshot,
-// MsgSnapshotDelta, and MsgResultDelta.
+// SnapshotHeader is the JSON header of MsgSnapshot, MsgResultSnapshot and
+// MsgResultDelta.
 type SnapshotHeader struct {
 	AppID string `json:"appId"`
 	// Seq identifies the request's stream; the response echoes it.
@@ -395,7 +393,7 @@ type SnapshotHeader struct {
 	TraceID string `json:"traceId,omitempty"`
 	// Reply is the result form the request asks for (request direction
 	// only): empty for the full result snapshot, else a result delta —
-	// ReplyDelta, or ReplyDeltaSync, which any other value is read as.
+	// ReplyDelta, which any other non-empty value is read as.
 	Reply string `json:"reply,omitempty"`
 	// BodyCRC is the body's integrity checksum over the wire bytes (after
 	// compression). Receivers verify whenever it is non-zero; servers
@@ -408,18 +406,10 @@ type SnapshotHeader struct {
 	ServerTrace *ServerTrace `json:"serverTrace,omitempty"`
 }
 
-// Reply forms a snapshot request can ask for. A request that asks for none
-// gets the full result, which the server also keeps as the app's synced state.
-const (
-	// ReplyDelta asks for the result as a delta against the state the
-	// request carried, from a session that will not build on what it leaves
-	// behind: the server neither encodes the full result nor stores it.
-	ReplyDelta = "delta"
-	// ReplyDeltaSync asks for the same delta and has the server keep the
-	// full result as the app's synced state — the base of the session's
-	// next delta request, and what a fleet peer recovers when it roams.
-	ReplyDeltaSync = "delta+sync"
-)
+// ReplyDelta asks for the result as a delta against the state the request
+// carried. A request that asks for no reply form gets the full result
+// snapshot. Either way nothing of the request outlives it at the server.
+const ReplyDelta = "delta"
 
 // RequestBase names the state a MsgSnapshot request carried, for the result
 // delta that answers it: stream, body checksum and wire length — what both
@@ -516,8 +506,7 @@ type FleetRegisterHeader struct {
 	// Load is the server's current scheduling load.
 	Load *LoadHint `json:"load,omitempty"`
 	// Blobs lists content-addressed blob keys the server holds (models by
-	// nn.Fingerprint, synced snapshots by Snapshot.Hash), merged into the
-	// fleet blob index.
+	// nn.Fingerprint), merged into the fleet blob index.
 	Blobs []string `json:"blobs,omitempty"`
 	// Stats is the server's telemetry rollup digest, piggybacked on the
 	// heartbeat when the agent has a digest supplier.

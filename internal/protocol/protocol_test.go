@@ -191,7 +191,8 @@ func TestSnapshotHeaderReplyField(t *testing.T) {
 	}{
 		{"", `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","bodyCrc":42}`},
 		{ReplyDelta, `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","reply":"delta","bodyCrc":42}`},
-		{ReplyDeltaSync, `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","reply":"delta+sync","bodyCrc":42}`},
+		// What a PR 19/20 client's synced session wrote; read as ReplyDelta.
+		{"delta+sync", `{"appId":"a","seq":7,"encoding":"flate","traceId":"00c0ffee00c0ffee","reply":"delta+sync","bodyCrc":42}`},
 	}
 	for _, row := range rows {
 		hdr.Reply = row.reply
@@ -215,6 +216,12 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgType(99).String() != "unknown(99)" {
 		t.Errorf("unknown = %q", MsgType(99))
+	}
+	// Type 8 (the retired request delta) stays reserved: its neighbours keep
+	// their numbers and it names nothing.
+	if MsgInstallDone != 7 || MsgResultDelta != 9 || MsgType(8).String() != "unknown(8)" {
+		t.Errorf("types around the retired 8: install-done=%d result-delta=%d, 8=%q",
+			MsgInstallDone, MsgResultDelta, MsgType(8))
 	}
 	for typ, want := range map[MsgType]string{
 		MsgFleetRegister:   "fleet-register",

@@ -7,8 +7,8 @@
 // A Roamer probes a set of candidate edge servers, connects to the best
 // one, and re-targets the app's offloader when the current server becomes
 // unreachable or a sufficiently faster candidate appears. Because the
-// snapshot mechanism is server-stateless (models re-pre-send, deltas fall
-// back to full snapshots), switching requires no migration protocol at all.
+// snapshot mechanism is server-stateless (every request is a full snapshot;
+// models re-pre-send), switching requires no migration protocol at all.
 package roam
 
 import (

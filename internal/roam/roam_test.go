@@ -257,7 +257,6 @@ func TestRoamingOffload(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		EnableDelta:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

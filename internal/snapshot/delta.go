@@ -12,19 +12,21 @@ import (
 	"websnap/internal/webapp"
 )
 
-// This file implements the paper's stated future work (§VI): "how to
-// simplify the snapshot creation/transmission/restoration for future
-// offloading using the data and code left at the server from the first
-// offloading". A Delta carries only the state that changed relative to a
-// base snapshot both sides already hold; repeated offloads therefore ship
-// kilobytes instead of re-serializing the full heap.
+// This file is the paper's stated future work (§VI) — "how to simplify the
+// snapshot creation/transmission/restoration for future offloading using the
+// data and code left at the server" — where it pays: the result direction. A
+// Delta carries only the state that changed relative to a base snapshot both
+// sides hold; the base of a result is the request that carried it, so every
+// result comes home as what the handler changed, not the state it ran on.
 
 // deltaHeader is the first line of an encoded delta.
 const deltaHeader = "// websnap-delta v1"
 
 // Hash returns the snapshot's content identity: a hash over its canonical
 // encoding with models excluded (model placement differs between client
-// and server; the synchronized *state* is what deltas are relative to).
+// and server; two ends agree on the *state*). Nothing on the offload path
+// hashes a state any more — a result delta names its base by the request that
+// carried it — so this is the state-equality oracle of the tests.
 func (s *Snapshot) Hash() (string, error) {
 	bare := *s
 	bare.Models = nil
@@ -32,15 +34,8 @@ func (s *Snapshot) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return HashEncoded(data), nil
-}
-
-// HashEncoded returns the content identity of an already encoded model-free
-// snapshot — what Hash returns for the snapshot data decodes to — so a
-// holder of the bytes need not encode again to name them.
-func HashEncoded(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
+	return hex.EncodeToString(sum[:16]), nil
 }
 
 // Delta is the difference between two snapshots of the same app.
@@ -48,8 +43,8 @@ type Delta struct {
 	AppID    string
 	CodeHash string
 	// BaseHash names the snapshot this delta applies to, in terms producer
-	// and consumer both hold: the content Hash of stored state, or the
-	// identity of the request that carried the base. Callers supply it.
+	// and consumer both hold: the identity of the request that carried the
+	// base (protocol.SnapshotHeader.RequestBase). Callers supply it.
 	BaseHash string
 	// SetGlobals holds new or changed globals.
 	SetGlobals map[string]webapp.Value
