@@ -309,7 +309,7 @@ func TestBoundedStoreSoak(t *testing.T) {
 	}
 	// Room for the full model or the partial sessions' rear part, not both:
 	// the two kinds of session evict each other's model.
-	capBytes := model.ModelBytes()
+	capBytes := model.ResidentBytes()
 	srv, err := edge.NewServer(edge.Config{
 		Catalog:         muxCatalog(t),
 		Installed:       true,

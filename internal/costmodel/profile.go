@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"websnap/internal/nn"
@@ -71,11 +72,34 @@ func ProfilePrec(name string, net *nn.Network, runs int, prec nn.Precision) (Dev
 		}
 	}
 
+	dev, err := deviceFromSteps(name, plan.Steps(), infos, best)
+	if err != nil {
+		return Device{}, fmt.Errorf("%w in network %q", err, net.Name())
+	}
+	return dev, nil
+}
+
+// deviceFromSteps turns per-step wall times into per-type throughputs. A
+// step fused into the one before it (a ReLU folded into its convolution's
+// kernel) runs nothing of its own: its FLOPs are work the producing step's
+// kernel did in the producing step's time, so they are booked there. A type
+// whose every step was fused gets an infinite throughput — its layers cost
+// nothing but dispatch — instead of falling through to DefaultFLOPS for
+// work the engine no longer does.
+func deviceFromSteps(name string, steps []nn.PlanStep, infos []nn.LayerInfo, best []time.Duration) (Device, error) {
 	flopsByType := make(map[nn.LayerType]int64)
 	timeByType := make(map[nn.LayerType]time.Duration)
-	for i, li := range infos {
-		flopsByType[li.Type] += li.FLOPs
-		timeByType[li.Type] += best[i]
+	ran, fused := make(map[nn.LayerType]bool), make(map[nn.LayerType]bool)
+	for i, st := range steps {
+		typ := infos[i].Type
+		if st.Fused {
+			fused[typ] = true
+			typ = infos[i-1].Type
+		} else {
+			ran[typ] = true
+		}
+		flopsByType[typ] += infos[i].FLOPs
+		timeByType[typ] += best[i]
 	}
 
 	dev := Device{
@@ -98,7 +122,12 @@ func ProfilePrec(name string, net *nn.Network, runs int, prec nn.Precision) (Dev
 		}
 	}
 	if totalTime <= 0 || totalFLOPs <= 0 {
-		return Device{}, fmt.Errorf("costmodel: profile %q: nothing measurable in network %q", name, net.Name())
+		return Device{}, fmt.Errorf("costmodel: profile %q: nothing measurable", name)
+	}
+	for typ := range fused {
+		if !ran[typ] {
+			dev.FLOPSByType[typ] = math.Inf(1)
+		}
 	}
 	dev.DefaultFLOPS = float64(totalFLOPs) / totalTime.Seconds()
 	return dev, nil

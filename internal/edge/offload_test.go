@@ -253,7 +253,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 
 				models := map[string]int64{}
 				for _, net := range sent {
-					models[nn.Fingerprint(net)] = net.ModelBytes()
+					models[nn.Fingerprint(net)] = net.ResidentBytes() // weights + packed conv panels
 				}
 				var wantBytes int64
 				for _, b := range models {
@@ -264,7 +264,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 					t.Fatalf("metrics %+v, want %d snapshots executed and no errors", m, want)
 				}
 				if m.StoreBytes != wantBytes {
-					t.Errorf("store holds %d B, the pre-sent models are %d B", m.StoreBytes, wantBytes)
+					t.Errorf("store holds %d B, the pre-sent models' weights and packed panels are %d B", m.StoreBytes, wantBytes)
 				}
 				if got := srv.store.Entries(); got != len(models) {
 					t.Errorf("store has %d entries for %d distinct model(s)", got, len(models))

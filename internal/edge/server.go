@@ -42,9 +42,11 @@ type Config struct {
 	// §III.B.1).
 	ModelDir string
 	// MaxStoreBytes bounds the session store (the pre-sent models, which on
-	// a fleet-joined server are also the blobs peers fetch) in bytes;
-	// least-recently-used entries are evicted at the cap. Zero means
-	// unbounded (the pre-bounded-store behavior).
+	// a fleet-joined server are also the blobs peers fetch) in bytes; a
+	// model is charged its weights plus the packed panels of its
+	// convolutions (nn.Network.ResidentBytes). Least-recently-used entries
+	// are evicted at the cap. Zero means unbounded (the pre-bounded-store
+	// behavior).
 	MaxStoreBytes int64
 	// MaxStreams caps the concurrent logical streams one connection may
 	// have in flight; further frames wait in the connection's read loop
@@ -305,7 +307,7 @@ func (s *Server) initMetrics() {
 	// Session-store and multiplexing families register after the fleet
 	// block for the same reason: the earlier exposition prefix stays
 	// byte-identical for existing scrapes.
-	r.GaugeFunc("websnap_store_bytes", "Session store payload bytes (pre-sent models).",
+	r.GaugeFunc("websnap_store_bytes", "Session store charge in bytes: each pre-sent model's weights plus its packed convolution panels.",
 		func() float64 { return float64(s.store.Bytes()) })
 	r.GaugeFunc("websnap_store_byte_cap", "Session store byte cap (0 = unbounded).",
 		func() float64 { return float64(s.store.MaxBytes()) })

@@ -102,14 +102,14 @@ func (s *SessionStore) putModel(appID, name, fp string, net *nn.Network) {
 	}
 	s.models[appID][name] = fp
 	s.refLocked(fp, ref, func() *sessionEntry {
-		return &sessionEntry{key: fp, size: modelSize(net), net: net}
+		// The byte-cap charge is what the model holds once it has run: its
+		// weights plus its convolutions' packed panels, known from the layer
+		// shapes at install, so an entry's size never changes. The spec is
+		// noise by comparison.
+		return &sessionEntry{key: fp, size: net.ResidentBytes(), net: net}
 	})
 	s.enforceCapLocked(fp)
 }
-
-// modelSize is a model's byte-cap charge: the serialized weights dominate;
-// the spec is noise by comparison.
-func modelSize(net *nn.Network) int64 { return net.ModelBytes() }
 
 // refLocked adds ref to key's entry, creating it via mk on first
 // reference, and marks the entry recently used.

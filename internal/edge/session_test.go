@@ -25,8 +25,8 @@ func TestSessionStoreSharedContent(t *testing.T) {
 	if s.Entries() != 1 {
 		t.Fatalf("identical model for two apps stored %d times", s.Entries())
 	}
-	if s.Bytes() != model.ModelBytes() {
-		t.Fatalf("Bytes = %d, want one copy (%d)", s.Bytes(), model.ModelBytes())
+	if s.Bytes() != model.ResidentBytes() {
+		t.Fatalf("Bytes = %d, want one copy (%d)", s.Bytes(), model.ResidentBytes())
 	}
 	// app-1 replaces its model; app-2's reference keeps the entry alive.
 	s.Put("app-1", "tiny", other)
@@ -48,7 +48,7 @@ func TestSessionStoreSharedContent(t *testing.T) {
 // where a read counts as use, reports the evictions, and lists the
 // survivors most recently used first.
 func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
-	size := tinyModel(t, "model-1").ModelBytes()
+	size := tinyModel(t, "model-1").ResidentBytes()
 	cap := 3*size + size/2 // room for three models, not four
 	s := newSessionStore(cap)
 
@@ -101,7 +101,7 @@ func TestSessionStoreLRUEvictionUnderLoad(t *testing.T) {
 // until the next store.
 func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
 	resident, model := tinyModel(t, "resident"), tinyModel(t, "tiny")
-	s := newSessionStore(model.ModelBytes() - 1) // room for neither model
+	s := newSessionStore(model.ResidentBytes() - 1) // room for neither model
 	if err := s.Put("app", "resident", resident); err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
 	if _, ok := s.Get("app", "resident"); ok || s.Entries() != 1 {
 		t.Fatalf("oversized entry did not displace the resident model (entries %d)", s.Entries())
 	}
-	if s.Bytes() != model.ModelBytes() || s.Bytes() <= s.MaxBytes() {
-		t.Fatalf("Bytes = %d with cap %d, want the model's %d over budget", s.Bytes(), s.MaxBytes(), model.ModelBytes())
+	if s.Bytes() != model.ResidentBytes() || s.Bytes() <= s.MaxBytes() {
+		t.Fatalf("Bytes = %d with cap %d, want the model's %d over budget", s.Bytes(), s.MaxBytes(), model.ResidentBytes())
 	}
 }
 
@@ -125,7 +125,7 @@ func TestSessionStoreKeepsOversizedEntry(t *testing.T) {
 func TestSessionStoreEvictionCleansDisk(t *testing.T) {
 	dir := t.TempDir()
 	a := tinyModel(t, "model-a")
-	cap := a.ModelBytes() + a.ModelBytes()/2 // room for one model, not two
+	cap := a.ResidentBytes() + a.ResidentBytes()/2 // room for one model, not two
 	s, err := newSessionStoreDir(dir, cap)
 	if err != nil {
 		t.Fatal(err)

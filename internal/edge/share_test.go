@@ -73,7 +73,7 @@ func TestRefPreSendLinksHeldModel(t *testing.T) {
 	if !ok || borrower != owner || owner != model {
 		t.Errorf("apps resolve %p and %p, want both the stored model %p", owner, borrower, model)
 	}
-	if srv.store.Entries() != 1 || srv.store.Bytes() != model.ModelBytes() {
+	if srv.store.Entries() != 1 || srv.store.Bytes() != model.ResidentBytes() {
 		t.Errorf("store holds %d entries, %d B; want the one model, charged once",
 			srv.store.Entries(), srv.store.Bytes())
 	}

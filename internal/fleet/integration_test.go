@@ -332,8 +332,8 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 			t.Errorf("server %s executed %d events, want %d", addr, got, wantExec[addr])
 		}
 		// All a session leaves at a server is its model.
-		if m.StoreBytes != model.ModelBytes() {
-			t.Errorf("server %s holds %d B, the model is %d B", addr, m.StoreBytes, model.ModelBytes())
+		if m.StoreBytes != model.ResidentBytes() {
+			t.Errorf("server %s holds %d B, the model is %d B", addr, m.StoreBytes, model.ResidentBytes())
 		}
 	}
 
@@ -399,7 +399,7 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 		}
 		return encoded
 	}
-	modelBytes := buildModel(1).ModelBytes()
+	modelBytes := buildModel(1).ResidentBytes()
 	capBytes := modelBytes * 7 / 2 // room for three models but not four
 
 	regAddr := startRegistry(t, 2*time.Second)

@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"websnap/internal/nn"
@@ -132,6 +133,189 @@ func TestCatalogConvKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestCatalogConvPrepackedFusedEquivalence runs every distinct conv site of
+// the catalog the way a float32 plan runs it — weights prepacked at plan
+// compile, the following ReLU folded into the kernel's epilogue — and
+// compares it, bit for bit, with the oracle: ForwardIm2col followed by the
+// standalone ReLU layer. The catalog has reductions deeper than one KC block
+// (k > 256) and ragged column counts (196 and 49), but every outC is a
+// multiple of the register tile's four rows, so two sites with ragged row
+// counts ride along. Each site is run once more as two range plans split
+// between the conv and its ReLU, where nothing may be fused.
+func TestCatalogConvPrepackedFusedEquivalence(t *testing.T) {
+	sites := catalogConvs(t)
+	extra := func(inC, outC, k, stride, pad int, in ...int) {
+		input, err := nn.NewInput("data", in...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv, err := nn.NewConv("conv", inC, outC, k, stride, pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := nn.NewNetwork("extra", input, conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.InitWeights(uint64(outC))
+		sites = append(sites, layerSite{model: "extra", layer: conv, in: in})
+	}
+	extra(32, 30, 3, 1, 1, 32, 14, 14) // m = 30, k = 288, n = 196
+	extra(40, 7, 5, 2, 2, 40, 13, 13)  // m = 7, k = 1000 (four KC blocks), n = 49
+	var deep, raggedN int
+	for _, s := range sites {
+		conv := s.layer.(*nn.Conv)
+		inC, outC, k, stride, pad := conv.Geometry()
+		name := fmt.Sprintf("%s/%s_%dx%dx%d_k%ds%dp%d_out%d", s.model, conv.Name(), inC, s.in[1], s.in[2], k, stride, pad, outC)
+		t.Run(name, func(t *testing.T) {
+			input, err := nn.NewInput("data", s.in...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relu := nn.NewReLU("relu")
+			net, err := nn.NewNetwork("site", input, conv, relu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := tensor.MustNew(s.in...)
+			fillDet(in.Data(), uint64(tensor.Volume(s.in)))
+
+			plan, err := net.Plan(s.in...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := plan.Steps(); st[1].Algo != "direct-packed+relu" || !st[2].Fused {
+				t.Fatalf("plan steps %+v, %+v: want the ReLU fused into the conv", st[1], st[2])
+			}
+			got, err := plan.Forward(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pre, err := conv.ForwardIm2col(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := relu.Forward(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, err := net.ForwardRange(in, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			split, err := net.ForwardRange(front, 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			neg := 0
+			for i, w := range want.Data() {
+				if pre.Data()[i] < 0 {
+					neg++
+				}
+				if g := got.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("output %d: prepacked+fused %v (%#08x), im2col then ReLU %v (%#08x)",
+						i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
+				if g := split.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("output %d: split between conv and ReLU %v, im2col then ReLU %v", i, g, w)
+				}
+			}
+			if neg == 0 {
+				t.Fatal("no negative pre-activation; the clamp proved nothing")
+			}
+		})
+		if inC*k*k > 256 {
+			deep++
+		}
+		if oh := convOut(s.in[1], k, stride, pad); oh*oh%8 != 0 {
+			raggedN++
+		}
+	}
+	if deep < 5 || raggedN < 5 {
+		t.Fatalf("%d sites span several KC blocks and %d have ragged column counts; the walk lost its coverage", deep, raggedN)
+	}
+}
+
+func convOut(in, k, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
+
+// TestGoogLeNetForwardPacksOnce is the allocation gate for the planned
+// forward pass, with GOMAXPROCS pinned to 2 so that every large GEMM forks
+// exactly once on any host. A steady-state float32 forward stays at or
+// below 344 heap allocations (BenchmarkForward/googlenet before weights
+// were prepacked) and draws 111 buffers from the tensor pool — the packed-B
+// block of each GEMM worker and nothing else; it was 168, one more per
+// convolution, when each call packed its weights. A batch forward draws the
+// same per member, and compiling a range plan over nearly every convolution
+// of the network afterwards allocates a small fraction of the packed
+// panels' size: the copy the full plan made is the one it runs from
+// (nn.TestConvPackedOncePerNetwork checks the pointers).
+func TestGoogLeNetForwardPacksOnce(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops pooled contexts and buffers at random; the counts are exact only without it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	net, err := Build(GoogLeNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convs := 0
+	walkLayers(t, GoogLeNet, net.Layers(), net.InputShape(), func(s layerSite) {
+		if _, ok := s.layer.(*nn.Conv); ok {
+			convs++
+		}
+	})
+	in := tensor.MustNew(net.InputShape()...)
+	fillDet(in.Data(), 5)
+	forward := func() {
+		if _, err := net.Forward(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memStats := func() (mallocs, bytes uint64) {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs, m.TotalAlloc
+	}
+	forward() // compiles the plan and packs
+	forward() // fills the buffer pools
+	const runs = 4
+	gets := tensor.ReadPoolStats().Gets
+	allocs, _ := memStats()
+	for i := 0; i < runs; i++ {
+		forward()
+	}
+	after, _ := memStats()
+	gets, allocs = (tensor.ReadPoolStats().Gets-gets)/runs, (after-allocs)/runs
+	wantGets := int64(168 - convs)
+	if gets != wantGets {
+		t.Errorf("a forward draws %d pooled buffers, want %d: 168 when each of the %d convolutions packed its weights per call, one fewer each now", gets, wantGets, convs)
+	}
+	if allocs > 344 {
+		t.Errorf("a forward makes %d heap allocations, want at most 344", allocs)
+	}
+
+	batch := []*tensor.Tensor{in, in}
+	if _, err := net.ForwardBatch(batch); err != nil { // sizes the second context
+		t.Fatal(err)
+	}
+	gets = tensor.ReadPoolStats().Gets
+	if _, err := net.ForwardBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if gets = tensor.ReadPoolStats().Gets - gets; gets != 2*wantGets {
+		t.Errorf("a batch of two draws %d pooled buffers, want %d", gets, 2*wantGets)
+	}
+
+	packed := uint64(net.ResidentBytes() - net.ModelBytes())
+	_, before := memStats()
+	if _, err := net.PlanRange(5, net.NumLayers(), 64, 56, 56); err != nil {
+		t.Fatal(err)
+	}
+	if _, spent := memStats(); spent-before > packed/8 {
+		t.Errorf("compiling a range plan after the full plan allocated %d B; the packed panels are %d B and must not be built twice", spent-before, packed)
+	}
+}
+
 func abs64(v float64) float64 {
 	if v < 0 {
 		return -v
@@ -207,7 +391,8 @@ func refLRN(l *nn.LRN, in, out *tensor.Tensor) {
 // The catalog's only average pool has a single window, so three geometries
 // it lacks ride along: padded and overhanging averages (divide by the
 // valid tap count) and a ceil-mode window that lies wholly outside the
-// input.
+// input. CI runs the package once more with -tags noasm, which takes every
+// site through the portable loops.
 func TestCatalogPoolEquivalence(t *testing.T) {
 	sites := catalogSites(t, func(s layerSite) string {
 		p, ok := s.layer.(*nn.Pool)
@@ -234,6 +419,19 @@ func TestCatalogPoolEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sites = append(sites, layerSite{model: "extra", layer: p, in: e.in})
+	}
+	// The 3x3 max kernels take eight outputs at a time, so planes below, at
+	// and just past one and two vectors wide ride along, for each way the
+	// layer calls them: the edge-repeated plane of the stride-1/pad-1 pool,
+	// and row by row at strides 1 and 2 (ceil mode overhangs the odd widths).
+	for _, w := range []int{3, 7, 8, 9, 15, 16, 17} {
+		for _, g := range [][2]int{{1, 1}, {1, 0}, {2, 0}} {
+			p, err := nn.NewPool("pool", nn.MaxPool, 3, g[0], g[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites = append(sites, layerSite{model: "extra", layer: p, in: []int{3, w + 1, w}})
+		}
 	}
 	negZero := float32(math.Copysign(0, -1))
 	specials := []float32{negZero, 0, float32(math.Inf(-1)), float32(math.NaN()), 0, negZero}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"websnap/internal/tensor"
 )
@@ -19,6 +20,12 @@ type Conv struct {
 	// weight shape: [outC, inC, k, k]; bias shape: [outC].
 	weight *tensor.Tensor
 	bias   *tensor.Tensor
+	// packed is weight repacked into GEMM panels: built by the first
+	// float32 plan compiled over this layer (prepack), shared by every plan,
+	// range and inception sub-program that runs it, and dropped when the
+	// weights are rewritten. While it is nil — standalone calls, int8
+	// calibration — each forward packs into a pooled buffer instead.
+	packed atomic.Pointer[tensor.PackedA]
 }
 
 var _ Layer = (*Conv)(nil)
@@ -80,18 +87,43 @@ func (c *Conv) Traits(in []int) (StepTraits, error) {
 }
 
 // ForwardCtx implements Layer with the im2col-free direct convolution
-// (tensor.GemmConv): the packer builds GEMM panels straight from the input
-// — whole slivers copied from one input row where no tap is padding, the
-// input planes themselves for a 1x1/stride-1/pad-0 layer, element by
-// element only at padded borders and row wraps — so the column matrix
-// never exists and the layer needs no scratch. The shared packed GEMM
-// kernel fans column blocks across CPUs for large layers; the per-element
-// accumulation order does not depend on the parallelism, so results are
-// deterministic.
+// (tensor.GemmConvPacked): the packer builds GEMM panels straight from the
+// input — whole slivers copied from one input row where no tap is padding,
+// the input planes themselves for a 1x1/stride-1/pad-0 layer, run by run at
+// padded borders and row wraps — so the column matrix never exists and the
+// layer needs no scratch. The shared packed GEMM kernel fans column blocks
+// across CPUs for large layers; the per-element accumulation order does not
+// depend on the parallelism, so results are deterministic.
 func (c *Conv) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
-	g := c.geom(in.Dim(1), in.Dim(2), out.Dim(1), out.Dim(2))
-	tensor.GemmConv(out.Data(), c.weight.Data(), c.bias.Data(), c.outC, in.Data(), g)
+	c.forward(in, out, false)
 	return nil
+}
+
+// forward runs the convolution, from the prepacked weights when a plan has
+// packed them. relu clamps each output in the kernel's epilogue, for a plan
+// that fused the following ReLU step into this one.
+func (c *Conv) forward(in, out *tensor.Tensor, relu bool) {
+	g := c.geom(in.Dim(1), in.Dim(2), out.Dim(1), out.Dim(2))
+	if pa := c.packed.Load(); pa != nil {
+		tensor.GemmConvPacked(out.Data(), pa, c.bias.Data(), in.Data(), g, relu)
+		return
+	}
+	tensor.GemmConv(out.Data(), c.weight.Data(), c.bias.Data(), c.outC, in.Data(), g, relu)
+}
+
+// prepack packs the weights once; later calls, and a call that loses a
+// race with another plan compile, keep the copy already there.
+func (c *Conv) prepack() {
+	if c.packed.Load() == nil {
+		rows := c.inC * c.k * c.k
+		c.packed.CompareAndSwap(nil, tensor.PackA(c.weight.Data(), c.outC, rows, rows))
+	}
+}
+
+// packedBytes is the size of the prepacked weights, from the layer's shape
+// alone.
+func (c *Conv) packedBytes() int64 {
+	return 4 * int64(tensor.PackedALen(c.outC, c.inC*c.k*c.k))
 }
 
 // geom describes the layer's implicit-GEMM geometry for an h x w input.
@@ -194,20 +226,40 @@ func (p *Pool) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return forwardStandalone(p, in)
 }
 
-// Traits implements Layer.
+// Traits implements Layer. A 3x3/stride-1/pad-1 max pool asks for scratch:
+// see forwardSame3.
 func (p *Pool) Traits(in []int) (StepTraits, error) {
-	return StepTraits{Algo: string(p.kind)}, nil
+	tr := StepTraits{Algo: string(p.kind)}
+	if p.same3() {
+		_, h, w, err := shapeCHW(in)
+		if err != nil {
+			return StepTraits{}, fmt.Errorf("pool %q: %w", p.name, err)
+		}
+		tr.ScratchFloats = (2*h + 2) * (w + 2)
+	}
+	return tr, nil
+}
+
+// same3 reports the inception modules' pool: a 3x3 max at stride 1 with one
+// ring of padding, whose output is the size of its input.
+func (p *Pool) same3() bool {
+	return p.kind == MaxPool && p.k == 3 && p.stride == 1 && p.pad == 1
 }
 
 // ForwardCtx implements Layer. Output positions whose window lies wholly
 // inside the input run an interior loop picked once per call from (kind, k),
-// with no per-tap bounds or kind test. The rest — padding at the top and
-// left, and ceil-mode windows that overhang the bottom and right edge even
-// with pad 0 — go through border, which clips the window first. Both visit
-// taps ky-major then kx-minor, max keeps the earlier of two equal or
-// unordered values and avg divides by the number of valid taps, so an
-// output's bits do not depend on which loop produced it.
-func (p *Pool) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
+// with no per-tap bounds or kind test; the 3x3 max interior is
+// tensor.MaxPool3x3, a vector kernel where the CPU has one. The rest —
+// padding at the top and left, and ceil-mode windows that overhang the
+// bottom and right edge even with pad 0 — go through border, which clips
+// the window first. Both visit taps ky-major then kx-minor, max keeps the
+// earlier of two equal or unordered values and avg divides by the number of
+// valid taps, so an output's bits do not depend on which loop produced it.
+func (p *Pool) ForwardCtx(ctx *ExecContext, in, out *tensor.Tensor) error {
+	if p.same3() {
+		p.forwardSame3(ctx, in, out)
+		return nil
+	}
 	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
 	oh, ow := out.Dim(1), out.Dim(2)
 	interior := poolMaxRow
@@ -235,6 +287,48 @@ func (p *Pool) ForwardCtx(_ *ExecContext, in, out *tensor.Tensor) error {
 		}
 	}
 	return nil
+}
+
+// forwardSame3 is the 3x3/stride-1/pad-1 max pool with no border pass. On
+// the 14- and 7-wide planes of the later inception modules between a
+// quarter and half of the outputs have a clipped window, and clipping them
+// one by one costs several times what the vector kernel spends on the
+// rest. Instead each plane is copied into scratch with its edge values
+// repeated one ring outwards, which makes every window whole, and the row
+// kernel runs once across the copy: output rows and input rows share the
+// padded pitch there, so the window origin is linear in the flat output
+// index and short rows still fill whole vectors (the two outputs per row
+// that land in the padding columns are computed and not copied out).
+//
+// Repeating edge values is exact, not approximate: a repeated tap holds a
+// value the window has already visited — earlier in the same row, or a row
+// earlier — and a running maximum that only a strictly greater tap
+// replaces is never replaced by a value it has already seen (nor, once
+// NaN, by anything). The first tap visited is the clipped window's first
+// valid tap and first visits keep their order, so each output is bit for
+// bit what border computes.
+func (p *Pool) forwardSame3(ctx *ExecContext, in, out *tensor.Tensor) {
+	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
+	pw := w + 2
+	scratch := ctx.Scratch((2*h + 2) * pw)
+	padded, res := scratch[:(h+2)*pw], scratch[(h+2)*pw:]
+	src := in.Data()
+	dst := out.Data()
+	for ch := 0; ch < c; ch++ {
+		plane := src[ch*h*w : (ch+1)*h*w]
+		for y := 0; y < h; y++ {
+			row := padded[(y+1)*pw : (y+2)*pw]
+			copy(row[1:], plane[y*w:(y+1)*w])
+			row[0], row[w+1] = row[1], row[w]
+		}
+		copy(padded[:pw], padded[pw:2*pw])
+		copy(padded[(h+1)*pw:], padded[h*pw:(h+1)*pw])
+		tensor.MaxPool3x3(res[:(h-1)*pw+w], padded, pw, 1)
+		outPlane := dst[ch*h*w : (ch+1)*h*w]
+		for y := 0; y < h; y++ {
+			copy(outPlane[y*w:(y+1)*w], res[y*pw:])
+		}
+	}
 }
 
 // interiorSpan returns the half-open range of output indices along one
@@ -266,40 +360,9 @@ func poolMaxRow(dst, src []float32, w, k, stride int) {
 }
 
 // poolMaxRow3 is poolMaxRow with the 3x3 window — every max pool in the
-// model catalog — unrolled.
+// model catalog — handed to the tensor package's row kernel.
 func poolMaxRow3(dst, src []float32, w, _, stride int) {
-	n := (len(dst)-1)*stride + 3
-	r0, r1, r2 := src[:n], src[w:w+n], src[2*w:2*w+n]
-	for i := range dst {
-		j := i * stride
-		a, b, c := r0[j:j+3:j+3], r1[j:j+3:j+3], r2[j:j+3:j+3]
-		acc := a[0]
-		if a[1] > acc {
-			acc = a[1]
-		}
-		if a[2] > acc {
-			acc = a[2]
-		}
-		if b[0] > acc {
-			acc = b[0]
-		}
-		if b[1] > acc {
-			acc = b[1]
-		}
-		if b[2] > acc {
-			acc = b[2]
-		}
-		if c[0] > acc {
-			acc = c[0]
-		}
-		if c[1] > acc {
-			acc = c[1]
-		}
-		if c[2] > acc {
-			acc = c[2]
-		}
-		dst[i] = acc
-	}
+	tensor.MaxPool3x3(dst, src, w, stride)
 }
 
 // poolAvgRow is poolMaxRow for average pooling: the sum starts at +0 and

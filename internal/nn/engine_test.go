@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -540,7 +541,10 @@ func TestPlannedForwardAllocsBelowLegacy(t *testing.T) {
 }
 
 // TestPlanIntrospection sanity-checks compiled plan metadata: identity
-// layers elided, activations in place, conv kernel choice recorded.
+// layers elided, conv kernel choice recorded, and the ReLU after a
+// convolution reported as fused into it — in a float32 plan that holds
+// both, not in a range plan cut between them, and not in an int8 plan,
+// where the activation stays a live in-place step.
 func TestPlanIntrospection(t *testing.T) {
 	net := stackedInceptionNet(t)
 	plan, err := net.Plan(net.InputShape()...)
@@ -553,18 +557,50 @@ func TestPlanIntrospection(t *testing.T) {
 	byName := map[string]PlanStep{}
 	for _, st := range plan.Steps() {
 		byName[st.Name] = st
+		if st.Fused != (st.Name == "relu1") {
+			t.Errorf("step %+v: Fused = %v", st, st.Fused)
+		}
 	}
 	if !byName["data"].Elided || !byName["drop"].Elided {
 		t.Error("input and dropout steps should be elided")
 	}
-	if byName["conv1"].Elided || byName["conv1"].Algo != "direct-packed" || byName["conv1"].ScratchFloats != 0 {
-		t.Errorf("conv1 step = %+v, want live scratch-free direct-packed conv", byName["conv1"])
+	if byName["conv1"].Elided || byName["conv1"].Algo != "direct-packed+relu" || byName["conv1"].ScratchFloats != 0 {
+		t.Errorf("conv1 step = %+v, want live scratch-free direct-packed+relu conv", byName["conv1"])
 	}
-	if !byName["relu1"].InPlace {
-		t.Errorf("relu1 step = %+v, want in-place", byName["relu1"])
+	if st := byName["relu1"]; !st.Elided || !st.Fused || st.InPlace {
+		t.Errorf("relu1 step = %+v, want elided into conv1", st)
 	}
 	if byName["prob"].Name != "prob" {
 		t.Error("missing softmax step")
+	}
+
+	front, err := net.PlanRange(0, 2, net.InputShape()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := front.Steps()[1]; st.Name != "conv1" || st.Algo != "direct-packed" {
+		t.Errorf("range plan ending at conv1: step = %+v, want an unfused direct-packed conv", st)
+	}
+	rear, err := net.PlanRange(2, net.NumLayers(), 8, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rear.Steps()[0]; st.Name != "relu1" || st.Elided || st.Fused {
+		t.Errorf("range plan starting at relu1: step = %+v, want a live ReLU", st)
+	}
+	q, err := net.PlanPrec(PrecInt8, net.InputShape()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range q.Steps() {
+		switch {
+		case st.Fused:
+			t.Errorf("int8 plan: step %+v is fused", st)
+		case st.Name == "conv1" && st.Algo != "direct-packed":
+			t.Errorf("int8 plan: conv1 step = %+v, want Algo direct-packed", st)
+		case st.Name == "relu1" && (st.Elided || !st.InPlace):
+			t.Errorf("int8 plan: relu1 step = %+v, want live and in place", st)
+		}
 	}
 }
 
@@ -618,6 +654,161 @@ func BenchmarkForwardBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := net.ForwardBatch(batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWeightsRewrittenAfterPlanCompile pins that nothing compiled from the
+// old weights survives InitWeights or DecodeWeights: with float32 and int8
+// plans compiled (and the convolutions' panels packed) before the rewrite,
+// a float32 forward afterwards is bit-identical to a freshly built network
+// with the new weights — through the network's plan cache and through a
+// plan handle taken before the rewrite, which finds the packed panels gone
+// and packs per call — and an int8 forward equals the fresh network's and
+// lies within the recompiled plan's ErrBound of the float32 result.
+func TestWeightsRewrittenAfterPlanCompile(t *testing.T) {
+	for _, how := range []string{"InitWeights", "DecodeWeights"} {
+		t.Run(how, func(t *testing.T) {
+			net := stackedInceptionNet(t)
+			in := tensor.MustNew(net.InputShape()...)
+			fillDeterministic(in, 31)
+			held, err := net.Plan(net.InputShape()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prec := range []Precision{PrecFloat32, PrecInt8} {
+				if _, err := net.ForwardPrec(in, prec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			conv1 := net.Layers()[1].(*Conv)
+			if conv1.packed.Load() == nil {
+				t.Fatal("conv1 is not packed after a float32 plan compile")
+			}
+
+			fresh := stackedInceptionNet(t)
+			fresh.InitWeights(12345)
+			if how == "InitWeights" {
+				net.InitWeights(12345)
+			} else {
+				var blob bytes.Buffer
+				if err := fresh.EncodeWeights(&blob); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.DecodeWeights(&blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if conv1.packed.Load() != nil {
+				t.Error("conv1 still holds panels packed from the old weights")
+			}
+
+			want, err := fresh.Forward(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits := func(what string, got *tensor.Tensor) {
+				t.Helper()
+				for i, v := range got.Data() {
+					if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+						t.Fatalf("%s: output %d = %v, fresh network %v", what, i, v, want.Data()[i])
+					}
+				}
+			}
+			got, err := held.Forward(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits("plan held across the rewrite", got)
+			if got, err = net.Forward(in); err != nil {
+				t.Fatal(err)
+			}
+			sameBits("float32 forward", got)
+
+			wantQ, err := fresh.ForwardPrec(in, PrecInt8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotQ, err := net.ForwardPrec(in, PrecInt8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := net.PlanPrec(PrecInt8, net.InputShape()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound := float64(q.Quant().ErrBound)
+			for i, v := range gotQ.Data() {
+				if v != wantQ.Data()[i] {
+					t.Fatalf("int8 output %d = %v, fresh network %v", i, v, wantQ.Data()[i])
+				}
+				if d := math.Abs(float64(v) - float64(want.Data()[i])); d > bound {
+					t.Fatalf("int8 output %d = %v, float32 %v: off by %g, ErrBound %g", i, v, want.Data()[i], d, bound)
+				}
+			}
+		})
+	}
+}
+
+// TestConvPackedOncePerNetwork pins the lifetime of the prepacked panels:
+// the first float32 plan compile packs every convolution, inception branches
+// included; a range plan, a batch forward, a standalone layer call and a
+// second input shape all run from those same copies; and a network that is
+// only ever compiled at int8 packs none.
+func TestConvPackedOncePerNetwork(t *testing.T) {
+	net := stackedInceptionNet(t)
+	in := tensor.MustNew(net.InputShape()...)
+	fillDeterministic(in, 3)
+	packedOf := func(n *Network) map[*Conv]*tensor.PackedA {
+		m := map[*Conv]*tensor.PackedA{}
+		eachConv(n.layers, func(c *Conv) { m[c] = c.packed.Load() })
+		return m
+	}
+	for c, pa := range packedOf(net) {
+		if pa != nil {
+			t.Fatalf("%s is packed before any plan was compiled", c.name)
+		}
+	}
+	if _, err := net.Plan(net.InputShape()...); err != nil {
+		t.Fatal(err)
+	}
+	first := packedOf(net)
+	if len(first) != 9 {
+		t.Fatalf("walked %d convolutions, want the fixture's 9", len(first))
+	}
+	for c, pa := range first {
+		if pa == nil {
+			t.Fatalf("%s is not packed after a float32 plan compile", c.name)
+		}
+		if m, k := pa.Dims(); m != c.outC || k != c.inC*c.k*c.k {
+			t.Fatalf("%s packed as %dx%d", c.name, m, k)
+		}
+	}
+	if _, err := net.ForwardRange(in, 0, 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.ForwardBatch([]*tensor.Tensor{in, in, in}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Layers()[1].Forward(in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.PlanRange(1, 5, 3, 24, 24); err != nil {
+		t.Fatal(err)
+	}
+	for c, pa := range packedOf(net) {
+		if pa != first[c] {
+			t.Errorf("%s was packed again", c.name)
+		}
+	}
+
+	q := stackedInceptionNet(t)
+	if _, err := q.ForwardPrec(in, PrecInt8); err != nil {
+		t.Fatal(err)
+	}
+	for c, pa := range packedOf(q) {
+		if pa != nil {
+			t.Errorf("%s holds float32 panels on a network that only ran int8", c.name)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func (l *Inception) planFor(c, h, w int) (*incPlan, error) {
 	chOff := 0
 	plane := 0
 	for i, b := range l.branches {
-		prog, err := compileProgram(b, in)
+		prog, err := compileProgram(b, in, true)
 		if err != nil {
 			return nil, fmt.Errorf("inception %q: %w", l.name, err)
 		}

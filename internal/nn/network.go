@@ -328,6 +328,44 @@ func (n *Network) TotalParams() int64 {
 // parameter), which is what the client pre-sends to the edge server.
 func (n *Network) ModelBytes() int64 { return 4 * n.TotalParams() }
 
+// ResidentBytes returns what holding the model for float32 inference costs
+// in memory: the weights plus the packed GEMM panels of every convolution,
+// which the first compiled float32 plan builds and the network then keeps.
+// It is computed from layer shapes, so it is the same before and after that
+// compile.
+func (n *Network) ResidentBytes() int64 {
+	total := n.ModelBytes()
+	eachConv(n.layers, func(c *Conv) { total += c.packedBytes() })
+	return total
+}
+
+// eachConv calls visit for every convolution in layers, inception branches
+// included.
+func eachConv(layers []Layer, visit func(*Conv)) {
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *Conv:
+			visit(l)
+		case *Inception:
+			for _, b := range l.branches {
+				eachConv(b, visit)
+			}
+		}
+	}
+}
+
+// weightsChanged drops everything derived from the parameter tensors: the
+// cached plans (an int8 plan owns quantized copies of the weights it was
+// compiled from) and every convolution's packed panels. InitWeights and
+// DecodeWeights, which write the parameters in place, call it; the next
+// forward compiles, quantizes and packs afresh.
+func (n *Network) weightsChanged() {
+	n.planMu.Lock()
+	n.plans = nil
+	n.planMu.Unlock()
+	eachConv(n.layers, func(c *Conv) { c.packed.Store(nil) })
+}
+
 // Split partitions the network after layer k (layers [0,k] front, (k,end]
 // rear), returning two networks that together compute the same function:
 // front.Forward is the paper's inference_front, rear the inference_rear.
@@ -449,4 +487,5 @@ func (n *Network) InitWeights(seed uint64) {
 			}
 		}
 	}
+	n.weightsChanged()
 }

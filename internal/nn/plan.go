@@ -13,8 +13,12 @@ import (
 // scratch sizes, and kernel names are derived at compile time, identity layers (input validation, inference
 // dropout) are elided, and every remaining step is assigned a buffer in a
 // ping-pong arena so a steady-state forward pass performs no per-layer
-// allocation. Plans are immutable after compilation and safe for
-// concurrent use; mutable per-call state lives in pooled ExecContexts.
+// allocation. A float32 compile also folds each ReLU that directly follows
+// a convolution into that convolution's kernel, and packs every
+// convolution's weights into GEMM panels — once per Conv, on the layer, so
+// full plans, range plans and inception sub-programs share the copy until
+// the weights are rewritten. Plans are immutable after compilation and safe
+// for concurrent use; mutable per-call state lives in pooled ExecContexts.
 
 // StepTraits reports how a layer behaves as one step of a compiled plan.
 // The plan compiler uses it to assign buffers and size the scratch arena.
@@ -50,7 +54,9 @@ type progStep struct {
 	outVol   int
 	traits   StepTraits
 	src, dst int8
-	skip     bool       // identity step, elided at run time
+	skip     bool       // identity or fused step, elided at run time
+	relu     bool       // a Conv whose kernel also applies the next step's ReLU
+	fused    bool       // a ReLU the preceding Conv's kernel applies
 	quant    *quantStep // int8 kernel, set only in quantized plans
 }
 
@@ -76,7 +82,13 @@ type program struct {
 // softmax, ...) then mutates the result in place. An in-place step that
 // would otherwise read the caller's input is redirected into a buffer so
 // inputs are never mutated. Identity steps are elided.
-func compileProgram(layers []Layer, inShape []int) (*program, error) {
+//
+// With fuseReLU, a ReLU that runs in place on the output of the Conv right
+// before it is elided too and the Conv step marked to clamp in its kernel:
+// the output tile is written once instead of written, re-read and
+// rewritten. Float32 programs fuse; int8 programs, whose convolutions
+// dequantize in a pass of their own, keep the separate step.
+func compileProgram(layers []Layer, inShape []int, fuseReLU bool) (*program, error) {
 	p := &program{
 		steps:   make([]progStep, len(layers)),
 		inShape: append([]int(nil), inShape...),
@@ -140,6 +152,16 @@ func compileProgram(layers []Layer, inShape []int) (*program, error) {
 			buf = nxt
 		}
 	}
+	for i := 1; fuseReLU && i < len(p.steps); i++ {
+		conv, st := &p.steps[i-1], &p.steps[i]
+		_, isConv := conv.layer.(*Conv)
+		_, isReLU := st.layer.(*ReLU)
+		if isConv && isReLU && st.src == conv.dst && st.dst == conv.dst {
+			conv.relu = true
+			conv.traits.Algo += "+relu"
+			st.skip, st.fused = true, true
+		}
+	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		if st.traits.ScratchFloats > p.scratchVol {
@@ -187,10 +209,35 @@ func (p *program) runStep(ctx *ExecContext, i int, in, out *tensor.Tensor) error
 		}
 		return nil
 	}
+	if st.relu {
+		st.layer.(*Conv).forward(src, dst, true)
+		return nil
+	}
 	if err := st.layer.ForwardCtx(ctx, src, dst); err != nil {
 		return fmt.Errorf("layer %q: %w", st.layer.Name(), err)
 	}
 	return nil
+}
+
+// prepack packs the weights of every convolution the program runs,
+// inception branches included. Only float32 plan compiles call it, so a
+// network that only ever runs int8 never holds a float32 packed copy.
+func (p *program) prepack() {
+	for i := range p.steps {
+		st := &p.steps[i]
+		switch l := st.layer.(type) {
+		case *Conv:
+			l.prepack()
+		case *Inception:
+			// Traits compiled and cached the module for this shape, so this
+			// is a lookup and cannot fail.
+			if ip, err := l.planFor(st.inShape[0], st.inShape[1], st.inShape[2]); err == nil {
+				for _, br := range ip.branches {
+					br.prog.prepack()
+				}
+			}
+		}
+	}
 }
 
 // run executes the whole program. When times is non-nil it must have
@@ -354,7 +401,7 @@ type ExecPlan struct {
 // int8 plan additionally quantizes and calibrates during compilation, so
 // the returned plan is immutable and concurrency-safe either way.
 func newExecPlan(netName string, layers []Layer, inShape []int, prec Precision) (*ExecPlan, error) {
-	prog, err := compileProgram(layers, inShape)
+	prog, err := compileProgram(layers, inShape, prec != PrecInt8)
 	if err != nil {
 		return nil, err
 	}
@@ -369,6 +416,8 @@ func newExecPlan(netName string, layers []Layer, inShape []int, prec Precision) 
 			ErrBound:  bound,
 			Steps:     collectQuantSteps(prog, nil),
 		}
+	} else {
+		prog.prepack()
 	}
 	return p, nil
 }
@@ -398,13 +447,18 @@ func (p *ExecPlan) NumSteps() int { return len(p.prog.steps) }
 // PlanStep describes one compiled step for introspection (costmodel
 // calibration, benchmarks, tests).
 type PlanStep struct {
-	Index         int
-	Name          string
-	Type          LayerType
-	InShape       []int
-	OutShape      []int
-	InPlace       bool
-	Elided        bool
+	Index    int
+	Name     string
+	Type     LayerType
+	InShape  []int
+	OutShape []int
+	InPlace  bool
+	// Elided steps run nothing of their own: identity steps, and Fused ones.
+	Elided bool
+	// Fused marks an elided step whose work the preceding step's kernel
+	// does (a ReLU folded into the convolution before it, whose Algo then
+	// ends in "+relu").
+	Fused         bool
 	Algo          string
 	ScratchFloats int
 }
@@ -422,6 +476,7 @@ func (p *ExecPlan) Steps() []PlanStep {
 			OutShape:      append([]int(nil), st.outShape...),
 			InPlace:       st.src == st.dst && !st.skip,
 			Elided:        st.skip,
+			Fused:         st.fused,
 			Algo:          st.traits.Algo,
 			ScratchFloats: st.traits.ScratchFloats,
 		}

@@ -161,7 +161,7 @@ func attachQuant(p *program) error {
 			qs := &quantStep{inc: l}
 			chOff, plane := 0, 0
 			for bi, b := range l.branches {
-				prog, err := compileProgram(b, st.inShape)
+				prog, err := compileProgram(b, st.inShape, false)
 				if err != nil {
 					return fmt.Errorf("inception %q branch %d: %w", l.name, bi, err)
 				}

@@ -240,6 +240,7 @@ func (n *Network) DecodeWeights(r io.Reader) error {
 	if int64(count) != n.TotalParams() {
 		return fmt.Errorf("nn: decode weights: blob has %d params, network needs %d", count, n.TotalParams())
 	}
+	defer n.weightsChanged() // also when the blob turns out short
 	var buf [4]byte
 	for _, l := range n.layers {
 		for _, p := range l.Params() {

@@ -42,122 +42,124 @@ func Gemm(dst, a, b, bias []float32, m, k, n int) {
 	if n >= packNR && m >= packMR && 2*int64(m)*int64(k)*int64(n) >= gemmPackedFLOPs {
 		var pa PackedA
 		packAPooledInto(&pa, a, m, k, k)
-		gemmPackedDrive(dst, &pa, bSrc{mat: b, ldb: n}, bias, n)
+		gemmPackedDrive(dst, &pa, bSrc{mat: b, ldb: n}, bias, n, false)
 		pa.Release()
 		return
 	}
 	gemmRef(dst, a, b, bias, m, k, n)
 }
 
-// GemmConv computes a direct (im2col-free) convolution as an implicit
-// GEMM: dst = w · B(src) + bias, where w is [m, InC*K*K] filter weights
-// and B(src) is the virtual im2col matrix described by g, gathered into
-// packed panels one cache block at a time. Values and per-element
+// GemmConvPacked computes a direct (im2col-free) convolution as an
+// implicit GEMM: dst = pa · B(src) + bias, where pa is the [m, InC*K*K]
+// filter matrix prepacked by PackA and B(src) is the virtual im2col matrix
+// described by g, gathered into packed panels one cache block at a time.
+// With relu set every output is clamped the way the ReLU layer clamps it
+// (v < 0 becomes +0; -0 and NaN pass through) before it is stored, so a
+// following ReLU step has nothing left to do. Values and per-element
 // accumulation order match im2col + Gemm exactly, so the two kernels are
 // bit-identical; this one never materializes the column matrix. For a
 // 1x1/stride-1/pad-0 convolution the virtual matrix is the input itself
 // ([InC, H*W] row-major), so it is packed as a plain in-memory operand.
-func GemmConv(dst, w, bias []float32, m int, src []float32, g ConvGeom) {
-	k, n := g.Rows(), g.Cols()
-	if m <= 0 || n <= 0 {
-		return
-	}
+func GemmConvPacked(dst []float32, pa *PackedA, bias, src []float32, g ConvGeom, relu bool) {
 	b := bSrc{conv: src, g: g}
 	if g.pointwise() {
 		b = bSrc{mat: src, ldb: g.H * g.W}
 	}
-	var pa PackedA
-	packAPooledInto(&pa, w, m, k, k)
-	gemmPackedDrive(dst, &pa, b, bias, n)
-	pa.Release()
+	gemmPackedDrive(dst, pa, b, bias, g.Cols(), relu)
 }
 
-// GemmBPack is Gemm with the b operand supplied as a packer callback
-// instead of a materialized matrix. It exists for callers with exotic
-// virtual operands; the convolution path uses the allocation-free
-// GemmConv.
-func GemmBPack(dst, a, bias []float32, m, k, n int, packB BPacker) {
-	if m <= 0 || n <= 0 {
+// GemmConv is GemmConvPacked for row-major filter weights w ([m,
+// InC*K*K]) that no one has packed: it packs them into a pooled buffer,
+// runs the same driver and releases the buffer. Standalone layer calls and
+// int8 calibration passes come through here; compiled float32 plans pack
+// once and call GemmConvPacked.
+func GemmConv(dst, w, bias []float32, m int, src []float32, g ConvGeom, relu bool) {
+	if m <= 0 || g.Cols() <= 0 {
 		return
 	}
 	var pa PackedA
-	packAPooledInto(&pa, a, m, k, k)
-	gemmPackedDrive(dst, &pa, bSrc{pk: packB}, bias, n)
+	packAPooledInto(&pa, w, m, g.Rows(), g.Rows())
+	GemmConvPacked(dst, &pa, bias, src, g, relu)
 	pa.Release()
 }
 
-// GemmPacked runs the blocked kernel with a prepacked A (typically layer
-// weights packed once at plan-compile time) against an in-memory k x n
-// matrix b with row stride ldb. dst is m×n for pa's (m, k).
-func GemmPacked(dst []float32, pa *PackedA, b []float32, ldb int, bias []float32, n int) {
-	gemmPackedDrive(dst, pa, bSrc{mat: b, ldb: ldb}, bias, n)
-}
-
-// bSrc is the B operand of the packed driver: an in-memory matrix, a
-// convolution input image, or a caller packer. A plain value struct (not
-// a closure) so the per-call GEMM paths stay allocation-free.
+// bSrc is the B operand of the packed driver: an in-memory matrix or a
+// convolution input image. A plain value struct (not a closure) so the
+// per-call GEMM paths stay allocation-free.
 type bSrc struct {
 	mat  []float32 // in-memory matrix ...
 	ldb  int       // ... with this row stride
 	conv []float32 // convolution input image described by g
 	g    ConvGeom
-	pk   BPacker // caller-supplied packer (GemmBPack)
 }
 
 func (s *bSrc) pack(dst []float32, p0, kc, j0, nc int) {
-	switch {
-	case s.mat != nil:
+	if s.mat != nil {
 		packBBlock(dst, s.mat, s.ldb, p0, kc, j0, nc)
-	case s.conv != nil:
-		packBConv(dst, s.conv, s.g, p0, kc, j0, nc)
-	default:
-		s.pk(dst, p0, kc, j0, nc)
+		return
 	}
+	packBConv(dst, s.conv, s.g, p0, kc, j0, nc)
 }
 
-func gemmPackedDrive(dst []float32, pa *PackedA, src bSrc, bias []float32, n int) {
+// gemmWorkers is how many column (or row) chunks a GEMM of the given size
+// is cut into: one below the parallel threshold, otherwise one per CPU but
+// never more than units, the number of register-tile-aligned pieces.
+func gemmWorkers(m, k, n, units int) int {
+	if 2*int64(m)*int64(k)*int64(n) <= gemmParallelFLOPs {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), units)
+}
+
+// fanOut cuts [0, n) into workers chunks, each a multiple of align long
+// (the last takes what is left), and runs body over every chunk: the first
+// on the calling goroutine, each further one on a goroutine of its own. It
+// returns when all have finished. This is the only place the package
+// starts goroutines; the float32, reference and int8 drivers all come
+// through it, so a GEMM on a two-CPU host forks once.
+func fanOut(n, workers, align int, body func(lo, hi int)) {
+	chunk := ((n+workers-1)/workers + align - 1) / align * align
+	var wg sync.WaitGroup
+	for lo := chunk; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	body(0, min(chunk, n))
+	wg.Wait()
+}
+
+func gemmPackedDrive(dst []float32, pa *PackedA, src bSrc, bias []float32, n int, relu bool) {
 	m, k := pa.m, pa.k
 	if m <= 0 || n <= 0 {
 		return
 	}
-	workers := 1
-	if flops := 2 * int64(m) * int64(k) * int64(n); flops > gemmParallelFLOPs {
-		workers = runtime.GOMAXPROCS(0)
-		if mx := (n + packNR - 1) / packNR; workers > mx {
-			workers = mx
-		}
-	}
+	workers := gemmWorkers(m, k, n, (n+packNR-1)/packNR)
 	if workers <= 1 {
 		bufB := GetBuf(bPanelLen(k, n))
-		gemmPackedCols(dst, pa, &src, bias, n, 0, n, bufB)
+		gemmPackedCols(dst, pa, &src, bias, relu, n, 0, n, bufB)
 		PutBuf(bufB)
 		return
 	}
-	gemmPackedParallel(dst, *pa, src, bias, n, workers)
+	gemmPackedParallel(dst, *pa, src, bias, n, workers, relu)
 }
 
 // gemmPackedParallel fans NR-aligned column chunks out across workers. It
 // takes PackedA and bSrc by value so the single-worker fast path's locals
 // never escape to the heap: only this function's own copies are captured
-// by the goroutine closures. Chunks are NR-aligned so no two workers share
+// by the chunk closure. Chunks are NR-aligned so no two workers share
 // a packed sliver or an output tile; each worker owns a disjoint column
 // range of dst and packs b for its own range, keeping per-element
 // accumulation order identical at any worker count.
-func gemmPackedParallel(dst []float32, pa PackedA, src bSrc, bias []float32, n, workers int) {
-	chunk := ((n+workers-1)/workers + packNR - 1) &^ (packNR - 1)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			wsrc := src
-			bufB := GetBuf(bPanelLen(pa.k, hi-lo))
-			gemmPackedCols(dst, &pa, &wsrc, bias, n, lo, hi, bufB)
-			PutBuf(bufB)
-		}(lo, hi)
-	}
-	wg.Wait()
+func gemmPackedParallel(dst []float32, pa PackedA, src bSrc, bias []float32, n, workers int, relu bool) {
+	fanOut(n, workers, packNR, func(lo, hi int) {
+		wsrc := src
+		bufB := GetBuf(bPanelLen(pa.k, hi-lo))
+		gemmPackedCols(dst, &pa, &wsrc, bias, relu, n, lo, hi, bufB)
+		PutBuf(bufB)
+	})
 }
 
 // bPanelLen is the pooled buffer size for one packed B block covering a
@@ -168,29 +170,44 @@ func bPanelLen(k, span int) int {
 	return kc * ((nc + packNR - 1) &^ (packNR - 1))
 }
 
+// Micro-kernel epilogue flags. kernInit starts the tile's accumulators
+// from the broadcast bias instead of loading them from dst (the first KC
+// block of a GEMM); kernReLU clamps them at zero before the store (the
+// last KC block of a convolution whose ReLU the plan fused into it).
+const (
+	kernInit = 1 << iota
+	kernReLU
+)
+
 // gemmPackedCols runs the blocked loops for dst columns [j0, j1): for each
 // (NC, KC) cache block, pack b into slivers once, then sweep every A panel
-// past each sliver with the register-tile micro-kernel. dst rows are
-// seeded with bias up front; each KC block's partial sums accumulate into
-// dst, which preserves the per-element k-increasing accumulation order
-// exactly (one float32 add per product, chunk after chunk).
-func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, n, j0, j1 int, bufB []float32) {
+// past each sliver with the register-tile micro-kernel. The first KC block
+// starts each tile from its rows' bias, later blocks accumulate into what
+// the earlier ones stored, and the last one applies relu on the way out,
+// so dst is written once per KC block and read once per block after the
+// first. That preserves the per-element k-increasing accumulation order
+// exactly (one float32 add per product, chunk after chunk). k must be
+// positive.
+func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, relu bool, n, j0, j1 int, bufB []float32) {
 	m, k := pa.m, pa.k
-	for i := 0; i < m; i++ {
-		row := dst[i*n+j0 : i*n+j1]
-		var s float32
-		if bias != nil {
-			s = bias[i]
-		}
-		for j := range row {
-			row[j] = s
-		}
+	// Bias of a ragged last panel, zero-padded to MR rows; all zero (and
+	// used for every panel) when bias is nil.
+	var padBias [packMR]float32
+	if tail := m % packMR; bias != nil && tail != 0 {
+		copy(padBias[:], bias[m-tail:])
 	}
 	for jc := j0; jc < j1; jc += packNC {
 		nc := min(packNC, j1-jc)
 		nSlivers := (nc + packNR - 1) / packNR
 		for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
 			kc := min(packKC, k-pc)
+			flags := 0
+			if pc == 0 {
+				flags |= kernInit
+			}
+			if relu && pc+kc == k {
+				flags |= kernReLU
+			}
 			src.pack(bufB, pc, kc, jc, nc)
 			for s := 0; s < nSlivers; s++ {
 				j := jc + s*packNR
@@ -200,8 +217,12 @@ func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, n, j0
 					apan := pa.panel(bIdx, i0, kc)
 					off := i0*n + j
 					mr := min(packMR, m-i0)
+					tb := padBias[:]
+					if bias != nil && mr == packMR {
+						tb = bias[i0 : i0+packMR]
+					}
 					if mr == packMR && nr == packNR {
-						kernTile(dst[off:], n, apan, bsl, kc)
+						kernTile(dst[off:], n, apan, bsl, kc, tb, flags)
 						continue
 					}
 					// Ragged tile: run the full-tile kernel on a zero-padded
@@ -210,10 +231,12 @@ func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, n, j0
 					// extra lanes compute values nobody reads, and the valid
 					// ones see the same operation sequence as a full tile.
 					var tile [packMR * packNR]float32
-					for r := 0; r < mr; r++ {
-						copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
+					if flags&kernInit == 0 {
+						for r := 0; r < mr; r++ {
+							copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
+						}
 					}
-					kernTile(tile[:], packNR, apan, bsl, kc)
+					kernTile(tile[:], packNR, apan, bsl, kc, tb, flags)
 					for r := 0; r < mr; r++ {
 						copy(dst[off+r*n:off+r*n+nr], tile[r*packNR:])
 					}
@@ -223,27 +246,45 @@ func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, n, j0
 	}
 }
 
-// kernTile accumulates one KC chunk into the full MR x NR tile whose rows
-// start at dst[0], dst[ldd], ... through the assembly micro-kernel when the
-// CPU has it and the portable one otherwise; the two are bit-identical.
-func kernTile(dst []float32, ldd int, ap, bp []float32, kc int) {
+// kernTile runs one KC chunk of the full MR x NR tile whose rows start at
+// dst[0], dst[ldd], ... through the assembly micro-kernel when the CPU has
+// it and the portable one otherwise; the two are bit-identical. bias holds
+// the tile's MR row biases and is read only under kernInit.
+func kernTile(dst []float32, ldd int, ap, bp []float32, kc int, bias []float32, flags int) {
 	if haveAVX {
-		kern4x8AVX(&dst[0], ldd, &ap[0], &bp[0], kc)
+		kern4x8AVX(&dst[0], ldd, &ap[0], &bp[0], kc, &bias[0], flags)
 		return
 	}
-	kern4x8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc)
+	kern4x8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc, bias, flags)
 }
 
 // kern4x8 is the register-tile micro-kernel: a full 4-row by 8-column dst
 // tile accumulated across one KC chunk. The 32 accumulators live in
 // locals for the whole k loop — dst is read once and written once per
 // chunk — and each accumulator receives its products one float32 add at a
-// time in increasing k order, preserving the determinism contract.
-func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int) {
-	c00, c01, c02, c03, c04, c05, c06, c07 := d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7]
-	c10, c11, c12, c13, c14, c15, c16, c17 := d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7]
-	c20, c21, c22, c23, c24, c25, c26, c27 := d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7]
-	c30, c31, c32, c33, c34, c35, c36, c37 := d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7]
+// time in increasing k order, preserving the determinism contract. Under
+// kernInit the accumulators start from bias[0..3] (one per row) and dst is
+// not read; under kernReLU each is clamped exactly as the ReLU layer
+// clamps (only v < 0 changes, to +0) before it is stored.
+func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int, bias []float32, flags int) {
+	var (
+		c00, c01, c02, c03, c04, c05, c06, c07 float32
+		c10, c11, c12, c13, c14, c15, c16, c17 float32
+		c20, c21, c22, c23, c24, c25, c26, c27 float32
+		c30, c31, c32, c33, c34, c35, c36, c37 float32
+	)
+	if flags&kernInit != 0 {
+		b0, b1, b2, b3 := bias[0], bias[1], bias[2], bias[3]
+		c00, c01, c02, c03, c04, c05, c06, c07 = b0, b0, b0, b0, b0, b0, b0, b0
+		c10, c11, c12, c13, c14, c15, c16, c17 = b1, b1, b1, b1, b1, b1, b1, b1
+		c20, c21, c22, c23, c24, c25, c26, c27 = b2, b2, b2, b2, b2, b2, b2, b2
+		c30, c31, c32, c33, c34, c35, c36, c37 = b3, b3, b3, b3, b3, b3, b3, b3
+	} else {
+		c00, c01, c02, c03, c04, c05, c06, c07 = d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7]
+		c10, c11, c12, c13, c14, c15, c16, c17 = d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7]
+		c20, c21, c22, c23, c24, c25, c26, c27 = d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7]
+		c30, c31, c32, c33, c34, c35, c36, c37 = d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7]
+	}
 	ap = ap[:kc*4]
 	for len(ap) >= 4 && len(bp) >= 8 {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
@@ -288,6 +329,15 @@ func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int) {
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17
 	d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7] = c20, c21, c22, c23, c24, c25, c26, c27
 	d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7] = c30, c31, c32, c33, c34, c35, c36, c37
+	if flags&kernReLU != 0 {
+		for _, d := range [packMR][]float32{d0[:packNR], d1[:packNR], d2[:packNR], d3[:packNR]} {
+			for j, v := range d {
+				if v < 0 {
+					d[j] = 0
+				}
+			}
+		}
+	}
 }
 
 // gemmRef is the streaming reference kernel (the pre-packing engine
@@ -296,33 +346,16 @@ func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int) {
 // applied to four accumulator rows, with row blocks fanned out across
 // CPUs for large problems.
 func gemmRef(dst, a, b, bias []float32, m, k, n int) {
-	workers := 1
-	if flops := 2 * int64(m) * int64(k) * int64(n); flops > gemmParallelFLOPs {
-		workers = runtime.GOMAXPROCS(0)
-		if mx := (m + 3) / 4; workers > mx {
-			workers = mx
-		}
-	}
+	workers := gemmWorkers(m, k, n, (m+3)/4)
 	if workers <= 1 {
 		gemmRows(dst, a, b, bias, k, n, 0, m)
 		return
 	}
 	// Chunks are 4-row aligned so every full block stays on the fast
 	// 4-row path; each worker owns a disjoint row range of dst.
-	chunk := ((m+workers-1)/workers + 3) &^ 3
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRows(dst, a, b, bias, k, n, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fanOut(m, workers, 4, func(lo, hi int) {
+		gemmRows(dst, a, b, bias, k, n, lo, hi)
+	})
 }
 
 // gemmRows computes output rows [lo, hi).

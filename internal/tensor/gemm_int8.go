@@ -1,10 +1,5 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Int8 blocked GEMM: the quantized inference path's compute core.
 //
 // Operands are symmetric int8 (zero-point 0): weights quantized per
@@ -55,13 +50,7 @@ func gemmI8Drive(dst []int32, pa *PackedAI8, src bSrcI8, n int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	workers := 1
-	if flops := 2 * int64(m) * int64(k) * int64(n); flops > gemmParallelFLOPs {
-		workers = runtime.GOMAXPROCS(0)
-		if mx := (n + packNR - 1) / packNR; workers > mx {
-			workers = mx
-		}
-	}
+	workers := gemmWorkers(m, k, n, (n+packNR-1)/packNR)
 	if workers <= 1 {
 		bufB := GetBufI8(bPanelLen(k, n))
 		gemmI8Cols(dst, pa, &src, n, 0, n, bufB)
@@ -76,20 +65,12 @@ func gemmI8Drive(dst []int32, pa *PackedAI8, src bSrcI8, n int) {
 // chunking bit-identical regardless, but chunks stay NR-aligned so no two
 // workers share a packed sliver or an output tile.
 func gemmI8Parallel(dst []int32, pa PackedAI8, src bSrcI8, n, workers int) {
-	chunk := ((n+workers-1)/workers + packNR - 1) &^ (packNR - 1)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			wsrc := src
-			bufB := GetBufI8(bPanelLen(pa.k, hi-lo))
-			gemmI8Cols(dst, &pa, &wsrc, n, lo, hi, bufB)
-			PutBufI8(bufB)
-		}(lo, hi)
-	}
-	wg.Wait()
+	fanOut(n, workers, packNR, func(lo, hi int) {
+		wsrc := src
+		bufB := GetBufI8(bPanelLen(pa.k, hi-lo))
+		gemmI8Cols(dst, &pa, &wsrc, n, lo, hi, bufB)
+		PutBufI8(bufB)
+	})
 }
 
 func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []int8) {

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -80,7 +82,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 // — with k on both sides of a KC block boundary, and requires the float32
 // drivers to be bit-identical to gemmRef and the int8 drivers equal to the
 // int32 oracle. The B operand is the im2col matrix of a 3x3 convolution,
-// so the same numbers also go through GemmConv and GemmConvI8.
+// so the same numbers also go through GemmConv — once more with the ReLU
+// clamp in the last KC block's epilogue, against gemmRef's output clamped
+// afterwards — and GemmConvI8.
 func checkRaggedTiles(t *testing.T) {
 	t.Helper()
 	ns := []int{49, 196}
@@ -123,10 +127,17 @@ func checkRaggedTiles(t *testing.T) {
 				}
 				Gemm(got, a, b, bias, m, k, n)
 				same("Gemm")
-				GemmPacked(got, PackA(a, m, k, k), b, n, bias, n)
-				same("GemmPacked")
-				GemmConv(got, a, bias, m, src, g)
+				gemmPackedDrive(got, PackA(a, m, k, k), bSrc{mat: b, ldb: n}, bias, n, false)
+				same("gemmPackedDrive")
+				GemmConv(got, a, bias, m, src, g, false)
 				same("GemmConv")
+				for i, v := range want {
+					if v < 0 {
+						want[i] = 0
+					}
+				}
+				GemmConv(got, a, bias, m, src, g, true)
+				same("GemmConv with the clamp")
 
 				want8 := make([]int32, m*n)
 				naiveGemmI8(want8, a8, b8, m, k, n)
@@ -157,6 +168,78 @@ func TestRaggedTiles(t *testing.T) { checkRaggedTiles(t) }
 // TestGemmDeterministicAcrossWorkers pins that a GEMM large enough to
 // parallelize produces bit-identical output regardless of GOMAXPROCS:
 // row partitioning must never change per-element accumulation order.
+// TestFanOutCoversRangeOnce pins the one fan-out helper: every index of
+// [0, n) is visited exactly once, chunk starts are multiples of align, and
+// no more than workers chunks are cut.
+func TestFanOutCoversRangeOnce(t *testing.T) {
+	for _, c := range []struct{ n, workers, align int }{
+		{200, 2, 8}, {196, 2, 8}, {49, 2, 8}, {9, 2, 8}, {96, 7, 4}, {5, 4, 4}, {1024, 3, 8},
+	} {
+		var mu sync.Mutex
+		seen := make([]int, c.n)
+		chunks := 0
+		fanOut(c.n, c.workers, c.align, func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			chunks++
+			if lo%c.align != 0 || lo >= hi || hi > c.n {
+				t.Errorf("n=%d workers=%d align=%d: chunk [%d, %d)", c.n, c.workers, c.align, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+		})
+		if chunks > c.workers {
+			t.Errorf("n=%d workers=%d align=%d: %d chunks", c.n, c.workers, c.align, chunks)
+		}
+		for i, v := range seen {
+			if v != 1 {
+				t.Fatalf("n=%d workers=%d align=%d: index %d visited %d times", c.n, c.workers, c.align, i, v)
+			}
+		}
+	}
+}
+
+// TestGemmConvClampAcrossWorkers runs a convolution large enough to fan
+// out (two KC blocks, so the clamp must wait for the second) with the ReLU
+// epilogue at several GOMAXPROCS settings, against the unclamped result
+// clamped afterwards.
+func TestGemmConvClampAcrossWorkers(t *testing.T) {
+	g := ConvGeom{InC: 32, H: 30, W: 30, K: 3, Stride: 1, Pad: 1, OutH: 30, OutW: 30}
+	const outC = 30 // 2·30·288·900 ≈ 15.6M FLOPs > gemmParallelFLOPs; ragged m and n
+	src := make([]float32, g.InC*g.H*g.W)
+	w := make([]float32, outC*g.Rows())
+	bias := make([]float32, outC)
+	fillSeq(src, 11)
+	fillSeq(w, 12)
+	fillSeq(bias, 13)
+	want := make([]float32, outC*g.Cols())
+	GemmConv(want, w, bias, outC, src, g, false)
+	neg := 0
+	for i, v := range want {
+		if v < 0 {
+			want[i] = 0
+			neg++
+		}
+	}
+	if neg == 0 {
+		t.Fatal("no negative output; the clamp would prove nothing")
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	pa := PackA(w, outC, g.Rows(), g.Rows())
+	for _, procs := range []int{1, 2, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		got := make([]float32, len(want))
+		GemmConvPacked(got, pa, bias, src, g, true)
+		for i := range want {
+			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+				t.Fatalf("GOMAXPROCS=%d: dst[%d] = %g, want %g", procs, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 	const m, k, n = 96, 144, 200 // 2·m·k·n ≈ 5.5M FLOPs > gemmParallelFLOPs
 	a := make([]float32, m*k)

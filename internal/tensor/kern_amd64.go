@@ -1,15 +1,19 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 package tensor
 
-// Runtime SIMD dispatch for the packed micro-kernels. The assembly
-// kernels consume the exact panel layouts documented in pack.go and
-// replay the scalar kernels' arithmetic: kern4x8AVX issues one vmulps +
-// one vaddps per packed product (never a fused multiply-add), so every
-// output element sees the same single-rounded float32 operation sequence
-// in the same k order as kern4x8 — the two are bit-identical, and the
-// scalar kernel doubles as the oracle in tests. The int8 kernel
+// Runtime SIMD dispatch for the packed micro-kernels and the max-pool row
+// kernels. The assembly kernels consume the exact panel layouts documented
+// in pack.go and replay the scalar kernels' arithmetic: kern4x8AVX issues
+// one vmulps + one vaddps per packed product (never a fused multiply-add),
+// so every output element sees the same single-rounded float32 operation
+// sequence in the same k order as kern4x8 — the two are bit-identical, and
+// the scalar kernel doubles as the oracle in tests. The int8 kernel
 // accumulates in exact int32 arithmetic where order is immaterial.
+//
+// Building with -tags noasm leaves this file and kern_amd64.s out and takes
+// kern_other.go instead, so the tests can run whole networks through the
+// portable kernels on an amd64 host.
 
 // haveAVX gates the float32 micro-kernel (needs AVX YMM state);
 // haveAVX2 gates the int8 micro-kernel (needs AVX2 integer YMM ops).
@@ -28,10 +32,12 @@ func hasAVX2() bool
 // kern4x8AVX accumulates one full MR x NR (4x8) dst tile across a KC
 // chunk: dst rows start at dst with row stride ldd (in elements), ap is
 // a packed A panel (kc groups of 4), bp a packed B sliver (kc groups of
-// 8). Implemented in kern_amd64.s.
+// 8). flags is the kernInit/kernReLU epilogue set kern4x8 documents; bias
+// points at the tile's four row biases and is read only under kernInit.
+// Implemented in kern_amd64.s.
 //
 //go:noescape
-func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int)
+func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int)
 
 // kern4x8I8AVX2 is the int8 twin: int32 accumulation into a full 4x8
 // tile, widening the packed int8 panels on load. Implemented in
@@ -39,3 +45,15 @@ func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int)
 //
 //go:noescape
 func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int8, kc int)
+
+// maxPool3x3S1AVX and maxPool3x3S2AVX are MaxPool3x3's stride-1 and
+// stride-2 row kernels: n outputs, n a positive multiple of 8, each the
+// maximum of the 3x3 window whose first tap is src[i*stride] in a plane of
+// row length w, taken in the scalar loop's tap order with its tie and NaN
+// rules. Implemented in kern_amd64.s.
+//
+//go:noescape
+func maxPool3x3S1AVX(dst, src *float32, w, n int)
+
+//go:noescape
+func maxPool3x3S2AVX(dst, src *float32, w, n int)

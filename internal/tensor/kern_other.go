@@ -1,17 +1,26 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package tensor
 
-// Non-amd64 builds always take the portable scalar micro-kernels; the
-// results are bit-identical to the assembly paths by the determinism
-// contract (see kern_amd64.go), so cross-platform outputs match.
+// Non-amd64 builds, and amd64 builds with -tags noasm, always take the
+// portable scalar kernels; the results are bit-identical to the assembly
+// paths by the determinism contract (see kern_amd64.go), so cross-platform
+// outputs match.
 const (
 	haveAVX  = false
 	haveAVX2 = false
 )
 
-func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int) {
+func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int) {
 	panic("tensor: kern4x8AVX called without AVX support")
+}
+
+func maxPool3x3S1AVX(dst, src *float32, w, n int) {
+	panic("tensor: maxPool3x3S1AVX called without AVX support")
+}
+
+func maxPool3x3S2AVX(dst, src *float32, w, n int) {
+	panic("tensor: maxPool3x3S2AVX called without AVX support")
 }
 
 func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int8, kc int) {

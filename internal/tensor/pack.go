@@ -29,19 +29,11 @@ const (
 )
 
 // PanelRows (MR) and PanelCols (NR) expose the register-tile geometry for
-// tests and external packers.
+// tests.
 const (
 	PanelRows = packMR
 	PanelCols = packNR
 )
-
-// BPacker fills dst with the packed form of a virtual B-matrix block:
-// rows [p0, p0+kc) by columns [j0, j0+nc) of a k x n matrix that need not
-// exist in memory. dst receives ceil(nc/NR) slivers of kc*NR floats each;
-// within a sliver, element (p, c) lands at p*NR + c, and columns past nc
-// (the ragged tail) must be written as zeros. kc never exceeds the KC
-// block size.
-type BPacker func(dst []float32, p0, kc, j0, nc int)
 
 // PackedA is matrix a (m x k, row-major) repacked into MR-interleaved
 // panels, grouped by KC block. Block offsets are closed-form — every
@@ -54,9 +46,9 @@ type PackedA struct {
 	pooled bool
 }
 
-// packedALen is the packed storage size for an m x k matrix: full MR
-// panels per KC block, ragged tails zero-padded.
-func packedALen(m, k int) int {
+// PackedALen is the packed storage size, in elements, for an m x k
+// matrix: full MR panels per KC block, ragged tails zero-padded.
+func PackedALen(m, k int) int {
 	panels := (m + packMR - 1) / packMR
 	return panels * packMR * k
 }
@@ -79,7 +71,7 @@ func (pa *PackedA) panel(bIdx, i0, kc int) []float32 {
 // contiguous matrix) into MR-interleaved panels. The result is immutable
 // and safe for concurrent GEMM calls.
 func PackA(a []float32, m, k, lda int) *PackedA {
-	pa := &PackedA{m: m, k: k, data: make([]float32, packedALen(m, k))}
+	pa := &PackedA{m: m, k: k, data: make([]float32, PackedALen(m, k))}
 	fillPanels(pa.data, a, m, k, lda)
 	return pa
 }
@@ -88,7 +80,7 @@ func PackA(a []float32, m, k, lda int) *PackedA {
 // must PutBuf(pa.data) when done.
 func packAPooledInto(pa *PackedA, a []float32, m, k, lda int) {
 	pa.m, pa.k = m, k
-	pa.data = GetBuf(packedALen(m, k))
+	pa.data = GetBuf(PackedALen(m, k))
 	pa.pooled = true
 	fillPanels(pa.data, a, m, k, lda)
 }
@@ -171,8 +163,10 @@ func (g ConvGeom) pointwise() bool {
 
 // packBBlock packs one cache block of an in-memory k x n matrix stored
 // row-major with row stride ldb (ldb >= n; a larger ldb packs a sub-view
-// of a wider matrix). Layout as documented on BPacker. Full slivers move
-// NR elements per row in one copy; only the ragged last sliver pads.
+// of a wider matrix). dst receives ceil(nc/NR) slivers of kc*NR elements
+// each; within a sliver, element (p, c) lands at p*NR + c, and columns past
+// nc (the ragged tail) are written as zeros. Full slivers move NR elements
+// per row in one copy; only the ragged last sliver pads.
 func packBBlock[T float32 | int8](dst, b []T, ldb, p0, kc, j0, nc int) {
 	di := 0
 	for s := 0; s < nc; s += packNR {
@@ -203,9 +197,13 @@ func packBBlock[T float32 | int8](dst, b []T, ldb, p0, kc, j0, nc int) {
 //
 // A sliver whose NR columns lie in one output row reads, for each (ic, ky,
 // kx), NR taps of one input row at a fixed stride; when none of them is a
-// padding tap they are copied straight from that row. Slivers that wrap to
-// the next output row, the ragged last sliver, and rows that touch padding
-// gather element by element with the bounds test per tap.
+// padding tap they are copied straight from that row. Every other sliver
+// row — one that wraps to the next output row (most of them on 14- and
+// 7-wide planes), the ragged last sliver, one that touches padding — is cut
+// into runs of columns sharing an output row. A run's taps lie in one input
+// row, so its padding test is made once: the row is either outside the
+// image (the run is zeros) or the run is a zero prefix, a strided copy and
+// a zero suffix.
 func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
 	var baseArr, dyArr, dxArr [packKC]int32
 	for i := 0; i < kc; i++ {
@@ -219,7 +217,8 @@ func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
 		dxArr[i] = int32(kx - g.Pad) // ix = ox*Stride + dxArr
 	}
 	di := 0
-	span := (packNR - 1) * g.Stride // distance from a sliver row's first tap to its last
+	stride := g.Stride
+	span := (packNR - 1) * stride // distance from a sliver row's first tap to its last
 	for s := 0; s < nc; s += packNR {
 		nr := min(packNR, nc-s)
 		jBase := j0 + s
@@ -232,34 +231,37 @@ func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
 			base := int(baseArr[i])
 			dy := int(dyArr[i])
 			dx := int(dxArr[i])
-			if iy, ix := oy0*g.Stride+dy, ox0*g.Stride+dx; oneRow && iy >= 0 && iy < g.H && ix >= 0 && ix+span < g.W {
+			if iy, ix := oy0*stride+dy, ox0*stride+dx; oneRow && iy >= 0 && iy < g.H && ix >= 0 && ix+span < g.W {
 				row := src[base+iy*g.W+ix : base+iy*g.W+ix+span+1]
-				if g.Stride == 1 {
+				if stride == 1 {
 					v := *(*[packNR]T)(row)
 					*d = v
 				} else {
 					for c := range d {
-						d[c] = row[c*g.Stride]
+						d[c] = row[c*stride]
 					}
 				}
 				continue
 			}
-			oy, ox := oy0, ox0
-			for c := range d {
-				var v T
-				if c < nr {
-					iy := oy*g.Stride + dy
-					ix := ox*g.Stride + dx
-					if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-						v = src[base+iy*g.W+ix]
+			*d = [packNR]T{}
+			for c, oy, ox := 0, oy0, ox0; c < nr; oy, ox = oy+1, 0 {
+				run := min(nr-c, g.OutW-ox)
+				if iy := oy*stride + dy; iy >= 0 && iy < g.H {
+					// Taps ix0 + t*stride for t in [lo, hi) fall inside the row.
+					ix0 := ox*stride + dx
+					lo, hi := 0, 0
+					if ix0 < 0 {
+						lo = (-ix0 + stride - 1) / stride
+					}
+					if last := g.W - 1 - ix0; last >= 0 {
+						hi = min(run, last/stride+1)
+					}
+					row := src[base+iy*g.W:]
+					for t := lo; t < hi; t++ {
+						d[c+t] = row[ix0+t*stride]
 					}
 				}
-				d[c] = v
-				ox++
-				if ox == g.OutW {
-					ox = 0
-					oy++
-				}
+				c += run
 			}
 		}
 	}
@@ -286,7 +288,7 @@ func (pa *PackedAI8) panel(bIdx, i0, kc int) []int8 {
 // PackAI8 packs int8 matrix a (row stride lda >= k) into MR-interleaved
 // panels, mirroring PackA.
 func PackAI8(a []int8, m, k, lda int) *PackedAI8 {
-	pa := &PackedAI8{m: m, k: k, data: make([]int8, packedALen(m, k))}
+	pa := &PackedAI8{m: m, k: k, data: make([]int8, PackedALen(m, k))}
 	fillPanels(pa.data, a, m, k, lda)
 	return pa
 }

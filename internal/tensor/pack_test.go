@@ -114,10 +114,10 @@ func TestGemmEdgeGeometries(t *testing.T) {
 			// including below the dispatch threshold.
 			pa := PackA(a, c.m, c.k, c.k)
 			got2 := make([]float32, c.m*c.n)
-			GemmPacked(got2, pa, b, c.n, bias, c.n)
+			gemmPackedDrive(got2, pa, bSrc{mat: b, ldb: c.n}, bias, c.n, false)
 			for i := range want {
 				if got2[i] != want[i] {
-					t.Fatalf("GemmPacked[%d] = %v, want %v (bit-exact)", i, got2[i], want[i])
+					t.Fatalf("gemmPackedDrive[%d] = %v, want %v (bit-exact)", i, got2[i], want[i])
 				}
 			}
 		})
@@ -145,10 +145,10 @@ func TestGemmPackedStridedView(t *testing.T) {
 	naiveGemm(want, a, b, nil, m, k, n)
 	pa := PackA(aw, m, k, lda)
 	got := make([]float32, m*n)
-	GemmPacked(got, pa, bw, ldb, nil, n)
+	gemmPackedDrive(got, pa, bSrc{mat: bw, ldb: ldb}, nil, n, false)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("strided GemmPacked[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("strided gemmPackedDrive[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -267,14 +267,30 @@ func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 
 	}
 }
 
-// TestPackBConvMatchesGather pins packBConv's copy fast path, on every
-// catalog convolution geometry, to the per-element gather it replaced:
+// TestPackBConvMatchesGather pins packBConv's copy fast path and its
+// per-output-row runs, on every catalog convolution geometry, to the
+// per-element gather they replaced:
 // identical panel bytes for float32 and int8, over the full column range
 // and over the two NR-aligned halves a two-worker fan-out packs. For the
 // 1x1 geometries it also pins that GemmConv's in-memory routing produces
 // the dst the gather path does.
 func TestPackBConvMatchesGather(t *testing.T) {
-	for gi, g := range catalogConvGeoms {
+	// Beside the catalog: 7- and 14-wide outputs, whose slivers wrap output
+	// rows almost everywhere, at strides 1 and 2 with 0 to 2 rings of
+	// padding (so runs with a zero prefix, a zero suffix, both, and rows
+	// wholly outside the image all occur).
+	geoms := append([]ConvGeom(nil), catalogConvGeoms...)
+	for _, ow := range []int{7, 14} {
+		for _, stride := range []int{1, 2} {
+			for pad := 0; pad <= 2; pad++ {
+				for _, k := range []int{3, 5} {
+					size := (ow-1)*stride + k - 2*pad
+					geoms = append(geoms, ConvGeom{InC: 3, H: size, W: size, K: k, Stride: stride, Pad: pad})
+				}
+			}
+		}
+	}
+	for gi, g := range geoms {
 		g.OutH = convOutDim(g.H, g.K, g.Stride, g.Pad)
 		g.OutW = convOutDim(g.W, g.K, g.Stride, g.Pad)
 		n := g.Cols()
@@ -299,8 +315,8 @@ func TestPackBConvMatchesGather(t *testing.T) {
 		fillRand(bias, uint64(gi)+55)
 		got := make([]float32, outC*n)
 		want := make([]float32, outC*n)
-		GemmConv(got, w, bias, outC, src, g)
-		gemmPackedDrive(want, PackA(w, outC, g.Rows(), g.Rows()), bSrc{conv: src, g: g}, bias, n)
+		GemmConv(got, w, bias, outC, src, g, false)
+		gemmPackedDrive(want, PackA(w, outC, g.Rows(), g.Rows()), bSrc{conv: src, g: g}, bias, n, false)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("geom %+v: routed GemmConv[%d] = %v, gather path %v", g, i, got[i], want[i])
@@ -354,7 +370,7 @@ func TestGemmConvMatchesIm2col(t *testing.T) {
 		want := make([]float32, outC*g.Cols())
 		Gemm(want, w, col, bias, outC, g.Rows(), g.Cols())
 		got := make([]float32, outC*g.Cols())
-		GemmConv(got, w, bias, outC, src, g)
+		GemmConv(got, w, bias, outC, src, g, false)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("geom %+v: GemmConv[%d] = %v, want %v", g, i, got[i], want[i])
