@@ -39,7 +39,6 @@ func main() {
 		split     = flag.String("split", "", "partial-inference point (e.g. 1st_pool); empty = dynamic")
 		bandwidth = flag.Float64("bandwidth", 0, "shape the link to this many Mbit/s (0 = unshaped)")
 		preSend   = flag.Bool("presend", true, "pre-send the model when the app starts")
-		compress  = flag.Bool("compress", false, "DEFLATE-compress snapshot bodies on the wire")
 		imagePath = flag.String("image", "", "classify this PNG/JPEG file (empty = synthetic pixels)")
 		runs      = flag.Int("runs", 1, "number of inference runs")
 		metrics   = flag.String("metrics-addr", "",
@@ -50,7 +49,7 @@ func main() {
 			"model quality tier: float32 (default) or int8 (calibrated quantized kernels)")
 	)
 	flag.Parse()
-	if err := run(*server, *modelName, *mode, *split, *bandwidth, *preSend, *compress, *imagePath, *runs, *metrics, *auditLog, *quality); err != nil {
+	if err := run(*server, *modelName, *mode, *split, *bandwidth, *preSend, *imagePath, *runs, *metrics, *auditLog, *quality); err != nil {
 		fmt.Fprintln(os.Stderr, "offload:", err)
 		os.Exit(1)
 	}
@@ -159,7 +158,7 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
-func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSend, compress bool, imagePath string, runs int, metricsAddr, auditLog, quality string) error {
+func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSend bool, imagePath string, runs int, metricsAddr, auditLog, quality string) error {
 	model, labels, err := buildModel(modelName)
 	if err != nil {
 		return err
@@ -191,7 +190,6 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 		Mode:       mode,
 		PreSend:    preSend,
 		SplitLabel: split,
-		Compress:   compress,
 		Quality:    prec,
 		Audit:      audit,
 	}
@@ -249,9 +247,9 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 			time.Since(t0).Round(time.Millisecond))
 	}
 	st := session.Stats()
-	fmt.Printf("stats: offloads=%d fallbacks=%d lastSnapshot=%dB lastResult=%dB inlineModel=%dB\n",
+	fmt.Printf("stats: offloads=%d fallbacks=%d lastSnapshot=%dB lastResult=%dB inlineModel=%dB packed=%d uplink=%.1fMB/s\n",
 		st.Offloads, st.LocalFallbacks, st.LastSnapshotBytes,
-		st.LastResultBytes, st.LastInlineModelBytes)
+		st.LastResultBytes, st.LastInlineModelBytes, st.PackedOffloads, st.UplinkBytesPerSec/1e6)
 	printAudit(os.Stdout, audit)
 	return nil
 }

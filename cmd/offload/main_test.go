@@ -52,7 +52,7 @@ func TestBuildModel(t *testing.T) {
 
 func TestRunLocalMode(t *testing.T) {
 	// Local mode needs no server; one run end to end.
-	if err := run("", "tinynet", "local", "", 0, false, false, "", 1, "", "", ""); err != nil {
+	if err := run("", "tinynet", "local", "", 0, false, "", 1, "", "", ""); err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 }

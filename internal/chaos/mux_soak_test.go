@@ -88,7 +88,6 @@ func runMuxSession(idx int, conn *client.Conn, model *nn.Network,
 	opts := client.Options{
 		LocalFallback: true,
 		Audit:         auditor,
-		Compress:      idx%2 == 0,
 	}
 	var app *webapp.App
 	var err error
@@ -157,6 +156,9 @@ func runMuxSession(idx int, conn *client.Conn, model *nn.Network,
 	if got := mix[obs.PathFull] + mix[obs.PathPartial]; got != int64(st.Offloads) {
 		rep.failf("mux session %d (%s): audit records %d offload decisions, stats say %d",
 			idx, kind, got, st.Offloads)
+	}
+	if idx%2 == 0 && kind != kindPartial {
+		packedLeg(rep, fmt.Sprintf("mux session %d (%s)", idx, kind), conn, app, want)
 	}
 	return rep
 }

@@ -17,6 +17,7 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/nn"
 	"websnap/internal/obs"
+	"websnap/internal/snapshot"
 	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
@@ -214,7 +215,6 @@ func runSoakSession(idx int, kind sessionKind, seed int64, addr string,
 	opts := client.Options{
 		LocalFallback: true,
 		Audit:         auditor,
-		Compress:      idx%2 == 0,
 	}
 	var app *webapp.App
 	switch kind {
@@ -336,7 +336,56 @@ func runSoakSession(idx int, kind sessionKind, seed int64, addr string,
 		rep.failf("session %d (%s): audit records %d sheds, stats say %d",
 			idx, kind, got, st.LoadSheds)
 	}
+	if idx%2 == 0 && kind != kindPartial {
+		packedLeg(rep, fmt.Sprintf("session %d (%s)", idx, kind), conn, app, want)
+	}
 	return rep
+}
+
+// packedLeg is a soak session's round trip under the packed body encoding. An
+// Offloader packs only what a slow link makes worth packing, which TinyNet's
+// 5 KB body never is, so the leg goes through the raw Conn.OffloadSnapshot
+// API, where the caller states the form: the full-offload app's state with a
+// click pending, shipped packed, comes back — if the faults let anything come
+// back — as the state local execution produces. It runs after the session's
+// audited events and adds none.
+func packedLeg(rep *sessionReport, who string, conn *client.Conn, app *webapp.App, want *soakRefs) {
+	const imgSeed = 1
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(soakImageVolume, imgSeed)); err != nil {
+		rep.failf("%s packed leg: load: %v", who, err)
+		return
+	}
+	snap, err := snapshot.Capture(app, snapshot.Options{
+		DefaultModelPolicy: snapshot.ModelSpecOnly,
+		PendingEvent:       &webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick},
+	})
+	if err != nil {
+		rep.failf("%s packed leg: capture: %v", who, err)
+		return
+	}
+	encoded, err := snap.Encode()
+	if err != nil {
+		rep.failf("%s packed leg: encode: %v", who, err)
+		return
+	}
+	result, wire, err := conn.OffloadSnapshot(app.ID(), encoded, true)
+	if err != nil {
+		return // an injected fault, or a model the faults kept from arriving
+	}
+	if wire >= int64(len(encoded)) {
+		rep.failf("%s packed leg: %d B of text travelled as %d B", who, len(encoded), wire)
+	}
+	res, err := snapshot.Decode(result)
+	if err == nil {
+		err = res.ApplyTo(app, snapshot.RestoreOptions{})
+	}
+	if err != nil {
+		rep.failf("%s packed leg: a result that passed its checksum does not apply: %v", who, err)
+		return
+	}
+	if got := mlapp.Result(app); got != want.text[imgSeed] {
+		rep.failf("%s packed leg: result %q, want %q (bit-identical to local)", who, got, want.text[imgSeed])
+	}
 }
 
 // TestChaosSoakInvariants is the end-to-end invariant soak: ≥200 sessions

@@ -49,6 +49,11 @@ type Outcome struct {
 	TraceID string
 	// BatchSize is the server-side batch the request executed in.
 	BatchSize int
+	// WireEncoding is the form the request body travelled in, and
+	// UplinkBytesPerSec the link estimate that form was chosen from (zero:
+	// nothing measured yet).
+	WireEncoding      string
+	UplinkBytesPerSec float64
 }
 
 // Funnel runs requests through their candidate placements and records the
@@ -92,6 +97,7 @@ func (f Funnel) Do(next func(failed error) *Placement) (obs.Decision, error) {
 		}
 		if out.TraceID != "" {
 			d.TraceID = out.TraceID
+			d.WireEncoding, d.UplinkBytesPerSec = out.WireEncoding, out.UplinkBytesPerSec
 		}
 		if err == nil {
 			d.Path, d.Reason = p.Path, p.Reason

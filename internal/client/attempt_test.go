@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,7 +239,8 @@ func chainExec(t *testing.T, s sinks, depth int, local func(*tensor.Tensor) (*te
 // funnel — through client.Offloader, core.Session and roam.ChainExecutor —
 // and checks the contract they now share: exactly one decision per request,
 // with the documented path and reason, a trace ID iff a request went on the
-// wire, and one flight entry for every shed, fallback and error.
+// wire — and, when it was a snapshot request, the form its body travelled in —
+// and one flight entry for every shed, fallback and error.
 func TestFunnelOutcomes(t *testing.T) {
 	type outcome struct {
 		name string
@@ -356,6 +358,13 @@ func TestFunnelOutcomes(t *testing.T) {
 			if d.SplitLabel != tc.split {
 				t.Errorf("split label = %q, want %q", d.SplitLabel, tc.split)
 			}
+			wantWire := ""
+			if tc.traced && !strings.HasPrefix(tc.name, "chain") {
+				wantWire = "raw" // TinyNet's body is never worth packing
+			}
+			if d.WireEncoding != wantWire {
+				t.Errorf("wire encoding = %q, want %q", d.WireEncoding, wantWire)
+			}
 			if d.Path != obs.PathError && d.Measured <= 0 {
 				t.Errorf("completed request has no measured latency: %+v", d)
 			}
@@ -370,7 +379,7 @@ func TestFunnelOutcomes(t *testing.T) {
 					continue // a chain re-plan capture, not a decision
 				}
 				got++
-				if e.Decision.Path != d.Path || e.TraceID != d.TraceID {
+				if e.Decision.Path != d.Path || e.TraceID != d.TraceID || e.Decision.WireEncoding != d.WireEncoding {
 					t.Errorf("flight entry %+v does not carry the decision", e)
 				}
 			}

@@ -18,6 +18,7 @@ import (
 
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
+	"websnap/internal/snapshot"
 	"websnap/internal/trace"
 )
 
@@ -59,7 +60,8 @@ var ErrConnBroken = errors.New("client: connection broken mid-frame")
 // DefaultMaxStreams requests in flight at once.
 //
 // Servers attach their scheduling load to responses, which the Conn records
-// for LastLoad.
+// for LastLoad, and their capability hints, of which it keeps whether the
+// server decodes packed bodies.
 type Conn struct {
 	// mu guards rw, timeout, broken, pending and readerDone. It is never
 	// held across socket I/O.
@@ -98,6 +100,10 @@ type Conn struct {
 	loadMu   sync.Mutex
 	lastLoad *protocol.LoadHint
 	loadAt   time.Time
+
+	// peerPacks is set once a response of the current socket's server has
+	// carried protocol.HintPackedBody; until then bodies go raw.
+	peerPacks atomic.Bool
 }
 
 // muxReply is one demultiplexed response (or the terminal error that
@@ -262,6 +268,7 @@ func (c *Conn) Redial() error {
 	}
 	c.rw = fresh
 	c.broken = nil
+	c.peerPacks.Store(false) // whoever answers at the address now says so again
 	c.readerDone = make(chan struct{})
 	go c.readLoop(fresh, c.readerDone)
 	return nil
@@ -307,8 +314,8 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 
 // readLoop is the Conn's single reader: it decodes each response's stream
 // ID (every response header carries the shared "seq" key), records the
-// server's load hint when the header has one, and hands the frame to the
-// waiting request. A read error, an undecodable header, or a
+// server's load hint and capability hints when the header has them, and hands
+// the frame to the waiting request. A read error, an undecodable header, or a
 // response for no pending stream all mean the frame stream can no longer
 // be trusted, so every pending request fails and the loop exits; Redial
 // starts a fresh loop on the replacement socket.
@@ -327,13 +334,17 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 		routeStart := time.Now()
 		var env struct {
 			protocol.MuxEnvelope
-			Load *protocol.LoadHint `json:"load"`
+			Load  *protocol.LoadHint `json:"load"`
+			Hints int                `json:"hints"`
 		}
 		if err := json.Unmarshal(resp.Header, &env); err != nil {
 			c.failPending(rw, fmt.Errorf("%w: undecodable response header: %w", ErrConnBroken, err))
 			return
 		}
 		c.noteLoad(env.Load)
+		if env.Hints&protocol.HintPackedBody != 0 {
+			c.peerPacks.Store(true)
+		}
 		c.mu.Lock()
 		ch, ok := c.pending[env.Seq]
 		if ok {
@@ -511,19 +522,29 @@ func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []b
 // and waits for the ACK. Set partial when sending only the rear part of a
 // split DNN (the front is withheld for privacy, §III.B.2).
 func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool) error {
+	_, err := c.preSendModel(appID, name, model, partial)
+	return err
+}
+
+// preSendModel is PreSendModel, reporting how long the link took to carry the
+// weights: the round trip less the time the server says it spent once the
+// frame was in.
+func (c *Conn) preSendModel(appID, name string, model *nn.Network, partial bool) (uplink time.Duration, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
-		return fmt.Errorf("client: model %q: %w", name, err)
+		return 0, fmt.Errorf("client: model %q: %w", name, err)
 	}
 	var weights bytes.Buffer
 	if err := model.EncodeWeights(&weights); err != nil {
-		return fmt.Errorf("client: model %q: %w", name, err)
+		return 0, fmt.Errorf("client: model %q: %w", name, err)
 	}
-	_, err = c.preSend(fmt.Sprintf("pre-send %q", name), protocol.ModelPreSendHeader{
+	hdr := protocol.ModelPreSendHeader{
 		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
 		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
-	}, weights.Bytes())
-	return err
+	}
+	start := time.Now()
+	ack, err := c.preSend(fmt.Sprintf("pre-send %q", name), hdr, weights.Bytes())
+	return time.Since(start) - time.Duration(ack.ServeMicros)*time.Microsecond, err
 }
 
 // PreSendModelRefTraced offers a model to the edge server by content
@@ -572,30 +593,65 @@ func cleanServerError(err error) bool {
 
 // OffloadSnapshot ships an encoded snapshot and returns the encoded result
 // snapshot — the whole post-execution state. It is the raw form of an
-// offload, for callers that hold only bytes; an Offloader holds the snapshot
-// it sent and asks for a result delta instead. With compress set, the
-// snapshot text travels DEFLATE-compressed and the server mirrors the
-// encoding in its response; the returned bytes are always the plain result
-// text. WireBytes reports the on-the-wire size of the shipped body.
+// offload, for callers that hold only bytes and state the wire form
+// themselves; an Offloader holds the snapshot it sent, asks for a result delta
+// instead, and picks the form from what it has measured of the link. With
+// compress set, the snapshot travels packed (protocol.EncodingPacked) if that
+// shrinks it, and the server mirrors the encoding in its response; the
+// returned bytes are always the plain result text. WireBytes reports the
+// on-the-wire size of the shipped body.
 func (c *Conn) OffloadSnapshot(appID string, encoded []byte, compress bool) (result []byte, wireBytes int64, err error) {
-	reply, err := c.offloadBody("", appID, encoded, compress)
+	body := requestBody{wire: encoded}
+	if compress {
+		if body, err = packedBody(new([]byte), encoded); err != nil {
+			return nil, 0, err
+		}
+	}
+	reply, err := c.offloadBody("", appID, body)
 	return reply.Result, reply.WireBytes, err
+}
+
+// requestBody is a snapshot request's body in the form it travels.
+type requestBody struct {
+	// wire is what the frame carries: the snapshot text, or its packed form
+	// when encoding says so, with plainLen the text's length.
+	wire     []byte
+	encoding string
+	plainLen int64
+	// packing is how long the codec pass took.
+	packing time.Duration
+}
+
+// packedBody renders encoded under protocol.EncodingPacked in *storage, which
+// it grows as needed and leaves for the next call; a body that does not shrink
+// by it travels as it is.
+func packedBody(storage *[]byte, encoded []byte) (requestBody, error) {
+	start := time.Now()
+	packed, ok, err := protocol.CompressBody(*storage, encoded, snapshot.Pack)
+	*storage = packed[:0]
+	body := requestBody{wire: encoded, packing: time.Since(start)}
+	if ok {
+		body.wire, body.encoding, body.plainLen = packed, protocol.EncodingPacked, int64(len(encoded))
+	}
+	return body, err
 }
 
 // offloadReply is one snapshot round trip's full outcome, including the
 // measurements the trace pipeline consumes.
 type offloadReply struct {
-	// Result is the plain (decompressed) result body.
+	// Result is the plain result body.
 	Result []byte
 	// RequestBase is the name a result delta must give its base
 	// (protocol.SnapshotHeader.RequestBase).
 	RequestBase string
+	// Encoding is the form the request body travelled in.
+	Encoding string
 	// WireBytes is the on-the-wire size of the shipped request body;
 	// RespBytes the response frame's header+body size.
 	WireBytes, RespBytes int64
-	// Compress and Decompress are the client-side body codec times (zero
-	// without compression).
-	Compress, Decompress time.Duration
+	// Packing and Unpacking are the client-side body codec times (zero on
+	// raw bodies).
+	Packing, Unpacking time.Duration
 	// RoundTrip spans request write start to response read completion.
 	RoundTrip time.Duration
 	// TraceID is the ID stamped on the request; ServerTrace is the
@@ -604,39 +660,44 @@ type offloadReply struct {
 	ServerTrace *protocol.ServerTrace
 }
 
-// offloadBody ships one encoded snapshot, asking for the result in replyForm
+// wireLegs derives the time the round trip spent on the wire. The two clocks
+// are never compared directly: the server reports durations only, and wire
+// time is the client-observed round trip minus the server's total, split
+// between the upload and download legs proportionally to the bytes each
+// moved.
+func (r offloadReply) wireLegs() (up, down time.Duration) {
+	wire := r.RoundTrip
+	if st := r.ServerTrace; st != nil {
+		wire = max(wire-st.Total(), 0)
+	}
+	up = wire
+	if total := r.WireBytes + r.RespBytes; total > 0 {
+		up = wire * time.Duration(r.WireBytes) / time.Duration(total)
+	}
+	return up, wire - up
+}
+
+// offloadBody ships one snapshot body, asking for the result in replyForm
 // (protocol.ReplyDelta, or empty for the full result snapshot), and returns
 // the plain result body with the round trip's measurements. The reply
 // carries the request's trace ID even when the round trip fails.
-func (c *Conn) offloadBody(replyForm, appID string, encoded []byte, compress bool) (offloadReply, error) {
+func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadReply, error) {
 	const reqType = protocol.MsgSnapshot
-	reply := offloadReply{TraceID: trace.NewID()}
+	reply := offloadReply{TraceID: trace.NewID(), Encoding: body.encoding, Packing: body.packing}
 	respType := protocol.MsgResultDelta
 	if replyForm == "" {
 		respType = protocol.MsgResultSnapshot
-	}
-	body := encoded
-	encoding := protocol.EncodingRaw
-	if compress {
-		start := time.Now()
-		compressed, err := protocol.CompressBody(encoded)
-		if err != nil {
-			return reply, err
-		}
-		reply.Compress = time.Since(start)
-		body = compressed
-		encoding = protocol.EncodingFlate
 	}
 	var hdr protocol.SnapshotHeader
 	rtStart := time.Now()
 	resp, err := c.call(reqType.String(), reqType, respType, func(seq uint64) any {
 		req := protocol.SnapshotHeader{
-			AppID: appID, Seq: seq, Encoding: encoding, TraceID: reply.TraceID,
-			Reply: replyForm, BodyCRC: protocol.BodyChecksum(body),
+			AppID: appID, Seq: seq, Encoding: body.encoding, PlainLen: body.plainLen,
+			TraceID: reply.TraceID, Reply: replyForm, BodyCRC: protocol.BodyChecksum(body.wire),
 		}
-		reply.RequestBase = req.RequestBase(body)
+		reply.RequestBase = req.RequestBase(body.wire)
 		return req
-	}, body, &hdr)
+	}, body.wire, &hdr)
 	reply.RoundTrip = time.Since(rtStart)
 	if err != nil {
 		return reply, err
@@ -647,15 +708,15 @@ func (c *Conn) offloadBody(replyForm, appID string, encoded []byte, compress boo
 		return reply, fmt.Errorf("client: %s result: %w", reqType, err)
 	}
 	reply.ServerTrace = hdr.ServerTrace
-	reply.WireBytes = int64(len(body))
+	reply.WireBytes = int64(len(body.wire))
 	reply.RespBytes = int64(len(resp.Header) + len(resp.Body))
 	decStart := time.Now()
-	plain, err := protocol.DecodeBody(resp.Body, hdr.Encoding)
+	plain, err := protocol.DecodeBody(resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
 	if err != nil {
 		return reply, fmt.Errorf("client: %s result: %w", reqType, err)
 	}
-	if hdr.Encoding == protocol.EncodingFlate {
-		reply.Decompress = time.Since(decStart)
+	if hdr.Encoding != protocol.EncodingRaw {
+		reply.Unpacking = time.Since(decStart)
 	}
 	reply.Result = plain
 	return reply, nil

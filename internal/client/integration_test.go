@@ -2,11 +2,14 @@ package client
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
 	"websnap/internal/edge"
 	"websnap/internal/mlapp"
+	"websnap/internal/netem"
+	"websnap/internal/nn"
 	"websnap/internal/testutil"
 	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
@@ -72,7 +75,12 @@ func newOffloadedApp(t *testing.T, conn *Conn, opts Options) (*Offloader, *webap
 
 func classifyOnce(t *testing.T, off *Offloader, app *webapp.App, seed uint64) string {
 	t.Helper()
-	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, seed)); err != nil {
+	return classifyImage(t, off, app, 3*16*16, seed)
+}
+
+func classifyImage(t *testing.T, off *Offloader, app *webapp.App, volume int, seed uint64) string {
+	t.Helper()
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(volume, seed)); err != nil {
 		t.Fatal(err)
 	}
 	app.DispatchEvent(webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick})
@@ -163,27 +171,102 @@ func TestInstallOverlayInPackage(t *testing.T) {
 	}
 }
 
-// TestCompressedOffload: with Compress set, results are identical and the
-// wire body is smaller than the plain snapshot text — by less than while a
-// typed array was decimal digits: DEFLATE takes this 8-bit synthetic image's
-// base64 to 0.61 of the plain body (0.41 at GoogLeNet's size), where it took
-// the decimal text to 0.31 of a body 1.8 × as large.
+// wideSide is the input edge of wideModel: a 3×96×96 image is 147 KB of
+// snapshot text and the model 110 KB of weights, both large enough for their
+// transfer time to say something about the link.
+const wideSide = 96
+
+func wideModel(t *testing.T) *nn.Network {
+	t.Helper()
+	var layers []nn.Layer
+	add := func(l nn.Layer, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers = append(layers, l)
+	}
+	add(nn.NewInput("data", 3, wideSide, wideSide))
+	add(nn.NewConv("conv", 3, 4, 3, 1, 1))
+	add(nn.NewReLU("relu"), nil)
+	add(nn.NewPool("pool", nn.MaxPool, 2, 2, 0))
+	add(nn.NewFC("fc", 4*wideSide/2*wideSide/2, 3))
+	add(nn.NewSoftmax("prob"), nil)
+	m, err := nn.NewNetwork("wide", layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InitWeights(7)
+	return m
+}
+
+// newWideApp is a full-offload app over wideModel with the model pre-sent and
+// acknowledged.
+func newWideApp(t *testing.T, conn *Conn, opts Options) (*Offloader, *webapp.App) {
+	t.Helper()
+	model := wideModel(t)
+	app, err := mlapp.NewFullApp("wide-app", "wide", model, []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.OffloadEventTypes = []string{mlapp.EventClick}
+	opts.Models = []ModelToSend{{Name: "wide", Net: model}}
+	off, err := NewOffloader(app, conn, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.StartPreSend()
+	if err := off.WaitForAcks(); err != nil {
+		t.Fatal(err)
+	}
+	return off, app
+}
+
+// TestCompressedOffload: nobody sets the wire form. Over loopback the
+// offloader measures a fast link and every body travels as its text; over the
+// paper's 30 Mbit/s link the pre-send already reads slow, so the first request
+// and every one after it travels packed, the results are the same labels, the
+// body is under three quarters of its text (an 8-bit synthetic image: 256
+// distinct floats), and the codec's time shows as the compress stage.
 func TestCompressedOffload(t *testing.T) {
 	addr := startEdge(t, edge.Config{Installed: true})
-
-	run := func(compress bool) (string, int64) {
-		conn := dialEdge(t, addr)
-		off, app := newOffloadedApp(t, conn, Options{Compress: compress})
-		res := classifyOnce(t, off, app, 42)
-		return res, off.Stats().LastSnapshotBytes
+	const offloads = 3
+	run := func(link netem.Profile) (results []string, st Stats) {
+		conn, err := DialWrapped(addr, func(c net.Conn) net.Conn { return netem.Shape(c, link) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		off, app := newWideApp(t, conn, Options{})
+		for i := 0; i < offloads; i++ {
+			results = append(results, classifyImage(t, off, app, 3*wideSide*wideSide, uint64(i+1)))
+		}
+		return results, off.Stats()
 	}
-	plainRes, plainBytes := run(false)
-	compRes, compBytes := run(true)
-	if plainRes != compRes {
-		t.Errorf("compressed result %q != plain result %q", compRes, plainRes)
+	fastRes, fast := run(netem.Unlimited)
+	slowRes, slow := run(netem.WiFi30Mbps)
+	t.Logf("loopback: %.0f MB/s, %d B/request; 30 Mbit/s: %.2f MB/s, %d B/request",
+		fast.UplinkBytesPerSec/1e6, fast.LastSnapshotBytes, slow.UplinkBytesPerSec/1e6, slow.LastSnapshotBytes)
+	if !slices.Equal(fastRes, slowRes) {
+		t.Errorf("results over the slow link %q != over loopback %q", slowRes, fastRes)
 	}
-	if compBytes*4 > plainBytes*3 {
-		t.Errorf("compressed body %d B should be under three quarters of plain %d B", compBytes, plainBytes)
+	if fast.PackedOffloads != 0 {
+		t.Errorf("%d of %d loopback requests travelled packed (estimate %.0f B/s)", fast.PackedOffloads, offloads, fast.UplinkBytesPerSec)
+	}
+	if _, ok := fast.LastTrace.Get(trace.StageCompress); ok {
+		t.Error("a raw offload recorded a compress span")
+	}
+	if slow.PackedOffloads != offloads {
+		t.Errorf("%d of %d requests over 30 Mbit/s travelled packed (estimate %.0f B/s), want all: the pre-send seeds the estimate",
+			slow.PackedOffloads, offloads, slow.UplinkBytesPerSec)
+	}
+	if slow.UplinkBytesPerSec < 2e6 || slow.UplinkBytesPerSec > 4e6 {
+		t.Errorf("uplink estimate over a 3.75 MB/s link = %.0f B/s", slow.UplinkBytesPerSec)
+	}
+	if slow.LastSnapshotBytes*4 > fast.LastSnapshotBytes*3 {
+		t.Errorf("packed body %d B should be under three quarters of its text's %d B", slow.LastSnapshotBytes, fast.LastSnapshotBytes)
+	}
+	if c, ok := slow.LastTrace.Get(trace.StageCompress); !ok || c <= 0 {
+		t.Error("a packed offload recorded no compress span")
 	}
 }
 

@@ -45,11 +45,6 @@ type Options struct {
 	// both shrinks the snapshot and prevents the server from inverting
 	// the feature data back to the input.
 	ExcludeModels []string
-	// Compress ships snapshot bodies DEFLATE-compressed.
-	// Snapshots are text, so this typically shrinks transfers several
-	// fold at the cost of client CPU; it is off by default to match the
-	// paper's plain-text snapshots.
-	Compress bool
 	// MaxQueueingDelay sheds offloads to local execution while the
 	// server's last load hint predicts a queueing delay above this bound
 	// or reports a saturated admission queue — the client-side half of
@@ -104,8 +99,16 @@ type Stats struct {
 	// LocalFallbacks counts events executed locally after a failed
 	// offload attempt.
 	LocalFallbacks int
-	// LastSnapshotBytes is the encoded size of the last shipped
-	// snapshot: the state's text, its typed arrays at 16/3 B per value.
+	// PackedOffloads counts the round trips whose request travelled under
+	// protocol.EncodingPacked: the link read slow and the body shrank.
+	PackedOffloads int
+	// UplinkBytesPerSec is the offloader's estimate of its link to the
+	// server, from the pre-send and the requests so far; zero before the
+	// first transfer large enough to tell.
+	UplinkBytesPerSec float64
+	// LastSnapshotBytes is the size of the last shipped snapshot on the
+	// wire: the state's text with its typed arrays at 16/3 B per value, or
+	// that text's packed form.
 	LastSnapshotBytes int64
 	// LastResultBytes is the encoded size of the last result as it came
 	// home: the result delta, i.e. what the handler changed, not the state
@@ -185,6 +188,9 @@ type Offloader struct {
 	acked   map[string]bool
 	ackErrs []error
 	stats   Stats
+	// uplink is the measured link to the current server; it decides, per
+	// request, whether the body travels packed.
+	uplink uplinkEstimate
 	// handoffTrace, set by Retarget, is the trace ID stamped on the
 	// post-handoff pre-sends so the new server's resolution work (registry
 	// locate, peer fetch) joins one trace.
@@ -192,6 +198,10 @@ type Offloader struct {
 
 	presendWG      sync.WaitGroup
 	presendStarted bool
+
+	// packBuf is the storage packed request bodies are built in, kept from
+	// one offload to the next (offloads are single-threaded).
+	packBuf []byte
 }
 
 // NewOffloader wires an app to an edge-server connection.
@@ -238,7 +248,8 @@ func (o *Offloader) App() *webapp.App { return o.app }
 // mobility scenario (§I): snapshot-based offloading "can readily work on a
 // new edge server since it has no dependence on the previous server". The
 // one piece of per-server state is reset: model ACKs (the new server has not
-// acknowledged any). Pre-sending restarts if it was started before.
+// acknowledged any) and the uplink estimate (it is another link). Pre-sending
+// restarts if it was started before.
 //
 // Like the app itself, the offloader is single-threaded: Retarget must not
 // race with Step/Offload calls.
@@ -254,6 +265,7 @@ func (o *Offloader) Retarget(conn *Conn) error {
 	o.conn = conn
 	o.acked = make(map[string]bool)
 	o.ackErrs = nil
+	o.uplink = uplinkEstimate{}
 	// A handoff gets one trace ID for all its pre-sends: the new server's
 	// resolution hops all join the same tree.
 	o.handoffTrace = trace.NewID()
@@ -327,12 +339,14 @@ func (o *Offloader) preSend(name string, model *nn.Network, partial bool) (int64
 		o.stats.RefPreSendMisses++
 		o.mu.Unlock()
 	}
-	if err := o.conn.PreSendModel(o.app.ID(), name, model, partial); err != nil {
+	uplink, err := o.conn.preSendModel(o.app.ID(), name, model, partial)
+	if err != nil {
 		return 0, err
 	}
 	sent := model.ModelBytes()
 	o.mu.Lock()
 	o.stats.PreSendBytes += sent
+	o.uplink.observe(sent, uplink)
 	o.mu.Unlock()
 	return sent, nil
 }
@@ -570,8 +584,19 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("client: encode: %w", err)
 	}
 	encodeDur := time.Since(encodeStart)
-	reply, err := o.conn.offloadBody(protocol.ReplyDelta, o.app.ID(), encoded, o.opts.Compress)
-	out := Outcome{TraceID: reply.TraceID}
+	// The body travels packed when the link so far has read slow enough for
+	// the codec pass to pay, to a server that has said it decodes it.
+	o.mu.Lock()
+	uplink := o.uplink
+	o.mu.Unlock()
+	body := requestBody{wire: encoded}
+	if uplink.worthPacking(len(encoded)) && o.conn.peerPacks.Load() {
+		if body, err = packedBody(&o.packBuf, encoded); err != nil {
+			return Outcome{}, fmt.Errorf("client: pack: %w", err)
+		}
+	}
+	reply, err := o.conn.offloadBody(protocol.ReplyDelta, o.app.ID(), body)
+	out := Outcome{TraceID: reply.TraceID, WireEncoding: protocol.EncodingName(reply.Encoding), UplinkBytesPerSec: uplink.bytesPerSec}
 	if err != nil {
 		return out, err
 	}
@@ -599,8 +624,14 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	}
 	tr := assembleTrace(reply, captureDur, encodeDur, timing.DecodeApply)
 	o.rec.ObserveTrace(tr)
+	up, _ := reply.wireLegs()
 	o.mu.Lock()
+	o.uplink.observe(reply.WireBytes, up)
+	o.stats.UplinkBytesPerSec = o.uplink.bytesPerSec
 	o.stats.Offloads++
+	if reply.Encoding == protocol.EncodingPacked {
+		o.stats.PackedOffloads++
+	}
 	o.stats.LastSnapshotBytes = reply.WireBytes
 	o.stats.LastResultBytes = int64(len(reply.Result))
 	o.stats.LastModelIncluded = inlineBytes > 0
@@ -613,33 +644,17 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 }
 
 // assembleTrace merges one round trip's client-side measurements with the
-// server's span report into a single per-offload trace.
-//
-// The two clocks are never compared directly: the server reports durations
-// only, and wire time is derived as the client-observed round trip minus the
-// server's total, split between the upload and download legs proportionally
-// to the bytes each moved. Server-side decode/execute/encode fold into the
-// execute stage; the queue span is the admission-queue wait.
+// server's span report into a single per-offload trace. Wire time is what
+// offloadReply.wireLegs derives; server-side decode/execute/encode fold into
+// the execute stage; the queue span is the admission-queue wait.
 func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *trace.Trace {
 	tr := &trace.Trace{ID: reply.TraceID}
 	tr.Add(trace.StageCapture, capture)
 	tr.Add(trace.StageEncode, encode)
-	if c := reply.Compress + reply.Decompress; c > 0 {
+	if c := reply.Packing + reply.Unpacking; c > 0 {
 		tr.Add(trace.StageCompress, c)
 	}
-	wire := reply.RoundTrip
-	if st := reply.ServerTrace; st != nil {
-		if t := st.Total(); t < wire {
-			wire -= t
-		} else {
-			wire = 0
-		}
-	}
-	up, down := wire, time.Duration(0)
-	if total := reply.WireBytes + reply.RespBytes; total > 0 {
-		up = wire * time.Duration(reply.WireBytes) / time.Duration(total)
-		down = wire - up
-	}
+	up, down := reply.wireLegs()
 	tr.Add(trace.StageWire, up)
 	if st := reply.ServerTrace; st != nil {
 		tr.Add(trace.StageQueue, time.Duration(st.QueueMicros)*time.Microsecond)

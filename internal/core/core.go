@@ -88,9 +88,6 @@ type SessionConfig struct {
 	PreSend bool
 	// LocalFallback executes locally if the edge server fails.
 	LocalFallback bool
-	// Compress ships snapshot bodies DEFLATE-compressed (off by default,
-	// matching the paper's plain-text snapshots).
-	Compress bool
 	// MaxQueueingDelay sheds offloads to local execution when the edge
 	// server's load hint predicts more queueing delay than this (or a
 	// saturated queue). Zero disables load shedding.
@@ -284,7 +281,6 @@ func (s *Session) buildOffloader() error {
 	}
 	opts := client.Options{
 		LocalFallback:    s.cfg.LocalFallback,
-		Compress:         s.cfg.Compress,
 		MaxQueueingDelay: s.cfg.MaxQueueingDelay,
 		LoadHintTTL:      s.cfg.LoadHintTTL,
 		Audit:            s.cfg.Audit,

@@ -28,11 +28,10 @@ import (
 const maxHandlerSteps = 1000
 
 // handleOffload serves MsgSnapshot: decode the pre-execution state, run it
-// through the scheduler, and answer in the form the request asked for,
-// mirroring its body encoding — what the handler changed, as a result delta
-// relative to the pre-execution state, or (Reply empty: the raw
-// Conn.OffloadSnapshot API) the full result snapshot. Either way nothing of
-// the request outlives it here.
+// through the scheduler, and answer in the form the request asked for — what
+// the handler changed, as a result delta relative to the pre-execution state,
+// or (Reply empty: the raw Conn.OffloadSnapshot API) the full result
+// snapshot. Either way nothing of the request outlives it here.
 func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
 	var hdr protocol.SnapshotHeader
 	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
@@ -43,7 +42,7 @@ func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (
 	}
 	tm := &svcTiming{streamWait: streamWait}
 	decodeStart := time.Now()
-	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding)
+	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
 	if err != nil {
 		return protocol.Message{}, err
 	}
@@ -85,7 +84,7 @@ type svcTiming struct {
 	exec   time.Duration
 	batch  int
 	// encodeStart is stamped by the handler once the scheduler returns the
-	// result; snapshotResponse closes the span after any compression.
+	// result; snapshotResponse closes the span after any packing.
 	encodeStart time.Time
 	// streamWait is the stream-semaphore wait.
 	streamWait time.Duration
@@ -296,18 +295,26 @@ func (s *Server) batchKey(snap *snapshot.Snapshot) string {
 	return "b:" + hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// snapshotResponse frames a result body, mirroring the request's encoding,
-// and closes out the request's server-side trace: the spans feed the server
-// recorder and trace log and ride back to the client in the response header.
+// packedReplyMin is the smallest result body that mirrors a packed request's
+// encoding: anything shorter leaves in the one TCP segment it would leave in
+// packed, so a codec pass cannot change its wire time.
+const packedReplyMin = 1400
+
+// snapshotResponse frames a result body — packed when the request was (the
+// client found the link slow, and decodes what it sends) and the body is more
+// than a segment's worth — and closes out the request's server-side trace: the
+// spans feed the server recorder and trace log and ride back to the client in
+// the response header.
 func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
-	encoding := protocol.EncodingRaw
-	if req.Encoding == protocol.EncodingFlate {
-		compressed, err := protocol.CompressBody(body)
+	encoding, plainLen := protocol.EncodingRaw, int64(0)
+	if req.Encoding == protocol.EncodingPacked && len(body) > packedReplyMin {
+		packed, ok, err := protocol.CompressBody(nil, body, snapshot.Pack)
 		if err != nil {
 			return protocol.Message{}, err
 		}
-		body = compressed
-		encoding = protocol.EncodingFlate
+		if ok {
+			encoding, plainLen, body = protocol.EncodingPacked, int64(len(body)), packed
+		}
 	}
 	encode := time.Since(tm.encodeStart)
 	st := &protocol.ServerTrace{
@@ -321,7 +328,8 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 	}
 	s.observeTrace(appID, req.Seq, tm, encode, st)
 	return protocol.Encode(t, protocol.SnapshotHeader{
-		AppID: appID, Seq: req.Seq, Encoding: encoding,
+		AppID: appID, Seq: req.Seq, Encoding: encoding, PlainLen: plainLen,
+		Hints:       protocol.HintPackedBody,
 		BodyCRC:     protocol.BodyChecksum(body),
 		Load:        s.loadHint(),
 		ServerTrace: st,

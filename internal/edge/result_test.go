@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"math"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"websnap/internal/client"
+	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
 	"websnap/internal/webapp"
 )
@@ -325,5 +327,110 @@ func TestOffloadedSignOfZeroMatchesLocal(t *testing.T) {
 	}
 	if num, _ := offloaded.Global("num"); !math.Signbit(num.(float64)) {
 		t.Errorf("num = %v after the offload, want -0", num)
+	}
+}
+
+// TestReplyPackedOnlyWhenItPays: the reply mirrors a packed request's
+// encoding only when its own body is more than a segment's worth — the
+// 400 KB full result of the raw API is, the few hundred bytes of a result
+// delta are not, and a codec pass over them could not change their wire
+// time. A raw request is always answered raw. Every answer says the server
+// decodes packed bodies, and a packed body whose declared length is wrong,
+// missing or beyond MaxBodyLen is refused with an error frame.
+func TestReplyPackedOnlyWhenItPays(t *testing.T) {
+	var mark atomic.Uint64
+	app, cat := arrayStateApp(t, "reply-rule", 75264, &mark)
+	_, addr := startServer(t, Config{Installed: true, Catalog: cat})
+	snap, err := snapshot.Capture(app, snapshot.Options{PendingEvent: &webapp.Event{Target: "b", Type: "go"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, ok, err := protocol.CompressBody(nil, text, snapshot.Pack)
+	if err != nil || !ok {
+		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
+	}
+	rw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	seq := uint64(0)
+	ask := func(body []byte, encoding string, plainLen int64, reply string) (protocol.Message, protocol.SnapshotHeader) {
+		t.Helper()
+		seq++
+		req, err := protocol.Encode(protocol.MsgSnapshot, protocol.SnapshotHeader{
+			AppID: app.ID(), Seq: seq, Encoding: encoding, PlainLen: plainLen, Reply: reply,
+			BodyCRC: protocol.BodyChecksum(body),
+		}, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := protocol.Write(rw, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := protocol.Read(rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr protocol.SnapshotHeader
+		if resp.Type != protocol.MsgError {
+			if err := protocol.DecodeHeader(resp, &hdr); err != nil {
+				t.Fatal(err)
+			}
+			if hdr.Hints&protocol.HintPackedBody == 0 {
+				t.Errorf("%s answer does not carry HintPackedBody", resp.Type)
+			}
+		}
+		return resp, hdr
+	}
+
+	resp, hdr := ask(packed, protocol.EncodingPacked, int64(len(text)), protocol.ReplyDelta)
+	if resp.Type != protocol.MsgResultDelta || hdr.Encoding != protocol.EncodingRaw || hdr.PlainLen != 0 || len(resp.Body) >= packedReplyMin {
+		t.Errorf("delta reply to a packed request: %s, encoding %q, %d B; want a raw result delta under %d B",
+			resp.Type, hdr.Encoding, len(resp.Body), packedReplyMin)
+	}
+	if _, err := snapshot.DecodeDelta(resp.Body); err != nil {
+		t.Errorf("delta reply: %v", err)
+	}
+
+	resp, hdr = ask(packed, protocol.EncodingPacked, int64(len(text)), "")
+	if resp.Type != protocol.MsgResultSnapshot || hdr.Encoding != protocol.EncodingPacked || 2*len(resp.Body) > len(text) {
+		t.Errorf("full reply to a packed request: %s, encoding %q, %d B for a %d B request text; want it packed",
+			resp.Type, hdr.Encoding, len(resp.Body), len(text))
+	}
+	plain, err := protocol.DecodeBody(resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := snapshot.Decode(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := result.Globals["n"]; n != 1.0 {
+		t.Errorf("n = %v in the packed full result, want 1", n)
+	}
+
+	if resp, hdr = ask(text, protocol.EncodingRaw, 0, ""); resp.Type != protocol.MsgResultSnapshot || hdr.Encoding != protocol.EncodingRaw {
+		t.Errorf("full reply to a raw request: %s, encoding %q; want raw", resp.Type, hdr.Encoding)
+	}
+
+	for name, plainLen := range map[string]int64{
+		"no declared length":  0,
+		"one byte short":      int64(len(text)) - 1,
+		"one byte long":       int64(len(text)) + 1,
+		"beyond MaxBodyLen":   protocol.MaxBodyLen + 1,
+		"a negative length":   -1,
+		"a tenth of the text": int64(len(text)) / 10,
+	} {
+		if resp, _ := ask(packed, protocol.EncodingPacked, plainLen, ""); resp.Type != protocol.MsgError {
+			t.Errorf("%s: answered %s, want an error frame", name, resp.Type)
+		}
+	}
+	if resp, _ := ask(packed, "flate", int64(len(text)), ""); resp.Type != protocol.MsgError {
+		t.Errorf("the retired flate encoding: answered %s, want an error frame", resp.Type)
 	}
 }

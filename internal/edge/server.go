@@ -753,6 +753,7 @@ func (s *Server) handlePing(msg protocol.Message) (protocol.Message, error) {
 		Load:      s.loadHint(),
 		Fleet:     s.fleetEnabled(),
 		Seq:       hdr.Seq,
+		Hints:     protocol.HintPackedBody,
 	}, nil)
 }
 
@@ -816,6 +817,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 				Load:      s.loadHint(),
 				NeedBlob:  true,
 				Span:      resolveSpan(),
+				Hints:     protocol.HintPackedBody,
 			}, nil)
 		}
 		s.refPreSendHits.Inc()
@@ -844,6 +846,10 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		Seq:       hdr.Seq,
 		Load:      s.loadHint(),
 		Span:      resolveSpan(),
+		Hints:     protocol.HintPackedBody,
+		// The server's share of the round trip, so the client can read its
+		// uplink off the rest.
+		ServeMicros: time.Since(start).Microseconds(),
 	}, nil)
 }
 

@@ -75,6 +75,13 @@ type Decision struct {
 	// Placement names the fleet placement policy that chose the target
 	// server ("hash", "load"); empty outside a fleet.
 	Placement string `json:"placement,omitempty"`
+	// WireEncoding is the form the request body travelled in ("raw",
+	// "packed"); empty when no request was sent. UplinkBytesPerSec is the
+	// client's link estimate that form was chosen from, zero before anything
+	// was measured — together they attribute a predicted-vs-measured
+	// residual on a slow link to the bytes that were not sent.
+	WireEncoding      string  `json:"wireEncoding,omitempty"`
+	UplinkBytesPerSec float64 `json:"uplinkBytesPerSec,omitempty"`
 }
 
 // MarshalJSON renders durations in the units the field names promise
@@ -92,12 +99,15 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		HintAge    *int64       `json:"hintAgeMillis,omitempty"`
 		BatchSize  int          `json:"batchSize,omitempty"`
 		Placement  string       `json:"placement,omitempty"`
+		Encoding   string       `json:"wireEncoding,omitempty"`
+		Uplink     float64      `json:"uplinkBytesPerSec,omitempty"`
 	}
 	a := alias{
 		TraceID: d.TraceID, AppID: d.AppID, Path: d.Path, Reason: d.Reason,
 		SplitLabel: d.SplitLabel, Server: d.Server,
 		Predicted: d.Predicted.Microseconds(), Measured: d.Measured.Microseconds(),
 		BatchSize: d.BatchSize, Placement: d.Placement,
+		Encoding: d.WireEncoding, Uplink: d.UplinkBytesPerSec,
 	}
 	if d.HintAge >= 0 {
 		ms := d.HintAge.Milliseconds()
@@ -123,8 +133,9 @@ const maxPredSamples = 1 << 16
 // AuditorOptions configures an Auditor.
 type AuditorOptions struct {
 	// Registry, when non-nil, receives the auditor's labeled counters
-	// (websnap_client_decisions_total by path/reason) and prediction-error
-	// histogram, so a client-side /metrics endpoint exposes them.
+	// (websnap_client_decisions_total by path/reason,
+	// websnap_request_encoding_total by wire encoding) and the uplink
+	// estimate gauge, so a client-side /metrics endpoint exposes them.
 	Registry *Registry
 	// Sink, when non-nil, receives one JSON line per decision — the
 	// client-side analogue of the server's trace log.
@@ -144,6 +155,8 @@ type AuditorOptions struct {
 type Auditor struct {
 	opts      AuditorOptions
 	decisions *CounterVec
+	encodings *CounterVec
+	uplink    *Gauge
 
 	mu sync.Mutex
 	// mix counts decisions per path.
@@ -175,6 +188,10 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 	if opts.Registry != nil {
 		a.decisions = opts.Registry.CounterVec("websnap_client_decisions_total",
 			"Offload decisions by chosen path and reason.", "path", "reason")
+		a.encodings = opts.Registry.CounterVec("websnap_request_encoding_total",
+			"Snapshot requests sent, by the encoding their body travelled in.", "encoding")
+		a.uplink = opts.Registry.Gauge("websnap_client_uplink_bytes_per_second",
+			"The client's estimate of its link to the edge server, which picks the request encoding (0 = nothing measured yet).")
 	}
 	return a
 }
@@ -191,6 +208,10 @@ func (a *Auditor) Record(d Decision) {
 	}
 	if a.decisions != nil {
 		a.decisions.With(string(d.Path), d.Reason).Inc()
+		if d.WireEncoding != "" {
+			a.encodings.With(d.WireEncoding).Inc()
+			a.uplink.Set(d.UplinkBytesPerSec)
+		}
 	}
 	a.mu.Lock()
 	a.total++

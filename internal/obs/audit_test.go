@@ -58,9 +58,11 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 	r := NewRegistry()
 	a := NewAuditor(AuditorOptions{Registry: r, Sink: &buf, Keep: 2})
 	a.Record(Decision{TraceID: "0123456789abcdef", Path: PathFull, Server: "edge:9191",
-		Predicted: time.Millisecond, Measured: 2 * time.Millisecond, HintAge: 5 * time.Millisecond})
-	a.Record(Decision{Path: PathFallback, Reason: "server-error", HintAge: -1})
-	a.Record(Decision{Path: PathShed, Reason: "hint-delay", HintAge: 0})
+		Predicted: time.Millisecond, Measured: 2 * time.Millisecond, HintAge: 5 * time.Millisecond,
+		WireEncoding: "raw", UplinkBytesPerSec: 4e8})
+	a.Record(Decision{Path: PathFallback, Reason: "server-error", HintAge: -1,
+		WireEncoding: "packed", UplinkBytesPerSec: 3.5e6})
+	a.Record(Decision{Path: PathShed, Reason: "hint-delay", HintAge: 0}) // no request: no encoding, gauge untouched
 
 	// Sink: one JSON line per decision, with units-in-names fields.
 	lines := 0
@@ -88,6 +90,9 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 		`websnap_client_decisions_total{path="full",reason="ok"} 1`,
 		`websnap_client_decisions_total{path="fallback",reason="server-error"} 1`,
 		`websnap_client_decisions_total{path="shed",reason="hint-delay"} 1`,
+		`websnap_request_encoding_total{encoding="raw"} 1`,
+		`websnap_request_encoding_total{encoding="packed"} 1`,
+		`websnap_client_uplink_bytes_per_second 3.5e+06`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, b.String())
@@ -103,7 +108,8 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 
 func TestDecisionJSONUnits(t *testing.T) {
 	d := Decision{Path: PathFull, Predicted: 1500 * time.Microsecond,
-		Measured: 2 * time.Millisecond, HintAge: 30 * time.Millisecond}
+		Measured: 2 * time.Millisecond, HintAge: 30 * time.Millisecond,
+		WireEncoding: "packed", UplinkBytesPerSec: 3.5e6}
 	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +127,16 @@ func TestDecisionJSONUnits(t *testing.T) {
 	if m["hintAgeMillis"] != float64(30) {
 		t.Errorf("hintAgeMillis = %v", m["hintAgeMillis"])
 	}
-	// Negative hint age means "no hint": the field is omitted.
+	if m["wireEncoding"] != "packed" || m["uplinkBytesPerSec"] != 3.5e6 {
+		t.Errorf("wireEncoding = %v, uplinkBytesPerSec = %v", m["wireEncoding"], m["uplinkBytesPerSec"])
+	}
+	// Negative hint age means "no hint": the field is omitted. So are the
+	// wire fields of a decision that sent nothing.
 	raw, _ = json.Marshal(Decision{Path: PathLocal, HintAge: -1})
-	if strings.Contains(string(raw), "hintAgeMillis") {
-		t.Errorf("hintAgeMillis should be omitted: %s", raw)
+	for _, key := range []string{"hintAgeMillis", "wireEncoding", "uplinkBytesPerSec"} {
+		if strings.Contains(string(raw), key) {
+			t.Errorf("%s should be omitted: %s", key, raw)
+		}
 	}
 }
 

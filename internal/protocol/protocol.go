@@ -18,7 +18,9 @@
 // concurrently and echoes the Seq on the matching response, and responses
 // may arrive in any order. Responses always carry the server's Load and,
 // where there is a body, its BodyCRC; results carry a ServerTrace, and a
-// span tree whenever the request carried a TraceID.
+// span tree whenever the request carried a TraceID. Acks, pongs and results
+// also carry the server's capability Hints: a snapshot body may travel packed
+// (compress.go) to a server that has said it decodes that.
 package protocol
 
 import (
@@ -174,7 +176,7 @@ var (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // BodyChecksum returns the integrity checksum senders attach to snapshot
-// and model bodies (over the wire bytes, i.e. after any compression).
+// and model bodies (over the wire bytes, i.e. after any packing).
 func BodyChecksum(body []byte) uint32 {
 	return crc32.Checksum(body, crcTable)
 }
@@ -233,7 +235,8 @@ func (h LoadHint) QueueingDelay() time.Duration {
 type ServerTrace struct {
 	// TraceID echoes the request's trace identifier.
 	TraceID string `json:"traceId"`
-	// DecodeMicros covers request body decompression + snapshot decoding.
+	// DecodeMicros covers request body inflation and unpacking + snapshot
+	// decoding.
 	DecodeMicros int64 `json:"decodeMicros"`
 	// QueueMicros is the time the session waited in the admission queue
 	// for a scheduler worker.
@@ -242,7 +245,7 @@ type ServerTrace struct {
 	// inside the worker.
 	ExecuteMicros int64 `json:"executeMicros"`
 	// EncodeMicros covers result encoding (diff + delta, or the full
-	// snapshot) + compression.
+	// snapshot) + any packing.
 	EncodeMicros int64 `json:"encodeMicros"`
 	// BatchSize is how many coalesced sessions shared the worker's batched
 	// forward pass (1 = solo execution).
@@ -374,6 +377,12 @@ type AckHeader struct {
 	// resolution (registry locate, peer fetches), attached when the
 	// request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
+	// Hints carries the server's capability bits (HintPackedBody).
+	Hints int `json:"hints,omitempty"`
+	// ServeMicros is how long the server spent on the pre-send once its
+	// frame had arrived; the round trip less this is the upload, which is
+	// the client's first reading of its uplink.
+	ServeMicros int64 `json:"serveMicros,omitempty"`
 }
 
 // SnapshotHeader is the JSON header of MsgSnapshot, MsgResultSnapshot and
@@ -382,12 +391,13 @@ type SnapshotHeader struct {
 	AppID string `json:"appId"`
 	// Seq identifies the request's stream; the response echoes it.
 	Seq uint64 `json:"seq"`
-	// Encoding is the body encoding (EncodingRaw or EncodingFlate).
+	// Encoding is the body encoding (EncodingRaw or EncodingPacked).
 	Encoding string `json:"encoding,omitempty"`
-	// Hints is ignored by every receiver.
-	//
-	// Deprecated: kept only because benchmark/layers.go:200 still sets it,
-	// until a benchmark PR drops the reference.
+	// PlainLen is the length of the text an EncodingPacked body stands for;
+	// zero on a raw body.
+	PlainLen int64 `json:"plainLen,omitempty"`
+	// Hints carries the server's capability bits (HintPackedBody) on a
+	// response; on a request every receiver ignores it.
 	Hints int `json:"hints,omitempty"`
 	// TraceID identifies this offload's trace (request direction only).
 	TraceID string `json:"traceId,omitempty"`
@@ -396,7 +406,7 @@ type SnapshotHeader struct {
 	// ReplyDelta, which any other non-empty value is read as.
 	Reply string `json:"reply,omitempty"`
 	// BodyCRC is the body's integrity checksum over the wire bytes (after
-	// compression). Receivers verify whenever it is non-zero; servers
+	// any packing). Receivers verify whenever it is non-zero; servers
 	// attach it to every response.
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
 	// Load is the server's scheduling load (response direction only).
@@ -451,6 +461,8 @@ type PongHeader struct {
 	Fleet bool `json:"fleet,omitempty"`
 	// Seq echoes the ping's stream id.
 	Seq uint64 `json:"seq,omitempty"`
+	// Hints carries the server's capability bits (HintPackedBody).
+	Hints int `json:"hints,omitempty"`
 }
 
 // InstallOverlayHeader is the JSON header of MsgInstallOverlay; the

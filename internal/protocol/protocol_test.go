@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"websnap/internal/testutil"
 )
 
 func TestRoundTripAllTypes(t *testing.T) {
@@ -185,7 +189,7 @@ func TestDecodeHeader(t *testing.T) {
 // names for a full request is a function of that header and its body.
 func TestSnapshotHeaderReplyField(t *testing.T) {
 	body := []byte("// snapshot")
-	hdr := SnapshotHeader{AppID: "a", Seq: 7, Encoding: EncodingFlate, TraceID: "00c0ffee00c0ffee", BodyCRC: 42}
+	hdr := SnapshotHeader{AppID: "a", Seq: 7, Encoding: "flate", TraceID: "00c0ffee00c0ffee", BodyCRC: 42}
 	rows := []struct {
 		reply, want string
 	}{
@@ -267,31 +271,126 @@ func TestEmptyBodyOverPipe(t *testing.T) {
 	}
 }
 
+// copyPack and copyUnpack stand in for snapshot.Pack and snapshot.Unpack (which
+// this package cannot import): the text is its own packed form.
+func copyPack(w io.Writer, plain []byte) error {
+	_, err := w.Write(plain)
+	return err
+}
+
+func copyUnpack(dst, packed []byte) error {
+	if len(dst) != len(packed) {
+		return fmt.Errorf("packed form is %d bytes, text %d", len(packed), len(dst))
+	}
+	copy(dst, packed)
+	return nil
+}
+
 func TestCompressDecodeBody(t *testing.T) {
 	text := []byte(strings.Repeat("var feature = [0.1,0.2,0.3];\n", 500))
-	compressed, err := CompressBody(text)
-	if err != nil {
-		t.Fatal(err)
+	compressed, ok, err := CompressBody(nil, text, copyPack)
+	if err != nil || !ok {
+		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 	}
 	if len(compressed) >= len(text)/2 {
 		t.Errorf("snapshot-like text should compress well: %d vs %d", len(compressed), len(text))
 	}
-	plain, err := DecodeBody(compressed, EncodingFlate)
+	plain, err := DecodeBody(compressed, EncodingPacked, int64(len(text)), copyUnpack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, text) {
 		t.Error("compression round trip corrupted the body")
 	}
-	raw, err := DecodeBody(text, EncodingRaw)
+	raw, err := DecodeBody(text, EncodingRaw, 0, copyUnpack)
 	if err != nil || !bytes.Equal(raw, text) {
 		t.Errorf("raw DecodeBody should pass through: %v", err)
 	}
-	if _, err := DecodeBody(text, "lzma"); err == nil {
-		t.Error("unknown encoding should fail")
+	for name, c := range map[string]struct {
+		body     []byte
+		encoding string
+		plainLen int64
+	}{
+		"unknown encoding":     {text, "lzma", 0},
+		"the retired encoding": {compressed, "flate", int64(len(text))},
+		"not DEFLATE":          {[]byte("garbage not flate"), EncodingPacked, 17},
+		"no declared length":   {compressed, EncodingPacked, 0},
+		"declared one short":   {compressed, EncodingPacked, int64(len(text)) - 1},
+		"declared one long":    {compressed, EncodingPacked, int64(len(text)) + 1},
+		"truncated stream":     {compressed[:len(compressed)/2], EncodingPacked, int64(len(text))},
+	} {
+		if _, err := DecodeBody(c.body, c.encoding, c.plainLen, copyUnpack); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
-	if _, err := DecodeBody([]byte("garbage not flate"), EncodingFlate); err == nil {
-		t.Error("corrupt compressed body should fail")
+}
+
+// TestCompressBodyGoesRawWithoutGain: a body that DEFLATE cannot take a tenth
+// off is reported as not worth sending packed, and the caller's storage comes
+// back for the next body either way.
+func TestCompressBodyGoesRawWithoutGain(t *testing.T) {
+	noise := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(noise)
+	storage := make([]byte, 0, len(noise))
+	body, ok, err := CompressBody(storage, noise, copyPack)
+	if err != nil || ok {
+		t.Fatalf("incompressible body: ok %v, err %v", ok, err)
+	}
+	if len(body) != 0 || cap(body) != cap(storage) {
+		t.Errorf("storage came back as len %d cap %d, want 0 and %d", len(body), cap(body), cap(storage))
+	}
+	text := bytes.Repeat([]byte("var x = 1;\n"), 4096)
+	body, ok, err = CompressBody(body, text, copyPack)
+	if err != nil || !ok {
+		t.Fatalf("text after noise: ok %v, err %v", ok, err)
+	}
+	if &body[:1][0] != &storage[:1][0] {
+		t.Error("a body that fits was not built in the storage handed in")
+	}
+	if plain, err := DecodeBody(body, EncodingPacked, int64(len(text)), copyUnpack); err != nil || !bytes.Equal(plain, text) {
+		t.Errorf("round trip after a refused body: %v", err)
+	}
+}
+
+// TestDecodeBodyBoundedByDeclaredLength is the amplification gate: what a
+// packed body may inflate to is what its header declares, checked against
+// MaxBodyLen before a byte is inflated, and a stream that holds more than it
+// declared — or far less — is refused without the text being allocated.
+func TestDecodeBodyBoundedByDeclaredLength(t *testing.T) {
+	bomb := make([]byte, 8<<20) // 8 MiB of zeros deflate to ~8 KiB
+	body, ok, err := CompressBody(nil, bomb, copyPack)
+	if err != nil || !ok {
+		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
+	}
+	unpacked := 0
+	counting := func(dst, packed []byte) error {
+		unpacked++
+		return copyUnpack(dst, packed)
+	}
+	if _, err := DecodeBody(body, EncodingPacked, MaxBodyLen+1, counting); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("declared length above MaxBodyLen: err = %v, want ErrTooLarge", err)
+	}
+	// Inflation stops at the declared length, so refusing costs a buffer
+	// grown by doubling to the smaller of declaration and stream — never the
+	// text, and never anything the size of a wrong declaration.
+	for _, c := range []struct{ declared, mayAllocate int64 }{
+		{1 << 10, 64 << 10},
+		{int64(len(bomb)) - 1<<10, 8 * int64(len(bomb))},
+		{MaxBodyLen, 8 * int64(len(bomb))},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBody(body, EncodingPacked, c.declared, counting)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("an %d-byte stream decoded as %d bytes", len(bomb), c.declared)
+		}
+		if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > c.mayAllocate && !testutil.RaceDetector {
+			t.Errorf("declared %d: refusing allocated %d bytes, want ≤ %d", c.declared, grew, c.mayAllocate)
+		}
+	}
+	if unpacked != 0 {
+		t.Errorf("unpack ran %d times on bodies whose length cannot match", unpacked)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,9 +10,12 @@ import (
 	"websnap/internal/core"
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
+	"websnap/internal/netem"
+	"websnap/internal/obs"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
 	"websnap/internal/tensor"
+	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
 
@@ -142,15 +146,28 @@ func TestDownlinkPriceCoversRealResult(t *testing.T) {
 // json.Marshal sample of made-up activations it did not: 1,613,9xx B shipped
 // against 1,185,702 + 33,125 priced for a GoogLeNet image, 683,5xx against
 // 592,851 + 1,645 for AgeNet's 1st_pool features.
+//
+// On a link the offloader has measured slow the request travels packed, and
+// the price — still the text's — is an upper bound on it, not an estimate of
+// it. The last row drops the link to 30 Mbit/s once the model is up: within
+// three requests the session is packing, what it ships is under the price, and
+// the audit's decision says in which form the request went and from what link
+// estimate, so a residual between predicted and measured latency on a slow
+// link is attributable from the audit log alone.
 func TestUplinkPriceCoversRealRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds, pre-sends and runs GoogLeNet and AgeNet")
 	}
-	conn := dialEdgeServer(t)
+	addr := startEdgeServer(t)
 	for _, row := range []struct {
 		model, split string
 		mode         core.Mode
-	}{{models.GoogLeNet, "", core.ModeFull}, {models.AgeNet, "1st_pool", core.ModePartial}} {
+		slowLink     bool
+	}{
+		{models.GoogLeNet, "", core.ModeFull, false},
+		{models.AgeNet, "1st_pool", core.ModePartial, false},
+		{models.AgeNet, "1st_pool", core.ModePartial, true},
+	} {
 		sc := scenario(t, row.model)
 		values := tensor.Volume(sc.Net.InputShape())
 		if row.split != "" {
@@ -166,10 +183,20 @@ func TestUplinkPriceCoversRealRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		link := &switchedLink{}
+		conn, err := client.DialWrapped(addr, func(c net.Conn) net.Conn {
+			link.Conn, link.paced = c, netem.Shape(c, netem.WiFi30Mbps)
+			return link
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		audit := obs.NewAuditor(obs.AuditorOptions{Keep: 1})
 		session, err := core.NewSession(core.SessionConfig{
 			AppID: "uplink-" + row.model, ModelName: row.model, Model: sc.Net,
 			Labels: labelsFor(row.model, out[len(out)-1]),
-			Mode:   row.mode, SplitLabel: row.split, Conn: conn, PreSend: true,
+			Mode:   row.mode, SplitLabel: row.split, Conn: conn, PreSend: true, Audit: audit,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,25 +204,75 @@ func TestUplinkPriceCoversRealRequest(t *testing.T) {
 		if err := session.WaitForModelUpload(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := session.Classify(mlapp.SyntheticImage(tensor.Volume(sc.Net.InputShape()), 1)); err != nil {
+		link.slow.Store(row.slowLink)
+		image := mlapp.SyntheticImage(tensor.Volume(sc.Net.InputShape()), 1)
+		if _, err := session.Classify(image); err != nil {
 			t.Fatal(err)
 		}
 		st := session.Stats()
-		if st.Offloads != 1 {
-			t.Fatalf("%s: stats %+v, want one offload", row.model, st)
+		if !row.slowLink {
+			t.Logf("%s %s: request %d B on the wire, %d values priced at %d B + %d B of state", row.model, row.split,
+				st.LastSnapshotBytes, values, features, pcfg.StateOverheadBytes)
+			if testutil.RaceDetector && st.PackedOffloads != 0 {
+				// A 28–45 MB loopback pre-send under the detector can read
+				// under break-even; the text's size is held without it.
+				continue
+			}
+			if st.Offloads != 1 || st.PackedOffloads != 0 {
+				t.Fatalf("%s: stats %+v, want one offload, as text", row.model, st)
+			}
+			if st.LastSnapshotBytes < features || st.LastSnapshotBytes > features+pcfg.StateOverheadBytes {
+				t.Errorf("%s %s: the engine ships a %d B request, the cost model prices the uplink within [%d, %d] B",
+					row.model, row.split, st.LastSnapshotBytes, features, features+pcfg.StateOverheadBytes)
+			}
+			continue
 		}
-		t.Logf("%s %s: request %d B on the wire, %d values priced at %d B + %d B of state", row.model, row.split,
-			st.LastSnapshotBytes, values, features, pcfg.StateOverheadBytes)
-		if st.LastSnapshotBytes < features || st.LastSnapshotBytes > features+pcfg.StateOverheadBytes {
-			t.Errorf("%s %s: the engine ships a %d B request, the cost model prices the uplink within [%d, %d] B",
-				row.model, row.split, st.LastSnapshotBytes, features, features+pcfg.StateOverheadBytes)
+		// The pre-send read a fast link; a slow reading is believed once a
+		// second one confirms it.
+		const settleWithin = 3
+		for st.PackedOffloads == 0 && st.Offloads < settleWithin {
+			if _, err := session.Classify(image); err != nil {
+				t.Fatal(err)
+			}
+			st = session.Stats()
+		}
+		price := features + pcfg.StateOverheadBytes
+		t.Logf("%s %s at 30 Mbit/s: request %d of %d packed, %d B on the wire, %.3f × its %d B price; uplink estimate %.2f MB/s",
+			row.model, row.split, st.Offloads, settleWithin, st.LastSnapshotBytes,
+			float64(st.LastSnapshotBytes)/float64(price), price, st.UplinkBytesPerSec/1e6)
+		if st.PackedOffloads != 1 {
+			t.Fatalf("%s: %d requests after the link slowed, none packed (estimate %.3g B/s)", row.model, st.Offloads, st.UplinkBytesPerSec)
+		}
+		if st.LastSnapshotBytes > price {
+			t.Errorf("%s %s: a packed request of %d B exceeds the %d B the cost model prices the uplink at",
+				row.model, row.split, st.LastSnapshotBytes, price)
+		}
+		last := audit.Recent()
+		if len(last) != 1 || last[0].WireEncoding != "packed" ||
+			last[0].UplinkBytesPerSec <= 0 || last[0].UplinkBytesPerSec >= 16e6 {
+			t.Errorf("audit decision of the packed request = %+v, want wire encoding %q and the slow estimate it came from", last, "packed")
 		}
 	}
 }
 
-// dialEdgeServer starts an in-process edge server and returns a connection
-// to it; both are torn down with the test.
-func dialEdgeServer(t *testing.T) *client.Conn {
+// switchedLink is a client socket whose writes are paced like netem's once
+// slow is set: a link that degrades under a running session.
+type switchedLink struct {
+	net.Conn
+	paced net.Conn
+	slow  atomic.Bool
+}
+
+func (l *switchedLink) Write(b []byte) (int, error) {
+	if l.slow.Load() {
+		return l.paced.Write(b)
+	}
+	return l.Conn.Write(b)
+}
+
+// startEdgeServer starts an in-process edge server, torn down with the test,
+// and returns its address.
+func startEdgeServer(t *testing.T) string {
 	t.Helper()
 	srv, err := core.NewEdgeServer(nil)
 	if err != nil {
@@ -214,7 +291,14 @@ func dialEdgeServer(t *testing.T) *client.Conn {
 		srv.Close()
 		<-served
 	})
-	conn, err := client.Dial(ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// dialEdgeServer starts an in-process edge server and returns a connection
+// to it; both are torn down with the test.
+func dialEdgeServer(t *testing.T) *client.Conn {
+	t.Helper()
+	conn, err := client.Dial(startEdgeServer(t))
 	if err != nil {
 		t.Fatal(err)
 	}

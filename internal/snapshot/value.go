@@ -38,6 +38,10 @@ import (
 // state must not use it as a map key.
 const f32Key = "__f32__"
 
+// f32Open is what the encoder writes of a typed array ahead of its payload,
+// the base64 text that `"}` then closes.
+const f32Open = `{"` + f32Key + `":"`
+
 // Float32TextBytesPerValue is what one typed-array element costs in a
 // snapshot's text: four bytes of bits, base64-encoded. The cost models price
 // feature data by it (partition.Config, sim.Scenario).
@@ -147,30 +151,45 @@ func allFinite(bits []byte) bool {
 // encoding is accepted: the standard alphabet, padded, zero trailing bits, no
 // line breaks, a whole number of finite float32s.
 func decodeFloat32s(text []byte) (webapp.Float32Array, error) {
-	size := len(text)/4*3 - bytes.Count(text[max(len(text)-2, 0):], []byte("="))
+	size := base64RawLen(text)
 	if len(text)%4 != 0 || size%4 != 0 {
 		return nil, fmt.Errorf("%s payload of %d characters is not the padded base64 of whole float32s", f32Key, len(text))
 	}
 	fa := make(webapp.Float32Array, size/4)
 	var bits [4 * f32Chunk]byte
 	for rest := fa; len(rest) > 0; {
-		n := min(len(rest), f32Chunk)
-		chunk := text[:min(len(text), f32ChunkText)]
-		got, err := strictBase64.Decode(bits[:], chunk)
-		if err == nil && got != 4*n {
-			// The decoder skips \r and \n, and stops at padding.
-			err = errors.New("line break or padding inside the payload")
-		}
+		n, tail, err := decodeChunk(&bits, text, 4*len(rest))
 		if err != nil {
 			return nil, fmt.Errorf("%s payload is not canonical base64: %v", f32Key, err)
 		}
-		if !allFinite(bits[:4*n]) {
+		if !allFinite(bits[:n]) {
 			return nil, fmt.Errorf("%s payload: %w", f32Key, errNonFinite)
 		}
-		protocol.GetFloat32s(rest[:n], bits[:])
-		rest, text = rest[n:], text[len(chunk):]
+		protocol.GetFloat32s(rest[:n/4], bits[:])
+		rest, text = rest[n/4:], tail
 	}
 	return fa, nil
+}
+
+// base64RawLen is how many bytes padded base64 text of this length, ending in
+// this much padding, stands for.
+func base64RawLen(text []byte) int {
+	return len(text)/4*3 - bytes.Count(text[max(len(text)-2, 0):], []byte("="))
+}
+
+// decodeChunk strictly decodes the next chunk — at most f32ChunkText
+// characters — of a payload that has want bytes left to yield, into bits, and
+// returns how many it yielded and the text after it. What the canonical
+// encoding never contains shows as a chunk that comes up short: a line break,
+// which the decoder skips, or padding before the end, where it stops.
+func decodeChunk(bits *[4 * f32Chunk]byte, text []byte, want int) (n int, rest []byte, err error) {
+	chunk := text[:min(len(text), f32ChunkText)]
+	n = min(want, len(bits))
+	got, err := strictBase64.Decode(bits[:], chunk)
+	if err == nil && got != n {
+		err = errors.New("line break or padding inside the payload")
+	}
+	return n, text[len(chunk):], err
 }
 
 // appendFloat appends f the way encoding/json does: shortest digits that
@@ -432,8 +451,7 @@ func (p *parser) object() (webapp.Value, error) {
 // (a subslice of the input) with the cursor past the object; otherwise ok is
 // false and the cursor has not moved.
 func (p *parser) f32Text() (text []byte, ok bool) {
-	const open = `{"` + f32Key + `":"`
-	rest, ok := bytes.CutPrefix(p.buf[p.pos:], []byte(open))
+	rest, ok := bytes.CutPrefix(p.buf[p.pos:], []byte(f32Open))
 	if !ok { // any other object costs no more than this prefix
 		return nil, false
 	}
@@ -442,7 +460,7 @@ func (p *parser) f32Text() (text []byte, ok bool) {
 		bytes.IndexByte(rest[:n], '\\') >= 0 {
 		return nil, false
 	}
-	p.pos += len(open) + n + 2
+	p.pos += len(f32Open) + n + 2
 	return rest[:n], true
 }
 

@@ -27,7 +27,7 @@ type Stage string
 const (
 	StageCapture    Stage = "capture"     // snapshot capture at the client
 	StageEncode     Stage = "encode"      // textual snapshot encoding
-	StageCompress   Stage = "compress"    // DEFLATE compression (when enabled)
+	StageCompress   Stage = "compress"    // client-side body packing + unpacking (slow links only)
 	StageWire       Stage = "wire"        // request frame transfer client → server
 	StageQueue      Stage = "queue"       // admission-queue wait at the server
 	StageExecute    Stage = "execute"     // restore + handler run + result capture
