@@ -62,9 +62,8 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 		traceID = trace.NewID()
 	}
 	body := protocol.Float32Bytes(boundary.Data())
-	var hdr protocol.ChainResultHeader
 	rtStart := time.Now()
-	resp, err := c.call("chain exec", protocol.MsgChainExec, protocol.MsgChainResult, func(seq uint64) any {
+	resp, hdr, err := call[protocol.ChainResultHeader](c, "chain exec", protocol.MsgChainExec, protocol.MsgChainResult, func(seq uint64) any {
 		return protocol.ChainExecHeader{
 			AppID:     appID,
 			ModelName: modelName,
@@ -75,7 +74,7 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 			TraceID:   traceID,
 			BodyCRC:   protocol.BodyChecksum(body),
 		}
-	}, body, &hdr)
+	}, body)
 	rt := time.Since(rtStart)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -106,10 +105,11 @@ type Conn struct {
 	peerPacks atomic.Bool
 }
 
-// muxReply is one demultiplexed response (or the terminal error that
-// killed the stream).
+// muxReply is one demultiplexed response with the header the reader
+// decoded (protocol.DecodeFrame), or the error that ended the stream.
 type muxReply struct {
 	msg protocol.Message
+	hdr any
 	err error
 }
 
@@ -276,11 +276,7 @@ func (c *Conn) Redial() error {
 
 // serverError turns a MsgError frame into the matching client error. A
 // clean error frame is a complete frame, so it never breaks the connection.
-func (c *Conn) serverError(resp protocol.Message) error {
-	var hdr protocol.ErrorHeader
-	if err := protocol.DecodeHeader(resp, &hdr); err != nil {
-		return err
-	}
+func (c *Conn) serverError(hdr *protocol.ErrorHeader) error {
 	err := fmt.Errorf("%w: %s", ErrServerError, hdr.Message)
 	if hdr.Overloaded {
 		err = fmt.Errorf("%w: %w: %s", ErrServerError, ErrOverloaded, hdr.Message)
@@ -312,35 +308,29 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 	return true, nil
 }
 
-// readLoop is the Conn's single reader: it decodes each response's stream
-// ID (every response header carries the shared "seq" key), records the
-// server's load hint and capability hints when the header has them, and hands
-// the frame to the waiting request. A read error, an undecodable header, or a
-// response for no pending stream all mean the frame stream can no longer
-// be trusted, so every pending request fails and the loop exits; Redial
-// starts a fresh loop on the replacement socket.
+// readLoop is the Conn's single reader: it reads each response through a
+// buffer, decodes its header once — stream ID (every response header carries
+// the shared "seq" key), the server's load and capability hints — and hands
+// the frame with its header to the waiting request. A read error, a
+// response for no pending stream, or one whose header does not parse far
+// enough to name its stream all mean the frame stream can no longer be
+// trusted, so every pending request fails and the loop exits; Redial starts
+// a fresh loop on the replacement socket.
 func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 	defer close(done)
+	br := protocol.NewReader(rw)
 	for {
-		resp, err := protocol.Read(rw)
+		resp, err := protocol.Read(br)
 		if err != nil {
 			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
-		// Everything after the read is demux routing: header peek, stream
+		// Everything after the read is demux routing: header decode, stream
 		// lookup, handoff. Recording it separately from the wire keeps a
 		// congested reader (many streams racing the single demultiplexer)
 		// visible in the stage histograms.
 		routeStart := time.Now()
-		var env struct {
-			protocol.MuxEnvelope
-			Load  *protocol.LoadHint `json:"load"`
-			Hints int                `json:"hints"`
-		}
-		if err := json.Unmarshal(resp.Header, &env); err != nil {
-			c.failPending(rw, fmt.Errorf("%w: undecodable response header: %w", ErrConnBroken, err))
-			return
-		}
+		hdr, env, hdrErr := protocol.DecodeFrame(resp)
 		c.noteLoad(env.Load)
 		if env.Hints&protocol.HintPackedBody != 0 {
 			c.peerPacks.Store(true)
@@ -353,17 +343,22 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 		c.mu.Unlock()
 		if !ok {
 			err := fmt.Errorf("response for unknown stream %d", env.Seq)
-			if resp.Type == protocol.MsgError {
+			switch eh, isErr := hdr.(*protocol.ErrorHeader); {
+			case hdrErr != nil:
+				err = fmt.Errorf("undecodable response header: %w", hdrErr)
+			case isErr:
 				// An error frame addressed to no stream is about the
 				// connection itself (refused at the connection cap, a
 				// request header the server could not decode): keep its
 				// message as the cause.
-				err = c.serverError(resp)
+				err = c.serverError(eh)
 			}
 			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
-		ch <- muxReply{msg: resp}
+		// A header that named its stream but did not decode whole fails
+		// only that stream: the frame was complete.
+		ch <- muxReply{msg: resp, hdr: hdr, err: hdrErr}
 		if rec := c.rec.Load(); rec != nil {
 			rec.Observe(trace.StageDemux, time.Since(routeStart))
 		}
@@ -404,7 +399,7 @@ func (c *Conn) failPending(rw net.Conn, err error) {
 // could otherwise interpret a stale response's leftover bytes as a frame
 // header. A clean MsgError response is a complete frame and does NOT break
 // the connection.
-func (c *Conn) exchange(req protocol.Message, seq uint64) (protocol.Message, error) {
+func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 	slots := c.slots
 	slots <- struct{}{}
 	defer func() { <-slots }()
@@ -414,7 +409,7 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (protocol.Message, err
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
-		return protocol.Message{}, err
+		return muxReply{}, err
 	}
 	c.pending[seq] = ch
 	timeout := c.timeout
@@ -455,67 +450,70 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (protocol.Message, err
 		// unwinds the siblings.
 		rw.Close() //nolint:errcheck // already failing
 		c.failPending(rw, err)
-		return protocol.Message{}, err
+		return muxReply{}, err
 	}
 
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return protocol.Message{}, r.err
+			return muxReply{}, r.err
 		}
-		if r.msg.Type == protocol.MsgError {
-			return protocol.Message{}, c.serverError(r.msg)
+		if eh, ok := r.hdr.(*protocol.ErrorHeader); ok {
+			return muxReply{}, c.serverError(eh)
 		}
-		return r.msg, nil
+		return r, nil
 	case <-expired:
 		err := fmt.Errorf("%w: request %d timed out after %v", ErrConnBroken, seq, timeout)
 		rw.Close() //nolint:errcheck // deliberate teardown
 		c.failPending(rw, err)
-		return protocol.Message{}, err
+		return muxReply{}, err
 	}
 }
 
 // call runs one request/response exchange, the part every request type
-// shares: mint the stream's Seq, frame hdr(seq) with body, exchange, check
-// the response type, and decode the response header into out. what names
-// the request in errors.
-func (c *Conn) call(what string, reqType, respType protocol.MsgType, hdr func(seq uint64) any, body []byte, out any) (protocol.Message, error) {
+// shares: mint the stream's Seq, frame hdr(seq) with body, exchange, and
+// check the response type; the response comes back with the header the
+// reader decoded, whose type H is respType's. what names the request in
+// errors.
+func call[H any](c *Conn, what string, reqType, respType protocol.MsgType, hdr func(seq uint64) any, body []byte) (protocol.Message, *H, error) {
 	seq := c.seq.Add(1)
 	req, err := protocol.Encode(reqType, hdr(seq), body)
 	if err != nil {
-		return protocol.Message{}, err
+		return protocol.Message{}, nil, err
 	}
-	resp, err := c.exchange(req, seq)
+	r, err := c.exchange(req, seq)
 	if err != nil {
-		return protocol.Message{}, fmt.Errorf("client: %s: %w", what, err)
+		return protocol.Message{}, nil, fmt.Errorf("client: %s: %w", what, err)
 	}
-	if resp.Type != respType {
-		return protocol.Message{}, fmt.Errorf("client: %s: unexpected response %s", what, resp.Type)
+	out, ok := r.hdr.(*H)
+	if r.msg.Type != respType || !ok {
+		return protocol.Message{}, nil, fmt.Errorf("client: %s: unexpected response %s", what, r.msg.Type)
 	}
-	if err := protocol.DecodeHeader(resp, out); err != nil {
-		return protocol.Message{}, err
-	}
-	return resp, nil
+	return r.msg, out, nil
 }
 
 // Ping probes the server's install state and current scheduling load.
 func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
-	var hdr protocol.PongHeader
-	_, err = c.call("ping", protocol.MsgPing, protocol.MsgPong,
-		func(seq uint64) any { return protocol.PingHeader{Seq: seq} }, nil, &hdr)
-	return hdr.Installed, hdr.Load, err
+	_, pong, err := call[protocol.PongHeader](c, "ping", protocol.MsgPing, protocol.MsgPong,
+		func(seq uint64) any { return protocol.PingHeader{Seq: seq} }, nil)
+	if err != nil {
+		return false, nil, err
+	}
+	return pong.Installed, pong.Load, nil
 }
 
 // preSend ships one pre-send request — weights, or a reference when hdr is
 // RefOnly — and checks that the ACK names the same model.
 func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []byte) (protocol.AckHeader, error) {
-	var ack protocol.AckHeader
-	_, err := c.call(what, protocol.MsgModelPreSend, protocol.MsgAck,
-		func(seq uint64) any { hdr.Seq = seq; return hdr }, weights, &ack)
-	if err == nil && ack.ModelName != hdr.ModelName {
-		err = fmt.Errorf("client: %s: ACK names %q", what, ack.ModelName)
+	_, ack, err := call[protocol.AckHeader](c, what, protocol.MsgModelPreSend, protocol.MsgAck,
+		func(seq uint64) any { hdr.Seq = seq; return hdr }, weights)
+	if err != nil {
+		return protocol.AckHeader{}, err
 	}
-	return ack, err
+	if ack.ModelName != hdr.ModelName {
+		return *ack, fmt.Errorf("client: %s: ACK names %q", what, ack.ModelName)
+	}
+	return *ack, nil
 }
 
 // PreSendModel ships one model (descriptor + weights) to the edge server
@@ -688,16 +686,15 @@ func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadRe
 	if replyForm == "" {
 		respType = protocol.MsgResultSnapshot
 	}
-	var hdr protocol.SnapshotHeader
 	rtStart := time.Now()
-	resp, err := c.call(reqType.String(), reqType, respType, func(seq uint64) any {
+	resp, hdr, err := call[protocol.SnapshotHeader](c, reqType.String(), reqType, respType, func(seq uint64) any {
 		req := protocol.SnapshotHeader{
 			AppID: appID, Seq: seq, Encoding: body.encoding, PlainLen: body.plainLen,
 			TraceID: reply.TraceID, Reply: replyForm, BodyCRC: protocol.BodyChecksum(body.wire),
 		}
 		reply.RequestBase = req.RequestBase(body.wire)
 		return req
-	}, body.wire, &hdr)
+	}, body.wire)
 	reply.RoundTrip = time.Since(rtStart)
 	if err != nil {
 		return reply, err
@@ -725,9 +722,11 @@ func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadRe
 // InstallOverlay ships a compressed VM overlay for on-demand installation
 // and returns the server-reported synthesis time.
 func (c *Conn) InstallOverlay(baseImage string, blob []byte) (time.Duration, error) {
-	var hdr protocol.InstallDoneHeader
-	_, err := c.call("install", protocol.MsgInstallOverlay, protocol.MsgInstallDone, func(seq uint64) any {
+	_, done, err := call[protocol.InstallDoneHeader](c, "install", protocol.MsgInstallOverlay, protocol.MsgInstallDone, func(seq uint64) any {
 		return protocol.InstallOverlayHeader{BaseImage: baseImage, Seq: seq}
-	}, blob, &hdr)
-	return time.Duration(hdr.SynthesisMillis) * time.Millisecond, err
+	}, blob)
+	if err != nil {
+		return 0, err
+	}
+	return time.Duration(done.SynthesisMillis) * time.Millisecond, nil
 }

@@ -190,10 +190,9 @@ func TestRetiredDeltaFrameIsCleanError(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := []byte("// websnap-delta v1\n")
-	var hdr protocol.SnapshotHeader
-	_, err := conn.call("retired delta", protocol.MsgType(8), protocol.MsgResultDelta, func(seq uint64) any {
+	_, _, err := call[protocol.SnapshotHeader](conn, "retired delta", protocol.MsgType(8), protocol.MsgResultDelta, func(seq uint64) any {
 		return protocol.SnapshotHeader{AppID: app.ID(), Seq: seq, Reply: "delta+sync", BodyCRC: protocol.BodyChecksum(body)}
-	}, body, &hdr)
+	}, body)
 	if !cleanServerError(err) {
 		t.Fatalf("type-8 frame: err = %v, want a clean server error", err)
 	}

@@ -48,12 +48,8 @@ type chainWork struct {
 // handleChainExec executes this server's layer range of a multi-hop chain
 // and relays or answers. streamWait is the stream-semaphore wait, folded
 // into the hop's span like any other offload.
-func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
+func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHeader, streamWait time.Duration) (protocol.Message, error) {
 	start := time.Now()
-	var hdr protocol.ChainExecHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
 	if hdr.Hop < 0 || hdr.Hop >= len(hdr.Hops) {
 		return protocol.Message{}, fmt.Errorf("chain: hop %d out of manifest range %d", hdr.Hop, len(hdr.Hops))
 	}
@@ -127,7 +123,7 @@ func (s *Server) handleChainExec(msg protocol.Message, streamWait time.Duration)
 	// Mid-chain: relay the boundary tensor to the next hop and forward its
 	// result upstream byte-for-byte (re-encoding would risk the chain's
 	// bit-identity bar for no gain).
-	down, downHdr, err := s.relayChain(out, hdr)
+	down, downHdr, err := s.relayChain(out, *hdr)
 	if err != nil {
 		s.chainRelayFailures.Inc()
 		var ce *chainError

@@ -221,12 +221,8 @@ func (s *Server) doFetchBlob(addr, key, traceID string) ([]byte, *protocol.SpanN
 
 // handleBlobGet serves a peer's content-addressed fetch from the session
 // store.
-func (s *Server) handleBlobGet(msg protocol.Message) (protocol.Message, error) {
+func (s *Server) handleBlobGet(hdr *protocol.BlobGetHeader) (protocol.Message, error) {
 	start := time.Now()
-	var hdr protocol.BlobGetHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
 	if !s.fleetEnabled() {
 		return protocol.Message{}, errors.New("blob sharing not enabled on this edge server")
 	}

@@ -32,11 +32,7 @@ const maxHandlerSteps = 1000
 // the handler changed, as a result delta relative to the pre-execution state,
 // or (Reply empty: the raw Conn.OffloadSnapshot API) the full result
 // snapshot. Either way nothing of the request outlives it here.
-func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
-	var hdr protocol.SnapshotHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
+func (s *Server) handleOffload(msg protocol.Message, hdr *protocol.SnapshotHeader, streamWait time.Duration) (protocol.Message, error) {
 	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 		return protocol.Message{}, err
 	}
@@ -73,7 +69,7 @@ func (s *Server) handleOffload(msg protocol.Message, streamWait time.Duration) (
 	if err != nil {
 		return protocol.Message{}, fmt.Errorf("encode result: %w", err)
 	}
-	return s.snapshotResponse(respType, snap.AppID, hdr, body, tm)
+	return s.snapshotResponse(respType, snap.AppID, *hdr, body, tm)
 }
 
 // svcTiming accumulates one request's server-side stage durations as it
@@ -275,9 +271,7 @@ func (s *Server) batchKey(snap *snapshot.Snapshot) string {
 	}
 	for _, m := range snap.Models {
 		h.Write([]byte(m.Name))
-		if spec, err := json.Marshal(m.Spec); err == nil {
-			h.Write(spec)
-		}
+		h.Write(m.Spec)
 		h.Write(m.Weights)
 		h.Write([]byte{0})
 	}

@@ -534,11 +534,16 @@ func (s *Server) trackConn(conn net.Conn, add bool) {
 // upload on a slow link alive: the old single up-front deadline killed any
 // transfer whose total time exceeded the idle timeout, no matter how
 // steadily bytes were flowing.
+//
+// The connection's frames are read through a buffer on top of it, so a
+// frame may start arriving before it is read: its first bytes came in with
+// the previous frame's tail. Such a frame is on the transfer clock from the
+// start (startFrame).
 type deadlineReader struct {
 	conn           net.Conn
 	idle, transfer time.Duration
 	// inFrame marks that the current frame's first byte has been read, so
-	// reads are on the transfer clock until frameDone resets it.
+	// reads are on the transfer clock until startFrame resets it.
 	inFrame bool
 }
 
@@ -559,8 +564,9 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// frameDone returns the reader to the idle clock for the next frame.
-func (r *deadlineReader) frameDone() { r.inFrame = false }
+// startFrame puts the next frame on the idle clock, or — when buffered
+// bytes of it are already in hand — on the transfer clock.
+func (r *deadlineReader) startFrame(buffered int) { r.inFrame = buffered > 0 }
 
 // connWriter serializes response frames onto one connection: handler
 // goroutines finish in arbitrary order and interleave whole frames under
@@ -594,6 +600,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		transfer = s.cfg.IdleTimeout
 	}
 	dr := &deadlineReader{conn: conn, idle: s.cfg.IdleTimeout, transfer: transfer}
+	br := protocol.NewReader(dr)
 	cw := &connWriter{conn: conn}
 	// slots caps this connection's in-flight streams; a full window blocks
 	// the read loop, so flow control is the transport's backpressure.
@@ -601,8 +608,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	var streams sync.WaitGroup
 	defer streams.Wait()
 	for {
-		dr.frameDone()
-		msg, err := protocol.Read(dr)
+		dr.startFrame(br.Buffered())
+		msg, err := protocol.Read(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.logf("edge: read: %v", err)
@@ -613,15 +620,24 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// dispatchStream admits one frame as a stream: it peeks the envelope, waits
+// request is one admitted frame with its header decoded, once, by
+// dispatchStream: hdr is what protocol.DecodeFrame returned, hdrErr its
+// error.
+type request struct {
+	msg    protocol.Message
+	hdr    any
+	hdrErr error
+}
+
+// dispatchStream admits one frame as a stream: it decodes the header, waits
 // for a stream slot, and only then hands the request to a handler goroutine
 // that holds the slot until its response is written.
 func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct{}, streams *sync.WaitGroup, msg protocol.Message) {
-	var env protocol.MuxEnvelope
 	// An undecodable header dispatches as stream 0; the handler reports the
 	// decode error in an error frame, which the client takes as being about
 	// the whole connection.
-	_ = json.Unmarshal(msg.Header, &env)
+	hdr, env, hdrErr := protocol.DecodeFrame(msg)
+	req := request{msg: msg, hdr: hdr, hdrErr: hdrErr}
 	// The stream-semaphore wait is where backpressure bites; time it so the
 	// per-stream span and the stream_wait stage histogram expose a saturated
 	// window.
@@ -635,7 +651,7 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 		defer streams.Done()
 		defer s.muxActive.Add(-1)
 		defer func() { <-slots }()
-		if err := s.serveRequest(cw, msg, env.Seq, streamWait); err != nil {
+		if err := s.serveRequest(cw, req, env.Seq, streamWait); err != nil {
 			// The shared socket is broken; close it so the read loop and
 			// sibling streams unwind.
 			conn.Close()
@@ -646,12 +662,12 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 // serveRequest dispatches one request and writes its response under the
 // request's seq, tracked by reqWG so Close lets the final frame flush before
 // terminating the connection. streamWait is the stream-semaphore wait.
-func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, seq uint64, streamWait time.Duration) error {
+func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWait time.Duration) error {
 	s.reqWG.Add(1)
 	defer s.reqWG.Done()
-	resp, err := s.dispatch(msg, streamWait)
+	resp, err := s.dispatch(req, streamWait)
 	if err != nil {
-		s.logf("edge: %s: %v", msg.Type, err)
+		s.logf("edge: %s: %v", req.msg.Type, err)
 		s.errorsAnswered.Inc()
 		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: seq}
 		var oe *overloadError
@@ -666,7 +682,7 @@ func (s *Server) serveRequest(cw *connWriter, msg protocol.Message, seq uint64, 
 		if errors.As(err, &ce) {
 			hdr.ChainHop = ce.hop
 		}
-		s.recordFailure(msg, err, oe)
+		s.recordFailure(req.msg, err, oe)
 		resp, err = protocol.Encode(protocol.MsgError, hdr, nil)
 		if err != nil {
 			return err
@@ -713,41 +729,41 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 	})
 }
 
-// dispatch routes one request to its handler. streamWait reaches the
-// offload and chain handlers so the stream-semaphore wait lands in the
-// request's server trace.
-func (s *Server) dispatch(msg protocol.Message, streamWait time.Duration) (protocol.Message, error) {
+// dispatch routes one request to its handler with the header dispatchStream
+// decoded. streamWait reaches the offload and chain handlers so the
+// stream-semaphore wait lands in the request's server trace.
+func (s *Server) dispatch(req request, streamWait time.Duration) (protocol.Message, error) {
+	msg := req.msg
 	// Pings work before installation: probes need to learn the install
 	// state without tripping an error.
-	if msg.Type == protocol.MsgPing {
-		return s.handlePing(msg)
-	}
-	if !s.Installed() && msg.Type != protocol.MsgInstallOverlay {
+	if msg.Type != protocol.MsgPing && !s.Installed() && msg.Type != protocol.MsgInstallOverlay {
 		return protocol.Message{}, errors.New("offloading system not installed on this edge server")
 	}
-	switch msg.Type {
-	case protocol.MsgModelPreSend:
-		return s.handleModelPreSend(msg)
-	case protocol.MsgSnapshot:
-		return s.handleOffload(msg, streamWait)
-	case protocol.MsgInstallOverlay:
-		return s.handleInstall(msg)
-	case protocol.MsgBlobGet:
-		return s.handleBlobGet(msg)
-	case protocol.MsgChainExec:
-		return s.handleChainExec(msg, streamWait)
-	default:
-		return protocol.Message{}, fmt.Errorf("unexpected message %s", msg.Type)
+	if req.hdrErr != nil {
+		return protocol.Message{}, req.hdrErr
 	}
+	switch hdr := req.hdr.(type) {
+	case *protocol.PingHeader:
+		return s.handlePing(hdr)
+	case *protocol.ModelPreSendHeader:
+		return s.handleModelPreSend(msg, hdr)
+	case *protocol.SnapshotHeader:
+		if msg.Type == protocol.MsgSnapshot {
+			return s.handleOffload(msg, hdr, streamWait)
+		}
+	case *protocol.InstallOverlayHeader:
+		return s.handleInstall(msg, hdr)
+	case *protocol.BlobGetHeader:
+		return s.handleBlobGet(hdr)
+	case *protocol.ChainExecHeader:
+		return s.handleChainExec(msg, hdr, streamWait)
+	}
+	return protocol.Message{}, fmt.Errorf("unexpected message %s", msg.Type)
 }
 
 // handlePing answers a load probe with the server's install state and
 // scheduling load.
-func (s *Server) handlePing(msg protocol.Message) (protocol.Message, error) {
-	var hdr protocol.PingHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
+func (s *Server) handlePing(hdr *protocol.PingHeader) (protocol.Message, error) {
 	return protocol.Encode(protocol.MsgPong, protocol.PongHeader{
 		Installed: s.Installed(),
 		Load:      s.loadHint(),
@@ -776,12 +792,8 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 // the bytes (RefOnly + BlobKey): the server then resolves the model from
 // its store or a peer, and answers NeedBlob when it cannot, telling the
 // client to retry with the full upload.
-func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, error) {
+func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
 	start := time.Now()
-	var hdr protocol.ModelPreSendHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
 	// The client propagated its trace through the pre-send hop: collect the
 	// fleet-hop spans (registry locate, peer fetches) and parent them under
 	// one resolve span answered on the ack.
@@ -807,7 +819,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		err error
 	)
 	if hdr.RefOnly {
-		if net, err = s.resolveModel(hdr, trail); err != nil {
+		if net, err = s.resolveModel(*hdr, trail); err != nil {
 			s.refPreSendMisses.Inc()
 			s.logf("edge: ref pre-send %q (blob %s) unresolved: %v", hdr.ModelName, hdr.BlobKey, err)
 			return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
@@ -825,7 +837,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message) (protocol.Message, err
 		if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 			return protocol.Message{}, fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
 		}
-		if net, err = decodeModel(hdr, msg.Body); err != nil {
+		if net, err = decodeModel(*hdr, msg.Body); err != nil {
 			return protocol.Message{}, err
 		}
 		// An uploaded model is keyed by what it hashes to, whatever key
@@ -887,11 +899,7 @@ func (s *Server) StatsDigest() *protocol.StatsDigest {
 // handleInstall performs on-demand installation by VM synthesis: the client
 // ships a VM overlay containing the offloading system; once synthesized,
 // the server is customized and starts serving offload requests (§III.B.3).
-func (s *Server) handleInstall(msg protocol.Message) (protocol.Message, error) {
-	var hdr protocol.InstallOverlayHeader
-	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-		return protocol.Message{}, err
-	}
+func (s *Server) handleInstall(msg protocol.Message, hdr *protocol.InstallOverlayHeader) (protocol.Message, error) {
 	if s.Installed() {
 		return protocol.Encode(protocol.MsgInstallDone,
 			protocol.InstallDoneHeader{SynthesisMillis: 0, Seq: hdr.Seq}, nil)

@@ -234,13 +234,14 @@ func refPreSend(t *testing.T, srv *Server, model *nn.Network) protocol.AckHeader
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
+	hdr := protocol.ModelPreSendHeader{
 		AppID: "roamer", ModelName: "tiny", Spec: spec, BlobKey: nn.Fingerprint(model), RefOnly: true,
-	}, nil)
+	}
+	req, err := protocol.Encode(protocol.MsgModelPreSend, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.handleModelPreSend(req)
+	resp, err := srv.handleModelPreSend(req, &hdr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,17 +43,18 @@ func TestRefPreSendLinksHeldModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := protocol.Encode(protocol.MsgModelPreSend, protocol.ModelPreSendHeader{
+	hdr := protocol.ModelPreSendHeader{
 		AppID: "borrower", ModelName: "wide", Spec: spec,
 		BlobKey: nn.Fingerprint(model), RefOnly: true,
-	}, nil)
+	}
+	req, err := protocol.Encode(protocol.MsgModelPreSend, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	resp, err := srv.handleModelPreSend(req)
+	resp, err := srv.handleModelPreSend(req, &hdr)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

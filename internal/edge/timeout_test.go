@@ -143,3 +143,71 @@ func TestTransferTimeoutSplitsFromIdle(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferedFrameStartIsOnTransferClock: the server reads frames through
+// a buffer, so the first bytes of a frame can arrive in the same segment as
+// the tail of the one before and sit in the buffer before that frame is
+// read. Such a frame has started: if the rest of it stalls, the transfer
+// timeout cuts it off, not the far longer idle timeout.
+func TestBufferedFrameStartIsOnTransferClock(t *testing.T) {
+	const transfer = 100 * time.Millisecond
+	_, addr := startServer(t, Config{
+		Installed:       true,
+		IdleTimeout:     10 * time.Second,
+		TransferTimeout: transfer,
+	})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	// One write: a whole ping, then the next frame's prefix.
+	next := encodePingFrame(t, 1<<10)
+	if _, err := raw.Write(append(encodePingFrame(t, 0), next[:10]...)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if resp, err := protocol.Read(raw); err != nil || resp.Type != protocol.MsgPong {
+		t.Fatalf("first ping: resp=%v err=%v", resp.Type, err)
+	}
+	time.Sleep(4 * transfer) // stall mid-frame past the transfer deadline
+	if _, err := raw.Write(next[10:]); err == nil {
+		if _, err := protocol.Read(raw); err == nil {
+			t.Fatal("a frame whose prefix came with the previous frame outlived the transfer timeout")
+		}
+	}
+}
+
+// TestDrainedBufferIsOnIdleClock: once a frame has been read and nothing of
+// the next one is buffered, the connection is idle — it may sit longer than
+// the transfer timeout between frames, and is closed once it sits past the
+// idle timeout.
+func TestDrainedBufferIsOnIdleClock(t *testing.T) {
+	const transfer, idle = 100 * time.Millisecond, time.Second
+	_, addr := startServer(t, Config{Installed: true, IdleTimeout: idle, TransferTimeout: transfer})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	ping := encodePingFrame(t, 0)
+	for i := 0; i < 2; i++ {
+		if _, err := raw.Write(ping); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if resp, err := protocol.Read(raw); err != nil || resp.Type != protocol.MsgPong {
+			t.Fatalf("ping %d: resp=%v err=%v", i, resp.Type, err)
+		}
+		time.Sleep(3 * transfer) // idle between frames, past the transfer timeout
+	}
+	time.Sleep(idle + 3*transfer)
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := raw.Write(ping); err == nil {
+		if _, err := protocol.Read(raw); err == nil {
+			t.Fatal("a connection idle past the idle timeout was still served")
+		}
+	}
+}

@@ -197,3 +197,72 @@ func TestPartitionPointFeatureSizes(t *testing.T) {
 		t.Errorf("conv1/pool1 feature ratio = %.2f, want ~4 (paper: 14.7/2.9 ~= 5 textual)", ratio)
 	}
 }
+
+// TestEncodeSpecIsStable: a spec-only reference is accepted only when its
+// descriptor equals the stored model's byte for byte, so the encoding must
+// be a function of the architecture alone — the same bytes for a model
+// built twice, for one rebuilt from its own pre-send (DecodeSpec, then
+// EncodeSpec), for a split's rear, and after an int8 plan is compiled. And
+// the memo behind EncodeSpec must hand each caller a copy of its own.
+func TestEncodeSpecIsStable(t *testing.T) {
+	build := func(name string) *nn.Network {
+		t.Helper()
+		builder := Build
+		if name == "tinynet" {
+			builder = func(name string) (*nn.Network, error) { return BuildTinyNet(name, 3) }
+		}
+		net, err := builder(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	encode := func(net *nn.Network) []byte {
+		t.Helper()
+		spec, err := nn.EncodeSpec(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	for _, name := range append(Names(), "tinynet") {
+		t.Run(name, func(t *testing.T) {
+			net := build(name)
+			want := encode(net)
+			if got := encode(build(name)); string(got) != string(want) {
+				t.Errorf("built twice: %d B vs %d B of spec", len(got), len(want))
+			}
+			rebuilt, err := nn.DecodeSpec(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encode(rebuilt); string(got) != string(want) {
+				t.Errorf("rebuilt from its pre-send: %s, want %s", got, want)
+			}
+			_, rear, err := net.Split(net.NumLayers() / 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rearSpec := encode(rear)
+			if rebuilt, err = nn.DecodeSpec(rearSpec); err != nil {
+				t.Fatal(err)
+			}
+			if got := encode(rebuilt); string(got) != string(rearSpec) {
+				t.Errorf("split rear rebuilt from its pre-send: %s, want %s", got, rearSpec)
+			}
+			if name == "tinynet" {
+				if _, err := net.PlanPrec(nn.PrecInt8, net.InputShape()...); err != nil {
+					t.Fatal(err)
+				}
+				if got := encode(net); string(got) != string(want) {
+					t.Errorf("after an int8 plan: %s, want %s", got, want)
+				}
+			}
+			spec := encode(net)
+			spec[0] = 'x'
+			if got := encode(net); string(got) != string(want) {
+				t.Error("writing to EncodeSpec's result changed the next one")
+			}
+		})
+	}
+}

@@ -26,6 +26,12 @@ type Network struct {
 	// concurrent use (the scheduler's batch path shares one plan).
 	planMu sync.RWMutex
 	plans  map[planKey]*ExecPlan
+
+	// spec memoizes the encoded descriptor: the layer chain never changes
+	// after NewNetwork, so neither does its JSON (see SpecJSON).
+	specOnce sync.Once
+	spec     []byte
+	specErr  error
 }
 
 // planKey identifies a compiled plan: the layer range, the input shape,

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -167,13 +168,25 @@ func specToLayer(s LayerSpec) (Layer, error) {
 	}
 }
 
-// EncodeSpec renders the net descriptor as JSON.
+// EncodeSpec renders the net descriptor as JSON, in a slice the caller
+// owns.
 func EncodeSpec(n *Network) ([]byte, error) {
-	spec, err := n.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(spec)
+	spec, err := n.SpecJSON()
+	return bytes.Clone(spec), err
+}
+
+// SpecJSON returns the network's descriptor as EncodeSpec renders it,
+// encoded on the first call and shared by every later one: callers must not
+// modify it. These are the bytes a snapshot's __model line carries and a
+// spec-only reference is checked against.
+func (n *Network) SpecJSON() ([]byte, error) {
+	n.specOnce.Do(func() {
+		var spec NetSpec
+		if spec, n.specErr = n.Spec(); n.specErr == nil {
+			n.spec, n.specErr = json.Marshal(spec)
+		}
+	})
+	return n.spec, n.specErr
 }
 
 // DecodeSpec parses a JSON net descriptor and builds the network.
@@ -192,7 +205,7 @@ func DecodeSpec(data []byte) (*Network, error) {
 // transfer path key blobs by this value.
 func Fingerprint(n *Network) string {
 	h := sha256.New()
-	if spec, err := EncodeSpec(n); err == nil {
+	if spec, err := n.SpecJSON(); err == nil {
 		h.Write(spec)
 	}
 	if err := n.EncodeWeights(h); err != nil {

@@ -3,12 +3,17 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net"
 	"testing"
+	"time"
 	"unicode/utf8"
 )
 
 // FuzzRead hardens the frame parser: arbitrary bytes must either parse into
-// a message that round-trips, or fail cleanly — never panic or over-read.
+// a message that round-trips, or fail cleanly — never panic or over-read —
+// and a connection's buffered reader must parse them exactly as a plain
+// one does.
 func FuzzRead(f *testing.F) {
 	msg, err := Encode(MsgSnapshot, SnapshotHeader{AppID: "a", Seq: 1}, []byte("body"))
 	if err != nil {
@@ -23,8 +28,15 @@ func FuzzRead(f *testing.F) {
 	f.Add(make([]byte, 18))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
+		buffered, bufErr := Read(NewReader(bytes.NewReader(data)))
+		if (err == nil) != (bufErr == nil) || (err != nil && errors.Is(bufErr, io.ErrUnexpectedEOF) != errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Fatalf("plain read: %v; buffered read: %v", err, bufErr)
+		}
 		if err != nil {
 			return
+		}
+		if buffered.Type != got.Type || !bytes.Equal(buffered.Header, got.Header) || !bytes.Equal(buffered.Body, got.Body) {
+			t.Fatal("buffered read parsed another frame")
 		}
 		var out bytes.Buffer
 		if err := Write(&out, got); err != nil {
@@ -43,15 +55,21 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader must
-// frame, parse, and decode back field-for-field, and the body checksum must
-// verify exactly when it was computed over the bytes that arrived.
+// frame, cross a net.Pipe, parse, and decode back field-for-field, and the
+// body checksum must verify exactly when it was computed over the bytes that
+// arrived. With noHeader the frame goes without its header: a rendezvous
+// transport blocks a 0-byte write for a read the peer never issues, so an
+// empty header or body must not be written at all.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint64(0), "app", "", []byte(nil), false)
-	f.Add(uint64(1), "a", "", []byte("body"), false)
-	f.Add(uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false)
-	f.Add(uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true)
-	f.Add(uint64(1), "", "", []byte{0}, true)
-	f.Fuzz(func(t *testing.T, seq uint64, appID, traceID string, body []byte, flipCRC bool) {
+	f.Add(uint64(0), "app", "", []byte(nil), false, false)
+	f.Add(uint64(1), "a", "", []byte("body"), false, false)
+	f.Add(uint64(7), "roam-app", "0123456789abcdef", []byte("snapshot body"), false, false)
+	f.Add(uint64(1)<<40, "x", "deadbeef", bytes.Repeat([]byte{0xA5}, 300), true, false)
+	f.Add(uint64(1), "", "", []byte{0}, true, false)
+	f.Add(uint64(0), "", "", []byte(nil), false, true)
+	f.Add(uint64(0), "", "", []byte("body"), false, true)
+	f.Add(uint64(0), "", "", bytes.Repeat([]byte{0x5A}, 70<<10), false, true)
+	f.Fuzz(func(t *testing.T, seq uint64, appID, traceID string, body []byte, flipCRC, noHeader bool) {
 		if len(appID)+len(traceID) > MaxHeaderLen/2 {
 			return // oversized metadata is rejected by Write, not round-tripped
 		}
@@ -68,16 +86,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, msg); err != nil {
-			t.Fatalf("write: %v", err)
+		if noHeader {
+			msg.Header = nil
 		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("failed to read back own frame: %v", err)
+		got := pipeRoundTrip(t, msg)
+		if got.Type != MsgSnapshot || !bytes.Equal(got.Header, msg.Header) || !bytes.Equal(got.Body, body) {
+			t.Fatalf("frame did not round-trip: type %v, header %d bytes, body %d bytes", got.Type, len(got.Header), len(got.Body))
 		}
-		if got.Type != MsgSnapshot || !bytes.Equal(got.Body, body) {
-			t.Fatalf("frame did not round-trip: type %v, body %d bytes", got.Type, len(got.Body))
+		if noHeader {
+			return
 		}
 		var back SnapshotHeader
 		if err := DecodeHeader(got, &back); err != nil {
@@ -111,4 +128,27 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pipeRoundTrip writes msg into one end of a net.Pipe and reads it from the
+// other through a connection's buffered reader; a write that blocks fails
+// the test at the pipe's deadline instead of hanging it.
+func pipeRoundTrip(t *testing.T, msg Message) Message {
+	t.Helper()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	a.SetDeadline(deadline)
+	b.SetDeadline(deadline)
+	written := make(chan error, 1)
+	go func() { written <- Write(a, msg) }()
+	got, err := Read(NewReader(b))
+	if err != nil {
+		t.Fatalf("failed to read back own frame: %v", err)
+	}
+	if err := <-written; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	return got
 }

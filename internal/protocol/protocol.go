@@ -8,8 +8,8 @@
 //	version uint8
 //	type    uint8
 //	hdrLen  uint32  JSON header length
-//	header  []byte  JSON, message-type specific
 //	bodyLen uint64  payload length
+//	header  []byte  JSON, message-type specific
 //	body    []byte  raw payload (weights blob, snapshot text, ...)
 //
 // There is one request/response contract with an edge server, with nothing
@@ -24,6 +24,7 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -33,6 +34,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -482,11 +484,71 @@ type InstallDoneHeader struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// MuxEnvelope is the slice of every edge-server request and response
-// header the demultiplexers need before type-specific decoding: the logical
-// stream id, under the JSON key all of those headers share.
+// MuxEnvelope is the stream id every edge-server request and response
+// header carries, under the JSON key all of them share: what DecodeFrame
+// parses a frame type without a header struct of its own into.
 type MuxEnvelope struct {
 	Seq uint64 `json:"seq"`
+}
+
+// Envelope is what a connection's demultiplexer reads off a frame: the
+// stream it belongs to and, on a response, the server's load and capability
+// hints.
+type Envelope struct {
+	Seq   uint64
+	Load  *LoadHint
+	Hints int
+}
+
+// enveloped is a frame header that knows its envelope.
+type enveloped interface{ envelope() Envelope }
+
+func (h *MuxEnvelope) envelope() Envelope          { return Envelope{Seq: h.Seq} }
+func (h *ModelPreSendHeader) envelope() Envelope   { return Envelope{Seq: h.Seq} }
+func (h *AckHeader) envelope() Envelope            { return Envelope{h.Seq, h.Load, h.Hints} }
+func (h *SnapshotHeader) envelope() Envelope       { return Envelope{h.Seq, h.Load, h.Hints} }
+func (h *ErrorHeader) envelope() Envelope          { return Envelope{Seq: h.Seq, Load: h.Load} }
+func (h *InstallOverlayHeader) envelope() Envelope { return Envelope{Seq: h.Seq} }
+func (h *InstallDoneHeader) envelope() Envelope    { return Envelope{Seq: h.Seq} }
+func (h *PingHeader) envelope() Envelope           { return Envelope{Seq: h.Seq} }
+func (h *PongHeader) envelope() Envelope           { return Envelope{h.Seq, h.Load, h.Hints} }
+func (h *BlobGetHeader) envelope() Envelope        { return Envelope{Seq: h.Seq} }
+func (h *BlobDataHeader) envelope() Envelope       { return Envelope{Seq: h.Seq} }
+func (h *ChainExecHeader) envelope() Envelope      { return Envelope{Seq: h.Seq} }
+func (h *ChainResultHeader) envelope() Envelope    { return Envelope{Seq: h.Seq, Load: h.Load} }
+
+// frameHeaders makes the header struct of each edge-server message type.
+var frameHeaders = map[MsgType]func() enveloped{
+	MsgModelPreSend:   func() enveloped { return new(ModelPreSendHeader) },
+	MsgAck:            func() enveloped { return new(AckHeader) },
+	MsgSnapshot:       func() enveloped { return new(SnapshotHeader) },
+	MsgResultSnapshot: func() enveloped { return new(SnapshotHeader) },
+	MsgResultDelta:    func() enveloped { return new(SnapshotHeader) },
+	MsgError:          func() enveloped { return new(ErrorHeader) },
+	MsgInstallOverlay: func() enveloped { return new(InstallOverlayHeader) },
+	MsgInstallDone:    func() enveloped { return new(InstallDoneHeader) },
+	MsgPing:           func() enveloped { return new(PingHeader) },
+	MsgPong:           func() enveloped { return new(PongHeader) },
+	MsgBlobGet:        func() enveloped { return new(BlobGetHeader) },
+	MsgBlobData:       func() enveloped { return new(BlobDataHeader) },
+	MsgChainExec:      func() enveloped { return new(ChainExecHeader) },
+	MsgChainResult:    func() enveloped { return new(ChainResultHeader) },
+}
+
+// DecodeFrame parses msg's header, once, into the struct its type carries —
+// a *SnapshotHeader for MsgSnapshot, MsgResultSnapshot and MsgResultDelta, a
+// *PongHeader for MsgPong, and so on; a *MuxEnvelope for any other type —
+// and returns it with the frame's envelope. The demultiplexer routes by the
+// envelope and hands the handler or caller the header it already holds.
+// Like json.Unmarshal, a header that parses but has a field of the wrong
+// type fills in the rest, envelope included, and reports the error.
+func DecodeFrame(msg Message) (hdr any, env Envelope, err error) {
+	h := enveloped(new(MuxEnvelope))
+	if newHdr, ok := frameHeaders[msg.Type]; ok {
+		h = newHdr()
+	}
+	err = DecodeHeader(msg, h)
+	return h, h.envelope(), err
 }
 
 // FleetServer is one fleet member as seen in a registry view.
@@ -693,7 +755,22 @@ type Message struct {
 	Body   []byte
 }
 
-// Write frames and writes msg to w.
+// prefixLen is the length of a frame's fixed prefix: magic through bodyLen.
+const prefixLen = 18
+
+// frameVec is one frame's write vector: the length prefix and the parts a
+// net.Buffers write hands to the socket. Write pools them, so sending a
+// frame allocates nothing.
+type frameVec struct {
+	prefix [prefixLen]byte
+	parts  [3][]byte
+	bufs   net.Buffers
+}
+
+var frameVecs = sync.Pool{New: func() any { return new(frameVec) }}
+
+// Write frames and writes msg to w as one vectored write: a single writev
+// on a TCP connection, one Write per non-empty part on any other writer.
 func Write(w io.Writer, msg Message) error {
 	if len(msg.Header) > MaxHeaderLen {
 		return fmt.Errorf("%w: header %d bytes", ErrTooLarge, len(msg.Header))
@@ -701,35 +778,45 @@ func Write(w io.Writer, msg Message) error {
 	if len(msg.Body) > MaxBodyLen {
 		return fmt.Errorf("%w: body %d bytes", ErrTooLarge, len(msg.Body))
 	}
-	var hdr [18]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	hdr[4] = version
-	hdr[5] = uint8(msg.Type)
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(msg.Header)))
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(msg.Body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("protocol: write frame header: %w", err)
-	}
-	// Skip zero-length writes: on rendezvous transports (net.Pipe) a
-	// 0-byte Write blocks for a matching Read that io.ReadFull(0) on the
-	// peer never issues.
-	if len(msg.Header) > 0 {
-		if _, err := w.Write(msg.Header); err != nil {
-			return fmt.Errorf("protocol: write header: %w", err)
+	f := frameVecs.Get().(*frameVec)
+	binary.LittleEndian.PutUint32(f.prefix[0:4], magic)
+	f.prefix[4] = version
+	f.prefix[5] = uint8(msg.Type)
+	binary.LittleEndian.PutUint32(f.prefix[6:10], uint32(len(msg.Header)))
+	binary.LittleEndian.PutUint64(f.prefix[10:18], uint64(len(msg.Body)))
+	f.bufs = append(f.parts[:0], f.prefix[:])
+	// Leave out empty parts: on rendezvous transports (net.Pipe) a 0-byte
+	// Write blocks for a matching Read that io.ReadFull(0) on the peer
+	// never issues.
+	for _, part := range [][]byte{msg.Header, msg.Body} {
+		if len(part) > 0 {
+			f.bufs = append(f.bufs, part)
 		}
 	}
-	if len(msg.Body) > 0 {
-		if _, err := w.Write(msg.Body); err != nil {
-			return fmt.Errorf("protocol: write body: %w", err)
-		}
+	_, err := f.bufs.WriteTo(w)
+	f.parts, f.bufs = [3][]byte{}, nil // hold on to none of msg's bytes
+	frameVecs.Put(f)
+	if err != nil {
+		return fmt.Errorf("protocol: write frame: %w", err)
 	}
 	return nil
 }
 
+// readBufSize sizes a connection's read buffer: a frame of up to 32 KB —
+// a small model's request and result, every ack, pong and error — comes out
+// of one read of the socket.
+const readBufSize = 64 << 10
+
+// NewReader returns the buffered reader a connection reads its frames
+// through, one per connection for its lifetime: Read then takes a small
+// frame's prefix, header and body out of one read of the socket, not three.
+// Bodies larger than the buffer are read straight into their own slice.
+func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBufSize) }
+
 // Read reads one framed message from r.
 func Read(r io.Reader) (Message, error) {
-	var hdr [18]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := readPrefix(r)
+	if err != nil {
 		return Message{}, fmt.Errorf("protocol: read frame header: %w", err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != magic {
@@ -760,6 +847,28 @@ func Read(r io.Reader) (Message, error) {
 	}
 	msg.Body = body
 	return msg, nil
+}
+
+// readPrefix reads a frame's length prefix. A connection's reader
+// (NewReader) hands it over in place, valid until the next read from it;
+// any other reader fills a fresh slice.
+func readPrefix(r io.Reader) ([]byte, error) {
+	const n = prefixLen
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		hdr := make([]byte, n)
+		_, err := io.ReadFull(r, hdr)
+		return hdr, err
+	}
+	hdr, err := br.Peek(n)
+	if err == io.EOF && len(hdr) > 0 {
+		err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn prefix
+	}
+	if err != nil {
+		return nil, err
+	}
+	br.Discard(n) //nolint:errcheck // n bytes are buffered
+	return hdr, nil
 }
 
 // readBody reads exactly n body bytes without trusting n for the initial

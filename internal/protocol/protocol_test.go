@@ -548,3 +548,63 @@ func TestCall(t *testing.T) {
 		t.Errorf("silent peer: err = %v after %v, want the deadline to end the exchange", err, time.Since(start))
 	}
 }
+
+// countingReader counts the Read calls that reach the transport.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestSmallFrameIsOneRead: through a connection's reader, a frame of up to
+// 32 KB — prefix, header and body — costs one Read of the transport, not
+// one per part.
+func TestSmallFrameIsOneRead(t *testing.T) {
+	for _, bodyLen := range []int{0, 5 << 10, 32<<10 - 256} {
+		msg := mustEncode(t, MsgSnapshot, SnapshotHeader{AppID: "app", Seq: 9, TraceID: "0123456789abcdef"}, bytes.Repeat([]byte{'x'}, bodyLen))
+		var wire bytes.Buffer
+		if err := Write(&wire, msg); err != nil {
+			t.Fatal(err)
+		}
+		src := &countingReader{r: &wire}
+		got, err := Read(NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Header, msg.Header) || !bytes.Equal(got.Body, msg.Body) {
+			t.Fatalf("%d-byte body: frame did not round-trip", bodyLen)
+		}
+		if src.reads != 1 {
+			t.Errorf("%d-byte body: %d reads of the transport, want 1", bodyLen, src.reads)
+		}
+	}
+}
+
+// TestFrameRoundTripAllocations: writing a 5 KB frame and reading it back
+// through a connection's reader allocates the received header and body and
+// nothing else — the write vector is pooled and the reader's buffer is the
+// connection's.
+func TestFrameRoundTripAllocations(t *testing.T) {
+	if testutil.RaceDetector {
+		t.Skip("the race detector changes allocation counts")
+	}
+	msg := mustEncode(t, MsgSnapshot, SnapshotHeader{AppID: "app", Seq: 9}, bytes.Repeat([]byte{'x'}, 5<<10))
+	var wire bytes.Buffer
+	wire.Grow(8 << 10)
+	br := NewReader(&wire)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := Write(&wire, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("5 KB frame Write + Read: %.0f allocations, want 2 (header and body)", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"unicode"
@@ -64,22 +65,17 @@ func assemble(header string, ids []string, models []ModelState, globals map[stri
 	for i := 0; i < len(ids); i += 2 {
 		size += len(`var  = "";`+"\n") + len(ids[i]) + len(ids[i+1])
 	}
-	specs := make([][]byte, len(models))
-	for i, ms := range models {
-		var err error
-		if specs[i], err = json.Marshal(ms.Spec); err != nil {
-			return nil, fmt.Errorf("snapshot: encode model %q spec: %w", ms.Name, err)
-		}
-		size += len(`__model("", , "");`+"\n") + len(ms.Name) + len(specs[i]) + base64.StdEncoding.EncodedLen(len(ms.Weights))
+	for _, ms := range models {
+		size += len(`__model("", , "");`+"\n") + len(ms.Name) + len(ms.Spec) + base64.StdEncoding.EncodedLen(len(ms.Weights))
 	}
 	b := append(make([]byte, 0, size), header+"\n"...)
 	for i := 0; i < len(ids); i += 2 {
 		b, _ = appendVar(b, ids[i], ids[i+1]) // strings always encode
 	}
-	for i, ms := range models {
+	for _, ms := range models {
 		b = append(b, "__model("...)
 		b = append(appendString(b, ms.Name), ", "...)
-		b = append(append(b, specs[i]...), `, "`...)
+		b = append(append(b, ms.Spec...), `, "`...)
 		b = base64.StdEncoding.AppendEncode(b, ms.Weights)
 		b = append(b, "\");\n"...)
 	}
@@ -347,28 +343,39 @@ func (c commonStatements) decodeVar(rest []byte) error {
 	return nil
 }
 
+// decodeModel reads `"name", {spec}, "<base64 weights>"` without
+// reflection: the name is the leading string literal, the weights the
+// trailing one (base64 has neither a quote nor an escape), and the spec the
+// object between them, kept as its bytes. It is not parsed here: restore
+// compares a spec-only reference's bytes with the stored model's and
+// decodes a full model's, refusing a spec that is not its network's.
 func (s *Snapshot) decodeModel(body []byte) error {
-	var args []json.RawMessage
-	list := append(append(make([]byte, 0, len(body)+2), '['), body...)
-	if err := json.Unmarshal(append(list, ']'), &args); err != nil || len(args) != 3 {
-		return fmt.Errorf("malformed __model arguments: %v", err)
+	p := parser{buf: body}
+	if p.peek() != '"' {
+		return errors.New("malformed __model arguments: no model name")
 	}
-	var ms ModelState
-	if err := json.Unmarshal(args[0], &ms.Name); err != nil {
-		return err
+	name, err := p.str()
+	if err != nil {
+		return fmt.Errorf("malformed __model name: %w", err)
 	}
-	if err := json.Unmarshal(args[1], &ms.Spec); err != nil {
-		return err
+	rest, named := bytes.CutPrefix(body[p.pos:], []byte(", "))
+	rest, closed := bytes.CutSuffix(rest, []byte(`"`))
+	open := bytes.LastIndexByte(rest, '"')
+	if !named || !closed || open < 0 {
+		return errors.New("malformed __model arguments")
 	}
-	var blob string
-	if err := json.Unmarshal(args[2], &blob); err != nil {
-		return err
+	spec, ok := bytes.CutSuffix(rest[:open], []byte(", "))
+	if !ok || len(spec) < 2 || spec[0] != '{' || spec[len(spec)-1] != '}' {
+		return errors.New("malformed __model spec")
 	}
-	if blob != "" {
-		var err error
-		if ms.Weights, err = base64.StdEncoding.DecodeString(blob); err != nil {
+	ms := ModelState{Name: name, Spec: bytes.Clone(spec)}
+	if blob := rest[open+1:]; len(blob) > 0 {
+		ms.Weights = make([]byte, base64.StdEncoding.DecodedLen(len(blob)))
+		n, err := base64.StdEncoding.Decode(ms.Weights, blob)
+		if err != nil {
 			return fmt.Errorf("model weights: %w", err)
 		}
+		ms.Weights = ms.Weights[:n]
 	}
 	s.Models = append(s.Models, ms)
 	return nil

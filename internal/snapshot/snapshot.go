@@ -22,6 +22,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -73,8 +74,12 @@ type Options struct {
 
 // ModelState is one model carried by a snapshot.
 type ModelState struct {
-	Name    string
-	Spec    nn.NetSpec
+	Name string
+	// Spec is the model's descriptor as nn.EncodeSpec renders it — the
+	// canonical bytes a spec-only reference is checked against at restore.
+	// A captured state shares them with the network; neither side writes
+	// to them.
+	Spec    []byte
 	Weights []byte // nil when excluded by policy
 }
 
@@ -129,7 +134,7 @@ func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
 			continue
 		}
 		net, _ := app.Model(name)
-		spec, err := net.Spec()
+		spec, err := net.SpecJSON()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: model %q: %w", name, err)
 		}
@@ -219,6 +224,10 @@ func (s *Snapshot) ApplyTo(app *webapp.App, opts RestoreOptions) error {
 	return nil
 }
 
+// restoreModel rebuilds a model the snapshot carries whole, or resolves a
+// spec-only reference — which must name a network of exactly the declared
+// architecture: a stored model whose descriptor differs from the
+// reference's by a byte is refused, never run in its place.
 func restoreModel(ms ModelState, resolver ModelResolver) (*nn.Network, error) {
 	if ms.Weights == nil {
 		if resolver == nil {
@@ -228,9 +237,12 @@ func restoreModel(ms ModelState, resolver ModelResolver) (*nn.Network, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrModelUnavailable, ms.Name)
 		}
+		if spec, err := net.SpecJSON(); err != nil || !bytes.Equal(spec, ms.Spec) {
+			return nil, fmt.Errorf("%w: %q: stored model's architecture differs from the snapshot's", ErrModelUnavailable, ms.Name)
+		}
 		return net, nil
 	}
-	net, err := nn.Build(ms.Spec)
+	net, err := nn.DecodeSpec(ms.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: rebuild model %q: %w", ms.Name, err)
 	}

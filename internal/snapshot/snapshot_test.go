@@ -315,6 +315,56 @@ func TestRestoreSpecOnlyNeedsResolver(t *testing.T) {
 	}
 }
 
+// TestSpecOnlyReferenceMustMatchStoredModel: a spec-only reference names a
+// model and declares its architecture. A resolver holding a network of
+// another architecture under that name must not have it run in the
+// declared one's place: restore refuses it as unavailable. The same
+// network under the same name restores.
+func TestSpecOnlyReferenceMustMatchStoredModel(t *testing.T) {
+	app, reg := inferenceApp(t)
+	snap, err := Capture(app, Options{DefaultModelPolicy: ModelSpecOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Decode from the wire, as a server does: the check is on the bytes that
+	// arrived, not on the captured state.
+	wire, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = Decode(wire); err != nil {
+		t.Fatal(err)
+	}
+	in, _ := nn.NewInput("data", 1, 6, 6)
+	conv, _ := nn.NewConv("conv1", 1, 4, 3, 1, 1) // 4 channels, not 2
+	pool, _ := nn.NewPool("pool1", nn.MaxPool, 2, 2, 0)
+	fc, _ := nn.NewFC("fc1", 4*3*3, 3)
+	other, err := nn.NewNetwork("tinymodel", in, conv, nn.NewReLU("relu1"), pool, fc, nn.NewSoftmax("prob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := app.Model("tinymodel")
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+		ok   bool
+	}{
+		{"same architecture", stored, true},
+		{"rebuilt from its spec", tinyModel(t), true},
+		{"other architecture", other, false},
+	} {
+		_, err := Restore(snap, reg, RestoreOptions{
+			Models: ResolverFunc(func(string) (*nn.Network, bool) { return tc.net, true }),
+		})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: restore: %v", tc.name, err)
+		case !tc.ok && !errors.Is(err, ErrModelUnavailable):
+			t.Errorf("%s: restore = %v, want ErrModelUnavailable", tc.name, err)
+		}
+	}
+}
+
 func TestRestoreCodeMismatch(t *testing.T) {
 	app, _ := inferenceApp(t)
 	snap, err := Capture(app, Options{})

@@ -189,79 +189,160 @@ func packBBlock[T float32 | int8](dst, b []T, ldb, p0, kc, j0, nc int) {
 	}
 }
 
+// How one tap's NR columns of a sliver read an input plane.
+const (
+	tapCopy   = iota // NR consecutive in-image positions: one NR-wide copy
+	tapStride        // NR in-image positions Stride apart in one input row
+	tapZero          // an input row outside the image: all padding
+	tapSpan          // stride 1 in one input row, padding at either end: zeros and one copy
+	tapGather        // any other tap: per-column offsets
+)
+
+// tapPatterns holds one sliver's reading pattern per distinct tap of a
+// block: its kind, and the plane offsets it reads — the first alone for
+// tapCopy and tapStride; for tapSpan the first in-image column's, then the
+// span [lo, hi) of columns in the image; one per column (-1 for a padding
+// tap) for tapGather.
+type tapPatterns struct {
+	kind [packKC]uint8
+	offs [packKC][packNR]int32
+}
+
 // packBConv packs one cache block of the virtual im2col matrix directly
 // from the input image src ([InC, H, W] row-major): row p decomposes into
 // (ic, ky, kx), column j into (oy, ox), and padding positions pack as
 // exact zeros — the same values buildColumns materializes, in the same
 // row order, so direct convolution is bit-identical to im2col + GEMM.
 //
-// A sliver whose NR columns lie in one output row reads, for each (ic, ky,
-// kx), NR taps of one input row at a fixed stride; when none of them is a
-// padding tap they are copied straight from that row. Every other sliver
-// row — one that wraps to the next output row (most of them on 14- and
-// 7-wide planes), the ragged last sliver, one that touches padding — is cut
-// into runs of columns sharing an output row. A run's taps lie in one input
-// row, so its padding test is made once: the row is either outside the
-// image (the run is zeros) or the run is a zero prefix, a strided copy and
-// a zero suffix.
+// A sliver's NR columns fix, for each kernel tap (ky, kx), which positions
+// of an input plane its row reads — the same positions for every input
+// channel. So each sliver works out its tap patterns once, and every row is
+// one channel's plane read through its tap's pattern. A sliver within one
+// output row reads, per tap, NR positions of one input row: a single copy
+// at stride 1 and a strided read otherwise when they are all inside the
+// image, zeros when the row is not, and at stride 1 zeros around one
+// shorter copy when the row runs into padding. Any other tap — a padded one
+// at stride 2, a sliver that wraps to the next output row (most of them on
+// 14- and 7-wide planes), the ragged last sliver — gets a plane offset per
+// column and gathers. Rows advance (tap, channel) by counting; nothing per
+// row divides.
 func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
-	var baseArr, dyArr, dxArr [packKC]int32
-	for i := 0; i < kc; i++ {
-		p := p0 + i
-		kx := p % g.K
-		t := p / g.K
-		ky := t % g.K
-		ic := t / g.K
-		baseArr[i] = int32(ic * g.H * g.W)
-		dyArr[i] = int32(ky - g.Pad) // iy = oy*Stride + dyArr
-		dxArr[i] = int32(kx - g.Pad) // ix = ox*Stride + dxArr
+	kk := g.K * g.K
+	taps := min(kk, kc) // distinct taps among the block's rows
+	plane := g.H * g.W
+	t0 := p0 % kk // tap of the block's first row
+	base := p0/kk*plane - plane
+	if t0 != 0 {
+		base += plane // the first row is not at tap (0, 0), which advances it
 	}
-	di := 0
-	stride := g.Stride
-	span := (packNR - 1) * stride // distance from a sliver row's first tap to its last
+	var pat tapPatterns
 	for s := 0; s < nc; s += packNR {
-		nr := min(packNR, nc-s)
-		jBase := j0 + s
-		oy0 := jBase / g.OutW
-		ox0 := jBase - oy0*g.OutW
-		oneRow := nr == packNR && ox0+packNR <= g.OutW
-		for i := 0; i < kc; i++ {
-			d := (*[packNR]T)(dst[di:])
-			di += packNR
-			base := int(baseArr[i])
-			dy := int(dyArr[i])
-			dx := int(dxArr[i])
-			if iy, ix := oy0*stride+dy, ox0*stride+dx; oneRow && iy >= 0 && iy < g.H && ix >= 0 && ix+span < g.W {
-				row := src[base+iy*g.W+ix : base+iy*g.W+ix+span+1]
-				if stride == 1 {
-					v := *(*[packNR]T)(row)
-					*d = v
-				} else {
-					for c := range d {
-						d[c] = row[c*stride]
-					}
-				}
-				continue
+		pat.build(g, t0, taps, j0+s, min(packNR, nc-s))
+		packTapRows(dst[s*kc:(s+packNR)*kc], src, &pat, taps, (kk-t0)%kk, base, plane, g.Stride)
+	}
+}
+
+// build works out the patterns of the sliver of nr columns from column j
+// for taps t0, t0+1, … (taps of them, in row order, wrapping at K*K).
+func (p *tapPatterns) build(g ConvGeom, t0, taps, j, nr int) {
+	oy := j / g.OutW
+	ox := j - oy*g.OutW
+	oneRow := nr == packNR && ox+packNR <= g.OutW
+	span := (packNR - 1) * g.Stride // distance from a row's first tap to its last
+	var ys, xs [packNR]int          // per column: oy*Stride - Pad and ox*Stride - Pad
+	for c := range ys {
+		ys[c] = -g.H - g.K // the ragged tail: no tap brings it into the image
+		if c < nr {
+			ys[c], xs[c] = oy*g.Stride-g.Pad, ox*g.Stride-g.Pad
+			if ox++; ox == g.OutW {
+				oy, ox = oy+1, 0
 			}
-			*d = [packNR]T{}
-			for c, oy, ox := 0, oy0, ox0; c < nr; oy, ox = oy+1, 0 {
-				run := min(nr-c, g.OutW-ox)
-				if iy := oy*stride + dy; iy >= 0 && iy < g.H {
-					// Taps ix0 + t*stride for t in [lo, hi) fall inside the row.
-					ix0 := ox*stride + dx
-					lo, hi := 0, 0
-					if ix0 < 0 {
-						lo = (-ix0 + stride - 1) / stride
-					}
-					if last := g.W - 1 - ix0; last >= 0 {
-						hi = min(run, last/stride+1)
-					}
-					row := src[base+iy*g.W:]
-					for t := lo; t < hi; t++ {
-						d[c+t] = row[ix0+t*stride]
-					}
+		}
+	}
+	for t, ky, kx := 0, t0/g.K, t0%g.K; t < taps; t++ {
+		o := &p.offs[t]
+		iy, ix := ys[0]+ky, xs[0]+kx
+		switch {
+		case oneRow && (iy < 0 || iy >= g.H):
+			p.kind[t] = tapZero
+		case oneRow && ix >= 0 && ix+span < g.W:
+			p.kind[t], o[0] = tapStride, int32(iy*g.W+ix)
+			if g.Stride == 1 {
+				p.kind[t] = tapCopy
+			}
+		case oneRow && g.Stride == 1:
+			lo, hi := max(0, -ix), min(packNR, g.W-ix)
+			p.kind[t], o[0], o[1], o[2] = tapSpan, int32(iy*g.W+ix+lo), int32(lo), int32(hi)
+			if lo >= hi {
+				p.kind[t] = tapZero
+			}
+		default:
+			p.kind[t] = tapGather
+			for c := range o {
+				iy, ix := ys[c]+ky, xs[c]+kx
+				o[c] = -1
+				if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
+					o[c] = int32(iy*g.W + ix)
 				}
-				c += run
+			}
+		}
+		if kx++; kx == g.K {
+			if kx, ky = 0, ky+1; ky == g.K {
+				ky = 0
+			}
+		}
+	}
+}
+
+// packTapRows writes one sliver's rows into dst (NR per row). Row i reads
+// through pattern t = i mod taps, from the plane of its input channel: base
+// moves one plane on at every row whose pattern index is nextChan — where
+// the tap wraps to (0, 0) — so row t+m*taps reads at base + (m+1)·plane when
+// t ≥ nextChan, else base + m·plane. Each pattern writes all of its rows in
+// one loop, so a row costs its copy and nothing that decides how to copy.
+func packTapRows[T float32 | int8](dst, src []T, p *tapPatterns, taps, nextChan, base, plane, stride int) {
+	step := taps * packNR // from one row of a pattern to its next
+	for t := 0; t < taps; t++ {
+		b := base
+		if t >= nextChan {
+			b += plane
+		}
+		o := &p.offs[t]
+		di, s := t*packNR, b+int(o[0])
+		switch p.kind[t] {
+		case tapCopy:
+			for ; di < len(dst); di, s = di+step, s+plane {
+				// Through a local so the compiler emits register moves.
+				v := *(*[packNR]T)(src[s:])
+				*(*[packNR]T)(dst[di:]) = v
+			}
+		case tapStride:
+			for ; di < len(dst); di, s = di+step, s+plane {
+				d, row := (*[packNR]T)(dst[di:]), src[s:]
+				d[0], d[1], d[2], d[3] = row[0], row[stride], row[2*stride], row[3*stride]
+				d[4], d[5], d[6], d[7] = row[4*stride], row[5*stride], row[6*stride], row[7*stride]
+			}
+		case tapZero:
+			for ; di < len(dst); di += step {
+				*(*[packNR]T)(dst[di:]) = [packNR]T{}
+			}
+		case tapSpan:
+			lo, hi := int(o[1]), int(o[2])
+			for ; di < len(dst); di, s = di+step, s+plane {
+				d := (*[packNR]T)(dst[di:])
+				*d = [packNR]T{}
+				copy(d[lo:hi], src[s:])
+			}
+		default:
+			for ; di < len(dst); di, b = di+step, b+plane {
+				d := (*[packNR]T)(dst[di:])
+				for c, off := range o {
+					var v T
+					if off >= 0 {
+						v = src[b+int(off)]
+					}
+					d[c] = v
+				}
 			}
 		}
 	}

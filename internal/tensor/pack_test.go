@@ -267,25 +267,27 @@ func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 
 	}
 }
 
-// TestPackBConvMatchesGather pins packBConv's copy fast path and its
-// per-output-row runs, on every catalog convolution geometry, to the
+// TestPackBConvMatchesGather pins packBConv's tap patterns — the dense copy
+// and the padded gather — on every catalog convolution geometry, to the
 // per-element gather they replaced:
 // identical panel bytes for float32 and int8, over the full column range
 // and over the two NR-aligned halves a two-worker fan-out packs. For the
 // 1x1 geometries it also pins that GemmConv's in-memory routing produces
 // the dst the gather path does.
 func TestPackBConvMatchesGather(t *testing.T) {
-	// Beside the catalog: 7- and 14-wide outputs, whose slivers wrap output
-	// rows almost everywhere, at strides 1 and 2 with 0 to 2 rings of
-	// padding (so runs with a zero prefix, a zero suffix, both, and rows
-	// wholly outside the image all occur).
+	// Beside the catalog: 1-, 3-, 7- and 14-wide outputs, whose slivers wrap
+	// output rows almost everywhere (a 1-wide one NR times per sliver), at
+	// strides 1 and 2 with 0 to 2 rings of padding (so runs with a zero
+	// prefix, a zero suffix, both, and rows wholly outside the image all
+	// occur).
 	geoms := append([]ConvGeom(nil), catalogConvGeoms...)
-	for _, ow := range []int{7, 14} {
+	for _, ow := range []int{1, 3, 7, 14} {
 		for _, stride := range []int{1, 2} {
 			for pad := 0; pad <= 2; pad++ {
 				for _, k := range []int{3, 5} {
-					size := (ow-1)*stride + k - 2*pad
-					geoms = append(geoms, ConvGeom{InC: 3, H: size, W: size, K: k, Stride: stride, Pad: pad})
+					if size := (ow-1)*stride + k - 2*pad; size > 0 {
+						geoms = append(geoms, ConvGeom{InC: 3, H: size, W: size, K: k, Stride: stride, Pad: pad})
+					}
 				}
 			}
 		}
@@ -517,4 +519,38 @@ func TestBufPoolI8RoundTrip(t *testing.T) {
 	}
 	// Non-pool-allocated slices are dropped, not recycled.
 	PutBufI8(make([]int8, 1000))
+}
+
+// BenchmarkPackBConv packs every block of a convolution's virtual B matrix
+// once per iteration, as one GEMM call does: TinyNet's two convs, GoogLeNet's
+// first, and 3x3 and 5x5 taps on the 14- and 7-wide planes whose slivers
+// wrap output rows.
+func BenchmarkPackBConv(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    ConvGeom
+	}{
+		{"tinynet_conv1", ConvGeom{InC: 3, H: 16, W: 16, K: 3, Stride: 1, Pad: 1}},
+		{"tinynet_conv2", ConvGeom{InC: 8, H: 8, W: 8, K: 3, Stride: 1, Pad: 1}},
+		{"googlenet_conv1", ConvGeom{InC: 3, H: 224, W: 224, K: 7, Stride: 2, Pad: 3}},
+		{"14x14_k3", ConvGeom{InC: 96, H: 14, W: 14, K: 3, Stride: 1, Pad: 1}},
+		{"7x7_k5", ConvGeom{InC: 32, H: 7, W: 7, K: 5, Stride: 1, Pad: 2}},
+	} {
+		g := c.g
+		g.OutH = convOutDim(g.H, g.K, g.Stride, g.Pad)
+		g.OutW = convOutDim(g.W, g.K, g.Stride, g.Pad)
+		src := make([]float32, g.InC*g.H*g.W)
+		fillRand(src, 1)
+		k, n := g.Rows(), g.Cols()
+		dst := make([]float32, packKC*((min(packNC, n)+packNR-1)&^(packNR-1)))
+		b.Run(c.name, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				for jc := 0; jc < n; jc += packNC {
+					for pc := 0; pc < k; pc += packKC {
+						packBConv(dst, src, g, pc, min(packKC, k-pc), jc, min(packNC, n-jc))
+					}
+				}
+			}
+		})
+	}
 }
