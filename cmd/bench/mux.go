@@ -88,7 +88,7 @@ func muxExp(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := setup.PreSendModel(muxBenchApp, "tiny", model, false); err != nil {
+	if err := setup.PreSendModel(muxBenchApp, "tiny", model); err != nil {
 		setup.Close()
 		return err
 	}

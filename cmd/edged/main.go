@@ -4,8 +4,8 @@
 //
 //	edged -listen :7080
 //	edged -listen :7080 -on-demand        # require VM-synthesis installation first
-//	edged -listen :7080 -metrics-addr :7081 -pprof -log-json
-//	                                      # metrics + health probes + profiler, JSON logs
+//	edged -listen :7080 -metrics-addr :7081 -pprof
+//	                                      # metrics + health probes + profiler
 //	edged -listen :7080 -advertise 10.0.0.5:7080 -registry 10.0.0.2:7090
 //	                                      # join a fleet: heartbeat into the registry and
 //	                                      # share content-addressed blobs with peers
@@ -13,13 +13,14 @@
 // -advertise is the address peers and roaming clients dial, which may
 // differ from -listen behind NAT or a container port map; it must not be
 // a wildcard address.
+//
+// Logs go to stderr as JSON lines; -quiet drops the per-request ones.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -49,7 +50,7 @@ func main() {
 			"directory to persist pre-sent models across restarts (empty = in-memory)")
 		maxConns    = flag.Int("max-conns", 0, "max concurrent client connections (0 = unlimited)")
 		metricsAddr = flag.String("metrics-addr", "",
-			"serve GET /metrics (JSON counters) on this address (empty = disabled)")
+			"serve GET /metrics (Prometheus text), health probes, /slo and /debug/flight on this address (empty = disabled)")
 		idle     = flag.Duration("idle-timeout", 0, "close connections idle longer than this (0 = never)")
 		transfer = flag.Duration("transfer-timeout", 0,
 			"max gap between reads within one frame once it started arriving (0 = same as -idle-timeout)")
@@ -58,8 +59,6 @@ func main() {
 		traceLogMaxBytes = flag.Int64("trace-log-max-bytes", obs.DefaultRotateBytes,
 			"rotate the -trace-log file to <path>.1 when it would exceed this size (0 = never rotate)")
 		quiet   = flag.Bool("quiet", false, "suppress per-request logging")
-		logJSON = flag.Bool("log-json", false,
-			"emit structured JSON-line logs on stderr instead of plain text")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on -metrics-addr")
 
@@ -112,7 +111,7 @@ func main() {
 		sloObjective: *sloObjective, sloGoal: *sloGoal,
 		flightBytes: *flightBytes, traceLogMaxBytes: *traceLogMaxBytes,
 	}
-	if err := run(*listen, *onDemand, *baseImage, *modelDir, *metricsAddr, *traceLog, *quality, *maxConns, *idle, *transfer, *quiet, *logJSON, *pprofOn, sc, fc, bc, tc); err != nil {
+	if err := run(*listen, *onDemand, *baseImage, *modelDir, *metricsAddr, *traceLog, *quality, *maxConns, *idle, *transfer, *quiet, *pprofOn, sc, fc, bc, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "edged:", err)
 		os.Exit(1)
 	}
@@ -173,7 +172,7 @@ func resolveAdvertise(advertise string, lnAddr net.Addr) (string, error) {
 	return net.JoinHostPort(host, port), nil
 }
 
-func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLog, quality string, maxConns int, idle, transfer time.Duration, quiet, logJSON, pprofOn bool, sc schedConfig, fc fleetConfig, bc boundsConfig, tc telemetryConfig) error {
+func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLog, quality string, maxConns int, idle, transfer time.Duration, quiet, pprofOn bool, sc schedConfig, fc fleetConfig, bc boundsConfig, tc telemetryConfig) error {
 	if fc.registry == "" && fc.advertise != "" {
 		return fmt.Errorf("-advertise requires -registry (nothing to advertise to)")
 	}
@@ -184,8 +183,13 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	if err != nil {
 		return err
 	}
+	level := obs.LevelDebug
+	if quiet {
+		level = obs.LevelInfo
+	}
+	logger := obs.NewLogger(os.Stderr, level)
 	cfg := edge.Config{
-		Catalog: catalog, Installed: !onDemand, ModelDir: modelDir,
+		Catalog: catalog, Installed: !onDemand, ModelDir: modelDir, Logger: logger,
 		MaxConns: maxConns, IdleTimeout: idle, TransferTimeout: transfer,
 		Workers: sc.workers, QueueDepth: sc.queue,
 		MaxBatch: sc.batch, BatchWindow: sc.batchWindow,
@@ -201,13 +205,6 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	}
 	if sc.block {
 		cfg.QueuePolicy = sched.PolicyBlock
-	}
-	if !quiet {
-		if logJSON {
-			cfg.Logger = obs.NewLogger(os.Stderr, obs.LevelDebug)
-		} else {
-			cfg.Logf = log.Printf
-		}
 	}
 	switch traceLog {
 	case "":
@@ -250,8 +247,8 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 					Note: fmt.Sprintf("slo %s burning: short %.2fx long %.2fx over objective %v",
 						st.Name, st.ShortBurn, st.LongBurn, tc.sloObjective),
 				})
-				log.Printf("edged: slo %s burning (short %.2fx, long %.2fx)",
-					st.Name, st.ShortBurn, st.LongBurn)
+				logger.Warn("edged: slo burning", obs.F("slo", st.Name),
+					obs.F("shortBurn", st.ShortBurn), obs.F("longBurn", st.LongBurn))
 			},
 		})
 		if err != nil {
@@ -294,7 +291,7 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	// of edge.NewServer so library embedders and the byte-pinned metrics
 	// goldens keep the bare application registry.
 	obs.RegisterRuntimeStats(srv.Registry())
-	log.Printf("edged: listening on %s (installed=%v)", ln.Addr(), !onDemand)
+	logger.Info("edged: listening", obs.F("addr", ln.Addr().String()), obs.F("installed", !onDemand))
 	if rc != nil {
 		agent, err := fleet.StartAgent(fleet.AgentConfig{
 			Client:   rc,
@@ -304,14 +301,15 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 			Load:     srv.LoadHint,
 			Blobs:    srv.BlobKeys,
 			Stats:    srv.StatsDigest,
-			Logger:   cfg.Logger,
+			Logger:   logger,
 		})
 		if err != nil {
 			ln.Close()
 			return err
 		}
 		defer agent.Close()
-		log.Printf("edged: joined fleet via %s as %s (ttl=%v)", fc.registry, cfg.AdvertiseAddr, fc.ttl)
+		logger.Info("edged: joined fleet", obs.F("registry", fc.registry), obs.F("advertise", cfg.AdvertiseAddr),
+			obs.F("ttl", fc.ttl.String()))
 	}
 
 	var metricsSrv *http.Server
@@ -332,11 +330,10 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("edged: metrics server: %v", err)
+				logger.Error("edged: metrics server failed", obs.Err(err))
 			}
 		}()
-		log.Printf("edged: metrics on http://%s/metrics (healthz, readyz%s)",
-			metricsAddr, map[bool]string{true: ", pprof", false: ""}[pprofOn])
+		logger.Info("edged: metrics serving", obs.F("url", "http://"+metricsAddr+"/metrics"), obs.F("pprof", pprofOn))
 	} else if pprofOn {
 		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
@@ -354,7 +351,7 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	case err := <-done:
 		return err
 	case s := <-sig:
-		log.Printf("edged: %v, shutting down", s)
+		logger.Info("edged: shutting down", obs.F("signal", s.String()))
 		if err := srv.Close(); err != nil {
 			return err
 		}

@@ -9,21 +9,19 @@
 // Beyond membership, fleetd is the fleet's telemetry rollup point: edge
 // servers piggyback cumulative stats digests on their heartbeats, and the
 // metrics endpoint re-merges them per scrape into fleet-wide stage
-// histograms, decision mixes, and per-server summaries.
+// histograms, decision mixes, and per-server summaries. Logs go to stderr as
+// JSON lines.
 //
 //	fleetd -listen :7090
-//	fleetd -listen :7090 -ttl 10s -metrics-addr :7091 -log-json
+//	fleetd -listen :7090 -ttl 10s -metrics-addr :7091
 //	fleetd -listen :7090 -metrics-addr :7091 -pprof \
 //	       -slo-objective 50ms            # fleet-wide execute-latency SLO on /slo
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -47,8 +45,6 @@ func main() {
 			"default registration lifetime; servers missing heartbeats this long are dropped")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve GET /metrics, /fleet, /slo, /debug/flight, and health probes on this address (empty = disabled)")
-		logJSON = flag.Bool("log-json", false,
-			"emit structured JSON-line logs on stderr instead of plain text")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on -metrics-addr")
 		sloObjective = flag.Duration("slo-objective", 0,
@@ -60,7 +56,7 @@ func main() {
 	)
 	flag.Parse()
 	tc := telemetryConfig{sloObjective: *sloObjective, sloGoal: *sloGoal, flightBytes: *flightBytes}
-	if err := run(*listen, *metricsAddr, *ttl, *logJSON, *pprofOn, tc); err != nil {
+	if err := run(*listen, *metricsAddr, *ttl, *pprofOn, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "fleetd:", err)
 		os.Exit(1)
 	}
@@ -107,17 +103,14 @@ func (f *sloFeed) observe(addr string, d *protocol.StatsDigest) {
 	f.slo.ObserveCounts(cur.total-prev.total, cur.bad-prev.bad)
 }
 
-func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, tc telemetryConfig) error {
+func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemetryConfig) error {
 	if ttl <= 0 {
 		return fmt.Errorf("-ttl must be positive, got %v", ttl)
 	}
 	if pprofOn && metricsAddr == "" {
 		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
-	var logger *obs.Logger
-	if logJSON {
-		logger = obs.NewLogger(os.Stderr, obs.LevelInfo)
-	}
+	logger := obs.NewLogger(os.Stderr, obs.LevelInfo)
 	flight := telemetry.NewFlightRecorder(tc.flightBytes)
 	var feed *sloFeed
 	if tc.sloObjective > 0 {
@@ -131,8 +124,8 @@ func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, t
 					Note: fmt.Sprintf("slo %s burning: short %.2fx long %.2fx over objective %v",
 						st.Name, st.ShortBurn, st.LongBurn, tc.sloObjective),
 				})
-				log.Printf("fleetd: slo %s burning (short %.2fx, long %.2fx)",
-					st.Name, st.ShortBurn, st.LongBurn)
+				logger.Warn("fleetd: slo burning", obs.F("slo", st.Name),
+					obs.F("shortBurn", st.ShortBurn), obs.F("longBurn", st.LongBurn))
 			},
 		})
 		if err != nil {
@@ -153,12 +146,12 @@ func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, t
 	if err != nil {
 		return err
 	}
-	log.Printf("fleetd: registry listening on %s (ttl=%v)", ln.Addr(), ttl)
+	logger.Info("fleetd: registry listening", obs.F("addr", ln.Addr().String()), obs.F("ttl", ttl.String()))
 
 	var metricsSrv *http.Server
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", metricsHandler(metrics, reg.Stats))
+		mux.Handle("/metrics", metricsHandler(metrics, reg.Stats))
 		mux.Handle("/fleet", telemetry.FleetHandler(reg.Stats))
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -193,11 +186,10 @@ func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, t
 		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("fleetd: metrics server: %v", err)
+				logger.Error("fleetd: metrics server failed", obs.Err(err))
 			}
 		}()
-		log.Printf("fleetd: metrics on http://%s/metrics (fleet, slo, flight, healthz, readyz%s)",
-			metricsAddr, map[bool]string{true: ", pprof", false: ""}[pprofOn])
+		logger.Info("fleetd: metrics serving", obs.F("url", "http://"+metricsAddr+"/metrics"), obs.F("pprof", pprofOn))
 	}
 	defer func() {
 		if metricsSrv != nil {
@@ -213,7 +205,7 @@ func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, t
 	case err := <-done:
 		return err
 	case s := <-sig:
-		log.Printf("fleetd: %v, shutting down", s)
+		logger.Info("fleetd: shutting down", obs.F("signal", s.String()))
 		if err := srv.Close(); err != nil {
 			return err
 		}
@@ -221,45 +213,12 @@ func run(listen, metricsAddr string, ttl time.Duration, logJSON, pprofOn bool, t
 	}
 }
 
-// metricsHandler serves the registry's own counters plus the per-scrape
-// fleet rollup in both exposition formats. The two registries have
-// disjoint family names (fleet_* and runtime vs websnap_rollup_*), so the
-// Prometheus payloads concatenate into one lint-clean exposition; the JSON
-// shape keeps them under separate keys.
-func metricsHandler(metrics *obs.Registry, snapshot func() []telemetry.ServerStats) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		rollup := telemetry.Rollup{Servers: snapshot()}.Registry()
-		if obs.WantsPrometheus(r.URL.Query().Get("format"), r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := metrics.WritePrometheus(w); err != nil {
-				log.Printf("fleetd: metrics handler: %v", err)
-				return
-			}
-			if err := rollup.WritePrometheus(w); err != nil {
-				log.Printf("fleetd: metrics handler: %v", err)
-			}
-			return
-		}
-		var own, roll bytes.Buffer
-		if err := metrics.WriteJSON(&own); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if err := rollup.WriteJSON(&roll); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct { //nolint:errcheck // best-effort scrape reply
-			Registry json.RawMessage `json:"registry"`
-			Rollup   json.RawMessage `json:"rollup"`
-		}{own.Bytes(), roll.Bytes()})
-	}
+// metricsHandler serves the registry's own families (fleet_* and runtime)
+// and then the fleet rollup (websnap_rollup_*), re-merged from the members'
+// latest digests on every scrape.
+func metricsHandler(metrics *obs.Registry, snapshot func() []telemetry.ServerStats) http.Handler {
+	return obs.MetricsHandler(
+		func() *obs.Registry { return metrics },
+		func() *obs.Registry { return telemetry.Rollup{Servers: snapshot()}.Registry() },
+	)
 }

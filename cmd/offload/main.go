@@ -8,8 +8,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -75,31 +73,15 @@ func newAuditor(reg *obs.Registry, auditLog string) (*obs.Auditor, func(), error
 	return obs.NewAuditor(opts), cleanup, nil
 }
 
-// serveMetrics exposes the client-side registry and audit summary on addr:
-// Prometheus text or a JSON summary, negotiated like the edge server's
-// /metrics.
-func serveMetrics(addr string, reg *obs.Registry, audit *obs.Auditor) error {
+// serveMetrics exposes the client-side registry — the auditor's decision
+// counters and prediction-error quantiles among it — on addr.
+func serveMetrics(addr string, reg *obs.Registry) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if obs.WantsPrometheus(r.URL.Query().Get("format"), r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w)
-			return
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(audit.Summary()); err != nil {
-			http.Error(w, "metrics encoding failed", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		buf.WriteTo(w)
-	})
+	mux.Handle("/metrics", obs.MetricsHandler(func() *obs.Registry { return reg }))
 	fmt.Printf("client metrics on http://%s/metrics\n", ln.Addr())
 	go http.Serve(ln, mux)
 	return nil
@@ -178,7 +160,7 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 	}
 	defer closeAudit()
 	if metricsAddr != "" {
-		if err := serveMetrics(metricsAddr, reg, audit); err != nil {
+		if err := serveMetrics(metricsAddr, reg); err != nil {
 			return err
 		}
 	}

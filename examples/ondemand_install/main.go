@@ -61,7 +61,7 @@ func run() error {
 	defer conn.Close()
 
 	// Offloading against the virgin server fails: nothing is installed.
-	if err := conn.PreSendModel("demo", "tinynet", model, false); err != nil {
+	if err := conn.PreSendModel("demo", "tinynet", model); err != nil {
 		fmt.Printf("before installation, the edge server refuses: %v\n", err)
 	}
 

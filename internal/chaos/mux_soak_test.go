@@ -101,7 +101,7 @@ func runMuxSession(idx int, conn *client.Conn, model *nn.Network,
 				return rep
 			}
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear, Partial: true}}
+			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 			opts.AuditPath = obs.PathPartial
 		}

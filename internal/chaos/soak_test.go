@@ -227,7 +227,7 @@ func runSoakSession(idx int, kind sessionKind, seed int64, addr string,
 				return rep
 			}
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear, Partial: true}}
+			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 			opts.AuditPath = obs.PathPartial
 		}

@@ -191,7 +191,7 @@ func TestUnexpectedResponseType(t *testing.T) {
 
 func TestGarbageResponse(t *testing.T) {
 	conn := scriptedServer(t, "garbage")
-	err := conn.PreSendModel("a", "tiny", tinyModel(t), false)
+	err := conn.PreSendModel("a", "tiny", tinyModel(t))
 	if err == nil {
 		t.Error("garbage frame should fail")
 	}
@@ -199,7 +199,7 @@ func TestGarbageResponse(t *testing.T) {
 
 func TestPreSendWrongAckName(t *testing.T) {
 	conn := scriptedServer(t, "wrong-name-ack")
-	err := conn.PreSendModel("a", "tiny", tinyModel(t), false)
+	err := conn.PreSendModel("a", "tiny", tinyModel(t))
 	if err == nil || !strings.Contains(err.Error(), "ACK names") {
 		t.Errorf("err = %v, want ACK-name mismatch", err)
 	}
@@ -241,7 +241,7 @@ func TestRequestTimeout(t *testing.T) {
 	t.Cleanup(func() { conn.Close() })
 	conn.SetRequestTimeout(100 * time.Millisecond)
 	start := time.Now()
-	err := conn.PreSendModel("a", "tiny", tinyModel(t), false)
+	err := conn.PreSendModel("a", "tiny", tinyModel(t))
 	if err == nil {
 		t.Fatal("hung server should time out")
 	}

@@ -517,17 +517,16 @@ func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []b
 }
 
 // PreSendModel ships one model (descriptor + weights) to the edge server
-// and waits for the ACK. Set partial when sending only the rear part of a
-// split DNN (the front is withheld for privacy, §III.B.2).
-func (c *Conn) PreSendModel(appID, name string, model *nn.Network, partial bool) error {
-	_, err := c.preSendModel(appID, name, model, partial)
+// and waits for the ACK.
+func (c *Conn) PreSendModel(appID, name string, model *nn.Network) error {
+	_, err := c.preSendModel(appID, name, model)
 	return err
 }
 
 // preSendModel is PreSendModel, reporting how long the link took to carry the
 // weights: the round trip less the time the server says it spent once the
 // frame was in.
-func (c *Conn) preSendModel(appID, name string, model *nn.Network, partial bool) (uplink time.Duration, err error) {
+func (c *Conn) preSendModel(appID, name string, model *nn.Network) (uplink time.Duration, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
 		return 0, fmt.Errorf("client: model %q: %w", name, err)
@@ -537,7 +536,7 @@ func (c *Conn) preSendModel(appID, name string, model *nn.Network, partial bool)
 		return 0, fmt.Errorf("client: model %q: %w", name, err)
 	}
 	hdr := protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
+		AppID: appID, ModelName: name, Spec: spec,
 		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
 	}
 	start := time.Now()
@@ -555,7 +554,7 @@ func (c *Conn) preSendModel(appID, name string, model *nn.Network, partial bool)
 // the request, and the server's resolve span — covering its registry locate
 // and peer fetches — comes back alongside the verdict, so a roam handoff's
 // pre-sends join the client's trace under one ID.
-func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, partial bool, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
+func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
 		return false, nil, fmt.Errorf("client: model %q: %w", name, err)
@@ -565,7 +564,7 @@ func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, part
 		return true, nil, nil
 	}
 	ack, err := c.preSend(fmt.Sprintf("ref pre-send %q", name), protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec, Partial: partial,
+		AppID: appID, ModelName: name, Spec: spec,
 		BlobKey: key,
 		RefOnly: true,
 		TraceID: traceID,

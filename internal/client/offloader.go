@@ -22,8 +22,6 @@ type ModelToSend struct {
 	// Net is the network to ship. For partial inference this is the rear
 	// part only.
 	Net *nn.Network
-	// Partial marks a rear-only pre-send.
-	Partial bool
 }
 
 // Options configures an Offloader.
@@ -301,7 +299,7 @@ func (o *Offloader) StartPreSend() {
 	go func() {
 		defer o.presendWG.Done()
 		for _, m := range o.opts.Models {
-			_, err := o.preSend(m.Name, m.Net, m.Partial)
+			_, err := o.preSend(m.Name, m.Net)
 			o.mu.Lock()
 			if err != nil {
 				o.ackErrs = append(o.ackErrs, fmt.Errorf("pre-send %q: %w", m.Name, err))
@@ -316,13 +314,13 @@ func (o *Offloader) StartPreSend() {
 // preSend ships one model to the current server, by content reference
 // first when BlobRefPreSend is on, and returns the weight bytes actually
 // uploaded (zero on a reference hit).
-func (o *Offloader) preSend(name string, model *nn.Network, partial bool) (int64, error) {
+func (o *Offloader) preSend(name string, model *nn.Network) (int64, error) {
 	if o.opts.BlobRefPreSend {
 		o.mu.Lock()
 		tid := o.handoffTrace
 		o.mu.Unlock()
 		start := time.Now()
-		needBlob, span, err := o.conn.PreSendModelRefTraced(o.app.ID(), name, model, partial, tid)
+		needBlob, span, err := o.conn.PreSendModelRefTraced(o.app.ID(), name, model, tid)
 		if err != nil {
 			return 0, err
 		}
@@ -339,7 +337,7 @@ func (o *Offloader) preSend(name string, model *nn.Network, partial bool) (int64
 		o.stats.RefPreSendMisses++
 		o.mu.Unlock()
 	}
-	uplink, err := o.conn.preSendModel(o.app.ID(), name, model, partial)
+	uplink, err := o.conn.preSendModel(o.app.ID(), name, model)
 	if err != nil {
 		return 0, err
 	}
@@ -556,7 +554,7 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 			continue
 		}
 		model, _ := o.app.Model(name)
-		sent, err := o.preSend(name, model, false)
+		sent, err := o.preSend(name, model)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
 		}

@@ -298,7 +298,7 @@ func (s *Session) buildOffloader() error {
 			return fmt.Errorf("core: rear model %q missing", rearName)
 		}
 		opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-		opts.Models = []client.ModelToSend{{Name: rearName, Net: rear, Partial: true}}
+		opts.Models = []client.ModelToSend{{Name: rearName, Net: rear}}
 		opts.ExcludeModels = []string{s.cfg.ModelName + mlapp.FrontSuffix}
 		opts.AuditPath = obs.PathPartial
 		opts.SplitLabel = s.split.Point.Label
@@ -378,11 +378,11 @@ func (s *Session) Classify(img webapp.Float32Array) (string, error) {
 }
 
 // NewEdgeServer constructs a pre-installed edge server that can serve the
-// standard ML web apps.
-func NewEdgeServer(logf func(string, ...any)) (*edge.Server, error) {
+// standard ML web apps, logging to logger (nil is silent).
+func NewEdgeServer(logger *obs.Logger) (*edge.Server, error) {
 	cat, err := DefaultCatalog()
 	if err != nil {
 		return nil, err
 	}
-	return edge.NewServer(edge.Config{Catalog: cat, Installed: true, Logf: logf})
+	return edge.NewServer(edge.Config{Catalog: cat, Installed: true, Logger: logger})
 }

@@ -84,7 +84,7 @@ func preSendAll(t *testing.T, model *nn.Network, addrs []string) {
 	t.Helper()
 	for _, addr := range addrs {
 		conn := dial(t, addr)
-		if err := conn.PreSendModel("chain-app", model.Name(), model, false); err != nil {
+		if err := conn.PreSendModel("chain-app", model.Name(), model); err != nil {
 			t.Fatalf("pre-send to %s: %v", addr, err)
 		}
 	}

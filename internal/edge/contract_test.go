@@ -62,12 +62,12 @@ func TestWireContract(t *testing.T) {
 	// Set-up over a client.Conn: the model, which a fleet-joined server's
 	// store also serves as a blob.
 	setup := dial(t, addr)
-	if err := setup.PreSendModel(appID, "tiny", model, false); err != nil {
+	if err := setup.PreSendModel(appID, "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	// Each snapshot row is a session of its own.
 	const fullAppID = appID + "-full"
-	if err := setup.PreSendModel(fullAppID, "tiny", model, false); err != nil {
+	if err := setup.PreSendModel(fullAppID, "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	fullApp, err := mlapp.NewFullApp(fullAppID, "tiny", model, tinyLabels)
@@ -81,7 +81,7 @@ func TestWireContract(t *testing.T) {
 	// The row that asks for its result as a delta is the Offloader's
 	// request; like every request it must leave no state behind.
 	const replyAppID = appID + "-reply"
-	if err := setup.PreSendModel(replyAppID, "tiny", model, false); err != nil {
+	if err := setup.PreSendModel(replyAppID, "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	replyApp, err := mlapp.NewFullApp(replyAppID, "tiny", model, tinyLabels)
@@ -95,7 +95,7 @@ func TestWireContract(t *testing.T) {
 	// An older client's synced session wrote Reply "delta+sync": it gets the
 	// same result delta, and nothing is kept for it either.
 	const syncAppID = appID + "-sync"
-	if err := setup.PreSendModel(syncAppID, "tiny", model, false); err != nil {
+	if err := setup.PreSendModel(syncAppID, "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	syncApp, err := mlapp.NewFullApp(syncAppID, "tiny", model, tinyLabels)
@@ -304,6 +304,16 @@ func TestWireContract(t *testing.T) {
 				return protocol.SnapshotHeader{AppID: syncAppID, Seq: seq, Reply: "delta+sync",
 					BodyCRC: protocol.BodyChecksum(syncReq)}
 			}, syncReq, protocol.MsgResultDelta, deltaReply(syncReq)},
+		// An older client marked a rear-only pre-send "partial":true; the key
+		// is unknown now, and the pre-send is stored and ACKed like any other.
+		{"pre-send with retired partial flag", protocol.MsgModelPreSend,
+			func(seq uint64) any {
+				return struct {
+					protocol.ModelPreSendHeader
+					Partial bool `json:"partial"`
+				}{protocol.ModelPreSendHeader{AppID: appID, ModelName: "tiny", Spec: spec, Seq: seq,
+					BodyCRC: protocol.BodyChecksum(weights.Bytes())}, true}
+			}, weights.Bytes(), protocol.MsgAck, ack(false)},
 	}
 
 	raw, err := net.Dial("tcp", addr)
@@ -380,7 +390,7 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 
 	model := tinyModel(t, "tiny")
 	const appID = "contract-client"
-	if err := conn.PreSendModel(appID, "tiny", model, false); err != nil {
+	if err := conn.PreSendModel(appID, "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
@@ -394,9 +404,9 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 	boundary := chainInput(t, model)
 	calls := map[string]func() error{
 		"ping":     func() error { _, _, err := conn.Ping(); return err },
-		"pre-send": func() error { return conn.PreSendModel(appID, "tiny", model, false) },
+		"pre-send": func() error { return conn.PreSendModel(appID, "tiny", model) },
 		"ref pre-send": func() error {
-			needBlob, _, err := conn.PreSendModelRefTraced(appID, "tiny", model, false, "")
+			needBlob, _, err := conn.PreSendModelRefTraced(appID, "tiny", model, "")
 			if err == nil && needBlob {
 				err = errors.New("server holds the blob but answered NeedBlob")
 			}

@@ -269,7 +269,7 @@ func TestPartialInferenceFlow(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventFrontComplete},
 		Models: []client.ModelToSend{
-			{Name: "tiny" + mlapp.RearSuffix, Net: rear, Partial: true},
+			{Name: "tiny" + mlapp.RearSuffix, Net: rear},
 		},
 		ExcludeModels: []string{"tiny" + mlapp.FrontSuffix},
 	})
@@ -345,7 +345,7 @@ func TestOnDemandInstallation(t *testing.T) {
 	model := tinyModel(t, "tiny")
 
 	// Pre-send before installation must fail.
-	if err := conn.PreSendModel("app-i", "tiny", model, false); !errors.Is(err, client.ErrServerError) {
+	if err := conn.PreSendModel("app-i", "tiny", model); !errors.Is(err, client.ErrServerError) {
 		t.Fatalf("pre-send before install = %v, want ErrServerError", err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"websnap/internal/nn"
+	"websnap/internal/obs"
 	"websnap/internal/protocol"
 	"websnap/internal/trace"
 )
@@ -111,7 +112,7 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 		}
 		if err != nil {
 			lastErr = err
-			s.logf("edge: blob %s from peer %s: %v", key, addr, err)
+			s.log.Warn("edge: peer blob fetch failed", obs.F("blob", key), obs.F("peer", addr), obs.Err(err))
 			continue
 		}
 		s.blobPeerFetches.Inc()

@@ -26,11 +26,11 @@ func goldenServer(t *testing.T) *Server {
 	return srv
 }
 
-func fetchMetrics(t *testing.T, srv *Server, url string) []byte {
+func fetchMetrics(t *testing.T, srv *Server) []byte {
 	t.Helper()
 	ts := httptest.NewServer(srv.MetricsHandler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + url)
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func fetchMetrics(t *testing.T, srv *Server, url string) []byte {
 // names, ordering, HELP text, and value formatting are scrape contract:
 // dashboards and recording rules depend on them.
 func TestMetricsGoldenPrometheus(t *testing.T) {
-	got := fetchMetrics(t, goldenServer(t), "/metrics?format=prometheus")
+	got := fetchMetrics(t, goldenServer(t))
 	want := readGolden(t, "metrics.prom", got)
 	if string(got) != string(want) {
 		t.Errorf("prometheus exposition diverged from golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -75,17 +75,6 @@ func readGolden(t *testing.T, name string, got []byte) []byte {
 	return want
 }
 
-// TestMetricsGoldenJSON pins the JSON payload of a fresh server
-// byte-for-byte: field names, order, and zero-value shapes must survive the
-// registry refactor.
-func TestMetricsGoldenJSON(t *testing.T) {
-	got := fetchMetrics(t, goldenServer(t), "/metrics")
-	want := readGolden(t, "metrics.json", got)
-	if string(got) != string(want) {
-		t.Errorf("JSON payload diverged from golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
 // TestMetricsExpositionLint structurally validates the exposition of an
 // exercised server (counters bumped, histograms populated): HELP/TYPE
 // before samples, no duplicate series, cumulative monotone buckets,
@@ -101,42 +90,48 @@ func TestMetricsExpositionLint(t *testing.T) {
 			h.Observe(time.Duration(i+1) * time.Duration(j+1) * time.Microsecond)
 		}
 	}
-	out := fetchMetrics(t, srv, "/metrics?format=prometheus")
+	out := fetchMetrics(t, srv)
 	if problems := obs.LintPrometheus(out); len(problems) != 0 {
 		t.Errorf("exposition lint problems:\n%s\nin:\n%s", problems, out)
 	}
 }
 
-// TestMetricsContentNegotiation drives the handler with the Accept header
-// a real Prometheus scraper sends and with a plain JSON client's header,
-// checking each gets its format without the ?format override.
+// TestMetricsContentNegotiation drives the handler with the Accept header a
+// real Prometheus scraper sends, a JSON client's, a bare wildcard and none,
+// and with the retired ?format=json override: negotiation has one outcome,
+// the text 0.0.4 exposition the golden file pins.
 func TestMetricsContentNegotiation(t *testing.T) {
 	srv := goldenServer(t)
 	ts := httptest.NewServer(srv.MetricsHandler())
 	defer ts.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL, nil)
-	req.Header.Set("Accept",
-		"application/openmetrics-text;version=1.0.0;q=0.75,text/plain;version=0.0.4;q=0.5,*/*;q=0.1")
-	resp, err := http.DefaultClient.Do(req)
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
-		t.Errorf("scraper header got Content-Type %q, body:\n%s", ct, body)
-	}
 
-	req, _ = http.NewRequest(http.MethodGet, ts.URL, nil)
-	req.Header.Set("Accept", "*/*")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("wildcard Accept got Content-Type %q, want JSON default", ct)
+	for _, rq := range []struct{ path, accept string }{
+		{"/metrics", "application/openmetrics-text;version=1.0.0;q=0.75,text/plain;version=0.0.4;q=0.5,*/*;q=0.1"},
+		{"/metrics", "application/json"},
+		{"/metrics", "*/*"},
+		{"/metrics", ""},
+		{"/metrics?format=json", "application/json"},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+rq.path, nil)
+		if rq.accept != "" {
+			req.Header.Set("Accept", rq.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("%s, Accept %q: status %d, Content-Type %q", rq.path, rq.accept, resp.StatusCode, ct)
+		}
+		if string(body) != string(want) {
+			t.Errorf("%s, Accept %q: body diverged from the golden exposition:\n%s", rq.path, rq.accept, body)
+		}
 	}
 }
 

@@ -1,73 +1,18 @@
 package edge
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 
 	"websnap/internal/obs"
-	"websnap/internal/sched"
-	"websnap/internal/trace"
 )
 
-// MetricsHandler serves the server's operation counters, scheduler state,
-// and per-stage latency histograms — a small observability surface for
-// operators of edge-server fleets. Two formats are offered from the same
-// endpoint: the original JSON shape (the default, so existing consumers are
-// unaffected) and Prometheus text exposition, selected by
-// `?format=prometheus` or content negotiation on the Accept header. Both
-// render from the same obs.Registry, so a metric added there appears in
-// every format.
+// MetricsHandler serves the server's registry — operation counters,
+// scheduler state, per-stage latency histograms, and whatever an embedder
+// added (cmd/edged's runtime stats) — as Prometheus text exposition.
 //
 //	mux := http.NewServeMux()
 //	mux.Handle("/metrics", srv.MetricsHandler())
-func (s *Server) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if obs.WantsPrometheus(r.URL.Query().Get("format"), r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := s.reg.WritePrometheus(w); err != nil {
-				s.logf("edge: metrics handler: %v", err)
-			}
-			return
-		}
-		st := s.SchedStats()
-		payload := struct {
-			Installed bool        `json:"installed"`
-			Metrics   Metrics     `json:"metrics"`
-			Scheduler sched.Stats `json:"scheduler"`
-			// QueueingMillis is the estimated wait a request submitted
-			// now would spend queued — the same figure served to clients
-			// as a load hint.
-			QueueingMillis float64 `json:"queueingMillis"`
-			// Stages is the per-stage latency summary of the server-side
-			// offload pipeline (queue wait, execution).
-			Stages []trace.StageSummary `json:"stages"`
-		}{
-			Installed:      s.Installed(),
-			Metrics:        s.Metrics(),
-			Scheduler:      st,
-			QueueingMillis: float64(st.QueueingDelay().Microseconds()) / 1000,
-			Stages:         s.rec.Summaries(),
-		}
-		// Encode into a buffer first: an encode failure must surface as a
-		// 500, not a torn 200 with half a JSON object.
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(payload); err != nil {
-			s.logf("edge: metrics handler: %v", err)
-			http.Error(w, "metrics encoding failed", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			s.logf("edge: metrics handler: %v", err)
-		}
-	})
-}
+func (s *Server) MetricsHandler() http.Handler { return obs.MetricsHandler(s.Registry) }
 
 // HealthzHandler reports process liveness: it answers 200 as long as the
 // process can serve HTTP at all. Orchestrators restart on liveness

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -25,13 +24,13 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 	// First connection occupies the only slot (the slot is taken at
 	// accept time, before any request).
 	conn1 := dial(t, addr)
-	if err := conn1.PreSendModel("app-1", "tiny", model, false); err != nil {
+	if err := conn1.PreSendModel("app-1", "tiny", model); err != nil {
 		t.Fatalf("first conn: %v", err)
 	}
 
 	// Second connection must be refused on its first request.
 	conn2 := dial(t, addr)
-	err := conn2.PreSendModel("app-2", "tiny", model, false)
+	err := conn2.PreSendModel("app-2", "tiny", model)
 	if !errors.Is(err, client.ErrServerError) || !strings.Contains(err.Error(), "capacity") {
 		t.Errorf("err = %v, want at-capacity server error", err)
 	}
@@ -41,7 +40,7 @@ func TestMaxConnsRefusesExcess(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		conn3 := dial(t, addr)
-		if err := conn3.PreSendModel("app-3", "tiny", model, false); err == nil {
+		if err := conn3.PreSendModel("app-3", "tiny", model); err == nil {
 			conn3.Close()
 			break
 		}
@@ -70,7 +69,7 @@ func TestMaxConnsServesUpToCap(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			errs[i] = conn.PreSendModel("app", "tiny", model, false)
+			errs[i] = conn.PreSendModel("app", "tiny", model)
 		}(i)
 	}
 	wg.Wait()
@@ -113,7 +112,7 @@ func TestServerMetrics(t *testing.T) {
 	}
 	// A second connection is refused at the cap.
 	refused := dial(t, addr)
-	if err := refused.PreSendModel("x", "tiny", model, false); err == nil {
+	if err := refused.PreSendModel("x", "tiny", model); err == nil {
 		t.Fatal("expected capacity refusal")
 	}
 
@@ -136,7 +135,7 @@ func TestServerMetrics(t *testing.T) {
 func TestMetricsHandler(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
 	conn := dial(t, addr)
-	if err := conn.PreSendModel("app", "tiny", tinyModel(t, "tiny"), false); err != nil {
+	if err := conn.PreSendModel("app", "tiny", tinyModel(t, "tiny")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,18 +144,10 @@ func TestMetricsHandler(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var payload struct {
-		Installed bool    `json:"installed"`
-		Metrics   Metrics `json:"metrics"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if !payload.Installed {
-		t.Error("installed should be true")
-	}
-	if payload.Metrics.ModelsStored != 1 {
-		t.Errorf("models stored = %d, want 1", payload.Metrics.ModelsStored)
+	for _, want := range []string{"\nwebsnap_installed 1\n", "\nwebsnap_models_stored_total 1\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(want), rec.Body)
+		}
 	}
 
 	rec = httptest.NewRecorder()
@@ -181,7 +172,7 @@ func TestCloseWithLiveConnection(t *testing.T) {
 	go func() { done <- srv.Serve(ln) }()
 
 	conn := dial(t, ln.Addr().String())
-	if err := conn.PreSendModel("app", "tiny", tinyModel(t, "tiny"), false); err != nil {
+	if err := conn.PreSendModel("app", "tiny", tinyModel(t, "tiny")); err != nil {
 		t.Fatal(err)
 	}
 	// The connection stays open and idle; Close must still return.
@@ -207,11 +198,11 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 	model := tinyModel(t, "tiny")
 
 	idle := dial(t, addr)
-	if err := idle.PreSendModel("app-idle", "tiny", model, false); err != nil {
+	if err := idle.PreSendModel("app-idle", "tiny", model); err != nil {
 		t.Fatalf("initial request: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond)
-	if err := idle.PreSendModel("app-idle", "tiny2", model, false); err == nil {
+	if err := idle.PreSendModel("app-idle", "tiny2", model); err == nil {
 		t.Error("request after idle timeout should fail (connection closed)")
 	}
 

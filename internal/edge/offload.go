@@ -143,7 +143,7 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 	}
 	if len(batch) > 1 {
 		if err := s.runBatchedHandler(apps, results); err != nil {
-			s.logf("edge: batch of %d not run coalesced, re-executing solo: %v", len(batch), err)
+			s.log.Debug("edge: batch re-executed solo", obs.F("size", len(batch)), obs.Err(err))
 			for i := range batch {
 				results[i] = s.execute(batch[i : i+1])[0]
 			}
@@ -160,7 +160,10 @@ func (s *Server) execute(batch []*sched.Task) []sched.Result {
 			results[i].Err = fmt.Errorf("execute snapshot: %w", err)
 			continue
 		}
-		s.logf("edge: app %q ran %d handler(s) in %v", app.ID(), steps, time.Since(start))
+		if s.log.Enabled(obs.LevelDebug) {
+			s.log.Debug("edge: handlers ran", obs.F("appId", app.ID()), obs.F("steps", steps),
+				obs.F("micros", time.Since(start).Microseconds()))
+		}
 		results[i].Value, results[i].Err = snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	}
 	return results
@@ -191,7 +194,9 @@ func (s *Server) runBatchedHandler(apps []*webapp.App, restored []sched.Result) 
 	if err := fn(apps, evs); err != nil {
 		return err
 	}
-	s.logf("edge: batched %d session(s) in %v", len(apps), time.Since(start))
+	if s.log.Enabled(obs.LevelDebug) {
+		s.log.Debug("edge: batch ran", obs.F("sessions", len(apps)), obs.F("micros", time.Since(start).Microseconds()))
+	}
 	return nil
 }
 
@@ -378,7 +383,7 @@ func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode ti
 	s.traceLogMu.Lock()
 	defer s.traceLogMu.Unlock()
 	if _, err := s.cfg.TraceLog.Write(append(line, '\n')); err != nil {
-		s.logf("edge: trace log: %v", err)
+		s.log.Warn("edge: trace log write failed", obs.Err(err))
 	}
 }
 

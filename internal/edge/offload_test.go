@@ -81,7 +81,7 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 					}
 					sess := &replySession{app: app, conn: dial(t, addr)}
 					if fullReply {
-						if err := sess.conn.PreSendModel(id, "tiny", model, false); err != nil {
+						if err := sess.conn.PreSendModel(id, "tiny", model); err != nil {
 							t.Fatal(err)
 						}
 					} else {
@@ -175,7 +175,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 				t.Fatal("rear model missing")
 			}
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear, Partial: true}}
+			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 		} else if app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels); err != nil {
 			t.Fatal(err)
@@ -223,7 +223,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 					}
 				case "raw":
 					const id = "store-raw"
-					if err := conn.PreSendModel(id, "tiny", model, false); err != nil {
+					if err := conn.PreSendModel(id, "tiny", model); err != nil {
 						t.Fatal(err)
 					}
 					app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)

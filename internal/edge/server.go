@@ -97,11 +97,8 @@ type Config struct {
 	// for same-model arrivals; zero batches only the already-queued
 	// backlog.
 	BatchWindow time.Duration
-	// Logf receives diagnostic output; nil silences it.
-	Logf func(format string, args ...any)
-	// Logger, when non-nil, receives structured JSON-line logs. When Logf
-	// is nil the legacy printf diagnostics also route through it, so one
-	// stream carries everything.
+	// Logger receives the server's JSON-line logs: per-request lines at
+	// debug level, failures of its own at warn and above. Nil is silent.
 	Logger *obs.Logger
 	// TraceLog, when non-nil, receives one JSON line per completed
 	// offload request with the server-side span breakdown (decode, queue,
@@ -144,7 +141,6 @@ type Server struct {
 	cfg   Config
 	store *SessionStore
 	sched *sched.Scheduler
-	logf  func(string, ...any)
 	quit  chan struct{}
 	wg    sync.WaitGroup
 	// reqWG tracks requests between dispatch and response write, so Close
@@ -177,8 +173,7 @@ type Server struct {
 	// traceLogMu serializes JSON lines onto Config.TraceLog.
 	traceLogMu sync.Mutex
 
-	// log is the structured logger (nil-safe); logf remains the printf
-	// bridge for legacy call sites.
+	// log is Config.Logger (nil-safe).
 	log *obs.Logger
 
 	// reg is the server's metrics registry; every counter, gauge, and
@@ -329,6 +324,14 @@ func (s *Server) initMetrics() {
 		"Boundary tensors relayed to downstream chain hops.")
 	s.chainRelayFailures = r.Counter("websnap_chain_relay_failures_total",
 		"Chain relays that failed (downstream unreachable or errored).")
+	// The scheduler counters and the byte cap no other family carried,
+	// appended so every earlier family keeps its place.
+	r.CounterFunc("websnap_sched_cancelled_total", "Queued tasks cancelled at shutdown.",
+		func() int64 { return s.sched.Stats().Cancelled })
+	r.CounterFunc("websnap_sched_batched_tasks_total", "Tasks that ran in a coalesced batch of two or more.",
+		func() int64 { return s.sched.Stats().BatchedTasks })
+	r.GaugeFunc("websnap_queue_byte_cap", "Admission queue byte cap (0 = slots-only admission).",
+		func() float64 { return float64(s.sched.Stats().QueueByteCap) })
 }
 
 // NewServer creates an offloading server.
@@ -338,14 +341,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if !cfg.Installed && cfg.Synthesizer == nil {
 		return nil, errors.New("edge: not installed and no synthesizer for on-demand installation")
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		if cfg.Logger != nil {
-			logf = cfg.Logger.Logf
-		} else {
-			logf = func(string, ...any) {}
-		}
 	}
 	store := newSessionStore(cfg.MaxStoreBytes)
 	if cfg.ModelDir != "" {
@@ -358,7 +353,6 @@ func NewServer(cfg Config) (*Server, error) {
 	srv := &Server{
 		cfg:       cfg,
 		store:     store,
-		logf:      logf,
 		log:       cfg.Logger,
 		quit:      make(chan struct{}),
 		installed: cfg.Installed,
@@ -382,7 +376,6 @@ func NewServer(cfg Config) (*Server, error) {
 		QueueWait:     cfg.QueueWait,
 		MaxBatch:      cfg.MaxBatch,
 		BatchWindow:   cfg.BatchWindow,
-		Logf:          logf,
 	}, srv.execBatch)
 	if err != nil {
 		return nil, err
@@ -461,7 +454,7 @@ func (s *Server) Serve(ln net.Listener) error {
 						protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
 					if err == nil {
 						if err := protocol.Write(conn, msg); err != nil {
-							s.logf("edge: refuse conn: %v", err)
+							s.log.Debug("edge: refusal write failed", obs.Err(err))
 						}
 					}
 				}()
@@ -612,7 +605,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		msg, err := protocol.Read(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				s.logf("edge: read: %v", err)
+				s.log.Info("edge: connection closed on read error", obs.Err(err))
 			}
 			return
 		}
@@ -667,7 +660,13 @@ func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWai
 	defer s.reqWG.Done()
 	resp, err := s.dispatch(req, streamWait)
 	if err != nil {
-		s.logf("edge: %s: %v", req.msg.Type, err)
+		// A failed request is the client's business; a panicking executor
+		// is the server's.
+		logFailure := s.log.Debug
+		if errors.Is(err, sched.ErrExecutorPanic) {
+			logFailure = s.log.Error
+		}
+		logFailure("edge: request failed", obs.F("type", req.msg.Type.String()), obs.Err(err))
 		s.errorsAnswered.Inc()
 		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: seq}
 		var oe *overloadError
@@ -689,7 +688,7 @@ func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWai
 		}
 	}
 	if err := cw.write(resp); err != nil {
-		s.logf("edge: write response: %v", err)
+		s.log.Debug("edge: response write failed", obs.Err(err))
 		return err
 	}
 	return nil
@@ -725,7 +724,7 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 	s.cfg.Flight.Record(telemetry.FlightEntry{
 		TraceID: tid.TraceID,
 		Reason:  reason,
-		Note:    string(msg.Type) + ": " + err.Error(),
+		Note:    msg.Type.String() + ": " + err.Error(),
 	})
 }
 
@@ -821,7 +820,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPre
 	if hdr.RefOnly {
 		if net, err = s.resolveModel(*hdr, trail); err != nil {
 			s.refPreSendMisses.Inc()
-			s.logf("edge: ref pre-send %q (blob %s) unresolved: %v", hdr.ModelName, hdr.BlobKey, err)
+			s.log.Debug("edge: ref pre-send unresolved", obs.F("model", hdr.ModelName), obs.F("blob", hdr.BlobKey), obs.Err(err))
 			return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
 				AppID:     hdr.AppID,
 				ModelName: hdr.ModelName,
@@ -847,11 +846,11 @@ func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPre
 	if err := s.store.putKeyed(hdr.AppID, hdr.ModelName, key, net); err != nil {
 		// The in-memory copy is in place; persistence failure only
 		// affects restarts. Log and keep serving.
-		s.logf("edge: persist model %q: %v", hdr.ModelName, err)
+		s.log.Warn("edge: model persist failed", obs.F("model", hdr.ModelName), obs.Err(err))
 	}
 	s.modelsStored.Inc()
-	s.logf("edge: stored model %q for app %q (%d params, partial=%v, ref=%v)",
-		hdr.ModelName, hdr.AppID, net.TotalParams(), hdr.Partial, hdr.RefOnly)
+	s.log.Debug("edge: model stored", obs.F("model", hdr.ModelName), obs.F("appId", hdr.AppID),
+		obs.F("params", net.TotalParams()), obs.F("ref", hdr.RefOnly))
 	return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
 		AppID:     hdr.AppID,
 		ModelName: hdr.ModelName,
@@ -915,7 +914,7 @@ func (s *Server) handleInstall(msg protocol.Message, hdr *protocol.InstallOverla
 	s.installed = true
 	s.installedMu.Unlock()
 	s.installs.Inc()
-	s.logf("edge: installed offloading system via VM synthesis (%v)", res.SynthesisTime)
+	s.log.Info("edge: offloading system installed via VM synthesis", obs.F("synthesisMillis", res.SynthesisTime.Milliseconds()))
 	return protocol.Encode(protocol.MsgInstallDone, protocol.InstallDoneHeader{
 		BaseImage:       hdr.BaseImage,
 		SynthesisMillis: res.SynthesisTime.Milliseconds(),

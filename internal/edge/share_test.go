@@ -99,7 +99,7 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 			AdvertiseAddr: "fetcher:0",
 			Locator:       fakeLocator{holders: map[string][]string{key: {holder}}},
 		})
-		needBlob, _, err := dial(t, addr).PreSendModelRefTraced("roamer", "tiny", model, false, "")
+		needBlob, _, err := dial(t, addr).PreSendModelRefTraced("roamer", "tiny", model, "")
 		if err != nil || needBlob {
 			t.Fatalf("%s: reference pre-send: needBlob=%v err=%v", stage, needBlob, err)
 		}
@@ -113,7 +113,7 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 	}
 
 	uploaded, addr := startServer(t, Config{Installed: true, AdvertiseAddr: "holder:0", ModelDir: dir})
-	if err := dial(t, addr).PreSendModel("owner", "tiny", model, false); err != nil {
+	if err := dial(t, addr).PreSendModel("owner", "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 	fetchFrom("uploaded", addr)

@@ -90,7 +90,7 @@ func TestServerRestartKeepsModels(t *testing.T) {
 	// First server instance: receive the model.
 	_, addr1 := startServer(t, Config{Installed: true, ModelDir: dir})
 	conn1 := dial(t, addr1)
-	if err := conn1.PreSendModel("app-persist", "tiny", model, false); err != nil {
+	if err := conn1.PreSendModel("app-persist", "tiny", model); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"websnap/internal/mlapp"
 	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
+	"websnap/internal/telemetry"
 	"websnap/internal/trace"
 	"websnap/internal/webapp"
 )
@@ -149,43 +150,18 @@ func TestTraceLogLines(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheus checks the Prometheus text exposition of /metrics:
-// counters, gauges, and per-stage histograms with monotonically increasing
-// cumulative le buckets, while the default JSON shape stays intact.
+// TestMetricsPrometheus checks the Prometheus text exposition of /metrics
+// after one offload: counters, gauges, and per-stage histograms with
+// monotonically increasing cumulative le buckets.
 func TestMetricsPrometheus(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
 	offloadRaw(t, addr, "0123456789abcdef")
 
-	h := srv.MetricsHandler()
-
-	// Default: the original JSON payload (existing consumers unaffected).
 	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if ct := rr.Header().Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("default Content-Type = %q, want JSON", ct)
-	}
-	var payload struct {
-		Installed bool `json:"installed"`
-		Metrics   struct {
-			SnapshotsExecuted int64 `json:"SnapshotsExecuted"`
-		} `json:"metrics"`
-		Stages []struct {
-			Stage string `json:"Stage"`
-		} `json:"stages"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &payload); err != nil {
-		t.Fatalf("JSON metrics: %v", err)
-	}
-	if !payload.Installed || payload.Metrics.SnapshotsExecuted != 1 || len(payload.Stages) == 0 {
-		t.Errorf("JSON payload = %+v", payload)
-	}
-
-	// Prometheus text exposition via ?format=prometheus.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics?format=prometheus", nil))
+	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rr.Body.String()
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("prometheus Content-Type = %q", ct)
+		t.Errorf("Content-Type = %q", ct)
 	}
 	for _, want := range []string{
 		"# TYPE websnap_snapshots_executed_total counter",
@@ -202,15 +178,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		}
 	}
 	assertCumulativeBuckets(t, body, "execute")
-
-	// The Accept header alone also selects text exposition.
-	rr = httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	req.Header.Set("Accept", "text/plain")
-	h.ServeHTTP(rr, req)
-	if !strings.Contains(rr.Body.String(), "# TYPE websnap_installed gauge") {
-		t.Error("Accept: text/plain did not select the Prometheus format")
-	}
 }
 
 // assertCumulativeBuckets verifies the le buckets of one stage are emitted
@@ -253,5 +220,45 @@ func assertCumulativeBuckets(t *testing.T, body, stage string) {
 	}
 	if n < 2 {
 		t.Errorf("expected at least one occupied bucket plus +Inf for stage %s, got %d lines", stage, n)
+	}
+}
+
+// TestFlightNoteNamesTheFrame: a request the server rejects lands in the
+// flight recorder under a note that starts with its frame's name, so
+// /debug/flight reads "snapshot: …" and not the frame type's raw byte.
+func TestFlightNoteNamesTheFrame(t *testing.T) {
+	srv, addr := startServer(t, Config{Installed: true, Flight: telemetry.NewFlightRecorder(0)})
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := []byte("// a body its checksum does not match")
+	req, err := protocol.Encode(protocol.MsgSnapshot, protocol.SnapshotHeader{
+		AppID: "flight-app", Seq: 1, TraceID: "00aa11bb22cc33dd", BodyCRC: protocol.BodyChecksum(body) + 1,
+	}, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.Write(c, req); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := protocol.Read(c); err != nil || resp.Type != protocol.MsgError {
+		t.Fatalf("response %v (err %v), want an error frame", resp.Type, err)
+	}
+
+	rr := httptest.NewRecorder()
+	srv.FlightHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
+	var dump struct {
+		Entries []telemetry.FlightEntry `json:"entries"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &dump); err != nil {
+		t.Fatalf("/debug/flight: %v\n%s", err, rr.Body)
+	}
+	if len(dump.Entries) != 1 {
+		t.Fatalf("flight holds %d entries, want the one rejection: %+v", len(dump.Entries), dump.Entries)
+	}
+	if e := dump.Entries[0]; e.Reason != telemetry.FlightError || e.TraceID != "00aa11bb22cc33dd" || !strings.HasPrefix(e.Note, "snapshot: ") {
+		t.Errorf("flight entry = %+v, want an error entry whose note starts %q", e, "snapshot: ")
 	}
 }

@@ -413,7 +413,7 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 	var modelKeys []string
 	for i := 1; i <= sessions; i++ {
 		appID, model := fmt.Sprintf("capped-%d", i), buildModel(i)
-		if err := conn.PreSendModel(appID, "tiny", model, false); err != nil {
+		if err := conn.PreSendModel(appID, "tiny", model); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := conn.OffloadSnapshot(appID, request(appID, model, uint64(i)), false); err != nil {

@@ -134,8 +134,9 @@ const maxPredSamples = 1 << 16
 type AuditorOptions struct {
 	// Registry, when non-nil, receives the auditor's labeled counters
 	// (websnap_client_decisions_total by path/reason,
-	// websnap_request_encoding_total by wire encoding) and the uplink
-	// estimate gauge, so a client-side /metrics endpoint exposes them.
+	// websnap_request_encoding_total by wire encoding), the uplink
+	// estimate gauge and the prediction-error quantiles (evaluated at scrape
+	// time), so a client-side /metrics endpoint exposes them.
 	Registry *Registry
 	// Sink, when non-nil, receives one JSON line per decision — the
 	// client-side analogue of the server's trace log.
@@ -192,6 +193,23 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 			"Snapshot requests sent, by the encoding their body travelled in.", "encoding")
 		a.uplink = opts.Registry.Gauge("websnap_client_uplink_bytes_per_second",
 			"The client's estimate of its link to the edge server, which picks the request encoding (0 = nothing measured yet).")
+		opts.Registry.CounterFunc("websnap_client_predicted_decisions_total",
+			"Decisions that carried both a cost-model prediction and a measured latency.",
+			func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return int64(a.seen) })
+		predErr := opts.Registry.GaugeVec("websnap_client_prediction_error_ratio",
+			"Quantiles of the cost model's relative prediction error (measured-predicted)/predicted, signed (positive = slower than predicted) and absolute.",
+			"kind", "quantile")
+		for _, q := range []struct {
+			kind, quantile string
+			pick           func(ErrQuantiles) float64
+		}{
+			{"signed", "0.5", func(e ErrQuantiles) float64 { return e.P50 }},
+			{"signed", "0.95", func(e ErrQuantiles) float64 { return e.P95 }},
+			{"abs", "0.5", func(e ErrQuantiles) float64 { return e.AbsP50 }},
+			{"abs", "0.95", func(e ErrQuantiles) float64 { return e.AbsP95 }},
+		} {
+			predErr.Func(func() float64 { return q.pick(a.Summary().PredErr) }, q.kind, q.quantile)
+		}
 	}
 	return a
 }

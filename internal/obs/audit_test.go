@@ -61,6 +61,7 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 		Predicted: time.Millisecond, Measured: 2 * time.Millisecond, HintAge: 5 * time.Millisecond,
 		WireEncoding: "raw", UplinkBytesPerSec: 4e8})
 	a.Record(Decision{Path: PathFallback, Reason: "server-error", HintAge: -1,
+		Predicted: 2 * time.Millisecond, Measured: time.Millisecond,
 		WireEncoding: "packed", UplinkBytesPerSec: 3.5e6})
 	a.Record(Decision{Path: PathShed, Reason: "hint-delay", HintAge: 0}) // no request: no encoding, gauge untouched
 
@@ -81,7 +82,8 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 		t.Errorf("sink lines = %d, want 3", lines)
 	}
 
-	// Registry: per-path/reason counters.
+	// Registry: per-path/reason counters, and the two predictions' errors
+	// (+100 %, −50 %) as nearest-rank quantiles, signed and absolute.
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -93,6 +95,11 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 		`websnap_request_encoding_total{encoding="raw"} 1`,
 		`websnap_request_encoding_total{encoding="packed"} 1`,
 		`websnap_client_uplink_bytes_per_second 3.5e+06`,
+		`websnap_client_predicted_decisions_total 2`,
+		`websnap_client_prediction_error_ratio{kind="signed",quantile="0.5"} -0.5`,
+		`websnap_client_prediction_error_ratio{kind="signed",quantile="0.95"} 1`,
+		`websnap_client_prediction_error_ratio{kind="abs",quantile="0.5"} 0.5`,
+		`websnap_client_prediction_error_ratio{kind="abs",quantile="0.95"} 1`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, b.String())

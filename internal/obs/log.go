@@ -56,8 +56,10 @@ func Err(err error) Field {
 }
 
 // Logger emits structured JSON-line leveled logs: one JSON object per
-// line with ts, level, msg, and the attached fields. A nil *Logger is a
-// valid no-op logger, so components can log unconditionally.
+// line with ts, level, msg, and the attached fields. It is the one log sink
+// of every component and daemon; a nil *Logger is silent, so components can
+// log unconditionally (guard a line whose fields cost something with
+// Enabled).
 //
 // Loggers derived with With share the parent's writer and mutex, so one
 // file or stderr stream stays line-atomic across components.
@@ -102,13 +104,6 @@ func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, field
 
 // Error logs at error level.
 func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
-
-// Logf adapts the logger to the legacy printf-style Logf hooks: the
-// formatted string becomes the msg of an info-level line. It lets code
-// still holding a func(string, ...any) route through structured output.
-func (l *Logger) Logf(format string, args ...any) {
-	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
 
 func (l *Logger) log(level Level, msg string, fields []Field) {
 	if !l.Enabled(level) {

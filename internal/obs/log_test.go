@@ -74,7 +74,6 @@ func TestLoggerWithFields(t *testing.T) {
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Info("ignored", F("k", "v"))
-	l.Logf("ignored %d", 1)
 	if l.With(F("a", 1)) != nil {
 		t.Error("nil With should stay nil")
 	}
@@ -83,19 +82,6 @@ func TestLoggerNilSafe(t *testing.T) {
 	}
 	if NewLogger(nil, LevelInfo) != nil {
 		t.Error("nil writer should yield nil logger")
-	}
-}
-
-func TestLoggerLogfBridge(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.Logf("edge: served %d conns", 3)
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["msg"] != "edge: served 3 conns" {
-		t.Errorf("msg = %v", m["msg"])
 	}
 }
 

@@ -14,10 +14,11 @@
 package obs
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -244,6 +245,12 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return &Gauge{s: v.f.get(labelValues)}
 }
 
+// Func makes fn the series for the given label values, evaluated at scrape
+// time — the labeled counterpart of Registry.GaugeFunc.
+func (v *GaugeVec) Func(fn func() float64, labelValues ...string) {
+	v.f.get(labelValues).fn = fn
+}
+
 // HistogramVec is a histogram family handle with labels. Values are
 // durations; exposition renders them in seconds.
 type HistogramVec struct{ f *family }
@@ -430,81 +437,25 @@ func bracket(pairs []string) string {
 	return "{" + strings.Join(pairs, ",") + "}"
 }
 
-// jsonSeries is one series in the JSON exposition.
-type jsonSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value,omitempty"`
-	Count  uint64            `json:"count,omitempty"`
-	// SumSeconds and quantiles render histogram series.
-	SumSeconds float64 `json:"sumSeconds,omitempty"`
-	P50Seconds float64 `json:"p50Seconds,omitempty"`
-	P95Seconds float64 `json:"p95Seconds,omitempty"`
-	P99Seconds float64 `json:"p99Seconds,omitempty"`
-}
-
-// jsonFamily is one family in the JSON exposition.
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Help   string       `json:"help"`
-	Kind   string       `json:"kind"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON renders every registered family as a JSON array — the same
-// registry walk as WritePrometheus in the other exposition format, in the
-// same deterministic family/series order.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.RLock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.RUnlock()
-	out := make([]jsonFamily, 0, len(fams))
-	for _, f := range fams {
-		f.mu.RLock()
-		ss := append([]*series(nil), f.order...)
-		f.mu.RUnlock()
-		if len(ss) == 0 {
-			continue
+// MetricsHandler serves /metrics: the registries, written in order, as one
+// Prometheus text exposition (version 0.0.4) — the only format, whatever the
+// request's Accept header or query says. Each function is called once per
+// scrape, so a registry may be built per scrape (fleetd's rollup); their
+// family names must be disjoint. Any method but GET is answered 405.
+func MetricsHandler(regs ...func() *Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
 		}
-		jf := jsonFamily{Name: f.name, Help: f.help, Kind: f.kind.String(), Series: make([]jsonSeries, 0, len(ss))}
-		for _, s := range ss {
-			js := jsonSeries{}
-			if len(f.labelNames) > 0 {
-				js.Labels = make(map[string]string, len(f.labelNames))
-				for i, n := range f.labelNames {
-					js.Labels[n] = s.labelValues[i]
-				}
-			}
-			switch f.kind {
-			case KindCounter:
-				v := s.count.Load()
-				if s.fn != nil {
-					v = int64(s.fn())
-				}
-				js.Value = float64(v)
-			case KindGauge:
-				v := floatFromBits(s.bits.Load())
-				if s.fn != nil {
-					v = s.fn()
-				}
-				js.Value = v
-			case KindHistogram:
-				if s.hist == nil {
-					continue
-				}
-				q := s.hist.Summary()
-				js.Count = q.Count
-				js.SumSeconds = s.hist.Sum().Seconds()
-				js.P50Seconds = q.P50.Seconds()
-				js.P95Seconds = q.P95.Seconds()
-				js.P99Seconds = q.P99.Seconds()
-			}
-			jf.Series = append(jf.Series, js)
+		var b bytes.Buffer
+		for _, reg := range regs {
+			reg().WritePrometheus(&b) //nolint:errcheck // a bytes.Buffer write cannot fail
 		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Write(b.Bytes()) //nolint:errcheck // best-effort scrape reply
+	})
 }
 
 // Families returns the registered family names in registration order (for

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -154,5 +156,73 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if total != 8000 {
 		t.Errorf("labeled total = %d, want 8000", total)
+	}
+}
+
+// TestWantsPrometheus: every client gets Prometheus text. The ?format= values
+// and Accept headers that content negotiation once told apart all get the
+// same text 0.0.4 body from MetricsHandler, with the registries written in
+// the order given and each one fetched afresh per scrape.
+func TestWantsPrometheus(t *testing.T) {
+	first, second := NewRegistry(), NewRegistry()
+	ops := first.Counter("test_first_total", "First registry.")
+	second.Gauge("test_second", "Second registry.").Set(1)
+	h := MetricsHandler(func() *Registry { return first }, func() *Registry { return second })
+
+	requests := []struct{ format, accept string }{
+		{"prometheus", "application/json"},
+		{"json", "text/plain"},
+		{"", ""},
+		{"", "*/*"},
+		{"", "text/plain"},
+		{"", "application/openmetrics-text"},
+		{"", "text/*"},
+		{"", "text/plain;q=0.5, application/json"},
+		{"", "text/plain, application/json;q=0.5"},
+		{"", "text/plain, application/json"},
+		{"", "text/plain;q=0"},
+		{"", "application/openmetrics-text;version=1.0.0;q=0.75,text/plain;version=0.0.4;q=0.5,*/*;q=0.1"},
+		{"", "text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8"},
+		{"", "text/*;q=0.9, application/json;q=0.8"},
+	}
+	scrape := func(format, accept string) string {
+		t.Helper()
+		target := "/metrics"
+		if format != "" {
+			target += "?format=" + format
+		}
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		if ct := rr.Header().Get("Content-Type"); rr.Code != http.StatusOK || ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Fatalf("format %q, Accept %q: status %d, Content-Type %q", format, accept, rr.Code, ct)
+		}
+		return rr.Body.String()
+	}
+
+	var want strings.Builder
+	_ = first.WritePrometheus(&want)
+	_ = second.WritePrometheus(&want)
+	for _, rq := range requests {
+		if got := scrape(rq.format, rq.accept); got != want.String() {
+			t.Errorf("format %q, Accept %q: body\n%s\nwant the registries in order:\n%s", rq.format, rq.accept, got, want.String())
+		}
+	}
+	if problems := LintPrometheus([]byte(want.String())); len(problems) != 0 {
+		t.Errorf("lint problems: %v", problems)
+	}
+
+	ops.Add(2)
+	if got := scrape("", ""); !strings.Contains(got, "test_first_total 2\n") {
+		t.Errorf("a later scrape misses the counter's new value:\n%s", got)
+	}
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/metrics", nil))
+	if rr.Code != http.StatusMethodNotAllowed || rr.Header().Get("Allow") != http.MethodGet {
+		t.Errorf("POST: status %d, Allow %q; want 405 and GET", rr.Code, rr.Header().Get("Allow"))
 	}
 }

@@ -342,9 +342,6 @@ type ModelPreSendHeader struct {
 	Spec      json.RawMessage `json:"spec"`
 	// Seq identifies the request's stream; the ack echoes it.
 	Seq uint64 `json:"seq,omitempty"`
-	// Partial marks a rear-only model pre-send: the front part is
-	// withheld for privacy (§III.B.2).
-	Partial bool `json:"partial,omitempty"`
 	// BodyCRC is the weight blob's integrity checksum (BodyChecksum);
 	// zero means unchecked (empty body).
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`

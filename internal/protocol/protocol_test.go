@@ -25,7 +25,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		header any
 	}{
 		{"presend", mustEncode(t, MsgModelPreSend,
-			ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{"name":"m"}`), Partial: true},
+			ModelPreSendHeader{AppID: "a", ModelName: "m", Spec: json.RawMessage(`{"name":"m"}`)},
 			[]byte{1, 2, 3}), nil},
 		{"ack", mustEncode(t, MsgAck, AckHeader{AppID: "a", ModelName: "m"}, nil), nil},
 		{"snapshot", mustEncode(t, MsgSnapshot, SnapshotHeader{AppID: "a", Seq: 7}, []byte("// snap")), nil},

@@ -478,7 +478,7 @@ func (e *ChainExecutor) hopConn(addr string) (*client.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fresh.PreSendModel(e.cfg.AppID, e.cfg.ModelName, e.cfg.Model, false); err != nil {
+	if err := fresh.PreSendModel(e.cfg.AppID, e.cfg.ModelName, e.cfg.Model); err != nil {
 		fresh.Close()
 		return nil, err
 	}

@@ -34,6 +34,9 @@ var (
 	// ErrClosed is returned for submissions to a closed scheduler, and
 	// delivered to tasks cancelled while still queued at Close.
 	ErrClosed = errors.New("sched: scheduler closed")
+	// ErrExecutorPanic is delivered to every task of a batch whose executor
+	// panicked; the error carries the panic value.
+	ErrExecutorPanic = errors.New("sched: executor panic")
 )
 
 // Policy selects what Submit does when the admission queue is full.
@@ -155,8 +158,6 @@ type Config struct {
 	// queued at dequeue time — batching then costs no latency when the
 	// server is idle and kicks in exactly when a queue has formed.
 	BatchWindow time.Duration
-	// Logf receives diagnostic output; nil silences it.
-	Logf func(format string, args ...any)
 }
 
 // Defaults for Config zero values.
@@ -168,34 +169,34 @@ const (
 // Stats is a snapshot of the scheduler's state and counters.
 type Stats struct {
 	// Workers is the pool size; Busy is how many are executing now.
-	Workers int `json:"workers"`
-	Busy    int `json:"busy"`
+	Workers int
+	Busy    int
 	// QueueDepth is the current number of queued tasks; QueueCap its
 	// bound.
-	QueueDepth int `json:"queueDepth"`
-	QueueCap   int `json:"queueCap"`
+	QueueDepth int
+	QueueCap   int
 	// QueueBytes is the summed Task.Bytes of queued tasks; QueueByteCap
 	// its bound (0 = slots-only accounting).
-	QueueBytes   int64 `json:"queueBytes,omitempty"`
-	QueueByteCap int64 `json:"queueByteCap,omitempty"`
+	QueueBytes   int64
+	QueueByteCap int64
 	// Submitted counts accepted tasks; Rejected counts tasks turned away
 	// at admission; Cancelled counts tasks failed while queued at Close.
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
-	Cancelled int64 `json:"cancelled"`
+	Submitted int64
+	Rejected  int64
+	Cancelled int64
 	// Executed counts completed tasks; Batches counts executor
 	// invocations (so Executed/Batches is the mean batch size);
 	// BatchedTasks counts tasks that ran in a batch of 2 or more.
-	Executed     int64 `json:"executed"`
-	Batches      int64 `json:"batches"`
-	BatchedTasks int64 `json:"batchedTasks"`
+	Executed     int64
+	Batches      int64
+	BatchedTasks int64
 	// Service summarizes the per-task service time distribution (batch
 	// wall time divided by batch size), from the scheduler's log-bucketed
 	// histogram. Service.Mean replaces the earlier EWMA as the smoothed
 	// load signal; the histogram additionally yields tail percentiles.
-	Service trace.Quantiles `json:"service"`
+	Service trace.Quantiles
 	// QueueWait summarizes how long admitted tasks waited for a worker.
-	QueueWait trace.Quantiles `json:"queueWait"`
+	QueueWait trace.Quantiles
 }
 
 // QueueingDelay estimates how long a task submitted now would wait for a
@@ -227,7 +228,6 @@ func (s Stats) Saturated() bool {
 type Scheduler struct {
 	cfg  Config
 	exec ExecFunc
-	logf func(string, ...any)
 
 	mu          sync.Mutex
 	queue       []*Task // FIFO admission queue, bounded by cfg.QueueDepth
@@ -272,14 +272,9 @@ func New(cfg Config, exec ExecFunc) (*Scheduler, error) {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	s := &Scheduler{
 		cfg:   cfg,
 		exec:  exec,
-		logf:  logf,
 		queue: make([]*Task, 0, cfg.QueueDepth),
 		space: make(chan struct{}, 1),
 		wake:  make(chan struct{}, 1),
@@ -499,15 +494,15 @@ func (s *Scheduler) runBatch(batch []*Task) {
 	}
 }
 
-// safeExec invokes the executor, converting a panic into per-task errors so
-// one poisoned snapshot cannot take down the worker pool.
+// safeExec invokes the executor, converting a panic into per-task
+// ErrExecutorPanic errors so one poisoned snapshot cannot take down the
+// worker pool; the caller that waits on a task reports it.
 func (s *Scheduler) safeExec(batch []*Task) (results []Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.logf("sched: executor panic: %v", r)
 			results = make([]Result, len(batch))
 			for i := range results {
-				results[i] = Result{Err: fmt.Errorf("sched: executor panic: %v", r)}
+				results[i] = Result{Err: fmt.Errorf("%w: %v", ErrExecutorPanic, r)}
 			}
 		}
 	}()

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,8 +378,8 @@ func TestExecutorPanicIsContained(t *testing.T) {
 	if err := s.Submit(bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Wait(); err == nil {
-		t.Error("panicking batch returned nil error")
+	if _, err := bad.Wait(); !errors.Is(err, ErrExecutorPanic) || !strings.Contains(err.Error(), "kaboom") {
+		t.Errorf("panicking batch returned %v, want ErrExecutorPanic carrying the panic value", err)
 	}
 	good := NewTask("", "fine")
 	if err := s.Submit(good); err != nil {

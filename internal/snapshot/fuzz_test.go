@@ -64,8 +64,8 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Decode refuses what Encode would: a decimal literal beyond float32
-		// and a non-finite bit pattern are corrupt, not ±Inf or NaN in hand.
+		// Decode refuses what Encode would: a decimal typed array and a
+		// non-finite bit pattern are corrupt, not ±Inf or NaN in hand.
 		if _, err := s.Encode(); err != nil {
 			t.Errorf("decoded snapshot failed to re-encode: %v", err)
 		}

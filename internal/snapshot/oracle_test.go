@@ -78,34 +78,23 @@ func toWire(v webapp.Value) (any, error) {
 	}
 }
 
-// f32FromWire reads a typed array from its marker's value: canonical base64
-// of finite little-endian float32s, or the decimal array older peers wrote.
+// f32FromWire reads a typed array from its marker's value, which must be
+// the canonical base64 of finite little-endian float32s.
 func f32FromWire(raw any) (webapp.Float32Array, error) {
-	var fa webapp.Float32Array
-	switch t := raw.(type) {
-	case string:
-		bits, err := base64.StdEncoding.DecodeString(t)
-		if err != nil {
-			return nil, err
-		}
-		if base64.StdEncoding.EncodeToString(bits) != t || len(bits)%4 != 0 {
-			return nil, fmt.Errorf("%s payload is not the canonical base64 of whole float32s", f32Key)
-		}
-		fa = make(webapp.Float32Array, len(bits)/4)
-		if err := binary.Read(bytes.NewReader(bits), binary.LittleEndian, []float32(fa)); err != nil {
-			return nil, err
-		}
-	case []any:
-		fa = make(webapp.Float32Array, len(t))
-		for i, e := range t {
-			f, ok := e.(float64)
-			if !ok {
-				return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
-			}
-			fa[i] = float32(f)
-		}
-	default:
-		return nil, fmt.Errorf("%s marker is neither base64 text nor an array", f32Key)
+	t, ok := raw.(string)
+	if !ok {
+		return nil, fmt.Errorf("%s marker is not base64 text", f32Key)
+	}
+	bits, err := base64.StdEncoding.DecodeString(t)
+	if err != nil {
+		return nil, err
+	}
+	if base64.StdEncoding.EncodeToString(bits) != t || len(bits)%4 != 0 {
+		return nil, fmt.Errorf("%s payload is not the canonical base64 of whole float32s", f32Key)
+	}
+	fa := make(webapp.Float32Array, len(bits)/4)
+	if err := binary.Read(bytes.NewReader(bits), binary.LittleEndian, []float32(fa)); err != nil {
+		return nil, err
 	}
 	for i, f := range fa {
 		if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {

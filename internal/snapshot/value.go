@@ -24,10 +24,10 @@ import (
 // produces for the same tree (sorted keys, HTML-safe string escapes, json's
 // float formatting, a []byte as StdEncoding base64), and the parser accepts
 // exactly the JSON grammar — whitespace between tokens, duplicate keys (last
-// one wins), escaped keys. It also still reads the form this one replaced,
-// {"__f32__":[0.12,-1.5,...]}, so stored snapshots and older peers' requests
-// decode; a decoder from before the change refuses the base64 form ("marker
-// is not an array") rather than misreading it.
+// one wins), escaped keys. A typed array has one form, read as it is
+// written: the decimal array older encoders wrote, {"__f32__":[0.12,...]},
+// is ErrCorrupt, as the base64 form is to a decoder from before it ("marker
+// is not an array") — neither side misreads the other.
 //
 // Numbers, literals, arrays, objects and plain-ASCII strings are read and
 // written by hand; a string that needs escaping either way goes through
@@ -412,9 +412,10 @@ func (p *parser) array() (webapp.Value, error) {
 
 // object reads an object: the typed-array marker straight into a
 // Float32Array when it has exactly the shape the encoder writes, any other
-// object (and any marker written unusually — the decimal-array form, an
-// escaped or repeated key, escapes in the payload, extra keys) through the
-// general path, which then applies the marker rule to the finished map.
+// object (and any marker written unusually — an escaped or repeated key,
+// escapes in the payload, extra keys) through the general path, which then
+// applies the marker rule to the finished map. A typed array has one form:
+// base64 text.
 func (p *parser) object() (webapp.Value, error) {
 	if text, ok := p.f32Text(); ok {
 		return decodeFloat32s(text)
@@ -427,23 +428,10 @@ func (p *parser) object() (webapp.Value, error) {
 	if !marked || len(m) != 1 {
 		return m, nil
 	}
-	switch t := raw.(type) {
-	case string:
+	if t, ok := raw.(string); ok {
 		return decodeFloat32s([]byte(t))
-	case []webapp.Value:
-		fa := make(webapp.Float32Array, len(t))
-		for i, e := range t {
-			f, ok := e.(float64)
-			if !ok {
-				return nil, fmt.Errorf("%s element %d is not a number", f32Key, i)
-			}
-			if fa[i] = float32(f); math.IsInf(float64(fa[i]), 0) {
-				return nil, fmt.Errorf("%s element %d: %w", f32Key, i, errNonFinite)
-			}
-		}
-		return fa, nil
 	}
-	return nil, fmt.Errorf("%s marker is neither base64 text nor an array", f32Key)
+	return nil, fmt.Errorf("%s marker is not base64 text", f32Key)
 }
 
 // f32Text matches {"__f32__":"<payload>"} at the cursor, spelled as the

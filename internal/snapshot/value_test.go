@@ -203,6 +203,8 @@ func parityBodies() []string {
 		`[]`, `[ ]`, `[1]`, `[1,]`, `[,1]`, `[1 2]`, `[1,2`, `[[],{}]`, ` [ 1 , "a" , null ] `,
 		`{}`, `{ }`, `{"a":1}`, `{"a":1,}`, `{"a"}`, `{"a":}`, `{a:1}`, `{"a":1 "b":2}`, `{"a":1,"a":2}`,
 		"\t{\r\"a\" :\t[ true ,false ]\r} ", `{"a":{"b":{"c":[1,{"d":null}]}}}`,
+		// The decimal array older encoders wrote, well- and ill-formed: a
+		// marker value that is not text is refused however it is spelled.
 		`{"__f32__":[]}`, `{"__f32__":[1]}`, `{"__f32__":[1,2.5,-3e2]}`, ` { "__f32__" : [ 1 , 2 ] } `,
 		`{"__f32__":[ ]}`, `{"__f32__":[1,]}`, `{"__f32__":[,]}`, `{"__f32__":[1 2]}`, `{"__f32__":[1,2}`,
 		`{"__f32__":[1,2]`, `{"__f32__":[1,2]]}`, `{"__f32__":[01]}`, `{"__f32__":[-]}`, `{"__f32__":[1.]}`,

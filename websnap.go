@@ -35,6 +35,7 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/obs"
 	"websnap/internal/partition"
 	"websnap/internal/roam"
 	"websnap/internal/sim"
@@ -93,8 +94,8 @@ type (
 )
 
 // NewEdgeServer constructs a pre-installed edge server for the standard ML
-// web apps. logf may be nil.
-func NewEdgeServer(logf func(string, ...any)) (*EdgeServer, error) { return core.NewEdgeServer(logf) }
+// web apps. logger may be nil (silent).
+func NewEdgeServer(logger *obs.Logger) (*EdgeServer, error) { return core.NewEdgeServer(logger) }
 
 // NewEdgeServerWithConfig constructs an edge server with full control
 // (custom catalog, on-demand installation via VM synthesis).
