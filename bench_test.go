@@ -12,6 +12,7 @@ package websnap_test
 // substitution).
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/netem"
+	"websnap/internal/nn"
 	"websnap/internal/sim"
 	"websnap/internal/snapshot"
 	"websnap/internal/tensor"
@@ -460,15 +462,31 @@ func BenchmarkAblationPartitionVsBandwidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationModelPolicy measures real encoded snapshot sizes under
-// the three model policies — the size optimization §III.B.1 exists for.
+// BenchmarkAblationModelPolicy measures the real encoded sizes §III.B.1
+// trades: the model's one pre-send (its spec plus binary weights), then
+// snapshots that name it spec-only or omit it.
 func BenchmarkAblationModelPolicy(b *testing.B) {
 	app := benchApp(b)
+	b.Run("pre-send", func(b *testing.B) {
+		model, _ := app.Model("tinynet")
+		var n int
+		for i := 0; i < b.N; i++ {
+			spec, err := nn.EncodeSpec(model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var weights bytes.Buffer
+			if err := model.EncodeWeights(&weights); err != nil {
+				b.Fatal(err)
+			}
+			n = len(spec) + weights.Len()
+		}
+		b.ReportMetric(float64(n), "bytes")
+	})
 	for _, tc := range []struct {
 		name   string
 		policy snapshot.ModelPolicy
 	}{
-		{"full-model", snapshot.ModelFull},
 		{"spec-only", snapshot.ModelSpecOnly},
 		{"omitted", snapshot.ModelOmit},
 	} {

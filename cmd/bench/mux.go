@@ -83,7 +83,8 @@ func muxExp(w io.Writer) error {
 		return err
 	}
 	// Pre-send once: the server's session store is shared across
-	// connections, so both cells measure pure offload round trips.
+	// connections, and every snapshot names the model spec-only, so both
+	// cells measure pure offload round trips.
 	setup, err := client.Dial(addr)
 	if err != nil {
 		return err
@@ -149,7 +150,8 @@ func muxExp(w io.Writer) error {
 }
 
 // muxSnapshot builds the encoded snapshot every session replays: a full
-// TinyNet app with its image loaded and the inference click dispatched.
+// TinyNet app with its image loaded and the inference click dispatched, its
+// model a reference to the pre-sent one.
 func muxSnapshot(model *nn.Network) ([]byte, error) {
 	app, err := mlapp.NewFullApp(muxBenchApp, "tiny", model, []string{"x", "y", "z"})
 	if err != nil {

@@ -140,6 +140,22 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
+// connect dials the edge server for cfg. A positive bandwidthMbps shapes the
+// link, and the session's partition decision is solved for that same link;
+// otherwise it is solved for the default one.
+func connect(cfg *core.SessionConfig, server string, bandwidthMbps float64) error {
+	raw, err := net.Dial("tcp", server)
+	if err != nil {
+		return fmt.Errorf("dial %s: %w", server, err)
+	}
+	if bandwidthMbps > 0 {
+		cfg.Network = netem.Profile{BandwidthBitsPerSec: bandwidthMbps * 1e6, Latency: 2 * time.Millisecond}
+		raw = netem.Shape(raw, cfg.Network)
+	}
+	cfg.Conn = client.NewConn(raw)
+	return nil
+}
+
 func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSend bool, imagePath string, runs int, metricsAddr, auditLog, quality string) error {
 	model, labels, err := buildModel(modelName)
 	if err != nil {
@@ -176,19 +192,10 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 		Audit:      audit,
 	}
 	if mode != core.ModeLocal {
-		raw, err := net.Dial("tcp", server)
-		if err != nil {
-			return fmt.Errorf("dial %s: %w", server, err)
+		if err := connect(&cfg, server, bandwidthMbps); err != nil {
+			return err
 		}
-		if bandwidthMbps > 0 {
-			raw = netem.Shape(raw, netem.Profile{
-				BandwidthBitsPerSec: bandwidthMbps * 1e6,
-				Latency:             2 * time.Millisecond,
-			})
-		}
-		conn := client.NewConn(raw)
-		defer conn.Close()
-		cfg.Conn = conn
+		defer cfg.Conn.Close()
 	}
 	start := time.Now()
 	session, err := core.NewSession(cfg)

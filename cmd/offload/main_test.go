@@ -1,9 +1,12 @@
 package main
 
 import (
+	"net"
 	"testing"
+	"time"
 
 	"websnap/internal/core"
+	"websnap/internal/netem"
 )
 
 func TestParseMode(t *testing.T) {
@@ -54,5 +57,32 @@ func TestRunLocalMode(t *testing.T) {
 	// Local mode needs no server; one run end to end.
 	if err := run("", "tinynet", "local", "", 0, false, "", 1, "", "", ""); err != nil {
 		t.Fatalf("local run: %v", err)
+	}
+}
+
+// TestBandwidthShapesThePlannedLink: -bandwidth both shapes the socket and
+// is the link the session's partition decision is solved for; without it the
+// session keeps the zero profile, which selects the default link.
+func TestBandwidthShapesThePlannedLink(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, c := range []struct {
+		mbps float64
+		want netem.Profile
+	}{
+		{0, netem.Profile{}},
+		{5, netem.Profile{BandwidthBitsPerSec: 5e6, Latency: 2 * time.Millisecond}},
+	} {
+		var cfg core.SessionConfig
+		if err := connect(&cfg, ln.Addr().String(), c.mbps); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Conn.Close()
+		if cfg.Network != c.want {
+			t.Errorf("-bandwidth %v: session Network = %+v, want %+v", c.mbps, cfg.Network, c.want)
+		}
 	}
 }

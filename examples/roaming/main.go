@@ -19,6 +19,7 @@ import (
 	"websnap"
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
+	"websnap/internal/protocol"
 	"websnap/internal/roam"
 )
 
@@ -60,17 +61,17 @@ func run() error {
 	// Bias probes so A wins while alive — "A is the nearby hotspot".
 	roamer, err := roam.New(roam.Config{
 		Servers: []string{addrA, addrB},
-		Probe: func(addr string) (time.Duration, error) {
+		Probe: func(addr string) (time.Duration, *protocol.LoadHint, error) {
 			start := time.Now()
 			c, err := net.DialTimeout("tcp", addr, time.Second)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			c.Close()
 			if addr == addrA {
-				return time.Since(start), nil
+				return time.Since(start), nil, nil
 			}
-			return time.Since(start) + 50*time.Millisecond, nil
+			return time.Since(start) + 50*time.Millisecond, nil, nil
 		},
 	})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/obs"
+	"websnap/internal/protocol"
 	"websnap/internal/roam"
 	"websnap/internal/testutil"
 	"websnap/internal/webapp"
@@ -110,13 +111,13 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 
 	var mu sync.Mutex
 	preferred := addrA
-	probe := func(addr string) (time.Duration, error) {
+	probe := func(addr string) (time.Duration, *protocol.LoadHint, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if addr == preferred {
-			return time.Millisecond, nil
+			return time.Millisecond, nil, nil
 		}
-		return 100 * time.Millisecond, nil
+		return 100 * time.Millisecond, nil, nil
 	}
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{Timeout: 500 * time.Millisecond})
 	var switchLog strings.Builder

@@ -135,15 +135,16 @@ func (c *Conn) LastLoad() (hint protocol.LoadHint, at time.Time, ok bool) {
 	return *c.lastLoad, c.loadAt, true
 }
 
+// hintFreshFor is how long a load hint steers shedding and the partition
+// decision after it arrives.
+const hintFreshFor = 5 * time.Second
+
 // FreshLoad is LastLoad gated on age: ok only when the hint arrived within
-// ttl (zero selects DefaultLoadHintTTL). A stale hint describes a queue that
-// has long since drained or grown, so nothing should steer by it.
-func (c *Conn) FreshLoad(ttl time.Duration) (hint protocol.LoadHint, ok bool) {
-	if ttl <= 0 {
-		ttl = DefaultLoadHintTTL
-	}
+// hintFreshFor. A stale hint describes a queue that has long since drained
+// or grown, so nothing should steer by it.
+func (c *Conn) FreshLoad() (hint protocol.LoadHint, ok bool) {
 	hint, at, ok := c.LastLoad()
-	return hint, ok && time.Since(at) <= ttl
+	return hint, ok && time.Since(at) <= hintFreshFor
 }
 
 // SetRequestTimeout bounds each request/response round trip; a server that

@@ -49,9 +49,6 @@ type Options struct {
 	// load-aware offloading: don't ship work to a server that will park
 	// it in a queue longer than it is worth. Zero disables shedding.
 	MaxQueueingDelay time.Duration
-	// LoadHintTTL bounds how long a received load hint influences
-	// shedding; stale hints are ignored. Zero selects DefaultLoadHintTTL.
-	LoadHintTTL time.Duration
 	// Audit, when non-nil, receives exactly one structured decision event
 	// per offload-eligible event the offloader processes: offloaded, shed
 	// to local, fallen back after an error, or surfaced as an error.
@@ -85,10 +82,6 @@ type Options struct {
 	Flight *telemetry.FlightRecorder
 }
 
-// DefaultLoadHintTTL is how long a load hint stays fresh for shedding
-// decisions when Options.LoadHintTTL is zero.
-const DefaultLoadHintTTL = 5 * time.Second
-
 // Stats records the transfer sizes of the most recent offload, for
 // experiment reporting.
 type Stats struct {
@@ -101,8 +94,8 @@ type Stats struct {
 	// protocol.EncodingPacked: the link read slow and the body shrank.
 	PackedOffloads int
 	// UplinkBytesPerSec is the offloader's estimate of its link to the
-	// server, from the pre-send and the requests so far; zero before the
-	// first transfer large enough to tell.
+	// current server, from the pre-send and the requests so far; zero before
+	// the first transfer large enough to tell, and again after Retarget.
 	UplinkBytesPerSec float64
 	// LastSnapshotBytes is the size of the last shipped snapshot on the
 	// wire: the state's text with its typed arrays at 16/3 B per value, or
@@ -280,13 +273,15 @@ func (o *Offloader) Retarget(conn *Conn) error {
 func (o *Offloader) Stats() Stats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.stats
+	st := o.stats
+	st.UplinkBytesPerSec = o.uplink.bytesPerSec
+	return st
 }
 
 // StartPreSend begins sending the configured models to the edge server in
-// the background, as the paper does when the web app starts. Offloads
-// issued before a model's ACK arrives ship the model inside the snapshot
-// instead (slower); offloads after the ACK ship a spec-only snapshot.
+// the background, as the paper does when the web app starts. An offload
+// issued before a model's ACK arrives sends the model first, inline (slower);
+// every snapshot names its models spec-only.
 func (o *Offloader) StartPreSend() {
 	o.mu.Lock()
 	if o.presendStarted {
@@ -496,7 +491,7 @@ func (o *Offloader) shouldShed() (bool, string) {
 	o.mu.Lock()
 	conn := o.conn
 	o.mu.Unlock()
-	hint, ok := conn.FreshLoad(o.opts.LoadHintTTL)
+	hint, ok := conn.FreshLoad()
 	switch {
 	case !ok:
 		return false, ""
@@ -625,7 +620,6 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	up, _ := reply.wireLegs()
 	o.mu.Lock()
 	o.uplink.observe(reply.WireBytes, up)
-	o.stats.UplinkBytesPerSec = o.uplink.bytesPerSec
 	o.stats.Offloads++
 	if reply.Encoding == protocol.EncodingPacked {
 		o.stats.PackedOffloads++

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"websnap/internal/edge"
+	"websnap/internal/mlapp"
 	"websnap/internal/netem"
 	"websnap/internal/protocol"
 )
@@ -80,6 +81,47 @@ func TestUplinkEstimateFollowsLargeTransfers(t *testing.T) {
 	}
 	settle(loopback, false)
 	settle(wifi, true)
+}
+
+// TestStatsReportCurrentUplink: Stats reads the estimate the offloader packs
+// by. A pre-send large enough to measure the link sets it before any offload,
+// and Retarget, which forgets the old link, clears it.
+func TestStatsReportCurrentUplink(t *testing.T) {
+	addr := startEdge(t, edge.Config{Installed: true})
+	off, _ := newWideApp(t, dialEdge(t, addr), Options{})
+	st := off.Stats()
+	if st.PreSendBytes < linkBoundBytes {
+		t.Fatalf("pre-sent %d bytes: the test needs at least %d", st.PreSendBytes, linkBoundBytes)
+	}
+	if st.Offloads != 0 || st.UplinkBytesPerSec <= 0 {
+		t.Errorf("after a %d-byte pre-send and %d offloads UplinkBytesPerSec = %v, want > 0",
+			st.PreSendBytes, st.Offloads, st.UplinkBytesPerSec)
+	}
+
+	// A session that never started pre-sending: its first offload sends the
+	// model inline, and Retarget has no pre-send to restart on the new link.
+	model := wideModel(t)
+	app, err := mlapp.NewFullApp("wide-inline", "wide", model, []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err = NewOffloader(app, dialEdge(t, addr), Options{
+		OffloadEventTypes: []string{mlapp.EventClick},
+		Models:            []ModelToSend{{Name: "wide", Net: model}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classifyImage(t, off, app, 3*wideSide*wideSide, 1)
+	if st := off.Stats(); st.Offloads != 1 || st.UplinkBytesPerSec <= 0 {
+		t.Fatalf("after one offload: %d offloads, UplinkBytesPerSec = %v", st.Offloads, st.UplinkBytesPerSec)
+	}
+	if err := off.Retarget(dialEdge(t, addr)); err != nil {
+		t.Fatal(err)
+	}
+	if got := off.Stats().UplinkBytesPerSec; got != 0 {
+		t.Errorf("after Retarget UplinkBytesPerSec = %v, want 0: that was the old link", got)
+	}
 }
 
 // relayTo stands a frame relay between a client and the edge server at addr

@@ -88,15 +88,6 @@ type SessionConfig struct {
 	PreSend bool
 	// LocalFallback executes locally if the edge server fails.
 	LocalFallback bool
-	// MaxQueueingDelay sheds offloads to local execution when the edge
-	// server's load hint predicts more queueing delay than this (or a
-	// saturated queue). Zero disables load shedding.
-	MaxQueueingDelay time.Duration
-	// LoadHintTTL bounds how long a received load hint influences the
-	// partition decision and shedding; older hints are ignored rather
-	// than letting a long-stale queue report steer the session. Zero
-	// selects client.DefaultLoadHintTTL.
-	LoadHintTTL time.Duration
 
 	// Quality selects the model quality tier: nn.PrecFloat32 (default)
 	// runs exact float32 kernels, nn.PrecInt8 the calibrated quantized
@@ -117,11 +108,10 @@ type SessionConfig struct {
 	// select full offloading.
 	RequireDenature bool
 
-	// ClientDevice, ServerDevice, and Network parametrize the dynamic
-	// partition decision; zero values select the paper's calibrated
-	// profiles and 30 Mbps Wi-Fi.
-	ClientDevice, ServerDevice costmodel.Device
-	Network                    netem.Profile
+	// Network parametrizes the dynamic partition decision, between the
+	// paper's calibrated client (costmodel.ClientOdroid) and server
+	// (costmodel.ServerX86) profiles; the zero value selects 30 Mbps Wi-Fi.
+	Network netem.Profile
 
 	// Audit, when non-nil, receives one structured decision event per
 	// inference request: the chosen path (local/full/partial/shed/
@@ -131,12 +121,6 @@ type SessionConfig struct {
 }
 
 func (cfg *SessionConfig) applyDefaults() {
-	if cfg.ClientDevice.Name == "" {
-		cfg.ClientDevice = costmodel.ClientOdroid
-	}
-	if cfg.ServerDevice.Name == "" {
-		cfg.ServerDevice = costmodel.ServerX86
-	}
 	if cfg.Network.BandwidthBitsPerSec == 0 && cfg.Network.Latency == 0 {
 		cfg.Network = netem.WiFi30Mbps
 	}
@@ -197,7 +181,7 @@ func (s *Session) resolveMode() error {
 	switch {
 	case s.mode == ModeLocal:
 		if audited {
-			s.predicted, _ = s.cfg.ClientDevice.NetworkTime(s.cfg.Model)
+			s.predicted, _ = costmodel.ClientOdroid.NetworkTime(s.cfg.Model)
 		}
 		return nil
 	case s.mode == ModeFull && !audited:
@@ -244,12 +228,12 @@ func (s *Session) analyze() (partition.Plan, error) {
 	// already arrived on this connection) into the decision: a loaded
 	// server pushes the optimum toward keeping layers on the client.
 	var queueDelay time.Duration
-	if hint, ok := s.cfg.Conn.FreshLoad(s.cfg.LoadHintTTL); ok {
+	if hint, ok := s.cfg.Conn.FreshLoad(); ok {
 		queueDelay = hint.QueueingDelay()
 	}
 	return partition.Analyze(s.cfg.Model, partition.Config{
-		Client:             s.cfg.ClientDevice,
-		Server:             s.cfg.ServerDevice,
+		Client:             costmodel.ClientOdroid,
+		Server:             costmodel.ServerX86,
 		Network:            s.cfg.Network,
 		StateOverheadBytes: 64 << 10,
 		ResultBytes:        4 << 10,
@@ -281,8 +265,6 @@ func (s *Session) buildOffloader() error {
 	}
 	opts := client.Options{
 		LocalFallback:    s.cfg.LocalFallback,
-		MaxQueueingDelay: s.cfg.MaxQueueingDelay,
-		LoadHintTTL:      s.cfg.LoadHintTTL,
 		Audit:            s.cfg.Audit,
 		PredictedOffload: s.predicted,
 	}

@@ -14,11 +14,10 @@ import (
 // per-step timing, and each step's wall-clock time is attributed to its
 // layer type, yielding per-type effective throughputs — exactly how
 // Neurosurgeon constructs its per-layer prediction models from profiling
-// runs. Measuring through the plan (not standalone per-layer Forward
-// calls) means predicted layer times reflect the production kernels:
-// pooled buffers, in-place activation steps, and the shared GEMM. Use it
-// to replace the calibrated paper profiles with a profile of real
-// hardware:
+// runs. Measuring through the plan (not layer calls outside one) means
+// predicted layer times reflect the production kernels: pooled buffers,
+// in-place activation steps, and the shared GEMM. Use it to replace the
+// calibrated paper profiles with a profile of real hardware:
 //
 //	dev, _ := costmodel.Profile("my-laptop", net, 3)
 //	plan, _ := partition.Analyze(net, partition.Config{Client: dev, ...})

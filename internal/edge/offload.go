@@ -254,8 +254,8 @@ func (s *Server) soloKey() string {
 // the same key — and may be batched into one forward pass — only when they
 // run the same handler of the same code bundle on byte-identical model
 // files: the key hashes the code hash, the pending event and its resolved
-// handler, the fingerprints of the app's pre-sent models, any models
-// shipped inline in the snapshot, and the app's string-valued globals
+// handler, the fingerprints of the app's pre-sent models, the model
+// references the snapshot carries, and the app's string-valued globals
 // (which select the model the handler uses).
 func (s *Server) batchKey(snap *snapshot.Snapshot) string {
 	ev, handler, ok := batchableEvent(snap.Pending, snap.Bindings)
@@ -277,7 +277,6 @@ func (s *Server) batchKey(snap *snapshot.Snapshot) string {
 	for _, m := range snap.Models {
 		h.Write([]byte(m.Name))
 		h.Write(m.Spec)
-		h.Write(m.Weights)
 		h.Write([]byte{0})
 	}
 	var strs []string

@@ -37,11 +37,15 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// offloadRaw performs one snapshot offload at the raw protocol level and
-// returns the response header.
-func offloadRaw(t *testing.T, addr string, traceID string) protocol.SnapshotHeader {
+// offloadRaw performs one snapshot offload at the raw protocol level, its
+// model stored in srv as a pre-send leaves it, and returns the response
+// header.
+func offloadRaw(t *testing.T, srv *Server, addr string, traceID string) protocol.SnapshotHeader {
 	t.Helper()
 	model := tinyModel(t, "tiny")
+	if err := srv.store.Put("trace-app", "tiny", model); err != nil {
+		t.Fatal(err)
+	}
 	app, err := mlapp.NewFullApp("trace-app", "tiny", model, tinyLabels)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +95,7 @@ func offloadRaw(t *testing.T, addr string, traceID string) protocol.SnapshotHead
 func TestResultCarriesServerTrace(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
 
-	hdr := offloadRaw(t, addr, "00aa11bb22cc33dd")
+	hdr := offloadRaw(t, srv, addr, "00aa11bb22cc33dd")
 	if hdr.ServerTrace == nil {
 		t.Fatal("no ServerTrace in response")
 	}
@@ -108,7 +112,7 @@ func TestResultCarriesServerTrace(t *testing.T) {
 		t.Error("no load hint in response")
 	}
 
-	hdr = offloadRaw(t, addr, "")
+	hdr = offloadRaw(t, srv, addr, "")
 	if hdr.ServerTrace == nil || hdr.Load == nil {
 		t.Errorf("untraced request: load=%v trace=%v, want both", hdr.Load, hdr.ServerTrace)
 	}
@@ -125,9 +129,9 @@ func TestResultCarriesServerTrace(t *testing.T) {
 // JSON line per offload with the span breakdown.
 func TestTraceLogLines(t *testing.T) {
 	var buf syncBuffer
-	_, addr := startServer(t, Config{Installed: true, TraceLog: &buf})
-	offloadRaw(t, addr, "feedfacedeadbeef")
-	offloadRaw(t, addr, "")
+	srv, addr := startServer(t, Config{Installed: true, TraceLog: &buf})
+	offloadRaw(t, srv, addr, "feedfacedeadbeef")
+	offloadRaw(t, srv, addr, "")
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -155,7 +159,7 @@ func TestTraceLogLines(t *testing.T) {
 // monotonically increasing cumulative le buckets.
 func TestMetricsPrometheus(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
-	offloadRaw(t, addr, "0123456789abcdef")
+	offloadRaw(t, srv, addr, "0123456789abcdef")
 
 	rr := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))

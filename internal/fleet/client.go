@@ -112,16 +112,6 @@ func (c *RegistryClient) View() (view protocol.FleetViewHeader, cached bool, err
 	return *c.cached, true, nil
 }
 
-// CachedView returns the last successfully fetched view, if any.
-func (c *RegistryClient) CachedView() (protocol.FleetViewHeader, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cached == nil {
-		return protocol.FleetViewHeader{}, false
-	}
-	return *c.cached, true
-}
-
 // Locate asks the registry which servers hold each blob key.
 func (c *RegistryClient) Locate(keys []string) (map[string][]string, error) {
 	holders, _, err := c.LocateTraced(keys, "")

@@ -179,13 +179,13 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 		preferred = addr
 		mu.Unlock()
 	}
-	probe := func(addr string) (time.Duration, error) {
+	probe := func(addr string) (time.Duration, *protocol.LoadHint, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if addr == preferred {
-			return time.Millisecond, nil
+			return time.Millisecond, nil, nil
 		}
-		return 100 * time.Millisecond, nil
+		return 100 * time.Millisecond, nil, nil
 	}
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	var switchLog strings.Builder

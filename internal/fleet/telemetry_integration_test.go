@@ -48,13 +48,13 @@ func TestFleetRoamTraceTree(t *testing.T) {
 
 	var mu sync.Mutex
 	preferred := addrA
-	probe := func(addr string) (time.Duration, error) {
+	probe := func(addr string) (time.Duration, *protocol.LoadHint, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if addr == preferred {
-			return time.Millisecond, nil
+			return time.Millisecond, nil, nil
 		}
-		return 100 * time.Millisecond, nil
+		return 100 * time.Millisecond, nil, nil
 	}
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	roamer, err := roam.New(roam.Config{

@@ -10,6 +10,21 @@ import (
 	"websnap/internal/tensor"
 )
 
+// forwardLayer runs one layer outside any plan, the way a plan step does:
+// its output allocated for the shape the layer declares, its scratch from a
+// bare context.
+func forwardLayer(l nn.Layer, in *tensor.Tensor) (*tensor.Tensor, error) {
+	shape, err := l.OutputShape(in.Shape())
+	if err != nil {
+		return nil, err
+	}
+	out, err := tensor.New(shape...)
+	if err != nil {
+		return nil, err
+	}
+	return out, l.ForwardCtx(&nn.ExecContext{}, in, out)
+}
+
 // layerSite is one layer occurrence in the catalog: the layer itself plus
 // the input shape it sees at its position in the network.
 type layerSite struct {
@@ -114,7 +129,7 @@ func TestCatalogConvKernelEquivalence(t *testing.T) {
 			}
 			fillDet(in.Data(), uint64(tensor.Volume(s.in)))
 
-			planOut, err := conv.Forward(in)
+			planOut, err := forwardLayer(conv, in)
 			if err != nil {
 				t.Fatalf("Forward: %v", err)
 			}
@@ -195,7 +210,7 @@ func TestCatalogConvPrepackedFusedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := relu.Forward(pre)
+			want, err := forwardLayer(relu, pre)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +468,7 @@ func TestCatalogPoolEquivalence(t *testing.T) {
 			for i := 0; i < len(d); i += step {
 				d[i] = specials[(i/step)%len(specials)]
 			}
-			got, err := p.Forward(in)
+			got, err := forwardLayer(p, in)
 			if err != nil {
 				t.Fatalf("Forward: %v", err)
 			}
@@ -503,7 +518,7 @@ func TestCatalogLRNEquivalence(t *testing.T) {
 				fillDet(in.Data(), uint64(len(in.Data())))
 				want := tensor.MustNew(s.in...)
 				refLRN(l, in, want)
-				got, err := l.Forward(in)
+				got, err := forwardLayer(l, in)
 				if err != nil {
 					t.Fatalf("Forward: %v", err)
 				}

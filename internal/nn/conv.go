@@ -23,8 +23,9 @@ type Conv struct {
 	// packed is weight repacked into GEMM panels: built by the first
 	// float32 plan compiled over this layer (prepack), shared by every plan,
 	// range and inception sub-program that runs it, and dropped when the
-	// weights are rewritten. While it is nil — standalone calls, int8
-	// calibration — each forward packs into a pooled buffer instead.
+	// weights are rewritten. While it is nil — a step run on a bare
+	// context, int8 calibration — each forward packs into a pooled buffer
+	// instead.
 	packed atomic.Pointer[tensor.PackedA]
 }
 
@@ -74,11 +75,6 @@ func (c *Conv) OutputShape(in []int) ([]int, error) {
 			c.name, ErrBadShape, h, w, c.k, c.stride, c.pad)
 	}
 	return []int{c.outC, oh, ow}, nil
-}
-
-// Forward implements Layer via the standalone shim.
-func (c *Conv) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(c, in)
 }
 
 // Traits implements Layer.
@@ -219,11 +215,6 @@ func ceilDiv(a, b int) int {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-// Forward implements Layer via the standalone shim.
-func (p *Pool) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(p, in)
 }
 
 // Traits implements Layer. A 3x3/stride-1/pad-1 max pool asks for scratch:

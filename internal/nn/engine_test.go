@@ -485,31 +485,38 @@ func TestCachedPlanConcurrentForwardBatch(t *testing.T) {
 	}
 }
 
-// TestDropoutForwardNoAlloc pins the satellite fix: inference dropout is
-// a pass-through, not a clone.
+// TestDropoutForwardNoAlloc pins that inference dropout costs nothing: a
+// plan elides it, and its step, in place or not, copies without allocating.
 func TestDropoutForwardNoAlloc(t *testing.T) {
 	d := NewDropout("drop", 0.5)
+	if tr, err := d.Traits([]int{4, 8, 8}); err != nil || !tr.Identity || !tr.InPlace {
+		t.Fatalf("dropout traits = %+v, %v; want an in-place identity", tr, err)
+	}
 	in := tensor.MustNew(4, 8, 8)
 	fillDeterministic(in, 5)
-	out, err := d.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatal("dropout Forward should return its input unchanged")
-	}
+	out := tensor.MustNew(4, 8, 8)
+	ctx := &ExecContext{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := d.Forward(in); err != nil {
+		if err := d.ForwardCtx(ctx, in, in); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ForwardCtx(ctx, in, out); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("dropout Forward allocates %v times per call, want 0", allocs)
+		t.Fatalf("dropout step allocates %v times per call, want 0", allocs)
+	}
+	for i, v := range in.Data() {
+		if out.Data()[i] != v {
+			t.Fatal("dropout must be the identity at inference")
+		}
 	}
 }
 
 // TestPlannedForwardAllocsBelowLegacy verifies the arena actually pays:
-// a steady-state planned forward allocates far less than chaining the
-// standalone per-layer path (the pre-refactor execution shape).
+// a steady-state planned forward allocates far less than chaining layers
+// outside a plan, each output allocated fresh (the pre-refactor execution
+// shape).
 func TestPlannedForwardAllocsBelowLegacy(t *testing.T) {
 	net := stackedInceptionNet(t)
 	in := tensor.MustNew(net.InputShape()...)
@@ -517,7 +524,7 @@ func TestPlannedForwardAllocsBelowLegacy(t *testing.T) {
 	legacyForward := func() {
 		cur := in
 		for _, l := range net.Layers() {
-			out, err := l.Forward(cur)
+			out, err := forwardLayer(l, cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -629,7 +636,7 @@ func BenchmarkNetworkForward(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cur := in
 			for _, l := range net.Layers() {
-				out, err := l.Forward(cur)
+				out, err := forwardLayer(l, cur)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -790,7 +797,7 @@ func TestConvPackedOncePerNetwork(t *testing.T) {
 	if _, err := net.ForwardBatch([]*tensor.Tensor{in, in, in}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Layers()[1].Forward(in); err != nil {
+	if _, err := forwardLayer(net.Layers()[1], in); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.PlanRange(1, 5, 3, 24, 24); err != nil {

@@ -45,7 +45,7 @@ func TestIm2colMatchesDirect(t *testing.T) {
 			if !tensor.SameShape(direct, gemm) {
 				t.Fatalf("shapes differ: %v vs %v", direct.Shape(), gemm.Shape())
 			}
-			packed, err := conv.Forward(in)
+			packed, err := forwardLayer(conv, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 	b.Run("direct-packed", func(b *testing.B) {
 		b.SetBytes(fl)
 		for i := 0; i < b.N; i++ {
-			if _, err := conv.Forward(in); err != nil {
+			if _, err := forwardLayer(conv, in); err != nil {
 				b.Fatal(err)
 			}
 		}

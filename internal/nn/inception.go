@@ -100,11 +100,6 @@ func (l *Inception) OutputShape(in []int) ([]int, error) {
 	return []int{totalC, oh, ow}, nil
 }
 
-// Forward implements Layer via the standalone shim.
-func (l *Inception) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
-}
-
 // planFor returns the module compiled for a [c,h,w] input, compiling and
 // caching branch sub-programs on first use. Branch programs write their
 // output directly into the module's channel-concatenated output window,

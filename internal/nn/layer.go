@@ -57,11 +57,6 @@ type Layer interface {
 	// OutputShape returns the output dimensions for the given input
 	// dimensions (channels-first: [C, H, W], or [N] after flattening).
 	OutputShape(in []int) ([]int, error)
-	// Forward executes the layer on in and returns an output tensor the
-	// caller owns. Most layers allocate it fresh; identity layers
-	// (Dropout at inference) may return in unchanged. This is the
-	// standalone compatibility path — compiled plans use ForwardCtx.
-	Forward(in *tensor.Tensor) (*tensor.Tensor, error)
 	// ForwardCtx executes the layer as one step of a compiled plan,
 	// reading in and writing the pre-allocated out. Shapes are validated
 	// at plan-compile time, not here. Per-step scratch comes from ctx.

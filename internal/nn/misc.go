@@ -53,11 +53,6 @@ func (l *Input) OutputShape(in []int) ([]int, error) {
 	return l.ExpectedShape(), nil
 }
 
-// Forward implements Layer: validate the shape and hand back a copy.
-func (l *Input) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
-}
-
 // Traits implements Layer: pure validation, elided from compiled plans
 // (the plan validates the input shape once up front).
 func (l *Input) Traits(in []int) (StepTraits, error) {
@@ -127,11 +122,6 @@ func (l *FC) OutputShape(in []int) ([]int, error) {
 	return []int{l.out}, nil
 }
 
-// Forward implements Layer via the standalone shim.
-func (l *FC) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
-}
-
 // Traits implements Layer.
 func (l *FC) Traits(in []int) (StepTraits, error) {
 	return StepTraits{Algo: "gemv"}, nil
@@ -180,11 +170,6 @@ func (l *ReLU) OutputShape(in []int) ([]int, error) {
 	out := make([]int, len(in))
 	copy(out, in)
 	return out, nil
-}
-
-// Forward implements Layer via the standalone shim.
-func (l *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
 }
 
 // Traits implements Layer.
@@ -252,11 +237,6 @@ func (l *LRN) OutputShape(in []int) ([]int, error) {
 	out := make([]int, len(in))
 	copy(out, in)
 	return out, nil
-}
-
-// Forward implements Layer via the standalone shim.
-func (l *LRN) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
 }
 
 // lrnBlock is the number of spatial positions LRN normalizes at a time:
@@ -367,12 +347,6 @@ func (l *Dropout) OutputShape(in []int) ([]int, error) {
 	return out, nil
 }
 
-// Forward implements Layer. Inference dropout is the identity, so the
-// input is returned unchanged — no clone, no allocation. Callers that
-// need an isolated copy (there are none in this repo: Network always
-// copy-guards its final output) must Clone explicitly.
-func (l *Dropout) Forward(in *tensor.Tensor) (*tensor.Tensor, error) { return in, nil }
-
 // Traits implements Layer: identity, elided from compiled plans.
 func (l *Dropout) Traits(in []int) (StepTraits, error) {
 	return StepTraits{InPlace: true, Identity: true}, nil
@@ -417,11 +391,6 @@ func (l *Softmax) OutputShape(in []int) ([]int, error) {
 	out := make([]int, len(in))
 	copy(out, in)
 	return out, nil
-}
-
-// Forward implements Layer via the standalone shim.
-func (l *Softmax) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardStandalone(l, in)
 }
 
 // Traits implements Layer.

@@ -11,6 +11,21 @@ import (
 	"websnap/internal/tensor"
 )
 
+// forwardLayer runs one layer outside any plan, the way a plan step does:
+// its output allocated for the shape the layer declares, its scratch from a
+// bare context.
+func forwardLayer(l Layer, in *tensor.Tensor) (*tensor.Tensor, error) {
+	shape, err := l.OutputShape(in.Shape())
+	if err != nil {
+		return nil, err
+	}
+	out, err := tensor.New(shape...)
+	if err != nil {
+		return nil, err
+	}
+	return out, l.ForwardCtx(&ExecContext{}, in, out)
+}
+
 func TestConvForwardKnownValues(t *testing.T) {
 	// 1 input channel, 1 output channel, 2x2 kernel of ones, stride 1, no
 	// pad: output is the sum of each 2x2 window.
@@ -24,7 +39,7 @@ func TestConvForwardKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
-	out, err := c.Forward(in)
+	out, err := forwardLayer(c, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -44,7 +59,7 @@ func TestConvBiasAndPadding(t *testing.T) {
 	c.weight.Fill(1)
 	c.bias.Fill(10)
 	in, _ := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
-	out, err := c.Forward(in)
+	out, err := forwardLayer(c, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -63,7 +78,7 @@ func TestConvBiasAndPadding(t *testing.T) {
 func TestConvChannelMismatch(t *testing.T) {
 	c, _ := NewConv("c", 3, 8, 3, 1, 1)
 	in := tensor.MustNew(4, 8, 8)
-	if _, err := c.Forward(in); !errors.Is(err, ErrBadShape) {
+	if _, err := forwardLayer(c, in); !errors.Is(err, ErrBadShape) {
 		t.Errorf("Forward wrong channels err = %v, want ErrBadShape", err)
 	}
 }
@@ -79,7 +94,7 @@ func TestMaxPoolForward(t *testing.T) {
 		-1, -2, 0, 0,
 		-3, -4, 0, 1,
 	}, 1, 4, 4)
-	out, err := p.Forward(in)
+	out, err := forwardLayer(p, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -95,7 +110,7 @@ func TestMaxPoolAllNegative(t *testing.T) {
 	// Regression guard: max over negative values must not return 0.
 	p, _ := NewPool("p", MaxPool, 2, 2, 0)
 	in, _ := tensor.FromSlice([]float32{-5, -3, -9, -7}, 1, 2, 2)
-	out, err := p.Forward(in)
+	out, err := forwardLayer(p, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -107,7 +122,7 @@ func TestMaxPoolAllNegative(t *testing.T) {
 func TestAvgPoolForward(t *testing.T) {
 	p, _ := NewPool("p", AvgPool, 2, 2, 0)
 	in, _ := tensor.FromSlice([]float32{1, 3, 5, 7}, 1, 2, 2)
-	out, err := p.Forward(in)
+	out, err := forwardLayer(p, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -137,7 +152,7 @@ func TestFCForward(t *testing.T) {
 	copy(fc.weight.Data(), []float32{1, 2, 3, 4, 5, 6})
 	copy(fc.bias.Data(), []float32{0.5, -0.5})
 	in, _ := tensor.FromSlice([]float32{1, 1, 1}, 3)
-	out, err := fc.Forward(in)
+	out, err := forwardLayer(fc, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -149,7 +164,7 @@ func TestFCForward(t *testing.T) {
 func TestFCFlattensCHW(t *testing.T) {
 	fc, _ := NewFC("fc", 8, 2)
 	in := tensor.MustNew(2, 2, 2)
-	if _, err := fc.Forward(in); err != nil {
+	if _, err := forwardLayer(fc, in); err != nil {
 		t.Errorf("FC should accept [2 2 2] input with volume 8: %v", err)
 	}
 }
@@ -157,7 +172,7 @@ func TestFCFlattensCHW(t *testing.T) {
 func TestReLU(t *testing.T) {
 	r := NewReLU("r")
 	in, _ := tensor.FromSlice([]float32{-1, 0, 2}, 3)
-	out, err := r.Forward(in)
+	out, err := forwardLayer(r, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -181,7 +196,7 @@ func TestLRNIdentityWhenAlphaZero(t *testing.T) {
 	for i := range in.Data() {
 		in.Data()[i] = float32(i)
 	}
-	out, err := l.Forward(in)
+	out, err := forwardLayer(l, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -196,7 +211,7 @@ func TestLRNDampensLargeActivations(t *testing.T) {
 	l, _ := NewLRN("l", 3, 1.0, 0.75)
 	in := tensor.MustNew(3, 1, 1)
 	in.Data()[1] = 100
-	out, err := l.Forward(in)
+	out, err := forwardLayer(l, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -208,7 +223,7 @@ func TestLRNDampensLargeActivations(t *testing.T) {
 func TestSoftmaxSumsToOne(t *testing.T) {
 	s := NewSoftmax("s")
 	in, _ := tensor.FromSlice([]float32{1, 2, 3, 4}, 4)
-	out, err := s.Forward(in)
+	out, err := forwardLayer(s, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -229,7 +244,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 func TestSoftmaxLargeValuesStable(t *testing.T) {
 	s := NewSoftmax("s")
 	in, _ := tensor.FromSlice([]float32{1000, 1001}, 2)
-	out, err := s.Forward(in)
+	out, err := forwardLayer(s, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -243,7 +258,7 @@ func TestSoftmaxLargeValuesStable(t *testing.T) {
 func TestDropoutIsIdentityAtInference(t *testing.T) {
 	d := NewDropout("d", 0.5)
 	in, _ := tensor.FromSlice([]float32{1, 2, 3}, 3)
-	out, err := d.Forward(in)
+	out, err := forwardLayer(d, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -270,15 +285,15 @@ func TestInceptionConcatMatchesBranches(t *testing.T) {
 	for i := range in.Data() {
 		in.Data()[i] = float32(i) * 0.1
 	}
-	out, err := inc.Forward(in)
+	out, err := forwardLayer(inc, in)
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
 	if s := out.Shape(); s[0] != 8 || s[1] != 4 || s[2] != 4 {
 		t.Fatalf("inception out shape = %v, want [8 4 4]", s)
 	}
-	o1, _ := c1.Forward(in)
-	o2, _ := c2.Forward(in)
+	o1, _ := forwardLayer(c1, in)
+	o2, _ := forwardLayer(c2, in)
 	for i, v := range o1.Data() {
 		if out.Data()[i] != v {
 			t.Fatalf("branch-1 mismatch at %d", i)
@@ -628,7 +643,7 @@ func TestConvParallelMatchesSequential(t *testing.T) {
 	// Force multiple workers even on single-CPU machines.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	parallel, err := c.Forward(in)
+	parallel, err := forwardLayer(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +669,7 @@ func TestQuickConvAccounting(t *testing.T) {
 			return false
 		}
 		in := tensor.MustNew(ic, sz, sz)
-		out, err := c.Forward(in)
+		out, err := forwardLayer(c, in)
 		if err != nil {
 			return false
 		}

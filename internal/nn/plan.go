@@ -289,7 +289,7 @@ type ExecContext struct {
 }
 
 // newExecContext sizes a context for prog. A nil prog yields an empty
-// context that grows on demand (the standalone layer-Forward shim).
+// context that grows on demand.
 func newExecContext(prog *program) *ExecContext {
 	c := &ExecContext{}
 	if prog != nil {
@@ -324,7 +324,7 @@ func (c *ExecContext) bind(step, role int, code int8, shape []int, in, out *tens
 // Scratch returns an n-float scratch slice from the context's arena.
 // The slice is valid only until the current plan step returns and its
 // contents are unspecified. Plan contexts are pre-sized at compile time;
-// standalone contexts grow on first use.
+// a bare ExecContext grows on first use.
 func (c *ExecContext) Scratch(n int) []float32 {
 	if c.soff+n > len(c.scratch) {
 		if c.soff == 0 {
@@ -585,30 +585,4 @@ func (p *ExecPlan) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		}
 	}
 	return outs, nil
-}
-
-// standaloneCtxs pools contexts for the Layer.Forward compatibility shim,
-// which executes a single layer outside any compiled plan.
-var standaloneCtxs = sync.Pool{New: func() any { return &ExecContext{} }}
-
-// forwardStandalone runs one layer the pre-plan way — validate, allocate
-// the output, execute — through its context-aware kernel. It backs every
-// layer's Forward method so external callers keep working unchanged.
-func forwardStandalone(l Layer, in *tensor.Tensor) (*tensor.Tensor, error) {
-	outShape, err := l.OutputShape(in.Shape())
-	if err != nil {
-		return nil, err
-	}
-	out, err := tensor.New(outShape...)
-	if err != nil {
-		return nil, err
-	}
-	ctx := standaloneCtxs.Get().(*ExecContext)
-	ctx.soff = 0
-	err = l.ForwardCtx(ctx, in, out)
-	standaloneCtxs.Put(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -482,25 +481,4 @@ func (r *Registry) SeriesCount(name string) int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.order)
-}
-
-// SortedLabelValues returns the sorted first-label values of the named
-// family's series, for deterministic test assertions.
-func (r *Registry) SortedLabelValues(name string) []string {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		return nil
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var out []string
-	for _, s := range f.order {
-		if len(s.labelValues) > 0 {
-			out = append(out, s.labelValues[0])
-		}
-	}
-	sort.Strings(out)
-	return out
 }

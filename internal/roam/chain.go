@@ -113,16 +113,6 @@ type ChainConfig struct {
 	AppID     string
 	ModelName string
 	Model     *nn.Network
-	// Client is the client device's latency model; Server is the default
-	// per-hop model, overridable per address via HopDevice.
-	Client    costmodel.Device
-	Server    costmodel.Device
-	HopDevice func(addr string) costmodel.Device
-	// Network is the default per-link profile; HopLink, when set, names
-	// the link INTO the given hop (the client→first-hop link for the
-	// first address, hop-to-hop otherwise).
-	Network netem.Profile
-	HopLink func(addr string) netem.Profile
 	// Depth is the desired chain depth in servers (>= 1); zero selects 2.
 	// The executor degrades below it when candidates, cut points, or
 	// failures demand.
@@ -130,8 +120,6 @@ type ChainConfig struct {
 	// RequireDenature keeps at least one real layer on the client (the
 	// paper's privacy constraint).
 	RequireDenature bool
-	// Objective selects what the cut-set DP minimizes (latency default).
-	Objective partition.Objective
 	// Candidates supplies the live candidate servers, best first —
 	// typically (*Roamer).ChainCandidates or FleetChainView. Called once
 	// per planning round, so re-plans see fresh membership and hints.
@@ -181,17 +169,6 @@ func NewChainExecutor(cfg ChainConfig) (*ChainExecutor, error) {
 	}
 	if cfg.Local == nil {
 		cfg.Local = cfg.Model.Forward
-	}
-	// Zero-valued device and link models would fail DP validation on every
-	// planning round; default them to the paper's calibrated profiles.
-	if cfg.Client.Name == "" {
-		cfg.Client = costmodel.ClientOdroid
-	}
-	if cfg.Server.Name == "" {
-		cfg.Server = costmodel.ServerX86
-	}
-	if cfg.Network.BandwidthBitsPerSec == 0 {
-		cfg.Network = netem.WiFi30Mbps
 	}
 	out, err := cfg.Model.OutputShape()
 	if err != nil {
@@ -394,23 +371,17 @@ func (e *ChainExecutor) liveCandidates(exclude map[string]bool, depth int) []Cha
 	return out
 }
 
-// plan runs the cut-set DP over the candidate servers and translates the
-// winning cut set into a protocol hop manifest.
+// plan runs the latency-minimizing cut-set DP over the candidate servers —
+// the paper's calibrated client (costmodel.ClientOdroid) and server
+// (costmodel.ServerX86) profiles, 30 Mbps Wi-Fi into every hop — and
+// translates the winning cut set into a protocol hop manifest.
 func (e *ChainExecutor) plan(servers []ChainServer) ([]protocol.ChainHop, partition.ChainCandidate, error) {
 	hops := make([]partition.Hop, 0, len(servers)+1)
-	hops = append(hops, partition.Hop{Device: e.cfg.Client})
+	hops = append(hops, partition.Hop{Device: costmodel.ClientOdroid})
 	links := make([]netem.Profile, 0, len(servers))
 	for _, s := range servers {
-		dev := e.cfg.Server
-		if e.cfg.HopDevice != nil {
-			dev = e.cfg.HopDevice(s.Addr)
-		}
-		link := e.cfg.Network
-		if e.cfg.HopLink != nil {
-			link = e.cfg.HopLink(s.Addr)
-		}
-		hops = append(hops, partition.Hop{Device: dev, QueueDelay: s.QueueDelay})
-		links = append(links, link)
+		hops = append(hops, partition.Hop{Device: costmodel.ServerX86, QueueDelay: s.QueueDelay})
+		links = append(links, netem.WiFi30Mbps)
 	}
 	plan, err := partition.AnalyzeChain(e.cfg.Model, partition.ChainConfig{
 		Hops:               hops,
@@ -418,7 +389,6 @@ func (e *ChainExecutor) plan(servers []ChainServer) ([]protocol.ChainHop, partit
 		TextBytesPerValue:  chainRawBytesPerValue,
 		StateOverheadBytes: chainStateOverheadBytes,
 		ResultBytes:        e.resultBytes,
-		Objective:          e.cfg.Objective,
 	})
 	if err != nil {
 		return nil, partition.ChainCandidate{}, err

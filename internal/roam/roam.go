@@ -26,9 +26,17 @@ import (
 	"websnap/internal/trace"
 )
 
-// DefaultHintStaleness is how long a probed load hint keeps influencing
-// server scoring when Config.HintStaleness is zero.
-const DefaultHintStaleness = 10 * time.Second
+const (
+	// hintStaleness bounds how long a probe keeps counting toward a
+	// server's score and saturation state. A selection made long after the
+	// last probe falls back to RTT alone instead of trusting a queue report
+	// from a server whose load has long since changed.
+	hintStaleness = 10 * time.Second
+	// switchMargin is the relative score advantage a candidate needs before
+	// the roamer abandons a healthy current server (0.3 = 30% faster):
+	// hysteresis against flapping between near-equal servers.
+	switchMargin = 0.3
+)
 
 // Errors reported by the roamer.
 var (
@@ -84,29 +92,14 @@ type Config struct {
 	// attached to switch audit logs so degraded placement is visible in
 	// the decision record.
 	FleetView func() (addrs []string, source string, err error)
-	// SwitchMargin is the relative RTT advantage a candidate needs
-	// before the roamer abandons a healthy current server (0.3 = 30%
-	// faster). Zero selects a default of 0.3; hysteresis avoids
-	// flapping between near-equal servers.
-	SwitchMargin float64
-	// Probe measures one server's reachability and latency. Nil selects
-	// PingProbe, which also collects the server's load hint. Custom
-	// probes report RTT only (no load).
-	Probe func(addr string) (time.Duration, error)
-	// ProbeLoad measures reachability, latency, and scheduling load. When
-	// set it takes precedence over Probe. Nil with a nil Probe selects
+	// Probe measures one server's reachability, latency, and scheduling
+	// load; a nil load scores the server by RTT alone. Nil selects
 	// PingProbe.
-	ProbeLoad func(addr string) (time.Duration, *protocol.LoadHint, error)
+	Probe func(addr string) (time.Duration, *protocol.LoadHint, error)
 	// Dial opens an offloading connection. Nil selects client.Dial.
 	Dial func(addr string) (*client.Conn, error)
 	// Now is the clock; nil selects time.Now.
 	Now func() time.Time
-	// HintStaleness bounds how long a probed load hint keeps counting
-	// toward a server's score and saturation state. A selection made long
-	// after the last probe falls back to RTT alone instead of trusting a
-	// queue report from a server whose load has long since changed. Zero
-	// selects DefaultHintStaleness.
-	HintStaleness time.Duration
 	// Logger, when non-nil, records server-switch decisions as structured
 	// JSON lines (old/new server, switch count) — the mobility analogue
 	// of the offload decision audit.
@@ -146,28 +139,14 @@ func New(cfg Config) (*Roamer, error) {
 	if len(cfg.Servers) == 0 && cfg.FleetView == nil {
 		return nil, ErrNoServers
 	}
-	if cfg.SwitchMargin <= 0 {
-		cfg.SwitchMargin = 0.3
-	}
-	if cfg.ProbeLoad == nil {
-		if cfg.Probe != nil {
-			probe := cfg.Probe
-			cfg.ProbeLoad = func(addr string) (time.Duration, *protocol.LoadHint, error) {
-				rtt, err := probe(addr)
-				return rtt, nil, err
-			}
-		} else {
-			cfg.ProbeLoad = PingProbe
-		}
+	if cfg.Probe == nil {
+		cfg.Probe = PingProbe
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = client.Dial
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.HintStaleness <= 0 {
-		cfg.HintStaleness = DefaultHintStaleness
 	}
 	r := &Roamer{
 		cfg:     cfg,
@@ -293,7 +272,7 @@ func (r *Roamer) ProbeAll() []ServerInfo {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			rtt, load, err := r.cfg.ProbeLoad(addr)
+			rtt, load, err := r.cfg.Probe(addr)
 			results[i] = result{addr: addr, rtt: rtt, load: load, err: err}
 		}(i, addr)
 	}
@@ -341,7 +320,7 @@ func (r *Roamer) ProbeAll() []ServerInfo {
 // window: everything it told us (RTT, queue depth, saturation) describes a
 // state that may no longer exist.
 func (r *Roamer) stale(info *ServerInfo, now time.Time) bool {
-	return now.Sub(info.LastProbe) > r.cfg.HintStaleness
+	return now.Sub(info.LastProbe) > hintStaleness
 }
 
 // freshView returns info with a stale load hint stripped: once the hint is
@@ -349,7 +328,7 @@ func (r *Roamer) stale(info *ServerInfo, now time.Time) bool {
 // the saturation flag no longer repels selection — the queue that hint
 // described has long since drained or grown.
 func (r *Roamer) freshView(info ServerInfo, now time.Time) ServerInfo {
-	if info.Load != nil && now.Sub(info.LastProbe) > r.cfg.HintStaleness {
+	if info.Load != nil && r.stale(&info, now) {
 		info.Load = nil
 		info.Score = info.RTT
 	}
@@ -470,7 +449,7 @@ func (r *Roamer) SwitchTo(addr string) (*client.Conn, error) {
 
 // Evaluate re-probes and decides whether to switch: it switches when the
 // current server is unhealthy, or when a candidate beats it by more than
-// the configured margin. It returns the new connection (nil if no switch
+// switchMargin. It returns the new connection (nil if no switch
 // happened) and whether a switch occurred.
 func (r *Roamer) Evaluate() (*client.Conn, bool, error) {
 	r.ProbeAll()
@@ -488,7 +467,6 @@ func (r *Roamer) Evaluate() (*client.Conn, bool, error) {
 			curView = r.freshView(*cur, r.cfg.Now())
 		}
 	}
-	margin := r.cfg.SwitchMargin
 	r.mu.Unlock()
 	switch {
 	case cur == nil, !cur.Healthy:
@@ -498,7 +476,7 @@ func (r *Roamer) Evaluate() (*client.Conn, bool, error) {
 	case curView.Saturated() && !best.Saturated():
 		// Current server is shedding load and an unsaturated candidate
 		// exists: move immediately, regardless of margin.
-	case float64(best.Score) < float64(curView.Score)*(1-margin):
+	case float64(best.Score) < float64(curView.Score)*(1-switchMargin):
 		// Candidate clearly better: switch.
 	default:
 		return nil, false, nil

@@ -35,14 +35,14 @@ func (f *fakeProbe) set(addr string, rtt time.Duration) {
 	f.rtts[addr] = rtt
 }
 
-func (f *fakeProbe) probe(addr string) (time.Duration, error) {
+func (f *fakeProbe) probe(addr string) (time.Duration, *protocol.LoadHint, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	rtt, ok := f.rtts[addr]
 	if !ok || rtt < 0 {
-		return 0, errors.New("unreachable")
+		return 0, nil, errors.New("unreachable")
 	}
-	return rtt, nil
+	return rtt, nil, nil
 }
 
 func fakeDial(addr string) (*client.Conn, error) {
@@ -111,7 +111,6 @@ func TestEvaluateHysteresis(t *testing.T) {
 	}}
 	r, err := New(Config{
 		Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial,
-		SwitchMargin: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,19 +223,19 @@ func TestRoamingOffload(t *testing.T) {
 	}
 	labels := []string{"cat", "dog", "bird"}
 
-	roamer, err := New(Config{Servers: []string{addrA, addrB}, Probe: func(addr string) (time.Duration, error) {
+	roamer, err := New(Config{Servers: []string{addrA, addrB}, Probe: func(addr string) (time.Duration, *protocol.LoadHint, error) {
 		// Prefer A while it lives (deterministic choice).
 		start := time.Now()
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		c.Close()
 		rtt := time.Since(start)
 		if addr == addrA {
-			return rtt / 1000, nil
+			return rtt / 1000, nil, nil
 		}
-		return rtt + time.Second, nil
+		return rtt + time.Second, nil, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +351,7 @@ func TestBestPrefersLightlyLoaded(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("near", 2*time.Millisecond, &protocol.LoadHint{QueueingMillis: 100})
 	probe.set("far", 10*time.Millisecond, &protocol.LoadHint{})
-	r, err := New(Config{Servers: []string{"near", "far"}, ProbeLoad: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"near", "far"}, Probe: probe.probe, Dial: fakeDial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +369,7 @@ func TestSaturatedServerDeprioritized(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("sat", time.Millisecond, &protocol.LoadHint{Saturated: true})
 	probe.set("ok", 30*time.Millisecond, &protocol.LoadHint{QueueingMillis: 1})
-	r, err := New(Config{Servers: []string{"sat", "ok"}, ProbeLoad: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"sat", "ok"}, Probe: probe.probe, Dial: fakeDial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +394,7 @@ func TestEvaluateLeavesSaturatedServer(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("a", time.Millisecond, nil)
 	probe.set("b", 2*time.Millisecond, nil)
-	r, err := New(Config{Servers: []string{"a", "b"}, ProbeLoad: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +420,7 @@ func TestEvaluateLeavesSaturatedServer(t *testing.T) {
 }
 
 // TestStaleProbeExcluded is the regression test for stale-hint handling:
-// a server whose probe has aged past HintStaleness used to keep competing
+// a server whose probe has aged past hintStaleness used to keep competing
 // on its (equally stale) RTT after only its load hint was dropped, letting
 // a long-unprobed nearby server outrank a freshly probed one. Stale
 // servers must be excluded outright while any fresh server exists, and
@@ -431,7 +430,7 @@ func TestStaleProbeExcluded(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("staleFast", time.Millisecond, &protocol.LoadHint{})
 	probe.set("fresh", 20*time.Millisecond, &protocol.LoadHint{})
-	r, err := New(Config{Servers: []string{"staleFast", "fresh"}, ProbeLoad: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"staleFast", "fresh"}, Probe: probe.probe, Dial: fakeDial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestStaleProbeExcluded(t *testing.T) {
 
 	// Age one server's probe past the staleness window.
 	r.mu.Lock()
-	r.servers["staleFast"].LastProbe = r.cfg.Now().Add(-r.cfg.HintStaleness - time.Second)
+	r.servers["staleFast"].LastProbe = r.cfg.Now().Add(-hintStaleness - time.Second)
 	r.mu.Unlock()
 	best, err := r.Best()
 	if err != nil {
@@ -452,7 +451,7 @@ func TestStaleProbeExcluded(t *testing.T) {
 	// Every healthy server stale: degrade to last-known-good (RTT alone)
 	// instead of reporting the fleet unreachable.
 	r.mu.Lock()
-	r.servers["fresh"].LastProbe = r.cfg.Now().Add(-r.cfg.HintStaleness - time.Second)
+	r.servers["fresh"].LastProbe = r.cfg.Now().Add(-hintStaleness - time.Second)
 	r.mu.Unlock()
 	best, err = r.Best()
 	if err != nil {
@@ -640,18 +639,18 @@ func TestMidHandoffConnectionLoss(t *testing.T) {
 	roamer, err := New(Config{
 		Servers: []string{addrA, addrB},
 		Dial:    dial,
-		Probe: func(addr string) (time.Duration, error) {
+		Probe: func(addr string) (time.Duration, *protocol.LoadHint, error) {
 			start := time.Now()
 			c, err := net.DialTimeout("tcp", addr, time.Second)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			c.Close()
 			rtt := time.Since(start)
 			if addr == addrA {
-				return rtt / 1000, nil
+				return rtt / 1000, nil, nil
 			}
-			return rtt + time.Second, nil
+			return rtt + time.Second, nil, nil
 		},
 	})
 	if err != nil {

@@ -509,12 +509,6 @@ func (s *Scheduler) safeExec(batch []*Task) (results []Result) {
 	return s.exec(batch)
 }
 
-// ServiceHist returns the scheduler's per-task service-time histogram.
-func (s *Scheduler) ServiceHist() *trace.Histogram { return &s.service }
-
-// QueueWaitHist returns the scheduler's admission-queue wait histogram.
-func (s *Scheduler) QueueWaitHist() *trace.Histogram { return &s.queueWait }
-
 // Accepting reports whether the scheduler admits new submissions: true
 // until Close is called. It is the scheduler's readiness signal.
 func (s *Scheduler) Accepting() bool {

@@ -245,7 +245,7 @@ func TestDiffAcrossAppsFails(t *testing.T) {
 
 func TestHashIgnoresModels(t *testing.T) {
 	app, _ := inferenceApp(t)
-	withModels, err := Capture(app, Options{DefaultModelPolicy: ModelFull})
+	withModels, err := Capture(app, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

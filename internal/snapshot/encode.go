@@ -2,14 +2,12 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"unicode"
 
-	"websnap/internal/nn"
 	"websnap/internal/webapp"
 )
 
@@ -29,7 +27,7 @@ const (
 //	// websnap-snapshot v1
 //	var __appID = "...";
 //	var __codeHash = "...";
-//	__model("gnet", {...spec...}, "<base64 weights or empty>");
+//	__model("gnet", {...spec...}, "");
 //	var feature = {"__f32__":"<base64 of the little-endian float32s>"};
 //	__dom({...});
 //	__bind({...});
@@ -57,16 +55,16 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // assemble lays a snapshot or delta out in one buffer sized once: header,
 // identity variables (name, value pairs), __model lines, globals, then tail —
 // the struct-shaped statements (DOM, bindings, event envelopes: small, and
-// encoding/json's), which the caller renders first. The base64 model weights
-// and typed arrays that dominate are sized exactly; only a string that needs
-// escapes can make the buffer grow.
+// encoding/json's), which the caller renders first. The typed arrays that
+// dominate are sized exactly; only a string that needs escapes can make the
+// buffer grow.
 func assemble(header string, ids []string, models []ModelState, globals map[string]webapp.Value, tail []byte) ([]byte, error) {
 	size := len(header) + 1 + globalsSizeHint(globals) + len(tail)
 	for i := 0; i < len(ids); i += 2 {
 		size += len(`var  = "";`+"\n") + len(ids[i]) + len(ids[i+1])
 	}
 	for _, ms := range models {
-		size += len(`__model("", , "");`+"\n") + len(ms.Name) + len(ms.Spec) + base64.StdEncoding.EncodedLen(len(ms.Weights))
+		size += len(modelTail+`__model("", `) + len(ms.Name) + len(ms.Spec)
 	}
 	b := append(make([]byte, 0, size), header+"\n"...)
 	for i := 0; i < len(ids); i += 2 {
@@ -75,9 +73,7 @@ func assemble(header string, ids []string, models []ModelState, globals map[stri
 	for _, ms := range models {
 		b = append(b, "__model("...)
 		b = append(appendString(b, ms.Name), ", "...)
-		b = append(append(b, ms.Spec...), `, "`...)
-		b = base64.StdEncoding.AppendEncode(b, ms.Weights)
-		b = append(b, "\");\n"...)
+		b = append(append(b, ms.Spec...), modelTail...)
 	}
 	b, err := appendGlobals(b, globals)
 	if err != nil {
@@ -343,12 +339,16 @@ func (c commonStatements) decodeVar(rest []byte) error {
 	return nil
 }
 
-// decodeModel reads `"name", {spec}, "<base64 weights>"` without
-// reflection: the name is the leading string literal, the weights the
-// trailing one (base64 has neither a quote nor an escape), and the spec the
-// object between them, kept as its bytes. It is not parsed here: restore
-// compares a spec-only reference's bytes with the stored model's and
-// decodes a full model's, refusing a spec that is not its network's.
+// modelTail closes a __model line. Its third argument is always the empty
+// string: a model reaches the server as a pre-send, never inside a snapshot,
+// and the literal stays so that the line reads as every peer expects.
+const modelTail = `, "");` + "\n"
+
+// decodeModel reads `"name", {spec}, ""` without reflection: the name is the
+// leading string literal and the spec the object after it, kept as its
+// bytes. It is not parsed here: restore compares them with the pre-sent
+// model's, refusing a spec that is not its network's. A weights literal that
+// is not empty is refused.
 func (s *Snapshot) decodeModel(body []byte) error {
 	p := parser{buf: body}
 	if p.peek() != '"' {
@@ -359,25 +359,14 @@ func (s *Snapshot) decodeModel(body []byte) error {
 		return fmt.Errorf("malformed __model name: %w", err)
 	}
 	rest, named := bytes.CutPrefix(body[p.pos:], []byte(", "))
-	rest, closed := bytes.CutSuffix(rest, []byte(`"`))
-	open := bytes.LastIndexByte(rest, '"')
-	if !named || !closed || open < 0 {
-		return errors.New("malformed __model arguments")
+	spec, closed := bytes.CutSuffix(rest, []byte(`, ""`))
+	if !named || !closed {
+		return errors.New("malformed __model arguments: the weights literal must be empty")
 	}
-	spec, ok := bytes.CutSuffix(rest[:open], []byte(", "))
-	if !ok || len(spec) < 2 || spec[0] != '{' || spec[len(spec)-1] != '}' {
+	if len(spec) < 2 || spec[0] != '{' || spec[len(spec)-1] != '}' {
 		return errors.New("malformed __model spec")
 	}
-	ms := ModelState{Name: name, Spec: bytes.Clone(spec)}
-	if blob := rest[open+1:]; len(blob) > 0 {
-		ms.Weights = make([]byte, base64.StdEncoding.DecodedLen(len(blob)))
-		n, err := base64.StdEncoding.Decode(ms.Weights, blob)
-		if err != nil {
-			return fmt.Errorf("model weights: %w", err)
-		}
-		ms.Weights = ms.Weights[:n]
-	}
-	s.Models = append(s.Models, ms)
+	s.Models = append(s.Models, ModelState{Name: name, Spec: bytes.Clone(spec)})
 	return nil
 }
 
@@ -429,16 +418,4 @@ func checkReserved(v webapp.Value) error {
 		}
 	}
 	return nil
-}
-
-func encodeWeights(net *nn.Network) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := net.EncodeWeights(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWeights(net *nn.Network, blob []byte) error {
-	return net.DecodeWeights(bytes.NewReader(blob))
 }

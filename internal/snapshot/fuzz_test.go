@@ -46,10 +46,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(header + "\nvar x = {\"__f32__\":[1e999]};\n"))
 	f.Add([]byte(header + "\nvar x = {\"__f32__\":\"AACAfw==\"};\n")) // +Inf's bits
 	addGrammarSeeds(f, header+"\r\nvar __appID = \"a\";\nvar __codeHash = \"b\";\n")
-	// The __model split takes the name as the leading string and the weights
-	// as the trailing one: separators and parentheses inside the name or the
-	// spec's strings, a missing, null or unterminated spec, a trailing
-	// comma, and weights that are not base64.
+	// The __model split takes the name as the leading string and requires an
+	// empty weights literal after the spec: separators and parentheses inside
+	// the name or the spec's strings, a missing, null or unterminated spec, a
+	// trailing comma, and weights literals that are base64 or are not.
 	for _, args := range []string{
 		`"m", {"name":"a\", \")","layers":[{"type":"relu","name":"), \""}]}, ""`,
 		`"a\", \"b)", {"name":"m"}, "AAAA"`,

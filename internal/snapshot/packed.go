@@ -12,8 +12,7 @@ import (
 // under protocol.EncodingPacked holds once inflated. Base64 is the one part
 // of the text a compressor cannot see through — a float that recurs lands on
 // the same characters only every third element — so the payloads of typed
-// arrays and of inline __model weights travel as the bytes they stand for,
-// and everything else as it is:
+// arrays travel as the bytes they stand for, and everything else as it is:
 //
 //	packed  = literal { run literal }
 //	literal = uvarint(n) n bytes of text, copied
@@ -29,16 +28,11 @@ import (
 // the receiver parses, hashes and names deltas by is the text the sender
 // encoded, byte for byte.
 
-const (
-	modelOpen  = "__model("
-	modelClose = `");`
-
-	// minRunText is the shortest payload worth a run: its 16 bytes saved pay
-	// for the two length prefixes a run adds (at most five bytes each below
-	// protocol.MaxBodyLen), so a packed form is never longer than its text
-	// plus the first literal's prefix.
-	minRunText = 64
-)
+// minRunText is the shortest payload worth a run: its 16 bytes saved pay for
+// the two length prefixes a run adds (at most five bytes each below
+// protocol.MaxBodyLen), so a packed form is never longer than its text plus
+// the first literal's prefix.
+const minRunText = 64
 
 // Pack writes text's packed form to w, straight from text: nothing the size
 // of a payload is held in between.
@@ -49,26 +43,18 @@ func Pack(w io.Writer, text []byte) error {
 		if i := bytes.IndexByte(text[pos:], '\n'); i >= 0 {
 			end = pos + i + 1
 		}
-		if line := text[pos:end]; bytes.HasPrefix(line, []byte(modelOpen)) {
-			// __model("name", {spec}, "<weights>"); — the last argument.
-			from, to := bytes.LastIndex(line, []byte(`, "`)), bytes.LastIndex(line, []byte(modelClose))
-			if from >= 0 && from+3 <= to {
-				p.payload(pos+from+3, pos+to)
+		for at := pos; ; {
+			i := bytes.Index(text[at:end], []byte(f32Open))
+			if i < 0 {
+				break
 			}
-		} else {
-			for at := pos; ; {
-				i := bytes.Index(text[at:end], []byte(f32Open))
-				if i < 0 {
-					break
-				}
-				start := at + i + len(f32Open)
-				n := bytes.IndexByte(text[start:end], '"')
-				if n < 0 {
-					break
-				}
-				p.payload(start, start+n)
-				at = start + n
+			start := at + i + len(f32Open)
+			n := bytes.IndexByte(text[start:end], '"')
+			if n < 0 {
+				break
 			}
+			p.payload(start, start+n)
+			at = start + n
 		}
 		pos = end
 	}

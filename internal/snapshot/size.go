@@ -3,14 +3,13 @@ package snapshot
 import "bytes"
 
 // SizeBreakdown decomposes a snapshot's encoded size the way the paper's
-// Table 1 reports it: the model part (which pre-sending removes), the
-// feature-data part (the typed arrays, dominant in partial inference), and
-// the small remainder of code and state.
+// Table 1 reports it: the model part (descriptors only: a pre-send ships the
+// weights), the feature-data part (the typed arrays, dominant in partial
+// inference), and the small remainder of code and state.
 type SizeBreakdown struct {
 	// TotalBytes is the full encoded size.
 	TotalBytes int64 `json:"totalBytes"`
-	// ModelBytes is the size of the __model lines (descriptors plus any
-	// included weight blobs).
+	// ModelBytes is the size of the __model lines: the models' descriptors.
 	ModelBytes int64 `json:"modelBytes"`
 	// FeatureBytes is the textual size of all Float32Array content in
 	// globals and pending event payloads: each array's base64 payload,

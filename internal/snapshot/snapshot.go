@@ -14,8 +14,9 @@
 // inference's transfer; they cost half of what they did. See value.go.
 //
 // Two size optimizations from §III.B are implemented:
-//   - model exclusion: once a model has been pre-sent to the edge server,
-//     snapshots carry only its descriptor, not its weights;
+//   - model exclusion: a model reaches the edge server once, as a pre-send
+//     ahead of the snapshot; snapshots carry only its descriptor, never its
+//     weights;
 //   - rear-only models: for partial inference, the front part of the DNN is
 //     never shipped, which both shrinks the transfer and denies the server
 //     the layers needed to invert the feature data (privacy, §III.B.2).
@@ -33,7 +34,7 @@ import (
 // Errors reported by capture/restore.
 var (
 	ErrCodeMismatch     = errors.New("snapshot: code hash does not match registry")
-	ErrModelUnavailable = errors.New("snapshot: model weights not in snapshot and no resolver provided")
+	ErrModelUnavailable = errors.New("snapshot: model not pre-sent")
 	ErrReservedKey      = errors.New("snapshot: reserved key or global name")
 	ErrCorrupt          = errors.New("snapshot: corrupt encoding")
 	// ErrBaseMismatch is returned when a delta is applied to a different
@@ -47,12 +48,9 @@ type ModelPolicy int
 
 // Model policies.
 const (
-	// ModelFull includes descriptor and weights — the pre-ACK case where
-	// the client must send the model along with the snapshot.
-	ModelFull ModelPolicy = iota + 1
 	// ModelSpecOnly includes only the descriptor; the receiver resolves
 	// weights from its pre-sent model store.
-	ModelSpecOnly
+	ModelSpecOnly ModelPolicy = iota
 	// ModelOmit drops the model from the snapshot entirely — used for
 	// result snapshots returning to the client, which already has it.
 	ModelOmit
@@ -61,8 +59,7 @@ const (
 // Options configures Capture.
 type Options struct {
 	// DefaultModelPolicy applies to models not listed in ModelPolicies.
-	// The zero value means ModelFull (safe: the snapshot stays
-	// self-contained).
+	// The zero value is ModelSpecOnly.
 	DefaultModelPolicy ModelPolicy
 	// ModelPolicies overrides the policy per model name.
 	ModelPolicies map[string]ModelPolicy
@@ -79,8 +76,7 @@ type ModelState struct {
 	// canonical bytes a spec-only reference is checked against at restore.
 	// A captured state shares them with the network; neither side writes
 	// to them.
-	Spec    []byte
-	Weights []byte // nil when excluded by policy
+	Spec []byte
 }
 
 // Snapshot is the captured execution state of a web app. Encode renders it
@@ -99,9 +95,6 @@ type Snapshot struct {
 // Capture saves the app's current execution state. The app is not modified;
 // all captured state is deep-copied.
 func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
-	if opts.DefaultModelPolicy == 0 {
-		opts.DefaultModelPolicy = ModelFull
-	}
 	globals := app.Globals()
 	for name, v := range globals {
 		if err := checkGlobal(name, v); err != nil {
@@ -138,14 +131,7 @@ func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: model %q: %w", name, err)
 		}
-		ms := ModelState{Name: name, Spec: spec}
-		if policy == ModelFull {
-			ms.Weights, err = encodeWeights(net)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: model %q: %w", name, err)
-			}
-		}
-		s.Models = append(s.Models, ms)
+		s.Models = append(s.Models, ModelState{Name: name, Spec: spec})
 	}
 	return s, nil
 }
@@ -164,13 +150,9 @@ func (f ResolverFunc) ResolveModel(name string) (*nn.Network, bool) { return f(n
 
 // RestoreOptions configures Restore.
 type RestoreOptions struct {
-	// Models resolves weights for models the snapshot carries spec-only.
-	// May be nil if every model in the snapshot is self-contained.
+	// Models resolves the pre-sent networks the snapshot's models name.
+	// May be nil if the snapshot carries no model.
 	Models ModelResolver
-	// KeepModels, when a model is absent from the snapshot, preserves
-	// any model of that name already loaded in the target app (used when
-	// restoring a result snapshot onto the original client app).
-	KeepModels map[string]*nn.Network
 }
 
 // Restore re-creates a running app from the snapshot: execution state is
@@ -186,9 +168,6 @@ func Restore(s *Snapshot, registry *webapp.Registry, opts RestoreOptions) (*weba
 	if err != nil {
 		return nil, err
 	}
-	for name, net := range opts.KeepModels {
-		app.LoadModel(name, net)
-	}
 	if err := s.ApplyTo(app, opts); err != nil {
 		return nil, err
 	}
@@ -199,8 +178,8 @@ func Restore(s *Snapshot, registry *webapp.Registry, opts RestoreOptions) (*weba
 // the client side of the return path: the result snapshot from the edge
 // server (rebuilt by patching the result delta into the snapshot that was
 // sent) is "run" on the client's browser to continue the app. Models the
-// snapshot omits remain as loaded in app; models it carries are rebuilt or
-// resolved and replace the loaded ones.
+// snapshot omits remain as loaded in app; models it names are resolved and
+// replace the loaded ones.
 func (s *Snapshot) ApplyTo(app *webapp.App, opts RestoreOptions) error {
 	if app.CodeHash() != s.CodeHash {
 		return fmt.Errorf("%w: snapshot %s, app %s", ErrCodeMismatch, s.CodeHash, app.CodeHash())
@@ -224,30 +203,21 @@ func (s *Snapshot) ApplyTo(app *webapp.App, opts RestoreOptions) error {
 	return nil
 }
 
-// restoreModel rebuilds a model the snapshot carries whole, or resolves a
-// spec-only reference — which must name a network of exactly the declared
-// architecture: a stored model whose descriptor differs from the
-// reference's by a byte is refused, never run in its place.
+// restoreModel resolves a model reference — which must name a pre-sent
+// network of exactly the declared architecture: a stored model whose
+// descriptor differs from the reference's by a byte is refused, never run in
+// its place.
 func restoreModel(ms ModelState, resolver ModelResolver) (*nn.Network, error) {
-	if ms.Weights == nil {
-		if resolver == nil {
-			return nil, fmt.Errorf("%w: %q", ErrModelUnavailable, ms.Name)
-		}
-		net, ok := resolver.ResolveModel(ms.Name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrModelUnavailable, ms.Name)
-		}
-		if spec, err := net.SpecJSON(); err != nil || !bytes.Equal(spec, ms.Spec) {
-			return nil, fmt.Errorf("%w: %q: stored model's architecture differs from the snapshot's", ErrModelUnavailable, ms.Name)
-		}
-		return net, nil
+	var net *nn.Network
+	ok := resolver != nil
+	if ok {
+		net, ok = resolver.ResolveModel(ms.Name)
 	}
-	net, err := nn.DecodeSpec(ms.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuild model %q: %w", ms.Name, err)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrModelUnavailable, ms.Name)
 	}
-	if err := decodeWeights(net, ms.Weights); err != nil {
-		return nil, fmt.Errorf("snapshot: model %q: %w", ms.Name, err)
+	if spec, err := net.SpecJSON(); err != nil || !bytes.Equal(spec, ms.Spec) {
+		return nil, fmt.Errorf("%w: %q: stored model's architecture differs from the snapshot's", ErrModelUnavailable, ms.Name)
 	}
 	return net, nil
 }

@@ -93,6 +93,12 @@ func inferenceApp(t *testing.T) (*webapp.App, *webapp.Registry) {
 	return app, reg
 }
 
+// preSent resolves models from app, standing in for the server's store of
+// the models the client pre-sent.
+func preSent(app *webapp.App) RestoreOptions {
+	return RestoreOptions{Models: ResolverFunc(app.Model)}
+}
+
 // TestOffloadRoundTrip exercises the paper's whole Fig 3 flow in-process:
 // capture just before the inference handler runs, encode, decode, restore
 // on a "server", run the handler there, capture the result, bring it back,
@@ -135,7 +141,7 @@ func TestOffloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	serverApp, err := Restore(serverSnap, reg, RestoreOptions{})
+	serverApp, err := Restore(serverSnap, reg, preSent(app))
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -159,16 +165,14 @@ func TestOffloadRoundTrip(t *testing.T) {
 		t.Errorf("result snapshot (%d B) should be smaller than full snapshot (%d B)", len(resultWire), len(wire))
 	}
 
-	// Client: restore the result and keep its own model.
+	// Client: apply the result to the app, which keeps its own model.
 	back, err := Decode(resultWire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientApp, err := Restore(back, reg, RestoreOptions{
-		KeepModels: map[string]*nn.Network{"tinymodel": m},
-	})
-	if err != nil {
-		t.Fatalf("client Restore: %v", err)
+	clientApp := app
+	if err := back.ApplyTo(clientApp, RestoreOptions{}); err != nil {
+		t.Fatalf("client ApplyTo: %v", err)
 	}
 	if got := clientApp.DOM().Find("result").Text; got != wantResult {
 		t.Errorf("client result = %q, want %q", got, wantResult)
@@ -225,8 +229,8 @@ func TestEncodeDecodeStateFidelity(t *testing.T) {
 	if len(got.Models) != 1 || got.Models[0].Name != "tinymodel" {
 		t.Fatalf("models = %+v", got.Models)
 	}
-	if got.Models[0].Weights == nil {
-		t.Error("ModelFull policy should include weights")
+	if string(got.Models[0].Spec) != string(snap.Models[0].Spec) {
+		t.Error("model spec corrupted")
 	}
 }
 
@@ -251,11 +255,7 @@ func TestCaptureIsolation(t *testing.T) {
 func TestModelPolicies(t *testing.T) {
 	app, _ := inferenceApp(t)
 
-	full, err := Capture(app, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specOnly, err := Capture(app, Options{DefaultModelPolicy: ModelSpecOnly})
+	specOnly, err := Capture(app, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,28 +263,26 @@ func TestModelPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullWire, _ := full.Encode()
 	specWire, _ := specOnly.Encode()
 	omitWire, _ := omit.Encode()
-	if !(len(fullWire) > len(specWire) && len(specWire) > len(omitWire)) {
-		t.Errorf("size ordering violated: full=%d spec=%d omit=%d",
-			len(fullWire), len(specWire), len(omitWire))
+	if len(specWire) <= len(omitWire) {
+		t.Errorf("size ordering violated: spec=%d omit=%d", len(specWire), len(omitWire))
+	}
+	if len(specOnly.Models) != 1 {
+		t.Error("the zero policy should name the model spec-only")
 	}
 	if len(omit.Models) != 0 {
 		t.Error("ModelOmit should drop models")
 	}
-	if specOnly.Models[0].Weights != nil {
-		t.Error("ModelSpecOnly should not carry weights")
-	}
 
 	perModel, err := Capture(app, Options{
-		DefaultModelPolicy: ModelFull,
+		DefaultModelPolicy: ModelOmit,
 		ModelPolicies:      map[string]ModelPolicy{"tinymodel": ModelSpecOnly},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perModel.Models[0].Weights != nil {
+	if len(perModel.Models) != 1 {
 		t.Error("per-model policy override ignored")
 	}
 }
@@ -417,16 +415,33 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeCorruptModelLine: a __model line carries a name, an object spec
+// and an empty weights literal — a model's weights arrive only as a pre-send —
+// and anything else in it is ErrCorrupt.
 func TestDecodeCorruptModelLine(t *testing.T) {
-	lines := []string{
-		header,
-		`var __appID = "a";`,
-		`var __codeHash = "b";`,
-		`__model("m", {"name":"m","layers":[]}, "!!notbase64!!");`,
-		`__dom({"tag":"body"});`,
+	decode := func(args string) error {
+		_, err := Decode([]byte(strings.Join([]string{
+			header,
+			`var __appID = "a";`,
+			`var __codeHash = "b";`,
+			`__model(` + args + `);`,
+			`__dom({"tag":"body"});`,
+		}, "\n") + "\n"))
+		return err
 	}
-	if _, err := Decode([]byte(strings.Join(lines, "\n") + "\n")); err == nil {
-		t.Error("bad base64 weights decoded without error")
+	if err := decode(`"m", {"name":"m","layers":[]}, ""`); err != nil {
+		t.Fatalf("a model reference: %v", err)
+	}
+	for name, args := range map[string]string{
+		"valid base64 weights":     `"m", {"name":"m","layers":[]}, "AACAPwAAgD8="`,
+		"bad base64 weights":       `"m", {"name":"m","layers":[]}, "!!notbase64!!"`,
+		"spec that is not object":  `"m", ["name","m"], ""`,
+		"no weights literal":       `"m", {"name":"m","layers":[]}`,
+		"weights literal unclosed": `"m", {"name":"m","layers":[]}, "`,
+	} {
+		if err := decode(args); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -453,18 +468,18 @@ func TestBreakdown(t *testing.T) {
 		t.Error("ExceptFeatureBytes inconsistent")
 	}
 
-	// Pre-sending (spec-only) must shrink the model part but leave the
-	// feature part unchanged.
-	specOnly, err := Capture(app, Options{DefaultModelPolicy: ModelSpecOnly})
+	// Omitting the model drops the model part but leaves the feature part
+	// unchanged.
+	omit, err := Capture(app, Options{DefaultModelPolicy: ModelOmit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd2, err := specOnly.Breakdown()
+	bd2, err := omit.Breakdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd2.ModelBytes >= bd.ModelBytes {
-		t.Error("spec-only model part should shrink")
+	if bd2.ModelBytes != 0 {
+		t.Errorf("omitted model part = %d, want 0", bd2.ModelBytes)
 	}
 	if bd2.FeatureBytes != bd.FeatureBytes {
 		t.Error("feature part should be unaffected by model policy")

@@ -342,7 +342,7 @@ func offloadSnapshot(tb testing.TB, volume int, policy ModelPolicy) *Snapshot {
 // decoded snapshot or delta holds may point into the bytes it came from.
 func TestDecodeDoesNotAliasInput(t *testing.T) {
 	snap := variedSnapshot(t)
-	snap.Models = []ModelState{{Name: "m", Spec: []byte(`{"name":"m","layers":[]}`), Weights: []byte{1, 2, 3, 4, 5}}}
+	snap.Models = []ModelState{{Name: "m", Spec: []byte(`{"name":"m","layers":[]}`)}}
 	wire, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)

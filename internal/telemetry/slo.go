@@ -10,10 +10,13 @@ import (
 
 // SLO defaults.
 const (
-	DefaultSLOShortWindow   = 5 * time.Minute
-	DefaultSLOLongWindow    = time.Hour
-	DefaultSLOBurnThreshold = 2.0
+	DefaultSLOShortWindow = 5 * time.Minute
+	DefaultSLOLongWindow  = time.Hour
 )
+
+// SLOBurnThreshold is the burn-rate multiple that trips the alert: error
+// budget consumed twice as fast as the objective allows, in both windows.
+const SLOBurnThreshold = 2.0
 
 // SLOConfig parametrizes a latency SLO.
 type SLOConfig struct {
@@ -30,10 +33,6 @@ type SLOConfig struct {
 	// that has already stopped (long only) both stay quiet. Zero selects
 	// DefaultSLOShortWindow / DefaultSLOLongWindow.
 	ShortWindow, LongWindow time.Duration
-	// BurnThreshold is the burn-rate multiple that trips the alert (2.0 =
-	// consuming error budget twice as fast as the objective allows). Zero
-	// selects DefaultSLOBurnThreshold.
-	BurnThreshold float64
 	// Now is the clock; nil selects time.Now. Injectable for tests and
 	// the simulator.
 	Now func() time.Time
@@ -83,9 +82,6 @@ func NewSLO(cfg SLOConfig) (*SLO, error) {
 	if cfg.LongWindow < cfg.ShortWindow {
 		return nil, fmt.Errorf("telemetry: SLO long window %v shorter than short window %v",
 			cfg.LongWindow, cfg.ShortWindow)
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = DefaultSLOBurnThreshold
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -165,7 +161,7 @@ func (s *SLO) statusLocked() SLOStatus {
 		Name:            s.cfg.Name,
 		ObjectiveMillis: float64(s.cfg.Objective) / 1e6,
 		Goal:            s.cfg.Goal,
-		BurnThreshold:   s.cfg.BurnThreshold,
+		BurnThreshold:   SLOBurnThreshold,
 	}
 	shortCut := now - int64(s.cfg.ShortWindow/time.Second)
 	longCut := now - int64(s.cfg.LongWindow/time.Second)
@@ -184,7 +180,7 @@ func (s *SLO) statusLocked() SLOStatus {
 	budget := 1 - s.cfg.Goal
 	st.ShortBurn = burnRate(st.ShortBad, st.ShortTotal, budget)
 	st.LongBurn = burnRate(st.LongBad, st.LongTotal, budget)
-	st.Burning = st.ShortBurn >= s.cfg.BurnThreshold && st.LongBurn >= s.cfg.BurnThreshold
+	st.Burning = st.ShortBurn >= SLOBurnThreshold && st.LongBurn >= SLOBurnThreshold
 	return st
 }
 

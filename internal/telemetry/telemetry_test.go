@@ -123,7 +123,7 @@ func TestSLOBurnRateWindows(t *testing.T) {
 	if !st.Burning {
 		t.Fatalf("status after regression = %+v, want burning", st)
 	}
-	if st.ShortBurn < DefaultSLOBurnThreshold || st.LongBurn < DefaultSLOBurnThreshold {
+	if st.ShortBurn < SLOBurnThreshold || st.LongBurn < SLOBurnThreshold {
 		t.Fatalf("burn rates %v/%v below threshold", st.ShortBurn, st.LongBurn)
 	}
 	if len(burns) != 1 {

@@ -151,26 +151,6 @@ func (h *Histogram) ForEachBucket(fn func(upper time.Duration, count uint64)) {
 	}
 }
 
-// NumBuckets returns the histogram's total bucket count. Bucket indexes in
-// digests (ExportBuckets/MergeBuckets) refer to this shared layout.
-func NumBuckets() int { return numBuckets }
-
-// BucketUpper returns the exclusive upper bound of bucket i, the public
-// form of the digest bucket layout. Indexes outside [0, NumBuckets) clamp.
-func BucketUpper(i int) time.Duration {
-	if i < 0 {
-		i = 0
-	}
-	if i >= numBuckets {
-		i = numBuckets - 1
-	}
-	return time.Duration(bucketUpper(i))
-}
-
-// BucketOf returns the bucket index a duration falls into — the inverse of
-// BucketUpper, used to map an SLO threshold onto the digest layout.
-func BucketOf(d time.Duration) int { return bucketIndex(int64(d)) }
-
 // ExportBuckets returns a sparse snapshot of the histogram for wire
 // digests: occupied buckets as [index, count] pairs in index order, plus
 // the exact total count and sum in nanoseconds. A concurrent Observe may
