@@ -637,6 +637,25 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 	waitStart := time.Now()
 	slots <- struct{}{}
 	streamWait := time.Since(waitStart)
+	// The request joins reqWG here, under mu, before its goroutine starts:
+	// either Close has not set closed yet and its reqWG.Wait will see this
+	// request, or it has and the stream is refused with one Error frame.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		<-slots
+		s.errorsAnswered.Inc()
+		resp, err := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{Message: "edge: server closed", Seq: env.Seq}, nil)
+		if err == nil {
+			err = cw.write(resp)
+		}
+		if err != nil {
+			s.log.Debug("edge: refusal write failed", obs.Err(err))
+		}
+		return
+	}
+	s.reqWG.Add(1)
+	s.mu.Unlock()
 	s.muxRequests.Inc()
 	s.muxActive.Add(1)
 	streams.Add(1)
@@ -644,6 +663,7 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 		defer streams.Done()
 		defer s.muxActive.Add(-1)
 		defer func() { <-slots }()
+		defer s.reqWG.Done()
 		if err := s.serveRequest(cw, req, env.Seq, streamWait); err != nil {
 			// The shared socket is broken; close it so the read loop and
 			// sibling streams unwind.
@@ -653,11 +673,10 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 }
 
 // serveRequest dispatches one request and writes its response under the
-// request's seq, tracked by reqWG so Close lets the final frame flush before
-// terminating the connection. streamWait is the stream-semaphore wait.
+// request's seq; dispatchStream counts it in reqWG, so Close lets the final
+// frame flush before terminating the connection. streamWait is the
+// stream-semaphore wait.
 func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWait time.Duration) error {
-	s.reqWG.Add(1)
-	defer s.reqWG.Done()
 	resp, err := s.dispatch(req, streamWait)
 	if err != nil {
 		// A failed request is the client's business; a panicking executor

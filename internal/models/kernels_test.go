@@ -1,6 +1,9 @@
 package models
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -331,6 +334,51 @@ func TestGoogLeNetForwardPacksOnce(t *testing.T) {
 	}
 }
 
+// TestGoogLeNetInt8ForwardAllocs is TestGoogLeNetForwardPacksOnce for the
+// int8 plan, GOMAXPROCS pinned to 2 the same way. A steady-state int8
+// forward draws 186 buffers from the tensor pool — each quantized step's
+// int8 input image and each GEMM worker's packed-B block, as before the int8
+// panels took the pair layout: the widened B sliver lives on the worker's
+// stack and the widened weights were packed when the plan was armed — and
+// stays at or below 300 heap allocations and 64 KiB (273 and about 20 KB
+// when the pair layout came in).
+func TestGoogLeNetInt8ForwardAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("under -race sync.Pool drops pooled contexts and buffers at random; the counts are exact only without it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	net, err := Build(GoogLeNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.MustNew(net.InputShape()...)
+	fillDet(in.Data(), 5)
+	forward := func() {
+		if _, err := net.ForwardPrec(in, nn.PrecInt8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forward() // compiles, calibrates and arms the plan
+	forward() // fills the buffer pools
+	const runs = 4
+	var before, after runtime.MemStats
+	gets := tensor.ReadPoolStats().Gets
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		forward()
+	}
+	runtime.ReadMemStats(&after)
+	gets = (tensor.ReadPoolStats().Gets - gets) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if gets != 186 {
+		t.Errorf("an int8 forward draws %d pooled buffers, want 186", gets)
+	}
+	if allocs > 300 || bytes > 64<<10 {
+		t.Errorf("an int8 forward makes %d heap allocations of %d B in all, want at most 300 and 64 KiB", allocs, bytes)
+	}
+}
+
 func abs64(v float64) float64 {
 	if v < 0 {
 		return -v
@@ -578,5 +626,50 @@ func TestGoogLeNetInt8Top1Agreement(t *testing.T) {
 	}
 	if agree != imgs {
 		t.Fatalf("top-1 agreement %d/%d, want %d/%d", agree, imgs, imgs, imgs)
+	}
+}
+
+// TestInt8OutputsPinned pins the int8 plans' output bits: the SHA-256 of
+// every output float of TinyNet, AgeNet and GoogLeNet at int8 quality on two
+// fixed inputs each. Weight init, calibration and the int8 kernels are all
+// deterministic and the int32 accumulation is exact, so the digests hold on
+// every host, with the assembly kernels or without (-tags noasm), and they
+// hold across any change to the int8 packing or micro-kernel that keeps the
+// products and their sums.
+func TestInt8OutputsPinned(t *testing.T) {
+	tiny, err := BuildTinyNet("tinynet", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		net  func() (*nn.Network, error)
+		want string
+	}{
+		{"tinynet", func() (*nn.Network, error) { return tiny, nil }, "f69da6af38617b55b7fa87f78a0e6191f4ea1c6aa1592268da7641baf32b3e68"},
+		{AgeNet, func() (*nn.Network, error) { return Build(AgeNet) }, "88ea8ce283ddcfd13962fa41df443a8b107772727ad6b256f52fa402d3155058"},
+		{GoogLeNet, func() (*nn.Network, error) { return Build(GoogLeNet) }, "9c142b2cae4da71697c410e4847c428b2b7a304f2dcc698a7708ed192f9ade21"},
+	} {
+		net, err := c.net()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var word [4]byte
+		for seed := uint64(0); seed < 2; seed++ {
+			in := tensor.MustNew(net.InputShape()...)
+			fillDet(in.Data(), 2000+seed)
+			out, err := net.ForwardPrec(in, nn.PrecInt8)
+			if err != nil {
+				t.Fatalf("%s: int8 forward: %v", c.name, err)
+			}
+			for _, v := range out.Data() {
+				binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+				h.Write(word[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: int8 output digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -81,31 +81,36 @@ func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []i
 			row[j] = 0
 		}
 	}
+	// One sliver in pair layout: it stays in L1 while every A panel of the
+	// block streams past it.
+	var wide [packKC * packNR]int16
 	for jc := j0; jc < j1; jc += packNC {
 		nc := min(packNC, j1-jc)
 		nSlivers := (nc + packNR - 1) / packNR
 		for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
 			kc := min(packKC, k-pc)
+			pairs := pairDepth(kc) / 2
 			src.pack(bufB, pc, kc, jc, nc)
 			for s := 0; s < nSlivers; s++ {
 				j := jc + s*packNR
 				nr := min(packNR, j1-j)
-				bsl := bufB[s*kc*packNR:]
-				for i0 := 0; i0 < m; i0 += packMR {
-					apan := pa.panel(bIdx, i0, kc)
-					off := i0*n + j
-					mr := min(packMR, m-i0)
-					if mr == packMR && nr == packNR {
-						kernTileI8(dst[off:], n, apan, bsl, kc)
-						continue
-					}
+				widenPairs(wide[:], bufB[s*kc*packNR:], kc)
+				i0 := 0
+				if nr == packNR && m >= packMR {
+					// Every full tile of the sliver's column in one call.
+					i0 = m &^ (packMR - 1)
+					kernTilesI8(dst[j:], n, pa.panels(bIdx, 0, kc, i0/packMR), wide[:], pairs, i0/packMR)
+				}
+				for ; i0 < m; i0 += packMR {
 					// Ragged tile: zero-padded stack copy, as in
 					// gemmPackedCols.
+					off := i0*n + j
+					mr := min(packMR, m-i0)
 					var tile [packMR * packNR]int32
 					for r := 0; r < mr; r++ {
 						copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
 					}
-					kernTileI8(tile[:], packNR, apan, bsl, kc)
+					kernTilesI8(tile[:], packNR, pa.panels(bIdx, i0, kc, 1), wide[:], pairs, 1)
 					for r := 0; r < mr; r++ {
 						copy(dst[off+r*n:off+r*n+nr], tile[r*packNR:])
 					}
@@ -115,61 +120,71 @@ func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []i
 	}
 }
 
-// kernTileI8 is kernTile for the int8 micro-kernels.
-func kernTileI8(dst []int32, ldd int, ap, bp []int8, kc int) {
+// kernTilesI8 is kernTile for the int8 micro-kernels, over a column of
+// tiles: panels full MR x NR tiles of dst, each MR rows below the last,
+// from as many consecutive pair-layout A panels against one pair-layout B
+// sliver, pairs (p, p+1) steps each.
+func kernTilesI8(dst []int32, ldd int, ap, bp []int16, pairs, panels int) {
 	if haveAVX2 {
-		kern4x8I8AVX2(&dst[0], ldd, &ap[0], &bp[0], kc)
+		kern4x8I8AVX2(&dst[0], ldd, &ap[0], &bp[0], pairs, panels)
 		return
 	}
-	kern4x8i8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc)
+	for p := 0; p < panels; p++ {
+		d := dst[p*packMR*ldd:]
+		kern4x8i8(d, d[ldd:], d[2*ldd:], d[3*ldd:], ap[p*2*packMR*pairs:], bp, pairs)
+	}
 }
 
 // kern4x8i8 is the int8 register-tile micro-kernel: int32 accumulators in
-// locals, widening int8 loads from the packed panels.
-func kern4x8i8(d0, d1, d2, d3 []int32, ap, bp []int8, kc int) {
+// locals, each taking one (p, p+1) pair's two products per step — what the
+// assembly kernel's multiply-add of int16 pairs computes, lane for lane.
+func kern4x8i8(d0, d1, d2, d3 []int32, ap, bp []int16, pairs int) {
 	c00, c01, c02, c03, c04, c05, c06, c07 := d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7]
 	c10, c11, c12, c13, c14, c15, c16, c17 := d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7]
 	c20, c21, c22, c23, c24, c25, c26, c27 := d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7]
 	c30, c31, c32, c33, c34, c35, c36, c37 := d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7]
-	ap = ap[:kc*4]
-	for len(ap) >= 4 && len(bp) >= 8 {
-		a0, a1, a2, a3 := int32(ap[0]), int32(ap[1]), int32(ap[2]), int32(ap[3])
-		b0, b1, b2, b3 := int32(bp[0]), int32(bp[1]), int32(bp[2]), int32(bp[3])
-		b4, b5, b6, b7 := int32(bp[4]), int32(bp[5]), int32(bp[6]), int32(bp[7])
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c24 += a2 * b4
-		c25 += a2 * b5
-		c26 += a2 * b6
-		c27 += a2 * b7
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c34 += a3 * b4
-		c35 += a3 * b5
-		c36 += a3 * b6
-		c37 += a3 * b7
-		ap = ap[4:]
-		bp = bp[8:]
+	ap = ap[:pairs*2*packMR]
+	for len(ap) >= 2*packMR && len(bp) >= 2*packNR {
+		a0, e0, a1, e1 := int32(ap[0]), int32(ap[1]), int32(ap[2]), int32(ap[3])
+		a2, e2, a3, e3 := int32(ap[4]), int32(ap[5]), int32(ap[6]), int32(ap[7])
+		b0, f0, b1, f1 := int32(bp[0]), int32(bp[1]), int32(bp[2]), int32(bp[3])
+		b2, f2, b3, f3 := int32(bp[4]), int32(bp[5]), int32(bp[6]), int32(bp[7])
+		b4, f4, b5, f5 := int32(bp[8]), int32(bp[9]), int32(bp[10]), int32(bp[11])
+		b6, f6, b7, f7 := int32(bp[12]), int32(bp[13]), int32(bp[14]), int32(bp[15])
+		c00 += a0*b0 + e0*f0
+		c01 += a0*b1 + e0*f1
+		c02 += a0*b2 + e0*f2
+		c03 += a0*b3 + e0*f3
+		c04 += a0*b4 + e0*f4
+		c05 += a0*b5 + e0*f5
+		c06 += a0*b6 + e0*f6
+		c07 += a0*b7 + e0*f7
+		c10 += a1*b0 + e1*f0
+		c11 += a1*b1 + e1*f1
+		c12 += a1*b2 + e1*f2
+		c13 += a1*b3 + e1*f3
+		c14 += a1*b4 + e1*f4
+		c15 += a1*b5 + e1*f5
+		c16 += a1*b6 + e1*f6
+		c17 += a1*b7 + e1*f7
+		c20 += a2*b0 + e2*f0
+		c21 += a2*b1 + e2*f1
+		c22 += a2*b2 + e2*f2
+		c23 += a2*b3 + e2*f3
+		c24 += a2*b4 + e2*f4
+		c25 += a2*b5 + e2*f5
+		c26 += a2*b6 + e2*f6
+		c27 += a2*b7 + e2*f7
+		c30 += a3*b0 + e3*f0
+		c31 += a3*b1 + e3*f1
+		c32 += a3*b2 + e3*f2
+		c33 += a3*b3 + e3*f3
+		c34 += a3*b4 + e3*f4
+		c35 += a3*b5 + e3*f5
+		c36 += a3*b6 + e3*f6
+		c37 += a3*b7 + e3*f7
+		ap = ap[2*packMR:]
+		bp = bp[2*packNR:]
 	}
 	d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7] = c00, c01, c02, c03, c04, c05, c06, c07
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17
@@ -197,15 +212,28 @@ func GemvI8(dst []float32, w, x []int8, deq, bias []float32, m, k int) {
 }
 
 // Quantize writes round-half-away-from-zero(src[i]/scale) clamped to
-// [-127, 127] — symmetric quantization, zero-point 0. The rounding rule
-// is branch-based and platform-independent, so quantized values (and
-// everything downstream, given exact int32 accumulation) are
+// [-127, 127] — symmetric quantization, zero-point 0 — by the rule of
+// quantizeScalar: f = src[i] * (1/scale), then ±127 at or past the clamp,
+// else f ± 0.5 truncated, and 0 for a NaN f. The rule is platform-
+// independent and the AVX2 pass reproduces it bit for bit, so quantized
+// values (and everything downstream, given exact int32 accumulation) are
 // deterministic everywhere.
 func Quantize(dst []int8, src []float32, scale float32) {
 	inv := float32(0)
 	if scale != 0 {
 		inv = 1 / scale
 	}
+	dst = dst[:len(src)]
+	if n := len(src) &^ 7; haveAVX2 && n > 0 {
+		quantizeAVX2(&dst[0], &src[0], n, inv)
+		dst, src = dst[n:], src[n:]
+	}
+	quantizeScalar(dst, src, inv)
+}
+
+// quantizeScalar is Quantize's rule, one value at a time: the portable
+// path, and the vector pass's tail.
+func quantizeScalar(dst []int8, src []float32, inv float32) {
 	for i, v := range src {
 		f := v * inv
 		switch {
@@ -216,15 +244,19 @@ func Quantize(dst []int8, src []float32, scale float32) {
 		case f >= 0:
 			dst[i] = int8(f + 0.5)
 		default:
-			dst[i] = int8(f - 0.5)
+			dst[i] = int8(f - 0.5) // a NaN f lands here, and converts to 0
 		}
 	}
 }
 
 // MaxAbs returns max(|s[i]|), the calibration statistic behind every
-// activation scale.
+// activation scale: +0 for an empty slice, and NaNs are passed over.
 func MaxAbs(s []float32) float32 {
 	var m float32
+	if n := len(s) &^ 7; haveAVX2 && n > 0 {
+		m = maxAbsAVX2(&s[0], n)
+		s = s[n:]
+	}
 	for _, v := range s {
 		if v < 0 {
 			v = -v

@@ -308,3 +308,21 @@ func BenchmarkGemmSmall(b *testing.B)  { benchmarkGemm(b, 32, 64, 64) }    // be
 func BenchmarkGemmMedium(b *testing.B) { benchmarkGemm(b, 128, 256, 196) } // conv-like column GEMM
 func BenchmarkGemmLarge(b *testing.B)  { benchmarkGemm(b, 256, 512, 512) } // parallel path
 func BenchmarkGemv(b *testing.B)       { benchmarkGemm(b, 1024, 1024, 1) } // FC path
+
+// BenchmarkGemmI8Large times the packed int8 GEMM at BenchmarkGemmLarge's
+// shape, the shape the benchmark program's tensor.gemm_int8_gops uses.
+func BenchmarkGemmI8Large(b *testing.B) {
+	m, k, n := 256, 512, 512
+	a := make([]int8, m*k)
+	bb := make([]int8, k*n)
+	fillRandI8(a, 1)
+	fillRandI8(bb, 2)
+	pa := PackAI8(a, m, k, k)
+	dst := make([]int32, m*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmPackedI8(dst, pa, bb, n, n)
+	}
+	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
+}

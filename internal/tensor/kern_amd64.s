@@ -149,126 +149,272 @@ fstore:
 	VZEROUPPER
 	RET
 
-// func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int8, kc int)
+// I8STEP is one (p, p+1) pair step of the 4x8 int8 tile: the B sliver's
+// eight column pairs in one load, each A row's pair one dword broadcast
+// from memory, and vpmaddwd the exact two-product int32 partial sum per
+// column, added into that row's accumulator (Y0-Y3).
+#define I8STEP(aoff, boff, b) \
+	VMOVDQU boff(R9), b \
+	VPBROADCASTD aoff(R8), Y5 \
+	VPMADDWD b, Y5, Y5 \
+	VPADDD Y5, Y0, Y0 \
+	VPBROADCASTD aoff+4(R8), Y6 \
+	VPMADDWD b, Y6, Y6 \
+	VPADDD Y6, Y1, Y1 \
+	VPBROADCASTD aoff+8(R8), Y7 \
+	VPMADDWD b, Y7, Y7 \
+	VPADDD Y7, Y2, Y2 \
+	VPBROADCASTD aoff+12(R8), Y8 \
+	VPMADDWD b, Y8, Y8 \
+	VPADDD Y8, Y3, Y3
+
+// func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int16, pairs, panels int)
 //
-// Int8 4x8 tile with int32 accumulators in Y0-Y3. k steps are consumed
-// two at a time: the two packed B rows widen to int16 and interleave so
-// each int32 lane holds one column's (p, p+1) pair, each A row's pair
-// assembles into one broadcast dword, and vpmaddwd produces the exact
-// two-product int32 partial sum per column. Integer arithmetic is exact,
-// so pairing changes nothing: results equal the scalar kernel's.
-TEXT ·kern4x8I8AVX2(SB), NOSPLIT, $0-40
+// Int8 4x8 tiles with int32 accumulators in Y0-Y3, over panels in pair
+// layout (see PackedAI8 and widenPairs): panels consecutive A panels of
+// pairs pairs each, against one B sliver, into the 4-row dst tiles one under
+// the other. Integer arithmetic is exact, so the results equal the scalar
+// kernel's. Steps run two to an iteration, then an odd last one.
+TEXT ·kern4x8I8AVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), SI
 	SHLQ $2, SI
 	MOVQ ap+16(FP), R8
-	MOVQ bp+24(FP), R9
-	MOVQ kc+32(FP), R11
+	MOVQ pairs+32(FP), CX
+	MOVQ panels+40(FP), R11
 
+ipanel:
+	MOVQ bp+24(FP), R9
 	LEAQ (DI)(SI*2), R10
 	VMOVDQU (DI), Y0
 	VMOVDQU (DI)(SI*1), Y1
 	VMOVDQU (R10), Y2
 	VMOVDQU (R10)(SI*1), Y3
 
-	MOVQ R11, DX
+	MOVQ CX, DX
 	SHRQ $1, DX
-	JZ   itail
-
-ipair:
-	VPMOVSXBW (R9), X5          // b row p   -> 8 x int16
-	VPMOVSXBW 8(R9), X6         // b row p+1 -> 8 x int16
-	VPUNPCKLWD X6, X5, X7       // cols 0-3 as (p, p+1) int16 pairs
-	VPUNPCKHWD X6, X5, X8       // cols 4-7
-	VINSERTI128 $1, X8, Y7, Y7  // all 8 column pairs in one YMM
-
-	MOVBLSX 0(R8), AX           // row 0 pair: a[0][p] | a[0][p+1]<<16
-	MOVBLSX 4(R8), BX
-	SHLL $16, BX
-	ANDL $0xFFFF, AX
-	ORL  BX, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y0, Y0
-
-	MOVBLSX 1(R8), AX
-	MOVBLSX 5(R8), BX
-	SHLL $16, BX
-	ANDL $0xFFFF, AX
-	ORL  BX, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y1, Y1
-
-	MOVBLSX 2(R8), AX
-	MOVBLSX 6(R8), BX
-	SHLL $16, BX
-	ANDL $0xFFFF, AX
-	ORL  BX, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y2, Y2
-
-	MOVBLSX 3(R8), AX
-	MOVBLSX 7(R8), BX
-	SHLL $16, BX
-	ANDL $0xFFFF, AX
-	ORL  BX, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y3, Y3
-
-	ADDQ $8, R8
-	ADDQ $16, R9
+	JZ   ione
+itwo:
+	I8STEP(0, 0, Y4)
+	I8STEP(16, 32, Y9)
+	ADDQ $32, R8
+	ADDQ $64, R9
 	DECQ DX
-	JNZ  ipair
+	JNZ  itwo
 
-itail:
-	ANDQ $1, R11                // odd trailing k step: pair partner is 0
-	JZ   idone
-	VPMOVSXBW (R9), X5
-	VPXOR X6, X6, X6
-	VPUNPCKLWD X6, X5, X7
-	VPUNPCKHWD X6, X5, X8
-	VINSERTI128 $1, X8, Y7, Y7
+ione:
+	TESTQ $1, CX
+	JZ   istore
+	I8STEP(0, 0, Y4)
+	ADDQ $16, R8
 
-	MOVBLSX 0(R8), AX
-	ANDL $0xFFFF, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y0, Y0
-
-	MOVBLSX 1(R8), AX
-	ANDL $0xFFFF, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y1, Y1
-
-	MOVBLSX 2(R8), AX
-	ANDL $0xFFFF, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y2, Y2
-
-	MOVBLSX 3(R8), AX
-	ANDL $0xFFFF, AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4
-	VPMADDWD Y7, Y4, Y5
-	VPADDD Y5, Y3, Y3
-
-idone:
+istore:
 	VMOVDQU Y0, (DI)
 	VMOVDQU Y1, (DI)(SI*1)
 	VMOVDQU Y2, (R10)
 	VMOVDQU Y3, (R10)(SI*1)
+	LEAQ (R10)(SI*2), DI        // next tile: four rows down
+	DECQ R11
+	JNZ  ipanel
+	VZEROUPPER
+	RET
+
+// func widenPairsAVX2(dst *int16, src *int8, kc int)
+//
+// widenPairs' vector body: two int8 sliver rows sign-extend to int16 and
+// interleave word by word, so column c's (p, p+1) pair lands in dword c. An
+// odd last row interleaves with zeros. Only 128-bit VEX operations: the
+// upper YMM state stays clean.
+TEXT ·widenPairsAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ kc+16(FP), CX
+
+	MOVQ CX, DX
+	SHRQ $1, DX
+	JZ   wone
+
+wtwo:
+	VPMOVSXBW (SI), X0          // row p   -> 8 x int16
+	VPMOVSXBW 8(SI), X1         // row p+1 -> 8 x int16
+	VPUNPCKLWD X1, X0, X2       // columns 0-3 as (p, p+1) pairs
+	VPUNPCKHWD X1, X0, X3       // columns 4-7
+	VMOVDQU X2, (DI)
+	VMOVDQU X3, 16(DI)
+	ADDQ $16, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  wtwo
+
+wone:
+	ANDQ $1, CX
+	JZ   wdone
+	VPMOVSXBW (SI), X0
+	VPXOR X1, X1, X1
+	VPUNPCKLWD X1, X0, X2
+	VPUNPCKHWD X1, X0, X3
+	VMOVDQU X2, (DI)
+	VMOVDQU X3, 16(DI)
+
+wdone:
+	RET
+
+// QSTEP takes eight values at off(SI) through Quantize's rule up to the
+// int32 conversion, leaving them in r: f = v*inv is one vmulps, as the
+// scalar f := v * inv is one rounded multiply; t = f + copysign(0.5, f) is
+// the scalar's f+0.5 or f-0.5 — only -0 takes the other sign, and -0.5
+// truncates to 0 as +0.5 does. t clamps to [-127, 127] with the constant as
+// the first source, so a NaN — the second source — passes through both; for
+// f >= 127 t >= 127.5 and for f <= -127 t <= -127.5, so the clamp is exactly
+// the scalar's two saturating arms, ±Inf included. vcvttps2dq truncates
+// toward zero like the int8 conversion and turns a NaN into INT32_MIN, which
+// the saturating packs carry to -128, a byte no other value can reach.
+#define QSTEP(off, r) \
+	VMULPS off(SI), Y8, r \
+	VANDPS Y9, r, Y4 \
+	VORPS Y10, Y4, Y4 \
+	VADDPS Y4, r, r \
+	VMAXPS r, Y12, r \
+	VMINPS r, Y11, r \
+	VCVTTPS2DQ r, r
+
+// Dword order that undoes the lane interleave of vpackssdw + vpacksswb on
+// four YMMs of int32: bytes 0-3 of each input sit in lane 0, 4-7 in lane 1.
+DATA qperm<>+0(SB)/4, $0
+DATA qperm<>+4(SB)/4, $4
+DATA qperm<>+8(SB)/4, $1
+DATA qperm<>+12(SB)/4, $5
+DATA qperm<>+16(SB)/4, $2
+DATA qperm<>+20(SB)/4, $6
+DATA qperm<>+24(SB)/4, $3
+DATA qperm<>+28(SB)/4, $7
+GLOBL qperm<>(SB), RODATA|NOPTR, $32
+
+// func quantizeAVX2(dst *int8, src *float32, n int, inv float32)
+//
+// Quantize's rule (see QSTEP) over n values, n a positive multiple of 8:
+// 32 at a time, then 8 at a time. A -128 byte is a NaN and is written as 0,
+// the scalar's int8(NaN - 0.5) on every Go target.
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-28
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y8
+	MOVL $0x80000000, AX        // sign bit
+	VMOVD AX, X9
+	VPBROADCASTD X9, Y9
+	MOVL $0x3f000000, AX        // 0.5
+	VMOVD AX, X10
+	VPBROADCASTD X10, Y10
+	MOVL $0x42fe0000, AX        // 127
+	VMOVD AX, X11
+	VPBROADCASTD X11, Y11
+	MOVL $0xc2fe0000, AX        // -127
+	VMOVD AX, X12
+	VPBROADCASTD X12, Y12
+	MOVL $0x80808080, AX        // -128 bytes
+	VMOVD AX, X7
+	VPBROADCASTD X7, Y7
+	VMOVDQU qperm<>(SB), Y13
+
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   qone
+q32:
+	QSTEP(0, Y0)
+	QSTEP(32, Y1)
+	QSTEP(64, Y2)
+	QSTEP(96, Y3)
+	VPACKSSDW Y1, Y0, Y0
+	VPACKSSDW Y3, Y2, Y2
+	VPACKSSWB Y2, Y0, Y0
+	VPERMD Y0, Y13, Y0          // 32 x int8, in order
+	VPCMPEQB Y7, Y0, Y1
+	VPANDN Y0, Y1, Y0           // NaN -> 0
+	VMOVDQU Y0, (DI)
+	ADDQ $128, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  q32
+
+qone:
+	ANDQ $31, CX
+	SHRQ $3, CX
+	JZ   qdone
+q8:
+	QSTEP(0, Y0)
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW X1, X0, X0        // 8 x int16, in order
+	VPACKSSWB X0, X0, X0        // 8 x int8 in the low quadword
+	VPCMPEQB X7, X0, X1
+	VPANDN X0, X1, X0
+	VMOVQ X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  q8
+
+qdone:
+	VZEROUPPER
+	RET
+
+// func maxAbsAVX2(s *float32, n int) float32
+//
+// MaxAbs over n values, n a positive multiple of 8. |v| clears the sign
+// bit, so every lane holds +0, a positive number, +Inf or a NaN; vmaxps(|v|,
+// acc) — |v| the first source — keeps acc unless |v| is strictly greater, so
+// a NaN is passed over as the scalar's `if v > m` passes it. Among values
+// with no NaN and no -0 the maximum is the same in any order, so four
+// accumulators and a lane reduction return the scalar loop's bits.
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-20
+	MOVQ s+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVL $0x7fffffff, AX
+	VMOVD AX, X8
+	VPBROADCASTD X8, Y8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   mone
+mfour:
+	VANDPS (SI), Y8, Y4
+	VMAXPS Y0, Y4, Y0
+	VANDPS 32(SI), Y8, Y5
+	VMAXPS Y1, Y5, Y1
+	VANDPS 64(SI), Y8, Y6
+	VMAXPS Y2, Y6, Y2
+	VANDPS 96(SI), Y8, Y7
+	VMAXPS Y3, Y7, Y3
+	ADDQ $128, SI
+	DECQ DX
+	JNZ  mfour
+
+mone:
+	ANDQ $31, CX
+	SHRQ $3, CX
+	JZ   mreduce
+mloop:
+	VANDPS (SI), Y8, Y4
+	VMAXPS Y0, Y4, Y0
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  mloop
+
+mreduce:
+	VMAXPS Y1, Y0, Y0
+	VMAXPS Y3, Y2, Y2
+	VMAXPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS X1, X0, X0
+	VPERMILPS $0x4E, X0, X1
+	VMAXPS X1, X0, X0
+	VPERMILPS $0xB1, X0, X1
+	VMAXPS X1, X0, X0
+	VMOVSS X0, ret+16(FP)
 	VZEROUPPER
 	RET
 

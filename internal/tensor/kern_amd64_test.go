@@ -11,12 +11,12 @@ import (
 // scalar oracles on raw packed panels: the float32 kernel must be
 // bit-identical (same mul/add sequence per element), the int8 kernel
 // exactly equal (int32 arithmetic is exact). Odd and even kc exercise
-// the unrolled pair loop and the trailing step. The float32 kernel runs
+// the unrolled loops and their trailing steps. The float32 kernel runs
 // the whole epilogue matrix — accumulators started from the bias or loaded
 // from dst, clamped or not — on a tile whose sums come out negative,
 // positive, -0 (-0 weights against a positive column, under a -0 bias or a
 // -0 dst) and NaN, so the clamp's v<0 -> +0, -0 -> -0, NaN -> NaN rule is
-// part of the pin.
+// part of the pin. The int8 half is checkKernI8Pairs.
 func TestKernAVXMatchesScalar(t *testing.T) {
 	if !haveAVX {
 		t.Skip("no AVX on this machine")
@@ -70,28 +70,76 @@ func TestKernAVXMatchesScalar(t *testing.T) {
 			}
 		}
 
-		if !haveAVX2 {
-			continue
+		if haveAVX2 {
+			checkKernI8Pairs(t, kc)
 		}
-		api := make([]int8, packMR*kc)
-		bpi := make([]int8, packNR*kc)
-		for i := range api {
-			api[i] = int8(i*37 + 11)
+	}
+}
+
+// checkKernI8Pairs pins the int8 assembly to the portable code on panels
+// built the way gemmI8Cols builds them — PackAI8 for A, packBBlock then
+// widenPairs for B — at depth kc: tiles with fewer than MR rows or NR
+// columns (zero padding), an odd kc's zero partners, and columns of two and
+// three tiles in one call. Both widenings must write the same sliver, both
+// kernels the same int32 tiles, and their valid corner must be the naive
+// sum added to what dst held. The operands span the whole int8 range,
+// -128 included.
+func checkKernI8Pairs(t *testing.T, kc int) {
+	t.Helper()
+	defer func(avx2 bool) { haveAVX2 = avx2 }(haveAVX2)
+	for _, sh := range [][2]int{{packMR, packNR}, {3, 5}, {1, packNR}, {packMR, 1}, {2 * packMR, packNR}, {11, 6}} {
+		m, nc := sh[0], sh[1]
+		a := make([]int8, m*kc)
+		b := make([]int8, kc*nc)
+		for i := range a {
+			a[i] = int8(i*37 + 11)
 		}
-		for i := range bpi {
-			bpi[i] = int8(i*53 + 29)
+		for i := range b {
+			b[i] = int8(i*53 + 29)
 		}
-		refI := make([]int32, packMR*ldd)
-		gotI := make([]int32, packMR*ldd)
+		a[0], b[len(b)-1] = -128, -128
+		panels := (m + packMR - 1) / packMR
+		apan := PackAI8(a, m, kc, kc).panels(0, 0, kc, panels)
+		bi8 := make([]int8, kc*packNR)
+		packBBlock(bi8, b, nc, 0, kc, 0, nc)
+		wideRef := make([]int16, pairDepth(kc)*packNR)
+		wideGot := make([]int16, len(wideRef))
+		haveAVX2 = false
+		widenPairs(wideRef, bi8, kc)
+		haveAVX2 = true
+		widenPairs(wideGot, bi8, kc)
+		for i := range wideRef {
+			if wideRef[i] != wideGot[i] {
+				t.Fatalf("kc=%d %dx%d: widened sliver diverges at %d: %d vs %d", kc, m, nc, i, wideRef[i], wideGot[i])
+			}
+		}
+		const ldd = packNR + 3 // non-contiguous rows, like a dst sub-tile
+		refI := make([]int32, panels*packMR*ldd)
+		gotI := make([]int32, len(refI))
 		for i := range refI {
 			refI[i] = int32(i) - 40
 		}
+		start := append([]int32(nil), refI...)
 		copy(gotI, refI)
-		kern4x8i8(refI[0:], refI[ldd:], refI[2*ldd:], refI[3*ldd:], api, bpi, kc)
-		kern4x8I8AVX2(&gotI[0], ldd, &api[0], &bpi[0], kc)
+		pairs := pairDepth(kc) / 2
+		haveAVX2 = false
+		kernTilesI8(refI, ldd, apan, wideRef, pairs, panels)
+		haveAVX2 = true
+		kernTilesI8(gotI, ldd, apan, wideGot, pairs, panels)
 		for i := range refI {
 			if refI[i] != gotI[i] {
-				t.Fatalf("kc=%d: int8 kernel diverges at %d: %d vs %d", kc, i, refI[i], gotI[i])
+				t.Fatalf("kc=%d %dx%d: int8 kernel diverges at %d: %d vs %d", kc, m, nc, i, refI[i], gotI[i])
+			}
+		}
+		for r := 0; r < m; r++ {
+			for c := 0; c < nc; c++ {
+				want := start[r*ldd+c]
+				for p := 0; p < kc; p++ {
+					want += int32(a[r*kc+p]) * int32(b[p*nc+c])
+				}
+				if got := refI[r*ldd+c]; got != want {
+					t.Fatalf("kc=%d %dx%d: output (%d,%d) = %d, naive %d", kc, m, nc, r, c, got, want)
+				}
 			}
 		}
 	}
@@ -104,4 +152,24 @@ func TestRaggedTilesPortableKernels(t *testing.T) {
 	defer func(avx, avx2 bool) { haveAVX, haveAVX2 = avx, avx2 }(haveAVX, haveAVX2)
 	haveAVX, haveAVX2 = false, false
 	checkRaggedTiles(t)
+}
+
+// BenchmarkKernI8 times the int8 micro-kernel alone: one 4x8 tile over a
+// KC-deep A panel and B sliver, both resident in L1.
+func BenchmarkKernI8(b *testing.B) {
+	if !haveAVX2 {
+		b.Skip("no AVX2 on this machine")
+	}
+	a := make([]int8, packMR*packKC)
+	bb := make([]int8, packKC*packNR)
+	fillRandI8(a, 1)
+	fillRandI8(bb, 2)
+	apan := PackAI8(a, packMR, packKC, packKC).panels(0, 0, packKC, 1)
+	wide := make([]int16, packKC*packNR)
+	widenPairs(wide, bb, packKC)
+	var dst [packMR * packNR]int32
+	for i := 0; i < b.N; i++ {
+		kern4x8I8AVX2(&dst[0], packNR, &apan[0], &wide[0], packKC/2, 1)
+	}
+	b.ReportMetric(float64(packMR*packNR*packKC)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }

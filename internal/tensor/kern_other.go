@@ -23,6 +23,18 @@ func maxPool3x3S2AVX(dst, src *float32, w, n int) {
 	panic("tensor: maxPool3x3S2AVX called without AVX support")
 }
 
-func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int8, kc int) {
+func kern4x8I8AVX2(dst *int32, ldd int, ap, bp *int16, pairs, panels int) {
 	panic("tensor: kern4x8I8AVX2 called without AVX2 support")
+}
+
+func widenPairsAVX2(dst *int16, src *int8, kc int) {
+	panic("tensor: widenPairsAVX2 called without AVX2 support")
+}
+
+func quantizeAVX2(dst *int8, src *float32, n int, inv float32) {
+	panic("tensor: quantizeAVX2 called without AVX2 support")
+}
+
+func maxAbsAVX2(s *float32, n int) float32 {
+	panic("tensor: maxAbsAVX2 called without AVX2 support")
 }

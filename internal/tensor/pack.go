@@ -351,9 +351,18 @@ func packTapRows[T float32 | int8](dst, src []T, p *tapPatterns, taps, nextChan,
 // PackedAI8 is PackedA for int8 operands: the quantized path packs
 // per-channel-quantized weights once at plan compile time and reuses them
 // for every forward pass.
+//
+// The int8 panels are stored in pair layout, widened to int16: k indices
+// are taken two at a time, and for each pair (p, p+1) the panel holds row
+// r's two values adjacent, rows in order — MR x 2 int16, 16 bytes per pair.
+// One row's pair is then one dword, which the micro-kernel broadcasts
+// straight from memory and multiplies against a B pair sliver (widenPairs)
+// with a single multiply-add of int16 pairs into int32 lanes. A block of odd
+// depth gives its last index a zero partner. The widened panels take twice
+// the bytes of int8 ones; they are built once, when the plan is armed.
 type PackedAI8 struct {
 	m, k int
-	data []int8
+	data []int16
 }
 
 func (pa *PackedAI8) blockOff(bIdx int) int {
@@ -361,16 +370,36 @@ func (pa *PackedAI8) blockOff(bIdx int) int {
 	return bIdx * panels * packMR * packKC
 }
 
-func (pa *PackedAI8) panel(bIdx, i0, kc int) []int8 {
-	off := pa.blockOff(bIdx) + (i0/packMR)*packMR*kc
-	return pa.data[off : off+packMR*kc]
+// panels returns count consecutive pair-layout panels, from the one of
+// rows [i0, i0+MR), within KC block bIdx, whose depth is kc: each is
+// pairDepth(kc)/2 pairs of MR x 2 values.
+func (pa *PackedAI8) panels(bIdx, i0, kc, count int) []int16 {
+	n := packMR * pairDepth(kc)
+	off := pa.blockOff(bIdx) + (i0/packMR)*n
+	return pa.data[off : off+count*n]
 }
 
-// PackAI8 packs int8 matrix a (row stride lda >= k) into MR-interleaved
-// panels, mirroring PackA.
+// pairDepth is kc rounded up to whole (p, p+1) pairs. Every block but the
+// last has depth KC, which is even, so only the last can grow.
+func pairDepth(kc int) int { return kc + kc&1 }
+
+// PackAI8 packs int8 matrix a (row stride lda >= k) into MR-row panels in
+// the pair layout, KC-blocked as PackA blocks.
 func PackAI8(a []int8, m, k, lda int) *PackedAI8 {
-	pa := &PackedAI8{m: m, k: k, data: make([]int8, PackedALen(m, k))}
-	fillPanels(pa.data, a, m, k, lda)
+	panels := (m + packMR - 1) / packMR
+	pa := &PackedAI8{m: m, k: k, data: make([]int16, panels*packMR*pairDepth(k))}
+	for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
+		kc := min(packKC, k-pc)
+		for i0 := 0; i0 < m; i0 += packMR {
+			pan := pa.panels(bIdx, i0, kc, 1)
+			for r := 0; r < packMR && i0+r < m; r++ {
+				row := a[(i0+r)*lda+pc : (i0+r)*lda+pc+kc]
+				for p, v := range row {
+					pan[(p/2)*2*packMR+2*r+p%2] = int16(v)
+				}
+			}
+		}
+	}
 	return pa
 }
 
@@ -383,13 +412,39 @@ func (pa *PackedAI8) UnpackA() []int8 {
 	for bIdx, pc := 0, 0; pc < pa.k; bIdx, pc = bIdx+1, pc+packKC {
 		kc := min(packKC, pa.k-pc)
 		for i0 := 0; i0 < pa.m; i0 += packMR {
-			pan := pa.panel(bIdx, i0, kc)
+			pan := pa.panels(bIdx, i0, kc, 1)
 			for p := 0; p < kc; p++ {
 				for r := 0; r < packMR && i0+r < pa.m; r++ {
-					out[(i0+r)*pa.k+pc+p] = pan[p*packMR+r]
+					out[(i0+r)*pa.k+pc+p] = int8(pan[(p/2)*2*packMR+2*r+p%2])
 				}
 			}
 		}
 	}
 	return out
+}
+
+// widenPairs writes the kc-row int8 B sliver src (kc rows of NR values,
+// as packBBlock and packBConv lay it out) into dst in pair layout: for each
+// pair of rows (p, p+1), column c's two values adjacent, columns in order —
+// NR x 2 int16, 32 bytes per pair, a zero partner after an odd last row.
+// Each sliver is widened once per B block and reused by every A panel.
+func widenPairs(dst []int16, src []int8, kc int) {
+	src, dst = src[:kc*packNR], dst[:pairDepth(kc)*packNR]
+	if haveAVX2 {
+		widenPairsAVX2(&dst[0], &src[0], kc)
+		return
+	}
+	for ; len(src) >= 2*packNR; src, dst = src[2*packNR:], dst[2*packNR:] {
+		d := (*[2 * packNR]int16)(dst)
+		r0, r1 := (*[packNR]int8)(src), (*[packNR]int8)(src[packNR:])
+		for c := range r0 {
+			d[2*c], d[2*c+1] = int16(r0[c]), int16(r1[c])
+		}
+	}
+	if len(src) > 0 {
+		d := (*[2 * packNR]int16)(dst)
+		for c, v := range (*[packNR]int8)(src) {
+			d[2*c], d[2*c+1] = int16(v), 0
+		}
+	}
 }
