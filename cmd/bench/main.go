@@ -24,8 +24,8 @@
 // experiment writes BENCH_pipeline.json with per-policy latency
 // percentiles and the chain/local decision mix per sweep cell.
 //
-// The load experiment takes the scheduler knobs -workers, -queue and
-// -batch, mirroring cmd/edged's flags. The fleet experiment takes
+// The load experiment takes the scheduler knobs -workers and -queue,
+// mirroring cmd/edged's flags. The fleet experiment takes
 // -fleet-clients, the number of roaming closed-loop sessions per cell.
 package main
 
@@ -50,7 +50,6 @@ func main() {
 	var lc sim.LoadConfig
 	flag.IntVar(&lc.Workers, "workers", 0, "load experiment: scheduler worker count (0 = default)")
 	flag.IntVar(&lc.QueueDepth, "queue", 0, "load experiment: admission queue depth (0 = default)")
-	flag.IntVar(&lc.MaxBatch, "batch", 8, "load experiment: max coalesced batch size")
 	flag.IntVar(&fleetClients, "fleet-clients", fleetClients, "fleet experiment: closed-loop sessions per cell")
 	flag.IntVar(&pipelineRequests, "pipeline-requests", pipelineRequests, "pipeline experiment: simulated requests per sweep cell")
 	flag.Parse()
@@ -280,25 +279,15 @@ func sweep(w io.Writer) error {
 var loadClients = []int{1, 2, 4, 8, 16, 32, 64}
 
 func load(w io.Writer, lc sim.LoadConfig) error {
-	if lc.MaxBatch < 1 {
-		lc.MaxBatch = 1
-	}
 	pts, err := sim.LoadSweep("googlenet", loadClients, lc)
 	if err != nil {
 		return err
 	}
-	base := lc
-	base.MaxBatch = 1
-	basePts, err := sim.LoadSweep("googlenet", loadClients, base)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Load sweep: concurrent partial-offload clients, GoogLeNet @ %s (batch=%d vs batch=1)\n",
-		sim.PartialPointUsed, lc.MaxBatch)
-	fmt.Fprintln(w, "Clients\tOffloaded/s\tOffloaded/s (batch=1)\tTotal/s\tp50 (s)\tp99 (s)\tFallback %")
-	for i, p := range pts {
-		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%.2f\t%s\t%s\t%.0f\n",
-			p.Clients, p.OffloadedThroughput, basePts[i].OffloadedThroughput,
+	fmt.Fprintf(w, "Load sweep: concurrent partial-offload clients, GoogLeNet @ %s\n", sim.PartialPointUsed)
+	fmt.Fprintln(w, "Clients\tOffloaded/s\tTotal/s\tp50 (s)\tp99 (s)\tFallback %")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%d\t%.2f\t%.2f\t%s\t%s\t%.0f\n",
+			p.Clients, p.OffloadedThroughput,
 			p.Throughput, secs(p.P50), secs(p.P99), 100*p.FallbackRate())
 	}
 	fmt.Fprintln(w)

@@ -35,7 +35,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.experiment, func(t *testing.T) {
 			var sb strings.Builder
-			if err := run(tt.experiment, "table", sim.LoadConfig{MaxBatch: 8}, &sb); err != nil {
+			if err := run(tt.experiment, "table", sim.LoadConfig{}, &sb); err != nil {
 				t.Fatalf("run(%s): %v", tt.experiment, err)
 			}
 			out := sb.String()
@@ -242,7 +242,7 @@ func TestRunAll(t *testing.T) {
 		pipelineJSONFile, pipelineRequests = oldPipeline, oldPipelineReq
 	}()
 	var sb strings.Builder
-	if err := run("all", "table", sim.LoadConfig{MaxBatch: 8}, &sb); err != nil {
+	if err := run("all", "table", sim.LoadConfig{}, &sb); err != nil {
 		t.Fatalf("run(all): %v", err)
 	}
 	for _, want := range []string{"Figure 1", "Figure 6", "Figure 7", "Figure 8", "Table 1", "Engine comparison", "partition points", "Fleet sweep", "Mux sweep", "Pipeline sweep"} {

@@ -60,7 +60,7 @@ func muxExp(w io.Writer) error {
 	}
 	srv, err := edge.NewServer(edge.Config{
 		Catalog: cat, Installed: true,
-		Workers: 4, QueueDepth: 4 * 64, MaxBatch: 8,
+		Workers: 4, QueueDepth: 4 * 64,
 	})
 	if err != nil {
 		return err

@@ -66,10 +66,6 @@ func main() {
 			"scheduler worker-pool size (concurrent snapshot executions)")
 		queue = flag.Int("queue", 0,
 			"scheduler admission-queue depth (0 = default)")
-		batch = flag.Int("batch", 1,
-			"max snapshot sessions coalesced into one batched forward pass (1 = no batching)")
-		batchWindow = flag.Duration("batch-window", 0,
-			"how long a worker holds an under-filled batch open (0 = batch only queued backlog)")
 		block = flag.Bool("queue-block", false,
 			"block full-queue submissions up to -queue-wait instead of rejecting them")
 		queueWait = flag.Duration("queue-wait", 0,
@@ -101,8 +97,7 @@ func main() {
 	)
 	flag.Parse()
 	sc := schedConfig{
-		workers: *workers, queue: *queue, batch: *batch,
-		batchWindow: *batchWindow, block: *block, queueWait: *queueWait,
+		workers: *workers, queue: *queue, block: *block, queueWait: *queueWait,
 		maxQueueBytes: *maxQueueBytes,
 	}
 	fc := fleetConfig{registry: *registry, advertise: *advertise, ttl: *registryTTL}
@@ -119,10 +114,10 @@ func main() {
 
 // schedConfig bundles the scheduler flags.
 type schedConfig struct {
-	workers, queue, batch  int
-	batchWindow, queueWait time.Duration
-	block                  bool
-	maxQueueBytes          int64
+	workers, queue int
+	queueWait      time.Duration
+	block          bool
+	maxQueueBytes  int64
 }
 
 // fleetConfig bundles the fleet flags.
@@ -192,7 +187,6 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 		Catalog: catalog, Installed: !onDemand, ModelDir: modelDir, Logger: logger,
 		MaxConns: maxConns, IdleTimeout: idle, TransferTimeout: transfer,
 		Workers: sc.workers, QueueDepth: sc.queue,
-		MaxBatch: sc.batch, BatchWindow: sc.batchWindow,
 		QueueWait: sc.queueWait, MaxQueueBytes: sc.maxQueueBytes,
 		MaxStoreBytes: bc.storeBytes, MaxStreams: bc.streams,
 	}

@@ -146,7 +146,7 @@ func TestMetricsEndpointsOneFormat(t *testing.T) {
 		handler http.Handler
 		family  string // one family the endpoint must carry
 	}{
-		{"edged", srv.MetricsHandler(), "websnap_sched_batched_tasks_total"},
+		{"edged", srv.MetricsHandler(), "websnap_sched_executed_total"},
 		{"fleetd", metricsHandler(fleetMetrics, testFleetSnapshot), "websnap_rollup_servers"},
 		{"offload", obs.MetricsHandler(func() *obs.Registry { return clientMetrics }), "websnap_client_prediction_error_ratio"},
 	}

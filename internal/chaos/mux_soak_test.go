@@ -36,7 +36,7 @@ const muxSoakSessions = 64
 
 // muxServer is soakServer scaled for 64 concurrent streams: queue depth
 // beyond the stream count, so admission rejections don't dominate, while
-// workers stay scarce enough that batching and contention are real.
+// workers stay scarce enough that contention is real.
 func muxServer(t *testing.T) (*edge.Server, string) {
 	t.Helper()
 	srv, err := edge.NewServer(edge.Config{
@@ -44,7 +44,6 @@ func muxServer(t *testing.T) (*edge.Server, string) {
 		Installed:       true,
 		Workers:         4,
 		QueueDepth:      2 * muxSoakSessions,
-		MaxBatch:        8,
 		IdleTimeout:     10 * time.Second,
 		TransferTimeout: 2 * time.Second,
 	})
@@ -317,7 +316,6 @@ func TestBoundedStoreSoak(t *testing.T) {
 		Installed:       true,
 		Workers:         4,
 		QueueDepth:      2 * muxSoakSessions,
-		MaxBatch:        8,
 		MaxStoreBytes:   capBytes,
 		AdvertiseAddr:   ln.Addr().String(),
 		IdleTimeout:     10 * time.Second,

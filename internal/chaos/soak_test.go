@@ -72,7 +72,7 @@ func sessionSeed(base int64, i int) int64 {
 }
 
 // soakServer starts an installed edge server sized to see real contention
-// and batching under the soak's concurrency.
+// under the soak's concurrency.
 func soakServer(t *testing.T) (*edge.Server, string) {
 	t.Helper()
 	cat := webapp.NewCatalog()
@@ -87,7 +87,6 @@ func soakServer(t *testing.T) (*edge.Server, string) {
 		Installed:       true,
 		Workers:         3,
 		QueueDepth:      8,
-		MaxBatch:        4,
 		IdleTimeout:     10 * time.Second,
 		TransferTimeout: 2 * time.Second,
 	})

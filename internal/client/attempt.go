@@ -47,8 +47,6 @@ type Outcome struct {
 	// for attempts that failed after the request was stamped, so the
 	// decision of a fallen-back request still joins the failed trace.
 	TraceID string
-	// BatchSize is the server-side batch the request executed in.
-	BatchSize int
 	// WireEncoding is the form the request body travelled in, and
 	// UplinkBytesPerSec the link estimate that form was chosen from (zero:
 	// nothing measured yet).
@@ -102,7 +100,7 @@ func (f Funnel) Do(next func(failed error) *Placement) (obs.Decision, error) {
 		if err == nil {
 			d.Path, d.Reason = p.Path, p.Reason
 			d.SplitLabel, d.Predicted = p.SplitLabel, p.Predicted
-			d.BatchSize, d.Measured = out.BatchSize, time.Since(start)
+			d.Measured = time.Since(start)
 			break
 		}
 		failed = err

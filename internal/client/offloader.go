@@ -631,7 +631,6 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	o.stats.LastTiming = timing
 	o.stats.LastTrace = tr
 	o.mu.Unlock()
-	out.BatchSize = tr.BatchSize
 	return out, nil
 }
 
@@ -652,7 +651,6 @@ func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *
 		tr.Add(trace.StageQueue, time.Duration(st.QueueMicros)*time.Microsecond)
 		exec := st.DecodeMicros + st.ExecuteMicros + st.EncodeMicros
 		tr.Add(trace.StageExecute, time.Duration(exec)*time.Microsecond)
-		tr.BatchSize = st.BatchSize
 	}
 	tr.Add(trace.StageResultWire, down)
 	tr.Add(trace.StageRestore, restore)

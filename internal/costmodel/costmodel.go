@@ -36,16 +36,6 @@ type Device struct {
 	// (the paper's Fig 7 "Snapshot Capture/Restoration" bars).
 	SnapshotFixed       time.Duration
 	SnapshotBytesPerSec float64
-	// BatchMarginalCost is the relative compute cost of each additional
-	// sample in a batched forward pass: a batch of n costs
-	// 1 + (n-1)*BatchMarginalCost times one sample's compute. Batching
-	// amortizes per-layer weight streaming and dispatch across the batch
-	// (the same memory-reuse effect that makes im2col+GEMM convolution
-	// several times faster than naive loops), so marginal samples are
-	// cheaper than the first. Zero means "not calibrated" and is treated
-	// as 1.0 — batching gives no benefit — so single-request experiment
-	// results are unchanged.
-	BatchMarginalCost float64
 	// Int8Speedup is the throughput multiplier the quantized (int8)
 	// quality tier gains on the compute-heavy layer types (Conv,
 	// Inception, FC). Narrow arithmetic helps bandwidth-starved clients
@@ -103,10 +93,6 @@ var (
 		LayerOverhead:       200 * time.Microsecond,
 		SnapshotFixed:       15 * time.Millisecond,
 		SnapshotBytesPerSec: 400e6,
-		// Marginal batched samples reuse each layer's weights already
-		// resident in cache, so they cost ~60% of a cold pass on this
-		// memory-bandwidth-bound x86 profile.
-		BatchMarginalCost: 0.6,
 		// The x86 float path is already vectorized, so int8 gains less
 		// here than on the client — which is exactly why quantization
 		// shifts the optimal split toward the client (more layers become
@@ -187,36 +173,6 @@ func (d Device) RangeTimePrec(infos []nn.LayerInfo, from, to int, prec nn.Precis
 		total += t
 	}
 	return total, nil
-}
-
-// BatchRangeTime predicts the latency of one batched forward pass over
-// layers [from, to) with batch samples: per-layer dispatch overhead is paid
-// once, and samples beyond the first cost BatchMarginalCost of the first
-// sample's compute. With batch=1 it equals RangeTime.
-func (d Device) BatchRangeTime(infos []nn.LayerInfo, from, to, batch int) (time.Duration, error) {
-	return d.BatchRangeTimePrec(infos, from, to, batch, nn.PrecFloat32)
-}
-
-// BatchRangeTimePrec is BatchRangeTime at the given compute precision.
-func (d Device) BatchRangeTimePrec(infos []nn.LayerInfo, from, to, batch int, prec nn.Precision) (time.Duration, error) {
-	if batch < 1 {
-		return 0, fmt.Errorf("costmodel: device %q: batch %d < 1", d.Name, batch)
-	}
-	one, err := d.RangeTimePrec(infos, from, to, prec)
-	if err != nil {
-		return 0, err
-	}
-	if batch == 1 {
-		return one, nil
-	}
-	marginal := d.BatchMarginalCost
-	if marginal <= 0 || marginal > 1 {
-		marginal = 1
-	}
-	overhead := time.Duration(to-from) * d.LayerOverhead
-	compute := one - overhead
-	extra := time.Duration(float64(compute) * float64(batch-1) * marginal)
-	return one + extra, nil
 }
 
 // NetworkTime predicts the latency of a full forward pass of net.

@@ -153,52 +153,3 @@ func TestPaperCalibration(t *testing.T) {
 		t.Errorf("GoogLeNet server time = %v, want 0.5..10s", server)
 	}
 }
-
-func TestBatchRangeTime(t *testing.T) {
-	net, err := models.Build(models.AgeNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infos, err := net.Describe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ServerX86
-	one, err := d.RangeTime(infos, 0, len(infos))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := d.BatchRangeTime(infos, 0, len(infos), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1 != one {
-		t.Errorf("batch=1 time %v != RangeTime %v", b1, one)
-	}
-	b4, err := d.BatchRangeTime(infos, 0, len(infos), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b4 <= one {
-		t.Errorf("batch=4 time %v not greater than single %v", b4, one)
-	}
-	if b4 >= 4*one {
-		t.Errorf("batch=4 time %v should beat 4 sequential passes %v", b4, 4*one)
-	}
-	// A device with no calibration gets no batching benefit beyond
-	// amortized dispatch overhead.
-	plain := d
-	plain.BatchMarginalCost = 0
-	p4, err := plain.BatchRangeTime(infos, 0, len(infos), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overhead := time.Duration(len(infos)) * d.LayerOverhead
-	want := one + 3*(one-overhead)
-	if p4 != want {
-		t.Errorf("uncalibrated batch=4 = %v, want %v", p4, want)
-	}
-	if _, err := d.BatchRangeTime(infos, 0, len(infos), 0); err == nil {
-		t.Error("batch=0 should error")
-	}
-}

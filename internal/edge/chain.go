@@ -36,9 +36,7 @@ type chainError struct {
 func (e *chainError) Error() string { return e.err.Error() }
 func (e *chainError) Unwrap() error { return e.err }
 
-// chainWork is the scheduler payload of one chain hop's layer range; it
-// always rides a solo batch key (boundary tensors of distinct chains are
-// never coalescible).
+// chainWork is the scheduler payload of one chain hop's layer range.
 type chainWork struct {
 	net      *nn.Network
 	in       *tensor.Tensor
@@ -148,11 +146,11 @@ func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHe
 	return protocol.Encode(protocol.MsgChainResult, resp, down)
 }
 
-// scheduleChainRange runs one hop's layer range through the scheduler under
-// a solo key, so the client sees the same saturated-server signal as for a
-// snapshot offload.
+// scheduleChainRange runs one hop's layer range through the scheduler, so
+// the client sees the same saturated-server signal as for a snapshot
+// offload.
 func (s *Server) scheduleChainRange(model *nn.Network, in *tensor.Tensor, hop protocol.ChainHop) (*tensor.Tensor, time.Duration, time.Duration, error) {
-	task := sched.NewTask(s.soloKey(), &chainWork{net: model, in: in, from: hop.From, to: hop.To})
+	task := sched.NewTask("", &chainWork{net: model, in: in, from: hop.From, to: hop.To})
 	task.Bytes = int64(4 * in.Len())
 	v, err := s.runTask(task)
 	if err != nil {

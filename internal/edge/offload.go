@@ -5,13 +5,9 @@
 package edge
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"time"
 
 	"websnap/internal/obs"
@@ -78,7 +74,6 @@ type svcTiming struct {
 	decode time.Duration
 	queue  time.Duration
 	exec   time.Duration
-	batch  int
 	// encodeStart is stamped by the handler once the scheduler returns the
 	// result; snapshotResponse closes the span after any packing.
 	encodeStart time.Time
@@ -103,10 +98,9 @@ func (s *Server) runTask(task *sched.Task) (any, error) {
 
 // scheduleSnapshot runs one decoded snapshot session through the scheduler
 // and returns the captured post-execution state; on success tm receives the
-// task's queue wait, execution time (result capture included), and batch
-// size.
+// task's queue wait and execution time (result capture included).
 func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
-	task := sched.NewTask(s.batchKey(snap), snap)
+	task := sched.NewTask("", snap)
 	task.Bytes = size
 	v, err := s.runTask(task)
 	if err != nil {
@@ -114,90 +108,38 @@ func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size i
 	}
 	tm.queue = task.QueueWait()
 	tm.exec = task.ExecTime()
-	tm.batch = task.BatchSize()
 	return v.(*snapshot.Snapshot), nil
 }
 
-// execBatch is the scheduler's executor. A chain hop's layer range rides a
-// solo key, so it is always a batch of one; everything else is a batch of
-// snapshot sessions sharing one batch key.
-func (s *Server) execBatch(batch []*sched.Task) []sched.Result {
-	if p, ok := batch[0].Payload.(*chainWork); ok {
-		out, err := p.net.ForwardRange(p.in, p.from, p.to)
-		return []sched.Result{{Value: out, Err: err}}
+// execTask is the scheduler's executor: a chain hop's layer range, or one
+// snapshot session.
+func (s *Server) execTask(tasks []*sched.Task) []sched.Result {
+	var r sched.Result
+	if p, ok := tasks[0].Payload.(*chainWork); ok {
+		r.Value, r.Err = p.net.ForwardRange(p.in, p.from, p.to)
+	} else {
+		r.Value, r.Err = s.execute(tasks[0].Payload.(*snapshot.Snapshot))
 	}
-	return s.execute(batch)
+	return []sched.Result{r}
 }
 
-// execute is the one execution routine: restore every session, run the
-// batched handler iff there is more than one, drain each app's event loop,
-// capture each result (§III.A). A batch whose batched handler cannot run or
-// fails has published nothing, so every member is re-executed through this
-// same routine as a batch of one — which is always correct, and gives each
-// member its own error.
-func (s *Server) execute(batch []*sched.Task) []sched.Result {
-	results := make([]sched.Result, len(batch))
-	apps := make([]*webapp.App, len(batch))
-	for i, t := range batch {
-		apps[i], results[i].Err = s.restoreApp(t.Payload.(*snapshot.Snapshot))
-	}
-	if len(batch) > 1 {
-		if err := s.runBatchedHandler(apps, results); err != nil {
-			s.log.Debug("edge: batch re-executed solo", obs.F("size", len(batch)), obs.Err(err))
-			for i := range batch {
-				results[i] = s.execute(batch[i : i+1])[0]
-			}
-			return results
-		}
-	}
-	for i, app := range apps {
-		if results[i].Err != nil {
-			continue
-		}
-		start := time.Now()
-		steps, err := app.Run(maxHandlerSteps)
-		if err != nil {
-			results[i].Err = fmt.Errorf("execute snapshot: %w", err)
-			continue
-		}
-		if s.log.Enabled(obs.LevelDebug) {
-			s.log.Debug("edge: handlers ran", obs.F("appId", app.ID()), obs.F("steps", steps),
-				obs.F("micros", time.Since(start).Microseconds()))
-		}
-		results[i].Value, results[i].Err = snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-	}
-	return results
-}
-
-// runBatchedHandler pops the shared pending event from every restored app
-// and runs the code bundle's batched handler over all of them once. Any
-// error — a member that failed to restore, a member whose state no longer
-// has the batchable shape, the handler itself — means no app may be used.
-func (s *Server) runBatchedHandler(apps []*webapp.App, restored []sched.Result) error {
-	evs := make([]webapp.Event, len(apps))
-	var fn webapp.BatchHandlerFunc
-	for i, app := range apps {
-		if err := restored[i].Err; err != nil {
-			return err
-		}
-		ev, handler, ok := batchableEvent(app.PendingEvents(), app.Bindings())
-		if ok {
-			fn, ok = app.Registry().BatchHandler(handler)
-		}
-		if !ok {
-			return fmt.Errorf("app %q has no batchable event", app.ID())
-		}
-		app.PopEvent()
-		evs[i] = ev
+// execute is the one execution routine: restore the session, drain the
+// app's event loop, capture the result (§III.A).
+func (s *Server) execute(snap *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+	app, err := s.restoreApp(snap)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	if err := fn(apps, evs); err != nil {
-		return err
+	steps, err := app.Run(maxHandlerSteps)
+	if err != nil {
+		return nil, fmt.Errorf("execute snapshot: %w", err)
 	}
 	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("edge: batch ran", obs.F("sessions", len(apps)), obs.F("micros", time.Since(start).Microseconds()))
+		s.log.Debug("edge: handlers ran", obs.F("appId", app.ID()), obs.F("steps", steps),
+			obs.F("micros", time.Since(start).Microseconds()))
 	}
-	return nil
+	return snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 }
 
 // restoreApp re-creates a running app from an offloaded snapshot. Pre-sent
@@ -228,71 +170,6 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 	return app, nil
 }
 
-// batchableEvent reports the single pending payload-free event and the one
-// handler bound to it — the shape a batched execution requires — of a
-// snapshot before restore, or of a restored app.
-func batchableEvent(pending []webapp.Event, bindings []webapp.Binding) (webapp.Event, string, bool) {
-	if len(pending) != 1 || pending[0].Payload != nil {
-		return webapp.Event{}, "", false
-	}
-	ev := pending[0]
-	handler, matches := "", 0
-	for _, b := range bindings {
-		if b.Target == ev.Target && b.Event == ev.Type {
-			handler, matches = b.Handler, matches+1
-		}
-	}
-	return ev, handler, matches == 1
-}
-
-// soloKey returns a unique batch key, for sessions that must not coalesce.
-func (s *Server) soloKey() string {
-	return "solo:" + strconv.FormatUint(s.soloSeq.Add(1), 10)
-}
-
-// batchKey derives the coalescing key for a snapshot session. Sessions get
-// the same key — and may be batched into one forward pass — only when they
-// run the same handler of the same code bundle on byte-identical model
-// files: the key hashes the code hash, the pending event and its resolved
-// handler, the fingerprints of the app's pre-sent models, the model
-// references the snapshot carries, and the app's string-valued globals
-// (which select the model the handler uses).
-func (s *Server) batchKey(snap *snapshot.Snapshot) string {
-	ev, handler, ok := batchableEvent(snap.Pending, snap.Bindings)
-	if !ok {
-		return s.soloKey()
-	}
-	registry, ok := s.cfg.Catalog.Lookup(snap.CodeHash)
-	if !ok {
-		return s.soloKey()
-	}
-	if _, ok := registry.BatchHandler(handler); !ok {
-		return s.soloKey()
-	}
-	h := sha256.New()
-	for _, part := range []string{snap.CodeHash, ev.Target, ev.Type, handler, s.store.FingerprintSet(snap.AppID)} {
-		h.Write([]byte(part))
-		h.Write([]byte{0})
-	}
-	for _, m := range snap.Models {
-		h.Write([]byte(m.Name))
-		h.Write(m.Spec)
-		h.Write([]byte{0})
-	}
-	var strs []string
-	for name, v := range snap.Globals {
-		if sv, ok := v.(string); ok {
-			strs = append(strs, name+"="+sv)
-		}
-	}
-	sort.Strings(strs)
-	for _, kv := range strs {
-		h.Write([]byte(kv))
-		h.Write([]byte{0})
-	}
-	return "b:" + hex.EncodeToString(h.Sum(nil)[:12])
-}
-
 // packedReplyMin is the smallest result body that mirrors a packed request's
 // encoding: anything shorter leaves in the one TCP segment it would leave in
 // packed, so a codec pass cannot change its wire time.
@@ -321,7 +198,6 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 		QueueMicros:      tm.queue.Microseconds(),
 		ExecuteMicros:    tm.exec.Microseconds(),
 		EncodeMicros:     encode.Microseconds(),
-		BatchSize:        tm.batch,
 		StreamWaitMicros: tm.streamWait.Microseconds(),
 	}
 	s.observeTrace(appID, req.Seq, tm, encode, st)
@@ -364,7 +240,6 @@ func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode ti
 			obs.F("seq", seq),
 			obs.F("queueMicros", tm.queue.Microseconds()),
 			obs.F("executeMicros", tm.exec.Microseconds()),
-			obs.F("batchSize", tm.batch),
 		)
 	}
 	if s.cfg.TraceLog == nil {

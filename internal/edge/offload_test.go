@@ -1,14 +1,10 @@
 package edge
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
@@ -60,89 +56,79 @@ func (s *replySession) click(seed uint64) error {
 
 // TestFullAndDeltaReachSameState: the reply's form is framing, so the same
 // pre-execution state must end in the same app state at the client whether
-// the result came home as a delta or whole, executed alone (MaxBatch 1) or
-// coalesced with its neighbours (MaxBatch 4).
+// the result came home as a delta or whole, each session run alone or
+// queued behind its neighbours at the one worker.
 func TestFullAndDeltaReachSameState(t *testing.T) {
 	apps := []string{"same-a", "same-b", "same-c"}
-	for _, maxBatch := range []int{1, 4} {
-		t.Run(fmt.Sprintf("MaxBatch%d", maxBatch), func(t *testing.T) {
-			// finals[fullReply][appID] hashes the client app's final state.
-			finals := map[bool]map[string]string{}
-			for _, fullReply := range []bool{false, true} {
-				srv, addr := startServer(t, Config{
-					Installed: true, Workers: 1, MaxBatch: maxBatch, BatchWindow: 100 * time.Millisecond,
+	// finals[fullReply][appID] hashes the client app's final state.
+	finals := map[bool]map[string]string{}
+	for _, fullReply := range []bool{false, true} {
+		srv, addr := startServer(t, Config{Installed: true, Workers: 1})
+		model := tinyModel(t, "tiny")
+		sessions := make([]*replySession, len(apps))
+		for i, id := range apps {
+			app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := &replySession{app: app, conn: dial(t, addr)}
+			if fullReply {
+				if err := sess.conn.PreSendModel(id, "tiny", model); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				sess.off, err = client.NewOffloader(app, sess.conn, client.Options{
+					OffloadEventTypes: []string{mlapp.EventClick},
+					Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				})
-				model := tinyModel(t, "tiny")
-				sessions := make([]*replySession, len(apps))
-				for i, id := range apps {
-					app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sess := &replySession{app: app, conn: dial(t, addr)}
-					if fullReply {
-						if err := sess.conn.PreSendModel(id, "tiny", model); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						sess.off, err = client.NewOffloader(app, sess.conn, client.Options{
-							OffloadEventTypes: []string{mlapp.EventClick},
-							Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						sess.off.StartPreSend()
-						if err := sess.off.WaitForAcks(); err != nil {
-							t.Fatal(err)
-						}
-					}
-					sessions[i] = sess
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i, sess := range sessions {
-					if err := sess.click(uint64(10 + i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Second offload, all sessions at once so MaxBatch 4 has
-				// something to coalesce.
-				var wg sync.WaitGroup
-				for i, sess := range sessions {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if err := sess.click(uint64(20 + i)); err != nil {
-							t.Errorf("fullReply=%v %s: %v", fullReply, sess.app.ID(), err)
-						}
-					}()
-				}
-				wg.Wait()
-				if t.Failed() {
-					return
-				}
-				finals[fullReply] = map[string]string{}
-				for i, id := range apps {
-					final, err := snapshot.Capture(sessions[i].app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if finals[fullReply][id], err = final.Hash(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if st := srv.SchedStats(); maxBatch > 1 && st.BatchedTasks < 2 {
-					t.Errorf("fullReply=%v: batched tasks = %d, the coalesced path was not exercised", fullReply, st.BatchedTasks)
-				}
-				if m := srv.Metrics(); m.SnapshotsExecuted != int64(2*len(apps)) {
-					t.Errorf("fullReply=%v: %d snapshots executed, want %d", fullReply, m.SnapshotsExecuted, 2*len(apps))
+				sess.off.StartPreSend()
+				if err := sess.off.WaitForAcks(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			for _, id := range apps {
-				if delta, full := finals[false][id], finals[true][id]; delta != full {
-					t.Errorf("%s: final app state %s after delta replies, %s after full replies", id, delta, full)
-				}
+			sessions[i] = sess
+		}
+		for i, sess := range sessions {
+			if err := sess.click(uint64(10 + i)); err != nil {
+				t.Fatal(err)
 			}
-		})
+		}
+		// Second offload, all sessions at once, so they queue at the worker.
+		var wg sync.WaitGroup
+		for i, sess := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := sess.click(uint64(20 + i)); err != nil {
+					t.Errorf("fullReply=%v %s: %v", fullReply, sess.app.ID(), err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		finals[fullReply] = map[string]string{}
+		for i, id := range apps {
+			final, err := snapshot.Capture(sessions[i].app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if finals[fullReply][id], err = final.Hash(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m := srv.Metrics(); m.SnapshotsExecuted != int64(2*len(apps)) {
+			t.Errorf("fullReply=%v: %d snapshots executed, want %d", fullReply, m.SnapshotsExecuted, 2*len(apps))
+		}
+	}
+	for _, id := range apps {
+		if delta, full := finals[false][id], finals[true][id]; delta != full {
+			t.Errorf("%s: final app state %s after delta replies, %s after full replies", id, delta, full)
+		}
 	}
 }
 
@@ -279,102 +265,6 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 					t.Errorf("heartbeat advertises %v, store holds %v", advertised, keys)
 				}
 			})
-		}
-	}
-}
-
-// TestFailedBatchReexecutesEveryMemberSolo: when the batched handler fails,
-// nothing it touched may be published; every member is re-executed through
-// the same routine as a batch of one, so the healthy members succeed and
-// the broken one gets its own error, not the batch's.
-func TestFailedBatchReexecutesEveryMemberSolo(t *testing.T) {
-	var soloRuns, batchRuns atomic.Int64
-	reg := webapp.NewRegistry("half-batchable")
-	reg.MustRegister("work", func(app *webapp.App, _ webapp.Event) error {
-		soloRuns.Add(1)
-		if bad, _ := app.Global("bad"); bad == true {
-			return fmt.Errorf("member %s is broken", app.ID())
-		}
-		return app.SetGlobal("done", app.ID())
-	})
-	reg.MustRegisterBatch("work", func(apps []*webapp.App, _ []webapp.Event) error {
-		batchRuns.Add(1)
-		// Half-finished damage the re-execution must not inherit.
-		for _, app := range apps {
-			if err := app.SetGlobal("done", "by the failed batch"); err != nil {
-				return err
-			}
-		}
-		return errors.New("batched kernel unavailable")
-	})
-	cat := webapp.NewCatalog()
-	if err := cat.Add(reg); err != nil {
-		t.Fatal(err)
-	}
-	_, addr := startServer(t, Config{
-		Installed: true, Catalog: cat,
-		Workers: 1, MaxBatch: 4, BatchWindow: 300 * time.Millisecond,
-	})
-
-	ids := []string{"member-a", "member-b", "member-c"}
-	results := make([]*snapshot.Snapshot, len(ids))
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		conn := dial(t, addr)
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			errs[i] = func() error {
-				app, err := webapp.NewApp(id, reg)
-				if err != nil {
-					return err
-				}
-				if err := app.AddEventListener("b", "go", "work"); err != nil {
-					return err
-				}
-				if err := app.SetGlobal("bad", id == "member-b"); err != nil {
-					return err
-				}
-				snap, err := snapshot.Capture(app, snapshot.Options{PendingEvent: &webapp.Event{Target: "b", Type: "go"}})
-				if err != nil {
-					return err
-				}
-				request, err := snap.Encode()
-				if err != nil {
-					return err
-				}
-				body, _, err := conn.OffloadSnapshot(id, request, false)
-				if err != nil {
-					return err
-				}
-				results[i], err = snapshot.Decode(body)
-				return err
-			}()
-		}(i, id)
-	}
-	wg.Wait()
-
-	if batchRuns.Load() == 0 {
-		t.Fatal("the sessions were never coalesced: batched handler not exercised")
-	}
-	// Every member the failed batch held ran solo exactly once.
-	if got := soloRuns.Load(); got != int64(len(ids)) {
-		t.Errorf("solo handler runs = %d, want %d", got, len(ids))
-	}
-	for i, id := range ids {
-		if id == "member-b" {
-			if errs[i] == nil || !strings.Contains(errs[i].Error(), "member member-b is broken") {
-				t.Errorf("%s: err = %v, want its own failure", id, errs[i])
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Errorf("%s: %v (a healthy member must not inherit the batch's failure)", id, errs[i])
-			continue
-		}
-		if got := results[i].Globals["done"]; got != id {
-			t.Errorf("%s: done = %v, want its own solo result", id, got)
 		}
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"websnap/internal/client"
 	"websnap/internal/protocol"
@@ -18,29 +16,18 @@ import (
 )
 
 // TestResultEncodeFailureFailsRequest: a handler that leaves state with no
-// text form (a NaN) fails that request — solo and coalesced — and leaves the
-// server serving, its store as empty as it was.
+// text form (a NaN) fails that request and leaves the server serving, its
+// store as empty as it was.
 func TestResultEncodeFailureFailsRequest(t *testing.T) {
 	poison := func(app *webapp.App) error { return app.SetGlobal("score", math.NaN()) }
 	reg := webapp.NewRegistry("nan-app")
 	reg.MustRegister("poison", func(app *webapp.App, _ webapp.Event) error { return poison(app) })
-	reg.MustRegisterBatch("poison", func(apps []*webapp.App, _ []webapp.Event) error {
-		for _, app := range apps {
-			if err := poison(app); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	reg.MustRegister("fine", func(app *webapp.App, _ webapp.Event) error { return app.SetGlobal("score", 1.0) })
 	cat := webapp.NewCatalog()
 	if err := cat.Add(reg); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, Config{
-		Installed: true, Catalog: cat,
-		Workers: 1, MaxBatch: 2, BatchWindow: 200 * time.Millisecond,
-	})
+	srv, addr := startServer(t, Config{Installed: true, Catalog: cat, Workers: 1})
 
 	offload := func(appID, event string) error {
 		app, err := webapp.NewApp(appID, reg)
@@ -64,31 +51,8 @@ func TestResultEncodeFailureFailsRequest(t *testing.T) {
 		_, _, err = dial(t, addr).OffloadSnapshot(appID, request, false)
 		return err
 	}
-	wantEncodeError := func(appID string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "encode result") {
-			t.Errorf("%s: err = %v, want the result-encode failure", appID, err)
-		}
-	}
-
-	wantEncodeError("solo", offload("solo", "bad"))
-
-	ids := []string{"batched-a", "batched-b"}
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			errs[i] = offload(id, "bad")
-		}(i, id)
-	}
-	wg.Wait()
-	for i, id := range ids {
-		wantEncodeError(id, errs[i])
-	}
-	if st := srv.SchedStats(); st.BatchedTasks < 2 {
-		t.Errorf("batched tasks = %d: the coalesced path was not exercised", st.BatchedTasks)
+	if err := offload("poisoned", "bad"); err == nil || !strings.Contains(err.Error(), "encode result") {
+		t.Errorf("err = %v, want the result-encode failure", err)
 	}
 
 	if err := offload("healthy", "good"); err != nil {

@@ -89,14 +89,6 @@ type Config struct {
 	QueuePolicy sched.Policy
 	// QueueWait bounds how long PolicyBlock waits for queue space.
 	QueueWait time.Duration
-	// MaxBatch caps how many same-model snapshot sessions one worker
-	// coalesces into a single batched forward pass. Zero or one disables
-	// batching.
-	MaxBatch int
-	// BatchWindow is how long a worker holds an under-filled batch open
-	// for same-model arrivals; zero batches only the already-queued
-	// backlog.
-	BatchWindow time.Duration
 	// Logger receives the server's JSON-line logs: per-request lines at
 	// debug level, failures of its own at warn and above. Nil is silent.
 	Logger *obs.Logger
@@ -150,10 +142,6 @@ type Server struct {
 	mu     sync.Mutex
 	ln     net.Listener
 	closed bool
-
-	// soloSeq generates unique batch keys for sessions that must not be
-	// coalesced.
-	soloSeq atomic.Uint64
 
 	installedMu sync.RWMutex
 	installed   bool
@@ -264,8 +252,6 @@ func (s *Server) initMetrics() {
 		func() int64 { return s.sched.Stats().Rejected })
 	r.CounterFunc("websnap_sched_executed_total", "Tasks completed.",
 		func() int64 { return s.sched.Stats().Executed })
-	r.CounterFunc("websnap_sched_batches_total", "Executed batches.",
-		func() int64 { return s.sched.Stats().Batches })
 	r.GaugeFunc("websnap_installed", "Whether the offloading system is installed (1) or not (0).",
 		func() float64 {
 			if s.Installed() {
@@ -279,7 +265,7 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.sched.Stats().QueueCap) })
 	r.GaugeFunc("websnap_workers", "Worker pool size.",
 		func() float64 { return float64(s.sched.Stats().Workers) })
-	r.GaugeFunc("websnap_busy_workers", "Workers currently executing a batch.",
+	r.GaugeFunc("websnap_busy_workers", "Workers currently executing a task.",
 		func() float64 { return float64(s.sched.Stats().Busy) })
 	r.GaugeFunc("websnap_queueing_delay_seconds", "Estimated queueing delay for a request submitted now.",
 		func() float64 { return s.sched.Stats().QueueingDelay().Seconds() })
@@ -328,8 +314,6 @@ func (s *Server) initMetrics() {
 	// appended so every earlier family keeps its place.
 	r.CounterFunc("websnap_sched_cancelled_total", "Queued tasks cancelled at shutdown.",
 		func() int64 { return s.sched.Stats().Cancelled })
-	r.CounterFunc("websnap_sched_batched_tasks_total", "Tasks that ran in a coalesced batch of two or more.",
-		func() int64 { return s.sched.Stats().BatchedTasks })
 	r.GaugeFunc("websnap_queue_byte_cap", "Admission queue byte cap (0 = slots-only admission).",
 		func() float64 { return float64(s.sched.Stats().QueueByteCap) })
 }
@@ -374,9 +358,7 @@ func NewServer(cfg Config) (*Server, error) {
 		MaxQueueBytes: cfg.MaxQueueBytes,
 		Policy:        cfg.QueuePolicy,
 		QueueWait:     cfg.QueueWait,
-		MaxBatch:      cfg.MaxBatch,
-		BatchWindow:   cfg.BatchWindow,
-	}, srv.execBatch)
+	}, srv.execTask)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +475,7 @@ func (s *Server) Close() error {
 	if ln != nil {
 		err = ln.Close()
 	}
-	// Drain the scheduler: running batches complete, queued tasks fail
+	// Drain the scheduler: running tasks complete, queued tasks fail
 	// with ErrClosed. Their waiting connection handlers then write the
 	// final result or Error frame, which reqWG tracks.
 	s.sched.Close()

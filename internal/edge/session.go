@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"websnap/internal/nn"
@@ -248,29 +247,6 @@ func (s *SessionStore) Get(appID, name string) (*nn.Network, bool) {
 	e := s.entries[key]
 	s.touchLocked(e)
 	return e.net, true
-}
-
-// FingerprintSet returns a stable summary of every model stored for an app:
-// sorted "name=fingerprint" pairs. Two apps with equal sets hold
-// byte-identical model files under the same names.
-func (s *SessionStore) FingerprintSet(appID string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.models[appID]))
-	for name := range s.models[appID] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, name := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(s.models[appID][name])
-	}
-	return b.String()
 }
 
 // Names returns the model names stored for an app, in sorted order.

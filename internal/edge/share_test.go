@@ -1,11 +1,11 @@
 package edge
 
 import (
-	"runtime"
 	"testing"
 
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
+	"websnap/internal/testutil"
 )
 
 // wideModel is a 4 MB model (one 1024x1024 fully connected layer): big
@@ -52,10 +52,8 @@ func TestRefPreSendLinksHeldModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	resp, err := srv.handleModelPreSend(req, &hdr)
-	runtime.ReadMemStats(&after)
+	var resp protocol.Message
+	spent := int64(testutil.MeasureAllocs(1, func() { resp, err = srv.handleModelPreSend(req, &hdr) }).Bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestRefPreSendLinksHeldModel(t *testing.T) {
 	if ack.NeedBlob || srv.refPreSendHits.Value() != 1 {
 		t.Fatalf("ack = %+v with %d hits, want a hit for a key the store holds", ack, srv.refPreSendHits.Value())
 	}
-	if spent := int64(after.TotalAlloc - before.TotalAlloc); spent*100 >= model.ModelBytes() {
+	if spent*100 >= model.ModelBytes() {
 		t.Errorf("local reference hit allocated %d B for a %d B model, want under 1%%", spent, model.ModelBytes())
 	}
 	owner, _ := srv.store.Get("owner", "wide")

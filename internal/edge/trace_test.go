@@ -105,9 +105,6 @@ func TestResultCarriesServerTrace(t *testing.T) {
 	if hdr.ServerTrace.ExecuteMicros <= 0 {
 		t.Errorf("ExecuteMicros = %d, want > 0", hdr.ServerTrace.ExecuteMicros)
 	}
-	if hdr.ServerTrace.BatchSize < 1 {
-		t.Errorf("BatchSize = %d, want >= 1", hdr.ServerTrace.BatchSize)
-	}
 	if hdr.Load == nil {
 		t.Error("no load hint in response")
 	}

@@ -64,11 +64,20 @@ func (s *RegistryServer) Serve(ln net.Listener) error {
 				return fmt.Errorf("fleet: accept: %w", err)
 			}
 		}
-		s.trackConn(conn, true)
+		// Register under the lock Close takes before it waits, so an Add
+		// can never race the Wait.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			defer s.trackConn(conn, false)
+			defer s.untrackConn(conn)
 			defer conn.Close()
 			s.handleConn(conn)
 		}()
@@ -99,14 +108,10 @@ func (s *RegistryServer) Close() error {
 	return err
 }
 
-func (s *RegistryServer) trackConn(conn net.Conn, add bool) {
+func (s *RegistryServer) untrackConn(conn net.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
-	}
+	delete(s.conns, conn)
 }
 
 func (s *RegistryServer) handleConn(conn net.Conn) {

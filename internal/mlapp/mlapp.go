@@ -58,7 +58,6 @@ func FullRegistry() *webapp.Registry {
 	reg := webapp.NewRegistry("mlapp-full")
 	reg.MustRegister("load_image", handleLoadImage)
 	reg.MustRegister("inference", handleInference)
-	reg.MustRegisterBatch("inference", handleInferenceBatch)
 	return reg
 }
 
@@ -68,7 +67,6 @@ func PartialRegistry() *webapp.Registry {
 	reg.MustRegister("load_image", handleLoadImage)
 	reg.MustRegister("front", handleFront)
 	reg.MustRegister("rear", handleRear)
-	reg.MustRegisterBatch("rear", handleRearBatch)
 	return reg
 }
 
@@ -156,9 +154,9 @@ func handleLoadImage(app *webapp.App, ev webapp.Event) error {
 }
 
 // handleInference is Fig 2's inference handler: run the whole DNN on the
-// loaded image and add the result to the DOM — a batch of one.
+// loaded image and add the result to the DOM.
 func handleInference(app *webapp.App, ev webapp.Event) error {
-	return runBatch([]*webapp.App{app}, "", "inference")
+	return infer(app, "", "inference")
 }
 
 // handleFront is Fig 5's front(): run the front part of the DNN locally,
@@ -190,33 +188,16 @@ func handleFront(app *webapp.App, ev webapp.Event) error {
 }
 
 // handleRear is Fig 5's rear(): finish the DNN from the feature data and
-// add the result to the DOM — a batch of one.
+// add the result to the DOM.
 func handleRear(app *webapp.App, ev webapp.Event) error {
-	return runBatch([]*webapp.App{app}, RearSuffix, "inference_rear")
+	return infer(app, RearSuffix, "inference_rear")
 }
 
-// handleInferenceBatch is the batched form of handleInference: one
-// layer-major forward pass over every coalesced app's image. The edge
-// scheduler only batches sessions whose models are byte-identical, so
-// running all inputs through apps[0]'s model is exact.
-func handleInferenceBatch(apps []*webapp.App, evs []webapp.Event) error {
-	return runBatch(apps, "", "inference")
-}
-
-// handleRearBatch is the batched form of handleRear, coalescing partial
-// offloads that share the same pre-sent rear model.
-func handleRearBatch(apps []*webapp.App, evs []webapp.Event) error {
-	return runBatch(apps, RearSuffix, "inference_rear")
-}
-
-// runBatch is the one inference routine behind the solo and batched
-// handlers: run apps[0]'s model (whole, or the rear half named by suffix)
-// over every app's input and publish each result.
-func runBatch(apps []*webapp.App, suffix, what string) error {
-	if len(apps) == 0 {
-		return nil
-	}
-	model, err := appModel(apps[0], suffix)
+// infer is the one inference routine behind both handlers: run the app's
+// model (whole, or the rear half named by suffix) over its input at the
+// app's quality tier and publish the result.
+func infer(app *webapp.App, suffix, what string) error {
+	model, err := appModel(app, suffix)
 	if err != nil {
 		return err
 	}
@@ -224,40 +205,15 @@ func runBatch(apps []*webapp.App, suffix, what string) error {
 	if suffix == RearSuffix {
 		global = GlobalFeature
 	}
-	ins := make([]*tensor.Tensor, len(apps))
-	for i, app := range apps {
-		if ins[i], err = globalTensor(app, global, model.InputShape()); err != nil {
-			return err
-		}
+	in, err := globalTensor(app, global, model.InputShape())
+	if err != nil {
+		return err
 	}
-	// One layer-major pass needs company and one precision: the scheduler
-	// only coalesces byte-identical models, but each app's quality tier is
-	// its own snapshotted global, and a batch mixing tiers would give some
-	// member the wrong one. Otherwise every member gets its own pass.
-	prec := Quality(apps[0])
-	batched := len(apps) > 1
-	for _, app := range apps[1:] {
-		batched = batched && Quality(app) == prec
+	out, err := model.ForwardPrec(in, Quality(app))
+	if err != nil {
+		return fmt.Errorf("mlapp: %s: %w", what, err)
 	}
-	var outs []*tensor.Tensor
-	if batched {
-		if outs, err = model.ForwardBatchPrec(ins, prec); err != nil {
-			return fmt.Errorf("mlapp: batched %s: %w", what, err)
-		}
-	} else {
-		outs = make([]*tensor.Tensor, len(apps))
-		for i, app := range apps {
-			if outs[i], err = model.ForwardPrec(ins[i], Quality(app)); err != nil {
-				return fmt.Errorf("mlapp: %s: %w", what, err)
-			}
-		}
-	}
-	for i, app := range apps {
-		if err := publishResult(app, outs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return publishResult(app, out)
 }
 
 // SetQuality selects the app's model quality tier. The empty string

@@ -1,14 +1,12 @@
 package mlapp
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"websnap/internal/models"
 	"websnap/internal/nn"
-	"websnap/internal/snapshot"
 	"websnap/internal/tensor"
 	"websnap/internal/webapp"
 )
@@ -273,121 +271,5 @@ func TestPublishResultWithoutLabels(t *testing.T) {
 	}
 	if got := Result(app); !strings.HasPrefix(got, "class ") {
 		t.Errorf("result = %q, want class-index fallback", got)
-	}
-}
-
-// TestBatchHandlersMatchPerAppHandlers pins the contract the edge
-// scheduler's micro-batching relies on, at the level the client sees it:
-// for the full and the rear handler, at float32 and int8, the per-app
-// handler, the batched handler over one app, and the batched handler over
-// all apps leave byte-identical encoded result snapshots per app.
-func TestBatchHandlersMatchPerAppHandlers(t *testing.T) {
-	const n = 3
-	model := tinyModel(t)
-	kinds := []struct {
-		name    string
-		handler string
-		reg     *webapp.Registry
-		solo    webapp.HandlerFunc
-		ev      webapp.Event
-		build   func(img webapp.Float32Array) *webapp.App
-	}{
-		{"full", "inference", FullRegistry(), handleInference, webapp.Event{Target: ButtonID, Type: EventClick},
-			func(img webapp.Float32Array) *webapp.App {
-				app, err := NewFullApp("a", "tiny", model, labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := LoadImage(app, img); err != nil {
-					t.Fatal(err)
-				}
-				return app
-			}},
-		{"rear", "rear", PartialRegistry(), handleRear, webapp.Event{Target: ButtonID, Type: EventFrontComplete},
-			func(img webapp.Float32Array) *webapp.App {
-				app, err := NewPartialApp("a", "tiny", model, 2, labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := LoadImage(app, img); err != nil {
-					t.Fatal(err)
-				}
-				// Run front() so the feature global is populated, and drop
-				// the front_complete event it dispatched.
-				app.DispatchEvent(webapp.Event{Target: ButtonID, Type: EventClick})
-				if err := app.Step(); err != nil {
-					t.Fatal(err)
-				}
-				app.ClearEvents()
-				return app
-			}},
-	}
-	encoded := func(app *webapp.App) []byte {
-		snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	for _, k := range kinds {
-		for _, prec := range []nn.Precision{nn.PrecFloat32, nn.PrecInt8} {
-			t.Run(k.name+"/"+string(prec), func(t *testing.T) {
-				fn, ok := k.reg.BatchHandler(k.handler)
-				if !ok {
-					t.Fatalf("registry has no batched %s handler", k.handler)
-				}
-				// groups[g][i]: app i prepared identically for execution
-				// strategy g (solo handler, batch of one, batch of all).
-				var groups [3][]*webapp.App
-				for i := 0; i < n; i++ {
-					img := SyntheticImage(3*16*16, uint64(i+1))
-					for g := range groups {
-						app := k.build(img)
-						if err := SetQuality(app, prec); err != nil {
-							t.Fatal(err)
-						}
-						groups[g] = append(groups[g], app)
-					}
-				}
-				evs := []webapp.Event{k.ev, k.ev, k.ev}
-				for i := 0; i < n; i++ {
-					if err := k.solo(groups[0][i], k.ev); err != nil {
-						t.Fatal(err)
-					}
-					if err := fn(groups[1][i:i+1], evs[:1]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := fn(groups[2], evs); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					want := encoded(groups[0][i])
-					if Result(groups[0][i]) == "" {
-						t.Fatalf("app %d: solo handler published no result", i)
-					}
-					for g, how := range []string{"", "batch of one", "batch of three"} {
-						if g > 0 && !bytes.Equal(encoded(groups[g][i]), want) {
-							t.Errorf("app %d: %s leaves a different result snapshot than the solo handler", i, how)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestBatchRegistrationHashNeutral(t *testing.T) {
-	// Batched handlers are an execution strategy, not app code: a registry
-	// with them must hash identically to one without.
-	plain := webapp.NewRegistry("mlapp-full")
-	plain.MustRegister("load_image", handleLoadImage)
-	plain.MustRegister("inference", handleInference)
-	if plain.CodeHash() != FullRegistry().CodeHash() {
-		t.Error("batch handler registration changed the code hash")
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"websnap/internal/nn"
 	"websnap/internal/tensor"
+	"websnap/internal/testutil"
 )
 
 // forwardLayer runs one layer outside any plan, the way a plan step does:
@@ -262,11 +264,12 @@ func convOut(in, k, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
 // below 344 heap allocations (BenchmarkForward/googlenet before weights
 // were prepacked) and draws 111 buffers from the tensor pool — the packed-B
 // block of each GEMM worker and nothing else; it was 168, one more per
-// convolution, when each call packed its weights. A batch forward draws the
-// same per member, and compiling a range plan over nearly every convolution
+// convolution, when each call packed its weights. Two forwards back to back
+// draw twice that, and compiling a range plan over nearly every convolution
 // of the network afterwards allocates a small fraction of the packed
 // panels' size: the copy the full plan made is the one it runs from
-// (nn.TestConvPackedOncePerNetwork checks the pointers).
+// (nn.TestConvPackedOncePerNetwork checks the pointers). Every count is
+// read after warmPools, with the collector held off.
 func TestGoogLeNetForwardPacksOnce(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops pooled contexts and buffers at random; the counts are exact only without it")
@@ -289,48 +292,30 @@ func TestGoogLeNetForwardPacksOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	memStats := func() (mallocs, bytes uint64) {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.Mallocs, m.TotalAlloc
-	}
 	forward() // compiles the plan and packs
-	forward() // fills the buffer pools
-	const runs = 4
-	gets := tensor.ReadPoolStats().Gets
-	allocs, _ := memStats()
-	for i := 0; i < runs; i++ {
-		forward()
-	}
-	after, _ := memStats()
-	gets, allocs = (tensor.ReadPoolStats().Gets-gets)/runs, (after-allocs)/runs
+	warmPools(t, func() error { _, err := net.Forward(in); return err })
+	one := testutil.MeasureAllocs(4, forward)
 	wantGets := int64(168 - convs)
-	if gets != wantGets {
-		t.Errorf("a forward draws %d pooled buffers, want %d: 168 when each of the %d convolutions packed its weights per call, one fewer each now", gets, wantGets, convs)
+	if one.PoolGets != wantGets {
+		t.Errorf("a forward draws %d pooled buffers, want %d: 168 when each of the %d convolutions packed its weights per call, one fewer each now", one.PoolGets, wantGets, convs)
 	}
-	if allocs > 344 {
-		t.Errorf("a forward makes %d heap allocations, want at most 344", allocs)
+	if one.Mallocs > 344 {
+		t.Errorf("a forward makes %d heap allocations, want at most 344", one.Mallocs)
 	}
 
-	batch := []*tensor.Tensor{in, in}
-	if _, err := net.ForwardBatch(batch); err != nil { // sizes the second context
-		t.Fatal(err)
-	}
-	gets = tensor.ReadPoolStats().Gets
-	if _, err := net.ForwardBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if gets = tensor.ReadPoolStats().Gets - gets; gets != 2*wantGets {
-		t.Errorf("a batch of two draws %d pooled buffers, want %d", gets, 2*wantGets)
+	two := testutil.MeasureAllocs(1, func() { forward(); forward() })
+	if two.PoolGets != 2*wantGets {
+		t.Errorf("two forwards draw %d pooled buffers, want %d", two.PoolGets, 2*wantGets)
 	}
 
 	packed := uint64(net.ResidentBytes() - net.ModelBytes())
-	_, before := memStats()
-	if _, err := net.PlanRange(5, net.NumLayers(), 64, 56, 56); err != nil {
-		t.Fatal(err)
-	}
-	if _, spent := memStats(); spent-before > packed/8 {
-		t.Errorf("compiling a range plan after the full plan allocated %d B; the packed panels are %d B and must not be built twice", spent-before, packed)
+	plan := testutil.MeasureAllocs(1, func() {
+		if _, err := net.PlanRange(5, net.NumLayers(), 64, 56, 56); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if plan.Bytes > packed/8 {
+		t.Errorf("compiling a range plan after the full plan allocated %d B; the packed panels are %d B and must not be built twice", plan.Bytes, packed)
 	}
 }
 
@@ -341,7 +326,7 @@ func TestGoogLeNetForwardPacksOnce(t *testing.T) {
 // panels took the pair layout: the widened B sliver lives on the worker's
 // stack and the widened weights were packed when the plan was armed — and
 // stays at or below 300 heap allocations and 64 KiB (273 and about 20 KB
-// when the pair layout came in).
+// when the pair layout came in), read after warmPools the same way.
 func TestGoogLeNetInt8ForwardAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("under -race sync.Pool drops pooled contexts and buffers at random; the counts are exact only without it")
@@ -359,23 +344,39 @@ func TestGoogLeNetInt8ForwardAllocs(t *testing.T) {
 		}
 	}
 	forward() // compiles, calibrates and arms the plan
-	forward() // fills the buffer pools
-	const runs = 4
-	var before, after runtime.MemStats
-	gets := tensor.ReadPoolStats().Gets
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		forward()
+	warmPools(t, func() error { _, err := net.ForwardPrec(in, nn.PrecInt8); return err })
+	a := testutil.MeasureAllocs(4, forward)
+	if a.PoolGets != 186 {
+		t.Errorf("an int8 forward draws %d pooled buffers, want 186", a.PoolGets)
 	}
-	runtime.ReadMemStats(&after)
-	gets = (tensor.ReadPoolStats().Gets - gets) / runs
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	if gets != 186 {
-		t.Errorf("an int8 forward draws %d pooled buffers, want 186", gets)
+	if a.Mallocs > 300 || a.Bytes > 64<<10 {
+		t.Errorf("an int8 forward makes %d heap allocations of %d B in all, want at most 300 and 64 KiB", a.Mallocs, a.Bytes)
 	}
-	if allocs > 300 || bytes > 64<<10 {
-		t.Errorf("an int8 forward makes %d heap allocations of %d B in all, want at most 300 and 64 KiB", allocs, bytes)
+}
+
+// warmPools collects once, holds the collector off until the test ends,
+// and fills the pools a forward draws from: three forwards at once, twice.
+// A sync.Pool's Get misses only what another processor left in its
+// private slot, at most one item per pool on two processors, and a
+// sequential forward changes processors whenever it waits for a forked
+// GEMM worker. With the contexts and buffers of three concurrent forwards
+// pooled, a measured forward always finds its own, so its counts are the
+// steady state's rather than the scheduler's.
+func warmPools(t *testing.T, forward func() error) {
+	t.Helper()
+	runtime.GC()
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+	for range 2 {
+		errs := make(chan error, 3)
+		for range 3 {
+			go func() { errs <- forward() }()
+		}
+		for range 3 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

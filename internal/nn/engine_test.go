@@ -3,10 +3,12 @@ package nn
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"websnap/internal/tensor"
+	"websnap/internal/testutil"
 )
 
 // This file is the golden equivalence suite for the planned execution
@@ -426,11 +428,11 @@ func TestEngineMatchesReferenceInceptionStack(t *testing.T) {
 	}
 }
 
-// TestCachedPlanConcurrentForwardBatch hammers one cached plan from many
-// goroutines through ForwardBatch and Forward simultaneously; run under
-// -race this pins the concurrency contract for plan reuse (the
-// scheduler's batch path shares one plan per model).
-func TestCachedPlanConcurrentForwardBatch(t *testing.T) {
+// TestCachedPlanConcurrentForward hammers one cached plan from many
+// goroutines through Forward; run under -race this pins the concurrency
+// contract for plan reuse (the scheduler's workers share one plan per
+// model).
+func TestCachedPlanConcurrentForward(t *testing.T) {
 	net := stackedInceptionNet(t)
 	in := tensor.MustNew(net.InputShape()...)
 	fillDeterministic(in, 777)
@@ -448,31 +450,15 @@ func TestCachedPlanConcurrentForwardBatch(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				if g%2 == 0 {
-					outs, err := net.ForwardBatch([]*tensor.Tensor{in, in, in})
-					if err != nil {
-						errs <- err
+				out, err := net.Forward(in)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range want.Data() {
+					if out.Data()[i] != want.Data()[i] {
+						t.Errorf("goroutine %d: output differs at %d", g, i)
 						return
-					}
-					for _, out := range outs {
-						for i := range want.Data() {
-							if out.Data()[i] != want.Data()[i] {
-								t.Errorf("goroutine %d: batch output differs at %d", g, i)
-								return
-							}
-						}
-					}
-				} else {
-					out, err := net.Forward(in)
-					if err != nil {
-						errs <- err
-						return
-					}
-					for i := range want.Data() {
-						if out.Data()[i] != want.Data()[i] {
-							t.Errorf("goroutine %d: output differs at %d", g, i)
-							return
-						}
 					}
 				}
 			}
@@ -488,6 +474,7 @@ func TestCachedPlanConcurrentForwardBatch(t *testing.T) {
 // TestDropoutForwardNoAlloc pins that inference dropout costs nothing: a
 // plan elides it, and its step, in place or not, copies without allocating.
 func TestDropoutForwardNoAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	d := NewDropout("drop", 0.5)
 	if tr, err := d.Traits([]int{4, 8, 8}); err != nil || !tr.Identity || !tr.InPlace {
 		t.Fatalf("dropout traits = %+v, %v; want an in-place identity", tr, err)
@@ -496,15 +483,17 @@ func TestDropoutForwardNoAlloc(t *testing.T) {
 	fillDeterministic(in, 5)
 	out := tensor.MustNew(4, 8, 8)
 	ctx := &ExecContext{}
-	if allocs := testing.AllocsPerRun(100, func() {
+	step := func() {
 		if err := d.ForwardCtx(ctx, in, in); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.ForwardCtx(ctx, in, out); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("dropout step allocates %v times per call, want 0", allocs)
+	}
+	step()
+	if allocs := testutil.MeasureAllocs(100, step).Mallocs; allocs != 0 {
+		t.Fatalf("dropout step allocates %d times per call, want 0", allocs)
 	}
 	for i, v := range in.Data() {
 		if out.Data()[i] != v {
@@ -518,6 +507,7 @@ func TestDropoutForwardNoAlloc(t *testing.T) {
 // outside a plan, each output allocated fresh (the pre-refactor execution
 // shape).
 func TestPlannedForwardAllocsBelowLegacy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	net := stackedInceptionNet(t)
 	in := tensor.MustNew(net.InputShape()...)
 	fillDeterministic(in, 99)
@@ -535,15 +525,16 @@ func TestPlannedForwardAllocsBelowLegacy(t *testing.T) {
 	if _, err := net.Forward(in); err != nil {
 		t.Fatal(err)
 	}
-	planned := testing.AllocsPerRun(20, func() {
+	planned := testutil.MeasureAllocs(20, func() {
 		if _, err := net.Forward(in); err != nil {
 			t.Fatal(err)
 		}
-	})
-	legacy := testing.AllocsPerRun(20, legacyForward)
-	t.Logf("allocs/inference: planned=%.1f legacy=%.1f", planned, legacy)
+	}).Mallocs
+	legacyForward()
+	legacy := testutil.MeasureAllocs(20, legacyForward).Mallocs
+	t.Logf("allocs/inference: planned=%d legacy=%d", planned, legacy)
 	if planned > legacy/2 {
-		t.Fatalf("planned forward allocates %.1f times per inference, legacy %.1f — want < half", planned, legacy)
+		t.Fatalf("planned forward allocates %d times per inference, legacy %d — want < half", planned, legacy)
 	}
 }
 
@@ -646,25 +637,6 @@ func BenchmarkNetworkForward(b *testing.B) {
 	})
 }
 
-// BenchmarkForwardBatch measures the scheduler's batch path: one cached
-// plan, per-sample contexts, layer-major execution.
-func BenchmarkForwardBatch(b *testing.B) {
-	net := stackedInceptionNet(b)
-	in := tensor.MustNew(net.InputShape()...)
-	fillDeterministic(in, 8)
-	batch := []*tensor.Tensor{in, in, in, in}
-	if _, err := net.ForwardBatch(batch); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.ForwardBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestWeightsRewrittenAfterPlanCompile pins that nothing compiled from the
 // old weights survives InitWeights or DecodeWeights: with float32 and int8
 // plans compiled (and the convolutions' panels packed) before the rewrite,
@@ -759,9 +731,9 @@ func TestWeightsRewrittenAfterPlanCompile(t *testing.T) {
 
 // TestConvPackedOncePerNetwork pins the lifetime of the prepacked panels:
 // the first float32 plan compile packs every convolution, inception branches
-// included; a range plan, a batch forward, a standalone layer call and a
-// second input shape all run from those same copies; and a network that is
-// only ever compiled at int8 packs none.
+// included; a range plan, a standalone layer call and a second input shape
+// all run from those same copies; and a network that is only ever compiled
+// at int8 packs none.
 func TestConvPackedOncePerNetwork(t *testing.T) {
 	net := stackedInceptionNet(t)
 	in := tensor.MustNew(net.InputShape()...)
@@ -792,9 +764,6 @@ func TestConvPackedOncePerNetwork(t *testing.T) {
 		}
 	}
 	if _, err := net.ForwardRange(in, 0, 6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.ForwardBatch([]*tensor.Tensor{in, in, in}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := forwardLayer(net.Layers()[1], in); err != nil {

@@ -22,8 +22,8 @@ type Network struct {
 
 	// planMu guards plans, the compiled-execution cache keyed by layer
 	// range and input shape. Plans are immutable once stored, so lookups
-	// are cheap reads and Forward/ForwardRange/ForwardBatch are safe for
-	// concurrent use (the scheduler's batch path shares one plan).
+	// are cheap reads and Forward/ForwardRange are safe for concurrent use
+	// (the scheduler's workers share one plan).
 	planMu sync.RWMutex
 	plans  map[planKey]*ExecPlan
 
@@ -219,50 +219,6 @@ func (n *Network) planFor(in *tensor.Tensor, from, to int, prec Precision) (*Exe
 		}
 	}
 	return n.PlanRangePrec(prec, from, to, in.Shape()...)
-}
-
-// ForwardBatch runs one forward pass over a batch of inputs, layer-major:
-// every sample is advanced through layer k before any sample touches layer
-// k+1. That is the batched execution the edge scheduler's micro-batching
-// relies on — each layer's weights are fetched into cache once and reused
-// across the whole batch instead of being re-streamed per request, which is
-// where batched inference wins over running the samples back to back.
-// Results are bit-identical to per-sample Forward calls because each
-// sample's per-step computation is unchanged. Same-shaped batches (the
-// scheduler's case) share one cached plan; mixed shapes fall back to
-// per-sample forwards.
-func (n *Network) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return n.ForwardBatchPrec(ins, PrecFloat32)
-}
-
-// ForwardBatchPrec is ForwardBatch at an explicit compute precision.
-func (n *Network) ForwardBatchPrec(ins []*tensor.Tensor, prec Precision) ([]*tensor.Tensor, error) {
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("nn: network %q: empty batch", n.name)
-	}
-	uniform := true
-	for _, t := range ins[1:] {
-		if !tensor.SameShape(t, ins[0]) {
-			uniform = false
-			break
-		}
-	}
-	if !uniform {
-		outs := make([]*tensor.Tensor, len(ins))
-		for i, t := range ins {
-			out, err := n.ForwardPrec(t, prec)
-			if err != nil {
-				return nil, fmt.Errorf("batch member %d: %w", i, err)
-			}
-			outs[i] = out
-		}
-		return outs, nil
-	}
-	p, err := n.planFor(ins[0], 0, len(n.layers), prec)
-	if err != nil {
-		return nil, err
-	}
-	return p.ForwardBatch(ins)
 }
 
 // LayerInfo describes one layer's static properties at its position in the

@@ -690,30 +690,3 @@ func TestQuickConvAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestForwardBatchMatchesForward(t *testing.T) {
-	net := tinyNet(t)
-	ins := make([]*tensor.Tensor, 3)
-	for i := range ins {
-		ins[i] = randInput(net, int64(i+1))
-	}
-	outs, err := net.ForwardBatch(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range ins {
-		want, err := net.Forward(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := outs[i].Data()
-		for j, w := range want.Data() {
-			if got[j] != w {
-				t.Fatalf("batch member %d element %d: %v != %v", i, j, got[j], w)
-			}
-		}
-	}
-	if _, err := net.ForwardBatch(nil); err == nil {
-		t.Error("empty batch should error")
-	}
-}

@@ -387,8 +387,8 @@ func (c *ExecContext) outView(out *tensor.Tensor, off int, shape []int) (*tensor
 
 // ExecPlan is a Network (or layer range) compiled for one input shape.
 // Plans are immutable and safe for concurrent use: every Forward call
-// draws a pooled ExecContext, so the scheduler's batch path can hammer
-// one cached plan from many goroutines.
+// draws a pooled ExecContext, so the scheduler's workers can share one
+// cached plan.
 type ExecPlan struct {
 	netName string
 	prog    *program
@@ -541,48 +541,4 @@ func (p *ExecPlan) forward(in *tensor.Tensor, times []time.Duration) (*tensor.Te
 		return nil, nil, fmt.Errorf("network %q: %w", p.netName, err)
 	}
 	return out, nil, nil
-}
-
-// ForwardBatch executes the plan over a batch, layer-major: every sample
-// is advanced through step k before any sample touches step k+1, so each
-// layer's weights are fetched into cache once and reused across the whole
-// batch. Results are bit-identical to per-sample Forward calls because
-// each sample's per-step computation is unchanged.
-func (p *ExecPlan) ForwardBatch(ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("nn: network %q: empty batch", p.netName)
-	}
-	for i, in := range ins {
-		if err := p.checkInput(in); err != nil {
-			return nil, fmt.Errorf("batch member %d: %w", i, err)
-		}
-	}
-	outs := make([]*tensor.Tensor, len(ins))
-	ctxs := make([]*ExecContext, len(ins))
-	for i := range ins {
-		out, err := tensor.New(p.prog.outShape...)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-		ctxs[i] = p.acquire()
-	}
-	defer func() {
-		for _, c := range ctxs {
-			p.release(c)
-		}
-	}()
-	for step := range p.prog.steps {
-		for i := range ins {
-			if err := p.prog.runStep(ctxs[i], step, ins[i], outs[i]); err != nil {
-				return nil, fmt.Errorf("network %q: batch member %d: %w", p.netName, i, err)
-			}
-		}
-	}
-	if !p.prog.wroteOut {
-		for i := range ins {
-			copy(outs[i].Data(), ins[i].Data())
-		}
-	}
-	return outs, nil
 }

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"websnap/internal/tensor"
+	"websnap/internal/testutil"
 )
 
 // layerSite is a pooling or LRN layer together with the input shape it
@@ -111,10 +113,13 @@ func BenchmarkLRNGoogLeNet(b *testing.B) { benchmarkSites(b, googLeNetLRNs()) }
 // TestPoolLRNForwardNoAlloc pins both layers' ForwardCtx at zero
 // allocations per call once the context's scratch is sized.
 func TestPoolLRNForwardNoAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	for name, sites := range map[string][]layerSite{"pool": googLeNetPools(), "lrn": googLeNetLRNs()} {
 		runs, ctx := prepareSites(t, sites)
-		if n := testing.AllocsPerRun(2, func() { forwardSites(t, runs, ctx) }); n != 0 {
-			t.Errorf("%s: %v allocs per pass over the GoogLeNet sites, want 0", name, n)
+		pass := func() { forwardSites(t, runs, ctx) }
+		pass()
+		if n := testutil.MeasureAllocs(2, pass).Mallocs; n != 0 {
+			t.Errorf("%s: %d allocs per pass over the GoogLeNet sites, want 0", name, n)
 		}
 	}
 }

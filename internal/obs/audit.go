@@ -69,9 +69,6 @@ type Decision struct {
 	// HintAge is how stale the server load hint consulted for this
 	// decision was; negative when no hint had arrived.
 	HintAge time.Duration `json:"hintAgeMillis,omitempty"`
-	// BatchSize is the server-side execution batch the request rode in
-	// (0 when unknown or local).
-	BatchSize int `json:"batchSize,omitempty"`
 	// Placement names the fleet placement policy that chose the target
 	// server ("hash", "load"); empty outside a fleet.
 	Placement string `json:"placement,omitempty"`
@@ -97,7 +94,6 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		Predicted  int64        `json:"predictedMicros,omitempty"`
 		Measured   int64        `json:"measuredMicros,omitempty"`
 		HintAge    *int64       `json:"hintAgeMillis,omitempty"`
-		BatchSize  int          `json:"batchSize,omitempty"`
 		Placement  string       `json:"placement,omitempty"`
 		Encoding   string       `json:"wireEncoding,omitempty"`
 		Uplink     float64      `json:"uplinkBytesPerSec,omitempty"`
@@ -106,8 +102,8 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		TraceID: d.TraceID, AppID: d.AppID, Path: d.Path, Reason: d.Reason,
 		SplitLabel: d.SplitLabel, Server: d.Server,
 		Predicted: d.Predicted.Microseconds(), Measured: d.Measured.Microseconds(),
-		BatchSize: d.BatchSize, Placement: d.Placement,
-		Encoding: d.WireEncoding, Uplink: d.UplinkBytesPerSec,
+		Placement: d.Placement,
+		Encoding:  d.WireEncoding, Uplink: d.UplinkBytesPerSec,
 	}
 	if d.HintAge >= 0 {
 		ms := d.HintAge.Milliseconds()

@@ -249,9 +249,6 @@ type ServerTrace struct {
 	// EncodeMicros covers result encoding (diff + delta, or the full
 	// snapshot) + any packing.
 	EncodeMicros int64 `json:"encodeMicros"`
-	// BatchSize is how many coalesced sessions shared the worker's batched
-	// forward pass (1 = solo execution).
-	BatchSize int `json:"batchSize,omitempty"`
 	// StreamWaitMicros is the time the request spent waiting for a stream
 	// slot before dispatch (per-connection stream semaphore).
 	StreamWaitMicros int64 `json:"streamWaitMicros,omitempty"`

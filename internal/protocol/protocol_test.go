@@ -378,14 +378,14 @@ func TestDecodeBodyBoundedByDeclaredLength(t *testing.T) {
 		{int64(len(bomb)) - 1<<10, 8 * int64(len(bomb))},
 		{MaxBodyLen, 8 * int64(len(bomb))},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeBody(body, EncodingPacked, c.declared, counting)
-		runtime.ReadMemStats(&after)
+		var err error
+		grew := int64(testutil.MeasureAllocs(1, func() {
+			_, err = DecodeBody(body, EncodingPacked, c.declared, counting)
+		}).Bytes)
 		if err == nil {
 			t.Errorf("an %d-byte stream decoded as %d bytes", len(bomb), c.declared)
 		}
-		if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > c.mayAllocate && !testutil.RaceDetector {
+		if grew > c.mayAllocate && !testutil.RaceDetector {
 			t.Errorf("declared %d: refusing allocated %d bytes, want ≤ %d", c.declared, grew, c.mayAllocate)
 		}
 	}
@@ -453,18 +453,15 @@ func TestReadHugeClaimedBodyBoundedAlloc(t *testing.T) {
 	binary.LittleEndian.PutUint64(data[10:18], MaxBodyLen) // claim 1 GiB
 	data = append(data, []byte("only a few bytes arrive")...)
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := Read(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
+	var err error
+	grew := testutil.MeasureAllocs(1, func() { _, err = Read(bytes.NewReader(data)) }).Bytes
 	if err == nil {
 		t.Fatal("truncated huge-claim frame decoded without error")
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 		t.Errorf("err = %v, want unexpected-EOF truncation", err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+	if grew > 64<<20 {
 		t.Errorf("Read allocated %d bytes for a body that never arrived; want bounded growth", grew)
 	}
 }
@@ -592,19 +589,21 @@ func TestFrameRoundTripAllocations(t *testing.T) {
 	if testutil.RaceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	msg := mustEncode(t, MsgSnapshot, SnapshotHeader{AppID: "app", Seq: 9}, bytes.Repeat([]byte{'x'}, 5<<10))
 	var wire bytes.Buffer
 	wire.Grow(8 << 10)
 	br := NewReader(&wire)
-	allocs := testing.AllocsPerRun(50, func() {
+	roundTrip := func() {
 		if err := Write(&wire, msg); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Read(br); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("5 KB frame Write + Read: %.0f allocations, want 2 (header and body)", allocs)
+	}
+	roundTrip()
+	if allocs := testutil.MeasureAllocs(50, roundTrip).Mallocs; allocs > 2 {
+		t.Errorf("5 KB frame Write + Read: %d allocations, want 2 (header and body)", allocs)
 	}
 }

@@ -375,7 +375,7 @@ func TestChainCandidatesFromRoamer(t *testing.T) {
 	probe.set("slow", 20*time.Millisecond, &protocol.LoadHint{QueueingMillis: 1})
 	probe.set("sat", 2*time.Millisecond, &protocol.LoadHint{Saturated: true})
 	probe.set("dead", -1, nil)
-	r, err := New(Config{Servers: []string{"slow", "fast", "sat", "dead"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"slow", "fast", "sat", "dead"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

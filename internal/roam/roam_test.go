@@ -45,9 +45,18 @@ func (f *fakeProbe) probe(addr string) (time.Duration, *protocol.LoadHint, error
 	return rtt, nil, nil
 }
 
-func fakeDial(addr string) (*client.Conn, error) {
-	a, _ := net.Pipe()
-	return client.NewConn(a), nil
+// fakeDial returns a dialer whose conns talk to nobody: each is one end of
+// a net.Pipe. Both ends close when the test ends, so the read loop each
+// client.Conn starts sees EOF and exits instead of outliving the test.
+func fakeDial(t *testing.T) func(addr string) (*client.Conn, error) {
+	return func(addr string) (*client.Conn, error) {
+		a, b := net.Pipe()
+		t.Cleanup(func() {
+			a.Close()
+			b.Close()
+		})
+		return client.NewConn(a), nil
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -71,7 +80,7 @@ func TestBestPicksLowestRTT(t *testing.T) {
 	r, err := New(Config{
 		Servers: []string{"far", "near", "dead"},
 		Probe:   probe.probe,
-		Dial:    fakeDial,
+		Dial:    fakeDial(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +103,7 @@ func TestBestPicksLowestRTT(t *testing.T) {
 
 func TestBestAllDead(t *testing.T) {
 	probe := &fakeProbe{rtts: map[string]time.Duration{"a": -1}}
-	r, err := New(Config{Servers: []string{"a"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"a"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,7 @@ func TestEvaluateHysteresis(t *testing.T) {
 		"b": 9 * time.Millisecond, // only 10% better: below the margin
 	}}
 	r, err := New(Config{
-		Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial,
+		Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +162,7 @@ func TestSwitchLogsDecision(t *testing.T) {
 	r, err := New(Config{
 		Servers: []string{"a", "b"},
 		Probe:   (&fakeProbe{rtts: map[string]time.Duration{"a": 1, "b": 2}}).probe,
-		Dial:    fakeDial,
+		Dial:    fakeDial(t),
 		Logger:  obs.NewLogger(&buf, obs.LevelInfo),
 	})
 	if err != nil {
@@ -180,7 +189,7 @@ func TestSwitchLogsDecision(t *testing.T) {
 }
 
 func TestSwitchToUnknown(t *testing.T) {
-	r, err := New(Config{Servers: []string{"a"}, Probe: (&fakeProbe{rtts: map[string]time.Duration{"a": 1}}).probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"a"}, Probe: (&fakeProbe{rtts: map[string]time.Duration{"a": 1}}).probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +360,7 @@ func TestBestPrefersLightlyLoaded(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("near", 2*time.Millisecond, &protocol.LoadHint{QueueingMillis: 100})
 	probe.set("far", 10*time.Millisecond, &protocol.LoadHint{})
-	r, err := New(Config{Servers: []string{"near", "far"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"near", "far"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +378,7 @@ func TestSaturatedServerDeprioritized(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("sat", time.Millisecond, &protocol.LoadHint{Saturated: true})
 	probe.set("ok", 30*time.Millisecond, &protocol.LoadHint{QueueingMillis: 1})
-	r, err := New(Config{Servers: []string{"sat", "ok"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"sat", "ok"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +403,7 @@ func TestEvaluateLeavesSaturatedServer(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("a", time.Millisecond, nil)
 	probe.set("b", 2*time.Millisecond, nil)
-	r, err := New(Config{Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"a", "b"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +439,7 @@ func TestStaleProbeExcluded(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("staleFast", time.Millisecond, &protocol.LoadHint{})
 	probe.set("fresh", 20*time.Millisecond, &protocol.LoadHint{})
-	r, err := New(Config{Servers: []string{"staleFast", "fresh"}, Probe: probe.probe, Dial: fakeDial})
+	r, err := New(Config{Servers: []string{"staleFast", "fresh"}, Probe: probe.probe, Dial: fakeDial(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +499,7 @@ func TestFleetViewMembership(t *testing.T) {
 	r, err := New(Config{
 		FleetView: view,
 		Probe:     probe.probe,
-		Dial:      fakeDial,
+		Dial:      fakeDial(t),
 		Logger:    obs.NewLogger(&logBuf, obs.LevelInfo),
 	})
 	if err != nil {

@@ -1,19 +1,16 @@
 // Package sched is the edge server's inference scheduler: the layer
 // between the connection listener and the snapshot runtime that turns "one
 // goroutine per connection executes immediately" into a managed system —
-// a bounded admission queue with a configurable overload policy, a worker
-// pool executing sessions concurrently, and per-model micro-batching that
-// coalesces rear-inference offloads sharing the same pre-sent model into a
-// single batched forward pass.
+// a bounded admission queue with a configurable overload policy and a
+// worker pool that executes one session per worker turn.
 //
 // The paper's server (§III) executes one offloaded snapshot per connection;
 // that collapses under many concurrent clients. Related work shows the
-// production levers are server-side queue management (DEFER's pipelined
-// batched edge inference) and offload decisions that account for server
-// queueing delay, not just compute ratio. The scheduler provides both: it
-// bounds and batches work, and it exports a load signal (queue depth,
-// histogram-derived service time, estimated queueing delay) that the
-// protocol layer carries back to clients as a load hint.
+// production levers are server-side queue management and offload decisions
+// that account for server queueing delay, not just compute ratio. The
+// scheduler provides both: it bounds work, and it exports a load signal
+// (queue depth, histogram-derived service time, estimated queueing delay)
+// that the protocol layer carries back to clients as a load hint.
 package sched
 
 import (
@@ -34,8 +31,8 @@ var (
 	// ErrClosed is returned for submissions to a closed scheduler, and
 	// delivered to tasks cancelled while still queued at Close.
 	ErrClosed = errors.New("sched: scheduler closed")
-	// ErrExecutorPanic is delivered to every task of a batch whose executor
-	// panicked; the error carries the panic value.
+	// ErrExecutorPanic is delivered to a task whose executor panicked; the
+	// error carries the panic value.
 	ErrExecutorPanic = errors.New("sched: executor panic")
 )
 
@@ -56,13 +53,6 @@ const (
 
 // Task is one scheduled unit of work (one offloaded snapshot session).
 type Task struct {
-	// BatchKey groups tasks that may be coalesced into one batched
-	// execution: tasks are only ever batched together when their keys are
-	// equal and non-empty. The edge server derives the key from the app's
-	// code hash, the pending event, and the fingerprints of the pre-sent
-	// models, so only requests provably running the same handler against
-	// byte-identical weights coalesce.
-	BatchKey string
 	// Payload is the executor's working data (e.g. a decoded snapshot).
 	Payload any
 	// Bytes is the payload's admission-accounted size. Queues configured
@@ -77,7 +67,6 @@ type Task struct {
 	queuedAt  time.Time
 	startedAt time.Time
 	execDur   time.Duration
-	batchSize int
 }
 
 type taskResult struct {
@@ -85,9 +74,12 @@ type taskResult struct {
 	err   error
 }
 
-// NewTask wraps a payload for submission.
-func NewTask(batchKey string, payload any) *Task {
-	return &Task{BatchKey: batchKey, Payload: payload, done: make(chan taskResult, 1)}
+// NewTask wraps a payload for submission. The first argument is ignored.
+//
+// Deprecated: the unused first argument is kept only because
+// benchmark/layers.go:281 still passes one, until a benchmark PR drops it.
+func NewTask(_ string, payload any) *Task {
+	return &Task{Payload: payload, done: make(chan taskResult, 1)}
 }
 
 // Wait blocks until the task has been executed (or cancelled) and returns
@@ -112,14 +104,9 @@ func (t *Task) QueueWait() time.Duration {
 	return t.startedAt.Sub(t.queuedAt)
 }
 
-// ExecTime returns the wall-clock duration of the execution batch the task
-// rode in — the time the session spent inside a worker. Valid after Wait
-// returns.
+// ExecTime returns the wall-clock duration of the task's execution — the
+// time the session spent inside a worker. Valid after Wait returns.
 func (t *Task) ExecTime() time.Duration { return t.execDur }
-
-// BatchSize returns how many coalesced tasks shared the execution batch
-// (1 = solo, 0 = never executed). Valid after Wait returns.
-func (t *Task) BatchSize() int { return t.batchSize }
 
 // Result is one task's outcome, produced by the executor.
 type Result struct {
@@ -127,10 +114,13 @@ type Result struct {
 	Err   error
 }
 
-// ExecFunc executes a batch of tasks. The slice has at least one element;
-// elements beyond the first are present only when their BatchKeys all equal
-// the first's. It must return exactly one Result per task, in order.
-type ExecFunc func(batch []*Task) []Result
+// ExecFunc executes one task, handed over as a one-element slice, and
+// returns its Result as the first element.
+//
+// Deprecated: the slice form is kept only because benchmark/layers.go:272
+// still passes a func of this shape, until a benchmark PR drops it; the
+// executor then becomes func(*Task) Result.
+type ExecFunc func(tasks []*Task) []Result
 
 // Config parametrizes a Scheduler.
 type Config struct {
@@ -150,14 +140,6 @@ type Config struct {
 	// QueueWait bounds how long PolicyBlock waits for queue space. Zero
 	// selects DefaultQueueWait.
 	QueueWait time.Duration
-	// MaxBatch caps how many same-key tasks one worker coalesces into a
-	// single execution. Zero or one disables batching.
-	MaxBatch int
-	// BatchWindow is how long a worker holds an under-filled batch open
-	// for same-key arrivals. Zero means batch only the backlog already
-	// queued at dequeue time — batching then costs no latency when the
-	// server is idle and kicks in exactly when a queue has formed.
-	BatchWindow time.Duration
 }
 
 // Defaults for Config zero values.
@@ -184,14 +166,15 @@ type Stats struct {
 	Submitted int64
 	Rejected  int64
 	Cancelled int64
-	// Executed counts completed tasks; Batches counts executor
-	// invocations (so Executed/Batches is the mean batch size);
-	// BatchedTasks counts tasks that ran in a batch of 2 or more.
-	Executed     int64
-	Batches      int64
-	BatchedTasks int64
-	// Service summarizes the per-task service time distribution (batch
-	// wall time divided by batch size), from the scheduler's log-bucketed
+	// Executed counts completed tasks.
+	Executed int64
+	// Batches equals Executed: every executor invocation runs one task.
+	//
+	// Deprecated: kept only because benchmark/layers.go:472 still reads
+	// it, until a benchmark PR drops the reference.
+	Batches int64
+	// Service summarizes the per-task service time distribution, from the
+	// scheduler's log-bucketed
 	// histogram. Service.Mean replaces the earlier EWMA as the smoothed
 	// load signal; the histogram additionally yields tail percentiles.
 	Service trace.Quantiles
@@ -224,7 +207,7 @@ func (s Stats) Saturated() bool {
 	return s.QueueByteCap > 0 && s.QueueBytes >= s.QueueByteCap
 }
 
-// Scheduler admits, queues, batches, and executes tasks on a worker pool.
+// Scheduler admits, queues, and executes tasks on a worker pool.
 type Scheduler struct {
 	cfg  Config
 	exec ExecFunc
@@ -243,12 +226,11 @@ type Scheduler struct {
 	busy                atomic.Int64
 	submitted, rejected atomic.Int64
 	cancelled           atomic.Int64
-	executed, batches   atomic.Int64
-	batchedTasks        atomic.Int64
+	executed            atomic.Int64
 
 	// service and queueWait are the lock-free stage-latency histograms
-	// behind the load signal: per-task service time (batch wall time /
-	// batch size) and admission-queue wait. They replace the earlier
+	// behind the load signal: per-task service time and admission-queue
+	// wait. They replace the earlier
 	// EWMA-only signal — the mean falls out of the histogram, and the
 	// tails (p95/p99) come with it.
 	service   trace.Histogram
@@ -268,9 +250,6 @@ func New(cfg Config, exec ExecFunc) (*Scheduler, error) {
 	}
 	if cfg.QueueWait <= 0 {
 		cfg.QueueWait = DefaultQueueWait
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
 	}
 	s := &Scheduler{
 		cfg:   cfg,
@@ -360,33 +339,30 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// worker pulls tasks, coalesces same-key backlog into batches, executes,
-// and delivers results.
+// worker pulls one task at a time, executes it, and delivers its result.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
-		batch, ok := s.nextBatch()
+		t, ok := s.next()
 		if !ok {
 			return
 		}
-		s.runBatch(batch)
+		s.run(t)
 	}
 }
 
-// nextBatch blocks for the next task, then greedily coalesces queued tasks
-// sharing its BatchKey (holding the batch open up to BatchWindow when one
-// is configured). ok=false means the scheduler is closing.
-func (s *Scheduler) nextBatch() ([]*Task, bool) {
-	var first *Task
+// next blocks for the next queued task. ok=false means the scheduler is
+// closing.
+func (s *Scheduler) next() (*Task, bool) {
 	for {
 		s.mu.Lock()
 		if len(s.queue) > 0 {
-			first = s.queue[0]
+			t := s.queue[0]
 			// Clear the slot: the backing array outlives the pop, and a
 			// finished task still pins its snapshot payload.
 			s.queue[0] = nil
 			s.queue = s.queue[1:]
-			s.queuedBytes -= first.Bytes
+			s.queuedBytes -= t.Bytes
 			backlog := len(s.queue) > 0
 			s.mu.Unlock()
 			signal(s.space)
@@ -395,7 +371,7 @@ func (s *Scheduler) nextBatch() ([]*Task, bool) {
 				// workers see the remaining backlog.
 				signal(s.wake)
 			}
-			break
+			return t, true
 		}
 		closed := s.closed
 		s.mu.Unlock()
@@ -415,98 +391,37 @@ func (s *Scheduler) nextBatch() ([]*Task, bool) {
 			}
 		}
 	}
-	batch := []*Task{first}
-	if s.cfg.MaxBatch <= 1 || first.BatchKey == "" {
-		return batch, true
-	}
-	var window *time.Timer
-	for len(batch) < s.cfg.MaxBatch {
-		s.mu.Lock()
-		// Coalesce every same-key task currently queued, preserving the
-		// FIFO order of the rest.
-		kept := s.queue[:0]
-		for _, t := range s.queue {
-			if len(batch) < s.cfg.MaxBatch && t.BatchKey == first.BatchKey {
-				batch = append(batch, t)
-				s.queuedBytes -= t.Bytes
-			} else {
-				kept = append(kept, t)
-			}
-		}
-		for i := len(kept); i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = kept
-		closed := s.closed
-		s.mu.Unlock()
-		signal(s.space)
-		if len(batch) >= s.cfg.MaxBatch || s.cfg.BatchWindow <= 0 || closed {
-			break
-		}
-		if window == nil {
-			window = time.NewTimer(s.cfg.BatchWindow)
-			defer window.Stop()
-		}
-		select {
-		case <-s.wake:
-			// New arrivals: loop to collect matching ones. Re-signal so
-			// sibling workers also wake for the non-matching tasks.
-			signal(s.wake)
-		case <-window.C:
-			return batch, true
-		case <-s.quit:
-			return batch, true
-		}
-	}
-	return batch, true
 }
 
-// runBatch executes one batch and delivers per-task results.
-func (s *Scheduler) runBatch(batch []*Task) {
+// run executes one task and delivers its result.
+func (s *Scheduler) run(t *Task) {
 	s.busy.Add(1)
-	start := time.Now()
-	for _, t := range batch {
-		t.startedAt = start
-		t.batchSize = len(batch)
-		if !t.queuedAt.IsZero() {
-			s.queueWait.Observe(start.Sub(t.queuedAt))
-		}
+	t.startedAt = time.Now()
+	if !t.queuedAt.IsZero() {
+		s.queueWait.Observe(t.startedAt.Sub(t.queuedAt))
 	}
-	results := s.safeExec(batch)
-	dur := time.Since(start)
+	r := s.safeExec(t)
+	t.execDur = time.Since(t.startedAt)
 	s.busy.Add(-1)
-	perTask := dur / time.Duration(len(batch))
-	for _, t := range batch {
-		t.execDur = dur
-		s.service.Observe(perTask)
-	}
-	s.batches.Add(1)
-	s.executed.Add(int64(len(batch)))
-	if len(batch) > 1 {
-		s.batchedTasks.Add(int64(len(batch)))
-	}
-	for i, t := range batch {
-		if i < len(results) {
-			t.finish(results[i].Value, results[i].Err)
-		} else {
-			t.finish(nil, errors.New("sched: executor returned too few results"))
-		}
-	}
+	s.service.Observe(t.execDur)
+	s.executed.Add(1)
+	t.finish(r.Value, r.Err)
 }
 
-// safeExec invokes the executor, converting a panic into per-task
-// ErrExecutorPanic errors so one poisoned snapshot cannot take down the
-// worker pool; the caller that waits on a task reports it.
-func (s *Scheduler) safeExec(batch []*Task) (results []Result) {
+// safeExec invokes the executor, converting a panic into an
+// ErrExecutorPanic error so one poisoned snapshot cannot take down the
+// worker pool; the caller that waits on the task reports it.
+func (s *Scheduler) safeExec(t *Task) (r Result) {
 	defer func() {
-		if r := recover(); r != nil {
-			results = make([]Result, len(batch))
-			for i := range results {
-				results[i] = Result{Err: fmt.Errorf("%w: %v", ErrExecutorPanic, r)}
-			}
+		if p := recover(); p != nil {
+			r = Result{Err: fmt.Errorf("%w: %v", ErrExecutorPanic, p)}
 		}
 	}()
-	return s.exec(batch)
+	results := s.exec([]*Task{t})
+	if len(results) == 0 {
+		return Result{Err: errors.New("sched: executor returned no result")}
+	}
+	return results[0]
 }
 
 // Accepting reports whether the scheduler admits new submissions: true
@@ -523,6 +438,7 @@ func (s *Scheduler) Stats() Stats {
 	depth := len(s.queue)
 	qbytes := s.queuedBytes
 	s.mu.Unlock()
+	executed := s.executed.Load()
 	return Stats{
 		Workers:      s.cfg.Workers,
 		Busy:         int(s.busy.Load()),
@@ -533,9 +449,8 @@ func (s *Scheduler) Stats() Stats {
 		Submitted:    s.submitted.Load(),
 		Rejected:     s.rejected.Load(),
 		Cancelled:    s.cancelled.Load(),
-		Executed:     s.executed.Load(),
-		Batches:      s.batches.Load(),
-		BatchedTasks: s.batchedTasks.Load(),
+		Executed:     executed,
+		Batches:      executed,
 		Service:      s.service.Summary(),
 		QueueWait:    s.queueWait.Summary(),
 	}

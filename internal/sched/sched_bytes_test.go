@@ -17,9 +17,9 @@ func byteTask(app string, payload any, bytes int64) *Task {
 // dimensions.
 func TestByteCapAdmission(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-block
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 100, Policy: PolicyReject}, exec)
 	if err != nil {
@@ -61,9 +61,9 @@ func TestByteCapAdmission(t *testing.T) {
 // queued bytes.
 func TestByteCapOversizedTask(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-block
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 50, Policy: PolicyReject}, exec)
 	if err != nil {
@@ -87,22 +87,20 @@ func TestByteCapOversizedTask(t *testing.T) {
 }
 
 // TestByteAccountingDrains pins that queued bytes return to zero once
-// tasks execute — including tasks drained through batch coalescing, the
-// second dequeue path.
+// tasks execute, each task in its own executor call.
 func TestByteAccountingDrains(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-release
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 1000, MaxBatch: 4}, exec)
+	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 1000}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// One running task, then three same-app tasks that coalesce into one
-	// batch when the worker frees up.
+	// One running task, then three queued behind it.
 	tasks := []*Task{byteTask("app", 0, 100)}
 	if err := s.Submit(tasks[0]); err != nil {
 		t.Fatal(err)
@@ -129,7 +127,7 @@ func TestByteAccountingDrains(t *testing.T) {
 	if st.Executed != 4 {
 		t.Fatalf("executed = %d, want 4", st.Executed)
 	}
-	if st.Batches < 2 {
-		t.Fatalf("batches = %d; coalescing never happened, the second dequeue path is untested", st.Batches)
+	if st.Batches != st.Executed {
+		t.Fatalf("batches = %d, want one executor call per task (%d)", st.Batches, st.Executed)
 	}
 }

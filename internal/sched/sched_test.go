@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,9 +13,9 @@ import (
 )
 
 // echoExec returns each task's payload as its result.
-func echoExec(batch []*Task) []Result {
-	out := make([]Result, len(batch))
-	for i, t := range batch {
+func echoExec(tasks []*Task) []Result {
+	out := make([]Result, len(tasks))
+	for i, t := range tasks {
 		out[i] = Result{Value: t.Payload}
 	}
 	return out
@@ -50,9 +49,9 @@ func TestSubmitExecutes(t *testing.T) {
 // immediately with ErrQueueFull.
 func TestRejectWhenFull(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-block
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 2, Policy: PolicyReject}, exec)
 	if err != nil {
@@ -90,9 +89,9 @@ func TestRejectWhenFull(t *testing.T) {
 // succeed when one frees up within QueueWait.
 func TestBlockPolicyWaitsForSpace(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-release
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 1, Policy: PolicyBlock, QueueWait: 5 * time.Second}, exec)
 	if err != nil {
@@ -130,9 +129,9 @@ func TestBlockPolicyWaitsForSpace(t *testing.T) {
 // slot frees within QueueWait.
 func TestBlockPolicyDeadline(t *testing.T) {
 	block := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		<-block
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 1, Policy: PolicyBlock, QueueWait: 30 * time.Millisecond}, exec)
 	if err != nil {
@@ -152,121 +151,16 @@ func TestBlockPolicyDeadline(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces: queued tasks sharing a BatchKey reach the executor
-// as one batch; different keys never mix.
-func TestBatchingCoalesces(t *testing.T) {
-	block := make(chan struct{})
-	var mu sync.Mutex
-	var batches [][]string
-	exec := func(batch []*Task) []Result {
-		if len(batch) == 1 && batch[0].Payload == "plug" {
-			<-block
-			return echoExec(batch)
-		}
-		keys := make([]string, len(batch))
-		for i, t := range batch {
-			keys[i] = t.BatchKey
-		}
-		mu.Lock()
-		batches = append(batches, keys)
-		mu.Unlock()
-		return echoExec(batch)
-	}
-	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxBatch: 4}, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Plug the single worker so a backlog builds.
-	if err := s.Submit(NewTask("", "plug")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return s.Stats().Busy == 1 })
-	var tasks []*Task
-	for _, key := range []string{"m1", "m1", "m2", "m1", "m1"} {
-		task := NewTask(key, key)
-		tasks = append(tasks, task)
-		if err := s.Submit(task); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(block)
-	for _, task := range tasks {
-		if _, err := task.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var m1Batches, mixed int
-	for _, keys := range batches {
-		same := true
-		for _, k := range keys {
-			if k != keys[0] {
-				same = false
-			}
-		}
-		if !same {
-			mixed++
-		}
-		if keys[0] == "m1" && len(keys) > 1 {
-			m1Batches++
-		}
-	}
-	if mixed != 0 {
-		t.Errorf("executor saw %d mixed-key batches: %v", mixed, batches)
-	}
-	if m1Batches == 0 {
-		t.Errorf("no multi-task m1 batch formed: %v", batches)
-	}
-	if got := s.Stats().BatchedTasks; got == 0 {
-		t.Error("stats report no batched tasks")
-	}
-}
-
-// TestBatchWindowCollectsArrivals: with a batch window, a worker holds an
-// under-filled batch open and coalesces tasks that arrive within it.
-func TestBatchWindowCollectsArrivals(t *testing.T) {
-	sizes := make(chan int, 8)
-	exec := func(batch []*Task) []Result {
-		sizes <- len(batch)
-		return echoExec(batch)
-	}
-	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxBatch: 2, BatchWindow: time.Second}, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	a, b := NewTask("k", 1), NewTask("k", 2)
-	if err := s.Submit(a); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // worker now holds the window open for a
-	if err := s.Submit(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-sizes; got != 2 {
-		t.Errorf("batch size = %d, want 2 (window should coalesce the late arrival)", got)
-	}
-}
-
 // TestCloseCancelsQueuedAndDrainsRunning: Close finishes every accepted
 // task — in-flight ones execute, queued ones fail with ErrClosed.
 func TestCloseCancelsQueuedAndDrainsRunning(t *testing.T) {
 	testutil.LeakCheck(t)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		close(started)
 		<-release
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 8}, exec)
 	if err != nil {
@@ -315,12 +209,12 @@ func TestDrainedQueueReleasesTasks(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		once.Do(func() {
 			close(started)
 			<-release
 		})
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1, QueueDepth: 8}, exec)
 	if err != nil {
@@ -360,14 +254,14 @@ func TestDrainedQueueReleasesTasks(t *testing.T) {
 	}
 }
 
-// TestExecutorPanicIsContained: a panicking executor fails its batch but
+// TestExecutorPanicIsContained: a panicking executor fails its task but
 // the pool keeps serving.
 func TestExecutorPanicIsContained(t *testing.T) {
-	exec := func(batch []*Task) []Result {
-		if batch[0].Payload == "boom" {
+	exec := func(tasks []*Task) []Result {
+		if tasks[0].Payload == "boom" {
 			panic("kaboom")
 		}
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1}, exec)
 	if err != nil {
@@ -379,7 +273,7 @@ func TestExecutorPanicIsContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := bad.Wait(); !errors.Is(err, ErrExecutorPanic) || !strings.Contains(err.Error(), "kaboom") {
-		t.Errorf("panicking batch returned %v, want ErrExecutorPanic carrying the panic value", err)
+		t.Errorf("panicking task returned %v, want ErrExecutorPanic carrying the panic value", err)
 	}
 	good := NewTask("", "fine")
 	if err := s.Submit(good); err != nil {
@@ -394,9 +288,9 @@ func TestExecutorPanicIsContained(t *testing.T) {
 // is non-zero after work, per-task timing is published on the Task, and the
 // mean feeds a plausible queueing estimate.
 func TestServiceHistogramTracksExecution(t *testing.T) {
-	exec := func(batch []*Task) []Result {
+	exec := func(tasks []*Task) []Result {
 		time.Sleep(5 * time.Millisecond)
-		return echoExec(batch)
+		return echoExec(tasks)
 	}
 	s, err := New(Config{Workers: 1}, exec)
 	if err != nil {
@@ -423,9 +317,6 @@ func TestServiceHistogramTracksExecution(t *testing.T) {
 	if task.ExecTime() < time.Millisecond {
 		t.Errorf("task ExecTime = %v, want >= 1ms", task.ExecTime())
 	}
-	if task.BatchSize() != 1 {
-		t.Errorf("task BatchSize = %d, want 1", task.BatchSize())
-	}
 	if task.QueueWait() < 0 {
 		t.Errorf("task QueueWait = %v, want >= 0", task.QueueWait())
 	}
@@ -441,11 +332,11 @@ func TestServiceHistogramTracksExecution(t *testing.T) {
 func TestConcurrentSubmitters(t *testing.T) {
 	testutil.LeakCheck(t)
 	var executed atomic.Int64
-	exec := func(batch []*Task) []Result {
-		executed.Add(int64(len(batch)))
-		return echoExec(batch)
+	exec := func(tasks []*Task) []Result {
+		executed.Add(int64(len(tasks)))
+		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 4, QueueDepth: 32, Policy: PolicyBlock, QueueWait: 10 * time.Second, MaxBatch: 4}, exec)
+	s, err := New(Config{Workers: 4, QueueDepth: 32, Policy: PolicyBlock, QueueWait: 10 * time.Second}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +348,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				task := NewTask(fmt.Sprintf("key-%d", i%3), i)
+				task := NewTask("", i)
 				if err := s.Submit(task); err != nil {
 					t.Errorf("client %d submit %d: %v", c, i, err)
 					return

@@ -11,7 +11,7 @@ import (
 
 // engine is the package's one discrete-event loop: closed-loop clients that
 // think, prepare a snapshot, ship it to a station (an edge server's worker
-// pool behind a bounded FIFO queue), get served in a batch or shed to local
+// pool behind a bounded FIFO queue), get served by one worker or shed to local
 // execution, and start their next request when the result is on screen.
 // LoadSweep is this engine with one station, FleetSweep the same engine
 // with N stations and the placement policy behind the route hook; a sweep
@@ -26,17 +26,15 @@ type engine struct {
 	// artifact, not the server.
 	thinkMax time.Duration
 	stations []station
-	// queueDepth is every station's admission queue capacity; maxBatch the
-	// largest batch one worker takes from the queue.
-	queueDepth, maxBatch int
+	// queueDepth is every station's admission queue capacity.
+	queueDepth int
 	// prep is the client-side segment before the snapshot reaches the
-	// station, service one worker's occupancy for a batch, post the
+	// station, service one worker's occupancy for a request, post the
 	// client-side segment after the station responds, local the client's
 	// own execution of a shed request.
-	prep, post, local time.Duration
-	service           func(batch int) time.Duration
+	prep, post, local, service time.Duration
 	// decision labels an offloaded request's audit record (Path, SplitLabel,
-	// Predicted, Placement); the engine fills in server, batch and latency.
+	// Predicted, Placement); the engine fills in server and latency.
 	decision obs.Decision
 	hooks
 }
@@ -56,9 +54,9 @@ type hooks struct {
 	// rule; a positive return postpones the arrival by that long.
 	hold func(st int) time.Duration
 	// done observes one finished request at the time its result is on
-	// screen: batch is the size of the batch a worker served it in, 0 when
-	// the station shed it and the client ran it locally.
-	done func(req request, st int, now time.Duration, batch int)
+	// screen: served is false when the station shed it and the client ran
+	// it locally.
+	done func(req request, st int, now time.Duration, served bool)
 }
 
 // station is one edge server: workers executors behind a bounded queue.
@@ -81,7 +79,7 @@ type request struct {
 const (
 	evStart  = iota // the user event fires and the request asks for a station
 	evArrive        // a snapshot reaches its station
-	evDone          // a worker finishes a batch
+	evDone          // a worker finishes a request
 )
 
 type event struct {
@@ -89,8 +87,7 @@ type event struct {
 	seq     int // push order: the tie-break between simultaneous events
 	kind    int
 	station int
-	req     request   // evStart, evArrive
-	batch   []request // evDone
+	req     request
 }
 
 type eventHeap []*event
@@ -166,13 +163,13 @@ func (e *engine) run() (outcome, error) {
 	}
 	// complete is the one place a request ends: it records the request's
 	// decision and latency, then starts the client's next request.
-	complete := func(req request, st int, now time.Duration, batch int) {
+	complete := func(req request, st int, now time.Duration, served bool) {
 		d := e.decision
-		if batch == 0 {
+		if !served {
 			out.shed++
 			d = obs.Decision{Path: obs.PathFallback, Reason: "overloaded", Placement: d.Placement}
 		}
-		d.Server, d.BatchSize = e.stations[st].name, batch
+		d.Server = e.stations[st].name
 		d.Measured, d.HintAge = now-req.start, -1
 		audit.Record(d)
 		out.latencies = append(out.latencies, now-req.start)
@@ -180,7 +177,7 @@ func (e *engine) run() (outcome, error) {
 			out.makespan = now
 		}
 		if e.done != nil {
-			e.done(req, st, now, batch)
+			e.done(req, st, now, served)
 		}
 		if remaining[req.client] > 0 {
 			start(req.client, now)
@@ -189,15 +186,11 @@ func (e *engine) run() (outcome, error) {
 	dispatch := func(st int, t time.Duration) {
 		s := &e.stations[st]
 		for s.busy < s.workers && len(s.queue) > 0 {
-			take := min(e.maxBatch, len(s.queue))
-			batch := make([]request, take)
-			copy(batch, s.queue)
-			s.queue = s.queue[take:]
-			for i := range batch {
-				batch[i].dispatch = t
-			}
+			req := s.queue[0]
+			s.queue = s.queue[1:]
+			req.dispatch = t
 			s.busy++
-			push(&event{at: t + e.service(take), kind: evDone, station: st, batch: batch})
+			push(&event{at: t + e.service, kind: evDone, station: st, req: req})
 		}
 	}
 
@@ -228,7 +221,7 @@ func (e *engine) run() (outcome, error) {
 			if s.busy >= s.workers && len(s.queue) >= e.queueDepth {
 				// Every worker busy and the queue full: the station sheds,
 				// the client runs the request from its still-live app state.
-				complete(ev.req, ev.station, ev.at+e.local, 0)
+				complete(ev.req, ev.station, ev.at+e.local, false)
 				break
 			}
 			ev.req.arrive = ev.at
@@ -237,10 +230,8 @@ func (e *engine) run() (outcome, error) {
 		case evDone:
 			s := &e.stations[ev.station]
 			s.busy--
-			for _, req := range ev.batch {
-				s.executed++
-				complete(req, ev.station, ev.at+e.post, len(ev.batch))
-			}
+			s.executed++
+			complete(ev.req, ev.station, ev.at+e.post, true)
 			dispatch(ev.station, ev.at)
 		}
 	}

@@ -12,8 +12,7 @@ func TestEngineReportsStrandedRequests(t *testing.T) {
 	eng := engine{
 		clients: 3, requests: 2, thinkMax: time.Millisecond,
 		stations:   []station{{workers: 0}},
-		queueDepth: 4, maxBatch: 1,
-		service: func(int) time.Duration { return time.Millisecond },
+		queueDepth: 4, service: time.Millisecond,
 	}
 	_, err := eng.run()
 	if err == nil || !strings.Contains(err.Error(), "3 requests queued") {
@@ -21,26 +20,25 @@ func TestEngineReportsStrandedRequests(t *testing.T) {
 	}
 }
 
-// TestEngineBatchesAndSheds drives the engine without a sweep around it:
-// one worker, batches of up to two, a queue of two. Every request finishes
-// exactly once, and the hook sees each with a consistent timeline.
-func TestEngineBatchesAndSheds(t *testing.T) {
+// TestEngineServesAndSheds drives the engine without a sweep around it:
+// one worker, a queue of two. Every request finishes exactly once, and the
+// hook sees each with a consistent timeline.
+func TestEngineServesAndSheds(t *testing.T) {
 	const clients, requests = 8, 3
-	var served, shed, maxBatch int
+	var served, shed int
 	eng := engine{
 		clients: clients, requests: requests, thinkMax: time.Millisecond,
 		stations:   []station{{workers: 1}},
-		queueDepth: 2, maxBatch: 2,
-		prep: time.Millisecond, post: time.Millisecond, local: 5 * time.Millisecond,
-		service: func(batch int) time.Duration { return time.Duration(batch) * 10 * time.Millisecond },
+		queueDepth: 2,
+		prep:       time.Millisecond, post: time.Millisecond, local: 5 * time.Millisecond,
+		service: 10 * time.Millisecond,
 	}
-	eng.done = func(req request, st int, now time.Duration, batch int) {
-		if batch == 0 {
+	eng.done = func(req request, st int, now time.Duration, isServed bool) {
+		if !isServed {
 			shed++
 			return
 		}
 		served++
-		maxBatch = max(maxBatch, batch)
 		if !(req.start < req.arrive && req.arrive <= req.dispatch && req.dispatch < now) {
 			t.Errorf("request timeline out of order: %+v done at %v", req, now)
 		}
@@ -54,9 +52,6 @@ func TestEngineBatchesAndSheds(t *testing.T) {
 	}
 	if shed != out.shed || shed == 0 {
 		t.Errorf("shed = %d by hook, %d by engine; want equal and non-zero", shed, out.shed)
-	}
-	if maxBatch != 2 {
-		t.Errorf("largest batch = %d, want 2", maxBatch)
 	}
 	if got := eng.stations[0].executed; got != served {
 		t.Errorf("station executed %d, hook saw %d served", got, served)

@@ -214,11 +214,10 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 		thinkMax:   fleetThinkFactor * fs.service,
 		stations:   make([]station, nServers),
 		queueDepth: fleetQueueDepth,
-		maxBatch:   1,
 		prep:       fs.prep,
 		post:       fs.post,
 		local:      fs.localFull,
-		service:    func(int) time.Duration { return fs.service },
+		service:    fs.service,
 		decision:   obs.Decision{Path: obs.PathFull, Placement: string(policy)},
 	}
 	srvs := eng.stations
@@ -310,8 +309,8 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 		refetch += fs.modelBytes
 		return resolveBlob(s)
 	}
-	eng.done = func(req request, s int, now time.Duration, batch int) {
-		if batch > 0 && fs.cfg.StoreEvictEvery > 0 && hasBlob[s] &&
+	eng.done = func(req request, s int, now time.Duration, served bool) {
+		if served && fs.cfg.StoreEvictEvery > 0 && hasBlob[s] &&
 			srvs[s].executed%fs.cfg.StoreEvictEvery == 0 {
 			// The byte-capped store crossed its budget; the model blob is
 			// the LRU casualty.

@@ -9,15 +9,13 @@ import (
 )
 
 // LoadConfig parameterizes the load experiment's edge server: the same
-// knobs cmd/edged exposes (-workers, -queue, -batch).
+// knobs cmd/edged exposes (-workers, -queue).
 type LoadConfig struct {
 	// Workers is the number of concurrent executor workers.
 	Workers int
 	// QueueDepth is the admission queue capacity; arrivals beyond it are
 	// rejected and the client falls back to local rear execution.
 	QueueDepth int
-	// MaxBatch is the largest coalesced batch one worker executes.
-	MaxBatch int
 	// RequestsPerClient is how many closed-loop inferences each client
 	// performs.
 	RequestsPerClient int
@@ -29,15 +27,12 @@ type LoadConfig struct {
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Workers <= 0 {
 		// Two workers put the saturation knee inside the default 1..64
-		// client sweep for the benchmark models, so both the batching
-		// win and the overload (fallback) regime are visible.
+		// client sweep for the benchmark models, so the overload
+		// (fallback) regime is visible.
 		c.Workers = 2
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1
 	}
 	if c.RequestsPerClient <= 0 {
 		c.RequestsPerClient = 20
@@ -105,8 +100,6 @@ type loadSim struct {
 	// bd is the split's unloaded timeline, the source of every fixed
 	// per-request duration and of the cost model's prediction.
 	bd Breakdown
-	// serverRear is the batched rear forward-pass time.
-	serverRear func(batch int) time.Duration
 	// localRear is the client's own rear execution, used on fallback.
 	localRear time.Duration
 }
@@ -131,56 +124,36 @@ func newLoadSim(sc *Scenario, cfg LoadConfig) (*loadSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &loadSim{
-		cfg:       cfg,
-		bd:        bd,
-		localRear: localRear,
-		serverRear: func(batch int) time.Duration {
-			d, rerr := sc.Server.BatchRangeTime(infos, pt.Index+1, len(infos), batch)
-			if rerr != nil {
-				// Bounds were validated above; batch >= 1 by construction.
-				panic(rerr)
-			}
-			return d
-		},
-	}, nil
-}
-
-// service is one worker's occupancy for a batch: per-session restore and
-// capture are serial, the rear forward pass is batched.
-func (ls *loadSim) service(batch int) time.Duration {
-	b := time.Duration(batch)
-	return b*ls.bd.Get(PhaseSnapshotRestoreS) + ls.serverRear(batch) + b*ls.bd.Get(PhaseSnapshotCaptureS)
+	return &loadSim{cfg: cfg, bd: bd, localRear: localRear}, nil
 }
 
 // point runs the engine with clients concurrent closed-loop clients.
 func (ls *loadSim) point(clients int) (LoadPoint, error) {
 	rec := trace.NewRecorder()
-	prep, _, post := ls.bd.segments()
+	prep, service, post := ls.bd.segments()
 	eng := engine{
 		clients:    clients,
 		requests:   ls.cfg.RequestsPerClient,
 		thinkMax:   loadThinkMax,
 		stations:   []station{{workers: ls.cfg.Workers}},
 		queueDepth: ls.cfg.QueueDepth,
-		maxBatch:   ls.cfg.MaxBatch,
 		prep:       prep,
 		post:       post,
 		local:      ls.localRear,
-		service:    ls.service,
-		// Predicted is the cost model's unloaded single-request latency: no
-		// queueing, batch of one. Decisions compare it against simulated
-		// end-to-end latency to quantify prediction error under load.
+		service:    service,
+		// Predicted is the cost model's unloaded single-request latency, with
+		// no queueing. Decisions compare it against simulated end-to-end
+		// latency to quantify prediction error under load.
 		decision: obs.Decision{Path: obs.PathPartial, SplitLabel: ls.cfg.SplitLabel, Predicted: ls.bd.Total()},
 	}
-	eng.done = func(req request, _ int, _ time.Duration, batch int) {
-		if batch == 0 {
+	eng.done = func(req request, _ int, _ time.Duration, served bool) {
+		if !served {
 			return
 		}
 		// Queue and execute are where load contention shows; the rest are
 		// the fixed per-request stages of an offloaded inference.
 		rec.Observe(trace.StageQueue, req.dispatch-req.arrive)
-		rec.Observe(trace.StageExecute, ls.service(batch))
+		rec.Observe(trace.StageExecute, service)
 		rec.Observe(trace.StageCapture, ls.bd.Get(PhaseSnapshotCaptureC))
 		rec.Observe(trace.StageWire, ls.bd.Get(PhaseTransferUp))
 		rec.Observe(trace.StageResultWire, ls.bd.Get(PhaseTransferDown))
@@ -207,8 +180,8 @@ func (ls *loadSim) point(clients int) (LoadPoint, error) {
 
 // LoadSweep simulates the edge server under increasing numbers of
 // concurrent partial-offload clients of one model — the scheduler's target
-// workload: every session shares the same pre-sent rear model, so the
-// worker pool can coalesce them into batched forward passes.
+// workload: every session shares the same pre-sent rear model, and the
+// worker pool serves one session per worker turn.
 func LoadSweep(modelName string, clients []int, cfg LoadConfig) ([]LoadPoint, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("sim: empty client list")

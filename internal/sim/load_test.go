@@ -7,9 +7,9 @@ import (
 	"websnap/internal/obs"
 )
 
-func loadPoints(t *testing.T, batch int, clients []int) []LoadPoint {
+func loadPoints(t *testing.T, clients []int) []LoadPoint {
 	t.Helper()
-	pts, err := LoadSweep("googlenet", clients, LoadConfig{MaxBatch: batch})
+	pts, err := LoadSweep("googlenet", clients, LoadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestLoadSweepValidation(t *testing.T) {
 }
 
 func TestLoadSweepDeterministic(t *testing.T) {
-	a := loadPoints(t, 8, []int{8})
-	b := loadPoints(t, 8, []int{8})
+	a := loadPoints(t, []int{8})
+	b := loadPoints(t, []int{8})
 	// LoadPoint holds a slice (Stages), so compare piecewise.
 	sa, sb := a[0], b[0]
 	if sa.Clients != sb.Clients || sa.Completed != sb.Completed ||
@@ -54,7 +54,7 @@ func TestLoadSweepDeterministic(t *testing.T) {
 }
 
 func TestLoadAllRequestsComplete(t *testing.T) {
-	cfg := LoadConfig{MaxBatch: 4, RequestsPerClient: 5}
+	cfg := LoadConfig{RequestsPerClient: 5}
 	pts, err := LoadSweep("googlenet", []int{16}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,44 +64,19 @@ func TestLoadAllRequestsComplete(t *testing.T) {
 	}
 }
 
-// TestLoadBatchingImprovesThroughput checks the headline scheduler claim:
-// with >= 8 concurrent partial-offload clients of one model, coalescing
-// rear passes into batches yields more server-executed inferences per
-// second than serving each session alone.
-func TestLoadBatchingImprovesThroughput(t *testing.T) {
-	clients := []int{8, 16, 32, 64}
-	batched := loadPoints(t, 8, clients)
-	solo := loadPoints(t, 1, clients)
-	for i, n := range clients {
-		if batched[i].OffloadedThroughput <= solo[i].OffloadedThroughput {
-			t.Errorf("clients=%d: batched offloaded throughput %.3f <= solo %.3f",
-				n, batched[i].OffloadedThroughput, solo[i].OffloadedThroughput)
-		}
-	}
-	// The win must be substantial once the pool is saturated, not a
-	// rounding artifact.
-	if batched[1].OffloadedThroughput < 1.2*solo[1].OffloadedThroughput {
-		t.Errorf("clients=16: batched %.3f < 1.2x solo %.3f",
-			batched[1].OffloadedThroughput, solo[1].OffloadedThroughput)
-	}
-}
-
 // TestLoadTailLatencyMonotone checks that p99 latency does not decrease as
 // concurrency grows — queueing can only get worse with more load.
 func TestLoadTailLatencyMonotone(t *testing.T) {
 	clients := []int{1, 2, 4, 8, 16, 32, 64}
-	for _, batch := range []int{1, 8} {
-		pts := loadPoints(t, batch, clients)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].P99 < pts[i-1].P99 {
-				t.Errorf("batch=%d: p99 fell from %v (n=%d) to %v (n=%d)",
-					batch, pts[i-1].P99, pts[i-1].Clients, pts[i].P99, pts[i].Clients)
-			}
+	pts := loadPoints(t, clients)
+	for i := 1; i < len(pts); i++ {
+		if pts[i].P99 < pts[i-1].P99 {
+			t.Errorf("p99 fell from %v (n=%d) to %v (n=%d)",
+				pts[i-1].P99, pts[i-1].Clients, pts[i].P99, pts[i].Clients)
 		}
-		if pts[len(pts)-1].P99 <= pts[0].P99 {
-			t.Errorf("batch=%d: p99 never grew (%v at n=1, %v at n=64)",
-				batch, pts[0].P99, pts[len(pts)-1].P99)
-		}
+	}
+	if pts[len(pts)-1].P99 <= pts[0].P99 {
+		t.Errorf("p99 never grew (%v at n=1, %v at n=64)", pts[0].P99, pts[len(pts)-1].P99)
 	}
 }
 
@@ -109,7 +84,7 @@ func TestLoadTailLatencyMonotone(t *testing.T) {
 // the queue saturated, rejected inferences complete locally rather than
 // being lost, and lightly loaded sweeps see no fallback at all.
 func TestLoadFallbackUnderOverload(t *testing.T) {
-	pts := loadPoints(t, 8, []int{1, 64})
+	pts := loadPoints(t, []int{1, 64})
 	if pts[0].Fallbacks != 0 {
 		t.Errorf("single client saw %d fallbacks", pts[0].Fallbacks)
 	}
@@ -127,7 +102,7 @@ func TestLoadFallbackUnderOverload(t *testing.T) {
 // prediction is accurate at a single client but increasingly optimistic
 // (positive signed error: slower than predicted) as the server saturates.
 func TestLoadDecisionMixAndPredictionError(t *testing.T) {
-	pts := loadPoints(t, 8, []int{1, 64})
+	pts := loadPoints(t, []int{1, 64})
 	for _, pt := range pts {
 		var mixTotal int64
 		mix := map[obs.DecisionPath]int64{}
@@ -149,7 +124,7 @@ func TestLoadDecisionMixAndPredictionError(t *testing.T) {
 				pt.Clients, pt.PredErr.Count, pt.Completed-pt.Fallbacks)
 		}
 	}
-	// Unloaded: one client, one request in flight, batch of one — the
+	// Unloaded: one client, one request in flight — the
 	// prediction differs from the simulation only by think-time-free
 	// dispatch, so the relative error stays small.
 	if e := pts[0].PredErr.AbsP50; e > 0.05 {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"websnap/internal/mlapp"
+	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
 
@@ -191,6 +192,7 @@ func TestTypedArraySizesAreExact(t *testing.T) {
 // sized short), and Decode allocates the array and next to nothing else (no
 // string or byte copy of the payload).
 func TestTypedArrayCodecAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	const volume = 150528
 	for name, snap := range map[string]*Snapshot{
 		"one global":  arraySnapshot(t, map[string]webapp.Float32Array{"image": mlapp.SyntheticImage(volume, 7)}),
@@ -219,18 +221,13 @@ func TestTypedArrayCodecAllocations(t *testing.T) {
 			{"Encode", encode, uint64(len(wire)) * 105 / 100},
 			{"Decode", decode, 4*volume*105/100 + 64<<10},
 		} {
-			if allocs := testing.AllocsPerRun(5, c.run); allocs > 128 {
-				t.Errorf("%s, %s: %.0f allocations, want ≤ 128", name, c.op, allocs)
+			c.run()
+			a := testutil.MeasureAllocs(5, c.run)
+			if a.Mallocs > 128 {
+				t.Errorf("%s, %s: %d allocations, want ≤ 128", name, c.op, a.Mallocs)
 			}
-			const runs = 5
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				c.run()
-			}
-			runtime.ReadMemStats(&after)
-			if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > c.maxBytes {
-				t.Errorf("%s, %s of a %d-float snapshot (%d B encoded) allocated %d B, want ≤ %d", name, c.op, volume, len(wire), perRun, c.maxBytes)
+			if a.Bytes > c.maxBytes {
+				t.Errorf("%s, %s of a %d-float snapshot (%d B encoded) allocated %d B, want ≤ %d", name, c.op, volume, len(wire), a.Bytes, c.maxBytes)
 			}
 		}
 	}

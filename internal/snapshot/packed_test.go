@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -234,18 +233,12 @@ func TestPackedBodyCostsItsOutputs(t *testing.T) {
 	if testutil.RaceDetector {
 		return // the detector makes sync.Pool drop a share of what it is given
 	}
-	// The median round: a pool is per processor and emptied by the
-	// collector, so the odd round builds a flate.Writer again.
-	perRound := make([]uint64, 11)
-	for i := range perRound {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		round()
-		runtime.ReadMemStats(&after)
-		perRound[i] = after.TotalAlloc - before.TotalAlloc
-	}
-	slices.Sort(perRound)
-	if median, limit := perRound[len(perRound)/2], uint64(len(text))*125/100; median > limit {
-		t.Errorf("a round trip of a %d B body allocated %d B, want ≤ %d (the text, once, and inflate's tables)", len(text), median, limit)
+	// One processor and no collector for the measured rounds: a pool is
+	// per processor and emptied by the collector, so either would make a
+	// round build a flate.Writer again.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	round()
+	if mean, limit := testutil.MeasureAllocs(11, round).Bytes, uint64(len(text))*125/100; mean > limit {
+		t.Errorf("a round trip of a %d B body allocated %d B, want ≤ %d (the text, once, and inflate's tables)", len(text), mean, limit)
 	}
 }

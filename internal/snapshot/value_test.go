@@ -389,6 +389,7 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 // real offload result costs no more allocations at that size than at
 // TinyNet's.
 func TestDecodeAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	const volume = 150528
 	app, err := webapp.NewApp("allocs", seedRegistry())
 	if err != nil {
@@ -412,19 +413,16 @@ func TestDecodeAllocs(t *testing.T) {
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(5, decode(wire)); allocs >= 64 {
-		t.Errorf("Decode of a %d-float snapshot: %.0f allocations, want < 64", volume, allocs)
-	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	allocs := func(wire []byte) testutil.Allocs {
 		decode(wire)()
+		return testutil.MeasureAllocs(5, decode(wire))
 	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(4*volume + 1<<20); perRun >= limit {
-		t.Errorf("Decode of a %d-float snapshot allocated %d B, want < %d", volume, perRun, limit)
+	a := allocs(wire)
+	if a.Mallocs >= 64 {
+		t.Errorf("Decode of a %d-float snapshot: %d allocations, want < 64", volume, a.Mallocs)
+	}
+	if limit := uint64(4*volume + 1<<20); a.Bytes >= limit {
+		t.Errorf("Decode of a %d-float snapshot allocated %d B, want < %d", volume, a.Bytes, limit)
 	}
 
 	small, err := offloadSnapshot(t, 768, ModelOmit).Encode()
@@ -435,8 +433,8 @@ func TestDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, l := testing.AllocsPerRun(5, decode(small)), testing.AllocsPerRun(5, decode(large)); l > s {
-		t.Errorf("Decode allocations grow with the image: %.0f at 768 floats, %.0f at %d", s, l, volume)
+	if s, l := allocs(small).Mallocs, allocs(large).Mallocs; l > s {
+		t.Errorf("Decode allocations grow with the image: %d at 768 floats, %d at %d", s, l, volume)
 	}
 }
 
@@ -453,6 +451,7 @@ func TestSpecOnlySnapshotSkipsSpecWork(t *testing.T) {
 	if testutil.RaceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one processor, as testing.AllocsPerRun measures
 	tiny := offloadSnapshot(t, 768, ModelSpecOnly)
 	googlenet, err := models.Build(models.GoogLeNet)
 	if err != nil {
@@ -463,7 +462,7 @@ func TestSpecOnlySnapshotSkipsSpecWork(t *testing.T) {
 	if big.Models[0].Spec, err = nn.EncodeSpec(googlenet); err != nil {
 		t.Fatal(err)
 	}
-	measure := func(snap *Snapshot) (allocs float64, bytes uint64) {
+	measure := func(snap *Snapshot) (allocs, bytes uint64) {
 		run := func() {
 			wire, err := snap.Encode()
 			if err != nil {
@@ -473,24 +472,18 @@ func TestSpecOnlySnapshotSkipsSpecWork(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs = testing.AllocsPerRun(10, run)
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+		run()
+		a := testutil.MeasureAllocs(10, run)
+		return a.Mallocs, a.Bytes
 	}
 	tinyAllocs, tinyBytes := measure(tiny)
 	if tinyAllocs > 139*7/10 || tinyBytes > 21392*7/10 {
-		t.Errorf("TinyNet spec-only Encode + Decode: %.0f allocations, %d B; want ≤ %d and ≤ %d B", tinyAllocs, tinyBytes, 139*7/10, 21392*7/10)
+		t.Errorf("TinyNet spec-only Encode + Decode: %d allocations, %d B; want ≤ %d and ≤ %d B", tinyAllocs, tinyBytes, 139*7/10, 21392*7/10)
 	}
 	bigAllocs, bigBytes := measure(&big)
 	grown := len(big.Models[0].Spec) - len(tiny.Models[0].Spec)
 	if limit := tinyBytes + uint64(2*grown) + 1<<10; bigAllocs > tinyAllocs || bigBytes > limit {
-		t.Errorf("GoogLeNet spec-only Encode + Decode: %.0f allocations, %d B; want ≤ %.0f and ≤ %d B (TinyNet's, plus the %d B larger spec twice)", bigAllocs, bigBytes, tinyAllocs, limit, grown)
+		t.Errorf("GoogLeNet spec-only Encode + Decode: %d allocations, %d B; want ≤ %d and ≤ %d B (TinyNet's, plus the %d B larger spec twice)", bigAllocs, bigBytes, tinyAllocs, limit, grown)
 	}
 }
 

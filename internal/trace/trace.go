@@ -3,7 +3,7 @@
 //
 // One offload round trip crosses eight stages — snapshot capture, textual
 // encoding, compression, request wire transfer, the server's admission
-// queue, batched execution, result wire transfer, and result restoration.
+// queue, execution, result wire transfer, and result restoration.
 // The paper's headline numbers (Fig 7) are exactly these stage latencies,
 // and offload policy (partition choice, load shedding, roaming) is tuned
 // against them; coarse per-request totals hide which stage moved. A Trace
@@ -84,9 +84,6 @@ type Trace struct {
 	ID string `json:"traceId"`
 	// Spans holds the recorded stages in the order they were added.
 	Spans []Span `json:"spans"`
-	// BatchSize is the server-side execution batch this offload rode in
-	// (0 when unknown, 1 for solo execution).
-	BatchSize int `json:"batchSize,omitempty"`
 }
 
 // New creates a trace with a fresh ID.

@@ -29,12 +29,6 @@ type Event struct {
 // dispatch further events.
 type HandlerFunc func(app *App, ev Event) error
 
-// BatchHandlerFunc executes one event on each of several app instances in
-// a single coalesced invocation — the batched counterpart of a HandlerFunc.
-// apps and evs are parallel slices; the function must leave every app in
-// exactly the state its per-app handler would have produced.
-type BatchHandlerFunc func(apps []*App, evs []Event) error
-
 // Registry is an app's code bundle: named handler functions. Its content
 // hash is the app's code identity; a snapshot records the hash and is only
 // restorable against a registry with the same hash (the stand-in for the
@@ -42,10 +36,6 @@ type BatchHandlerFunc func(apps []*App, evs []Event) error
 type Registry struct {
 	name     string
 	handlers map[string]HandlerFunc
-	// batch holds optional batched implementations of registered
-	// handlers. They are an execution strategy with identical semantics,
-	// not new code, so they do not contribute to the code hash.
-	batch map[string]BatchHandlerFunc
 }
 
 // NewRegistry creates an empty code bundle named name.
@@ -53,39 +43,7 @@ func NewRegistry(name string) *Registry {
 	return &Registry{
 		name:     name,
 		handlers: make(map[string]HandlerFunc),
-		batch:    make(map[string]BatchHandlerFunc),
 	}
-}
-
-// RegisterBatch attaches a batched implementation to an already-registered
-// handler. The edge scheduler uses it to coalesce offloads that dispatch
-// the same handler into one batched execution; semantics must match the
-// per-app handler exactly.
-func (r *Registry) RegisterBatch(name string, fn BatchHandlerFunc) error {
-	if fn == nil {
-		return fmt.Errorf("webapp: register batch %q: nil handler", name)
-	}
-	if _, ok := r.handlers[name]; !ok {
-		return fmt.Errorf("webapp: register batch %q: no such handler", name)
-	}
-	if _, dup := r.batch[name]; dup {
-		return fmt.Errorf("webapp: register batch %q: already registered", name)
-	}
-	r.batch[name] = fn
-	return nil
-}
-
-// MustRegisterBatch is RegisterBatch but panics on error.
-func (r *Registry) MustRegisterBatch(name string, fn BatchHandlerFunc) {
-	if err := r.RegisterBatch(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// BatchHandler looks up a batched handler implementation by name.
-func (r *Registry) BatchHandler(name string) (BatchHandlerFunc, bool) {
-	fn, ok := r.batch[name]
-	return fn, ok
 }
 
 // Register adds a handler under the given name. Re-registering a name is an
