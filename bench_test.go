@@ -537,7 +537,7 @@ func BenchmarkModelPreSend(b *testing.B) {
 	b.SetBytes(model.ModelBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := conn.PreSendModel(fmt.Sprintf("bench-%d", i), "gendernet", model); err != nil {
+		if _, err := conn.PreSendModel(fmt.Sprintf("bench-%d", i), "gendernet", model, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

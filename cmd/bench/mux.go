@@ -89,7 +89,7 @@ func muxExp(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := setup.PreSendModel(muxBenchApp, "tiny", model); err != nil {
+	if _, err := setup.PreSendModel(muxBenchApp, "tiny", model, ""); err != nil {
 		setup.Close()
 		return err
 	}

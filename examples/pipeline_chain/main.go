@@ -87,10 +87,10 @@ func run() error {
 		Model:           model,
 		Depth:           3,
 		RequireDenature: true,
-		Candidates: func() []roam.ChainServer {
-			out := make([]roam.ChainServer, len(addrs))
+		Candidates: func() []protocol.FleetServer {
+			out := make([]protocol.FleetServer, len(addrs))
 			for i, a := range addrs {
-				out[i] = roam.ChainServer{Addr: a}
+				out[i] = protocol.FleetServer{Addr: a}
 			}
 			return out
 		},

@@ -169,10 +169,10 @@ func TestChainSoakMidHopDeath(t *testing.T) {
 		ModelName: model.Name(),
 		Model:     model,
 		Depth:     3,
-		Candidates: func() []roam.ChainServer {
-			out := make([]roam.ChainServer, len(addrs))
+		Candidates: func() []protocol.FleetServer {
+			out := make([]protocol.FleetServer, len(addrs))
 			for i, a := range addrs {
-				out[i] = roam.ChainServer{Addr: a}
+				out[i] = protocol.FleetServer{Addr: a}
 			}
 			return out
 		},

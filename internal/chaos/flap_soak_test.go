@@ -146,7 +146,6 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		BlobRefPreSend:    true,
 		Placement:         string(fleet.PolicyLoadWeighted),
 		Audit:             auditor,
 		LocalFallback:     true,
@@ -194,8 +193,9 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	if err := off.Retarget(newConn); err != nil {
 		t.Fatal(err)
 	}
-	// The reference pre-send cannot consult the blob index mid-outage; the
-	// offloader degrades to re-uploading the bytes — wasteful, never wrong.
+	// B cannot consult the blob index mid-outage, so it answers the offered
+	// key NeedBlob and the offloader re-uploads the bytes — wasteful, never
+	// wrong.
 	if err := off.WaitForAcks(); err != nil {
 		t.Fatalf("pre-send to B during outage: %v", err)
 	}

@@ -235,7 +235,7 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 		for {
 			keys := srvA.BlobKeys()
 			if len(keys) > 0 {
-				holders, err := rc.Locate(keys)
+				holders, _, err := rc.Locate(keys, "")
 				ok := err == nil
 				for _, k := range keys {
 					if len(holders[k]) == 0 {
@@ -275,7 +275,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 			off, err := client.NewOffloader(app, connA, client.Options{
 				OffloadEventTypes: []string{mlapp.EventClick},
 				Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-				BlobRefPreSend:    true,
 				Flight:            clientFlight,
 			})
 			if err != nil {

@@ -218,10 +218,10 @@ func chainExec(t *testing.T, s sinks, depth int, local func(*tensor.Tensor) (*te
 	}
 	ex, err := roam.NewChainExecutor(roam.ChainConfig{
 		AppID: "funnel-chain", ModelName: model.Name(), Model: model, Depth: depth, Local: local,
-		Candidates: func() []roam.ChainServer {
-			out := make([]roam.ChainServer, len(addrs))
+		Candidates: func() []protocol.FleetServer {
+			out := make([]protocol.FleetServer, len(addrs))
 			for i, a := range addrs {
-				out[i] = roam.ChainServer{Addr: a}
+				out[i] = protocol.FleetServer{Addr: a}
 			}
 			return out
 		},

@@ -148,9 +148,12 @@ func TestLocalEventsRunLocally(t *testing.T) {
 	}
 }
 
+// TestServerErrorPropagates: the server refuses the inline pre-send — its
+// key offer, then its upload — and the refusal reaches the caller as the
+// server's error.
 func TestServerErrorPropagates(t *testing.T) {
 	app := tinyApp(t)
-	off, err := NewOffloader(app, scriptedServer(t, "echo-error"), Options{
+	off, err := NewOffloader(app, scriptedServer(t, "echo-error", "echo-error"), Options{
 		OffloadEventTypes: []string{"click"},
 	})
 	if err != nil {
@@ -191,7 +194,7 @@ func TestUnexpectedResponseType(t *testing.T) {
 
 func TestGarbageResponse(t *testing.T) {
 	conn := scriptedServer(t, "garbage")
-	err := conn.PreSendModel("a", "tiny", tinyModel(t))
+	_, err := conn.PreSendModel("a", "tiny", tinyModel(t), "")
 	if err == nil {
 		t.Error("garbage frame should fail")
 	}
@@ -199,7 +202,7 @@ func TestGarbageResponse(t *testing.T) {
 
 func TestPreSendWrongAckName(t *testing.T) {
 	conn := scriptedServer(t, "wrong-name-ack")
-	err := conn.PreSendModel("a", "tiny", tinyModel(t))
+	_, err := conn.PreSendModel("a", "tiny", tinyModel(t), "")
 	if err == nil || !strings.Contains(err.Error(), "ACK names") {
 		t.Errorf("err = %v, want ACK-name mismatch", err)
 	}
@@ -241,7 +244,7 @@ func TestRequestTimeout(t *testing.T) {
 	t.Cleanup(func() { conn.Close() })
 	conn.SetRequestTimeout(100 * time.Millisecond)
 	start := time.Now()
-	err := conn.PreSendModel("a", "tiny", tinyModel(t))
+	_, err := conn.PreSendModel("a", "tiny", tinyModel(t), "")
 	if err == nil {
 		t.Fatal("hung server should time out")
 	}

@@ -517,68 +517,61 @@ func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []b
 	return *ack, nil
 }
 
-// PreSendModel ships one model (descriptor + weights) to the edge server
-// and waits for the ACK.
-func (c *Conn) PreSendModel(appID, name string, model *nn.Network) error {
-	_, err := c.preSendModel(appID, name, model)
-	return err
+// PreSend is what one PreSendModel did.
+type PreSend struct {
+	// Uploaded is the model's weight bytes (nn.Network.ModelBytes) when they
+	// went up; zero when the server answered the offered key itself.
+	Uploaded int64
+	// Uplink is how long the link took to carry the upload: its round trip
+	// less the time the server says it spent once the frame was in.
+	Uplink time.Duration
+	// Resolve is the server's span for resolving the offer — registry
+	// locate and peer fetches beneath it — when a trace ID was stamped.
+	Resolve *protocol.SpanNode
 }
 
-// preSendModel is PreSendModel, reporting how long the link took to carry the
-// weights: the round trip less the time the server says it spent once the
-// frame was in.
-func (c *Conn) preSendModel(appID, name string, model *nn.Network) (uplink time.Duration, err error) {
+// PreSendModel gets one model to the edge server and waits for the ACK
+// (§III.B.1). It offers the model's spec and content key (nn.Fingerprint)
+// first: a server that holds the model — or, fleet-joined, fetches it from
+// a peer — ACKs at once, and only a NeedBlob answer or a clean refusal sends
+// the weights. A non-empty traceID is stamped on the offer, and the server's
+// resolve span comes back in the report, so a roam handoff's pre-sends join
+// the client's trace under one ID.
+func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID string) (PreSend, error) {
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
-		return 0, fmt.Errorf("client: model %q: %w", name, err)
+		return PreSend{}, fmt.Errorf("client: model %q: %w", name, err)
 	}
-	var weights bytes.Buffer
-	if err := model.EncodeWeights(&weights); err != nil {
-		return 0, fmt.Errorf("client: model %q: %w", name, err)
-	}
-	hdr := protocol.ModelPreSendHeader{
+	ack, err := c.preSend(fmt.Sprintf("pre-send %q by reference", name), protocol.ModelPreSendHeader{
 		AppID: appID, ModelName: name, Spec: spec,
-		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
-	}
-	start := time.Now()
-	ack, err := c.preSend(fmt.Sprintf("pre-send %q", name), hdr, weights.Bytes())
-	return time.Since(start) - time.Duration(ack.ServeMicros)*time.Microsecond, err
-}
-
-// PreSendModelRefTraced offers a model to the edge server by content
-// reference: the header carries the spec and the model's fleet blob key
-// (nn.Fingerprint), but no weight bytes. A fleet server resolves the blob
-// from its cache or a peer and ACKs like a full pre-send; needBlob=true
-// means it could not (client should retry with PreSendModel). A server that
-// refuses the reference with an error frame is reported as needBlob too, so
-// the reference attempt is always safe. A non-empty traceID is stamped on
-// the request, and the server's resolve span — covering its registry locate
-// and peer fetches — comes back alongside the verdict, so a roam handoff's
-// pre-sends join the client's trace under one ID.
-func (c *Conn) PreSendModelRefTraced(appID, name string, model *nn.Network, traceID string) (needBlob bool, span *protocol.SpanNode, err error) {
-	spec, err := nn.EncodeSpec(model)
-	if err != nil {
-		return false, nil, fmt.Errorf("client: model %q: %w", name, err)
-	}
-	key := nn.Fingerprint(model)
-	if key == "" {
-		return true, nil, nil
-	}
-	ack, err := c.preSend(fmt.Sprintf("ref pre-send %q", name), protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec,
-		BlobKey: key,
+		BlobKey: nn.Fingerprint(model),
 		RefOnly: true,
 		TraceID: traceID,
 	}, nil)
-	if cleanServerError(err) {
-		// The server refused the reference but the stream is intact — fall
-		// back to a full upload.
-		return true, nil, nil
+	switch {
+	case err == nil && !ack.NeedBlob:
+		return PreSend{Resolve: ack.Span}, nil
+	case err != nil && !cleanServerError(err):
+		return PreSend{}, err
 	}
+	// The server does not hold the model, or refused the offer on an intact
+	// stream: upload it.
+	out := PreSend{Resolve: ack.Span}
+	var weights bytes.Buffer
+	if err := model.EncodeWeights(&weights); err != nil {
+		return out, fmt.Errorf("client: model %q: %w", name, err)
+	}
+	start := time.Now()
+	ack, err = c.preSend(fmt.Sprintf("pre-send %q", name), protocol.ModelPreSendHeader{
+		AppID: appID, ModelName: name, Spec: spec,
+		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
+	}, weights.Bytes())
 	if err != nil {
-		return false, nil, err
+		return out, err
 	}
-	return ack.NeedBlob, ack.Span, nil
+	out.Uploaded = model.ModelBytes()
+	out.Uplink = time.Since(start) - time.Duration(ack.ServeMicros)*time.Microsecond
+	return out, nil
 }
 
 // cleanServerError reports whether err is the server's verdict on one

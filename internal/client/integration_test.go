@@ -147,6 +147,26 @@ func TestRetargetInPackage(t *testing.T) {
 	}
 }
 
+// TestInlinePreSendAnsweredByKeyIsTimed: an offload made before any ACK, to
+// a server that already holds the model, pre-sends it inline by its key and
+// ships no weights — and the round trip that took is part of the offload's
+// timing.
+func TestInlinePreSendAnsweredByKeyIsTimed(t *testing.T) {
+	addr := startEdge(t, edge.Config{Installed: true})
+	if _, err := dialEdge(t, addr).PreSendModel("owner", "tiny", tinyModel(t), ""); err != nil {
+		t.Fatal(err)
+	}
+	off, app := newOffloadedApp(t, dialEdge(t, addr), Options{})
+	classifyOnce(t, off, app, 1)
+	st := off.Stats()
+	if st.LastTiming.InlineModelSend <= 0 {
+		t.Errorf("inline pre-send took %v, want its round trip", st.LastTiming.InlineModelSend)
+	}
+	if st.PreSendBytes != 0 || st.RefPreSendHits != 1 || st.LastModelIncluded || st.LastInlineModelBytes != 0 {
+		t.Errorf("stats = %+v, want one hit and no weights shipped", st)
+	}
+}
+
 func TestInstallOverlayInPackage(t *testing.T) {
 	syn := vmsynth.NewSynthesizer(vmsynth.BaseImage{Name: "base", Bytes: 1 << 20})
 	addr := startEdge(t, edge.Config{Installed: false, Synthesizer: syn})
@@ -226,11 +246,12 @@ func newWideApp(t *testing.T, conn *Conn, opts Options) (*Offloader, *webapp.App
 // paper's 30 Mbit/s link the pre-send already reads slow, so the first request
 // and every one after it travels packed, the results are the same labels, the
 // body is under three quarters of its text (an 8-bit synthetic image: 256
-// distinct floats), and the codec's time shows as the compress stage.
+// distinct floats), and the codec's time shows as the compress stage. Each
+// link gets a server of its own, so that each pre-send uploads the weights.
 func TestCompressedOffload(t *testing.T) {
-	addr := startEdge(t, edge.Config{Installed: true})
 	const offloads = 3
 	run := func(link netem.Profile) (results []string, st Stats) {
+		addr := startEdge(t, edge.Config{Installed: true})
 		conn, err := DialWrapped(addr, func(c net.Conn) net.Conn { return netem.Shape(c, link) })
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ func TestConnSharedByConcurrentStreams(t *testing.T) {
 	conn := dialEdge(t, addr)
 
 	model := tinyModel(t)
-	if err := conn.PreSendModel("mux-app", "tiny", model); err != nil {
+	if _, err := conn.PreSendModel("mux-app", "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	app, err := mlapp.NewFullApp("mux-app", "tiny", model, []string{"x", "y", "z"})

@@ -65,13 +65,6 @@ type Options struct {
 	// decisions so the audit can quantify prediction error. Zero means no
 	// prediction available.
 	PredictedOffload time.Duration
-	// BlobRefPreSend offers each model to the server by content reference
-	// (nn.Fingerprint) before uploading bytes. A fleet server that holds
-	// the blob — or can fetch it from a peer — ACKs without the upload, so
-	// a roaming client never re-ships a model the fleet already has; a
-	// NeedBlob answer (or a refusal) falls back to the full upload at the
-	// cost of one extra round trip.
-	BlobRefPreSend bool
 	// Placement names the fleet placement policy that selected this
 	// session's server; recorded on every audit decision.
 	Placement string
@@ -106,7 +99,7 @@ type Stats struct {
 	// it ran on.
 	LastResultBytes int64
 	// LastModelIncluded reports whether the last offload had to ship
-	// model files inline (offload before ACK).
+	// model weights inline (offload before ACK, to a server without them).
 	LastModelIncluded bool
 	// LastInlineModelBytes is the size of model weights shipped inline
 	// with the last offload (zero after the ACK has arrived).
@@ -120,11 +113,11 @@ type Stats struct {
 	// PreSendBytes is the total model weight bytes actually uploaded
 	// (background pre-sends and inline sends; reference hits ship none).
 	PreSendBytes int64
-	// RefPreSendHits counts model pre-sends satisfied by content
-	// reference — the fleet already held the blob, zero bytes shipped.
+	// RefPreSendHits counts model pre-sends the server answered by content
+	// key — from its store or a fleet peer — with zero bytes shipped.
 	RefPreSendHits int
-	// RefPreSendMisses counts reference attempts answered NeedBlob (or
-	// refused), each followed by a full upload.
+	// RefPreSendMisses counts model pre-sends whose offered key the server
+	// could not resolve, each of which uploaded the weights.
 	RefPreSendMisses int
 	// LastTiming is the wall-clock phase breakdown of the last offload —
 	// the real-path counterpart of the paper's Fig 7.
@@ -136,14 +129,15 @@ type Stats struct {
 	// recent traced handoff pre-send: the client root over the new
 	// server's resolve span, which nests the registry locate and any peer
 	// fetch — one tree, one trace ID, every process the handoff touched.
-	// Nil until a Retarget pre-sends a model by reference.
+	// Nil until a Retarget pre-sends a model.
 	LastHandoffSpan *protocol.SpanNode
 }
 
 // Timing is the measured wall-clock breakdown of one offload round trip.
 type Timing struct {
-	// InlineModelSend is the time spent shipping un-ACKed models before
-	// the snapshot (zero after pre-sending completes).
+	// InlineModelSend is the time spent pre-sending un-ACKed models ahead
+	// of the snapshot, whether the server answered their keys or took
+	// their weights (zero after pre-sending completes).
 	InlineModelSend time.Duration
 	// CaptureEncode covers snapshot capture plus textual encoding at the
 	// client (Fig 7's "Snapshot Capture (C)").
@@ -306,42 +300,31 @@ func (o *Offloader) StartPreSend() {
 	}()
 }
 
-// preSend ships one model to the current server, by content reference
-// first when BlobRefPreSend is on, and returns the weight bytes actually
-// uploaded (zero on a reference hit).
+// preSend gets one model to the current server and returns the weight bytes
+// it uploaded: zero when the server answered the offered content key from
+// its store or a peer.
 func (o *Offloader) preSend(name string, model *nn.Network) (int64, error) {
-	if o.opts.BlobRefPreSend {
-		o.mu.Lock()
-		tid := o.handoffTrace
-		o.mu.Unlock()
-		start := time.Now()
-		needBlob, span, err := o.conn.PreSendModelRefTraced(o.app.ID(), name, model, tid)
-		if err != nil {
-			return 0, err
-		}
-		if span != nil {
-			o.noteHandoffSpan(tid, name, span, time.Since(start))
-		}
-		if !needBlob {
-			o.mu.Lock()
-			o.stats.RefPreSendHits++
-			o.mu.Unlock()
-			return 0, nil
-		}
-		o.mu.Lock()
-		o.stats.RefPreSendMisses++
-		o.mu.Unlock()
-	}
-	uplink, err := o.conn.preSendModel(o.app.ID(), name, model)
+	o.mu.Lock()
+	tid := o.handoffTrace
+	o.mu.Unlock()
+	start := time.Now()
+	ps, err := o.conn.PreSendModel(o.app.ID(), name, model, tid)
 	if err != nil {
 		return 0, err
 	}
-	sent := model.ModelBytes()
+	if ps.Resolve != nil {
+		o.noteHandoffSpan(tid, name, ps.Resolve, time.Since(start))
+	}
 	o.mu.Lock()
-	o.stats.PreSendBytes += sent
-	o.uplink.observe(sent, uplink)
-	o.mu.Unlock()
-	return sent, nil
+	defer o.mu.Unlock()
+	if ps.Uploaded == 0 {
+		o.stats.RefPreSendHits++
+		return 0, nil
+	}
+	o.stats.RefPreSendMisses++
+	o.stats.PreSendBytes += ps.Uploaded
+	o.uplink.observe(ps.Uploaded, ps.Uplink)
+	return ps.Uploaded, nil
 }
 
 // noteHandoffSpan parents a traced pre-send's server-side resolve span
@@ -539,7 +522,6 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		inlineTook  time.Duration
 	)
 	policies := make(map[string]snapshot.ModelPolicy)
-	inlineStart := time.Now()
 	for _, name := range o.app.ModelNames() {
 		if o.excludeModels[name] {
 			policies[name] = snapshot.ModelOmit
@@ -549,17 +531,16 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 			continue
 		}
 		model, _ := o.app.Model(name)
+		start := time.Now()
 		sent, err := o.preSend(name, model)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
 		}
+		inlineTook += time.Since(start)
 		inlineBytes += sent
 		o.mu.Lock()
 		o.acked[name] = true
 		o.mu.Unlock()
-	}
-	if inlineBytes > 0 {
-		inlineTook = time.Since(inlineStart)
 	}
 	captureStart := time.Now()
 	snap, err := snapshot.Capture(o.app, snapshot.Options{

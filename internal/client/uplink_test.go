@@ -190,9 +190,10 @@ func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
 
 // TestOldPeerGetsRawBodies: however slow the link reads, a server that has
 // not said it decodes packed bodies is sent the text — and the same session
-// against a server that has, over the same link, packs every request.
+// against a server that has, over the same link, packs every request. Each
+// case gets a server of its own, so that each pre-send uploads the weights
+// and seeds the estimate.
 func TestOldPeerGetsRawBodies(t *testing.T) {
-	addr := startEdge(t, edge.Config{Installed: true})
 	for _, c := range []struct {
 		name string
 		old  bool
@@ -202,7 +203,7 @@ func TestOldPeerGetsRawBodies(t *testing.T) {
 		{"server with it", false, protocol.EncodingPacked},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rw, seen := relayTo(t, addr, c.old)
+			rw, seen := relayTo(t, startEdge(t, edge.Config{Installed: true}), c.old)
 			conn := NewConn(netem.Shape(rw, netem.WiFi30Mbps))
 			defer conn.Close()
 			off, app := newWideApp(t, conn, Options{})

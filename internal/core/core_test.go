@@ -119,6 +119,39 @@ func TestSessionModesAgree(t *testing.T) {
 	}
 }
 
+// TestSessionsShareOneUpload: two sessions of one model on one standalone
+// server, with nothing configured, upload the weights once. The second
+// session's pre-send offers the model's content key and the server answers
+// it from its store; both sessions then classify alike.
+func TestSessionsShareOneUpload(t *testing.T) {
+	addr := startServer(t)
+	model := tinyModel(t)
+	var sessions []*Session
+	for _, appID := range []string{"share-first", "share-second"} {
+		s, err := NewSession(SessionConfig{
+			AppID: appID, ModelName: "tiny", Model: model, Labels: labels,
+			Mode: ModeFull, Conn: dial(t, addr), PreSend: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WaitForModelUpload(); err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	first, second := sessions[0].Stats(), sessions[1].Stats()
+	if first.PreSendBytes != model.ModelBytes() || first.RefPreSendMisses != 1 {
+		t.Errorf("first session uploaded %d B over %d misses, want %d B over 1", first.PreSendBytes, first.RefPreSendMisses, model.ModelBytes())
+	}
+	if second.PreSendBytes != 0 || second.RefPreSendHits != 1 {
+		t.Errorf("second session uploaded %d B with %d hits, want 0 B and 1 hit", second.PreSendBytes, second.RefPreSendHits)
+	}
+	if a, b := classify(t, sessions[0], 5), classify(t, sessions[1], 5); a != b {
+		t.Errorf("sessions answer %q and %q for one image", a, b)
+	}
+}
+
 func TestSessionPartialDynamicSplit(t *testing.T) {
 	addr := startServer(t)
 	s, err := NewSession(SessionConfig{

@@ -80,9 +80,9 @@ func labelsFor(n int) []string {
 // so the session's requests travel packed from the first of its three
 // warm-up requests on, at half their text or less, and every answer is
 // bit-identical to local execution. The same session over loopback never
-// packs: its request's size is the text's.
+// packs: its request's size is the text's. Each link gets a server of its
+// own, so that each pre-send uploads the weights and seeds the estimate.
 func TestSlowLinkSessionPacksRequests(t *testing.T) {
-	addr := startServer(t)
 	model := stemModel(t)
 	volume := tensor.Volume(model.InputShape())
 	const warmup = 3
@@ -99,7 +99,7 @@ func TestSlowLinkSessionPacksRequests(t *testing.T) {
 	}
 
 	run := func(name string, link netem.Profile) client.Stats {
-		conn, err := client.DialWrapped(addr, func(c net.Conn) net.Conn { return netem.Shape(c, link) })
+		conn, err := client.DialWrapped(startServer(t), func(c net.Conn) net.Conn { return netem.Shape(c, link) })
 		if err != nil {
 			t.Fatal(err)
 		}

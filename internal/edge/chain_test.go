@@ -11,9 +11,9 @@ import (
 	"websnap/internal/tensor"
 )
 
-// startChainServer runs an installed edge server whose AdvertiseAddr is its
+// startHopServer runs an installed edge server whose AdvertiseAddr is its
 // own listen address, so chain spans carry the hop's identity.
-func startChainServer(t *testing.T, cfg Config) (*Server, string) {
+func startHopServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Catalog == nil {
 		cfg.Catalog = testCatalog(t)
@@ -84,7 +84,7 @@ func preSendAll(t *testing.T, model *nn.Network, addrs []string) {
 	t.Helper()
 	for _, addr := range addrs {
 		conn := dial(t, addr)
-		if err := conn.PreSendModel("chain-app", model.Name(), model); err != nil {
+		if _, err := conn.PreSendModel("chain-app", model.Name(), model, ""); err != nil {
 			t.Fatalf("pre-send to %s: %v", addr, err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestChainExecBitIdentical(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		_, addr := startChainServer(t, Config{})
+		_, addr := startHopServer(t, Config{})
 		addrs = append(addrs, addr)
 	}
 	preSendAll(t, model, addrs)
@@ -134,7 +134,7 @@ func TestChainSpanParenting(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		_, addr := startChainServer(t, Config{})
+		_, addr := startHopServer(t, Config{})
 		addrs = append(addrs, addr)
 	}
 	preSendAll(t, model, addrs)
@@ -183,7 +183,7 @@ func TestChainHopDeathAttribution(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		_, addr := startChainServer(t, Config{})
+		_, addr := startHopServer(t, Config{})
 		addrs = append(addrs, addr)
 	}
 	preSendAll(t, model, addrs)
@@ -227,7 +227,7 @@ func TestChainModelMissing(t *testing.T) {
 	model := tinyModel(t, "tiny")
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		_, addr := startChainServer(t, Config{})
+		_, addr := startHopServer(t, Config{})
 		addrs = append(addrs, addr)
 	}
 	// Only the first hop gets the model.

@@ -55,19 +55,19 @@ func clickSnapshot(t *testing.T, app *webapp.App, seed uint64) *snapshot.Snapsho
 // ServerTrace where it is a result, and carry a span tree exactly when the
 // request carried a TraceID.
 func TestWireContract(t *testing.T) {
-	srv, addr := startChainServer(t, Config{Workers: 2})
+	srv, addr := startHopServer(t, Config{Workers: 2})
 	model := tinyModel(t, "tiny")
 	const appID, traceID = "contract-app", "00c0ffee00c0ffee"
 
 	// Set-up over a client.Conn: the model, which a fleet-joined server's
 	// store also serves as a blob.
 	setup := dial(t, addr)
-	if err := setup.PreSendModel(appID, "tiny", model); err != nil {
+	if _, err := setup.PreSendModel(appID, "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Each snapshot row is a session of its own.
 	const fullAppID = appID + "-full"
-	if err := setup.PreSendModel(fullAppID, "tiny", model); err != nil {
+	if _, err := setup.PreSendModel(fullAppID, "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	fullApp, err := mlapp.NewFullApp(fullAppID, "tiny", model, tinyLabels)
@@ -81,7 +81,7 @@ func TestWireContract(t *testing.T) {
 	// The row that asks for its result as a delta is the Offloader's
 	// request; like every request it must leave no state behind.
 	const replyAppID = appID + "-reply"
-	if err := setup.PreSendModel(replyAppID, "tiny", model); err != nil {
+	if _, err := setup.PreSendModel(replyAppID, "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	replyApp, err := mlapp.NewFullApp(replyAppID, "tiny", model, tinyLabels)
@@ -95,7 +95,7 @@ func TestWireContract(t *testing.T) {
 	// An older client's synced session wrote Reply "delta+sync": it gets the
 	// same result delta, and nothing is kept for it either.
 	const syncAppID = appID + "-sync"
-	if err := setup.PreSendModel(syncAppID, "tiny", model); err != nil {
+	if _, err := setup.PreSendModel(syncAppID, "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	syncApp, err := mlapp.NewFullApp(syncAppID, "tiny", model, tinyLabels)
@@ -377,7 +377,7 @@ func TestWireContract(t *testing.T) {
 // in-memory pipe so the leak check sees the reader goroutine.
 func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 	testutil.LeakCheck(t)
-	srv, _ := startChainServer(t, Config{Workers: 2})
+	srv, _ := startHopServer(t, Config{Workers: 2})
 	clientSide, serverSide := net.Pipe()
 	served := make(chan struct{})
 	go func() {
@@ -390,7 +390,7 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 
 	model := tinyModel(t, "tiny")
 	const appID = "contract-client"
-	if err := conn.PreSendModel(appID, "tiny", model); err != nil {
+	if _, err := conn.PreSendModel(appID, "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	app, err := mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
@@ -402,13 +402,20 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundary := chainInput(t, model)
+	other := tinyModel(t, "other")
 	calls := map[string]func() error{
-		"ping":     func() error { _, _, err := conn.Ping(); return err },
-		"pre-send": func() error { return conn.PreSendModel(appID, "tiny", model) },
-		"ref pre-send": func() error {
-			needBlob, _, err := conn.PreSendModelRefTraced(appID, "tiny", model, "")
-			if err == nil && needBlob {
-				err = errors.New("server holds the blob but answered NeedBlob")
+		"ping": func() error { _, _, err := conn.Ping(); return err },
+		"pre-send, held": func() error {
+			ps, err := conn.PreSendModel(appID, "tiny", model, "")
+			if err == nil && ps.Uploaded != 0 {
+				err = errors.New("server holds the model but took its weights again")
+			}
+			return err
+		},
+		"pre-send, new": func() error {
+			ps, err := conn.PreSendModel(appID, "other", other, "")
+			if err == nil && ps.Uploaded == 0 {
+				err = errors.New("server answered for a model it never saw")
 			}
 			return err
 		},
@@ -483,8 +490,7 @@ func TestUndecodableHeaderBreaksClientConn(t *testing.T) {
 // server, must be dispatched only while holding a stream slot, must be
 // answered with exactly one frame echoing whatever seq the peek recovered,
 // and must give the slot back. Model pre-sends are left out: their handler
-// builds a network from the header, which is the adversarial-peer suite's
-// ground (ROADMAP item 4), not the envelope's.
+// builds a network from the header, which FuzzModelPreSend covers.
 func FuzzMuxEnvelope(f *testing.F) {
 	f.Add(uint8(protocol.MsgPing), []byte(`{"seq":7}`))
 	f.Add(uint8(protocol.MsgPing), []byte(`{"seq":"seven"}`))

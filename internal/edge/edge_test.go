@@ -18,7 +18,7 @@ import (
 )
 
 // testCatalog returns a catalog holding both mlapp code bundles.
-func testCatalog(t *testing.T) *webapp.Catalog {
+func testCatalog(t testing.TB) *webapp.Catalog {
 	t.Helper()
 	cat := webapp.NewCatalog()
 	if err := cat.Add(mlapp.FullRegistry()); err != nil {
@@ -68,7 +68,7 @@ func dial(t *testing.T, addr string) *client.Conn {
 	return conn
 }
 
-func tinyModel(t *testing.T, name string) *nn.Network {
+func tinyModel(t testing.TB, name string) *nn.Network {
 	t.Helper()
 	net, err := models.BuildTinyNet(name, 3)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestOnDemandInstallation(t *testing.T) {
 	model := tinyModel(t, "tiny")
 
 	// Pre-send before installation must fail.
-	if err := conn.PreSendModel("app-i", "tiny", model); !errors.Is(err, client.ErrServerError) {
+	if _, err := conn.PreSendModel("app-i", "tiny", model, ""); !errors.Is(err, client.ErrServerError) {
 		t.Fatalf("pre-send before install = %v, want ErrServerError", err)
 	}
 

@@ -20,18 +20,11 @@ import (
 // package (whose tests import edge); cmd/edged wires a fleet.RegistryClient.
 
 // BlobLocator reports which fleet peers hold each blob key
-// (fleet.RegistryClient implements it).
+// (fleet.RegistryClient implements it). A non-empty traceID propagates the
+// request's trace through the registry hop, whose span comes back for the
+// merged tree; a locator that does not trace returns a nil span.
 type BlobLocator interface {
-	Locate(keys []string) (map[string][]string, error)
-}
-
-// tracedLocator is the optional tracing upgrade of BlobLocator
-// (fleet.RegistryClient implements it): the locate propagates the
-// request's trace ID through the registry hop and returns the registry's
-// span for the merged tree. Discovered by interface assertion so edge
-// keeps not importing fleet.
-type tracedLocator interface {
-	LocateTraced(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error)
+	Locate(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error)
 }
 
 // spanTrail accumulates the fleet-hop spans of one traced request as it
@@ -92,9 +85,10 @@ func (s *Server) BlobKeys() []string {
 // blob index lags evictions and a stale or corrupt first holder must not end
 // the search while the remaining holders can still satisfy it. The caller
 // stores what verify decoded, so the next heartbeat advertises the key and
-// later requests and peers are served from here.
+// later requests and peers are served from here. Only a fleet-joined server
+// with a locator looks beyond its own store.
 func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) error) error {
-	if s.cfg.Locator == nil {
+	if !s.fleetEnabled() || s.cfg.Locator == nil {
 		return errBlobUnavailable
 	}
 	holders, err := s.locateBlob(key, trail)
@@ -126,20 +120,11 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 }
 
 // locateBlob asks the locator which peers hold key, propagating the
-// request's trace through the registry hop when both sides support it.
-// The hop's round trip feeds the StageRegistry histogram either way.
+// request's trace through the registry hop. The hop's round trip feeds the
+// StageRegistry histogram either way.
 func (s *Server) locateBlob(key string, trail *spanTrail) (map[string][]string, error) {
 	start := time.Now()
-	var (
-		holders map[string][]string
-		span    *protocol.SpanNode
-		err     error
-	)
-	if tl, ok := s.cfg.Locator.(tracedLocator); ok && trail.id() != "" {
-		holders, span, err = tl.LocateTraced([]string{key}, trail.id())
-	} else {
-		holders, err = s.cfg.Locator.Locate([]string{key})
-	}
+	holders, span, err := s.cfg.Locator.Locate([]string{key}, trail.id())
 	rtt := time.Since(start)
 	s.rec.Observe(trace.StageRegistry, rtt)
 	if err != nil {
@@ -252,17 +237,15 @@ func (s *Server) handleBlobGet(hdr *protocol.BlobGetHeader) (protocol.Message, e
 
 // resolveModel resolves a reference-only model pre-send to the model its
 // BlobKey names: the one this store already holds under that key (nothing
-// to decode or verify — the key is the held model's fingerprint), or one
-// rebuilt from a peer's weight bytes, which must hash back to the key (spec
-// and weights both feed nn.Fingerprint, so a wrong or tampered blob cannot
-// be installed). That check runs per candidate holder, so one bad or stale
-// peer cannot end the search while others still hold the real bytes.
+// to decode or verify — the key is the held model's fingerprint), or, on a
+// fleet-joined server, one rebuilt from a peer's weight bytes, which must
+// hash back to the key (spec and weights both feed nn.Fingerprint, so a
+// wrong or tampered blob cannot be installed). That check runs per
+// candidate holder, so one bad or stale peer cannot end the search while
+// others still hold the real bytes.
 func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, trail *spanTrail) (*nn.Network, error) {
-	switch {
-	case hdr.BlobKey == "":
+	if hdr.BlobKey == "" {
 		return nil, errors.New("reference pre-send without blob key")
-	case !s.fleetEnabled():
-		return nil, errBlobUnavailable
 	}
 	if e := s.store.lookup(hdr.BlobKey); e != nil {
 		return e.net, nil

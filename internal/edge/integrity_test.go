@@ -137,7 +137,7 @@ func TestSpecOnlyReferenceMustMatchStoredModel(t *testing.T) {
 	}
 	storeImposter := func(appID string) {
 		t.Helper()
-		if err := dial(t, addr).PreSendModel(appID, "tiny", imposter); err != nil {
+		if _, err := dial(t, addr).PreSendModel(appID, "tiny", imposter, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 			}
 			sess := &replySession{app: app, conn: dial(t, addr)}
 			if fullReply {
-				if err := sess.conn.PreSendModel(id, "tiny", model); err != nil {
+				if _, err := sess.conn.PreSendModel(id, "tiny", model, ""); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -209,7 +209,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 					}
 				case "raw":
 					const id = "store-raw"
-					if err := conn.PreSendModel(id, "tiny", model); err != nil {
+					if _, err := conn.PreSendModel(id, "tiny", model, ""); err != nil {
 						t.Fatal(err)
 					}
 					app, err := mlapp.NewFullApp(id, "tiny", model, tinyLabels)

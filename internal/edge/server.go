@@ -6,7 +6,6 @@
 package edge
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,9 +101,10 @@ type Config struct {
 	// AdvertiseAddr is this server's own fleet-advertised address. Setting
 	// it is what joins the server to a fleet's blob sharing: the session
 	// store's pre-sent models are then advertised on registry heartbeats
-	// under their content hashes and served to peers via MsgBlobGet. The
-	// peer-fetch path skips this address when the blob index lists us as a
-	// holder.
+	// under their content hashes and served to peers via MsgBlobGet, and a
+	// pre-sent key the store misses is fetched from a peer. Every server
+	// answers a key its own store holds. The peer-fetch path skips this
+	// address when the blob index lists us as a holder.
 	AdvertiseAddr string
 	// PeerDial overrides the transport for peer blob fetches (tests and
 	// chaos injection); nil means TCP.
@@ -422,13 +422,22 @@ func (s *Server) Serve(ln net.Listener) error {
 				return fmt.Errorf("edge: accept: %w", err)
 			}
 		}
+		// Join wg under the lock Close takes before it waits, so an Add
+		// can never race the Wait; a conn accepted after Close is dropped.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		s.wg.Add(1)
+		s.mu.Unlock()
 		if s.connSlots != nil {
 			select {
 			case s.connSlots <- struct{}{}:
 			default:
 				// At capacity: refuse politely and move on.
 				s.connsRefused.Inc()
-				s.wg.Add(1)
 				go func() {
 					defer s.wg.Done()
 					defer conn.Close()
@@ -445,7 +454,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.trackConn(conn, true)
 		s.connsServed.Inc()
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer s.trackConn(conn, false)
@@ -776,22 +784,19 @@ func (s *Server) handlePing(hdr *protocol.PingHeader) (protocol.Message, error) 
 // decodeModel rebuilds a network from a pre-send header's spec and a
 // weight blob.
 func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, error) {
-	net, err := nn.DecodeSpec(hdr.Spec)
+	net, err := nn.DecodeModel(hdr.Spec, weights)
 	if err != nil {
 		return nil, fmt.Errorf("model %q: %w", hdr.ModelName, err)
-	}
-	if err := net.DecodeWeights(bytes.NewReader(weights)); err != nil {
-		return nil, fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
 	}
 	return net, nil
 }
 
 // handleModelPreSend stores the client's model files and acknowledges, per
 // §III.B.1: "The server saves the files and sends an acknowledgement (ACK)
-// message to the client." A fleet client may send a reference instead of
-// the bytes (RefOnly + BlobKey): the server then resolves the model from
-// its store or a peer, and answers NeedBlob when it cannot, telling the
-// client to retry with the full upload.
+// message to the client." The client offers a reference first (RefOnly +
+// BlobKey): the server resolves the model from its store or, fleet-joined,
+// a peer, and answers NeedBlob when it cannot, telling the client to send
+// the weights.
 func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
 	start := time.Now()
 	// The client propagated its trace through the pre-send hop: collect the

@@ -161,20 +161,20 @@ func TestSessionStoreEvictionCleansDisk(t *testing.T) {
 // fakeLocator serves a fixed holder map.
 type fakeLocator struct{ holders map[string][]string }
 
-func (l fakeLocator) Locate(keys []string) (map[string][]string, error) {
+func (l fakeLocator) Locate(keys []string, _ string) (map[string][]string, *protocol.SpanNode, error) {
 	out := make(map[string][]string)
 	for _, k := range keys {
 		if h, ok := l.holders[k]; ok {
 			out[k] = h
 		}
 	}
-	return out, nil
+	return out, nil, nil
 }
 
 // blobPeer runs a minimal fleet peer: it answers MsgBlobGet for the blobs
 // it holds and a clean error frame otherwise (exactly like a real server
 // that evicted the blob).
-func blobPeer(t *testing.T, blobs map[string][]byte) string {
+func blobPeer(t testing.TB, blobs map[string][]byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -253,7 +253,7 @@ func refPreSend(t *testing.T, srv *Server, model *nn.Network) protocol.AckHeader
 }
 
 // modelBlob is the blob a peer serves under model's fingerprint.
-func modelBlob(t *testing.T, model *nn.Network) []byte {
+func modelBlob(t testing.TB, model *nn.Network) []byte {
 	t.Helper()
 	weights, err := encodeWeights(model)
 	if err != nil {

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"encoding/json"
 	"testing"
 
 	"websnap/internal/nn"
@@ -32,9 +33,10 @@ func wideModel(t *testing.T) *nn.Network {
 // TestRefPreSendLinksHeldModel pins the local hit of a reference pre-send:
 // when the store already holds the named key — here under another app — the
 // new app is given a reference to that very model, with nothing decoded,
-// copied or hashed on the way.
+// copied or hashed on the way. The server is standalone: a store hit needs
+// no fleet identity.
 func TestRefPreSendLinksHeldModel(t *testing.T) {
-	srv, _ := startServer(t, Config{Installed: true, AdvertiseAddr: "self:0"})
+	srv, _ := startServer(t, Config{Installed: true})
 	model := wideModel(t)
 	if err := srv.store.Put("owner", "wide", model); err != nil {
 		t.Fatal(err)
@@ -97,9 +99,9 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 			AdvertiseAddr: "fetcher:0",
 			Locator:       fakeLocator{holders: map[string][]string{key: {holder}}},
 		})
-		needBlob, _, err := dial(t, addr).PreSendModelRefTraced("roamer", "tiny", model, "")
-		if err != nil || needBlob {
-			t.Fatalf("%s: reference pre-send: needBlob=%v err=%v", stage, needBlob, err)
+		ps, err := dial(t, addr).PreSendModel("roamer", "tiny", model, "")
+		if err != nil || ps.Uploaded != 0 {
+			t.Fatalf("%s: pre-send uploaded %d B, err %v; want the reference resolved", stage, ps.Uploaded, err)
 		}
 		if got := fetcher.blobPeerFetches.Value(); got != 1 {
 			t.Fatalf("%s: %d peer fetches, want 1", stage, got)
@@ -111,7 +113,7 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 	}
 
 	uploaded, addr := startServer(t, Config{Installed: true, AdvertiseAddr: "holder:0", ModelDir: dir})
-	if err := dial(t, addr).PreSendModel("owner", "tiny", model); err != nil {
+	if _, err := dial(t, addr).PreSendModel("owner", "tiny", model, ""); err != nil {
 		t.Fatal(err)
 	}
 	fetchFrom("uploaded", addr)
@@ -125,4 +127,64 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 		t.Fatalf("restarted server advertises %v, want the reloaded model %s", keys, key)
 	}
 	fetchFrom("reloaded", addr)
+}
+
+// FuzzModelPreSend feeds arbitrary pre-send headers and bodies through the
+// server's dispatch, on a fleet-joined server whose locator names a peer
+// holding one model. Whatever the bytes, the server must not panic, and an
+// ACK without NeedBlob must leave the app's model in the store under a key
+// it fingerprints to — whether the model came up as weights, was already
+// held, or was fetched from the peer. Each input gets a fresh server, so
+// what one input stored cannot answer another.
+func FuzzModelPreSend(f *testing.F) {
+	model := tinyModel(f, "tiny")
+	key, weights := nn.Fingerprint(model), modelBlob(f, model)
+	spec, err := nn.EncodeSpec(model)
+	if err != nil {
+		f.Fatal(err)
+	}
+	header := func(h protocol.ModelPreSendHeader) []byte {
+		h.AppID, h.ModelName, h.Spec = "fuzz", "tiny", spec
+		b, err := json.Marshal(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	truncated := weights[:len(weights)/2]
+	f.Add(header(protocol.ModelPreSendHeader{BodyCRC: protocol.BodyChecksum(weights)}), weights)
+	f.Add(header(protocol.ModelPreSendHeader{BlobKey: key, RefOnly: true}), []byte(nil))
+	f.Add(header(protocol.ModelPreSendHeader{RefOnly: true}), []byte(nil))
+	f.Add(header(protocol.ModelPreSendHeader{BodyCRC: protocol.BodyChecksum(truncated)}), truncated)
+
+	cat := testCatalog(f)
+	locator := fakeLocator{holders: map[string][]string{key: {blobPeer(f, map[string][]byte{key: weights})}}}
+	f.Fuzz(func(t *testing.T, header, body []byte) {
+		srv, err := NewServer(Config{Catalog: cat, Installed: true, AdvertiseAddr: "fuzz:0", Locator: locator})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		msg := protocol.Message{Type: protocol.MsgModelPreSend, Header: header, Body: body}
+		hdr, _, hdrErr := protocol.DecodeFrame(msg)
+		resp, err := srv.dispatch(request{msg: msg, hdr: hdr, hdrErr: hdrErr}, 0)
+		if err != nil || resp.Type != protocol.MsgAck {
+			return
+		}
+		var ack protocol.AckHeader
+		if err := protocol.DecodeHeader(resp, &ack); err != nil {
+			t.Fatalf("undecodable ACK: %v", err)
+		}
+		if ack.NeedBlob {
+			return
+		}
+		h := hdr.(*protocol.ModelPreSendHeader)
+		net, ok := srv.store.Get(h.AppID, h.ModelName)
+		srv.store.mu.Lock()
+		held := srv.store.models[h.AppID][h.ModelName]
+		srv.store.mu.Unlock()
+		if !ok || nn.Fingerprint(net) != held {
+			t.Fatalf("ACKed %q/%q, but the store holds it %v under key %q", h.AppID, h.ModelName, ok, held)
+		}
+	})
 }

@@ -119,16 +119,9 @@ func loadModel(appDir, escName string) (*nn.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := nn.DecodeSpec(spec)
-	if err != nil {
-		return nil, err
-	}
 	weights, err := os.ReadFile(filepath.Join(appDir, escName+weightsSuffix))
 	if err != nil {
 		return nil, err
 	}
-	if err := net.DecodeWeights(bytes.NewReader(weights)); err != nil {
-		return nil, err
-	}
-	return net, nil
+	return nn.DecodeModel(spec, weights)
 }

@@ -33,9 +33,8 @@ type RegistryClient struct {
 	timeout time.Duration
 	dial    func(addr string, timeout time.Duration) (net.Conn, error)
 
-	mu       sync.Mutex
-	cached   *protocol.FleetViewHeader
-	cachedAt time.Time
+	mu     sync.Mutex
+	cached *protocol.FleetViewHeader
 }
 
 // NewRegistryClient builds a client for the registry at addr.
@@ -90,7 +89,6 @@ func (c *RegistryClient) FetchView() (protocol.FleetViewHeader, error) {
 	}
 	c.mu.Lock()
 	c.cached = &view
-	c.cachedAt = time.Now()
 	c.mu.Unlock()
 	return view, nil
 }
@@ -112,16 +110,10 @@ func (c *RegistryClient) View() (view protocol.FleetViewHeader, cached bool, err
 	return *c.cached, true, nil
 }
 
-// Locate asks the registry which servers hold each blob key.
-func (c *RegistryClient) Locate(keys []string) (map[string][]string, error) {
-	holders, _, err := c.LocateTraced(keys, "")
-	return holders, err
-}
-
-// LocateTraced is Locate with cross-process trace propagation: traceID is
-// stamped on the request and the registry's span for the hop comes back
-// alongside the holders. An empty traceID sends an untraced request.
-func (c *RegistryClient) LocateTraced(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error) {
+// Locate asks the registry which servers hold each blob key. A non-empty
+// traceID is stamped on the request, and the registry's span for the hop
+// comes back alongside the holders.
+func (c *RegistryClient) Locate(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error) {
 	start := time.Now()
 	var loc protocol.BlobLocationHeader
 	err := c.call(protocol.MsgBlobLocate, protocol.BlobLocateHeader{Keys: keys, TraceID: traceID},

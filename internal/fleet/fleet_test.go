@@ -160,7 +160,7 @@ func TestWireRegisterListLocate(t *testing.T) {
 	if len(view.Servers) != 1 || view.Servers[0].Addr != "edge-a:9000" || view.Servers[0].Capacity != 4 {
 		t.Fatalf("view = %+v", view.Servers)
 	}
-	holders, err := c.Locate([]string{"blob1", "missing"})
+	holders, _, err := c.Locate([]string{"blob1", "missing"}, "")
 	if err != nil {
 		t.Fatalf("Locate: %v", err)
 	}

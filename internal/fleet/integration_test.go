@@ -104,7 +104,7 @@ func waitForIndexedBlobs(t *testing.T, rc *fleet.RegistryClient, srv *edge.Serve
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		keys := srv.BlobKeys()
-		holders, err := rc.Locate(keys)
+		holders, _, err := rc.Locate(keys, "")
 		ok := err == nil && len(keys) > 0
 		for _, k := range keys {
 			if len(holders[k]) == 0 {
@@ -217,7 +217,6 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		BlobRefPreSend:    true,
 		Placement:         string(fleet.PolicyHash),
 		Audit:             auditor,
 	})
@@ -413,7 +412,7 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 	var modelKeys []string
 	for i := 1; i <= sessions; i++ {
 		appID, model := fmt.Sprintf("capped-%d", i), buildModel(i)
-		if err := conn.PreSendModel(appID, "tiny", model); err != nil {
+		if _, err := conn.PreSendModel(appID, "tiny", model, ""); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := conn.OffloadSnapshot(appID, request(appID, model, uint64(i)), false); err != nil {
@@ -491,7 +490,7 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 	waitForIndexedBlobs(t, rc, srv)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		holders, err := rc.Locate(evicted)
+		holders, _, err := rc.Locate(evicted, "")
 		if err == nil && len(holders) == 0 {
 			break
 		}

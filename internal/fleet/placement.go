@@ -80,30 +80,6 @@ func Pick(policy Policy, sessionID string, servers []protocol.FleetServer) (prot
 	return Rank(policy, sessionID, servers)[0], true
 }
 
-// PickChain returns up to k servers for a multi-hop chain, best candidate
-// first: the session's rendezvous ranking with saturated servers skipped
-// entirely (a chain is only as fast as its slowest hop, so a saturated
-// mid-chain server would stall the whole pipeline). Fewer than k servers
-// come back when the view is small or mostly saturated; the caller then
-// plans a shorter chain or falls back to 2-way.
-func PickChain(policy Policy, sessionID string, servers []protocol.FleetServer, k int) []protocol.FleetServer {
-	if k <= 0 {
-		return nil
-	}
-	ranked := Rank(policy, sessionID, servers)
-	out := make([]protocol.FleetServer, 0, k)
-	for _, s := range ranked {
-		if s.Load != nil && s.Load.Saturated {
-			continue
-		}
-		out = append(out, s)
-		if len(out) == k {
-			break
-		}
-	}
-	return out
-}
-
 // PlacementView adapts a registry client to a dynamic candidate view (the
 // shape internal/roam's Config.FleetView expects): each call fetches the
 // fleet view — degrading to the client's last-known-good cache during a

@@ -81,7 +81,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		BlobRefPreSend:    true,
 		Placement:         string(fleet.PolicyHash),
 		Flight:            flight,
 	})

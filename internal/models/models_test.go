@@ -1,6 +1,9 @@
 package models
 
 import (
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"websnap/internal/nn"
@@ -146,6 +149,10 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestModelsSerializeRoundTrip rebuilds every catalog model from its
+// descriptor and weight blob. The descriptor's declared parameter count is
+// exact, inception branches included: the whole blob passes the bound
+// nn.DecodeModel holds it to, and a blob one parameter short does not.
 func TestModelsSerializeRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -157,12 +164,19 @@ func TestModelsSerializeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EncodeSpec: %v", err)
 			}
-			clone, err := nn.DecodeSpec(data)
+			var weights bytes.Buffer
+			if err := net.EncodeWeights(&weights); err != nil {
+				t.Fatal(err)
+			}
+			clone, err := nn.DecodeModel(data, weights.Bytes())
 			if err != nil {
-				t.Fatalf("DecodeSpec: %v", err)
+				t.Fatalf("DecodeModel: %v", err)
 			}
 			if clone.TotalParams() != net.TotalParams() {
 				t.Errorf("params after round trip: %d != %d", clone.TotalParams(), net.TotalParams())
+			}
+			if _, err := nn.DecodeModel(data, weights.Bytes()[:weights.Len()-12]); err == nil || !strings.Contains(err.Error(), "declares") {
+				t.Errorf("blob one parameter short: err %v, want the descriptor refused", err)
 			}
 		})
 	}
@@ -201,7 +215,7 @@ func TestPartitionPointFeatureSizes(t *testing.T) {
 // TestEncodeSpecIsStable: a spec-only reference is accepted only when its
 // descriptor equals the stored model's byte for byte, so the encoding must
 // be a function of the architecture alone — the same bytes for a model
-// built twice, for one rebuilt from its own pre-send (DecodeSpec, then
+// built twice, for one rebuilt from its own descriptor (nn.Build, then
 // EncodeSpec), for a split's rear, and after an int8 plan is compiled. And
 // the memo behind EncodeSpec must hand each caller a copy of its own.
 func TestEncodeSpecIsStable(t *testing.T) {
@@ -225,6 +239,18 @@ func TestEncodeSpecIsStable(t *testing.T) {
 		}
 		return spec
 	}
+	decode := func(data []byte) *nn.Network {
+		t.Helper()
+		var spec nn.NetSpec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			t.Fatal(err)
+		}
+		net, err := nn.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
 	for _, name := range append(Names(), "tinynet") {
 		t.Run(name, func(t *testing.T) {
 			net := build(name)
@@ -232,11 +258,7 @@ func TestEncodeSpecIsStable(t *testing.T) {
 			if got := encode(build(name)); string(got) != string(want) {
 				t.Errorf("built twice: %d B vs %d B of spec", len(got), len(want))
 			}
-			rebuilt, err := nn.DecodeSpec(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := encode(rebuilt); string(got) != string(want) {
+			if got := encode(decode(want)); string(got) != string(want) {
 				t.Errorf("rebuilt from its pre-send: %s, want %s", got, want)
 			}
 			_, rear, err := net.Split(net.NumLayers() / 2)
@@ -244,10 +266,7 @@ func TestEncodeSpecIsStable(t *testing.T) {
 				t.Fatal(err)
 			}
 			rearSpec := encode(rear)
-			if rebuilt, err = nn.DecodeSpec(rearSpec); err != nil {
-				t.Fatal(err)
-			}
-			if got := encode(rebuilt); string(got) != string(rearSpec) {
+			if got := encode(decode(rearSpec)); string(got) != string(rearSpec) {
 				t.Errorf("split rear rebuilt from its pre-send: %s, want %s", got, rearSpec)
 			}
 			if name == "tinynet" {

@@ -107,20 +107,17 @@ func TestInceptionNetSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := DecodeSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.TotalParams() != net.TotalParams() {
-		t.Fatalf("params %d != %d", clone.TotalParams(), net.TotalParams())
-	}
 	// Behavior equivalence after weight transfer.
 	var buf bytes.Buffer
 	if err := net.EncodeWeights(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := clone.DecodeWeights(&buf); err != nil {
+	clone, err := DecodeModel(data, buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if clone.TotalParams() != net.TotalParams() {
+		t.Fatalf("params %d != %d", clone.TotalParams(), net.TotalParams())
 	}
 	in := tensor.MustNew(3, 8, 8)
 	for i := range in.Data() {

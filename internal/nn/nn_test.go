@@ -2,9 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -522,9 +524,13 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeSpec: %v", err)
 	}
-	got, err := DecodeSpec(data)
+	var weights bytes.Buffer
+	if err := net.EncodeWeights(&weights); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeModel(data, weights.Bytes())
 	if err != nil {
-		t.Fatalf("DecodeSpec: %v", err)
+		t.Fatalf("DecodeModel: %v", err)
 	}
 	if got.NumLayers() != net.NumLayers() {
 		t.Fatalf("layer count %d != %d", got.NumLayers(), net.NumLayers())
@@ -537,6 +543,41 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Errorf("layer %d: %s/%s != %s/%s", i, l.Type(), l.Name(),
 				net.Layers()[i].Type(), net.Layers()[i].Name())
 		}
+	}
+}
+
+// TestDecodeModelBoundedByWeights: a descriptor is held to the blob that
+// carries its weights. The whole blob rebuilds the network; a descriptor
+// declaring more parameters than its blob can hold — one more, or 3·2^62,
+// whose element count wraps int64 — is refused before a layer allocates
+// them.
+func TestDecodeModelBoundedByWeights(t *testing.T) {
+	net := tinyNet(t)
+	spec, err := EncodeSpec(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var weights bytes.Buffer
+	if err := net.EncodeWeights(&weights); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeModel(spec, weights.Bytes())
+	if err != nil || Fingerprint(got) != Fingerprint(net) {
+		t.Fatalf("whole blob: err %v, or the rebuilt model differs", err)
+	}
+	short := weights.Bytes()[:weights.Len()-12] // room for TotalParams-1 values
+	if _, err := DecodeModel(spec, short); err == nil || !strings.Contains(err.Error(), "declares") {
+		t.Errorf("blob one parameter short: err %v, want the descriptor refused", err)
+	}
+	hostile, err := json.Marshal(NetSpec{Name: "hostile", Layers: []LayerSpec{
+		{Type: TypeInput, Name: "data", Shape: []int{3, 1, 1}},
+		{Type: TypeFC, Name: "fc", In: 3, Out: 1 << 62},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeModel(hostile, weights.Bytes()); err == nil || !strings.Contains(err.Error(), "declares") {
+		t.Errorf("hostile descriptor: err %v, want it refused", err)
 	}
 }
 

@@ -188,16 +188,13 @@ func TestPropertyRandomNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		clone, err := DecodeSpec(spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		var wbuf bytes.Buffer
 		if err := net.EncodeWeights(&wbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := clone.DecodeWeights(&wbuf); err != nil {
-			t.Fatal(err)
+		clone, err := DecodeModel(spec, wbuf.Bytes())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cloneOut, err := clone.Forward(in)
 		if err != nil {

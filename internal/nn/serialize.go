@@ -189,13 +189,48 @@ func (n *Network) SpecJSON() ([]byte, error) {
 	return n.spec, n.specErr
 }
 
-// DecodeSpec parses a JSON net descriptor and builds the network.
-func DecodeSpec(data []byte) (*Network, error) {
+// DecodeModel rebuilds a network from its JSON descriptor and weight blob,
+// the pair a pre-send carries and a model directory holds. The blob bounds
+// the model: a descriptor declaring more parameters than the blob can hold
+// is refused before any layer is built, so a hostile descriptor cannot make
+// the decoder allocate more than it was sent.
+func DecodeModel(data, weights []byte) (*Network, error) {
 	var spec NetSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return nil, fmt.Errorf("nn: decode spec: %w", err)
 	}
-	return Build(spec)
+	if p, most := specParams(spec.Layers), float64(len(weights))/4; p > most {
+		return nil, fmt.Errorf("nn: spec %q declares %.0f parameters, more than %.0f", spec.Name, p, most)
+	}
+	n, err := Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.DecodeWeights(bytes.NewReader(weights)); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// specParams counts the parameters the layers' geometry declares, in
+// float64 so that no geometry overflows it; a negative dimension counts as
+// zero, since the layer constructor refuses it before allocating.
+func specParams(specs []LayerSpec) float64 {
+	dim := func(v int) float64 { return math.Max(float64(v), 0) }
+	var n float64
+	for _, s := range specs {
+		switch s.Type {
+		case TypeConv:
+			n += dim(s.OutC)*dim(s.InC)*dim(s.K)*dim(s.K) + dim(s.OutC)
+		case TypeFC:
+			n += dim(s.Out)*dim(s.In) + dim(s.Out)
+		case TypeInception:
+			for _, b := range s.Branches {
+				n += specParams(b)
+			}
+		}
+	}
+	return n
 }
 
 // Fingerprint hashes a model's architecture and weights into its stable

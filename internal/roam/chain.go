@@ -41,69 +41,29 @@ const chainStateOverheadBytes = 512
 // never the thing that terminates a healthy run.
 const maxChainAttempts = 16
 
-// ChainServer is one candidate chain hop: its address and the live queue
-// state the planner folds into the cut-set DP.
-type ChainServer struct {
-	Addr string
-	// QueueDelay is the server's estimated scheduler queueing delay from
-	// its freshest load hint (zero when unknown).
-	QueueDelay time.Duration
-	// Saturated marks a server advertising a full admission queue; the
-	// planner skips it — a chain is only as fast as its slowest hop.
-	Saturated bool
-}
-
 // ChainCandidates derives chain hop candidates from the roamer's freshest
 // probe state: healthy, freshly probed servers in selection order
-// (unsaturated before saturated, then by score). Saturation is reported,
-// not filtered, so the executor can still build a chain from a degraded
-// fleet when nothing better exists.
-func (r *Roamer) ChainCandidates() []ChainServer {
+// (unsaturated before saturated, then by score), each with its last load
+// hint. Saturated servers are listed, not dropped; the executor skips them,
+// since a chain is only as fast as its slowest hop.
+func (r *Roamer) ChainCandidates() []protocol.FleetServer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.cfg.Now()
-	type scored struct {
-		cs   ChainServer
-		info ServerInfo
-	}
-	var ranked []scored
+	var ranked []ServerInfo
 	for _, addr := range r.order {
 		info := r.servers[addr]
 		if !info.Healthy || r.stale(info, now) {
 			continue
 		}
-		cs := ChainServer{Addr: addr}
-		if info.Load != nil {
-			cs.QueueDelay = info.Load.QueueingDelay()
-			cs.Saturated = info.Load.Saturated
-		}
-		ranked = append(ranked, scored{cs: cs, info: *info})
+		ranked = append(ranked, *info)
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].info.better(ranked[j].info) })
-	out := make([]ChainServer, len(ranked))
-	for i, s := range ranked {
-		out[i] = s.cs
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].better(ranked[j]) })
+	out := make([]protocol.FleetServer, len(ranked))
+	for i, info := range ranked {
+		out[i] = protocol.FleetServer{Addr: info.Addr, Load: info.Load}
 	}
 	return out
-}
-
-// FleetChainView adapts a fleet placement view (e.g. fleet.PickChain over
-// a registry view) into the executor's candidate supplier, carrying each
-// server's advertised queueing delay and saturation into the planner.
-func FleetChainView(view func() []protocol.FleetServer) func() []ChainServer {
-	return func() []ChainServer {
-		servers := view()
-		out := make([]ChainServer, 0, len(servers))
-		for _, s := range servers {
-			cs := ChainServer{Addr: s.Addr}
-			if s.Load != nil {
-				cs.QueueDelay = s.Load.QueueingDelay()
-				cs.Saturated = s.Load.Saturated
-			}
-			out = append(out, cs)
-		}
-		return out
-	}
 }
 
 // ChainConfig parametrizes a ChainExecutor.
@@ -121,9 +81,10 @@ type ChainConfig struct {
 	// paper's privacy constraint).
 	RequireDenature bool
 	// Candidates supplies the live candidate servers, best first —
-	// typically (*Roamer).ChainCandidates or FleetChainView. Called once
-	// per planning round, so re-plans see fresh membership and hints.
-	Candidates func() []ChainServer
+	// typically (*Roamer).ChainCandidates or a ranked registry view — with
+	// the load hints the planner folds into the cut-set DP. Called once per
+	// planning round, so re-plans see fresh membership and hints.
+	Candidates func() []protocol.FleetServer
 	// Dial opens an offloading connection to a hop. Nil selects
 	// client.Dial. Chaos tests wrap here.
 	Dial func(addr string) (*client.Conn, error)
@@ -357,10 +318,10 @@ func hopAddrs(manifest []protocol.ChainHop) string {
 
 // liveCandidates filters the supplier's view down to at most depth
 // unexcluded, unsaturated servers, best first.
-func (e *ChainExecutor) liveCandidates(exclude map[string]bool, depth int) []ChainServer {
-	var out []ChainServer
+func (e *ChainExecutor) liveCandidates(exclude map[string]bool, depth int) []protocol.FleetServer {
+	var out []protocol.FleetServer
 	for _, s := range e.cfg.Candidates() {
-		if exclude[s.Addr] || s.Saturated {
+		if exclude[s.Addr] || (s.Load != nil && s.Load.Saturated) {
 			continue
 		}
 		out = append(out, s)
@@ -375,12 +336,16 @@ func (e *ChainExecutor) liveCandidates(exclude map[string]bool, depth int) []Cha
 // the paper's calibrated client (costmodel.ClientOdroid) and server
 // (costmodel.ServerX86) profiles, 30 Mbps Wi-Fi into every hop — and
 // translates the winning cut set into a protocol hop manifest.
-func (e *ChainExecutor) plan(servers []ChainServer) ([]protocol.ChainHop, partition.ChainCandidate, error) {
+func (e *ChainExecutor) plan(servers []protocol.FleetServer) ([]protocol.ChainHop, partition.ChainCandidate, error) {
 	hops := make([]partition.Hop, 0, len(servers)+1)
 	hops = append(hops, partition.Hop{Device: costmodel.ClientOdroid})
 	links := make([]netem.Profile, 0, len(servers))
 	for _, s := range servers {
-		hops = append(hops, partition.Hop{Device: costmodel.ServerX86, QueueDelay: s.QueueDelay})
+		hop := partition.Hop{Device: costmodel.ServerX86}
+		if s.Load != nil {
+			hop.QueueDelay = s.Load.QueueingDelay()
+		}
+		hops = append(hops, hop)
 		links = append(links, netem.WiFi30Mbps)
 	}
 	plan, err := partition.AnalyzeChain(e.cfg.Model, partition.ChainConfig{
@@ -448,7 +413,7 @@ func (e *ChainExecutor) hopConn(addr string) (*client.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fresh.PreSendModel(e.cfg.AppID, e.cfg.ModelName, e.cfg.Model); err != nil {
+	if _, err := fresh.PreSendModel(e.cfg.AppID, e.cfg.ModelName, e.cfg.Model, ""); err != nil {
 		fresh.Close()
 		return nil, err
 	}

@@ -76,11 +76,11 @@ func mixCount(sum obs.AuditSummary, path obs.DecisionPath) int64 {
 }
 
 // staticCandidates returns a fixed candidate supplier.
-func staticCandidates(addrs ...string) func() []ChainServer {
-	return func() []ChainServer {
-		out := make([]ChainServer, len(addrs))
+func staticCandidates(addrs ...string) func() []protocol.FleetServer {
+	return func() []protocol.FleetServer {
+		out := make([]protocol.FleetServer, len(addrs))
 		for i, a := range addrs {
-			out[i] = ChainServer{Addr: a}
+			out[i] = protocol.FleetServer{Addr: a}
 		}
 		return out
 	}
@@ -308,7 +308,7 @@ func TestChainExecutorLocalNoCandidates(t *testing.T) {
 		AppID:      "chain-app",
 		ModelName:  model.Name(),
 		Model:      model,
-		Candidates: func() []ChainServer { return nil },
+		Candidates: func() []protocol.FleetServer { return nil },
 		Auditor:    audit,
 	})
 	if err != nil {
@@ -387,34 +387,48 @@ func TestChainCandidatesFromRoamer(t *testing.T) {
 	if got[0].Addr != "fast" || got[1].Addr != "slow" {
 		t.Fatalf("order = %s,%s; want fast,slow", got[0].Addr, got[1].Addr)
 	}
-	if got[2].Addr != "sat" || !got[2].Saturated {
+	if got[2].Addr != "sat" || got[2].Load == nil || !got[2].Load.Saturated {
 		t.Fatalf("saturated server not last or not flagged: %+v", got)
 	}
-	if got[0].QueueDelay != 4*time.Millisecond {
-		t.Errorf("queue delay %v, want 4ms", got[0].QueueDelay)
+	if got[0].Load == nil || got[0].Load.QueueingDelay() != 4*time.Millisecond {
+		t.Errorf("load hint %+v, want a 4ms queueing delay", got[0].Load)
 	}
 }
 
-// TestFleetChainView checks the fleet-placement adapter.
-func TestFleetChainView(t *testing.T) {
-	view := FleetChainView(func() []protocol.FleetServer {
-		return []protocol.FleetServer{
-			{Addr: "a", Load: &protocol.LoadHint{QueueingMillis: 7}},
-			{Addr: "b", Load: &protocol.LoadHint{Saturated: true}},
-			{Addr: "c"},
-		}
+// TestChainExecutorSkipsSaturatedCandidates pins what the executor takes
+// from a candidate's load hint: a server advertising a full admission queue
+// never joins a chain, even when skipping it leaves the chain short of its
+// target depth.
+func TestChainExecutorSkipsSaturatedCandidates(t *testing.T) {
+	model, in := chainTestModel(t)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		addr, shutdown := startChainEdge(t)
+		t.Cleanup(shutdown)
+		addrs = append(addrs, addr)
+	}
+	ex, err := NewChainExecutor(ChainConfig{
+		AppID:           "chain-app",
+		ModelName:       model.Name(),
+		Model:           model,
+		Depth:           2,
+		RequireDenature: true,
+		Candidates: func() []protocol.FleetServer {
+			return []protocol.FleetServer{
+				{Addr: addrs[0], Load: &protocol.LoadHint{Saturated: true}},
+				{Addr: addrs[1], Load: &protocol.LoadHint{QueueingMillis: 7}},
+			}
+		},
 	})
-	got := view()
-	if len(got) != 3 {
-		t.Fatalf("view = %+v", got)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got[0].QueueDelay != 7*time.Millisecond || got[0].Saturated {
-		t.Errorf("server a mapped wrong: %+v", got[0])
+	defer ex.Close()
+	_, report, err := ex.Execute(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !got[1].Saturated {
-		t.Errorf("server b saturation dropped: %+v", got[1])
-	}
-	if got[2].QueueDelay != 0 || got[2].Saturated {
-		t.Errorf("server c mapped wrong: %+v", got[2])
+	if report.Path != obs.PathChain || len(report.Hops) != 1 || report.Hops[0].Addr != addrs[1] {
+		t.Fatalf("path %q over %+v, want a one-hop chain on the unsaturated %s", report.Path, report.Hops, addrs[1])
 	}
 }

@@ -632,8 +632,8 @@ func TestMidHandoffConnectionLoss(t *testing.T) {
 	defer shutdownA()
 
 	// The first connection to B resets 64 bytes into the write stream —
-	// inside the first frame of the handoff's model re-pre-send. Redials
-	// are clean.
+	// inside the first frame of the handoff's model re-pre-send, the offer
+	// of the model's key. Redials are clean.
 	var bDials atomic.Int32
 	dial := func(addr string) (*client.Conn, error) {
 		return client.DialWrapped(addr, func(c net.Conn) net.Conn {
