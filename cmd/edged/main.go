@@ -32,9 +32,7 @@ import (
 	"websnap/internal/core"
 	"websnap/internal/edge"
 	"websnap/internal/fleet"
-	"websnap/internal/nn"
 	"websnap/internal/obs"
-	"websnap/internal/sched"
 	"websnap/internal/telemetry"
 	"websnap/internal/vmsynth"
 )
@@ -65,11 +63,7 @@ func main() {
 		workers = flag.Int("workers", edge.DefaultWorkers,
 			"scheduler worker-pool size (concurrent snapshot executions)")
 		queue = flag.Int("queue", 0,
-			"scheduler admission-queue depth (0 = default)")
-		block = flag.Bool("queue-block", false,
-			"block full-queue submissions up to -queue-wait instead of rejecting them")
-		queueWait = flag.Duration("queue-wait", 0,
-			"how long -queue-block waits for queue space (0 = default)")
+			"scheduler admission-queue depth; a request finding it full is rejected at once (0 = default)")
 		maxQueueBytes = flag.Int64("max-queue-bytes", 0,
 			"max total snapshot bytes admitted to the scheduler queue (0 = unlimited)")
 
@@ -91,22 +85,16 @@ func main() {
 			"SLO good-event ratio target, e.g. 0.99 (0 = default 0.99)")
 		flightBytes = flag.Int64("flight-bytes", 0,
 			"flight-recorder ring byte cap for /debug/flight (0 = default 1 MiB)")
-
-		quality = flag.String("quality", "",
-			"force offloaded inference to this quality tier (float32 or int8) regardless of the client's choice (empty = honor the snapshot)")
 	)
 	flag.Parse()
-	sc := schedConfig{
-		workers: *workers, queue: *queue, block: *block, queueWait: *queueWait,
-		maxQueueBytes: *maxQueueBytes,
-	}
+	sc := schedConfig{workers: *workers, queue: *queue, maxQueueBytes: *maxQueueBytes}
 	fc := fleetConfig{registry: *registry, advertise: *advertise, ttl: *registryTTL}
 	bc := boundsConfig{storeBytes: *maxStoreBytes, streams: *maxStreams}
 	tc := telemetryConfig{
 		sloObjective: *sloObjective, sloGoal: *sloGoal,
 		flightBytes: *flightBytes, traceLogMaxBytes: *traceLogMaxBytes,
 	}
-	if err := run(*listen, *onDemand, *baseImage, *modelDir, *metricsAddr, *traceLog, *quality, *maxConns, *idle, *transfer, *quiet, *pprofOn, sc, fc, bc, tc); err != nil {
+	if err := run(*listen, *onDemand, *baseImage, *modelDir, *metricsAddr, *traceLog, *maxConns, *idle, *transfer, *quiet, *pprofOn, sc, fc, bc, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "edged:", err)
 		os.Exit(1)
 	}
@@ -115,8 +103,6 @@ func main() {
 // schedConfig bundles the scheduler flags.
 type schedConfig struct {
 	workers, queue int
-	queueWait      time.Duration
-	block          bool
 	maxQueueBytes  int64
 }
 
@@ -167,7 +153,7 @@ func resolveAdvertise(advertise string, lnAddr net.Addr) (string, error) {
 	return net.JoinHostPort(host, port), nil
 }
 
-func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLog, quality string, maxConns int, idle, transfer time.Duration, quiet, pprofOn bool, sc schedConfig, fc fleetConfig, bc boundsConfig, tc telemetryConfig) error {
+func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLog string, maxConns int, idle, transfer time.Duration, quiet, pprofOn bool, sc schedConfig, fc fleetConfig, bc boundsConfig, tc telemetryConfig) error {
 	if fc.registry == "" && fc.advertise != "" {
 		return fmt.Errorf("-advertise requires -registry (nothing to advertise to)")
 	}
@@ -186,19 +172,8 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	cfg := edge.Config{
 		Catalog: catalog, Installed: !onDemand, ModelDir: modelDir, Logger: logger,
 		MaxConns: maxConns, IdleTimeout: idle, TransferTimeout: transfer,
-		Workers: sc.workers, QueueDepth: sc.queue,
-		QueueWait: sc.queueWait, MaxQueueBytes: sc.maxQueueBytes,
+		Workers: sc.workers, QueueDepth: sc.queue, MaxQueueBytes: sc.maxQueueBytes,
 		MaxStoreBytes: bc.storeBytes, MaxStreams: bc.streams,
-	}
-	if quality != "" {
-		prec, err := nn.ParsePrecision(quality)
-		if err != nil {
-			return err
-		}
-		cfg.Quality = prec
-	}
-	if sc.block {
-		cfg.QueuePolicy = sched.PolicyBlock
 	}
 	switch traceLog {
 	case "":

@@ -45,12 +45,12 @@ func TestResolveAdvertise(t *testing.T) {
 }
 
 func TestRunRejectsFleetFlagsWithoutRegistry(t *testing.T) {
-	err := run(":0", false, "ubuntu-12.04", "", "", "", "", 0, 0, 0, true, false,
+	err := run(":0", false, "ubuntu-12.04", "", "", "", 0, 0, 0, true, false,
 		schedConfig{workers: 2}, fleetConfig{advertise: "10.0.0.5:7080"}, boundsConfig{}, telemetryConfig{})
 	if err == nil || !strings.Contains(err.Error(), "-registry") {
 		t.Errorf("-advertise without -registry: err = %v, want -registry mention", err)
 	}
-	err = run(":0", false, "ubuntu-12.04", "", "", "", "", 0, 0, 0, true, false,
+	err = run(":0", false, "ubuntu-12.04", "", "", "", 0, 0, 0, true, false,
 		schedConfig{workers: 2}, fleetConfig{ttl: 1}, boundsConfig{}, telemetryConfig{})
 	if err == nil || !strings.Contains(err.Error(), "-registry-ttl") {
 		t.Errorf("-registry-ttl without -registry: err = %v, want -registry-ttl mention", err)

@@ -216,7 +216,7 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 	volume := tensor.Volume(model.InputShape())
 	var fileImg websnap.Float32Array
 	if imagePath != "" {
-		fileImg, err = imageio.Load(imagePath, model.InputShape(), imageio.Options{})
+		fileImg, err = imageio.Load(imagePath, model.InputShape())
 		if err != nil {
 			return err
 		}

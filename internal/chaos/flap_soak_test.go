@@ -146,7 +146,6 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		Placement:         string(fleet.PolicyLoadWeighted),
 		Audit:             auditor,
 		LocalFallback:     true,
 	})

@@ -1,6 +1,6 @@
 // The attempt funnel: every offload-eligible request — an Offloader event,
 // a local-mode session's inference, a multi-hop chain execution — is a walk
-// over candidate placements (shed-to-local, one server, a chain, local) that
+// over candidate placements (one server, a chain, local) that
 // ends at the first placement that completes it. The walk, and the single
 // audit decision that describes where the request ended up, live here and
 // nowhere else.
@@ -18,11 +18,11 @@ import (
 // and what the audit records if the request completes there.
 type Placement struct {
 	// Path and Reason are the decision recorded when this placement
-	// completes the request. A Path of local, shed or fallback marks the
+	// completes the request. A Path of local or fallback marks the
 	// placement as on-device execution.
 	Path   obs.DecisionPath
 	Reason string
-	// Conn is the edge server this placement targets (or, for a shed or
+	// Conn is the edge server this placement targets (or, for a
 	// fallback, the one it stands in for); the decision takes its server
 	// address and load-hint age from it. Nil for placements with no single
 	// server, which name their target in Server instead.
@@ -38,7 +38,7 @@ type Placement struct {
 
 // local reports whether the placement executes on the device itself.
 func (p *Placement) local() bool {
-	return p.Path == obs.PathLocal || p.Path == obs.PathShed || p.Path == obs.PathFallback
+	return p.Path == obs.PathLocal || p.Path == obs.PathFallback
 }
 
 // Outcome is what one placement attempt reports back to the funnel.
@@ -59,11 +59,9 @@ type Outcome struct {
 type Funnel struct {
 	// AppID identifies the app instance on every decision.
 	AppID string
-	// Policy names the fleet placement policy that chose the target server.
-	Policy string
 	// Audit receives exactly one decision per Do call (nil-safe).
 	Audit *obs.Auditor
-	// Flight, when non-nil, also captures every shed, fallback and error
+	// Flight, when non-nil, also captures every fallback and error
 	// decision.
 	Flight *telemetry.FlightRecorder
 }
@@ -79,7 +77,7 @@ var errNoPlacement = errors.New("client: no placement to attempt")
 // end across every placement tried. The returned error is the last
 // placement's.
 func (f Funnel) Do(next func(failed error) *Placement) (obs.Decision, error) {
-	d := obs.Decision{AppID: f.AppID, Placement: f.Policy, Path: obs.PathError, Reason: "other"}
+	d := obs.Decision{AppID: f.AppID, Path: obs.PathError, Reason: "other"}
 	err := errNoPlacement
 	var failed error
 	start := time.Now()
@@ -113,24 +111,15 @@ func (f Funnel) Do(next func(failed error) *Placement) (obs.Decision, error) {
 	return d, err
 }
 
-// capture deposits a shed, fallback or error decision in the flight
-// recorder, joined to its trace.
+// capture deposits a fallback or error decision in the flight recorder,
+// joined to its trace.
 func (f Funnel) capture(d obs.Decision) {
-	if f.Flight == nil {
-		return
-	}
-	var reason string
-	switch d.Path {
-	case obs.PathShed:
-		reason = telemetry.FlightShed
-	case obs.PathError, obs.PathFallback:
-		reason = telemetry.FlightError
-	default:
+	if f.Flight == nil || (d.Path != obs.PathError && d.Path != obs.PathFallback) {
 		return
 	}
 	f.Flight.Record(telemetry.FlightEntry{
 		TraceID:  d.TraceID,
-		Reason:   reason,
+		Reason:   telemetry.FlightError,
 		Note:     string(d.Path) + ": " + d.Reason,
 		Decision: &d,
 	})

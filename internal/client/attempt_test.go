@@ -58,10 +58,9 @@ func deadAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// fakeEdge is a scripted server: pings are answered with load (so a client
-// can be handed a hint), every other request with the frame answer builds
-// for it — or, when answer returns false, by hanging up.
-func fakeEdge(t *testing.T, load *protocol.LoadHint, answer func(req protocol.Message, seq uint64) (protocol.Message, bool)) string {
+// fakeEdge is a scripted server: every request is answered with the frame
+// answer builds for it — or, when answer returns false, by hanging up.
+func fakeEdge(t *testing.T, answer func(req protocol.Message, seq uint64) (protocol.Message, bool)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -91,14 +90,8 @@ func fakeEdge(t *testing.T, load *protocol.LoadHint, answer func(req protocol.Me
 					}
 					var env protocol.MuxEnvelope
 					_ = json.Unmarshal(req.Header, &env)
-					resp, ok := protocol.Message{}, true
-					if req.Type == protocol.MsgPing {
-						resp, _ = protocol.Encode(protocol.MsgPong,
-							protocol.PongHeader{Installed: true, Load: load, Seq: env.Seq}, nil)
-					} else if resp, ok = answer(req, env.Seq); !ok {
-						return
-					}
-					if protocol.Write(c, resp) != nil {
+					resp, ok := answer(req, env.Seq)
+					if !ok || protocol.Write(c, resp) != nil {
 						return
 					}
 				}
@@ -175,7 +168,7 @@ func mlOffloader(t *testing.T, s sinks, addr string, opts client.Options) (*clie
 
 // plainStep drives one offload-eligible event of a model-less app against
 // addr and returns Step's error. failLocal makes the on-device handler fail.
-func plainStep(t *testing.T, s sinks, addr string, opts client.Options, ping, failLocal bool) error {
+func plainStep(t *testing.T, s sinks, addr string, opts client.Options, failLocal bool) error {
 	t.Helper()
 	reg := webapp.NewRegistry("funnel-plain")
 	reg.MustRegister("work", func(app *webapp.App, ev webapp.Event) error {
@@ -192,11 +185,6 @@ func plainStep(t *testing.T, s sinks, addr string, opts client.Options, ping, fa
 		t.Fatal(err)
 	}
 	conn := dial(t, addr)
-	if ping {
-		if _, _, err := conn.Ping(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	opts.OffloadEventTypes = []string{"go"}
 	opts.Audit, opts.Flight = s.audit, s.flight
 	off, err := client.NewOffloader(app, conn, opts)
@@ -240,7 +228,7 @@ func chainExec(t *testing.T, s sinks, depth int, local func(*tensor.Tensor) (*te
 // and checks the contract they now share: exactly one decision per request,
 // with the documented path and reason, a trace ID iff a request went on the
 // wire — and, when it was a snapshot request, the form its body travelled in —
-// and one flight entry for every shed, fallback and error.
+// and one flight entry for every fallback and error.
 func TestFunnelOutcomes(t *testing.T) {
 	type outcome struct {
 		name string
@@ -252,12 +240,6 @@ func TestFunnelOutcomes(t *testing.T) {
 		traced  bool
 		split   string
 		failing bool // the request surfaces an error
-	}
-	shedStep := func(load protocol.LoadHint, failLocal bool) func(t *testing.T, s sinks) error {
-		return func(t *testing.T, s sinks) error {
-			addr := fakeEdge(t, &load, hangUp)
-			return plainStep(t, s, addr, client.Options{MaxQueueingDelay: time.Millisecond}, true, failLocal)
-		}
 	}
 	cases := []outcome{
 		{name: "local", path: obs.PathLocal, reason: "mode-local",
@@ -286,12 +268,10 @@ func TestFunnelOutcomes(t *testing.T) {
 				_, err = sess.Classify(mlapp.SyntheticImage(3*16*16, 1))
 				return err
 			}},
-		{name: "shed/hint-saturated", path: obs.PathShed, reason: "hint-saturated",
-			run: shedStep(protocol.LoadHint{Saturated: true}, false)},
-		{name: "shed/hint-delay", path: obs.PathShed, reason: "hint-delay",
-			run: shedStep(protocol.LoadHint{QueueingMillis: 5000}, false)},
-		{name: "shed/local-failed", path: obs.PathError, reason: "local-failed", failing: true,
-			run: shedStep(protocol.LoadHint{Saturated: true}, true)},
+		{name: "fallback/local-failed", path: obs.PathError, reason: "local-failed", traced: true, failing: true,
+			run: func(t *testing.T, s sinks) error {
+				return plainStep(t, s, fakeEdge(t, hangUp), client.Options{LocalFallback: true}, true)
+			}},
 		{name: "chain", path: obs.PathChain, reason: "ok", traced: true,
 			run: func(t *testing.T, s sinks) error { return chainExec(t, s, 2, nil, realEdge(t), realEdge(t)) }},
 		{name: "chain/replanned", path: obs.PathChain, reason: "replanned", traced: true,
@@ -327,7 +307,7 @@ func TestFunnelOutcomes(t *testing.T) {
 				c = outcome{name: "fallback/" + k.kind, path: obs.PathFallback, reason: k.kind, traced: true}
 			}
 			c.run = func(t *testing.T, s sinks) error {
-				return plainStep(t, s, fakeEdge(t, nil, k.answer), client.Options{LocalFallback: fallback}, false, false)
+				return plainStep(t, s, fakeEdge(t, k.answer), client.Options{LocalFallback: fallback}, false)
 			}
 			cases = append(cases, c)
 		}
@@ -370,7 +350,7 @@ func TestFunnelOutcomes(t *testing.T) {
 			}
 			wantFlight := 0
 			switch tc.path {
-			case obs.PathShed, obs.PathFallback, obs.PathError:
+			case obs.PathFallback, obs.PathError:
 				wantFlight = 1
 			}
 			got := 0

@@ -135,8 +135,8 @@ func (c *Conn) LastLoad() (hint protocol.LoadHint, at time.Time, ok bool) {
 	return *c.lastLoad, c.loadAt, true
 }
 
-// hintFreshFor is how long a load hint steers shedding and the partition
-// decision after it arrives.
+// hintFreshFor is how long a load hint steers the partition decision after
+// it arrives.
 const hintFreshFor = 5 * time.Second
 
 // FreshLoad is LastLoad gated on age: ok only when the hint arrived within

@@ -45,7 +45,7 @@ func orderApp(t *testing.T, onWork func()) (*webapp.App, *[]string) {
 	return app, &order
 }
 
-// TestLocalPlacementRunsItsEvent is the regression for the shed/fallback
+// TestLocalPlacementRunsItsEvent is the regression for the fallback
 // reorder: with [work, note] queued and the offload kept on the device, the
 // local placement must run the event it was given — work, then note — and
 // the one eligible event must produce exactly one decision. The old code
@@ -65,15 +65,6 @@ func TestLocalPlacementRunsItsEvent(t *testing.T) {
 			setup:  func(_ *Conn, serverSide net.Conn) { serverSide.Close() },
 			path:   obs.PathFallback,
 			reason: "conn-broken",
-		},
-		{
-			name: "shed on saturated hint",
-			opts: Options{MaxQueueingDelay: 50 * time.Millisecond},
-			setup: func(conn *Conn, _ net.Conn) {
-				conn.noteLoad(&protocol.LoadHint{Saturated: true, QueueingMillis: 5000})
-			},
-			path:   obs.PathShed,
-			reason: "hint-saturated",
 		},
 	}
 	for _, tc := range cases {
@@ -107,7 +98,7 @@ func TestLocalPlacementRunsItsEvent(t *testing.T) {
 			if d := decisions[0]; d.Path != tc.path || d.Reason != tc.reason {
 				t.Errorf("decision = %s/%s, want %s/%s", d.Path, d.Reason, tc.path, tc.reason)
 			}
-			if st := off.Stats(); st.LocalFallbacks+st.LoadSheds != 1 {
+			if st := off.Stats(); st.LocalFallbacks != 1 {
 				t.Errorf("stats = %+v, want one local execution", st)
 			}
 		})

@@ -43,15 +43,9 @@ type Options struct {
 	// both shrinks the snapshot and prevents the server from inverting
 	// the feature data back to the input.
 	ExcludeModels []string
-	// MaxQueueingDelay sheds offloads to local execution while the
-	// server's last load hint predicts a queueing delay above this bound
-	// or reports a saturated admission queue — the client-side half of
-	// load-aware offloading: don't ship work to a server that will park
-	// it in a queue longer than it is worth. Zero disables shedding.
-	MaxQueueingDelay time.Duration
 	// Audit, when non-nil, receives exactly one structured decision event
-	// per offload-eligible event the offloader processes: offloaded, shed
-	// to local, fallen back after an error, or surfaced as an error.
+	// per offload-eligible event the offloader processes: offloaded, fallen
+	// back after an error, or surfaced as an error.
 	Audit *obs.Auditor
 	// AuditPath is the decision path recorded for successful offloads:
 	// obs.PathFull (the default) or obs.PathPartial for split-DNN
@@ -65,11 +59,8 @@ type Options struct {
 	// decisions so the audit can quantify prediction error. Zero means no
 	// prediction available.
 	PredictedOffload time.Duration
-	// Placement names the fleet placement policy that selected this
-	// session's server; recorded on every audit decision.
-	Placement string
 	// Flight, when non-nil, receives a flight-recorder entry for every
-	// shed, failed, and fallen-back offload decision, plus the merged span
+	// failed and fallen-back offload decision, plus the merged span
 	// tree of each roam handoff pre-send — the client-side feed of
 	// /debug/flight.
 	Flight *telemetry.FlightRecorder
@@ -104,8 +95,11 @@ type Stats struct {
 	// LastInlineModelBytes is the size of model weights shipped inline
 	// with the last offload (zero after the ACK has arrived).
 	LastInlineModelBytes int64
-	// LoadSheds counts events executed locally because the server's load
-	// hint predicted too much queueing delay (no offload was attempted).
+	// LoadSheds is always zero: the client no longer sheds on a load
+	// hint; a full server rejects and the event falls back locally.
+	//
+	// Deprecated: kept only because benchmark/workload.go and
+	// benchmark/layers.go still read it, until a benchmark PR drops them.
 	LoadSheds int
 	// Redials counts successful in-place reconnects after the connection
 	// was marked broken (ErrConnBroken).
@@ -399,20 +393,11 @@ func (o *Offloader) Offload(ev webapp.Event) error {
 
 // attempt runs one offload-eligible event through the funnel. Its
 // placements are the edge server alone, or with degrade — the Step path —
-// on-device execution up front when the load hint says to shed, else the
-// server and then, under LocalFallback, the device.
+// the server and then, under LocalFallback, the device.
 func (o *Offloader) attempt(ev webapp.Event, degrade bool) error {
 	o.mu.Lock()
 	conn := o.conn
 	o.mu.Unlock()
-	local := func(path obs.DecisionPath, reason string, counter *int) *Placement {
-		return &Placement{Path: path, Reason: reason, Conn: conn, Run: func() (Outcome, error) {
-			o.mu.Lock()
-			*counter++
-			o.mu.Unlock()
-			return Outcome{}, o.app.Handle(ev)
-		}}
-	}
 	var offloadErr error
 	first := &Placement{Path: o.opts.AuditPath, Conn: conn, SplitLabel: o.opts.SplitLabel,
 		Predicted: o.opts.PredictedOffload, Run: func() (Outcome, error) {
@@ -424,19 +409,19 @@ func (o *Offloader) attempt(ev webapp.Event, degrade bool) error {
 		first.Path = obs.PathFull
 	}
 	fallback := degrade && o.opts.LocalFallback
-	if shed, reason := o.shouldShed(); degrade && shed {
-		first, fallback = local(obs.PathShed, reason, &o.stats.LoadSheds), false
-	}
 	tried := 0
-	_, err := Funnel{
-		AppID: o.app.ID(), Policy: o.opts.Placement, Audit: o.opts.Audit, Flight: o.opts.Flight,
-	}.Do(func(failed error) *Placement {
+	_, err := Funnel{AppID: o.app.ID(), Audit: o.opts.Audit, Flight: o.opts.Flight}.Do(func(failed error) *Placement {
 		tried++
 		switch {
 		case tried == 1:
 			return first
 		case tried == 2 && fallback:
-			return local(obs.PathFallback, errKind(failed), &o.stats.LocalFallbacks)
+			return &Placement{Path: obs.PathFallback, Reason: errKind(failed), Conn: conn, Run: func() (Outcome, error) {
+				o.mu.Lock()
+				o.stats.LocalFallbacks++
+				o.mu.Unlock()
+				return Outcome{}, o.app.Handle(ev)
+			}}
 		}
 		return nil
 	})
@@ -461,29 +446,6 @@ func (o *Offloader) maybeRedial(conn *Conn, err error) {
 	o.mu.Lock()
 	o.stats.Redials++
 	o.mu.Unlock()
-}
-
-// shouldShed reports whether the server's last load hint says to keep this
-// event local: the hint is fresh and predicts a queueing delay beyond the
-// configured bound (or a saturated queue). The reason names the trigger
-// for decision attribution.
-func (o *Offloader) shouldShed() (bool, string) {
-	if o.opts.MaxQueueingDelay <= 0 {
-		return false, ""
-	}
-	o.mu.Lock()
-	conn := o.conn
-	o.mu.Unlock()
-	hint, ok := conn.FreshLoad()
-	switch {
-	case !ok:
-		return false, ""
-	case hint.Saturated:
-		return true, "hint-saturated"
-	case hint.QueueingDelay() > o.opts.MaxQueueingDelay:
-		return true, "hint-delay"
-	}
-	return false, ""
 }
 
 // Run drives the app until its event queue drains or maxSteps events have

@@ -114,7 +114,7 @@ type SessionConfig struct {
 	Network netem.Profile
 
 	// Audit, when non-nil, receives one structured decision event per
-	// inference request: the chosen path (local/full/partial/shed/
+	// inference request: the chosen path (local/full/partial/
 	// fallback), the cost model's latency prediction for that path, and
 	// the measured outcome.
 	Audit *obs.Auditor

@@ -162,11 +162,6 @@ func (s *Server) restoreApp(snap *snapshot.Snapshot) (*webapp.App, error) {
 			}
 		}
 	}
-	if s.cfg.Quality != "" {
-		if err := webapp.SetQuality(app, s.cfg.Quality); err != nil {
-			return nil, err
-		}
-	}
 	return app, nil
 }
 

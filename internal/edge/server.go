@@ -52,12 +52,6 @@ type Config struct {
 	// (TCP backpressure is the flow control). Zero selects
 	// DefaultMaxStreams.
 	MaxStreams int
-	// Quality, when set, overrides the quality-tier global of every
-	// restored snapshot before execution, forcing offloaded inference to
-	// run at this precision regardless of the client's choice — an
-	// operator knob for trading result fidelity against server throughput
-	// under load. Empty honors whatever tier each snapshot carries.
-	Quality nn.Precision
 	// MaxQueueBytes bounds the summed decoded size of snapshots waiting
 	// in the admission queue; zero means slots-only admission.
 	MaxQueueBytes int64
@@ -80,14 +74,10 @@ type Config struct {
 	// DefaultWorkers.
 	Workers int
 	// QueueDepth bounds the scheduler's admission queue. Zero selects the
-	// scheduler default.
+	// scheduler default. A request that finds the queue full is rejected
+	// at once with an overload error and a load hint, and the client runs
+	// the event locally: that is the server's only overload behavior.
 	QueueDepth int
-	// QueuePolicy selects the overload behavior: reject immediately (the
-	// default — saturated servers shed load so clients fall back locally)
-	// or block up to QueueWait.
-	QueuePolicy sched.Policy
-	// QueueWait bounds how long PolicyBlock waits for queue space.
-	QueueWait time.Duration
 	// Logger receives the server's JSON-line logs: per-request lines at
 	// debug level, failures of its own at warn and above. Nil is silent.
 	Logger *obs.Logger
@@ -356,8 +346,6 @@ func NewServer(cfg Config) (*Server, error) {
 		Workers:       workers,
 		QueueDepth:    cfg.QueueDepth,
 		MaxQueueBytes: cfg.MaxQueueBytes,
-		Policy:        cfg.QueuePolicy,
-		QueueWait:     cfg.QueueWait,
 	}, srv.execTask)
 	if err != nil {
 		return nil, err
@@ -715,7 +703,7 @@ func (e *overloadError) Error() string { return e.err.Error() }
 func (e *overloadError) Unwrap() error { return e.err }
 
 // recordFailure deposits a failed request in the flight recorder: shed
-// requests under the shed reason (the decision mix's load-drop path),
+// requests (a full admission queue rejected them) under the shed reason,
 // everything else as an error. The trace ID, when the request carried one,
 // joins the entry so operators can line it up with client-side traces.
 func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadError) {

@@ -217,7 +217,6 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
 		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
-		Placement:         string(fleet.PolicyHash),
 		Audit:             auditor,
 	})
 	if err != nil {
@@ -336,17 +335,13 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 		}
 	}
 
-	// Exactly one terminal audit decision per event, each stamped with the
-	// placement policy that chose the target.
+	// Exactly one terminal audit decision per event.
 	if got := auditor.Total(); got != 4 {
 		t.Errorf("audit decisions = %d, want 4 (one per event)", got)
 	}
 	for _, d := range auditor.Recent() {
 		if d.Path != obs.PathFull {
 			t.Errorf("decision path = %s, want full", d.Path)
-		}
-		if d.Placement != string(fleet.PolicyHash) {
-			t.Errorf("decision placement = %q, want %q", d.Placement, fleet.PolicyHash)
 		}
 	}
 

@@ -21,8 +21,7 @@ const (
 	// server's capacity and live load hint: weight = capacity softened by
 	// the advertised queueing delay, and saturated servers rank after all
 	// unsaturated ones. Sessions stay sticky while the fleet is balanced
-	// and shift away from servers that fall behind — the multi-server
-	// analogue of the client's single-server MaxQueueingDelay shedding.
+	// and shift away from servers that fall behind.
 	PolicyLoadWeighted Policy = "load"
 )
 
@@ -83,10 +82,12 @@ func Pick(policy Policy, sessionID string, servers []protocol.FleetServer) (prot
 // PlacementView adapts a registry client to a dynamic candidate view (the
 // shape internal/roam's Config.FleetView expects): each call fetches the
 // fleet view — degrading to the client's last-known-good cache during a
-// registry outage — ranks it for the session under the policy, and tags
-// the source ("registry" live, "registry-cached" degraded) for the
-// caller's audit trail. The error is non-nil only when the registry is
-// unreachable and no cached view exists.
+// registry outage — orders it by Rank under the policy, and tags the
+// source ("registry" live, "registry-cached" degraded) for the caller's
+// audit trail. The error is non-nil only when the registry is unreachable
+// and no cached view exists. The order does not place the session: the
+// roamer picks by probe score and uses this order only to break exact
+// score ties, so the policy decides nothing a probe can tell apart.
 func PlacementView(rc *RegistryClient, policy Policy, sessionID string) func() ([]string, string, error) {
 	return func() ([]string, string, error) {
 		view, cached, err := rc.View()

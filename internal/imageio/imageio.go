@@ -1,7 +1,6 @@
 // Package imageio converts real image files (PNG, JPEG) into the
-// Float32Array pixel tensors the ML web apps consume, with Caffe-style
-// preprocessing: RGB channel planes, resize to the model's input geometry,
-// and optional per-channel mean subtraction. It lets the offload CLI and
+// Float32Array pixel tensors the ML web apps consume: RGB channel planes
+// scaled to [0,1], resized to the model's input geometry. It lets the offload CLI and
 // examples classify actual photos instead of synthetic pixels.
 package imageio
 
@@ -16,37 +15,29 @@ import (
 	"websnap/internal/webapp"
 )
 
-// Options controls preprocessing.
-type Options struct {
-	// MeanRGB is subtracted per channel after scaling to [0,1]. Zero
-	// means no subtraction.
-	MeanRGB [3]float32
-}
-
 // Load reads and decodes an image file and converts it to a [3,H,W]
 // channel-planar Float32Array matching the given input shape.
-func Load(path string, shape []int, opts Options) (webapp.Float32Array, error) {
+func Load(path string, shape []int) (webapp.Float32Array, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("imageio: %w", err)
 	}
 	defer f.Close()
-	return Decode(f, shape, opts)
+	return Decode(f, shape)
 }
 
 // Decode converts an encoded image stream to a [3,H,W] channel-planar
 // Float32Array, resizing (nearest neighbor) to the target shape.
-func Decode(r io.Reader, shape []int, opts Options) (webapp.Float32Array, error) {
-	img, format, err := image.Decode(r)
+func Decode(r io.Reader, shape []int) (webapp.Float32Array, error) {
+	img, _, err := image.Decode(r)
 	if err != nil {
 		return nil, fmt.Errorf("imageio: decode: %w", err)
 	}
-	_ = format
-	return FromImage(img, shape, opts)
+	return FromImage(img, shape)
 }
 
 // FromImage converts a decoded image to the target shape.
-func FromImage(img image.Image, shape []int, opts Options) (webapp.Float32Array, error) {
+func FromImage(img image.Image, shape []int) (webapp.Float32Array, error) {
 	if len(shape) != 3 || shape[0] != 3 {
 		return nil, fmt.Errorf("imageio: target shape %v is not [3 H W]", shape)
 	}
@@ -67,14 +58,10 @@ func FromImage(img image.Image, shape []int, opts Options) (webapp.Float32Array,
 			sx := bounds.Min.X + x*sw/w
 			r16, g16, b16, _ := img.At(sx, sy).RGBA()
 			off := y*w + x
-			out[0*plane+off] = float32(r16)/65535 - opts.MeanRGB[0]
-			out[1*plane+off] = float32(g16)/65535 - opts.MeanRGB[1]
-			out[2*plane+off] = float32(b16)/65535 - opts.MeanRGB[2]
+			out[0*plane+off] = float32(r16) / 65535
+			out[1*plane+off] = float32(g16) / 65535
+			out[2*plane+off] = float32(b16) / 65535
 		}
 	}
 	return out, nil
 }
-
-// ImageNetMean is the conventional per-channel RGB mean (on the [0,1]
-// scale) used by Caffe-trained classification models.
-var ImageNetMean = [3]float32{0.485, 0.456, 0.406}

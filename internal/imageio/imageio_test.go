@@ -5,7 +5,6 @@ import (
 	"image"
 	"image/color"
 	"image/png"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,7 +26,7 @@ func testImage() image.Image {
 }
 
 func TestFromImageChannelPlanes(t *testing.T) {
-	out, err := FromImage(testImage(), []int{3, 8, 8}, Options{})
+	out, err := FromImage(testImage(), []int{3, 8, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestFromImageChannelPlanes(t *testing.T) {
 }
 
 func TestFromImageResize(t *testing.T) {
-	out, err := FromImage(testImage(), []int{3, 4, 4}, Options{})
+	out, err := FromImage(testImage(), []int{3, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestFromImageResize(t *testing.T) {
 		t.Error("resize lost blue plane")
 	}
 	// Upsample too.
-	up, err := FromImage(testImage(), []int{3, 16, 16}, Options{})
+	up, err := FromImage(testImage(), []int{3, 16, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,29 +70,12 @@ func TestFromImageResize(t *testing.T) {
 	}
 }
 
-func TestMeanSubtraction(t *testing.T) {
-	plain, err := FromImage(testImage(), []int{3, 8, 8}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := FromImage(testImage(), []int{3, 8, 8}, Options{MeanRGB: ImageNetMean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 3; c++ {
-		want := plain[c*64] - ImageNetMean[c]
-		if got := norm[c*64]; math.Abs(float64(got-want)) > 1e-6 {
-			t.Errorf("channel %d: %v, want %v", c, got, want)
-		}
-	}
-}
-
 func TestDecodeAndLoadPNG(t *testing.T) {
 	var buf bytes.Buffer
 	if err := png.Encode(&buf, testImage()); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decode(bytes.NewReader(buf.Bytes()), []int{3, 8, 8}, Options{})
+	out, err := Decode(bytes.NewReader(buf.Bytes()), []int{3, 8, 8})
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -105,7 +87,7 @@ func TestDecodeAndLoadPNG(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out2, err := Load(path, []int{3, 8, 8}, Options{})
+	out2, err := Load(path, []int{3, 8, 8})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -114,19 +96,19 @@ func TestDecodeAndLoadPNG(t *testing.T) {
 			t.Fatal("Load and Decode disagree")
 		}
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.png"), []int{3, 8, 8}, Options{}); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.png"), []int{3, 8, 8}); err == nil {
 		t.Error("missing file should fail")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not an image")), []int{3, 4, 4}, Options{}); err == nil {
+	if _, err := Decode(bytes.NewReader([]byte("not an image")), []int{3, 4, 4}); err == nil {
 		t.Error("garbage should fail")
 	}
-	if _, err := FromImage(testImage(), []int{1, 4, 4}, Options{}); err == nil {
+	if _, err := FromImage(testImage(), []int{1, 4, 4}); err == nil {
 		t.Error("non-RGB shape should fail")
 	}
-	if _, err := FromImage(testImage(), []int{3, 4}, Options{}); err == nil {
+	if _, err := FromImage(testImage(), []int{3, 4}); err == nil {
 		t.Error("rank-2 shape should fail")
 	}
 }

@@ -22,9 +22,6 @@ const (
 	PathFull DecisionPath = "full"
 	// PathPartial: the DNN was split and the rear part offloaded.
 	PathPartial DecisionPath = "partial"
-	// PathShed: the client kept the request local up front because the
-	// server's load hint predicted too much queueing delay.
-	PathShed DecisionPath = "shed"
 	// PathFallback: an offload was attempted, failed, and the request
 	// completed locally (fallback-after-error).
 	PathFallback DecisionPath = "fallback"
@@ -39,7 +36,7 @@ const (
 
 // AllPaths lists every decision path in a stable reporting order.
 func AllPaths() []DecisionPath {
-	return []DecisionPath{PathLocal, PathFull, PathPartial, PathShed, PathFallback, PathError, PathChain}
+	return []DecisionPath{PathLocal, PathFull, PathPartial, PathFallback, PathError, PathChain}
 }
 
 // Decision is one structured offload decision event: why a request ran
@@ -47,15 +44,14 @@ func AllPaths() []DecisionPath {
 // Exactly one Decision is emitted per offload-eligible request.
 type Decision struct {
 	// TraceID joins the decision to the span pipeline's trace (empty for
-	// decisions where no request was sent, e.g. shed).
+	// decisions where no request was sent, e.g. local).
 	TraceID string `json:"traceId,omitempty"`
 	// AppID identifies the app instance.
 	AppID string `json:"appId,omitempty"`
 	// Path is the chosen execution path.
 	Path DecisionPath `json:"path"`
 	// Reason qualifies non-success paths: the error kind for fallback and
-	// error ("overloaded", "conn-broken", "server-error", ...), the hint
-	// trigger for shed ("hint-saturated", "hint-delay").
+	// error ("overloaded", "conn-broken", "server-error", ...).
 	Reason string `json:"reason,omitempty"`
 	// SplitLabel is the partition point for partial offloads.
 	SplitLabel string `json:"splitLabel,omitempty"`
@@ -70,7 +66,9 @@ type Decision struct {
 	// decision was; negative when no hint had arrived.
 	HintAge time.Duration `json:"hintAgeMillis,omitempty"`
 	// Placement names the fleet placement policy that chose the target
-	// server ("hash", "load"); empty outside a fleet.
+	// server ("hash", "load"). Only the simulator's fleet model
+	// (internal/sim) fills it: the live roamer picks by probe score, not
+	// by a placement policy, so live decisions leave it empty.
 	Placement string `json:"placement,omitempty"`
 	// WireEncoding is the form the request body travelled in ("raw",
 	// "packed"); empty when no request was sent. UplinkBytesPerSec is the

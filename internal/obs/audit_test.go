@@ -14,14 +14,14 @@ func TestAuditorSummary(t *testing.T) {
 	a := NewAuditor(AuditorOptions{})
 	a.Record(Decision{Path: PathFull, Predicted: 100 * time.Millisecond, Measured: 110 * time.Millisecond, HintAge: -1})
 	a.Record(Decision{Path: PathFull, Predicted: 100 * time.Millisecond, Measured: 90 * time.Millisecond, HintAge: -1})
-	a.Record(Decision{Path: PathShed, Reason: "hint-delay", HintAge: 20 * time.Millisecond})
+	a.Record(Decision{Path: PathLocal, Reason: "mode-local", HintAge: 20 * time.Millisecond})
 	a.Record(Decision{Path: PathFallback, Reason: "conn-broken", HintAge: -1})
 
 	s := a.Summary()
 	if s.Total != 4 {
 		t.Errorf("total = %d, want 4", s.Total)
 	}
-	wantMix := map[DecisionPath]int64{PathFull: 2, PathShed: 1, PathFallback: 1}
+	wantMix := map[DecisionPath]int64{PathFull: 2, PathLocal: 1, PathFallback: 1}
 	if len(s.Mix) != len(wantMix) {
 		t.Errorf("mix = %+v, want %d entries", s.Mix, len(wantMix))
 	}
@@ -63,7 +63,7 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 	a.Record(Decision{Path: PathFallback, Reason: "server-error", HintAge: -1,
 		Predicted: 2 * time.Millisecond, Measured: time.Millisecond,
 		WireEncoding: "packed", UplinkBytesPerSec: 3.5e6})
-	a.Record(Decision{Path: PathShed, Reason: "hint-delay", HintAge: 0}) // no request: no encoding, gauge untouched
+	a.Record(Decision{Path: PathLocal, Reason: "mode-local", HintAge: 0}) // no request: no encoding, gauge untouched
 
 	// Sink: one JSON line per decision, with units-in-names fields.
 	lines := 0
@@ -91,7 +91,7 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 	for _, want := range []string{
 		`websnap_client_decisions_total{path="full",reason="ok"} 1`,
 		`websnap_client_decisions_total{path="fallback",reason="server-error"} 1`,
-		`websnap_client_decisions_total{path="shed",reason="hint-delay"} 1`,
+		`websnap_client_decisions_total{path="local",reason="mode-local"} 1`,
 		`websnap_request_encoding_total{encoding="raw"} 1`,
 		`websnap_request_encoding_total{encoding="packed"} 1`,
 		`websnap_client_uplink_bytes_per_second 3.5e+06`,
@@ -108,7 +108,7 @@ func TestAuditorSinkAndRegistry(t *testing.T) {
 
 	// Ring: keeps the most recent Keep decisions, oldest first.
 	recent := a.Recent()
-	if len(recent) != 2 || recent[0].Path != PathFallback || recent[1].Path != PathShed {
+	if len(recent) != 2 || recent[0].Path != PathFallback || recent[1].Path != PathLocal {
 		t.Errorf("recent = %+v", recent)
 	}
 }

@@ -205,8 +205,8 @@ const HintCRCV1 = 3
 
 // LoadHint is the edge server's advertised scheduling load, attached to
 // every response. Clients fold the estimated queueing delay into their
-// local/full/partial offload decision and shed load to local execution when
-// the server saturates.
+// local/full/partial offload decision; a saturated server rejects the
+// request itself and the client falls back to local execution.
 type LoadHint struct {
 	// QueueDepth is the number of snapshot sessions waiting for a worker.
 	QueueDepth int `json:"queueDepth"`

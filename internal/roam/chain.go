@@ -1,7 +1,6 @@
 // Multi-hop chain placement and execution: the roam-layer driver of K-way
 // partial inference. A ChainExecutor plans an ordered cut set over live
-// candidate servers (rendezvous/probe ranked, queue hints folded into the
-// DP), pre-sends the model along the chain, executes via the client chain
+// candidate servers (queue hints folded into the DP), pre-sends the model along the chain, executes via the client chain
 // protocol, and degrades on failure — excluding the dead hop and
 // re-planning a shorter chain, down to 2-way and finally local execution —
 // while emitting exactly one audit decision per request.
@@ -10,7 +9,6 @@ package roam
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -41,31 +39,6 @@ const chainStateOverheadBytes = 512
 // never the thing that terminates a healthy run.
 const maxChainAttempts = 16
 
-// ChainCandidates derives chain hop candidates from the roamer's freshest
-// probe state: healthy, freshly probed servers in selection order
-// (unsaturated before saturated, then by score), each with its last load
-// hint. Saturated servers are listed, not dropped; the executor skips them,
-// since a chain is only as fast as its slowest hop.
-func (r *Roamer) ChainCandidates() []protocol.FleetServer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.cfg.Now()
-	var ranked []ServerInfo
-	for _, addr := range r.order {
-		info := r.servers[addr]
-		if !info.Healthy || r.stale(info, now) {
-			continue
-		}
-		ranked = append(ranked, *info)
-	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].better(ranked[j]) })
-	out := make([]protocol.FleetServer, len(ranked))
-	for i, info := range ranked {
-		out[i] = protocol.FleetServer{Addr: info.Addr, Load: info.Load}
-	}
-	return out
-}
-
 // ChainConfig parametrizes a ChainExecutor.
 type ChainConfig struct {
 	// AppID and ModelName identify the model at every hop; Model is the
@@ -80,10 +53,11 @@ type ChainConfig struct {
 	// RequireDenature keeps at least one real layer on the client (the
 	// paper's privacy constraint).
 	RequireDenature bool
-	// Candidates supplies the live candidate servers, best first —
-	// typically (*Roamer).ChainCandidates or a ranked registry view — with
-	// the load hints the planner folds into the cut-set DP. Called once per
-	// planning round, so re-plans see fresh membership and hints.
+	// Candidates supplies the live candidate servers, best first — a
+	// static address list or a ranked registry view — with the load hints
+	// the planner folds into the cut-set DP; a candidate whose hint says
+	// saturated is skipped. Called once per planning round, so re-plans see
+	// fresh membership and hints.
 	Candidates func() []protocol.FleetServer
 	// Dial opens an offloading connection to a hop. Nil selects
 	// client.Dial. Chaos tests wrap here.

@@ -4,7 +4,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"websnap/internal/core"
 	"websnap/internal/edge"
@@ -363,35 +362,6 @@ func TestChainExecutorDegradesDepth(t *testing.T) {
 		if got[i] != exp[i] {
 			t.Fatalf("degraded-depth output diverges at %d", i)
 		}
-	}
-}
-
-// TestChainCandidatesFromRoamer checks the roamer-side candidate view:
-// fresh healthy servers in selection order, saturation and queueing hints
-// carried through.
-func TestChainCandidatesFromRoamer(t *testing.T) {
-	probe := newLoadProbe()
-	probe.set("fast", time.Millisecond, &protocol.LoadHint{QueueingMillis: 4})
-	probe.set("slow", 20*time.Millisecond, &protocol.LoadHint{QueueingMillis: 1})
-	probe.set("sat", 2*time.Millisecond, &protocol.LoadHint{Saturated: true})
-	probe.set("dead", -1, nil)
-	r, err := New(Config{Servers: []string{"slow", "fast", "sat", "dead"}, Probe: probe.probe, Dial: fakeDial(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.ProbeAll()
-	got := r.ChainCandidates()
-	if len(got) != 3 {
-		t.Fatalf("candidates = %+v, want 3 (dead excluded)", got)
-	}
-	if got[0].Addr != "fast" || got[1].Addr != "slow" {
-		t.Fatalf("order = %s,%s; want fast,slow", got[0].Addr, got[1].Addr)
-	}
-	if got[2].Addr != "sat" || got[2].Load == nil || !got[2].Load.Saturated {
-		t.Fatalf("saturated server not last or not flagged: %+v", got)
-	}
-	if got[0].Load == nil || got[0].Load.QueueingDelay() != 4*time.Millisecond {
-		t.Errorf("load hint %+v, want a 4ms queueing delay", got[0].Load)
 	}
 }
 

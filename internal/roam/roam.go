@@ -82,15 +82,16 @@ type Config struct {
 	// FleetView supplies membership dynamically.
 	Servers []string
 	// FleetView, when non-nil, supplies the candidate set dynamically —
-	// typically a fleet registry view ranked by a placement policy (see
-	// fleet.PlacementView). It returns candidate addresses in placement-
-	// preference order plus a source tag: "registry" for a live view,
+	// typically a fleet registry view (see fleet.PlacementView). It
+	// returns candidate addresses plus a source tag: "registry" for a live view,
 	// "registry-cached" when the client serves its last-known-good cached
 	// view during a registry outage. The roamer refreshes membership at
 	// the start of every probe round; a FleetView error keeps the previous
 	// membership and records source "last-known-good". The source tag is
 	// attached to switch audit logs so degraded placement is visible in
-	// the decision record.
+	// the decision record. The view sets membership, not the choice: Best
+	// picks by probe score (ServerInfo.better), and the view's order only
+	// breaks exact score ties.
 	FleetView func() (addrs []string, source string, err error)
 	// Probe measures one server's reachability, latency, and scheduling
 	// load; a nil load scores the server by RTT alone. Nil selects

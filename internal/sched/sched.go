@@ -1,8 +1,8 @@
 // Package sched is the edge server's inference scheduler: the layer
 // between the connection listener and the snapshot runtime that turns "one
 // goroutine per connection executes immediately" into a managed system —
-// a bounded admission queue with a configurable overload policy and a
-// worker pool that executes one session per worker turn.
+// a bounded admission queue that rejects at once when full, and a worker
+// pool that executes one session per worker turn.
 //
 // The paper's server (§III) executes one offloaded snapshot per connection;
 // that collapses under many concurrent clients. Related work shows the
@@ -25,8 +25,11 @@ import (
 
 // Errors reported by Submit.
 var (
-	// ErrQueueFull is returned when the admission queue is at capacity
-	// (immediately under PolicyReject, after QueueWait under PolicyBlock).
+	// ErrQueueFull is returned at once when the admission queue is at
+	// capacity. The caller answers the client with an overload error plus
+	// a load hint, so it falls back to local execution instead of timing
+	// out: a saturated edge server sheds load, it does not accumulate
+	// latency.
 	ErrQueueFull = errors.New("sched: admission queue full")
 	// ErrClosed is returned for submissions to a closed scheduler, and
 	// delivered to tasks cancelled while still queued at Close.
@@ -34,21 +37,6 @@ var (
 	// ErrExecutorPanic is delivered to a task whose executor panicked; the
 	// error carries the panic value.
 	ErrExecutorPanic = errors.New("sched: executor panic")
-)
-
-// Policy selects what Submit does when the admission queue is full.
-type Policy int
-
-const (
-	// PolicyReject turns the request away immediately with ErrQueueFull.
-	// The caller answers the client with an overload error plus a load
-	// hint, letting it fall back to local execution at once instead of
-	// timing out — the default, because a saturated edge server must shed
-	// load, not accumulate latency.
-	PolicyReject Policy = iota
-	// PolicyBlock waits up to QueueWait for space, then fails with
-	// ErrQueueFull. Useful when clients have no local fallback.
-	PolicyBlock
 )
 
 // Task is one scheduled unit of work (one offloaded snapshot session).
@@ -135,18 +123,10 @@ type Config struct {
 	// budget is still admitted when the queue is byte-empty — otherwise it
 	// could never run — and then occupies the budget alone.
 	MaxQueueBytes int64
-	// Policy selects the overload behavior (reject vs block).
-	Policy Policy
-	// QueueWait bounds how long PolicyBlock waits for queue space. Zero
-	// selects DefaultQueueWait.
-	QueueWait time.Duration
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultQueueDepth = 64
-	DefaultQueueWait  = 2 * time.Second
-)
+// DefaultQueueDepth is the admission-queue bound a zero QueueDepth selects.
+const DefaultQueueDepth = 64
 
 // Stats is a snapshot of the scheduler's state and counters.
 type Stats struct {
@@ -216,8 +196,6 @@ type Scheduler struct {
 	queue       []*Task // FIFO admission queue, bounded by cfg.QueueDepth
 	queuedBytes int64   // summed Bytes of queued tasks, bounded by cfg.MaxQueueBytes
 	closed      bool
-	// space is signalled when queue slots free up (PolicyBlock waiters).
-	space chan struct{}
 	// wake is signalled on every enqueue (idle workers).
 	wake chan struct{}
 	quit chan struct{}
@@ -248,14 +226,10 @@ func New(cfg Config, exec ExecFunc) (*Scheduler, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = DefaultQueueWait
-	}
 	s := &Scheduler{
 		cfg:   cfg,
 		exec:  exec,
 		queue: make([]*Task, 0, cfg.QueueDepth),
-		space: make(chan struct{}, 1),
 		wake:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
@@ -267,55 +241,30 @@ func New(cfg Config, exec ExecFunc) (*Scheduler, error) {
 }
 
 // Submit admits a task for execution. On success the caller should Wait on
-// the task. A full queue rejects (PolicyReject) or blocks up to QueueWait
-// (PolicyBlock); a closed scheduler returns ErrClosed.
+// the task. A full queue returns ErrQueueFull at once; a closed scheduler
+// returns ErrClosed.
 func (s *Scheduler) Submit(t *Task) error {
 	if t.done == nil {
 		t.done = make(chan taskResult, 1)
 	}
-	var deadline *time.Timer
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			return ErrClosed
-		}
-		if len(s.queue) < s.cfg.QueueDepth && s.admitBytesLocked(t) {
-			t.queuedAt = time.Now()
-			s.queue = append(s.queue, t)
-			s.queuedBytes += t.Bytes
-			spare := len(s.queue) < s.cfg.QueueDepth &&
-				(s.cfg.MaxQueueBytes <= 0 || s.queuedBytes < s.cfg.MaxQueueBytes)
-			s.mu.Unlock()
-			s.submitted.Add(1)
-			signal(s.wake)
-			if spare {
-				// space has capacity 1: cascade the signal so other
-				// blocked submitters see the remaining slots.
-				signal(s.space)
-			}
-			return nil
-		}
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
-		if s.cfg.Policy == PolicyReject {
-			s.rejected.Add(1)
-			return ErrQueueFull
-		}
-		if deadline == nil {
-			deadline = time.NewTimer(s.cfg.QueueWait)
-			defer deadline.Stop()
-		}
-		select {
-		case <-s.space:
-		case <-deadline.C:
-			s.rejected.Add(1)
-			return fmt.Errorf("%w after %v", ErrQueueFull, s.cfg.QueueWait)
-		case <-s.quit:
-			s.rejected.Add(1)
-			return ErrClosed
-		}
+		s.rejected.Add(1)
+		return ErrClosed
 	}
+	if len(s.queue) >= s.cfg.QueueDepth || !s.admitBytesLocked(t) {
+		s.mu.Unlock()
+		s.rejected.Add(1)
+		return ErrQueueFull
+	}
+	t.queuedAt = time.Now()
+	s.queue = append(s.queue, t)
+	s.queuedBytes += t.Bytes
+	s.mu.Unlock()
+	s.submitted.Add(1)
+	signal(s.wake)
+	return nil
 }
 
 // admitBytesLocked reports whether t fits the queue's byte budget. A task
@@ -365,7 +314,6 @@ func (s *Scheduler) next() (*Task, bool) {
 			s.queuedBytes -= t.Bytes
 			backlog := len(s.queue) > 0
 			s.mu.Unlock()
-			signal(s.space)
 			if backlog {
 				// wake has capacity 1: re-signal so sleeping sibling
 				// workers see the remaining backlog.

@@ -21,7 +21,7 @@ func TestByteCapAdmission(t *testing.T) {
 		<-block
 		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 100, Policy: PolicyReject}, exec)
+	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 100}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestByteCapOversizedTask(t *testing.T) {
 		<-block
 		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 50, Policy: PolicyReject}, exec)
+	s, err := New(Config{Workers: 1, QueueDepth: 16, MaxQueueBytes: 50}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,15 @@ func TestSubmitExecutes(t *testing.T) {
 	}
 }
 
-// TestRejectWhenFull: with PolicyReject, a full queue turns tasks away
-// immediately with ErrQueueFull.
+// TestRejectWhenFull: a full queue turns tasks away immediately with
+// ErrQueueFull.
 func TestRejectWhenFull(t *testing.T) {
 	block := make(chan struct{})
 	exec := func(tasks []*Task) []Result {
 		<-block
 		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 1, QueueDepth: 2, Policy: PolicyReject}, exec)
+	s, err := New(Config{Workers: 1, QueueDepth: 2}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,72 +82,6 @@ func TestRejectWhenFull(t *testing.T) {
 	}
 	if got := s.Stats().Rejected; got != 1 {
 		t.Errorf("rejected = %d, want 1", got)
-	}
-}
-
-// TestBlockPolicyWaitsForSpace: PolicyBlock submissions wait for a slot and
-// succeed when one frees up within QueueWait.
-func TestBlockPolicyWaitsForSpace(t *testing.T) {
-	release := make(chan struct{})
-	exec := func(tasks []*Task) []Result {
-		<-release
-		return echoExec(tasks)
-	}
-	s, err := New(Config{Workers: 1, QueueDepth: 1, Policy: PolicyBlock, QueueWait: 5 * time.Second}, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Submit(NewTask("", "running")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return s.Stats().Busy == 1 })
-	if err := s.Submit(NewTask("", "queued")); err != nil {
-		t.Fatal(err)
-	}
-	// Queue now full: this submit must block until release frees the
-	// worker, which drains the queue.
-	done := make(chan error, 1)
-	go func() { done <- s.Submit(NewTask("", "blocked")) }()
-	select {
-	case err := <-done:
-		t.Fatalf("submit returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("blocked submit: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked submit never admitted")
-	}
-}
-
-// TestBlockPolicyDeadline: PolicyBlock gives up with ErrQueueFull when no
-// slot frees within QueueWait.
-func TestBlockPolicyDeadline(t *testing.T) {
-	block := make(chan struct{})
-	exec := func(tasks []*Task) []Result {
-		<-block
-		return echoExec(tasks)
-	}
-	s, err := New(Config{Workers: 1, QueueDepth: 1, Policy: PolicyBlock, QueueWait: 30 * time.Millisecond}, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { close(block); s.Close() }()
-	if err := s.Submit(NewTask("", "running")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return s.Stats().Busy == 1 })
-	if err := s.Submit(NewTask("", "queued")); err != nil {
-		t.Fatal(err)
-	}
-	err = s.Submit(NewTask("", "timed-out"))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Errorf("err = %v, want ErrQueueFull after deadline", err)
 	}
 }
 
@@ -327,48 +261,73 @@ func TestServiceHistogramTracksExecution(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitters: many goroutines hammering Submit lose no tasks
-// and every accepted task completes exactly once (run with -race).
+// TestConcurrentSubmitters: many goroutines hammering a small queue get
+// either admission or ErrQueueFull, never a hang; no submission is lost and
+// every accepted task completes exactly once (run with -race).
 func TestConcurrentSubmitters(t *testing.T) {
 	testutil.LeakCheck(t)
-	var executed atomic.Int64
+	const clients, perClient = 8, 25
+	var runs [clients * perClient]atomic.Int64
 	exec := func(tasks []*Task) []Result {
-		executed.Add(int64(len(tasks)))
+		for _, task := range tasks {
+			runs[task.Payload.(int)].Add(1)
+		}
 		return echoExec(tasks)
 	}
-	s, err := New(Config{Workers: 4, QueueDepth: 32, Policy: PolicyBlock, QueueWait: 10 * time.Second}, exec)
+	s, err := New(Config{Workers: 2, QueueDepth: 4}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const clients, perClient = 8, 25
 	var wg sync.WaitGroup
-	var accepted atomic.Int64
+	var accepted, rejected atomic.Int64
+	admitted := make([]bool, clients*perClient)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			var mine []*Task
 			for i := 0; i < perClient; i++ {
-				task := NewTask("", i)
-				if err := s.Submit(task); err != nil {
-					t.Errorf("client %d submit %d: %v", c, i, err)
-					return
+				id := c*perClient + i
+				task := NewTask("", id)
+				switch err := s.Submit(task); {
+				case errors.Is(err, ErrQueueFull):
+					rejected.Add(1)
+					continue
+				case err != nil:
+					t.Errorf("task %d submit: %v", id, err)
+					continue
 				}
 				accepted.Add(1)
-				if v, err := task.Wait(); err != nil || v != i {
-					t.Errorf("client %d task %d = (%v, %v)", c, i, v, err)
-					return
+				admitted[id] = true
+				mine = append(mine, task)
+			}
+			for _, task := range mine {
+				if v, err := task.Wait(); err != nil {
+					t.Errorf("task %v: %v", v, err)
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
 	s.Close()
-	if got := executed.Load(); got != accepted.Load() {
-		t.Errorf("executed %d tasks, accepted %d", got, accepted.Load())
+	t.Logf("%d accepted, %d rejected", accepted.Load(), rejected.Load())
+	if got := accepted.Load() + rejected.Load(); got != clients*perClient {
+		t.Errorf("accepted %d + rejected %d = %d, want %d submitted",
+			accepted.Load(), rejected.Load(), got, clients*perClient)
+	}
+	for id := range runs {
+		want := int64(0)
+		if admitted[id] {
+			want = 1
+		}
+		if got := runs[id].Load(); got != want {
+			t.Errorf("task %d ran %d times, want %d", id, got, want)
+		}
 	}
 	st := s.Stats()
-	if st.Executed != accepted.Load() {
-		t.Errorf("stats.Executed = %d, want %d", st.Executed, accepted.Load())
+	if st.Executed != accepted.Load() || st.Submitted != accepted.Load() || st.Rejected != rejected.Load() {
+		t.Errorf("stats = %d executed, %d submitted, %d rejected; want %d, %d, %d",
+			st.Executed, st.Submitted, st.Rejected, accepted.Load(), accepted.Load(), rejected.Load())
 	}
 }
 

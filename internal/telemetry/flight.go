@@ -19,7 +19,7 @@ const DefaultFlightBytes = 1 << 20
 const (
 	FlightSlow    = "slow"     // request exceeded the SLO objective
 	FlightError   = "error"    // request failed
-	FlightShed    = "shed"     // request shed to local execution
+	FlightShed    = "shed"     // full server rejected the request; the client runs it locally
 	FlightBurn    = "slo_burn" // SLO entered the burning state
 	FlightHandoff = "handoff"  // roam handoff pre-send span tree
 	FlightSwitch  = "switch"   // roamer changed edge servers
