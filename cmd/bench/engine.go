@@ -46,9 +46,19 @@ type engineRow struct {
 	Int8Speedup float64 `json:"int8_speedup"`
 }
 
+// engineKernel names the float32 micro-kernel the rows ran on
+// (tensor.KernelInfo): a reading is only comparable with one taken on the
+// same ISA path.
+type engineKernel struct {
+	ISA     string `json:"isa"`
+	Tile    string `json:"tile"`
+	Workers int    `json:"workers"`
+}
+
 type engineReport struct {
-	Experiment string      `json:"experiment"`
-	Rows       []engineRow `json:"rows"`
+	Experiment string       `json:"experiment"`
+	Kernel     engineKernel `json:"kernel"`
+	Rows       []engineRow  `json:"rows"`
 }
 
 // measureEngine times iters calls of f after one untimed warmup (which
@@ -86,7 +96,10 @@ func engine(w io.Writer) error {
 		{"agenet", 5},
 		{"googlenet", 5},
 	}
+	var kern engineKernel
+	kern.ISA, kern.Tile, kern.Workers = tensor.KernelInfo()
 	fmt.Fprintln(w, "Engine comparison: planned float32 execution vs int8 plan (per inference)")
+	fmt.Fprintf(w, "float32 kernel: isa=%s tile=%s workers=%d\n", kern.ISA, kern.Tile, kern.Workers)
 	fmt.Fprintln(w, "Model\tTier\tms/op\tallocs/op\tKB/op\tSpeedup")
 	var rows []engineRow
 	for _, tc := range cases {
@@ -132,7 +145,7 @@ func engine(w io.Writer) error {
 			tc.name, row.Int8.NsPerOp/1e6, row.Int8.AllocsPerOp, row.Int8.BytesPerOp/1024,
 			row.Int8Speedup)
 	}
-	data, err := json.MarshalIndent(engineReport{Experiment: "engine", Rows: rows}, "", "  ")
+	data, err := json.MarshalIndent(engineReport{Experiment: "engine", Kernel: kern, Rows: rows}, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -26,6 +26,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -34,6 +35,7 @@ import (
 	"websnap/internal/fleet"
 	"websnap/internal/obs"
 	"websnap/internal/telemetry"
+	"websnap/internal/tensor"
 	"websnap/internal/vmsynth"
 )
 
@@ -260,6 +262,7 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	// of edge.NewServer so library embedders and the byte-pinned metrics
 	// goldens keep the bare application registry.
 	obs.RegisterRuntimeStats(srv.Registry())
+	registerKernelInfo(srv.Registry())
 	logger.Info("edged: listening", obs.F("addr", ln.Addr().String()), obs.F("installed", !onDemand))
 	if rc != nil {
 		agent, err := fleet.StartAgent(fleet.AgentConfig{
@@ -326,4 +329,14 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 		}
 		return <-done
 	}
+}
+
+// registerKernelInfo publishes which float32 GEMM micro-kernel this daemon
+// runs as websnap_kernel_info{isa,tile,workers} 1: the ISA path CPUID
+// chose, the register tile and the GEMM worker count.
+func registerKernelInfo(r *obs.Registry) {
+	isa, tile, workers := tensor.KernelInfo()
+	r.GaugeVec("websnap_kernel_info",
+		"The float32 GEMM micro-kernel in use: ISA path, MRxNR register tile and GEMM workers (always 1).",
+		"isa", "tile", "workers").With(isa, tile, strconv.Itoa(workers)).Set(1)
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
+
+	"websnap/internal/obs"
+	"websnap/internal/tensor"
 )
 
 func TestResolveAdvertise(t *testing.T) {
@@ -54,5 +58,22 @@ func TestRunRejectsFleetFlagsWithoutRegistry(t *testing.T) {
 		schedConfig{workers: 2}, fleetConfig{ttl: 1}, boundsConfig{}, telemetryConfig{})
 	if err == nil || !strings.Contains(err.Error(), "-registry-ttl") {
 		t.Errorf("-registry-ttl without -registry: err = %v, want -registry-ttl mention", err)
+	}
+}
+
+func TestKernelInfoMetric(t *testing.T) {
+	r := obs.NewRegistry()
+	registerKernelInfo(r)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	isa, tile, workers := tensor.KernelInfo()
+	want := fmt.Sprintf("websnap_kernel_info{isa=%q,tile=%q,workers=\"%d\"} 1\n", isa, tile, workers)
+	if !strings.Contains(sb.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, sb.String())
+	}
+	if tile != "4x16" {
+		t.Fatalf("tile = %q, want 4x16", tile)
 	}
 }

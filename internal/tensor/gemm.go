@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -138,7 +139,7 @@ func gemmPackedDrive(dst []float32, pa *PackedA, src bSrc, bias []float32, n int
 	}
 	workers := gemmWorkers(m, k, n, (n+packNR-1)/packNR)
 	if workers <= 1 {
-		bufB := GetBuf(bPanelLen(k, n))
+		bufB := GetBuf(bPanelLen[float32](k, n))
 		gemmPackedCols(dst, pa, &src, bias, relu, n, 0, n, bufB)
 		PutBuf(bufB)
 		return
@@ -156,18 +157,17 @@ func gemmPackedDrive(dst []float32, pa *PackedA, src bSrc, bias []float32, n int
 func gemmPackedParallel(dst []float32, pa PackedA, src bSrc, bias []float32, n, workers int, relu bool) {
 	fanOut(n, workers, packNR, func(lo, hi int) {
 		wsrc := src
-		bufB := GetBuf(bPanelLen(pa.k, hi-lo))
+		bufB := GetBuf(bPanelLen[float32](pa.k, hi-lo))
 		gemmPackedCols(dst, &pa, &wsrc, bias, relu, n, lo, hi, bufB)
 		PutBuf(bufB)
 	})
 }
 
-// bPanelLen is the pooled buffer size for one packed B block covering a
-// column span of width span.
-func bPanelLen(k, span int) int {
-	kc := min(k, packKC)
-	nc := min(span, packNC)
-	return kc * ((nc + packNR - 1) &^ (packNR - 1))
+// bPanelLen is the pooled buffer size for one packed B block of element
+// type T covering a column span of width span.
+func bPanelLen[T float32 | int8](k, span int) int {
+	w := sliverWidth[T]()
+	return min(k, packKC) * ((min(span, packNC) + w - 1) / w * w)
 }
 
 // Micro-kernel epilogue flags. kernInit starts the tile's accumulators
@@ -247,25 +247,57 @@ func gemmPackedCols(dst []float32, pa *PackedA, src *bSrc, bias []float32, relu 
 }
 
 // kernTile runs one KC chunk of the full MR x NR tile whose rows start at
-// dst[0], dst[ldd], ... through the assembly micro-kernel when the CPU has
-// it and the portable one otherwise; the two are bit-identical. bias holds
-// the tile's MR row biases and is read only under kernInit.
+// dst[0], dst[ldd], ... through the widest micro-kernel the CPU has — the
+// ZMM one, then the YMM one, then the portable one; all three are
+// bit-identical. bias holds the tile's MR row biases and is read only
+// under kernInit.
 func kernTile(dst []float32, ldd int, ap, bp []float32, kc int, bias []float32, flags int) {
-	if haveAVX {
-		kern4x8AVX(&dst[0], ldd, &ap[0], &bp[0], kc, &bias[0], flags)
-		return
+	switch {
+	case haveAVX512:
+		kern4x16AVX512(&dst[0], ldd, &ap[0], &bp[0], kc, &bias[0], flags)
+	case haveAVX:
+		kern4x16AVX(&dst[0], ldd, &ap[0], &bp[0], kc, &bias[0], flags)
+	default:
+		kern4x16(dst, ldd, ap, bp, kc, bias, flags)
 	}
-	kern4x8(dst, dst[ldd:], dst[2*ldd:], dst[3*ldd:], ap, bp, kc, bias, flags)
 }
 
-// kern4x8 is the register-tile micro-kernel: a full 4-row by 8-column dst
-// tile accumulated across one KC chunk. The 32 accumulators live in
-// locals for the whole k loop — dst is read once and written once per
-// chunk — and each accumulator receives its products one float32 add at a
-// time in increasing k order, preserving the determinism contract. Under
+// KernelInfo names the float32 micro-kernel this process runs: the ISA
+// path ("avx512", "avx2", "avx" or "portable"), chosen once at start-up
+// from CPUID; the register tile, MR x NR; and how many workers a GEMM
+// large enough to fan out splits into.
+func KernelInfo() (isa, tile string, workers int) {
+	switch {
+	case haveAVX512:
+		isa = "avx512"
+	case haveAVX2:
+		isa = "avx2"
+	case haveAVX:
+		isa = "avx"
+	default:
+		isa = "portable"
+	}
+	return isa, fmt.Sprintf("%dx%d", packMR, packNR), runtime.GOMAXPROCS(0)
+}
+
+// kern4x16 is the portable register-tile micro-kernel and the oracle of
+// the assembly ones: a full 4-row by 16-column dst tile (rows ldd apart)
+// accumulated across one KC chunk, as two 4x8 column halves. Under
 // kernInit the accumulators start from bias[0..3] (one per row) and dst is
 // not read; under kernReLU each is clamped exactly as the ReLU layer
 // clamps (only v < 0 changes, to +0) before it is stored.
+func kern4x16(dst []float32, ldd int, ap, bp []float32, kc int, bias []float32, flags int) {
+	for h := 0; h < packNR; h += 8 {
+		d := dst[h:]
+		kern4x8(d, d[ldd:], d[2*ldd:], d[3*ldd:], ap, bp[h:], kc, bias, flags)
+	}
+}
+
+// kern4x8 accumulates one 4-row by 8-column half of a kern4x16 tile; bp
+// is that half's columns of the B sliver, rows NR apart. The 32
+// accumulators live in locals for the whole k loop — dst is read once and
+// written once per chunk — and each receives its products one float32 add
+// at a time in increasing k order, preserving the determinism contract.
 func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int, bias []float32, flags int) {
 	var (
 		c00, c01, c02, c03, c04, c05, c06, c07 float32
@@ -323,14 +355,14 @@ func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int, bias []float32, flags int
 		c36 += a3 * b6
 		c37 += a3 * b7
 		ap = ap[4:]
-		bp = bp[8:]
+		bp = bp[min(packNR, len(bp)):] // the right half's last row is 8 long
 	}
 	d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7] = c00, c01, c02, c03, c04, c05, c06, c07
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17
 	d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7] = c20, c21, c22, c23, c24, c25, c26, c27
 	d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7] = c30, c31, c32, c33, c34, c35, c36, c37
 	if flags&kernReLU != 0 {
-		for _, d := range [packMR][]float32{d0[:packNR], d1[:packNR], d2[:packNR], d3[:packNR]} {
+		for _, d := range [packMR][]float32{d0[:8], d1[:8], d2[:8], d3[:8]} {
 			for j, v := range d {
 				if v < 0 {
 					d[j] = 0

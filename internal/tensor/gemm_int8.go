@@ -50,9 +50,9 @@ func gemmI8Drive(dst []int32, pa *PackedAI8, src bSrcI8, n int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	workers := gemmWorkers(m, k, n, (n+packNR-1)/packNR)
+	workers := gemmWorkers(m, k, n, (n+packNRI8-1)/packNRI8)
 	if workers <= 1 {
-		bufB := GetBufI8(bPanelLen(k, n))
+		bufB := GetBufI8(bPanelLen[int8](k, n))
 		gemmI8Cols(dst, pa, &src, n, 0, n, bufB)
 		PutBufI8(bufB)
 		return
@@ -65,9 +65,9 @@ func gemmI8Drive(dst []int32, pa *PackedAI8, src bSrcI8, n int) {
 // chunking bit-identical regardless, but chunks stay NR-aligned so no two
 // workers share a packed sliver or an output tile.
 func gemmI8Parallel(dst []int32, pa PackedAI8, src bSrcI8, n, workers int) {
-	fanOut(n, workers, packNR, func(lo, hi int) {
+	fanOut(n, workers, packNRI8, func(lo, hi int) {
 		wsrc := src
-		bufB := GetBufI8(bPanelLen(pa.k, hi-lo))
+		bufB := GetBufI8(bPanelLen[int8](pa.k, hi-lo))
 		gemmI8Cols(dst, &pa, &wsrc, n, lo, hi, bufB)
 		PutBufI8(bufB)
 	})
@@ -83,20 +83,20 @@ func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []i
 	}
 	// One sliver in pair layout: it stays in L1 while every A panel of the
 	// block streams past it.
-	var wide [packKC * packNR]int16
+	var wide [packKC * packNRI8]int16
 	for jc := j0; jc < j1; jc += packNC {
 		nc := min(packNC, j1-jc)
-		nSlivers := (nc + packNR - 1) / packNR
+		nSlivers := (nc + packNRI8 - 1) / packNRI8
 		for bIdx, pc := 0, 0; pc < k; bIdx, pc = bIdx+1, pc+packKC {
 			kc := min(packKC, k-pc)
 			pairs := pairDepth(kc) / 2
 			src.pack(bufB, pc, kc, jc, nc)
 			for s := 0; s < nSlivers; s++ {
-				j := jc + s*packNR
-				nr := min(packNR, j1-j)
-				widenPairs(wide[:], bufB[s*kc*packNR:], kc)
+				j := jc + s*packNRI8
+				nr := min(packNRI8, j1-j)
+				widenPairs(wide[:], bufB[s*kc*packNRI8:], kc)
 				i0 := 0
-				if nr == packNR && m >= packMR {
+				if nr == packNRI8 && m >= packMR {
 					// Every full tile of the sliver's column in one call.
 					i0 = m &^ (packMR - 1)
 					kernTilesI8(dst[j:], n, pa.panels(bIdx, 0, kc, i0/packMR), wide[:], pairs, i0/packMR)
@@ -106,13 +106,13 @@ func gemmI8Cols(dst []int32, pa *PackedAI8, src *bSrcI8, n, j0, j1 int, bufB []i
 					// gemmPackedCols.
 					off := i0*n + j
 					mr := min(packMR, m-i0)
-					var tile [packMR * packNR]int32
+					var tile [packMR * packNRI8]int32
 					for r := 0; r < mr; r++ {
-						copy(tile[r*packNR:r*packNR+nr], dst[off+r*n:])
+						copy(tile[r*packNRI8:r*packNRI8+nr], dst[off+r*n:])
 					}
-					kernTilesI8(tile[:], packNR, pa.panels(bIdx, i0, kc, 1), wide[:], pairs, 1)
+					kernTilesI8(tile[:], packNRI8, pa.panels(bIdx, i0, kc, 1), wide[:], pairs, 1)
 					for r := 0; r < mr; r++ {
-						copy(dst[off+r*n:off+r*n+nr], tile[r*packNR:])
+						copy(dst[off+r*n:off+r*n+nr], tile[r*packNRI8:])
 					}
 				}
 			}
@@ -144,7 +144,7 @@ func kern4x8i8(d0, d1, d2, d3 []int32, ap, bp []int16, pairs int) {
 	c20, c21, c22, c23, c24, c25, c26, c27 := d2[0], d2[1], d2[2], d2[3], d2[4], d2[5], d2[6], d2[7]
 	c30, c31, c32, c33, c34, c35, c36, c37 := d3[0], d3[1], d3[2], d3[3], d3[4], d3[5], d3[6], d3[7]
 	ap = ap[:pairs*2*packMR]
-	for len(ap) >= 2*packMR && len(bp) >= 2*packNR {
+	for len(ap) >= 2*packMR && len(bp) >= 2*packNRI8 {
 		a0, e0, a1, e1 := int32(ap[0]), int32(ap[1]), int32(ap[2]), int32(ap[3])
 		a2, e2, a3, e3 := int32(ap[4]), int32(ap[5]), int32(ap[6]), int32(ap[7])
 		b0, f0, b1, f1 := int32(bp[0]), int32(bp[1]), int32(bp[2]), int32(bp[3])
@@ -184,7 +184,7 @@ func kern4x8i8(d0, d1, d2, d3 []int32, ap, bp []int16, pairs int) {
 		c36 += a3*b6 + e3*f6
 		c37 += a3*b7 + e3*f7
 		ap = ap[2*packMR:]
-		bp = bp[2*packNR:]
+		bp = bp[2*packNRI8:]
 	}
 	d0[0], d0[1], d0[2], d0[3], d0[4], d0[5], d0[6], d0[7] = c00, c01, c02, c03, c04, c05, c06, c07
 	d1[0], d1[1], d1[2], d1[3], d1[4], d1[5], d1[6], d1[7] = c10, c11, c12, c13, c14, c15, c16, c17

@@ -78,8 +78,9 @@ func TestGemmMatchesNaive(t *testing.T) {
 
 // checkRaggedTiles drives every tile shape the packed kernels can meet —
 // m in 1..9 rows and n in 1..17 columns cover each mr x nr corner of the
-// 4x8 register tile, n = 49 and 196 are the catalog's 7x7 and 14x14 planes
-// — with k on both sides of a KC block boundary, and requires the float32
+// 4x16 float32 and 4x8 int8 register tiles, n = 31 and 33 one sliver short
+// of and past two float32 slivers, n = 49 and 196 the catalog's 7x7 and
+// 14x14 planes — with k on both sides of a KC block boundary, and requires the float32
 // drivers to be bit-identical to gemmRef and the int8 drivers equal to the
 // int32 oracle. The B operand is the im2col matrix of a 3x3 convolution,
 // so the same numbers also go through GemmConv — once more with the ReLU
@@ -87,7 +88,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 // afterwards — and GemmConvI8.
 func checkRaggedTiles(t *testing.T) {
 	t.Helper()
-	ns := []int{49, 196}
+	ns := []int{31, 33, 49, 196}
 	for n := 1; n <= 17; n++ {
 		ns = append(ns, n)
 	}

@@ -2,48 +2,60 @@
 
 #include "textflag.h"
 
-// func hasAVX() bool
-// CPUID leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX), then XGETBV to
-// confirm the OS enables XMM+YMM state (XCR0 bits 1 and 2).
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
 	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  noavx
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
+	MOVL AX, ret+0(FP)
 	RET
 
-noavx:
-	MOVB $0, ret+0(FP)
-	RET
+// F16STEP is one k step of the 4x16 float32 tile: the B sliver's row in
+// Y8 (columns 0-7) and Y9 (8-15), then per tile row one broadcast A value
+// and, for each half, a vmulps and a vaddps into that half's accumulator.
+#define F16STEP(aoff, boff) \
+	VMOVUPS boff(R9), Y8 \
+	VMOVUPS boff+32(R9), Y9 \
+	VBROADCASTSS aoff(R8), Y10 \
+	VMULPS Y8, Y10, Y11 \
+	VADDPS Y11, Y0, Y0 \
+	VMULPS Y9, Y10, Y12 \
+	VADDPS Y12, Y1, Y1 \
+	VBROADCASTSS aoff+4(R8), Y10 \
+	VMULPS Y8, Y10, Y11 \
+	VADDPS Y11, Y2, Y2 \
+	VMULPS Y9, Y10, Y12 \
+	VADDPS Y12, Y3, Y3 \
+	VBROADCASTSS aoff+8(R8), Y10 \
+	VMULPS Y8, Y10, Y11 \
+	VADDPS Y11, Y4, Y4 \
+	VMULPS Y9, Y10, Y12 \
+	VADDPS Y12, Y5, Y5 \
+	VBROADCASTSS aoff+12(R8), Y10 \
+	VMULPS Y8, Y10, Y11 \
+	VADDPS Y11, Y6, Y6 \
+	VMULPS Y9, Y10, Y12 \
+	VADDPS Y12, Y7, Y7
 
-// func hasAVX2() bool
-// CPUID leaf 7 subleaf 0: EBX bit 5. Callers already require hasAVX, so
-// YMM OS support is established.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-
-// func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int)
+// func kern4x16AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int)
 //
-// One full 4x8 register tile accumulated across a KC chunk. The four
-// accumulator rows live in Y0-Y3 for the whole k loop; each k step
+// One full 4x16 register tile accumulated across a KC chunk. Tile row r's
+// two halves live in Y(2r) and Y(2r+1) for the whole k loop; each k step
 // broadcasts the four packed A values and issues a separate vmulps and
-// vaddps per row — never a fused multiply-add — so every output element
-// receives exactly the scalar kernel's operation sequence (one rounding
-// per multiply, one per add, k strictly increasing) and the results are
-// bit-identical to kern4x8.
+// vaddps per half-row — never a fused multiply-add — so every output
+// element receives exactly the scalar kernel's operation sequence (one
+// rounding per multiply, one per add, k strictly increasing) and the
+// results are bit-identical to kern4x16.
 //
 // flags bit 0 (kernInit): the rows start from the broadcast bias[0..3]
 // instead of being loaded from dst. flags bit 1 (kernReLU): each row is
@@ -51,7 +63,7 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 // the accumulator as the second — which returns the second source when
 // both are zeros or either is NaN, so v < 0 becomes +0 while -0 and NaN
 // pass through: bit for bit the ReLU layer's `if v < 0 { v = 0 }`.
-TEXT ·kern4x8AVX(SB), NOSPLIT, $0-56
+TEXT ·kern4x16AVX(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), SI
 	SHLQ $2, SI                 // row stride in bytes
@@ -65,16 +77,24 @@ TEXT ·kern4x8AVX(SB), NOSPLIT, $0-56
 	TESTQ $1, R12
 	JZ   fload
 	VBROADCASTSS (R11), Y0
-	VBROADCASTSS 4(R11), Y1
-	VBROADCASTSS 8(R11), Y2
-	VBROADCASTSS 12(R11), Y3
+	VBROADCASTSS (R11), Y1
+	VBROADCASTSS 4(R11), Y2
+	VBROADCASTSS 4(R11), Y3
+	VBROADCASTSS 8(R11), Y4
+	VBROADCASTSS 8(R11), Y5
+	VBROADCASTSS 12(R11), Y6
+	VBROADCASTSS 12(R11), Y7
 	JMP  fstart
 
 fload:
 	VMOVUPS (DI), Y0
-	VMOVUPS (DI)(SI*1), Y1
-	VMOVUPS (R10), Y2
-	VMOVUPS (R10)(SI*1), Y3
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(SI*1), Y2
+	VMOVUPS 32(DI)(SI*1), Y3
+	VMOVUPS (R10), Y4
+	VMOVUPS 32(R10), Y5
+	VMOVUPS (R10)(SI*1), Y6
+	VMOVUPS 32(R10)(SI*1), Y7
 
 fstart:
 	MOVQ CX, DX
@@ -82,70 +102,40 @@ fstart:
 	JZ   ftail
 
 fpair:
-	VMOVUPS (R9), Y5            // b row p
-	VBROADCASTSS (R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y0, Y0
-	VBROADCASTSS 4(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 8(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y2, Y2
-	VBROADCASTSS 12(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y3, Y3
-
-	VMOVUPS 32(R9), Y7          // b row p+1
-	VBROADCASTSS 16(R8), Y4
-	VMULPS Y7, Y4, Y6
-	VADDPS Y6, Y0, Y0
-	VBROADCASTSS 20(R8), Y4
-	VMULPS Y7, Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 24(R8), Y4
-	VMULPS Y7, Y4, Y6
-	VADDPS Y6, Y2, Y2
-	VBROADCASTSS 28(R8), Y4
-	VMULPS Y7, Y4, Y6
-	VADDPS Y6, Y3, Y3
-
+	F16STEP(0, 0)
+	F16STEP(16, 64)
 	ADDQ $32, R8
-	ADDQ $64, R9
+	ADDQ $128, R9
 	DECQ DX
 	JNZ  fpair
 
 ftail:
 	ANDQ $1, CX                 // odd trailing k step
 	JZ   fdone
-	VMOVUPS (R9), Y5
-	VBROADCASTSS (R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y0, Y0
-	VBROADCASTSS 4(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS 8(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y2, Y2
-	VBROADCASTSS 12(R8), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y3, Y3
+	F16STEP(0, 0)
 
 fdone:
 	TESTQ $2, R12
 	JZ   fstore
-	VXORPS Y4, Y4, Y4
-	VMAXPS Y0, Y4, Y0
-	VMAXPS Y1, Y4, Y1
-	VMAXPS Y2, Y4, Y2
-	VMAXPS Y3, Y4, Y3
+	VXORPS Y8, Y8, Y8
+	VMAXPS Y0, Y8, Y0
+	VMAXPS Y1, Y8, Y1
+	VMAXPS Y2, Y8, Y2
+	VMAXPS Y3, Y8, Y3
+	VMAXPS Y4, Y8, Y4
+	VMAXPS Y5, Y8, Y5
+	VMAXPS Y6, Y8, Y6
+	VMAXPS Y7, Y8, Y7
 
 fstore:
 	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, (DI)(SI*1)
-	VMOVUPS Y2, (R10)
-	VMOVUPS Y3, (R10)(SI*1)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(SI*1)
+	VMOVUPS Y3, 32(DI)(SI*1)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	VMOVUPS Y6, (R10)(SI*1)
+	VMOVUPS Y7, 32(R10)(SI*1)
 	VZEROUPPER
 	RET
 

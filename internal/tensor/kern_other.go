@@ -7,12 +7,17 @@ package tensor
 // paths by the determinism contract (see kern_amd64.go), so cross-platform
 // outputs match.
 const (
-	haveAVX  = false
-	haveAVX2 = false
+	haveAVX    = false
+	haveAVX2   = false
+	haveAVX512 = false
 )
 
-func kern4x8AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int) {
-	panic("tensor: kern4x8AVX called without AVX support")
+func kern4x16AVX512(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int) {
+	panic("tensor: kern4x16AVX512 called without AVX-512 support")
+}
+
+func kern4x16AVX(dst *float32, ldd int, ap, bp *float32, kc int, bias *float32, flags int) {
+	panic("tensor: kern4x16AVX called without AVX support")
 }
 
 func maxPool3x3S1AVX(dst, src *float32, w, n int) {

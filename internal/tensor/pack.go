@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // Panel packing for the blocked GEMM kernels.
 //
 // The micro-kernel computes an MR-row by NR-column tile of dst with every
@@ -17,23 +19,44 @@ package tensor
 // exchange the kernel reads both operands sequentially — the B sliver
 // stays resident in L1 while every A panel streams past it.
 
-// Register-tile and cache-block geometry, shared by the float32 and int8
-// kernels. KC and NC are sized for this class of machine (tens of KiB of
-// L1d, 1-2 MiB of L2): one float32 B block (KC x NC) fits in L2, one B
+// Register-tile and cache-block geometry. The A panels (MR rows) are
+// shared by the float32 and int8 kernels; a B sliver's width follows the
+// element type: NR = 16 float32 columns (one ZMM register, two YMM
+// registers) and 8 int8 columns (the pair layout's eight dword lanes, see
+// widenPairs). KC and NC are sized for this class of machine (tens of KiB
+// of L1d, 1-2 MiB of L2): one float32 B block (KC x NC) fits in L2, one B
 // sliver (KC x NR) in L1, and one A panel (MR x KC) spans a few KiB.
 const (
-	packMR = 4
-	packNR = 8
-	packKC = 256
-	packNC = 1024
+	packMR   = 4
+	packNR   = 16
+	packNRI8 = 8
+	packKC   = 256
+	packNC   = 1024
 )
 
-// PanelRows (MR) and PanelCols (NR) expose the register-tile geometry for
-// tests.
-const (
-	PanelRows = packMR
-	PanelCols = packNR
-)
+// sliverWidth is the B sliver width for element type T: packNR for
+// float32, packNRI8 for int8. It folds to a constant in each instantiation.
+func sliverWidth[T float32 | int8]() int {
+	var z T
+	if unsafe.Sizeof(z) == unsafe.Sizeof(float32(0)) {
+		return packNR
+	}
+	return packNRI8
+}
+
+// moveRow copies one full sliver row, sliverWidth[T]() values, from src to
+// dst through a local, so the compiler emits register moves; a direct array
+// assignment may alias and calls memmove. Only the branch for T's width is
+// compiled into each instantiation.
+func moveRow[T float32 | int8](dst, src []T) {
+	if sliverWidth[T]() == packNR {
+		v := *(*[packNR]T)(src)
+		*(*[packNR]T)(dst) = v
+		return
+	}
+	v := *(*[packNRI8]T)(src)
+	*(*[packNRI8]T)(dst) = v
+}
 
 // PackedA is matrix a (m x k, row-major) repacked into MR-interleaved
 // panels, grouped by KC block. Block offsets are closed-form — every
@@ -164,48 +187,52 @@ func (g ConvGeom) pointwise() bool {
 // packBBlock packs one cache block of an in-memory k x n matrix stored
 // row-major with row stride ldb (ldb >= n; a larger ldb packs a sub-view
 // of a wider matrix). dst receives ceil(nc/NR) slivers of kc*NR elements
-// each; within a sliver, element (p, c) lands at p*NR + c, and columns past
-// nc (the ragged tail) are written as zeros. Full slivers move NR elements
-// per row in one copy; only the ragged last sliver pads.
+// each, NR = sliverWidth[T](); within a sliver, element (p, c) lands at
+// p*NR + c, and columns past nc (the ragged tail) are written as zeros.
+// Full slivers move a row in register-sized copies; only the ragged last
+// sliver pads.
 func packBBlock[T float32 | int8](dst, b []T, ldb, p0, kc, j0, nc int) {
+	w := sliverWidth[T]()
 	di := 0
-	for s := 0; s < nc; s += packNR {
-		nr := min(packNR, nc-s)
+	for s := 0; s < nc; s += w {
+		nr := min(w, nc-s)
 		col := p0*ldb + j0 + s
 		for p := 0; p < kc; p++ {
-			d := (*[packNR]T)(dst[di:])
-			if nr == packNR {
-				// Through a local so the compiler emits register moves; a
-				// direct array assignment may alias and calls memmove.
-				v := *(*[packNR]T)(b[col:])
-				*d = v
+			d := dst[di : di+w]
+			if nr == w {
+				moveRow(d, b[col:])
 			} else {
 				copy(d[:nr], b[col:])
 				clear(d[nr:])
 			}
-			di += packNR
+			di += w
 			col += ldb
 		}
 	}
 }
 
-// How one tap's NR columns of a sliver read an input plane.
+// A tap pattern covers patW consecutive columns of a sliver: the whole of
+// an int8 sliver, either half of a float32 one.
+const patW = 8
+
+// How one tap's patW columns of a sliver read an input plane.
 const (
-	tapCopy   = iota // NR consecutive in-image positions: one NR-wide copy
-	tapStride        // NR in-image positions Stride apart in one input row
-	tapZero          // an input row outside the image: all padding
+	tapCopy   = iota // patW consecutive in-image positions: one copy
+	tapStride        // patW in-image positions Stride apart in one input row
+	tapZero          // an input row outside the image, or the ragged tail: all padding
 	tapSpan          // stride 1 in one input row, padding at either end: zeros and one copy
 	tapGather        // any other tap: per-column offsets
 )
 
 // tapPatterns holds one sliver's reading pattern per distinct tap of a
-// block: its kind, and the plane offsets it reads — the first alone for
-// tapCopy and tapStride; for tapSpan the first in-image column's, then the
-// span [lo, hi) of columns in the image; one per column (-1 for a padding
-// tap) for tapGather.
+// block and per patW columns: its kind, and the plane offsets it reads —
+// the first alone for tapCopy and tapStride; for tapSpan the first
+// in-image column's, then the span [lo, hi) of columns in the image; one
+// per column (-1 for a padding tap) for tapGather. It is sized for the
+// widest sliver, float32's.
 type tapPatterns struct {
-	kind [packKC]uint8
-	offs [packKC][packNR]int32
+	kind [packKC][packNR / patW]uint8
+	offs [packKC][packNR / patW][patW]int32
 }
 
 // packBConv packs one cache block of the virtual im2col matrix directly
@@ -214,18 +241,18 @@ type tapPatterns struct {
 // exact zeros — the same values buildColumns materializes, in the same
 // row order, so direct convolution is bit-identical to im2col + GEMM.
 //
-// A sliver's NR columns fix, for each kernel tap (ky, kx), which positions
+// A sliver's columns fix, for each kernel tap (ky, kx), which positions
 // of an input plane its row reads — the same positions for every input
-// channel. So each sliver works out its tap patterns once, and every row is
-// one channel's plane read through its tap's pattern. A sliver within one
-// output row reads, per tap, NR positions of one input row: a single copy
-// at stride 1 and a strided read otherwise when they are all inside the
-// image, zeros when the row is not, and at stride 1 zeros around one
-// shorter copy when the row runs into padding. Any other tap — a padded one
-// at stride 2, a sliver that wraps to the next output row (most of them on
-// 14- and 7-wide planes), the ragged last sliver — gets a plane offset per
-// column and gathers. Rows advance (tap, channel) by counting; nothing per
-// row divides.
+// channel. So each sliver works out its tap patterns once, patW columns at
+// a time, and every row is one channel's plane read through its tap's
+// patterns. patW columns within one output row read, per tap, patW
+// positions of one input row: a single copy at stride 1 and a strided read
+// otherwise when they are all inside the image, zeros when the row is not,
+// and at stride 1 zeros around one shorter copy when the row runs into
+// padding. Any other tap — a padded one at stride 2, columns that wrap to
+// the next output row (most of them on 14- and 7-wide planes), the ragged
+// last sliver — gets a plane offset per column and gathers. Rows advance
+// (tap, channel) by counting; nothing per row divides.
 func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
 	kk := g.K * g.K
 	taps := min(kk, kc) // distinct taps among the block's rows
@@ -235,21 +262,31 @@ func packBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
 	if t0 != 0 {
 		base += plane // the first row is not at tap (0, 0), which advances it
 	}
+	w := sliverWidth[T]()
 	var pat tapPatterns
-	for s := 0; s < nc; s += packNR {
-		pat.build(g, t0, taps, j0+s, min(packNR, nc-s))
-		packTapRows(dst[s*kc:(s+packNR)*kc], src, &pat, taps, (kk-t0)%kk, base, plane, g.Stride)
+	for s := 0; s < nc; s += w {
+		for u := 0; u < w/patW; u++ {
+			pat.build(g, u, t0, taps, j0+s+u*patW, min(patW, nc-s-u*patW))
+		}
+		packTapRows(dst[s*kc:(s+w)*kc], src, &pat, taps, (kk-t0)%kk, base, plane, g.Stride)
 	}
 }
 
-// build works out the patterns of the sliver of nr columns from column j
-// for taps t0, t0+1, … (taps of them, in row order, wrapping at K*K).
-func (p *tapPatterns) build(g ConvGeom, t0, taps, j, nr int) {
+// build works out the patterns of pattern unit u, the patW columns from
+// column j of which nr are valid (none when nr <= 0), for taps t0, t0+1, …
+// (taps of them, in row order, wrapping at K*K).
+func (p *tapPatterns) build(g ConvGeom, u, t0, taps, j, nr int) {
+	if nr <= 0 {
+		for t := 0; t < taps; t++ {
+			p.kind[t][u] = tapZero
+		}
+		return
+	}
 	oy := j / g.OutW
 	ox := j - oy*g.OutW
-	oneRow := nr == packNR && ox+packNR <= g.OutW
-	span := (packNR - 1) * g.Stride // distance from a row's first tap to its last
-	var ys, xs [packNR]int          // per column: oy*Stride - Pad and ox*Stride - Pad
+	oneRow := nr == patW && ox+patW <= g.OutW
+	span := (patW - 1) * g.Stride // distance from a row's first tap to its last
+	var ys, xs [patW]int          // per column: oy*Stride - Pad and ox*Stride - Pad
 	for c := range ys {
 		ys[c] = -g.H - g.K // the ragged tail: no tap brings it into the image
 		if c < nr {
@@ -260,24 +297,24 @@ func (p *tapPatterns) build(g ConvGeom, t0, taps, j, nr int) {
 		}
 	}
 	for t, ky, kx := 0, t0/g.K, t0%g.K; t < taps; t++ {
-		o := &p.offs[t]
+		o, kind := &p.offs[t][u], &p.kind[t][u]
 		iy, ix := ys[0]+ky, xs[0]+kx
 		switch {
 		case oneRow && (iy < 0 || iy >= g.H):
-			p.kind[t] = tapZero
+			*kind = tapZero
 		case oneRow && ix >= 0 && ix+span < g.W:
-			p.kind[t], o[0] = tapStride, int32(iy*g.W+ix)
+			*kind, o[0] = tapStride, int32(iy*g.W+ix)
 			if g.Stride == 1 {
-				p.kind[t] = tapCopy
+				*kind = tapCopy
 			}
 		case oneRow && g.Stride == 1:
-			lo, hi := max(0, -ix), min(packNR, g.W-ix)
-			p.kind[t], o[0], o[1], o[2] = tapSpan, int32(iy*g.W+ix+lo), int32(lo), int32(hi)
+			lo, hi := max(0, -ix), min(patW, g.W-ix)
+			*kind, o[0], o[1], o[2] = tapSpan, int32(iy*g.W+ix+lo), int32(lo), int32(hi)
 			if lo >= hi {
-				p.kind[t] = tapZero
+				*kind = tapZero
 			}
 		default:
-			p.kind[t] = tapGather
+			*kind = tapGather
 			for c := range o {
 				iy, ix := ys[c]+ky, xs[c]+kx
 				o[c] = -1
@@ -294,54 +331,58 @@ func (p *tapPatterns) build(g ConvGeom, t0, taps, j, nr int) {
 	}
 }
 
-// packTapRows writes one sliver's rows into dst (NR per row). Row i reads
-// through pattern t = i mod taps, from the plane of its input channel: base
-// moves one plane on at every row whose pattern index is nextChan — where
-// the tap wraps to (0, 0) — so row t+m*taps reads at base + (m+1)·plane when
-// t ≥ nextChan, else base + m·plane. Each pattern writes all of its rows in
-// one loop, so a row costs its copy and nothing that decides how to copy.
+// packTapRows writes one sliver's rows into dst (sliverWidth[T]() per row,
+// patW columns per pattern). Row i reads through patterns t = i mod taps,
+// from the plane of its input channel: base moves one plane on at every row
+// whose pattern index is nextChan — where the tap wraps to (0, 0) — so row
+// t+m*taps reads at base + (m+1)·plane when t ≥ nextChan, else base +
+// m·plane. Each pattern writes its columns of all of its rows in one loop,
+// so a row costs its copies and nothing that decides how to copy.
 func packTapRows[T float32 | int8](dst, src []T, p *tapPatterns, taps, nextChan, base, plane, stride int) {
-	step := taps * packNR // from one row of a pattern to its next
+	w := sliverWidth[T]()
+	step := taps * w // from one row of a pattern to its next
 	for t := 0; t < taps; t++ {
 		b := base
 		if t >= nextChan {
 			b += plane
 		}
-		o := &p.offs[t]
-		di, s := t*packNR, b+int(o[0])
-		switch p.kind[t] {
-		case tapCopy:
-			for ; di < len(dst); di, s = di+step, s+plane {
-				// Through a local so the compiler emits register moves.
-				v := *(*[packNR]T)(src[s:])
-				*(*[packNR]T)(dst[di:]) = v
-			}
-		case tapStride:
-			for ; di < len(dst); di, s = di+step, s+plane {
-				d, row := (*[packNR]T)(dst[di:]), src[s:]
-				d[0], d[1], d[2], d[3] = row[0], row[stride], row[2*stride], row[3*stride]
-				d[4], d[5], d[6], d[7] = row[4*stride], row[5*stride], row[6*stride], row[7*stride]
-			}
-		case tapZero:
-			for ; di < len(dst); di += step {
-				*(*[packNR]T)(dst[di:]) = [packNR]T{}
-			}
-		case tapSpan:
-			lo, hi := int(o[1]), int(o[2])
-			for ; di < len(dst); di, s = di+step, s+plane {
-				d := (*[packNR]T)(dst[di:])
-				*d = [packNR]T{}
-				copy(d[lo:hi], src[s:])
-			}
-		default:
-			for ; di < len(dst); di, b = di+step, b+plane {
-				d := (*[packNR]T)(dst[di:])
-				for c, off := range o {
-					var v T
-					if off >= 0 {
-						v = src[b+int(off)]
+		for u := 0; u < w/patW; u++ {
+			o := &p.offs[t][u]
+			di, s := t*w+u*patW, b+int(o[0])
+			switch p.kind[t][u] {
+			case tapCopy:
+				for ; di < len(dst); di, s = di+step, s+plane {
+					// Through a local so the compiler emits register moves.
+					v := *(*[patW]T)(src[s:])
+					*(*[patW]T)(dst[di:]) = v
+				}
+			case tapStride:
+				for ; di < len(dst); di, s = di+step, s+plane {
+					d, row := (*[patW]T)(dst[di:]), src[s:]
+					d[0], d[1], d[2], d[3] = row[0], row[stride], row[2*stride], row[3*stride]
+					d[4], d[5], d[6], d[7] = row[4*stride], row[5*stride], row[6*stride], row[7*stride]
+				}
+			case tapZero:
+				for ; di < len(dst); di += step {
+					*(*[patW]T)(dst[di:]) = [patW]T{}
+				}
+			case tapSpan:
+				lo, hi := int(o[1]), int(o[2])
+				for ; di < len(dst); di, s = di+step, s+plane {
+					d := (*[patW]T)(dst[di:])
+					*d = [patW]T{}
+					copy(d[lo:hi], src[s:])
+				}
+			default:
+				for r := b; di < len(dst); di, r = di+step, r+plane {
+					d := (*[patW]T)(dst[di:])
+					for c, off := range o {
+						var v T
+						if off >= 0 {
+							v = src[r+int(off)]
+						}
+						d[c] = v
 					}
-					d[c] = v
 				}
 			}
 		}
@@ -429,21 +470,21 @@ func (pa *PackedAI8) UnpackA() []int8 {
 // NR x 2 int16, 32 bytes per pair, a zero partner after an odd last row.
 // Each sliver is widened once per B block and reused by every A panel.
 func widenPairs(dst []int16, src []int8, kc int) {
-	src, dst = src[:kc*packNR], dst[:pairDepth(kc)*packNR]
+	src, dst = src[:kc*packNRI8], dst[:pairDepth(kc)*packNRI8]
 	if haveAVX2 {
 		widenPairsAVX2(&dst[0], &src[0], kc)
 		return
 	}
-	for ; len(src) >= 2*packNR; src, dst = src[2*packNR:], dst[2*packNR:] {
-		d := (*[2 * packNR]int16)(dst)
-		r0, r1 := (*[packNR]int8)(src), (*[packNR]int8)(src[packNR:])
+	for ; len(src) >= 2*packNRI8; src, dst = src[2*packNRI8:], dst[2*packNRI8:] {
+		d := (*[2 * packNRI8]int16)(dst)
+		r0, r1 := (*[packNRI8]int8)(src), (*[packNRI8]int8)(src[packNRI8:])
 		for c := range r0 {
 			d[2*c], d[2*c+1] = int16(r0[c]), int16(r1[c])
 		}
 	}
 	if len(src) > 0 {
-		d := (*[2 * packNR]int16)(dst)
-		for c, v := range (*[packNR]int8)(src) {
+		d := (*[2 * packNRI8]int16)(dst)
+		for c, v := range (*[packNRI8]int8)(src) {
 			d[2*c], d[2*c+1] = int16(v), 0
 		}
 	}

@@ -180,16 +180,17 @@ func convRef[T float32 | int8](src []T, g ConvGeom) []T {
 // oracle for its copy fast path: every tap of every sliver is bounds-tested
 // on its own.
 func gatherBConv[T float32 | int8](dst, src []T, g ConvGeom, p0, kc, j0, nc int) {
+	w := sliverWidth[T]()
 	di := 0
-	for s := 0; s < nc; s += packNR {
-		nr := min(packNR, nc-s)
+	for s := 0; s < nc; s += w {
+		nr := min(w, nc-s)
 		for i := 0; i < kc; i++ {
 			p := p0 + i
 			kx := p % g.K
 			t := p / g.K
 			ky := t % g.K
 			ic := t / g.K
-			for c := 0; c < packNR; c++ {
+			for c := 0; c < w; c++ {
 				var v T
 				if c < nr {
 					j := j0 + s + c
@@ -248,8 +249,8 @@ var catalogConvGeoms = []ConvGeom{
 // every packed byte with the per-element oracle's.
 func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 int) {
 	t.Helper()
-	k := g.Rows()
-	got := make([]T, bPanelLen(k, j1-j0))
+	k, w := g.Rows(), sliverWidth[T]()
+	got := make([]T, bPanelLen[T](k, j1-j0))
 	want := make([]T, len(got))
 	for jc := j0; jc < j1; jc += packNC {
 		nc := min(packNC, j1-jc)
@@ -257,7 +258,7 @@ func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 
 			kc := min(packKC, k-pc)
 			packBConv(got, src, g, pc, kc, jc, nc)
 			gatherBConv(want, src, g, pc, kc, jc, nc)
-			for i := 0; i < kc*((nc+packNR-1)&^(packNR-1)); i++ {
+			for i := 0; i < kc*((nc+w-1)/w*w); i++ {
 				if got[i] != want[i] {
 					t.Fatalf("geom %+v block p0=%d kc=%d j0=%d nc=%d: packed[%d] = %v, want %v",
 						g, pc, kc, jc, nc, i, got[i], want[i])
@@ -270,18 +271,19 @@ func checkPackBConv[T float32 | int8](t *testing.T, src []T, g ConvGeom, j0, j1 
 // TestPackBConvMatchesGather pins packBConv's tap patterns — the dense copy
 // and the padded gather — on every catalog convolution geometry, to the
 // per-element gather they replaced:
-// identical panel bytes for float32 and int8, over the full column range
-// and over the two NR-aligned halves a two-worker fan-out packs. For the
-// 1x1 geometries it also pins that GemmConv's in-memory routing produces
-// the dst the gather path does.
+// identical panel bytes for float32 (16-wide slivers) and int8 (8-wide),
+// over the full column range and over the two sliver-aligned halves a
+// two-worker fan-out packs. For the 1x1 geometries it also pins that
+// GemmConv's in-memory routing produces the dst the gather path does.
 func TestPackBConvMatchesGather(t *testing.T) {
 	// Beside the catalog: 1-, 3-, 7- and 14-wide outputs, whose slivers wrap
-	// output rows almost everywhere (a 1-wide one NR times per sliver), at
-	// strides 1 and 2 with 0 to 2 rings of padding (so runs with a zero
-	// prefix, a zero suffix, both, and rows wholly outside the image all
-	// occur).
+	// output rows almost everywhere (a 1-wide one NR times per sliver), and
+	// 16-, 17- and 33-wide ones, where whole float32 slivers fit in an
+	// output row, at strides 1 and 2 with 0 to 2 rings of padding (so runs
+	// with a zero prefix, a zero suffix, both, rows wholly outside the image
+	// and padded stride-2 taps all occur at both sliver widths).
 	geoms := append([]ConvGeom(nil), catalogConvGeoms...)
-	for _, ow := range []int{1, 3, 7, 14} {
+	for _, ow := range []int{1, 3, 7, 14, 16, 17, 33} {
 		for _, stride := range []int{1, 2} {
 			for pad := 0; pad <= 2; pad++ {
 				for _, k := range []int{3, 5} {
@@ -303,6 +305,9 @@ func TestPackBConvMatchesGather(t *testing.T) {
 		half := (n/2 + packNR - 1) &^ (packNR - 1)
 		for _, r := range [][2]int{{0, n}, {0, half}, {half, n}} {
 			checkPackBConv(t, src, g, r[0], r[1])
+		}
+		half = (n/2 + packNRI8 - 1) &^ (packNRI8 - 1)
+		for _, r := range [][2]int{{0, n}, {0, half}, {half, n}} {
 			checkPackBConv(t, src8, g, r[0], r[1])
 		}
 		if !g.pointwise() {
@@ -542,7 +547,7 @@ func BenchmarkPackBConv(b *testing.B) {
 		src := make([]float32, g.InC*g.H*g.W)
 		fillRand(src, 1)
 		k, n := g.Rows(), g.Cols()
-		dst := make([]float32, packKC*((min(packNC, n)+packNR-1)&^(packNR-1)))
+		dst := make([]float32, bPanelLen[float32](k, n))
 		b.Run(c.name, func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				for jc := 0; jc < n; jc += packNC {
