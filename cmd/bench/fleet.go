@@ -6,19 +6,18 @@ import (
 	"io"
 	"os"
 
-	"websnap/internal/fleet"
 	"websnap/internal/obs"
 	"websnap/internal/sim"
 )
 
-// The fleet experiment sweeps placement policies across fleet sizes: N
-// heterogeneous edge servers (worker counts cycling 2/1/4) serving
-// closed-loop full-offload clients that roam mid-session. Both policies
-// run the production placement code (weighted rendezvous over registry
-// views with live load hints); the cells differ only in what the policy
-// decided. Alongside tail latency and the decision mix, the sweep reports
-// the content-addressed sharing win: wireless model bytes the blob index
-// saved versus a fleet where every (session, server) encounter re-uploads.
+// The fleet experiment sweeps fleet sizes: N heterogeneous edge servers
+// (worker counts cycling 2/1/4) serving closed-loop full-offload clients
+// that roam mid-session. Every session is placed by the live roamer's rule
+// (roam.Pick over the link round trip plus each server's advertised
+// queueing delay). Alongside tail latency and the decision mix, the sweep
+// reports the content-addressed sharing win: wireless model bytes the blob
+// index saved versus a fleet where every (session, server) encounter
+// re-uploads.
 
 // fleetJSONFile is where the machine-readable results are written
 // (a variable so tests can redirect it away from the working tree).
@@ -33,25 +32,23 @@ var fleetClients = 1000
 var fleetServerCounts = []int{2, 4, 8}
 
 func fleetExp(w io.Writer) error {
-	policies := []fleet.Policy{fleet.PolicyHash, fleet.PolicyLoadWeighted}
-	pts, err := sim.FleetSweep("googlenet", fleetServerCounts, fleetClients,
-		policies, sim.FleetConfig{RoamEvery: 3})
+	pts, err := sim.FleetSweep("googlenet", fleetServerCounts, fleetClients, sim.FleetConfig{RoamEvery: 3})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Fleet sweep: placement policies over heterogeneous fleets, GoogLeNet full offload, %d roaming clients\n", fleetClients)
-	fmt.Fprintln(w, "Policy\tServers\tTotal/s\tp50 (ms)\tp95 (ms)\tp99 (ms)\tFallback %\tHandoffs\tModel up (MB)\tSaved (MB)\tPeer fetch (MB)")
+	fmt.Fprintf(w, "Fleet sweep: probe-score placement over heterogeneous fleets, GoogLeNet full offload, %d roaming clients\n", fleetClients)
+	fmt.Fprintln(w, "Servers\tTotal/s\tp50 (ms)\tp95 (ms)\tp99 (ms)\tFallback %\tHandoffs\tModel up (MB)\tSaved (MB)\tPeer fetch (MB)")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.0f\t%.0f\t%.0f\t%.1f\t%d\t%s\t%s\t%s\n",
-			p.Policy, p.Servers, p.Throughput, p.P50Millis, p.P95Millis, p.P99Millis,
+		fmt.Fprintf(w, "%d\t%.2f\t%.0f\t%.0f\t%.0f\t%.1f\t%d\t%s\t%s\t%s\n",
+			p.Servers, p.Throughput, p.P50Millis, p.P95Millis, p.P99Millis,
 			100*p.FallbackRate(), p.Handoffs, mb(p.ClientModelUploadBytes),
 			mb(p.ReuploadBytesSaved), mb(p.PeerFetchBytes))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Decision mix and placement spread per cell")
-	fmt.Fprintln(w, "Policy\tServers\tFull\tFallback\tExec per server")
+	fmt.Fprintln(w, "Decision mix and placement spread per fleet size")
+	fmt.Fprintln(w, "Servers\tFull\tFallback\tExec per server")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%v\n", p.Policy, p.Servers,
+		fmt.Fprintf(w, "%d\t%d\t%d\t%v\n", p.Servers,
 			pathCount(p.Mix, obs.PathFull), pathCount(p.Mix, obs.PathFallback), p.ExecPerServer)
 	}
 	data, err := json.MarshalIndent(struct {

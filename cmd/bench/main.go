@@ -10,14 +10,14 @@
 //	bench -experiment load     edge scheduler under concurrent clients
 //	bench -experiment engine   planned forward pass at the float32 and int8 tiers
 //	bench -experiment quantshift  optimal split per quality tier (float32 vs int8)
-//	bench -experiment fleet    placement policies over multi-server fleets
+//	bench -experiment fleet    probe-score placement over multi-server fleets
 //	bench -experiment mux      multiplexed streams vs one connection per session
 //	bench -experiment pipeline K-way chain planner vs 2-way and local baselines
 //	bench -experiment all      everything
 //
 // The engine experiment additionally writes BENCH_engine.json with the raw
 // per-tier numbers (ns/op, allocs/op, B/op); the fleet experiment
-// writes BENCH_fleet.json with per-(policy, fleet size) tail latency,
+// writes BENCH_fleet.json with per-fleet-size tail latency,
 // decision mix, and re-upload bytes saved; the mux experiment writes
 // BENCH_mux.json with per-stream latency percentiles and connection
 // counts for both topologies, measured over real sockets; the pipeline

@@ -122,7 +122,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{Timeout: 500 * time.Millisecond})
 	var switchLog strings.Builder
 	roamer, err := roam.New(roam.Config{
-		FleetView: fleet.PlacementView(rc, fleet.PolicyLoadWeighted, "flap-app"),
+		FleetView: fleet.MemberView(rc),
 		Probe:     probe,
 		Logger:    obs.NewLogger(&switchLog, obs.LevelInfo),
 	})

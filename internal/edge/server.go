@@ -358,18 +358,7 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) SchedStats() sched.Stats { return s.sched.Stats() }
 
 // loadHint summarizes the scheduler's state for response headers.
-func (s *Server) loadHint() *protocol.LoadHint {
-	st := s.sched.Stats()
-	return &protocol.LoadHint{
-		QueueDepth:        st.QueueDepth,
-		QueueCap:          st.QueueCap,
-		Workers:           st.Workers,
-		Busy:              st.Busy,
-		EWMAServiceMillis: float64(st.Service.Mean) / float64(time.Millisecond),
-		QueueingMillis:    float64(st.QueueingDelay()) / float64(time.Millisecond),
-		Saturated:         st.Saturated(),
-	}
-}
+func (s *Server) loadHint() *protocol.LoadHint { return s.sched.Stats().Hint() }
 
 // Store exposes the server's session store (for tests and inspection).
 func (s *Server) Store() *SessionStore { return s.store }

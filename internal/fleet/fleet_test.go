@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -235,110 +234,5 @@ func TestAgentKeepsRegistrationLive(t *testing.T) {
 	time.Sleep(600 * time.Millisecond)
 	if got := r.Servers(); got != 0 {
 		t.Fatalf("servers = %d after agent close, want 0", got)
-	}
-}
-
-func view(n int) []protocol.FleetServer {
-	servers := make([]protocol.FleetServer, n)
-	for i := range servers {
-		servers[i] = protocol.FleetServer{Addr: fmt.Sprintf("edge-%d:9000", i), Capacity: 4}
-	}
-	return servers
-}
-
-func TestPlacementDeterministic(t *testing.T) {
-	servers := view(5)
-	for _, policy := range []Policy{PolicyHash, PolicyLoadWeighted} {
-		first, _ := Pick(policy, "session-42", servers)
-		for i := 0; i < 10; i++ {
-			again, ok := Pick(policy, "session-42", servers)
-			if !ok || again.Addr != first.Addr {
-				t.Fatalf("%s: placement not deterministic: %s vs %s", policy, again.Addr, first.Addr)
-			}
-		}
-	}
-}
-
-func TestPlacementBalance(t *testing.T) {
-	servers := view(4)
-	counts := make(map[string]int)
-	const n = 4000
-	for i := 0; i < n; i++ {
-		s, _ := Pick(PolicyHash, fmt.Sprintf("session-%d", i), servers)
-		counts[s.Addr]++
-	}
-	for addr, c := range counts {
-		if c < n/8 || c > n/2 {
-			t.Errorf("%s got %d/%d sessions — badly unbalanced", addr, c, n)
-		}
-	}
-}
-
-// TestPlacementStability is the rendezvous property: removing one server
-// remaps only the sessions it owned.
-func TestPlacementStability(t *testing.T) {
-	servers := view(5)
-	removed := servers[2].Addr
-	reduced := append(append([]protocol.FleetServer{}, servers[:2]...), servers[3:]...)
-	moved, owned := 0, 0
-	for i := 0; i < 2000; i++ {
-		id := fmt.Sprintf("session-%d", i)
-		before, _ := Pick(PolicyHash, id, servers)
-		after, _ := Pick(PolicyHash, id, reduced)
-		if before.Addr == removed {
-			owned++
-			continue // these must move somewhere
-		}
-		if after.Addr != before.Addr {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Fatalf("%d sessions not owned by the removed server still moved", moved)
-	}
-	if owned == 0 {
-		t.Fatal("test vacuous: removed server owned no sessions")
-	}
-}
-
-func TestPlacementLoadWeighting(t *testing.T) {
-	// Same capacity, but edge-0 advertises heavy queueing: it should lose
-	// most (not necessarily all) placements relative to its fair share.
-	servers := view(3)
-	servers[0].Load = &protocol.LoadHint{QueueingMillis: 500}
-	counts := make(map[string]int)
-	const n = 3000
-	for i := 0; i < n; i++ {
-		s, _ := Pick(PolicyLoadWeighted, fmt.Sprintf("s%d", i), servers)
-		counts[s.Addr]++
-	}
-	if counts[servers[0].Addr] >= n/3 {
-		t.Fatalf("queued server kept its full share: %v", counts)
-	}
-	// PolicyHash must ignore load entirely.
-	hashCounts := make(map[string]int)
-	for i := 0; i < n; i++ {
-		s, _ := Pick(PolicyHash, fmt.Sprintf("s%d", i), servers)
-		hashCounts[s.Addr]++
-	}
-	if hashCounts[servers[0].Addr] < n/6 {
-		t.Fatalf("hash policy reacted to load: %v", hashCounts)
-	}
-}
-
-func TestPlacementSaturatedLast(t *testing.T) {
-	servers := view(3)
-	servers[1].Load = &protocol.LoadHint{Saturated: true}
-	for i := 0; i < 200; i++ {
-		ranked := Rank(PolicyLoadWeighted, fmt.Sprintf("s%d", i), servers)
-		if ranked[len(ranked)-1].Addr != servers[1].Addr {
-			t.Fatalf("saturated server not ranked last: %+v", ranked)
-		}
-	}
-}
-
-func TestPickEmptyView(t *testing.T) {
-	if _, ok := Pick(PolicyHash, "s", nil); ok {
-		t.Fatal("Pick on empty view returned a server")
 	}
 }

@@ -145,11 +145,11 @@ func localResult(t *testing.T, model *nn.Network, labels []string, seed uint64) 
 
 // TestFleetRoamingNoModelReupload is the headline acceptance test: three
 // fleet-enabled edge servers, a client whose candidate set comes from the
-// registry through a placement policy, roaming A→B→C. After the first
+// registry's member view, roaming A→B→C. After the first
 // upload, handoffs transfer zero model bytes from the client — each new
 // server resolves the model by content reference, fetching the blob from a
 // peer — while results stay bit-identical to a local twin and every event
-// records exactly one audit decision carrying the placement policy.
+// records exactly one audit decision.
 func TestFleetRoamingNoModelReupload(t *testing.T) {
 	testutil.LeakCheck(t)
 	regAddr := startRegistry(t, 2*time.Second)
@@ -169,9 +169,8 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	}
 
 	// The roamer's membership comes exclusively from the registry (no
-	// static server list), ranked by the hash placement policy; a scripted
-	// probe steers which server wins so the A→B→C itinerary is
-	// deterministic.
+	// static server list); a scripted probe steers which server wins so the
+	// A→B→C itinerary is deterministic.
 	var mu sync.Mutex
 	preferred := addrA
 	setPreferred := func(addr string) {
@@ -190,7 +189,7 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	var switchLog strings.Builder
 	roamer, err := roam.New(roam.Config{
-		FleetView: fleet.PlacementView(rc, fleet.PolicyHash, "fleet-app"),
+		FleetView: fleet.MemberView(rc),
 		Probe:     probe,
 		Logger:    obs.NewLogger(&switchLog, obs.LevelInfo),
 	})

@@ -1,7 +1,7 @@
 // Package fleet turns a set of independent edge servers into one edge
 // environment: a registry tracks live servers (TTL-based liveness) and the
-// content-addressed blobs each holds, a placement layer maps sessions onto
-// servers (consistent hashing blended with load hints), and a blob index
+// content-addressed blobs each holds, a member view hands the live servers
+// to the roamer (which picks among them by probe score), and a blob index
 // lets servers fetch models from peers so a roaming client never re-uploads
 // a model the fleet already holds. This is the
 // multi-server counterpart of the paper's single edge server (§II):

@@ -58,7 +58,7 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	}
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	roamer, err := roam.New(roam.Config{
-		FleetView: fleet.PlacementView(rc, fleet.PolicyHash, "trace-app"),
+		FleetView: fleet.MemberView(rc),
 		Probe:     probe,
 	})
 	if err != nil {

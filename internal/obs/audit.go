@@ -65,11 +65,6 @@ type Decision struct {
 	// HintAge is how stale the server load hint consulted for this
 	// decision was; negative when no hint had arrived.
 	HintAge time.Duration `json:"hintAgeMillis,omitempty"`
-	// Placement names the fleet placement policy that chose the target
-	// server ("hash", "load"). Only the simulator's fleet model
-	// (internal/sim) fills it: the live roamer picks by probe score, not
-	// by a placement policy, so live decisions leave it empty.
-	Placement string `json:"placement,omitempty"`
 	// WireEncoding is the form the request body travelled in ("raw",
 	// "packed"); empty when no request was sent. UplinkBytesPerSec is the
 	// client's link estimate that form was chosen from, zero before anything
@@ -92,7 +87,6 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		Predicted  int64        `json:"predictedMicros,omitempty"`
 		Measured   int64        `json:"measuredMicros,omitempty"`
 		HintAge    *int64       `json:"hintAgeMillis,omitempty"`
-		Placement  string       `json:"placement,omitempty"`
 		Encoding   string       `json:"wireEncoding,omitempty"`
 		Uplink     float64      `json:"uplinkBytesPerSec,omitempty"`
 	}
@@ -100,8 +94,7 @@ func (d Decision) MarshalJSON() ([]byte, error) {
 		TraceID: d.TraceID, AppID: d.AppID, Path: d.Path, Reason: d.Reason,
 		SplitLabel: d.SplitLabel, Server: d.Server,
 		Predicted: d.Predicted.Microseconds(), Measured: d.Measured.Microseconds(),
-		Placement: d.Placement,
-		Encoding:  d.WireEncoding, Uplink: d.UplinkBytesPerSec,
+		Encoding: d.WireEncoding, Uplink: d.UplinkBytesPerSec,
 	}
 	if d.HintAge >= 0 {
 		ms := d.HintAge.Milliseconds()

@@ -57,7 +57,7 @@ func FuzzRead(f *testing.F) {
 // FuzzFrameRoundTrip fuzzes the structured path: a SnapshotHeader must
 // frame, cross a net.Pipe, parse, and decode back field-for-field, and the
 // body checksum must verify exactly when it was computed over the bytes that
-// arrived. With noHeader the frame goes without its header: a rendezvous
+// arrived. With noHeader the frame goes without its header: an unbuffered
 // transport blocks a 0-byte write for a read the peer never issues, so an
 // empty header or body must not be written at all.
 func FuzzFrameRoundTrip(f *testing.F) {

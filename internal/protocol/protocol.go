@@ -779,7 +779,7 @@ func Write(w io.Writer, msg Message) error {
 	binary.LittleEndian.PutUint32(f.prefix[6:10], uint32(len(msg.Header)))
 	binary.LittleEndian.PutUint64(f.prefix[10:18], uint64(len(msg.Body)))
 	f.bufs = append(f.parts[:0], f.prefix[:])
-	// Leave out empty parts: on rendezvous transports (net.Pipe) a 0-byte
+	// Leave out empty parts: on unbuffered transports (net.Pipe) a 0-byte
 	// Write blocks for a matching Read that io.ReadFull(0) on the peer
 	// never issues.
 	for _, part := range [][]byte{msg.Header, msg.Body} {

@@ -244,7 +244,7 @@ func TestMsgTypeString(t *testing.T) {
 }
 
 // TestEmptyBodyOverPipe is a regression test: messages with empty bodies
-// (ACKs, errors) must not deadlock on rendezvous transports like net.Pipe,
+// (ACKs, errors) must not deadlock on unbuffered transports like net.Pipe,
 // where a zero-byte Write blocks for a Read that io.ReadFull(0) never
 // issues.
 func TestEmptyBodyOverPipe(t *testing.T) {

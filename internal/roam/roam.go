@@ -76,13 +76,39 @@ func (i ServerInfo) better(j ServerInfo) bool {
 	return i.Score < j.Score
 }
 
+// Score is a server's selection cost when a probe measured rtt and load:
+// the round trip plus the advertised queueing delay, RTT alone without a
+// load hint.
+func Score(rtt time.Duration, load *protocol.LoadHint) time.Duration {
+	if load == nil {
+		return rtt
+	}
+	return rtt + load.QueueingDelay()
+}
+
+// Pick is the one rule that chooses an edge server: an unsaturated server
+// before a saturated one, then the lowest Score, and an exact tie goes to
+// the server listed first. It returns false on an empty input.
+func Pick(servers []ServerInfo) (ServerInfo, bool) {
+	if len(servers) == 0 {
+		return ServerInfo{}, false
+	}
+	best := servers[0]
+	for _, s := range servers[1:] {
+		if s.better(best) {
+			best = s
+		}
+	}
+	return best, true
+}
+
 // Config parametrizes a Roamer.
 type Config struct {
 	// Servers lists candidate edge server addresses. May be empty when
 	// FleetView supplies membership dynamically.
 	Servers []string
 	// FleetView, when non-nil, supplies the candidate set dynamically —
-	// typically a fleet registry view (see fleet.PlacementView). It
+	// typically a fleet registry view (see fleet.MemberView). It
 	// returns candidate addresses plus a source tag: "registry" for a live view,
 	// "registry-cached" when the client serves its last-known-good cached
 	// view during a registry outage. The roamer refreshes membership at
@@ -90,8 +116,7 @@ type Config struct {
 	// membership and records source "last-known-good". The source tag is
 	// attached to switch audit logs so degraded placement is visible in
 	// the decision record. The view sets membership, not the choice: Best
-	// picks by probe score (ServerInfo.better), and the view's order only
-	// breaks exact score ties.
+	// picks by Pick, and the view's order only breaks exact score ties.
 	FleetView func() (addrs []string, source string, err error)
 	// Probe measures one server's reachability, latency, and scheduling
 	// load; a nil load scores the server by RTT alone. Nil selects
@@ -255,7 +280,8 @@ func (r *Roamer) ViewSource() string {
 }
 
 // ProbeAll refreshes fleet membership, probes every candidate, and returns
-// their states sorted by (healthy first, then RTT).
+// their states sorted healthy first, then in Pick's order: unsaturated
+// before saturated, then by Score.
 func (r *Roamer) ProbeAll() []ServerInfo {
 	r.refreshMembership()
 	r.mu.Lock()
@@ -297,10 +323,7 @@ func (r *Roamer) ProbeAll() []ServerInfo {
 		if res.err == nil {
 			info.RTT = res.rtt
 			info.Load = res.load
-			info.Score = res.rtt
-			if res.load != nil {
-				info.Score += res.load.QueueingDelay()
-			}
+			info.Score = Score(res.rtt, res.load)
 		}
 	}
 	out := make([]ServerInfo, 0, len(r.order))
@@ -331,14 +354,15 @@ func (r *Roamer) stale(info *ServerInfo, now time.Time) bool {
 func (r *Roamer) freshView(info ServerInfo, now time.Time) ServerInfo {
 	if info.Load != nil && r.stale(&info, now) {
 		info.Load = nil
-		info.Score = info.RTT
+		info.Score = Score(info.RTT, nil)
 	}
 	return info
 }
 
-// Best returns the healthiest candidate with the lowest effective cost
-// (RTT plus advertised queueing delay) from the most recent probes; lightly
-// loaded servers beat equally near saturated ones.
+// Best returns Pick's choice among the healthy candidates of the most
+// recent probes, in membership order: the lowest effective cost (RTT plus
+// advertised queueing delay), with lightly loaded servers beating equally
+// near saturated ones.
 //
 // Servers whose last probe is older than the staleness window are excluded
 // outright while any freshly probed server remains: a stale probe is a
@@ -351,29 +375,22 @@ func (r *Roamer) Best() (ServerInfo, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.cfg.Now()
-	var best, lastKnown ServerInfo
-	found, foundStale := false, false
+	var fresh, stale []ServerInfo
 	for _, addr := range r.order {
 		info := r.servers[addr]
-		if !info.Healthy {
-			continue
-		}
-		if r.stale(info, now) {
-			v := r.freshView(*info, now)
-			if !foundStale || v.better(lastKnown) {
-				lastKnown, foundStale = v, true
-			}
-			continue
-		}
-		if !found || info.better(best) {
-			best, found = *info, true
+		switch {
+		case !info.Healthy:
+		case r.stale(info, now):
+			stale = append(stale, r.freshView(*info, now))
+		default:
+			fresh = append(fresh, *info)
 		}
 	}
-	if found {
+	if best, ok := Pick(fresh); ok {
 		return best, nil
 	}
-	if foundStale {
-		return lastKnown, nil
+	if best, ok := Pick(stale); ok {
+		return best, nil
 	}
 	return ServerInfo{}, ErrNoReachable
 }

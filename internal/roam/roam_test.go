@@ -399,6 +399,49 @@ func TestSaturatedServerDeprioritized(t *testing.T) {
 	}
 }
 
+// TestPick is the selection rule on its own: saturated servers rank last,
+// the lowest score (RTT plus advertised queueing) wins, an exact tie goes
+// to the first server in the input, and an empty input picks nothing.
+func TestPick(t *testing.T) {
+	probed := func(addr string, rtt time.Duration, load *protocol.LoadHint) ServerInfo {
+		return ServerInfo{Addr: addr, RTT: rtt, Load: load, Score: Score(rtt, load), Healthy: true}
+	}
+	saturated := &protocol.LoadHint{Saturated: true}
+	for _, tc := range []struct {
+		name    string
+		servers []ServerInfo
+		want    string // "" when nothing is picked
+	}{
+		{"empty", nil, ""},
+		{"saturated_last", []ServerInfo{
+			probed("a", 5*time.Millisecond, nil),
+			probed("sat", time.Millisecond, saturated),
+			probed("c", 9*time.Millisecond, &protocol.LoadHint{QueueingMillis: 40}),
+		}, "a"},
+		{"all_saturated_lowest_score", []ServerInfo{
+			probed("a", 9*time.Millisecond, saturated),
+			probed("b", 2*time.Millisecond, saturated),
+		}, "b"},
+		{"lowest_score_wins", []ServerInfo{
+			probed("near-queued", 2*time.Millisecond, &protocol.LoadHint{QueueingMillis: 100}),
+			probed("far-idle", 10*time.Millisecond, &protocol.LoadHint{}),
+			probed("mid", 20*time.Millisecond, nil),
+		}, "far-idle"},
+		{"tie_first_in_input", []ServerInfo{
+			probed("b", 4*time.Millisecond, &protocol.LoadHint{}),
+			probed("a", 4*time.Millisecond, &protocol.LoadHint{}),
+			probed("c", 4*time.Millisecond, nil),
+		}, "b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, ok := Pick(tc.servers)
+			if ok != (tc.want != "") || got.Addr != tc.want {
+				t.Errorf("Pick = %q, %v; want %q", got.Addr, ok, tc.want)
+			}
+		})
+	}
+}
+
 func TestEvaluateLeavesSaturatedServer(t *testing.T) {
 	probe := newLoadProbe()
 	probe.set("a", time.Millisecond, nil)

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"websnap/internal/protocol"
 	"websnap/internal/trace"
 )
 
@@ -185,6 +186,21 @@ func (s Stats) Saturated() bool {
 		return true
 	}
 	return s.QueueByteCap > 0 && s.QueueBytes >= s.QueueByteCap
+}
+
+// Hint is the load hint a server advertises from these stats: the one place
+// a scheduler state becomes the queueing estimate and saturation flag that
+// clients, and the fleet simulator, select servers by.
+func (s Stats) Hint() *protocol.LoadHint {
+	return &protocol.LoadHint{
+		QueueDepth:        s.QueueDepth,
+		QueueCap:          s.QueueCap,
+		Workers:           s.Workers,
+		Busy:              s.Busy,
+		EWMAServiceMillis: float64(s.Service.Mean) / float64(time.Millisecond),
+		QueueingMillis:    float64(s.QueueingDelay()) / float64(time.Millisecond),
+		Saturated:         s.Saturated(),
+	}
 }
 
 // Scheduler admits, queues, and executes tasks on a worker pool.

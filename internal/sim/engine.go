@@ -14,9 +14,9 @@ import (
 // pool behind a bounded FIFO queue), get served by one worker or shed to local
 // execution, and start their next request when the result is on screen.
 // LoadSweep is this engine with one station, FleetSweep the same engine
-// with N stations and the placement policy behind the route hook; a sweep
-// supplies only the phase durations (from a Breakdown) and its hooks. An
-// engine value runs once: run mutates its stations.
+// with N stations and the roamer's rule (roam.Pick) behind the route hook; a
+// sweep supplies only the phase durations (from a Breakdown) and its hooks.
+// An engine value runs once: run mutates its stations.
 type engine struct {
 	// clients closed-loop clients each perform requests inferences.
 	clients, requests int
@@ -34,7 +34,7 @@ type engine struct {
 	// own execution of a shed request.
 	prep, post, local, service time.Duration
 	// decision labels an offloaded request's audit record (Path, SplitLabel,
-	// Predicted, Placement); the engine fills in server and latency.
+	// Predicted); the engine fills in server and latency.
 	decision obs.Decision
 	hooks
 }
@@ -167,7 +167,7 @@ func (e *engine) run() (outcome, error) {
 		d := e.decision
 		if !served {
 			out.shed++
-			d = obs.Decision{Path: obs.PathFallback, Reason: "overloaded", Placement: d.Placement}
+			d = obs.Decision{Path: obs.PathFallback, Reason: "overloaded"}
 		}
 		d.Server = e.stations[st].name
 		d.Measured, d.HintAge = now-req.start, -1

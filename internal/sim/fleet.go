@@ -5,23 +5,23 @@ import (
 	"slices"
 	"time"
 
-	"websnap/internal/fleet"
 	"websnap/internal/obs"
-	"websnap/internal/protocol"
+	"websnap/internal/roam"
+	"websnap/internal/sched"
 	"websnap/internal/telemetry"
+	"websnap/internal/trace"
 )
 
 // FleetConfig parameterizes the fleet sweep: many heterogeneous edge
-// servers, thousands of closed-loop full-offload clients, and a placement
-// policy deciding which server each session lands on.
+// servers, thousands of closed-loop full-offload clients, and the live
+// roamer's rule (roam.Pick) deciding which server each session lands on.
 type FleetConfig struct {
 	// RequestsPerClient is how many closed-loop inferences each client
 	// session performs.
 	RequestsPerClient int
 	// RoamEvery forces a handoff after this many requests: the client
-	// leaves its current server's coverage and the placement policy
-	// re-places the session among the remaining members. 0 disables
-	// roaming.
+	// leaves its current server's coverage and roam.Pick re-places the
+	// session among the remaining members. 0 disables roaming.
 	RoamEvery int
 	// Capacities cycles worker counts across the fleet, making it
 	// heterogeneous (e.g. {2, 1, 4}: server 0 has 2 workers, server 1
@@ -36,7 +36,7 @@ type FleetConfig struct {
 	// SLOObjective, when positive, scores every completed inference
 	// against a client-observed latency objective using the real
 	// telemetry.SLO burn-rate engine driven by the simulated clock
-	// (5 s / 60 s windows in simulated time), so a policy's tail behavior
+	// (5 s / 60 s windows in simulated time), so the fleet's tail behavior
 	// shows up as the same burn alerts production would raise. 0 disables
 	// SLO scoring.
 	SLOObjective time.Duration
@@ -77,10 +77,8 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	return c
 }
 
-// FleetPoint is one (policy, fleet size) cell's outcome.
+// FleetPoint is one fleet size's outcome.
 type FleetPoint struct {
-	// Policy is the placement policy that chose every session's server.
-	Policy string `json:"policy"`
 	// Servers is the fleet size; Clients the closed-loop session count.
 	Servers int `json:"servers"`
 	Clients int `json:"clients"`
@@ -102,8 +100,9 @@ type FleetPoint struct {
 	// the client audit vocabulary.
 	Mix []obs.PathCount `json:"mix"`
 	// ExecPerServer is each server's completed-execution count, in server
-	// order — the placement spread. Consistent hashing ignores capacity,
-	// so heterogeneous fleets show up here as load imbalance.
+	// order — the placement spread. The probe score sees queueing, not
+	// capacity: on an idle fleet every session lands on the first server
+	// until all its workers are busy.
 	ExecPerServer []int `json:"execPerServer"`
 	// ClientModelUploadBytes is what clients actually shipped over the
 	// wireless link to seed models. With content-addressed sharing the
@@ -143,10 +142,11 @@ func (p FleetPoint) FallbackRate() float64 {
 
 // fleetSim is the deterministic model of a fleet of edge servers shared by
 // roaming full-offload clients: the engine with one station per server.
-// Placement runs the real policy code (fleet.Pick over protocol.FleetServer
-// views with live load hints); the wire registry's TTL/staleness behavior
-// is exercised by the integration tests — the sim isolates what the
-// policies do at scale.
+// Placement runs the live roamer's rule (roam.Pick over one probe per
+// station: the link's round trip plus the load hint the station's
+// scheduler state advertises); probing, staleness and the wire registry
+// are exercised by the roam and fleet tests — the sim isolates what the
+// rule does at scale.
 type fleetSim struct {
 	cfg FleetConfig
 	// prep, service and post are the full-offload timeline's segments (the
@@ -160,6 +160,9 @@ type fleetSim struct {
 	modelUp    time.Duration
 	peerFetch  time.Duration
 	modelBytes int64
+	// rtt is a probe's round trip over the client link, the same to every
+	// server: the probe score then differs only by advertised queueing.
+	rtt time.Duration
 }
 
 func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
@@ -183,7 +186,7 @@ func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := &fleetSim{cfg: cfg, localFull: local.Total(), modelBytes: sc.ModelUploadBytes()}
+	fs := &fleetSim{cfg: cfg, localFull: local.Total(), modelBytes: sc.ModelUploadBytes(), rtt: 2 * sc.Network.Latency}
 	fs.prep, fs.service, fs.post = after.segments()
 	fs.modelUp = sc.Network.TransferTime(fs.modelBytes)
 	fs.peerFetch = time.Duration(float64(fs.modelUp) / fleetBackhaulFactor)
@@ -191,8 +194,8 @@ func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
 }
 
 // cell runs the engine with nServers heterogeneous servers under clients
-// closed-loop roaming sessions placed by policy.
-func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint, error) {
+// closed-loop roaming sessions.
+func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 	var (
 		hasBlob   = make([]bool, nServers) // content-addressed model blob present
 		visited   = make([][]bool, clients)
@@ -218,7 +221,7 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 		post:       fs.post,
 		local:      fs.localFull,
 		service:    fs.service,
-		decision:   obs.Decision{Path: obs.PathFull, Placement: string(policy)},
+		decision:   obs.Decision{Path: obs.PathFull},
 	}
 	srvs := eng.stations
 	for i := range srvs {
@@ -231,28 +234,25 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 	for c := range visited {
 		visited[c] = make([]bool, nServers)
 	}
-	// view snapshots the fleet as a registry view would serve it:
-	// advertised capacity plus a live load hint (queueing estimate and
-	// saturation), excluding the server the roaming client just left.
-	view := func(exclude int) []protocol.FleetServer {
-		out := make([]protocol.FleetServer, 0, nServers)
+	// probes is what a roaming client's probe round would see: every
+	// station but the one it just left, at the link's round trip, with the
+	// load hint the station's scheduler state advertises.
+	probes := func(exclude int) []roam.ServerInfo {
+		out := make([]roam.ServerInfo, 0, nServers)
 		for i := range srvs {
 			if i == exclude {
 				continue
 			}
 			s := &srvs[i]
-			qms := float64(len(s.queue)) * fs.service.Seconds() * 1000 / float64(s.workers)
-			out = append(out, protocol.FleetServer{
-				Addr:     s.name,
-				Capacity: s.workers,
-				Load: &protocol.LoadHint{
-					Workers:        s.workers,
-					Busy:           s.busy,
-					QueueDepth:     len(s.queue),
-					QueueCap:       fleetQueueDepth,
-					QueueingMillis: qms,
-					Saturated:      len(s.queue) >= fleetQueueDepth,
-				},
+			hint := sched.Stats{
+				Workers:    s.workers,
+				Busy:       s.busy,
+				QueueDepth: len(s.queue),
+				QueueCap:   fleetQueueDepth,
+				Service:    trace.Quantiles{Mean: fs.service},
+			}.Hint()
+			out = append(out, roam.ServerInfo{
+				Addr: s.name, RTT: fs.rtt, Load: hint, Score: roam.Score(fs.rtt, hint), Healthy: true,
 			})
 		}
 		return out
@@ -272,7 +272,7 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 		uploaded += fs.modelBytes
 		return fs.modelUp
 	}
-	// Routing happens at the user-event time, so the policy sees the fleet's
+	// Routing happens at the user-event time, so the rule sees the fleet's
 	// live queue state then — not the state when the previous request
 	// finished. A session is placed at its start and re-placed, excluding
 	// the server it abandons, whenever the roaming schedule forces a handoff.
@@ -282,7 +282,7 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 			handoffs++
 		}
 		s := 0 // a single-server fleet with that server excluded stays put
-		if target, ok := fleet.Pick(policy, fmt.Sprintf("session-%d", c), view(from)); ok {
+		if target, ok := roam.Pick(probes(from)); ok {
 			s = byAddr[target.Addr]
 		}
 		// The content-addressed pre-send when a session meets a server for
@@ -345,7 +345,6 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 		return FleetPoint{}, err
 	}
 	pt := FleetPoint{
-		Policy:                 string(policy),
 		Servers:                nServers,
 		Clients:                clients,
 		Completed:              len(out.latencies),
@@ -376,21 +375,14 @@ func (fs *fleetSim) cell(nServers, clients int, policy fleet.Policy) (FleetPoint
 }
 
 // FleetSweep simulates roaming full-offload clients of one model against
-// fleets of increasing size under each placement policy. The same client
-// population is replayed against every (policy, fleet size) cell, so the
-// cells differ only in what the policy decided — the comparison the
-// placement layer is designed around: consistent hashing gives stable,
-// capacity-blind placement; load-weighted placement trades some stability
-// for tail latency on heterogeneous fleets. Roaming handoffs exercise the
-// content-addressed blob index: only the first client upload of the model
-// rides the wireless link, every later (session, server) encounter
-// resolves by reference.
-func FleetSweep(modelName string, serverCounts []int, clients int, policies []fleet.Policy, cfg FleetConfig) ([]FleetPoint, error) {
+// fleets of increasing size, each session placed by the live roamer's rule.
+// The same client population is replayed against every fleet size.
+// Roaming handoffs exercise the content-addressed blob index: only the
+// first client upload of the model rides the wireless link, every later
+// (session, server) encounter resolves by reference.
+func FleetSweep(modelName string, serverCounts []int, clients int, cfg FleetConfig) ([]FleetPoint, error) {
 	if len(serverCounts) == 0 {
 		return nil, fmt.Errorf("sim: empty server-count list")
-	}
-	if len(policies) == 0 {
-		return nil, fmt.Errorf("sim: empty policy list")
 	}
 	if clients <= 0 {
 		return nil, fmt.Errorf("sim: non-positive client count %d", clients)
@@ -403,18 +395,16 @@ func FleetSweep(modelName string, serverCounts []int, clients int, policies []fl
 	if err != nil {
 		return nil, err
 	}
-	points := make([]FleetPoint, 0, len(serverCounts)*len(policies))
-	for _, p := range policies {
-		for _, n := range serverCounts {
-			if n <= 0 {
-				return nil, fmt.Errorf("sim: non-positive server count %d", n)
-			}
-			pt, err := fs.cell(n, clients, p)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, pt)
+	points := make([]FleetPoint, 0, len(serverCounts))
+	for _, n := range serverCounts {
+		if n <= 0 {
+			return nil, fmt.Errorf("sim: non-positive server count %d", n)
 		}
+		pt, err := fs.cell(n, clients)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, pt)
 	}
 	return points, nil
 }

@@ -5,13 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"websnap/internal/fleet"
 	"websnap/internal/obs"
 )
 
-func fleetPoints(t *testing.T, serverCounts []int, clients int, policies []fleet.Policy, cfg FleetConfig) []FleetPoint {
+func fleetPoints(t *testing.T, serverCounts []int, clients int, cfg FleetConfig) []FleetPoint {
 	t.Helper()
-	pts, err := FleetSweep("googlenet", serverCounts, clients, policies, cfg)
+	pts, err := FleetSweep("googlenet", serverCounts, clients, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,25 +18,21 @@ func fleetPoints(t *testing.T, serverCounts []int, clients int, policies []fleet
 }
 
 func TestFleetSweepValidation(t *testing.T) {
-	pols := []fleet.Policy{fleet.PolicyHash}
-	if _, err := FleetSweep("googlenet", nil, 8, pols, FleetConfig{}); err == nil {
+	if _, err := FleetSweep("googlenet", nil, 8, FleetConfig{}); err == nil {
 		t.Error("empty server-count list should fail")
 	}
-	if _, err := FleetSweep("googlenet", []int{0}, 8, pols, FleetConfig{}); err == nil {
+	if _, err := FleetSweep("googlenet", []int{0}, 8, FleetConfig{}); err == nil {
 		t.Error("zero servers should fail")
 	}
-	if _, err := FleetSweep("googlenet", []int{2}, 0, pols, FleetConfig{}); err == nil {
+	if _, err := FleetSweep("googlenet", []int{2}, 0, FleetConfig{}); err == nil {
 		t.Error("zero clients should fail")
 	}
-	if _, err := FleetSweep("googlenet", []int{2}, 8, nil, FleetConfig{}); err == nil {
-		t.Error("empty policy list should fail")
-	}
-	if _, err := FleetSweep("no-such-model", []int{2}, 8, pols, FleetConfig{}); err == nil {
+	if _, err := FleetSweep("no-such-model", []int{2}, 8, FleetConfig{}); err == nil {
 		t.Error("unknown model should fail")
 	}
 	// A server without workers admits requests it can never dispatch.
 	for _, caps := range [][]int{{2, 0}, {-1}} {
-		if _, err := FleetSweep("googlenet", []int{2}, 8, pols, FleetConfig{Capacities: caps}); err == nil {
+		if _, err := FleetSweep("googlenet", []int{2}, 8, FleetConfig{Capacities: caps}); err == nil {
 			t.Errorf("capacities %v should fail", caps)
 		}
 	}
@@ -45,8 +40,8 @@ func TestFleetSweepValidation(t *testing.T) {
 
 func TestFleetSweepDeterministic(t *testing.T) {
 	cfg := FleetConfig{RequestsPerClient: 4, RoamEvery: 2}
-	a := fleetPoints(t, []int{3}, 32, []fleet.Policy{fleet.PolicyLoadWeighted}, cfg)
-	b := fleetPoints(t, []int{3}, 32, []fleet.Policy{fleet.PolicyLoadWeighted}, cfg)
+	a := fleetPoints(t, []int{3}, 32, cfg)
+	b := fleetPoints(t, []int{3}, 32, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("simulation not deterministic:\n%+v\nvs\n%+v", a, b)
 	}
@@ -58,30 +53,26 @@ func TestFleetSweepDeterministic(t *testing.T) {
 func TestFleetAllRequestsComplete(t *testing.T) {
 	const clients, reqs = 48, 5
 	cfg := FleetConfig{RequestsPerClient: reqs, RoamEvery: 2}
-	for _, p := range []fleet.Policy{fleet.PolicyHash, fleet.PolicyLoadWeighted} {
-		pt := fleetPoints(t, []int{4}, clients, []fleet.Policy{p}, cfg)[0]
-		if got, want := pt.Completed, clients*reqs; got != want {
-			t.Errorf("%s: completed = %d, want %d", p, got, want)
+	pt := fleetPoints(t, []int{4}, clients, cfg)[0]
+	if got, want := pt.Completed, clients*reqs; got != want {
+		t.Errorf("completed = %d, want %d", got, want)
+	}
+	executed := 0
+	for _, n := range pt.ExecPerServer {
+		executed += n
+	}
+	if executed+pt.Fallbacks != pt.Completed {
+		t.Errorf("executed %d + fallbacks %d != completed %d", executed, pt.Fallbacks, pt.Completed)
+	}
+	var mixTotal int64
+	for _, pc := range pt.Mix {
+		mixTotal += pc.Count
+		if pc.Path != obs.PathFull && pc.Path != obs.PathFallback {
+			t.Errorf("unexpected decision path %q in mix", pc.Path)
 		}
-		executed := 0
-		for _, n := range pt.ExecPerServer {
-			executed += n
-		}
-		if executed+pt.Fallbacks != pt.Completed {
-			t.Errorf("%s: executed %d + fallbacks %d != completed %d",
-				p, executed, pt.Fallbacks, pt.Completed)
-		}
-		var mixTotal int64
-		for _, pc := range pt.Mix {
-			mixTotal += pc.Count
-			if pc.Path != obs.PathFull && pc.Path != obs.PathFallback {
-				t.Errorf("%s: unexpected decision path %q in mix", p, pc.Path)
-			}
-		}
-		if mixTotal != int64(pt.Completed) {
-			t.Errorf("%s: audit decisions = %d, want %d (exactly one per inference)",
-				p, mixTotal, pt.Completed)
-		}
+	}
+	if mixTotal != int64(pt.Completed) {
+		t.Errorf("audit decisions = %d, want %d (exactly one per inference)", mixTotal, pt.Completed)
 	}
 }
 
@@ -89,8 +80,7 @@ func TestFleetAllRequestsComplete(t *testing.T) {
 // whole fleet needs exactly one wireless model upload, and every later
 // (session, server) encounter is bytes saved.
 func TestFleetReuploadAccounting(t *testing.T) {
-	pt := fleetPoints(t, []int{4}, 32, []fleet.Policy{fleet.PolicyHash},
-		FleetConfig{RequestsPerClient: 6, RoamEvery: 2})[0]
+	pt := fleetPoints(t, []int{4}, 32, FleetConfig{RequestsPerClient: 6, RoamEvery: 2})[0]
 	sc, err := NewScenario("googlenet")
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +113,12 @@ func TestFleetReuploadAccounting(t *testing.T) {
 // TestFleetBoundedStoreEviction: with StoreEvictEvery modeling a
 // byte-capped session store, cap pressure evicts model blobs and forces
 // re-resolution traffic — yet every inference still completes, and with
-// more than one server the re-fetches ride the backhaul, not the client
+// more than one server most re-fetches ride the backhaul, not the client
 // uplink.
 func TestFleetBoundedStoreEviction(t *testing.T) {
 	const clients, reqs = 32, 6
 	cfg := FleetConfig{RequestsPerClient: reqs, RoamEvery: 2, StoreEvictEvery: 10}
-	pt := fleetPoints(t, []int{4}, clients, []fleet.Policy{fleet.PolicyHash}, cfg)[0]
+	pt := fleetPoints(t, []int{4}, clients, cfg)[0]
 	if pt.Completed != clients*reqs {
 		t.Errorf("completed = %d, want %d; eviction must not lose requests", pt.Completed, clients*reqs)
 	}
@@ -147,46 +137,59 @@ func TestFleetBoundedStoreEviction(t *testing.T) {
 		t.Errorf("refetch bytes %d not a multiple of the model size %d",
 			pt.EvictionRefetchBytes, modelBytes)
 	}
-	// Four servers with staggered eviction counters never go blob-empty
-	// simultaneously here, so the client pays the wireless upload once.
-	if pt.ClientModelUploadBytes != modelBytes {
-		t.Errorf("client uploads = %d bytes, want one model (%d); re-fetches should ride the backhaul",
-			pt.ClientModelUploadBytes, modelBytes)
+	// A client re-uploads only once every server has dropped the blob. The
+	// probe score herds sessions onto the first servers, so that happens
+	// here, but a peer still holds the blob for most re-fetches.
+	if reup := pt.ClientModelUploadBytes - modelBytes; reup < 0 || reup >= pt.EvictionRefetchBytes {
+		t.Errorf("client uploads = %d bytes against %d of eviction re-fetches; after the first upload (%d) most re-fetches should ride the backhaul",
+			pt.ClientModelUploadBytes, pt.EvictionRefetchBytes, modelBytes)
 	}
 
 	// The unbounded-store control: same fleet, no evictions, no refetches.
 	cfg.StoreEvictEvery = 0
-	base := fleetPoints(t, []int{4}, clients, []fleet.Policy{fleet.PolicyHash}, cfg)[0]
+	base := fleetPoints(t, []int{4}, clients, cfg)[0]
 	if base.StoreEvictions != 0 || base.EvictionRefetchBytes != 0 {
 		t.Errorf("unbounded control recorded evictions: %d / %d bytes",
 			base.StoreEvictions, base.EvictionRefetchBytes)
 	}
 }
 
-// TestFleetLoadPolicySpreadsByCapacity: on a heterogeneous fleet the
-// load-weighted policy sends more sessions to bigger servers, while pure
-// consistent hashing is capacity-blind. Compare how much work the
-// 1-worker runts absorb under each policy.
-func TestFleetLoadPolicySpreadsByCapacity(t *testing.T) {
+// TestFleetSpreadsByCapacity: on a heterogeneous fleet ({4, 1} workers
+// cycling) the probe score sends a session away from a server whose
+// workers are all busy, so the 1-worker servers, half the members, absorb
+// less than half the work.
+func TestFleetSpreadsByCapacity(t *testing.T) {
 	cfg := FleetConfig{RequestsPerClient: 4, Capacities: []int{4, 1}}
-	runtShare := func(p fleet.Policy) float64 {
-		pt := fleetPoints(t, []int{4}, 64, []fleet.Policy{p}, cfg)[0]
-		runt, total := 0, 0
-		for i, n := range pt.ExecPerServer {
-			total += n
-			if cfg.Capacities[i%len(cfg.Capacities)] == 1 {
-				runt += n
-			}
+	pt := fleetPoints(t, []int{4}, 64, cfg)[0]
+	runt, total := 0, 0
+	for i, n := range pt.ExecPerServer {
+		total += n
+		if cfg.Capacities[i%len(cfg.Capacities)] == 1 {
+			runt += n
 		}
-		if total == 0 {
-			t.Fatalf("%s: no executions", p)
-		}
-		return float64(runt) / float64(total)
 	}
-	hash, load := runtShare(fleet.PolicyHash), runtShare(fleet.PolicyLoadWeighted)
-	if load >= hash {
-		t.Errorf("1-worker servers absorbed %.2f of work under load policy, %.2f under hash; load-weighted placement should shift work to big servers",
-			load, hash)
+	if total == 0 {
+		t.Fatal("no executions")
+	}
+	if share := float64(runt) / float64(total); share >= 0.5 {
+		t.Errorf("1-worker servers absorbed %.2f of work (exec per server %v), want less than their member share 0.50",
+			share, pt.ExecPerServer)
+	}
+}
+
+// TestFleetIdleSessionsHerd pins what the live roamer does on an idle fleet
+// where every server is the same round trip away: every score ties, so
+// every session lands on the first server while it has a worker free.
+func TestFleetIdleSessionsHerd(t *testing.T) {
+	// Two sessions never occupy more than two of the first server's four
+	// workers, so its advertised queueing delay stays zero.
+	pts := fleetPoints(t, []int{2, 4, 8}, 2, FleetConfig{Capacities: []int{4}})
+	for _, pt := range pts {
+		want := make([]int, pt.Servers)
+		want[0] = pt.Completed
+		if !reflect.DeepEqual(pt.ExecPerServer, want) {
+			t.Errorf("%d servers: exec per server %v, want %v", pt.Servers, pt.ExecPerServer, want)
+		}
 	}
 }
 
@@ -195,12 +198,11 @@ func TestFleetLoadPolicySpreadsByCapacity(t *testing.T) {
 // burn-rate engine (driven by the simulated clock), the loose one must
 // stay clean, and SLO scoring must not perturb the simulation itself.
 func TestFleetSweepSLO(t *testing.T) {
-	pols := []fleet.Policy{fleet.PolicyLoadWeighted}
 	base := FleetConfig{RequestsPerClient: 4, RoamEvery: 2}
 
 	tight := base
 	tight.SLOObjective = time.Microsecond // every inference blows this
-	pt := fleetPoints(t, []int{3}, 32, pols, tight)[0]
+	pt := fleetPoints(t, []int{3}, 32, tight)[0]
 	if pt.SLOBad != uint64(pt.Completed) {
 		t.Errorf("tight objective: SLOBad = %d, want every completion (%d)", pt.SLOBad, pt.Completed)
 	}
@@ -210,7 +212,7 @@ func TestFleetSweepSLO(t *testing.T) {
 
 	loose := base
 	loose.SLOObjective = time.Hour
-	pt = fleetPoints(t, []int{3}, 32, pols, loose)[0]
+	pt = fleetPoints(t, []int{3}, 32, loose)[0]
 	if pt.SLOBad != 0 || pt.SLOBurns != 0 || pt.SLOLongBurn != 0 {
 		t.Errorf("loose objective: SLO fields = %d/%d/%v, want all zero",
 			pt.SLOBad, pt.SLOBurns, pt.SLOLongBurn)
@@ -218,17 +220,17 @@ func TestFleetSweepSLO(t *testing.T) {
 
 	// SLO scoring is observation only: the run's latency outcomes are
 	// byte-identical with and without it.
-	unscored := fleetPoints(t, []int{3}, 32, pols, base)[0]
+	unscored := fleetPoints(t, []int{3}, 32, base)[0]
 	scored := pt
 	scored.SLOBad, scored.SLOBurns, scored.SLOLongBurn = 0, 0, 0
 	if !reflect.DeepEqual(scored, unscored) {
 		t.Errorf("SLO scoring perturbed the simulation:\n%+v\nvs\n%+v", scored, unscored)
 	}
 
-	if _, err := FleetSweep("googlenet", []int{2}, 8, pols, FleetConfig{SLOGoal: 2}); err == nil {
+	if _, err := FleetSweep("googlenet", []int{2}, 8, FleetConfig{SLOGoal: 2}); err == nil {
 		t.Error("out-of-range SLOGoal should fail")
 	}
-	if _, err := FleetSweep("googlenet", []int{2}, 8, pols, FleetConfig{SLOGoal: 0.9}); err == nil {
+	if _, err := FleetSweep("googlenet", []int{2}, 8, FleetConfig{SLOGoal: 0.9}); err == nil {
 		t.Error("SLOGoal without SLOObjective should fail")
 	}
 }

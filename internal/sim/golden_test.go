@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"websnap/internal/fleet"
 )
 
 // goldenDigests pins every deterministic output of the package: sha256 over
@@ -17,12 +15,15 @@ import (
 // BENCH_pipeline.json, when typed arrays began to travel as base64 of their
 // bits (snapshot.Float32TextBytesPerValue: 16/3 B per value where the
 // json.Marshal sample had said 7.88) and StateBytes began to be measured on
-// the request a full offload ships.
+// the request a full offload ships. The fleet/* digests alone were
+// re-recorded, with BENCH_fleet.json, when the fleet model began to place
+// sessions by the live roamer's rule (roam.Pick) with the load hint the
+// scheduler's own Stats advertise, one row per fleet size.
 var goldenDigests = map[string]string{
 	"load/batch1":     "14d9cdcb8404275b82c46d8c4e5c31a0b90735b578a9201fb598b818a8f310ae",
-	"fleet/unbounded": "cc7be9d870120a19a35eeb1a0a3726619bbc6217c6f584ada06eb72bcabede8a",
-	"fleet/evict+slo": "30ec7a60286132f4efec06cba319e5fb556b766964ad1757b060d975411deb11",
-	"fleet/shed":      "b700c63a01a9cad3fbef6986d6b74b0fa0dfd4db471892643da11f32d750d301",
+	"fleet/unbounded": "76830be6cc811173c5c0adebfb400f86459a92f500137a2bd3cb5d4642f769ff",
+	"fleet/evict+slo": "4287d9910d116d33347a7e971dc12d08a8db0e2bde9df88d7d5d4eb698ea6729",
+	"fleet/shed":      "e9885ebd3d8408acc6d5d8730d23451d8df009ddff7bf729b92d551200a20d4a",
 	"pipeline":        "9d60a6fac95ea07bcd56617ff8fb15ac6cc785da80226fa95814b922916c5a6f",
 	"fig6":            "5fdfbb8e3032b99fe9fb985ca5d6a38d466fefd6c379e57b19273ee1c5c1bc44",
 	"fig7":            "10749c9657d2e2ca1b904274f454ae470708e197033b67b820ad57d1a2551462",
@@ -32,8 +33,7 @@ var goldenDigests = map[string]string{
 func TestGoldenDigests(t *testing.T) {
 	fleetSweep := func(servers []int, clients int, cfg FleetConfig) func() (any, error) {
 		return func() (any, error) {
-			return FleetSweep("googlenet", servers, clients,
-				[]fleet.Policy{fleet.PolicyHash, fleet.PolicyLoadWeighted}, cfg)
+			return FleetSweep("googlenet", servers, clients, cfg)
 		}
 	}
 	cases := []struct {
