@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"websnap/internal/nn"
@@ -530,6 +531,45 @@ func TestCatalogPoolEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCatalogPlansFuseConvReLU pins that no float32 catalog plan keeps a
+// live ReLU step directly after a Conv: each runs in the convolution's
+// epilogue. The live ReLUs left are the Levi–Hassner nets' relu6 and relu7,
+// which follow fully connected layers; GoogLeNet has none at top level, and
+// its branch ReLUs fuse inside the inception programs (nn's
+// TestInceptionBranchReLUsFused). So a ReLU cost timed on a standalone
+// layer is not time a request spends.
+func TestCatalogPlansFuseConvReLU(t *testing.T) {
+	wantLive := map[string][]string{
+		GoogLeNet: nil,
+		AgeNet:    {"relu6", "relu7"},
+		GenderNet: {"relu6", "relu7"},
+	}
+	for _, name := range Names() {
+		net, err := Build(name)
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		plan, err := net.Plan(net.InputShape()...)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", name, err)
+		}
+		steps := plan.Steps()
+		var live []string
+		for i, st := range steps {
+			if st.Type != nn.TypeReLU || st.Elided {
+				continue
+			}
+			live = append(live, st.Name)
+			if i > 0 && steps[i-1].Type == nn.TypeConv {
+				t.Errorf("%s: %s is a live step after conv %s", name, st.Name, steps[i-1].Name)
+			}
+		}
+		if !slices.Equal(live, wantLive[name]) {
+			t.Errorf("%s: live ReLU steps %v, want %v", name, live, wantLive[name])
+		}
 	}
 }
 

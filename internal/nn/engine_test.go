@@ -602,6 +602,45 @@ func TestPlanIntrospection(t *testing.T) {
 	}
 }
 
+// TestInceptionBranchReLUsFused pins that every ReLU inside an inception
+// branch that follows a Conv compiles fused into it, in the branch
+// programs a float32 plan runs, so no branch spends a pass on its ReLU.
+func TestInceptionBranchReLUsFused(t *testing.T) {
+	net := stackedInceptionNet(t)
+	plan, err := net.Plan(net.InputShape()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relus := 0
+	for _, st := range plan.prog.steps {
+		inc, ok := st.layer.(*Inception)
+		if !ok {
+			continue
+		}
+		ip, err := inc.planFor(st.inShape[0], st.inShape[1], st.inShape[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, br := range ip.branches {
+			for i := 1; i < len(br.prog.steps); i++ {
+				conv, relu := &br.prog.steps[i-1], &br.prog.steps[i]
+				_, isConv := conv.layer.(*Conv)
+				if _, isReLU := relu.layer.(*ReLU); !isConv || !isReLU {
+					continue
+				}
+				relus++
+				if !relu.fused || !relu.skip || !conv.relu {
+					t.Errorf("%s branch %d: %s after %s is not fused (fused %v, skip %v, conv relu %v)",
+						inc.Name(), b, relu.layer.Name(), conv.layer.Name(), relu.fused, relu.skip, conv.relu)
+				}
+			}
+		}
+	}
+	if relus == 0 {
+		t.Fatal("the fixture has no branch ReLU after a Conv")
+	}
+}
+
 // BenchmarkNetworkForward compares a steady-state planned forward pass
 // against chaining the standalone per-layer path (the shape of the
 // pre-refactor engine) on the GoogLeNet-style stacked-inception net.

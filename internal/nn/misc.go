@@ -261,8 +261,9 @@ func (l *LRN) Traits(in []int) (StepTraits, error) {
 // of that channel. Output channel ch sums the squares of its window fresh,
 // in increasing channel order in float64 — the same operands in the same
 // order as the naive per-position loop — and scales by
-// (1+alpha/n*sum)^-beta, computed with two square roots for beta=0.75
-// (every LRN in the model catalog) and math.Pow otherwise.
+// (1+alpha/n*sum)^-beta: for beta=0.75 (every LRN in the model catalog)
+// tensor.LRNRow does the whole row with two square roots per element, and
+// otherwise math.Pow does the scaling here.
 func (l *LRN) ForwardCtx(ctx *ExecContext, in, out *tensor.Tensor) error {
 	c, plane := in.Dim(0), in.Dim(1)*in.Dim(2)
 	src := in.Data()
@@ -281,24 +282,22 @@ func (l *LRN) ForwardCtx(ctx *ExecContext, in, out *tensor.Tensor) error {
 			if j := ch + half; j < c {
 				copy(ring[j%size*lrnBlock:], src[j*plane+p0:j*plane+p0+n])
 			}
+			lo, hi := max(ch-half, 0), min(ch+half, c-1)
+			x := ring[ch%size*lrnBlock:][:n]
+			o := dst[ch*plane+p0:][:n]
+			if l.beta == 0.75 {
+				tensor.LRNRow(o, x, ring, lrnBlock, lo%size, hi-lo+1, k)
+				continue
+			}
 			clear(sum)
-			for j := max(ch-half, 0); j <= min(ch+half, c-1); j++ {
+			for j := lo; j <= hi; j++ {
 				for i, f := range ring[j%size*lrnBlock:][:n] {
 					v := float64(f)
 					sum[i] += v * v
 				}
 			}
-			x := ring[ch%size*lrnBlock:][:n]
-			o := dst[ch*plane+p0:][:n]
-			if l.beta == 0.75 {
-				for i, s := range sum {
-					r := math.Sqrt(1 + k*s)
-					o[i] = float32(float64(x[i]) / (r * math.Sqrt(r)))
-				}
-			} else {
-				for i, s := range sum {
-					o[i] = float32(float64(x[i]) * math.Pow(1+k*s, -l.beta))
-				}
+			for i, s := range sum {
+				o[i] = float32(float64(x[i]) * math.Pow(1+k*s, -l.beta))
 			}
 		}
 	}

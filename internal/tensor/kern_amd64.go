@@ -2,17 +2,23 @@
 
 package tensor
 
-// Runtime SIMD dispatch for the packed micro-kernels and the max-pool row
-// kernels, chosen once at start-up from CPUID. The assembly kernels consume
-// the exact panel layouts documented in pack.go and replay the scalar
-// kernels' arithmetic: the float32 kernels — kern4x16AVX512 with four ZMM
-// accumulators, kern4x16AVX with eight YMM ones — issue one vmulps + one
-// vaddps per packed product (never a fused multiply-add), so every output
-// element sees the same single-rounded float32 operation sequence in the
-// same k order as kern4x16 — the three are bit-identical, and the scalar
-// kernel doubles as the oracle in tests. The int8 kernel accumulates in
-// exact int32 arithmetic where order is immaterial, and the quantize pass
-// replays Quantize's and MaxAbs's scalar rules lane by lane.
+// Runtime SIMD dispatch for the packed micro-kernels and the max-pool and
+// LRN row kernels, chosen once at start-up from CPUID. The assembly kernels
+// consume the exact panel layouts documented in pack.go and replay the
+// scalar kernels' arithmetic: the float32 kernels — kern4x16AVX512 with
+// four ZMM accumulators, kern4x16AVX with eight YMM ones — issue one vmulps
+// + one vaddps per packed product (never a fused multiply-add), so every
+// output element sees the same single-rounded float32 operation sequence in
+// the same k order as kern4x16 — the three are bit-identical, and the
+// scalar kernel doubles as the oracle in tests. The int8 kernel accumulates
+// in exact int32 arithmetic where order is immaterial, and the quantize
+// pass replays Quantize's and MaxAbs's scalar rules lane by lane. The LRN
+// row kernel gives each element its own float64 lane and the scalar loop's
+// IEEE operations in its order — widen, square and add per window row from
+// a zero sum, k·s, 1+k·s, two square roots, a product, the quotient, one
+// rounding to float32 — with no fused multiply-add, and wherever two NaNs
+// could meet it names the running sum or the dividend first, the operand
+// lrnRowScalar keeps: the two agree bit for bit, NaN payloads included.
 //
 // Building with -tags noasm leaves this file and kern_amd64.s out and takes
 // kern_other.go instead, so the tests can run whole networks through the
@@ -20,10 +26,11 @@ package tensor
 // kernel out (kern_noavx512_amd64.go), so an AVX-512 host runs the AVX2
 // paths.
 
-// haveAVX gates the YMM float32 micro-kernel and the max-pool row kernels
-// (need AVX YMM state); haveAVX2 gates the int8 micro-kernel, its sliver
-// widening and the quantize pass (need AVX2 integer YMM ops); haveAVX512
-// gates the ZMM float32 micro-kernel (needs AVX-512F and ZMM state).
+// haveAVX gates the YMM float32 micro-kernel and the max-pool and LRN row
+// kernels (need AVX YMM state); haveAVX2 gates the int8 micro-kernel, its
+// sliver widening and the quantize pass (need AVX2 integer YMM ops);
+// haveAVX512 gates the ZMM float32 micro-kernel (needs AVX-512F and ZMM
+// state).
 var haveAVX, haveAVX2, haveAVX512 = probeISA()
 
 // CPUID and XCR0 bits the probe reads.
@@ -117,3 +124,9 @@ func maxPool3x3S1AVX(dst, src *float32, w, n int)
 
 //go:noescape
 func maxPool3x3S2AVX(dst, src *float32, w, n int)
+
+// lrnRowAVX is LRNRow over n outputs with the window's rows in a ring of
+// rows rows, stride floats apart. Implemented in kern_amd64.s.
+//
+//go:noescape
+func lrnRowAVX(dst, x, ring *float32, stride, first, count, rows, n int, k float64)

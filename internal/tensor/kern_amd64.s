@@ -506,3 +506,100 @@ p2loop:
 	JNZ  p2loop
 	VZEROUPPER
 	RET
+
+DATA lrnOne<>+0(SB)/8, $1.0
+GLOBL lrnOne<>(SB), RODATA|NOPTR, $8
+
+// func lrnRowAVX(dst, x, ring *float32, stride, first, count, rows, n int, k float64)
+//
+// LRNRow's body: four outputs per iteration in float64 lanes, then the
+// scalar instructions on the last n%4. The window's count rows are read
+// stride floats apart from row first, the row pointer wrapping from the
+// end of the rows-row ring back to its start. Each lane takes the scalar
+// loop's steps in its order, one rounding each — vcvtps2pd, vmulpd then
+// vaddpd per row (never a fused multiply-add) from a zero sum, k·s, 1+k·s,
+// r = √·, r·√r, x/(r·√r), vcvtpd2ps. Where two operands could both be NaNs
+// the one returned is the first source, and that is the running sum before
+// the new square, the sum before k and the dividend before the divisor:
+// the NaN lrnRowScalar keeps, so the NaN that comes out is the scalar's too.
+TEXT ·lrnRowAVX(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ ring+16(FP), R8
+	MOVQ stride+24(FP), DX
+	SHLQ $2, DX                 // row pitch in bytes
+	MOVQ first+32(FP), R10
+	IMULQ DX, R10
+	ADDQ R8, R10                // the window's first row
+	MOVQ count+40(FP), BX
+	MOVQ rows+48(FP), R9
+	IMULQ DX, R9
+	ADDQ R8, R9                 // one past the ring's last row
+	MOVQ n+56(FP), CX
+	VBROADCASTSD k+64(FP), Y15
+	VBROADCASTSD lrnOne<>(SB), Y14
+	XORQ AX, AX                 // byte offset of the current output
+	SUBQ $4, CX
+	JLT  lrntail
+
+lrnloop4:
+	VXORPD Y0, Y0, Y0
+	MOVQ R10, R11
+	MOVQ BX, R12
+
+lrnrows4:
+	VCVTPS2PD (R11)(AX*1), Y1
+	VMULPD Y1, Y1, Y1
+	VADDPD Y1, Y0, Y0
+	ADDQ DX, R11
+	CMPQ R11, R9
+	CMOVQEQ R8, R11
+	DECQ R12
+	JNZ  lrnrows4
+	VMULPD Y15, Y0, Y0
+	VADDPD Y14, Y0, Y0
+	VSQRTPD Y0, Y0
+	VSQRTPD Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VCVTPS2PD (SI)(AX*1), Y2
+	VDIVPD Y0, Y2, Y2
+	VCVTPD2PSY Y2, X2
+	VMOVUPS X2, (DI)(AX*1)
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JGE  lrnloop4
+
+lrntail:
+	ADDQ $4, CX
+	JZ   lrndone
+
+lrnloop1:
+	VXORPD X0, X0, X0
+	MOVQ R10, R11
+	MOVQ BX, R12
+
+lrnrows1:
+	VCVTSS2SD (R11)(AX*1), X1, X1
+	VMULSD X1, X1, X1
+	VADDSD X1, X0, X0
+	ADDQ DX, R11
+	CMPQ R11, R9
+	CMOVQEQ R8, R11
+	DECQ R12
+	JNZ  lrnrows1
+	VMULSD X15, X0, X0
+	VADDSD X14, X0, X0
+	VSQRTSD X0, X0, X0
+	VSQRTSD X0, X0, X1
+	VMULSD X1, X0, X0
+	VCVTSS2SD (SI)(AX*1), X2, X2
+	VDIVSD X0, X2, X2
+	VCVTSD2SS X2, X2, X2
+	VMOVSS X2, (DI)(AX*1)
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  lrnloop1
+
+lrndone:
+	VZEROUPPER
+	RET

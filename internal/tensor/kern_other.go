@@ -43,3 +43,7 @@ func quantizeAVX2(dst *int8, src *float32, n int, inv float32) {
 func maxAbsAVX2(s *float32, n int) float32 {
 	panic("tensor: maxAbsAVX2 called without AVX2 support")
 }
+
+func lrnRowAVX(dst, x, ring *float32, stride, first, count, rows, n int, k float64) {
+	panic("tensor: lrnRowAVX called without AVX support")
+}
