@@ -18,16 +18,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"websnap/internal/core"
@@ -162,6 +157,9 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	if fc.registry == "" && fc.ttl != 0 {
 		return fmt.Errorf("-registry-ttl requires -registry")
 	}
+	if err := telemetry.CheckAdminFlags(metricsAddr, pprofOn, tc.sloObjective, tc.sloGoal); err != nil {
+		return err
+	}
 	catalog, err := core.DefaultCatalog()
 	if err != nil {
 		return err
@@ -204,30 +202,8 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	// the SLO engine needs an objective to exist.
 	flight := telemetry.NewFlightRecorder(tc.flightBytes)
 	cfg.Flight = flight
-	if tc.sloObjective > 0 {
-		slo, err := telemetry.NewSLO(telemetry.SLOConfig{
-			Name:      "edge-serve",
-			Objective: tc.sloObjective,
-			Goal:      tc.sloGoal,
-			OnBurn: func(st telemetry.SLOStatus) {
-				// Auto-capture the burn transition in the flight ring so the
-				// dump shows when the budget started draining alongside the
-				// offending slow-request span trees.
-				flight.Record(telemetry.FlightEntry{
-					Reason: telemetry.FlightBurn,
-					Note: fmt.Sprintf("slo %s burning: short %.2fx long %.2fx over objective %v",
-						st.Name, st.ShortBurn, st.LongBurn, tc.sloObjective),
-				})
-				logger.Warn("edged: slo burning", obs.F("slo", st.Name),
-					obs.F("shortBurn", st.ShortBurn), obs.F("longBurn", st.LongBurn))
-			},
-		})
-		if err != nil {
-			return err
-		}
-		cfg.SLO = slo
-	} else if tc.sloGoal != 0 {
-		return fmt.Errorf("-slo-goal requires -slo-objective")
+	if cfg.SLO, err = telemetry.NewDaemonSLO("edge-serve", tc.sloObjective, tc.sloGoal, flight, logger); err != nil {
+		return err
 	}
 	if onDemand {
 		cfg.Synthesizer = vmsynth.NewSynthesizer(vmsynth.BaseImage{Name: baseImage, Bytes: 8 << 30})
@@ -283,52 +259,11 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 		logger.Info("edged: joined fleet", obs.F("registry", fc.registry), obs.F("advertise", cfg.AdvertiseAddr),
 			obs.F("ttl", fc.ttl.String()))
 	}
-
-	var metricsSrv *http.Server
-	if metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", srv.MetricsHandler())
-		mux.Handle("/healthz", srv.HealthzHandler())
-		mux.Handle("/readyz", srv.ReadyzHandler())
-		mux.Handle("/slo", srv.SLOHandler())
-		mux.Handle("/debug/flight", srv.FlightHandler())
-		if pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("edged: metrics server failed", obs.Err(err))
-			}
-		}()
-		logger.Info("edged: metrics serving", obs.F("url", "http://"+metricsAddr+"/metrics"), obs.F("pprof", pprofOn))
-	} else if pprofOn {
-		return fmt.Errorf("-pprof requires -metrics-addr")
-	}
-	defer func() {
-		if metricsSrv != nil {
-			metricsSrv.Close()
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case err := <-done:
-		return err
-	case s := <-sig:
-		logger.Info("edged: shutting down", obs.F("signal", s.String()))
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		return <-done
-	}
+	return telemetry.RunDaemon("edged", logger, ln, srv, metricsAddr, telemetry.AdminMux(telemetry.Admin{
+		Metrics:  []func() *obs.Registry{srv.Registry},
+		NotReady: srv.NotReady,
+		SLO:      cfg.SLO, Flight: flight, Pprof: pprofOn,
+	}))
 }
 
 // registerKernelInfo publishes which float32 GEMM micro-kernel this daemon

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"websnap/internal/fleet"
 	"websnap/internal/obs"
 	"websnap/internal/tensor"
 )
@@ -58,6 +59,35 @@ func TestRunRejectsFleetFlagsWithoutRegistry(t *testing.T) {
 		schedConfig{workers: 2}, fleetConfig{ttl: 1}, boundsConfig{}, telemetryConfig{})
 	if err == nil || !strings.Contains(err.Error(), "-registry-ttl") {
 		t.Errorf("-registry-ttl without -registry: err = %v, want -registry-ttl mention", err)
+	}
+}
+
+// TestRunRejectsPprofWithoutMetricsAddr: edged checks its flag pairings
+// before it binds or joins a fleet. A held -listen port must not turn the
+// flag error into a bind error, and a free one must not leave a member
+// registered in the registry for one TTL.
+func TestRunRejectsPprofWithoutMetricsAddr(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	rs := fleet.NewRegistryServer(fleet.NewRegistry(fleet.RegistryOptions{}), nil)
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(rln) //nolint:errcheck // Close ends Serve
+	defer rs.Close()
+	for _, listen := range []string{held.Addr().String(), "127.0.0.1:0"} {
+		err := run(listen, false, "ubuntu-12.04", "", "", "", 0, 0, 0, true, true,
+			schedConfig{workers: 2}, fleetConfig{registry: rln.Addr().String()}, boundsConfig{}, telemetryConfig{})
+		if err == nil || !strings.Contains(err.Error(), "-metrics-addr") {
+			t.Errorf("-listen %s, -pprof without -metrics-addr: err = %v, want -metrics-addr mention", listen, err)
+		}
+	}
+	if v := rs.Registry().Version(); v != 0 {
+		t.Errorf("registry saw %d registrations from runs that rejected their flags, want 0", v)
 	}
 }
 

@@ -19,16 +19,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 	"time"
 
 	"websnap/internal/fleet"
@@ -107,33 +103,18 @@ func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemet
 	if ttl <= 0 {
 		return fmt.Errorf("-ttl must be positive, got %v", ttl)
 	}
-	if pprofOn && metricsAddr == "" {
-		return fmt.Errorf("-pprof requires -metrics-addr")
+	if err := telemetry.CheckAdminFlags(metricsAddr, pprofOn, tc.sloObjective, tc.sloGoal); err != nil {
+		return err
 	}
 	logger := obs.NewLogger(os.Stderr, obs.LevelInfo)
 	flight := telemetry.NewFlightRecorder(tc.flightBytes)
+	slo, err := telemetry.NewDaemonSLO("fleet-execute", tc.sloObjective, tc.sloGoal, flight, logger)
+	if err != nil {
+		return err
+	}
 	var feed *sloFeed
-	if tc.sloObjective > 0 {
-		slo, err := telemetry.NewSLO(telemetry.SLOConfig{
-			Name:      "fleet-execute",
-			Objective: tc.sloObjective,
-			Goal:      tc.sloGoal,
-			OnBurn: func(st telemetry.SLOStatus) {
-				flight.Record(telemetry.FlightEntry{
-					Reason: telemetry.FlightBurn,
-					Note: fmt.Sprintf("slo %s burning: short %.2fx long %.2fx over objective %v",
-						st.Name, st.ShortBurn, st.LongBurn, tc.sloObjective),
-				})
-				logger.Warn("fleetd: slo burning", obs.F("slo", st.Name),
-					obs.F("shortBurn", st.ShortBurn), obs.F("longBurn", st.LongBurn))
-			},
-		})
-		if err != nil {
-			return err
-		}
+	if slo != nil {
 		feed = &sloFeed{slo: slo, objective: tc.sloObjective, last: make(map[string]sloCounts)}
-	} else if tc.sloGoal != 0 {
-		return fmt.Errorf("-slo-goal requires -slo-objective")
 	}
 	metrics := obs.NewRegistry()
 	obs.RegisterRuntimeStats(metrics)
@@ -148,77 +129,22 @@ func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemet
 	}
 	logger.Info("fleetd: registry listening", obs.F("addr", ln.Addr().String()), obs.F("ttl", ttl.String()))
 
-	var metricsSrv *http.Server
-	if metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metricsHandler(metrics, reg.Stats))
-		mux.Handle("/fleet", telemetry.FleetHandler(reg.Stats))
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.Write([]byte("ok\n")) //nolint:errcheck // best-effort probe reply
-		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			// The registry is ready as soon as it listens; like edged, a
-			// burning SLO is reported in-body but keeps the probe green —
-			// a slow fleet is degraded, not a reason to kill its registry.
-			if feed != nil && feed.slo.Status().Burning {
-				w.Write([]byte("ready (slo burning)\n")) //nolint:errcheck // best-effort probe reply
-				return
-			}
-			w.Write([]byte("ready\n")) //nolint:errcheck // best-effort probe reply
-		})
-		if feed != nil {
-			mux.Handle("/slo", feed.slo.Handler())
-		} else {
-			mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
-				http.Error(w, "no SLO configured (-slo-objective)", http.StatusNotFound)
-			})
-		}
-		mux.Handle("/debug/flight", flight.Handler())
-		if pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
-		go func() {
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("fleetd: metrics server failed", obs.Err(err))
-			}
-		}()
-		logger.Info("fleetd: metrics serving", obs.F("url", "http://"+metricsAddr+"/metrics"), obs.F("pprof", pprofOn))
-	}
-	defer func() {
-		if metricsSrv != nil {
-			metricsSrv.Close()
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case err := <-done:
-		return err
-	case s := <-sig:
-		logger.Info("fleetd: shutting down", obs.F("signal", s.String()))
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		return <-done
-	}
+	return telemetry.RunDaemon("fleetd", logger, ln, srv, metricsAddr, adminMux(metrics, reg.Stats, slo, flight, pprofOn))
 }
 
-// metricsHandler serves the registry's own families (fleet_* and runtime)
-// and then the fleet rollup (websnap_rollup_*), re-merged from the members'
-// latest digests on every scrape.
-func metricsHandler(metrics *obs.Registry, snapshot func() []telemetry.ServerStats) http.Handler {
-	return obs.MetricsHandler(
-		func() *obs.Registry { return metrics },
-		func() *obs.Registry { return telemetry.Rollup{Servers: snapshot()}.Registry() },
-	)
+// adminMux is fleetd's operator mux: the shared probe set plus /fleet. Its
+// /metrics writes the registry's own families (fleet_* and runtime) and
+// then the fleet rollup (websnap_rollup_*), re-merged from the members'
+// latest digests on every scrape. The registry is ready as soon as it
+// listens; a burning SLO is reported on /readyz but keeps the probe green.
+func adminMux(metrics *obs.Registry, snapshot func() []telemetry.ServerStats, slo *telemetry.SLO, flight *telemetry.FlightRecorder, pprof bool) *http.ServeMux {
+	mux := telemetry.AdminMux(telemetry.Admin{
+		Metrics: []func() *obs.Registry{
+			func() *obs.Registry { return metrics },
+			func() *obs.Registry { return telemetry.Rollup{Servers: snapshot()}.Registry() },
+		},
+		SLO: slo, Flight: flight, Pprof: pprof,
+	})
+	mux.Handle("/fleet", telemetry.FleetHandler(snapshot))
+	return mux
 }

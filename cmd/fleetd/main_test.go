@@ -63,7 +63,7 @@ func TestMetricsHandlerPrometheusLint(t *testing.T) {
 	metrics := obs.NewRegistry()
 	obs.RegisterRuntimeStats(metrics)
 	metrics.Counter("fleet_registrations_total", "Total registrations.").Add(3)
-	h := metricsHandler(metrics, testFleetSnapshot)
+	h := adminMux(metrics, testFleetSnapshot, nil, nil, false)
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -88,7 +88,7 @@ func TestMetricsHandlerPrometheusLint(t *testing.T) {
 func TestMetricsHandlerJSONShape(t *testing.T) {
 	metrics := obs.NewRegistry()
 	metrics.Counter("fleet_registrations_total", "Total registrations.").Add(1)
-	h := metricsHandler(metrics, testFleetSnapshot)
+	h := adminMux(metrics, testFleetSnapshot, nil, nil, false)
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	req.Header.Set("Accept", "application/json")
@@ -118,9 +118,9 @@ func TestMetricsHandlerJSONShape(t *testing.T) {
 // /metrics in one format whatever the scraper asks for. Every Accept header
 // and ?format= value gets the same lint-clean `text/plain; version=0.0.4`
 // body, and any method but GET gets 405 with Allow: GET. The test lives here
-// because fleetd's wiring is reachable only from this package; edged's is
-// edge.Server.MetricsHandler, and cmd/offload serves its auditor's registry
-// through obs.MetricsHandler.
+// because fleetd's wiring is reachable only from this package; edged serves
+// its server's registry through telemetry.AdminMux, and cmd/offload its
+// auditor's through obs.MetricsHandler.
 func TestMetricsEndpointsOneFormat(t *testing.T) {
 	cat, err := core.DefaultCatalog()
 	if err != nil {
@@ -146,8 +146,8 @@ func TestMetricsEndpointsOneFormat(t *testing.T) {
 		handler http.Handler
 		family  string // one family the endpoint must carry
 	}{
-		{"edged", srv.MetricsHandler(), "websnap_sched_executed_total"},
-		{"fleetd", metricsHandler(fleetMetrics, testFleetSnapshot), "websnap_rollup_servers"},
+		{"edged", telemetry.AdminMux(telemetry.Admin{Metrics: []func() *obs.Registry{srv.Registry}}), "websnap_sched_executed_total"},
+		{"fleetd", adminMux(fleetMetrics, testFleetSnapshot, nil, nil, false), "websnap_rollup_servers"},
 		{"offload", obs.MetricsHandler(func() *obs.Registry { return clientMetrics }), "websnap_client_prediction_error_ratio"},
 	}
 	requests := []struct{ name, target, accept string }{
@@ -207,7 +207,7 @@ func TestMetricsEndpointsOneFormat(t *testing.T) {
 // with cumulative digests and checks only increments are observed, with a
 // restart (counters going backwards) treated as all-new events.
 func TestSLOFeedDeltasFromCumulativeDigests(t *testing.T) {
-	slo, err := telemetry.NewSLO(telemetry.SLOConfig{Name: "t", Objective: 50 * time.Millisecond})
+	slo, err := telemetry.NewDaemonSLO("t", 50*time.Millisecond, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

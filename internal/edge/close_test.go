@@ -1,14 +1,13 @@
 package edge
 
 import (
-	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"websnap/internal/protocol"
+	"websnap/internal/testutil/conntest"
 )
 
 // TestStreamAfterCloseIsRefused dispatches a frame on a server that Close
@@ -64,63 +63,30 @@ func TestStreamAfterCloseIsRefused(t *testing.T) {
 	}
 }
 
-// heldListener yields each connection the test sends, and only then, so an
-// accept can complete after Close has returned. Its Close does not wake
-// Accept; closing conns does, the way a closed listener fails.
-type heldListener struct{ conns chan net.Conn }
-
-func (l heldListener) Accept() (net.Conn, error) {
-	if c, ok := <-l.conns; ok {
-		return c, nil
-	}
-	return nil, net.ErrClosed
+// TestCloseRaceReturns races the server's Close against a listener handing
+// out idle connections as fast as Serve accepts them: a connection that
+// joins the live set after Close has swept it would hold Close forever.
+func TestCloseRaceReturns(t *testing.T) {
+	cat := testCatalog(t)
+	conntest.CloseRace(t, 1500*time.Millisecond, 80*time.Microsecond, func() (func(net.Listener) error, func() error) {
+		srv, err := NewServer(Config{Installed: true, Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Serve, srv.Close
+	})
 }
 
-func (heldListener) Close() error   { return nil }
-func (heldListener) Addr() net.Addr { return &net.TCPAddr{} }
-
 // TestAcceptAfterCloseIsRefused: a connection the listener yields after
-// Close has waited for the server's connections must not join the wait
-// group Close is done with (Serve's Add raced Close's Wait) or be served,
-// since nothing would close it. Serve closes it and returns.
+// Close has waited for the server's connections must not be served, since
+// nothing would close it. Serve closes it and returns.
 func TestAcceptAfterCloseIsRefused(t *testing.T) {
 	srv, err := NewServer(Config{Installed: true, Catalog: testCatalog(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := heldListener{conns: make(chan net.Conn)}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	for { // Close must find the listener, or Serve would refuse to start
-		srv.mu.Lock()
-		started := srv.ln != nil
-		srv.mu.Unlock()
-		if started {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	serverSide, clientSide := net.Pipe()
-	defer clientSide.Close()
-	ln.conns <- serverSide // Accept returns it only now, after Close
-	close(ln.conns)
-
-	clientSide.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := clientSide.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("a connection accepted after Close read %v, want EOF: the server kept it open", err)
-	}
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve returned %v after Close, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after Close")
-	}
-	if m := srv.Metrics(); m.ConnsServed != 0 {
-		t.Fatalf("%d connections served after Close, want 0", m.ConnsServed)
+	conntest.AcceptAfterClose(t, srv.Serve, srv.Close)
+	if m := srv.Metrics(); m.ConnsServed != 0 || m.ConnsRefused != 0 {
+		t.Fatalf("%d connections served and %d refused after Close, want 0 and 0", m.ConnsServed, m.ConnsRefused)
 	}
 }

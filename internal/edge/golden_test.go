@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"websnap/internal/obs"
+	"websnap/internal/telemetry"
 	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
 )
@@ -26,9 +27,19 @@ func goldenServer(t *testing.T) *Server {
 	return srv
 }
 
+// adminMux is the operator mux cmd/edged serves for srv.
+func adminMux(srv *Server) *http.ServeMux {
+	return telemetry.AdminMux(telemetry.Admin{
+		Metrics:  []func() *obs.Registry{srv.Registry},
+		NotReady: srv.NotReady,
+		SLO:      srv.cfg.SLO,
+		Flight:   srv.cfg.Flight,
+	})
+}
+
 func fetchMetrics(t *testing.T, srv *Server) []byte {
 	t.Helper()
-	ts := httptest.NewServer(srv.MetricsHandler())
+	ts := httptest.NewServer(adminMux(srv))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -102,7 +113,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 // the text 0.0.4 exposition the golden file pins.
 func TestMetricsContentNegotiation(t *testing.T) {
 	srv := goldenServer(t)
-	ts := httptest.NewServer(srv.MetricsHandler())
+	ts := httptest.NewServer(adminMux(srv))
 	defer ts.Close()
 	want, err := os.ReadFile(filepath.Join("testdata", "metrics.prom"))
 	if err != nil {
@@ -140,9 +151,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 // drain.
 func TestHealthReadyHandlers(t *testing.T) {
 	srv := goldenServer(t)
-	h := httptest.NewServer(srv.HealthzHandler())
-	defer h.Close()
-	resp, err := http.Get(h.URL)
+	ts := httptest.NewServer(adminMux(srv))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +162,7 @@ func TestHealthReadyHandlers(t *testing.T) {
 		t.Errorf("healthz = %d, want 200", resp.StatusCode)
 	}
 
-	rz := httptest.NewServer(srv.ReadyzHandler())
-	defer rz.Close()
-	resp, err = http.Get(rz.URL)
+	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +170,14 @@ func TestHealthReadyHandlers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("readyz (installed) = %d, want 200", resp.StatusCode)
 	}
-	if !srv.Ready() {
-		t.Error("Ready() = false on an installed, accepting server")
+	if err := srv.NotReady(); err != nil {
+		t.Errorf("NotReady() = %v on an installed, accepting server", err)
 	}
 
 	// Draining: Close stops the scheduler; readyz must flip to 503 while
 	// healthz stays 200.
 	srv.Close()
-	resp, err = http.Get(rz.URL)
+	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +186,10 @@ func TestHealthReadyHandlers(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz (draining) = %d, want 503 (%s)", resp.StatusCode, body)
 	}
-	if srv.Ready() {
-		t.Error("Ready() = true on a draining server")
+	if srv.NotReady() == nil {
+		t.Error("NotReady() = nil on a draining server")
 	}
-	resp, err = http.Get(h.URL)
+	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +207,9 @@ func TestReadyzNotInstalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rz := httptest.NewServer(srv.ReadyzHandler())
+	rz := httptest.NewServer(adminMux(srv))
 	defer rz.Close()
-	resp, err := http.Get(rz.URL)
+	resp, err := http.Get(rz.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

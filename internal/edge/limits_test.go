@@ -140,7 +140,7 @@ func TestMetricsHandler(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	adminMux(srv).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -151,7 +151,7 @@ func TestMetricsHandler(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", nil))
+	adminMux(srv).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST status = %d, want 405", rec.Code)
 	}

@@ -123,15 +123,10 @@ type Server struct {
 	cfg   Config
 	store *SessionStore
 	sched *sched.Scheduler
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	// reqWG tracks requests between dispatch and response write, so Close
-	// can let in-flight sessions flush their final frames before
-	// terminating connections.
-	reqWG  sync.WaitGroup
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
+	// conns runs the connection lifecycle; it also admits each request
+	// between dispatch and response write, so Close lets in-flight
+	// sessions flush their final frames before terminating connections.
+	conns protocol.ConnSet
 
 	installedMu sync.RWMutex
 	installed   bool
@@ -139,11 +134,6 @@ type Server struct {
 	// connSlots is a semaphore bounding concurrent connections; nil when
 	// unlimited.
 	connSlots chan struct{}
-
-	// connsMu guards conns, the set of live client connections, so Close
-	// can terminate them instead of waiting forever on idle readers.
-	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
 
 	// rec aggregates server-side stage latencies (queue, execute) across
 	// every offload request, for /metrics export.
@@ -328,9 +318,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     store,
 		log:       cfg.Logger,
-		quit:      make(chan struct{}),
 		installed: cfg.Installed,
-		conns:     make(map[net.Conn]struct{}),
 		rec:       trace.NewRecorder(),
 		start:     time.Now(),
 	}
@@ -371,120 +359,51 @@ func (s *Server) Installed() bool {
 	return s.installed
 }
 
-// Ready reports whether the server can execute an offload submitted now:
-// the offloading system is installed and the scheduler is accepting work.
-// It is the /readyz signal — a live process that is not Ready should be
-// taken out of rotation, not restarted.
-func (s *Server) Ready() bool {
-	return s.Installed() && s.sched.Accepting()
+// NotReady reports why the server cannot execute an offload submitted now,
+// or nil when it can: the offloading system must be installed and the
+// scheduler accepting work. It is the /readyz signal — a live process that
+// is not ready should be taken out of rotation, not restarted.
+func (s *Server) NotReady() error {
+	switch {
+	case !s.Installed():
+		return errors.New("offloading system not installed")
+	case !s.sched.Accepting():
+		return errors.New("scheduler draining")
+	}
+	return nil
 }
 
 // Serve accepts connections on ln until Close is called. It blocks; run it
 // in a goroutine and call Close to stop.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("edge: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return nil
-			default:
-				return fmt.Errorf("edge: accept: %w", err)
-			}
-		}
-		// Join wg under the lock Close takes before it waits, so an Add
-		// can never race the Wait; a conn accepted after Close is dropped.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		if s.connSlots != nil {
-			select {
-			case s.connSlots <- struct{}{}:
-			default:
-				// At capacity: refuse politely and move on.
-				s.connsRefused.Inc()
-				go func() {
-					defer s.wg.Done()
-					defer conn.Close()
-					msg, err := protocol.Encode(protocol.MsgError,
-						protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
-					if err == nil {
-						if err := protocol.Write(conn, msg); err != nil {
-							s.log.Debug("edge: refusal write failed", obs.Err(err))
-						}
-					}
-				}()
-				continue
-			}
-		}
-		s.trackConn(conn, true)
-		s.connsServed.Inc()
-		go func() {
-			defer s.wg.Done()
-			defer s.trackConn(conn, false)
-			defer conn.Close()
-			if s.connSlots != nil {
-				defer func() { <-s.connSlots }()
-			}
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.serveConn) }
 
 // Close stops accepting and shuts down gracefully: the scheduler drains —
 // in-flight sessions finish, queued ones are cancelled and answered with an
 // Error frame — then connections are terminated and all goroutines joined.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	ln := s.ln
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	// Drain the scheduler: running tasks complete, queued tasks fail
-	// with ErrClosed. Their waiting connection handlers then write the
-	// final result or Error frame, which reqWG tracks.
-	s.sched.Close()
-	s.reqWG.Wait()
-	// Terminate live connections: without this, Close would wait forever
-	// on clients idling in between requests.
-	s.connsMu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.connsMu.Unlock()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.conns.Close(s.sched.Close) }
 
-// trackConn adds or removes a live connection from the close set.
-func (s *Server) trackConn(conn net.Conn, add bool) {
-	s.connsMu.Lock()
-	defer s.connsMu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
+// serveConn serves one accepted connection, or refuses it with one Error
+// frame when MaxConns connections are already being served.
+func (s *Server) serveConn(conn net.Conn) {
+	if s.connSlots != nil {
+		select {
+		case s.connSlots <- struct{}{}:
+			defer func() { <-s.connSlots }()
+		default:
+			s.connsRefused.Inc()
+			msg, err := protocol.Encode(protocol.MsgError,
+				protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
+			if err == nil {
+				err = protocol.Write(conn, msg)
+			}
+			if err != nil {
+				s.log.Debug("edge: refusal write failed", obs.Err(err))
+			}
+			return
+		}
 	}
+	s.connsServed.Inc()
+	s.handleConn(conn)
 }
 
 // deadlineReader reads from a net.Conn under two timeout regimes: waiting
@@ -604,12 +523,10 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 	waitStart := time.Now()
 	slots <- struct{}{}
 	streamWait := time.Since(waitStart)
-	// The request joins reqWG here, under mu, before its goroutine starts:
-	// either Close has not set closed yet and its reqWG.Wait will see this
-	// request, or it has and the stream is refused with one Error frame.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// The request is admitted here, before its goroutine starts: either
+	// Close has not begun and will wait for it, or it has and the stream is
+	// refused with one Error frame.
+	if !s.conns.Enter() {
 		<-slots
 		s.errorsAnswered.Inc()
 		resp, err := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{Message: "edge: server closed", Seq: env.Seq}, nil)
@@ -621,8 +538,6 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 		}
 		return
 	}
-	s.reqWG.Add(1)
-	s.mu.Unlock()
 	s.muxRequests.Inc()
 	s.muxActive.Add(1)
 	streams.Add(1)
@@ -630,7 +545,7 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 		defer streams.Done()
 		defer s.muxActive.Add(-1)
 		defer func() { <-slots }()
-		defer s.reqWG.Done()
+		defer s.conns.Leave()
 		if err := s.serveRequest(cw, req, env.Seq, streamWait); err != nil {
 			// The shared socket is broken; close it so the read loop and
 			// sibling streams unwind.
@@ -640,7 +555,7 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 }
 
 // serveRequest dispatches one request and writes its response under the
-// request's seq; dispatchStream counts it in reqWG, so Close lets the final
+// request's seq; dispatchStream admits it into conns, so Close lets the final
 // frame flush before terminating the connection. streamWait is the
 // stream-semaphore wait.
 func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWait time.Duration) error {

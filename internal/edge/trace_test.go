@@ -159,7 +159,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	offloadRaw(t, srv, addr, "0123456789abcdef")
 
 	rr := httptest.NewRecorder()
-	srv.MetricsHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	adminMux(srv).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rr.Body.String()
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("Content-Type = %q", ct)
@@ -249,7 +249,7 @@ func TestFlightNoteNamesTheFrame(t *testing.T) {
 	}
 
 	rr := httptest.NewRecorder()
-	srv.FlightHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
+	adminMux(srv).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
 	var dump struct {
 		Entries []telemetry.FlightEntry `json:"entries"`
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"websnap/internal/obs"
@@ -16,29 +15,17 @@ import (
 const connIdleTimeout = 30 * time.Second
 
 // RegistryServer speaks the registry's slice of the wire protocol
-// (MsgFleetRegister, MsgFleetList, MsgBlobLocate) over framed connections.
-// It is deliberately thin: one goroutine per connection, no worker pool —
-// registry traffic is a few frames per server per second.
+// (MsgFleetRegister, MsgFleetList, MsgBlobLocate) over framed connections,
+// on the connection lifecycle the edge server runs (protocol.ConnSet).
 type RegistryServer struct {
-	reg *Registry
-	log *obs.Logger
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	quit   chan struct{}
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	reg   *Registry
+	log   *obs.Logger
+	conns protocol.ConnSet
 }
 
 // NewRegistryServer wraps a Registry in a wire server.
 func NewRegistryServer(reg *Registry, logger *obs.Logger) *RegistryServer {
-	return &RegistryServer{
-		reg:   reg,
-		log:   logger,
-		quit:  make(chan struct{}),
-		conns: make(map[net.Conn]struct{}),
-	}
+	return &RegistryServer{reg: reg, log: logger}
 }
 
 // Registry exposes the wrapped registry (for in-process callers and tests).
@@ -46,73 +33,10 @@ func (s *RegistryServer) Registry() *Registry { return s.reg }
 
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine.
-func (s *RegistryServer) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("fleet: registry server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return nil
-			default:
-				return fmt.Errorf("fleet: accept: %w", err)
-			}
-		}
-		// Register under the lock Close takes before it waits, so an Add
-		// can never race the Wait.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer s.untrackConn(conn)
-			defer conn.Close()
-			s.handleConn(conn)
-		}()
-	}
-}
+func (s *RegistryServer) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.handleConn) }
 
 // Close stops accepting and terminates live connections.
-func (s *RegistryServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	ln := s.ln
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *RegistryServer) untrackConn(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.conns, conn)
-}
+func (s *RegistryServer) Close() error { return s.conns.Close(nil) }
 
 func (s *RegistryServer) handleConn(conn net.Conn) {
 	for {

@@ -215,13 +215,8 @@ func TestEdgeSLOBurnDepositsFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	flight := telemetry.NewFlightRecorder(1 << 20)
-	slo, err := telemetry.NewSLO(telemetry.SLOConfig{
-		Name:      "edge-serve",
-		Objective: time.Nanosecond, // every real request is a regression
-		OnBurn: func(st telemetry.SLOStatus) {
-			flight.Record(telemetry.FlightEntry{Reason: telemetry.FlightBurn, Note: st.Name})
-		},
-	})
+	// Every real request is a regression against a 1 ns objective.
+	slo, err := telemetry.NewDaemonSLO("edge-serve", time.Nanosecond, 0, flight, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,19 +292,20 @@ func TestEdgeSLOBurnDepositsFlight(t *testing.T) {
 	// The operator surfaces agree: /slo reports burning, /readyz stays
 	// green (slow is degraded, not dead) while naming the burn, and
 	// /debug/flight serves the deposited evidence.
+	admin := telemetry.AdminMux(telemetry.Admin{NotReady: srv.NotReady, SLO: slo, Flight: flight})
 	rr := httptest.NewRecorder()
-	srv.SLOHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/slo", nil))
+	admin.ServeHTTP(rr, httptest.NewRequest("GET", "/slo", nil))
 	var st telemetry.SLOStatus
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil || !st.Burning {
 		t.Errorf("/slo = %s (err %v), want burning", rr.Body.String(), err)
 	}
 	rr = httptest.NewRecorder()
-	srv.ReadyzHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
+	admin.ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
 	if rr.Code != 200 || rr.Body.String() != "ready (slo burning)\n" {
 		t.Errorf("/readyz = %d %q, want 200 'ready (slo burning)'", rr.Code, rr.Body.String())
 	}
 	rr = httptest.NewRecorder()
-	srv.FlightHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/flight", nil))
+	admin.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/flight", nil))
 	var dump struct {
 		Entries []telemetry.FlightEntry `json:"entries"`
 	}
