@@ -50,7 +50,7 @@ func main() {
 		transfer = flag.Duration("transfer-timeout", 0,
 			"max gap between reads within one frame once it started arriving (0 = same as -idle-timeout)")
 		traceLog = flag.String("trace-log", "",
-			"append one JSON line per offload request with its server-side span breakdown ('-' = stderr)")
+			"append one JSON line per served snapshot offload or chain hop with its span tree ('-' = stderr)")
 		traceLogMaxBytes = flag.Int64("trace-log-max-bytes", obs.DefaultRotateBytes,
 			"rotate the -trace-log file to <path>.1 when it would exceed this size (0 = never rotate)")
 		quiet   = flag.Bool("quiet", false, "suppress per-request logging")

@@ -523,7 +523,7 @@ type PreSend struct {
 	// went up; zero when the server answered the offered key itself.
 	Uploaded int64
 	// Uplink is how long the link took to carry the upload: its round trip
-	// less the time the server says it spent once the frame was in.
+	// less the ack's span root, the server's share once the frame was in.
 	Uplink time.Duration
 	// Resolve is the server's span for resolving the offer — registry
 	// locate and peer fetches beneath it — when a trace ID was stamped.
@@ -548,15 +548,18 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID strin
 		RefOnly: true,
 		TraceID: traceID,
 	}, nil)
+	var out PreSend
+	if traceID != "" {
+		out.Resolve = ack.Span
+	}
 	switch {
 	case err == nil && !ack.NeedBlob:
-		return PreSend{Resolve: ack.Span}, nil
+		return out, nil
 	case err != nil && !cleanServerError(err):
 		return PreSend{}, err
 	}
 	// The server does not hold the model, or refused the offer on an intact
 	// stream: upload it.
-	out := PreSend{Resolve: ack.Span}
 	var weights bytes.Buffer
 	if err := model.EncodeWeights(&weights); err != nil {
 		return out, fmt.Errorf("client: model %q: %w", name, err)
@@ -570,7 +573,7 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID strin
 		return out, err
 	}
 	out.Uploaded = model.ModelBytes()
-	out.Uplink = time.Since(start) - time.Duration(ack.ServeMicros)*time.Microsecond
+	out.Uplink = time.Since(start) - ack.Span.Duration()
 	return out, nil
 }
 
@@ -645,22 +648,19 @@ type offloadReply struct {
 	Packing, Unpacking time.Duration
 	// RoundTrip spans request write start to response read completion.
 	RoundTrip time.Duration
-	// TraceID is the ID stamped on the request; ServerTrace is the
-	// server's span report.
-	TraceID     string
-	ServerTrace *protocol.ServerTrace
+	// TraceID is the ID stamped on the request; Span is the server's span
+	// tree for it.
+	TraceID string
+	Span    *protocol.SpanNode
 }
 
 // wireLegs derives the time the round trip spent on the wire. The two clocks
 // are never compared directly: the server reports durations only, and wire
-// time is the client-observed round trip minus the server's total, split
+// time is the client-observed round trip minus the server's span root, split
 // between the upload and download legs proportionally to the bytes each
 // moved.
 func (r offloadReply) wireLegs() (up, down time.Duration) {
-	wire := r.RoundTrip
-	if st := r.ServerTrace; st != nil {
-		wire = max(wire-st.Total(), 0)
-	}
+	wire := max(r.RoundTrip-r.Span.Duration(), 0)
 	up = wire
 	if total := r.WireBytes + r.RespBytes; total > 0 {
 		up = wire * time.Duration(r.WireBytes) / time.Duration(total)
@@ -697,7 +697,7 @@ func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadRe
 		// the connection stays usable; only this result is poisoned.
 		return reply, fmt.Errorf("client: %s result: %w", reqType, err)
 	}
-	reply.ServerTrace = hdr.ServerTrace
+	reply.Span = hdr.Span
 	reply.WireBytes = int64(len(body.wire))
 	reply.RespBytes = int64(len(resp.Header) + len(resp.Body))
 	decStart := time.Now()

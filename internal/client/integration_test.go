@@ -4,12 +4,16 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"websnap/internal/edge"
 	"websnap/internal/mlapp"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
+	"websnap/internal/protocol"
+	"websnap/internal/snapshot"
 	"websnap/internal/testutil"
 	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
@@ -108,7 +112,7 @@ func TestOffloadEndToEndInPackage(t *testing.T) {
 	if st.Offloads != 1 || st.LastSnapshotBytes == 0 || st.LastResultBytes == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.LastTiming.Total() <= 0 {
+	if st.LastTrace == nil || st.LastTrace.Total() <= 0 {
 		t.Error("timing not recorded")
 	}
 }
@@ -159,8 +163,8 @@ func TestInlinePreSendAnsweredByKeyIsTimed(t *testing.T) {
 	off, app := newOffloadedApp(t, dialEdge(t, addr), Options{})
 	classifyOnce(t, off, app, 1)
 	st := off.Stats()
-	if st.LastTiming.InlineModelSend <= 0 {
-		t.Errorf("inline pre-send took %v, want its round trip", st.LastTiming.InlineModelSend)
+	if st.LastInlineModelSend <= 0 {
+		t.Errorf("inline pre-send took %v, want its round trip", st.LastInlineModelSend)
 	}
 	if st.PreSendBytes != 0 || st.RefPreSendHits != 1 || st.LastModelIncluded || st.LastInlineModelBytes != 0 {
 		t.Errorf("stats = %+v, want one hit and no weights shipped", st)
@@ -306,8 +310,11 @@ func TestTraceSpansCoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const offloads = 3
+	var e2e time.Duration // the last offload's wall-clock time
 	for i := 0; i < offloads; i++ {
+		start := time.Now()
 		classifyOnce(t, off, app, uint64(i+1))
+		e2e = time.Since(start)
 	}
 
 	st := off.Stats()
@@ -338,10 +345,9 @@ func TestTraceSpansCoverRoundTrip(t *testing.T) {
 	}
 
 	// The spans must account for the observed end-to-end time: the wire
-	// stages are derived as round trip minus the server's report, so the
-	// trace total and the wall-clock Timing total measure the same interval
-	// two ways. Allow loose slack for clock-read jitter.
-	e2e := st.LastTiming.Total()
+	// stages are derived as round trip minus the server's span, so the
+	// trace total and the wall-clock time of the classify call measure the
+	// same offload two ways. Allow loose slack for clock-read jitter.
 	if total := tr.Total(); total < e2e/2 || total > 2*e2e {
 		t.Errorf("trace total %v not within [0.5x, 2x] of measured end-to-end %v", total, e2e)
 	}
@@ -361,6 +367,70 @@ func TestTraceSpansCoverRoundTrip(t *testing.T) {
 		if s.P50 > s.P95 || s.P95 > s.P99 {
 			t.Errorf("stage %s quantiles not ordered: %+v", s.Stage, s)
 		}
+	}
+}
+
+// TestWireLegsSubtractServedSpan: a served result's span root covers every
+// stage the server timed, its stream-slot wait included, and the client's
+// wire time is the round trip less that root — so a saturated stream window
+// reads as server time, not as a slow link.
+func TestWireLegsSubtractServedSpan(t *testing.T) {
+	// One stream slot: of two concurrent offloads, one waits for the other.
+	addr := startEdge(t, edge.Config{Installed: true, MaxStreams: 1})
+	conn := dialEdge(t, addr)
+	model := tinyModel(t)
+	app, err := mlapp.NewFullApp("wire-app", "tiny", model, []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.PreSendModel(app.ID(), "tiny", model, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := mlapp.LoadImage(app, mlapp.SyntheticImage(3*16*16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ev := webapp.Event{Target: mlapp.ButtonID, Type: mlapp.EventClick}
+	snap, err := snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelSpecOnly, PendingEvent: &ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := make([]offloadReply, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i], errs[i] = conn.offloadBody(protocol.ReplyDelta, app.ID(), requestBody{wire: encoded})
+		}()
+	}
+	wg.Wait()
+	for i, r := range replies {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if r.Span == nil || len(r.Span.Children) == 0 || r.Span.Children[0].Op != protocol.SpanStreamWait {
+			t.Fatalf("reply %d span = %+v, want a stream_wait stage first", i, r.Span)
+		}
+		streamWait, queue, execute := r.Span.ServerStages()
+		if root := r.Span.Duration(); root < streamWait+queue+execute {
+			t.Errorf("reply %d: root %v does not cover its stages (stream_wait %v, queue %v, execute %v)", i, root, streamWait, queue, execute)
+		}
+		if up, down := r.wireLegs(); up+down != max(r.RoundTrip-r.Span.Duration(), 0) {
+			t.Errorf("reply %d: wire %v, want round trip %v less the root %v", i, up+down, r.RoundTrip, r.Span.Duration())
+		}
+	}
+
+	// A round trip the stream window took 800 µs of holds 100 µs of wire.
+	saturated := offloadReply{RoundTrip: time.Millisecond, WireBytes: 1, RespBytes: 1, Span: &protocol.SpanNode{
+		Op: "serve", Micros: 900, Children: []*protocol.SpanNode{
+			{Op: protocol.SpanStreamWait, Micros: 800}, {Op: protocol.SpanExecute, Micros: 100}}}}
+	if up, down := saturated.wireLegs(); up+down != 100*time.Microsecond {
+		t.Errorf("saturated window: wire %v, want 100µs", up+down)
 	}
 }
 

@@ -113,11 +113,13 @@ type Stats struct {
 	// RefPreSendMisses counts model pre-sends whose offered key the server
 	// could not resolve, each of which uploaded the weights.
 	RefPreSendMisses int
-	// LastTiming is the wall-clock phase breakdown of the last offload —
-	// the real-path counterpart of the paper's Fig 7.
-	LastTiming Timing
-	// LastTrace is the merged client+server span trace of the last
-	// completed offload (nil before the first).
+	// LastInlineModelSend is the time the last offload spent pre-sending
+	// un-ACKed models ahead of its snapshot, whether the server answered
+	// their keys or took their weights (zero after pre-sending completes).
+	LastInlineModelSend time.Duration
+	// LastTrace is the merged client+server stage trace of the last
+	// completed offload (nil before the first) — the real-path counterpart
+	// of the paper's Fig 7.
 	LastTrace *trace.Trace
 	// LastHandoffSpan is the merged cross-process span tree of the most
 	// recent traced handoff pre-send: the client root over the new
@@ -125,29 +127,6 @@ type Stats struct {
 	// fetch — one tree, one trace ID, every process the handoff touched.
 	// Nil until a Retarget pre-sends a model.
 	LastHandoffSpan *protocol.SpanNode
-}
-
-// Timing is the measured wall-clock breakdown of one offload round trip.
-type Timing struct {
-	// InlineModelSend is the time spent pre-sending un-ACKed models ahead
-	// of the snapshot, whether the server answered their keys or took
-	// their weights (zero after pre-sending completes).
-	InlineModelSend time.Duration
-	// CaptureEncode covers snapshot capture plus textual encoding at the
-	// client (Fig 7's "Snapshot Capture (C)").
-	CaptureEncode time.Duration
-	// RoundTrip covers transmission both ways plus everything at the
-	// server (restore, DNN execution, result capture).
-	RoundTrip time.Duration
-	// DecodeApply covers decoding the result delta, patching it into the
-	// shipped snapshot and applying that to the app (Fig 7's "Snapshot
-	// Restoration (C)").
-	DecodeApply time.Duration
-}
-
-// Total returns the end-to-end offload time.
-func (t Timing) Total() time.Duration {
-	return t.InlineModelSend + t.CaptureEncode + t.RoundTrip + t.DecodeApply
 }
 
 // Offloader drives a web app with snapshot-based offloading: events of
@@ -552,13 +531,7 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
 		return out, fmt.Errorf("client: apply result: %w", err)
 	}
-	timing := Timing{
-		InlineModelSend: inlineTook,
-		CaptureEncode:   captureDur + encodeDur,
-		RoundTrip:       reply.RoundTrip,
-		DecodeApply:     time.Since(applyStart),
-	}
-	tr := assembleTrace(reply, captureDur, encodeDur, timing.DecodeApply)
+	tr := assembleTrace(reply, captureDur, encodeDur, time.Since(applyStart))
 	o.rec.ObserveTrace(tr)
 	up, _ := reply.wireLegs()
 	o.mu.Lock()
@@ -571,16 +544,16 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	o.stats.LastResultBytes = int64(len(reply.Result))
 	o.stats.LastModelIncluded = inlineBytes > 0
 	o.stats.LastInlineModelBytes = inlineBytes
-	o.stats.LastTiming = timing
+	o.stats.LastInlineModelSend = inlineTook
 	o.stats.LastTrace = tr
 	o.mu.Unlock()
 	return out, nil
 }
 
 // assembleTrace merges one round trip's client-side measurements with the
-// server's span report into a single per-offload trace. Wire time is what
-// offloadReply.wireLegs derives; server-side decode/execute/encode fold into
-// the execute stage; the queue span is the admission-queue wait.
+// server's span into a single per-offload trace. Wire time is what
+// offloadReply.wireLegs derives; the queue and execute stages are the span's
+// (protocol.SpanNode.ServerStages).
 func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *trace.Trace {
 	tr := &trace.Trace{ID: reply.TraceID}
 	tr.Add(trace.StageCapture, capture)
@@ -590,10 +563,10 @@ func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *
 	}
 	up, down := reply.wireLegs()
 	tr.Add(trace.StageWire, up)
-	if st := reply.ServerTrace; st != nil {
-		tr.Add(trace.StageQueue, time.Duration(st.QueueMicros)*time.Microsecond)
-		exec := st.DecodeMicros + st.ExecuteMicros + st.EncodeMicros
-		tr.Add(trace.StageExecute, time.Duration(exec)*time.Microsecond)
+	if reply.Span != nil {
+		_, queue, execute := reply.Span.ServerStages()
+		tr.Add(trace.StageQueue, queue)
+		tr.Add(trace.StageExecute, execute)
 	}
 	tr.Add(trace.StageResultWire, down)
 	tr.Add(trace.StageRestore, restore)

@@ -3,8 +3,9 @@
 // position; the server executes its layer range on the pre-sent model,
 // then either answers with the output tensor (terminal hop) or relays the
 // boundary tensor to the next hop and forwards that hop's result upstream
-// unchanged, grafting the downstream span subtree under its own so the
-// client ends up with one parented trace: client root → hop1 → hop2 → …
+// unchanged. On a traced request it grafts the downstream span subtree
+// under its own, so the client ends up with one parented trace: client root
+// → hop1 → hop2 → …
 package edge
 
 import (
@@ -16,7 +17,6 @@ import (
 	"websnap/internal/protocol"
 	"websnap/internal/sched"
 	"websnap/internal/tensor"
-	"websnap/internal/trace"
 )
 
 // chainRelayTimeout bounds one hop-to-hop relay round trip (dial, send,
@@ -44,10 +44,11 @@ type chainWork struct {
 }
 
 // handleChainExec executes this server's layer range of a multi-hop chain
-// and relays or answers. streamWait is the stream-semaphore wait, folded
-// into the hop's span like any other offload.
-func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHeader, streamWait time.Duration) (protocol.Message, error) {
-	start := time.Now()
+// and relays or answers. The hop is timed like a snapshot offload: its span,
+// begun at the stream-slot wait, gains queue and execute stages, and a
+// mid-chain hop's root also covers the downstream relay its caller waits on.
+func (s *Server) handleChainExec(req *request, hdr *protocol.ChainExecHeader) (protocol.Message, error) {
+	req.span.Op = "chain_exec"
 	if hdr.Hop < 0 || hdr.Hop >= len(hdr.Hops) {
 		return protocol.Message{}, fmt.Errorf("chain: hop %d out of manifest range %d", hdr.Hop, len(hdr.Hops))
 	}
@@ -56,14 +57,15 @@ func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHe
 	fail := func(err error) (protocol.Message, error) {
 		return protocol.Message{}, &chainError{err: err, hop: self}
 	}
-	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
+	if err := protocol.VerifyBody(req.msg.Body, hdr.BodyCRC); err != nil {
 		return fail(err)
 	}
 	hop := hdr.Hops[hdr.Hop]
 	if hop.From < 0 || hop.From >= hop.To {
 		return fail(fmt.Errorf("chain: hop %d has empty layer range [%d, %d)", self, hop.From, hop.To))
 	}
-	vals, err := protocol.BytesFloat32(msg.Body)
+	req.span.Detail = fmt.Sprintf("%s layers [%d,%d)", hdr.ModelName, hop.From, hop.To)
+	vals, err := protocol.BytesFloat32(req.msg.Body)
 	if err != nil {
 		return fail(err)
 	}
@@ -75,47 +77,30 @@ func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHe
 	if !ok {
 		return fail(fmt.Errorf("chain: model %q not pre-sent for app %q", hdr.ModelName, hdr.AppID))
 	}
-	out, queued, execed, err := s.scheduleChainRange(model, in, hop)
+	// The scheduler runs the range, so the client sees the same saturated
+	// server signal as for a snapshot offload.
+	task := sched.NewTask("", &chainWork{net: model, in: in, from: hop.From, to: hop.To})
+	task.Bytes = int64(4 * in.Len())
+	v, err := s.runTask(req, task)
 	if err != nil {
 		// Keep any overload marker AND the hop attribution: the client
 		// re-plans around a saturated mid-chain server the same way it
 		// does around a dead one.
 		return fail(err)
 	}
+	out := v.(*tensor.Tensor)
 	s.chainExecs.Inc()
-	span := &protocol.SpanNode{
-		Op:     "chain_exec",
-		Addr:   s.cfg.AdvertiseAddr,
-		Detail: fmt.Sprintf("%s layers [%d,%d)", hdr.ModelName, hop.From, hop.To),
-		Children: []*protocol.SpanNode{
-			{Op: "queue", Micros: queued.Microseconds()},
-			{Op: "execute", Micros: execed.Microseconds()},
-		},
-	}
-	if streamWait > 0 {
-		span.Children = append([]*protocol.SpanNode{
-			{Op: "stream_wait", Micros: streamWait.Microseconds()}}, span.Children...)
-	}
-	// Chain hops reuse the queue/execute stage histograms: a relay's layer
-	// range is queued and executed like any offload, and the exposition
-	// contract forbids inserting new stage labels mid-family.
-	s.rec.Observe(trace.StageQueue, queued)
-	s.rec.Observe(trace.StageExecute, execed)
 
 	resp := protocol.ChainResultHeader{
 		Seq:  hdr.Seq,
 		Load: s.loadHint(),
 	}
-	wantSpan := hdr.TraceID != ""
 	if hdr.Hop == len(hdr.Hops)-1 {
 		// Terminal hop: answer with the final output tensor.
 		body := protocol.Float32Bytes(out.Data())
 		resp.Shape = out.Shape()
 		resp.BodyCRC = protocol.BodyChecksum(body)
-		if wantSpan {
-			span.Micros = time.Since(start).Microseconds()
-			resp.Span = span
-		}
+		resp.Span = s.served(req, hdr.AppID)
 		return protocol.Encode(protocol.MsgChainResult, resp, body)
 	}
 	// Mid-chain: relay the boundary tensor to the next hop and forward its
@@ -136,27 +121,11 @@ func (s *Server) handleChainExec(msg protocol.Message, hdr *protocol.ChainExecHe
 	s.chainRelays.Inc()
 	resp.Shape = downHdr.Shape
 	resp.BodyCRC = downHdr.BodyCRC
-	if wantSpan {
-		if downHdr.Span != nil {
-			span.Children = append(span.Children, downHdr.Span)
-		}
-		span.Micros = time.Since(start).Microseconds()
-		resp.Span = span
+	if hdr.TraceID != "" && downHdr.Span != nil {
+		req.span.Children = append(req.span.Children, downHdr.Span)
 	}
+	resp.Span = s.served(req, hdr.AppID)
 	return protocol.Encode(protocol.MsgChainResult, resp, down)
-}
-
-// scheduleChainRange runs one hop's layer range through the scheduler, so
-// the client sees the same saturated-server signal as for a snapshot
-// offload.
-func (s *Server) scheduleChainRange(model *nn.Network, in *tensor.Tensor, hop protocol.ChainHop) (*tensor.Tensor, time.Duration, time.Duration, error) {
-	task := sched.NewTask("", &chainWork{net: model, in: in, from: hop.From, to: hop.To})
-	task.Bytes = int64(4 * in.Len())
-	v, err := s.runTask(task)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return v.(*tensor.Tensor), task.QueueWait(), task.ExecTime(), nil
 }
 
 // relayChain sends the boundary tensor to the next hop over a dedicated

@@ -51,9 +51,9 @@ func clickSnapshot(t *testing.T, app *webapp.App, seed uint64) *snapshot.Snapsho
 // TestWireContract pins the one request/response contract on every request
 // type at once: the frames are pipelined on one connection without waiting
 // for answers, and each response must echo its request's Seq, carry the
-// server's Load, carry a verifying BodyCRC where it has a body and a
-// ServerTrace where it is a result, and carry a span tree exactly when the
-// request carried a TraceID.
+// server's Load and a verifying BodyCRC where it has a body. Results, chain
+// results and acks always carry the server's span tree; spans of other
+// processes ride exactly when the request carried a TraceID.
 func TestWireContract(t *testing.T) {
 	srv, addr := startHopServer(t, Config{Workers: 2})
 	model := tinyModel(t, "tiny")
@@ -130,10 +130,22 @@ func TestWireContract(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	checkSpan := func(t *testing.T, span *protocol.SpanNode, traced bool) {
+	// checkSpan holds an answer's span to the rule: always there on the
+	// answers that carry one always, else exactly when traced; and on an
+	// untraced request, no span of another process — which names its Addr —
+	// under the root.
+	checkSpan := func(t *testing.T, span *protocol.SpanNode, always, traced bool) {
 		t.Helper()
-		if (span != nil) != traced {
-			t.Errorf("span present = %v, request traced = %v", span != nil, traced)
+		if (span != nil) != (always || traced) {
+			t.Errorf("span present = %v, always = %v, request traced = %v", span != nil, always, traced)
+		}
+		if span == nil || traced {
+			return
+		}
+		for _, c := range span.Children {
+			if c.Addr != "" {
+				t.Errorf("untraced request answered with another process's span %+v", c)
+			}
 		}
 	}
 	ack := func(traced bool) func(*testing.T, protocol.Message) {
@@ -145,7 +157,7 @@ func TestWireContract(t *testing.T) {
 			if h.Load == nil || h.NeedBlob {
 				t.Errorf("ack = %+v, want load and no NeedBlob", h)
 			}
-			checkSpan(t, h.Span, traced)
+			checkSpan(t, h.Span, true, traced)
 		}
 	}
 	result := func(t *testing.T, resp protocol.Message) {
@@ -153,8 +165,8 @@ func TestWireContract(t *testing.T) {
 		if err := protocol.DecodeHeader(resp, &h); err != nil {
 			t.Fatal(err)
 		}
-		if h.Load == nil || h.ServerTrace == nil {
-			t.Errorf("result load=%v serverTrace=%v, want both", h.Load, h.ServerTrace)
+		if h.Load == nil || h.Span == nil {
+			t.Errorf("result load=%v span=%v, want both", h.Load, h.Span)
 		}
 		checkBody(t, resp, h.BodyCRC)
 	}
@@ -165,7 +177,7 @@ func TestWireContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkBody(t, resp, h.BodyCRC)
-			checkSpan(t, h.Span, traced)
+			checkSpan(t, h.Span, false, traced)
 			if traced {
 				return // the span carries a measured duration
 			}
@@ -193,7 +205,7 @@ func TestWireContract(t *testing.T) {
 				t.Error("chain result carries no load")
 			}
 			checkBody(t, resp, h.BodyCRC)
-			checkSpan(t, h.Span, traced)
+			checkSpan(t, h.Span, true, traced)
 		}
 	}
 

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/nn"
 	"websnap/internal/snapshot"
+	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
 	"websnap/internal/webapp"
 )
@@ -153,15 +155,18 @@ func TestOffloadAfterACK(t *testing.T) {
 		t.Error("DOM not updated by result snapshot")
 	}
 	// Real-path phase timing (Fig 7 counterpart) must be populated.
-	timing := st.LastTiming
-	if timing.CaptureEncode <= 0 || timing.RoundTrip <= 0 || timing.DecodeApply <= 0 {
-		t.Errorf("timing not populated: %+v", timing)
+	tr := st.LastTrace
+	if tr == nil {
+		t.Fatal("no trace recorded")
 	}
-	if timing.InlineModelSend != 0 {
-		t.Errorf("post-ACK offload should not ship models inline: %+v", timing)
+	stage := func(s trace.Stage) time.Duration { d, _ := tr.Get(s); return d }
+	captureEncode := stage(trace.StageCapture) + stage(trace.StageEncode)
+	roundTrip := stage(trace.StageWire) + stage(trace.StageQueue) + stage(trace.StageExecute) + stage(trace.StageResultWire)
+	if captureEncode <= 0 || roundTrip <= 0 || stage(trace.StageRestore) <= 0 {
+		t.Errorf("timing not populated: %+v", tr.Spans)
 	}
-	if timing.Total() != timing.CaptureEncode+timing.RoundTrip+timing.DecodeApply {
-		t.Error("Timing.Total inconsistent")
+	if st.LastInlineModelSend != 0 {
+		t.Errorf("post-ACK offload should not ship models inline: %v", st.LastInlineModelSend)
 	}
 }
 

@@ -28,11 +28,11 @@ const maxHandlerSteps = 1000
 // the handler changed, as a result delta relative to the pre-execution state,
 // or (Reply empty: the raw Conn.OffloadSnapshot API) the full result
 // snapshot. Either way nothing of the request outlives it here.
-func (s *Server) handleOffload(msg protocol.Message, hdr *protocol.SnapshotHeader, streamWait time.Duration) (protocol.Message, error) {
+func (s *Server) handleOffload(req *request, hdr *protocol.SnapshotHeader) (protocol.Message, error) {
+	msg := req.msg
 	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
 		return protocol.Message{}, err
 	}
-	tm := &svcTiming{streamWait: streamWait}
 	decodeStart := time.Now()
 	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
 	if err != nil {
@@ -42,12 +42,15 @@ func (s *Server) handleOffload(msg protocol.Message, hdr *protocol.SnapshotHeade
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	tm.decode = time.Since(decodeStart)
-	result, err := s.scheduleSnapshot(snap, tm, int64(len(plain)))
+	req.stage(protocol.SpanDecode, time.Since(decodeStart))
+	task := sched.NewTask("", snap)
+	task.Bytes = int64(len(plain))
+	v, err := s.runTask(req, task)
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	tm.encodeStart = time.Now()
+	result := v.(*snapshot.Snapshot)
+	encodeStart := time.Now()
 	s.snapshotsExecuted.Inc()
 	respType := protocol.MsgResultSnapshot
 	var body []byte
@@ -65,50 +68,25 @@ func (s *Server) handleOffload(msg protocol.Message, hdr *protocol.SnapshotHeade
 	if err != nil {
 		return protocol.Message{}, fmt.Errorf("encode result: %w", err)
 	}
-	return s.snapshotResponse(respType, snap.AppID, *hdr, body, tm)
+	return s.snapshotResponse(req, respType, snap.AppID, *hdr, body, encodeStart)
 }
 
-// svcTiming accumulates one request's server-side stage durations as it
-// moves through decode, the admission queue, execution, and result encode.
-type svcTiming struct {
-	decode time.Duration
-	queue  time.Duration
-	exec   time.Duration
-	// encodeStart is stamped by the handler once the scheduler returns the
-	// result; snapshotResponse closes the span after any packing.
-	encodeStart time.Time
-	// streamWait is the stream-semaphore wait.
-	streamWait time.Duration
-}
-
-// runTask submits one task to the scheduler and waits for its result.
-// Admission failures are wrapped as overload errors so the connection
-// handler can answer with the overload marker and load hint that redirect
-// the client to local execution.
-func (s *Server) runTask(task *sched.Task) (any, error) {
+// runTask submits one task to the scheduler, waits for its result, and adds
+// the task's queue wait and execution to the request's span. Admission
+// failures are wrapped as overload errors so the connection handler can
+// answer with the overload marker and load hint that redirect the client to
+// local execution.
+func (s *Server) runTask(req *request, task *sched.Task) (any, error) {
 	if err := s.sched.Submit(task); err != nil {
 		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
 	}
 	v, err := task.Wait()
+	req.stage(protocol.SpanQueue, task.QueueWait())
+	req.stage(protocol.SpanExecute, task.ExecTime())
 	if errors.Is(err, sched.ErrClosed) {
 		return nil, &overloadError{err: err}
 	}
 	return v, err
-}
-
-// scheduleSnapshot runs one decoded snapshot session through the scheduler
-// and returns the captured post-execution state; on success tm receives the
-// task's queue wait and execution time (result capture included).
-func (s *Server) scheduleSnapshot(snap *snapshot.Snapshot, tm *svcTiming, size int64) (*snapshot.Snapshot, error) {
-	task := sched.NewTask("", snap)
-	task.Bytes = size
-	v, err := s.runTask(task)
-	if err != nil {
-		return nil, err
-	}
-	tm.queue = task.QueueWait()
-	tm.exec = task.ExecTime()
-	return v.(*snapshot.Snapshot), nil
 }
 
 // execTask is the scheduler's executor: a chain hop's layer range, or one
@@ -172,12 +150,10 @@ const packedReplyMin = 1400
 
 // snapshotResponse frames a result body — packed when the request was (the
 // client found the link slow, and decodes what it sends) and the body is more
-// than a segment's worth — and closes out the request's server-side trace: the
-// spans feed the server recorder and trace log and ride back to the client in
-// the response header.
-func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol.SnapshotHeader, body []byte, tm *svcTiming) (protocol.Message, error) {
+// than a segment's worth — under the request's finished span.
+func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string, hdr protocol.SnapshotHeader, body []byte, encodeStart time.Time) (protocol.Message, error) {
 	encoding, plainLen := protocol.EncodingRaw, int64(0)
-	if req.Encoding == protocol.EncodingPacked && len(body) > packedReplyMin {
+	if hdr.Encoding == protocol.EncodingPacked && len(body) > packedReplyMin {
 		packed, ok, err := protocol.CompressBody(nil, body, snapshot.Pack)
 		if err != nil {
 			return protocol.Message{}, err
@@ -186,94 +162,64 @@ func (s *Server) snapshotResponse(t protocol.MsgType, appID string, req protocol
 			encoding, plainLen, body = protocol.EncodingPacked, int64(len(body)), packed
 		}
 	}
-	encode := time.Since(tm.encodeStart)
-	st := &protocol.ServerTrace{
-		TraceID:          req.TraceID,
-		DecodeMicros:     tm.decode.Microseconds(),
-		QueueMicros:      tm.queue.Microseconds(),
-		ExecuteMicros:    tm.exec.Microseconds(),
-		EncodeMicros:     encode.Microseconds(),
-		StreamWaitMicros: tm.streamWait.Microseconds(),
-	}
-	s.observeTrace(appID, req.Seq, tm, encode, st)
+	req.stage(protocol.SpanEncode, time.Since(encodeStart))
 	return protocol.Encode(t, protocol.SnapshotHeader{
-		AppID: appID, Seq: req.Seq, Encoding: encoding, PlainLen: plainLen,
-		Hints:       protocol.HintPackedBody,
-		BodyCRC:     protocol.BodyChecksum(body),
-		Load:        s.loadHint(),
-		ServerTrace: st,
+		AppID: appID, Seq: hdr.Seq, Encoding: encoding, PlainLen: plainLen,
+		Hints:   protocol.HintPackedBody,
+		TraceID: hdr.TraceID,
+		BodyCRC: protocol.BodyChecksum(body),
+		Load:    s.loadHint(),
+		Span:    s.served(req, appID),
 	}, body)
 }
 
-// observeTrace folds one completed request's spans into the server's stage
-// histograms and, when configured, appends a JSON line to the trace log.
-// Decode and encode fold into the execute stage, mirroring how the client
-// merges the server report; the full split survives in the trace log.
-func (s *Server) observeTrace(appID string, seq uint64, tm *svcTiming, encode time.Duration, st *protocol.ServerTrace) {
-	s.rec.Observe(trace.StageQueue, tm.queue)
-	s.rec.Observe(trace.StageExecute, tm.decode+tm.exec+encode)
-	s.rec.Observe(trace.StageStreamWait, tm.streamWait)
-	total := tm.streamWait + tm.decode + tm.queue + tm.exec + encode
+// served closes the span of a snapshot offload or a chain hop — its root now
+// covers the server's whole share, from the frame's stream-slot wait to the
+// response — and feeds that one tree to every consumer: the stage histograms,
+// the SLO, the slow-request flight capture and the trace log. The caller
+// sends the same tree home on the response.
+func (s *Server) served(req *request, appID string) *protocol.SpanNode {
+	root := req.span
+	root.Micros = time.Since(req.start).Microseconds()
+	streamWait, queue, execute := root.ServerStages()
+	s.rec.Observe(trace.StageStreamWait, streamWait)
+	s.rec.Observe(trace.StageQueue, queue)
+	s.rec.Observe(trace.StageExecute, execute)
+	traceID, seq := req.env.TraceID, req.env.Seq
 	if s.cfg.SLO != nil {
-		s.cfg.SLO.Observe(total)
+		s.cfg.SLO.Observe(root.Duration())
 		// A request that blew the objective is exactly what the flight
-		// recorder exists for: capture its full span tree while the SLO
-		// burn accounting is still catching up.
-		if s.cfg.Flight != nil && total > s.cfg.SLO.Objective() {
+		// recorder exists for: capture its span tree while the SLO burn
+		// accounting is still catching up.
+		if s.cfg.Flight != nil && root.Duration() > s.cfg.SLO.Objective() {
 			s.cfg.Flight.Record(telemetry.FlightEntry{
-				TraceID: st.TraceID,
+				TraceID: traceID,
 				Reason:  telemetry.FlightSlow,
 				Note:    fmt.Sprintf("app %s seq %d over objective %v", appID, seq, s.cfg.SLO.Objective()),
-				Span:    s.serveSpan(appID, tm, encode, total),
+				Span:    root,
 			})
 		}
 	}
 	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("offload served",
-			obs.TraceID(st.TraceID),
-			obs.F("appId", appID),
-			obs.F("seq", seq),
-			obs.F("queueMicros", tm.queue.Microseconds()),
-			obs.F("executeMicros", tm.exec.Microseconds()),
-		)
+		s.log.Debug("request served", obs.TraceID(traceID), obs.F("op", root.Op),
+			obs.F("appId", appID), obs.F("seq", seq), obs.F("micros", root.Micros))
 	}
 	if s.cfg.TraceLog == nil {
-		return
+		return root
 	}
 	line, err := json.Marshal(struct {
-		TraceID string `json:"traceId,omitempty"`
-		AppID   string `json:"appId"`
-		Seq     uint64 `json:"seq"`
-		*protocol.ServerTrace
-	}{TraceID: st.TraceID, AppID: appID, Seq: seq, ServerTrace: st})
+		TraceID string             `json:"traceId,omitempty"`
+		AppID   string             `json:"appId"`
+		Seq     uint64             `json:"seq"`
+		Span    *protocol.SpanNode `json:"span"`
+	}{traceID, appID, seq, root})
 	if err != nil {
-		return
+		return root
 	}
 	s.traceLogMu.Lock()
 	defer s.traceLogMu.Unlock()
 	if _, err := s.cfg.TraceLog.Write(append(line, '\n')); err != nil {
 		s.log.Warn("edge: trace log write failed", obs.Err(err))
 	}
-}
-
-// serveSpan renders one request's svcTiming as a span tree: the serve root
-// with one child per pipeline stage.
-func (s *Server) serveSpan(appID string, tm *svcTiming, encode, total time.Duration) *protocol.SpanNode {
-	root := &protocol.SpanNode{
-		Op:     "serve",
-		Addr:   s.cfg.AdvertiseAddr,
-		Micros: total.Microseconds(),
-		Detail: appID,
-	}
-	if tm.streamWait > 0 {
-		root.Children = append(root.Children,
-			&protocol.SpanNode{Op: "stream_wait", Micros: tm.streamWait.Microseconds()})
-	}
-	root.Children = append(root.Children,
-		&protocol.SpanNode{Op: "decode", Micros: tm.decode.Microseconds()},
-		&protocol.SpanNode{Op: "queue", Micros: tm.queue.Microseconds()},
-		&protocol.SpanNode{Op: "execute", Micros: tm.exec.Microseconds()},
-		&protocol.SpanNode{Op: "encode", Micros: encode.Microseconds()},
-	)
 	return root
 }

@@ -12,6 +12,8 @@ import (
 	"websnap/internal/client"
 	"websnap/internal/mlapp"
 	"websnap/internal/netem"
+	"websnap/internal/protocol"
+	"websnap/internal/telemetry"
 	"websnap/internal/testutil"
 	"websnap/internal/webapp"
 )
@@ -290,7 +292,8 @@ func TestQueueFullRejectsAndClientFallsBack(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	cat, reg := slowCatalog(t, started, release)
-	cfg := Config{Catalog: cat, Installed: true, Workers: 1, QueueDepth: 1}
+	flight := telemetry.NewFlightRecorder(0)
+	cfg := Config{Catalog: cat, Installed: true, Workers: 1, QueueDepth: 1, Flight: flight}
 	srv, addr := startServerWith(t, cfg)
 
 	appA, offA := slowOffloader(t, reg, addr, "full-a", false)
@@ -331,6 +334,19 @@ func TestQueueFullRejectsAndClientFallsBack(t *testing.T) {
 	appD.DispatchEvent(webapp.Event{Target: "b", Type: "go"})
 	if _, err := offD.Run(1); !errors.Is(err, client.ErrOverloaded) {
 		t.Errorf("overload error = %v, want ErrOverloaded", err)
+	}
+	// Both sheds are in the flight ring with their spans as far as they got.
+	sheds := 0
+	for _, e := range flight.Dump() {
+		if e.Reason == telemetry.FlightShed {
+			sheds++
+			if stageOf(e.Span, protocol.SpanStreamWait) == nil {
+				t.Errorf("shed entry span = %+v, want a root with a stream_wait stage", e.Span)
+			}
+		}
+	}
+	if sheds != 2 {
+		t.Errorf("flight holds %d shed entries, want 2", sheds)
 	}
 
 	// Release every held handler (A and C now, B when it reaches the

@@ -6,7 +6,6 @@
 package edge
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -81,9 +80,9 @@ type Config struct {
 	// Logger receives the server's JSON-line logs: per-request lines at
 	// debug level, failures of its own at warn and above. Nil is silent.
 	Logger *obs.Logger
-	// TraceLog, when non-nil, receives one JSON line per completed
-	// offload request with the server-side span breakdown (decode, queue,
-	// execute, encode) — the structured feed behind `edged -trace-log`.
+	// TraceLog, when non-nil, receives one JSON line per served snapshot
+	// offload or chain hop — its traceId, appId, seq and span tree — the
+	// structured feed behind `edged -trace-log`.
 	TraceLog io.Writer
 	// Locator finds fleet peers holding a blob (typically a
 	// fleet.RegistryClient); nil limits resolution to the local store.
@@ -99,10 +98,11 @@ type Config struct {
 	// PeerDial overrides the transport for peer blob fetches (tests and
 	// chaos injection); nil means TCP.
 	PeerDial func(addr string, timeout time.Duration) (net.Conn, error)
-	// SLO, when non-nil, receives every completed offload's server-side
-	// total latency; /slo (cmd/edged) serves its burn state and /readyz
-	// surfaces it. The server only feeds observations — construction
-	// (objective, windows, OnBurn) is the embedder's.
+	// SLO, when non-nil, receives the server-side total (the span root) of
+	// every served snapshot offload and chain hop; /slo (cmd/edged) serves
+	// its burn state and /readyz surfaces it. The server only feeds
+	// observations — construction (objective, windows, OnBurn) is the
+	// embedder's.
 	SLO *telemetry.SLO
 	// Flight, when non-nil, captures the span trees of slow, failed, and
 	// shed requests in a bounded in-memory ring served at /debug/flight.
@@ -500,12 +500,24 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // request is one admitted frame with its header decoded, once, by
-// dispatchStream: hdr is what protocol.DecodeFrame returned, hdrErr its
-// error.
+// dispatchStream: hdr is what protocol.DecodeFrame returned, env its
+// envelope, hdrErr its error. span is the server's span tree for the
+// request, begun at start, when the frame asked for a stream slot: a
+// snapshot offload or a chain hop adds its stages and closes the root
+// (served), and a failed request goes to the flight ring with the tree as
+// far as it got.
 type request struct {
 	msg    protocol.Message
 	hdr    any
+	env    protocol.Envelope
 	hdrErr error
+	start  time.Time
+	span   *protocol.SpanNode
+}
+
+// stage appends one bare stage child to the request's span.
+func (r *request) stage(op string, d time.Duration) {
+	r.span.Children = append(r.span.Children, &protocol.SpanNode{Op: op, Micros: d.Microseconds()})
 }
 
 // dispatchStream admits one frame as a stream: it decodes the header, waits
@@ -516,13 +528,13 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 	// decode error in an error frame, which the client takes as being about
 	// the whole connection.
 	hdr, env, hdrErr := protocol.DecodeFrame(msg)
-	req := request{msg: msg, hdr: hdr, hdrErr: hdrErr}
-	// The stream-semaphore wait is where backpressure bites; time it so the
-	// per-stream span and the stream_wait stage histogram expose a saturated
+	// The stream-semaphore wait is where backpressure bites; it is the span's
+	// first stage, so the stream_wait stage histogram exposes a saturated
 	// window.
-	waitStart := time.Now()
+	req := &request{msg: msg, hdr: hdr, env: env, hdrErr: hdrErr, start: time.Now(),
+		span: &protocol.SpanNode{Op: "serve", Addr: s.cfg.AdvertiseAddr}}
 	slots <- struct{}{}
-	streamWait := time.Since(waitStart)
+	req.stage(protocol.SpanStreamWait, time.Since(req.start))
 	// The request is admitted here, before its goroutine starts: either
 	// Close has not begun and will wait for it, or it has and the stream is
 	// refused with one Error frame.
@@ -546,7 +558,7 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 		defer s.muxActive.Add(-1)
 		defer func() { <-slots }()
 		defer s.conns.Leave()
-		if err := s.serveRequest(cw, req, env.Seq, streamWait); err != nil {
+		if err := s.serveRequest(cw, req); err != nil {
 			// The shared socket is broken; close it so the read loop and
 			// sibling streams unwind.
 			conn.Close()
@@ -556,10 +568,9 @@ func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct
 
 // serveRequest dispatches one request and writes its response under the
 // request's seq; dispatchStream admits it into conns, so Close lets the final
-// frame flush before terminating the connection. streamWait is the
-// stream-semaphore wait.
-func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWait time.Duration) error {
-	resp, err := s.dispatch(req, streamWait)
+// frame flush before terminating the connection.
+func (s *Server) serveRequest(cw *connWriter, req *request) error {
+	resp, err := s.dispatch(req)
 	if err != nil {
 		// A failed request is the client's business; a panicking executor
 		// is the server's.
@@ -569,7 +580,7 @@ func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWai
 		}
 		logFailure("edge: request failed", obs.F("type", req.msg.Type.String()), obs.Err(err))
 		s.errorsAnswered.Inc()
-		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: seq}
+		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: req.env.Seq}
 		var oe *overloadError
 		if errors.As(err, &oe) {
 			hdr.Message = oe.err.Error()
@@ -582,7 +593,7 @@ func (s *Server) serveRequest(cw *connWriter, req request, seq uint64, streamWai
 		if errors.As(err, &ce) {
 			hdr.ChainHop = ce.hop
 		}
-		s.recordFailure(req.msg, err, oe)
+		s.recordFailure(req, err, oe)
 		resp, err = protocol.Encode(protocol.MsgError, hdr, nil)
 		if err != nil {
 			return err
@@ -606,11 +617,12 @@ type overloadError struct {
 func (e *overloadError) Error() string { return e.err.Error() }
 func (e *overloadError) Unwrap() error { return e.err }
 
-// recordFailure deposits a failed request in the flight recorder: shed
-// requests (a full admission queue rejected them) under the shed reason,
-// everything else as an error. The trace ID, when the request carried one,
-// joins the entry so operators can line it up with client-side traces.
-func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadError) {
+// recordFailure deposits a failed request in the flight recorder with its
+// span tree as far as it got: shed requests (a full admission queue
+// rejected them) under the shed reason, everything else as an error. The
+// trace ID, when the request carried one, joins the entry so operators can
+// line it up with client-side traces.
+func (s *Server) recordFailure(req *request, err error, oe *overloadError) {
 	if s.cfg.Flight == nil {
 		return
 	}
@@ -618,21 +630,21 @@ func (s *Server) recordFailure(msg protocol.Message, err error, oe *overloadErro
 	if oe != nil && oe.overloaded {
 		reason = telemetry.FlightShed
 	}
-	var tid struct {
-		TraceID string `json:"traceId"`
-	}
-	_ = json.Unmarshal(msg.Header, &tid)
+	// A copy, closed at the failure: the request's own root is never
+	// changed once a consumer may hold it.
+	span := *req.span
+	span.Micros = time.Since(req.start).Microseconds()
 	s.cfg.Flight.Record(telemetry.FlightEntry{
-		TraceID: tid.TraceID,
+		TraceID: req.env.TraceID,
 		Reason:  reason,
-		Note:    msg.Type.String() + ": " + err.Error(),
+		Note:    req.msg.Type.String() + ": " + err.Error(),
+		Span:    &span,
 	})
 }
 
 // dispatch routes one request to its handler with the header dispatchStream
-// decoded. streamWait reaches the offload and chain handlers so the
-// stream-semaphore wait lands in the request's server trace.
-func (s *Server) dispatch(req request, streamWait time.Duration) (protocol.Message, error) {
+// decoded.
+func (s *Server) dispatch(req *request) (protocol.Message, error) {
 	msg := req.msg
 	// Pings work before installation: probes need to learn the install
 	// state without tripping an error.
@@ -649,14 +661,14 @@ func (s *Server) dispatch(req request, streamWait time.Duration) (protocol.Messa
 		return s.handleModelPreSend(msg, hdr)
 	case *protocol.SnapshotHeader:
 		if msg.Type == protocol.MsgSnapshot {
-			return s.handleOffload(msg, hdr, streamWait)
+			return s.handleOffload(req, hdr)
 		}
 	case *protocol.InstallOverlayHeader:
 		return s.handleInstall(msg, hdr)
 	case *protocol.BlobGetHeader:
 		return s.handleBlobGet(hdr)
 	case *protocol.ChainExecHeader:
-		return s.handleChainExec(msg, hdr, streamWait)
+		return s.handleChainExec(req, hdr)
 	}
 	return protocol.Message{}, fmt.Errorf("unexpected message %s", msg.Type)
 }
@@ -691,24 +703,33 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 // the weights.
 func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
 	start := time.Now()
-	// The client propagated its trace through the pre-send hop: collect the
-	// fleet-hop spans (registry locate, peer fetches) and parent them under
-	// one resolve span answered on the ack.
+	// A traced pre-send collects the fleet-hop spans (registry locate, peer
+	// fetches) to parent under the ack's span.
 	var trail *spanTrail
 	if hdr.TraceID != "" {
 		trail = &spanTrail{traceID: hdr.TraceID}
 	}
-	resolveSpan := func() *protocol.SpanNode {
-		if trail == nil {
-			return nil
+	// ack answers under a span whose root is the server's share of the
+	// round trip, so the client can read its uplink off the rest.
+	ack := func(needBlob bool) (protocol.Message, error) {
+		span := &protocol.SpanNode{
+			Op:     "presend_resolve",
+			Addr:   s.cfg.AdvertiseAddr,
+			Micros: time.Since(start).Microseconds(),
+			Detail: hdr.BlobKey,
 		}
-		return &protocol.SpanNode{
-			Op:       "presend_resolve",
-			Addr:     s.cfg.AdvertiseAddr,
-			Micros:   time.Since(start).Microseconds(),
-			Detail:   hdr.BlobKey,
-			Children: trail.spans,
+		if trail != nil {
+			span.Children = trail.spans
 		}
+		return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
+			AppID:     hdr.AppID,
+			ModelName: hdr.ModelName,
+			Seq:       hdr.Seq,
+			Load:      s.loadHint(),
+			NeedBlob:  needBlob,
+			Span:      span,
+			Hints:     protocol.HintPackedBody,
+		}, nil)
 	}
 	var (
 		net *nn.Network
@@ -719,15 +740,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPre
 		if net, err = s.resolveModel(*hdr, trail); err != nil {
 			s.refPreSendMisses.Inc()
 			s.log.Debug("edge: ref pre-send unresolved", obs.F("model", hdr.ModelName), obs.F("blob", hdr.BlobKey), obs.Err(err))
-			return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
-				AppID:     hdr.AppID,
-				ModelName: hdr.ModelName,
-				Seq:       hdr.Seq,
-				Load:      s.loadHint(),
-				NeedBlob:  true,
-				Span:      resolveSpan(),
-				Hints:     protocol.HintPackedBody,
-			}, nil)
+			return ack(true)
 		}
 		s.refPreSendHits.Inc()
 	} else {
@@ -749,17 +762,7 @@ func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPre
 	s.modelsStored.Inc()
 	s.log.Debug("edge: model stored", obs.F("model", hdr.ModelName), obs.F("appId", hdr.AppID),
 		obs.F("params", net.TotalParams()), obs.F("ref", hdr.RefOnly))
-	return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
-		AppID:     hdr.AppID,
-		ModelName: hdr.ModelName,
-		Seq:       hdr.Seq,
-		Load:      s.loadHint(),
-		Span:      resolveSpan(),
-		Hints:     protocol.HintPackedBody,
-		// The server's share of the round trip, so the client can read its
-		// uplink off the rest.
-		ServeMicros: time.Since(start).Microseconds(),
-	}, nil)
+	return ack(false)
 }
 
 // TraceRecorder exposes the server's aggregated stage histograms.

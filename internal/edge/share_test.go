@@ -167,7 +167,7 @@ func FuzzModelPreSend(f *testing.F) {
 		defer srv.Close()
 		msg := protocol.Message{Type: protocol.MsgModelPreSend, Header: header, Body: body}
 		hdr, _, hdrErr := protocol.DecodeFrame(msg)
-		resp, err := srv.dispatch(request{msg: msg, hdr: hdr, hdrErr: hdrErr}, 0)
+		resp, err := srv.dispatch(&request{msg: msg, hdr: hdr, hdrErr: hdrErr})
 		if err != nil || resp.Type != protocol.MsgAck {
 			return
 		}

@@ -6,10 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"websnap/internal/mlapp"
 	"websnap/internal/protocol"
@@ -90,28 +92,41 @@ func offloadRaw(t *testing.T, srv *Server, addr string, traceID string) protocol
 	return hdr
 }
 
-// TestResultCarriesServerTrace checks that every result carries the
-// server's span report and load hint, with or without a trace ID to echo.
-func TestResultCarriesServerTrace(t *testing.T) {
+// stageOf returns span's direct child named op, or nil.
+func stageOf(span *protocol.SpanNode, op string) *protocol.SpanNode {
+	if span == nil {
+		return nil
+	}
+	for _, c := range span.Children {
+		if c.Op == op {
+			return c
+		}
+	}
+	return nil
+}
+
+// TestResultCarriesServerSpan checks that every result carries the server's
+// span tree and load hint, with or without a trace ID to echo.
+func TestResultCarriesServerSpan(t *testing.T) {
 	srv, addr := startServer(t, Config{Installed: true})
 
 	hdr := offloadRaw(t, srv, addr, "00aa11bb22cc33dd")
-	if hdr.ServerTrace == nil {
-		t.Fatal("no ServerTrace in response")
+	if hdr.Span == nil {
+		t.Fatal("no span in response")
 	}
-	if hdr.ServerTrace.TraceID != "00aa11bb22cc33dd" {
-		t.Errorf("ServerTrace.TraceID = %q, want the request's trace ID", hdr.ServerTrace.TraceID)
+	if hdr.TraceID != "00aa11bb22cc33dd" {
+		t.Errorf("result TraceID = %q, want the request's trace ID", hdr.TraceID)
 	}
-	if hdr.ServerTrace.ExecuteMicros <= 0 {
-		t.Errorf("ExecuteMicros = %d, want > 0", hdr.ServerTrace.ExecuteMicros)
+	if exec := stageOf(hdr.Span, protocol.SpanExecute); exec == nil || exec.Micros <= 0 {
+		t.Errorf("execute stage = %+v, want > 0", exec)
 	}
 	if hdr.Load == nil {
 		t.Error("no load hint in response")
 	}
 
 	hdr = offloadRaw(t, srv, addr, "")
-	if hdr.ServerTrace == nil || hdr.Load == nil {
-		t.Errorf("untraced request: load=%v trace=%v, want both", hdr.Load, hdr.ServerTrace)
+	if hdr.Span == nil || hdr.Load == nil {
+		t.Errorf("untraced request: load=%v span=%v, want both", hdr.Load, hdr.Span)
 	}
 
 	if got := srv.TraceRecorder().Stage(trace.StageExecute).Count(); got != 2 {
@@ -122,8 +137,16 @@ func TestResultCarriesServerTrace(t *testing.T) {
 	}
 }
 
+// traceLogLine is one line of Config.TraceLog.
+type traceLogLine struct {
+	TraceID string             `json:"traceId"`
+	AppID   string             `json:"appId"`
+	Seq     uint64             `json:"seq"`
+	Span    *protocol.SpanNode `json:"span"`
+}
+
 // TestTraceLogLines checks that Config.TraceLog receives one well-formed
-// JSON line per offload with the span breakdown.
+// JSON line per offload with the span tree.
 func TestTraceLogLines(t *testing.T) {
 	var buf syncBuffer
 	srv, addr := startServer(t, Config{Installed: true, TraceLog: &buf})
@@ -134,20 +157,15 @@ func TestTraceLogLines(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("trace log has %d lines, want 2:\n%s", len(lines), buf.String())
 	}
-	var first struct {
-		TraceID       string `json:"traceId"`
-		AppID         string `json:"appId"`
-		Seq           uint64 `json:"seq"`
-		ExecuteMicros int64  `json:"executeMicros"`
-	}
+	var first traceLogLine
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("trace log line not JSON: %v\n%s", err, lines[0])
 	}
 	if first.TraceID != "feedfacedeadbeef" || first.AppID != "trace-app" || first.Seq != 1 {
 		t.Errorf("trace log line = %+v", first)
 	}
-	if first.ExecuteMicros <= 0 {
-		t.Errorf("ExecuteMicros = %d, want > 0", first.ExecuteMicros)
+	if exec := stageOf(first.Span, protocol.SpanExecute); exec == nil || exec.Micros <= 0 {
+		t.Errorf("execute stage = %+v, want > 0", exec)
 	}
 }
 
@@ -259,7 +277,73 @@ func TestFlightNoteNamesTheFrame(t *testing.T) {
 	if len(dump.Entries) != 1 {
 		t.Fatalf("flight holds %d entries, want the one rejection: %+v", len(dump.Entries), dump.Entries)
 	}
-	if e := dump.Entries[0]; e.Reason != telemetry.FlightError || e.TraceID != "00aa11bb22cc33dd" || !strings.HasPrefix(e.Note, "snapshot: ") {
+	e := dump.Entries[0]
+	if e.Reason != telemetry.FlightError || e.TraceID != "00aa11bb22cc33dd" || !strings.HasPrefix(e.Note, "snapshot: ") {
 		t.Errorf("flight entry = %+v, want an error entry whose note starts %q", e, "snapshot: ")
+	}
+	// The entry keeps the request's span as far as it got.
+	if stageOf(e.Span, protocol.SpanStreamWait) == nil {
+		t.Errorf("flight entry span = %+v, want a root with a stream_wait stage", e.Span)
+	}
+}
+
+// TestChainHopObservedLikeOffload: a chain hop and a snapshot offload reach
+// the same observers from the one span each answers with — the stream_wait
+// stage histogram, the SLO, the trace log, and the slow-request flight
+// capture, whose span is the very tree the response carried.
+func TestChainHopObservedLikeOffload(t *testing.T) {
+	var log syncBuffer
+	flight := telemetry.NewFlightRecorder(0)
+	// Every real request is slow against a 1 ns objective.
+	slo, err := telemetry.NewDaemonSLO("edge-serve", time.Nanosecond, 0, flight, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{Installed: true, TraceLog: &log, SLO: slo, Flight: flight})
+	model := tinyModel(t, "tiny")
+	if err := srv.store.Put("chain-app", "tiny", model); err != nil {
+		t.Fatal(err)
+	}
+	conn := dial(t, addr)
+
+	for i, kind := range []struct {
+		op      string
+		request func() *protocol.SpanNode
+	}{
+		{"serve", func() *protocol.SpanNode { return offloadRaw(t, srv, addr, "00aa11bb22cc33dd").Span }},
+		{"chain_exec", func() *protocol.SpanNode {
+			hops := []protocol.ChainHop{{Addr: addr, From: 0, To: model.NumLayers()}}
+			out, err := conn.ChainExec("chain-app", "tiny", hops, chainInput(t, model), "00ee11ff22cc33dd")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Span
+		}},
+	} {
+		span := kind.request()
+		n := i + 1
+		if got := srv.TraceRecorder().Stage(trace.StageStreamWait).Count(); got != uint64(n) {
+			t.Errorf("%s: stream_wait observations = %d, want %d", kind.op, got, n)
+		}
+		if got := slo.Status().LongTotal; got != uint64(n) {
+			t.Errorf("%s: SLO long-window total = %d, want %d", kind.op, got, n)
+		}
+		lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+		var line traceLogLine
+		if len(lines) != n || json.Unmarshal([]byte(lines[n-1]), &line) != nil || line.Span == nil || line.Span.Op != kind.op {
+			t.Errorf("%s: trace log = %q, want %d lines, the last one the %s span", kind.op, log.String(), n, kind.op)
+		}
+		var slow []telemetry.FlightEntry
+		for _, e := range flight.Dump() {
+			if e.Reason == telemetry.FlightSlow {
+				slow = append(slow, e)
+			}
+		}
+		if len(slow) != n {
+			t.Fatalf("%s: %d slow flight entries, want %d", kind.op, len(slow), n)
+		}
+		if got := slow[n-1].Span; span == nil || span.Op != kind.op || !reflect.DeepEqual(got, span) {
+			t.Errorf("%s: slow entry span %+v, want the response's %+v", kind.op, got, span)
+		}
 	}
 }

@@ -135,6 +135,16 @@ type Hop struct {
 	QueueDelay time.Duration
 }
 
+// ChainFrameBytesPerValue and ChainFrameOverheadBytes price one chain frame
+// as ChainConfig's TextBytesPerValue and StateOverheadBytes: hop-to-hop
+// relay frames carry raw little-endian float32s, 4 bytes per boundary value,
+// not snapshot text, under a JSON header (hop manifest, trace identity)
+// taken as 512 bytes.
+const (
+	ChainFrameBytesPerValue = 4
+	ChainFrameOverheadBytes = 512
+)
+
 // ChainConfig parametrizes the K-way chain estimator. A chain of
 // [client, server] with one link is exactly the legacy 2-device Config.
 type ChainConfig struct {

@@ -17,10 +17,12 @@
 // logical stream, the server dispatches the frames of one connection
 // concurrently and echoes the Seq on the matching response, and responses
 // may arrive in any order. Responses always carry the server's Load and,
-// where there is a body, its BodyCRC; results carry a ServerTrace, and a
-// span tree whenever the request carried a TraceID. Acks, pongs and results
-// also carry the server's capability Hints: a snapshot body may travel packed
-// (compress.go) to a server that has said it decodes that.
+// where there is a body, its BodyCRC; results, chain results and acks carry
+// the server's span tree, which holds spans from other processes (registry,
+// peers, downstream hops) only when the request carried a TraceID. Acks,
+// pongs and results also carry the server's capability Hints: a snapshot
+// body may travel packed (compress.go) to a server that has said it decodes
+// that.
 package protocol
 
 import (
@@ -231,37 +233,6 @@ func (h LoadHint) QueueingDelay() time.Duration {
 	return time.Duration(h.QueueingMillis * float64(time.Millisecond))
 }
 
-// ServerTrace carries the server-side span durations of one offload back to
-// the client on every result frame, keyed by the request's TraceID.
-// Durations are microseconds to keep the header compact.
-type ServerTrace struct {
-	// TraceID echoes the request's trace identifier.
-	TraceID string `json:"traceId"`
-	// DecodeMicros covers request body inflation and unpacking + snapshot
-	// decoding.
-	DecodeMicros int64 `json:"decodeMicros"`
-	// QueueMicros is the time the session waited in the admission queue
-	// for a scheduler worker.
-	QueueMicros int64 `json:"queueMicros"`
-	// ExecuteMicros covers restore + handler execution + result capture
-	// inside the worker.
-	ExecuteMicros int64 `json:"executeMicros"`
-	// EncodeMicros covers result encoding (diff + delta, or the full
-	// snapshot) + any packing.
-	EncodeMicros int64 `json:"encodeMicros"`
-	// StreamWaitMicros is the time the request spent waiting for a stream
-	// slot before dispatch (per-connection stream semaphore).
-	StreamWaitMicros int64 `json:"streamWaitMicros,omitempty"`
-}
-
-// Total returns the server-side time accounted to this offload. The
-// stream-semaphore wait is server-side time too: counting it keeps the
-// client's derived wire time honest when a saturated stream window, not the
-// network, delayed the response.
-func (t ServerTrace) Total() time.Duration {
-	return time.Duration(t.DecodeMicros+t.QueueMicros+t.ExecuteMicros+t.EncodeMicros+t.StreamWaitMicros) * time.Microsecond
-}
-
 // SpanNode is one node of a cross-process span tree, the unit of trace
 // propagation. A server that does remote
 // work on behalf of a traced request (locating a blob at the registry,
@@ -284,6 +255,48 @@ type SpanNode struct {
 	Detail string `json:"detail,omitempty"`
 	// Children are the nested downstream operations.
 	Children []*SpanNode `json:"ch,omitempty"`
+}
+
+// The stages of a served span: the bare children (op and duration only) of
+// the root an edge server answers a snapshot offload or a chain hop with.
+// A snapshot offload has all five; a chain hop has stream_wait, queue and
+// execute.
+const (
+	SpanStreamWait = "stream_wait" // wait for a stream slot on the connection
+	SpanDecode     = "decode"      // request body unpacking + snapshot decode
+	SpanQueue      = "queue"       // admission-queue wait for a worker
+	SpanExecute    = "execute"     // restore + handler run + result capture, or a hop's layer range
+	SpanEncode     = "encode"      // result diff + encode + any packing
+)
+
+// Duration returns the span's duration; zero for a nil span.
+func (n *SpanNode) Duration() time.Duration {
+	if n == nil {
+		return 0
+	}
+	return time.Duration(n.Micros) * time.Microsecond
+}
+
+// ServerStages splits a served span into the stages both ends chart: the
+// stream-slot wait, the admission-queue wait, and execution, which for a
+// snapshot offload includes request decode and result encode. Only direct
+// children count, so a downstream hop grafted under a chain hop is not
+// charged to this server.
+func (n *SpanNode) ServerStages() (streamWait, queue, execute time.Duration) {
+	if n == nil {
+		return 0, 0, 0
+	}
+	for _, c := range n.Children {
+		switch c.Op {
+		case SpanStreamWait:
+			streamWait += c.Duration()
+		case SpanQueue:
+			queue += c.Duration()
+		case SpanDecode, SpanExecute, SpanEncode:
+			execute += c.Duration()
+		}
+	}
+	return streamWait, queue, execute
 }
 
 // Walk visits n and every descendant in depth-first order.
@@ -369,16 +382,14 @@ type AckHeader struct {
 	// resolve the BlobKey locally or from a peer, and the client must
 	// retry with the full weight bytes.
 	NeedBlob bool `json:"needBlob,omitempty"`
-	// Span is the server-side span tree of this pre-send's blob
-	// resolution (registry locate, peer fetches), attached when the
-	// request carried a TraceID.
+	// Span is the server's span for this pre-send: its root covers the
+	// server's share once the frame had arrived, so the round trip less the
+	// root is the upload, the client's first reading of its uplink. The
+	// blob-resolution spans of other processes (registry locate, peer
+	// fetches) are its children when the request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 	// Hints carries the server's capability bits (HintPackedBody).
 	Hints int `json:"hints,omitempty"`
-	// ServeMicros is how long the server spent on the pre-send once its
-	// frame had arrived; the round trip less this is the upload, which is
-	// the client's first reading of its uplink.
-	ServeMicros int64 `json:"serveMicros,omitempty"`
 }
 
 // SnapshotHeader is the JSON header of MsgSnapshot, MsgResultSnapshot and
@@ -395,7 +406,7 @@ type SnapshotHeader struct {
 	// Hints carries the server's capability bits (HintPackedBody) on a
 	// response; on a request every receiver ignores it.
 	Hints int `json:"hints,omitempty"`
-	// TraceID identifies this offload's trace (request direction only).
+	// TraceID identifies this offload's trace; a result echoes it.
 	TraceID string `json:"traceId,omitempty"`
 	// Reply is the result form the request asks for (request direction
 	// only): empty for the full result snapshot, else a result delta —
@@ -407,9 +418,10 @@ type SnapshotHeader struct {
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
 	// Load is the server's scheduling load (response direction only).
 	Load *LoadHint `json:"load,omitempty"`
-	// ServerTrace carries the server-side spans of this offload (response
-	// direction only).
-	ServerTrace *ServerTrace `json:"serverTrace,omitempty"`
+	// Span is the server's span tree for this offload (response direction
+	// only): the root covers the server's whole share of the round trip,
+	// and its children are the served-span stages.
+	Span *SpanNode `json:"span,omitempty"`
 }
 
 // ReplyDelta asks for the result as a delta against the state the request
@@ -486,29 +498,30 @@ type MuxEnvelope struct {
 }
 
 // Envelope is what a connection's demultiplexer reads off a frame: the
-// stream it belongs to and, on a response, the server's load and capability
-// hints.
+// stream it belongs to, the trace it joins, and, on a response, the server's
+// load and capability hints.
 type Envelope struct {
-	Seq   uint64
-	Load  *LoadHint
-	Hints int
+	Seq     uint64
+	Load    *LoadHint
+	Hints   int
+	TraceID string
 }
 
 // enveloped is a frame header that knows its envelope.
 type enveloped interface{ envelope() Envelope }
 
 func (h *MuxEnvelope) envelope() Envelope          { return Envelope{Seq: h.Seq} }
-func (h *ModelPreSendHeader) envelope() Envelope   { return Envelope{Seq: h.Seq} }
-func (h *AckHeader) envelope() Envelope            { return Envelope{h.Seq, h.Load, h.Hints} }
-func (h *SnapshotHeader) envelope() Envelope       { return Envelope{h.Seq, h.Load, h.Hints} }
+func (h *ModelPreSendHeader) envelope() Envelope   { return Envelope{Seq: h.Seq, TraceID: h.TraceID} }
+func (h *AckHeader) envelope() Envelope            { return Envelope{Seq: h.Seq, Load: h.Load, Hints: h.Hints} }
+func (h *SnapshotHeader) envelope() Envelope       { return Envelope{h.Seq, h.Load, h.Hints, h.TraceID} }
 func (h *ErrorHeader) envelope() Envelope          { return Envelope{Seq: h.Seq, Load: h.Load} }
 func (h *InstallOverlayHeader) envelope() Envelope { return Envelope{Seq: h.Seq} }
 func (h *InstallDoneHeader) envelope() Envelope    { return Envelope{Seq: h.Seq} }
 func (h *PingHeader) envelope() Envelope           { return Envelope{Seq: h.Seq} }
-func (h *PongHeader) envelope() Envelope           { return Envelope{h.Seq, h.Load, h.Hints} }
-func (h *BlobGetHeader) envelope() Envelope        { return Envelope{Seq: h.Seq} }
+func (h *PongHeader) envelope() Envelope           { return Envelope{Seq: h.Seq, Load: h.Load, Hints: h.Hints} }
+func (h *BlobGetHeader) envelope() Envelope        { return Envelope{Seq: h.Seq, TraceID: h.TraceID} }
 func (h *BlobDataHeader) envelope() Envelope       { return Envelope{Seq: h.Seq} }
-func (h *ChainExecHeader) envelope() Envelope      { return Envelope{Seq: h.Seq} }
+func (h *ChainExecHeader) envelope() Envelope      { return Envelope{Seq: h.Seq, TraceID: h.TraceID} }
 func (h *ChainResultHeader) envelope() Envelope    { return Envelope{Seq: h.Seq, Load: h.Load} }
 
 // frameHeaders makes the header struct of each edge-server message type.
@@ -700,10 +713,11 @@ type ChainResultHeader struct {
 	// Load is this hop's scheduling load, letting the client refresh
 	// per-hop queue hints from a single chain round trip.
 	Load *LoadHint `json:"load,omitempty"`
-	// Span is this hop's span subtree for the chain execution, with the
-	// downstream hop's subtree grafted as a child, attached when the
-	// request carried a TraceID, so the client ends up holding one
-	// parented tree: client root → hop1 → hop2 → …
+	// Span is this hop's span for the chain execution; its root covers the
+	// hop's whole share, downstream relay included. When the request
+	// carried a TraceID the downstream hop's subtree is grafted as a child,
+	// so the client ends up holding one parented tree: client root → hop1 →
+	// hop2 → …
 	Span *SpanNode `json:"span,omitempty"`
 }
 

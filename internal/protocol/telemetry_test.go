@@ -7,21 +7,6 @@ import (
 	"time"
 )
 
-// TestServerTraceTotalIncludesStreamWait pins the honest wire-time
-// derivation: the client subtracts the server's reported total from the
-// round trip, so the semaphore wait a multiplexed request spent before
-// service must count as server time, not network time.
-func TestServerTraceTotalIncludesStreamWait(t *testing.T) {
-	st := ServerTrace{DecodeMicros: 1, QueueMicros: 2, ExecuteMicros: 3, EncodeMicros: 4}
-	if got := st.Total(); got != 10*time.Microsecond {
-		t.Fatalf("Total without stream wait = %v, want 10µs", got)
-	}
-	st.StreamWaitMicros = 90
-	if got := st.Total(); got != 100*time.Microsecond {
-		t.Fatalf("Total with stream wait = %v, want 100µs", got)
-	}
-}
-
 func TestSpanNodeWalkAndRoundTrip(t *testing.T) {
 	root := &SpanNode{
 		Op: "serve", Addr: "edge-a", Micros: 100, Detail: "app",
@@ -51,6 +36,10 @@ func TestSpanNodeWalkAndRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, *root)
 	}
 	(*SpanNode)(nil).Walk(func(*SpanNode) { t.Fatal("nil walk visited a node") })
+	// Only the root's own stages count, not another process's subtree.
+	if sw, q, ex := root.ServerStages(); sw != 0 || q != 0 || ex != 60*time.Microsecond {
+		t.Errorf("ServerStages = %v, %v, %v; want 0, 0, 60µs", sw, q, ex)
+	}
 }
 
 func TestStatsDigestRoundTrip(t *testing.T) {

@@ -25,15 +25,6 @@ import (
 	"websnap/internal/trace"
 )
 
-// chainRawBytesPerValue is the wire cost of one boundary value: chain
-// frames ship raw little-endian float32s, not snapshot text, so each value
-// is exactly 4 bytes.
-const chainRawBytesPerValue = 4
-
-// chainStateOverheadBytes approximates the non-tensor part of one chain
-// frame: the JSON header with the hop manifest and trace identity.
-const chainStateOverheadBytes = 512
-
 // maxChainAttempts is a safety bound on re-planning rounds; every round
 // either excludes a failed server or shortens the chain, so the bound is
 // never the thing that terminates a healthy run.
@@ -111,7 +102,7 @@ func NewChainExecutor(cfg ChainConfig) (*ChainExecutor, error) {
 	}
 	return &ChainExecutor{
 		cfg:         cfg,
-		resultBytes: int64(4 * tensor.Volume(out)),
+		resultBytes: int64(partition.ChainFrameBytesPerValue * tensor.Volume(out)),
 		conns:       make(map[string]*client.Conn),
 	}, nil
 }
@@ -325,8 +316,8 @@ func (e *ChainExecutor) plan(servers []protocol.FleetServer) ([]protocol.ChainHo
 	plan, err := partition.AnalyzeChain(e.cfg.Model, partition.ChainConfig{
 		Hops:               hops,
 		Links:              links,
-		TextBytesPerValue:  chainRawBytesPerValue,
-		StateOverheadBytes: chainStateOverheadBytes,
+		TextBytesPerValue:  partition.ChainFrameBytesPerValue,
+		StateOverheadBytes: partition.ChainFrameOverheadBytes,
 		ResultBytes:        e.resultBytes,
 	})
 	if err != nil {

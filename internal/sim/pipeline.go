@@ -24,15 +24,6 @@ const (
 	PipelinePolicyChain = "chain"
 )
 
-// pipelineRawBytesPerValue mirrors the live chain executor: hop-to-hop
-// relay frames carry raw little-endian float32s, 4 bytes per activation,
-// instead of the snapshot's textual encoding.
-const pipelineRawBytesPerValue = 4
-
-// pipelineChainOverheadBytes approximates one chain frame's non-tensor
-// bytes (JSON header with the hop manifest).
-const pipelineChainOverheadBytes = 512
-
 // pipelineInterEdgeMbps is the wired edge backbone every inter-server link
 // runs at.
 const pipelineInterEdgeMbps = 200
@@ -191,7 +182,7 @@ func pipelineResultBytes(sc *Scenario) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int64(pipelineRawBytesPerValue) * int64(tensor.Volume(outShape)), nil
+	return int64(partition.ChainFrameBytesPerValue) * int64(tensor.Volume(outShape)), nil
 }
 
 func pipelineLocalPoint(local time.Duration, mbps, loadMillis float64, requests int) PipelinePoint {
@@ -299,8 +290,8 @@ func pipelineChain(sc *Scenario, uplink, backbone netem.Profile, depth int, load
 			plan, err := partition.AnalyzeChain(sc.Net, partition.ChainConfig{
 				Hops:               hops[:k+1],
 				Links:              links[:k],
-				TextBytesPerValue:  pipelineRawBytesPerValue,
-				StateOverheadBytes: pipelineChainOverheadBytes,
+				TextBytesPerValue:  partition.ChainFrameBytesPerValue,
+				StateOverheadBytes: partition.ChainFrameOverheadBytes,
 				ResultBytes:        resultBytes,
 			})
 			if err != nil {

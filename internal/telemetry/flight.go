@@ -8,7 +8,6 @@ import (
 
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
-	"websnap/internal/trace"
 )
 
 // DefaultFlightBytes is the flight recorder's byte cap when the caller
@@ -27,17 +26,16 @@ const (
 )
 
 // FlightEntry is one captured incident: the trace identity, why it was
-// captured, and whatever evidence was on hand — a cross-process span tree,
-// the client-side stage trace, the joined audit decision.
+// captured, and whatever evidence was on hand — a span tree, the joined
+// audit decision.
 type FlightEntry struct {
 	TraceID string    `json:"traceId,omitempty"`
 	Reason  string    `json:"reason"`
 	At      time.Time `json:"at"`
 	Note    string    `json:"note,omitempty"`
-	// Span is the cross-process span tree (fleet hops).
+	// Span is the request's span tree: the server's stages, and the spans
+	// of every other process it crossed (fleet hops, downstream chain hops).
 	Span *protocol.SpanNode `json:"span,omitempty"`
-	// Trace is the flat per-stage trace of the request.
-	Trace *trace.Trace `json:"trace,omitempty"`
 	// Decision is the joined offload audit decision, when one exists.
 	Decision *obs.Decision `json:"decision,omitempty"`
 }
@@ -92,7 +90,7 @@ func (f *FlightRecorder) Record(e FlightEntry) {
 	if err != nil {
 		// Unencodable evidence (shouldn't happen with these types): keep
 		// the incident identity at least.
-		e.Trace, e.Span, e.Decision = nil, nil, nil
+		e.Span, e.Decision = nil, nil
 		enc, _ = json.Marshal(e)
 	}
 	size := int64(len(enc))
