@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -60,8 +61,9 @@ func (s *replySession) click(seed uint64) error {
 // queued behind its neighbours at the one worker.
 func TestFullAndDeltaReachSameState(t *testing.T) {
 	apps := []string{"same-a", "same-b", "same-c"}
-	// finals[fullReply][appID] hashes the client app's final state.
-	finals := map[bool]map[string]string{}
+	// finals[fullReply][appID] is the client app's final state, encoded
+	// without models.
+	finals := map[bool]map[string][]byte{}
 	for _, fullReply := range []bool{false, true} {
 		srv, addr := startServer(t, Config{Installed: true, Workers: 1})
 		model := tinyModel(t, "tiny")
@@ -111,13 +113,14 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		finals[fullReply] = map[string]string{}
+		finals[fullReply] = map[string][]byte{}
 		for i, id := range apps {
 			final, err := snapshot.Capture(sessions[i].app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if finals[fullReply][id], err = final.Hash(); err != nil {
+			final.Models = nil
+			if finals[fullReply][id], err = final.Encode(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,8 +129,8 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 		}
 	}
 	for _, id := range apps {
-		if delta, full := finals[false][id], finals[true][id]; delta != full {
-			t.Errorf("%s: final app state %s after delta replies, %s after full replies", id, delta, full)
+		if delta, full := finals[false][id], finals[true][id]; !bytes.Equal(delta, full) {
+			t.Errorf("%s: final app state after delta replies (%d B) differs from the one after full replies (%d B)", id, len(delta), len(full))
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package snapshot
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -21,22 +19,6 @@ import (
 
 // deltaHeader is the first line of an encoded delta.
 const deltaHeader = "// websnap-delta v1"
-
-// Hash returns the snapshot's content identity: a hash over its canonical
-// encoding with models excluded (model placement differs between client
-// and server; two ends agree on the *state*). Nothing on the offload path
-// hashes a state any more — a result delta names its base by the request that
-// carried it — so this is the state-equality oracle of the tests.
-func (s *Snapshot) Hash() (string, error) {
-	bare := *s
-	bare.Models = nil
-	data, err := bare.Encode()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16]), nil
-}
 
 // Delta is the difference between two snapshots of the same app.
 type Delta struct {

@@ -54,8 +54,8 @@ func ExampleDiff() {
 	_ = app.SetGlobal("small", 2.0) // only this changes
 	cur, _ := snapshot.Capture(app, snapshot.Options{})
 
-	baseHash, _ := base.Hash() // how the receiver will know the base
-	delta, _ := snapshot.Diff(base, cur, baseHash)
+	// The receiver knows the base by the request that carried it.
+	delta, _ := snapshot.Diff(base, cur, "request-1")
 	fullWire, _ := cur.Encode()
 	deltaWire, _ := delta.Encode()
 	fmt.Println("delta carries globals:", len(delta.SetGlobals))

@@ -188,7 +188,7 @@ func FuzzDeltaApply(f *testing.F) {
 		if err != nil {
 			return
 		}
-		hashBefore, err := bs.Hash()
+		hashBefore, err := stateHash(bs)
 		if err != nil {
 			return
 		}
@@ -201,7 +201,7 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 			return
 		}
-		if h, err := bs.Hash(); err != nil || h != hashBefore {
+		if h, err := stateHash(bs); err != nil || h != hashBefore {
 			t.Errorf("Apply mutated its base: hash %s -> %s (err %v)", hashBefore, h, err)
 		}
 		wire, err := out.Encode()
@@ -214,12 +214,12 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Errorf("applied snapshot failed to re-decode: %v", err)
 			return
 		}
-		h1, err := out.Hash()
+		h1, err := stateHash(out)
 		if err != nil {
 			t.Errorf("applied snapshot failed to hash: %v", err)
 			return
 		}
-		if h2, err := back.Hash(); err != nil || h1 != h2 {
+		if h2, err := stateHash(back); err != nil || h1 != h2 {
 			t.Errorf("apply result changed identity across a round trip: %s vs %s (err %v)", h1, h2, err)
 		}
 		out2, err := dd.Apply(bs, hashBefore)
@@ -227,7 +227,7 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Errorf("second apply of the same delta failed: %v", err)
 			return
 		}
-		if h3, err := out2.Hash(); err != nil || h3 != h1 {
+		if h3, err := stateHash(out2); err != nil || h3 != h1 {
 			t.Errorf("apply is not deterministic: %s vs %s (err %v)", h1, h3, err)
 		}
 	})

@@ -29,7 +29,8 @@ const gemmPackedFLOPs = 1 << 17
 // aligned buffers, and an MR×NR micro-kernel keeps every accumulator in a
 // local across the whole k loop, so dst is touched once per KC block
 // instead of once per k step. Small problems keep the streaming reference
-// kernel, and n==1 takes a plain dot-product path.
+// kernel, and n==1 (every FC layer) takes a matrix-vector path that
+// computes eight output rows per pass over b.
 //
 // Determinism contract: for every output element the accumulation order
 // is strictly increasing in k with one float32 addition per product,
@@ -375,17 +376,21 @@ func kern4x8(d0, d1, d2, d3, ap, bp []float32, kc int, bias []float32, flags int
 // gemmRef is the streaming reference kernel (the pre-packing engine
 // kernel, kept for small problems and as the packed path's bit-identity
 // oracle): four output rows at a time, each row of b loaded once and
-// applied to four accumulator rows, with row blocks fanned out across
-// CPUs for large problems.
+// applied to four accumulator rows (eight rows per pass over b when
+// n==1), with row blocks fanned out across CPUs for large problems.
 func gemmRef(dst, a, b, bias []float32, m, k, n int) {
-	workers := gemmWorkers(m, k, n, (m+3)/4)
+	rows := 4
+	if n == 1 {
+		rows = 8
+	}
+	workers := gemmWorkers(m, k, n, (m+rows-1)/rows)
 	if workers <= 1 {
 		gemmRows(dst, a, b, bias, k, n, 0, m)
 		return
 	}
-	// Chunks are 4-row aligned so every full block stays on the fast
-	// 4-row path; each worker owns a disjoint row range of dst.
-	fanOut(m, workers, 4, func(lo, hi int) {
+	// Chunks are aligned to the row block so every full block stays on
+	// the fast path; each worker owns a disjoint row range of dst.
+	fanOut(m, workers, rows, func(lo, hi int) {
 		gemmRows(dst, a, b, bias, k, n, lo, hi)
 	})
 }
@@ -459,12 +464,21 @@ func gemm1(dst, a, b, bias []float32, k, n, i int) {
 	}
 }
 
-// gemvRows is the n==1 fast path: dst[o] = bias[o] + a[o]·x, a plain dot
-// product per output row with no per-column loop overhead.
+// gemvRows is the n==1 path: dst[o] = bias[o] + a[o]·x. Eight output
+// rows share each pass over x, so eight independent accumulators hide
+// the latency of the float32 add that a one-row dot product waits on
+// once per element, and the weights stream close to memory bandwidth.
+// Each accumulator still does one multiply and one add per element with
+// i increasing (no FMA, no reassociation), so every output keeps the
+// bits of the one-row loop the m%8 remainder rows run.
 func gemvRows(dst, a, x, bias []float32, k, lo, hi int) {
 	x = x[:k]
-	for o := lo; o < hi; o++ {
-		row := a[o*k : o*k+k]
+	o := lo
+	for ; o+8 <= hi; o += 8 {
+		gemv8(dst[o:o+8], a[o*k:(o+8)*k], x, bias, o)
+	}
+	for ; o < hi; o++ {
+		row := a[o*k:][:len(x)]
 		var sum float32
 		if bias != nil {
 			sum = bias[o]
@@ -474,4 +488,35 @@ func gemvRows(dst, a, x, bias []float32, k, lo, hi int) {
 		}
 		dst[o] = sum
 	}
+}
+
+// gemv8 computes the eight outputs d from the eight rows of a (each
+// len(x) long) and bias[o:o+8].
+func gemv8(d, a, x, bias []float32, o int) {
+	k := len(x)
+	r0 := a[0*k:][:k]
+	r1 := a[1*k:][:k]
+	r2 := a[2*k:][:k]
+	r3 := a[3*k:][:k]
+	r4 := a[4*k:][:k]
+	r5 := a[5*k:][:k]
+	r6 := a[6*k:][:k]
+	r7 := a[7*k:][:k]
+	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	if bias != nil {
+		b := bias[o : o+8]
+		s0, s1, s2, s3, s4, s5, s6, s7 = b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+	}
+	for i, v := range x {
+		s0 += v * r0[i]
+		s1 += v * r1[i]
+		s2 += v * r2[i]
+		s3 += v * r3[i]
+		s4 += v * r4[i]
+		s5 += v * r5[i]
+		s6 += v * r6[i]
+		s7 += v * r7[i]
+	}
+	d = d[:8]
+	d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }

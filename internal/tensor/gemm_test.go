@@ -50,6 +50,13 @@ func TestGemmMatchesNaive(t *testing.T) {
 		{3, 128, 17},  // pure remainder rows
 		{64, 128, 96}, // big enough to matter
 	}
+	// The gemv path's 8-row blocks: exact, one block plus 1..7 remainder
+	// rows, and two blocks plus remainders, at short and long k.
+	for _, m := range []int{8, 9, 15, 16, 17, 23} {
+		for _, k := range []int{1, 7, 1000} {
+			cases = append(cases, struct{ m, k, n int }{m, k, 1})
+		}
+	}
 	for _, tc := range cases {
 		a := make([]float32, tc.m*tc.k)
 		b := make([]float32, tc.k*tc.n)
@@ -57,20 +64,104 @@ func TestGemmMatchesNaive(t *testing.T) {
 		fillSeq(a, uint64(tc.m*1000+tc.k))
 		fillSeq(b, uint64(tc.k*1000+tc.n))
 		fillSeq(bias, uint64(tc.n))
-		for _, withBias := range []bool{true, false} {
-			bs := bias
-			if !withBias {
-				bs = nil
-			}
-			want := make([]float32, tc.m*tc.n)
-			got := make([]float32, tc.m*tc.n)
-			naiveGemm(want, a, b, bs, tc.m, tc.k, tc.n)
-			Gemm(got, a, b, bs, tc.m, tc.k, tc.n)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("m=%d k=%d n=%d bias=%v: dst[%d] = %g, want %g (must be bit-identical)",
-						tc.m, tc.k, tc.n, withBias, i, got[i], want[i])
+		checkGemmBits(t, a, b, bias, tc.m, tc.k, tc.n)
+	}
+
+	// IEEE special values through the gemv path: −0, NaN, ±Inf,
+	// subnormals and products that overflow, in a and in x, laid out so
+	// the 8-row blocks and the remainder rows each meet every kind. NaNs
+	// carry distinct payloads (a's, x's, and the default NaN of Inf−Inf
+	// or 0·Inf), so an accumulator that took another row's operand shows
+	// in the bits. No add or multiply ever has two NaN operands: which of
+	// the two x86 returns depends on the operand order the compiler picks
+	// for that build (it differs under -race), not on the kernel.
+	nanA, nanX := math.Float32frombits(0x7fc0_0a0a), math.Float32frombits(0xffc0_0b0b)
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	x := []float32{0.5, -0.25, 2, negZero, math.Float32frombits(1), 3e38, 1e-39, 0.75, -1.5, 1.25, 0.125}
+	k := len(x)
+	patterns := []func(row []float32, j int){
+		func(row []float32, j int) {},
+		func(row []float32, j int) { row[j] = inf },
+		func(row []float32, j int) { row[j] = -inf },
+		func(row []float32, j int) { row[2], row[5] = -2.5e38, 3e38 }, // −Inf, then +Inf: NaN
+		func(row []float32, j int) { // every product −0
+			for i := range row {
+				row[i] = negZero
+				if math.Signbit(float64(x[i])) {
+					row[i] = 0
 				}
+			}
+		},
+		func(row []float32, j int) {
+			for i := range row {
+				row[i] = math.Float32frombits(uint32(1 + i*j))
+			}
+			row[j] = -math.Float32frombits(0x007f_ffff)
+		},
+		func(row []float32, j int) { row[j] = nanA },
+	}
+	const m = 19 // two 8-row blocks and three remainder rows
+	build := func(patterns []func([]float32, int)) []float32 {
+		a := make([]float32, m*k)
+		fillSeq(a, 21)
+		for o := range m {
+			patterns[o%len(patterns)](a[o*k:(o+1)*k], 3*o%k) // row 1: Inf·−0
+		}
+		return a
+	}
+	bias := make([]float32, m)
+	fillSeq(bias, 23)
+	bias[3], bias[11], bias[18] = inf, negZero, negZero
+	a := build(patterns)
+	checkNoNaNPairs(t, a, x, bias, m)
+	checkGemmBits(t, a, x, bias, m, k, 1)
+	// x's own NaN, then −Inf, reaches every row, so no row may make a NaN
+	// of its own first: the overflow pair and a's NaN are left out, and
+	// x's −0 (which makes 0·Inf) becomes 1.
+	x[3] = 1
+	a = build(patterns[:3])
+	for _, v := range []float32{nanX, -inf} {
+		x[9] = v
+		checkNoNaNPairs(t, a, x, bias, m)
+		checkGemmBits(t, a, x, bias, m, k, 1)
+	}
+}
+
+// checkNoNaNPairs fails the test when accumulating some row of a times x
+// (from bias, or +0) would multiply or add two NaNs.
+func checkNoNaNPairs(t *testing.T, a, x, bias []float32, m int) {
+	t.Helper()
+	nan := func(v float32) bool { return v != v }
+	for o := range m {
+		for _, s := range []float32{0, bias[o]} {
+			for i, v := range x {
+				p := v * a[o*len(x)+i]
+				if nan(v) && nan(a[o*len(x)+i]) || nan(s) && nan(p) {
+					t.Fatalf("test data: row %d meets two NaNs at %d", o, i)
+				}
+				s += p
+			}
+		}
+	}
+}
+
+// checkGemmBits requires Gemm to reproduce naiveGemm bit for bit, with
+// the bias and without it.
+func checkGemmBits(t *testing.T, a, b, bias []float32, m, k, n int) {
+	t.Helper()
+	for _, withBias := range []bool{true, false} {
+		bs := bias
+		if !withBias {
+			bs = nil
+		}
+		want := make([]float32, m*n)
+		got := make([]float32, m*n)
+		naiveGemm(want, a, b, bs, m, k, n)
+		Gemm(got, a, b, bs, m, k, n)
+		for i := range want {
+			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+				t.Fatalf("m=%d k=%d n=%d bias=%v: dst[%d] = %g (%#08x), want %g (%#08x) (must be bit-identical)",
+					m, k, n, withBias, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}
@@ -166,9 +257,6 @@ func checkRaggedTiles(t *testing.T) {
 // (kern_amd64_test.go repeats it with the assembly kernels switched off).
 func TestRaggedTiles(t *testing.T) { checkRaggedTiles(t) }
 
-// TestGemmDeterministicAcrossWorkers pins that a GEMM large enough to
-// parallelize produces bit-identical output regardless of GOMAXPROCS:
-// row partitioning must never change per-element accumulation order.
 // TestFanOutCoversRangeOnce pins the one fan-out helper: every index of
 // [0, n) is visited exactly once, chunk starts are multiples of align, and
 // no more than workers chunks are cut.
@@ -241,29 +329,39 @@ func TestGemmConvClampAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGemmDeterministicAcrossWorkers pins that a GEMM large enough to
+// parallelize produces bit-identical output regardless of GOMAXPROCS:
+// row partitioning must never change per-element accumulation order. The
+// second shape is an FC layer's matrix-vector product, with m not a
+// multiple of the 8-row block, so chunks end in remainder rows.
 func TestGemmDeterministicAcrossWorkers(t *testing.T) {
-	const m, k, n = 96, 144, 200 // 2·m·k·n ≈ 5.5M FLOPs > gemmParallelFLOPs
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	bias := make([]float32, m)
-	fillSeq(a, 1)
-	fillSeq(b, 2)
-	fillSeq(bias, 3)
+	for _, c := range []struct{ m, k, n int }{
+		{96, 144, 200}, // 2·m·k·n ≈ 5.5M FLOPs > gemmParallelFLOPs
+		{516, 4096, 1}, // ≈ 4.2M FLOPs, also above it
+	} {
+		m, k, n := c.m, c.k, c.n
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		bias := make([]float32, m)
+		fillSeq(a, 1)
+		fillSeq(b, 2)
+		fillSeq(bias, 3)
 
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	want := make([]float32, m*n)
-	Gemm(want, a, b, bias, m, k, n)
-
-	for _, procs := range []int{2, 4, 7} {
-		runtime.GOMAXPROCS(procs)
-		got := make([]float32, m*n)
-		Gemm(got, a, b, bias, m, k, n)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("GOMAXPROCS=%d: dst[%d] = %g, want %g", procs, i, got[i], want[i])
+		prev := runtime.GOMAXPROCS(1)
+		want := make([]float32, m*n)
+		Gemm(want, a, b, bias, m, k, n)
+		for _, procs := range []int{2, 4, 7} {
+			runtime.GOMAXPROCS(procs)
+			got := make([]float32, m*n)
+			Gemm(got, a, b, bias, m, k, n)
+			for i := range want {
+				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+					runtime.GOMAXPROCS(prev)
+					t.Fatalf("%dx%dx%d GOMAXPROCS=%d: dst[%d] = %g, want %g", m, k, n, procs, i, got[i], want[i])
+				}
 			}
 		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -308,7 +406,38 @@ func benchmarkGemm(b *testing.B, m, k, n int) {
 func BenchmarkGemmSmall(b *testing.B)  { benchmarkGemm(b, 32, 64, 64) }    // below parallel cutoff
 func BenchmarkGemmMedium(b *testing.B) { benchmarkGemm(b, 128, 256, 196) } // conv-like column GEMM
 func BenchmarkGemmLarge(b *testing.B)  { benchmarkGemm(b, 256, 512, 512) } // parallel path
-func BenchmarkGemv(b *testing.B)       { benchmarkGemm(b, 1024, 1024, 1) } // FC path
+
+// BenchmarkGemv times the n==1 path every FC layer takes, at the
+// catalog's FC shapes. SetBytes is the weight bytes alone, so the MB/s
+// column reads against the host's memory bandwidth: fc6's 38.5 MB do not
+// fit in any cache.
+func BenchmarkGemv(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		out, in int
+	}{
+		{"agenet_fc6", 512, 18816},
+		{"agenet_fc7", 512, 512},
+		{"googlenet_loss3", 1000, 1024},
+		{"1024x1024", 1024, 1024},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			a := make([]float32, s.out*s.in)
+			x := make([]float32, s.in)
+			bias := make([]float32, s.out)
+			dst := make([]float32, s.out)
+			fillSeq(a, 1)
+			fillSeq(x, 2)
+			fillSeq(bias, 3)
+			b.ReportAllocs()
+			b.SetBytes(int64(4 * len(a)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Gemm(dst, a, x, bias, s.out, s.in, 1)
+			}
+		})
+	}
+}
 
 // BenchmarkGemmI8Large times the packed int8 GEMM at BenchmarkGemmLarge's
 // shape, the shape the benchmark program's tensor.gemm_int8_gops uses.
