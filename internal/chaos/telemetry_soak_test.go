@@ -160,7 +160,9 @@ func checkSpanParentage(t *testing.T, session int, root *protocol.SpanNode) {
 	}
 	seen := map[string]int{}
 	root.Walk(func(n *protocol.SpanNode) {
-		if n != root && !fleetHopOps[n.Op] && n.Op != "handoff_presend" {
+		// A served root's first child is its bare stream_wait stage, the
+		// one span below the root that names no fleet hop.
+		if n != root && !fleetHopOps[n.Op] && n.Op != "handoff_presend" && n.Op != protocol.SpanStreamWait {
 			t.Errorf("session %d: unknown span op %q in handoff tree", session, n.Op)
 		}
 		if n != root {

@@ -10,7 +10,6 @@ import (
 
 	"websnap/internal/edge"
 	"websnap/internal/obs"
-	"websnap/internal/trace"
 	"websnap/internal/webapp"
 )
 
@@ -52,7 +51,7 @@ func isHex16(s string) bool {
 // every Nth execution. Run under -race. It pins the audit contract:
 // exactly one decision per offload-eligible event, fallback-after-error
 // attributed to the right error kind, and trace IDs on successful
-// decisions joinable to the offloader's span recorder.
+// decisions joinable to the offloader's last span tree.
 func TestAuditFlakyServerConcurrent(t *testing.T) {
 	const (
 		clients   = 4
@@ -163,7 +162,6 @@ func TestAuditFlakyServerConcurrent(t *testing.T) {
 	// paths carry a stamped, unique trace ID and the server's address.
 	seen := map[string]bool{}
 	lastFullTrace := map[string]string{} // appID -> trace ID of latest full decision
-	fullByApp := map[string]int64{}
 	for _, d := range audit.Recent() {
 		if d.Server != addr {
 			t.Errorf("decision server = %q, want %q", d.Server, addr)
@@ -188,26 +186,21 @@ func TestAuditFlakyServerConcurrent(t *testing.T) {
 				t.Errorf("full decision timing = %v/%v", d.Predicted, d.Measured)
 			}
 			lastFullTrace[d.AppID] = d.TraceID
-			fullByApp[d.AppID]++
 		default:
 			t.Errorf("unexpected decision path %s", d.Path)
 		}
 	}
 
 	// Joinability: each offloader's last successful decision names the
-	// same trace the span recorder saw last, and the recorder aggregated
-	// exactly the successful offloads.
+	// trace its last span tree was recorded under.
 	for i, off := range offs {
 		appID := fmt.Sprintf("flaky-%d", i)
 		st := off.Stats()
-		if st.LastTrace == nil {
-			t.Fatalf("client %d: no trace recorded", i)
+		if st.LastSpan == nil {
+			t.Fatalf("client %d: no span recorded", i)
 		}
-		if st.LastTrace.ID != lastFullTrace[appID] {
-			t.Errorf("client %d: last trace %s, last full decision %s", i, st.LastTrace.ID, lastFullTrace[appID])
-		}
-		if got := off.TraceRecorder().Stage(trace.StageExecute).Count(); got != uint64(fullByApp[appID]) {
-			t.Errorf("client %d: recorder execute count = %d, audit full count = %d", i, got, fullByApp[appID])
+		if st.LastTraceID != lastFullTrace[appID] {
+			t.Errorf("client %d: last trace %s, last full decision %s", i, st.LastTraceID, lastFullTrace[appID])
 		}
 	}
 }

@@ -8,7 +8,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"websnap/internal/protocol"
 	"websnap/internal/tensor"
@@ -39,11 +38,6 @@ type ChainOutcome struct {
 	Span *protocol.SpanNode
 	// TraceID is the ID stamped on the chain request.
 	TraceID string
-	// RoundTrip spans request write start to response read completion —
-	// the whole chain's remote latency as seen from the client.
-	RoundTrip time.Duration
-	// WireBytes is the boundary tensor's on-the-wire size.
-	WireBytes int64
 }
 
 // ChainExec ships a boundary tensor down a chain of edge servers, each
@@ -62,7 +56,6 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 		traceID = trace.NewID()
 	}
 	body := protocol.Float32Bytes(boundary.Data())
-	rtStart := time.Now()
 	resp, hdr, err := call[protocol.ChainResultHeader](c, "chain exec", protocol.MsgChainExec, protocol.MsgChainResult, func(seq uint64) any {
 		return protocol.ChainExecHeader{
 			AppID:     appID,
@@ -75,7 +68,6 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 			BodyCRC:   protocol.BodyChecksum(body),
 		}
 	}, body)
-	rt := time.Since(rtStart)
 	if err != nil {
 		return nil, err
 	}
@@ -92,11 +84,5 @@ func (c *Conn) ChainExec(appID, modelName string, hops []protocol.ChainHop, boun
 	if err != nil {
 		return nil, fmt.Errorf("client: chain result tensor: %w", err)
 	}
-	return &ChainOutcome{
-		Output:    out,
-		Span:      hdr.Span,
-		TraceID:   traceID,
-		RoundTrip: rt,
-		WireBytes: int64(len(body)),
-	}, nil
+	return &ChainOutcome{Output: out, Span: hdr.Span, TraceID: traceID}, nil
 }

@@ -91,11 +91,6 @@ type Conn struct {
 	// acquiring a slot blocks when the window is full.
 	slots chan struct{}
 
-	// rec, when set, receives the demux routing latency of every response
-	// (trace.StageDemux) — the time between a frame leaving protocol.Read
-	// and its delivery to the waiting stream.
-	rec atomic.Pointer[trace.Recorder]
-
 	loadMu   sync.Mutex
 	lastLoad *protocol.LoadHint
 	loadAt   time.Time
@@ -290,12 +285,6 @@ func (c *Conn) serverError(hdr *protocol.ErrorHeader) error {
 	return err
 }
 
-// SetTraceRecorder wires a recorder into the Conn's demultiplexer: each
-// response's routing latency lands in its StageDemux histogram. The
-// offloader wires its own recorder here so client digests cover the demux
-// stage.
-func (c *Conn) SetTraceRecorder(rec *trace.Recorder) { c.rec.Store(rec) }
-
 // NegotiateMux sizes the stream window to maxStreams; it must be called
 // before the Conn is shared across goroutines. There is nothing to
 // negotiate: every Conn is multiplexed.
@@ -326,11 +315,6 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
-		// Everything after the read is demux routing: header decode, stream
-		// lookup, handoff. Recording it separately from the wire keeps a
-		// congested reader (many streams racing the single demultiplexer)
-		// visible in the stage histograms.
-		routeStart := time.Now()
 		hdr, env, hdrErr := protocol.DecodeFrame(resp)
 		c.noteLoad(env.Load)
 		if env.Hints&protocol.HintPackedBody != 0 {
@@ -360,9 +344,6 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 		// A header that named its stream but did not decode whole fails
 		// only that stream: the frame was complete.
 		ch <- muxReply{msg: resp, hdr: hdr, err: hdrErr}
-		if rec := c.rec.Load(); rec != nil {
-			rec.Observe(trace.StageDemux, time.Since(routeStart))
-		}
 	}
 }
 

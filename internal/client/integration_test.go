@@ -1,10 +1,13 @@
 package client
 
 import (
+	"bytes"
+	"encoding/json"
 	"net"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,7 +115,7 @@ func TestOffloadEndToEndInPackage(t *testing.T) {
 	if st.Offloads != 1 || st.LastSnapshotBytes == 0 || st.LastResultBytes == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.LastTrace == nil || st.LastTrace.Total() <= 0 {
+	if st.LastSpan == nil || st.LastSpan.Duration() <= 0 {
 		t.Error("timing not recorded")
 	}
 }
@@ -277,7 +280,7 @@ func TestCompressedOffload(t *testing.T) {
 	if fast.PackedOffloads != 0 {
 		t.Errorf("%d of %d loopback requests travelled packed (estimate %.0f B/s)", fast.PackedOffloads, offloads, fast.UplinkBytesPerSec)
 	}
-	if _, ok := fast.LastTrace.Get(trace.StageCompress); ok {
+	if _, ok := stageOf(fast.LastSpan, string(trace.StageCompress)); ok {
 		t.Error("a raw offload recorded a compress span")
 	}
 	if slow.PackedOffloads != offloads {
@@ -290,17 +293,31 @@ func TestCompressedOffload(t *testing.T) {
 	if slow.LastSnapshotBytes*4 > fast.LastSnapshotBytes*3 {
 		t.Errorf("packed body %d B should be under three quarters of its text's %d B", slow.LastSnapshotBytes, fast.LastSnapshotBytes)
 	}
-	if c, ok := slow.LastTrace.Get(trace.StageCompress); !ok || c <= 0 {
+	if c, ok := stageOf(slow.LastSpan, string(trace.StageCompress)); !ok || c <= 0 {
 		t.Error("a packed offload recorded no compress span")
 	}
 }
 
+// stageOf returns the summed duration of span's direct children named op,
+// and whether there is one.
+func stageOf(span *protocol.SpanNode, op string) (d time.Duration, found bool) {
+	for _, c := range span.Children {
+		if c.Op == op {
+			d += c.Duration()
+			found = true
+		}
+	}
+	return d, found
+}
+
 // TestTraceSpansCoverRoundTrip checks the tracing pipeline end to end
-// against a real server: every offload yields a merged client+server trace
-// whose stages are all present and whose spans sum to the independently
-// measured end-to-end offload time — nothing double-counted, nothing lost.
+// against a real server: every offload yields one span tree — the client's
+// stages around the server's served tree, grafted exactly as the result
+// carried it — whose children sum to the independently measured
+// end-to-end offload time: nothing double-counted, nothing lost.
 func TestTraceSpansCoverRoundTrip(t *testing.T) {
-	addr := startEdge(t, edge.Config{Installed: true})
+	var traceLog syncBuffer
+	addr := startEdge(t, edge.Config{Installed: true, TraceLog: &traceLog})
 	conn := dialEdge(t, addr)
 	off, app := newOffloadedApp(t, conn, Options{
 		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
@@ -318,55 +335,66 @@ func TestTraceSpansCoverRoundTrip(t *testing.T) {
 	}
 
 	st := off.Stats()
-	tr := st.LastTrace
-	if tr == nil {
-		t.Fatal("no trace recorded")
+	span := st.LastSpan
+	if span == nil {
+		t.Fatal("no span recorded")
 	}
-	if len(tr.ID) != 16 {
-		t.Errorf("trace ID %q, want 16 hex digits", tr.ID)
+	if span.Op != "offload" || span.Addr != "client" {
+		t.Errorf("root = %s@%s, want offload@client", span.Op, span.Addr)
 	}
-	for _, c := range tr.ID {
-		if !strings.ContainsRune("0123456789abcdef", c) {
-			t.Errorf("trace ID %q contains non-hex digit %q", tr.ID, c)
-			break
-		}
+	if !isHex16(st.LastTraceID) {
+		t.Errorf("trace ID %q, want 16 hex digits", st.LastTraceID)
 	}
-	for _, stage := range []trace.Stage{
-		trace.StageCapture, trace.StageEncode, trace.StageWire,
-		trace.StageQueue, trace.StageExecute, trace.StageResultWire,
-		trace.StageRestore,
+	for _, op := range []string{
+		string(trace.StageCapture), string(trace.StageEncode), string(trace.StageWire),
+		"serve", string(trace.StageResultWire), string(trace.StageRestore),
 	} {
-		if _, ok := tr.Get(stage); !ok {
-			t.Errorf("trace missing stage %s", stage)
+		if _, ok := stageOf(span, op); !ok {
+			t.Errorf("span tree missing stage %s", op)
 		}
 	}
-	if _, ok := tr.Get(trace.StageCompress); ok {
+	if _, ok := stageOf(span, string(trace.StageCompress)); ok {
 		t.Error("uncompressed offload recorded a compress span")
 	}
 
-	// The spans must account for the observed end-to-end time: the wire
+	// The children must account for the observed end-to-end time: the wire
 	// stages are derived as round trip minus the server's span, so the
-	// trace total and the wall-clock time of the classify call measure the
-	// same offload two ways. Allow loose slack for clock-read jitter.
-	if total := tr.Total(); total < e2e/2 || total > 2*e2e {
-		t.Errorf("trace total %v not within [0.5x, 2x] of measured end-to-end %v", total, e2e)
+	// children's sum and the wall-clock time of the classify call measure
+	// the same offload two ways. Allow loose slack for clock-read jitter.
+	var sum int64
+	for _, c := range span.Children {
+		sum += c.Micros
+	}
+	if total := time.Duration(sum) * time.Microsecond; total < e2e/2 || total > 2*e2e {
+		t.Errorf("children sum %v not within [0.5x, 2x] of measured end-to-end %v", total, e2e)
+	}
+	if span.Micros < sum {
+		t.Errorf("root %d µs does not cover its children's %d µs", span.Micros, sum)
 	}
 
-	// The recorder aggregated every offload.
-	rec := off.TraceRecorder()
-	for _, stage := range []trace.Stage{trace.StageCapture, trace.StageExecute, trace.StageRestore} {
-		if got := rec.Stage(stage).Count(); got != offloads {
-			t.Errorf("recorder %s count = %d, want %d", stage, got, offloads)
+	// The grafted serve node is the tree the result carried: the server's
+	// trace log holds the same tree under the same trace ID.
+	lines := strings.Split(strings.TrimSpace(traceLog.String()), "\n")
+	var logged struct {
+		TraceID string             `json:"traceId"`
+		Span    *protocol.SpanNode `json:"span"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &logged); err != nil {
+		t.Fatal(err)
+	}
+	if logged.TraceID != st.LastTraceID {
+		t.Errorf("server logged trace %s last, client recorded %s", logged.TraceID, st.LastTraceID)
+	}
+	var serve *protocol.SpanNode
+	for _, c := range span.Children {
+		if c.Op == "serve" {
+			serve = c
 		}
 	}
-	sums := rec.Summaries()
-	if len(sums) == 0 {
-		t.Fatal("recorder summaries empty")
-	}
-	for _, s := range sums {
-		if s.P50 > s.P95 || s.P95 > s.P99 {
-			t.Errorf("stage %s quantiles not ordered: %+v", s.Stage, s)
-		}
+	got, _ := json.Marshal(serve)
+	want, _ := json.Marshal(logged.Span)
+	if !bytes.Equal(got, want) {
+		t.Errorf("grafted serve node %s, the result carried %s", got, want)
 	}
 }
 
@@ -431,6 +459,165 @@ func TestWireLegsSubtractServedSpan(t *testing.T) {
 			{Op: protocol.SpanStreamWait, Micros: 800}, {Op: protocol.SpanExecute, Micros: 100}}}}
 	if up, down := saturated.wireLegs(); up+down != 100*time.Microsecond {
 		t.Errorf("saturated window: wire %v, want 100µs", up+down)
+	}
+}
+
+// syncBuffer is a goroutine-safe bytes.Buffer for capturing the trace log.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// watchConn shows every chunk written through it to onWrite.
+type watchConn struct {
+	net.Conn
+	onWrite func([]byte)
+}
+
+func (c *watchConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.onWrite(p[:n])
+	return n, err
+}
+
+// locatorFunc is an edge.BlobLocator that knows no holder and runs itself on
+// every locate.
+type locatorFunc func()
+
+func (f locatorFunc) Locate([]string, string) (map[string][]string, *protocol.SpanNode, error) {
+	f()
+	return nil, nil, nil
+}
+
+// TestPreSendUplinkExcludesStreamWait: a pre-send's ack span starts when its
+// frame arrives, as a result's does, so a wait for a stream slot is server
+// time and the upload the client reads off the rest is the link's alone.
+// The one stream slot is held by an offload whose handler blocks, and the
+// pre-send's upload frame queues behind it.
+func TestPreSendUplinkExcludesStreamWait(t *testing.T) {
+	const hold = 100 * time.Millisecond
+	entered, release := make(chan struct{}), make(chan struct{})
+	holdReg := webapp.NewRegistry("holdapp")
+	holdReg.MustRegister("hold", func(app *webapp.App, ev webapp.Event) error {
+		close(entered)
+		<-release
+		return app.SetGlobal("done", "yes")
+	})
+	cat := webapp.NewCatalog()
+	if err := cat.Add(holdReg); err != nil {
+		t.Fatal(err)
+	}
+	holdApp, err := webapp.NewApp("hold-app", holdReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holdApp.AddEventListener("b", "go", "hold"); err != nil {
+		t.Fatal(err)
+	}
+	ev := webapp.Event{Target: "b", Type: "go"}
+	snap, err := snapshot.Capture(holdApp, snapshot.Options{PendingEvent: &ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdBody, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The frames on the wire, in order: the reference offer, the holding
+	// offload (sent while the server locates the offered key, the offer
+	// holding the slot), then the upload the NeedBlob answer triggers.
+	var (
+		conn       atomic.Pointer[Conn]
+		phase      atomic.Int32 // 1 once the holding body is out, 2 once the upload began
+		holdSent   = make(chan struct{})
+		uploadSent = make(chan struct{})
+		holdErr    = make(chan error, 1)
+	)
+	onWrite := func(p []byte) {
+		switch {
+		case phase.Load() == 0 && bytes.Equal(p, holdBody):
+			phase.Store(1)
+			close(holdSent)
+		case phase.Load() == 1:
+			phase.Store(2)
+			close(uploadSent)
+		}
+	}
+	locate := locatorFunc(func() {
+		go func() {
+			_, err := conn.Load().offloadBody(protocol.ReplyDelta, holdApp.ID(), requestBody{wire: holdBody})
+			holdErr <- err
+		}()
+		<-holdSent
+	})
+	addr := startEdge(t, edge.Config{Catalog: cat, Installed: true, MaxStreams: 1,
+		AdvertiseAddr: "edge-under-test:0", Locator: locate})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
+	c, err := DialWrapped(addr, func(c net.Conn) net.Conn { return &watchConn{c, onWrite} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	conn.Store(c)
+
+	var (
+		ps    PreSend
+		psErr error
+		done  = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		ps, psErr = c.PreSendModel("presend-app", "tiny", tinyModel(t), trace.NewID())
+	}()
+	select {
+	case <-uploadSent:
+	case <-done:
+		t.Fatalf("pre-send ended before its upload (err %v)", psErr)
+	}
+	select {
+	case <-entered:
+	case err := <-holdErr:
+		t.Fatalf("holding offload ended before its handler ran: %v", err)
+	}
+	time.Sleep(hold) // the upload waits at least this long for the slot
+	releaseOnce()
+	<-done
+	if err := <-holdErr; err != nil {
+		t.Fatalf("holding offload: %v", err)
+	}
+	if psErr != nil {
+		t.Fatal(psErr)
+	}
+	if ps.Uploaded == 0 {
+		t.Fatal("the server answered the offer; the test needs an upload")
+	}
+	r := ps.Resolve
+	if r == nil || len(r.Children) == 0 || r.Children[0].Op != protocol.SpanStreamWait {
+		t.Fatalf("resolve span = %+v, want a stream_wait stage first", r)
+	}
+	var stages int64
+	for _, c := range r.Children {
+		stages += c.Micros
+	}
+	if r.Micros < stages {
+		t.Errorf("resolve root %d µs does not cover its stages' %d µs", r.Micros, stages)
+	}
+	if ps.Uplink >= hold {
+		t.Errorf("uplink %v, want below the %v the stream slot was held: the wait is server time", ps.Uplink, hold)
 	}
 }
 

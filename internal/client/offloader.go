@@ -117,10 +117,15 @@ type Stats struct {
 	// un-ACKed models ahead of its snapshot, whether the server answered
 	// their keys or took their weights (zero after pre-sending completes).
 	LastInlineModelSend time.Duration
-	// LastTrace is the merged client+server stage trace of the last
-	// completed offload (nil before the first) — the real-path counterpart
-	// of the paper's Fig 7.
-	LastTrace *trace.Trace
+	// LastSpan is the span tree of the last completed offload (nil before
+	// the first) — the real-path counterpart of the paper's Fig 7: a client
+	// root from capture to apply whose children are the client's stages
+	// (trace.Stage names) with the server's served tree grafted, as it came,
+	// between the two wire legs.
+	LastSpan *protocol.SpanNode
+	// LastTraceID is the trace ID the last completed offload was stamped
+	// with; the audit's decision for it carries the same ID.
+	LastTraceID string
 	// LastHandoffSpan is the merged cross-process span tree of the most
 	// recent traced handoff pre-send: the client root over the new
 	// server's resolve span, which nests the registry locate and any peer
@@ -139,8 +144,6 @@ type Offloader struct {
 
 	offloadTypes  map[string]bool
 	excludeModels map[string]bool
-	// rec aggregates per-stage latencies across this offloader's traces.
-	rec *trace.Recorder
 
 	mu      sync.Mutex
 	acked   map[string]bool
@@ -187,17 +190,9 @@ func NewOffloader(app *webapp.App, conn *Conn, opts Options) (*Offloader, error)
 		offloadTypes:  types,
 		excludeModels: excluded,
 		acked:         make(map[string]bool),
-		rec:           trace.NewRecorder(),
 	}
-	// The Conn's demultiplexer feeds its routing latency into the same
-	// recorder as the offload stages, so one digest covers both.
-	conn.SetTraceRecorder(o.rec)
 	return o, nil
 }
-
-// TraceRecorder exposes the per-stage latency histograms aggregated over
-// every offload this offloader has completed.
-func (o *Offloader) TraceRecorder() *trace.Recorder { return o.rec }
 
 // App returns the driven app.
 func (o *Offloader) App() *webapp.App { return o.app }
@@ -218,7 +213,6 @@ func (o *Offloader) Retarget(conn *Conn) error {
 	// Let any in-flight pre-send finish against the old server before
 	// swapping; its ACKs are about to be discarded anyway.
 	o.presendWG.Wait()
-	conn.SetTraceRecorder(o.rec)
 	o.mu.Lock()
 	o.conn = conn
 	o.acked = make(map[string]bool)
@@ -531,9 +525,23 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
 		return out, fmt.Errorf("client: apply result: %w", err)
 	}
-	tr := assembleTrace(reply, captureDur, encodeDur, time.Since(applyStart))
-	o.rec.ObserveTrace(tr)
-	up, _ := reply.wireLegs()
+	end := time.Now()
+	up, down := reply.wireLegs()
+	// The round trip as one tree: the client's stages around the server's
+	// served tree, grafted as it came.
+	span := &protocol.SpanNode{Op: "offload", Addr: "client", Micros: end.Sub(captureStart).Microseconds(),
+		Children: make([]*protocol.SpanNode, 0, 8)}
+	span.AddStage(string(trace.StageCapture), captureDur)
+	span.AddStage(string(trace.StageEncode), encodeDur)
+	if c := reply.Packing + reply.Unpacking; c > 0 {
+		span.AddStage(string(trace.StageCompress), c)
+	}
+	span.AddStage(string(trace.StageWire), up)
+	if reply.Span != nil {
+		span.Children = append(span.Children, reply.Span)
+	}
+	span.AddStage(string(trace.StageResultWire), down)
+	span.AddStage(string(trace.StageRestore), end.Sub(applyStart))
 	o.mu.Lock()
 	o.uplink.observe(reply.WireBytes, up)
 	o.stats.Offloads++
@@ -545,30 +553,8 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	o.stats.LastModelIncluded = inlineBytes > 0
 	o.stats.LastInlineModelBytes = inlineBytes
 	o.stats.LastInlineModelSend = inlineTook
-	o.stats.LastTrace = tr
+	o.stats.LastSpan = span
+	o.stats.LastTraceID = reply.TraceID
 	o.mu.Unlock()
 	return out, nil
-}
-
-// assembleTrace merges one round trip's client-side measurements with the
-// server's span into a single per-offload trace. Wire time is what
-// offloadReply.wireLegs derives; the queue and execute stages are the span's
-// (protocol.SpanNode.ServerStages).
-func assembleTrace(reply offloadReply, capture, encode, restore time.Duration) *trace.Trace {
-	tr := &trace.Trace{ID: reply.TraceID}
-	tr.Add(trace.StageCapture, capture)
-	tr.Add(trace.StageEncode, encode)
-	if c := reply.Packing + reply.Unpacking; c > 0 {
-		tr.Add(trace.StageCompress, c)
-	}
-	up, down := reply.wireLegs()
-	tr.Add(trace.StageWire, up)
-	if reply.Span != nil {
-		_, queue, execute := reply.Span.ServerStages()
-		tr.Add(trace.StageQueue, queue)
-		tr.Add(trace.StageExecute, execute)
-	}
-	tr.Add(trace.StageResultWire, down)
-	tr.Add(trace.StageRestore, restore)
-	return tr
 }

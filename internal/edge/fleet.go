@@ -27,31 +27,6 @@ type BlobLocator interface {
 	Locate(keys []string, traceID string) (map[string][]string, *protocol.SpanNode, error)
 }
 
-// spanTrail accumulates the fleet-hop spans of one traced request as it
-// crosses processes: registry locates and peer fetches append their
-// SpanNodes here, and the request handler parents them all under one root
-// carried back on the response. A nil trail means the request carried no
-// trace ID; the hops still happen, they just aren't reported.
-type spanTrail struct {
-	traceID string
-	spans   []*protocol.SpanNode
-}
-
-// add appends a span to the trail (nil-safe).
-func (t *spanTrail) add(n *protocol.SpanNode) {
-	if t != nil && n != nil {
-		t.spans = append(t.spans, n)
-	}
-}
-
-// id returns the propagated trace ID ("" for untraced requests).
-func (t *spanTrail) id() string {
-	if t == nil {
-		return ""
-	}
-	return t.traceID
-}
-
 // peerFetchTimeout bounds one peer-to-peer blob fetch (dial + request +
 // transfer).
 const peerFetchTimeout = 5 * time.Second
@@ -86,12 +61,13 @@ func (s *Server) BlobKeys() []string {
 // the search while the remaining holders can still satisfy it. The caller
 // stores what verify decoded, so the next heartbeat advertises the key and
 // later requests and peers are served from here. Only a fleet-joined server
-// with a locator looks beyond its own store.
-func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) error) error {
+// with a locator looks beyond its own store. A traced req collects the
+// registry and peer hops as children of its span.
+func (s *Server) resolveBlob(key string, req *request, verify func([]byte) error) error {
 	if !s.fleetEnabled() || s.cfg.Locator == nil {
 		return errBlobUnavailable
 	}
-	holders, err := s.locateBlob(key, trail)
+	holders, err := s.locateBlob(key, req)
 	if err != nil {
 		return fmt.Errorf("%w: locate: %v", errBlobUnavailable, err)
 	}
@@ -100,7 +76,7 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 		if addr == s.cfg.AdvertiseAddr {
 			continue // the index may lag our own evictions
 		}
-		data, err := s.fetchBlobFromPeer(addr, key, trail)
+		data, err := s.fetchBlobFromPeer(addr, key, req)
 		if err == nil {
 			err = verify(data)
 		}
@@ -122,22 +98,22 @@ func (s *Server) resolveBlob(key string, trail *spanTrail, verify func([]byte) e
 // locateBlob asks the locator which peers hold key, propagating the
 // request's trace through the registry hop. The hop's round trip feeds the
 // StageRegistry histogram either way.
-func (s *Server) locateBlob(key string, trail *spanTrail) (map[string][]string, error) {
+func (s *Server) locateBlob(key string, req *request) (map[string][]string, error) {
 	start := time.Now()
-	holders, span, err := s.cfg.Locator.Locate([]string{key}, trail.id())
+	holders, span, err := s.cfg.Locator.Locate([]string{key}, req.env.TraceID)
 	rtt := time.Since(start)
 	s.rec.Observe(trace.StageRegistry, rtt)
 	if err != nil {
 		return nil, err
 	}
-	if trail != nil {
+	if req.env.TraceID != "" {
 		if span == nil {
 			// The locator does not trace; record the hop from this side so
 			// the tree still shows it.
 			span = &protocol.SpanNode{Op: "registry_rpc", Micros: rtt.Microseconds()}
 		}
 		span.Detail = key
-		trail.add(span)
+		req.span.Children = append(req.span.Children, span)
 	}
 	return holders, nil
 }
@@ -145,15 +121,15 @@ func (s *Server) locateBlob(key string, trail *spanTrail) (map[string][]string, 
 // fetchBlobFromPeer performs one MsgBlobGet round trip against another
 // edge server and verifies the returned bytes against the frame checksum.
 // Content identity (the bytes actually hashing to key) is verified by the
-// caller where the decoded form is at hand. A traced fetch (trail != nil)
-// propagates the trace ID to the peer and nests the peer's serve span
-// under this hop's round-trip span.
-func (s *Server) fetchBlobFromPeer(addr, key string, trail *spanTrail) ([]byte, error) {
+// caller where the decoded form is at hand. A traced fetch propagates the
+// trace ID to the peer and nests the peer's serve span under this hop's
+// round-trip span.
+func (s *Server) fetchBlobFromPeer(addr, key string, req *request) ([]byte, error) {
 	start := time.Now()
-	body, remote, err := s.doFetchBlob(addr, key, trail.id())
+	body, remote, err := s.doFetchBlob(addr, key, req.env.TraceID)
 	rtt := time.Since(start)
 	s.rec.Observe(trace.StagePeerFetch, rtt)
-	if trail != nil {
+	if req.env.TraceID != "" {
 		span := &protocol.SpanNode{
 			Op:     "peer_fetch",
 			Addr:   addr,
@@ -166,7 +142,7 @@ func (s *Server) fetchBlobFromPeer(addr, key string, trail *spanTrail) ([]byte, 
 		if remote != nil {
 			span.Children = []*protocol.SpanNode{remote}
 		}
-		trail.add(span)
+		req.span.Children = append(req.span.Children, span)
 	}
 	return body, err
 }
@@ -207,8 +183,7 @@ func (s *Server) doFetchBlob(addr, key, traceID string) ([]byte, *protocol.SpanN
 
 // handleBlobGet serves a peer's content-addressed fetch from the session
 // store.
-func (s *Server) handleBlobGet(hdr *protocol.BlobGetHeader) (protocol.Message, error) {
-	start := time.Now()
+func (s *Server) handleBlobGet(req *request, hdr *protocol.BlobGetHeader) (protocol.Message, error) {
 	if !s.fleetEnabled() {
 		return protocol.Message{}, errors.New("blob sharing not enabled on this edge server")
 	}
@@ -223,14 +198,10 @@ func (s *Server) handleBlobGet(hdr *protocol.BlobGetHeader) (protocol.Message, e
 		BodyCRC: protocol.BodyChecksum(data),
 	}
 	if hdr.TraceID != "" {
-		// The fetching peer propagated a trace: answer with this server's
-		// serve span so the requester's tree covers this process too.
-		resp.Span = &protocol.SpanNode{
-			Op:     "blob_serve",
-			Addr:   s.cfg.AdvertiseAddr,
-			Micros: time.Since(start).Microseconds(),
-			Detail: hdr.Key,
-		}
+		// The fetching peer propagated a trace: answer with this request's
+		// span so the requester's tree covers this process too.
+		req.span.Op, req.span.Detail = "blob_serve", hdr.Key
+		resp.Span = req.finish()
 	}
 	return protocol.Encode(protocol.MsgBlobData, resp, data)
 }
@@ -243,7 +214,7 @@ func (s *Server) handleBlobGet(hdr *protocol.BlobGetHeader) (protocol.Message, e
 // wrong or tampered blob cannot be installed). That check runs per
 // candidate holder, so one bad or stale peer cannot end the search while
 // others still hold the real bytes.
-func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, trail *spanTrail) (*nn.Network, error) {
+func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, req *request) (*nn.Network, error) {
 	if hdr.BlobKey == "" {
 		return nil, errors.New("reference pre-send without blob key")
 	}
@@ -251,7 +222,7 @@ func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, trail *spanTrail)
 		return e.net, nil
 	}
 	var net *nn.Network
-	err := s.resolveBlob(hdr.BlobKey, trail, func(body []byte) error {
+	err := s.resolveBlob(hdr.BlobKey, req, func(body []byte) error {
 		decoded, err := decodeModel(hdr, body)
 		if err != nil {
 			return err

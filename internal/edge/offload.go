@@ -42,7 +42,7 @@ func (s *Server) handleOffload(req *request, hdr *protocol.SnapshotHeader) (prot
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	req.stage(protocol.SpanDecode, time.Since(decodeStart))
+	req.span.AddStage(protocol.SpanDecode, time.Since(decodeStart))
 	task := sched.NewTask("", snap)
 	task.Bytes = int64(len(plain))
 	v, err := s.runTask(req, task)
@@ -81,8 +81,8 @@ func (s *Server) runTask(req *request, task *sched.Task) (any, error) {
 		return nil, &overloadError{err: err, overloaded: errors.Is(err, sched.ErrQueueFull)}
 	}
 	v, err := task.Wait()
-	req.stage(protocol.SpanQueue, task.QueueWait())
-	req.stage(protocol.SpanExecute, task.ExecTime())
+	req.span.AddStage(protocol.SpanQueue, task.QueueWait())
+	req.span.AddStage(protocol.SpanExecute, task.ExecTime())
 	if errors.Is(err, sched.ErrClosed) {
 		return nil, &overloadError{err: err}
 	}
@@ -162,7 +162,7 @@ func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string
 			encoding, plainLen, body = protocol.EncodingPacked, int64(len(body)), packed
 		}
 	}
-	req.stage(protocol.SpanEncode, time.Since(encodeStart))
+	req.span.AddStage(protocol.SpanEncode, time.Since(encodeStart))
 	return protocol.Encode(t, protocol.SnapshotHeader{
 		AppID: appID, Seq: hdr.Seq, Encoding: encoding, PlainLen: plainLen,
 		Hints:   protocol.HintPackedBody,
@@ -173,14 +173,12 @@ func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string
 	}, body)
 }
 
-// served closes the span of a snapshot offload or a chain hop — its root now
-// covers the server's whole share, from the frame's stream-slot wait to the
-// response — and feeds that one tree to every consumer: the stage histograms,
-// the SLO, the slow-request flight capture and the trace log. The caller
-// sends the same tree home on the response.
+// served closes the span of a snapshot offload or a chain hop and feeds that
+// one tree to every consumer: the stage histograms, the SLO, the
+// slow-request flight capture and the trace log. The caller sends the same
+// tree home on the response.
 func (s *Server) served(req *request, appID string) *protocol.SpanNode {
-	root := req.span
-	root.Micros = time.Since(req.start).Microseconds()
+	root := req.finish()
 	streamWait, queue, execute := root.ServerStages()
 	s.rec.Observe(trace.StageStreamWait, streamWait)
 	s.rec.Observe(trace.StageQueue, queue)

@@ -502,10 +502,10 @@ func (s *Server) handleConn(conn net.Conn) {
 // request is one admitted frame with its header decoded, once, by
 // dispatchStream: hdr is what protocol.DecodeFrame returned, env its
 // envelope, hdrErr its error. span is the server's span tree for the
-// request, begun at start, when the frame asked for a stream slot: a
-// snapshot offload or a chain hop adds its stages and closes the root
-// (served), and a failed request goes to the flight ring with the tree as
-// far as it got.
+// request, begun at start, when the frame asked for a stream slot: its
+// handler adds stages (or, for a pre-send, the fleet hops that resolved it)
+// and answers with the closed root, and a failed request goes to the flight
+// ring with the tree as far as it got.
 type request struct {
 	msg    protocol.Message
 	hdr    any
@@ -515,33 +515,40 @@ type request struct {
 	span   *protocol.SpanNode
 }
 
-// stage appends one bare stage child to the request's span.
-func (r *request) stage(op string, d time.Duration) {
-	r.span.Children = append(r.span.Children, &protocol.SpanNode{Op: op, Micros: d.Microseconds()})
+// newRequest begins the request of one frame: its header decoded, its span
+// started. An undecodable header dispatches as stream 0; the handler reports
+// the decode error in an error frame, which the client takes as being about
+// the whole connection.
+func (s *Server) newRequest(msg protocol.Message) *request {
+	hdr, env, hdrErr := protocol.DecodeFrame(msg)
+	return &request{msg: msg, hdr: hdr, env: env, hdrErr: hdrErr, start: time.Now(),
+		span: &protocol.SpanNode{Op: "serve", Addr: s.cfg.AdvertiseAddr}}
+}
+
+// finish closes the request's span: its root now covers the server's whole
+// share, from the frame's stream-slot wait to the response.
+func (r *request) finish() *protocol.SpanNode {
+	r.span.Micros = time.Since(r.start).Microseconds()
+	return r.span
 }
 
 // dispatchStream admits one frame as a stream: it decodes the header, waits
 // for a stream slot, and only then hands the request to a handler goroutine
 // that holds the slot until its response is written.
 func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct{}, streams *sync.WaitGroup, msg protocol.Message) {
-	// An undecodable header dispatches as stream 0; the handler reports the
-	// decode error in an error frame, which the client takes as being about
-	// the whole connection.
-	hdr, env, hdrErr := protocol.DecodeFrame(msg)
 	// The stream-semaphore wait is where backpressure bites; it is the span's
 	// first stage, so the stream_wait stage histogram exposes a saturated
 	// window.
-	req := &request{msg: msg, hdr: hdr, env: env, hdrErr: hdrErr, start: time.Now(),
-		span: &protocol.SpanNode{Op: "serve", Addr: s.cfg.AdvertiseAddr}}
+	req := s.newRequest(msg)
 	slots <- struct{}{}
-	req.stage(protocol.SpanStreamWait, time.Since(req.start))
+	req.span.AddStage(protocol.SpanStreamWait, time.Since(req.start))
 	// The request is admitted here, before its goroutine starts: either
 	// Close has not begun and will wait for it, or it has and the stream is
 	// refused with one Error frame.
 	if !s.conns.Enter() {
 		<-slots
 		s.errorsAnswered.Inc()
-		resp, err := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{Message: "edge: server closed", Seq: env.Seq}, nil)
+		resp, err := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{Message: "edge: server closed", Seq: req.env.Seq}, nil)
 		if err == nil {
 			err = cw.write(resp)
 		}
@@ -658,7 +665,7 @@ func (s *Server) dispatch(req *request) (protocol.Message, error) {
 	case *protocol.PingHeader:
 		return s.handlePing(hdr)
 	case *protocol.ModelPreSendHeader:
-		return s.handleModelPreSend(msg, hdr)
+		return s.handleModelPreSend(req, hdr)
 	case *protocol.SnapshotHeader:
 		if msg.Type == protocol.MsgSnapshot {
 			return s.handleOffload(req, hdr)
@@ -666,7 +673,7 @@ func (s *Server) dispatch(req *request) (protocol.Message, error) {
 	case *protocol.InstallOverlayHeader:
 		return s.handleInstall(msg, hdr)
 	case *protocol.BlobGetHeader:
-		return s.handleBlobGet(hdr)
+		return s.handleBlobGet(req, hdr)
 	case *protocol.ChainExecHeader:
 		return s.handleChainExec(req, hdr)
 	}
@@ -700,34 +707,21 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 // message to the client." The client offers a reference first (RefOnly +
 // BlobKey): the server resolves the model from its store or, fleet-joined,
 // a peer, and answers NeedBlob when it cannot, telling the client to send
-// the weights.
-func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
-	start := time.Now()
-	// A traced pre-send collects the fleet-hop spans (registry locate, peer
-	// fetches) to parent under the ack's span.
-	var trail *spanTrail
-	if hdr.TraceID != "" {
-		trail = &spanTrail{traceID: hdr.TraceID}
-	}
-	// ack answers under a span whose root is the server's share of the
-	// round trip, so the client can read its uplink off the rest.
+// the weights. The ack's span is the request's, stream-slot wait included;
+// a pre-send is no served request, so it feeds no SLO, stage histogram or
+// trace log.
+func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
+	req.span.Op, req.span.Detail = "presend_resolve", hdr.BlobKey
+	// ack answers under the request's span, whose root is the server's share
+	// of the round trip, so the client can read its uplink off the rest.
 	ack := func(needBlob bool) (protocol.Message, error) {
-		span := &protocol.SpanNode{
-			Op:     "presend_resolve",
-			Addr:   s.cfg.AdvertiseAddr,
-			Micros: time.Since(start).Microseconds(),
-			Detail: hdr.BlobKey,
-		}
-		if trail != nil {
-			span.Children = trail.spans
-		}
 		return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
 			AppID:     hdr.AppID,
 			ModelName: hdr.ModelName,
 			Seq:       hdr.Seq,
 			Load:      s.loadHint(),
 			NeedBlob:  needBlob,
-			Span:      span,
+			Span:      req.finish(),
 			Hints:     protocol.HintPackedBody,
 		}, nil)
 	}
@@ -737,17 +731,17 @@ func (s *Server) handleModelPreSend(msg protocol.Message, hdr *protocol.ModelPre
 		err error
 	)
 	if hdr.RefOnly {
-		if net, err = s.resolveModel(*hdr, trail); err != nil {
+		if net, err = s.resolveModel(*hdr, req); err != nil {
 			s.refPreSendMisses.Inc()
 			s.log.Debug("edge: ref pre-send unresolved", obs.F("model", hdr.ModelName), obs.F("blob", hdr.BlobKey), obs.Err(err))
 			return ack(true)
 		}
 		s.refPreSendHits.Inc()
 	} else {
-		if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
+		if err := protocol.VerifyBody(req.msg.Body, hdr.BodyCRC); err != nil {
 			return protocol.Message{}, fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
 		}
-		if net, err = decodeModel(*hdr, msg.Body); err != nil {
+		if net, err = decodeModel(*hdr, req.msg.Body); err != nil {
 			return protocol.Message{}, err
 		}
 		// An uploaded model is keyed by what it hashes to, whatever key

@@ -241,7 +241,7 @@ func refPreSend(t *testing.T, srv *Server, model *nn.Network) protocol.AckHeader
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := srv.handleModelPreSend(req, &hdr)
+	resp, err := srv.dispatch(srv.newRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}

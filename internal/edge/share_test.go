@@ -49,13 +49,14 @@ func TestRefPreSendLinksHeldModel(t *testing.T) {
 		AppID: "borrower", ModelName: "wide", Spec: spec,
 		BlobKey: nn.Fingerprint(model), RefOnly: true,
 	}
-	req, err := protocol.Encode(protocol.MsgModelPreSend, hdr, nil)
+	msg, err := protocol.Encode(protocol.MsgModelPreSend, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := srv.newRequest(msg)
 
 	var resp protocol.Message
-	spent := int64(testutil.MeasureAllocs(1, func() { resp, err = srv.handleModelPreSend(req, &hdr) }).Bytes)
+	spent := int64(testutil.MeasureAllocs(1, func() { resp, err = srv.dispatch(req) }).Bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +166,8 @@ func FuzzModelPreSend(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		msg := protocol.Message{Type: protocol.MsgModelPreSend, Header: header, Body: body}
-		hdr, _, hdrErr := protocol.DecodeFrame(msg)
-		resp, err := srv.dispatch(&request{msg: msg, hdr: hdr, hdrErr: hdrErr})
+		req := srv.newRequest(protocol.Message{Type: protocol.MsgModelPreSend, Header: header, Body: body})
+		resp, err := srv.dispatch(req)
 		if err != nil || resp.Type != protocol.MsgAck {
 			return
 		}
@@ -178,7 +178,7 @@ func FuzzModelPreSend(f *testing.F) {
 		if ack.NeedBlob {
 			return
 		}
-		h := hdr.(*protocol.ModelPreSendHeader)
+		h := req.hdr.(*protocol.ModelPreSendHeader)
 		net, ok := srv.store.Get(h.AppID, h.ModelName)
 		srv.store.mu.Lock()
 		held := srv.store.models[h.AppID][h.ModelName]

@@ -108,22 +108,6 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Objective selects what the chain DP minimizes.
-type Objective int
-
-const (
-	// ObjectiveLatency minimizes one request's end-to-end latency: the sum
-	// of every hop's compute, every boundary transfer, and the result
-	// return.
-	ObjectiveLatency Objective = iota
-	// ObjectiveThroughput minimizes the pipeline bottleneck: with a steady
-	// request stream, each hop works on request n while its upstream works
-	// on n+1, so sustained throughput is 1/max(stage time). A stage's time
-	// is its compute plus its outbound boundary cost; the terminal stage
-	// carries the result return.
-	ObjectiveThroughput
-)
-
 // Hop is one device on the chain. Hops[0] is the client; its QueueDelay is
 // ignored (the client does not queue behind itself).
 type Hop struct {
@@ -162,8 +146,6 @@ type ChainConfig struct {
 	StateOverheadBytes int64
 	// ResultBytes is the size of the returning result snapshot.
 	ResultBytes int64
-	// Objective selects latency (default) or pipelined throughput.
-	Objective Objective
 	// Precision is the compute precision every hop runs its layer range
 	// at (empty means float32). Boundary feature sizes are unchanged —
 	// quantized plans dequantize at cut points — but hop compute shrinks
@@ -255,11 +237,7 @@ type ChainCandidate struct {
 	// Latency is the end-to-end single-request estimate (the sum of all of
 	// the above).
 	Latency time.Duration
-	// Bottleneck is the pipelined-throughput stage bound: the largest
-	// single stage (hop compute + outbound boundary cost).
-	Bottleneck time.Duration
-	// Total is the objective value the DP minimized: Latency under
-	// ObjectiveLatency, Bottleneck under ObjectiveThroughput.
+	// Total is the value the DP minimized: Latency.
 	Total time.Duration
 }
 
@@ -291,9 +269,8 @@ func (p ChainPlan) Choose(requireDenature bool) (ChainCandidate, error) {
 // AnalyzeChain chooses the optimal ordered cut set placing net's layers
 // across cfg.Hops. With K hops it selects K-1 strictly increasing cuts
 // from the network's partition points by dynamic programming over cut
-// positions: dp[i][j] is the best objective over hops 0..i-1 with cut i at
-// point j, combined left to right (sum under ObjectiveLatency, max under
-// ObjectiveThroughput — both monotone, so the prefix optimum is safe to
+// positions: dp[i][j] is the least latency over hops 0..i-1 with cut i at
+// point j, summed left to right (monotone, so the prefix optimum is safe to
 // reuse). O(K·m²) for m partition points, versus C(m, K-1) brute force.
 func AnalyzeChain(net *nn.Network, cfg ChainConfig) (ChainPlan, error) {
 	if cfg.TextBytesPerValue <= 0 {
@@ -395,16 +372,6 @@ func (c chainCosts) hopRange(h, from, to int) time.Duration {
 func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, costs chainCosts, requireDenature bool) (ChainCandidate, bool) {
 	k := len(cfg.Hops)
 	m := len(pts)
-	combine := func(a, b time.Duration) time.Duration {
-		if cfg.Objective == ObjectiveThroughput {
-			if a > b {
-				return a
-			}
-			return b
-		}
-		return a + b
-	}
-
 	const unset = time.Duration(-1)
 	dp := make([][]time.Duration, k)
 	parent := make([][]int, k)
@@ -421,9 +388,6 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 			continue
 		}
 		// Stage 0: client computes [0, p] and pays the first hand-off.
-		// Within a stage, compute and outbound hand-off always add; only
-		// across stages does the objective pick sum (latency) or max
-		// (pipeline bottleneck).
 		dp[1][j] = costs.hopRange(0, 0, p.Index+1) + costs.cutCost[1][j]
 	}
 	for i := 2; i < k; i++ {
@@ -433,7 +397,7 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 					continue
 				}
 				stage := costs.hopRange(i-1, pts[jp].Index+1, pts[j].Index+1) + costs.cutCost[i][j]
-				total := combine(dp[i-1][jp], stage)
+				total := dp[i-1][jp] + stage
 				if dp[i][j] == unset || total < dp[i][j] {
 					dp[i][j] = total
 					parent[i][j] = jp
@@ -447,7 +411,7 @@ func solveChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, 
 			continue
 		}
 		tail := costs.hopRange(k-1, pts[j].Index+1, len(infos)) + costs.downCost
-		total := combine(dp[k-1][j], tail)
+		total := dp[k-1][j] + tail
 		if bestJ < 0 || total < bestTotal {
 			bestJ, bestTotal = j, total
 		}
@@ -474,6 +438,7 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 	for i, j := range cutIdx {
 		cand.Cuts[i] = pts[j]
 	}
+	var compute time.Duration
 	for h := 0; h < k; h++ {
 		from := 0
 		if h > 0 {
@@ -484,6 +449,7 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 			to = pts[cutIdx[h]].Index + 1
 		}
 		cand.Hops[h] = HopCost{From: from, To: to, Compute: costs.hopRange(h, from, to)}
+		compute += cand.Hops[h].Compute
 		if h > 0 {
 			cand.Hops[h].QueueDelay = cfg.Hops[h].QueueDelay
 			cand.QueueDelay += cfg.Hops[h].QueueDelay
@@ -500,24 +466,8 @@ func evaluateChain(infos []nn.LayerInfo, pts []nn.PartitionPoint, cutIdx []int, 
 		cand.TransferTime += l.TransferTime(downBytes)
 	}
 	cand.SnapshotOverhead += cfg.Hops[k-1].Device.SnapshotTime(downBytes) + cfg.Hops[0].Device.SnapshotTime(downBytes)
-	var compute time.Duration
-	for h := 0; h < k; h++ {
-		compute += cand.Hops[h].Compute
-		stage := cand.Hops[h].Compute
-		if h < k-1 {
-			stage += costs.cutCost[h+1][cutIdx[h]]
-		} else {
-			stage += costs.downCost
-		}
-		if stage > cand.Bottleneck {
-			cand.Bottleneck = stage
-		}
-	}
 	cand.Latency = compute + cand.TransferTime + cand.SnapshotOverhead + cand.QueueDelay
 	cand.Total = cand.Latency
-	if cfg.Objective == ObjectiveThroughput {
-		cand.Total = cand.Bottleneck
-	}
 	return cand
 }
 

@@ -151,10 +151,10 @@ func TestChainK2MatchesLegacy(t *testing.T) {
 	}
 }
 
-// bruteChainTotal recomputes a cut set's objective value from first
+// bruteChainTotal recomputes a cut set's end-to-end latency from first
 // principles (public costmodel/netem API only), independently of the DP's
 // prefix tables.
-func bruteChainTotal(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint, cuts []int, cfg ChainConfig) (latency, bottleneck time.Duration) {
+func bruteChainTotal(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint, cuts []int, cfg ChainConfig) (latency time.Duration) {
 	t.Helper()
 	k := len(cfg.Hops)
 	downBytes := cfg.ResultBytes + cfg.StateOverheadBytes
@@ -187,15 +187,12 @@ func bruteChainTotal(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint
 			stage += downCost
 		}
 		latency += stage
-		if stage > bottleneck {
-			bottleneck = stage
-		}
 	}
-	return latency, bottleneck
+	return latency
 }
 
 // bruteForceBest enumerates every strictly increasing cut tuple and
-// returns the minimal objective value.
+// returns the least latency.
 func bruteForceBest(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint, cfg ChainConfig, denature bool) (time.Duration, bool) {
 	t.Helper()
 	k := len(cfg.Hops)
@@ -204,11 +201,7 @@ func bruteForceBest(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint,
 	var walk func(slot, from int)
 	walk = func(slot, from int) {
 		if slot == k-1 {
-			lat, bot := bruteChainTotal(t, infos, pts, cuts, cfg)
-			total := lat
-			if cfg.Objective == ObjectiveThroughput {
-				total = bot
-			}
+			total := bruteChainTotal(t, infos, pts, cuts, cfg)
 			if !found || total < best {
 				best, found = total, true
 			}
@@ -227,8 +220,7 @@ func bruteForceBest(t *testing.T, infos []nn.LayerInfo, pts []nn.PartitionPoint,
 }
 
 // TestChainDPMatchesBruteForce is the DP's correctness property: on a
-// small net and on every catalog model, for K of 2 and 3, both objectives,
-// with and without the denaturing constraint, the DP's chosen cut set
+// small net and on every catalog model, for K of 2 and 3, with and without the denaturing constraint, the DP's chosen cut set
 // achieves exactly the exhaustive-enumeration optimum, and its reported
 // breakdown re-evaluates to its reported total.
 func TestChainDPMatchesBruteForce(t *testing.T) {
@@ -255,51 +247,47 @@ func TestChainDPMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{2, 3} {
-			for _, obj := range []Objective{ObjectiveLatency, ObjectiveThroughput} {
-				for _, denature := range []bool{false, true} {
-					cfg := chainConfig3()
-					cfg.Hops = cfg.Hops[:k]
-					cfg.Links = cfg.Links[:k-1]
-					cfg.Objective = obj
-					cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
-					plan, err := AnalyzeChain(net, cfg)
-					if err != nil {
-						t.Fatalf("%s k=%d obj=%d: %v", name, k, obj, err)
+			for _, denature := range []bool{false, true} {
+				cfg := chainConfig3()
+				cfg.Hops = cfg.Hops[:k]
+				cfg.Links = cfg.Links[:k-1]
+				cfg.TextBytesPerValue = snapshot.Float32TextBytesPerValue
+				plan, err := AnalyzeChain(net, cfg)
+				if err != nil {
+					t.Fatalf("%s k=%d: %v", name, k, err)
+				}
+				got, gotErr := plan.Choose(denature)
+				want, feasible := bruteForceBest(t, infos, pts, cfg, denature)
+				if !feasible {
+					if !errors.Is(gotErr, ErrNoCandidate) {
+						t.Fatalf("%s k=%d denature=%v: DP found %v, brute force found nothing", name, k, denature, got.Total)
 					}
-					got, gotErr := plan.Choose(denature)
-					want, feasible := bruteForceBest(t, infos, pts, cfg, denature)
-					if !feasible {
-						if !errors.Is(gotErr, ErrNoCandidate) {
-							t.Fatalf("%s k=%d obj=%d denature=%v: DP found %v, brute force found nothing", name, k, obj, denature, got.Total)
-						}
-						continue
-					}
-					if gotErr != nil {
-						t.Fatalf("%s k=%d obj=%d denature=%v: DP failed (%v), brute force found %v", name, k, obj, denature, gotErr, want)
-					}
-					if got.Total != want {
-						t.Errorf("%s k=%d obj=%d denature=%v: DP total %v != brute-force optimum %v (cuts %v)",
-							name, k, obj, denature, got.Total, want, got.Cuts)
-					}
-					// The candidate's own breakdown must re-evaluate to the
-					// total it claims.
-					cutIdx := make([]int, len(got.Cuts))
-					for i, c := range got.Cuts {
-						found := false
-						for j, p := range pts {
-							if p.Index == c.Index {
-								cutIdx[i], found = j, true
-							}
-						}
-						if !found {
-							t.Fatalf("cut %+v not a partition point", c)
+					continue
+				}
+				if gotErr != nil {
+					t.Fatalf("%s k=%d denature=%v: DP failed (%v), brute force found %v", name, k, denature, gotErr, want)
+				}
+				if got.Total != want {
+					t.Errorf("%s k=%d denature=%v: DP total %v != brute-force optimum %v (cuts %v)",
+						name, k, denature, got.Total, want, got.Cuts)
+				}
+				// The candidate's own breakdown must re-evaluate to the
+				// total it claims.
+				cutIdx := make([]int, len(got.Cuts))
+				for i, c := range got.Cuts {
+					found := false
+					for j, p := range pts {
+						if p.Index == c.Index {
+							cutIdx[i], found = j, true
 						}
 					}
-					lat, bot := bruteChainTotal(t, infos, pts, cutIdx, cfg)
-					if got.Latency != lat || got.Bottleneck != bot {
-						t.Errorf("%s k=%d obj=%d denature=%v: breakdown latency %v/bottleneck %v, recomputed %v/%v",
-							name, k, obj, denature, got.Latency, got.Bottleneck, lat, bot)
+					if !found {
+						t.Fatalf("cut %+v not a partition point", c)
 					}
+				}
+				if lat := bruteChainTotal(t, infos, pts, cutIdx, cfg); got.Latency != lat {
+					t.Errorf("%s k=%d denature=%v: breakdown latency %v, recomputed %v",
+						name, k, denature, got.Latency, lat)
 				}
 			}
 		}
@@ -367,28 +355,5 @@ func TestChainNoCandidate(t *testing.T) {
 	}
 	if _, err := plan.Choose(false); err != nil {
 		t.Errorf("unconstrained choose should succeed: %v", err)
-	}
-}
-
-func TestChainThroughputObjective(t *testing.T) {
-	net, err := models.Build(models.AgeNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := chainConfig3()
-	cfg.Objective = ObjectiveThroughput
-	plan, err := AnalyzeChain(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := plan.Choose(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Total != best.Bottleneck {
-		t.Errorf("throughput objective total %v != bottleneck %v", best.Total, best.Bottleneck)
-	}
-	if best.Bottleneck > best.Latency {
-		t.Errorf("bottleneck %v exceeds end-to-end latency %v", best.Bottleneck, best.Latency)
 	}
 }

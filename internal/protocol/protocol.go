@@ -269,6 +269,11 @@ const (
 	SpanEncode     = "encode"      // result diff + encode + any packing
 )
 
+// AddStage appends one bare stage child (op and duration only) to n.
+func (n *SpanNode) AddStage(op string, d time.Duration) {
+	n.Children = append(n.Children, &SpanNode{Op: op, Micros: d.Microseconds()})
+}
+
 // Duration returns the span's duration; zero for a nil span.
 func (n *SpanNode) Duration() time.Duration {
 	if n == nil {
@@ -383,9 +388,9 @@ type AckHeader struct {
 	// retry with the full weight bytes.
 	NeedBlob bool `json:"needBlob,omitempty"`
 	// Span is the server's span for this pre-send: its root covers the
-	// server's share once the frame had arrived, so the round trip less the
-	// root is the upload, the client's first reading of its uplink. The
-	// blob-resolution spans of other processes (registry locate, peer
+	// server's share from the frame's arrival, stream-slot wait included, so
+	// the round trip less the root is the upload, the client's first reading
+	// of its uplink. The blob-resolution spans (registry locate, peer
 	// fetches) are its children when the request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 	// Hints carries the server's capability bits (HintPackedBody).

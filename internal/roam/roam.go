@@ -23,7 +23,6 @@ import (
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 )
 
 const (
@@ -140,11 +139,6 @@ type Config struct {
 type Roamer struct {
 	cfg Config
 
-	// rec records successful probe round trips into the probe-stage
-	// histogram, so roaming overhead shows up in the same latency export
-	// as the offload pipeline.
-	rec *trace.Recorder
-
 	mu          sync.Mutex
 	servers     map[string]*ServerInfo
 	order       []string
@@ -156,9 +150,6 @@ type Roamer struct {
 	// "last-known-good" under a FleetView).
 	viewSource string
 }
-
-// TraceRecorder exposes the roamer's probe-latency histograms.
-func (r *Roamer) TraceRecorder() *trace.Recorder { return r.rec }
 
 // New creates a roamer over the configured candidate servers.
 func New(cfg Config) (*Roamer, error) {
@@ -177,7 +168,6 @@ func New(cfg Config) (*Roamer, error) {
 	r := &Roamer{
 		cfg:     cfg,
 		servers: make(map[string]*ServerInfo, len(cfg.Servers)),
-		rec:     trace.NewRecorder(),
 	}
 	for _, addr := range cfg.Servers {
 		if addr == "" {
@@ -304,11 +294,6 @@ func (r *Roamer) ProbeAll() []ServerInfo {
 		}(i, addr)
 	}
 	wg.Wait()
-	for _, res := range results {
-		if res.err == nil {
-			r.rec.Observe(trace.StageProbe, res.rtt)
-		}
-	}
 	r.mu.Lock()
 	now := r.cfg.Now()
 	for _, res := range results {

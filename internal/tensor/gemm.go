@@ -35,8 +35,12 @@ const gemmPackedFLOPs = 1 << 17
 // Determinism contract: for every output element the accumulation order
 // is strictly increasing in k with one float32 addition per product,
 // independent of kernel choice, blocking, and worker count, so results
-// are bit-identical across machines, GOMAXPROCS settings, and the packed,
-// unpacked, and n==1 paths.
+// are bit-identical across machines, GOMAXPROCS settings, the packed,
+// unpacked, and n==1 paths and the tests' naive oracle — except for the
+// payload where two NaNs meet in one add: x86 returns the first source's
+// NaN, and which operand comes first is the compiler's per-build choice
+// (it differs under -race). Only lrnRowScalar pins that payload; the
+// tests keep their GEMM data clear of such pairs (checkNoNaNPairs).
 func Gemm(dst, a, b, bias []float32, m, k, n int) {
 	if m <= 0 || n <= 0 {
 		return
@@ -470,7 +474,8 @@ func gemm1(dst, a, b, bias []float32, k, n, i int) {
 // once per element, and the weights stream close to memory bandwidth.
 // Each accumulator still does one multiply and one add per element with
 // i increasing (no FMA, no reassociation), so every output keeps the
-// bits of the one-row loop the m%8 remainder rows run.
+// bits of the one-row loop the m%8 remainder rows run, up to the payload
+// where two NaNs meet in one add (see Gemm).
 func gemvRows(dst, a, x, bias []float32, k, lo, hi int) {
 	x = x[:k]
 	o := lo

@@ -9,8 +9,11 @@ package tensor
 // four ZMM accumulators, kern4x16AVX with eight YMM ones — issue one vmulps
 // + one vaddps per packed product (never a fused multiply-add), so every
 // output element sees the same single-rounded float32 operation sequence in
-// the same k order as kern4x16 — the three are bit-identical, and the
-// scalar kernel doubles as the oracle in tests. The int8 kernel accumulates
+// the same k order as kern4x16 — the three are bit-identical except for
+// the payload where two NaNs meet in one add (x86 returns the first
+// source's NaN, and the compiler picks the Go kernel's operand order per
+// build; it differs under -race), and the scalar kernel doubles as the
+// oracle in tests. The int8 kernel accumulates
 // in exact int32 arithmetic where order is immaterial, and the quantize
 // pass replays Quantize's and MaxAbs's scalar rules lane by lane. The LRN
 // row kernel gives each element its own float64 lane and the scalar loop's
@@ -18,7 +21,8 @@ package tensor
 // a zero sum, k·s, 1+k·s, two square roots, a product, the quotient, one
 // rounding to float32 — with no fused multiply-add, and wherever two NaNs
 // could meet it names the running sum or the dividend first, the operand
-// lrnRowScalar keeps: the two agree bit for bit, NaN payloads included.
+// lrnRowScalar keeps: the two agree bit for bit, NaN payloads included —
+// lrnRowScalar is the only kernel that pins the payload.
 //
 // Building with -tags noasm leaves this file and kern_amd64.s out and takes
 // kern_other.go instead, so the tests can run whole networks through the

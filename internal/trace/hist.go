@@ -59,7 +59,7 @@ func bucketUpper(i int) int64 {
 	return (subCount + sub) << (uint(exp) - subBits)
 }
 
-// Histogram is a lock-free, mergeable latency histogram with log-bucketed
+// Histogram is a lock-free latency histogram with log-bucketed
 // resolution (12.5% worst-case bucket error). All methods are safe for
 // concurrent use; Observe is a single atomic add on the hot path.
 //
@@ -123,22 +123,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(bucketUpper(numBuckets - 1))
-}
-
-// Merge folds other's observations into h. Concurrent Observes on either
-// histogram during a merge are not lost, but the merged totals may reflect a
-// slightly torn snapshot — fine for metrics.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := 0; i < numBuckets; i++ {
-		if c := other.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
 }
 
 // ForEachBucket calls fn for every non-empty bucket in ascending order with

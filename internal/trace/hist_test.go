@@ -132,35 +132,6 @@ func TestHistogramMeanAndCount(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: merging two histograms yields the same counts,
-// buckets, and quantiles as observing everything into one.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, both Histogram
-	for i := 1; i <= 50; i++ {
-		d := time.Duration(i) * time.Millisecond
-		a.Observe(d)
-		both.Observe(d)
-	}
-	for i := 51; i <= 100; i++ {
-		d := time.Duration(i) * time.Millisecond
-		b.Observe(d)
-		both.Observe(d)
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), both.Count())
-	}
-	if a.Sum() != both.Sum() {
-		t.Fatalf("merged sum = %v, want %v", a.Sum(), both.Sum())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Errorf("merged Quantile(%v) = %v, combined = %v", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	a.Merge(nil) // must not panic
-}
-
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var h Histogram
 	const goroutines, perG = 8, 1000

@@ -1,16 +1,16 @@
-// Package trace is the offload pipeline's telemetry layer: per-offload span
-// traces and lock-free stage-latency histograms.
+// Package trace is the offload pipeline's telemetry vocabulary: stage names,
+// trace IDs, and lock-free stage-latency histograms.
 //
 // One offload round trip crosses eight stages — snapshot capture, textual
 // encoding, compression, request wire transfer, the server's admission
 // queue, execution, result wire transfer, and result restoration.
 // The paper's headline numbers (Fig 7) are exactly these stage latencies,
 // and offload policy (partition choice, load shedding, roaming) is tuned
-// against them; coarse per-request totals hide which stage moved. A Trace
-// records one request's journey (client- and server-side spans merged via
-// the protocol's trace extension); a Recorder aggregates stage latencies
-// into mergeable log-bucketed histograms for /metrics, cmd/bench, and the
-// scheduler's load signal.
+// against them; coarse per-request totals hide which stage moved. One
+// request's journey is one protocol.SpanNode tree whose stage children are
+// named by these Stages (the client's root grafts the server's tree); a
+// Recorder aggregates stage latencies into log-bucketed histograms for
+// /metrics, fleet digests and the simulator's reports.
 package trace
 
 import (
@@ -22,8 +22,10 @@ import (
 // Stage names one pipeline stage of an offload round trip.
 type Stage string
 
-// The offload pipeline stages, in wire order. Probe is the roamer's
-// server-selection RTT probe, outside the request pipeline proper.
+// The offload pipeline stages, in wire order. Probe and demux are labels
+// only: no process records them (a client's stages live in its span tree),
+// and their series stay in the stage export so scrapes and fleet digests
+// keep one shape.
 const (
 	StageCapture    Stage = "capture"     // snapshot capture at the client
 	StageEncode     Stage = "encode"      // textual snapshot encoding
@@ -33,13 +35,13 @@ const (
 	StageExecute    Stage = "execute"     // restore + handler run + result capture
 	StageResultWire Stage = "result_wire" // result frame transfer server → client
 	StageRestore    Stage = "restore"     // result decode + apply at the client
-	StageProbe      Stage = "probe"       // roaming server-selection probe RTT
+	StageProbe      Stage = "probe"       // roaming server-selection probe RTT (label only)
 
 	// Fleet-hop and mux stages (the telemetry extension): outside the
 	// 8-stage request pipeline, these account cross-process and
 	// per-stream overheads that the pipeline stages hide.
 	StageStreamWait Stage = "stream_wait" // mux stream-slot semaphore wait at the server
-	StageDemux      Stage = "demux"       // response demux routing at the client
+	StageDemux      Stage = "demux"       // response demux routing at the client (label only)
 	StageRegistry   Stage = "registry"    // registry RPC round trip (locate/register)
 	StagePeerFetch  Stage = "peer_fetch"  // server-to-server blob fetch round trip
 )
@@ -69,58 +71,6 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Span is one recorded stage duration within a trace.
-type Span struct {
-	Stage Stage         `json:"stage"`
-	Dur   time.Duration `json:"durNanos"`
-}
-
-// Trace is one offload's recorded journey through the pipeline. It is built
-// by a single goroutine (the offloading path) and read after completion; it
-// needs no locking.
-type Trace struct {
-	// ID is the trace identifier propagated in protocol headers so client
-	// and server spans of the same offload can be joined.
-	ID string `json:"traceId"`
-	// Spans holds the recorded stages in the order they were added.
-	Spans []Span `json:"spans"`
-}
-
-// New creates a trace with a fresh ID.
-func New() *Trace { return &Trace{ID: NewID()} }
-
-// Add appends one stage span. Zero-duration spans are kept: a stage that ran
-// and took <1µs is different from a stage that never ran.
-func (t *Trace) Add(stage Stage, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	t.Spans = append(t.Spans, Span{Stage: stage, Dur: d})
-}
-
-// Get returns the total recorded duration of a stage (0 when absent) and
-// whether any span of that stage exists.
-func (t *Trace) Get(stage Stage) (time.Duration, bool) {
-	var total time.Duration
-	found := false
-	for _, s := range t.Spans {
-		if s.Stage == stage {
-			total += s.Dur
-			found = true
-		}
-	}
-	return total, found
-}
-
-// Total returns the sum of all recorded spans.
-func (t *Trace) Total() time.Duration {
-	var total time.Duration
-	for _, s := range t.Spans {
-		total += s.Dur
-	}
-	return total
-}
-
 // Recorder aggregates stage latencies into one histogram per stage. All
 // methods are safe for concurrent use; the per-stage histograms are
 // allocated up front so recording is map-read + atomic add.
@@ -144,28 +94,8 @@ func (r *Recorder) Observe(stage Stage, d time.Duration) {
 	}
 }
 
-// ObserveTrace records every span of a completed trace.
-func (r *Recorder) ObserveTrace(t *Trace) {
-	if t == nil {
-		return
-	}
-	for _, s := range t.Spans {
-		r.Observe(s.Stage, s.Dur)
-	}
-}
-
 // Stage returns the histogram for one stage (nil for unknown stages).
 func (r *Recorder) Stage(stage Stage) *Histogram { return r.hists[stage] }
-
-// Merge folds other's histograms into r, stage by stage.
-func (r *Recorder) Merge(other *Recorder) {
-	if other == nil {
-		return
-	}
-	for s, h := range r.hists {
-		h.Merge(other.hists[s])
-	}
-}
 
 // StageSummary is one stage's percentile summary.
 type StageSummary struct {

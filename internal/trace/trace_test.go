@@ -20,36 +20,10 @@ func TestNewIDUnique(t *testing.T) {
 	}
 }
 
-func TestTraceSpans(t *testing.T) {
-	tr := New()
-	if tr.ID == "" {
-		t.Fatal("no trace ID")
-	}
-	tr.Add(StageCapture, 2*time.Millisecond)
-	tr.Add(StageWire, 5*time.Millisecond)
-	tr.Add(StageWire, 3*time.Millisecond) // second span, same stage
-	tr.Add(StageQueue, -time.Millisecond) // clamps to 0
-
-	if d, ok := tr.Get(StageWire); !ok || d != 8*time.Millisecond {
-		t.Errorf("Get(wire) = %v, %v; want 8ms, true", d, ok)
-	}
-	if d, ok := tr.Get(StageQueue); !ok || d != 0 {
-		t.Errorf("Get(queue) = %v, %v; want 0, true", d, ok)
-	}
-	if _, ok := tr.Get(StageExecute); ok {
-		t.Error("Get(execute) reported a span that was never added")
-	}
-	if tr.Total() != 10*time.Millisecond {
-		t.Errorf("Total = %v, want 10ms", tr.Total())
-	}
-}
-
 func TestRecorderObserveAndSummaries(t *testing.T) {
 	r := NewRecorder()
-	tr := New()
-	tr.Add(StageCapture, time.Millisecond)
-	tr.Add(StageExecute, 10*time.Millisecond)
-	r.ObserveTrace(tr)
+	r.Observe(StageCapture, time.Millisecond)
+	r.Observe(StageExecute, 10*time.Millisecond)
 	r.Observe(StageExecute, 20*time.Millisecond)
 	r.Observe(Stage("nonsense"), time.Second) // dropped, not a panic
 
@@ -66,21 +40,6 @@ func TestRecorderObserveAndSummaries(t *testing.T) {
 	if sums[1].Mean != 15*time.Millisecond {
 		t.Errorf("execute mean = %v, want 15ms", sums[1].Mean)
 	}
-}
-
-func TestRecorderMerge(t *testing.T) {
-	a, b := NewRecorder(), NewRecorder()
-	a.Observe(StageQueue, time.Millisecond)
-	b.Observe(StageQueue, 3*time.Millisecond)
-	b.Observe(StageProbe, 2*time.Millisecond)
-	a.Merge(b)
-	if got := a.Stage(StageQueue).Count(); got != 2 {
-		t.Errorf("queue count after merge = %d, want 2", got)
-	}
-	if got := a.Stage(StageProbe).Count(); got != 1 {
-		t.Errorf("probe count after merge = %d, want 1", got)
-	}
-	a.Merge(nil) // must not panic
 }
 
 func TestRecorderConcurrent(t *testing.T) {
