@@ -62,10 +62,14 @@ var ErrConnBroken = errors.New("client: connection broken mid-frame")
 // for LastLoad, and their capability hints, of which it keeps whether the
 // server decodes packed bodies.
 type Conn struct {
-	// mu guards rw, timeout, broken, pending and readerDone. It is never
-	// held across socket I/O.
-	mu      sync.Mutex
-	rw      net.Conn
+	// mu guards rw, gen, timeout, broken, pending and readerDone. It is
+	// never held across socket I/O.
+	mu sync.Mutex
+	rw net.Conn
+	// gen numbers the socket in rw: Redial counts it up as it installs a
+	// fresh one. A failure names its socket by gen, never by comparing
+	// net.Conn values — a wrapper need not be comparable.
+	gen     uint64
 	timeout time.Duration
 	// addr is the dialed address; empty for Conns wrapped around an
 	// existing net.Conn, which cannot Redial.
@@ -161,7 +165,7 @@ func NewConn(rw net.Conn) *Conn {
 		readerDone: make(chan struct{}),
 		slots:      make(chan struct{}, DefaultMaxStreams),
 	}
-	go c.readLoop(rw, c.readerDone)
+	go c.readLoop(rw, 0, c.readerDone)
 	return c
 }
 
@@ -232,7 +236,7 @@ func (c *Conn) Redial() error {
 		c.mu.Unlock()
 		return nil
 	}
-	old := c.rw
+	old, oldGen := c.rw, c.gen
 	oldDone := c.readerDone
 	// The dial is bounded like any request: a black-holed host must not
 	// park the caller on the OS connect timeout.
@@ -257,16 +261,17 @@ func (c *Conn) Redial() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rw != old && c.broken == nil {
+	if c.gen != oldGen && c.broken == nil {
 		// A concurrent Redial already installed a healthy socket; keep it.
 		fresh.Close() //nolint:errcheck // redundant socket
 		return nil
 	}
 	c.rw = fresh
+	c.gen++
 	c.broken = nil
 	c.peerPacks.Store(false) // whoever answers at the address now says so again
 	c.readerDone = make(chan struct{})
-	go c.readLoop(fresh, c.readerDone)
+	go c.readLoop(fresh, c.gen, c.readerDone)
 	return nil
 }
 
@@ -306,13 +311,13 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 // enough to name its stream all mean the frame stream can no longer be
 // trusted, so every pending request fails and the loop exits; Redial starts
 // a fresh loop on the replacement socket.
-func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
+func (c *Conn) readLoop(rw net.Conn, gen uint64, done chan struct{}) {
 	defer close(done)
 	br := protocol.NewReader(rw)
 	for {
 		resp, err := protocol.Read(br)
 		if err != nil {
-			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
+			c.failPending(gen, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
 		hdr, env, hdrErr := protocol.DecodeFrame(resp)
@@ -338,7 +343,7 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 				// message as the cause.
 				err = c.serverError(eh)
 			}
-			c.failPending(rw, fmt.Errorf("%w: %w", ErrConnBroken, err))
+			c.failPending(gen, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
 		// A header that named its stream but did not decode whole fails
@@ -348,13 +353,13 @@ func (c *Conn) readLoop(rw net.Conn, done chan struct{}) {
 }
 
 // failPending marks the Conn broken with cause err and delivers err to
-// every in-flight stream. rw names the socket the failure belongs to: a
+// every in-flight stream. gen names the socket the failure belongs to: a
 // failure reported for an already-retired socket is a no-op — its streams
 // were drained when its reader exited, and the streams now pending belong
 // to the healthy replacement a concurrent Redial installed.
-func (c *Conn) failPending(rw net.Conn, err error) {
+func (c *Conn) failPending(gen uint64, err error) {
 	c.mu.Lock()
-	if c.rw != rw {
+	if c.gen != gen {
 		c.mu.Unlock()
 		return
 	}
@@ -395,7 +400,7 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 	}
 	c.pending[seq] = ch
 	timeout := c.timeout
-	rw := c.rw
+	rw, gen := c.rw, c.gen
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -431,7 +436,7 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 		// concurrent Redial may have already replaced) so its reader
 		// unwinds the siblings.
 		rw.Close() //nolint:errcheck // already failing
-		c.failPending(rw, err)
+		c.failPending(gen, err)
 		return muxReply{}, err
 	}
 
@@ -447,7 +452,7 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 	case <-expired:
 		err := fmt.Errorf("%w: request %d timed out after %v", ErrConnBroken, seq, timeout)
 		rw.Close() //nolint:errcheck // deliberate teardown
-		c.failPending(rw, err)
+		c.failPending(gen, err)
 		return muxReply{}, err
 	}
 }
@@ -682,7 +687,7 @@ func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadRe
 	reply.WireBytes = int64(len(body.wire))
 	reply.RespBytes = int64(len(resp.Header) + len(resp.Body))
 	decStart := time.Now()
-	plain, err := protocol.DecodeBody(resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
+	plain, err := protocol.DecodeBody(nil, resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
 	if err != nil {
 		return reply, fmt.Errorf("client: %s result: %w", reqType, err)
 	}

@@ -280,3 +280,82 @@ func TestLostResultFallsBackOnce(t *testing.T) {
 		t.Errorf("final state (%d B) differs from the no-fault run's (%d B)", len(got), len(want))
 	}
 }
+
+// uncomparableConn is a socket wrapper held by value whose func field makes
+// it uncomparable: == between two net.Conn values holding it panics.
+type uncomparableConn struct {
+	net.Conn
+	onClose func()
+}
+
+// TestUncomparableWrapperFailsCleanly: DialWrapped takes any wrapper, one
+// that returns an uncomparable value too. When the socket dies under
+// pending requests each gets ErrConnBroken, and the Conn redials and closes,
+// with no panic in the reader goroutine.
+func TestUncomparableWrapperFailsCleanly(t *testing.T) {
+	const pending = 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var connIdx atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			idx := connIdx.Add(1)
+			go func(c net.Conn) {
+				defer c.Close()
+				for n := 1; ; n++ {
+					ping, err := protocol.Read(c)
+					if err != nil {
+						return
+					}
+					if idx == 1 {
+						if n == pending {
+							return // every request is in: hang up on them
+						}
+						continue
+					}
+					if _, err := c.Write(pongFrameBytes(t, ping)); err != nil {
+						return
+					}
+				}
+			}(c)
+		}
+	}()
+
+	conn, err := DialWrapped(ln.Addr().String(), func(c net.Conn) net.Conn {
+		return uncomparableConn{Conn: c, onClose: func() {}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, pending)
+	for i := 0; i < pending; i++ {
+		go func() {
+			_, _, err := conn.Ping()
+			errs <- err
+		}()
+	}
+	for i := 0; i < pending; i++ {
+		if err := <-errs; !errors.Is(err, ErrConnBroken) {
+			t.Errorf("pending ping: err = %v, want ErrConnBroken", err)
+		}
+	}
+	if !conn.Broken() {
+		t.Fatal("Conn not marked broken after the peer hung up")
+	}
+	if err := conn.Redial(); err != nil {
+		t.Fatalf("redial: %v", err)
+	}
+	if _, _, err := conn.Ping(); err != nil {
+		t.Fatalf("ping after redial: %v", err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+}

@@ -22,9 +22,9 @@ import (
 // breakConn poisons conn the way a mid-frame I/O failure does.
 func breakConn(conn *Conn) {
 	conn.mu.Lock()
-	rw := conn.rw
+	gen := conn.gen
 	conn.mu.Unlock()
-	conn.failPending(rw, ErrConnBroken)
+	conn.failPending(gen, ErrConnBroken)
 }
 
 // TestConnSharedByConcurrentStreams pins that a freshly dialed Conn is

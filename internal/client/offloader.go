@@ -160,9 +160,10 @@ type Offloader struct {
 	presendWG      sync.WaitGroup
 	presendStarted bool
 
-	// packBuf is the storage packed request bodies are built in, kept from
-	// one offload to the next (offloads are single-threaded).
-	packBuf []byte
+	// textBuf and packBuf are the storage request texts and their packed
+	// forms are built in, kept from one offload to the next (offloads are
+	// single-threaded).
+	textBuf, packBuf []byte
 }
 
 // NewOffloader wires an app to an edge-server connection.
@@ -477,8 +478,11 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		o.acked[name] = true
 		o.mu.Unlock()
 	}
+	// Capture and encode are one pass over the app's state, read in place:
+	// the app cannot run until the result is patched in, and a failed
+	// offload leaves it as it was for the local fallback.
 	captureStart := time.Now()
-	snap, err := snapshot.Capture(o.app, snapshot.Options{
+	encoded, captureDur, err := snapshot.AppendApp(o.textBuf[:0], o.app, snapshot.Options{
 		DefaultModelPolicy: snapshot.ModelSpecOnly,
 		ModelPolicies:      policies,
 		PendingEvent:       &ev,
@@ -486,13 +490,8 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("client: capture: %w", err)
 	}
-	captureDur := time.Since(captureStart)
-	encodeStart := time.Now()
-	encoded, err := snap.Encode()
-	if err != nil {
-		return Outcome{}, fmt.Errorf("client: encode: %w", err)
-	}
-	encodeDur := time.Since(encodeStart)
+	o.textBuf = encoded[:0]
+	encodeDur := time.Since(captureStart) - captureDur
 	// The body travels packed when the link so far has read slow enough for
 	// the codec pass to pay, to a server that has said it decodes it.
 	o.mu.Lock()
@@ -510,19 +509,15 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		return out, err
 	}
 	applyStart := time.Now()
-	// The result delta is relative to the pre-execution state, which is
-	// exactly the snapshot just shipped; the server names it by the request
-	// itself.
-	var result *snapshot.Snapshot
+	// The result delta is relative to the pre-execution state, which is the
+	// app's state still, since the snapshot just shipped was read from it; the
+	// server names it by the request itself.
 	resultDelta, err := snapshot.DecodeDelta(reply.Result)
-	if err == nil {
-		result, err = resultDelta.Apply(snap, reply.RequestBase)
-	}
 	if err != nil {
 		// Only this result is poisoned; the stream delivered a whole frame.
 		return out, fmt.Errorf("client: decode result: %w", err)
 	}
-	if err := result.ApplyTo(o.app, snapshot.RestoreOptions{}); err != nil {
+	if err := resultDelta.Patch(o.app, reply.RequestBase); err != nil {
 		return out, fmt.Errorf("client: apply result: %w", err)
 	}
 	end := time.Now()

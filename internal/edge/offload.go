@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"websnap/internal/obs"
@@ -29,46 +30,99 @@ const maxHandlerSteps = 1000
 // or (Reply empty: the raw Conn.OffloadSnapshot API) the full result
 // snapshot. Either way nothing of the request outlives it here.
 func (s *Server) handleOffload(req *request, hdr *protocol.SnapshotHeader) (protocol.Message, error) {
-	msg := req.msg
-	if err := protocol.VerifyBody(msg.Body, hdr.BodyCRC); err != nil {
-		return protocol.Message{}, err
-	}
+	// The client patches the state it sent, so the request is its own base,
+	// named without a pass over its body.
+	base := hdr.RequestBase(req.msg.Body)
 	decodeStart := time.Now()
-	plain, err := protocol.DecodeBody(msg.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
-	if err != nil {
-		return protocol.Message{}, err
-	}
-	snap, err := snapshot.Decode(plain)
+	snap, plainLen, err := decodeRequest(req, hdr)
 	if err != nil {
 		return protocol.Message{}, err
 	}
 	req.span.AddStage(protocol.SpanDecode, time.Since(decodeStart))
 	task := sched.NewTask("", snap)
-	task.Bytes = int64(len(plain))
+	task.Bytes = int64(plainLen)
 	v, err := s.runTask(req, task)
 	if err != nil {
 		return protocol.Message{}, err
 	}
-	result := v.(*snapshot.Snapshot)
+	// The handlers are done with the app, so its state is read in place;
+	// what they changed is told apart from the decoded request, which
+	// restore copied from.
+	app := v.(*webapp.App)
 	encodeStart := time.Now()
 	s.snapshotsExecuted.Inc()
-	respType := protocol.MsgResultSnapshot
+	respType := protocol.MsgResultDelta
 	var body []byte
 	if hdr.Reply == "" {
-		body, err = result.Encode()
+		respType = protocol.MsgResultSnapshot
+		body, _, err = snapshot.AppendApp(nil, app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
 	} else {
-		// The client patches the snapshot it sent, so the request is its own
-		// base, named without a pass over its body.
-		respType = protocol.MsgResultDelta
-		var resultDelta *snapshot.Delta
-		if resultDelta, err = snapshot.Diff(snap, result, hdr.RequestBase(msg.Body)); err == nil {
-			body, err = resultDelta.Encode()
-		}
+		body, err = snapshot.EncodeDiff(snap, app, base)
 	}
 	if err != nil {
 		return protocol.Message{}, fmt.Errorf("encode result: %w", err)
 	}
 	return s.snapshotResponse(req, respType, snap.AppID, *hdr, body, encodeStart)
+}
+
+// decodeRequest checks and decodes a MsgSnapshot request's body, then gives
+// its storage — and the inflated text's, when it came packed — back to the
+// text pool: the decoded snapshot shares no memory with either.
+func decodeRequest(req *request, hdr *protocol.SnapshotHeader) (*snapshot.Snapshot, int, error) {
+	body := req.msg.Body
+	req.msg.Body = nil
+	defer putText(body)
+	if err := protocol.VerifyBody(body, hdr.BodyCRC); err != nil {
+		return nil, 0, err
+	}
+	var plain []byte
+	if hdr.Encoding == protocol.EncodingPacked {
+		plain = getText()
+		defer func() { putText(plain) }()
+	}
+	plain, err := protocol.DecodeBody(plain, body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
+	if err != nil {
+		return nil, 0, err
+	}
+	snap, err := snapshot.Decode(plain)
+	return snap, len(plain), err
+}
+
+// maxPooledText is the largest request-text storage the text pool keeps
+// (GoogLeNet's request text is 0.8 MB): one outsized body must not pin its
+// buffer.
+const maxPooledText = 8 << 20
+
+// texts lends storage to request texts — a snapshot request's body as it is
+// read off the connection, and its inflated text when it came packed — for
+// as long as decoding it takes. Pre-send bodies, which the store may keep,
+// never come from it.
+var texts sync.Pool // of *[]byte
+
+// getText takes storage from the pool, nil when it is empty. Storage too
+// small for the text it is lent to is dropped for a larger slice, which
+// comes back in its place.
+func getText() []byte {
+	if b, ok := texts.Get().(*[]byte); ok {
+		return *b
+	}
+	return nil
+}
+
+// putText gives storage back to the pool; nothing may use it afterwards.
+func putText(b []byte) {
+	if b != nil && cap(b) <= maxPooledText {
+		texts.Put(&b)
+	}
+}
+
+// lendText is the connection reader's storage for frame bodies: snapshot
+// requests' come from the text pool, every other frame's are its own.
+func lendText(t protocol.MsgType) []byte {
+	if t != protocol.MsgSnapshot {
+		return nil
+	}
+	return getText()
 }
 
 // runTask submits one task to the scheduler, waits for its result, and adds
@@ -101,9 +155,9 @@ func (s *Server) execTask(tasks []*sched.Task) []sched.Result {
 	return []sched.Result{r}
 }
 
-// execute is the one execution routine: restore the session, drain the
-// app's event loop, capture the result (§III.A).
-func (s *Server) execute(snap *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+// execute is the one execution routine: restore the session and drain the
+// app's event loop (§III.A). The app comes back as the handlers left it.
+func (s *Server) execute(snap *snapshot.Snapshot) (*webapp.App, error) {
 	app, err := s.restoreApp(snap)
 	if err != nil {
 		return nil, err
@@ -117,7 +171,7 @@ func (s *Server) execute(snap *snapshot.Snapshot) (*snapshot.Snapshot, error) {
 		s.log.Debug("edge: handlers ran", obs.F("appId", app.ID()), obs.F("steps", steps),
 			obs.F("micros", time.Since(start).Microseconds()))
 	}
-	return snapshot.Capture(app, snapshot.Options{DefaultModelPolicy: snapshot.ModelOmit})
+	return app, nil
 }
 
 // restoreApp re-creates a running app from an offloaded snapshot. Pre-sent

@@ -160,14 +160,12 @@ func totalAlloc() uint64 {
 // is: on the default full-request path nothing encodes, sends, parses or
 // hashes the state the handler left alone. The reply is under 1 KB for a
 // state over 1 MB, the server stores nothing, and from the handler's return
-// to the app holding the result the process allocates the two copies of the
-// array both reply forms make — the server captures the result, the client
-// copies it into the app: 8 B per value — and next to nothing else. The
-// bound does not depend on what an array costs as text; the full-result
-// reply (Conn.OffloadSnapshot, the previous reply of every offload), which
-// also encodes, frames, reads and parses the array, allocates more over the
-// same stretch whatever the text form (6.6 × while it was decimal digits,
-// 3.9 × now).
+// to the app holding the result the process allocates no copy of the array:
+// the server diffs the app it ran against the request it decoded, and the
+// client patches what changed into its app. What is left is the reply's own
+// few KB. The full-result reply (Conn.OffloadSnapshot, the previous reply of
+// every offload), which encodes, frames, reads, parses and applies the
+// array, allocates megabytes over the same stretch.
 func TestResultDeltaCostsWhatChanged(t *testing.T) {
 	var mark atomic.Uint64
 	app, cat, encodedSize := bigStateApp(t, "big-default", &mark)
@@ -222,9 +220,9 @@ func TestResultDeltaCostsWhatChanged(t *testing.T) {
 	}
 	t.Logf("state %d B encoded; reply %d B; allocated after the handler: result delta %d B, full result %d B",
 		encodedSize, st.LastResultBytes, delta, full)
-	const copies = 2 * 4 * bigStateFloats
-	if limit := uint64(copies + copies/20 + 16<<10); delta > limit {
-		t.Errorf("result-delta reply allocated %d B after the handler, want two copies of the array (%d B) and at most %d B", delta, copies, limit)
+	if limit := uint64(64 << 10); delta > limit {
+		t.Errorf("result-delta reply allocated %d B after the handler, want no copy of the %d B array: at most %d B",
+			delta, 4*bigStateFloats, limit)
 	}
 	if delta >= full {
 		t.Errorf("result-delta reply allocated %d B after the handler, the full-result reply only %d B", delta, full)
@@ -291,6 +289,71 @@ func TestOffloadedSignOfZeroMatchesLocal(t *testing.T) {
 	}
 	if num, _ := offloaded.Global("num"); !math.Signbit(num.(float64)) {
 		t.Errorf("num = %v after the offload, want -0", num)
+	}
+}
+
+// TestInPlaceWriteComesHome: a handler may write into its input array in
+// place. The server restores the request into a copy of the state it
+// decoded, which is what the result is told apart from, so the result delta
+// carries the written array, and the offloaded app ends bit-identical to one
+// that ran the handler locally.
+func TestInPlaceWriteComesHome(t *testing.T) {
+	const n = 4096
+	reg := webapp.NewRegistry("in-place")
+	reg.MustRegister("scale", func(app *webapp.App, _ webapp.Event) error {
+		v, _ := app.Global("image")
+		img := v.(webapp.Float32Array)
+		for i := range img {
+			img[i] = img[i]*2 - 1
+		}
+		return nil
+	})
+	cat := webapp.NewCatalog()
+	if err := cat.Add(reg); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{Installed: true, Catalog: cat})
+	newApp := func() *webapp.App {
+		app, err := webapp.NewApp("in-place", reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.AddEventListener("b", "go", "scale"); err != nil {
+			t.Fatal(err)
+		}
+		image := make(webapp.Float32Array, n)
+		for i := range image {
+			image[i] = float32(i%251) / 251
+		}
+		if err := app.SetGlobal("image", image); err != nil {
+			t.Fatal(err)
+		}
+		return app
+	}
+	ev := webapp.Event{Target: "b", Type: "go"}
+	local, offloaded := newApp(), newApp()
+	if err := local.Handle(ev); err != nil {
+		t.Fatal(err)
+	}
+	off, err := client.NewOffloader(offloaded, dial(t, addr), client.Options{OffloadEventTypes: []string{"go"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Offload(ev); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := off.Stats().LastResultBytes, int64(16*n/3); got < want {
+		t.Errorf("result delta is %d B, want the written array's %d B of text in it", got, want)
+	}
+	state := func(app *webapp.App) []byte {
+		text, _, err := snapshot.AppendApp(nil, app, snapshot.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	if got, want := state(offloaded), state(local); !bytes.Equal(got, want) {
+		t.Errorf("offloaded state differs from local:\n got %.200s\nwant %.200s", got, want)
 	}
 }
 
@@ -366,7 +429,7 @@ func TestReplyPackedOnlyWhenItPays(t *testing.T) {
 		t.Errorf("full reply to a packed request: %s, encoding %q, %d B for a %d B request text; want it packed",
 			resp.Type, hdr.Encoding, len(resp.Body), len(text))
 	}
-	plain, err := protocol.DecodeBody(resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
+	plain, err := protocol.DecodeBody(nil, resp.Body, hdr.Encoding, hdr.PlainLen, snapshot.Unpack)
 	if err != nil {
 		t.Fatal(err)
 	}

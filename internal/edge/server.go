@@ -488,7 +488,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer streams.Wait()
 	for {
 		dr.startFrame(br.Buffered())
-		msg, err := protocol.Read(br)
+		msg, err := protocol.ReadInto(br, lendText)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.log.Info("edge: connection closed on read error", obs.Err(err))

@@ -118,12 +118,14 @@ func CompressBody(dst, plain []byte, pack func(w io.Writer, plain []byte) error)
 	return body, true, nil
 }
 
-// DecodeBody returns the plain body for the given encoding. A packed body
-// declares its text's length, plainLen: one above MaxBodyLen is refused before
-// anything is inflated, inflation stops at it, the text is allocated once at
-// exactly that size — and only when the inflated form can amount to it — and
-// filled by unpack (snapshot.Unpack), which fails on any mismatch.
-func DecodeBody(body []byte, encoding string, plainLen int64, unpack func(dst, packed []byte) error) ([]byte, error) {
+// DecodeBody returns the plain body for the given encoding: body itself when
+// it is raw. A packed body declares its text's length, plainLen: one above
+// MaxBodyLen is refused before anything is inflated, inflation stops at it,
+// the text is written into dst's storage when it holds plainLen bytes, and
+// otherwise allocated once at exactly that size — and only when the inflated
+// form can amount to it — and filled by unpack (snapshot.Unpack), which fails
+// on any mismatch.
+func DecodeBody(dst, body []byte, encoding string, plainLen int64, unpack func(dst, packed []byte) error) ([]byte, error) {
 	switch encoding {
 	case EncodingRaw:
 		return body, nil
@@ -155,7 +157,11 @@ func DecodeBody(body []byte, encoding string, plainLen int64, unpack func(dst, p
 	if n := int64(in.packed.Len()); n > plainLen+packSlack || plainLen > n/3*4+4 {
 		return nil, fmt.Errorf("protocol: decompress: %d bytes inflated cannot be the %d bytes of text declared", n, plainLen)
 	}
-	plain := make([]byte, plainLen)
+	plain := dst[:0]
+	if int64(cap(plain)) < plainLen {
+		plain = make([]byte, plainLen)
+	}
+	plain = plain[:plainLen]
 	if err := unpack(plain, in.packed.Bytes()); err != nil {
 		return nil, fmt.Errorf("protocol: decompress: %w", err)
 	}

@@ -827,7 +827,13 @@ const readBufSize = 64 << 10
 func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBufSize) }
 
 // Read reads one framed message from r.
-func Read(r io.Reader) (Message, error) {
+func Read(r io.Reader) (Message, error) { return ReadInto(r, nil) }
+
+// ReadInto is Read with storage for the body lent by the caller: body(t)
+// returns storage for the body of a frame of type t, which holds it when its
+// capacity does; nil, or storage too small, gets a fresh slice as Read makes.
+// A nil body lends nothing.
+func ReadInto(r io.Reader, body func(t MsgType) []byte) (Message, error) {
 	hdr, err := readPrefix(r)
 	if err != nil {
 		return Message{}, fmt.Errorf("protocol: read frame header: %w", err)
@@ -854,11 +860,13 @@ func Read(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, msg.Header); err != nil {
 		return Message{}, fmt.Errorf("protocol: read header: %w", err)
 	}
-	body, err := readBody(r, bodyLen)
-	if err != nil {
+	var storage []byte
+	if body != nil {
+		storage = body(msg.Type)
+	}
+	if msg.Body, err = readBody(r, bodyLen, storage); err != nil {
 		return Message{}, fmt.Errorf("protocol: read body: %w", err)
 	}
-	msg.Body = body
 	return msg, nil
 }
 
@@ -884,27 +892,33 @@ func readPrefix(r io.Reader) ([]byte, error) {
 	return hdr, nil
 }
 
-// readBody reads exactly n body bytes without trusting n for the initial
-// allocation: a corrupted length prefix claiming up to MaxBodyLen (1 GiB)
-// must not allocate that much before the stream proves it actually carries
-// the bytes. Allocation grows with the data actually read, chunk by chunk.
-func readBody(r io.Reader, n uint64) ([]byte, error) {
+// readBody reads exactly n body bytes, into storage when it is large enough,
+// without trusting n for the initial allocation: a corrupted length prefix
+// claiming up to MaxBodyLen (1 GiB) must not allocate that much before the
+// stream proves it actually carries the bytes. Allocation grows with the data
+// actually read, chunk by chunk.
+func readBody(r io.Reader, n uint64, storage []byte) ([]byte, error) {
 	const chunk = 1 << 20
-	if n <= chunk {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
+	var body []byte
+	switch {
+	case storage != nil && n <= uint64(cap(storage)):
+		body = storage[:n]
+	case n <= chunk:
+		body = make([]byte, n)
+	default:
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		return body, nil
+		return buf.Bytes(), nil
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return body, nil
 }
 
 // Encode builds a Message from a header struct and body.

@@ -295,14 +295,14 @@ func TestCompressDecodeBody(t *testing.T) {
 	if len(compressed) >= len(text)/2 {
 		t.Errorf("snapshot-like text should compress well: %d vs %d", len(compressed), len(text))
 	}
-	plain, err := DecodeBody(compressed, EncodingPacked, int64(len(text)), copyUnpack)
+	plain, err := DecodeBody(nil, compressed, EncodingPacked, int64(len(text)), copyUnpack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, text) {
 		t.Error("compression round trip corrupted the body")
 	}
-	raw, err := DecodeBody(text, EncodingRaw, 0, copyUnpack)
+	raw, err := DecodeBody(nil, text, EncodingRaw, 0, copyUnpack)
 	if err != nil || !bytes.Equal(raw, text) {
 		t.Errorf("raw DecodeBody should pass through: %v", err)
 	}
@@ -319,7 +319,7 @@ func TestCompressDecodeBody(t *testing.T) {
 		"declared one long":    {compressed, EncodingPacked, int64(len(text)) + 1},
 		"truncated stream":     {compressed[:len(compressed)/2], EncodingPacked, int64(len(text))},
 	} {
-		if _, err := DecodeBody(c.body, c.encoding, c.plainLen, copyUnpack); err == nil {
+		if _, err := DecodeBody(nil, c.body, c.encoding, c.plainLen, copyUnpack); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
@@ -347,7 +347,7 @@ func TestCompressBodyGoesRawWithoutGain(t *testing.T) {
 	if &body[:1][0] != &storage[:1][0] {
 		t.Error("a body that fits was not built in the storage handed in")
 	}
-	if plain, err := DecodeBody(body, EncodingPacked, int64(len(text)), copyUnpack); err != nil || !bytes.Equal(plain, text) {
+	if plain, err := DecodeBody(nil, body, EncodingPacked, int64(len(text)), copyUnpack); err != nil || !bytes.Equal(plain, text) {
 		t.Errorf("round trip after a refused body: %v", err)
 	}
 }
@@ -367,7 +367,7 @@ func TestDecodeBodyBoundedByDeclaredLength(t *testing.T) {
 		unpacked++
 		return copyUnpack(dst, packed)
 	}
-	if _, err := DecodeBody(body, EncodingPacked, MaxBodyLen+1, counting); !errors.Is(err, ErrTooLarge) {
+	if _, err := DecodeBody(nil, body, EncodingPacked, MaxBodyLen+1, counting); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("declared length above MaxBodyLen: err = %v, want ErrTooLarge", err)
 	}
 	// Inflation stops at the declared length, so refusing costs a buffer
@@ -380,7 +380,7 @@ func TestDecodeBodyBoundedByDeclaredLength(t *testing.T) {
 	} {
 		var err error
 		grew := int64(testutil.MeasureAllocs(1, func() {
-			_, err = DecodeBody(body, EncodingPacked, c.declared, counting)
+			_, err = DecodeBody(nil, body, EncodingPacked, c.declared, counting)
 		}).Bytes)
 		if err == nil {
 			t.Errorf("an %d-byte stream decoded as %d bytes", len(bomb), c.declared)

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -48,8 +47,8 @@ type Delta struct {
 // and code bundle. Models are ignored: deltas never carry them (they are
 // already at the receiver). "Changed" is by bit pattern (webapp.Identical):
 // the snapshot text keeps the sign of a zero, so a delta must too. Unchanged
-// state is only compared, and the delta shares the changed values with cur —
-// snapshots are not mutated once built; apps copy on capture and restore.
+// state is only compared, and the delta shares the changed values with cur,
+// so it lasts as long as cur does.
 func Diff(base, cur *Snapshot, baseID string) (*Delta, error) {
 	if base.AppID != cur.AppID || base.CodeHash != cur.CodeHash {
 		return nil, fmt.Errorf("snapshot: diff across apps (%s/%s vs %s/%s)",
@@ -83,35 +82,58 @@ func Diff(base, cur *Snapshot, baseID string) (*Delta, error) {
 	return d, nil
 }
 
-// Apply reconstructs the full snapshot d was diffed from. base is the
-// snapshot the caller holds under the identity baseID; a delta that names
-// another base is refused with ErrBaseMismatch. The result shares every
-// unchanged value with base and every changed one with d: applying a delta
-// costs its own size, not the state's.
-func (d *Delta) Apply(base *Snapshot, baseID string) (*Snapshot, error) {
+// Patch writes the delta into app, which must hold the state d was diffed
+// from: the base the caller knows as baseID. A delta that names another base
+// is refused with ErrBaseMismatch, and one for other code with
+// ErrCodeMismatch, before anything is written; so are bindings naming a
+// handler app's code lacks. Then the changed globals are set, the removed
+// ones deleted, and the DOM and bindings replaced when they changed; the
+// pending events are replaced always. The app takes the delta's values as
+// they are, not copies: patching costs the delta's size, not the state's,
+// and d must not be used afterwards.
+func (d *Delta) Patch(app *webapp.App, baseID string) error {
 	if baseID != d.BaseHash {
-		return nil, fmt.Errorf("%w: delta base %s, snapshot %s", ErrBaseMismatch, d.BaseHash, baseID)
+		return fmt.Errorf("%w: delta base %s, app holds %s", ErrBaseMismatch, d.BaseHash, baseID)
 	}
-	out := &Snapshot{
-		AppID:    d.AppID,
-		CodeHash: d.CodeHash,
-		Globals:  make(map[string]webapp.Value, len(base.Globals)+len(d.SetGlobals)),
-		DOM:      base.DOM,
-		Bindings: base.Bindings,
-		Pending:  d.Pending,
-	}
-	maps.Copy(out.Globals, base.Globals)
-	maps.Copy(out.Globals, d.SetGlobals)
-	for _, name := range d.DelGlobals {
-		delete(out.Globals, name)
-	}
-	if d.DOM != nil {
-		out.DOM = d.DOM
+	if app.CodeHash() != d.CodeHash {
+		return fmt.Errorf("%w: delta %s, app %s", ErrCodeMismatch, d.CodeHash, app.CodeHash())
 	}
 	if d.BindingsChanged {
-		out.Bindings = d.Bindings
+		if err := app.ReplaceBindings(d.Bindings); err != nil {
+			return fmt.Errorf("snapshot: restore bindings: %w", err)
+		}
 	}
-	return out, nil
+	for name, v := range d.SetGlobals {
+		if err := app.SetGlobal(name, v); err != nil {
+			return err
+		}
+	}
+	for _, name := range d.DelGlobals {
+		app.DeleteGlobal(name)
+	}
+	if d.DOM != nil {
+		app.ReplaceDOM(d.DOM)
+	}
+	app.ClearEvents()
+	for _, ev := range d.Pending {
+		app.DispatchEvent(ev)
+	}
+	return nil
+}
+
+// EncodeDiff encodes the delta from base to the app's current state —
+// Diff(base, Capture(app), baseID), encoded — without capturing: the changed
+// values are rendered from the app as they stand.
+func EncodeDiff(base *Snapshot, app *webapp.App, baseID string) ([]byte, error) {
+	cur, err := captureApp(app, Options{DefaultModelPolicy: ModelOmit}, true)
+	if err != nil {
+		return nil, err
+	}
+	d, err := Diff(base, cur, baseID)
+	if err != nil {
+		return nil, err
+	}
+	return d.Encode()
 }
 
 // Encode renders the delta in the same one-statement-per-line style as full
@@ -153,7 +175,7 @@ func (d *Delta) Encode() ([]byte, error) {
 	if tail, err = appendPending(tail, d.Pending); err != nil {
 		return nil, err
 	}
-	return assemble(deltaHeader, []string{varAppID, d.AppID, varCodeHash, d.CodeHash, varBaseHash, d.BaseHash}, nil, d.SetGlobals, tail)
+	return assemble(nil, deltaHeader, []string{varAppID, d.AppID, varCodeHash, d.CodeHash, varBaseHash, d.BaseHash}, nil, d.SetGlobals, tail)
 }
 
 // DecodeDelta parses a delta produced by Encode. The result shares no

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"testing"
 	"testing/quick"
@@ -99,6 +101,79 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	}
 	if gh != ch {
 		t.Error("reconstructed snapshot hash differs from original")
+	}
+}
+
+// TestPatchMatchesApply: patching a decoded delta into an app that holds
+// its base leaves the app in the state Apply reconstructs — globals set and
+// deleted, DOM, bindings and pending events replaced — and a delta naming
+// another base, or one whose bindings the app's code cannot run, is refused
+// with the app untouched.
+func TestPatchMatchesApply(t *testing.T) {
+	app, reg := inferenceApp(t)
+	if err := app.SetGlobal("old", "gone after the patch"); err != nil {
+		t.Fatal(err)
+	}
+	base := capture(t, app)
+	if err := app.SetGlobal("image", webapp.Float32Array{9, 8, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.SetGlobal("newFlag", true); err != nil {
+		t.Fatal(err)
+	}
+	cur := capture(t, app)
+	delete(cur.Globals, "old")
+	cur.DOM.Find("result").Text = "changed"
+	cur.Bindings = cur.Bindings[1:]
+	cur.Pending = append(cur.Pending, webapp.Event{Target: "btn", Type: "click"})
+	d, err := Diff(base, cur, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := d.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *Delta {
+		dd, err := DecodeDelta(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dd
+	}
+	want, err := decode().Apply(base, "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := Restore(base, reg, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := decode()
+	unknown.Bindings = append(unknown.Bindings, webapp.Binding{Target: "btn", Event: "x", Handler: "missing"})
+	for name, c := range map[string]struct {
+		d      *Delta
+		baseID string
+		want   error
+	}{
+		"another base":    {decode(), "other", ErrBaseMismatch},
+		"unknown handler": {unknown, "base", webapp.ErrUnknownHandler},
+	} {
+		if err := c.d.Patch(target, c.baseID); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
+		}
+		if got := capture(t, target); hashOf(t, got) != hashOf(t, base) {
+			t.Errorf("%s: a refused patch changed the app", name)
+		}
+	}
+	if err := decode().Patch(target, "base"); err != nil {
+		t.Fatal(err)
+	}
+	if got := capture(t, target); hashOf(t, got) != hashOf(t, want) {
+		t.Error("patched app differs from the applied snapshot")
+	}
+	if _, ok := target.Global("old"); ok {
+		t.Error("a deleted global survived the patch")
 	}
 }
 
@@ -449,20 +524,58 @@ func BenchmarkDiffLargeUnchanged(b *testing.B) {
 	}
 }
 
-// BenchmarkPatchLargeUnchanged: patching a delta into its base shares the
-// unchanged image instead of copying it.
+// BenchmarkPatchLargeUnchanged: patching a delta into an app holding its
+// base writes what changed and leaves the unchanged image where it is.
 func BenchmarkPatchLargeUnchanged(b *testing.B) {
 	base, cur := largeUnchanged(b)
 	d, err := Diff(base, cur, "base")
 	if err != nil {
 		b.Fatal(err)
 	}
+	app, err := Restore(base, webapp.NewRegistry("large"), RestoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := d.Apply(base, "base")
-		if err != nil || len(out.Globals) != 2 {
-			b.Fatalf("patched %+v, err %v", out, err)
+		if err := d.Patch(app, "base"); err != nil {
+			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if names := app.GlobalNames(); len(names) != 2 {
+		b.Fatalf("patched globals %v, want image and scores", names)
+	}
+}
+
+// Apply reconstructs the full snapshot d was diffed from, as Patch does in
+// an app: the tests' oracle of what a delta means. base is the snapshot held
+// under the identity baseID; a delta that names another base is refused with
+// ErrBaseMismatch. The result shares every unchanged value with base and
+// every changed one with d.
+func (d *Delta) Apply(base *Snapshot, baseID string) (*Snapshot, error) {
+	if baseID != d.BaseHash {
+		return nil, fmt.Errorf("%w: delta base %s, snapshot %s", ErrBaseMismatch, d.BaseHash, baseID)
+	}
+	out := &Snapshot{
+		AppID:    d.AppID,
+		CodeHash: d.CodeHash,
+		Globals:  make(map[string]webapp.Value, len(base.Globals)+len(d.SetGlobals)),
+		DOM:      base.DOM,
+		Bindings: base.Bindings,
+		Pending:  d.Pending,
+	}
+	maps.Copy(out.Globals, base.Globals)
+	maps.Copy(out.Globals, d.SetGlobals)
+	for _, name := range d.DelGlobals {
+		delete(out.Globals, name)
+	}
+	if d.DOM != nil {
+		out.DOM = d.DOM
+	}
+	if d.BindingsChanged {
+		out.Bindings = d.Bindings
+	}
+	return out, nil
 }

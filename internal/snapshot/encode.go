@@ -35,7 +35,10 @@ const (
 //
 // Running the snapshot (Restore) rebuilds exactly this state and
 // re-dispatches the pending events.
-func (s *Snapshot) Encode() ([]byte, error) {
+func (s *Snapshot) Encode() ([]byte, error) { return s.appendEncoded(nil) }
+
+// appendEncoded appends the snapshot's text to dst.
+func (s *Snapshot) appendEncoded(dst []byte) ([]byte, error) {
 	dom, err := webapp.MarshalDOM(s.DOM)
 	if err != nil {
 		return nil, err
@@ -49,16 +52,16 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if tail, err = appendPending(tail, s.Pending); err != nil {
 		return nil, err
 	}
-	return assemble(header, []string{varAppID, s.AppID, varCodeHash, s.CodeHash}, s.Models, s.Globals, tail)
+	return assemble(dst, header, []string{varAppID, s.AppID, varCodeHash, s.CodeHash}, s.Models, s.Globals, tail)
 }
 
-// assemble lays a snapshot or delta out in one buffer sized once: header,
+// assemble appends a snapshot or delta to dst, grown once to fit: header,
 // identity variables (name, value pairs), __model lines, globals, then tail —
 // the struct-shaped statements (DOM, bindings, event envelopes: small, and
 // encoding/json's), which the caller renders first. The typed arrays that
 // dominate are sized exactly; only a string that needs escapes can make the
 // buffer grow.
-func assemble(header string, ids []string, models []ModelState, globals map[string]webapp.Value, tail []byte) ([]byte, error) {
+func assemble(dst []byte, header string, ids []string, models []ModelState, globals map[string]webapp.Value, tail []byte) ([]byte, error) {
 	size := len(header) + 1 + globalsSizeHint(globals) + len(tail)
 	for i := 0; i < len(ids); i += 2 {
 		size += len(`var  = "";`+"\n") + len(ids[i]) + len(ids[i+1])
@@ -66,7 +69,11 @@ func assemble(header string, ids []string, models []ModelState, globals map[stri
 	for _, ms := range models {
 		size += len(modelTail+`__model("", `) + len(ms.Name) + len(ms.Spec)
 	}
-	b := append(make([]byte, 0, size), header+"\n"...)
+	b := dst
+	if cap(b)-len(b) < size {
+		b = append(make([]byte, 0, len(b)+size), b...)
+	}
+	b = append(b, header+"\n"...)
 	for i := 0; i < len(ids); i += 2 {
 		b, _ = appendVar(b, ids[i], ids[i+1]) // strings always encode
 	}

@@ -217,7 +217,7 @@ func TestPackedBodyCostsItsOutputs(t *testing.T) {
 			t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 		}
 		storage = body[:0]
-		plain, err := protocol.DecodeBody(body, protocol.EncodingPacked, int64(len(text)), Unpack)
+		plain, err := protocol.DecodeBody(nil, body, protocol.EncodingPacked, int64(len(text)), Unpack)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"time"
 
 	"websnap/internal/nn"
 	"websnap/internal/webapp"
@@ -95,27 +96,44 @@ type Snapshot struct {
 // Capture saves the app's current execution state. The app is not modified;
 // all captured state is deep-copied.
 func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
-	globals := app.Globals()
-	for name, v := range globals {
+	return captureApp(app, opts, false)
+}
+
+// captureApp is Capture, or with share set a view of the app: a snapshot
+// that shares the app's globals, DOM and event payloads instead of copying
+// them, so it is valid until the app next runs — until anything writes to
+// the app's state. A view's users render it at once (AppendApp, EncodeDiff)
+// and let it go; none of it escapes this package.
+func captureApp(app *webapp.App, opts Options, share bool) (*Snapshot, error) {
+	own, dom := webapp.DeepCopy, app.DOM()
+	if share {
+		own = func(v webapp.Value) webapp.Value { return v }
+	} else {
+		dom = dom.Clone()
+	}
+	names := app.GlobalNames()
+	globals := make(map[string]webapp.Value, len(names))
+	for _, name := range names {
+		v, _ := app.Global(name)
 		if err := checkGlobal(name, v); err != nil {
 			return nil, fmt.Errorf("global %q: %w", name, err)
 		}
+		globals[name] = own(v)
 	}
 	s := &Snapshot{
 		AppID:    app.ID(),
 		CodeHash: app.CodeHash(),
 		Globals:  globals,
-		DOM:      app.DOM().Clone(),
+		DOM:      dom,
 		Bindings: app.Bindings(),
 	}
 	for _, ev := range app.PendingEvents() {
-		s.Pending = append(s.Pending, webapp.Event{
-			Target: ev.Target, Type: ev.Type, Payload: webapp.DeepCopy(ev.Payload),
-		})
+		ev.Payload = own(ev.Payload)
+		s.Pending = append(s.Pending, ev)
 	}
 	if opts.PendingEvent != nil {
 		ev := *opts.PendingEvent
-		ev.Payload = webapp.DeepCopy(ev.Payload)
+		ev.Payload = own(ev.Payload)
 		s.Pending = append(s.Pending, ev)
 	}
 	for _, name := range app.ModelNames() {
@@ -134,6 +152,21 @@ func Capture(app *webapp.App, opts Options) (*Snapshot, error) {
 		s.Models = append(s.Models, ModelState{Name: name, Spec: spec})
 	}
 	return s, nil
+}
+
+// AppendApp appends the text of the app's current state to dst — what
+// Capture's snapshot encodes to, byte for byte — without Capture's copy of
+// that state: the text is all that comes out of it. captured is how long
+// reading the state took; the rest of the call renders it.
+func AppendApp(dst []byte, app *webapp.App, opts Options) (text []byte, captured time.Duration, err error) {
+	start := time.Now()
+	s, err := captureApp(app, opts, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	captured = time.Since(start)
+	text, err = s.appendEncoded(dst)
+	return text, captured, err
 }
 
 // ModelResolver supplies pre-sent models at restore time (the edge server's

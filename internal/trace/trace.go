@@ -22,31 +22,26 @@ import (
 // Stage names one pipeline stage of an offload round trip.
 type Stage string
 
-// The offload pipeline stages, in wire order. Probe and demux are labels
-// only: no process records them (a client's stages live in its span tree),
-// and their series stay in the stage export so scrapes and fleet digests
-// keep one shape.
+// The offload pipeline stages, in wire order.
 const (
 	StageCapture    Stage = "capture"     // snapshot capture at the client
 	StageEncode     Stage = "encode"      // textual snapshot encoding
 	StageCompress   Stage = "compress"    // client-side body packing + unpacking (slow links only)
 	StageWire       Stage = "wire"        // request frame transfer client → server
 	StageQueue      Stage = "queue"       // admission-queue wait at the server
-	StageExecute    Stage = "execute"     // restore + handler run + result capture
+	StageExecute    Stage = "execute"     // restore + handler run at the server
 	StageResultWire Stage = "result_wire" // result frame transfer server → client
 	StageRestore    Stage = "restore"     // result decode + apply at the client
-	StageProbe      Stage = "probe"       // roaming server-selection probe RTT (label only)
 
 	// Fleet-hop and mux stages (the telemetry extension): outside the
 	// 8-stage request pipeline, these account cross-process and
 	// per-stream overheads that the pipeline stages hide.
 	StageStreamWait Stage = "stream_wait" // mux stream-slot semaphore wait at the server
-	StageDemux      Stage = "demux"       // response demux routing at the client (label only)
 	StageRegistry   Stage = "registry"    // registry RPC round trip (locate/register)
 	StagePeerFetch  Stage = "peer_fetch"  // server-to-server blob fetch round trip
 )
 
-// Stages lists every pipeline stage in pipeline order (excluding StageProbe).
+// Stages lists every pipeline stage in pipeline order.
 func Stages() []Stage {
 	return []Stage{
 		StageCapture, StageEncode, StageCompress, StageWire,
@@ -56,8 +51,7 @@ func Stages() []Stage {
 
 // AllStages lists every known stage, pipeline stages first.
 func AllStages() []Stage {
-	return append(Stages(), StageProbe,
-		StageStreamWait, StageDemux, StageRegistry, StagePeerFetch)
+	return append(Stages(), StageStreamWait, StageRegistry, StagePeerFetch)
 }
 
 // NewID returns a fresh 16-hex-digit trace ID.

@@ -143,6 +143,9 @@ func (a *App) SetGlobal(name string, v Value) error {
 	return nil
 }
 
+// DeleteGlobal removes a global variable.
+func (a *App) DeleteGlobal(name string) { delete(a.globals, name) }
+
 // Global reads a global variable.
 func (a *App) Global(name string) (Value, bool) {
 	v, ok := a.globals[name]
