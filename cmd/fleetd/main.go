@@ -15,7 +15,7 @@
 //	fleetd -listen :7090
 //	fleetd -listen :7090 -ttl 10s -metrics-addr :7091
 //	fleetd -listen :7090 -metrics-addr :7091 -pprof \
-//	       -slo-objective 50ms            # fleet-wide execute-latency SLO on /slo
+//	       -slo-objective 50ms            # fleet-wide execute-stage SLO on /slo
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 )
 
 func main() {
@@ -44,7 +43,7 @@ func main() {
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof under /debug/pprof/ on -metrics-addr")
 		sloObjective = flag.Duration("slo-objective", 0,
-			"fleet-wide execute-latency SLO fed from heartbeat digests, served on /slo (0 = no SLO)")
+			"fleet-wide SLO on the execute stage (a snapshot offload's restore + handler run, a chain hop's layer range), fed from heartbeat digests, served on /slo (0 = no SLO)")
 		sloGoal = flag.Float64("slo-goal", 0,
 			"SLO good-event ratio target, e.g. 0.99 (0 = default 0.99)")
 		flightBytes = flag.Int64("flight-bytes", 0,
@@ -83,7 +82,7 @@ func (f *sloFeed) observe(addr string, d *protocol.StatsDigest) {
 	if f == nil || d == nil {
 		return
 	}
-	hd, ok := d.Stages[string(trace.StageExecute)]
+	hd, ok := d.Stages[protocol.SpanExecute]
 	if !ok {
 		return
 	}

@@ -42,11 +42,11 @@ func TestRunRejectsGoalWithoutObjective(t *testing.T) {
 // testFleetSnapshot fabricates a registry snapshot with one digest-bearing
 // member and one pre-telemetry member, like a mixed-version fleet.
 func testFleetSnapshot() []telemetry.ServerStats {
-	rec := trace.NewRecorder()
+	exec := &trace.Histogram{}
 	for i := 0; i < 5; i++ {
-		rec.Observe(trace.StageExecute, 10*time.Millisecond)
+		exec.Observe(10 * time.Millisecond)
 	}
-	d := telemetry.DigestSource{Recorder: rec}.Digest()
+	d := telemetry.DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
 	d.QueueDepth = 2
 	d.StoreBytes = 1 << 20
 	return []telemetry.ServerStats{
@@ -214,14 +214,14 @@ func TestSLOFeedDeltasFromCumulativeDigests(t *testing.T) {
 	feed := &sloFeed{slo: slo, objective: 50 * time.Millisecond, last: make(map[string]sloCounts)}
 
 	digest := func(fast, slow int) *protocol.StatsDigest {
-		rec := trace.NewRecorder()
+		exec := &trace.Histogram{}
 		for i := 0; i < fast; i++ {
-			rec.Observe(trace.StageExecute, time.Millisecond)
+			exec.Observe(time.Millisecond)
 		}
 		for i := 0; i < slow; i++ {
-			rec.Observe(trace.StageExecute, time.Second)
+			exec.Observe(time.Second)
 		}
-		return telemetry.DigestSource{Recorder: rec}.Digest()
+		return telemetry.DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
 	}
 
 	feed.observe("a", digest(8, 2))

@@ -56,7 +56,7 @@ func main() {
 // newAuditor builds the session's decision auditor: counters in reg,
 // optionally teeing each decision as a JSON line to auditLog.
 func newAuditor(reg *obs.Registry, auditLog string) (*obs.Auditor, func(), error) {
-	opts := obs.AuditorOptions{Registry: reg, Keep: 64}
+	opts := obs.AuditorOptions{Registry: reg}
 	cleanup := func() {}
 	switch auditLog {
 	case "":
@@ -190,6 +190,9 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 		SplitLabel: split,
 		Quality:    prec,
 		Audit:      audit,
+		// An overloaded or failing server costs the run its offload, not
+		// its result: the event runs on the device.
+		LocalFallback: true,
 	}
 	if mode != core.ModeLocal {
 		if err := connect(&cfg, server, bandwidthMbps); err != nil {

@@ -86,3 +86,26 @@ func TestBandwidthShapesThePlannedLink(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFallsBackWhenServerHangsUp: an edge server that hangs up on every
+// connection costs each run its offload, not its result — every run ends
+// on the device and the CLI exits cleanly.
+func TestRunFallsBackWhenServerHangsUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	if err := run(ln.Addr().String(), "tinynet", "full", "", 0, false, "", 2, "", "", ""); err != nil {
+		t.Fatalf("run against a server that hangs up: %v", err)
+	}
+}

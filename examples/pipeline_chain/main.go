@@ -165,7 +165,7 @@ func printHopTimings(report roam.ChainReport) {
 				queue = time.Duration(c.Micros) * time.Microsecond
 			case "execute":
 				exec = time.Duration(c.Micros) * time.Microsecond
-			case "chain_exec":
+			case protocol.SpanChainExec:
 				next = c
 			}
 		}

@@ -120,7 +120,7 @@ type Stats struct {
 	// LastSpan is the span tree of the last completed offload (nil before
 	// the first) — the real-path counterpart of the paper's Fig 7: a client
 	// root from capture to apply whose children are the client's stages
-	// (trace.Stage names) with the server's served tree grafted, as it came,
+	// (protocol.Span* ops) with the server's served tree grafted, as it came,
 	// between the two wire legs.
 	LastSpan *protocol.SpanNode
 	// LastTraceID is the trace ID the last completed offload was stamped
@@ -300,7 +300,7 @@ func (o *Offloader) preSend(name string, model *nn.Network) (int64, error) {
 // in Stats and the flight recorder.
 func (o *Offloader) noteHandoffSpan(traceID, name string, span *protocol.SpanNode, rtt time.Duration) {
 	root := &protocol.SpanNode{
-		Op:       "handoff_presend",
+		Op:       protocol.SpanHandoffPresend,
 		Addr:     "client",
 		Micros:   rtt.Microseconds(),
 		Detail:   name,
@@ -524,19 +524,19 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 	up, down := reply.wireLegs()
 	// The round trip as one tree: the client's stages around the server's
 	// served tree, grafted as it came.
-	span := &protocol.SpanNode{Op: "offload", Addr: "client", Micros: end.Sub(captureStart).Microseconds(),
+	span := &protocol.SpanNode{Op: protocol.SpanOffload, Addr: "client", Micros: end.Sub(captureStart).Microseconds(),
 		Children: make([]*protocol.SpanNode, 0, 8)}
-	span.AddStage(string(trace.StageCapture), captureDur)
-	span.AddStage(string(trace.StageEncode), encodeDur)
+	span.AddStage(protocol.SpanCapture, captureDur)
+	span.AddStage(protocol.SpanEncode, encodeDur)
 	if c := reply.Packing + reply.Unpacking; c > 0 {
-		span.AddStage(string(trace.StageCompress), c)
+		span.AddStage(protocol.SpanCompress, c)
 	}
-	span.AddStage(string(trace.StageWire), up)
+	span.AddStage(protocol.SpanWire, up)
 	if reply.Span != nil {
 		span.Children = append(span.Children, reply.Span)
 	}
-	span.AddStage(string(trace.StageResultWire), down)
-	span.AddStage(string(trace.StageRestore), end.Sub(applyStart))
+	span.AddStage(protocol.SpanResultWire, down)
+	span.AddStage(protocol.SpanRestore, end.Sub(applyStart))
 	o.mu.Lock()
 	o.uplink.observe(reply.WireBytes, up)
 	o.stats.Offloads++

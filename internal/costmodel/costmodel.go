@@ -127,12 +127,6 @@ var ServerX86GPU = Device{
 	Int8Speedup: 1.5,
 }
 
-// LayerTime predicts the execution latency of one layer on the device at
-// the float32 default precision.
-func (d Device) LayerTime(li nn.LayerInfo) (time.Duration, error) {
-	return d.LayerTimePrec(li, nn.PrecFloat32)
-}
-
 // LayerTimePrec predicts the execution latency of one layer on the device
 // at the given compute precision. At PrecInt8 the GEMM-backed layer types
 // (Conv, Inception, FC) run Int8Speedup times faster; other layer types

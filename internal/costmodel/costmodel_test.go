@@ -38,11 +38,11 @@ func TestServerFasterThanClient(t *testing.T) {
 func TestLayerTimeMonotonicInFLOPs(t *testing.T) {
 	small := nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1e6}
 	big := nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1e9}
-	ts, err := ClientOdroid.LayerTime(small)
+	ts, err := ClientOdroid.LayerTimePrec(small, nn.PrecFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := ClientOdroid.LayerTime(big)
+	tb, err := ClientOdroid.LayerTimePrec(big, nn.PrecFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +53,18 @@ func TestLayerTimeMonotonicInFLOPs(t *testing.T) {
 
 func TestLayerTimeDefaultThroughput(t *testing.T) {
 	d := Device{Name: "d", DefaultFLOPS: 1e9, LayerOverhead: 0}
-	got, err := d.LayerTime(nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1e9})
+	got, err := d.LayerTimePrec(nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1e9}, nn.PrecFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != time.Second {
-		t.Errorf("LayerTime = %v, want 1s", got)
+		t.Errorf("LayerTimePrec = %v, want 1s", got)
 	}
 }
 
 func TestLayerTimeBadThroughput(t *testing.T) {
 	d := Device{Name: "broken"}
-	if _, err := d.LayerTime(nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1}); err == nil {
+	if _, err := d.LayerTimePrec(nn.LayerInfo{Type: nn.TypeConv, FLOPs: 1}, nn.PrecFloat32); err == nil {
 		t.Error("zero throughput should error")
 	}
 }

@@ -122,7 +122,7 @@ func TestProfileFollowsFusion(t *testing.T) {
 	if got := dev.FLOPSByType[nn.TypeConv]; !near(got, 1e9) {
 		t.Errorf("conv throughput = %g FLOP/s, want 1e9: the fused ReLU's 1000 FLOPs on top of its own 9000, in 10 us", got)
 	}
-	if d, err := dev.LayerTime(relu); err != nil || d != dev.LayerOverhead {
+	if d, err := dev.LayerTimePrec(relu, nn.PrecFloat32); err != nil || d != dev.LayerOverhead {
 		t.Errorf("a ReLU that only ran fused is priced at %v (err %v), want the %v dispatch overhead", d, err, dev.LayerOverhead)
 	}
 	if got := dev.DefaultFLOPS; !near(got, 12000/14e-6) {
@@ -141,7 +141,7 @@ func TestProfileFollowsFusion(t *testing.T) {
 	if dev, err = Profile("here", net, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := dev.LayerTime(relu); err != nil || d != dev.LayerOverhead {
+	if d, err := dev.LayerTimePrec(relu, nn.PrecFloat32); err != nil || d != dev.LayerOverhead {
 		t.Errorf("tiny net: a ReLU is priced at %v (err %v), want the %v dispatch overhead", d, err, dev.LayerOverhead)
 	}
 }

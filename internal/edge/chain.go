@@ -48,7 +48,7 @@ type chainWork struct {
 // begun at the stream-slot wait, gains queue and execute stages, and a
 // mid-chain hop's root also covers the downstream relay its caller waits on.
 func (s *Server) handleChainExec(req *request, hdr *protocol.ChainExecHeader) (protocol.Message, error) {
-	req.span.Op = "chain_exec"
+	req.span.Op = protocol.SpanChainExec
 	if hdr.Hop < 0 || hdr.Hop >= len(hdr.Hops) {
 		return protocol.Message{}, fmt.Errorf("chain: hop %d out of manifest range %d", hdr.Hop, len(hdr.Hops))
 	}

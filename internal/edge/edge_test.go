@@ -13,8 +13,8 @@ import (
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/nn"
+	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
-	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
 	"websnap/internal/webapp"
 )
@@ -168,9 +168,9 @@ func TestOffloadAfterACK(t *testing.T) {
 		}
 		return d
 	}
-	captureEncode := stage(string(trace.StageCapture)) + stage(string(trace.StageEncode))
-	roundTrip := stage(string(trace.StageWire)) + stage("serve") + stage(string(trace.StageResultWire))
-	if captureEncode <= 0 || roundTrip <= 0 || stage(string(trace.StageRestore)) <= 0 {
+	captureEncode := stage(protocol.SpanCapture) + stage(protocol.SpanEncode)
+	roundTrip := stage(protocol.SpanWire) + stage("serve") + stage(protocol.SpanResultWire)
+	if captureEncode <= 0 || roundTrip <= 0 || stage(protocol.SpanRestore) <= 0 {
 		t.Errorf("timing not populated: %+v", span.Children)
 	}
 	if st.LastInlineModelSend != 0 {

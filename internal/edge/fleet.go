@@ -9,7 +9,6 @@ import (
 	"websnap/internal/nn"
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
-	"websnap/internal/trace"
 )
 
 // A fleet-joined edge server shares what its session store holds: peers
@@ -97,12 +96,12 @@ func (s *Server) resolveBlob(key string, req *request, verify func([]byte) error
 
 // locateBlob asks the locator which peers hold key, propagating the
 // request's trace through the registry hop. The hop's round trip feeds the
-// StageRegistry histogram either way.
+// registry_rpc stage histogram either way.
 func (s *Server) locateBlob(key string, req *request) (map[string][]string, error) {
 	start := time.Now()
 	holders, span, err := s.cfg.Locator.Locate([]string{key}, req.env.TraceID)
 	rtt := time.Since(start)
-	s.rec.Observe(trace.StageRegistry, rtt)
+	s.stages[protocol.SpanRegistryRPC].Observe(rtt)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +109,7 @@ func (s *Server) locateBlob(key string, req *request) (map[string][]string, erro
 		if span == nil {
 			// The locator does not trace; record the hop from this side so
 			// the tree still shows it.
-			span = &protocol.SpanNode{Op: "registry_rpc", Micros: rtt.Microseconds()}
+			span = &protocol.SpanNode{Op: protocol.SpanRegistryRPC, Micros: rtt.Microseconds()}
 		}
 		span.Detail = key
 		req.span.Children = append(req.span.Children, span)
@@ -128,10 +127,10 @@ func (s *Server) fetchBlobFromPeer(addr, key string, req *request) ([]byte, erro
 	start := time.Now()
 	body, remote, err := s.doFetchBlob(addr, key, req.env.TraceID)
 	rtt := time.Since(start)
-	s.rec.Observe(trace.StagePeerFetch, rtt)
+	s.stages[protocol.SpanPeerFetch].Observe(rtt)
 	if req.env.TraceID != "" {
 		span := &protocol.SpanNode{
-			Op:     "peer_fetch",
+			Op:     protocol.SpanPeerFetch,
 			Addr:   addr,
 			Micros: rtt.Microseconds(),
 			Detail: key,
@@ -200,7 +199,7 @@ func (s *Server) handleBlobGet(req *request, hdr *protocol.BlobGetHeader) (proto
 	if hdr.TraceID != "" {
 		// The fetching peer propagated a trace: answer with this request's
 		// span so the requester's tree covers this process too.
-		req.span.Op, req.span.Detail = "blob_serve", hdr.Key
+		req.span.Op, req.span.Detail = protocol.SpanBlobServe, hdr.Key
 		resp.Span = req.finish()
 	}
 	return protocol.Encode(protocol.MsgBlobData, resp, data)

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"websnap/internal/obs"
+	"websnap/internal/protocol"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 	"websnap/internal/vmsynth"
 )
 
@@ -95,8 +95,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 	// Populate counters and histograms so the lint sees non-trivial series.
 	srv.connsServed.Add(3)
 	srv.errorsAnswered.Inc()
-	for i, stage := range []trace.Stage{trace.StageQueue, trace.StageExecute} {
-		h := srv.rec.Stage(stage)
+	for i, op := range []string{protocol.SpanQueue, protocol.SpanExecute} {
+		h := srv.stages[op]
 		for j := 0; j < 50; j++ {
 			h.Observe(time.Duration(i+1) * time.Duration(j+1) * time.Microsecond)
 		}

@@ -16,7 +16,6 @@ import (
 	"websnap/internal/sched"
 	"websnap/internal/snapshot"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 	"websnap/internal/webapp"
 )
 
@@ -233,10 +232,13 @@ func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string
 // tree home on the response.
 func (s *Server) served(req *request, appID string) *protocol.SpanNode {
 	root := req.finish()
-	streamWait, queue, execute := root.ServerStages()
-	s.rec.Observe(trace.StageStreamWait, streamWait)
-	s.rec.Observe(trace.StageQueue, queue)
-	s.rec.Observe(trace.StageExecute, execute)
+	// Only direct children count: a downstream hop grafted under a chain
+	// hop is another server's work.
+	for _, c := range root.Children {
+		if h := s.stages[c.Op]; h != nil {
+			h.Observe(c.Duration())
+		}
+	}
 	traceID, seq := req.env.TraceID, req.env.Seq
 	if s.cfg.SLO != nil {
 		s.cfg.SLO.Observe(root.Duration())

@@ -135,9 +135,9 @@ type Server struct {
 	// unlimited.
 	connSlots chan struct{}
 
-	// rec aggregates server-side stage latencies (queue, execute) across
-	// every offload request, for /metrics export.
-	rec *trace.Recorder
+	// stages holds one latency histogram per protocol.EdgeStages op, for
+	// /metrics and fleet digests.
+	stages map[string]*trace.Histogram
 	// traceLogMu serializes JSON lines onto Config.TraceLog.
 	traceLogMu sync.Mutex
 
@@ -250,8 +250,10 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("websnap_queueing_delay_seconds", "Estimated queueing delay for a request submitted now.",
 		func() float64 { return s.sched.Stats().QueueingDelay().Seconds() })
 	stages := r.HistogramVec("websnap_stage_seconds", "Offload pipeline stage latency in seconds.", "stage")
-	for _, stage := range trace.AllStages() {
-		stages.Attach(s.rec.Stage(stage), string(stage))
+	s.stages = make(map[string]*trace.Histogram)
+	for _, op := range protocol.EdgeStages() {
+		s.stages[op] = &trace.Histogram{}
+		stages.Attach(s.stages[op], op)
 	}
 	// Fleet families register after everything above: the pre-fleet
 	// exposition prefix stays byte-identical for existing scrapes.
@@ -319,7 +321,6 @@ func NewServer(cfg Config) (*Server, error) {
 		store:     store,
 		log:       cfg.Logger,
 		installed: cfg.Installed,
-		rec:       trace.NewRecorder(),
 		start:     time.Now(),
 	}
 	if cfg.MaxConns > 0 {
@@ -522,7 +523,7 @@ type request struct {
 func (s *Server) newRequest(msg protocol.Message) *request {
 	hdr, env, hdrErr := protocol.DecodeFrame(msg)
 	return &request{msg: msg, hdr: hdr, env: env, hdrErr: hdrErr, start: time.Now(),
-		span: &protocol.SpanNode{Op: "serve", Addr: s.cfg.AdvertiseAddr}}
+		span: &protocol.SpanNode{Op: protocol.SpanServe, Addr: s.cfg.AdvertiseAddr}}
 }
 
 // finish closes the request's span: its root now covers the server's whole
@@ -711,7 +712,7 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 // a pre-send is no served request, so it feeds no SLO, stage histogram or
 // trace log.
 func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
-	req.span.Op, req.span.Detail = "presend_resolve", hdr.BlobKey
+	req.span.Op, req.span.Detail = protocol.SpanPresendResolve, hdr.BlobKey
 	// ack answers under the request's span, whose root is the server's share
 	// of the round trip, so the client can read its uplink off the rest.
 	ack := func(needBlob bool) (protocol.Message, error) {
@@ -759,9 +760,6 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 	return ack(false)
 }
 
-// TraceRecorder exposes the server's aggregated stage histograms.
-func (s *Server) TraceRecorder() *trace.Recorder { return s.rec }
-
 // StatsDigest snapshots the server's telemetry for one registry heartbeat:
 // every stage histogram in mergeable bucket form, the decision mix, and the
 // live queue depth and store charge. cmd/edged wires this as the fleet
@@ -770,7 +768,7 @@ func (s *Server) TraceRecorder() *trace.Recorder { return s.rec }
 // digest per member loses nothing.
 func (s *Server) StatsDigest() *protocol.StatsDigest {
 	src := telemetry.DigestSource{
-		Recorder: s.rec,
+		Stages: s.stages,
 		Decisions: func() map[string]uint64 {
 			m := s.Metrics()
 			st := s.sched.Stats()

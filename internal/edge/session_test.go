@@ -187,31 +187,34 @@ func blobPeer(t testing.TB, blobs map[string][]byte) string {
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				msg, err := protocol.Read(c)
-				if err != nil {
-					return
-				}
-				var hdr protocol.BlobGetHeader
-				if err := protocol.DecodeHeader(msg, &hdr); err != nil {
-					return
-				}
-				data, ok := blobs[hdr.Key]
-				if !ok {
-					resp, _ := protocol.Encode(protocol.MsgError,
-						protocol.ErrorHeader{Message: fmt.Sprintf("blob %s not held here", hdr.Key)}, nil)
-					protocol.Write(c, resp) //nolint:errcheck
-					return
-				}
-				resp, _ := protocol.Encode(protocol.MsgBlobData, protocol.BlobDataHeader{
-					Key: hdr.Key, BodyCRC: protocol.BodyChecksum(data),
-				}, data)
-				protocol.Write(c, resp) //nolint:errcheck
-			}(c)
+			go serveBlob(c, blobs)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// serveBlob answers one MsgBlobGet on c from blobs, then closes c.
+func serveBlob(c net.Conn, blobs map[string][]byte) {
+	defer c.Close()
+	msg, err := protocol.Read(c)
+	if err != nil {
+		return
+	}
+	var hdr protocol.BlobGetHeader
+	if err := protocol.DecodeHeader(msg, &hdr); err != nil {
+		return
+	}
+	data, ok := blobs[hdr.Key]
+	if !ok {
+		resp, _ := protocol.Encode(protocol.MsgError,
+			protocol.ErrorHeader{Message: fmt.Sprintf("blob %s not held here", hdr.Key)}, nil)
+		protocol.Write(c, resp) //nolint:errcheck
+		return
+	}
+	resp, _ := protocol.Encode(protocol.MsgBlobData, protocol.BlobDataHeader{
+		Key: hdr.Key, BodyCRC: protocol.BodyChecksum(data),
+	}, data)
+	protocol.Write(c, resp) //nolint:errcheck
 }
 
 // fleetServer runs a fleet-joined server whose locator names holders for

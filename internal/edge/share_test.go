@@ -2,7 +2,9 @@ package edge
 
 import (
 	"encoding/json"
+	"net"
 	"testing"
+	"time"
 
 	"websnap/internal/nn"
 	"websnap/internal/protocol"
@@ -135,10 +137,16 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 // holding one model. Whatever the bytes, the server must not panic, and an
 // ACK without NeedBlob must leave the app's model in the store under a key
 // it fingerprints to — whether the model came up as weights, was already
-// held, or was fetched from the peer. Each input gets a fresh server, so
+// held, or was fetched from the peer. Each input gets an empty store, so
 // what one input stored cannot answer another.
+//
+// The seeds are a few hundred bytes: the fuzzer minimises every new
+// interesting input, in time quadratic in its length, so seeds of a
+// catalog model's size (kilobytes of weights) spend each minimisation's
+// whole time limit at 0 execs/s. The peer answers over an in-memory pipe,
+// and the server is built once, for the same reason.
 func FuzzModelPreSend(f *testing.F) {
-	model := tinyModel(f, "tiny")
+	model := fuzzModel(f)
 	key, weights := nn.Fingerprint(model), modelBlob(f, model)
 	spec, err := nn.EncodeSpec(model)
 	if err != nil {
@@ -158,14 +166,22 @@ func FuzzModelPreSend(f *testing.F) {
 	f.Add(header(protocol.ModelPreSendHeader{RefOnly: true}), []byte(nil))
 	f.Add(header(protocol.ModelPreSendHeader{BodyCRC: protocol.BodyChecksum(truncated)}), truncated)
 
-	cat := testCatalog(f)
-	locator := fakeLocator{holders: map[string][]string{key: {blobPeer(f, map[string][]byte{key: weights})}}}
+	blobs := map[string][]byte{key: weights}
+	srv, err := NewServer(Config{
+		Catalog: testCatalog(f), Installed: true, AdvertiseAddr: "fuzz:0",
+		Locator: fakeLocator{holders: map[string][]string{key: {"peer:0"}}},
+		PeerDial: func(string, time.Duration) (net.Conn, error) {
+			c, peer := net.Pipe()
+			go serveBlob(peer, blobs)
+			return c, nil
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer srv.Close()
 	f.Fuzz(func(t *testing.T, header, body []byte) {
-		srv, err := NewServer(Config{Catalog: cat, Installed: true, AdvertiseAddr: "fuzz:0", Locator: locator})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		srv.store = newSessionStore(0)
 		req := srv.newRequest(protocol.Message{Type: protocol.MsgModelPreSend, Header: header, Body: body})
 		resp, err := srv.dispatch(req)
 		if err != nil || resp.Type != protocol.MsgAck {
@@ -187,4 +203,32 @@ func FuzzModelPreSend(f *testing.F) {
 			t.Fatalf("ACKed %q/%q, but the store holds it %v under key %q", h.AppID, h.ModelName, ok, held)
 		}
 	})
+}
+
+// fuzzModel is the smallest network with TinyNet's layer kinds (input,
+// conv, ReLU, pool, FC, softmax): 32 bytes of weights.
+func fuzzModel(t testing.TB) *nn.Network {
+	t.Helper()
+	in, err := nn.NewInput("data", 1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := nn.NewConv("conv", 1, 1, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := nn.NewPool("pool", nn.MaxPool, 2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := nn.NewFC("fc", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := nn.NewNetwork("tiny", in, conv, nn.NewReLU("relu"), pool, fc, nn.NewSoftmax("prob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(3)
+	return net
 }

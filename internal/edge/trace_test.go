@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,10 +15,11 @@ import (
 	"time"
 
 	"websnap/internal/mlapp"
+	"websnap/internal/models"
+	"websnap/internal/nn"
 	"websnap/internal/protocol"
 	"websnap/internal/snapshot"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 	"websnap/internal/webapp"
 )
 
@@ -129,10 +131,10 @@ func TestResultCarriesServerSpan(t *testing.T) {
 		t.Errorf("untraced request: load=%v span=%v, want both", hdr.Load, hdr.Span)
 	}
 
-	if got := srv.TraceRecorder().Stage(trace.StageExecute).Count(); got != 2 {
+	if got := srv.stages[protocol.SpanExecute].Count(); got != 2 {
 		t.Errorf("server execute-stage observations = %d, want 2", got)
 	}
-	if got := srv.TraceRecorder().Stage(trace.StageQueue).Count(); got != 2 {
+	if got := srv.stages[protocol.SpanQueue].Count(); got != 2 {
 		t.Errorf("server queue-stage observations = %d, want 2", got)
 	}
 }
@@ -197,6 +199,72 @@ func TestMetricsPrometheus(t *testing.T) {
 		}
 	}
 	assertCumulativeBuckets(t, body, "execute")
+}
+
+// TestEveryStageLabelIsRecorded: every stage label /metrics registers on
+// websnap_stage_seconds is one this server's requests record. A traced
+// snapshot offload, a 2-hop chain this server heads, and a reference
+// pre-send it resolves through the registry and a peer fetch leave every
+// label's count at 1 or more. Decode and encode count the snapshot offload
+// alone; queue and execute count it and this server's own hop, not the
+// downstream hop grafted under the chain span.
+func TestEveryStageLabelIsRecorded(t *testing.T) {
+	model := tinyModel(t, "tiny")
+	fetched, err := models.BuildTinyNet("fetched", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := nn.Fingerprint(fetched)
+	peer := blobPeer(t, map[string][]byte{key: modelBlob(t, fetched)})
+	srv, addr := startHopServer(t, Config{Locator: fakeLocator{holders: map[string][]string{key: {peer}}}})
+	_, tail := startHopServer(t, Config{})
+
+	offloadRaw(t, srv, addr, "0123456789abcdef")
+
+	if err := srv.store.Put("chain-app", "tiny", model); err != nil {
+		t.Fatal(err)
+	}
+	preSendAll(t, model, []string{tail})
+	hops := chainRanges(t, model, []string{addr, tail})
+	boundary, err := model.ForwardRange(chainInput(t, model), 0, hops[0].From)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dial(t, addr)
+	if _, err := conn.ChainExec("chain-app", "tiny", hops, boundary, "1123456789abcdef"); err != nil {
+		t.Fatal(err)
+	}
+
+	ps, err := conn.PreSendModel("roamer", "fetched", fetched, "2123456789abcdef")
+	if err != nil || ps.Uploaded != 0 {
+		t.Fatalf("pre-send uploaded %d B, err %v; want the reference resolved by the peer", ps.Uploaded, err)
+	}
+
+	var labels []string
+	counts := make(map[string]uint64)
+	for _, line := range strings.Split(string(fetchMetrics(t, srv)), "\n") {
+		if rest, ok := strings.CutPrefix(line, `websnap_stage_seconds_count{stage="`); ok {
+			label, n, _ := strings.Cut(rest, `"} `)
+			labels = append(labels, label)
+			if counts[label], err = strconv.ParseUint(n, 10, 64); err != nil {
+				t.Fatalf("count line %q: %v", line, err)
+			}
+			if counts[label] == 0 {
+				t.Errorf("stage %q registered but never recorded", label)
+			}
+		}
+	}
+	if !slices.Equal(labels, protocol.EdgeStages()) {
+		t.Errorf("stage labels = %v, want %v", labels, protocol.EdgeStages())
+	}
+	for label, want := range map[string]uint64{
+		protocol.SpanDecode: 1, protocol.SpanEncode: 1,
+		protocol.SpanQueue: 2, protocol.SpanExecute: 2, protocol.SpanStreamWait: 2,
+	} {
+		if counts[label] != want {
+			t.Errorf("stage %q count = %d, want %d", label, counts[label], want)
+		}
+	}
 }
 
 // assertCumulativeBuckets verifies the le buckets of one stage are emitted
@@ -322,7 +390,7 @@ func TestChainHopObservedLikeOffload(t *testing.T) {
 	} {
 		span := kind.request()
 		n := i + 1
-		if got := srv.TraceRecorder().Stage(trace.StageStreamWait).Count(); got != uint64(n) {
+		if got := srv.stages[protocol.SpanStreamWait].Count(); got != uint64(n) {
 			t.Errorf("%s: stream_wait observations = %d, want %d", kind.op, got, n)
 		}
 		if got := slo.Status().LongTotal; got != uint64(n) {

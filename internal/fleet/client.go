@@ -110,32 +110,6 @@ func (c *RegistryClient) View() (view protocol.FleetViewHeader, cached bool, err
 	return *c.cached, true, nil
 }
 
-// MemberView adapts a registry client to a dynamic candidate view (the
-// shape internal/roam's Config.FleetView expects): each call fetches the
-// fleet view — degrading to the client's last-known-good cache during a
-// registry outage — and returns its members in view order, tagged with the
-// source ("registry" live, "registry-cached" degraded) for the caller's
-// audit trail. The error is non-nil only when the registry is unreachable
-// and no cached view exists. The view decides nothing: the roamer picks
-// among the members by probe score (roam.Pick).
-func MemberView(rc *RegistryClient) func() ([]string, string, error) {
-	return func() ([]string, string, error) {
-		view, cached, err := rc.View()
-		if err != nil {
-			return nil, "", err
-		}
-		addrs := make([]string, len(view.Servers))
-		for i, s := range view.Servers {
-			addrs[i] = s.Addr
-		}
-		source := "registry"
-		if cached {
-			source = "registry-cached"
-		}
-		return addrs, source, nil
-	}
-}
-
 // Locate asks the registry which servers hold each blob key. A non-empty
 // traceID is stamped on the request, and the registry's span for the hop
 // comes back alongside the holders.
@@ -152,7 +126,7 @@ func (c *RegistryClient) Locate(keys []string, traceID string) (map[string][]str
 		// The registry measured only its own work; the caller's view of the
 		// hop includes the round trip. Wrap so the tree keeps both.
 		span = &protocol.SpanNode{
-			Op:       "registry_rpc",
+			Op:       protocol.SpanRegistryRPC,
 			Addr:     c.addr,
 			Micros:   time.Since(start).Microseconds(),
 			Children: []*protocol.SpanNode{loc.Span},

@@ -97,7 +97,7 @@ func (s *RegistryServer) dispatch(conn net.Conn, msg protocol.Message) error {
 			// answer with the registry's span so the hop shows up in the
 			// request's merged span tree.
 			resp.Span = &protocol.SpanNode{
-				Op:     "registry_locate",
+				Op:     protocol.SpanRegistryLocate,
 				Addr:   "registry",
 				Micros: time.Since(start).Microseconds(),
 			}

@@ -413,7 +413,7 @@ func TestEngineMatchesReferenceInceptionStack(t *testing.T) {
 			t.Fatalf("split %d front: %v", k, err)
 		}
 		if rs := rear.InputShape(); tensor.Volume(rs) == feat.Len() && len(rs) != feat.Rank() {
-			feat, err = feat.Reshape(rs...)
+			feat, err = tensor.FromSlice(feat.Data(), rs...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func TestConvForwardKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewConv: %v", err)
 	}
-	c.weight.Fill(1)
+	fill(c.weight, 1)
 	in, _ := tensor.FromSlice([]float32{
 		1, 2, 3,
 		4, 5, 6,
@@ -58,8 +58,8 @@ func TestConvBiasAndPadding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewConv: %v", err)
 	}
-	c.weight.Fill(1)
-	c.bias.Fill(10)
+	fill(c.weight, 1)
+	fill(c.bias, 10)
 	in, _ := tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
 	out, err := forwardLayer(c, in)
 	if err != nil {
@@ -446,7 +446,7 @@ func TestSplitEquivalenceAllPoints(t *testing.T) {
 			t.Fatalf("front(%d): %v", k, err)
 		}
 		if rs := rear.InputShape(); tensor.Volume(rs) == feat.Len() && len(rs) != feat.Rank() {
-			feat, err = feat.Reshape(rs...)
+			feat, err = tensor.FromSlice(feat.Data(), rs...)
 			if err != nil {
 				t.Fatalf("reshape feature at %d: %v", k, err)
 			}
@@ -729,5 +729,12 @@ func TestQuickConvAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fill sets every element of t to v.
+func fill(t *tensor.Tensor, v float32) {
+	for i := range t.Data() {
+		t.Data()[i] = v
 	}
 }

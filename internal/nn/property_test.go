@@ -168,7 +168,7 @@ func TestPropertyRandomNetworks(t *testing.T) {
 				t.Fatalf("seed %d split %d front: %v", seed, k, err)
 			}
 			if rs := rear.InputShape(); tensor.Volume(rs) == feat.Len() && len(rs) != feat.Rank() {
-				feat, err = feat.Reshape(rs...)
+				feat, err = tensor.FromSlice(feat.Data(), rs...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -456,29 +456,3 @@ func MetricsHandler(regs ...func() *Registry) http.Handler {
 		w.Write(b.Bytes()) //nolint:errcheck // best-effort scrape reply
 	})
 }
-
-// Families returns the registered family names in registration order (for
-// tests and debugging).
-func (r *Registry) Families() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	for i, f := range r.order {
-		out[i] = f.name
-	}
-	return out
-}
-
-// SeriesCount returns the number of live series in the named family (0 if
-// absent), letting tests assert the cardinality bound.
-func (r *Registry) SeriesCount(name string) int {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		return 0
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.order)
-}

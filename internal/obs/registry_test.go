@@ -74,7 +74,7 @@ func TestRegistryCardinalityBound(t *testing.T) {
 		cv.With(fmt.Sprintf("id-%d", i)).Inc()
 	}
 	// 64 distinct series plus one overflow bucket.
-	if n := r.SeriesCount("test_card_total"); n != DefaultMaxSeries+1 {
+	if n := seriesCount(r, "test_card_total"); n != DefaultMaxSeries+1 {
 		t.Errorf("series count = %d, want %d", n, DefaultMaxSeries+1)
 	}
 	if v := cv.With(OverflowLabel).Value(); v != 50 {
@@ -225,4 +225,14 @@ func TestWantsPrometheus(t *testing.T) {
 	if rr.Code != http.StatusMethodNotAllowed || rr.Header().Get("Allow") != http.MethodGet {
 		t.Errorf("POST: status %d, Allow %q; want 405 and GET", rr.Code, rr.Header().Get("Allow"))
 	}
+}
+
+// seriesCount returns the number of live series in the named family.
+func seriesCount(r *Registry, name string) int {
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return len(f.order)
 }

@@ -3,13 +3,12 @@
 // recognizable, and — unless the attacker holds the front part of the DNN —
 // the input cannot be reconstructed from it. It implements the
 // hill-climbing reconstruction attack the paper cites ([17], Mahendran &
-// Vedaldi) in a gradient-free form, plus denaturing metrics.
+// Vedaldi) in a gradient-free form, scored against a random-guess baseline.
 package privacy
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"websnap/internal/nn"
 	"websnap/internal/tensor"
@@ -26,12 +25,6 @@ type AttackOptions struct {
 	BatchSize int
 	// Seed makes the attack deterministic.
 	Seed uint64
-}
-
-// DefaultAttackOptions returns settings adequate for the small networks
-// used in tests and examples.
-func DefaultAttackOptions() AttackOptions {
-	return AttackOptions{Iterations: 4000, StepSize: 0.25, BatchSize: 8, Seed: 1}
 }
 
 // AttackResult reports a reconstruction attempt.
@@ -155,57 +148,6 @@ func RandomBaselineMSE(truth *tensor.Tensor, trials int, seed uint64) (float64, 
 		total += m
 	}
 	return total / float64(trials), nil
-}
-
-// DenatureScore quantifies how unrecognizable feature data is relative to
-// the input: the normalized correlation between the input image and the
-// feature map resampled to the input's size. 1 means structurally identical
-// (no denaturing); values near 0 mean the spatial structure is gone. The
-// paper's Fig 1 makes this argument visually; this makes it measurable.
-func DenatureScore(input, feature *tensor.Tensor) (float64, error) {
-	a := flattenNormalize(input)
-	b := resample(flattenNormalize(feature), len(a))
-	if len(a) == 0 || len(b) == 0 {
-		return 0, errors.New("privacy: empty tensors")
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return math.Abs(dot) / math.Sqrt(na*nb), nil
-}
-
-func flattenNormalize(t *tensor.Tensor) []float32 {
-	d := t.Data()
-	if len(d) == 0 {
-		return nil
-	}
-	var mean float64
-	for _, v := range d {
-		mean += float64(v)
-	}
-	mean /= float64(len(d))
-	out := make([]float32, len(d))
-	for i, v := range d {
-		out[i] = v - float32(mean)
-	}
-	return out
-}
-
-func resample(src []float32, n int) []float32 {
-	if len(src) == 0 || n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = src[i*len(src)/n]
-	}
-	return out
 }
 
 // rng is a small deterministic xorshift64* generator.

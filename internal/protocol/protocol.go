@@ -242,8 +242,7 @@ func (h LoadHint) QueueingDelay() time.Duration {
 // covering every process the request touched. Durations are microseconds
 // to keep headers compact.
 type SpanNode struct {
-	// Op names the operation ("presend_resolve", "registry_locate",
-	// "peer_fetch", "blob_serve", ...).
+	// Op names the operation: one of the Span* constants.
 	Op string `json:"op"`
 	// Addr identifies the process that performed the operation (an
 	// advertised server address, "registry", or "client").
@@ -265,9 +264,40 @@ const (
 	SpanStreamWait = "stream_wait" // wait for a stream slot on the connection
 	SpanDecode     = "decode"      // request body unpacking + snapshot decode
 	SpanQueue      = "queue"       // admission-queue wait for a worker
-	SpanExecute    = "execute"     // restore + handler run + result capture, or a hop's layer range
-	SpanEncode     = "encode"      // result diff + encode + any packing
+	SpanExecute    = "execute"     // restore + handler run, or a hop's layer range
+	SpanEncode     = "encode"      // result diff + encode + any packing; at the client, request encode
 )
+
+// The stages of a client's offload span, the bare children of its SpanOffload
+// root around the grafted served span: capture, encode, [compress], wire,
+// the served span, result_wire, restore.
+const (
+	SpanCapture    = "capture"     // reading the app's live state
+	SpanCompress   = "compress"    // body packing + unpacking (slow links only)
+	SpanWire       = "wire"        // request frame transfer client → server
+	SpanResultWire = "result_wire" // result frame transfer server → client
+	SpanRestore    = "restore"     // result decode + apply
+)
+
+// The roots and cross-process hops of a span tree.
+const (
+	SpanServe          = "serve"           // an edge server's served request (snapshot offload)
+	SpanChainExec      = "chain_exec"      // an edge server's chain hop
+	SpanPresendResolve = "presend_resolve" // an edge server's answer to a model pre-send
+	SpanBlobServe      = "blob_serve"      // an edge server's answer to a peer's blob fetch
+	SpanRegistryRPC    = "registry_rpc"    // a registry round trip, seen from its caller
+	SpanRegistryLocate = "registry_locate" // the registry's own blob lookup
+	SpanPeerFetch      = "peer_fetch"      // a server-to-server blob fetch round trip
+	SpanHandoffPresend = "handoff_presend" // a client's model pre-send to the server it roams to
+	SpanOffload        = "offload"         // a client's offload, capture to apply
+)
+
+// EdgeStages lists the stages an edge server keeps a latency histogram
+// for: the direct children of its served spans, then the fleet round trips
+// its pre-sends make.
+func EdgeStages() []string {
+	return []string{SpanStreamWait, SpanDecode, SpanQueue, SpanExecute, SpanEncode, SpanRegistryRPC, SpanPeerFetch}
+}
 
 // AddStage appends one bare stage child (op and duration only) to n.
 func (n *SpanNode) AddStage(op string, d time.Duration) {
@@ -280,28 +310,6 @@ func (n *SpanNode) Duration() time.Duration {
 		return 0
 	}
 	return time.Duration(n.Micros) * time.Microsecond
-}
-
-// ServerStages splits a served span into the stages both ends chart: the
-// stream-slot wait, the admission-queue wait, and execution, which for a
-// snapshot offload includes request decode and result encode. Only direct
-// children count, so a downstream hop grafted under a chain hop is not
-// charged to this server.
-func (n *SpanNode) ServerStages() (streamWait, queue, execute time.Duration) {
-	if n == nil {
-		return 0, 0, 0
-	}
-	for _, c := range n.Children {
-		switch c.Op {
-		case SpanStreamWait:
-			streamWait += c.Duration()
-		case SpanQueue:
-			queue += c.Duration()
-		case SpanDecode, SpanExecute, SpanEncode:
-			execute += c.Duration()
-		}
-	}
-	return streamWait, queue, execute
 }
 
 // Walk visits n and every descendant in depth-first order.

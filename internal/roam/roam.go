@@ -107,8 +107,8 @@ type Config struct {
 	// FleetView supplies membership dynamically.
 	Servers []string
 	// FleetView, when non-nil, supplies the candidate set dynamically —
-	// typically a fleet registry view (see fleet.MemberView). It
-	// returns candidate addresses plus a source tag: "registry" for a live view,
+	// typically a fleet registry view built on fleet.RegistryClient.View.
+	// It returns candidate addresses plus a source tag: "registry" for a live view,
 	// "registry-cached" when the client serves its last-known-good cached
 	// view during a registry outage. The roamer refreshes membership at
 	// the start of every probe round; a FleetView error keeps the previous
@@ -260,15 +260,6 @@ func (r *Roamer) refreshMembership() {
 	r.order, r.servers = order, servers
 }
 
-// ViewSource reports where the current candidate membership came from: ""
-// for a static server list; "registry", "registry-cached", or
-// "last-known-good" when a FleetView feeds the roamer.
-func (r *Roamer) ViewSource() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.viewSource
-}
-
 // ProbeAll refreshes fleet membership, probes every candidate, and returns
 // their states sorted healthy first, then in Pick's order: unsaturated
 // before saturated, then by Score.
@@ -386,13 +377,6 @@ func (r *Roamer) Current() (string, *client.Conn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.currentAddr, r.currentConn
-}
-
-// Switches counts completed server changes (the first Connect included).
-func (r *Roamer) Switches() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.switches
 }
 
 // Connect probes all candidates and connects to the best one.

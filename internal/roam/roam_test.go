@@ -150,8 +150,11 @@ func TestEvaluateHysteresis(t *testing.T) {
 	if addr, _ := r.Current(); addr != "a" {
 		t.Errorf("current = %s, want a", addr)
 	}
-	if r.Switches() != 3 {
-		t.Errorf("switches = %d, want 3", r.Switches())
+	r.mu.Lock()
+	switches := r.switches
+	r.mu.Unlock()
+	if switches != 3 {
+		t.Errorf("switches = %d, want 3", switches)
 	}
 }
 
@@ -555,7 +558,7 @@ func TestFleetViewMembership(t *testing.T) {
 	if addr, _ := r.Current(); addr != "a" {
 		t.Fatalf("connected to %q, want a", addr)
 	}
-	if src := r.ViewSource(); src != "registry" {
+	if src := viewSource(r); src != "registry" {
 		t.Errorf("view source = %q, want registry", src)
 	}
 	if !strings.Contains(logBuf.String(), `"view":"registry"`) {
@@ -592,7 +595,7 @@ func TestFleetViewMembership(t *testing.T) {
 	if len(infos) != 3 {
 		t.Errorf("candidates during outage = %d, want 3 (last-known-good)", len(infos))
 	}
-	if src := r.ViewSource(); src != "last-known-good" {
+	if src := viewSource(r); src != "last-known-good" {
 		t.Errorf("view source during outage = %q, want last-known-good", src)
 	}
 }
@@ -834,4 +837,11 @@ func TestMidHandoffConnectionLoss(t *testing.T) {
 			}
 		}
 	}
+}
+
+// viewSource reads where r's current candidate membership came from.
+func viewSource(r *Roamer) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.viewSource
 }

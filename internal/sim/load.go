@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"websnap/internal/obs"
+	"websnap/internal/protocol"
 	"websnap/internal/trace"
 )
 
@@ -43,6 +44,18 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
+// loadStages are the stages a LoadPoint summarises, in pipeline order.
+var loadStages = []string{
+	protocol.SpanCapture, protocol.SpanWire, protocol.SpanQueue,
+	protocol.SpanExecute, protocol.SpanResultWire, protocol.SpanRestore,
+}
+
+// StageSummary is one stage's percentile summary, named by its span op.
+type StageSummary struct {
+	Stage string
+	trace.Quantiles
+}
+
 // LoadPoint is one concurrency setting's outcome: aggregate throughput and
 // the client-observed latency distribution.
 type LoadPoint struct {
@@ -67,7 +80,7 @@ type LoadPoint struct {
 	// as count/mean/p50/p95/p99. The queue and execute stages are where
 	// load contention shows; the rest are the deterministic per-request
 	// costs.
-	Stages []trace.StageSummary
+	Stages []StageSummary
 	// Mix is the offload decision mix at this load: partial offloads versus
 	// overload fallbacks, in the same vocabulary the client-side audit uses.
 	Mix []obs.PathCount
@@ -129,7 +142,10 @@ func newLoadSim(sc *Scenario, cfg LoadConfig) (*loadSim, error) {
 
 // point runs the engine with clients concurrent closed-loop clients.
 func (ls *loadSim) point(clients int) (LoadPoint, error) {
-	rec := trace.NewRecorder()
+	stages := make(map[string]*trace.Histogram, len(loadStages))
+	for _, op := range loadStages {
+		stages[op] = &trace.Histogram{}
+	}
 	prep, service, post := ls.bd.segments()
 	eng := engine{
 		clients:    clients,
@@ -152,18 +168,24 @@ func (ls *loadSim) point(clients int) (LoadPoint, error) {
 		}
 		// Queue and execute are where load contention shows; the rest are
 		// the fixed per-request stages of an offloaded inference.
-		rec.Observe(trace.StageQueue, req.dispatch-req.arrive)
-		rec.Observe(trace.StageExecute, service)
-		rec.Observe(trace.StageCapture, ls.bd.Get(PhaseSnapshotCaptureC))
-		rec.Observe(trace.StageWire, ls.bd.Get(PhaseTransferUp))
-		rec.Observe(trace.StageResultWire, ls.bd.Get(PhaseTransferDown))
-		rec.Observe(trace.StageRestore, ls.bd.Get(PhaseSnapshotRestoreC))
+		stages[protocol.SpanQueue].Observe(req.dispatch - req.arrive)
+		stages[protocol.SpanExecute].Observe(service)
+		stages[protocol.SpanCapture].Observe(ls.bd.Get(PhaseSnapshotCaptureC))
+		stages[protocol.SpanWire].Observe(ls.bd.Get(PhaseTransferUp))
+		stages[protocol.SpanResultWire].Observe(ls.bd.Get(PhaseTransferDown))
+		stages[protocol.SpanRestore].Observe(ls.bd.Get(PhaseSnapshotRestoreC))
 	}
 	out, err := eng.run()
 	if err != nil {
 		return LoadPoint{}, err
 	}
 	completed := len(out.latencies)
+	var summaries []StageSummary
+	for _, op := range loadStages {
+		if h := stages[op]; h.Count() > 0 {
+			summaries = append(summaries, StageSummary{Stage: op, Quantiles: h.Summary()})
+		}
+	}
 	return LoadPoint{
 		Clients:             clients,
 		Completed:           completed,
@@ -172,7 +194,7 @@ func (ls *loadSim) point(clients int) (LoadPoint, error) {
 		OffloadedThroughput: out.perSecond(completed - out.shed),
 		P50:                 percentile(out.latencies, 0.50),
 		P99:                 percentile(out.latencies, 0.99),
-		Stages:              rec.Summaries(),
+		Stages:              summaries,
 		Mix:                 out.audit.Mix,
 		PredErr:             out.audit.PredErr,
 	}, nil

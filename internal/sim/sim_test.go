@@ -11,6 +11,7 @@ import (
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/netem"
+	"websnap/internal/nn"
 	"websnap/internal/obs"
 	"websnap/internal/partition"
 	"websnap/internal/snapshot"
@@ -636,11 +637,11 @@ func TestTimelineMatchesPlanner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onClient, err := sc.Client.LayerTime(infos[0])
+		onClient, err := sc.Client.LayerTimePrec(infos[0], nn.PrecFloat32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		onServer, err := sc.Server.LayerTime(infos[0])
+		onServer, err := sc.Server.LayerTimePrec(infos[0], nn.PrecFloat32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		t.Fatalf("globals %d != %d", len(got.Globals), len(cur.Globals))
 	}
 	for name, v := range cur.Globals {
-		if !webapp.DeepEqual(got.Globals[name], v) {
+		if !webapp.Identical(got.Globals[name], v) {
 			t.Errorf("global %q differs", name)
 		}
 	}
@@ -273,7 +273,7 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("set globals %d != %d", len(got.SetGlobals), len(d.SetGlobals))
 	}
 	for name, v := range d.SetGlobals {
-		if !webapp.DeepEqual(got.SetGlobals[name], v) {
+		if !webapp.Identical(got.SetGlobals[name], v) {
 			t.Errorf("global %q corrupted", name)
 		}
 	}
@@ -401,7 +401,7 @@ func TestQuickDiffApply(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return webapp.DeepEqual(got.Globals["mut"], v)
+		return webapp.Identical(got.Globals["mut"], v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -410,8 +410,8 @@ func TestQuickDiffApply(t *testing.T) {
 
 // TestDiffSeesSignOfZero: a handler whose only effect is flipping the sign
 // of a zero has changed the state — the snapshot text round-trips −0 — so a
-// delta must carry it. Comparing with == (webapp.DeepEqual) drops both
-// globals and the patched state silently keeps +0.
+// delta must carry it. Comparing with == drops both globals and the
+// patched state silently keeps +0.
 func TestDiffSeesSignOfZero(t *testing.T) {
 	reg := webapp.NewRegistry("zero-flip")
 	reg.MustRegister("flip", func(app *webapp.App, _ webapp.Event) error {

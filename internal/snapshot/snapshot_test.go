@@ -185,7 +185,7 @@ func TestOffloadRoundTrip(t *testing.T) {
 		t.Fatal("scores global missing after round trip")
 	}
 	wantScores, _ := local.Global("scores")
-	if !webapp.DeepEqual(scores, wantScores) {
+	if !webapp.Identical(scores, wantScores) {
 		t.Error("scores differ from local execution")
 	}
 }
@@ -222,7 +222,7 @@ func TestEncodeDecodeStateFidelity(t *testing.T) {
 		t.Fatalf("bindings %d != %d", len(got.Bindings), len(snap.Bindings))
 	}
 	for name, v := range snap.Globals {
-		if !webapp.DeepEqual(got.Globals[name], v) {
+		if !webapp.Identical(got.Globals[name], v) {
 			t.Errorf("global %q corrupted", name)
 		}
 	}
@@ -504,7 +504,7 @@ func TestQuickValueWireRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return webapp.DeepEqual(v, got)
+		return webapp.Identical(v, got)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

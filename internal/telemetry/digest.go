@@ -1,5 +1,5 @@
 // Package telemetry is the fleet-wide observability plane built on top of
-// internal/trace (span traces, mergeable histograms) and internal/obs
+// internal/trace (mergeable histograms) and internal/obs
 // (metrics registry, decision audit). It provides:
 //
 //   - stats digests: compact, lossless snapshots of a server's stage
@@ -27,8 +27,8 @@ import (
 // StatsDigest snapshot. Every field is optional; nil suppliers leave the
 // corresponding digest field empty.
 type DigestSource struct {
-	// Recorder supplies the per-stage latency histograms.
-	Recorder *trace.Recorder
+	// Stages supplies the per-stage latency histograms, keyed by span op.
+	Stages map[string]*trace.Histogram
 	// Decisions supplies cumulative request-outcome counters by path.
 	Decisions func() map[string]uint64
 	// QueueDepth supplies the scheduler admission-queue depth.
@@ -49,18 +49,15 @@ func (s DigestSource) Digest() *protocol.StatsDigest {
 		now = s.Now
 	}
 	d := &protocol.StatsDigest{}
-	if s.Recorder != nil {
-		for _, stage := range trace.AllStages() {
-			h := s.Recorder.Stage(stage)
-			if h == nil || h.Count() == 0 {
-				continue
-			}
-			buckets, count, sum := h.ExportBuckets()
-			if d.Stages == nil {
-				d.Stages = make(map[string]protocol.HistDigest)
-			}
-			d.Stages[string(stage)] = protocol.HistDigest{Buckets: buckets, Count: count, SumNanos: sum}
+	for op, h := range s.Stages {
+		if h.Count() == 0 {
+			continue
 		}
+		buckets, count, sum := h.ExportBuckets()
+		if d.Stages == nil {
+			d.Stages = make(map[string]protocol.HistDigest)
+		}
+		d.Stages[op] = protocol.HistDigest{Buckets: buckets, Count: count, SumNanos: sum}
 	}
 	if s.Decisions != nil {
 		if m := s.Decisions(); len(m) > 0 {
@@ -87,13 +84,13 @@ func HistogramFromDigest(d protocol.HistDigest) *trace.Histogram {
 	return h
 }
 
-// MergeStage folds one digest's named stage into dst (no-op when the
-// stage is absent from the digest).
-func MergeStage(dst *trace.Histogram, d *protocol.StatsDigest, stage trace.Stage) {
+// MergeStage folds one digest's stage op into dst (no-op when the stage is
+// absent from the digest).
+func MergeStage(dst *trace.Histogram, d *protocol.StatsDigest, op string) {
 	if d == nil || dst == nil {
 		return
 	}
-	if hd, ok := d.Stages[string(stage)]; ok {
+	if hd, ok := d.Stages[op]; ok {
 		dst.MergeBuckets(hd.Buckets, hd.Count, hd.SumNanos)
 	}
 }

@@ -51,7 +51,6 @@ type sizedEntry struct {
 // entries, so a long soak cannot grow the process by leaving it on.
 type FlightRecorder struct {
 	maxBytes int64
-	now      func() time.Time
 
 	mu      sync.Mutex
 	entries []sizedEntry
@@ -66,14 +65,7 @@ func NewFlightRecorder(maxBytes int64) *FlightRecorder {
 	if maxBytes <= 0 {
 		maxBytes = DefaultFlightBytes
 	}
-	return &FlightRecorder{maxBytes: maxBytes, now: time.Now}
-}
-
-// SetNow overrides the recorder's clock (tests, simulator).
-func (f *FlightRecorder) SetNow(now func() time.Time) {
-	if now != nil {
-		f.now = now
-	}
+	return &FlightRecorder{maxBytes: maxBytes}
 }
 
 // Record captures one entry, evicting oldest entries until it fits. An
@@ -84,7 +76,7 @@ func (f *FlightRecorder) Record(e FlightEntry) {
 		return
 	}
 	if e.At.IsZero() {
-		e.At = f.now()
+		e.At = time.Now()
 	}
 	enc, err := json.Marshal(e)
 	if err != nil {

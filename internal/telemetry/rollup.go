@@ -33,16 +33,12 @@ type Rollup struct {
 	Servers []ServerStats
 }
 
-// rollupStages is the fixed label set the Prometheus rollup exposes; a
-// bounded set keeps fleet-of-N cardinality at len(stages) series.
-func rollupStages() []trace.Stage { return trace.AllStages() }
-
-// MergedStage returns the fleet-wide histogram for one stage, merged
+// MergedStage returns the fleet-wide histogram for one stage op, merged
 // across every member that reported it.
-func (r Rollup) MergedStage(stage trace.Stage) *trace.Histogram {
+func (r Rollup) MergedStage(op string) *trace.Histogram {
 	h := &trace.Histogram{}
 	for _, s := range r.Servers {
-		MergeStage(h, s.Stats, stage)
+		MergeStage(h, s.Stats, op)
 	}
 	return h
 }
@@ -57,12 +53,14 @@ func (r Rollup) Registry() *obs.Registry {
 	reg := obs.NewRegistry()
 	stageVec := reg.HistogramVec("websnap_rollup_stage_seconds",
 		"Fleet-wide offload stage latency, merged from member heartbeat digests.", "stage")
-	for _, stage := range rollupStages() {
-		h := r.MergedStage(stage)
+	// The edge stage list bounds the label set, so a fleet of N members
+	// still exposes one series per stage.
+	for _, op := range protocol.EdgeStages() {
+		h := r.MergedStage(op)
 		if h.Count() == 0 {
 			continue
 		}
-		stageVec.Attach(h, string(stage))
+		stageVec.Attach(h, op)
 	}
 	decisions := reg.CounterVec("websnap_rollup_decisions_total",
 		"Fleet-wide executed request outcomes by path, merged from member digests.", "path")
@@ -165,15 +163,15 @@ func (r Rollup) Summarize() FleetSummary {
 		out.Servers = append(out.Servers, sum)
 	}
 	sort.Slice(out.Servers, func(i, j int) bool { return out.Servers[i].Addr < out.Servers[j].Addr })
-	for _, stage := range rollupStages() {
-		h := r.MergedStage(stage)
+	for _, op := range protocol.EdgeStages() {
+		h := r.MergedStage(op)
 		if h.Count() == 0 {
 			continue
 		}
 		if out.Fleet == nil {
 			out.Fleet = make(map[string]StageSummary)
 		}
-		out.Fleet[string(stage)] = summarize(h)
+		out.Fleet[op] = summarize(h)
 	}
 	return out
 }

@@ -14,16 +14,19 @@ import (
 )
 
 func TestDigestRoundTripPreservesHistogram(t *testing.T) {
-	rec := trace.NewRecorder()
+	orig := &trace.Histogram{}
 	durations := []time.Duration{
 		120 * time.Microsecond, 3 * time.Millisecond, 3 * time.Millisecond,
 		47 * time.Millisecond, 900 * time.Millisecond,
 	}
 	for _, d := range durations {
-		rec.Observe(trace.StageExecute, d)
+		orig.Observe(d)
 	}
 	src := DigestSource{
-		Recorder:   rec,
+		Stages: map[string]*trace.Histogram{
+			protocol.SpanExecute:   orig,
+			protocol.SpanPeerFetch: {},
+		},
 		Decisions:  func() map[string]uint64 { return map[string]uint64{"snapshot_full": 5} },
 		QueueDepth: func() int { return 3 },
 		StoreBytes: func() int64 { return 1 << 20 },
@@ -35,7 +38,7 @@ func TestDigestRoundTripPreservesHistogram(t *testing.T) {
 	if d.Decisions["snapshot_full"] != 5 {
 		t.Fatalf("decisions: %v", d.Decisions)
 	}
-	hd, ok := d.Stages[string(trace.StageExecute)]
+	hd, ok := d.Stages[protocol.SpanExecute]
 	if !ok {
 		t.Fatalf("execute stage missing from digest: %v", d.Stages)
 	}
@@ -50,7 +53,6 @@ func TestDigestRoundTripPreservesHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := HistogramFromDigest(back)
-	orig := rec.Stage(trace.StageExecute)
 	if h.Count() != orig.Count() || h.Sum() != orig.Sum() {
 		t.Fatalf("rebuilt count/sum = %d/%v, want %d/%v", h.Count(), h.Sum(), orig.Count(), orig.Sum())
 	}
@@ -61,26 +63,26 @@ func TestDigestRoundTripPreservesHistogram(t *testing.T) {
 	}
 	// Stages with no observations must be absent, keeping idle digests
 	// tiny.
-	if _, ok := d.Stages[string(trace.StagePeerFetch)]; ok {
+	if _, ok := d.Stages[protocol.SpanPeerFetch]; ok {
 		t.Error("unobserved stage leaked into digest")
 	}
 }
 
 func TestMergeStageAccumulatesAcrossServers(t *testing.T) {
 	mk := func(ds ...time.Duration) *protocol.StatsDigest {
-		rec := trace.NewRecorder()
+		exec := &trace.Histogram{}
 		for _, d := range ds {
-			rec.Observe(trace.StageExecute, d)
+			exec.Observe(d)
 		}
-		return DigestSource{Recorder: rec}.Digest()
+		return DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
 	}
 	a := mk(time.Millisecond, 2*time.Millisecond)
 	b := mk(40 * time.Millisecond)
 	merged := &trace.Histogram{}
-	MergeStage(merged, a, trace.StageExecute)
-	MergeStage(merged, b, trace.StageExecute)
-	MergeStage(merged, nil, trace.StageExecute)                     // nil digest is a no-op
-	MergeStage(merged, &protocol.StatsDigest{}, trace.StageExecute) // absent stage is a no-op
+	MergeStage(merged, a, protocol.SpanExecute)
+	MergeStage(merged, b, protocol.SpanExecute)
+	MergeStage(merged, nil, protocol.SpanExecute)                     // nil digest is a no-op
+	MergeStage(merged, &protocol.StatsDigest{}, protocol.SpanExecute) // absent stage is a no-op
 	if merged.Count() != 3 {
 		t.Fatalf("merged count = %d, want 3", merged.Count())
 	}
@@ -190,10 +192,9 @@ func TestSLOHandlerJSON(t *testing.T) {
 
 func TestFlightRecorderByteCap(t *testing.T) {
 	f := NewFlightRecorder(2048)
-	f.SetNow(func() time.Time { return time.Unix(42, 0) })
 	note := strings.Repeat("x", 200)
 	for i := 0; i < 100; i++ {
-		f.Record(FlightEntry{TraceID: "0123456789abcdef", Reason: FlightSlow, Note: note})
+		f.Record(FlightEntry{At: time.Unix(42, 0), TraceID: "0123456789abcdef", Reason: FlightSlow, Note: note})
 		if f.Bytes() > f.Cap() {
 			t.Fatalf("ring exceeded cap after %d records: %d > %d", i+1, f.Bytes(), f.Cap())
 		}
@@ -241,13 +242,13 @@ func TestFlightRecorderDumpOrderAndHandler(t *testing.T) {
 // fleetStats builds a two-server fleet snapshot with digests.
 func fleetStats() []ServerStats {
 	mk := func(addr string, execute time.Duration, decisions map[string]uint64) ServerStats {
-		rec := trace.NewRecorder()
+		exec, queue := &trace.Histogram{}, &trace.Histogram{}
 		for i := 0; i < 5; i++ {
-			rec.Observe(trace.StageExecute, execute)
+			exec.Observe(execute)
 		}
-		rec.Observe(trace.StageQueue, execute/10)
+		queue.Observe(execute / 10)
 		d := DigestSource{
-			Recorder:   rec,
+			Stages:     map[string]*trace.Histogram{protocol.SpanExecute: exec, protocol.SpanQueue: queue},
 			Decisions:  func() map[string]uint64 { return decisions },
 			QueueDepth: func() int { return 1 },
 			StoreBytes: func() int64 { return 512 },
@@ -311,7 +312,7 @@ func TestRollupSummarize(t *testing.T) {
 	if old.Addr != "edge-old:7080" || old.Telemetry || old.Stages != nil {
 		t.Fatalf("legacy server = %+v", old)
 	}
-	exec, ok := sum.Fleet[string(trace.StageExecute)]
+	exec, ok := sum.Fleet[protocol.SpanExecute]
 	if !ok {
 		t.Fatalf("fleet-wide execute summary missing: %v", sum.Fleet)
 	}

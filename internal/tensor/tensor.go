@@ -94,24 +94,6 @@ func (t *Tensor) Clone() *Tensor {
 	return &Tensor{shape: s, data: d}
 }
 
-// Reshape returns a view of the same data with a new shape. The volume must
-// match; the data is shared, not copied.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			return nil, fmt.Errorf("tensor: invalid dimension %d in shape %v", d, shape)
-		}
-		n *= d
-	}
-	if n != len(t.data) {
-		return nil, fmt.Errorf("tensor: cannot reshape volume %d to %v: %w", len(t.data), shape, ErrShapeMismatch)
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: t.data}, nil
-}
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.data[t.offset(idx)]
@@ -158,13 +140,6 @@ func Volume(shape []int) int {
 	return n
 }
 
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Add accumulates src into t elementwise.
 func (t *Tensor) Add(src *Tensor) error {
 	if !SameShape(t, src) {
@@ -174,13 +149,6 @@ func (t *Tensor) Add(src *Tensor) error {
 		t.data[i] += v
 	}
 	return nil
-}
-
-// Scale multiplies every element of t by v.
-func (t *Tensor) Scale(v float32) {
-	for i := range t.data {
-		t.data[i] *= v
-	}
 }
 
 // MaxIndex returns the index of the maximum element and its value. For an

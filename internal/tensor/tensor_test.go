@@ -80,21 +80,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	a := MustNew(2, 6)
-	b, err := a.Reshape(3, 4)
-	if err != nil {
-		t.Fatalf("Reshape: %v", err)
-	}
-	b.Set(7, 0, 0)
-	if a.At(0, 0) != 7 {
-		t.Error("reshape should share storage")
-	}
-	if _, err := a.Reshape(5); !errors.Is(err, ErrShapeMismatch) {
-		t.Errorf("bad reshape err = %v, want ErrShapeMismatch", err)
-	}
-}
-
 func TestShapeCopyIsIsolated(t *testing.T) {
 	a := MustNew(2, 3)
 	s := a.Shape()
@@ -116,17 +101,6 @@ func TestAdd(t *testing.T) {
 	c := MustNew(3)
 	if err := a.Add(c); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("Add mismatched err = %v, want ErrShapeMismatch", err)
-	}
-}
-
-func TestFillScale(t *testing.T) {
-	a := MustNew(4)
-	a.Fill(2)
-	a.Scale(3)
-	for i, v := range a.Data() {
-		if v != 6 {
-			t.Fatalf("element %d = %v, want 6", i, v)
-		}
 	}
 }
 
@@ -164,34 +138,6 @@ func TestVolume(t *testing.T) {
 	}
 	if got := Volume(nil); got != 1 {
 		t.Errorf("Volume(nil) = %d, want 1", got)
-	}
-}
-
-// Property: for any data, FromSlice then Reshape preserves the flat content.
-func TestQuickReshapePreservesData(t *testing.T) {
-	f := func(raw []float32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		tt, err := FromSlice(raw, len(raw))
-		if err != nil {
-			return false
-		}
-		r, err := tt.Reshape(1, len(raw))
-		if err != nil {
-			return false
-		}
-		for i, v := range r.Data() {
-			// NaN-safe bitwise comparison is overkill here; quick
-			// only generates finite values by default.
-			if v != raw[i] && !(math.IsNaN(float64(v)) && math.IsNaN(float64(raw[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

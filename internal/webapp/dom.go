@@ -28,20 +28,6 @@ func (n *Node) AppendChild(child *Node) *Node {
 	return child
 }
 
-// SetAttr sets an attribute on the node.
-func (n *Node) SetAttr(key, value string) {
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]string)
-	}
-	n.Attrs[key] = value
-}
-
-// Attr returns the attribute value and whether it exists.
-func (n *Node) Attr(key string) (string, bool) {
-	v, ok := n.Attrs[key]
-	return v, ok
-}
-
 // Find returns the first node in the subtree (pre-order) whose ID matches,
 // like document.getElementById, or nil if absent.
 func (n *Node) Find(id string) *Node {

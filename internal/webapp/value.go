@@ -69,16 +69,10 @@ func Normalize(v Value) (Value, error) {
 	}
 }
 
-// DeepEqual compares two canonical Values structurally. NaNs compare equal
-// to each other so round-trip tests behave sensibly.
-func DeepEqual(a, b Value) bool { return equal(a, b, false) }
-
-// Identical is DeepEqual for state that must survive a snapshot: floats
-// compare by bit pattern, so −0 is not +0 — the snapshot text keeps the
-// sign — and a NaN equals only itself.
-func Identical(a, b Value) bool { return equal(a, b, true) }
-
-func equal(a, b Value, bits bool) bool {
+// Identical compares two canonical Values structurally, as state that must
+// survive a snapshot: floats compare by bit pattern, so −0 is not +0 — the
+// snapshot text keeps the sign — and a NaN equals only itself.
+func Identical(a, b Value) bool {
 	switch x := a.(type) {
 	case nil:
 		return b == nil
@@ -87,13 +81,7 @@ func equal(a, b Value, bits bool) bool {
 		return ok && x == y
 	case float64:
 		y, ok := b.(float64)
-		if !ok {
-			return false
-		}
-		if bits {
-			return math.Float64bits(x) == math.Float64bits(y)
-		}
-		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+		return ok && math.Float64bits(x) == math.Float64bits(y)
 	case string:
 		y, ok := b.(string)
 		return ok && x == y
@@ -103,12 +91,7 @@ func equal(a, b Value, bits bool) bool {
 			return false
 		}
 		for i := range x {
-			if bits {
-				if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
-					return false
-				}
-			} else if x[i] != y[i] &&
-				!(math.IsNaN(float64(x[i])) && math.IsNaN(float64(y[i]))) {
+			if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
 				return false
 			}
 		}
@@ -119,7 +102,7 @@ func equal(a, b Value, bits bool) bool {
 			return false
 		}
 		for i := range x {
-			if !equal(x[i], y[i], bits) {
+			if !Identical(x[i], y[i]) {
 				return false
 			}
 		}
@@ -131,7 +114,7 @@ func equal(a, b Value, bits bool) bool {
 		}
 		for k, v := range x {
 			w, exists := y[k]
-			if !exists || !equal(v, w, bits) {
+			if !exists || !Identical(v, w) {
 				return false
 			}
 		}
