@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"strconv"
@@ -164,9 +165,9 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	if err != nil {
 		return err
 	}
-	level := obs.LevelDebug
+	level := slog.LevelDebug
 	if quiet {
-		level = obs.LevelInfo
+		level = slog.LevelInfo
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 	cfg := edge.Config{
@@ -239,7 +240,7 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	// goldens keep the bare application registry.
 	obs.RegisterRuntimeStats(srv.Registry())
 	registerKernelInfo(srv.Registry())
-	logger.Info("edged: listening", obs.F("addr", ln.Addr().String()), obs.F("installed", !onDemand))
+	logger.Info("edged: listening", slog.Any("addr", ln.Addr().String()), slog.Any("installed", !onDemand))
 	if rc != nil {
 		agent, err := fleet.StartAgent(fleet.AgentConfig{
 			Client:   rc,
@@ -256,8 +257,8 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 			return err
 		}
 		defer agent.Close()
-		logger.Info("edged: joined fleet", obs.F("registry", fc.registry), obs.F("advertise", cfg.AdvertiseAddr),
-			obs.F("ttl", fc.ttl.String()))
+		logger.Info("edged: joined fleet", slog.Any("registry", fc.registry), slog.Any("advertise", cfg.AdvertiseAddr),
+			slog.Any("ttl", fc.ttl.String()))
 	}
 	return telemetry.RunDaemon("edged", logger, ln, srv, metricsAddr, telemetry.AdminMux(telemetry.Admin{
 		Metrics:  []func() *obs.Registry{srv.Registry},

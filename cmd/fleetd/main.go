@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -105,7 +106,7 @@ func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemet
 	if err := telemetry.CheckAdminFlags(metricsAddr, pprofOn, tc.sloObjective, tc.sloGoal); err != nil {
 		return err
 	}
-	logger := obs.NewLogger(os.Stderr, obs.LevelInfo)
+	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
 	flight := telemetry.NewFlightRecorder(tc.flightBytes)
 	slo, err := telemetry.NewDaemonSLO("fleet-execute", tc.sloObjective, tc.sloGoal, flight, logger)
 	if err != nil {
@@ -126,7 +127,7 @@ func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemet
 	if err != nil {
 		return err
 	}
-	logger.Info("fleetd: registry listening", obs.F("addr", ln.Addr().String()), obs.F("ttl", ttl.String()))
+	logger.Info("fleetd: registry listening", slog.Any("addr", ln.Addr().String()), slog.Any("ttl", ttl.String()))
 
 	return telemetry.RunDaemon("fleetd", logger, ln, srv, metricsAddr, adminMux(metrics, reg.Stats, slo, flight, pprofOn))
 }

@@ -46,9 +46,11 @@ func testFleetSnapshot() []telemetry.ServerStats {
 	for i := 0; i < 5; i++ {
 		exec.Observe(10 * time.Millisecond)
 	}
-	d := telemetry.DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
-	d.QueueDepth = 2
-	d.StoreBytes = 1 << 20
+	d := &protocol.StatsDigest{
+		Stages:     telemetry.StageDigests(map[string]*trace.Histogram{protocol.SpanExecute: exec}),
+		QueueDepth: 2,
+		StoreBytes: 1 << 20,
+	}
 	return []telemetry.ServerStats{
 		{Addr: "edge-a:7070", Capacity: 4, AgeMillis: 120, Stats: d},
 		{Addr: "edge-b:7070", Capacity: 2, AgeMillis: 90},
@@ -221,7 +223,7 @@ func TestSLOFeedDeltasFromCumulativeDigests(t *testing.T) {
 		for i := 0; i < slow; i++ {
 			exec.Observe(time.Second)
 		}
-		return telemetry.DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
+		return &protocol.StatsDigest{Stages: telemetry.StageDigests(map[string]*trace.Histogram{protocol.SpanExecute: exec})}
 	}
 
 	feed.observe("a", digest(8, 2))

@@ -142,17 +142,20 @@ func parseMode(s string) (core.Mode, error) {
 
 // connect dials the edge server for cfg. A positive bandwidthMbps shapes the
 // link, and the session's partition decision is solved for that same link;
-// otherwise it is solved for the default one.
+// otherwise it is solved for the default one. The shaping is part of the
+// dial, so a connection the offloader redials after a break keeps it.
 func connect(cfg *core.SessionConfig, server string, bandwidthMbps float64) error {
-	raw, err := net.Dial("tcp", server)
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", server, err)
-	}
+	var shape func(net.Conn) net.Conn
 	if bandwidthMbps > 0 {
-		cfg.Network = netem.Profile{BandwidthBitsPerSec: bandwidthMbps * 1e6, Latency: 2 * time.Millisecond}
-		raw = netem.Shape(raw, cfg.Network)
+		link := netem.Profile{BandwidthBitsPerSec: bandwidthMbps * 1e6, Latency: 2 * time.Millisecond}
+		cfg.Network = link
+		shape = func(c net.Conn) net.Conn { return netem.Shape(c, link) }
 	}
-	cfg.Conn = client.NewConn(raw)
+	conn, err := client.DialWrapped(server, shape)
+	if err != nil {
+		return err
+	}
+	cfg.Conn = conn
 	return nil
 }
 
@@ -211,10 +214,13 @@ func run(server, modelName, modeStr, split string, bandwidthMbps float64, preSen
 	}
 	fmt.Println()
 	if preSend && mode != core.ModeLocal {
+		// A failed upload is not the end of the run: each run then sends the
+		// model inline or runs on the device.
 		if err := session.WaitForModelUpload(); err != nil {
-			return err
+			fmt.Fprintln(os.Stderr, "offload:", err)
+		} else {
+			fmt.Printf("model upload + ACK: %v\n", time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Printf("model upload + ACK: %v\n", time.Since(start).Round(time.Millisecond))
 	}
 	volume := tensor.Volume(model.InputShape())
 	var fileImg websnap.Float32Array

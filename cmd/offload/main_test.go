@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,25 +88,57 @@ func TestBandwidthShapesThePlannedLink(t *testing.T) {
 	}
 }
 
-// TestRunFallsBackWhenServerHangsUp: an edge server that hangs up on every
-// connection costs each run its offload, not its result — every run ends
-// on the device and the CLI exits cleanly.
-func TestRunFallsBackWhenServerHangsUp(t *testing.T) {
+// hangUpServer listens on loopback and closes every connection it accepts;
+// it returns its address and the number of connections accepted so far.
+func hangUpServer(t *testing.T) (string, *atomic.Int32) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
+	var accepted atomic.Int32
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			accepted.Add(1)
 			c.Close()
 		}
 	}()
-	if err := run(ln.Addr().String(), "tinynet", "full", "", 0, false, "", 2, "", "", ""); err != nil {
+	return ln.Addr().String(), &accepted
+}
+
+// TestRunFallsBackWhenServerHangsUp: an edge server that hangs up on every
+// connection costs each run its offload, not its result — every run ends
+// on the device and the CLI exits cleanly.
+func TestRunFallsBackWhenServerHangsUp(t *testing.T) {
+	addr, _ := hangUpServer(t)
+	if err := run(addr, "tinynet", "full", "", 0, false, "", 2, "", "", ""); err != nil {
 		t.Fatalf("run against a server that hangs up: %v", err)
+	}
+}
+
+// TestRunSurvivesFailedPreSend: a model upload the server hangs up on is
+// reported, not fatal — the runs still happen, each falling back locally.
+func TestRunSurvivesFailedPreSend(t *testing.T) {
+	addr, _ := hangUpServer(t)
+	if err := run(addr, "tinynet", "full", "", 0, true, "", 2, "", "", ""); err != nil {
+		t.Fatalf("run with a failed pre-send: %v", err)
+	}
+}
+
+// TestRunRedialsBrokenConn: the CLI's connection can redial, so a run after
+// a broken one tries the server again on a fresh connection instead of
+// falling back on a dead one.
+func TestRunRedialsBrokenConn(t *testing.T) {
+	addr, accepted := hangUpServer(t)
+	if err := run(addr, "tinynet", "full", "", 0, false, "", 2, "", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := accepted.Load(); n < 2 {
+		t.Errorf("server accepted %d connections over 2 runs, want a redial after the first", n)
 	}
 }

@@ -95,7 +95,6 @@ func run() error {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tinynet", Net: model}},
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -124,7 +125,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	roamer, err := roam.New(roam.Config{
 		FleetView: memberView(rc),
 		Probe:     probe,
-		Logger:    obs.NewLogger(&switchLog, obs.LevelInfo),
+		Logger:    obs.NewLogger(&switchLog, slog.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +146,6 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	auditor := obs.NewAuditor(obs.AuditorOptions{})
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 		Audit:             auditor,
 		LocalFallback:     true,
 	})

@@ -94,20 +94,13 @@ func runMuxSession(idx int, conn *client.Conn, model *nn.Network,
 	case kindPartial:
 		app, err = mlapp.NewPartialApp(appID, "tiny", model, soakSplitIndex, tinyLabels)
 		if err == nil {
-			rear, ok := app.Model("tiny" + mlapp.RearSuffix)
-			if !ok {
-				rep.failf("mux session %d (%s): rear model missing", idx, kind)
-				return rep
-			}
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 			opts.AuditPath = obs.PathPartial
 		}
 	default:
 		app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
-		opts.Models = []client.ModelToSend{{Name: "tiny", Net: model}}
 	}
 	if err != nil {
 		rep.failf("mux session %d (%s): build app: %v", idx, kind, err)

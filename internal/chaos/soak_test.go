@@ -220,20 +220,13 @@ func runSoakSession(idx int, kind sessionKind, seed int64, addr string,
 	case kindPartial:
 		app, err = mlapp.NewPartialApp(appID, "tiny", model, soakSplitIndex, tinyLabels)
 		if err == nil {
-			rear, ok := app.Model("tiny" + mlapp.RearSuffix)
-			if !ok {
-				rep.failf("session %d (%s): rear model missing", idx, kind)
-				return rep
-			}
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 			opts.AuditPath = obs.PathPartial
 		}
 	default:
 		app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels)
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
-		opts.Models = []client.ModelToSend{{Name: "tiny", Net: model}}
 		if err == nil && kind == kindQuant {
 			// The quality tier is an ordinary global set before the first
 			// event, so every snapshot this session offloads carries it.

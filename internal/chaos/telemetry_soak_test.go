@@ -276,7 +276,6 @@ func TestTelemetrySoakInvariants(t *testing.T) {
 			}
 			off, err := client.NewOffloader(app, connA, client.Options{
 				OffloadEventTypes: []string{mlapp.EventClick},
-				Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				Flight:            clientFlight,
 			})
 			if err != nil {

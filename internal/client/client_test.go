@@ -92,12 +92,6 @@ func TestNewOffloaderValidation(t *testing.T) {
 	if _, err := NewOffloader(app, nil, Options{}); err == nil {
 		t.Error("nil conn should fail")
 	}
-	if _, err := NewOffloader(app, conn, Options{
-		Models:        []ModelToSend{{Name: "m", Net: tinyModel(t)}},
-		ExcludeModels: []string{"m"},
-	}); err == nil {
-		t.Error("model both pre-sent and excluded should fail")
-	}
 }
 
 func TestShouldOffload(t *testing.T) {
@@ -210,9 +204,7 @@ func TestPreSendWrongAckName(t *testing.T) {
 
 func TestWaitForAcksAggregatesErrors(t *testing.T) {
 	app := tinyApp(t)
-	off, err := NewOffloader(app, scriptedServer(t, "echo-error"), Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-	})
+	off, err := NewOffloader(app, scriptedServer(t, "echo-error"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,6 @@ func TestOffloaderRedialAfterTornResponse(t *testing.T) {
 	conn := dialEdge(t, proxy)
 	off, app := newOffloadedApp(t, conn, Options{
 		LocalFallback: true,
-		Models:        []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
 	})
 	off.StartPreSend()
 	// The pre-send rides the torn first proxy connection and fails; the
@@ -239,7 +238,6 @@ func TestLostResultFallsBackOnce(t *testing.T) {
 		auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 16})
 		off, app := newOffloadedApp(t, dialEdge(t, proxy), Options{
 			LocalFallback: true,
-			Models:        []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
 			Audit:         auditor,
 		})
 		off.StartPreSend()

@@ -26,6 +26,13 @@ import (
 // startEdge runs a real edge server for in-package integration tests.
 func startEdge(t *testing.T, cfg edge.Config) string {
 	t.Helper()
+	_, addr := startEdgeServer(t, cfg)
+	return addr
+}
+
+// startEdgeServer is startEdge for a test that reads the server's metrics.
+func startEdgeServer(t *testing.T, cfg edge.Config) (*edge.Server, string) {
+	t.Helper()
 	if cfg.Catalog == nil {
 		cat := webapp.NewCatalog()
 		if err := cat.Add(mlapp.FullRegistry()); err != nil {
@@ -50,7 +57,7 @@ func startEdge(t *testing.T, cfg edge.Config) string {
 		srv.Close()
 		<-done
 	})
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 func dialEdge(t *testing.T, addr string) *Conn {
@@ -101,9 +108,7 @@ func TestOffloadEndToEndInPackage(t *testing.T) {
 	testutil.LeakCheck(t)
 	addr := startEdge(t, edge.Config{Installed: true})
 	conn := dialEdge(t, addr)
-	off, app := newOffloadedApp(t, conn, Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-	})
+	off, app := newOffloadedApp(t, conn, Options{})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {
 		t.Fatal(err)
@@ -124,9 +129,7 @@ func TestRetargetInPackage(t *testing.T) {
 	addrA := startEdge(t, edge.Config{Installed: true})
 	addrB := startEdge(t, edge.Config{Installed: true})
 	connA := dialEdge(t, addrA)
-	off, app := newOffloadedApp(t, connA, Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-	})
+	off, app := newOffloadedApp(t, connA, Options{})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {
 		t.Fatal(err)
@@ -171,6 +174,44 @@ func TestInlinePreSendAnsweredByKeyIsTimed(t *testing.T) {
 	}
 	if st.PreSendBytes != 0 || st.RefPreSendHits != 1 || st.LastModelIncluded || st.LastInlineModelBytes != 0 {
 		t.Errorf("stats = %+v, want one hit and no weights shipped", st)
+	}
+}
+
+// TestOffloadWaitsOnInFlightPreSend: an offload issued while the background
+// pre-send is still on a slow link (the paper's Fig. 6 "before ACK" case)
+// waits on that upload instead of sending the weights a second time: the
+// server handles one model pre-send and the client uploads the model once.
+func TestOffloadWaitsOnInFlightPreSend(t *testing.T) {
+	srv, addr := startEdgeServer(t, edge.Config{Installed: true})
+	link := netem.Profile{BandwidthBitsPerSec: 4e6, Latency: 2 * time.Millisecond}
+	conn, err := DialWrapped(addr, func(c net.Conn) net.Conn { return netem.Shape(c, link) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	model := wideModel(t)
+	app, err := mlapp.NewFullApp("wide-app", "wide", model, []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewOffloader(app, conn, Options{OffloadEventTypes: []string{mlapp.EventClick}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.StartPreSend()
+	classifyImage(t, off, app, 3*wideSide*wideSide, 1)
+	if err := off.WaitForAcks(); err != nil {
+		t.Fatal(err)
+	}
+	st := off.Stats()
+	if got := srv.Metrics().ModelsStored; got != 1 {
+		t.Errorf("server handled %d model pre-sends, want 1", got)
+	}
+	if st.PreSendBytes != model.ModelBytes() || st.RefPreSendMisses != 1 {
+		t.Errorf("uploaded %d B in %d uploads, want the model's %d B once", st.PreSendBytes, st.RefPreSendMisses, model.ModelBytes())
+	}
+	if !st.LastModelIncluded || st.LastInlineModelSend <= 0 {
+		t.Errorf("the offload did not wait on the model: %+v", st)
 	}
 }
 
@@ -236,7 +277,6 @@ func newWideApp(t *testing.T, conn *Conn, opts Options) (*Offloader, *webapp.App
 		t.Fatal(err)
 	}
 	opts.OffloadEventTypes = []string{mlapp.EventClick}
-	opts.Models = []ModelToSend{{Name: "wide", Net: model}}
 	off, err := NewOffloader(app, conn, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -319,9 +359,7 @@ func TestTraceSpansCoverRoundTrip(t *testing.T) {
 	var traceLog syncBuffer
 	addr := startEdge(t, edge.Config{Installed: true, TraceLog: &traceLog})
 	conn := dialEdge(t, addr)
-	off, app := newOffloadedApp(t, conn, Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-	})
+	off, app := newOffloadedApp(t, conn, Options{})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {
 		t.Fatal(err)

@@ -123,8 +123,7 @@ func TestResultForAnotherBaseRejected(t *testing.T) {
 	conn := dialEdge(t, proxy)
 	auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 8})
 	off, app := newOffloadedApp(t, conn, Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-		Audit:  auditor,
+		Audit: auditor,
 	})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {
@@ -184,8 +183,7 @@ func TestRetiredDeltaFrameIsCleanError(t *testing.T) {
 	conn := dialEdge(t, startEdge(t, edge.Config{Installed: true}))
 	auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 8})
 	off, app := newOffloadedApp(t, conn, Options{
-		Models: []ModelToSend{{Name: "tiny", Net: tinyModel(t)}},
-		Audit:  auditor,
+		Audit: auditor,
 	})
 	off.StartPreSend()
 	if err := off.WaitForAcks(); err != nil {

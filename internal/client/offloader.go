@@ -15,25 +15,12 @@ import (
 	"websnap/internal/webapp"
 )
 
-// ModelToSend names one model to pre-send to the edge server.
-type ModelToSend struct {
-	// Name is the model's name as loaded in the app.
-	Name string
-	// Net is the network to ship. For partial inference this is the rear
-	// part only.
-	Net *nn.Network
-}
-
 // Options configures an Offloader.
 type Options struct {
 	// OffloadEventTypes lists the event types whose handlers are
 	// offloaded instead of executed locally (e.g. "click" for full
 	// inference, "front_complete" for partial inference per Fig 5).
 	OffloadEventTypes []string
-	// Models lists the models to pre-send when StartPreSend is called.
-	// The developer supplies this list, per §III.B.1 ("the list of the
-	// files ... are given by app developers").
-	Models []ModelToSend
 	// LocalFallback executes the event locally when offloading fails
 	// (server unreachable, protocol error). Defaults to false so errors
 	// surface in tests; production callers enable it.
@@ -41,7 +28,9 @@ type Options struct {
 	// ExcludeModels lists models that must never leave the device — the
 	// front part of a partially-split DNN (§III.B.2): withholding it
 	// both shrinks the snapshot and prevents the server from inverting
-	// the feature data back to the input.
+	// the feature data back to the input. Every other model the app holds
+	// is pre-sent: the app's model list is the developer's list of files
+	// (§III.B.1).
 	ExcludeModels []string
 	// Audit, when non-nil, receives exactly one structured decision event
 	// per offload-eligible event the offloader processes: offloaded, fallen
@@ -89,11 +78,13 @@ type Stats struct {
 	// home: the result delta, i.e. what the handler changed, not the state
 	// it ran on.
 	LastResultBytes int64
-	// LastModelIncluded reports whether the last offload had to ship
-	// model weights inline (offload before ACK, to a server without them).
+	// LastModelIncluded reports whether the last offload had to get model
+	// weights to the server first (offload before ACK, to a server without
+	// them).
 	LastModelIncluded bool
-	// LastInlineModelBytes is the size of model weights shipped inline
-	// with the last offload (zero after the ACK has arrived).
+	// LastInlineModelBytes is the size of the model weights the last
+	// offload waited on: the upload it sent inline or the pre-send it found
+	// in flight (zero after the ACK has arrived).
 	LastInlineModelBytes int64
 	// LoadSheds is always zero: the client no longer sheds on a load
 	// hint; a full server rejects and the event falls back locally.
@@ -145,8 +136,11 @@ type Offloader struct {
 	offloadTypes  map[string]bool
 	excludeModels map[string]bool
 
-	mu      sync.Mutex
-	acked   map[string]bool
+	mu sync.Mutex
+	// uploads holds one pre-send per model to the current server: whoever
+	// needs a model first starts it, everyone else waits on it, and a
+	// failed one is started again by the next to need it.
+	uploads map[string]*upload
 	ackErrs []error
 	stats   Stats
 	// uplink is the measured link to the current server; it decides, per
@@ -179,18 +173,13 @@ func NewOffloader(app *webapp.App, conn *Conn, opts Options) (*Offloader, error)
 	for _, name := range opts.ExcludeModels {
 		excluded[name] = true
 	}
-	for _, m := range opts.Models {
-		if excluded[m.Name] {
-			return nil, fmt.Errorf("client: model %q is both pre-sent and excluded", m.Name)
-		}
-	}
 	o := &Offloader{
 		app:           app,
 		conn:          conn,
 		opts:          opts,
 		offloadTypes:  types,
 		excludeModels: excluded,
-		acked:         make(map[string]bool),
+		uploads:       make(map[string]*upload),
 	}
 	return o, nil
 }
@@ -216,7 +205,7 @@ func (o *Offloader) Retarget(conn *Conn) error {
 	o.presendWG.Wait()
 	o.mu.Lock()
 	o.conn = conn
-	o.acked = make(map[string]bool)
+	o.uploads = make(map[string]*upload)
 	o.ackErrs = nil
 	o.uplink = uplinkEstimate{}
 	// A handoff gets one trace ID for all its pre-sends: the new server's
@@ -240,10 +229,11 @@ func (o *Offloader) Stats() Stats {
 	return st
 }
 
-// StartPreSend begins sending the configured models to the edge server in
-// the background, as the paper does when the web app starts. An offload
-// issued before a model's ACK arrives sends the model first, inline (slower);
-// every snapshot names its models spec-only.
+// StartPreSend begins sending the app's models, less ExcludeModels, to the
+// edge server in the background, as the paper does when the web app starts.
+// An offload issued before a model's ACK arrives gets the model there first,
+// inline (slower): it waits on the upload in flight or starts one; every
+// snapshot names its models spec-only.
 func (o *Offloader) StartPreSend() {
 	o.mu.Lock()
 	if o.presendStarted {
@@ -255,17 +245,64 @@ func (o *Offloader) StartPreSend() {
 	o.presendWG.Add(1)
 	go func() {
 		defer o.presendWG.Done()
-		for _, m := range o.opts.Models {
-			_, err := o.preSend(m.Name, m.Net)
-			o.mu.Lock()
-			if err != nil {
-				o.ackErrs = append(o.ackErrs, fmt.Errorf("pre-send %q: %w", m.Name, err))
-			} else {
-				o.acked[m.Name] = true
+		for _, name := range o.app.ModelNames() {
+			if o.excludeModels[name] {
+				continue
 			}
-			o.mu.Unlock()
+			if _, err := o.sendModel(name); err != nil {
+				o.mu.Lock()
+				o.ackErrs = append(o.ackErrs, fmt.Errorf("pre-send %q: %w", name, err))
+				o.mu.Unlock()
+			}
 		}
 	}()
+}
+
+// upload is one model's pre-send to the current server.
+type upload struct {
+	done chan struct{}
+	// err and bytes (the weight bytes uploaded) are set before done closes.
+	err   error
+	bytes int64
+}
+
+// finished reports whether u is done, and its error.
+func (u *upload) finished() (bool, error) {
+	select {
+	case <-u.done:
+		return true, u.err
+	default:
+		return false, nil
+	}
+}
+
+// sendModel gets the named model to the current server: it waits on the
+// upload in flight or done, and starts one when there is none or the last
+// one failed. It returns the weight bytes of the upload it waited on or ran.
+func (o *Offloader) sendModel(name string) (int64, error) {
+	o.mu.Lock()
+	for {
+		u := o.uploads[name]
+		if u == nil {
+			break
+		}
+		if done, err := u.finished(); done && err != nil {
+			break
+		}
+		o.mu.Unlock()
+		<-u.done
+		if u.err == nil {
+			return u.bytes, nil
+		}
+		o.mu.Lock()
+	}
+	u := &upload{done: make(chan struct{})}
+	o.uploads[name] = u
+	o.mu.Unlock()
+	model, _ := o.app.Model(name)
+	u.bytes, u.err = o.preSend(name, model)
+	close(u.done)
+	return u.bytes, u.err
 }
 
 // preSend gets one model to the current server and returns the weight bytes
@@ -331,8 +368,13 @@ func (o *Offloader) WaitForAcks() error {
 // ModelAcked reports whether the named model's ACK has arrived.
 func (o *Offloader) ModelAcked(name string) bool {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.acked[name]
+	u := o.uploads[name]
+	o.mu.Unlock()
+	if u == nil {
+		return false
+	}
+	done, err := u.finished()
+	return done && err == nil
 }
 
 // ShouldOffload reports whether an event's handler is configured for
@@ -447,7 +489,8 @@ func (o *Offloader) Run(maxSteps int) (int, error) {
 //
 // If a model's ACK has not arrived yet, the client "sends both the snapshot
 // and the NN model, albeit it is slower" (§III.B.1): the model files go
-// first as an inline pre-send, then the snapshot ships spec-only. The result
+// first as an inline pre-send — or the offload waits on the pre-send already
+// in flight, so a model goes up once — then the snapshot ships spec-only. The result
 // delta the server answers with is patched into the snapshot just sent — the
 // state it was diffed against, still in hand — and that is applied to the
 // app: what the handler did not touch is never sent back, parsed or hashed.
@@ -466,17 +509,13 @@ func (o *Offloader) offload(ev webapp.Event) (Outcome, error) {
 		if o.ModelAcked(name) {
 			continue
 		}
-		model, _ := o.app.Model(name)
 		start := time.Now()
-		sent, err := o.preSend(name, model)
+		sent, err := o.sendModel(name)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("client: inline model send %q: %w", name, err)
 		}
 		inlineTook += time.Since(start)
 		inlineBytes += sent
-		o.mu.Lock()
-		o.acked[name] = true
-		o.mu.Unlock()
 	}
 	// Capture and encode are one pass over the app's state, read in place:
 	// the app cannot run until the result is patched in, and a failed

@@ -70,7 +70,6 @@ func TestOffloadAllocBudget(t *testing.T) {
 	}
 	off, err := NewOffloader(app, conn, Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []ModelToSend{{Name: "big", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)

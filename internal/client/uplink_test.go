@@ -107,7 +107,6 @@ func TestStatsReportCurrentUplink(t *testing.T) {
 	}
 	off, err = NewOffloader(app, dialEdge(t, addr), Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []ModelToSend{{Name: "wide", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"websnap/internal/client"
@@ -271,16 +272,9 @@ func (s *Session) buildOffloader() error {
 	switch s.mode {
 	case ModeFull:
 		opts.OffloadEventTypes = []string{mlapp.EventClick}
-		opts.Models = []client.ModelToSend{{Name: s.cfg.ModelName, Net: s.cfg.Model}}
 		opts.AuditPath = obs.PathFull
 	case ModePartial:
-		rearName := s.cfg.ModelName + mlapp.RearSuffix
-		rear, ok := s.app.Model(rearName)
-		if !ok {
-			return fmt.Errorf("core: rear model %q missing", rearName)
-		}
 		opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-		opts.Models = []client.ModelToSend{{Name: rearName, Net: rear}}
 		opts.ExcludeModels = []string{s.cfg.ModelName + mlapp.FrontSuffix}
 		opts.AuditPath = obs.PathPartial
 		opts.SplitLabel = s.split.Point.Label
@@ -361,7 +355,7 @@ func (s *Session) Classify(img webapp.Float32Array) (string, error) {
 
 // NewEdgeServer constructs a pre-installed edge server that can serve the
 // standard ML web apps, logging to logger (nil is silent).
-func NewEdgeServer(logger *obs.Logger) (*edge.Server, error) {
+func NewEdgeServer(logger *slog.Logger) (*edge.Server, error) {
 	cat, err := DefaultCatalog()
 	if err != nil {
 		return nil, err

@@ -120,7 +120,6 @@ func TestOffloadAfterACK(t *testing.T) {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,11 +226,7 @@ func TestSnapshotSizeShrinksAfterACK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := client.Options{OffloadEventTypes: []string{mlapp.EventClick}}
-		if preSend {
-			opts.Models = []client.ModelToSend{{Name: "tiny", Net: model}}
-		}
-		off, err := client.NewOffloader(app, conn, opts)
+		off, err := client.NewOffloader(app, conn, client.Options{OffloadEventTypes: []string{mlapp.EventClick}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,16 +270,9 @@ func TestPartialInferenceFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rear, ok := app.Model("tiny" + mlapp.RearSuffix)
-	if !ok {
-		t.Fatal("rear model missing")
-	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventFrontComplete},
-		Models: []client.ModelToSend{
-			{Name: "tiny" + mlapp.RearSuffix, Net: rear},
-		},
-		ExcludeModels: []string{"tiny" + mlapp.FrontSuffix},
+		ExcludeModels:     []string{"tiny" + mlapp.FrontSuffix},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +371,6 @@ func TestOnDemandInstallation(t *testing.T) {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -557,7 +544,6 @@ func TestConcurrentClients(t *testing.T) {
 				}
 				off, err := client.NewOffloader(app, conn, client.Options{
 					OffloadEventTypes: []string{mlapp.EventClick},
-					Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				})
 				if err != nil {
 					return err

@@ -3,6 +3,7 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"time"
 
@@ -81,7 +82,7 @@ func (s *Server) resolveBlob(key string, req *request, verify func([]byte) error
 		}
 		if err != nil {
 			lastErr = err
-			s.log.Warn("edge: peer blob fetch failed", obs.F("blob", key), obs.F("peer", addr), obs.Err(err))
+			s.log.Warn("edge: peer blob fetch failed", slog.Any("blob", key), slog.Any("peer", addr), obs.Err(err))
 			continue
 		}
 		s.blobPeerFetches.Inc()

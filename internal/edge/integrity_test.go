@@ -195,7 +195,6 @@ func TestSpecOnlyReferenceMustMatchStoredModel(t *testing.T) {
 		conn := dial(t, addr)
 		off, err := client.NewOffloader(app, conn, client.Options{
 			OffloadEventTypes: []string{mlapp.EventClick},
-			Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 			LocalFallback:     true,
 		})
 		if err != nil {

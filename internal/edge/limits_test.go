@@ -92,7 +92,6 @@ func TestServerMetrics(t *testing.T) {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)

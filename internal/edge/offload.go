@@ -5,9 +5,11 @@
 package edge
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -166,9 +168,9 @@ func (s *Server) execute(snap *snapshot.Snapshot) (*webapp.App, error) {
 	if err != nil {
 		return nil, fmt.Errorf("execute snapshot: %w", err)
 	}
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("edge: handlers ran", obs.F("appId", app.ID()), obs.F("steps", steps),
-			obs.F("micros", time.Since(start).Microseconds()))
+	if s.log.Enabled(context.TODO(), slog.LevelDebug) {
+		s.log.Debug("edge: handlers ran", slog.Any("appId", app.ID()), slog.Any("steps", steps),
+			slog.Any("micros", time.Since(start).Microseconds()))
 	}
 	return app, nil
 }
@@ -254,9 +256,9 @@ func (s *Server) served(req *request, appID string) *protocol.SpanNode {
 			})
 		}
 	}
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("request served", obs.TraceID(traceID), obs.F("op", root.Op),
-			obs.F("appId", appID), obs.F("seq", seq), obs.F("micros", root.Micros))
+	if s.log.Enabled(context.TODO(), slog.LevelDebug) {
+		s.log.Debug("request served", obs.TraceID(traceID), slog.Any("op", root.Op),
+			slog.Any("appId", appID), slog.Any("seq", seq), slog.Any("micros", root.Micros))
 	}
 	if s.cfg.TraceLog == nil {
 		return root

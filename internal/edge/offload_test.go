@@ -81,7 +81,6 @@ func TestFullAndDeltaReachSameState(t *testing.T) {
 			} else {
 				sess.off, err = client.NewOffloader(app, sess.conn, client.Options{
 					OffloadEventTypes: []string{mlapp.EventClick},
-					Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -149,12 +148,12 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 	offloader := func(t *testing.T, conn *client.Conn, appID, kind string) (func(uint64) error, *nn.Network) {
 		opts := client.Options{
 			OffloadEventTypes: []string{mlapp.EventClick},
-			Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 		}
 		var (
 			app *webapp.App
 			err error
 		)
+		sent := model
 		if kind == "partial" {
 			if app, err = mlapp.NewPartialApp(appID, "tiny", model, 2, tinyLabels); err != nil {
 				t.Fatal(err)
@@ -163,8 +162,8 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 			if !ok {
 				t.Fatal("rear model missing")
 			}
+			sent = rear
 			opts.OffloadEventTypes = []string{mlapp.EventFrontComplete}
-			opts.Models = []client.ModelToSend{{Name: "tiny" + mlapp.RearSuffix, Net: rear}}
 			opts.ExcludeModels = []string{"tiny" + mlapp.FrontSuffix}
 		} else if app, err = mlapp.NewFullApp(appID, "tiny", model, tinyLabels); err != nil {
 			t.Fatal(err)
@@ -191,7 +190,7 @@ func TestStoreHoldsModelsOnly(t *testing.T) {
 				return fmt.Errorf("%s ran locally: %+v", appID, st)
 			}
 			return nil
-		}, opts.Models[0].Net
+		}, sent
 	}
 	for _, kind := range []string{"full", "partial", "int8", "mux2", "raw"} {
 		for _, fleet := range []bool{false, true} {

@@ -70,7 +70,6 @@ func TestConcurrentOffloadsShapedNetwork(t *testing.T) {
 			}
 			off, err := client.NewOffloader(app, conn, client.Options{
 				OffloadEventTypes: []string{mlapp.EventClick},
-				Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 			})
 			if err != nil {
 				results[i][0].err = err
@@ -148,7 +147,6 @@ func TestConcurrentSameModelSessionsOneWorker(t *testing.T) {
 				}
 				off, err := client.NewOffloader(app, conn, client.Options{
 					OffloadEventTypes: []string{mlapp.EventClick},
-					Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 				})
 				if err != nil {
 					return err

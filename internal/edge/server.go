@@ -6,9 +6,11 @@
 package edge
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -79,7 +81,7 @@ type Config struct {
 	QueueDepth int
 	// Logger receives the server's JSON-line logs: per-request lines at
 	// debug level, failures of its own at warn and above. Nil is silent.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// TraceLog, when non-nil, receives one JSON line per served snapshot
 	// offload or chain hop — its traceId, appId, seq and span tree — the
 	// structured feed behind `edged -trace-log`.
@@ -141,8 +143,8 @@ type Server struct {
 	// traceLogMu serializes JSON lines onto Config.TraceLog.
 	traceLogMu sync.Mutex
 
-	// log is Config.Logger (nil-safe).
-	log *obs.Logger
+	// log is Config.Logger, or obs.Discard.
+	log *slog.Logger
 
 	// reg is the server's metrics registry; every counter, gauge, and
 	// stage histogram below exposes through it.
@@ -319,7 +321,7 @@ func NewServer(cfg Config) (*Server, error) {
 	srv := &Server{
 		cfg:       cfg,
 		store:     store,
-		log:       cfg.Logger,
+		log:       cmp.Or(cfg.Logger, obs.Discard),
 		installed: cfg.Installed,
 		start:     time.Now(),
 	}
@@ -586,7 +588,7 @@ func (s *Server) serveRequest(cw *connWriter, req *request) error {
 		if errors.Is(err, sched.ErrExecutorPanic) {
 			logFailure = s.log.Error
 		}
-		logFailure("edge: request failed", obs.F("type", req.msg.Type.String()), obs.Err(err))
+		logFailure("edge: request failed", slog.Any("type", req.msg.Type.String()), obs.Err(err))
 		s.errorsAnswered.Inc()
 		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: req.env.Seq}
 		var oe *overloadError
@@ -734,7 +736,7 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 	if hdr.RefOnly {
 		if net, err = s.resolveModel(*hdr, req); err != nil {
 			s.refPreSendMisses.Inc()
-			s.log.Debug("edge: ref pre-send unresolved", obs.F("model", hdr.ModelName), obs.F("blob", hdr.BlobKey), obs.Err(err))
+			s.log.Debug("edge: ref pre-send unresolved", slog.Any("model", hdr.ModelName), slog.Any("blob", hdr.BlobKey), obs.Err(err))
 			return ack(true)
 		}
 		s.refPreSendHits.Inc()
@@ -752,11 +754,11 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 	if err := s.store.putKeyed(hdr.AppID, hdr.ModelName, key, net); err != nil {
 		// The in-memory copy is in place; persistence failure only
 		// affects restarts. Log and keep serving.
-		s.log.Warn("edge: model persist failed", obs.F("model", hdr.ModelName), obs.Err(err))
+		s.log.Warn("edge: model persist failed", slog.Any("model", hdr.ModelName), obs.Err(err))
 	}
 	s.modelsStored.Inc()
-	s.log.Debug("edge: model stored", obs.F("model", hdr.ModelName), obs.F("appId", hdr.AppID),
-		obs.F("params", net.TotalParams()), obs.F("ref", hdr.RefOnly))
+	s.log.Debug("edge: model stored", slog.Any("model", hdr.ModelName), slog.Any("appId", hdr.AppID),
+		slog.Any("params", net.TotalParams()), slog.Any("ref", hdr.RefOnly))
 	return ack(false)
 }
 
@@ -767,25 +769,22 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 // rollups. Counters are cumulative, so the registry keeping only the latest
 // digest per member loses nothing.
 func (s *Server) StatsDigest() *protocol.StatsDigest {
-	src := telemetry.DigestSource{
-		Stages: s.stages,
-		Decisions: func() map[string]uint64 {
-			m := s.Metrics()
-			st := s.sched.Stats()
-			return map[string]uint64{
-				"snapshot_full": uint64(m.SnapshotsExecuted),
-				"shed":          uint64(st.Rejected),
-				"error":         uint64(m.Errors),
-				"ref_hit":       uint64(s.refPreSendHits.Value()),
-				"ref_miss":      uint64(s.refPreSendMisses.Value()),
-				"peer_fetch":    uint64(s.blobPeerFetches.Value()),
-			}
+	m := s.Metrics()
+	st := s.sched.Stats()
+	return &protocol.StatsDigest{
+		Stages: telemetry.StageDigests(s.stages),
+		Decisions: map[string]uint64{
+			"snapshot_full": uint64(m.SnapshotsExecuted),
+			"shed":          uint64(st.Rejected),
+			"error":         uint64(m.Errors),
+			"ref_hit":       uint64(s.refPreSendHits.Value()),
+			"ref_miss":      uint64(s.refPreSendMisses.Value()),
+			"peer_fetch":    uint64(s.blobPeerFetches.Value()),
 		},
-		QueueDepth: func() int { return s.sched.Stats().QueueDepth },
-		StoreBytes: func() int64 { return s.store.Bytes() },
-		Start:      s.start,
+		QueueDepth:   st.QueueDepth,
+		StoreBytes:   s.store.Bytes(),
+		UptimeMillis: time.Since(s.start).Milliseconds(),
 	}
-	return src.Digest()
 }
 
 // handleInstall performs on-demand installation by VM synthesis: the client
@@ -807,7 +806,7 @@ func (s *Server) handleInstall(msg protocol.Message, hdr *protocol.InstallOverla
 	s.installed = true
 	s.installedMu.Unlock()
 	s.installs.Inc()
-	s.log.Info("edge: offloading system installed via VM synthesis", obs.F("synthesisMillis", res.SynthesisTime.Milliseconds()))
+	s.log.Info("edge: offloading system installed via VM synthesis", slog.Any("synthesisMillis", res.SynthesisTime.Milliseconds()))
 	return protocol.Encode(protocol.MsgInstallDone, protocol.InstallDoneHeader{
 		BaseImage:       hdr.BaseImage,
 		SynthesisMillis: res.SynthesisTime.Milliseconds(),

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -46,7 +48,7 @@ type AgentConfig struct {
 	// keeps whatever prefix the supplier ordered.
 	MaxBlobs int
 	// Logger records heartbeat failures.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Agent keeps an edge server registered: one registration up front, then a
@@ -79,6 +81,7 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		}
 		interval = ttl / 3
 	}
+	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
 	a := &Agent{cfg: cfg, interval: interval, quit: make(chan struct{})}
 	if err := a.heartbeat(); err != nil {
 		return nil, err

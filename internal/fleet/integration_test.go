@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"net"
 	"slices"
 	"strings"
@@ -191,7 +192,7 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	roamer, err := roam.New(roam.Config{
 		FleetView: memberView(rc),
 		Probe:     probe,
-		Logger:    obs.NewLogger(&switchLog, obs.LevelInfo),
+		Logger:    obs.NewLogger(&switchLog, slog.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,6 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	auditor := obs.NewAuditor(obs.AuditorOptions{Keep: 16})
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 		Audit:             auditor,
 	})
 	if err != nil {

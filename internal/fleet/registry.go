@@ -10,6 +10,8 @@
 package fleet
 
 import (
+	"cmp"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +49,7 @@ type RegistryOptions struct {
 	// Metrics, when set, receives the registry's counters and gauges.
 	Metrics *obs.Registry
 	// Logger, when set, records membership changes.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// OnStats, when set, is called after each heartbeat that carries a
 	// telemetry digest (outside the registry lock) — fleetd hooks SLO
 	// burn accounting here.
@@ -63,7 +65,7 @@ type Registry struct {
 	version uint64
 	ttl     time.Duration
 	now     func() time.Time
-	log     *obs.Logger
+	log     *slog.Logger
 	onStats func(addr string, d *protocol.StatsDigest)
 
 	regs    *obs.Counter
@@ -85,7 +87,7 @@ func NewRegistry(opts RegistryOptions) *Registry {
 		entries: make(map[string]*entry),
 		ttl:     ttl,
 		now:     now,
-		log:     opts.Logger,
+		log:     cmp.Or(opts.Logger, obs.Discard),
 		onStats: opts.OnStats,
 	}
 	if m := opts.Metrics; m != nil {
@@ -122,7 +124,7 @@ func (r *Registry) Register(h protocol.FleetRegisterHeader) (servers int, versio
 	if !ok {
 		e = &entry{addr: h.Addr}
 		r.entries[h.Addr] = e
-		r.log.Info("fleet: server joined", obs.F("addr", h.Addr), obs.F("capacity", h.Capacity))
+		r.log.Info("fleet: server joined", slog.Any("addr", h.Addr), slog.Any("capacity", h.Capacity))
 	}
 	e.capacity = h.Capacity
 	e.ttl = ttl
@@ -236,7 +238,7 @@ func (r *Registry) pruneLocked(now time.Time) {
 			if r.expires != nil {
 				r.expires.Inc()
 			}
-			r.log.Warn("fleet: server expired", obs.F("addr", addr))
+			r.log.Warn("fleet: server expired", slog.Any("addr", addr))
 		}
 	}
 }

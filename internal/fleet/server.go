@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"time"
 
@@ -19,13 +21,13 @@ const connIdleTimeout = 30 * time.Second
 // on the connection lifecycle the edge server runs (protocol.ConnSet).
 type RegistryServer struct {
 	reg   *Registry
-	log   *obs.Logger
+	log   *slog.Logger
 	conns protocol.ConnSet
 }
 
 // NewRegistryServer wraps a Registry in a wire server.
-func NewRegistryServer(reg *Registry, logger *obs.Logger) *RegistryServer {
-	return &RegistryServer{reg: reg, log: logger}
+func NewRegistryServer(reg *Registry, logger *slog.Logger) *RegistryServer {
+	return &RegistryServer{reg: reg, log: cmp.Or(logger, obs.Discard)}
 }
 
 // Registry exposes the wrapped registry (for in-process callers and tests).

@@ -80,7 +80,6 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(1 << 20)
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 		Flight:            flight,
 	})
 	if err != nil {
@@ -253,7 +252,6 @@ func TestEdgeSLOBurnDepositsFlight(t *testing.T) {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -128,17 +128,14 @@ type AuditorOptions struct {
 	// Sink, when non-nil, receives one JSON line per decision — the
 	// client-side analogue of the server's trace log.
 	Sink io.Writer
-	// Logger, when non-nil, logs each decision at debug level with the
-	// trace ID field.
-	Logger *Logger
 	// Keep retains the most recent Keep decisions for inspection via
 	// Recent (0 keeps none).
 	Keep int
 }
 
 // Auditor records offload decision events: per-path/per-reason counters, a
-// prediction-error sample set for quantiles, and optional JSON-line and
-// structured-log feeds. All methods are safe for concurrent use; a nil
+// prediction-error sample set for quantiles, and an optional JSON-line
+// feed. All methods are safe for concurrent use; a nil
 // *Auditor is a valid no-op.
 type Auditor struct {
 	opts      AuditorOptions
@@ -247,15 +244,6 @@ func (a *Auditor) Record(d Decision) {
 			a.opts.Sink.Write(append(line, '\n')) //nolint:errcheck // best-effort feed
 			a.mu.Unlock()
 		}
-	}
-	if a.opts.Logger.Enabled(LevelDebug) {
-		a.opts.Logger.Debug("offload decision",
-			TraceID(d.TraceID),
-			F("path", string(d.Path)),
-			F("reason", d.Reason),
-			F("predictedMicros", d.Predicted.Microseconds()),
-			F("measuredMicros", d.Measured.Microseconds()),
-		)
 	}
 }
 

@@ -1,149 +1,60 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"context"
 	"io"
-	"sync"
+	"log/slog"
+	"strings"
 	"time"
 )
 
-// Level is a log severity.
-type Level int8
-
-// Log levels, in increasing severity.
-const (
-	LevelDebug Level = iota - 1
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int8(l))
-	}
-}
-
-// Field is one structured key/value pair attached to a log line.
-type Field struct {
-	Key   string
-	Value any
-}
-
-// F builds a Field.
-func F(key string, value any) Field { return Field{Key: key, Value: value} }
-
-// TraceID builds the canonical trace-ID field, joining log lines to the
-// span pipeline's traces.
-func TraceID(id string) Field { return Field{Key: "traceId", Value: id} }
-
-// Err builds the canonical error field (nil-safe).
-func Err(err error) Field {
-	if err == nil {
-		return Field{Key: "err", Value: nil}
-	}
-	return Field{Key: "err", Value: err.Error()}
-}
-
-// Logger emits structured JSON-line leveled logs: one JSON object per
-// line with ts, level, msg, and the attached fields. It is the one log sink
-// of every component and daemon; a nil *Logger is silent, so components can
-// log unconditionally (guard a line whose fields cost something with
-// Enabled).
-//
-// Loggers derived with With share the parent's writer and mutex, so one
-// file or stderr stream stays line-atomic across components.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	min    Level
-	fields []Field
-	// now is stubbed in tests for deterministic timestamps.
-	now func() time.Time
-}
-
-// NewLogger creates a logger writing JSON lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
+// NewLogger returns the one log sink of every component and daemon: a
+// log/slog JSON handler writing records at or above level to w, one object
+// per line: ts (RFC 3339 nano, UTC), level in lower case, msg, then the bound
+// attributes and then the call's. A nil w yields Discard. The handler writes
+// each line in one call under its own mutex, so loggers derived with With
+// keep one stream line-atomic across components.
+func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	if w == nil {
-		return nil
+		return Discard
 	}
-	return &Logger{mu: &sync.Mutex{}, w: w, min: min, now: time.Now}
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: lineShape}))
 }
 
-// With returns a logger that attaches fields to every line it emits.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil || len(fields) == 0 {
-		return l
+// lineShape renames slog's time key to ts in UTC and lower-cases the level.
+func lineShape(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	child := *l
-	child.fields = append(append([]Field(nil), l.fields...), fields...)
-	return &child
+	switch a.Key {
+	case slog.TimeKey:
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case slog.LevelKey:
+		return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
+	}
+	return a
 }
 
-// Enabled reports whether the logger emits at the given level.
-func (l *Logger) Enabled(level Level) bool { return l != nil && level >= l.min }
+// Discard drops every record before it is built; constructors default a nil
+// logger to it, so components log unconditionally (guard a line whose
+// attributes cost something with Enabled).
+var Discard = slog.New(discardHandler{})
 
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
+type discardHandler struct{}
 
-// Info logs at info level.
-func (l *Logger) Info(msg string, fields ...Field) { l.log(LevelInfo, msg, fields) }
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, fields ...Field) { l.log(LevelWarn, msg, fields) }
+// TraceID builds the canonical trace-ID attribute, joining log lines to the
+// span pipeline's traces.
+func TraceID(id string) slog.Attr { return slog.String("traceId", id) }
 
-// Error logs at error level.
-func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
-
-func (l *Logger) log(level Level, msg string, fields []Field) {
-	if !l.Enabled(level) {
-		return
+// Err builds the canonical error attribute (nil-safe).
+func Err(err error) slog.Attr {
+	if err == nil {
+		return slog.Any("err", nil)
 	}
-	// Build the line as an ordered JSON object: ts, level, msg, then
-	// fields in attachment order (bound fields first). Duplicate keys keep
-	// the last occurrence wins semantics of most JSON readers; we emit all
-	// occurrences rather than deduplicating on the hot path.
-	var b []byte
-	b = append(b, '{')
-	b = appendJSONField(b, "ts", l.now().UTC().Format(time.RFC3339Nano))
-	b = append(b, ',')
-	b = appendJSONField(b, "level", level.String())
-	b = append(b, ',')
-	b = appendJSONField(b, "msg", msg)
-	for _, f := range l.fields {
-		b = append(b, ',')
-		b = appendJSONField(b, f.Key, f.Value)
-	}
-	for _, f := range fields {
-		b = append(b, ',')
-		b = appendJSONField(b, f.Key, f.Value)
-	}
-	b = append(b, '}', '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.w.Write(b) //nolint:errcheck // logging is best-effort
-}
-
-// appendJSONField appends `"key":value` with both sides JSON-encoded. An
-// unencodable value degrades to its fmt representation instead of dropping
-// the line.
-func appendJSONField(b []byte, key string, value any) []byte {
-	kb, _ := json.Marshal(key)
-	b = append(b, kb...)
-	b = append(b, ':')
-	vb, err := json.Marshal(value)
-	if err != nil {
-		vb, _ = json.Marshal(fmt.Sprint(value))
-	}
-	return append(b, vb...)
+	return slog.String("err", err.Error())
 }

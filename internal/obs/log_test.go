@@ -3,8 +3,10 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -13,28 +15,31 @@ import (
 
 func TestLoggerJSONLines(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug)
-	l.now = func() time.Time { return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC) }
-	l.Info("server started", F("addr", ":9191"), F("workers", 4))
-	l.Error("offload failed", TraceID("0123456789abcdef"), Err(errors.New("conn broken")))
+	h := NewLogger(&buf, slog.LevelDebug).Handler()
+	at := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
+	r := slog.NewRecord(at, slog.LevelInfo, "server started", 0)
+	r.AddAttrs(slog.Any("addr", ":9191"), slog.Any("workers", 4))
+	if err := h.Handle(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	r = slog.NewRecord(at, slog.LevelError, "offload failed", 0)
+	r.AddAttrs(TraceID("0123456789abcdef"), Err(errors.New("conn broken")))
+	if err := h.Handle(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
 
 	sc := bufio.NewScanner(&buf)
 	if !sc.Scan() {
 		t.Fatal("no first line")
 	}
-	var m map[string]any
-	if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-		t.Fatalf("line 1 not JSON: %v", err)
-	}
-	if m["ts"] != "2026-08-06T12:00:00Z" || m["level"] != "info" || m["msg"] != "server started" {
-		t.Errorf("line 1 = %v", m)
-	}
-	if m["addr"] != ":9191" || m["workers"] != float64(4) {
-		t.Errorf("line 1 fields = %v", m)
+	const want = `{"ts":"2026-08-06T12:00:00Z","level":"info","msg":"server started","addr":":9191","workers":4}`
+	if got := sc.Text(); got != want {
+		t.Errorf("line 1 = %s\nwant     %s", got, want)
 	}
 	if !sc.Scan() {
 		t.Fatal("no second line")
 	}
+	var m map[string]any
 	if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
 		t.Fatalf("line 2 not JSON: %v", err)
 	}
@@ -45,7 +50,7 @@ func TestLoggerJSONLines(t *testing.T) {
 
 func TestLoggerLevelFilter(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelWarn)
+	l := NewLogger(&buf, slog.LevelWarn)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -53,15 +58,16 @@ func TestLoggerLevelFilter(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Errorf("lines = %d, want 2 (warn+error): %s", got, buf.String())
 	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
+	ctx := context.Background()
+	if !l.Enabled(ctx, slog.LevelError) || l.Enabled(ctx, slog.LevelInfo) {
 		t.Error("Enabled thresholds wrong")
 	}
 }
 
 func TestLoggerWithFields(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo).With(F("component", "edge"))
-	l.Info("hello")
+	l := NewLogger(&buf, slog.LevelInfo).With(slog.Any("component", "edge"))
+	l.Info("hello", slog.Any("k", "v"))
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatal(err)
@@ -69,33 +75,33 @@ func TestLoggerWithFields(t *testing.T) {
 	if m["component"] != "edge" {
 		t.Errorf("bound field missing: %v", m)
 	}
+	if i, j := strings.Index(buf.String(), `"component"`), strings.Index(buf.String(), `"k"`); i > j {
+		t.Errorf("bound field after call field: %s", buf.String())
+	}
 }
 
 func TestLoggerNilSafe(t *testing.T) {
-	var l *Logger
-	l.Info("ignored", F("k", "v"))
-	if l.With(F("a", 1)) != nil {
-		t.Error("nil With should stay nil")
+	l := NewLogger(nil, slog.LevelInfo)
+	if l != Discard {
+		t.Error("nil writer should yield Discard")
 	}
-	if l.Enabled(LevelError) {
-		t.Error("nil logger enabled")
-	}
-	if NewLogger(nil, LevelInfo) != nil {
-		t.Error("nil writer should yield nil logger")
+	l.Info("ignored", slog.Any("k", "v"))
+	if l.With(slog.Any("a", 1)).Enabled(context.Background(), slog.LevelError) {
+		t.Error("Discard enabled")
 	}
 }
 
 func TestLoggerConcurrentLineAtomic(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	l := NewLogger(&buf, slog.LevelInfo)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			child := l.With(F("goroutine", i))
+			child := l.With(slog.Any("goroutine", i))
 			for j := 0; j < 200; j++ {
-				child.Info("tick", F("j", j))
+				child.Info("tick", slog.Any("j", j))
 			}
 		}(i)
 	}
@@ -116,8 +122,8 @@ func TestLoggerConcurrentLineAtomic(t *testing.T) {
 
 func TestLoggerUnencodableValue(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.Info("weird", F("ch", make(chan int))) // channels can't marshal
+	l := NewLogger(&buf, slog.LevelInfo)
+	l.Info("weird", slog.Any("ch", make(chan int))) // channels can't marshal
 	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("line should still be valid JSON: %v", err)

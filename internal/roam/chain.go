@@ -7,8 +7,10 @@
 package roam
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -61,7 +63,7 @@ type ChainConfig struct {
 	// Flight, when non-nil, captures every chain re-plan.
 	Flight *telemetry.FlightRecorder
 	// Logger, when non-nil, records planning and degradation decisions.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // ChainExecutor runs multi-hop partial inference with re-planning.
@@ -96,6 +98,7 @@ func NewChainExecutor(cfg ChainConfig) (*ChainExecutor, error) {
 	if cfg.Local == nil {
 		cfg.Local = cfg.Model.Forward
 	}
+	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
 	out, err := cfg.Model.OutputShape()
 	if err != nil {
 		return nil, fmt.Errorf("roam: chain: %w", err)
@@ -261,8 +264,8 @@ func (r *chainRequest) excludeFailedHop(failed error) {
 	e.mu.Unlock()
 	e.cfg.Logger.Warn("chain: hop failed, re-planning",
 		obs.TraceID(r.report.TraceID),
-		obs.F("dead", dead), obs.F("error", failed.Error()),
-		obs.F("replans", r.report.Replans))
+		slog.Any("dead", dead), slog.Any("error", failed.Error()),
+		slog.Any("replans", r.report.Replans))
 	if e.cfg.Flight != nil {
 		e.cfg.Flight.Record(telemetry.FlightEntry{
 			TraceID: r.report.TraceID,

@@ -12,8 +12,10 @@
 package roam
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sort"
 	"sync"
@@ -128,7 +130,7 @@ type Config struct {
 	// Logger, when non-nil, records server-switch decisions as structured
 	// JSON lines (old/new server, switch count) — the mobility analogue
 	// of the offload decision audit.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Flight, when non-nil, records each completed server switch in the
 	// flight recorder, so /debug/flight interleaves handoffs with the
 	// slow/failed requests they may explain.
@@ -165,6 +167,7 @@ func New(cfg Config) (*Roamer, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
 	r := &Roamer{
 		cfg:     cfg,
 		servers: make(map[string]*ServerInfo, len(cfg.Servers)),
@@ -216,7 +219,7 @@ func (r *Roamer) refreshMembership() {
 	if err != nil {
 		r.viewSource = "last-known-good"
 		r.cfg.Logger.Warn("roam: fleet view unavailable, keeping last-known-good membership",
-			obs.F("error", err.Error()), obs.F("servers", len(r.order)))
+			slog.Any("error", err.Error()), slog.Any("servers", len(r.order)))
 		return
 	}
 	r.viewSource = source
@@ -254,8 +257,8 @@ func (r *Roamer) refreshMembership() {
 	}
 	if added > 0 || removed > 0 {
 		r.cfg.Logger.Info("roam: fleet membership changed",
-			obs.F("added", added), obs.F("removed", removed),
-			obs.F("servers", len(order)), obs.F("view", source))
+			slog.Any("added", added), slog.Any("removed", removed),
+			slog.Any("servers", len(order)), slog.Any("view", source))
 	}
 	r.order, r.servers = order, servers
 }
@@ -413,12 +416,12 @@ func (r *Roamer) SwitchTo(addr string) (*client.Conn, error) {
 	if old != nil {
 		old.Close()
 	}
-	fields := []obs.Field{obs.F("from", oldAddr), obs.F("to", addr), obs.F("switches", switches)}
+	fields := []any{slog.Any("from", oldAddr), slog.Any("to", addr), slog.Any("switches", switches)}
 	if viewSource != "" {
 		// Audit where the membership behind this switch came from, so a
 		// placement decision made on a degraded (cached or last-known-good)
 		// view is distinguishable from one made on live registry data.
-		fields = append(fields, obs.F("view", viewSource))
+		fields = append(fields, slog.Any("view", viewSource))
 	}
 	r.cfg.Logger.Info("roam: switched edge server", fields...)
 	if r.cfg.Flight != nil {

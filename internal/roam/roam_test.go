@@ -3,6 +3,7 @@ package roam
 import (
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -166,7 +167,7 @@ func TestSwitchLogsDecision(t *testing.T) {
 		Servers: []string{"a", "b"},
 		Probe:   (&fakeProbe{rtts: map[string]time.Duration{"a": 1, "b": 2}}).probe,
 		Dial:    fakeDial(t),
-		Logger:  obs.NewLogger(&buf, obs.LevelInfo),
+		Logger:  obs.NewLogger(&buf, slog.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +268,6 @@ func TestRoamingOffload(t *testing.T) {
 	}
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +546,7 @@ func TestFleetViewMembership(t *testing.T) {
 		FleetView: view,
 		Probe:     probe.probe,
 		Dial:      fakeDial(t),
-		Logger:    obs.NewLogger(&logBuf, obs.LevelInfo),
+		Logger:    obs.NewLogger(&logBuf, slog.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -731,7 +731,6 @@ func TestMidHandoffConnectionLoss(t *testing.T) {
 	auditor := obs.NewAuditor(obs.AuditorOptions{})
 	off, err := client.NewOffloader(app, conn, client.Options{
 		OffloadEventTypes: []string{mlapp.EventClick},
-		Models:            []client.ModelToSend{{Name: "tiny", Net: model}},
 		Audit:             auditor,
 		LocalFallback:     true,
 	})

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -103,10 +105,11 @@ func CheckAdminFlags(metricsAddr string, pprof bool, sloObjective time.Duration,
 // is zero. Its burn transition is recorded in flight, so the dump shows
 // when the budget started draining alongside the offending slow-request
 // span trees, and logged as a warning.
-func NewDaemonSLO(name string, objective time.Duration, goal float64, flight *FlightRecorder, logger *obs.Logger) (*SLO, error) {
+func NewDaemonSLO(name string, objective time.Duration, goal float64, flight *FlightRecorder, logger *slog.Logger) (*SLO, error) {
 	if objective <= 0 {
 		return nil, nil
 	}
+	logger = cmp.Or(logger, obs.Discard)
 	return NewSLO(SLOConfig{
 		Name:      name,
 		Objective: objective,
@@ -117,8 +120,8 @@ func NewDaemonSLO(name string, objective time.Duration, goal float64, flight *Fl
 				Note: fmt.Sprintf("slo %s burning: short %.2fx long %.2fx over objective %v",
 					st.Name, st.ShortBurn, st.LongBurn, objective),
 			})
-			logger.Warn("telemetry: slo burning", obs.F("slo", st.Name),
-				obs.F("shortBurn", st.ShortBurn), obs.F("longBurn", st.LongBurn))
+			logger.Warn("telemetry: slo burning", slog.Any("slo", st.Name),
+				slog.Any("shortBurn", st.ShortBurn), slog.Any("longBurn", st.LongBurn))
 		},
 	})
 }
@@ -126,10 +129,11 @@ func NewDaemonSLO(name string, objective time.Duration, goal float64, flight *Fl
 // RunDaemon runs a daemon until SIGINT or SIGTERM: srv serves ln and, when
 // metricsAddr is set, admin serves the operator plane there. On the signal
 // it closes srv and returns what Serve returned.
-func RunDaemon(name string, logger *obs.Logger, ln net.Listener, srv interface {
+func RunDaemon(name string, logger *slog.Logger, ln net.Listener, srv interface {
 	Serve(net.Listener) error
 	Close() error
 }, metricsAddr string, admin http.Handler) error {
+	logger = cmp.Or(logger, obs.Discard)
 	if metricsAddr != "" {
 		hs := &http.Server{Addr: metricsAddr, Handler: admin}
 		defer hs.Close()
@@ -138,7 +142,7 @@ func RunDaemon(name string, logger *obs.Logger, ln net.Listener, srv interface {
 				logger.Error(name+": metrics server failed", obs.Err(err))
 			}
 		}()
-		logger.Info(name+": metrics serving", obs.F("url", "http://"+metricsAddr+"/metrics"))
+		logger.Info(name+": metrics serving", slog.Any("url", "http://"+metricsAddr+"/metrics"))
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -148,7 +152,7 @@ func RunDaemon(name string, logger *obs.Logger, ln net.Listener, srv interface {
 	case err := <-done:
 		return err
 	case s := <-sig:
-		logger.Info(name+": shutting down", obs.F("signal", s.String()))
+		logger.Info(name+": shutting down", slog.Any("signal", s.String()))
 		if err := srv.Close(); err != nil {
 			return err
 		}

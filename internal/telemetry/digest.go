@@ -17,63 +17,26 @@
 package telemetry
 
 import (
-	"time"
-
 	"websnap/internal/protocol"
 	"websnap/internal/trace"
 )
 
-// DigestSource bundles the live signals one process folds into a
-// StatsDigest snapshot. Every field is optional; nil suppliers leave the
-// corresponding digest field empty.
-type DigestSource struct {
-	// Stages supplies the per-stage latency histograms, keyed by span op.
-	Stages map[string]*trace.Histogram
-	// Decisions supplies cumulative request-outcome counters by path.
-	Decisions func() map[string]uint64
-	// QueueDepth supplies the scheduler admission-queue depth.
-	QueueDepth func() int
-	// StoreBytes supplies the session store's resident byte size.
-	StoreBytes func() int64
-	// Start is when the process began serving (for UptimeMillis).
-	Start time.Time
-	// Now is the clock; nil selects time.Now.
-	Now func() time.Time
-}
-
-// Digest snapshots the source into a wire digest. Stages with zero
-// observations are omitted, so an idle server's digest stays tiny.
-func (s DigestSource) Digest() *protocol.StatsDigest {
-	now := time.Now
-	if s.Now != nil {
-		now = s.Now
-	}
-	d := &protocol.StatsDigest{}
-	for op, h := range s.Stages {
+// StageDigests exports stage histograms, keyed by span op, in mergeable
+// wire form for a StatsDigest. Stages with zero observations are omitted
+// (nil when none has any), so an idle server's digest stays tiny.
+func StageDigests(stages map[string]*trace.Histogram) map[string]protocol.HistDigest {
+	var out map[string]protocol.HistDigest
+	for op, h := range stages {
 		if h.Count() == 0 {
 			continue
 		}
 		buckets, count, sum := h.ExportBuckets()
-		if d.Stages == nil {
-			d.Stages = make(map[string]protocol.HistDigest)
+		if out == nil {
+			out = make(map[string]protocol.HistDigest)
 		}
-		d.Stages[op] = protocol.HistDigest{Buckets: buckets, Count: count, SumNanos: sum}
+		out[op] = protocol.HistDigest{Buckets: buckets, Count: count, SumNanos: sum}
 	}
-	if s.Decisions != nil {
-		if m := s.Decisions(); len(m) > 0 {
-			d.Decisions = m
-		}
-	}
-	if s.QueueDepth != nil {
-		d.QueueDepth = s.QueueDepth()
-	}
-	if s.StoreBytes != nil {
-		d.StoreBytes = s.StoreBytes()
-	}
-	if !s.Start.IsZero() {
-		d.UptimeMillis = now().Sub(s.Start).Milliseconds()
-	}
-	return d
+	return out
 }
 
 // HistogramFromDigest reconstructs a mergeable histogram from one wire

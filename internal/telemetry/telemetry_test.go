@@ -22,25 +22,13 @@ func TestDigestRoundTripPreservesHistogram(t *testing.T) {
 	for _, d := range durations {
 		orig.Observe(d)
 	}
-	src := DigestSource{
-		Stages: map[string]*trace.Histogram{
-			protocol.SpanExecute:   orig,
-			protocol.SpanPeerFetch: {},
-		},
-		Decisions:  func() map[string]uint64 { return map[string]uint64{"snapshot_full": 5} },
-		QueueDepth: func() int { return 3 },
-		StoreBytes: func() int64 { return 1 << 20 },
-	}
-	d := src.Digest()
-	if d.QueueDepth != 3 || d.StoreBytes != 1<<20 {
-		t.Fatalf("scalars: %+v", d)
-	}
-	if d.Decisions["snapshot_full"] != 5 {
-		t.Fatalf("decisions: %v", d.Decisions)
-	}
-	hd, ok := d.Stages[protocol.SpanExecute]
+	stages := StageDigests(map[string]*trace.Histogram{
+		protocol.SpanExecute:   orig,
+		protocol.SpanPeerFetch: {},
+	})
+	hd, ok := stages[protocol.SpanExecute]
 	if !ok {
-		t.Fatalf("execute stage missing from digest: %v", d.Stages)
+		t.Fatalf("execute stage missing from digest: %v", stages)
 	}
 	// The digest must survive a wire round trip and rebuild a histogram
 	// with identical count, sum, and quantiles.
@@ -63,7 +51,7 @@ func TestDigestRoundTripPreservesHistogram(t *testing.T) {
 	}
 	// Stages with no observations must be absent, keeping idle digests
 	// tiny.
-	if _, ok := d.Stages[protocol.SpanPeerFetch]; ok {
+	if _, ok := stages[protocol.SpanPeerFetch]; ok {
 		t.Error("unobserved stage leaked into digest")
 	}
 }
@@ -74,7 +62,7 @@ func TestMergeStageAccumulatesAcrossServers(t *testing.T) {
 		for _, d := range ds {
 			exec.Observe(d)
 		}
-		return DigestSource{Stages: map[string]*trace.Histogram{protocol.SpanExecute: exec}}.Digest()
+		return &protocol.StatsDigest{Stages: StageDigests(map[string]*trace.Histogram{protocol.SpanExecute: exec})}
 	}
 	a := mk(time.Millisecond, 2*time.Millisecond)
 	b := mk(40 * time.Millisecond)
@@ -247,12 +235,12 @@ func fleetStats() []ServerStats {
 			exec.Observe(execute)
 		}
 		queue.Observe(execute / 10)
-		d := DigestSource{
-			Stages:     map[string]*trace.Histogram{protocol.SpanExecute: exec, protocol.SpanQueue: queue},
-			Decisions:  func() map[string]uint64 { return decisions },
-			QueueDepth: func() int { return 1 },
-			StoreBytes: func() int64 { return 512 },
-		}.Digest()
+		d := &protocol.StatsDigest{
+			Stages:     StageDigests(map[string]*trace.Histogram{protocol.SpanExecute: exec, protocol.SpanQueue: queue}),
+			Decisions:  decisions,
+			QueueDepth: 1,
+			StoreBytes: 512,
+		}
 		return ServerStats{Addr: addr, Capacity: 4, AgeMillis: 250, Stats: d}
 	}
 	return []ServerStats{

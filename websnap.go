@@ -28,6 +28,8 @@
 package websnap
 
 import (
+	"log/slog"
+
 	"websnap/internal/client"
 	"websnap/internal/core"
 	"websnap/internal/costmodel"
@@ -35,7 +37,6 @@ import (
 	"websnap/internal/models"
 	"websnap/internal/netem"
 	"websnap/internal/nn"
-	"websnap/internal/obs"
 	"websnap/internal/partition"
 	"websnap/internal/roam"
 	"websnap/internal/sim"
@@ -95,7 +96,7 @@ type (
 
 // NewEdgeServer constructs a pre-installed edge server for the standard ML
 // web apps. logger may be nil (silent).
-func NewEdgeServer(logger *obs.Logger) (*EdgeServer, error) { return core.NewEdgeServer(logger) }
+func NewEdgeServer(logger *slog.Logger) (*EdgeServer, error) { return core.NewEdgeServer(logger) }
 
 // NewEdgeServerWithConfig constructs an edge server with full control
 // (custom catalog, on-demand installation via VM synthesis).
