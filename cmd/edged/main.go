@@ -74,8 +74,6 @@ func main() {
 			"fleet registry address to heartbeat into (empty = standalone server)")
 		advertise = flag.String("advertise", "",
 			"dialable address advertised to the fleet; may differ from -listen behind NAT (default: the -listen address if it names a concrete host)")
-		registryTTL = flag.Duration("registry-ttl", 0,
-			"registration lifetime named on each heartbeat (0 = registry default)")
 
 		sloObjective = flag.Duration("slo-objective", 0,
 			"server-side latency SLO: offloads slower than this burn error budget, served on /slo (0 = no SLO)")
@@ -86,7 +84,7 @@ func main() {
 	)
 	flag.Parse()
 	sc := schedConfig{workers: *workers, queue: *queue, maxQueueBytes: *maxQueueBytes}
-	fc := fleetConfig{registry: *registry, advertise: *advertise, ttl: *registryTTL}
+	fc := fleetConfig{registry: *registry, advertise: *advertise}
 	bc := boundsConfig{storeBytes: *maxStoreBytes, streams: *maxStreams}
 	tc := telemetryConfig{
 		sloObjective: *sloObjective, sloGoal: *sloGoal,
@@ -107,7 +105,6 @@ type schedConfig struct {
 // fleetConfig bundles the fleet flags.
 type fleetConfig struct {
 	registry, advertise string
-	ttl                 time.Duration
 }
 
 // boundsConfig bundles the memory/stream bound flags.
@@ -155,11 +152,17 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 	if fc.registry == "" && fc.advertise != "" {
 		return fmt.Errorf("-advertise requires -registry (nothing to advertise to)")
 	}
-	if fc.registry == "" && fc.ttl != 0 {
-		return fmt.Errorf("-registry-ttl requires -registry")
-	}
 	if err := telemetry.CheckAdminFlags(metricsAddr, pprofOn, tc.sloObjective, tc.sloGoal); err != nil {
 		return err
+	}
+	// The admin port is bound first, so a server that cannot serve its
+	// probes exits before it serves or shows up in a fleet registry.
+	adminLn, err := telemetry.ListenAdmin(metricsAddr)
+	if err != nil {
+		return err
+	}
+	if adminLn != nil {
+		defer adminLn.Close()
 	}
 	catalog, err := core.DefaultCatalog()
 	if err != nil {
@@ -246,7 +249,6 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 			Client:   rc,
 			Addr:     cfg.AdvertiseAddr,
 			Capacity: sc.workers,
-			TTL:      fc.ttl,
 			Load:     srv.LoadHint,
 			Blobs:    srv.BlobKeys,
 			Stats:    srv.StatsDigest,
@@ -257,10 +259,9 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 			return err
 		}
 		defer agent.Close()
-		logger.Info("edged: joined fleet", slog.Any("registry", fc.registry), slog.Any("advertise", cfg.AdvertiseAddr),
-			slog.Any("ttl", fc.ttl.String()))
+		logger.Info("edged: joined fleet", slog.Any("registry", fc.registry), slog.Any("advertise", cfg.AdvertiseAddr))
 	}
-	return telemetry.RunDaemon("edged", logger, ln, srv, metricsAddr, telemetry.AdminMux(telemetry.Admin{
+	return telemetry.RunDaemon("edged", logger, ln, srv, adminLn, telemetry.AdminMux(telemetry.Admin{
 		Metrics:  []func() *obs.Registry{srv.Registry},
 		NotReady: srv.NotReady,
 		SLO:      cfg.SLO, Flight: flight, Pprof: pprofOn,
@@ -269,10 +270,10 @@ func run(listen string, onDemand bool, baseImage, modelDir, metricsAddr, traceLo
 
 // registerKernelInfo publishes which float32 GEMM micro-kernel this daemon
 // runs as websnap_kernel_info{isa,tile,workers} 1: the ISA path CPUID
-// chose, the register tile and the GEMM worker count.
+// chose, the register tile and the GEMM worker count (GOMAXPROCS).
 func registerKernelInfo(r *obs.Registry) {
 	isa, tile, workers := tensor.KernelInfo()
 	r.GaugeVec("websnap_kernel_info",
-		"The float32 GEMM micro-kernel in use: ISA path, MRxNR register tile and GEMM workers (always 1).",
+		"The float32 GEMM micro-kernel in use: ISA path, MRxNR register tile and GEMM workers (GOMAXPROCS).",
 		"isa", "tile", "workers").With(isa, tile, strconv.Itoa(workers)).Set(1)
 }

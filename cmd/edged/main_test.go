@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"websnap/internal/fleet"
 	"websnap/internal/obs"
@@ -55,11 +58,6 @@ func TestRunRejectsFleetFlagsWithoutRegistry(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-registry") {
 		t.Errorf("-advertise without -registry: err = %v, want -registry mention", err)
 	}
-	err = run(":0", false, "ubuntu-12.04", "", "", "", 0, 0, 0, true, false,
-		schedConfig{workers: 2}, fleetConfig{ttl: 1}, boundsConfig{}, telemetryConfig{})
-	if err == nil || !strings.Contains(err.Error(), "-registry-ttl") {
-		t.Errorf("-registry-ttl without -registry: err = %v, want -registry-ttl mention", err)
-	}
 }
 
 // TestRunRejectsPprofWithoutMetricsAddr: edged checks its flag pairings
@@ -88,6 +86,40 @@ func TestRunRejectsPprofWithoutMetricsAddr(t *testing.T) {
 	}
 	if v := rs.Registry().Version(); v != 0 {
 		t.Errorf("registry saw %d registrations from runs that rejected their flags, want 0", v)
+	}
+}
+
+// TestRunFailsOnHeldMetricsAddr: edged exits with the bind error within a
+// second when its -metrics-addr port is taken, and never registers with its
+// fleet, instead of serving on without /metrics, /healthz and /readyz.
+func TestRunFailsOnHeldMetricsAddr(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	rs := fleet.NewRegistryServer(fleet.NewRegistry(fleet.RegistryOptions{}), nil)
+	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(rln) //nolint:errcheck // Close ends Serve
+	defer rs.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- run("127.0.0.1:0", false, "ubuntu-12.04", "", held.Addr().String(), "", 0, 0, 0, true, false,
+			schedConfig{workers: 2}, fleetConfig{registry: rln.Addr().String()}, boundsConfig{}, telemetryConfig{})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, syscall.EADDRINUSE) || !strings.Contains(err.Error(), "-metrics-addr") {
+			t.Errorf("run with a held -metrics-addr = %v, want its bind error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("edged still running 1 s after its -metrics-addr port was found taken")
+	}
+	if v := rs.Registry().Version(); v != 0 {
+		t.Errorf("registry saw %d registrations from a run whose admin port was taken, want 0", v)
 	}
 }
 

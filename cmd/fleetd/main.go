@@ -3,8 +3,11 @@
 // placement views from. It speaks the same binary frame protocol as the
 // offload path, keeps no durable state (membership is rebuilt by
 // heartbeats within one TTL after a restart), and needs no coordination
-// with the edge servers it tracks — a dead registry degrades clients to
-// their cached last-known-good views, it never stops the data plane.
+// with the edge servers it tracks — a dead registry leaves roaming clients
+// on their last-known-good membership, it never stops the data plane.
+// -ttl is the one registration lifetime (at least fleet.MinTTL): every
+// heartbeat's acknowledgement grants it, and each edge server heartbeats at
+// a third of it.
 //
 // Beyond membership, fleetd is the fleet's telemetry rollup point: edge
 // servers piggyback cumulative stats digests on their heartbeats, and the
@@ -38,7 +41,7 @@ func main() {
 	var (
 		listen = flag.String("listen", ":7090", "address to listen on")
 		ttl    = flag.Duration("ttl", fleet.DefaultTTL,
-			"default registration lifetime; servers missing heartbeats this long are dropped")
+			"registration lifetime granted to every server, which heartbeats at a third of it; servers missing heartbeats this long are dropped (at least 30ms)")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve GET /metrics, /fleet, /slo, /debug/flight, and health probes on this address (empty = disabled)")
 		pprofOn = flag.Bool("pprof", false,
@@ -100,11 +103,18 @@ func (f *sloFeed) observe(addr string, d *protocol.StatsDigest) {
 }
 
 func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemetryConfig) error {
-	if ttl <= 0 {
-		return fmt.Errorf("-ttl must be positive, got %v", ttl)
+	if ttl < fleet.MinTTL {
+		return fmt.Errorf("-ttl must be at least %v, got %v", fleet.MinTTL, ttl)
 	}
 	if err := telemetry.CheckAdminFlags(metricsAddr, pprofOn, tc.sloObjective, tc.sloGoal); err != nil {
 		return err
+	}
+	adminLn, err := telemetry.ListenAdmin(metricsAddr)
+	if err != nil {
+		return err
+	}
+	if adminLn != nil {
+		defer adminLn.Close()
 	}
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo)
 	flight := telemetry.NewFlightRecorder(tc.flightBytes)
@@ -129,7 +139,7 @@ func run(listen, metricsAddr string, ttl time.Duration, pprofOn bool, tc telemet
 	}
 	logger.Info("fleetd: registry listening", slog.Any("addr", ln.Addr().String()), slog.Any("ttl", ttl.String()))
 
-	return telemetry.RunDaemon("fleetd", logger, ln, srv, metricsAddr, adminMux(metrics, reg.Stats, slo, flight, pprofOn))
+	return telemetry.RunDaemon("fleetd", logger, ln, srv, adminLn, adminMux(metrics, reg.Stats, slo, flight, pprofOn))
 }
 
 // adminMux is fleetd's operator mux: the shared probe set plus /fleet. Its

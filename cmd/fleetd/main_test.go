@@ -23,6 +23,9 @@ func TestRunRejectsNonPositiveTTL(t *testing.T) {
 	if err := run(":0", "", -1, false, telemetryConfig{}); err == nil {
 		t.Error("negative ttl should fail")
 	}
+	if err := run(":0", "", time.Millisecond, false, telemetryConfig{}); err == nil || !strings.Contains(err.Error(), "-ttl") {
+		t.Errorf("ttl below fleet.MinTTL: err = %v, want -ttl mention", err)
+	}
 }
 
 func TestRunRejectsPprofWithoutMetricsAddr(t *testing.T) {

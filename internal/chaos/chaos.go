@@ -594,8 +594,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 	return written, nil
 }
 
-// pace sleeps so cumulative writes respect the current shaping phase, in
-// the same virtual-clock style as netem.Conn.
+// pace sleeps so cumulative writes respect the current shaping phase,
+// booked on the link's virtual clock as netem.Conn books them.
 func (c *Conn) pace(n int) error {
 	if len(c.plan.Phases) == 0 {
 		return nil
@@ -603,18 +603,7 @@ func (c *Conn) pace(n int) error {
 	for c.phase+1 < len(c.plan.Phases) && c.wOff >= c.plan.Phases[c.phase+1].Offset {
 		c.phase++
 	}
-	p := c.plan.Phases[c.phase].Profile
-	now := time.Now()
-	start := c.nextFree
-	if start.Before(now) {
-		start = now.Add(p.Latency)
-	}
-	var dur time.Duration
-	if p.BandwidthBitsPerSec > 0 {
-		dur = time.Duration(float64(n) * 8 / p.BandwidthBitsPerSec * float64(time.Second))
-	}
-	c.nextFree = start.Add(dur)
-	if wait := c.nextFree.Sub(now); wait > 0 {
+	if wait := c.plan.Phases[c.phase].Profile.Pace(&c.nextFree, n, time.Now()); wait > 0 {
 		time.Sleep(wait)
 	}
 	return nil

@@ -52,7 +52,6 @@ func flapFleetEdge(t *testing.T, registryAddr string) (*edge.Server, string) {
 		Client:   rc,
 		Addr:     addr,
 		Capacity: 2,
-		TTL:      2 * time.Second,
 		Interval: 20 * time.Millisecond,
 		Load:     srv.LoadHint,
 		Blobs:    srv.BlobKeys,
@@ -70,9 +69,9 @@ func flapFleetEdge(t *testing.T, registryAddr string) (*edge.Server, string) {
 
 // TestRegistryFlapFailoverSoak puts the fleet's control plane through an
 // outage while the data plane keeps offloading: the registry goes dark
-// mid-session, the client's placement view degrades to its cached
-// last-known-good copy, and a forced failover to another server happens
-// entirely during the outage. The soak invariants:
+// mid-session, the roamer's membership freezes at last-known-good, and a
+// forced failover to another server happens entirely during the outage.
+// The soak invariants:
 //
 //   - every event's result stays bit-identical to a local twin, outage or
 //     not (a dead registry degrades placement freshness, never
@@ -123,7 +122,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{Timeout: 500 * time.Millisecond})
 	var switchLog strings.Builder
 	roamer, err := roam.New(roam.Config{
-		FleetView: memberView(rc),
+		FleetView: rc.Members,
 		Probe:     probe,
 		Logger:    obs.NewLogger(&switchLog, slog.LevelInfo),
 	})
@@ -177,7 +176,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	runOnce("A pre-outage", 2)
 
 	// Registry goes dark. Heartbeats start failing, the view freezes, and
-	// the failover below runs on the cached last-known-good copy.
+	// the failover below runs on the roamer's last-known-good membership.
 	down.Store(true)
 	mu.Lock()
 	preferred = addrB
@@ -207,7 +206,7 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	if drops := flap.Drops(); len(drops) == 0 {
 		t.Fatal("registry flap dropped no connections; outage never happened")
 	}
-	if !strings.Contains(switchLog.String(), `"view":"registry-cached"`) {
+	if !strings.Contains(switchLog.String(), `"view":"last-known-good"`) {
 		t.Errorf("switch audit trail lacks the degraded view source:\n%s", switchLog.String())
 	}
 
@@ -237,25 +236,5 @@ func TestRegistryFlapFailoverSoak(t *testing.T) {
 	}
 	if mix[obs.PathError] != 0 {
 		t.Errorf("%d error-path decisions despite a healthy data plane", mix[obs.PathError])
-	}
-}
-
-// memberView adapts a registry client to roam.Config.FleetView: the live
-// view's members tagged "registry", or its last-known-good cache tagged
-// "registry-cached" during an outage.
-func memberView(rc *fleet.RegistryClient) func() ([]string, string, error) {
-	return func() ([]string, string, error) {
-		view, cached, err := rc.View()
-		if err != nil {
-			return nil, "", err
-		}
-		addrs := make([]string, len(view.Servers))
-		for i, s := range view.Servers {
-			addrs[i] = s.Addr
-		}
-		if cached {
-			return addrs, "registry-cached", nil
-		}
-		return addrs, "registry", nil
 	}
 }

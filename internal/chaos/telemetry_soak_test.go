@@ -118,7 +118,6 @@ func telemetrySoakEdge(t *testing.T, registryAddr string, flightCap int64) (*edg
 		Client:   rc,
 		Addr:     addr,
 		Capacity: 2,
-		TTL:      2 * time.Second,
 		Interval: 20 * time.Millisecond,
 		Load:     srv.LoadHint,
 		Blobs:    srv.BlobKeys,

@@ -21,12 +21,9 @@ type AgentConfig struct {
 	Addr string
 	// Capacity is the server's worker-pool size.
 	Capacity int
-	// TTL is the registration lifetime named on each heartbeat (registry
-	// default when zero).
-	TTL time.Duration
-	// Interval is the heartbeat period; defaults to TTL/3 (or one third
-	// of the registry default) so two consecutive losses still leave the
-	// registration live.
+	// Interval is the heartbeat period. When zero the agent heartbeats at
+	// a third of the TTL the registry grants in each acknowledgement, so
+	// two consecutive losses still leave the registration live.
 	Interval time.Duration
 	// Load, when set, supplies the live load hint for each heartbeat.
 	Load func() *protocol.LoadHint
@@ -56,11 +53,10 @@ type AgentConfig struct {
 // the next tick — a registry outage degrades the fleet view, it never
 // takes the server down.
 type Agent struct {
-	cfg      AgentConfig
-	interval time.Duration
-	quit     chan struct{}
-	done     sync.WaitGroup
-	once     sync.Once
+	cfg  AgentConfig
+	quit chan struct{}
+	done sync.WaitGroup
+	once sync.Once
 }
 
 // StartAgent registers immediately and starts the heartbeat loop. The
@@ -73,32 +69,24 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("fleet: agent without advertised address")
 	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		ttl := cfg.TTL
-		if ttl <= 0 {
-			ttl = DefaultTTL
-		}
-		interval = ttl / 3
-	}
 	cfg.Logger = cmp.Or(cfg.Logger, obs.Discard)
-	a := &Agent{cfg: cfg, interval: interval, quit: make(chan struct{})}
-	if err := a.heartbeat(); err != nil {
+	a := &Agent{cfg: cfg, quit: make(chan struct{})}
+	interval, err := a.heartbeat()
+	if err != nil {
 		return nil, err
 	}
 	a.done.Add(1)
-	go a.run()
+	go a.run(interval)
 	return a, nil
 }
 
-// heartbeat sends one registration.
-func (a *Agent) heartbeat() error {
+// heartbeat sends one registration and returns the period until the next:
+// AgentConfig.Interval when set, else a third of the TTL the registry
+// granted. The grant comes off the wire, so one that is not positive counts
+// as DefaultTTL and one below MinTTL as MinTTL.
+func (a *Agent) heartbeat() (time.Duration, error) {
 	c := &a.cfg
-	hdr := protocol.FleetRegisterHeader{
-		Addr:      c.Addr,
-		Capacity:  c.Capacity,
-		TTLMillis: c.TTL.Milliseconds(),
-	}
+	hdr := protocol.FleetRegisterHeader{Addr: c.Addr, Capacity: c.Capacity}
 	if c.Load != nil {
 		hdr.Load = c.Load()
 	}
@@ -111,8 +99,15 @@ func (a *Agent) heartbeat() error {
 	if c.Stats != nil {
 		hdr.Stats = c.Stats()
 	}
-	_, err := c.Client.Register(hdr)
-	return err
+	ack, err := c.Client.Register(hdr)
+	if c.Interval > 0 {
+		return c.Interval, err
+	}
+	ttl := time.Duration(ack.TTLMillis) * time.Millisecond
+	if ttl <= 0 {
+		ttl = DefaultTTL
+	}
+	return max(ttl, MinTTL) / 3, err
 }
 
 // DefaultMaxAdvertisedBlobs is the default heartbeat advertisement cap.
@@ -133,17 +128,25 @@ func (a *Agent) maxBlobs() int {
 	}
 }
 
-func (a *Agent) run() {
+// run heartbeats until Close, moving the ticker whenever the registry
+// grants a different TTL.
+func (a *Agent) run(interval time.Duration) {
 	defer a.done.Done()
-	ticker := time.NewTicker(a.interval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-a.quit:
 			return
 		case <-ticker.C:
-			if err := a.heartbeat(); err != nil {
+			next, err := a.heartbeat()
+			if err != nil {
 				a.cfg.Logger.Warn("fleet: heartbeat failed", obs.Err(err))
+				continue
+			}
+			if next != interval {
+				interval = next
+				ticker.Reset(interval)
 			}
 		}
 	}

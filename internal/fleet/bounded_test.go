@@ -50,7 +50,6 @@ func TestAgentHeartbeatCapsBlobAdvertisement(t *testing.T) {
 		Client:   NewRegistryClient(addr, ClientOptions{}),
 		Addr:     "edge-big:9000",
 		Capacity: 2,
-		TTL:      10 * time.Second,
 		Blobs:    func() []string { return keys },
 	})
 	if err != nil {
@@ -91,7 +90,6 @@ func TestAgentHeartbeatUnlimitedBlobsOverflow(t *testing.T) {
 		Client:   NewRegistryClient(addr, ClientOptions{}),
 		Addr:     "edge-big:9000",
 		Capacity: 2,
-		TTL:      10 * time.Second,
 		MaxBlobs: -1,
 		Blobs:    func() []string { return keys },
 	})

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"websnap/internal/protocol"
@@ -23,18 +22,13 @@ type ClientOptions struct {
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// RegistryClient talks to a registry over single-shot framed connections
-// and keeps the last successfully fetched view. When the registry is
-// unreachable, placement degrades to that last-known-good view instead of
-// failing — a fleet with a dead registry keeps serving, it just stops
-// learning about membership changes.
+// RegistryClient talks to a registry over single-shot framed connections.
+// It keeps no state between calls: a roamer rides out a registry outage on
+// its own last-known-good membership (roam.Config.FleetView).
 type RegistryClient struct {
 	addr    string
 	timeout time.Duration
 	dial    func(addr string, timeout time.Duration) (net.Conn, error)
-
-	mu     sync.Mutex
-	cached *protocol.FleetViewHeader
 }
 
 // NewRegistryClient builds a client for the registry at addr.
@@ -81,33 +75,18 @@ func (c *RegistryClient) Register(hdr protocol.FleetRegisterHeader) (protocol.Fl
 	return out, err
 }
 
-// FetchView fetches the current fleet view and caches it on success.
-func (c *RegistryClient) FetchView() (protocol.FleetViewHeader, error) {
+// Members fetches the live members' advertised addresses, in address
+// order: the shape roam.Config.FleetView takes.
+func (c *RegistryClient) Members() ([]string, error) {
 	var view protocol.FleetViewHeader
 	if err := c.call(protocol.MsgFleetList, protocol.FleetListHeader{}, protocol.MsgFleetView, &view); err != nil {
-		return protocol.FleetViewHeader{}, err
+		return nil, err
 	}
-	c.mu.Lock()
-	c.cached = &view
-	c.mu.Unlock()
-	return view, nil
-}
-
-// View fetches the fleet view, degrading to the last-known-good cached
-// view when the registry is unreachable. cached reports whether the result
-// is the degraded copy; err is non-nil only when there is no cache to fall
-// back on.
-func (c *RegistryClient) View() (view protocol.FleetViewHeader, cached bool, err error) {
-	view, err = c.FetchView()
-	if err == nil {
-		return view, false, nil
+	addrs := make([]string, len(view.Servers))
+	for i, s := range view.Servers {
+		addrs[i] = s.Addr
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cached == nil {
-		return protocol.FleetViewHeader{}, false, err
-	}
-	return *c.cached, true, nil
+	return addrs, nil
 }
 
 // Locate asks the registry which servers hold each blob key. A non-empty

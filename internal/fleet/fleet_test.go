@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,20 +41,6 @@ func TestRegistryTTLExpiry(t *testing.T) {
 	clk.advance(2 * time.Second)
 	if got := r.Servers(); got != 0 {
 		t.Fatalf("after full lapse servers = %d, want 0", got)
-	}
-}
-
-func TestRegistryPerServerTTL(t *testing.T) {
-	clk := newFakeClock()
-	r := NewRegistry(RegistryOptions{TTL: time.Second, Now: clk.now})
-	long := reg("long:1")
-	long.TTLMillis = 10_000
-	r.Register(long)
-	r.Register(reg("short:1"))
-	clk.advance(5 * time.Second)
-	view := r.View()
-	if len(view.Servers) != 1 || view.Servers[0].Addr != "long:1" {
-		t.Fatalf("view = %+v, want only long:1", view.Servers)
 	}
 }
 
@@ -152,12 +140,15 @@ func TestWireRegisterListLocate(t *testing.T) {
 	if ack.Servers != 1 || ack.Version == 0 {
 		t.Fatalf("ack = %+v", ack)
 	}
-	view, err := c.FetchView()
-	if err != nil {
-		t.Fatalf("FetchView: %v", err)
+	if v := r.View().Servers; len(v) != 1 || v[0].Capacity != 4 {
+		t.Fatalf("registry view after a capacity-4 heartbeat = %+v", v)
 	}
-	if len(view.Servers) != 1 || view.Servers[0].Addr != "edge-a:9000" || view.Servers[0].Capacity != 4 {
-		t.Fatalf("view = %+v", view.Servers)
+	members, err := c.Members()
+	if err != nil {
+		t.Fatalf("Members: %v", err)
+	}
+	if len(members) != 1 || members[0] != "edge-a:9000" {
+		t.Fatalf("members = %v", members)
 	}
 	holders, _, err := c.Locate([]string{"blob1", "missing"}, "")
 	if err != nil {
@@ -168,34 +159,6 @@ func TestWireRegisterListLocate(t *testing.T) {
 	}
 }
 
-func TestClientCachedViewFallback(t *testing.T) {
-	r := NewRegistry(RegistryOptions{TTL: 10 * time.Second})
-	r.Register(reg("a:1"))
-	addr, stop := startWireRegistry(t, r)
-
-	c := NewRegistryClient(addr, ClientOptions{Timeout: 500 * time.Millisecond})
-	view, cached, err := c.View()
-	if err != nil || cached {
-		t.Fatalf("live View: cached=%v err=%v", cached, err)
-	}
-	if len(view.Servers) != 1 {
-		t.Fatalf("view = %+v", view.Servers)
-	}
-
-	// Registry goes away: View degrades to the last-known-good copy.
-	stop()
-	view, cached, err = c.View()
-	if err != nil {
-		t.Fatalf("degraded View: %v", err)
-	}
-	if !cached {
-		t.Fatal("degraded View not marked cached")
-	}
-	if len(view.Servers) != 1 || view.Servers[0].Addr != "a:1" {
-		t.Fatalf("degraded view = %+v", view.Servers)
-	}
-}
-
 func TestClientNoCacheNoRegistry(t *testing.T) {
 	c := NewRegistryClient("127.0.0.1:1", ClientOptions{
 		Timeout: 200 * time.Millisecond,
@@ -203,8 +166,8 @@ func TestClientNoCacheNoRegistry(t *testing.T) {
 			return nil, errors.New("refused")
 		},
 	})
-	if _, cached, err := c.View(); err == nil || cached {
-		t.Fatalf("View with no cache: cached=%v err=%v, want error", cached, err)
+	if members, err := c.Members(); err == nil {
+		t.Fatalf("Members with no registry = %v, want error", members)
 	}
 }
 
@@ -219,7 +182,6 @@ func TestAgentKeepsRegistrationLive(t *testing.T) {
 		Client:   NewRegistryClient(addr, ClientOptions{}),
 		Addr:     "edge-a:9000",
 		Capacity: 2,
-		TTL:      400 * time.Millisecond,
 		Interval: 100 * time.Millisecond,
 		Blobs:    func() []string { return []string{"m1"} },
 	})
@@ -235,4 +197,125 @@ func TestAgentKeepsRegistrationLive(t *testing.T) {
 	if got := r.Servers(); got != 0 {
 		t.Fatalf("servers = %d after agent close, want 0", got)
 	}
+}
+
+// alwaysLive samples r's membership every 10 ms for 0.5 s and fails on
+// each sample that lacks addr.
+func alwaysLive(t *testing.T, r *Registry, addr string) {
+	t.Helper()
+	const samples = 50
+	absent := 0
+	for i := 0; i < samples; i++ {
+		time.Sleep(10 * time.Millisecond)
+		if !slices.ContainsFunc(r.View().Servers, func(s protocol.FleetServer) bool { return s.Addr == addr }) {
+			absent++
+		}
+	}
+	if absent > 0 {
+		t.Fatalf("%s absent in %d of %d samples", addr, absent, samples)
+	}
+}
+
+// TestAgentHeartbeatsAtGrantedTTL: the registry owns the registration
+// lifetime. Each acknowledgement grants the registry's TTL, and an agent
+// with no Interval of its own heartbeats at a third of it, so a registry
+// TTL far below DefaultTTL never drops a live member between heartbeats.
+func TestAgentHeartbeatsAtGrantedTTL(t *testing.T) {
+	const ttl = 90 * time.Millisecond
+	r := NewRegistry(RegistryOptions{TTL: ttl})
+	addr, stop := startWireRegistry(t, r)
+	defer stop()
+	c := NewRegistryClient(addr, ClientOptions{})
+	ack, err := c.Register(reg("probe:1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.TTLMillis != ttl.Milliseconds() {
+		t.Fatalf("ack grants %d ms, want the registry's %d", ack.TTLMillis, ttl.Milliseconds())
+	}
+	a, err := StartAgent(AgentConfig{Client: c, Addr: "edge-a:9000", Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	alwaysLive(t, r, "edge-a:9000")
+}
+
+// grantingClient returns a client whose registry acknowledges every
+// registration with ttlMillis, whatever it is.
+func grantingClient(ttlMillis int64) *RegistryClient {
+	return NewRegistryClient("registry", ClientOptions{Dial: func(string, time.Duration) (net.Conn, error) {
+		agent, registry := net.Pipe()
+		go func() {
+			defer registry.Close()
+			if _, err := protocol.Read(registry); err != nil {
+				return
+			}
+			ack, err := protocol.Encode(protocol.MsgFleetRegistered,
+				protocol.FleetRegisteredHeader{Servers: 1, Version: 1, TTLMillis: ttlMillis}, nil)
+			if err == nil {
+				protocol.Write(registry, ack) //nolint:errcheck // the agent sees a short read
+			}
+		}()
+		return agent, nil
+	}})
+}
+
+// TestAgentGuardsGrantedTTL: the granted TTL comes off the wire, so the
+// agent's period must not follow it into a panic or a heartbeat storm. A
+// grant that is not positive counts as DefaultTTL and one below MinTTL as
+// MinTTL.
+func TestAgentGuardsGrantedTTL(t *testing.T) {
+	for _, tc := range []struct {
+		ttlMillis int64
+		want      time.Duration
+	}{
+		{-5, DefaultTTL / 3},
+		{0, DefaultTTL / 3},
+		{1, MinTTL / 3},
+		{90, 30 * time.Millisecond},
+	} {
+		a := &Agent{cfg: AgentConfig{Client: grantingClient(tc.ttlMillis), Addr: "edge-a:9000"}}
+		got, err := a.heartbeat()
+		if err != nil || got != tc.want {
+			t.Errorf("grant of %d ms: period %v, %v; want %v", tc.ttlMillis, got, err, tc.want)
+		}
+	}
+	a, err := StartAgent(AgentConfig{Client: grantingClient(-5), Addr: "edge-a:9000"})
+	if err != nil {
+		t.Fatalf("StartAgent under a negative grant: %v", err)
+	}
+	a.Close()
+}
+
+// TestAgentFollowsChangedTTL: when the registry comes back with a shorter
+// TTL (a fleetd restarted with a smaller -ttl), the agent's next heartbeat
+// learns it and the ticker moves to a third of the new TTL.
+func TestAgentFollowsChangedTTL(t *testing.T) {
+	slow := NewRegistry(RegistryOptions{TTL: 600 * time.Millisecond})
+	slowAddr, stopSlow := startWireRegistry(t, slow)
+	defer stopSlow()
+	fast := NewRegistry(RegistryOptions{TTL: 90 * time.Millisecond})
+	fastAddr, stopFast := startWireRegistry(t, fast)
+	defer stopFast()
+
+	var target atomic.Value
+	target.Store(slowAddr)
+	c := NewRegistryClient("registry", ClientOptions{Dial: func(_ string, timeout time.Duration) (net.Conn, error) {
+		return net.DialTimeout("tcp", target.Load().(string), timeout)
+	}})
+	a, err := StartAgent(AgentConfig{Client: c, Addr: "edge-a:9000", Capacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	target.Store(fastAddr)
+	deadline := time.Now().Add(2 * time.Second)
+	for fast.Servers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat reached the restarted registry")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	alwaysLive(t, fast, "edge-a:9000")
 }

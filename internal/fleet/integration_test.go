@@ -82,7 +82,6 @@ func startFleetEdge(t *testing.T, registryAddr string, maxStoreBytes int64) (*ed
 		Client:   rc,
 		Addr:     addr,
 		Capacity: 2,
-		TTL:      2 * time.Second,
 		Interval: 20 * time.Millisecond,
 		Load:     srv.LoadHint,
 		Blobs:    srv.BlobKeys,
@@ -190,7 +189,7 @@ func TestFleetRoamingNoModelReupload(t *testing.T) {
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	var switchLog strings.Builder
 	roamer, err := roam.New(roam.Config{
-		FleetView: memberView(rc),
+		FleetView: rc.Members,
 		Probe:     probe,
 		Logger:    obs.NewLogger(&switchLog, slog.LevelInfo),
 	})
@@ -489,25 +488,5 @@ func TestFleetStoreBoundedByOneCap(t *testing.T) {
 			t.Fatalf("registry still locates evicted keys: %v (err %v)", holders, err)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// memberView adapts a registry client to roam.Config.FleetView: the live
-// view's members tagged "registry", or its last-known-good cache tagged
-// "registry-cached" during an outage.
-func memberView(rc *fleet.RegistryClient) func() ([]string, string, error) {
-	return func() ([]string, string, error) {
-		view, cached, err := rc.View()
-		if err != nil {
-			return nil, "", err
-		}
-		addrs := make([]string, len(view.Servers))
-		for i, s := range view.Servers {
-			addrs[i] = s.Addr
-		}
-		if cached {
-			return addrs, "registry-cached", nil
-		}
-		return addrs, "registry", nil
 	}
 }

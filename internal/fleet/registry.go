@@ -22,14 +22,18 @@ import (
 )
 
 // DefaultTTL is how long a registration stays live without a heartbeat
-// when the registering server does not name its own TTL.
+// when the registry is given no TTL of its own (fleetd -ttl).
 const DefaultTTL = 5 * time.Second
+
+// MinTTL is the shortest registration lifetime fleetd grants (-ttl). An
+// agent heartbeats no faster than a third of it, whatever TTL a registry
+// names.
+const MinTTL = 30 * time.Millisecond
 
 // entry is one registered server.
 type entry struct {
 	addr     string
 	capacity int
-	ttl      time.Duration
 	load     *protocol.LoadHint
 	blobs    map[string]struct{}
 	last     time.Time // registry clock
@@ -41,7 +45,8 @@ type entry struct {
 
 // RegistryOptions configures a Registry.
 type RegistryOptions struct {
-	// TTL is the default registration lifetime (DefaultTTL when zero).
+	// TTL is the lifetime of every registration, granted in each heartbeat's
+	// acknowledgement (DefaultTTL when zero).
 	TTL time.Duration
 	// Now supplies the registry clock; nil means time.Now. Tests inject a
 	// fake clock to exercise expiry without sleeping.
@@ -116,10 +121,6 @@ func (r *Registry) Register(h protocol.FleetRegisterHeader) (servers int, versio
 	defer r.mu.Unlock()
 	now := r.now()
 	r.pruneLocked(now)
-	ttl := time.Duration(h.TTLMillis) * time.Millisecond
-	if ttl <= 0 {
-		ttl = r.ttl
-	}
 	e, ok := r.entries[h.Addr]
 	if !ok {
 		e = &entry{addr: h.Addr}
@@ -127,7 +128,6 @@ func (r *Registry) Register(h protocol.FleetRegisterHeader) (servers int, versio
 		r.log.Info("fleet: server joined", slog.Any("addr", h.Addr), slog.Any("capacity", h.Capacity))
 	}
 	e.capacity = h.Capacity
-	e.ttl = ttl
 	e.load = h.Load
 	e.blobs = make(map[string]struct{}, len(h.Blobs))
 	for _, k := range h.Blobs {
@@ -232,7 +232,7 @@ func (r *Registry) Version() uint64 {
 
 func (r *Registry) pruneLocked(now time.Time) {
 	for addr, e := range r.entries {
-		if now.Sub(e.last) > e.ttl {
+		if now.Sub(e.last) > r.ttl {
 			delete(r.entries, addr)
 			r.version++
 			if r.expires != nil {

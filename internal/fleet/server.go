@@ -72,7 +72,7 @@ func (s *RegistryServer) dispatch(conn net.Conn, msg protocol.Message) error {
 		}
 		servers, version := s.reg.Register(hdr)
 		reply, err := protocol.Encode(protocol.MsgFleetRegistered,
-			protocol.FleetRegisteredHeader{Servers: servers, Version: version}, nil)
+			protocol.FleetRegisteredHeader{Servers: servers, Version: version, TTLMillis: s.reg.ttl.Milliseconds()}, nil)
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func TestFleetRoamTraceTree(t *testing.T) {
 	}
 	rc := fleet.NewRegistryClient(regAddr, fleet.ClientOptions{})
 	roamer, err := roam.New(roam.Config{
-		FleetView: memberView(rc),
+		FleetView: rc.Members,
 		Probe:     probe,
 	})
 	if err != nil {

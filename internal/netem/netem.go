@@ -33,12 +33,31 @@ var Unlimited = Profile{}
 // one propagation delay plus serialization at the profile bandwidth. A zero
 // bandwidth means unlimited.
 func (p Profile) TransferTime(n int64) time.Duration {
-	d := p.Latency
-	if p.BandwidthBitsPerSec > 0 && n > 0 {
-		secs := float64(n) * 8 / p.BandwidthBitsPerSec
-		d += time.Duration(secs * float64(time.Second))
+	return p.Latency + p.serialization(n)
+}
+
+// serialization is how long n bytes take to leave at the profile
+// bandwidth (zero when unlimited).
+func (p Profile) serialization(n int64) time.Duration {
+	if p.BandwidthBitsPerSec <= 0 || n <= 0 {
+		return 0
 	}
-	return d
+	return time.Duration(float64(n) * 8 / p.BandwidthBitsPerSec * float64(time.Second))
+}
+
+// Pace books an n-byte write at now on a link whose virtual clock says it
+// is next idle at *nextFree, and returns how long the writer must wait
+// for the link to carry it: an idle link first charges the propagation
+// delay, then the bytes take n/bandwidth. Every paced writer (Conn, and
+// chaos's shaping phases) books through it.
+func (p Profile) Pace(nextFree *time.Time, n int, now time.Time) time.Duration {
+	start := *nextFree
+	if start.Before(now) {
+		// Link idle: a fresh burst pays the propagation delay.
+		start = now.Add(p.Latency)
+	}
+	*nextFree = start.Add(p.serialization(int64(n)))
+	return nextFree.Sub(now)
 }
 
 // Validate reports whether the profile is usable.
@@ -78,18 +97,7 @@ func Shape(conn net.Conn, p Profile) net.Conn {
 // Write paces the write so the cumulative rate does not exceed the profile
 // bandwidth, then forwards to the underlying conn.
 func (c *Conn) Write(b []byte) (int, error) {
-	now := c.now()
-	start := c.nextFree
-	if start.Before(now) {
-		// Link idle: a fresh burst pays the propagation delay.
-		start = now.Add(c.profile.Latency)
-	}
-	dur := time.Duration(0)
-	if c.profile.BandwidthBitsPerSec > 0 {
-		dur = time.Duration(float64(len(b)) * 8 / c.profile.BandwidthBitsPerSec * float64(time.Second))
-	}
-	c.nextFree = start.Add(dur)
-	if wait := c.nextFree.Sub(now); wait > 0 {
+	if wait := c.profile.Pace(&c.nextFree, len(b), c.now()); wait > 0 {
 		c.sleep(wait)
 	}
 	return c.Conn.Write(b)

@@ -338,24 +338,20 @@ func errQuantiles(samples []float64) ErrQuantiles {
 		abs[i] = v
 	}
 	sort.Float64s(abs)
-	q.P50 = quantileF(signed, 0.50)
-	q.P95 = quantileF(signed, 0.95)
-	q.AbsP50 = quantileF(abs, 0.50)
-	q.AbsP95 = quantileF(abs, 0.95)
+	q.P50 = Quantile(signed, 0.50)
+	q.P95 = Quantile(signed, 0.95)
+	q.AbsP50 = Quantile(abs, 0.50)
+	q.AbsP95 = Quantile(abs, 0.95)
 	return q
 }
 
-// quantileF returns the q-quantile of a sorted sample by nearest-rank.
-func quantileF(sorted []float64, q float64) float64 {
+// Quantile returns the nearest-rank q-quantile of a sorted sample, the
+// zero value for an empty one.
+func Quantile[T any](sorted []T, q float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }

@@ -594,9 +594,6 @@ type FleetRegisterHeader struct {
 	Addr string `json:"addr"`
 	// Capacity is the server's worker-pool size.
 	Capacity int `json:"capacity"`
-	// TTLMillis is how long the registration stays live without a fresh
-	// heartbeat; 0 means the registry default.
-	TTLMillis int64 `json:"ttlMillis,omitempty"`
 	// Load is the server's current scheduling load.
 	Load *LoadHint `json:"load,omitempty"`
 	// Blobs lists content-addressed blob keys the server holds (models by
@@ -613,6 +610,9 @@ type FleetRegisteredHeader struct {
 	Servers int `json:"servers"`
 	// Version is the registry's monotonically increasing view version.
 	Version uint64 `json:"version"`
+	// TTLMillis is how long the registry keeps every member live without a
+	// fresh heartbeat (fleetd -ttl); agents heartbeat at a third of it.
+	TTLMillis int64 `json:"ttlMillis"`
 }
 
 // FleetListHeader is the JSON header of MsgFleetList, a client's request

@@ -34,10 +34,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{"overlay", mustEncode(t, MsgInstallOverlay, InstallOverlayHeader{BaseImage: "ubuntu"}, []byte{9}), nil},
 		{"done", mustEncode(t, MsgInstallDone, InstallDoneHeader{SynthesisMillis: 1900}, nil), nil},
 		{"fleet-register", mustEncode(t, MsgFleetRegister,
-			FleetRegisterHeader{Addr: "10.0.0.1:9000", Capacity: 4, TTLMillis: 3000,
+			FleetRegisterHeader{Addr: "10.0.0.1:9000", Capacity: 4,
 				Load: &LoadHint{Workers: 4, Busy: 2}, Blobs: []string{"abc123", "def456"}},
 			nil), nil},
-		{"fleet-registered", mustEncode(t, MsgFleetRegistered, FleetRegisteredHeader{Servers: 3, Version: 17}, nil), nil},
+		{"fleet-registered", mustEncode(t, MsgFleetRegistered, FleetRegisteredHeader{Servers: 3, Version: 17, TTLMillis: 3000}, nil), nil},
 		{"fleet-list", mustEncode(t, MsgFleetList, FleetListHeader{}, nil), nil},
 		{"fleet-view", mustEncode(t, MsgFleetView,
 			FleetViewHeader{Version: 17, Servers: []FleetServer{{Addr: "10.0.0.1:9000", Capacity: 4, AgeMillis: 120}}},

@@ -108,17 +108,15 @@ type Config struct {
 	// Servers lists candidate edge server addresses. May be empty when
 	// FleetView supplies membership dynamically.
 	Servers []string
-	// FleetView, when non-nil, supplies the candidate set dynamically —
-	// typically a fleet registry view built on fleet.RegistryClient.View.
-	// It returns candidate addresses plus a source tag: "registry" for a live view,
-	// "registry-cached" when the client serves its last-known-good cached
-	// view during a registry outage. The roamer refreshes membership at
-	// the start of every probe round; a FleetView error keeps the previous
-	// membership and records source "last-known-good". The source tag is
-	// attached to switch audit logs so degraded placement is visible in
-	// the decision record. The view sets membership, not the choice: Best
-	// picks by Pick, and the view's order only breaks exact score ties.
-	FleetView func() (addrs []string, source string, err error)
+	// FleetView, when non-nil, supplies the candidate addresses
+	// dynamically — typically fleet.RegistryClient.Members. The roamer
+	// refreshes membership at the start of every probe round and tags it
+	// "registry"; a FleetView error keeps the previous membership, tagged
+	// "last-known-good". The tag is attached to switch audit logs so
+	// degraded placement is visible in the decision record. The view sets
+	// membership, not the choice: Best picks by Pick, and the view's order
+	// only breaks exact score ties.
+	FleetView func() ([]string, error)
 	// Probe measures one server's reachability, latency, and scheduling
 	// load; a nil load scores the server by RTT alone. Nil selects
 	// PingProbe.
@@ -148,8 +146,8 @@ type Roamer struct {
 	currentConn *client.Conn
 	switches    int
 	// viewSource records where the current membership came from ("" for a
-	// static server list; "registry", "registry-cached", or
-	// "last-known-good" under a FleetView).
+	// static server list; "registry" or "last-known-good" under a
+	// FleetView).
 	viewSource string
 }
 
@@ -213,7 +211,7 @@ func (r *Roamer) refreshMembership() {
 	if r.cfg.FleetView == nil {
 		return
 	}
-	addrs, source, err := r.cfg.FleetView()
+	addrs, err := r.cfg.FleetView()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
@@ -222,7 +220,7 @@ func (r *Roamer) refreshMembership() {
 			slog.Any("error", err.Error()), slog.Any("servers", len(r.order)))
 		return
 	}
-	r.viewSource = source
+	r.viewSource = "registry"
 	seen := make(map[string]bool, len(addrs))
 	order := make([]string, 0, len(addrs)+1)
 	servers := make(map[string]*ServerInfo, len(addrs)+1)
@@ -258,7 +256,7 @@ func (r *Roamer) refreshMembership() {
 	if added > 0 || removed > 0 {
 		r.cfg.Logger.Info("roam: fleet membership changed",
 			slog.Any("added", added), slog.Any("removed", removed),
-			slog.Any("servers", len(order)), slog.Any("view", source))
+			slog.Any("servers", len(order)), slog.Any("view", r.viewSource))
 	}
 	r.order, r.servers = order, servers
 }
@@ -419,8 +417,8 @@ func (r *Roamer) SwitchTo(addr string) (*client.Conn, error) {
 	fields := []any{slog.Any("from", oldAddr), slog.Any("to", addr), slog.Any("switches", switches)}
 	if viewSource != "" {
 		// Audit where the membership behind this switch came from, so a
-		// placement decision made on a degraded (cached or last-known-good)
-		// view is distinguishable from one made on live registry data.
+		// placement decision made on a last-known-good membership is
+		// distinguishable from one made on live registry data.
 		fields = append(fields, slog.Any("view", viewSource))
 	}
 	r.cfg.Logger.Info("roam: switched edge server", fields...)

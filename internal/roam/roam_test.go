@@ -533,13 +533,13 @@ func TestFleetViewMembership(t *testing.T) {
 	var mu sync.Mutex
 	addrs := []string{"a", "b"}
 	var viewErr error
-	view := func() ([]string, string, error) {
+	view := func() ([]string, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if viewErr != nil {
-			return nil, "", viewErr
+			return nil, viewErr
 		}
-		return append([]string(nil), addrs...), "registry", nil
+		return append([]string(nil), addrs...), nil
 	}
 	var logBuf strings.Builder
 	r, err := New(Config{
@@ -603,7 +603,7 @@ func TestFleetViewMembership(t *testing.T) {
 // TestNewFleetViewOnly checks that a dynamic view stands in for a static
 // server list at construction time.
 func TestNewFleetViewOnly(t *testing.T) {
-	if _, err := New(Config{FleetView: func() ([]string, string, error) { return nil, "registry", nil }}); err != nil {
+	if _, err := New(Config{FleetView: func() ([]string, error) { return nil, nil }}); err != nil {
 		t.Errorf("New with FleetView and no static servers: %v", err)
 	}
 }

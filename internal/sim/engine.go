@@ -260,21 +260,6 @@ func (r *xorshift) think(max time.Duration) time.Duration {
 	return time.Duration(r.next() % uint64(max))
 }
 
-// percentile is the nearest-rank q-quantile of a sorted latency slice.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 func millis(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }

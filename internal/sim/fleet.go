@@ -351,9 +351,9 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 		Fallbacks:              out.shed,
 		Handoffs:               handoffs,
 		Throughput:             out.perSecond(len(out.latencies)),
-		P50Millis:              millis(percentile(out.latencies, 0.50)),
-		P95Millis:              millis(percentile(out.latencies, 0.95)),
-		P99Millis:              millis(percentile(out.latencies, 0.99)),
+		P50Millis:              millis(obs.Quantile(out.latencies, 0.50)),
+		P95Millis:              millis(obs.Quantile(out.latencies, 0.95)),
+		P99Millis:              millis(obs.Quantile(out.latencies, 0.99)),
 		Mix:                    out.audit.Mix,
 		ExecPerServer:          make([]int, nServers),
 		ClientModelUploadBytes: uploaded,

@@ -192,8 +192,8 @@ func (ls *loadSim) point(clients int) (LoadPoint, error) {
 		Fallbacks:           out.shed,
 		Throughput:          out.perSecond(completed),
 		OffloadedThroughput: out.perSecond(completed - out.shed),
-		P50:                 percentile(out.latencies, 0.50),
-		P99:                 percentile(out.latencies, 0.99),
+		P50:                 obs.Quantile(out.latencies, 0.50),
+		P99:                 obs.Quantile(out.latencies, 0.99),
 		Stages:              summaries,
 		Mix:                 out.audit.Mix,
 		PredErr:             out.audit.PredErr,

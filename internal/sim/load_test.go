@@ -144,13 +144,13 @@ func TestLoadDecisionMixAndPredictionError(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	lat := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := percentile(lat, 0.50); got != 5 {
+	if got := obs.Quantile(lat, 0.50); got != 5 {
 		t.Errorf("p50 = %v, want 5", got)
 	}
-	if got := percentile(lat, 0.99); got != 10 {
+	if got := obs.Quantile(lat, 0.99); got != 10 {
 		t.Errorf("p99 = %v, want 10", got)
 	}
-	if got := percentile(nil, 0.5); got != 0 {
+	if got := obs.Quantile[time.Duration](nil, 0.5); got != 0 {
 		t.Errorf("empty percentile = %v", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"websnap/internal/costmodel"
 	"websnap/internal/netem"
+	"websnap/internal/obs"
 	"websnap/internal/partition"
 	"websnap/internal/tensor"
 )
@@ -224,9 +225,9 @@ func (t *pipelineTally) point(policy string, depth int) PipelinePoint {
 	n := len(t.latencies)
 	return PipelinePoint{
 		Policy: policy, Depth: depth, Requests: n,
-		P50Millis:     millis(percentile(t.latencies, 0.50)),
-		P95Millis:     millis(percentile(t.latencies, 0.95)),
-		P99Millis:     millis(percentile(t.latencies, 0.99)),
+		P50Millis:     millis(obs.Quantile(t.latencies, 0.50)),
+		P95Millis:     millis(obs.Quantile(t.latencies, 0.95)),
+		P99Millis:     millis(obs.Quantile(t.latencies, 0.99)),
 		RemoteShare:   float64(t.remote) / float64(n),
 		LocalShare:    float64(n-t.remote) / float64(n),
 		DegradedShare: float64(t.degraded) / float64(n),

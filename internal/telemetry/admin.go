@@ -126,26 +126,42 @@ func NewDaemonSLO(name string, objective time.Duration, goal float64, flight *Fl
 	})
 }
 
+// ListenAdmin binds a daemon's operator plane at metricsAddr (nil when it
+// is empty). Daemons bind it before they serve or join a fleet, and a bind
+// error ends them at once: a daemon without /metrics and its probes is
+// invisible to its operator.
+func ListenAdmin(metricsAddr string) (net.Listener, error) {
+	if metricsAddr == "" {
+		return nil, nil
+	}
+	ln, err := net.Listen("tcp", metricsAddr)
+	if err != nil {
+		return nil, fmt.Errorf("-metrics-addr: %w", err)
+	}
+	return ln, nil
+}
+
 // RunDaemon runs a daemon until SIGINT or SIGTERM: srv serves ln and, when
-// metricsAddr is set, admin serves the operator plane there. On the signal
-// it closes srv and returns what Serve returned.
+// adminLn is non-nil (see ListenAdmin), admin serves the operator plane on
+// it. On the signal it closes srv and returns what Serve returned.
 func RunDaemon(name string, logger *slog.Logger, ln net.Listener, srv interface {
 	Serve(net.Listener) error
 	Close() error
-}, metricsAddr string, admin http.Handler) error {
+}, adminLn net.Listener, admin http.Handler) error {
 	logger = cmp.Or(logger, obs.Discard)
-	if metricsAddr != "" {
-		hs := &http.Server{Addr: metricsAddr, Handler: admin}
+	if adminLn != nil {
+		hs := &http.Server{Handler: admin}
 		defer hs.Close()
 		go func() {
-			if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := hs.Serve(adminLn); !errors.Is(err, http.ErrServerClosed) {
 				logger.Error(name+": metrics server failed", obs.Err(err))
 			}
 		}()
-		logger.Info(name+": metrics serving", slog.Any("url", "http://"+metricsAddr+"/metrics"))
+		logger.Info(name+": metrics serving", slog.Any("url", "http://"+adminLn.Addr().String()+"/metrics"))
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	select {

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -103,5 +106,27 @@ func TestCheckAdminFlags(t *testing.T) {
 	}
 	if slo, err := NewDaemonSLO("none", 0, 0, nil, nil); slo != nil || err != nil {
 		t.Errorf("NewDaemonSLO without an objective = %v, %v; want no SLO", slo, err)
+	}
+}
+
+// TestListenAdminFailsOnHeldPort: a taken admin port is an error the
+// daemon returns at once, naming the flag, instead of a log line it serves
+// on past without /metrics, /healthz and /readyz. No -metrics-addr binds
+// nothing.
+func TestListenAdminFailsOnHeldPort(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if ln, err := ListenAdmin(held.Addr().String()); !errors.Is(err, syscall.EADDRINUSE) ||
+		!strings.Contains(fmt.Sprint(err), "-metrics-addr") {
+		if ln != nil {
+			ln.Close()
+		}
+		t.Errorf("ListenAdmin on a held port = %v, want a -metrics-addr bind error", err)
+	}
+	if ln, err := ListenAdmin(""); ln != nil || err != nil {
+		t.Errorf("ListenAdmin(\"\") = %v, %v; want nothing bound", ln, err)
 	}
 }

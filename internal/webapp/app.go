@@ -11,7 +11,6 @@ import (
 
 // Errors returned by the runtime.
 var (
-	ErrNoHandler      = errors.New("webapp: no handler bound for event")
 	ErrUnknownHandler = errors.New("webapp: handler not registered")
 	ErrQueueEmpty     = errors.New("webapp: event queue empty")
 )
