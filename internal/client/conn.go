@@ -6,7 +6,7 @@
 package client
 
 import (
-	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
 	"net"
@@ -505,11 +505,13 @@ func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []b
 
 // PreSend is what one PreSendModel did.
 type PreSend struct {
-	// Uploaded is the model's weight bytes (nn.Network.ModelBytes) when they
-	// went up; zero when the server answered the offered key itself.
+	// Uploaded is the size of the weight body that crossed the link — packed
+	// when the server decodes packed weights, else the raw blob; zero when
+	// the server answered the offered key itself.
 	Uploaded int64
-	// Uplink is how long the link took to carry the upload: its round trip
-	// less the ack's span root, the server's share once the frame was in.
+	// Uplink is how long the link took to carry the upload: its round trip,
+	// begun once the body was packed and checksummed, less the ack's span
+	// root, the server's share once the frame was in.
 	Uplink time.Duration
 	// Resolve is the server's span for resolving the offer — registry
 	// locate and peer fetches beneath it — when a trace ID was stamped.
@@ -517,20 +519,23 @@ type PreSend struct {
 }
 
 // PreSendModel gets one model to the edge server and waits for the ACK
-// (§III.B.1). It offers the model's spec and content key (nn.Fingerprint)
-// first: a server that holds the model — or, fleet-joined, fetches it from
-// a peer — ACKs at once, and only a NeedBlob answer or a clean refusal sends
-// the weights. A non-empty traceID is stamped on the offer, and the server's
-// resolve span comes back in the report, so a roam handoff's pre-sends join
-// the client's trace under one ID.
+// (§III.B.1). It encodes the weights once, and offers the model's spec and
+// content key (nn.Fingerprint, hashed from that encoding) first: a server
+// that holds the model — or, fleet-joined, fetches it from a peer — ACKs at
+// once, and only a NeedBlob answer or a clean refusal sends the weights,
+// packed (nn.PackPlanes) when the by-reference ack carried
+// protocol.HintPackedWeights. A non-empty traceID is stamped on the offer,
+// and the server's resolve span comes back in the report, so a roam
+// handoff's pre-sends join the client's trace under one ID.
 func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID string) (PreSend, error) {
-	spec, err := nn.EncodeSpec(model)
+	spec, err := model.SpecJSON()
 	if err != nil {
 		return PreSend{}, fmt.Errorf("client: model %q: %w", name, err)
 	}
+	blob := model.WeightBlob()
 	ack, err := c.preSend(fmt.Sprintf("pre-send %q by reference", name), protocol.ModelPreSendHeader{
 		AppID: appID, ModelName: name, Spec: spec,
-		BlobKey: nn.Fingerprint(model),
+		BlobKey: nn.BlobFingerprint(model, blob),
 		RefOnly: true,
 		TraceID: traceID,
 	}, nil)
@@ -546,19 +551,24 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID strin
 	}
 	// The server does not hold the model, or refused the offer on an intact
 	// stream: upload it.
-	var weights bytes.Buffer
-	if err := model.EncodeWeights(&weights); err != nil {
-		return out, fmt.Errorf("client: model %q: %w", name, err)
+	hdr := protocol.ModelPreSendHeader{AppID: appID, ModelName: name, Spec: spec}
+	body := blob
+	if ack.Hints&protocol.HintPackedWeights != 0 {
+		packed, ok, err := protocol.CompressBody(nil, body, flate.HuffmanOnly, nn.PackPlanes)
+		if err != nil {
+			return out, fmt.Errorf("client: model %q: %w", name, err)
+		}
+		if ok {
+			hdr.Encoding, hdr.PlainLen, body = protocol.EncodingPacked, int64(len(body)), packed
+		}
 	}
+	hdr.BodyCRC = protocol.BodyChecksum(body)
 	start := time.Now()
-	ack, err = c.preSend(fmt.Sprintf("pre-send %q", name), protocol.ModelPreSendHeader{
-		AppID: appID, ModelName: name, Spec: spec,
-		BodyCRC: protocol.BodyChecksum(weights.Bytes()),
-	}, weights.Bytes())
+	ack, err = c.preSend(fmt.Sprintf("pre-send %q", name), hdr, body)
 	if err != nil {
 		return out, err
 	}
-	out.Uploaded = model.ModelBytes()
+	out.Uploaded = int64(len(body))
 	out.Uplink = time.Since(start) - ack.Span.Duration()
 	return out, nil
 }
@@ -607,7 +617,7 @@ type requestBody struct {
 // by it travels as it is.
 func packedBody(storage *[]byte, encoded []byte) (requestBody, error) {
 	start := time.Now()
-	packed, ok, err := protocol.CompressBody(*storage, encoded, snapshot.Pack)
+	packed, ok, err := protocol.CompressBody(*storage, encoded, flate.BestSpeed, snapshot.Pack)
 	*storage = packed[:0]
 	body := requestBody{wire: encoded, packing: time.Since(start)}
 	if ok {

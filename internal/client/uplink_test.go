@@ -2,7 +2,10 @@ package client
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"websnap/internal/edge"
 	"websnap/internal/mlapp"
 	"websnap/internal/netem"
+	"websnap/internal/nn"
 	"websnap/internal/protocol"
 )
 
@@ -125,10 +129,11 @@ func TestStatsReportCurrentUplink(t *testing.T) {
 
 // relayTo stands a frame relay between a client and the edge server at addr
 // and returns the client's end of it. The relay records the encoding of every
-// snapshot request it forwards and, when old is set, removes the capability
-// hints from every response header: what a server from before the packed
-// encoding answers.
-func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
+// snapshot request and every weight upload it forwards, hands each upload to
+// tamper when that is set, and clears the bits of strip from the capability
+// hints of every response header: with strip all of them, what a server from
+// before the packed encoding answers.
+func relayTo(t *testing.T, addr string, strip int, tamper func(*protocol.Message)) (net.Conn, func(protocol.MsgType) []string) {
 	t.Helper()
 	upstream, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -140,7 +145,7 @@ func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
 		relaySide.Close()
 	})
 	var mu sync.Mutex
-	var seen []string
+	seen := map[protocol.MsgType][]string{}
 	go func() {
 		for {
 			msg, err := protocol.Read(relaySide)
@@ -148,13 +153,17 @@ func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
 				upstream.Close()
 				return
 			}
-			if msg.Type == protocol.MsgSnapshot {
-				var hdr protocol.SnapshotHeader
-				if protocol.DecodeHeader(msg, &hdr) == nil {
-					mu.Lock()
-					seen = append(seen, hdr.Encoding)
-					mu.Unlock()
-				}
+			var hdr struct {
+				Encoding string `json:"encoding"`
+				RefOnly  bool   `json:"refOnly"`
+			}
+			if protocol.DecodeHeader(msg, &hdr) == nil && !hdr.RefOnly {
+				mu.Lock()
+				seen[msg.Type] = append(seen[msg.Type], hdr.Encoding)
+				mu.Unlock()
+			}
+			if msg.Type == protocol.MsgModelPreSend && !hdr.RefOnly && tamper != nil {
+				tamper(&msg)
 			}
 			if protocol.Write(upstream, msg) != nil {
 				return
@@ -168,22 +177,22 @@ func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
 				relaySide.Close()
 				return
 			}
-			if old {
-				var hdr map[string]json.RawMessage
-				if json.Unmarshal(msg.Header, &hdr) == nil {
-					delete(hdr, "hints")
-					msg.Header, _ = json.Marshal(hdr)
-				}
+			var hdr map[string]json.RawMessage
+			if strip != 0 && json.Unmarshal(msg.Header, &hdr) == nil {
+				var hints int
+				json.Unmarshal(hdr["hints"], &hints) //nolint:errcheck // absent reads 0
+				hdr["hints"], _ = json.Marshal(hints &^ strip)
+				msg.Header, _ = json.Marshal(hdr)
 			}
 			if protocol.Write(relaySide, msg) != nil {
 				return
 			}
 		}
 	}()
-	return clientSide, func() []string {
+	return clientSide, func(t protocol.MsgType) []string {
 		mu.Lock()
 		defer mu.Unlock()
-		return append([]string(nil), seen...)
+		return append([]string(nil), seen[t]...)
 	}
 }
 
@@ -194,15 +203,15 @@ func relayTo(t *testing.T, addr string, old bool) (net.Conn, func() []string) {
 // and seeds the estimate.
 func TestOldPeerGetsRawBodies(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		old  bool
-		want string
+		name  string
+		strip int
+		want  string
 	}{
-		{"server without the hint bit", true, protocol.EncodingRaw},
-		{"server with it", false, protocol.EncodingPacked},
+		{"server without the hint bit", protocol.HintPackedBody | protocol.HintPackedWeights, protocol.EncodingRaw},
+		{"server with it", 0, protocol.EncodingPacked},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rw, seen := relayTo(t, startEdge(t, edge.Config{Installed: true}), c.old)
+			rw, seen := relayTo(t, startEdge(t, edge.Config{Installed: true}), c.strip, nil)
 			conn := NewConn(netem.Shape(rw, netem.WiFi30Mbps))
 			defer conn.Close()
 			off, app := newWideApp(t, conn, Options{})
@@ -214,7 +223,7 @@ func TestOldPeerGetsRawBodies(t *testing.T) {
 			if st.UplinkBytesPerSec <= 0 || st.UplinkBytesPerSec >= packBelowBytesPerSec {
 				t.Fatalf("the shaped link reads %.3g B/s: the test needs it under break-even", st.UplinkBytesPerSec)
 			}
-			got := seen()
+			got := seen(protocol.MsgSnapshot)
 			if len(got) != offloads {
 				t.Fatalf("the server saw %d snapshot requests, want %d", len(got), offloads)
 			}
@@ -227,5 +236,143 @@ func TestOldPeerGetsRawBodies(t *testing.T) {
 				t.Errorf("PackedOffloads = %d of %d", st.PackedOffloads, offloads)
 			}
 		})
+	}
+}
+
+// TestOldPeerGetsRawWeights: a model's weights travel packed only to a server
+// whose by-reference ack said it decodes them. One without that bit — which
+// still decodes packed snapshots — is sent the raw blob, and both store the
+// model under the key the client offered. Uploaded is the body the server
+// counted off the link.
+func TestOldPeerGetsRawWeights(t *testing.T) {
+	model := wideModel(t)
+	raw := int64(8 + model.ModelBytes())
+	for _, c := range []struct {
+		name  string
+		strip int
+		want  string
+	}{
+		{"server without the weights bit", protocol.HintPackedWeights, protocol.EncodingRaw},
+		{"server with it", 0, protocol.EncodingPacked},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, addr := startEdgeServer(t, edge.Config{Installed: true})
+			rw, seen := relayTo(t, addr, c.strip, nil)
+			conn := NewConn(rw)
+			defer conn.Close()
+			ps, err := conn.PreSendModel("wide-app", "wide", model, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := seen(protocol.MsgModelPreSend); !slices.Equal(got, []string{c.want}) {
+				t.Errorf("uploads travelled as %q, want one %q", got, protocol.EncodingName(c.want))
+			}
+			m := srv.Metrics()
+			wire := map[string]int64{protocol.EncodingRaw: m.PreSendRawBytes, protocol.EncodingPacked: m.PreSendPackedBytes}[c.want]
+			if ps.Uploaded != wire || m.PreSendRawBytes+m.PreSendPackedBytes != wire {
+				t.Errorf("client reports %d bytes uploaded; server counted raw %d, packed %d", ps.Uploaded, m.PreSendRawBytes, m.PreSendPackedBytes)
+			}
+			if packed := c.want == protocol.EncodingPacked; (ps.Uploaded < raw) != packed || ps.Uploaded > raw {
+				t.Errorf("uploaded %d bytes of a %d-byte blob", ps.Uploaded, raw)
+			}
+			if keys := srv.Store().KeysMRU(); !slices.Equal(keys, []string{nn.Fingerprint(model)}) {
+				t.Errorf("stored under %v, want the model's key %s", keys, nn.Fingerprint(model))
+			}
+		})
+	}
+}
+
+// TestPackedPreSendUplinkReadsTheLink: the uplink estimate a packed pre-send
+// seeds is the link's rate — the packed bytes over the time they took —
+// not the blob's size over that time, which reads the 30 Mbit/s link 1.2×
+// fast.
+func TestPackedPreSendUplinkReadsTheLink(t *testing.T) {
+	const rate = 30e6 / 8 // bytes per second
+	conn, err := DialWrapped(startEdge(t, edge.Config{Installed: true}), func(c net.Conn) net.Conn {
+		return netem.Shape(c, netem.WiFi30Mbps)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// 2 MB of weights: half a second on the link, against 4 ms of latency.
+	var layers []nn.Layer
+	add := func(l nn.Layer, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers = append(layers, l)
+	}
+	add(nn.NewInput("data", 10, 10, 10))
+	add(nn.NewFC("fc1", 1000, 500))
+	add(nn.NewFC("fc2", 500, 3))
+	add(nn.NewSoftmax("prob"), nil)
+	model, err := nn.NewNetwork("big", layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.InitWeights(5)
+	app, err := mlapp.NewFullApp("big-app", "big", model, []string{"x", "y", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewOffloader(app, conn, Options{OffloadEventTypes: []string{mlapp.EventClick}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.StartPreSend()
+	if err := off.WaitForAcks(); err != nil {
+		t.Fatal(err)
+	}
+	st := off.Stats()
+	if st.PreSendBytes <= 0 || st.PreSendBytes >= model.ModelBytes() {
+		t.Fatalf("uploaded %d bytes of a %d-byte model: the test needs it packed", st.PreSendBytes, model.ModelBytes())
+	}
+	if got := st.UplinkBytesPerSec; math.Abs(got/rate-1) > 0.15 {
+		t.Errorf("after a packed pre-send the estimate reads %.3g B/s, the link carries %.3g", got, rate)
+	}
+}
+
+// TestCorruptPackedPreSendFallsBackLocally: a packed upload the link
+// corrupts is refused by the server on an intact stream, and the click that
+// needed the model runs on the device with the answer the device computes.
+func TestCorruptPackedPreSendFallsBackLocally(t *testing.T) {
+	srv, addr := startEdgeServer(t, edge.Config{Installed: true})
+	rw, seen := relayTo(t, addr, 0, func(m *protocol.Message) { m.Body[len(m.Body)/2] ^= 0x10 })
+	conn := NewConn(rw)
+	defer conn.Close()
+	model := wideModel(t)
+	labels := []string{"x", "y", "z"}
+	app, err := mlapp.NewFullApp("wide-app", "wide", model, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewOffloader(app, conn, Options{OffloadEventTypes: []string{mlapp.EventClick}, LocalFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.StartPreSend()
+	if err := off.WaitForAcks(); !errors.Is(err, ErrServerError) {
+		t.Fatalf("corrupted pre-send: err %v, want the server's refusal", err)
+	}
+	got := classifyImage(t, off, app, 3*wideSide*wideSide, 1)
+
+	local, err := mlapp.NewFullApp("local", "wide", model, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := classifyImage(t, nil, local, 3*wideSide*wideSide, 1); got != want {
+		t.Errorf("fallback answered %q, the device computes %q", got, want)
+	}
+	if st := off.Stats(); st.LocalFallbacks != 1 || st.Offloads != 0 || conn.Broken() {
+		t.Errorf("%d fallbacks, %d offloads, broken %v; want 1, 0, false", st.LocalFallbacks, st.Offloads, conn.Broken())
+	}
+	if n := srv.Metrics().ModelsStored; n != 0 {
+		t.Errorf("the server stored %d models", n)
+	}
+	for _, enc := range seen(protocol.MsgModelPreSend) {
+		if enc != protocol.EncodingPacked {
+			t.Errorf("an upload travelled %q", protocol.EncodingName(enc))
+		}
 	}
 }

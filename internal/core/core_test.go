@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"websnap/internal/client"
+	"websnap/internal/edge"
 	"websnap/internal/mlapp"
 	"websnap/internal/models"
 	"websnap/internal/netem"
@@ -13,6 +14,13 @@ import (
 )
 
 func startServer(t *testing.T) string {
+	t.Helper()
+	_, addr := startEdgeServer(t)
+	return addr
+}
+
+// startEdgeServer is startServer for a test that reads the server's metrics.
+func startEdgeServer(t *testing.T) (*edge.Server, string) {
 	t.Helper()
 	srv, err := NewEdgeServer(nil)
 	if err != nil {
@@ -30,7 +38,7 @@ func startServer(t *testing.T) string {
 		}
 		<-done
 	})
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 func dial(t *testing.T, addr string) *client.Conn {
@@ -124,7 +132,7 @@ func TestSessionModesAgree(t *testing.T) {
 // session's pre-send offers the model's content key and the server answers
 // it from its store; both sessions then classify alike.
 func TestSessionsShareOneUpload(t *testing.T) {
-	addr := startServer(t)
+	srv, addr := startEdgeServer(t)
 	model := tinyModel(t)
 	var sessions []*Session
 	for _, appID := range []string{"share-first", "share-second"} {
@@ -141,8 +149,8 @@ func TestSessionsShareOneUpload(t *testing.T) {
 		sessions = append(sessions, s)
 	}
 	first, second := sessions[0].Stats(), sessions[1].Stats()
-	if first.PreSendBytes != model.ModelBytes() || first.RefPreSendMisses != 1 {
-		t.Errorf("first session uploaded %d B over %d misses, want %d B over 1", first.PreSendBytes, first.RefPreSendMisses, model.ModelBytes())
+	if wire := srv.Metrics().PreSendPackedBytes; first.PreSendBytes != wire || wire >= model.ModelBytes() || first.RefPreSendMisses != 1 {
+		t.Errorf("first session uploaded %d B over %d misses, want the %d packed bytes the server counted, over 1", first.PreSendBytes, first.RefPreSendMisses, wire)
 	}
 	if second.PreSendBytes != 0 || second.RefPreSendHits != 1 {
 		t.Errorf("second session uploaded %d B with %d hits, want 0 B and 1 hit", second.PreSendBytes, second.RefPreSendHits)

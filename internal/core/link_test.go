@@ -20,7 +20,8 @@ import (
 // stemModel is AgeNet's stem — conv1 7×7/4, ReLU, 3×3/2 max-pool: the
 // 96×28×28 feature map the paper's partial offload ships from 1st_pool — over
 // a rear small enough to pre-send in tens of milliseconds at 30 Mbit/s (and,
-// at 80 KB, large enough for that pre-send to read the link).
+// at 117 KB that travel packed as 97 KB, large enough for that pre-send to
+// read the link).
 func stemModel(t *testing.T) *nn.Network {
 	t.Helper()
 	var layers []nn.Layer
@@ -34,10 +35,10 @@ func stemModel(t *testing.T) *nn.Network {
 	add(nn.NewConv("conv1", 3, 96, 7, 4, 0))
 	add(nn.NewReLU("relu1"), nil)
 	add(nn.NewPool("pool1", nn.MaxPool, 3, 2, 0))
-	add(nn.NewConv("conv2", 96, 8, 3, 1, 1))
+	add(nn.NewConv("conv2", 96, 12, 3, 1, 1))
 	add(nn.NewReLU("relu2"), nil)
 	add(nn.NewPool("pool2", nn.MaxPool, 2, 2, 0))
-	add(nn.NewFC("fc", 8*14*14, 8))
+	add(nn.NewFC("fc", 12*14*14, 8))
 	add(nn.NewSoftmax("prob"), nil)
 	m, err := nn.NewNetwork("stem", layers...)
 	if err != nil {

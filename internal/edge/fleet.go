@@ -227,7 +227,7 @@ func (s *Server) resolveModel(hdr protocol.ModelPreSendHeader, req *request) (*n
 		if err != nil {
 			return err
 		}
-		if got := nn.Fingerprint(decoded); got != hdr.BlobKey {
+		if got := nn.BlobFingerprint(decoded, body); got != hdr.BlobKey {
 			return fmt.Errorf("blob %s rebuilt model fingerprints to %s", hdr.BlobKey, got)
 		}
 		net = decoded

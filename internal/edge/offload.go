@@ -5,6 +5,7 @@
 package edge
 
 import (
+	"compress/flate"
 	"context"
 	"encoding/json"
 	"errors"
@@ -209,7 +210,7 @@ const packedReplyMin = 1400
 func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string, hdr protocol.SnapshotHeader, body []byte, encodeStart time.Time) (protocol.Message, error) {
 	encoding, plainLen := protocol.EncodingRaw, int64(0)
 	if hdr.Encoding == protocol.EncodingPacked && len(body) > packedReplyMin {
-		packed, ok, err := protocol.CompressBody(nil, body, snapshot.Pack)
+		packed, ok, err := protocol.CompressBody(nil, body, flate.BestSpeed, snapshot.Pack)
 		if err != nil {
 			return protocol.Message{}, err
 		}

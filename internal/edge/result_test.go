@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"compress/flate"
 	"math"
 	"net"
 	"runtime"
@@ -376,7 +377,7 @@ func TestReplyPackedOnlyWhenItPays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, ok, err := protocol.CompressBody(nil, text, snapshot.Pack)
+	packed, ok, err := protocol.CompressBody(nil, text, flate.BestSpeed, snapshot.Pack)
 	if err != nil || !ok {
 		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 	}

@@ -157,6 +157,7 @@ type Server struct {
 	installs, errorsAnswered  *obs.Counter
 	// Fleet blob-sharing counters (zero outside a fleet).
 	refPreSendHits, refPreSendMisses    *obs.Counter
+	presendRaw, presendPacked           *obs.Counter
 	blobPeerFetches, blobPeerFetchBytes *obs.Counter
 	blobsServed                         *obs.Counter
 	// Stream counters: requests dispatched as streams, and the live
@@ -195,20 +196,26 @@ type Metrics struct {
 	// current byte charge and how many entries the byte cap has evicted.
 	StoreBytes     int64
 	StoreEvictions int64
+	// PreSendRawBytes and PreSendPackedBytes are the wire bytes of uploaded
+	// model weights that travelled raw and packed
+	// (websnap_presend_bytes_total).
+	PreSendRawBytes, PreSendPackedBytes int64
 }
 
 // Metrics returns a consistent-enough snapshot of the server's counters.
 func (s *Server) Metrics() Metrics {
 	return Metrics{
-		ConnsServed:       s.connsServed.Value(),
-		ConnsRefused:      s.connsRefused.Value(),
-		ModelsStored:      s.modelsStored.Value(),
-		SnapshotsExecuted: s.snapshotsExecuted.Value(),
-		Installs:          s.installs.Value(),
-		Errors:            s.errorsAnswered.Value(),
-		MuxRequests:       s.muxRequests.Value(),
-		StoreBytes:        s.store.Bytes(),
-		StoreEvictions:    s.store.Evictions(),
+		ConnsServed:        s.connsServed.Value(),
+		ConnsRefused:       s.connsRefused.Value(),
+		ModelsStored:       s.modelsStored.Value(),
+		SnapshotsExecuted:  s.snapshotsExecuted.Value(),
+		Installs:           s.installs.Value(),
+		Errors:             s.errorsAnswered.Value(),
+		MuxRequests:        s.muxRequests.Value(),
+		StoreBytes:         s.store.Bytes(),
+		StoreEvictions:     s.store.Evictions(),
+		PreSendRawBytes:    s.presendRaw.Value(),
+		PreSendPackedBytes: s.presendPacked.Value(),
 	}
 }
 
@@ -300,6 +307,10 @@ func (s *Server) initMetrics() {
 		func() int64 { return s.sched.Stats().Cancelled })
 	r.GaugeFunc("websnap_queue_byte_cap", "Admission queue byte cap (0 = slots-only admission).",
 		func() float64 { return float64(s.sched.Stats().QueueByteCap) })
+	presend := r.CounterVec("websnap_presend_bytes_total",
+		"Wire bytes of uploaded model weights, by body encoding.", "encoding")
+	s.presendRaw = presend.With(protocol.EncodingName(protocol.EncodingRaw))
+	s.presendPacked = presend.With(protocol.EncodingName(protocol.EncodingPacked))
 }
 
 // NewServer creates an offloading server.
@@ -705,6 +716,30 @@ func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, 
 	return net, nil
 }
 
+// decodeUpload checks an uploaded pre-send's body, unpacks it when it came
+// packed, and rebuilds the model from it, keyed by what the weights hash to,
+// whatever key the client names for it: the decoded blob is byte for byte
+// the model's EncodeWeights, so hashing it as it is gives nn.Fingerprint.
+func (s *Server) decodeUpload(hdr *protocol.ModelPreSendHeader, body []byte) (*nn.Network, string, error) {
+	if err := protocol.VerifyBody(body, hdr.BodyCRC); err != nil {
+		return nil, "", fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
+	}
+	blob, err := protocol.DecodeBody(nil, body, hdr.Encoding, hdr.PlainLen, nn.UnpackPlanes)
+	if err != nil {
+		return nil, "", fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
+	}
+	wire := s.presendRaw
+	if hdr.Encoding == protocol.EncodingPacked {
+		wire = s.presendPacked
+	}
+	wire.Add(int64(len(body)))
+	net, err := decodeModel(*hdr, blob)
+	if err != nil {
+		return nil, "", err
+	}
+	return net, nn.BlobFingerprint(net, blob), nil
+}
+
 // handleModelPreSend stores the client's model files and acknowledges, per
 // §III.B.1: "The server saves the files and sends an acknowledgement (ACK)
 // message to the client." The client offers a reference first (RefOnly +
@@ -725,7 +760,7 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 			Load:      s.loadHint(),
 			NeedBlob:  needBlob,
 			Span:      req.finish(),
-			Hints:     protocol.HintPackedBody,
+			Hints:     protocol.HintPackedBody | protocol.HintPackedWeights,
 		}, nil)
 	}
 	var (
@@ -740,16 +775,8 @@ func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHead
 			return ack(true)
 		}
 		s.refPreSendHits.Inc()
-	} else {
-		if err := protocol.VerifyBody(req.msg.Body, hdr.BodyCRC); err != nil {
-			return protocol.Message{}, fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
-		}
-		if net, err = decodeModel(*hdr, req.msg.Body); err != nil {
-			return protocol.Message{}, err
-		}
-		// An uploaded model is keyed by what it hashes to, whatever key
-		// the client names for it.
-		key = nn.Fingerprint(net)
+	} else if net, key, err = s.decodeUpload(hdr, req.msg.Body); err != nil {
+		return protocol.Message{}, err
 	}
 	if err := s.store.putKeyed(hdr.AppID, hdr.ModelName, key, net); err != nil {
 		// The in-memory copy is in place; persistence failure only

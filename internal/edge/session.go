@@ -218,8 +218,7 @@ func (s *SessionStore) Blob(key string) ([]byte, bool) {
 	if e == nil {
 		return nil, false
 	}
-	weights, err := encodeWeights(e.net)
-	return weights, err == nil
+	return e.net.WeightBlob(), true
 }
 
 // KeysMRU returns every held content key, most recently used first — the

@@ -258,11 +258,7 @@ func refPreSend(t *testing.T, srv *Server, model *nn.Network) protocol.AckHeader
 // modelBlob is the blob a peer serves under model's fingerprint.
 func modelBlob(t testing.TB, model *nn.Network) []byte {
 	t.Helper()
-	weights, err := encodeWeights(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return weights
+	return model.WeightBlob()
 }
 
 // TestResolveBlobStaleFirstHolder is the stale-holder regression test: the

@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"net"
 	"testing"
@@ -137,8 +139,8 @@ func TestPeerFetchedModelFingerprintsToKey(t *testing.T) {
 // holding one model. Whatever the bytes, the server must not panic, and an
 // ACK without NeedBlob must leave the app's model in the store under a key
 // it fingerprints to — whether the model came up as weights, was already
-// held, or was fetched from the peer. Each input gets an empty store, so
-// what one input stored cannot answer another.
+// held, or was fetched from the peer — the weights raw or packed. Each input
+// gets an empty store, so what one input stored cannot answer another.
 //
 // The seeds are a few hundred bytes: the fuzzer minimises every new
 // interesting input, in time quadratic in its length, so seeds of a
@@ -165,6 +167,22 @@ func FuzzModelPreSend(f *testing.F) {
 	f.Add(header(protocol.ModelPreSendHeader{BlobKey: key, RefOnly: true}), []byte(nil))
 	f.Add(header(protocol.ModelPreSendHeader{RefOnly: true}), []byte(nil))
 	f.Add(header(protocol.ModelPreSendHeader{BodyCRC: protocol.BodyChecksum(truncated)}), truncated)
+	// The weights as a packed upload: byte planes through DEFLATE, written
+	// whatever they save.
+	var packed bytes.Buffer
+	fw, err := flate.NewWriter(&packed, flate.HuffmanOnly)
+	if err == nil {
+		if err = nn.PackPlanes(fw, weights); err == nil {
+			err = fw.Close()
+		}
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(header(protocol.ModelPreSendHeader{
+		BodyCRC:  protocol.BodyChecksum(packed.Bytes()),
+		Encoding: protocol.EncodingPacked, PlainLen: int64(len(weights)),
+	}), packed.Bytes())
 
 	blobs := map[string][]byte{key: weights}
 	srv, err := NewServer(Config{

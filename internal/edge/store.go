@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"bytes"
 	"fmt"
 	"net/url"
 	"os"
@@ -50,10 +49,7 @@ func (s *SessionStore) persist(appID, name string, net *nn.Network) error {
 	if err != nil {
 		return err
 	}
-	weights, err := encodeWeights(net)
-	if err != nil {
-		return err
-	}
+	weights := net.WeightBlob()
 	base := filepath.Join(appDir, escape(name))
 	if err := os.WriteFile(base+specSuffix, spec, 0o644); err != nil {
 		return fmt.Errorf("edge: persist model %q: %w", name, err)
@@ -62,18 +58,6 @@ func (s *SessionStore) persist(appID, name string, net *nn.Network) error {
 		return fmt.Errorf("edge: persist model %q: %w", name, err)
 	}
 	return nil
-}
-
-// encodeWeights renders a model's weight blob: the bytes a client pre-sends,
-// the persisted weights file, and what a fleet peer fetches under the
-// model's fingerprint.
-func encodeWeights(net *nn.Network) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(net.ModelBytes()) + 8) // the weights plus magic and count
-	if err := net.EncodeWeights(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // loadAll reads every persisted model into memory.

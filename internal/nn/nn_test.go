@@ -550,7 +550,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // carries its weights. The whole blob rebuilds the network; a descriptor
 // declaring more parameters than its blob can hold — one more, or 3·2^62,
 // whose element count wraps int64 — is refused before a layer allocates
-// them.
+// them, and a blob with bytes after the weights is refused.
 func TestDecodeModelBoundedByWeights(t *testing.T) {
 	net := tinyNet(t)
 	spec, err := EncodeSpec(net)
@@ -564,6 +564,10 @@ func TestDecodeModelBoundedByWeights(t *testing.T) {
 	got, err := DecodeModel(spec, weights.Bytes())
 	if err != nil || Fingerprint(got) != Fingerprint(net) {
 		t.Fatalf("whole blob: err %v, or the rebuilt model differs", err)
+	}
+	long := append(bytes.Clone(weights.Bytes()), 0)
+	if _, err := DecodeModel(spec, long); err == nil || !strings.Contains(err.Error(), "after the last parameter") {
+		t.Errorf("blob one byte long: err %v, want it refused", err)
 	}
 	short := weights.Bytes()[:weights.Len()-12] // room for TotalParams-1 values
 	if _, err := DecodeModel(spec, short); err == nil || !strings.Contains(err.Error(), "declares") {

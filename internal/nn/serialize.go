@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -193,7 +192,9 @@ func (n *Network) SpecJSON() ([]byte, error) {
 // the pair a pre-send carries and a model directory holds. The blob bounds
 // the model: a descriptor declaring more parameters than the blob can hold
 // is refused before any layer is built, so a hostile descriptor cannot make
-// the decoder allocate more than it was sent.
+// the decoder allocate more than it was sent. The blob must hold the
+// network's weights and nothing after them, so that it is byte for byte what
+// EncodeWeights writes for the network decoded from it.
 func DecodeModel(data, weights []byte) (*Network, error) {
 	var spec NetSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
@@ -206,8 +207,12 @@ func DecodeModel(data, weights []byte) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := n.DecodeWeights(bytes.NewReader(weights)); err != nil {
+	r := bytes.NewReader(weights)
+	if err := n.DecodeWeights(r); err != nil {
 		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("nn: decode weights: %d bytes after the last parameter", r.Len())
 	}
 	return n, nil
 }
@@ -238,68 +243,145 @@ func specParams(specs []LayerSpec) float64 {
 // weights, truncated to 24 hex chars. Equal fingerprints mean
 // byte-identical models; the fleet blob index and the cross-server model
 // transfer path key blobs by this value.
-func Fingerprint(n *Network) string {
+func Fingerprint(n *Network) string { return fingerprint(n, n.EncodeWeights) }
+
+// BlobFingerprint is Fingerprint for a holder of the network's encoded
+// weights, blob (EncodeWeights' output, or the blob DecodeModel built the
+// network from): it hashes them as they are instead of encoding them again.
+func BlobFingerprint(n *Network, blob []byte) string {
+	return fingerprint(n, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
+}
+
+func fingerprint(n *Network, weights func(io.Writer) error) string {
 	h := sha256.New()
 	if spec, err := n.SpecJSON(); err == nil {
 		h.Write(spec)
 	}
-	if err := n.EncodeWeights(h); err != nil {
+	if err := weights(h); err != nil {
 		return ""
 	}
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
+// weightChunk is how many bytes of parameters EncodeWeights and
+// DecodeWeights convert between writes or reads.
+const weightChunk = 64 << 10
+
 // EncodeWeights writes all parameter tensors as little-endian float32,
 // preceded by a magic word and the total count for integrity checking.
 func (n *Network) EncodeWeights(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], weightsMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n.TotalParams()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("nn: encode weights: %w", err)
-	}
-	var buf [4]byte
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, weightChunk), weightsMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n.TotalParams()))
 	for _, l := range n.layers {
 		for _, p := range l.Params() {
 			for _, v := range p.Data() {
-				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-				if _, err := bw.Write(buf[:]); err != nil {
-					return fmt.Errorf("nn: encode weights: %w", err)
+				if len(buf) == cap(buf) {
+					if _, err := w.Write(buf); err != nil {
+						return fmt.Errorf("nn: encode weights: %w", err)
+					}
+					buf = buf[:0]
 				}
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 			}
 		}
 	}
-	return bw.Flush()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("nn: encode weights: %w", err)
+	}
+	return nil
+}
+
+// WeightBlob returns what EncodeWeights writes: the blob a pre-send uploads,
+// a model directory holds and a fleet peer fetches.
+func (n *Network) WeightBlob() []byte {
+	var buf bytes.Buffer
+	buf.Grow(int(n.ModelBytes()) + 8) // the weights plus magic and count
+	n.EncodeWeights(&buf)             //nolint:errcheck // a bytes.Buffer does not fail
+	return buf.Bytes()
 }
 
 // DecodeWeights reads a weight blob produced by EncodeWeights into the
 // network's parameter tensors. The parameter count must match exactly.
 func (n *Network) DecodeWeights(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	buf := make([]byte, weightChunk)
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
 		return fmt.Errorf("nn: decode weights header: %w", err)
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != weightsMagic {
+	if m := binary.LittleEndian.Uint32(buf[0:4]); m != weightsMagic {
 		return fmt.Errorf("nn: decode weights: bad magic %#x", m)
 	}
-	count := binary.LittleEndian.Uint32(hdr[4:8])
+	count := binary.LittleEndian.Uint32(buf[4:8])
 	if int64(count) != n.TotalParams() {
 		return fmt.Errorf("nn: decode weights: blob has %d params, network needs %d", count, n.TotalParams())
 	}
 	defer n.weightsChanged() // also when the blob turns out short
-	var buf [4]byte
 	for _, l := range n.layers {
 		for _, p := range l.Params() {
-			d := p.Data()
-			for i := range d {
-				if _, err := io.ReadFull(br, buf[:]); err != nil {
+			for d := p.Data(); len(d) > 0; {
+				m := min(len(d), len(buf)/4)
+				in := buf[:4*m]
+				if _, err := io.ReadFull(r, in); err != nil {
 					return fmt.Errorf("nn: decode weights (layer %q): %w", l.Name(), err)
 				}
-				d[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[:]))
+				for i := range d[:m] {
+					d[i] = math.Float32frombits(binary.LittleEndian.Uint32(in[4*i:]))
+				}
+				d = d[m:]
 			}
 		}
 	}
+	return nil
+}
+
+// PackPlanes writes a weight blob as byte planes, the pack step of a
+// pre-send that travels packed (protocol.EncodingPacked): the blob's 4-byte
+// little-endian words split into four planes, the high byte of every word
+// first, then the next lower byte of every word, and so on, with the bytes
+// after the last whole word at the end. A float32's high byte is its sign and
+// seven exponent bits, which vary little across a layer's weights; on their
+// own they give DEFLATE runs to code that interleaved with the mantissa they
+// do not (DESIGN.md has the ratios). The planes are exactly as long as the
+// blob. A writer that can Flush — a flate.Writer — is flushed at the end of
+// each plane, so that no DEFLATE block codes two planes with one table.
+func PackPlanes(w io.Writer, blob []byte) error {
+	flush := func() error { return nil }
+	if f, ok := w.(interface{ Flush() error }); ok {
+		flush = f.Flush
+	}
+	words := len(blob) / 4
+	chunk := make([]byte, min(words, weightChunk))
+	for b := 3; b >= 0; b-- {
+		for i := 0; i < words; i += len(chunk) {
+			out, src := chunk[:min(len(chunk), words-i)], blob[4*i+b:]
+			for j := range out {
+				out[j] = src[4*j]
+			}
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(blob[4*words:])
+	return err
+}
+
+// UnpackPlanes puts planes (PackPlanes' output) back to the blob they stand
+// for, in dst, which must be exactly as long.
+func UnpackPlanes(dst, planes []byte) error {
+	if len(planes) != len(dst) {
+		return fmt.Errorf("nn: %d bytes of weight planes cannot be a %d-byte blob", len(planes), len(dst))
+	}
+	words := len(dst) / 4
+	hi, b2, b1, lo := planes[:words], planes[words:2*words], planes[2*words:3*words], planes[3*words:4*words]
+	for i := range words {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(hi[i])<<24|uint32(b2[i])<<16|uint32(b1[i])<<8|uint32(lo[i]))
+	}
+	copy(dst[4*words:], planes[4*words:])
 	return nil
 }

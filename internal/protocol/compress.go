@@ -9,18 +9,21 @@ import (
 	"sync"
 )
 
-// Body encodings carried in snapshot headers. A body travels as the literal
-// snapshot text unless the sender has measured its link to be slow enough that
-// a codec pass at both ends costs less than the bytes it saves
-// (client.Offloader decides per request; DESIGN.md has the break-even).
+// Body encodings carried in snapshot and pre-send headers. A snapshot body
+// travels as the literal snapshot text unless the sender has measured its link
+// to be slow enough that a codec pass at both ends costs less than the bytes
+// it saves (client.Offloader decides per request; DESIGN.md has the
+// break-even). A pre-send's weight blob travels packed to every server that
+// decodes it.
 const (
-	// EncodingRaw is the literal text.
+	// EncodingRaw is the literal text, or the weight blob as it is.
 	EncodingRaw = ""
-	// EncodingPacked is the text with its base64 payloads — typed arrays,
-	// inline model weights — put back to the bytes they stand for
-	// (snapshot.Pack) and the whole then DEFLATEd; SnapshotHeader.PlainLen
-	// declares the text's length. The receiver inflates, re-encodes the
-	// payloads and holds the sender's text byte for byte.
+	// EncodingPacked is the body put into a form DEFLATE codes well — a
+	// snapshot's base64 payloads put back to the bytes they stand for
+	// (snapshot.Pack), a weight blob split into byte planes (nn.PackPlanes) —
+	// and then DEFLATEd; the header's PlainLen declares the body's length.
+	// The receiver inflates, unpacks and holds the sender's body byte for
+	// byte.
 	EncodingPacked = "packed"
 )
 
@@ -39,6 +42,11 @@ func EncodingName(encoding string) string {
 // which is the client's proof that it decodes it.
 const HintPackedBody = 4
 
+// HintPackedWeights, in the Hints of a pre-send ack, says the sender decodes
+// EncodingPacked weight blobs. A client uploads raw weights to a server whose
+// by-reference ack did not carry it.
+const HintPackedWeights = 8
+
 const (
 	// packGain is what packing must save for a body to travel packed: a
 	// tenth. Less is not worth the receiver's decode.
@@ -46,6 +54,11 @@ const (
 	// packSlack is how far a packed form may exceed its text: the length
 	// prefix of its first literal (snapshot.Pack keeps every run a saving).
 	packSlack = 16
+	// inflateRoom bounds the inflated intermediate DecodeBody makes room for
+	// before inflating, as a multiple of the packed body: a well-formed one
+	// inflates to a small multiple of its bytes (weight planes to 1.2), a
+	// DEFLATE bomb to a thousand.
+	inflateRoom = 4
 	// maxPooledPacked is the largest inflated intermediate the pool keeps
 	// (GoogLeNet's request inflates to 0.6 MB): one outsized body must not
 	// pin its buffer.
@@ -71,14 +84,23 @@ func (w *cappedWriter) Write(p []byte) (int, error) {
 // A flate.Writer is several hundred KB of tables and a flate reader tens, so
 // both are kept and Reset rather than made per body.
 type deflater struct {
-	fw  *flate.Writer
-	out cappedWriter
+	fw    *flate.Writer
+	level int
+	out   cappedWriter
 }
 
-var deflaters = sync.Pool{New: func() any {
-	fw, _ := flate.NewWriter(nil, flate.BestSpeed) // the level is valid
-	return &deflater{fw: fw}
-}}
+var deflaters sync.Pool // of *deflater
+
+// getDeflater takes a deflater at level from the pool, or makes one. Nearly
+// every body is a snapshot at BestSpeed; a pool holding a writer at another
+// level gives it up for a new one.
+func getDeflater(level int) (*deflater, error) {
+	if d, ok := deflaters.Get().(*deflater); ok && d.level == level {
+		return d, nil
+	}
+	fw, err := flate.NewWriter(nil, level)
+	return &deflater{fw: fw, level: level}, err
+}
 
 type inflater struct {
 	src    bytes.Reader
@@ -92,16 +114,21 @@ var inflaters = sync.Pool{New: func() any {
 }}
 
 // CompressBody renders plain under EncodingPacked into dst's storage (grown
-// when it is too small), streaming pack's output — snapshot.Pack — through
-// DEFLATE at BestSpeed. ok is false, and the body should travel raw, when that
-// does not save a tenth of plain. Either way the returned slice is the storage
-// to hand back next time.
-func CompressBody(dst, plain []byte, pack func(w io.Writer, plain []byte) error) (body []byte, ok bool, err error) {
+// when it is too small), streaming pack's output — snapshot.Pack,
+// nn.PackPlanes — through DEFLATE at level: flate.BestSpeed for snapshot text,
+// flate.HuffmanOnly for weight planes, which hold few repeats worth a match
+// search. ok is false, and the body should travel raw, when that does not save
+// a tenth of plain. Either way the returned slice is the storage to hand back
+// next time.
+func CompressBody(dst, plain []byte, level int, pack func(w io.Writer, plain []byte) error) (body []byte, ok bool, err error) {
 	limit := len(plain) - len(plain)/packGain
 	if cap(dst) < limit {
 		dst = make([]byte, 0, limit)
 	}
-	d := deflaters.Get().(*deflater)
+	d, err := getDeflater(level)
+	if err != nil {
+		return dst[:0], false, fmt.Errorf("protocol: compress: %w", err)
+	}
 	defer deflaters.Put(d)
 	d.out.buf = dst[:0:limit]
 	d.fw.Reset(&d.out)
@@ -119,12 +146,12 @@ func CompressBody(dst, plain []byte, pack func(w io.Writer, plain []byte) error)
 }
 
 // DecodeBody returns the plain body for the given encoding: body itself when
-// it is raw. A packed body declares its text's length, plainLen: one above
+// it is raw. A packed body declares its plain length, plainLen: one above
 // MaxBodyLen is refused before anything is inflated, inflation stops at it,
-// the text is written into dst's storage when it holds plainLen bytes, and
-// otherwise allocated once at exactly that size — and only when the inflated
-// form can amount to it — and filled by unpack (snapshot.Unpack), which fails
-// on any mismatch.
+// the plain body is written into dst's storage when it holds plainLen bytes,
+// and otherwise allocated once at exactly that size — and only when the
+// inflated form can amount to it — and filled by unpack (snapshot.Unpack,
+// nn.UnpackPlanes), which fails on any mismatch. Any DEFLATE level inflates.
 func DecodeBody(dst, body []byte, encoding string, plainLen int64, unpack func(dst, packed []byte) error) ([]byte, error) {
 	switch encoding {
 	case EncodingRaw:
@@ -150,6 +177,11 @@ func DecodeBody(dst, body []byte, encoding string, plainLen int64, unpack func(d
 	}
 	in.limit = io.LimitedReader{R: in.fr, N: plainLen + packSlack + 1}
 	in.packed.Reset()
+	// Room, at once, for what a well-formed body inflates to — at most its
+	// declared length, and a read's margin — where that is within
+	// inflateRoom times the bytes received; a stream that holds more grows
+	// the buffer by doubling as it proves it.
+	in.packed.Grow(int(min(plainLen+packSlack+bytes.MinRead, inflateRoom*int64(len(body)))))
 	if _, err := in.packed.ReadFrom(&in.limit); err != nil {
 		return nil, fmt.Errorf("protocol: decompress: %w", err)
 	}

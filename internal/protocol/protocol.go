@@ -365,8 +365,8 @@ type ModelPreSendHeader struct {
 	Spec      json.RawMessage `json:"spec"`
 	// Seq identifies the request's stream; the ack echoes it.
 	Seq uint64 `json:"seq,omitempty"`
-	// BodyCRC is the weight blob's integrity checksum (BodyChecksum);
-	// zero means unchecked (empty body).
+	// BodyCRC is the body's integrity checksum (BodyChecksum) over the wire
+	// bytes; zero means unchecked (empty body).
 	BodyCRC uint32 `json:"bodyCrc,omitempty"`
 	// BlobKey is the model's content-addressed fleet identity
 	// (nn.Fingerprint over spec+weights), so the server can index the
@@ -381,6 +381,12 @@ type ModelPreSendHeader struct {
 	// fetches — with the same ID and answers with the resulting span tree
 	// on the ack.
 	TraceID string `json:"traceId,omitempty"`
+	// Encoding is the weight blob's encoding (EncodingRaw or
+	// EncodingPacked).
+	Encoding string `json:"encoding,omitempty"`
+	// PlainLen is the length of the blob an EncodingPacked body stands for;
+	// zero on a raw body.
+	PlainLen int64 `json:"plainLen,omitempty"`
 }
 
 // AckHeader is the JSON header of MsgAck.
@@ -401,7 +407,8 @@ type AckHeader struct {
 	// of its uplink. The blob-resolution spans (registry locate, peer
 	// fetches) are its children when the request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
-	// Hints carries the server's capability bits (HintPackedBody).
+	// Hints carries the server's capability bits (HintPackedBody,
+	// HintPackedWeights).
 	Hints int `json:"hints,omitempty"`
 }
 

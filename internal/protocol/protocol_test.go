@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -288,7 +289,7 @@ func copyUnpack(dst, packed []byte) error {
 
 func TestCompressDecodeBody(t *testing.T) {
 	text := []byte(strings.Repeat("var feature = [0.1,0.2,0.3];\n", 500))
-	compressed, ok, err := CompressBody(nil, text, copyPack)
+	compressed, ok, err := CompressBody(nil, text, flate.BestSpeed, copyPack)
 	if err != nil || !ok {
 		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 	}
@@ -332,7 +333,7 @@ func TestCompressBodyGoesRawWithoutGain(t *testing.T) {
 	noise := make([]byte, 64<<10)
 	rand.New(rand.NewSource(1)).Read(noise)
 	storage := make([]byte, 0, len(noise))
-	body, ok, err := CompressBody(storage, noise, copyPack)
+	body, ok, err := CompressBody(storage, noise, flate.BestSpeed, copyPack)
 	if err != nil || ok {
 		t.Fatalf("incompressible body: ok %v, err %v", ok, err)
 	}
@@ -340,7 +341,7 @@ func TestCompressBodyGoesRawWithoutGain(t *testing.T) {
 		t.Errorf("storage came back as len %d cap %d, want 0 and %d", len(body), cap(body), cap(storage))
 	}
 	text := bytes.Repeat([]byte("var x = 1;\n"), 4096)
-	body, ok, err = CompressBody(body, text, copyPack)
+	body, ok, err = CompressBody(body, text, flate.BestSpeed, copyPack)
 	if err != nil || !ok {
 		t.Fatalf("text after noise: ok %v, err %v", ok, err)
 	}
@@ -358,7 +359,7 @@ func TestCompressBodyGoesRawWithoutGain(t *testing.T) {
 // declared — or far less — is refused without the text being allocated.
 func TestDecodeBodyBoundedByDeclaredLength(t *testing.T) {
 	bomb := make([]byte, 8<<20) // 8 MiB of zeros deflate to ~8 KiB
-	body, ok, err := CompressBody(nil, bomb, copyPack)
+	body, ok, err := CompressBody(nil, bomb, flate.BestSpeed, copyPack)
 	if err != nil || !ok {
 		t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -213,7 +214,7 @@ func TestPackedBodyCostsItsOutputs(t *testing.T) {
 	var storage, body []byte
 	round := func() {
 		var ok bool
-		if body, ok, err = protocol.CompressBody(storage, text, Pack); err != nil || !ok {
+		if body, ok, err = protocol.CompressBody(storage, text, flate.BestSpeed, Pack); err != nil || !ok {
 			t.Fatalf("CompressBody: ok %v, err %v", ok, err)
 		}
 		storage = body[:0]
