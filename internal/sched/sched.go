@@ -11,13 +11,15 @@
 // scheduler provides both: it bounds work, and it exports a load signal
 // (queue depth, histogram-derived service time, estimated queueing delay)
 // that the protocol layer carries back to clients as a load hint.
+//
+// Queue is the one admission rule; Scheduler runs it on the wall clock, and
+// internal/sim's simulated edge servers run it on a virtual one.
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"websnap/internal/protocol"
@@ -32,8 +34,8 @@ var (
 	// out: a saturated edge server sheds load, it does not accumulate
 	// latency.
 	ErrQueueFull = errors.New("sched: admission queue full")
-	// ErrClosed is returned for submissions to a closed scheduler, and
-	// delivered to tasks cancelled while still queued at Close.
+	// ErrClosed is returned for submissions to a closed scheduler (or
+	// Queue), and delivered to tasks cancelled while still queued at Close.
 	ErrClosed = errors.New("sched: scheduler closed")
 	// ErrExecutorPanic is delivered to a task whose executor panicked; the
 	// error carries the panic value.
@@ -51,7 +53,7 @@ type Task struct {
 
 	done chan taskResult
 
-	// Timing, written by the scheduler and published to the caller by the
+	// Timing, written by the Queue and published to the caller by the
 	// done channel (Wait provides the happens-before edge).
 	queuedAt  time.Time
 	startedAt time.Time
@@ -85,7 +87,7 @@ func (t *Task) finish(v any, err error) {
 
 // QueueWait returns how long the task sat in the admission queue before a
 // worker picked it up (0 for tasks cancelled while queued). Valid after
-// Wait returns.
+// Wait returns, or after Start for a task driven through a Queue.
 func (t *Task) QueueWait() time.Duration {
 	if t.startedAt.IsZero() || t.queuedAt.IsZero() {
 		return 0
@@ -93,8 +95,8 @@ func (t *Task) QueueWait() time.Duration {
 	return t.startedAt.Sub(t.queuedAt)
 }
 
-// ExecTime returns the wall-clock duration of the task's execution — the
-// time the session spent inside a worker. Valid after Wait returns.
+// ExecTime returns how long the session spent inside a worker, from Start
+// to Finish. Valid after Wait returns, or after Finish.
 func (t *Task) ExecTime() time.Duration { return t.execDur }
 
 // Result is one task's outcome, produced by the executor.
@@ -189,8 +191,9 @@ func (s Stats) Saturated() bool {
 }
 
 // Hint is the load hint a server advertises from these stats: the one place
-// a scheduler state becomes the queueing estimate and saturation flag that
-// clients, and the fleet simulator, select servers by.
+// a Queue's state becomes the queueing estimate and saturation flag that
+// clients and the roamer, live or simulated, select servers by. Until its
+// first Finish a Queue has no service mean, so the estimate reads 0.
 func (s Stats) Hint() *protocol.LoadHint {
 	return &protocol.LoadHint{
 		QueueDepth:        s.QueueDepth,
@@ -203,32 +206,150 @@ func (s Stats) Hint() *protocol.LoadHint {
 	}
 }
 
-// Scheduler admits, queues, and executes tasks on a worker pool.
+// Queue is the admission rule and the worker accounting: a bounded FIFO (a
+// slot and a byte budget) in front of a worker count. It has no goroutines
+// and no clock — each step takes the time it happens at — and is not safe
+// for concurrent use.
+type Queue struct {
+	cfg    Config
+	tasks  []*Task // FIFO admission queue, bounded by cfg.QueueDepth
+	bytes  int64   // summed Bytes of queued tasks, bounded by cfg.MaxQueueBytes
+	busy   int
+	closed bool
+	// submitted, rejected, cancelled and executed are the Stats counters.
+	submitted, rejected, cancelled, executed int64
+	// service and queueWait are the lock-free histograms behind the load
+	// signal: per-task service time and admission-queue wait.
+	service   trace.Histogram
+	queueWait trace.Histogram
+}
+
+// NewQueue returns an empty queue. Zero or negative Workers selects 1, so a
+// queued task always has a worker to wait for.
+func NewQueue(cfg Config) *Queue {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = DefaultQueueDepth
+	}
+	return &Queue{cfg: cfg, tasks: make([]*Task, 0, cfg.QueueDepth)}
+}
+
+// Admit queues t at now. A closed queue returns ErrClosed, one out of slots
+// or bytes ErrQueueFull; both count t as rejected.
+func (q *Queue) Admit(t *Task, now time.Time) error {
+	if q.closed {
+		q.rejected++
+		return ErrClosed
+	}
+	if len(q.tasks) >= q.cfg.QueueDepth || !q.fitsBytes(t) {
+		q.rejected++
+		return ErrQueueFull
+	}
+	t.queuedAt = now
+	q.tasks = append(q.tasks, t)
+	q.bytes += t.Bytes
+	q.submitted++
+	return nil
+}
+
+// fitsBytes reports whether t fits the queue's byte budget. A task
+// exceeding the whole budget is admitted only into a byte-empty queue: it
+// could never fit otherwise, and forward progress beats a strict cap.
+func (q *Queue) fitsBytes(t *Task) bool {
+	if q.cfg.MaxQueueBytes <= 0 || t.Bytes <= 0 || q.bytes == 0 {
+		return true
+	}
+	return q.bytes+t.Bytes <= q.cfg.MaxQueueBytes
+}
+
+// Start gives the oldest queued task a free worker at now, or returns nil.
+func (q *Queue) Start(now time.Time) *Task {
+	if len(q.tasks) == 0 || q.busy >= q.cfg.Workers {
+		return nil
+	}
+	t := q.tasks[0]
+	// Clear the slot: the backing array outlives the pop, and a finished
+	// task still pins its snapshot payload.
+	q.tasks[0] = nil
+	q.tasks = q.tasks[1:]
+	q.bytes -= t.Bytes
+	q.busy++
+	t.startedAt = now
+	q.queueWait.Observe(now.Sub(t.queuedAt))
+	return t
+}
+
+// Finish frees t's worker at now and records t's service time.
+func (q *Queue) Finish(t *Task, now time.Time) {
+	t.execDur = now.Sub(t.startedAt)
+	q.busy--
+	q.executed++
+	q.service.Observe(t.execDur)
+}
+
+// Close stops admission and empties the queue: it returns the tasks that
+// were waiting, counted as cancelled. Tasks already started still Finish.
+func (q *Queue) Close() []*Task {
+	q.closed = true
+	cancelled := q.tasks
+	q.tasks, q.bytes = nil, 0
+	q.cancelled += int64(len(cancelled))
+	return cancelled
+}
+
+// Closed reports whether Close has been called.
+func (q *Queue) Closed() bool { return q.closed }
+
+// Len returns the number of queued tasks.
+func (q *Queue) Len() int { return len(q.tasks) }
+
+// Executed returns how many tasks have finished.
+func (q *Queue) Executed() int64 { return q.executed }
+
+// Hint is Stats().Hint() without the histogram scans the hint does not read.
+func (q *Queue) Hint() *protocol.LoadHint {
+	st := q.counts()
+	st.Service.Mean = q.service.Mean()
+	return st.Hint()
+}
+
+// Stats returns the queue's state and counters, its histograms summarized.
+func (q *Queue) Stats() Stats {
+	st := q.counts()
+	st.Service, st.QueueWait = q.service.Summary(), q.queueWait.Summary()
+	return st
+}
+
+// counts is Stats without the histogram summaries.
+func (q *Queue) counts() Stats {
+	return Stats{
+		Workers:      q.cfg.Workers,
+		Busy:         q.busy,
+		QueueDepth:   len(q.tasks),
+		QueueCap:     q.cfg.QueueDepth,
+		QueueBytes:   q.bytes,
+		QueueByteCap: q.cfg.MaxQueueBytes,
+		Submitted:    q.submitted,
+		Rejected:     q.rejected,
+		Cancelled:    q.cancelled,
+		Executed:     q.executed,
+		Batches:      q.executed,
+	}
+}
+
+// Scheduler admits, queues, and executes tasks on a worker pool: one Queue
+// under a mutex, and its workers as goroutines on the wall clock.
 type Scheduler struct {
-	cfg  Config
 	exec ExecFunc
 
-	mu          sync.Mutex
-	queue       []*Task // FIFO admission queue, bounded by cfg.QueueDepth
-	queuedBytes int64   // summed Bytes of queued tasks, bounded by cfg.MaxQueueBytes
-	closed      bool
+	mu sync.Mutex
+	q  *Queue
 	// wake is signalled on every enqueue (idle workers).
 	wake chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
-
-	busy                atomic.Int64
-	submitted, rejected atomic.Int64
-	cancelled           atomic.Int64
-	executed            atomic.Int64
-
-	// service and queueWait are the lock-free stage-latency histograms
-	// behind the load signal: per-task service time and admission-queue
-	// wait. They replace the earlier
-	// EWMA-only signal — the mean falls out of the histogram, and the
-	// tails (p95/p99) come with it.
-	service   trace.Histogram
-	queueWait trace.Histogram
 }
 
 // New creates a scheduler and starts its workers. exec must be non-nil.
@@ -236,20 +357,13 @@ func New(cfg Config, exec ExecFunc) (*Scheduler, error) {
 	if exec == nil {
 		return nil, errors.New("sched: nil executor")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	s := &Scheduler{
-		cfg:   cfg,
-		exec:  exec,
-		queue: make([]*Task, 0, cfg.QueueDepth),
-		wake:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
+		exec: exec,
+		q:    NewQueue(cfg),
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < s.q.counts().Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -264,36 +378,12 @@ func (s *Scheduler) Submit(t *Task) error {
 		t.done = make(chan taskResult, 1)
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		return ErrClosed
-	}
-	if len(s.queue) >= s.cfg.QueueDepth || !s.admitBytesLocked(t) {
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		return ErrQueueFull
-	}
-	t.queuedAt = time.Now()
-	s.queue = append(s.queue, t)
-	s.queuedBytes += t.Bytes
+	err := s.q.Admit(t, time.Now())
 	s.mu.Unlock()
-	s.submitted.Add(1)
-	signal(s.wake)
-	return nil
-}
-
-// admitBytesLocked reports whether t fits the queue's byte budget. A task
-// exceeding the whole budget is admitted only into a byte-empty queue: it
-// could never fit otherwise, and forward progress beats a strict cap.
-func (s *Scheduler) admitBytesLocked(t *Task) bool {
-	if s.cfg.MaxQueueBytes <= 0 || t.Bytes <= 0 {
-		return true
+	if err == nil {
+		signal(s.wake)
 	}
-	if s.queuedBytes == 0 {
-		return true
-	}
-	return s.queuedBytes+t.Bytes <= s.cfg.MaxQueueBytes
+	return err
 }
 
 // signal performs a non-blocking send on a capacity-1 notification channel.
@@ -307,68 +397,41 @@ func signal(ch chan struct{}) {
 // worker pulls one task at a time, executes it, and delivers its result.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for {
-		t, ok := s.next()
-		if !ok {
-			return
-		}
+	for t := s.next(); t != nil; t = s.next() {
 		s.run(t)
 	}
 }
 
-// next blocks for the next queued task. ok=false means the scheduler is
-// closing.
-func (s *Scheduler) next() (*Task, bool) {
+// next blocks for the next queued task; nil means the scheduler is closing.
+func (s *Scheduler) next() *Task {
 	for {
 		s.mu.Lock()
-		if len(s.queue) > 0 {
-			t := s.queue[0]
-			// Clear the slot: the backing array outlives the pop, and a
-			// finished task still pins its snapshot payload.
-			s.queue[0] = nil
-			s.queue = s.queue[1:]
-			s.queuedBytes -= t.Bytes
-			backlog := len(s.queue) > 0
-			s.mu.Unlock()
+		// Read the clock under the lock: no task is started before its admission.
+		t := s.q.Start(time.Now())
+		backlog := s.q.Len() > 0
+		s.mu.Unlock()
+		if t != nil {
 			if backlog {
 				// wake has capacity 1: re-signal so sleeping sibling
 				// workers see the remaining backlog.
 				signal(s.wake)
 			}
-			return t, true
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, false
+			return t
 		}
 		select {
 		case <-s.wake:
-		case <-s.quit:
-			// Drain check: Close cancels queued tasks itself, so an
-			// empty queue here means this worker is done.
-			s.mu.Lock()
-			empty := len(s.queue) == 0
-			s.mu.Unlock()
-			if empty {
-				return nil, false
-			}
+		case <-s.quit: // Close has emptied the queue and stopped admission.
+			return nil
 		}
 	}
 }
 
 // run executes one task and delivers its result.
 func (s *Scheduler) run(t *Task) {
-	s.busy.Add(1)
-	t.startedAt = time.Now()
-	if !t.queuedAt.IsZero() {
-		s.queueWait.Observe(t.startedAt.Sub(t.queuedAt))
-	}
 	r := s.safeExec(t)
-	t.execDur = time.Since(t.startedAt)
-	s.busy.Add(-1)
-	s.service.Observe(t.execDur)
-	s.executed.Add(1)
+	s.mu.Lock()
+	s.q.Finish(t, time.Now())
+	s.mu.Unlock()
 	t.finish(r.Value, r.Err)
 }
 
@@ -393,31 +456,17 @@ func (s *Scheduler) safeExec(t *Task) (r Result) {
 func (s *Scheduler) Accepting() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.closed
+	return !s.q.Closed()
 }
 
-// Stats returns a consistent-enough snapshot of the scheduler's state.
+// Stats returns a snapshot of the scheduler's state. The counters are read
+// under the lock; the histograms are summarized after it is released.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
-	depth := len(s.queue)
-	qbytes := s.queuedBytes
+	st := s.q.counts()
 	s.mu.Unlock()
-	executed := s.executed.Load()
-	return Stats{
-		Workers:      s.cfg.Workers,
-		Busy:         int(s.busy.Load()),
-		QueueDepth:   depth,
-		QueueCap:     s.cfg.QueueDepth,
-		QueueBytes:   qbytes,
-		QueueByteCap: s.cfg.MaxQueueBytes,
-		Submitted:    s.submitted.Load(),
-		Rejected:     s.rejected.Load(),
-		Cancelled:    s.cancelled.Load(),
-		Executed:     executed,
-		Batches:      executed,
-		Service:      s.service.Summary(),
-		QueueWait:    s.queueWait.Summary(),
-	}
+	st.Service, st.QueueWait = s.q.service.Summary(), s.q.queueWait.Summary()
+	return st
 }
 
 // Close stops admission, cancels queued tasks with ErrClosed, and waits for
@@ -425,19 +474,13 @@ func (s *Scheduler) Stats() Stats {
 // been finished (executed or cancelled) when Close returns.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	cancelled := s.queue
-	s.queue = nil
-	s.queuedBytes = 0
+	first := !s.q.Closed()
+	cancelled := s.q.Close() // empty after the first Close
 	s.mu.Unlock()
-	close(s.quit)
+	if first {
+		close(s.quit)
+	}
 	for _, t := range cancelled {
-		s.cancelled.Add(1)
 		t.finish(nil, ErrClosed)
 	}
 	s.wg.Wait()

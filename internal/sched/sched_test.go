@@ -133,6 +133,9 @@ func TestCloseCancelsQueuedAndDrainsRunning(t *testing.T) {
 	if st.Cancelled != 1 {
 		t.Errorf("cancelled = %d, want 1", st.Cancelled)
 	}
+	if st.Rejected != 1 || st.QueueDepth != 0 {
+		t.Errorf("rejected = %d, queue depth = %d; want the post-close submit rejected and an empty queue", st.Rejected, st.QueueDepth)
+	}
 }
 
 // TestDrainedQueueReleasesTasks is the regression test for the pop that
@@ -168,7 +171,7 @@ func TestDrainedQueueReleasesTasks(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	slots := s.queue[:len(s.queue):len(s.queue)]
+	slots := s.q.tasks[:len(s.q.tasks):len(s.q.tasks)]
 	s.mu.Unlock()
 	if len(slots) != len(queued) {
 		t.Fatalf("%d tasks queued, want %d", len(slots), len(queued))

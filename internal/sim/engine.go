@@ -2,17 +2,20 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 	"time"
 
 	"websnap/internal/obs"
+	"websnap/internal/sched"
 )
 
 // engine is the package's one discrete-event loop: closed-loop clients that
-// think, prepare a snapshot, ship it to a station (an edge server's worker
-// pool behind a bounded FIFO queue), get served by one worker or shed to local
-// execution, and start their next request when the result is on screen.
+// think, prepare a snapshot, ship it to a station, get served by one worker
+// or shed to local execution, and start their next request when the result
+// is on screen. A station is an edge server's sched.Queue — the admission
+// rule and worker accounting edged's scheduler runs — driven on the engine's
+// virtual clock: an arrival is Admit (an error sheds it), a dispatch Start,
+// a worker's completion Finish.
 // LoadSweep is this engine with one station, FleetSweep the same engine
 // with N stations and the roamer's rule (roam.Pick) behind the route hook; a
 // sweep supplies only the phase durations (from a Breakdown) and its hooks.
@@ -25,16 +28,15 @@ type engine struct {
 	// phase-lock into permanent cohorts and the run measures the lockstep
 	// artifact, not the server.
 	thinkMax time.Duration
-	stations []station
-	// queueDepth is every station's admission queue capacity.
-	queueDepth int
+	// stations are the edge servers' admission queues, in server order.
+	stations []*sched.Queue
 	// prep is the client-side segment before the snapshot reaches the
 	// station, service one worker's occupancy for a request, post the
 	// client-side segment after the station responds, local the client's
 	// own execution of a shed request.
 	prep, post, local, service time.Duration
 	// decision labels an offloaded request's audit record (Path, SplitLabel,
-	// Predicted); the engine fills in server and latency.
+	// Predicted); the engine fills in the latency.
 	decision obs.Decision
 	hooks
 }
@@ -50,30 +52,23 @@ type hooks struct {
 	// route again; the others ship straight to the client's current station.
 	// The first request of a session is always routed.
 	reroute func(n int) bool
-	// hold runs when a snapshot reaches station st, before the admit-or-shed
-	// rule; a positive return postpones the arrival by that long.
+	// hold runs when a snapshot reaches station st, before the station
+	// admits or sheds it; a positive return postpones the arrival by that
+	// long.
 	hold func(st int) time.Duration
 	// done observes one finished request at the time its result is on
-	// screen: served is false when the station shed it and the client ran
-	// it locally.
-	done func(req request, st int, now time.Duration, served bool)
-}
-
-// station is one edge server: workers executors behind a bounded queue.
-type station struct {
-	name     string
-	workers  int
-	busy     int
-	queue    []request
-	executed int
+	// screen: task is the one its station's worker finished, nil when the
+	// station shed the request and the client ran it locally.
+	done func(req request, st int, now time.Duration, task *sched.Task)
 }
 
 type request struct {
-	client   int
-	start    time.Duration // when the user event fired
-	arrive   time.Duration // when the station admitted the snapshot
-	dispatch time.Duration // when a worker took it off the queue
+	client int
+	start  time.Duration // when the user event fired
 }
+
+// vclock is virtual time d as the time.Time a sched.Queue steps by.
+func vclock(d time.Duration) time.Time { return time.Unix(0, 0).Add(d) }
 
 // Event kinds.
 const (
@@ -87,7 +82,8 @@ type event struct {
 	seq     int // push order: the tie-break between simultaneous events
 	kind    int
 	station int
-	req     request
+	req     request     // evStart, evArrive: the request in flight
+	task    *sched.Task // evDone: the task the worker finishes; its Payload is the request
 }
 
 type eventHeap []*event
@@ -130,10 +126,8 @@ func (o outcome) perSecond(n int) float64 {
 	return float64(n) / o.makespan.Seconds()
 }
 
-// run plays every client's session to the end. It fails rather than report
-// a short count if the event queue drains while requests are still waiting
-// at a station — a station that can never serve them.
-func (e *engine) run() (outcome, error) {
+// run plays every client's session to the end.
+func (e *engine) run() outcome {
 	var (
 		events    eventHeap
 		seq       int
@@ -163,13 +157,12 @@ func (e *engine) run() (outcome, error) {
 	}
 	// complete is the one place a request ends: it records the request's
 	// decision and latency, then starts the client's next request.
-	complete := func(req request, st int, now time.Duration, served bool) {
+	complete := func(req request, st int, now time.Duration, task *sched.Task) {
 		d := e.decision
-		if !served {
+		if task == nil {
 			out.shed++
 			d = obs.Decision{Path: obs.PathFallback, Reason: "overloaded"}
 		}
-		d.Server = e.stations[st].name
 		d.Measured, d.HintAge = now-req.start, -1
 		audit.Record(d)
 		out.latencies = append(out.latencies, now-req.start)
@@ -177,20 +170,17 @@ func (e *engine) run() (outcome, error) {
 			out.makespan = now
 		}
 		if e.done != nil {
-			e.done(req, st, now, served)
+			e.done(req, st, now, task)
 		}
 		if remaining[req.client] > 0 {
 			start(req.client, now)
 		}
 	}
+	// dispatch hands station st's queued tasks to its free workers at t.
 	dispatch := func(st int, t time.Duration) {
-		s := &e.stations[st]
-		for s.busy < s.workers && len(s.queue) > 0 {
-			req := s.queue[0]
-			s.queue = s.queue[1:]
-			req.dispatch = t
-			s.busy++
-			push(&event{at: t + e.service, kind: evDone, station: st, req: req})
+		q := e.stations[st]
+		for task := q.Start(vclock(t)); task != nil; task = q.Start(vclock(t)) {
+			push(&event{at: t + e.service, kind: evDone, station: st, task: task})
 		}
 	}
 
@@ -217,33 +207,22 @@ func (e *engine) run() (outcome, error) {
 					break
 				}
 			}
-			s := &e.stations[ev.station]
-			if s.busy >= s.workers && len(s.queue) >= e.queueDepth {
-				// Every worker busy and the queue full: the station sheds,
-				// the client runs the request from its still-live app state.
-				complete(ev.req, ev.station, ev.at+e.local, false)
+			if e.stations[ev.station].Admit(&sched.Task{Payload: ev.req}, vclock(ev.at)) != nil {
+				// The queue is full: the station sheds, the client runs the
+				// request from its still-live app state.
+				complete(ev.req, ev.station, ev.at+e.local, nil)
 				break
 			}
-			ev.req.arrive = ev.at
-			s.queue = append(s.queue, ev.req)
 			dispatch(ev.station, ev.at)
 		case evDone:
-			s := &e.stations[ev.station]
-			s.busy--
-			s.executed++
-			complete(ev.req, ev.station, ev.at+e.post, true)
+			e.stations[ev.station].Finish(ev.task, vclock(ev.at))
+			complete(ev.task.Payload.(request), ev.station, ev.at+e.post, ev.task)
 			dispatch(ev.station, ev.at)
-		}
-	}
-	for i := range e.stations {
-		if n := len(e.stations[i].queue); n > 0 {
-			return outcome{}, fmt.Errorf("sim: run ended with %d requests queued at station %d (%d workers)",
-				n, i, e.stations[i].workers)
 		}
 	}
 	sort.Slice(out.latencies, func(i, j int) bool { return out.latencies[i] < out.latencies[j] })
 	out.audit = audit.Summary()
-	return out, nil
+	return out
 }
 
 // xorshift is a tiny deterministic PRNG for per-client think-time jitter.

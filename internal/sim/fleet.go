@@ -9,7 +9,6 @@ import (
 	"websnap/internal/roam"
 	"websnap/internal/sched"
 	"websnap/internal/telemetry"
-	"websnap/internal/trace"
 )
 
 // FleetConfig parameterizes the fleet sweep: many heterogeneous edge
@@ -142,11 +141,11 @@ func (p FleetPoint) FallbackRate() float64 {
 
 // fleetSim is the deterministic model of a fleet of edge servers shared by
 // roaming full-offload clients: the engine with one station per server.
+// Every server is a sched.Queue, the live scheduler's own admission rule.
 // Placement runs the live roamer's rule (roam.Pick over one probe per
-// station: the link's round trip plus the load hint the station's
-// scheduler state advertises); probing, staleness and the wire registry
-// are exercised by the roam and fleet tests — the sim isolates what the
-// rule does at scale.
+// server: the link's round trip plus the load hint its queue advertises);
+// probing, staleness and the wire registry are exercised by the roam and
+// fleet tests — the sim isolates what the rule does at scale.
 type fleetSim struct {
 	cfg FleetConfig
 	// prep, service and post are the full-offload timeline's segments (the
@@ -195,11 +194,11 @@ func newFleetSim(sc *Scenario, cfg FleetConfig) (*fleetSim, error) {
 
 // cell runs the engine with nServers heterogeneous servers under clients
 // closed-loop roaming sessions.
-func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
+func (fs *fleetSim) cell(nServers, clients int) FleetPoint {
 	var (
+		names     = make([]string, nServers)
 		hasBlob   = make([]bool, nServers) // content-addressed model blob present
 		visited   = make([][]bool, clients)
-		byAddr    = make(map[string]int, nServers)
 		handoffs  int
 		sloBad    uint64
 		sloBurns  int
@@ -212,47 +211,39 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 		refetch   int64         // bytes those evictions forced back over the wire
 	)
 	eng := engine{
-		clients:    clients,
-		requests:   fs.cfg.RequestsPerClient,
-		thinkMax:   fleetThinkFactor * fs.service,
-		stations:   make([]station, nServers),
-		queueDepth: fleetQueueDepth,
-		prep:       fs.prep,
-		post:       fs.post,
-		local:      fs.localFull,
-		service:    fs.service,
-		decision:   obs.Decision{Path: obs.PathFull},
+		clients:  clients,
+		requests: fs.cfg.RequestsPerClient,
+		thinkMax: fleetThinkFactor * fs.service,
+		stations: make([]*sched.Queue, nServers),
+		prep:     fs.prep,
+		post:     fs.post,
+		local:    fs.localFull,
+		service:  fs.service,
+		decision: obs.Decision{Path: obs.PathFull},
 	}
 	srvs := eng.stations
 	for i := range srvs {
-		srvs[i] = station{
-			name:    fmt.Sprintf("edge-%d", i),
-			workers: fs.cfg.Capacities[i%len(fs.cfg.Capacities)],
-		}
-		byAddr[srvs[i].name] = i
+		srvs[i] = sched.NewQueue(sched.Config{
+			Workers:    fs.cfg.Capacities[i%len(fs.cfg.Capacities)],
+			QueueDepth: fleetQueueDepth,
+		})
+		names[i] = fmt.Sprintf("edge-%d", i)
 	}
 	for c := range visited {
 		visited[c] = make([]bool, nServers)
 	}
 	// probes is what a roaming client's probe round would see: every
-	// station but the one it just left, at the link's round trip, with the
-	// load hint the station's scheduler state advertises.
+	// server but the one it just left, at the link's round trip, with the
+	// load hint its queue advertises.
 	probes := func(exclude int) []roam.ServerInfo {
 		out := make([]roam.ServerInfo, 0, nServers)
 		for i := range srvs {
 			if i == exclude {
 				continue
 			}
-			s := &srvs[i]
-			hint := sched.Stats{
-				Workers:    s.workers,
-				Busy:       s.busy,
-				QueueDepth: len(s.queue),
-				QueueCap:   fleetQueueDepth,
-				Service:    trace.Quantiles{Mean: fs.service},
-			}.Hint()
+			hint := srvs[i].Hint()
 			out = append(out, roam.ServerInfo{
-				Addr: s.name, RTT: fs.rtt, Load: hint, Score: roam.Score(fs.rtt, hint), Healthy: true,
+				Addr: names[i], RTT: fs.rtt, Load: hint, Score: roam.Score(fs.rtt, hint), Healthy: true,
 			})
 		}
 		return out
@@ -283,7 +274,7 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 		}
 		s := 0 // a single-server fleet with that server excluded stays put
 		if target, ok := roam.Pick(probes(from)); ok {
-			s = byAddr[target.Addr]
+			s = slices.Index(names, target.Addr)
 		}
 		// The content-addressed pre-send when a session meets a server for
 		// the first time: the first request waits on the model transfer
@@ -309,9 +300,9 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 		refetch += fs.modelBytes
 		return resolveBlob(s)
 	}
-	eng.done = func(req request, s int, now time.Duration, served bool) {
-		if served && fs.cfg.StoreEvictEvery > 0 && hasBlob[s] &&
-			srvs[s].executed%fs.cfg.StoreEvictEvery == 0 {
+	eng.done = func(req request, s int, now time.Duration, task *sched.Task) {
+		if task != nil && fs.cfg.StoreEvictEvery > 0 && hasBlob[s] &&
+			srvs[s].Executed()%int64(fs.cfg.StoreEvictEvery) == 0 {
 			// The byte-capped store crossed its budget; the model blob is
 			// the LRU casualty.
 			hasBlob[s] = false
@@ -335,15 +326,12 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 			Goal:        fs.cfg.SLOGoal,
 			ShortWindow: 5 * time.Second,
 			LongWindow:  60 * time.Second,
-			Now:         func() time.Time { return time.Unix(0, 0).Add(simNow) },
+			Now:         func() time.Time { return vclock(simNow) },
 			OnBurn:      func(telemetry.SLOStatus) { sloBurns++ },
 		})
 	}
 
-	out, err := eng.run()
-	if err != nil {
-		return FleetPoint{}, err
-	}
+	out := eng.run()
 	pt := FleetPoint{
 		Servers:                nServers,
 		Clients:                clients,
@@ -369,9 +357,9 @@ func (fs *fleetSim) cell(nServers, clients int) (FleetPoint, error) {
 		pt.SLOLongBurn = slo.Status().LongBurn
 	}
 	for i := range srvs {
-		pt.ExecPerServer[i] = srvs[i].executed
+		pt.ExecPerServer[i] = int(srvs[i].Executed())
 	}
-	return pt, nil
+	return pt
 }
 
 // FleetSweep simulates roaming full-offload clients of one model against
@@ -400,11 +388,7 @@ func FleetSweep(modelName string, serverCounts []int, clients int, cfg FleetConf
 		if n <= 0 {
 			return nil, fmt.Errorf("sim: non-positive server count %d", n)
 		}
-		pt, err := fs.cell(n, clients)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
+		points = append(points, fs.cell(n, clients))
 	}
 	return points, nil
 }

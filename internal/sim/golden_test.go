@@ -18,12 +18,16 @@ import (
 // the request a full offload ships. The fleet/* digests alone were
 // re-recorded, with BENCH_fleet.json, when the fleet model began to place
 // sessions by the live roamer's rule (roam.Pick) with the load hint the
-// scheduler's own Stats advertise, one row per fleet size.
+// scheduler's own Stats advertise, one row per fleet size. fleet/shed alone
+// was re-recorded (e9885ebd… → c9f9553e…), with BENCH_fleet.json, when every
+// simulated server became a sched.Queue: a server now advertises no service
+// mean before its first Finish, as a live edged does, where the hand-built
+// hint had advertised the model's service time from the start.
 var goldenDigests = map[string]string{
 	"load/batch1":     "14d9cdcb8404275b82c46d8c4e5c31a0b90735b578a9201fb598b818a8f310ae",
 	"fleet/unbounded": "76830be6cc811173c5c0adebfb400f86459a92f500137a2bd3cb5d4642f769ff",
 	"fleet/evict+slo": "4287d9910d116d33347a7e971dc12d08a8db0e2bde9df88d7d5d4eb698ea6729",
-	"fleet/shed":      "e9885ebd3d8408acc6d5d8730d23451d8df009ddff7bf729b92d551200a20d4a",
+	"fleet/shed":      "c9f9553ea6001f8d818b4535cbe4b3894138dd4b893aa03ac6ee3eb724462a49",
 	"pipeline":        "9d60a6fac95ea07bcd56617ff8fb15ac6cc785da80226fa95814b922916c5a6f",
 	"fig6":            "5fdfbb8e3032b99fe9fb985ca5d6a38d466fefd6c379e57b19273ee1c5c1bc44",
 	"fig7":            "10749c9657d2e2ca1b904274f454ae470708e197033b67b820ad57d1a2551462",
@@ -47,7 +51,7 @@ func TestGoldenDigests(t *testing.T) {
 		{"fleet/evict+slo", fleetSweep([]int{2, 4}, 64,
 			FleetConfig{RoamEvery: 2, StoreEvictEvery: 10, SLOObjective: 3 * time.Second})},
 		// 400 sessions on two 1-worker servers: more than half are shed, so
-		// the admit-or-shed rule and the fallback decision are pinned too.
+		// the queue's admission rule and the fallback decision are pinned too.
 		{"fleet/shed", fleetSweep([]int{2}, 400, FleetConfig{RoamEvery: 2, Capacities: []int{1}})},
 		{"pipeline", func() (any, error) {
 			return PipelineSweep(PipelineConfig{

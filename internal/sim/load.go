@@ -6,6 +6,7 @@ import (
 
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
+	"websnap/internal/sched"
 	"websnap/internal/trace"
 )
 
@@ -141,44 +142,40 @@ func newLoadSim(sc *Scenario, cfg LoadConfig) (*loadSim, error) {
 }
 
 // point runs the engine with clients concurrent closed-loop clients.
-func (ls *loadSim) point(clients int) (LoadPoint, error) {
+func (ls *loadSim) point(clients int) LoadPoint {
 	stages := make(map[string]*trace.Histogram, len(loadStages))
 	for _, op := range loadStages {
 		stages[op] = &trace.Histogram{}
 	}
 	prep, service, post := ls.bd.segments()
 	eng := engine{
-		clients:    clients,
-		requests:   ls.cfg.RequestsPerClient,
-		thinkMax:   loadThinkMax,
-		stations:   []station{{workers: ls.cfg.Workers}},
-		queueDepth: ls.cfg.QueueDepth,
-		prep:       prep,
-		post:       post,
-		local:      ls.localRear,
-		service:    service,
+		clients:  clients,
+		requests: ls.cfg.RequestsPerClient,
+		thinkMax: loadThinkMax,
+		stations: []*sched.Queue{sched.NewQueue(sched.Config{Workers: ls.cfg.Workers, QueueDepth: ls.cfg.QueueDepth})},
+		prep:     prep,
+		post:     post,
+		local:    ls.localRear,
+		service:  service,
 		// Predicted is the cost model's unloaded single-request latency, with
 		// no queueing. Decisions compare it against simulated end-to-end
 		// latency to quantify prediction error under load.
 		decision: obs.Decision{Path: obs.PathPartial, SplitLabel: ls.cfg.SplitLabel, Predicted: ls.bd.Total()},
 	}
-	eng.done = func(req request, _ int, _ time.Duration, served bool) {
-		if !served {
+	eng.done = func(_ request, _ int, _ time.Duration, task *sched.Task) {
+		if task == nil {
 			return
 		}
 		// Queue and execute are where load contention shows; the rest are
 		// the fixed per-request stages of an offloaded inference.
-		stages[protocol.SpanQueue].Observe(req.dispatch - req.arrive)
-		stages[protocol.SpanExecute].Observe(service)
+		stages[protocol.SpanQueue].Observe(task.QueueWait())
+		stages[protocol.SpanExecute].Observe(task.ExecTime())
 		stages[protocol.SpanCapture].Observe(ls.bd.Get(PhaseSnapshotCaptureC))
 		stages[protocol.SpanWire].Observe(ls.bd.Get(PhaseTransferUp))
 		stages[protocol.SpanResultWire].Observe(ls.bd.Get(PhaseTransferDown))
 		stages[protocol.SpanRestore].Observe(ls.bd.Get(PhaseSnapshotRestoreC))
 	}
-	out, err := eng.run()
-	if err != nil {
-		return LoadPoint{}, err
-	}
+	out := eng.run()
 	completed := len(out.latencies)
 	var summaries []StageSummary
 	for _, op := range loadStages {
@@ -197,7 +194,7 @@ func (ls *loadSim) point(clients int) (LoadPoint, error) {
 		Stages:              summaries,
 		Mix:                 out.audit.Mix,
 		PredErr:             out.audit.PredErr,
-	}, nil
+	}
 }
 
 // LoadSweep simulates the edge server under increasing numbers of
@@ -221,11 +218,7 @@ func LoadSweep(modelName string, clients []int, cfg LoadConfig) ([]LoadPoint, er
 		if n <= 0 {
 			return nil, fmt.Errorf("sim: non-positive client count %d", n)
 		}
-		pt, err := ls.point(n)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
+		points = append(points, ls.point(n))
 	}
 	return points, nil
 }
