@@ -6,6 +6,7 @@
 package client
 
 import (
+	"cmp"
 	"compress/flate"
 	"errors"
 	"fmt"
@@ -52,7 +53,9 @@ var ErrConnBroken = errors.New("client: connection broken mid-frame")
 
 // Conn is a multiplexed request/response channel to an edge server's
 // offloading program. Every request is its own logical stream: it carries a
-// fresh Seq, whole-frame writes are serialized, and a single reader
+// fresh Seq, frames are written one at a time — a body over
+// protocol.ChunkThreshold in chunks, to a server that reads them, so a
+// sibling stream waits for at most one chunk — and a single reader
 // goroutine routes each response to the waiting request by the Seq the
 // server echoes. Any number of goroutines may share one Conn (the pre-send
 // goroutine, the offloading path, many sessions), with at most
@@ -60,12 +63,16 @@ var ErrConnBroken = errors.New("client: connection broken mid-frame")
 //
 // Servers attach their scheduling load to responses, which the Conn records
 // for LastLoad, and their capability hints, of which it keeps whether the
-// server decodes packed bodies.
+// server decodes packed bodies and reads chunked ones.
 type Conn struct {
-	// mu guards rw, gen, timeout, broken, pending and readerDone. It is
+	// mu guards rw, fw, gen, timeout, broken, pending and readerDone. It is
 	// never held across socket I/O.
 	mu sync.Mutex
 	rw net.Conn
+	// fw writes rw's frames, one at a time. It is apart from mu so that a
+	// long paced upload does not keep the reader from routing sibling
+	// streams' responses.
+	fw *protocol.Writer
 	// gen numbers the socket in rw: Redial counts it up as it installs a
 	// fresh one. A failure names its socket by gen, never by comparing
 	// net.Conn values — a wrapper need not be comparable.
@@ -86,10 +93,6 @@ type Conn struct {
 	// readerDone is closed when the current reader goroutine exits.
 	readerDone chan struct{}
 
-	// wmu serializes whole-frame writes. It is separate from mu so that a
-	// long paced upload does not keep the reader from routing sibling
-	// streams' responses.
-	wmu sync.Mutex
 	seq atomic.Uint64
 	// slots bounds in-flight logical streams (per-stream flow control);
 	// acquiring a slot blocks when the window is full.
@@ -100,8 +103,9 @@ type Conn struct {
 	loadAt   time.Time
 
 	// peerPacks is set once a response of the current socket's server has
-	// carried protocol.HintPackedBody; until then bodies go raw.
-	peerPacks atomic.Bool
+	// carried protocol.HintPackedBody; until then bodies go raw. peerChunks
+	// likewise, for protocol.HintChunks; until then bodies go whole.
+	peerPacks, peerChunks atomic.Bool
 }
 
 // muxReply is one demultiplexed response with the header the reader
@@ -161,6 +165,7 @@ func (c *Conn) SetRequestTimeout(d time.Duration) {
 func NewConn(rw net.Conn) *Conn {
 	c := &Conn{
 		rw:         rw,
+		fw:         protocol.NewWriter(rw),
 		pending:    make(map[uint64]chan muxReply),
 		readerDone: make(chan struct{}),
 		slots:      make(chan struct{}, DefaultMaxStreams),
@@ -266,10 +271,12 @@ func (c *Conn) Redial() error {
 		fresh.Close() //nolint:errcheck // redundant socket
 		return nil
 	}
-	c.rw = fresh
+	c.rw, c.fw = fresh, protocol.NewWriter(fresh)
 	c.gen++
 	c.broken = nil
-	c.peerPacks.Store(false) // whoever answers at the address now says so again
+	// Whoever answers at the address now says so again.
+	c.peerPacks.Store(false)
+	c.peerChunks.Store(false)
 	c.readerDone = make(chan struct{})
 	go c.readLoop(fresh, c.gen, c.readerDone)
 	return nil
@@ -303,19 +310,25 @@ func (c *Conn) NegotiateMux(maxStreams int) (bool, error) {
 	return true, nil
 }
 
+// presizeResult is how much of a chunked result's declared length the reader
+// allocates before its chunks arrive: as much as it makes room for at once
+// for a whole frame.
+const presizeResult = 1 << 20
+
 // readLoop is the Conn's single reader: it reads each response through a
-// buffer, decodes its header once — stream ID (every response header carries
-// the shared "seq" key), the server's load and capability hints — and hands
-// the frame with its header to the waiting request. A read error, a
-// response for no pending stream, or one whose header does not parse far
-// enough to name its stream all mean the frame stream can no longer be
-// trusted, so every pending request fails and the loop exits; Redial starts
-// a fresh loop on the replacement socket.
+// buffer — a chunked one reassembled — decodes its header once — stream ID
+// (every response header carries the shared "seq" key), the server's load
+// and capability hints — and hands the frame with its header to the waiting
+// request. A read error, a response for no pending stream, or one whose
+// header does not parse far enough to name its stream all mean the frame
+// stream can no longer be trusted, so every pending request fails and the
+// loop exits; Redial starts a fresh loop on the replacement socket.
 func (c *Conn) readLoop(rw net.Conn, gen uint64, done chan struct{}) {
 	defer close(done)
-	br := protocol.NewReader(rw)
+	dmx := protocol.NewDemux(rw)
+	dmx.Presize = presizeResult
 	for {
-		resp, err := protocol.Read(br)
+		resp, err := dmx.Next()
 		if err != nil {
 			c.failPending(gen, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
@@ -324,6 +337,9 @@ func (c *Conn) readLoop(rw net.Conn, gen uint64, done chan struct{}) {
 		c.noteLoad(env.Load)
 		if env.Hints&protocol.HintPackedBody != 0 {
 			c.peerPacks.Store(true)
+		}
+		if env.Hints&protocol.HintChunks != 0 {
+			c.peerChunks.Store(true)
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[env.Seq]
@@ -346,9 +362,10 @@ func (c *Conn) readLoop(rw net.Conn, gen uint64, done chan struct{}) {
 			c.failPending(gen, fmt.Errorf("%w: %w", ErrConnBroken, err))
 			return
 		}
-		// A header that named its stream but did not decode whole fails
-		// only that stream: the frame was complete.
-		ch <- muxReply{msg: resp, hdr: hdr, err: hdrErr}
+		// A header that named its stream but did not decode whole, or a
+		// chunked body that does not match its checksum, fails only that
+		// stream: the frame was complete.
+		ch <- muxReply{msg: resp, hdr: hdr, err: cmp.Or(hdrErr, resp.Err)}
 	}
 }
 
@@ -375,10 +392,13 @@ func (c *Conn) failPending(gen uint64, err error) {
 }
 
 // exchange runs one logical stream: acquire a stream slot, register the
-// reply channel under seq, write the frame, then wait for the reader to
-// deliver the matching response. The request timeout covers the write and
-// the wait together, so neither a peer that stops reading nor one that
-// never answers can hang the caller.
+// reply channel under seq, write the request, then wait for the reader to
+// deliver the matching response. The request goes in chunks when the server
+// reads them and its body is over protocol.ChunkThreshold, or when produce
+// makes the body as it is sent (the caller has seen the server's
+// HintChunks); otherwise whole. The request timeout covers the write and the
+// wait together, so neither a peer that stops reading nor one that never
+// answers can hang the caller.
 //
 // Any I/O failure — a short write, a deadline expiring while a frame is
 // mid-wire — leaves the stream position unknown for every sibling too, so
@@ -386,7 +406,7 @@ func (c *Conn) failPending(gen uint64, err error) {
 // could otherwise interpret a stale response's leftover bytes as a frame
 // header. A clean MsgError response is a complete frame and does NOT break
 // the connection.
-func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
+func (c *Conn) exchange(req protocol.Message, seq uint64, produce func(send func([]byte) error) error) (muxReply, error) {
 	slots := c.slots
 	slots <- struct{}{}
 	defer func() { <-slots }()
@@ -400,24 +420,24 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 	}
 	c.pending[seq] = ch
 	timeout := c.timeout
-	rw, gen := c.rw, c.gen
+	rw, fw, gen := c.rw, c.fw, c.gen
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	var expired <-chan time.Time
+	var (
+		expired  <-chan time.Time
+		deadline time.Time
+	)
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
-		expired = timer.C
-		// Best effort: should setting a deadline fail, the timer still
-		// bounds the wait.
-		rw.SetWriteDeadline(time.Now().Add(timeout)) //nolint:errcheck
+		expired, deadline = timer.C, time.Now().Add(timeout)
 	}
-	err := protocol.Write(rw, req)
-	if timeout > 0 {
-		rw.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+	var err error
+	if produce != nil || c.peerChunks.Load() && len(req.Body) > protocol.ChunkThreshold {
+		err = fw.WriteChunked(req, seq, produce, deadline)
+	} else {
+		err = fw.Write(req, deadline)
 	}
-	c.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("%w: %w", ErrConnBroken, err)
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -463,12 +483,18 @@ func (c *Conn) exchange(req protocol.Message, seq uint64) (muxReply, error) {
 // reader decoded, whose type H is respType's. what names the request in
 // errors.
 func call[H any](c *Conn, what string, reqType, respType protocol.MsgType, hdr func(seq uint64) any, body []byte) (protocol.Message, *H, error) {
+	return callProduced[H](c, what, reqType, respType, hdr, body, nil)
+}
+
+// callProduced is call with a body that produce, when it is non-nil, makes
+// as it is sent (exchange).
+func callProduced[H any](c *Conn, what string, reqType, respType protocol.MsgType, hdr func(seq uint64) any, body []byte, produce func(send func([]byte) error) error) (protocol.Message, *H, error) {
 	seq := c.seq.Add(1)
 	req, err := protocol.Encode(reqType, hdr(seq), body)
 	if err != nil {
 		return protocol.Message{}, nil, err
 	}
-	r, err := c.exchange(req, seq)
+	r, err := c.exchange(req, seq, produce)
 	if err != nil {
 		return protocol.Message{}, nil, fmt.Errorf("client: %s: %w", what, err)
 	}
@@ -489,11 +515,12 @@ func (c *Conn) Ping() (installed bool, load *protocol.LoadHint, err error) {
 	return pong.Installed, pong.Load, nil
 }
 
-// preSend ships one pre-send request — weights, or a reference when hdr is
-// RefOnly — and checks that the ACK names the same model.
-func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []byte) (protocol.AckHeader, error) {
-	_, ack, err := call[protocol.AckHeader](c, what, protocol.MsgModelPreSend, protocol.MsgAck,
-		func(seq uint64) any { hdr.Seq = seq; return hdr }, weights)
+// preSend ships one pre-send request — weights, made by produce as they are
+// sent when it is non-nil, or a reference when hdr is RefOnly — and checks
+// that the ACK names the same model.
+func (c *Conn) preSend(what string, hdr protocol.ModelPreSendHeader, weights []byte, produce func(send func([]byte) error) error) (protocol.AckHeader, error) {
+	_, ack, err := callProduced[protocol.AckHeader](c, what, protocol.MsgModelPreSend, protocol.MsgAck,
+		func(seq uint64) any { hdr.Seq = seq; return hdr }, weights, produce)
 	if err != nil {
 		return protocol.AckHeader{}, err
 	}
@@ -509,9 +536,8 @@ type PreSend struct {
 	// when the server decodes packed weights, else the raw blob; zero when
 	// the server answered the offered key itself.
 	Uploaded int64
-	// Uplink is how long the link took to carry the upload: its round trip,
-	// begun once the body was packed and checksummed, less the ack's span
-	// root, the server's share once the frame was in.
+	// Uplink is how long the link took to carry the upload: its round trip
+	// less the ack's span root, the server's share once the body was in.
 	Uplink time.Duration
 	// Resolve is the server's span for resolving the offer — registry
 	// locate and peer fetches beneath it — when a trace ID was stamped.
@@ -519,26 +545,29 @@ type PreSend struct {
 }
 
 // PreSendModel gets one model to the edge server and waits for the ACK
-// (§III.B.1). It encodes the weights once, and offers the model's spec and
-// content key (nn.Fingerprint, hashed from that encoding) first: a server
-// that holds the model — or, fleet-joined, fetches it from a peer — ACKs at
-// once, and only a NeedBlob answer or a clean refusal sends the weights,
-// packed (nn.PackPlanes) when the by-reference ack carried
-// protocol.HintPackedWeights. A non-empty traceID is stamped on the offer,
-// and the server's resolve span comes back in the report, so a roam
-// handoff's pre-sends join the client's trace under one ID.
+// (§III.B.1). It encodes the weights and hashes them into the model's
+// content key (nn.Fingerprint) in one pass, and offers the spec and key
+// first: a server that holds the model — or, fleet-joined, fetches it from a
+// peer — ACKs at once, and only a NeedBlob answer or a clean refusal sends
+// the weights, packed (nn.PackWeights) when the by-reference ack carried
+// protocol.HintPackedWeights. To a server that also reads chunks
+// (protocol.HintChunks) a large blob goes in segments, packed one while the
+// ones before it are on the wire and decoded by the server as they arrive.
+// A non-empty traceID is stamped on the offer, and the server's resolve span
+// comes back in the report, so a roam handoff's pre-sends join the client's
+// trace under one ID.
 func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID string) (PreSend, error) {
 	spec, err := model.SpecJSON()
 	if err != nil {
 		return PreSend{}, fmt.Errorf("client: model %q: %w", name, err)
 	}
-	blob := model.WeightBlob()
+	blob, key := model.KeyedWeightBlob()
 	ack, err := c.preSend(fmt.Sprintf("pre-send %q by reference", name), protocol.ModelPreSendHeader{
 		AppID: appID, ModelName: name, Spec: spec,
-		BlobKey: nn.BlobFingerprint(model, blob),
+		BlobKey: key,
 		RefOnly: true,
 		TraceID: traceID,
-	}, nil)
+	}, nil, nil)
 	var out PreSend
 	if traceID != "" {
 		out.Resolve = ack.Span
@@ -553,24 +582,76 @@ func (c *Conn) PreSendModel(appID, name string, model *nn.Network, traceID strin
 	// stream: upload it.
 	hdr := protocol.ModelPreSendHeader{AppID: appID, ModelName: name, Spec: spec}
 	body := blob
-	if ack.Hints&protocol.HintPackedWeights != 0 {
-		packed, ok, err := protocol.CompressBody(nil, body, flate.HuffmanOnly, nn.PackPlanes)
-		if err != nil {
-			return out, fmt.Errorf("client: model %q: %w", name, err)
-		}
-		if ok {
-			hdr.Encoding, hdr.PlainLen, body = protocol.EncodingPacked, int64(len(body)), packed
-		}
+	var (
+		produce func(send func([]byte) error) error
+		// The link's clock does not run while the sender waits for the
+		// packer: it starts when the first body byte is ready to go, and
+		// stops while a later segment is still being packed.
+		start  time.Time
+		waited time.Duration
+	)
+	switch {
+	case ack.Hints&protocol.HintPackedWeights == 0:
+	case ack.Hints&protocol.HintChunks != 0 && len(blob) > protocol.ChunkThreshold:
+		hdr.Encoding, hdr.PlainLen, hdr.Segment = protocol.EncodingPacked, int64(len(blob)), nn.WeightSegment
+		body, produce = nil, packSegments(blob, &out.Uploaded, &start, &waited)
+	default:
+		hdr.Encoding, hdr.PlainLen = protocol.EncodingPacked, int64(len(blob))
+		nn.PackWeights(blob, 0, func(b []byte) error { body = b; return nil }) //nolint:errcheck // one segment, in memory
 	}
-	hdr.BodyCRC = protocol.BodyChecksum(body)
-	start := time.Now()
-	ack, err = c.preSend(fmt.Sprintf("pre-send %q", name), hdr, body)
+	if produce == nil {
+		hdr.BodyCRC, out.Uploaded = protocol.BodyChecksum(body), int64(len(body))
+	}
+	start = time.Now()
+	ack, err = c.preSend(fmt.Sprintf("pre-send %q", name), hdr, body, produce)
 	if err != nil {
 		return out, err
 	}
-	out.Uploaded = int64(len(body))
-	out.Uplink = time.Since(start) - ack.Span.Duration()
+	out.Uplink = time.Since(start) - waited - ack.Span.Duration()
 	return out, nil
+}
+
+// packSegments is the producer of blob's packed body in segments: one
+// goroutine packs them, at most four ahead of the one being sent. The bytes
+// sent add up in *sent, *first is set when the first segment is ready, and
+// *waited adds up how long the sender then waited for later ones.
+func packSegments(blob []byte, sent *int64, first *time.Time, waited *time.Duration) func(send func([]byte) error) error {
+	return func(send func([]byte) error) error {
+		segs, stop := make(chan []byte, 4), make(chan struct{})
+		var packErr error
+		go func() {
+			defer close(segs)
+			packErr = nn.PackWeights(blob, nn.WeightSegment, func(b []byte) error {
+				select {
+				case segs <- b:
+					return nil
+				case <-stop:
+					return errors.New("client: upload stopped")
+				}
+			})
+		}()
+		var err error
+		for {
+			asked := time.Now()
+			seg, ok := <-segs
+			if !ok {
+				break
+			}
+			if err != nil {
+				continue // the packer stops at its next segment
+			}
+			if *sent == 0 {
+				*first = time.Now()
+			} else {
+				*waited += time.Since(asked)
+			}
+			*sent += int64(len(seg))
+			if err = send(seg); err != nil {
+				close(stop)
+			}
+		}
+		return cmp.Or(err, packErr)
+	}
 }
 
 // cleanServerError reports whether err is the server's verdict on one
@@ -680,6 +761,7 @@ func (c *Conn) offloadBody(replyForm, appID string, body requestBody) (offloadRe
 		req := protocol.SnapshotHeader{
 			AppID: appID, Seq: seq, Encoding: body.encoding, PlainLen: body.plainLen,
 			TraceID: reply.TraceID, Reply: replyForm, BodyCRC: protocol.BodyChecksum(body.wire),
+			Hints: protocol.HintChunks,
 		}
 		reply.RequestBase = req.RequestBase(body.wire)
 		return req

@@ -32,7 +32,7 @@ func TestStreamAfterCloseIsRefused(t *testing.T) {
 	slots := make(chan struct{}, 1)
 	go func() {
 		var streams sync.WaitGroup
-		srv.dispatchStream(serverSide, &connWriter{conn: serverSide}, slots, &streams, ping)
+		srv.dispatchStream(serverSide, protocol.NewWriter(serverSide), slots, &streams, srv.newRequest(ping))
 		streams.Wait()
 		serverSide.Close()
 	}()

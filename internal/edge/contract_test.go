@@ -534,7 +534,7 @@ func FuzzMuxEnvelope(f *testing.F) {
 		slots := make(chan struct{}, 1)
 		var streams sync.WaitGroup
 		msg := protocol.Message{Type: protocol.MsgType(typ), Header: header}
-		srv.dispatchStream(serverSide, &connWriter{conn: serverSide}, slots, &streams, msg)
+		srv.dispatchStream(serverSide, protocol.NewWriter(serverSide), slots, &streams, srv.newRequest(msg))
 		// The handler cannot finish before its response is read off the
 		// unbuffered pipe, so it must be holding the slot right now.
 		if len(slots) != 1 {

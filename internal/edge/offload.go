@@ -221,7 +221,7 @@ func (s *Server) snapshotResponse(req *request, t protocol.MsgType, appID string
 	req.span.AddStage(protocol.SpanEncode, time.Since(encodeStart))
 	return protocol.Encode(t, protocol.SnapshotHeader{
 		AppID: appID, Seq: hdr.Seq, Encoding: encoding, PlainLen: plainLen,
-		Hints:   protocol.HintPackedBody,
+		Hints:   protocol.HintPackedBody | protocol.HintChunks,
 		TraceID: hdr.TraceID,
 		BodyCRC: protocol.BodyChecksum(body),
 		Load:    s.loadHint(),

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"websnap/internal/nn"
 	"websnap/internal/obs"
 	"websnap/internal/protocol"
 	"websnap/internal/sched"
@@ -396,237 +395,6 @@ func (s *Server) Serve(ln net.Listener) error { return s.conns.Serve(ln, s.serve
 // Error frame — then connections are terminated and all goroutines joined.
 func (s *Server) Close() error { return s.conns.Close(s.sched.Close) }
 
-// serveConn serves one accepted connection, or refuses it with one Error
-// frame when MaxConns connections are already being served.
-func (s *Server) serveConn(conn net.Conn) {
-	if s.connSlots != nil {
-		select {
-		case s.connSlots <- struct{}{}:
-			defer func() { <-s.connSlots }()
-		default:
-			s.connsRefused.Inc()
-			msg, err := protocol.Encode(protocol.MsgError,
-				protocol.ErrorHeader{Message: "edge server at connection capacity"}, nil)
-			if err == nil {
-				err = protocol.Write(conn, msg)
-			}
-			if err != nil {
-				s.log.Debug("edge: refusal write failed", obs.Err(err))
-			}
-			return
-		}
-	}
-	s.connsServed.Inc()
-	s.handleConn(conn)
-}
-
-// deadlineReader reads from a net.Conn under two timeout regimes: waiting
-// for a frame's first byte is bounded by idle, while each subsequent read —
-// once the frame has started arriving — is bounded by transfer. Setting the
-// deadline per read (not once per frame) is what keeps a legitimate multi-MB
-// upload on a slow link alive: the old single up-front deadline killed any
-// transfer whose total time exceeded the idle timeout, no matter how
-// steadily bytes were flowing.
-//
-// The connection's frames are read through a buffer on top of it, so a
-// frame may start arriving before it is read: its first bytes came in with
-// the previous frame's tail. Such a frame is on the transfer clock from the
-// start (startFrame).
-type deadlineReader struct {
-	conn           net.Conn
-	idle, transfer time.Duration
-	// inFrame marks that the current frame's first byte has been read, so
-	// reads are on the transfer clock until startFrame resets it.
-	inFrame bool
-}
-
-func (r *deadlineReader) Read(p []byte) (int, error) {
-	d := r.idle
-	if r.inFrame {
-		d = r.transfer
-	}
-	if d > 0 {
-		if err := r.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return 0, err
-		}
-	}
-	n, err := r.conn.Read(p)
-	if n > 0 {
-		r.inFrame = true
-	}
-	return n, err
-}
-
-// startFrame puts the next frame on the idle clock, or — when buffered
-// bytes of it are already in hand — on the transfer clock.
-func (r *deadlineReader) startFrame(buffered int) { r.inFrame = buffered > 0 }
-
-// connWriter serializes response frames onto one connection: handler
-// goroutines finish in arbitrary order and interleave whole frames under
-// the mutex.
-type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (w *connWriter) write(msg protocol.Message) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return protocol.Write(w.conn, msg)
-}
-
-// maxStreams resolves the per-connection concurrent-stream cap.
-func (s *Server) maxStreams() int {
-	if s.cfg.MaxStreams > 0 {
-		return s.cfg.MaxStreams
-	}
-	return DefaultMaxStreams
-}
-
-// handleConn serves one client connection: a sequence of framed requests,
-// each answered with exactly one response. Every request is a logical
-// stream dispatched on its own goroutine, so the response order follows
-// completion, not arrival, and the client demultiplexes by the echoed Seq.
-func (s *Server) handleConn(conn net.Conn) {
-	transfer := s.cfg.TransferTimeout
-	if transfer <= 0 {
-		transfer = s.cfg.IdleTimeout
-	}
-	dr := &deadlineReader{conn: conn, idle: s.cfg.IdleTimeout, transfer: transfer}
-	br := protocol.NewReader(dr)
-	cw := &connWriter{conn: conn}
-	// slots caps this connection's in-flight streams; a full window blocks
-	// the read loop, so flow control is the transport's backpressure.
-	slots := make(chan struct{}, s.maxStreams())
-	var streams sync.WaitGroup
-	defer streams.Wait()
-	for {
-		dr.startFrame(br.Buffered())
-		msg, err := protocol.ReadInto(br, lendText)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				s.log.Info("edge: connection closed on read error", obs.Err(err))
-			}
-			return
-		}
-		s.dispatchStream(conn, cw, slots, &streams, msg)
-	}
-}
-
-// request is one admitted frame with its header decoded, once, by
-// dispatchStream: hdr is what protocol.DecodeFrame returned, env its
-// envelope, hdrErr its error. span is the server's span tree for the
-// request, begun at start, when the frame asked for a stream slot: its
-// handler adds stages (or, for a pre-send, the fleet hops that resolved it)
-// and answers with the closed root, and a failed request goes to the flight
-// ring with the tree as far as it got.
-type request struct {
-	msg    protocol.Message
-	hdr    any
-	env    protocol.Envelope
-	hdrErr error
-	start  time.Time
-	span   *protocol.SpanNode
-}
-
-// newRequest begins the request of one frame: its header decoded, its span
-// started. An undecodable header dispatches as stream 0; the handler reports
-// the decode error in an error frame, which the client takes as being about
-// the whole connection.
-func (s *Server) newRequest(msg protocol.Message) *request {
-	hdr, env, hdrErr := protocol.DecodeFrame(msg)
-	return &request{msg: msg, hdr: hdr, env: env, hdrErr: hdrErr, start: time.Now(),
-		span: &protocol.SpanNode{Op: protocol.SpanServe, Addr: s.cfg.AdvertiseAddr}}
-}
-
-// finish closes the request's span: its root now covers the server's whole
-// share, from the frame's stream-slot wait to the response.
-func (r *request) finish() *protocol.SpanNode {
-	r.span.Micros = time.Since(r.start).Microseconds()
-	return r.span
-}
-
-// dispatchStream admits one frame as a stream: it decodes the header, waits
-// for a stream slot, and only then hands the request to a handler goroutine
-// that holds the slot until its response is written.
-func (s *Server) dispatchStream(conn net.Conn, cw *connWriter, slots chan struct{}, streams *sync.WaitGroup, msg protocol.Message) {
-	// The stream-semaphore wait is where backpressure bites; it is the span's
-	// first stage, so the stream_wait stage histogram exposes a saturated
-	// window.
-	req := s.newRequest(msg)
-	slots <- struct{}{}
-	req.span.AddStage(protocol.SpanStreamWait, time.Since(req.start))
-	// The request is admitted here, before its goroutine starts: either
-	// Close has not begun and will wait for it, or it has and the stream is
-	// refused with one Error frame.
-	if !s.conns.Enter() {
-		<-slots
-		s.errorsAnswered.Inc()
-		resp, err := protocol.Encode(protocol.MsgError, protocol.ErrorHeader{Message: "edge: server closed", Seq: req.env.Seq}, nil)
-		if err == nil {
-			err = cw.write(resp)
-		}
-		if err != nil {
-			s.log.Debug("edge: refusal write failed", obs.Err(err))
-		}
-		return
-	}
-	s.muxRequests.Inc()
-	s.muxActive.Add(1)
-	streams.Add(1)
-	go func() {
-		defer streams.Done()
-		defer s.muxActive.Add(-1)
-		defer func() { <-slots }()
-		defer s.conns.Leave()
-		if err := s.serveRequest(cw, req); err != nil {
-			// The shared socket is broken; close it so the read loop and
-			// sibling streams unwind.
-			conn.Close()
-		}
-	}()
-}
-
-// serveRequest dispatches one request and writes its response under the
-// request's seq; dispatchStream admits it into conns, so Close lets the final
-// frame flush before terminating the connection.
-func (s *Server) serveRequest(cw *connWriter, req *request) error {
-	resp, err := s.dispatch(req)
-	if err != nil {
-		// A failed request is the client's business; a panicking executor
-		// is the server's.
-		logFailure := s.log.Debug
-		if errors.Is(err, sched.ErrExecutorPanic) {
-			logFailure = s.log.Error
-		}
-		logFailure("edge: request failed", slog.Any("type", req.msg.Type.String()), obs.Err(err))
-		s.errorsAnswered.Inc()
-		hdr := protocol.ErrorHeader{Message: err.Error(), Seq: req.env.Seq}
-		var oe *overloadError
-		if errors.As(err, &oe) {
-			hdr.Message = oe.err.Error()
-			hdr.Overloaded = oe.overloaded
-			hdr.Load = s.loadHint()
-		}
-		// A chain failure additionally locates the failed hop so the
-		// client's re-planner can exclude it from the next manifest.
-		var ce *chainError
-		if errors.As(err, &ce) {
-			hdr.ChainHop = ce.hop
-		}
-		s.recordFailure(req, err, oe)
-		resp, err = protocol.Encode(protocol.MsgError, hdr, nil)
-		if err != nil {
-			return err
-		}
-	}
-	if err := cw.write(resp); err != nil {
-		s.log.Debug("edge: response write failed", obs.Err(err))
-		return err
-	}
-	return nil
-}
-
 // overloadError decorates a scheduler admission failure with the overload
 // marker that tells the client to execute locally; its Error frame also
 // carries the load hint.
@@ -704,89 +472,6 @@ func (s *Server) handlePing(hdr *protocol.PingHeader) (protocol.Message, error) 
 		Seq:       hdr.Seq,
 		Hints:     protocol.HintPackedBody,
 	}, nil)
-}
-
-// decodeModel rebuilds a network from a pre-send header's spec and a
-// weight blob.
-func decodeModel(hdr protocol.ModelPreSendHeader, weights []byte) (*nn.Network, error) {
-	net, err := nn.DecodeModel(hdr.Spec, weights)
-	if err != nil {
-		return nil, fmt.Errorf("model %q: %w", hdr.ModelName, err)
-	}
-	return net, nil
-}
-
-// decodeUpload checks an uploaded pre-send's body, unpacks it when it came
-// packed, and rebuilds the model from it, keyed by what the weights hash to,
-// whatever key the client names for it: the decoded blob is byte for byte
-// the model's EncodeWeights, so hashing it as it is gives nn.Fingerprint.
-func (s *Server) decodeUpload(hdr *protocol.ModelPreSendHeader, body []byte) (*nn.Network, string, error) {
-	if err := protocol.VerifyBody(body, hdr.BodyCRC); err != nil {
-		return nil, "", fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
-	}
-	blob, err := protocol.DecodeBody(nil, body, hdr.Encoding, hdr.PlainLen, nn.UnpackPlanes)
-	if err != nil {
-		return nil, "", fmt.Errorf("model %q weights: %w", hdr.ModelName, err)
-	}
-	wire := s.presendRaw
-	if hdr.Encoding == protocol.EncodingPacked {
-		wire = s.presendPacked
-	}
-	wire.Add(int64(len(body)))
-	net, err := decodeModel(*hdr, blob)
-	if err != nil {
-		return nil, "", err
-	}
-	return net, nn.BlobFingerprint(net, blob), nil
-}
-
-// handleModelPreSend stores the client's model files and acknowledges, per
-// §III.B.1: "The server saves the files and sends an acknowledgement (ACK)
-// message to the client." The client offers a reference first (RefOnly +
-// BlobKey): the server resolves the model from its store or, fleet-joined,
-// a peer, and answers NeedBlob when it cannot, telling the client to send
-// the weights. The ack's span is the request's, stream-slot wait included;
-// a pre-send is no served request, so it feeds no SLO, stage histogram or
-// trace log.
-func (s *Server) handleModelPreSend(req *request, hdr *protocol.ModelPreSendHeader) (protocol.Message, error) {
-	req.span.Op, req.span.Detail = protocol.SpanPresendResolve, hdr.BlobKey
-	// ack answers under the request's span, whose root is the server's share
-	// of the round trip, so the client can read its uplink off the rest.
-	ack := func(needBlob bool) (protocol.Message, error) {
-		return protocol.Encode(protocol.MsgAck, protocol.AckHeader{
-			AppID:     hdr.AppID,
-			ModelName: hdr.ModelName,
-			Seq:       hdr.Seq,
-			Load:      s.loadHint(),
-			NeedBlob:  needBlob,
-			Span:      req.finish(),
-			Hints:     protocol.HintPackedBody | protocol.HintPackedWeights,
-		}, nil)
-	}
-	var (
-		net *nn.Network
-		key = hdr.BlobKey
-		err error
-	)
-	if hdr.RefOnly {
-		if net, err = s.resolveModel(*hdr, req); err != nil {
-			s.refPreSendMisses.Inc()
-			s.log.Debug("edge: ref pre-send unresolved", slog.Any("model", hdr.ModelName), slog.Any("blob", hdr.BlobKey), obs.Err(err))
-			return ack(true)
-		}
-		s.refPreSendHits.Inc()
-	} else if net, key, err = s.decodeUpload(hdr, req.msg.Body); err != nil {
-		return protocol.Message{}, err
-	}
-	if err := s.store.putKeyed(hdr.AppID, hdr.ModelName, key, net); err != nil {
-		// The in-memory copy is in place; persistence failure only
-		// affects restarts. Log and keep serving.
-		s.log.Warn("edge: model persist failed", slog.Any("model", hdr.ModelName), obs.Err(err))
-	}
-	s.modelsStored.Inc()
-	s.log.Debug("edge: model stored", slog.Any("model", hdr.ModelName), slog.Any("appId", hdr.AppID),
-		slog.Any("params", net.TotalParams()), slog.Any("ref", hdr.RefOnly))
-	return ack(false)
 }
 
 // StatsDigest snapshots the server's telemetry for one registry heartbeat:

@@ -47,18 +47,27 @@ func (p Profile) serialization(n int64) time.Duration {
 
 // Pace books an n-byte write at now on a link whose virtual clock says it
 // is next idle at *nextFree, and returns how long the writer must wait
-// for the link to carry it: an idle link first charges the propagation
-// delay, then the bytes take n/bandwidth. Every paced writer (Conn, and
-// chaos's shaping phases) books through it.
+// for the link to carry it: a fresh burst first pays the propagation delay,
+// then the bytes take n/bandwidth. A write that comes before a socket's
+// send buffer (sendBuffer bytes), or the propagation delay, would have
+// drained continues the burst, booked as if it had come on time: a real
+// socket would have held its bytes, so a writer woken a little late — by the
+// scheduler, on a loaded host — neither pays the delay again nor idles the
+// link, and a body written in many pieces crosses the link in the time it
+// takes written whole. Every paced writer (Conn, and chaos's shaping
+// phases) books through it.
 func (p Profile) Pace(nextFree *time.Time, n int, now time.Time) time.Duration {
 	start := *nextFree
-	if start.Before(now) {
+	if start.Add(max(p.Latency, p.serialization(sendBuffer))).Before(now) {
 		// Link idle: a fresh burst pays the propagation delay.
 		start = now.Add(p.Latency)
 	}
 	*nextFree = start.Add(p.serialization(int64(n)))
 	return nextFree.Sub(now)
 }
+
+// sendBuffer is how many bytes a socket holds ahead of the link (Pace).
+const sendBuffer = 64 << 10
 
 // Validate reports whether the profile is usable.
 func (p Profile) Validate() error {

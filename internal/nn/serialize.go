@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 )
@@ -256,15 +257,24 @@ func BlobFingerprint(n *Network, blob []byte) string {
 }
 
 func fingerprint(n *Network, weights func(io.Writer) error) string {
+	h := fingerprintHash(n)
+	if err := weights(h); err != nil {
+		return ""
+	}
+	return fingerprintSum(h)
+}
+
+// fingerprintHash starts a Fingerprint: the hash, fed the model's spec.
+func fingerprintHash(n *Network) hash.Hash {
 	h := sha256.New()
 	if spec, err := n.SpecJSON(); err == nil {
 		h.Write(spec)
 	}
-	if err := weights(h); err != nil {
-		return ""
-	}
-	return hex.EncodeToString(h.Sum(nil)[:12])
+	return h
 }
+
+// fingerprintSum ends a Fingerprint, once the hash has been fed the blob.
+func fingerprintSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)[:12]) }
 
 // weightChunk is how many bytes of parameters EncodeWeights and
 // DecodeWeights convert between writes or reads.

@@ -20,7 +20,7 @@ const (
 	EncodingRaw = ""
 	// EncodingPacked is the body put into a form DEFLATE codes well — a
 	// snapshot's base64 payloads put back to the bytes they stand for
-	// (snapshot.Pack), a weight blob split into byte planes (nn.PackPlanes) —
+	// (snapshot.Pack), a weight blob split into byte planes (nn.PackWeights) —
 	// and then DEFLATEd; the header's PlainLen declares the body's length.
 	// The receiver inflates, unpacks and holds the sender's body byte for
 	// byte.

@@ -2,9 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -152,3 +155,117 @@ func pipeRoundTrip(t *testing.T, msg Message) Message {
 	}
 	return got
 }
+
+// FuzzChunkDemux drives a connection's demultiplexer with interleaved,
+// torn, duplicated, unknown-Seq and over-long chunk streams, reassembled and
+// piped: it never panics, never holds more than ChunkBudget of piped bytes
+// unread, and every body it completes — reassembled or read off its
+// Stream — is the concatenation of its chunks.
+func FuzzChunkDemux(f *testing.F) {
+	f.Add([]byte{0, 1, 10, 2, 1, 200, 2, 1, 255, 3, 1, 0, 6, 2, 0})
+	f.Add([]byte{1, 3, 0, 2, 3, 255, 0, 1, 4, 2, 1, 9, 2, 3, 255, 2, 3, 255, 3, 3, 0, 3, 1, 0})
+	f.Add([]byte{2, 5, 1, 0, 1, 0, 0, 1, 0})
+	f.Add([]byte{1, 1, 0, 5, 1, 0})
+	f.Add([]byte{0, 2, 0, 4, 2, 0, 7, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// pattern is the byte at offset i of any body of stream seq.
+		pattern := func(seq uint64, i int) byte { return byte(int(seq)*31 + i*7) }
+		var wire bytes.Buffer
+		w := NewWriter(&wire)
+		sent := map[uint64]int{}
+		crcs := map[uint64]uint32{}
+		for i := 0; i+2 < len(ops); i += 3 {
+			seq, n := uint64(ops[i+1]%8), int(ops[i+2])*300
+			switch ops[i] % 8 {
+			case 0, 1: // open a reassembled or a piped body
+				typ := MsgSnapshot
+				if ops[i]%8 == 1 {
+					typ = MsgModelPreSend
+				}
+				hdr := []byte(`{"seq":` + string(rune('0'+seq)) + `}`)
+				head := make([]byte, openLen)
+				putPrefix(head, typ|chunkedFlag, len(hdr), uint64(n))
+				binary.LittleEndian.PutUint64(head[prefixLen:], seq)
+				wire.Write(head)
+				wire.Write(hdr)
+				sent[seq], crcs[seq] = 0, 0
+			case 2, 5: // a chunk, over-long when case 5
+				n = min(n, ChunkSize)
+				if ops[i]%8 == 5 {
+					n = ChunkSize + 1
+				}
+				data := make([]byte, n)
+				for j := range data {
+					data[j] = pattern(seq, sent[seq]+j)
+				}
+				sent[seq] += n
+				crcs[seq] = crc32.Update(crcs[seq], crcTable, data)
+				if n > ChunkSize {
+					head := make([]byte, prefixLen)
+					copy(head, []byte{0x50, 0x4e, 0x53, 0x57, version, msgChunk})
+					binary.LittleEndian.PutUint64(head[6:], seq)
+					binary.LittleEndian.PutUint32(head[14:], uint32(n))
+					wire.Write(head)
+					wire.Write(data)
+					continue
+				}
+				w.chunk(seq, data, 0, 0, time.Time{}) //nolint:errcheck // a Buffer does not fail
+			case 3, 4: // the last chunk, with a wrong CRC when case 4
+				crc := crcs[seq]
+				if ops[i]%8 == 4 {
+					crc = ^crc
+				}
+				w.chunk(seq, nil, lastChunk, crc, time.Time{}) //nolint:errcheck // a Buffer does not fail
+			case 6: // a whole frame
+				msg, _ := Encode(MsgPing, PingHeader{Seq: seq}, nil)
+				Write(&wire, msg) //nolint:errcheck // a Buffer does not fail
+			case 7: // a torn frame
+				wire.Write([]byte{0x50, 0x4e, 0x53})
+			}
+		}
+		complete := func(seq uint64, body []byte) {
+			for j, b := range body {
+				if b != pattern(seq, j) {
+					t.Errorf("stream %d: completed body differs from its chunks at byte %d", seq, j)
+					return
+				}
+			}
+		}
+		d := NewDemux(&wire)
+		d.Pipe = func(t MsgType) bool { return t == MsgModelPreSend }
+		var readers sync.WaitGroup
+		defer readers.Wait()
+		for {
+			msg, err := d.Next()
+			d.mu.Lock()
+			held := d.buffered
+			d.mu.Unlock()
+			if held > ChunkBudget {
+				t.Fatalf("the demux holds %d piped bytes unread", held)
+			}
+			if err != nil {
+				return
+			}
+			var env MuxEnvelope
+			DecodeHeader(msg, &env) //nolint:errcheck // the fuzz builds the header
+			switch {
+			case msg.Stream != nil:
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					body, err := io.ReadAll(iotestHalfReader{msg.Stream})
+					if err == nil {
+						complete(env.Seq, body)
+					}
+				}()
+			case msg.Err == nil && msg.Type == MsgSnapshot:
+				complete(env.Seq, msg.Body)
+			}
+		}
+	})
+}
+
+// iotestHalfReader reads at most half of what is asked, to tear reads.
+type iotestHalfReader struct{ r io.Reader }
+
+func (h iotestHalfReader) Read(p []byte) (int, error) { return h.r.Read(p[:max(len(p)/2, 1)]) }

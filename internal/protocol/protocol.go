@@ -12,17 +12,33 @@
 //	header  []byte  JSON, message-type specific
 //	body    []byte  raw payload (weights blob, snapshot text, ...)
 //
-// There is one request/response contract with an edge server, with nothing
-// to negotiate: every request header carries a client-chosen Seq naming its
-// logical stream, the server dispatches the frames of one connection
-// concurrently and echoes the Seq on the matching response, and responses
-// may arrive in any order. Responses always carry the server's Load and,
-// where there is a body, its BodyCRC; results, chain results and acks carry
-// the server's span tree, which holds spans from other processes (registry,
-// peers, downstream hops) only when the request carried a TraceID. Acks,
-// pongs and results also carry the server's capability Hints: a snapshot
-// body may travel packed (compress.go) to a server that has said it decodes
-// that.
+// A body longer than ChunkThreshold, to a peer that has said it reads chunks
+// (HintChunks), travels in chunks instead (chunk.go). Its header frame sets
+// the type's top bit, puts the stream's Seq (uint64) between the prefix and
+// the JSON header, declares the body's length in bodyLen — zero when the
+// sender packs it as it sends it — and carries no body. Chunk frames follow,
+// interleaved with other streams' frames:
+//
+//	magic   uint32  "WSNP"
+//	version uint8
+//	type    uint8   0x7f
+//	seq     uint64  the stream's Seq
+//	n       uint32  data length (≤ ChunkSize); the top bit marks the last chunk
+//	data    []byte
+//	crc     uint32  last chunk only: BodyChecksum of the whole body
+//
+// There is one request/response contract with an edge server: every request
+// header carries a client-chosen Seq naming its logical stream, the server
+// dispatches the frames of one connection concurrently and echoes the Seq on
+// the matching response, and responses may arrive in any order. Responses
+// always carry the server's Load and, where there is a whole body, its
+// BodyCRC (a chunked body's is its last chunk's); results, chain results and
+// acks carry the server's span tree, which holds spans from other processes
+// (registry, peers, downstream hops) only when the request carried a
+// TraceID. Acks, pongs and results also carry the server's capability Hints:
+// a snapshot body may travel packed (compress.go) to a server that has said
+// it decodes that, and a large body in chunks to one that reads them; a
+// snapshot request's HintChunks asks for its result in chunks.
 package protocol
 
 import (
@@ -387,6 +403,10 @@ type ModelPreSendHeader struct {
 	// PlainLen is the length of the blob an EncodingPacked body stands for;
 	// zero on a raw body.
 	PlainLen int64 `json:"plainLen,omitempty"`
+	// Segment is how many blob bytes each segment of an EncodingPacked body
+	// covers (nn.PackWeights); zero means one segment, the whole blob. Only
+	// a server that sent HintChunks is sent segments.
+	Segment int64 `json:"segment,omitempty"`
 }
 
 // AckHeader is the JSON header of MsgAck.
@@ -408,7 +428,7 @@ type AckHeader struct {
 	// fetches) are its children when the request carried a TraceID.
 	Span *SpanNode `json:"span,omitempty"`
 	// Hints carries the server's capability bits (HintPackedBody,
-	// HintPackedWeights).
+	// HintPackedWeights, HintChunks).
 	Hints int `json:"hints,omitempty"`
 }
 
@@ -423,8 +443,9 @@ type SnapshotHeader struct {
 	// PlainLen is the length of the text an EncodingPacked body stands for;
 	// zero on a raw body.
 	PlainLen int64 `json:"plainLen,omitempty"`
-	// Hints carries the server's capability bits (HintPackedBody) on a
-	// response; on a request every receiver ignores it.
+	// Hints carries the server's capability bits (HintPackedBody,
+	// HintChunks) on a response; on a request, HintChunks says the client
+	// reads a chunked result, and every other bit is ignored.
 	Hints int `json:"hints,omitempty"`
 	// TraceID identifies this offload's trace; a result echoes it.
 	TraceID string `json:"traceId,omitempty"`
@@ -489,7 +510,8 @@ type PongHeader struct {
 	Fleet bool `json:"fleet,omitempty"`
 	// Seq echoes the ping's stream id.
 	Seq uint64 `json:"seq,omitempty"`
-	// Hints carries the server's capability bits (HintPackedBody).
+	// Hints carries the server's capability bits (HintPackedBody,
+	// HintChunks).
 	Hints int `json:"hints,omitempty"`
 }
 
@@ -781,6 +803,12 @@ type Message struct {
 	Type   MsgType
 	Header []byte // JSON, type-specific
 	Body   []byte
+	// Stream is the body of a frame a Demux pipes: it arrives in chunks
+	// after the frame, and Body is nil.
+	Stream *Stream
+	// Err is set on a frame a Demux reassembled from chunks that do not
+	// match the body's CRC (ErrChecksum); Body is then nil.
+	Err error
 }
 
 // prefixLen is the length of a frame's fixed prefix: magic through bodyLen.
@@ -807,11 +835,7 @@ func Write(w io.Writer, msg Message) error {
 		return fmt.Errorf("%w: body %d bytes", ErrTooLarge, len(msg.Body))
 	}
 	f := frameVecs.Get().(*frameVec)
-	binary.LittleEndian.PutUint32(f.prefix[0:4], magic)
-	f.prefix[4] = version
-	f.prefix[5] = uint8(msg.Type)
-	binary.LittleEndian.PutUint32(f.prefix[6:10], uint32(len(msg.Header)))
-	binary.LittleEndian.PutUint64(f.prefix[10:18], uint64(len(msg.Body)))
+	putPrefix(f.prefix[:], msg.Type, len(msg.Header), uint64(len(msg.Body)))
 	f.bufs = append(f.parts[:0], f.prefix[:])
 	// Leave out empty parts: on unbuffered transports (net.Pipe) a 0-byte
 	// Write blocks for a matching Read that io.ReadFull(0) on the peer
@@ -828,6 +852,15 @@ func Write(w io.Writer, msg Message) error {
 		return fmt.Errorf("protocol: write frame: %w", err)
 	}
 	return nil
+}
+
+// putPrefix writes a frame prefix of type t into p.
+func putPrefix(p []byte, t MsgType, hdrLen int, bodyLen uint64) {
+	binary.LittleEndian.PutUint32(p[0:4], magic)
+	p[4] = version
+	p[5] = uint8(t)
+	binary.LittleEndian.PutUint32(p[6:10], uint32(hdrLen))
+	binary.LittleEndian.PutUint64(p[10:18], bodyLen)
 }
 
 // readBufSize sizes a connection's read buffer: a frame of up to 32 KB —
@@ -849,27 +882,51 @@ func Read(r io.Reader) (Message, error) { return ReadInto(r, nil) }
 // capacity does; nil, or storage too small, gets a fresh slice as Read makes.
 // A nil body lends nothing.
 func ReadInto(r io.Reader, body func(t MsgType) []byte) (Message, error) {
-	hdr, err := readPrefix(r)
+	prefix, err := readPrefix(r)
 	if err != nil {
 		return Message{}, fmt.Errorf("protocol: read frame header: %w", err)
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != magic {
-		return Message{}, fmt.Errorf("%w: %#x", ErrBadMagic, m)
+	if err := checkPrefix(prefix); err != nil {
+		return Message{}, err
 	}
-	if v := hdr[4]; v != version {
-		return Message{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	return readFrame(r, prefix, body)
+}
+
+// checkPrefix checks a frame prefix's magic and version.
+func checkPrefix(prefix []byte) error {
+	if m := binary.LittleEndian.Uint32(prefix[0:4]); m != magic {
+		return fmt.Errorf("%w: %#x", ErrBadMagic, m)
 	}
-	msg := Message{Type: MsgType(hdr[5])}
-	if msg.Type < MsgModelPreSend || msg.Type > MsgChainResult {
-		return Message{}, fmt.Errorf("%w: %d", ErrUnknownType, hdr[5])
+	if v := prefix[4]; v != version {
+		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	hdrLen := binary.LittleEndian.Uint32(hdr[6:10])
-	bodyLen := binary.LittleEndian.Uint64(hdr[10:18])
+	return nil
+}
+
+// frameLens checks the type and lengths of a frame of type t with the given
+// prefix and returns its header and body lengths.
+func frameLens(t MsgType, prefix []byte) (hdrLen uint32, bodyLen uint64, err error) {
+	if t < MsgModelPreSend || t > MsgChainResult {
+		return 0, 0, fmt.Errorf("%w: %d", ErrUnknownType, prefix[5])
+	}
+	hdrLen = binary.LittleEndian.Uint32(prefix[6:10])
+	bodyLen = binary.LittleEndian.Uint64(prefix[10:18])
 	if hdrLen > MaxHeaderLen {
-		return Message{}, fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
+		return 0, 0, fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
 	}
 	if bodyLen > MaxBodyLen {
-		return Message{}, fmt.Errorf("%w: body %d bytes", ErrTooLarge, bodyLen)
+		return 0, 0, fmt.Errorf("%w: body %d bytes", ErrTooLarge, bodyLen)
+	}
+	return hdrLen, bodyLen, nil
+}
+
+// readFrame reads the rest of a whole frame after its checked prefix, which
+// it reads its lengths from before it reads r again.
+func readFrame(r io.Reader, prefix []byte, body func(t MsgType) []byte) (Message, error) {
+	msg := Message{Type: MsgType(prefix[5])}
+	hdrLen, bodyLen, err := frameLens(msg.Type, prefix)
+	if err != nil {
+		return Message{}, err
 	}
 	msg.Header = make([]byte, hdrLen)
 	if _, err := io.ReadFull(r, msg.Header); err != nil {
