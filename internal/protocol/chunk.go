@@ -194,8 +194,8 @@ func (w *Writer) deadline(d time.Time) func() {
 // waits for the readers.
 type Demux struct {
 	r *bufio.Reader
-	// Lend returns storage for the body of a frame of type t, as ReadInto's
-	// body does; nil lends nothing.
+	// Lend returns storage for the body of a frame of type t, which holds a
+	// whole or reassembled body when its capacity does; nil lends nothing.
 	Lend func(t MsgType) []byte
 	// Pipe reports whether the chunked body of a frame of type t is piped;
 	// nil pipes nothing.

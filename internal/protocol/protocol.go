@@ -875,13 +875,7 @@ const readBufSize = 64 << 10
 func NewReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBufSize) }
 
 // Read reads one framed message from r.
-func Read(r io.Reader) (Message, error) { return ReadInto(r, nil) }
-
-// ReadInto is Read with storage for the body lent by the caller: body(t)
-// returns storage for the body of a frame of type t, which holds it when its
-// capacity does; nil, or storage too small, gets a fresh slice as Read makes.
-// A nil body lends nothing.
-func ReadInto(r io.Reader, body func(t MsgType) []byte) (Message, error) {
+func Read(r io.Reader) (Message, error) {
 	prefix, err := readPrefix(r)
 	if err != nil {
 		return Message{}, fmt.Errorf("protocol: read frame header: %w", err)
@@ -889,7 +883,7 @@ func ReadInto(r io.Reader, body func(t MsgType) []byte) (Message, error) {
 	if err := checkPrefix(prefix); err != nil {
 		return Message{}, err
 	}
-	return readFrame(r, prefix, body)
+	return readFrame(r, prefix, nil)
 }
 
 // checkPrefix checks a frame prefix's magic and version.
@@ -921,7 +915,9 @@ func frameLens(t MsgType, prefix []byte) (hdrLen uint32, bodyLen uint64, err err
 }
 
 // readFrame reads the rest of a whole frame after its checked prefix, which
-// it reads its lengths from before it reads r again.
+// it reads its lengths from before it reads r again. body(t), when body is
+// non-nil, lends storage for the body of a frame of type t, which holds it
+// when its capacity does; storage too small gets a fresh slice.
 func readFrame(r io.Reader, prefix []byte, body func(t MsgType) []byte) (Message, error) {
 	msg := Message{Type: MsgType(prefix[5])}
 	hdrLen, bodyLen, err := frameLens(msg.Type, prefix)
