@@ -443,6 +443,9 @@ func (s *Server) dispatch(req *request) (protocol.Message, error) {
 	if req.hdrErr != nil {
 		return protocol.Message{}, req.hdrErr
 	}
+	if msg.Err != nil { // a chunked body that does not match its checksum
+		return protocol.Message{}, msg.Err
+	}
 	switch hdr := req.hdr.(type) {
 	case *protocol.PingHeader:
 		return s.handlePing(hdr)
