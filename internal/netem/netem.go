@@ -47,27 +47,18 @@ func (p Profile) serialization(n int64) time.Duration {
 
 // Pace books an n-byte write at now on a link whose virtual clock says it
 // is next idle at *nextFree, and returns how long the writer must wait
-// for the link to carry it: a fresh burst first pays the propagation delay,
-// then the bytes take n/bandwidth. A write that comes before a socket's
-// send buffer (sendBuffer bytes), or the propagation delay, would have
-// drained continues the burst, booked as if it had come on time: a real
-// socket would have held its bytes, so a writer woken a little late — by the
-// scheduler, on a loaded host — neither pays the delay again nor idles the
-// link, and a body written in many pieces crosses the link in the time it
-// takes written whole. Every paced writer (Conn, and chaos's shaping
-// phases) books through it.
+// for the link to carry it: an idle link first charges the propagation
+// delay, then the bytes take n/bandwidth. Every paced writer (Conn, and
+// chaos's shaping phases) books through it.
 func (p Profile) Pace(nextFree *time.Time, n int, now time.Time) time.Duration {
 	start := *nextFree
-	if start.Add(max(p.Latency, p.serialization(sendBuffer))).Before(now) {
+	if start.Before(now) {
 		// Link idle: a fresh burst pays the propagation delay.
 		start = now.Add(p.Latency)
 	}
 	*nextFree = start.Add(p.serialization(int64(n)))
 	return nextFree.Sub(now)
 }
-
-// sendBuffer is how many bytes a socket holds ahead of the link (Pace).
-const sendBuffer = 64 << 10
 
 // Validate reports whether the profile is usable.
 func (p Profile) Validate() error {
@@ -88,6 +79,8 @@ type Conn struct {
 	profile Profile
 	// nextFree is the virtual time at which the link is next idle.
 	nextFree time.Time
+	// returned is when the last Write returned.
+	returned time.Time
 	sleep    func(time.Duration)
 	now      func() time.Time
 }
@@ -104,10 +97,23 @@ func Shape(conn net.Conn, p Profile) net.Conn {
 }
 
 // Write paces the write so the cumulative rate does not exceed the profile
-// bandwidth, then forwards to the underlying conn.
+// bandwidth, then forwards to the underlying conn. A write that comes
+// straight back from the last one — within the propagation delay of its
+// return — is booked as if it came when the link fell idle: a real socket
+// would have queued its bytes, and what came late was this process waking
+// from the last pacing sleep, so a body written in many pieces crosses the
+// link in the time it takes written whole.
 func (c *Conn) Write(b []byte) (int, error) {
-	if wait := c.profile.Pace(&c.nextFree, len(b), c.now()); wait > 0 {
+	now := c.now()
+	booked := now
+	if now.Sub(c.returned) <= c.profile.Latency && c.nextFree.Before(now) {
+		booked = c.nextFree
+	}
+	c.profile.Pace(&c.nextFree, len(b), booked)
+	if wait := c.nextFree.Sub(now); wait > 0 {
 		c.sleep(wait)
 	}
-	return c.Conn.Write(b)
+	n, err := c.Conn.Write(b)
+	c.returned = c.now()
+	return n, err
 }

@@ -101,15 +101,15 @@ func TestShapedWritePacing(t *testing.T) {
 	if d := (clock.slept - before) - wantSecond; d < -time.Millisecond || d > time.Millisecond {
 		t.Errorf("second write slept %v, want ~%v (no extra latency)", clock.slept-before, wantSecond)
 	}
-	// A write a little late — before a 64 KB send buffer (65.5 ms at 1 MB/s)
-	// would have drained — continues the burst as if it had come on time;
-	// one later than that pays the delay.
+	// A write that comes back a little late — within the propagation delay
+	// of the last one's return — continues the burst as if it had come on
+	// time; one later than that pays the delay.
 	for _, c := range []struct {
 		gap, want time.Duration
 	}{
 		{200 * time.Microsecond, wantSecond - 200*time.Microsecond},
-		{60 * time.Millisecond, wantSecond - 60*time.Millisecond},
-		{70 * time.Millisecond, wantSecond + 10*time.Millisecond},
+		{9 * time.Millisecond, wantSecond - 9*time.Millisecond},
+		{11 * time.Millisecond, wantSecond + 10*time.Millisecond},
 	} {
 		clock.now = clock.now.Add(c.gap)
 		before = clock.slept
